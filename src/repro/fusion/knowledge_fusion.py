@@ -14,6 +14,7 @@ which this class composes on top of the multi-truth Bayesian core:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import Callable
 
 from repro.faults import FaultPlan
@@ -142,7 +143,7 @@ class KnowledgeFusion(FusionMethod):
             result = base.fuse(working)
         result.method = self.name
         if self.functional_of is not None:
-            self._constrain_functional(working, result)
+            self._constrain_functional(result)
         return result
 
     # ------------------------------------------------------------------
@@ -194,8 +195,14 @@ class KnowledgeFusion(FusionMethod):
     # which must replay exactly this preparation to keep its
     # byte-identity contract).
 
-    def _extractor_weights(self, claims: ClaimSet) -> dict[str, float]:
-        """Global extractor-correlation independence weights."""
+    def _extractor_weights(
+        self, claims: Iterable[Claim]
+    ) -> dict[str, float]:
+        """Global extractor-correlation independence weights.
+
+        ``claims`` is iterated more than once, in order: pass a claim
+        set or a list, in the order a full fuse would see them.
+        """
         estimator = CorrelationEstimator(by="extractor")
         return estimator.estimate(claims).weights
 
@@ -231,28 +238,29 @@ class KnowledgeFusion(FusionMethod):
         return base
 
     def _apply_extractor_weights(
-        self, claims: ClaimSet, weights: dict[str, float]
+        self, claims: Iterable[Claim], weights: dict[str, float]
     ) -> ClaimSet:
         """Fold extractor-correlation discounts into claim confidences."""
         reweighted = ClaimSet()
         for claim in claims:
             weight = weights.get(claim.extractor_id, 1.0)
             confidence = claim.confidence if self.use_confidence else 1.0
-            reweighted.add(
-                Claim(
+            confidence = max(0.0, min(1.0, confidence * weight))
+            # An undiscounted claim (claims are immutable) stands for
+            # itself; a zero is rebuilt so its sign is the clamp's.
+            if confidence != claim.confidence or confidence == 0.0:
+                claim = Claim(
                     item=claim.item,
                     value=claim.value,
                     lexical=claim.lexical,
                     source_id=claim.source_id,
                     extractor_id=claim.extractor_id,
-                    confidence=max(0.0, min(1.0, confidence * weight)),
+                    confidence=confidence,
                 )
-            )
+            reweighted.add(claim)
         return reweighted
 
-    def _constrain_functional(
-        self, claims: ClaimSet, result: FusionResult
-    ) -> None:
+    def _constrain_functional(self, result: FusionResult) -> None:
         """Keep a single truth (or chain) for functional attributes."""
         for item, truths in result.truths.items():
             if len(truths) <= 1:

@@ -4,18 +4,25 @@ Fusion couples an item to its sources and a source to its items, so a
 delta that touches a handful of items can only change verdicts inside
 the connected components of the claim graph it lands in (see
 :mod:`repro.fusion.sharding`).  The :class:`IncrementalFusion` engine
-exploits that:
+exploits that, and keeps the work of a delta proportional to the
+*region* it lands in rather than to the store:
 
 1. the current claim corpus lives in a :class:`TripleStore`; each
    delta is journalled against a *copy* of it (retract, then add);
 2. claims are canonicalized (sorted on a total key, then deduplicated
    through :meth:`ClaimSet.from_scored_triples`), so the fused output
-   is a function of store *content*, not of journal history;
+   is a function of store *content*, not of journal history.  The
+   sort key starts with the data item, so the canonical order is the
+   items in sorted order, each followed by its own claims: the
+   committed state caches the canonical claims *per item* (one flat
+   list plus per-item spans), and a delta re-reads only its dirty
+   items from the staged store;
 3. the canonical claim set is partitioned into connected components;
-   each component carries a content digest, and a component whose
-   digest matches the cached entry from the previous state is *clean*
-   — its cached verdicts are reused verbatim.  Everything else is
-   *dirty* and re-fused;
+   each component carries its items, its sources and a content
+   digest.  The prior components that hold a dirty item or a dirty
+   source form the delta's region: only the region is re-sharded,
+   digested, re-weighted and (where a digest moved) re-fused; every
+   other component's entry is carried over untouched;
 4. the merged result plus the new component cache are committed as a
    single state-object swap, so a crash anywhere before the commit
    leaves the engine fully pre-delta (the torn-state chaos contract).
@@ -23,15 +30,30 @@ exploits that:
 Two estimation details make the reuse exact rather than approximate:
 
 * extractor-correlation weights are global (extractors span
-  components), so they are recomputed per delta and folded into claim
-  confidences *before* partitioning — a shifted extractor weight
-  changes every component digest and degenerates the delta to a full
-  re-fusion, which is the correct price for a global parameter shift;
+  components), so they are re-estimated per delta — one pass over the
+  cached claims in global canonical order (the estimator's float sums
+  follow set-insertion order, so the order is part of the
+  byte-identity contract).  Weights equal to the committed ones leave
+  every component outside the region bit-for-bit as it was; a shifted
+  weight can change any component's digest and degenerates the delta
+  to a full recompute, which is the correct price for a global
+  parameter shift (a configured ``functional_refresh`` re-derives its
+  oracle from all claims and takes the same path);
 * source-correlation weights are component-local by construction
   (sources in different components share no items, and the estimator
   ignores pairs without common items), so the engine estimates them
   per component inside :meth:`_fuse_component` and still matches the
   global estimate bit for bit.
+
+Per delta, the dirty-item re-read (one ``claims_for_items`` call) is
+O(delta) on the segment backend and one walk of the claim dict on the
+memory backend, which has no per-item index; sharding / digests /
+re-weighting / fusion are O(region), and four passes stay O(store)
+with small constants: the staged store copy, the successor corpus
+(:meth:`_Corpus.replaced`, a slice-copying merge of the cached claims
+with the re-read items), the extractor estimate and the disjoint-union
+:meth:`_merge`.  Putting the entries back in first-item order is a
+sort of O(components) nearly sorted keys.
 
 Byte-identity contract: with ``KnowledgeFusion(tolerance=0)``,
 ``apply_delta(delta)`` and a full ``fuse(canonical_claims(store))``
@@ -46,13 +68,21 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from collections import deque
+from collections.abc import Iterable
+from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.errors import DeltaError
-from repro.fusion.base import ClaimSet, FusionResult
+from repro.fusion.base import Claim, ClaimSet, FusionResult, Item
 from repro.fusion.sharding import shard_claims
 from repro.incremental.delta import ClaimDelta
-from repro.incremental.journal import DeltaJournal, DeltaReceipt
+from repro.incremental.journal import (
+    RECEIPT_TAIL,
+    DeltaJournal,
+    DeltaReceipt,
+)
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import ScoredTriple
 
@@ -88,9 +118,92 @@ def canonical_claims(store: TripleStore) -> ClaimSet:
     produced them — yield byte-identical claim sets, hence
     byte-identical fusion (float accumulation order included).
     """
+    return _canonicalize(store.claims())
+
+
+def _canonicalize(scored: Iterable[ScoredTriple]) -> ClaimSet:
     return ClaimSet.from_scored_triples(
-        sorted(store.claims(), key=_scored_sort_key)
+        sorted(scored, key=_scored_sort_key)
     )
+
+
+#: Raised when a delta leaves nothing to fuse (and on an empty prime).
+_EMPTY_STORE = (
+    "claim store is empty; refusing to fuse nothing "
+    "(did the delta retract every claim?)"
+)
+
+
+class _Corpus:
+    """Every canonical, deduplicated claim of a store, item by item.
+
+    ``claims`` is the global canonical order (pre-reweight): ``items``
+    is sorted, and item ``i`` owns the ``counts[i]`` claims from
+    ``starts[i]`` on.  Flat lists rather than a container per item:
+    a store has about as many items as claims, and the collector
+    walks every container a long-lived state holds.  Never mutated
+    once built; :meth:`replaced` derives the successor.
+    """
+
+    __slots__ = ("claims", "items", "counts", "starts")
+
+    def __init__(
+        self, claims: list[Claim], items: list[Item], counts: list[int]
+    ) -> None:
+        self.claims = claims
+        self.items = items
+        self.counts = counts
+        self.starts = list(accumulate(counts, initial=0))
+
+    @classmethod
+    def of(cls, claims: ClaimSet) -> "_Corpus":
+        """Index a canonically ordered claim set (one pass)."""
+        flat = list(claims)
+        items: list[Item] = []
+        counts: list[int] = []
+        for claim in flat:
+            if items and items[-1] == claim.item:
+                counts[-1] += 1
+            else:
+                items.append(claim.item)
+                counts.append(1)
+        return cls(flat, items, counts)
+
+    def claims_of(self, item: Item) -> list[Claim]:
+        at = bisect_left(self.items, item)
+        if at == len(self.items) or self.items[at] != item:
+            return []
+        return self.claims[self.starts[at]:self.starts[at + 1]]
+
+    def replaced(self, fresh: dict[Item, list[Claim]]) -> "_Corpus":
+        """A corpus where each item of ``fresh`` holds exactly those
+        claims (none: the item is gone); every other item is kept.
+
+        One merge pass: the runs between the sorted dirty items are
+        copied over as slices — O(store) in list copying, whatever the
+        size of the delta.
+        """
+        claims: list[Claim] = []
+        items: list[Item] = []
+        counts: list[int] = []
+        old_items, starts = self.items, self.starts
+        done = 0  # items of this corpus already carried or replaced
+        for item in sorted(fresh):
+            at = bisect_left(old_items, item, done)
+            claims += self.claims[starts[done]:starts[at]]
+            items += old_items[done:at]
+            counts += self.counts[done:at]
+            new = fresh[item]
+            if new:
+                claims += new
+                items.append(item)
+                counts.append(len(new))
+            held = at < len(old_items) and old_items[at] == item
+            done = at + held
+        claims += self.claims[starts[done]:]
+        items += old_items[done:]
+        counts += self.counts[done:]
+        return _Corpus(claims, items, counts)
 
 
 def _component_digest(shard: ClaimSet) -> str:
@@ -120,6 +233,9 @@ class ComponentEntry:
     # constraint (which is applied on the merged result so a changed
     # functionality oracle never invalidates the cache).
     result: FusionResult
+    # The component's data items, sorted; ``items[0]`` is where the
+    # component first appears in the global canonical order.
+    items: tuple[Item, ...]
 
 
 @dataclass(slots=True)
@@ -128,13 +244,15 @@ class _FusionState:
 
     ``apply_delta`` builds a complete replacement state off to the
     side and installs it with a single attribute rebind — the commit
-    point of the no-torn-state contract.
+    point of the no-torn-state contract.  Nothing reachable from a
+    committed state is mutated afterwards; successor states share its
+    claims and carried-over entries.
     """
 
     store: TripleStore
-    claims: ClaimSet  # canonical, pre-reweight
-    working: ClaimSet  # post extractor reweight (== claims when off)
+    corpus: _Corpus
     extractor_weights: dict[str, float]
+    # Ordered by first canonical item, as ``shard_claims`` numbers them.
     entries: list[ComponentEntry]
     result: FusionResult
     sequence: int = 0
@@ -176,7 +294,6 @@ class DeltaOutcome:
 
 @dataclass(slots=True)
 class _ComputeStats:
-    components: int = 0
     dirty_components: int = 0
     reused_components: int = 0
     reused_verdicts: int = 0
@@ -205,7 +322,8 @@ class IncrementalFusion:
         self.functional_refresh = functional_refresh
         self.metrics = metrics
         self.fault_plan = fault_plan
-        self.receipts: list[DeltaReceipt] = []
+        # The last RECEIPT_TAIL receipts; ``sequence`` counts them all.
+        self.receipts: deque[DeltaReceipt] = deque(maxlen=RECEIPT_TAIL)
         self._initial_store = store
         self._state: _FusionState | None = None
 
@@ -220,8 +338,9 @@ class IncrementalFusion:
 
     @property
     def claims(self) -> ClaimSet:
+        """The canonical claim set of the committed store (built here)."""
         self._require_primed()
-        return self._state.claims
+        return ClaimSet(self._state.corpus.claims)
 
     @property
     def result(self) -> FusionResult:
@@ -244,11 +363,22 @@ class IncrementalFusion:
     # -- lifecycle ------------------------------------------------------
     def prime(self) -> FusionResult:
         """Fuse the initial store in full, caching every component."""
-        state, stats = self._compute(self._initial_store, {})
-        self._state = state
+        store = self._initial_store
+        claims = canonical_claims(store)
+        if len(claims) == 0:
+            raise DeltaError(_EMPTY_STORE)
+        weights = self._extractor_weights(claims)
+        entries = self._recompute(claims, weights, [], _ComputeStats())
+        self._state = _FusionState(
+            store=store,
+            corpus=_Corpus.of(claims),
+            extractor_weights=weights,
+            entries=entries,
+            result=self._merge(entries),
+        )
         self._count("incremental_primes_total")
-        self._gauge("incremental_components", stats.components)
-        return state.result
+        self._gauge("incremental_components", len(entries))
+        return self._state.result
 
     def apply_delta(self, delta: ClaimDelta) -> DeltaOutcome:
         """Journal one delta and re-fuse only its dirty components.
@@ -271,25 +401,24 @@ class IncrementalFusion:
         receipt.sequence = self._state.sequence + 1
 
         injected += self._fault("stage:incremental-fusion")
-        prior = {entry.sources: entry for entry in self._state.entries}
-        state, stats = self._compute(staged, prior)
-        state.sequence = self._state.sequence + 1
+        state, stats = self._advance(staged, receipt)
 
         # -- commit: one attribute rebind -------------------------------
         self._state = state
         self.receipts.append(receipt)
 
         wall = time.perf_counter() - started + injected
+        components = len(state.entries)
         outcome = DeltaOutcome(
             sequence=state.sequence,
             receipt=receipt,
             result=state.result,
-            components=stats.components,
+            components=components,
             dirty_components=stats.dirty_components,
             reused_components=stats.reused_components,
             reused_verdicts=stats.reused_verdicts,
             refused_claims=stats.refused_claims,
-            degenerate=stats.dirty_components == stats.components,
+            degenerate=stats.dirty_components == components,
             wall_seconds=wall,
         )
         self._publish(outcome)
@@ -297,34 +426,143 @@ class IncrementalFusion:
         return outcome
 
     # -- internals ------------------------------------------------------
-    def _compute(
-        self,
-        store: TripleStore,
-        prior: dict[frozenset[str], ComponentEntry],
+    def _advance(
+        self, staged: TripleStore, receipt: DeltaReceipt
     ) -> tuple[_FusionState, _ComputeStats]:
-        """Build a complete replacement state from a store's content."""
-        fusion = self.fusion
-        claims = canonical_claims(store)
-        if len(claims) == 0:
-            raise DeltaError(
-                "claim store is empty; refusing to fuse nothing "
-                "(did the delta retract every claim?)"
-            )
-        extractor_weights: dict[str, float] = {}
-        working = claims
-        if fusion.use_extractor_correlations:
-            extractor_weights = fusion._extractor_weights(claims)
-            working = fusion._apply_extractor_weights(
-                claims, extractor_weights
-            )
+        """The successor of the committed state over ``staged``.
 
+        Re-reads the receipt's dirty items, re-estimates the global
+        extractor weights, then re-fuses the delta's region — or
+        everything, when the weights moved.
+        """
+        prior = self._state
+        corpus = prior.corpus.replaced(
+            {
+                item: list(_canonicalize(scored))
+                for item, scored in staged.claims_for_items(
+                    receipt.dirty_items
+                ).items()
+            }
+        )
+        if not corpus.claims:
+            raise DeltaError(_EMPTY_STORE)
+
+        weights = self._extractor_weights(corpus.claims)
         stats = _ComputeStats()
+        if (
+            weights != prior.extractor_weights
+            or self.functional_refresh is not None
+        ):
+            entries = self._recompute(
+                ClaimSet(corpus.claims), weights, prior.entries, stats
+            )
+        else:
+            entries = self._refuse_region(receipt, corpus, weights, stats)
+        return (
+            _FusionState(
+                store=staged,
+                corpus=corpus,
+                extractor_weights=weights,
+                entries=entries,
+                result=self._merge(entries),
+                sequence=prior.sequence + 1,
+            ),
+            stats,
+        )
+
+    def _extractor_weights(
+        self, claims: Iterable[Claim]
+    ) -> dict[str, float]:
+        """Global extractor weights over all claims, canonical order."""
+        if not self.fusion.use_extractor_correlations:
+            return {}
+        return self.fusion._extractor_weights(claims)
+
+    def _recompute(
+        self,
+        claims: ClaimSet,
+        weights: dict[str, float],
+        prior: list[ComponentEntry],
+        stats: _ComputeStats,
+    ) -> list[ComponentEntry]:
+        """Every component from all canonical claims: the prime, and
+        the fallback when a delta moved a global parameter."""
+        entries = self._fuse_shards(claims, weights, prior, stats)
+        if self.functional_refresh is not None:
+            self.fusion.functional_of = self.functional_refresh(claims)
+        return entries
+
+    def _refuse_region(
+        self,
+        receipt: DeltaReceipt,
+        corpus: _Corpus,
+        weights: dict[str, float],
+        stats: _ComputeStats,
+    ) -> list[ComponentEntry]:
+        """Re-fuse the components a delta can have changed, carrying
+        every other entry of the committed state over untouched.
+
+        A prior component is in the region iff it holds a dirty source
+        or a source that claimed a dirty item before: every changed
+        claim joins a dirty item to a dirty source, so no component
+        outside the region lost, gained or merged anything.
+        """
+        prior = self._state
+        touched = set(receipt.dirty_sources)
+        for item in receipt.dirty_items:
+            before = prior.corpus.claims_of(item)
+            if before:
+                touched.add(before[0].source_id)
+        carried: list[ComponentEntry] = []
+        region: list[ComponentEntry] = []
+        region_items = set(receipt.dirty_items)
+        for entry in prior.entries:
+            if touched.isdisjoint(entry.sources):
+                carried.append(entry)
+            else:
+                region.append(entry)
+                region_items.update(entry.items)
+        stats.reused_components = len(carried)
+        stats.reused_verdicts = sum(
+            len(entry.result.truths) for entry in carried
+        )
+        fresh = self._fuse_shards(
+            [
+                claim
+                for item in sorted(region_items)
+                for claim in corpus.claims_of(item)
+            ],
+            weights,
+            region,
+            stats,
+        )
+        return sorted(carried + fresh, key=lambda entry: entry.items[0])
+
+    def _fuse_shards(
+        self,
+        claims: Iterable[Claim],
+        weights: dict[str, float],
+        prior: list[ComponentEntry],
+        stats: _ComputeStats,
+    ) -> list[ComponentEntry]:
+        """One entry per component of ``claims``: cached or re-fused.
+
+        ``claims`` are canonical and pre-reweight.  A component whose
+        source set and (reweighted) content digest match a ``prior``
+        entry is clean; its entry is reused verbatim.
+        """
+        fusion = self.fusion
+        working = (
+            fusion._apply_extractor_weights(claims, weights)
+            if fusion.use_extractor_correlations
+            else ClaimSet(claims)
+        )
+        cache = {entry.sources: entry for entry in prior}
         entries: list[ComponentEntry] = []
         for shard in shard_claims(working):
             sources = frozenset(shard.sources())
             digest = _component_digest(shard)
-            cached = prior.get(sources)
-            stats.components += 1
+            cached = cache.get(sources)
             if cached is not None and cached.content_hash == digest:
                 entries.append(cached)
                 stats.reused_components += 1
@@ -336,27 +574,12 @@ class IncrementalFusion:
                         content_hash=digest,
                         n_claims=len(shard),
                         result=self._fuse_component(shard),
+                        items=tuple(shard.items()),
                     )
                 )
                 stats.dirty_components += 1
                 stats.refused_claims += len(shard)
-
-        merged = self._merge(entries)
-        if self.functional_refresh is not None:
-            fusion.functional_of = self.functional_refresh(claims)
-        if fusion.functional_of is not None:
-            fusion._constrain_functional(working, merged)
-        return (
-            _FusionState(
-                store=store,
-                claims=claims,
-                working=working,
-                extractor_weights=extractor_weights,
-                entries=entries,
-                result=merged,
-            ),
-            stats,
-        )
+        return entries
 
     def _fuse_component(self, shard: ClaimSet) -> FusionResult:
         """Fuse one component exactly as the global run would.
@@ -374,7 +597,8 @@ class IncrementalFusion:
         return fusion._base_method(source_weights).fuse(shard)
 
     def _merge(self, entries: list[ComponentEntry]) -> FusionResult:
-        """Disjoint-union merge, mirroring ``fuse_sharded``."""
+        """The served result: the disjoint union of the entries
+        (mirroring ``fuse_sharded``), functionally constrained."""
         merged = FusionResult(self.fusion.name)
         converged: list[int | None] = []
         for entry in entries:
@@ -390,6 +614,8 @@ class IncrementalFusion:
             converged.append(result.converged_at)
         if converged and all(round_ is not None for round_ in converged):
             merged.converged_at = max(converged)  # type: ignore[type-var]
+        if self.fusion.functional_of is not None:
+            self.fusion._constrain_functional(merged)
         return merged
 
     # -- plumbing -------------------------------------------------------

@@ -15,12 +15,18 @@ atomically replace a value for an item.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.incremental.delta import ClaimDelta
 from repro.rdf.store import TripleStore
 
-__all__ = ["DeltaJournal", "DeltaReceipt"]
+__all__ = ["RECEIPT_TAIL", "DeltaJournal", "DeltaReceipt"]
+
+#: How many receipts a journal (and the engine) keeps.  A receipt holds
+#: its delta's dirty-item and dirty-source sets, so an unbounded trail
+#: grows with every delta a long-lived server ever applied.
+RECEIPT_TAIL = 256
 
 Item = tuple[str, str]
 
@@ -63,18 +69,22 @@ class DeltaReceipt:
 
 
 class DeltaJournal:
-    """Apply deltas to a store, keeping an ordered receipt trail."""
+    """Apply deltas to a store, keeping the latest receipts.
+
+    ``receipts`` is the ordered tail of the last :data:`RECEIPT_TAIL`
+    receipts; ``DeltaReceipt.sequence`` keeps counting every delta the
+    journal ever applied.
+    """
 
     def __init__(self, store: TripleStore) -> None:
         self.store = store
-        self.receipts: list[DeltaReceipt] = []
+        self.receipts: deque[DeltaReceipt] = deque(maxlen=RECEIPT_TAIL)
+        self._applied = 0
 
     def apply(self, delta: ClaimDelta) -> DeltaReceipt:
         """Apply one delta; returns (and records) its receipt."""
         delta.validate()
-        receipt = DeltaReceipt(
-            sequence=len(self.receipts), label=delta.label
-        )
+        receipt = DeltaReceipt(sequence=self._applied, label=delta.label)
 
         # Retractions first: capture the sources that held the triple
         # before the store forgets them.
@@ -112,4 +122,5 @@ class DeltaJournal:
             receipt.dirty_sources.add(scored.provenance.source_id)
 
         self.receipts.append(receipt)
+        self._applied += 1
         return receipt

@@ -3,8 +3,8 @@
 The store's public API (add/remove/match/claims/...) is fixed by the
 rest of the pipeline; *where the claims live* is not.  This module
 defines the :class:`StorageBackend` contract and the reference
-:class:`MemoryBackend` — the original pure-dict implementation of
-:class:`repro.rdf.store.TripleStore`, extracted verbatim.  The
+:class:`MemoryBackend` — the pure-dict implementation of
+:class:`repro.rdf.store.TripleStore`.  The
 disk-resident :class:`~repro.rdf.segments.SegmentBackend` implements
 the same contract over mmapped segment files.
 
@@ -25,6 +25,18 @@ Contract notes that matter for byte-identical fusion:
 * ``remove(triple)`` drops every provenance of the triple and returns
   how many claim keys went away; fully-removed triples never ghost in
   ``subjects()``/``predicates()``/match paths.
+* ``claims_for_item(subject, predicate)``, ``claims(triple)`` and
+  ``claims_for_items(items)`` return their claims in the same relative
+  order ``iter_claims()`` yields them (first insertion of the key).
+  What they cost is the backend's business: the segment backend
+  answers each from its CSR indexes at O(answer); the memory backend
+  has no per-item index, so its one-item lookups and ``remove`` each
+  walk the claim dict — which is why a caller with several items to
+  read (the incremental engine's dirty-item re-read) asks for them in
+  one ``claims_for_items`` call, one walk on the memory backend.
+* ``copy()`` yields a backend whose answers never change when the
+  original mutates afterwards (and vice versa); it may share
+  immutable structure with the original to get there.
 """
 
 from __future__ import annotations
@@ -92,13 +104,25 @@ class StorageBackend(abc.ABC):
 
     @abc.abstractmethod
     def claims(self, triple: Triple | None = None) -> list[ScoredTriple]:
-        """All claims, or all claims of one specific triple."""
+        """All claims, or all claims of one specific triple, in
+        ``iter_claims()`` order."""
 
     @abc.abstractmethod
     def claims_for_item(
         self, subject: str, predicate: str
     ) -> list[ScoredTriple]:
-        """Every claim about the data item ``(subject, predicate)``."""
+        """Every claim about the data item ``(subject, predicate)``,
+        in ``iter_claims()`` order."""
+
+    def claims_for_items(
+        self, items: Iterable[tuple[str, str]]
+    ) -> dict[tuple[str, str], list[ScoredTriple]]:
+        """``claims_for_item`` of every item of ``items``, by item.
+
+        One lookup per item here; a backend whose single lookups walk
+        the store overrides this with one walk for all of them.
+        """
+        return {item: self.claims_for_item(*item) for item in items}
 
     @abc.abstractmethod
     def objects(self, subject: str, predicate: str) -> set[Value]:
@@ -316,6 +340,21 @@ class MemoryBackend(StorageBackend):
             and scored.triple.predicate == predicate
         ]
 
+    def claims_for_items(
+        self, items: Iterable[tuple[str, str]]
+    ) -> dict[tuple[str, str], list[ScoredTriple]]:
+        """One walk of the claim dict for all of ``items``."""
+        found: dict[tuple[str, str], list[ScoredTriple]] = {
+            item: [] for item in items
+        }
+        if found:
+            for scored in self._claims.values():
+                triple = scored.triple
+                held = found.get((triple.subject, triple.predicate))
+                if held is not None:
+                    held.append(scored)
+        return found
+
     def objects(self, subject: str, predicate: str) -> set[Value]:
         return set(self._spo.get(subject, {}).get(predicate, set()))
 
@@ -339,6 +378,24 @@ class MemoryBackend(StorageBackend):
         }
 
     def copy(self) -> "MemoryBackend":
+        """A clone that shares the (immutable) claims with this backend.
+
+        ``dict.copy()`` reuses the stored key hashes — re-inserting
+        every ``(triple, provenance)`` key through ``add_all`` would
+        hash each field again — and the triple indexes are copied
+        level by level, their mutable set leaves included.
+        """
         clone = MemoryBackend()
-        clone.add_all(self._claims.values())
+        clone._claims = self._claims.copy()
+        clone._spo = _copy_nested(self._spo)
+        clone._pos = _copy_nested(self._pos)
+        clone._osp = _copy_nested(self._osp)
         return clone
+
+
+def _copy_nested(index: dict) -> dict:
+    """Copy a two-level ``first -> second -> set`` index, sets included."""
+    return {
+        first: {second: set(leaves) for second, leaves in by_second.items()}
+        for first, by_second in index.items()
+    }

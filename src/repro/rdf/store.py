@@ -129,6 +129,16 @@ class TripleStore:
         """Every claim about the data item ``(subject, predicate)``."""
         return self._backend.claims_for_item(subject, predicate)
 
+    def claims_for_items(
+        self, items: Iterable[tuple[str, str]]
+    ) -> dict[tuple[str, str], list[ScoredTriple]]:
+        """:meth:`claims_for_item` of several data items, by item.
+
+        One call, so a backend without a per-item index (the memory
+        backend) can answer with one walk instead of one per item.
+        """
+        return self._backend.claims_for_items(items)
+
     def objects(self, subject: str, predicate: str) -> set[Value]:
         """Distinct object values claimed for a data item."""
         return self._backend.objects(subject, predicate)
@@ -218,6 +228,12 @@ class StoreSnapshot:
     def claims_for_item(self, subject: str, predicate: str) -> list[ScoredTriple]:
         """Every pinned claim about the data item ``(subject, predicate)``."""
         return self._backend.claims_for_item(subject, predicate)
+
+    def claims_for_items(
+        self, items: Iterable[tuple[str, str]]
+    ) -> dict[tuple[str, str], list[ScoredTriple]]:
+        """:meth:`claims_for_item` of several data items, by item."""
+        return self._backend.claims_for_items(items)
 
     def objects(self, subject: str, predicate: str) -> set[Value]:
         """Distinct object values claimed for a data item at pin time."""

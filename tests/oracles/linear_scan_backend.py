@@ -1,0 +1,64 @@
+"""``MemoryBackend``'s claim-level answers, as one dict and nothing else.
+
+``claims_for_item``, ``claims(triple)`` and ``remove`` each walk the
+one dict that defines first-insertion order — no triple indexes, no
+batching, no shared structure between copies.  Whatever the backend
+does to answer faster (``claims_for_items``, ``copy()`` sharing the
+claim objects, one day a per-item index) must return the same claims
+in the same order.
+"""
+
+from __future__ import annotations
+
+from repro.rdf.triple import ScoredTriple, Triple
+
+__all__ = ["LinearScanClaims"]
+
+
+class LinearScanClaims:
+    """The claim-dict half of ``MemoryBackend``."""
+
+    def __init__(self) -> None:
+        self._claims: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._claims)
+
+    def add(self, scored: ScoredTriple) -> None:
+        key = (scored.triple, scored.provenance)
+        existing = self._claims.get(key)
+        if existing is not None and existing.confidence >= scored.confidence:
+            return
+        self._claims[key] = scored
+
+    def add_all(self, scored) -> None:
+        for one in scored:
+            self.add(one)
+
+    def remove(self, triple: Triple) -> int:
+        keys = [key for key in self._claims if key[0] == triple]
+        for key in keys:
+            del self._claims[key]
+        return len(keys)
+
+    def iter_claims(self):
+        return iter(self._claims.values())
+
+    def claims(self, triple: Triple | None = None) -> list[ScoredTriple]:
+        if triple is None:
+            return list(self._claims.values())
+        return [
+            scored
+            for (stored, _prov), scored in self._claims.items()
+            if stored == triple
+        ]
+
+    def claims_for_item(
+        self, subject: str, predicate: str
+    ) -> list[ScoredTriple]:
+        return [
+            scored
+            for scored in self._claims.values()
+            if scored.triple.subject == subject
+            and scored.triple.predicate == predicate
+        ]

@@ -69,12 +69,21 @@ def _assert_equivalent(mem, seg):
             assert seg.objects(subject, predicate) == mem.objects(
                 subject, predicate
             )
-            assert set(seg.claims_for_item(subject, predicate)) == set(
-                mem.claims_for_item(subject, predicate)
-            )
+            # Element for element: both backends answer item lookups
+            # in iter_claims() order (the StorageBackend contract).
+            assert seg.claims_for_item(
+                subject, predicate
+            ) == mem.claims_for_item(subject, predicate)
+    # The batched form is the single lookups, by item — one walk on the
+    # memory backend, one indexed read per item on the segment backend.
+    items = [(s, p) for s in mem.subjects() for p in mem.predicates(s)]
+    items.append(("no-such-subject", "no-such-predicate"))
+    by_item = {item: mem.claims_for_item(*item) for item in items}
+    assert mem.claims_for_items(items) == by_item
+    assert seg.claims_for_items(items) == by_item
     for triple in mem.match():
         assert (triple in seg) == (triple in mem)
-        assert set(seg.claims(triple)) == set(mem.claims(triple))
+        assert seg.claims(triple) == mem.claims(triple)
 
 
 @pytest.mark.parametrize("seed", [5, 13, 37])

@@ -3,8 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.rdf.backend import MemoryBackend
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
+from tests.oracles.linear_scan_backend import LinearScanClaims
 
 subjects = st.sampled_from(["s1", "s2", "s3"])
 predicates = st.sampled_from(["p1", "p2"])
@@ -83,3 +85,90 @@ class TestStoreInvariants:
         left.merge(right)
         for claim in right_batch:
             assert claim.triple in left
+
+
+# ----------------------------------------------------------------------
+# The backend's claim-level answers against a dict-only model of them.
+
+triples = st.builds(
+    Triple, subjects, predicates, st.builds(Value, objects)
+)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), claims()),
+        st.tuples(st.just("add_all"), st.lists(claims(), max_size=6)),
+        st.tuples(st.just("remove"), triples),
+        # Remove a triple, then put one claim of it back: the key
+        # moves to the end of the store *and* of its item's answers.
+        st.tuples(st.just("readd"), claims()),
+        st.tuples(st.just("copy"), st.none()),
+        # The *same objects* again: a batch holding each claim twice,
+        # then the whole batch once more.
+        st.tuples(st.just("add_twice"), st.lists(claims(), max_size=4)),
+        # ``b = a.copy(); b.merge(a); a.merge(b)`` — copies share their
+        # claim objects, so both merges re-add identical objects.
+        st.tuples(st.just("merge_copy"), st.none()),
+    ),
+    max_size=40,
+)
+ITEMS = [(s, p) for s in subjects.elements for p in predicates.elements]
+
+
+def _assert_same_answers(backend, model):
+    assert list(backend.iter_claims()) == list(model.iter_claims())
+    by_item = {item: model.claims_for_item(*item) for item in ITEMS}
+    assert backend.claims_for_items(ITEMS) == by_item
+    assert backend.claims_for_items(ITEMS[1:2]) == {
+        ITEMS[1]: by_item[ITEMS[1]]
+    }
+    assert backend.claims_for_items([]) == {}
+    for (subject, predicate), expected in by_item.items():
+        assert backend.claims_for_item(subject, predicate) == expected
+        for lexical in objects.elements:
+            triple = Triple(subject, predicate, Value(lexical))
+            assert backend.claims(triple) == model.claims(triple)
+
+
+class TestClaimAnswersMatchTheDictModel:
+    """``claims_for_item``, ``claims_for_items``, ``claims(triple)``,
+    ``remove`` and ``iter_claims`` — element for element, order
+    included — under interleaved mutation, and on copies taken along
+    the way (a copy shares the claim objects, nothing mutable)."""
+
+    @given(operations)
+    @settings(max_examples=150, deadline=None)
+    def test_interleavings_agree_element_for_element(self, ops):
+        backend, model = MemoryBackend(), LinearScanClaims()
+        # Earlier copies with the answers they must keep giving.
+        pinned = []
+        for kind, payload in ops:
+            if kind == "add":
+                backend.add(payload)
+                model.add(payload)
+            elif kind == "add_all":
+                backend.add_all(iter(payload))
+                model.add_all(payload)
+            elif kind == "remove":
+                assert backend.remove(payload) == model.remove(payload)
+            elif kind == "readd":
+                assert backend.remove(payload.triple) == model.remove(
+                    payload.triple
+                )
+                backend.add(payload)
+                model.add(payload)
+            elif kind == "add_twice":
+                backend.add_all(payload + payload)
+                backend.add_all(payload)
+                model.add_all(payload)
+            elif kind == "merge_copy":
+                other = backend.copy()
+                other.add_all(backend.claims())
+                backend.add_all(other.claims())
+                _assert_same_answers(other, model)
+            else:
+                frozen = LinearScanClaims()
+                frozen.add_all(model.claims())
+                pinned.append((backend.copy(), frozen))
+            _assert_same_answers(backend, model)
+        for copied, frozen in pinned:
+            _assert_same_answers(copied, frozen)

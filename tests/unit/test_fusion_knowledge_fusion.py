@@ -1,5 +1,6 @@
 """Unit tests for the paper's combined knowledge-fusion method."""
 
+from repro.fusion.base import Claim
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.fusion.multitruth import MultiTruth
 from repro.fusion.vote import Vote
@@ -134,3 +135,28 @@ class TestGeneralBehaviour:
         assert world.precision_of(fused.truths) >= world.precision_of(
             baseline.truths
         )
+
+
+class TestExtractorReweighting:
+    def test_equals_rebuilding_every_claim(self):
+        """Undiscounted claims are reused as they are; the outcome must
+        read exactly as if each claim had been rebuilt with the clamped
+        product — the sign of a zero confidence included."""
+        confidences = [0.0, -0.0, 0.3, 1.0, 1.5, 0.7]
+        claims = [
+            Claim(("s", f"p{k}"), "v", "v", "src", f"ex{k % 2}", confidence)
+            for k, confidence in enumerate(confidences)
+        ]
+        weights = {"ex0": 1.0, "ex1": 0.5}
+        for use_confidence in (True, False):
+            fusion = KnowledgeFusion(use_confidence=use_confidence)
+            got = list(fusion._apply_extractor_weights(claims, weights))
+            for before, after in zip(claims, got, strict=True):
+                base = before.confidence if use_confidence else 1.0
+                want = max(
+                    0.0, min(1.0, base * weights[before.extractor_id])
+                )
+                assert repr(after.confidence) == repr(want)
+                assert (after.item, after.value, after.source_id) == (
+                    before.item, before.value, before.source_id
+                )

@@ -148,7 +148,23 @@ class TestDeltaJournal:
         assert receipt.noop_additions == 0
         assert receipt.dirty_items == {("france", "capital")}
         assert receipt.dirty_sources == {"a", "b", "c"}
-        assert journal.receipts == [receipt]
+        assert list(journal.receipts) == [receipt]
+
+    def test_receipt_trail_is_bounded_and_sequence_keeps_counting(self):
+        """Regression: the trail grew by one receipt per delta forever."""
+        journal = DeltaJournal(TripleStore())
+        for turn in range(1000):
+            receipt = journal.apply(
+                ClaimDelta(added=[scored("x", "p", f"v{turn % 3}")])
+            )
+            assert receipt.sequence == turn
+        assert len(journal.receipts) < 1000
+
+        from repro.incremental.journal import RECEIPT_TAIL
+
+        assert len(journal.receipts) == RECEIPT_TAIL
+        assert journal.receipts[-1] is receipt
+        assert journal.receipts[0].sequence == 1000 - RECEIPT_TAIL
 
     def test_retractions_apply_before_additions(self):
         store = TripleStore()

@@ -1,20 +1,25 @@
 """Unit tests for the dirty-component incremental fusion engine."""
 
+import random
+
 import pytest
 
 from repro.errors import DeltaError
 from repro.fusion.correlations import CorrelationEstimator
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.fusion.sharding import shard_claims
+from repro.fusion.base import Claim, ClaimSet
 from repro.incremental import ClaimDelta, IncrementalFusion, canonical_claims
+from repro.incremental.engine import _Corpus
 from repro.obs import MetricsRegistry
+from repro.rdf.segments import SegmentBackend
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
 from repro.synth.deltas import scored_from_claims
 
 
-def _corpus(n_worlds=6, n_items=6, n_sources=4):
+def _corpus(n_worlds=6, n_items=6, n_sources=4, store=None):
     """Disjoint claim worlds — one connected component per world."""
     scored = []
     for index in range(n_worlds):
@@ -40,7 +45,7 @@ def _corpus(n_worlds=6, n_items=6, n_sources=4):
                     one.confidence,
                 )
             )
-    store = TripleStore()
+    store = TripleStore() if store is None else store
     store.add_all(scored)
     return store
 
@@ -174,6 +179,158 @@ class TestApplyDelta:
         assert payload["receipt"]["added"] == 1
         assert payload["fused_items"] == len(engine.result.truths)
         assert payload["wall_seconds"] >= 0.0
+
+
+class CountingStore(TripleStore):
+    """Counts whole-store reads across the engine's copy lineage."""
+
+    def __init__(self, backend=None, counts=None):
+        super().__init__(backend)
+        self.counts = (
+            {"full_reads": 0, "item_reads": []} if counts is None else counts
+        )
+
+    def copy(self):
+        return CountingStore(self.backend.copy(), self.counts)
+
+    def claims(self, triple=None):
+        if triple is None:
+            self.counts["full_reads"] += 1
+        return super().claims(triple)
+
+    def claims_for_items(self, items):
+        items = list(items)
+        self.counts["item_reads"].append(sorted(items))
+        return super().claims_for_items(items)
+
+    def snapshot(self):
+        self.counts["full_reads"] += 1
+        return super().snapshot()
+
+    def __iter__(self):
+        self.counts["full_reads"] += 1
+        return super().__iter__()
+
+
+class TestDeltaWorkFollowsTheRegion:
+    """Regression: a delta used to re-read, sort and re-shard the whole
+    store (``canonical_claims`` + ``shard_claims`` over every claim,
+    one digest per component) however few components it touched.
+
+    Now it asks the store for its dirty items only — one
+    ``claims_for_items`` call, indexed reads on the segment backend and
+    one walk of the claim dict on the memory backend, which decodes and
+    sorts nothing — and builds fusion claims for the region alone."""
+
+    @pytest.mark.parametrize("backend_name", ["memory", "segment"])
+    def test_one_component_delta_reads_and_builds_only_its_region(
+        self, monkeypatch, tmp_path, backend_name
+    ):
+        import repro.fusion.base as base_mod
+        import repro.fusion.knowledge_fusion as fusion_mod
+
+        backend = (
+            SegmentBackend(tmp_path / "segments")
+            if backend_name == "segment" else None
+        )
+        store = _corpus(n_worlds=50, store=CountingStore(backend))
+        engine = _fusion().begin_incremental(store)
+        total_claims = len(engine.claims)
+        delta = _component_delta(engine.store)
+        assert store.counts["full_reads"] > 0  # the prime reads it all
+        store.counts["full_reads"] = 0
+
+        real_claim = base_mod.Claim
+        built = []
+
+        def counting_claim(**fields):
+            built.append(fields["item"])
+            return real_claim(**fields)
+
+        # Both places fusion claims are constructed: decoding stored
+        # triples and folding in the extractor weights.
+        monkeypatch.setattr(base_mod, "Claim", counting_claim)
+        monkeypatch.setattr(fusion_mod, "Claim", counting_claim)
+        outcome = engine.apply_delta(delta)
+        monkeypatch.undo()
+
+        assert outcome.components == 50
+        assert outcome.dirty_components == 1
+        assert store.counts["full_reads"] == 0, (
+            "a one-component delta read the whole store"
+        )
+        assert store.counts["item_reads"] == [
+            sorted(outcome.receipt.dirty_items)
+        ]
+        region = outcome.refused_claims
+        assert region < total_claims / 20
+        # One decode of the dirty item, one reweight of the region.
+        assert 0 < len(built) <= 2 * region
+        assert {subject.split("/")[0] for subject, _ in built} == {"w0"}
+        reference = _fusion().fuse(canonical_claims(engine.store.copy()))
+        assert engine.result.canonical_bytes() == reference.canonical_bytes()
+
+
+class TestCorpusSuccessor:
+    """``_Corpus.replaced`` against rebuilding the corpus from scratch."""
+
+    @staticmethod
+    def _claims(item, n):
+        return [Claim(item, f"v{k}", f"v{k}", f"s{k}", "ex") for k in range(n)]
+
+    def test_replaced_equals_a_rebuild(self):
+        rng = random.Random(7)
+        names = [("s%02d" % k, "p") for k in range(12)]
+        held = {item: self._claims(item, 1 + k % 3)
+                for k, item in enumerate(names[2:10:2])}
+        corpus = _Corpus.of(
+            ClaimSet(c for item in sorted(held) for c in held[item])
+        )
+        for _ in range(200):
+            # Front, back, between, adjacent runs, emptied and brand-new
+            # items, in one delta.
+            fresh = {
+                item: self._claims(item, rng.randrange(0, 4))
+                for item in rng.sample(names, rng.randrange(0, 6))
+            }
+            held = {
+                item: claims
+                for item, claims in {**held, **fresh}.items()
+                if claims
+            }
+            corpus = corpus.replaced(fresh)
+            rebuilt = _Corpus.of(
+                ClaimSet(c for item in sorted(held) for c in held[item])
+            )
+            assert corpus.claims == rebuilt.claims
+            assert corpus.items == rebuilt.items
+            assert corpus.counts == rebuilt.counts
+            assert corpus.starts == rebuilt.starts
+            for item in names:
+                assert corpus.claims_of(item) == held.get(item, [])
+
+
+class TestReceiptTrailIsBounded:
+    """Regression: ``receipts`` grew by one receipt (with its dirty
+    item / source sets) per delta for the life of the engine."""
+
+    def test_thousand_deltas_keep_a_bounded_tail(self):
+        engine = _fusion().begin_incremental(
+            _corpus(n_worlds=2, n_items=3, n_sources=2)
+        )
+        flicker = _component_delta(engine.store)
+        off = ClaimDelta(retracted=[flicker.added[0].triple])
+        for turn in range(1000):
+            engine.apply_delta(flicker if turn % 2 == 0 else off)
+        assert engine.sequence == 1000
+        assert len(engine.receipts) < 1000
+
+        from repro.incremental.journal import RECEIPT_TAIL
+
+        assert len(engine.receipts) == RECEIPT_TAIL
+        assert [receipt.sequence for receipt in engine.receipts] == list(
+            range(1000 - len(engine.receipts) + 1, 1001)
+        )
 
 
 class TestMetrics:

@@ -142,3 +142,64 @@ class TestPinnedSnapshotImmutability:
         assert isinstance(pinned, StoreSnapshot)
         for mutator in ("add", "add_all", "remove", "merge", "flush"):
             assert not hasattr(pinned, mutator)
+
+    @pytest.mark.parametrize("take", ["pin", "copy"])
+    def test_item_answers_survive_every_mutation_of_the_live_store(
+        self, backend_name, tmp_path, take
+    ):
+        """The memory backend's copies share their claim objects with
+        the live store: an add, a confidence refresh, a remove and a
+        remove + re-add on the live side must each leave the copy's
+        ``claims_for_item`` / ``claims_for_items`` / ``claims(triple)``
+        answers — and what a ``remove`` on the copy would drop — as
+        they were."""
+        store = build_store(backend_name, tmp_path)
+        paris = Triple("france", "capital", Value("Paris"))
+        lyon = Triple("france", "capital", Value("Lyon"))
+        berlin = Triple("germany", "capital", Value("Berlin"))
+
+        def answers(view):
+            return (
+                view.claims_for_item("france", "capital"),
+                view.claims_for_item("germany", "capital"),
+                view.claims_for_items(
+                    [("france", "capital"), ("germany", "capital")]
+                ),
+                view.claims(paris),
+                view.claims(lyon),
+                view.claims(berlin),
+            )
+
+        held = store.pin() if take == "pin" else store.copy()
+        before = answers(held)
+        assert [len(answer) for answer in before] == [2, 1, 2, 1, 1, 1]
+
+        mutations = [
+            lambda: store.add(
+                claim("france", "capital", "Marseille", source="d")
+            ),
+            lambda: store.add(
+                claim("france", "capital", "Paris", source="a", conf=0.99)
+            ),
+            lambda: store.remove(lyon),
+            lambda: (
+                store.remove(paris),
+                store.add(claim("france", "capital", "Paris", source="z")),
+            ),
+            lambda: store.remove(berlin),
+        ]
+        for mutate in mutations:
+            mutate()
+            assert answers(held) == before
+        # The live store did move on all of it.
+        assert [len(answer) for answer in answers(store)] == [2, 0, 2, 1, 0, 0]
+
+        if take == "copy" and backend_name == "memory":
+            # And the other way round: the copy's own mutations never
+            # reach the live store (a segment directory has one
+            # mutating lineage at a time).
+            live = answers(store)
+            assert held.remove(paris) == 1
+            assert held.remove(berlin) == 1
+            held.add(claim("germany", "capital", "Bonn", source="b"))
+            assert answers(store) == live
