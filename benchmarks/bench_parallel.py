@@ -12,9 +12,12 @@ same breath, that none of them changes a single output:
     ``parallelism=2`` (thread and process stage executors); claims and
     quality metrics must be identical, and the report contrasts summed
     per-stage work time with the measured phase wall clock.
-3.  **Similarity caching** — the attribute-resolution stage with
-    caches off / cold / warm, plus hit rates of every similarity
-    cache; resolved output must be identical in all three modes.
+3.  **Tag-path memo tables** — Algorithm 1 (DOM extraction) with the
+    two tag-path tables off / cold / warm, plus their hit rates; the
+    extracted claims must be identical in all three modes.  "Off"
+    routes every call to the undecorated function (``fn.__wrapped__``),
+    so it is the uncached reference.  A ``run()`` starts cold, so
+    off ÷ cold is the number a real run sees.
 
 Results land in ``benchmarks/out/parallel.txt`` (tables) and
 ``benchmarks/out/BENCH_parallel.json`` (machine-readable).  Run
@@ -34,11 +37,12 @@ from repro.core.pipeline import (
     PipelineConfig,
 )
 from repro.evalx.tables import format_ratio, render_table
+from repro.extract.dom import DomTreeExtractor
 from repro.mapreduce.engine import RetryPolicy
 from repro.mapreduce.jobs import mr_accu, mr_vote
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
 from repro.synth.querylog import QueryLogConfig
-from repro.synth.websites import WebsiteConfig
+from repro.synth.websites import WebsiteConfig, generate_websites
 from repro.synth.webtext import WebTextConfig
 from repro.synth.world import WorldConfig
 from repro.textproc.memo import (
@@ -359,29 +363,29 @@ def pipeline_table(section: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# Section 3: similarity caches on the attribute-resolution hot path.
+# Section 3: the tag-path memo tables on the DOM-extraction hot path.
 
 
 def run_cache_section(serial_pipeline) -> dict:
-    all_triples = [
-        scored
-        for output in serial_pipeline.outputs.values()
-        for scored in output.triples
-    ]
+    config = serial_pipeline.config
+    sites = generate_websites(serial_pipeline.world, config.websites)
 
-    def resolve_once():
+    def extract_once():
+        extractor = DomTreeExtractor(
+            serial_pipeline.entity_index, serial_pipeline.seeds, config.dom
+        )
         started = time.perf_counter()
-        resolved = serial_pipeline._resolve_attributes(list(all_triples))
+        output = extractor.extract(sites)
         return time.perf_counter() - started, sorted(
-            repr(triple) for triple in resolved
+            repr(triple) for triple in output.triples
         )
 
     configure_similarity_caches(enabled=False)
-    off_seconds, off_output = resolve_once()
+    off_seconds, off_output = extract_once()
     clear_similarity_caches()
     configure_similarity_caches(enabled=True)
-    cold_seconds, cold_output = resolve_once()
-    warm_seconds, warm_output = resolve_once()
+    cold_seconds, cold_output = extract_once()
+    warm_seconds, warm_output = extract_once()
 
     hit_rates = {
         name: {
@@ -394,35 +398,34 @@ def run_cache_section(serial_pipeline) -> dict:
         for name, stats in similarity_cache_stats().items()
     }
     return {
-        "input_claims": len(all_triples),
-        "attribute_resolution_seconds": {
+        "input_pages": sum(len(site.pages) for site in sites),
+        "dom_extraction_seconds": {
             "cache_off": round(off_seconds, 3),
             "cache_cold": round(cold_seconds, 3),
             "cache_warm": round(warm_seconds, 3),
         },
-        "warm_speedup": round(off_seconds / warm_seconds, 3),
+        "cold_speedup": round(off_seconds / cold_seconds, 3),
         "identical_output": off_output == cold_output == warm_output,
         "cache_stats": hit_rates,
     }
 
 
 def cache_table(section: dict) -> str:
-    seconds = section["attribute_resolution_seconds"]
+    seconds = section["dom_extraction_seconds"]
     timing_table = render_table(
-        ["cache off", "cache cold", "cache warm", "warm speedup",
-         "identical"],
+        ["tables off", "cold", "warm", "off / cold", "identical"],
         [
             [
                 f"{seconds['cache_off']:.2f}s",
                 f"{seconds['cache_cold']:.2f}s",
                 f"{seconds['cache_warm']:.2f}s",
-                f"{section['warm_speedup']:.2f}x",
+                f"{section['cold_speedup']:.2f}x",
                 "yes" if section["identical_output"] else "NO",
             ]
         ],
         title=(
-            "Similarity caches: attribute resolution "
-            f"({section['input_claims']} claims)"
+            "Tag-path memo tables: DOM extraction "
+            f"({section['input_pages']} pages)"
         ),
     )
     stat_rows = [
@@ -493,11 +496,11 @@ def test_parallel_report():
         assert record.get("identical_metrics", True)
     cache = document["similarity_cache"]
     assert cache["identical_output"]
-    # The DOM tag-path cache is the headline win; the warm
-    # attribute-resolution pass must also come out ahead.
+    # The tag-path tables must hit inside a cold-start run and pay
+    # for themselves against the undecorated functions.
     extraction_stats = document["pipeline"]["extraction_cache_stats"]
     assert extraction_stats["tagpath-relative"]["hit_rate"] > 0.5
-    assert cache["warm_speedup"] > 1.0
+    assert cache["cold_speedup"] > 1.0
 
 
 def main(argv=None) -> int:
@@ -520,7 +523,7 @@ def main(argv=None) -> int:
     if not document["pipeline"]["equivalent"]:
         failures.append("pipeline outputs diverged")
     if not document["similarity_cache"]["identical_output"]:
-        failures.append("cached attribute resolution diverged")
+        failures.append("cached DOM extraction diverged")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -26,13 +26,15 @@ from a seeded PRNG over CRC32 shingle hashes (never the salted builtin
 ``hash``), so two processes — or two runs years apart — build the same
 signatures and the same buckets.
 
-:class:`QGramIndex` is the one *exact* blocker: positional q-gram
-count filtering guarantees that any pair within the misspelling window
-(edit distance <= 2, length difference <= 2) shares at least one
-3-gram once the longer string has >= 10 characters; shorter names live
-in a small pool that is scanned exhaustively.  AttributeResolver's
-misspelling tier uses it instead of a length-window scan, keeping its
-verdicts provably identical to brute force.
+:class:`QGramIndex` is the one *exact* blocker: a q-gram count filter.
+A pair within the misspelling window (edit distance <= 2, length
+difference <= 2) keeps all but 6 of the probe's 3-gram positions, so a
+probe of length L only has to be scored against members holding the
+grams of at least L - 8 of them; probes too short for that bound
+(L <= 8) fall back to "any shared gram" plus a small pool of short
+names that is scanned exhaustively.  AttributeResolver's misspelling
+tier uses it instead of a length-window scan, keeping its verdicts
+provably identical to brute force.
 
 Candidate sets from :class:`SurfaceBlockingIndex` are *probabilistic*
 supersets: the LSH tier can in principle miss a pair whose shingle
@@ -95,14 +97,13 @@ _SHORT_SURFACE_LEN = 7
 _SHORT_SURFACE_QUERY_LEN = 9
 
 # QGramIndex geometry: q-gram width, the edit budget the misspelling
-# check allows, and the derived length bounds (see class docstring).
+# check allows, and the longest name kept in the short pool — one char
+# below the length from which a name is sure to share a gram with
+# anything inside its window, L - (q-1) - q*k >= 1 (see the class
+# docstring).
 _Q = 3
 _EDIT_BUDGET = 2
-# Longer string >= _LONG_LEN guarantees a shared q-gram for any pair
-# within the edit budget: shared >= L - (q-1) - q*k = 10 - 2 - 6 = 2.
-_LONG_LEN = 10
-_SHORT_POOL_LEN = _LONG_LEN - 1           # names kept in the short pool
-_SHORT_QUERY_LEN = _SHORT_POOL_LEN + _EDIT_BUDGET  # probes that scan it
+_SHORT_POOL_LEN = _Q * (_EDIT_BUDGET + 1) - 1
 
 
 def _shingle_hash(shingle: str) -> int:
@@ -379,34 +380,49 @@ class QGramIndex:
     Guarantees: for names ``x`` and ``y`` with ``|len(x) - len(y)| <= 2``
     and ``levenshtein(x, y) <= 2`` (the widest window
     ``is_probable_misspelling`` accepts), ``candidates(x)`` contains
-    ``y`` whenever ``y`` was added.  Proof sketch: an edit script of
-    length ``k`` destroys at most ``q*k`` of the longer string's
-    ``L - q + 1`` q-grams, so at ``L >= 10`` (``q=3``, ``k=2``) at
-    least one 3-gram survives in both and the inverted postings find
-    the pair; pairs whose longer side is shorter than 10 involve a name
-    of length <= 9, which sits in the short pool that every probe of
-    length <= 11 scans exhaustively.
+    ``y`` whenever ``y`` was added.
+
+    Count filter: each edit touches at most ``q`` of the probe's
+    ``L - q + 1`` gram positions, and an untouched position's gram
+    occurs verbatim in the other string, so a member within ``k`` edits
+    contains the grams of at least ``need = L - q + 1 - q*k`` probe
+    positions (``L - 8`` at ``q=3``, ``k=2``).  Members counted below
+    ``need`` are dropped.  The bound promises nothing for probes of
+    ``L <= 8`` (``need <= 0``): those take every member sharing a gram
+    plus the short pool: read from the member's side, the same bound
+    leaves a member of length >= 9 at least one gram position intact
+    in the probe, so the postings find it, and shorter members sit in
+    the short pool.
     """
 
-    __slots__ = ("_grams", "_short", "_all_short_probe")
+    __slots__ = ("_grams", "_short")
 
     def __init__(self) -> None:
+        # gram -> members containing it, each listed once.
         self._grams: dict[str, list[int]] = {}
         self._short: list[int] = []
-        self._all_short_probe = _SHORT_QUERY_LEN
 
     def add(self, member: int, name: str) -> None:
-        for i in range(len(name) - _Q + 1):
-            self._grams.setdefault(name[i:i + _Q], []).append(member)
+        grams = dict.fromkeys(
+            name[i:i + _Q] for i in range(len(name) - _Q + 1)
+        )
+        for gram in grams:
+            self._grams.setdefault(gram, []).append(member)
         if len(name) <= _SHORT_POOL_LEN:
             self._short.append(member)
 
     def candidates(self, name: str, into: set[int]) -> None:
         """Union every member that could sit in ``name``'s misspelling
         window into ``into`` (a superset; callers re-check exactly)."""
-        for i in range(len(name) - _Q + 1):
-            posting = self._grams.get(name[i:i + _Q])
-            if posting:
-                into.update(posting)
-        if len(name) <= self._all_short_probe:
+        positions = len(name) - _Q + 1
+        need = positions - _Q * _EDIT_BUDGET
+        if need <= 0:
             into.update(self._short)
+            need = 1
+        shared: dict[int, int] = {}
+        for i in range(positions):
+            for member in self._grams.get(name[i:i + _Q], ()):
+                shared[member] = shared.get(member, 0) + 1
+        into.update(
+            member for member, count in shared.items() if count >= need
+        )

@@ -50,6 +50,9 @@ class KbExtractor:
         """Run extraction over every class of the snapshot."""
         output = ExtractorOutput(EXTRACTOR_ID)
         snapshot = self.snapshot
+        # Rendered predicate -> canonical name: a snapshot uses a few
+        # hundred predicates across thousands of claims.
+        canonical_of: dict[str, str] = {}
         for class_name, view in snapshot.classes.items():
             # Schema attributes count as evidence even without usage.
             for rendered in view.schema_attributes:
@@ -66,9 +69,13 @@ class KbExtractor:
                 triple = scored.triple
                 if triple.subject not in entity_ids:
                     continue
-                canonical = canonicalize_kb_name(
-                    triple.predicate, snapshot.naming
-                )
+                canonical = canonical_of.get(triple.predicate)
+                if canonical is None:
+                    canonical = canonical_of[triple.predicate] = (
+                        canonicalize_kb_name(
+                            triple.predicate, snapshot.naming
+                        )
+                    )
                 usage.setdefault(canonical, set()).add(triple.subject)
                 output.triples.append(
                     ScoredTriple(

@@ -98,6 +98,12 @@ class QueryStreamExtractor:
             (len(surface.split()) for surface in self._index),
             default=1,
         )
+        # Every token of every surface.  A span equals a surface only
+        # if each of its tokens is in here, so a record sharing none
+        # mentions no entity and needs no span scan.
+        self._surface_tokens = frozenset(
+            token for surface in self._index for token in surface.split()
+        )
         validators = {"E": self._is_known_entity}
         self.patterns = [
             LexicalPattern(
@@ -121,7 +127,10 @@ class QueryStreamExtractor:
             tokens = _strip_query_tail(tokenize_words(record.text))
             if not tokens:
                 continue
-            mentioned = self._mentioned_entities(tokens)
+            lowered = [token.lower() for token in tokens]
+            if self._surface_tokens.isdisjoint(lowered):
+                continue
+            mentioned = self._mentioned_entities(lowered)
             for entity in mentioned.values():
                 stats.relevant_records[entity.class_name] = (
                     stats.relevant_records.get(entity.class_name, 0) + 1
@@ -161,13 +170,13 @@ class QueryStreamExtractor:
     def _is_known_entity(self, tokens: list[str]) -> bool:
         return " ".join(tokens).lower() in self._index
 
-    def _mentioned_entities(self, tokens: list[str]) -> dict[str, Entity]:
-        """Entities whose surface form appears as a token span."""
+    def _mentioned_entities(self, lowered: list[str]) -> dict[str, Entity]:
+        """Entities whose surface form appears as a span of the
+        (lower-cased) tokens."""
         found: dict[str, Entity] = {}
-        lowered = [token.lower() for token in tokens]
-        max_len = min(self._max_surface_tokens, len(tokens))
+        max_len = min(self._max_surface_tokens, len(lowered))
         for span_len in range(max_len, 0, -1):
-            for start in range(0, len(tokens) - span_len + 1):
+            for start in range(0, len(lowered) - span_len + 1):
                 surface = " ".join(lowered[start : start + span_len])
                 entity = self._index.get(surface)
                 if entity is not None and entity.entity_id not in found:

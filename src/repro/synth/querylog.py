@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.errors import GenerationError
 from repro.synth import names
@@ -120,10 +121,11 @@ def generate_query_log(
         relevant_total = cfg.relevant_counts.get(class_name, 0)
         count = max(1, round(relevant_total * cfg.scale))
         intent_share = cfg.attribute_intent_share.get(class_name, 0.4)
+        draws = _class_draws(world, class_name, cfg.zipf_exponent)
         for _ in range(count):
             record_id += 1
             records.append(
-                _relevant_record(world, class_name, intent_share, record_id, rng, cfg)
+                _relevant_record(draws, intent_share, record_id, rng, cfg)
             )
 
     relevant_count = len(records)
@@ -141,16 +143,53 @@ def generate_query_log(
     return records
 
 
+@dataclass(frozen=True, slots=True)
+class _ClassDraws:
+    """What every relevant record of one class draws from: the entities
+    by Zipf rank and the attributes by query propensity × Zipf rank,
+    each with the cumulative weights ``rng.choices`` bisects."""
+
+    class_name: str
+    entities: tuple
+    entity_cum_weights: list[float]
+    attributes: list[AttributeSpec]
+    attribute_cum_weights: list[float]
+
+
+def _class_draws(
+    world: GroundTruthWorld, class_name: str, zipf_exponent: float
+) -> _ClassDraws:
+    entities = world.entities(class_name)
+    attributes = sorted(
+        world.catalogs[class_name].attributes,
+        key=lambda spec: -spec.query_propensity,
+    )
+    return _ClassDraws(
+        class_name,
+        entities,
+        list(accumulate(
+            1.0 / (rank + 1) ** zipf_exponent
+            for rank in range(len(entities))
+        )),
+        attributes,
+        list(accumulate(
+            spec.query_propensity / (rank + 1) ** zipf_exponent
+            for rank, spec in enumerate(attributes)
+        )),
+    )
+
+
 def _relevant_record(
-    world: GroundTruthWorld,
-    class_name: str,
+    draws: _ClassDraws,
     intent_share: float,
     record_id: int,
     rng: random.Random,
     cfg: QueryLogConfig,
 ) -> QueryRecord:
-    entities = world.entities(class_name)
-    entity = entities[_zipf_index(rng, len(entities), cfg.zipf_exponent)]
+    class_name = draws.class_name
+    entity = rng.choices(
+        draws.entities, cum_weights=draws.entity_cum_weights, k=1
+    )[0]
     surface = rng.choice(entity.surface_forms())
     if rng.random() < 0.7:
         surface = surface.lower()
@@ -174,7 +213,9 @@ def _relevant_record(
             gold_entity=entity.entity_id,
         )
 
-    attribute = _pick_attribute(world, class_name, rng, cfg.zipf_exponent)
+    attribute = rng.choices(
+        draws.attributes, cum_weights=draws.attribute_cum_weights, k=1
+    )[0]
     attr_surface = attribute.name
     if rng.random() < cfg.misspell_rate:
         attr_surface = misspell_phrase(attr_surface, rng)
@@ -186,24 +227,6 @@ def _relevant_record(
         gold_entity=entity.entity_id,
         gold_attribute=attribute.name,
     )
-
-
-def _pick_attribute(
-    world: GroundTruthWorld,
-    class_name: str,
-    rng: random.Random,
-    zipf_exponent: float,
-) -> AttributeSpec:
-    """Pick an attribute weighted by query propensity × Zipf rank."""
-    specs = sorted(
-        world.catalogs[class_name].attributes,
-        key=lambda spec: -spec.query_propensity,
-    )
-    weights = [
-        spec.query_propensity / (rank + 1) ** zipf_exponent
-        for rank, spec in enumerate(specs)
-    ]
-    return rng.choices(specs, weights=weights, k=1)[0]
 
 
 def _attribute_intent_query(
@@ -232,12 +255,6 @@ def _attribute_intent_query(
     if shape < 0.75:
         return f"the {attribute_surface} of {determiner}{entity_surface}"
     return f"{entity_surface}'s {attribute_surface}"
-
-
-def _zipf_index(rng: random.Random, size: int, exponent: float) -> int:
-    """Draw an index in [0, size) with a Zipf-like distribution."""
-    weights = [1.0 / (rank + 1) ** exponent for rank in range(size)]
-    return rng.choices(range(size), weights=weights, k=1)[0]
 
 
 def _noise_query(rng: random.Random) -> str:

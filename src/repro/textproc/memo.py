@@ -1,12 +1,14 @@
-"""Bounded memoization for hot-path similarity functions.
+"""Bounded memoization for pure pairwise-similarity functions.
 
-Attribute resolution and DOM extraction recompute the same pairwise
-similarities thousands of times: the resolver compares every attribute
-variant against every accepted canonical name, and Algorithm 1 scores
-every candidate label's tag path against every induced pattern — with
-the same paths recurring across pages that share a layout.  All of the
-underlying functions are pure, so a memo table turns the quadratic
-recomputation into dictionary lookups.
+A memo table earns its place only where the same argument pair really
+comes back.  Today that is the DOM extractor: Algorithm 1 scores every
+candidate label's tag path against every induced pattern, and the same
+(path, pattern) pairs recur on every page of a site that shares a
+layout — the two tag-path tables in :mod:`repro.htmldom.tagpath` hit
+99.9 % of their lookups in a pipeline run.  The string measures of
+:mod:`repro.textproc.similarity` are *not* memoized: their pairs
+practically never repeat, so their callers filter candidates instead
+(see :mod:`repro.entity.blocking`).
 
 The cache layer here is deliberately boring:
 
@@ -14,15 +16,19 @@ The cache layer here is deliberately boring:
   evicts in insertion (FIFO) order, so memory use cannot grow without
   limit on adversarial inputs;
 * **observable** — every cache counts hits, misses and evictions;
-  :func:`similarity_cache_stats` snapshots them (the numbers feed
-  ``BENCH_parallel.json``);
+  :func:`similarity_cache_stats` snapshots them and
+  :func:`publish_cache_metrics` exports them as ``simcache_*`` series,
+  which is how a table that does not hit gets noticed;
 * **transparent** — scores are identical with caching on or off
-  (tested), and :func:`configure_similarity_caches` can disable the
-  layer globally for debugging or measurement.
+  (tested against the undecorated ``fn.__wrapped__``), and
+  :func:`configure_similarity_caches` can disable the layer globally
+  for debugging or measurement.
 
 Caches are per-process: worker processes spawned by the parallel
 execution layer each warm their own table, which is exactly the
-behaviour a distributed deployment would have.
+behaviour a distributed deployment would have.  The pipeline clears
+them at the top of every ``run()``, so a run never depends on the runs
+before it.
 """
 
 from __future__ import annotations
@@ -149,9 +155,8 @@ def memoized_pair(
     ``symmetric=True`` canonicalises the key order (``f(a, b) ==
     f(b, a)``), doubling the hit rate of pairwise loops; it requires
     the arguments to be orderable.  Extra positional and keyword
-    arguments participate in the key, so variants like
-    ``levenshtein(..., limit=2)`` never collide with the unlimited
-    computation.
+    arguments participate in the key, so ``f(a, b, scale=3)`` never
+    collides with ``f(a, b)``.
     """
     cache = BoundedCache(name, max_size)
     _REGISTRY[name] = cache

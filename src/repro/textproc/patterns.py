@@ -14,6 +14,13 @@ token-sequence pattern language:
 Matching is a back-tracking scan over the token list; slots are
 non-greedy.  The engine is deliberately regular-expression-free so slot
 semantics (token counts, per-slot validators) stay explicit.
+
+Before scanning, :meth:`LexicalPattern.match_tokens` applies an exact
+necessary condition: every literal (non-optional) element consumes one
+token out of its word set, so a sequence that holds no word of some
+literal element cannot match at any position and is answered ``[]``
+without backtracking.  Most query records and most (sentence, learned
+pattern) pairs leave here.
 """
 
 from __future__ import annotations
@@ -80,6 +87,15 @@ class LexicalPattern:
         if len(slots) != len(set(slots)):
             raise ParseError(f"duplicate slot names in pattern {source!r}")
         self.slot_names: tuple[str, ...] = tuple(slots)
+        # One word set per distinct literal element: a match needs a
+        # token from each of them.
+        self._required: tuple[frozenset[str], ...] = tuple(
+            dict.fromkeys(
+                frozenset(el.words)
+                for el in self.elements
+                if el.kind == "literal"
+            )
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LexicalPattern({self.source!r})"
@@ -95,6 +111,10 @@ class LexicalPattern:
         the pattern is scanned across the sequence.
         """
         lowered = [token.lower() for token in tokens]
+        present = set(lowered)
+        for words in self._required:
+            if words.isdisjoint(present):
+                return []
         matches: list[PatternMatch] = []
         start = 0
         while start <= len(tokens) - 1 or (not tokens and start == 0):

@@ -21,7 +21,10 @@ def tokenize_words(text: str) -> list[str]:
     """
     tokens: list[str] = []
     for raw in text.split():
-        tokens.extend(_split_token(raw))
+        if raw.isalnum():
+            tokens.append(raw)  # no punctuation or possessive to split off
+        else:
+            tokens.extend(_split_token(raw))
     return tokens
 
 

@@ -40,6 +40,21 @@ SMALL_WORLD_CONFIG = WorldConfig(
 )
 
 
+def smoke_pipeline_config():
+    """The full Figure-1 pipeline over the small world with the same
+    generator settings the fixtures below use (a ~1 s ``run()``)."""
+    from repro.core.pipeline import PipelineConfig
+
+    return PipelineConfig(
+        world=SMALL_WORLD_CONFIG,
+        querylog=QueryLogConfig(seed=5, scale=0.002),
+        websites=WebsiteConfig(seed=9, sites_per_class=2, pages_per_site=10),
+        webtext=WebTextConfig(
+            seed=15, sources_per_class=2, documents_per_source=8
+        ),
+    )
+
+
 @pytest.fixture(scope="session")
 def world() -> GroundTruthWorld:
     return GroundTruthWorld(SMALL_WORLD_CONFIG)

@@ -9,20 +9,12 @@ from repro.core.pipeline import (
 from repro.synth.querylog import QueryLogConfig
 from repro.synth.websites import WebsiteConfig
 from repro.synth.webtext import WebTextConfig
-from tests.conftest import SMALL_WORLD_CONFIG
+from tests.conftest import SMALL_WORLD_CONFIG, smoke_pipeline_config
 
 
 @pytest.fixture(scope="module")
 def pipeline_run():
-    config = PipelineConfig(
-        world=SMALL_WORLD_CONFIG,
-        querylog=QueryLogConfig(seed=5, scale=0.002),
-        websites=WebsiteConfig(seed=9, sites_per_class=2, pages_per_site=10),
-        webtext=WebTextConfig(
-            seed=15, sources_per_class=2, documents_per_source=8
-        ),
-    )
-    pipeline = KnowledgeBaseConstructionPipeline(config)
+    pipeline = KnowledgeBaseConstructionPipeline(smoke_pipeline_config())
     report = pipeline.run()
     return pipeline, report
 

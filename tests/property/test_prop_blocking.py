@@ -11,11 +11,15 @@ resolver's first blocking pass).
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.entity.blocking import QGramIndex
 from repro.entity.discovery import JointEntityResolver, MentionRecord
 from repro.entity.linking import EntityLinker
 from repro.entity.resolution import AttributeResolver
 from repro.rdf.ontology import Entity
+from repro.textproc.similarity import levenshtein
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -207,6 +211,134 @@ class TestAttributeResolverEquivalence:
         ).run()
         brute = AttributeResolver(
             "Thing", support, profiles, blocking=False
+        ).run()
+        assert blocked.canonical_map == brute.canonical_map
+        assert blocked.sub_attributes == brute.sub_attributes
+
+
+# ----------------------------------------------------------------------
+# The q-gram count filter is exact over the misspelling window, and the
+# resolver built on it answers what the full scan answers.  Three
+# letters keep near pairs (and repeated grams) common; lengths 1-20
+# cross every regime of the filter: no gram at all (< 3), ``need <= 0``
+# (<= 8, short pool + any shared gram), ``need == 1`` (9), and the
+# counting regime above, with members on both sides of the short-pool
+# length.
+
+_abc = st.one_of(
+    st.text(alphabet="abc", min_size=1, max_size=20),
+    st.text(alphabet="abc", min_size=6, max_size=12),  # the boundaries
+)
+# "x" never occurs in a probe: an edit writing it creates no new gram.
+_edit = st.tuples(
+    st.sampled_from("sid"), st.integers(0, 20), st.sampled_from("abcx")
+)
+
+
+def _apply_edits(word, edits):
+    for kind, where, char in edits:
+        where %= len(word) + 1  # spread over the word, whatever its length
+        if kind == "i":
+            word = word[:where] + char + word[where:]
+        elif where < len(word):
+            tail = word[where + 1:]
+            word = word[:where] + (char if kind == "s" else "") + tail
+    return word
+
+
+@st.composite
+def _probe_and_members(draw):
+    probe = draw(_abc)
+    near = draw(st.lists(st.lists(_edit, max_size=2), max_size=6))
+    members = [_apply_edits(probe, edits) for edits in near]
+    # Two substitutions one gram width apart wipe out the most grams
+    # two edits can (all six of a name of length 8).
+    for first in draw(st.lists(st.integers(0, 20), max_size=3)):
+        first %= len(probe)
+        members.append(
+            _apply_edits(probe, [("s", first, "x"), ("s", first + 3, "x")])
+        )
+    members += draw(st.lists(_abc, max_size=6))
+    return probe, [member for member in members if member]
+
+
+class TestQGramCountFilter:
+    @given(_probe_and_members())
+    @example(("aaaaaaaa", ["aabaabaa"]))  # length 8: no gram survives
+    @example(("aaaaaaaaa", ["aabaabaaa"]))  # length 9: exactly one does
+    @example(("aabaabaaaa", ["aaaaaaaa"]))  # need == 2, member in the pool
+    @settings(max_examples=1500, deadline=None)
+    def test_candidates_cover_the_misspelling_window(self, case):
+        probe, members = case
+        index = QGramIndex()
+        for member, name in enumerate(members):
+            index.add(member, name)
+        found: set[int] = set()
+        index.candidates(probe, found)
+        for member, name in enumerate(members):
+            if (
+                abs(len(name) - len(probe)) <= 2
+                and levenshtein(name, probe) <= 2
+            ):
+                assert member in found, (probe, name)
+
+    def test_far_members_are_not_scored(self):
+        """The filter prunes: a long probe does not drag in every name
+        that merely shares one of its grams."""
+        index = QGramIndex()
+        names = ["publication date", "publisher", "public library",
+                 "date of birth", "publication dates"]
+        for member, name in enumerate(names):
+            index.add(member, name)
+        found: set[int] = set()
+        index.candidates("publication date", found)
+        assert found == {0, 4}
+
+
+_name_words = st.sampled_from(
+    ["ab", "abc", "abca", "bcab", "cabcab", "abcabcab", "bcabcabca",
+     "of", "the", "main", "official", "total", "record"]
+)
+_names = st.one_of(
+    st.lists(_name_words, min_size=1, max_size=3).map(" ".join),
+    _abc,
+)
+_pairs = st.sets(
+    st.tuples(st.sampled_from(["s1", "s2", "s3"]), st.sampled_from("uvw")),
+    max_size=4,
+)
+
+
+class TestBlockingEquivalence:
+    @given(
+        st.dictionaries(_names, st.integers(1, 6), min_size=1, max_size=14),
+        st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_blocked_run_equals_brute_run(self, support, data):
+        variants = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(sorted(support)),
+                    st.lists(_edit, min_size=1, max_size=2),
+                    st.integers(1, 6),
+                ),
+                max_size=6,
+            )
+        )
+        support = dict(support)
+        for name, edits, count in variants:
+            variant = " ".join(_apply_edits(name, edits).split())
+            if variant:
+                support.setdefault(variant, count)
+        profiles = {
+            name: pairs
+            for name in sorted(support)
+            if (pairs := data.draw(_pairs))
+        }
+        blocked = AttributeResolver("T", support, profiles).run()
+        brute = AttributeResolver(
+            "T", support, profiles, blocking=False
         ).run()
         assert blocked.canonical_map == brute.canonical_map
         assert blocked.sub_attributes == brute.sub_attributes

@@ -197,3 +197,65 @@ class TestNoClaimsByDesign:
         )
         seeds = build_seed_sets([output], ["Country"], min_support=1)
         assert "capital" in seeds["Country"]
+
+
+class _CountingIndex(dict):
+    """The extractor's surface index, counting span lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+class TestNoiseRecordsCostNoScan:
+    """Work counts: a record sharing no token with any entity surface
+    is dropped before the span scan and before any pattern runs."""
+
+    def _noise_log(self, count):
+        import random
+
+        from repro.synth.querylog import _noise_query
+
+        rng = random.Random(20)
+        return [QueryRecord(i, _noise_query(rng)) for i in range(count)]
+
+    def test_noise_only_log_joins_no_span_and_runs_no_pattern(
+        self, monkeypatch
+    ):
+        from repro.textproc.patterns import LexicalPattern
+
+        # Digits keep the surfaces out of the noise generator's reach.
+        extractor = QueryStreamExtractor({
+            "zubrowka7": Entity("country/7", "Zubrowka7", "Country"),
+            "grand9 budapest9": Entity("hotel/9", "Grand9 Budapest9", "Hotel"),
+        })
+        log = self._noise_log(5000)
+        assert not any(
+            {"zubrowka7", "grand9", "budapest9"} & set(record.text.split())
+            for record in log
+        )
+        extractor._index = _CountingIndex(extractor._index)
+        match_calls = []
+        monkeypatch.setattr(
+            LexicalPattern,
+            "_match_at",
+            lambda self, *args: match_calls.append(args),
+        )
+        output, stats = extractor.extract(log)
+        assert extractor._index.lookups == 0
+        assert match_calls == []
+        assert output.attributes == {} and output.triples == []
+        assert stats.relevant_records == {}
+
+    def test_relevant_records_inside_noise_still_count(self):
+        extractor = make_extractor(
+            QueryStreamConfig(min_support=1, min_entity_support=1)
+        )
+        log = self._noise_log(200)
+        log[50] = QueryRecord(50, "What is the Capital of FRANCE?")
+        log[120] = QueryRecord(120, "silent river reviews")
+        output, stats = extractor.extract(log)
+        assert stats.relevant_records == {"Country": 1, "Book": 1}
+        assert output.attribute_names("Country") == {"capital"}

@@ -83,3 +83,15 @@ class TestContent:
         first = generate_query_log(world, config)
         second = generate_query_log(world, config)
         assert [r.text for r in first[:50]] == [r.text for r in second[:50]]
+
+    def test_draw_sequence_is_the_pinned_one(self, query_log):
+        """The per-class draw tables (entity and attribute cumulative
+        weights computed once, not per record) must leave every RNG
+        draw where it was: the stream of the shared fixture, record for
+        record, is the one generated before they were hoisted."""
+        import hashlib
+
+        assert len(query_log) == 58_533
+        assert hashlib.blake2b(
+            repr(query_log).encode(), digest_size=16
+        ).hexdigest() == "280fab55deab3480f16ce03020fce0c2"

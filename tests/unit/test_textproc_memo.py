@@ -1,8 +1,18 @@
-"""Tests for the bounded similarity-cache layer."""
+"""Tests for the bounded similarity-cache layer.
+
+The layer serves the two tag-path tables of Algorithm 1 (the only
+memo tables that hit: 99.9 % in a pipeline run); the uncached
+reference of a memoized function is its ``__wrapped__``.
+"""
 
 import pytest
 
-from repro.htmldom.tagpath import RelativeTagPath, path_similarity
+from repro.htmldom.tagpath import (
+    RelativeTagPath,
+    path_similarity,
+    sequence_similarity,
+)
+from repro.textproc import similarity
 from repro.textproc.memo import (
     BoundedCache,
     clear_similarity_caches,
@@ -11,12 +21,14 @@ from repro.textproc.memo import (
     similarity_cache_stats,
     similarity_caches_enabled,
 )
-from repro.textproc.similarity import (
-    jaro_winkler,
-    levenshtein,
-    name_similarity,
-    token_jaccard,
-)
+
+_PATHS = [
+    RelativeTagPath(("tr", "td"), "table", ("td",)),
+    RelativeTagPath(("tr", "td"), "table", ("td", "div")),
+    RelativeTagPath(("li",), "ul", ("li", "span")),
+    RelativeTagPath((), "div", ()),
+    RelativeTagPath(("tr", "td.key"), "table", ("td.value",)),
+]
 
 
 @pytest.fixture(autouse=True)
@@ -91,38 +103,41 @@ class TestMemoizedPair:
 
 class TestSimilarityFunctionsCached:
     def test_scores_identical_with_cache_on_and_off(self):
-        pairs = [
-            ("adelaide", "adelade"),
-            ("university of adelaide", "adelaide university"),
-            ("publication date", "date of publication"),
-            ("", "x"),
-            ("same", "same"),
-        ]
-        functions = [
-            lambda a, b: levenshtein(a, b),
-            lambda a, b: levenshtein(a, b, limit=2),
-            jaro_winkler,
-            token_jaccard,
-            name_similarity,
+        pairs = [(a, b) for a in _PATHS for b in _PATHS]
+        sequences = [(a.up + a.down, b.up + b.down) for a, b in pairs]
+        cases = [
+            (path_similarity, pairs),
+            (sequence_similarity, sequences),
         ]
         configure_similarity_caches(enabled=True)
-        cached = [[f(a, b) for a, b in pairs] for f in functions]
+        cold = [[f(a, b) for a, b in args] for f, args in cases]
         # Warm pass: answered from the tables, must not drift.
-        warm = [[f(a, b) for a, b in pairs] for f in functions]
+        warm = [[f(a, b) for a, b in args] for f, args in cases]
+        assert path_similarity.cache.hits >= len(pairs)
         configure_similarity_caches(enabled=False)
-        plain = [[f(a, b) for a, b in pairs] for f in functions]
-        assert cached == plain == warm
+        disabled = [[f(a, b) for a, b in args] for f, args in cases]
+        uncached = [
+            [f.__wrapped__(a, b) for a, b in args] for f, args in cases
+        ]
+        assert cold == warm == disabled == uncached
 
-    def test_levenshtein_trivial_calls_bypass_cache(self):
-        stats_before = similarity_cache_stats()["levenshtein"].lookups
-        assert levenshtein("same", "same") == 0
-        assert levenshtein("", "abc") == 3
-        assert levenshtein("ab", "abcdef", limit=2) == 3
-        assert similarity_cache_stats()["levenshtein"].lookups == stats_before
+    def test_string_similarity_is_not_memoized(self):
+        """The tables that never hit are gone: the registry holds the
+        two tag-path tables and the string measures are plain
+        functions."""
+        tables = {
+            name for name in similarity_cache_stats()
+            if not name.startswith("test-pair-")  # TestMemoizedPair's own
+        }
+        assert tables == {"tagpath-sequence", "tagpath-relative"}
+        for name in ("levenshtein", "jaro_winkler", "token_jaccard",
+                     "name_similarity"):
+            fn = getattr(similarity, name)
+            assert not hasattr(fn, "cache"), name
+            assert not hasattr(fn, "__wrapped__"), name
 
     def test_tagpath_similarity_cached_and_identical(self):
-        left = RelativeTagPath(("tr", "td"), "table", ("td",))
-        right = RelativeTagPath(("tr", "td"), "table", ("td", "div"))
+        left, right = _PATHS[0], _PATHS[1]
         configure_similarity_caches(enabled=True)
         cached = path_similarity(left, right)
         again = path_similarity(left, right)
@@ -134,11 +149,15 @@ class TestSimilarityFunctionsCached:
     def test_global_toggle(self):
         configure_similarity_caches(enabled=False)
         assert not similarity_caches_enabled()
-        before = similarity_cache_stats()["name-similarity"].lookups
-        name_similarity("alpha", "beta")
-        assert similarity_cache_stats()["name-similarity"].lookups == before
+        before = similarity_cache_stats()["tagpath-relative"].lookups
+        path_similarity(_PATHS[0], _PATHS[2])
+        assert similarity_cache_stats()["tagpath-relative"].lookups == before
         configure_similarity_caches(enabled=True)
         assert similarity_caches_enabled()
+        path_similarity(_PATHS[0], _PATHS[2])
+        assert (
+            similarity_cache_stats()["tagpath-relative"].lookups == before + 1
+        )
 
     def test_resize_clears_and_bounds(self):
         from repro.textproc.memo import _REGISTRY
@@ -147,8 +166,8 @@ class TestSimilarityFunctionsCached:
         configure_similarity_caches(max_size=4)
         try:
             for i in range(20):
-                name_similarity(f"left {i}", f"right {i}")
-            stats = similarity_cache_stats()["name-similarity"]
+                sequence_similarity((f"left{i}", "td"), (f"right{i}",))
+            stats = similarity_cache_stats()["tagpath-sequence"]
             assert stats.size <= 4
             assert stats.evictions > 0
         finally:
@@ -157,11 +176,10 @@ class TestSimilarityFunctionsCached:
                 cache.clear()
 
     def test_stats_snapshot_shape(self):
-        name_similarity("alpha", "beta")
+        path_similarity(_PATHS[0], _PATHS[1])
         snapshot = similarity_cache_stats()
-        assert {"levenshtein", "jaro-winkler", "token-jaccard",
-                "name-similarity", "tagpath-sequence",
-                "tagpath-relative"} <= set(snapshot)
-        entry = snapshot["name-similarity"].as_dict()
+        assert {"tagpath-sequence", "tagpath-relative"} <= set(snapshot)
+        entry = snapshot["tagpath-relative"].as_dict()
         assert {"hits", "misses", "evictions", "size", "max_size",
                 "hit_rate"} <= set(entry)
+        assert entry["misses"] == 1
