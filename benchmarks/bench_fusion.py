@@ -1,15 +1,16 @@
-"""Compiled fusion engine — speedup and equivalence report.
+"""Compiled fusion engine — timing and equivalence report.
 
-Measures the three strata of the fusion optimisation layer and
-verifies, in the same breath, that none of them changes a single
-decision:
+Measures the three strata of the fusion layer and verifies, in the
+same breath, that none of them changes a single decision:
 
-1.  **Compiled inner loops** — every fixed-point method on the default
-    synthetic scale, dict-based loops vs the flat-array kernels of
+1.  **Compiled kernels** — every fixed-point method on the default
+    synthetic scale through the flat-array kernels of
     :mod:`repro.fusion.compiled`; reported both end-to-end (compile
     included) and warm (one :func:`compile_claims` reused across
     calls, the steady-state of repeated fusion over one claim set).
-    Decisions must be byte-identical on a canonical serialization.
+    Both must decide the same bytes on a canonical serialization.
+    (Equality with the dict-loop reference is the test suite's job:
+    ``tests/unit/test_fusion_compiled.py``.)
 2.  **Connected-component sharding** — a multi-component claim graph
     fused globally vs :func:`repro.fusion.sharding.fuse_sharded` at
     workers 1/2/4; merged output must be byte-identical at fixed
@@ -79,9 +80,8 @@ def _best_of(repeats: int, run):
     return best, result
 
 
-# The benched methods: constructor (with compiled on/off) plus the
-# matching compiled kernel called on a pre-built CompiledClaims (the
-# warm path: no per-call compile).
+# The benched methods: constructor plus the matching kernel called on
+# a pre-built CompiledClaims (the warm path: no per-call compile).
 def _kernel_accu(cc):
     return accu_fuse(cc, tolerance=0.0)
 
@@ -112,7 +112,7 @@ METHODS = {
 
 
 # ----------------------------------------------------------------------
-# Section 1: dict-based loops vs compiled kernels.
+# Section 1: the compiled kernels, compile included and warm.
 
 
 def run_compiled_section(quick: bool) -> dict:
@@ -127,34 +127,24 @@ def run_compiled_section(quick: bool) -> dict:
     )
     records = []
     for name, (method_cls, kernel) in METHODS.items():
-        # tolerance=0 pins the iteration count so both paths do the
+        # tolerance=0 pins the iteration count so both calls do the
         # same number of rounds.
-        legacy_seconds, legacy = _best_of(
-            repeats,
-            lambda m=method_cls: m(tolerance=0.0, compiled=False)
-            .fuse(claims),
-        )
         total_seconds, total = _best_of(
             repeats,
-            lambda m=method_cls: m(tolerance=0.0, compiled=True)
-            .fuse(claims),
+            lambda m=method_cls: m(tolerance=0.0).fuse(claims),
         )
         warm_seconds, warm = _best_of(
             repeats, lambda k=kernel: k(compiled)
         )
-        reference = _canonical_fusion_bytes(legacy)
         records.append(
             {
                 "method": name,
-                "iterations": legacy.iterations,
-                "legacy_seconds": round(legacy_seconds, 4),
+                "iterations": total.iterations,
                 "compiled_seconds": round(total_seconds, 4),
                 "warm_seconds": round(warm_seconds, 4),
-                "speedup": round(legacy_seconds / total_seconds, 3),
-                "warm_speedup": round(legacy_seconds / warm_seconds, 3),
                 "identical": (
-                    _canonical_fusion_bytes(total) == reference
-                    and _canonical_fusion_bytes(warm) == reference
+                    _canonical_fusion_bytes(warm)
+                    == _canonical_fusion_bytes(total)
                 ),
             }
         )
@@ -173,18 +163,14 @@ def compiled_table(section: dict) -> str:
         [
             record["method"],
             record["iterations"],
-            f"{record['legacy_seconds'] * 1000:.1f}ms",
             f"{record['compiled_seconds'] * 1000:.1f}ms",
             f"{record['warm_seconds'] * 1000:.1f}ms",
-            f"{record['speedup']:.2f}x",
-            f"{record['warm_speedup']:.2f}x",
             "yes" if record["identical"] else "NO",
         ]
         for record in section["runs"]
     ]
     return render_table(
-        ["method", "rounds", "dict loops", "compiled", "warm kernel",
-         "speedup", "warm speedup", "identical"],
+        ["method", "rounds", "compiled", "warm kernel", "identical"],
         rows,
         title=(
             f"Compiled fusion kernels ({section['claims']} claims, "
@@ -404,7 +390,7 @@ def _check(document: dict) -> list[str]:
     failures = []
     for record in document["compiled"]["runs"]:
         if not record["identical"]:
-            failures.append(f"compiled {record['method']} diverged")
+            failures.append(f"warm {record['method']} kernel diverged")
     for record in document["sharding"]["runs"]:
         for mode in record["modes"]:
             if not mode["identical"]:
@@ -417,18 +403,6 @@ def _check(document: dict) -> list[str]:
             failures.append(
                 f"early-exit {record['method']} changed truths"
             )
-    if not document["meta"]["quick"]:
-        # The acceptance bar: the warm compiled inner loop beats the
-        # dict-based loop >= 2x on the Bayesian methods at the default
-        # scale.  (gensums/investment spend most of their rounds in
-        # dict-backed normalization, so their margin is thinner.)
-        for record in document["compiled"]["runs"]:
-            if record["method"] in ("accu", "multitruth"):
-                if record["warm_speedup"] < 2.0:
-                    failures.append(
-                        f"warm {record['method']} speedup "
-                        f"{record['warm_speedup']}x < 2x"
-                    )
     return failures
 
 

@@ -1,17 +1,15 @@
-"""Parallel execution layer — speedup and equivalence report.
+"""MapReduce substrate, pipeline stages, tag-path tables — timing report.
 
-Measures the three strata of the parallel layer and verifies, in the
-same breath, that none of them changes a single output:
+Measures three things and verifies, in the same breath, that none of
+the faster modes changes a single output:
 
 1.  **Multiprocess MapReduce** — VOTE and ACCU on the scalability
     workloads, serial vs ``executor="process"``; both wall times are
     reported (on small hosts process overhead can dominate — the point
     of reporting both numbers) and the fused decisions must be
     byte-identical on a canonical serialization.
-2.  **Concurrent pipeline stages** — the end-to-end pipeline serial vs
-    ``parallelism=2`` (thread and process stage executors); claims and
-    quality metrics must be identical, and the report contrasts summed
-    per-stage work time with the measured phase wall clock.
+2.  **Pipeline stages** — one end-to-end run: wall clock, seconds per
+    stage, and the cache hit rates it saw.
 3.  **Tag-path memo tables** — Algorithm 1 (DOM extraction) with the
     two tag-path tables off / cold / warm, plus their hit rates; the
     extracted claims must be identical in all three modes.  "Off"
@@ -26,6 +24,7 @@ standalone with ``python benchmarks/bench_parallel.py [--quick]``;
 """
 
 import argparse
+import gc
 import json
 import os
 import pathlib
@@ -73,15 +72,7 @@ def _canonical_fusion_bytes(result) -> bytes:
     ).encode()
 
 
-def _claim_signature(pipeline):
-    return sorted(
-        (claim.item, claim.value, claim.source_id, claim.extractor_id,
-         claim.confidence)
-        for claim in pipeline.claims
-    )
-
-
-def _pipeline_config(quick: bool, **overrides) -> PipelineConfig:
+def _pipeline_config(quick: bool) -> PipelineConfig:
     if quick:
         return PipelineConfig(
             world=WorldConfig(
@@ -95,11 +86,8 @@ def _pipeline_config(quick: bool, **overrides) -> PipelineConfig:
             webtext=WebTextConfig(
                 sources_per_class=2, documents_per_source=6
             ),
-            **overrides,
         )
-    return PipelineConfig(
-        querylog=QueryLogConfig(seed=17, scale=0.002), **overrides
-    )
+    return PipelineConfig(querylog=QueryLogConfig(seed=17, scale=0.002))
 
 
 # ----------------------------------------------------------------------
@@ -247,106 +235,50 @@ def retry_table(section: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# Section 2: serial vs concurrent pipeline stages.
+# Section 2: where one end-to-end run spends its time.
 
 
-def _run_pipeline(config):
-    pipeline = KnowledgeBaseConstructionPipeline(config)
+def run_pipeline_section(quick: bool) -> dict:
+    clear_similarity_caches()
+    pipeline = KnowledgeBaseConstructionPipeline(_pipeline_config(quick))
     started = time.perf_counter()
     report = pipeline.run()
     wall = time.perf_counter() - started
-    return pipeline, report, wall
-
-
-def _pipeline_record(report, wall: float) -> dict:
     return {
+        "claims": len(pipeline.claims),
         "wall_seconds": round(wall, 3),
         "stage_seconds": {
             timing.stage: round(timing.seconds, 3)
             for timing in report.timings
         },
-        "extraction_wall": {
-            phase: round(seconds, 3)
-            for phase, seconds in report.extraction_wall.items()
+        # Hit rates observed during the end-to-end run; the tag-path
+        # cache's near-total hit rate is the DOM win.
+        "extraction_cache_stats": {
+            name: {
+                "hit_rate": round(stats.hit_rate, 4),
+                "hits": stats.hits,
+                "misses": stats.misses,
+                "evictions": stats.evictions,
+            }
+            for name, stats in similarity_cache_stats().items()
         },
-    }
-
-
-def run_pipeline_section(quick: bool) -> dict:
-    executors = ["thread"] if quick else ["thread", "process"]
-    # Every mode starts from cold similarity caches — otherwise the
-    # serial run (which goes first) would warm them for the others.
-    clear_similarity_caches()
-    serial_pipeline, serial_report, serial_wall = _run_pipeline(
-        _pipeline_config(quick)
-    )
-    extraction_cache_stats = {
-        name: {
-            "hit_rate": round(stats.hit_rate, 4),
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "evictions": stats.evictions,
-        }
-        for name, stats in similarity_cache_stats().items()
-    }
-    serial_signature = _claim_signature(serial_pipeline)
-    modes = {"serial": _pipeline_record(serial_report, serial_wall)}
-    equivalent = True
-    for executor in executors:
-        clear_similarity_caches()
-        pipeline, report, wall = _run_pipeline(
-            _pipeline_config(quick, parallelism=2, stage_executor=executor)
-        )
-        record = _pipeline_record(report, wall)
-        record["speedup_vs_serial"] = round(serial_wall / wall, 3)
-        record["identical_claims"] = (
-            _claim_signature(pipeline) == serial_signature
-        )
-        record["identical_metrics"] = (
-            report.fusion_report.precision,
-            report.fusion_report.recall,
-            report.fusion_report.f1,
-        ) == (
-            serial_report.fusion_report.precision,
-            serial_report.fusion_report.recall,
-            serial_report.fusion_report.f1,
-        )
-        equivalent = equivalent and record["identical_claims"]
-        modes[executor] = record
-    return {
-        "claims": len(serial_pipeline.claims),
-        "parallelism": 2,
-        "modes": modes,
-        "equivalent": equivalent,
-        # Hit rates observed during the (serial) end-to-end run; the
-        # tag-path cache's near-total hit rate is the DOM win.
-        "extraction_cache_stats": extraction_cache_stats,
-        # The serial run's count-type metrics (the deterministic
-        # subset): reproducible run-to-run, so BENCH diffs stay clean.
-        "metrics_snapshot": serial_report.metrics.deterministic_subset(),
-        "serial_pipeline": serial_pipeline,  # reused by the cache section
+        # The run's count-type metrics (the deterministic subset):
+        # reproducible run-to-run, so BENCH diffs stay clean.
+        "metrics_snapshot": report.metrics.deterministic_subset(),
+        "serial_pipeline": pipeline,  # reused by the cache section
     }
 
 
 def pipeline_table(section: dict) -> str:
-    rows = []
-    for mode, record in section["modes"].items():
-        rows.append(
-            [
-                mode,
-                f"{record['wall_seconds']:.2f}s",
-                f"{sum(record['stage_seconds'].values()):.2f}s",
-                f"{record.get('speedup_vs_serial', 1.0):.2f}x",
-                "yes" if record.get("identical_claims", True) else "NO",
-            ]
-        )
-    mode_table = render_table(
-        ["mode", "wall", "summed stage time", "speedup", "identical"],
-        rows,
-        title=(
-            "Pipeline: serial vs concurrent extraction "
-            f"({section['claims']} claims)"
-        ),
+    stage_rows = [
+        [stage, f"{seconds:.2f}s"]
+        for stage, seconds in section["stage_seconds"].items()
+    ]
+    stage_rows.append(["(wall)", f"{section['wall_seconds']:.2f}s"])
+    stage_table = render_table(
+        ["stage", "seconds"],
+        stage_rows,
+        title=f"Pipeline: one run, per stage ({section['claims']} claims)",
     )
     stat_rows = [
         [name, format_ratio(stats["hit_rate"]), stats["hits"],
@@ -359,7 +291,7 @@ def pipeline_table(section: dict) -> str:
         stat_rows,
         title="Cache hit rates during one end-to-end run",
     )
-    return mode_table + "\n\n" + stats_table
+    return stage_table + "\n\n" + stats_table
 
 
 # ----------------------------------------------------------------------
@@ -374,6 +306,9 @@ def run_cache_section(serial_pipeline) -> dict:
         extractor = DomTreeExtractor(
             serial_pipeline.entity_index, serial_pipeline.seeds, config.dom
         )
+        # One full collection of this heap costs ≈ 0.3 s; have it now,
+        # not inside whichever of the three runs it would land in.
+        gc.collect()
         started = time.perf_counter()
         output = extractor.extract(sites)
         return time.perf_counter() - started, sorted(
@@ -491,9 +426,6 @@ def test_parallel_report():
     for record in document["retry_overhead"]["runs"]:
         assert record["identical"]
         assert record["overhead_ratio"] > 0
-    assert document["pipeline"]["equivalent"]
-    for record in document["pipeline"]["modes"].values():
-        assert record.get("identical_metrics", True)
     cache = document["similarity_cache"]
     assert cache["identical_output"]
     # The tag-path tables must hit inside a cold-start run and pay
@@ -520,8 +452,6 @@ def main(argv=None) -> int:
         failures.append("mapreduce outputs diverged")
     if not all(r["identical"] for r in document["retry_overhead"]["runs"]):
         failures.append("guarded (retry) outputs diverged")
-    if not document["pipeline"]["equivalent"]:
-        failures.append("pipeline outputs diverged")
     if not document["similarity_cache"]["identical_output"]:
         failures.append("cached DOM extraction diverged")
     for failure in failures:

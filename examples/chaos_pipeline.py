@@ -104,7 +104,6 @@ def main() -> int:
             fault_plan=plan,
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
             fusion_parallelism=2,
-            fusion_executor="serial",
         )
     )
     chaos_report = chaos.run()

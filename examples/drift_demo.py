@@ -26,10 +26,7 @@ Usage::
     PYTHONPATH=src python examples/drift_demo.py
 """
 
-from repro.core.pipeline import (
-    KnowledgeBaseConstructionPipeline,
-    PipelineConfig,
-)
+from repro.core.pipeline import KnowledgeBaseConstructionPipeline
 from repro.evalx.freshness import freshness_report
 from repro.faults import FaultPlan, InjectedFault
 from repro.fusion.knowledge_fusion import KnowledgeFusion
@@ -44,10 +41,8 @@ COPYING = CopyingConfig(seed=0, n_items=60, lag=1)
 
 
 def drift_through_pipeline() -> None:
-    pipeline = KnowledgeBaseConstructionPipeline(
-        PipelineConfig(drift=DRIFT, copying=COPYING)
-    )
-    report = pipeline.run_drift()
+    pipeline = KnowledgeBaseConstructionPipeline()
+    report = pipeline.run_drift(DRIFT)
     print(report.table())
     total_changes = sum(row.value_changes for row in report.rows)
     print(
@@ -59,7 +54,7 @@ def drift_through_pipeline() -> None:
     )
     assert report.final_version == DRIFT.epochs
 
-    copying = pipeline.run_copying()
+    copying = pipeline.run_copying(COPYING)
     print()
     print(copying.table())
     aware = copying.mode("correlation-aware")

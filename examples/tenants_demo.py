@@ -21,10 +21,7 @@ Usage::
 
 import json
 
-from repro.core.pipeline import (
-    KnowledgeBaseConstructionPipeline,
-    PipelineConfig,
-)
+from repro.core.pipeline import KnowledgeBaseConstructionPipeline
 from repro.faults import FaultPlan
 from repro.serving.tenancy import TenantManager
 from repro.synth.tenants import TenantMixConfig
@@ -35,14 +32,10 @@ MIX = TenantMixConfig(
 
 
 def mixed_fleet() -> None:
-    pipeline = KnowledgeBaseConstructionPipeline(
-        PipelineConfig(tenants=MIX)
-    )
-    report = pipeline.run_tenants()
+    pipeline = KnowledgeBaseConstructionPipeline()
+    report = pipeline.run_tenants(MIX)
     print(report.table())
-    again = KnowledgeBaseConstructionPipeline(
-        PipelineConfig(tenants=MIX)
-    ).run_tenants()
+    again = KnowledgeBaseConstructionPipeline().run_tenants(MIX)
     first = json.dumps(report.to_json_dict(), sort_keys=True)
     second = json.dumps(again.to_json_dict(), sort_keys=True)
     assert first == second

@@ -47,34 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable new-entity creation from unknown page headings",
     )
     pipeline.add_argument(
-        "--no-entity-blocking", action="store_true",
-        help="disable MinHash/LSH blocking in entity matching and use "
-        "the reference brute-force scans (verdicts are identical; "
-        "only speed changes)",
-    )
-    pipeline.add_argument(
         "--export", metavar="PATH",
         help="write the augmented Freebase snapshot's claims as TSV",
     )
     pipeline.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
-        help="run independent extraction stages concurrently (N >= 2); "
-        "output is identical to a serial run",
-    )
-    pipeline.add_argument(
-        "--stage-executor", choices=("process", "thread"),
-        default="process",
-        help="pool type for concurrent extraction stages",
-    )
-    pipeline.add_argument(
         "--fusion-parallel", type=int, default=1, metavar="N",
         help="shard fusion over connected components of the claim "
-        "graph on N workers (N >= 2); truths identical to serial",
-    )
-    pipeline.add_argument(
-        "--fusion-executor", choices=("process", "serial"),
-        default="process",
-        help="mapreduce executor for sharded fusion",
+        "graph as N MapReduce partitions (N >= 2), the path --retries "
+        "guards; truths identical to unsharded",
     )
     pipeline.add_argument(
         "--retries", type=int, default=0, metavar="N",
@@ -305,11 +285,7 @@ def _run_pipeline(args) -> int:
         world=WorldConfig(seed=args.seed),
         querylog=QueryLogConfig(scale=args.query_scale),
         discover_new_entities=args.discover_entities,
-        entity_blocking=not args.no_entity_blocking,
-        parallelism=args.parallel,
-        stage_executor=args.stage_executor,
         fusion_parallelism=args.fusion_parallel,
-        fusion_executor=args.fusion_executor,
         retry=retry,
         stage_timeout=args.stage_timeout,
         min_sources=args.min_sources,
@@ -322,8 +298,6 @@ def _run_pipeline(args) -> int:
     report = pipeline.run(resume=args.resume)
     for timing in report.timings:
         print(f"{timing.stage:<22} {timing.seconds:6.2f}s  {timing.detail}")
-    for phase, seconds in report.extraction_wall.items():
-        print(f"{phase + ' wall':<22} {seconds:6.2f}s")
     print(f"{'fusion wall':<22} {report.fusion_wall:6.2f}s")
     if report.fusion_shards:
         shards = report.fusion_shards

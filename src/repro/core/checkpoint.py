@@ -10,8 +10,8 @@ instead of recomputing.  Two rules keep resume safe:
   configs, seeds, toggles that change what gets extracted).  A
   checkpoint whose fingerprint does not match the current config is
   silently treated as absent — stale state is rejected, never merged.
-  Execution knobs (parallelism, executors, retry policy, fault plan,
-  the checkpoint directory itself) are deliberately excluded: they
+  Execution knobs (fusion sharding, retry policy, fault plan, the
+  checkpoint directory itself) are deliberately excluded: they
   change *how* a run executes, not *what* it computes, so a run
   interrupted by an injected fault can resume without one.
 * **Atomic** — payloads are pickled to a temp file and ``os.replace``d
@@ -71,7 +71,6 @@ _FINGERPRINT_FIELDS = (
     "discover_new_entities",
     "functionality_source",
     "resolve_attributes",
-    "entity_blocking",
     # The storage backend does not change fused *verdicts* (that
     # equivalence is property-tested), but an "incremental" checkpoint
     # resumed under a different backend would silently detach the

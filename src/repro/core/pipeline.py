@@ -18,25 +18,10 @@ Knowledge fusion
     9.  evaluate against the world (gold standard by construction);
     10. augment the Freebase snapshot with the fused knowledge.
 
-Extraction parallelism
-    The extractors are independent given their inputs, so with
-    ``PipelineConfig.parallelism > 1`` the pipeline runs them
-    concurrently in two phases that respect the data dependencies:
-
-    * phase A — KB snapshot construction + KB extraction runs next to
-      query-log generation (the query-stream *extraction* needs Set_E
-      from the Freebase snapshot, so it runs as soon as phase A joins);
-    * phase B — after seed-set construction, the DOM and Web-text
-      extractors (the two heaviest stages) run concurrently.
-
-    Stage bodies are module-level functions executed on a
-    ``concurrent.futures`` pool (``stage_executor`` picks processes or
-    threads).  Every stage is a deterministic function of the world
-    and its config — the synthetic generators seed their own RNGs — so
-    concurrent output is identical to serial output; per-stage wall
-    times are measured inside the workers and land in the stage report
-    exactly as in a serial run, while phase wall-clock times are kept
-    separately in ``PipelineReport.extraction_wall``.
+Extraction stages
+    The four extractors run in line, in pipeline order; each stage body
+    is a module-level function of the world and its config that
+    measures its own work seconds.
 
 Fault tolerance
     The fusion framework is meant to run over noisy Web-scale inputs
@@ -72,7 +57,6 @@ Fault tolerance
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from repro.core.augmentation import AugmentationReport, augment_kb
@@ -165,27 +149,13 @@ class PipelineConfig:
     use_extractor_correlations: bool = True
     use_confidence: bool = True
     resolve_attributes: bool = True
-    # Entity-matching blocking (MinHash/LSH + q-gram candidate
-    # generation, repro.entity.blocking): the 3-tier cascade that keeps
-    # linking/discovery/attribute resolution sub-quadratic.  Verdicts
-    # are identical either way; False restores the reference
-    # brute-force scans.
-    entity_blocking: bool = True
-    # Extraction parallelism: 1 runs every stage serially (the
-    # original behaviour); >= 2 runs independent extraction stages
-    # concurrently.  Output is identical either way.
-    parallelism: int = 1
-    # Pool flavour for parallel stages: "process" sidesteps the GIL for
-    # these CPU-bound extractors; "thread" avoids pickling overhead.
-    stage_executor: str = "process"
-    # Fusion parallelism: >= 2 shards the core fuse over the connected
-    # components of the claim graph (repro.fusion.sharding) on that
-    # many workers.  Truths are identical to the serial run; beliefs
-    # match bit-for-bit at tolerance 0 (see the sharding module's
-    # early-exit caveat).
+    # Fusion sharding: >= 2 runs the core fuse per connected component
+    # of the claim graph (repro.fusion.sharding) as that many
+    # partitions of an in-process MapReduce job — the path ``retry``
+    # and ``fault_plan`` act on.  Truths are identical to the unsharded
+    # run; beliefs match bit-for-bit at tolerance 0 (see the sharding
+    # module's early-exit caveat).
     fusion_parallelism: int = 1
-    # Mapreduce executor for sharded fusion: "process" or "serial".
-    fusion_executor: str = "process"
     # Convergence tolerance forwarded to the multi-truth core; None
     # keeps the core's default.  Set 0.0 to pin the iteration count —
     # the regime in which run_incremental() is byte-identical to a
@@ -232,16 +202,6 @@ class PipelineConfig:
     # rejected with BackpressureError (explicit load shedding; the log
     # never drops silently).
     serving_log_capacity: int = 1024
-    # -- Scenarios ------------------------------------------------------
-    # Default drifting-world scenario for run_drift() (None runs the
-    # DriftConfig defaults); run_drift(config) overrides per call.
-    drift: DriftConfig | None = None
-    # Default copying-world scenario for run_copying().
-    copying: CopyingConfig | None = None
-    # Default multi-tenant mix for run_tenants() (None runs the
-    # TenantMixConfig defaults); run_tenants(config) overrides per
-    # call.  Tenant checkpoints land under checkpoint_dir/<tenant>.
-    tenants: TenantMixConfig | None = None
 
 
 @dataclass(slots=True)
@@ -302,11 +262,6 @@ class PipelineReport:
     fusion_report: TruthDiscoveryReport | None = None
     augmentation: AugmentationReport | None = None
     entity_resolution: ResolutionOutcome | None = None
-    # Wall-clock seconds of each concurrent extraction phase (empty on
-    # serial runs).  Stage timings above always hold per-stage work
-    # time, so ``sum(stage seconds) - extraction_wall`` is the time
-    # parallelism saved.
-    extraction_wall: dict[str, float] = field(default_factory=dict)
     # Wall-clock seconds of the fuse call alone (the fusion stage
     # timing also covers claim-set assembly and oracle construction).
     fusion_wall: float = 0.0
@@ -317,8 +272,7 @@ class PipelineReport:
     # Degradation / quarantine / retry / resume accounting.
     health: PipelineHealth = field(default_factory=PipelineHealth)
     # True end-to-end wall clock of run(), measured around the whole
-    # thing.  Never the sum of stage timings: stages overlap under a
-    # concurrent stage_executor, so that sum double-counts.
+    # thing (the stage timings leave out what runs between stages).
     wall_seconds: float = 0.0
     # Metric snapshot of the run (counters/gauges/histograms across
     # every instrumented layer); None only on hand-built reports.
@@ -327,16 +281,14 @@ class PipelineReport:
     trace: dict | None = None
 
     def cumulative_stage_seconds(self) -> float:
-        """Summed per-stage work seconds (stages may overlap in time)."""
+        """Summed per-stage work seconds."""
         return sum(timing.seconds for timing in self.timings)
 
     def total_seconds(self) -> float:
         """True end-to-end seconds of the run.
 
         ``run()`` measures the wall clock around the whole run; the
-        per-stage sum is only a fallback for hand-built reports,
-        because concurrent extraction stages overlap and the sum
-        double-counts their shared wall time.
+        per-stage sum is only a fallback for hand-built reports.
         """
         return self.wall_seconds or self.cumulative_stage_seconds()
 
@@ -364,7 +316,6 @@ class PipelineReport:
                 for source, counts in sorted(self.attribute_counts.items())
             },
             "triple_counts": dict(sorted(self.triple_counts.items())),
-            "extraction_wall": dict(self.extraction_wall),
             "wall_seconds": self.wall_seconds,
             "cumulative_stage_seconds": self.cumulative_stage_seconds(),
             "fusion_wall": self.fusion_wall,
@@ -589,9 +540,8 @@ def _valid_document(record: object) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Extraction stage bodies.  Module-level (hence picklable) functions of
-# (world, config) so they can run inline, on a thread pool, or in a
-# worker process interchangeably; each measures its own wall time.
+# Extraction stage bodies: functions of (world, config), each measuring
+# its own wall time.
 
 
 def _kb_stage(world: GroundTruthWorld, kb_pair_config: KbPairConfig):
@@ -623,8 +573,7 @@ def _dom_stage(
     """Stage 4: generate websites and run Algorithm 1 over them.
 
     Pages pass through a record guard before extraction; diverted pages
-    land in a stage-local quarantine the parent merges back (the stage
-    may be running in a worker process).
+    land in a stage-local quarantine the caller merges back.
     """
     started = time.perf_counter()
     sites = generate_websites(world, website_config)
@@ -769,20 +718,7 @@ class KnowledgeBaseConstructionPipeline:
         if restored is not None:
             mention_classes = self._restore_extraction(report, restored)
         else:
-            parallel = max(1, cfg.parallelism) > 1
-            pool = None
-            if parallel:
-                pool_cls = (
-                    ProcessPoolExecutor
-                    if cfg.stage_executor == "process"
-                    else ThreadPoolExecutor
-                )
-                pool = pool_cls(max_workers=min(2, cfg.parallelism))
-            try:
-                mention_classes = self._run_extraction(report, pool)
-            finally:
-                if pool is not None:
-                    pool.shutdown()
+            mention_classes = self._run_extraction(report)
             if store is not None and not health.degraded:
                 store.save(
                     "extraction",
@@ -827,11 +763,7 @@ class KnowledgeBaseConstructionPipeline:
                 with self._stage_timer(report, "entity-resolution") as timing:
                     self._check_fatal_fault("entity-resolution")
                     resolver = JointEntityResolver(
-                        EntityLinker(
-                            self.entity_index,
-                            blocking=cfg.entity_blocking,
-                        ),
-                        blocking=cfg.entity_blocking,
+                        EntityLinker(self.entity_index)
                     )
                     all_triples, outcome = resolve_mention_triples(
                         all_triples, mention_classes, resolver
@@ -954,16 +886,6 @@ class KnowledgeBaseConstructionPipeline:
     # ------------------------------------------------------------------
     def _validate_config(self) -> None:
         cfg = self.config
-        if cfg.stage_executor not in ("process", "thread"):
-            raise PipelineError(
-                "stage_executor must be 'process' or 'thread', "
-                f"got {cfg.stage_executor!r}"
-            )
-        if cfg.fusion_executor not in ("process", "serial"):
-            raise PipelineError(
-                "fusion_executor must be 'process' or 'serial', "
-                f"got {cfg.fusion_executor!r}"
-            )
         if cfg.fusion_parallelism < 1:
             raise PipelineError("fusion_parallelism must be >= 1")
         if cfg.min_sources < 0:
@@ -998,9 +920,8 @@ class KnowledgeBaseConstructionPipeline:
     ) -> None:
         """Book one completed extraction stage everywhere at once.
 
-        The stage body measured ``seconds`` inside its (possibly
-        worker-process) execution, so the span is back-dated rather
-        than live-timed.
+        The stage body measured ``seconds`` itself, so the span is
+        back-dated rather than live-timed.
         """
         report.timings.append(StageTiming(stage, seconds, detail))
         self.tracer.record(stage, seconds, detail=detail)
@@ -1083,7 +1004,7 @@ class KnowledgeBaseConstructionPipeline:
             return None
 
     def _guard_input(self, records, validator, source: str):
-        """Divert malformed records of one parent-side input stream."""
+        """Divert malformed records of one input stream."""
         return guard_records(
             records,
             validator,
@@ -1094,40 +1015,23 @@ class KnowledgeBaseConstructionPipeline:
         )
 
     # ------------------------------------------------------------------
-    def _run_extraction(self, report: PipelineReport, pool) -> dict[str, str]:
-        """Stages 1-5: run the four extractors, serially or concurrently.
+    def _run_extraction(self, report: PipelineReport) -> dict[str, str]:
+        """Stages 1-5: run the four extractors in pipeline order.
 
         Returns the DOM extractor's mention-surface → class map (used by
-        joint entity resolution).  With a pool, phase A runs KB-snapshot
-        extraction next to query-log generation and phase B runs the DOM
-        and Web-text extractors side by side; stage timings are measured
-        inside the stage bodies either way, so the report is comparable
-        across modes.  Every stage runs inside :meth:`_guarded_stage`,
-        so one crashing extractor degrades its source instead of killing
-        the run.
+        joint entity resolution).  Every stage runs inside
+        :meth:`_guarded_stage`, so one crashing extractor degrades its
+        source instead of killing the run.
         """
         world = self.world
         cfg = self.config
         plan = cfg.fault_plan
 
-        # -- 1+2a. KB snapshots + query-log generation (phase A) ---------
-        phase_span = (
-            self.tracer.span("extraction-phase-a") if pool is not None
-            else None
-        )
-        phase_started = time.perf_counter()
-        if pool is not None:
-            kb_future = pool.submit(_kb_stage, world, cfg.kb_pair)
-            log_future = pool.submit(_querylog_stage, world, cfg.querylog)
-            kb_call = kb_future.result
-        else:
-            log_future = None
-
-            def kb_call():
-                return _kb_stage(world, cfg.kb_pair)
-
+        # -- 1. KB snapshots ------------------------------------------------
         kb_output = None
-        kb_result = self._guarded_stage(report, "kb-extraction", kb_call)
+        kb_result = self._guarded_stage(
+            report, "kb-extraction", lambda: _kb_stage(world, cfg.kb_pair)
+        )
         if kb_result is not None:
             self.freebase, self.dbpedia, kb_output, kb_seconds = kb_result
             self.outputs["kb"] = kb_output
@@ -1140,12 +1044,9 @@ class KnowledgeBaseConstructionPipeline:
             self._set_e_index() if self.freebase is not None else {}
         )
 
-        # -- 2b. Query-stream extraction (needs Set_E) --------------------
+        # -- 2. Query stream (extraction needs Set_E) ----------------------
         def query_stream_call():
-            if log_future is not None:
-                log, log_seconds = log_future.result()
-            else:
-                log, log_seconds = _querylog_stage(world, cfg.querylog)
+            log, log_seconds = _querylog_stage(world, cfg.querylog)
             log = self._guard_input(log, _valid_query_record, "querystream")
             started = time.perf_counter()
             extractor = QueryStreamExtractor(
@@ -1173,11 +1074,6 @@ class KnowledgeBaseConstructionPipeline:
                 report, "query-stream", query_seconds,
                 f"{record_count} records",
             )
-        if pool is not None:
-            report.extraction_wall["phase-a"] = (
-                time.perf_counter() - phase_started
-            )
-            phase_span.end()
 
         # -- 3. Seed sets --------------------------------------------------
         seed_outputs = [
@@ -1192,45 +1088,16 @@ class KnowledgeBaseConstructionPipeline:
             class_name: len(seed) for class_name, seed in self.seeds.items()
         }
 
-        # -- 4+5. DOM + Web-text extraction (phase B) ----------------------
+        # -- 4. DOM extraction ---------------------------------------------
         dom_config = cfg.dom
         if cfg.discover_new_entities:
             dom_config = replace(dom_config, allow_mention_anchors=True)
-        kb_triples = kb_output.triples if kb_output is not None else []
-        phase_span = (
-            self.tracer.span("extraction-phase-b") if pool is not None
-            else None
-        )
-        phase_started = time.perf_counter()
-        if pool is not None:
-            dom_future = pool.submit(
-                _dom_stage, self.entity_index, self.seeds, dom_config,
-                world, cfg.websites, plan, cfg.quarantine_capacity,
-            )
-            text_future = pool.submit(
-                _webtext_stage, self.entity_index, self.seeds,
-                kb_triples, world, cfg.webtext,
-                cfg.webtext_extractor, plan, cfg.quarantine_capacity,
-            )
-            dom_call = dom_future.result
-            text_call = text_future.result
-        else:
-
-            def dom_call():
-                return _dom_stage(
-                    self.entity_index, self.seeds, dom_config,
-                    world, cfg.websites, plan, cfg.quarantine_capacity,
-                )
-
-            def text_call():
-                return _webtext_stage(
-                    self.entity_index, self.seeds, kb_triples,
-                    world, cfg.webtext, cfg.webtext_extractor,
-                    plan, cfg.quarantine_capacity,
-                )
 
         def dom_stage_call():
-            output, mention_classes, local_quarantine, seconds = dom_call()
+            output, mention_classes, local_quarantine, seconds = _dom_stage(
+                self.entity_index, self.seeds, dom_config,
+                world, cfg.websites, plan, cfg.quarantine_capacity,
+            )
             self.quarantine.merge(local_quarantine)
             return output, mention_classes, seconds
 
@@ -1246,8 +1113,15 @@ class KnowledgeBaseConstructionPipeline:
                 f"{len(dom_output.triples)} claims",
             )
 
+        # -- 5. Web-text extraction ----------------------------------------
+        kb_triples = kb_output.triples if kb_output is not None else []
+
         def text_stage_call():
-            output, local_quarantine, seconds = text_call()
+            output, local_quarantine, seconds = _webtext_stage(
+                self.entity_index, self.seeds, kb_triples,
+                world, cfg.webtext, cfg.webtext_extractor,
+                plan, cfg.quarantine_capacity,
+            )
             self.quarantine.merge(local_quarantine)
             return output, seconds
 
@@ -1261,11 +1135,6 @@ class KnowledgeBaseConstructionPipeline:
                 report, "webtext-extraction", text_seconds,
                 f"{len(text_output.triples)} claims",
             )
-        if pool is not None:
-            report.extraction_wall["phase-b"] = (
-                time.perf_counter() - phase_started
-            )
-            phase_span.end()
         return mention_classes
 
     # ------------------------------------------------------------------
@@ -1357,7 +1226,6 @@ class KnowledgeBaseConstructionPipeline:
             use_confidence=cfg.use_confidence,
             tolerance=cfg.fusion_tolerance,
             parallelism=cfg.fusion_parallelism,
-            fusion_executor=cfg.fusion_executor,
             retry=cfg.retry,
             fault_plan=cfg.fault_plan,
             metrics=self.metrics,
@@ -1423,6 +1291,9 @@ class KnowledgeBaseConstructionPipeline:
         """Build and prime the incremental engine; returns the
         checkpoint stage the claim corpus was restored from (None when
         it came from this process's last run())."""
+        # serve() / run_incremental() get here without a run(), so the
+        # config has not been looked at yet.
+        self._validate_config()
         cfg = self.config
         all_triples = self.all_triples
         entity_resolution = (
@@ -1585,7 +1456,7 @@ class KnowledgeBaseConstructionPipeline:
         report's ``to_json_dict`` is deterministic: same config, same
         bytes.
         """
-        cfg = config or self.config.drift or DriftConfig()
+        cfg = config or DriftConfig()
         started = time.perf_counter()
         world = DriftingWorld(cfg)
         self.metrics.counter("drift_runs_total").inc()
@@ -1664,7 +1535,7 @@ class KnowledgeBaseConstructionPipeline:
         correlation machinery earns its keep when the aware mode
         suppresses more copied errors than the blind one.
         """
-        cfg = config or self.config.copying or CopyingConfig()
+        cfg = config or CopyingConfig()
         started = time.perf_counter()
         world = generate_copying_world(cfg)
         self.metrics.counter("copying_runs_total").inc()
@@ -1723,7 +1594,7 @@ class KnowledgeBaseConstructionPipeline:
         """
         from repro.serving.tenancy import TenantManager
 
-        cfg = config or self.config.tenants or TenantMixConfig()
+        cfg = config or TenantMixConfig()
         started = time.perf_counter()
         self.metrics.counter("tenant_runs_total").inc()
         manager = TenantManager.from_mix(
@@ -1760,8 +1631,7 @@ class KnowledgeBaseConstructionPipeline:
                 if name in support
             }
             resolutions[class_name] = AttributeResolver(
-                class_name, support, class_profiles,
-                blocking=self.config.entity_blocking, stats=stats,
+                class_name, support, class_profiles, stats=stats
             ).run()
         stats.publish(self.metrics)
         return apply_resolution(triples, resolutions, self._class_of_subject)

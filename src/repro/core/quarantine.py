@@ -12,9 +12,9 @@ mid-stage, record validation diverts bad records here, keeping
   :class:`~repro.errors.QuarantineOverflowError`, because losing most
   of a source silently would be worse than failing.
 
-Stage bodies that run inside worker processes build a local quarantine
-and the parent merges it back (:meth:`Quarantine.merge`), mirroring how
-the MapReduce engine merges per-worker counters.
+The DOM and Web-text stage bodies build a local quarantine and the
+pipeline merges it back (:meth:`Quarantine.merge`), mirroring how the
+MapReduce engine merges per-worker counters.
 """
 
 from __future__ import annotations

@@ -14,15 +14,14 @@ The clustering is greedy agglomerative over a combined signal:
 * attribute overlap: Jaccard of (attribute, value) pairs observed with
   the mention vs. the cluster profile.
 
-With ``blocking`` on (the default) each class keeps a
-:class:`repro.entity.blocking.SurfaceBlockingIndex` over its clusters,
-grown as clusters are created and joined; an unlinked mention is scored
-only against the clusters the index proposes (in creation order, so the
-greedy argmax ties break exactly like the full scan).  Unlike the
-linker there is no tier-1 exact shortcut here — an exact surface match
-does not imply the best blended score, because the profile term can
-favour another cluster.  ``blocking=False`` keeps the reference scan
-over every cluster of the class.
+Each class keeps a :class:`repro.entity.blocking.SurfaceBlockingIndex`
+over its clusters, grown as clusters are created and joined; once a
+class holds more than ``brute_floor`` clusters an unlinked mention is
+scored only against the clusters the index proposes (in creation
+order, so the greedy argmax ties break exactly like the full scan the
+smaller pools get).  Unlike the linker there is no tier-1 exact
+shortcut here — an exact surface match does not imply the best blended
+score, because the profile term can favour another cluster.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from repro.entity.linking import (
     form_similarity,
     is_mention,
     mention_subject,
-    surface_similarity,
 )
 from repro.rdf.ontology import Entity
 from repro.rdf.triple import ScoredTriple, Triple
@@ -118,7 +116,6 @@ class JointEntityResolver:
         *,
         cluster_threshold: float = 0.82,
         profile_weight: float = 0.35,
-        blocking: bool = True,
         brute_floor: int = DEFAULT_BRUTE_FLOOR,
     ) -> None:
         if not 0 <= profile_weight <= 1:
@@ -126,7 +123,6 @@ class JointEntityResolver:
         self.linker = linker
         self.cluster_threshold = cluster_threshold
         self.profile_weight = profile_weight
-        self.blocking = blocking
         self.brute_floor = brute_floor
         self.blocking_stats = BlockingStats("discovery")
 
@@ -154,48 +150,34 @@ class JointEntityResolver:
             best_cluster: EntityCluster | None = None
             best_ordinal = -1
             best_score = 0.0
-            if self.blocking:
-                block = blocks.get(mention.class_name)
-                if block is None:
-                    block = blocks[mention.class_name] = _ClassBlock()
-                probe = SurfaceForm.build(mention.surface)
-                if len(clusters) > self.brute_floor:
-                    ordinals = block.index.candidates(
-                        probe.norm, probe.content_tokens, mention.facts
-                    )
-                    stats.observe_candidates(len(ordinals), len(clusters))
-                else:
-                    ordinals = range(len(clusters))
-                    stats.fallback_queries += 1
-                stats.tier3_scored += len(ordinals)
-                for ordinal in ordinals:
-                    score = self._cluster_score_blocked(
-                        probe, mention, clusters[ordinal], block.forms[ordinal]
-                    )
-                    if score > best_score:
-                        best_cluster = clusters[ordinal]
-                        best_ordinal = ordinal
-                        best_score = score
+            block = blocks.get(mention.class_name)
+            if block is None:
+                block = blocks[mention.class_name] = _ClassBlock()
+            probe = SurfaceForm.build(mention.surface)
+            if len(clusters) > self.brute_floor:
+                ordinals = block.index.candidates(
+                    probe.norm, probe.content_tokens, mention.facts
+                )
+                stats.observe_candidates(len(ordinals), len(clusters))
             else:
-                # Reference scan over every cluster of the class.
+                ordinals = range(len(clusters))
                 stats.fallback_queries += 1
-                stats.tier3_scored += len(clusters)
-                for cluster in clusters:
-                    score = self._cluster_score(mention, cluster)
-                    if score > best_score:
-                        best_cluster, best_score = cluster, score
+            stats.tier3_scored += len(ordinals)
+            for ordinal in ordinals:
+                score = self._cluster_score(
+                    probe, mention, clusters[ordinal], block.forms[ordinal]
+                )
+                if score > best_score:
+                    best_cluster = clusters[ordinal]
+                    best_ordinal = ordinal
+                    best_score = score
             if best_cluster is not None and best_score >= self.cluster_threshold:
-                if self.blocking:
-                    new_facts = mention.facts - best_cluster.profile
-                    if mention.surface not in best_cluster.surfaces:
-                        blocks[mention.class_name].join(
-                            best_ordinal, probe, new_facts
-                        )
-                    else:
-                        for pair in new_facts:
-                            blocks[mention.class_name].index.add_pair(
-                                best_ordinal, pair
-                            )
+                new_facts = mention.facts - best_cluster.profile
+                if mention.surface not in best_cluster.surfaces:
+                    block.join(best_ordinal, probe, new_facts)
+                else:
+                    for pair in new_facts:
+                        block.index.add_pair(best_ordinal, pair)
                 best_cluster.surfaces.add(mention.surface)
                 best_cluster.profile |= mention.facts
                 if len(mention.surface) > len(best_cluster.name):
@@ -211,10 +193,7 @@ class JointEntityResolver:
                     surfaces={mention.surface},
                     profile=set(mention.facts),
                 )
-                if self.blocking:
-                    blocks[mention.class_name].new_cluster(
-                        probe, mention.facts
-                    )
+                block.new_cluster(probe, mention.facts)
                 clusters.append(cluster)
         outcome.clusters = [
             cluster
@@ -224,15 +203,6 @@ class JointEntityResolver:
         return outcome
 
     def _cluster_score(
-        self, mention: MentionRecord, cluster: EntityCluster
-    ) -> float:
-        name_score = max(
-            surface_similarity(mention.surface, surface)
-            for surface in cluster.surfaces
-        )
-        return self._blend(name_score, mention.facts, cluster.profile)
-
-    def _cluster_score_blocked(
         self,
         probe: SurfaceForm,
         mention: MentionRecord,

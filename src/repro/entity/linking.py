@@ -6,8 +6,7 @@ well enough — exact (normalised) surface match first, then fuzzy
 matching over names and aliases — and reports the rest as unlinked, to
 be handed to new-entity discovery.
 
-Matching runs as a 3-tier cascade when ``blocking`` is on (the
-default):
+Matching runs as a 3-tier cascade:
 
 * **tier 1** — exact normalised-surface hash hit;
 * **tier 2** — candidate generation through
@@ -15,11 +14,11 @@ default):
   buckets + bounded token/prefix postings);
 * **tier 3** — the expensive :func:`surface_similarity` scorer, run
   only on tier-2 survivors in catalog order, so the argmax and its
-  tie-breaking match the brute-force loop.
+  tie-breaking match the full scan.
 
-``blocking=False`` keeps the reference brute-force scan over the full
-catalog; pools at or below ``brute_floor`` fall back to it as well
-(blocking an almost-empty catalog costs more than it saves).  Catalog
+Pools at or below ``brute_floor`` are scanned in full instead of tiers
+2–3 (blocking an almost-empty catalog costs more than it saves; a
+floor above the catalog size scans everything).  Catalog
 surfaces are normalised and tokenised exactly once, at construction —
 ``link()`` builds one :class:`SurfaceForm` for the mention and never
 re-tokenises the catalog.
@@ -146,13 +145,9 @@ class EntityLinker:
     min_similarity:
         Fuzzy-match acceptance threshold; matches below it stay
         unlinked.
-    blocking:
-        Generate fuzzy candidates through the MinHash/LSH blocking
-        index instead of scanning the whole catalog.  ``False`` keeps
-        the reference brute-force loop.
     brute_floor:
         Candidate pools at or below this size are scanned exhaustively
-        even with blocking on.
+        instead of going through the MinHash/LSH blocking index.
     """
 
     def __init__(
@@ -160,7 +155,6 @@ class EntityLinker:
         entity_index: dict[str, Entity],
         *,
         min_similarity: float = 0.88,
-        blocking: bool = True,
         brute_floor: int = DEFAULT_BRUTE_FLOOR,
     ) -> None:
         self._exact = {
@@ -168,7 +162,6 @@ class EntityLinker:
             for surface, entity in entity_index.items()
         }
         self.min_similarity = min_similarity
-        self.blocking = blocking
         self.brute_floor = brute_floor
         self.blocking_stats = BlockingStats("linker")
         # Fuzzy candidates bucketed by class for optional restriction.
@@ -178,7 +171,7 @@ class EntityLinker:
                 (surface, entity)
             )
         # Catalog forms, computed once.  ``_entries`` follows the exact
-        # order the brute-force loop visits (classes in insertion
+        # order the full scan visits (classes in insertion
         # order, surfaces within each class), so ascending entry ids
         # replay its tie-breaking.
         self._forms: dict[str, SurfaceForm] = {
@@ -186,19 +179,17 @@ class EntityLinker:
         }
         self._entries: list[tuple[SurfaceForm, Entity]] = []
         self._class_pool: dict[str, int] = {}
-        index = SurfaceBlockingIndex() if blocking else None
+        self._index = SurfaceBlockingIndex()
         for class_name, pairs in self._by_class.items():
             self._class_pool[class_name] = len(pairs)
             for norm, entity in pairs:
                 form = self._forms[norm]
-                if index is not None:
-                    index.add(len(self._entries), norm, form.content_tokens)
+                self._index.add(len(self._entries), norm, form.content_tokens)
                 self._entries.append((form, entity))
-        self._index = index
 
     def publish_blocking_metrics(self, registry) -> None:
-        """Fold cascade counters (and, when blocking is on, the LSH
-        bucket-size histogram) into a metrics registry."""
+        """Fold cascade counters and the LSH bucket-size histogram
+        into a metrics registry."""
         self.blocking_stats.publish(registry, self._index)
 
     def link(self, surface: str, class_name: str | None = None) -> LinkDecision:
@@ -219,7 +210,7 @@ class EntityLinker:
             if class_name is None
             else self._class_pool.get(class_name, 0)
         )
-        if self._index is not None and pool > self.brute_floor:
+        if pool > self.brute_floor:
             candidate_ids = self._index.candidates(
                 probe.norm, probe.content_tokens
             )
@@ -237,7 +228,7 @@ class EntityLinker:
                 if score > best_score:
                     best, best_score = entity, score
         else:
-            # Reference brute-force loop (also the small-pool fallback).
+            # Small pool: scan it in full.
             stats.fallback_queries += 1
             if class_name is None:
                 candidates = [

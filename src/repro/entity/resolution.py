@@ -88,11 +88,6 @@ class AttributeResolver:
     value_profiles:
         Optional name → set of (subject, value) pairs from extracted
         triples; used for profile-based merging.
-    blocking:
-        Route ``_find_target`` through the blocking indexes (the
-        default).  ``False`` keeps the reference brute-force scan over
-        every accepted canonical — the loop the blocked path's verdicts
-        are pinned against.
     stats:
         Optional shared :class:`repro.entity.blocking.BlockingStats`
         (the pipeline passes one per run so per-class resolvers
@@ -106,14 +101,12 @@ class AttributeResolver:
         value_profiles: dict[str, set[tuple[str, str]]] | None = None,
         *,
         profile_jaccard: float = 0.5,
-        blocking: bool = True,
         stats: BlockingStats | None = None,
     ) -> None:
         self.class_name = class_name
         self.support = dict(support)
         self.value_profiles = value_profiles or {}
         self.profile_jaccard = profile_jaccard
-        self.blocking = blocking
         self.stats = stats if stats is not None else BlockingStats("attributes")
 
     def run(self) -> AttributeResolution:
@@ -122,15 +115,13 @@ class AttributeResolver:
             self.support, key=lambda name: (-self.support[name], name)
         )
         self._tokens_cache = {name: _content_tokens(name) for name in names}
-        if not self.blocking:
-            return self._run_brute(resolution, names)
         # Blocking indexes over the accepted canonicals.  Each of the
         # four merge checks admits a cheap necessary condition, so a
         # variant only has to be compared against canonicals sharing
         # its full stripped name, its content-token set, at least one
         # 3-gram (or the short pool) for the misspelling window, or at
         # least one profile pair — instead of every canonical seen so
-        # far (the old O(n²) scan).
+        # far (the O(n²) scan kept in tests/oracles/attribute_scan.py).
         self._rank: dict[str, int] = {}  # canonical -> acceptance order
         self._canonicals: list[str] = []  # acceptance order -> canonical
         self._by_tokens: dict[frozenset[str], list[int]] = {}
@@ -146,42 +137,6 @@ class AttributeResolver:
             else:
                 resolution.canonical_map[name] = target
         return resolution
-
-    # ------------------------------------------------------------------
-    def _run_brute(self, resolution: AttributeResolution, names) -> AttributeResolution:
-        """Reference path: scan every accepted canonical per variant."""
-        canonical: list[str] = []
-        stats = self.stats
-        for name in names:
-            stats.fallback_queries += 1
-            target = self._find_target_brute(name, canonical)
-            if target is None:
-                parent = _specialising_parent(name)
-                if parent is not None and parent in self.support:
-                    resolution.sub_attributes[name] = parent
-                canonical.append(name)
-            else:
-                resolution.canonical_map[name] = target
-        return resolution
-
-    def _find_target_brute(self, name: str, canonical: list[str]) -> str | None:
-        stripped = _strip_qualifiers(name)
-        tokens = self._tokens_cache[name]
-        profile = self.value_profiles.get(name)
-        name_len = len(name)
-        for target in canonical:
-            self.stats.tier3_scored += 1
-            if stripped == target:
-                return target
-            if tokens and tokens == self._tokens_cache[target]:
-                return target
-            if abs(name_len - len(target)) <= 2 and is_probable_misspelling(
-                name, target, normalized=True
-            ):
-                return target
-            if profile and self._profiles_match(profile, target):
-                return target
-        return None
 
     def _accept_canonical(self, name: str) -> None:
         """Insert a newly accepted canonical into the blocking indexes."""

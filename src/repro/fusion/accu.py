@@ -23,21 +23,18 @@ correlation-aware wrapper).
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import FusionError
-from repro.fusion.base import ClaimSet, FusionMethod, FusionResult, Item
+from repro.fusion.base import ClaimSet, FusionMethod, FusionResult
+from repro.fusion.compiled import accu_fuse, compile_claims
 
 
 class Accu(FusionMethod):
     """ACCU: Bayesian single-truth discovery with source accuracies.
 
-    With ``compiled=True`` (the default) the fixed-point rounds run
-    over :mod:`repro.fusion.compiled` flat arrays — same float
-    operation order, so truths are byte-identical to the dict-based
-    path and beliefs bit-equal; ``compiled=False`` keeps the original
-    loops (the reference the equivalence tests pin against).
-    ``tolerance=0`` disables the convergence early-exit.
+    The fixed-point rounds run over :mod:`repro.fusion.compiled` flat
+    arrays; the dict-loop reference they are pinned against lives in
+    ``tests/oracles/fusion_loops.py``.  ``tolerance=0`` disables the
+    convergence early-exit.
     """
 
     name = "accu"
@@ -54,7 +51,6 @@ class Accu(FusionMethod):
         tolerance: float = 1e-4,
         min_accuracy: float = 0.05,
         max_accuracy: float = 0.99,
-        compiled: bool = True,
     ) -> None:
         if n_false_values < 1:
             raise FusionError("n_false_values must be >= 1")
@@ -68,115 +64,22 @@ class Accu(FusionMethod):
         self.tolerance = tolerance
         self.min_accuracy = min_accuracy
         self.max_accuracy = max_accuracy
-        self.compiled = compiled
 
-    # ------------------------------------------------------------------
     def fuse(self, claims: ClaimSet) -> FusionResult:
         self._check_nonempty(claims)
-        if self.compiled:
-            from repro.fusion.compiled import accu_fuse, compile_claims
-
-            return accu_fuse(
-                compile_claims(claims),
-                n_false_values=self.n_false_values,
-                initial_accuracy=self.initial_accuracy,
-                initial_accuracies=self.initial_accuracies,
-                source_weights=self.source_weights,
-                max_iterations=self.max_iterations,
-                tolerance=self.tolerance,
-                min_accuracy=self.min_accuracy,
-                max_accuracy=self.max_accuracy,
-                popularity=self._popularity,
-                name=self.name,
-            )
-        accuracy = {
-            source: self.initial_accuracies.get(source, self.initial_accuracy)
-            for source in claims.sources()
-        }
-        probabilities: dict[tuple[Item, str], float] = {}
-        iterations = 0
-        converged_at = None
-        for iterations in range(1, self.max_iterations + 1):
-            probabilities = self._estimate_probabilities(claims, accuracy)
-            new_accuracy = self._estimate_accuracy(claims, probabilities)
-            delta = max(
-                abs(new_accuracy[source] - accuracy[source])
-                for source in accuracy
-            )
-            accuracy = new_accuracy
-            if delta < self.tolerance:
-                converged_at = iterations
-                break
-        result = FusionResult(self.name)
-        result.iterations = iterations
-        result.converged_at = converged_at
-        result.source_quality = accuracy
-        result.belief = probabilities
-        for item in claims.items():
-            values = claims.values_of(item)
-            winner = min(
-                values,
-                key=lambda value: (-probabilities[(item, value)], value),
-            )
-            result.truths[item] = {winner}
-        return result
-
-    # ------------------------------------------------------------------
-    def _vote_counts(
-        self, claims: ClaimSet, accuracy: dict[str, float], item: Item
-    ) -> dict[str, float]:
-        """Log-odds vote per value of one item."""
-        votes: dict[str, float] = {}
-        for value, value_claims in claims.values_of(item).items():
-            vote = 0.0
-            for claim in value_claims:
-                source_accuracy = min(
-                    max(accuracy[claim.source_id], self.min_accuracy),
-                    self.max_accuracy,
-                )
-                weight = self.source_weights.get(claim.source_id, 1.0)
-                vote += weight * math.log(
-                    self.n_false_values
-                    * source_accuracy
-                    / (1.0 - source_accuracy)
-                )
-            votes[value] = vote
-        return votes
-
-    def _estimate_probabilities(
-        self, claims: ClaimSet, accuracy: dict[str, float]
-    ) -> dict[tuple[Item, str], float]:
-        probabilities: dict[tuple[Item, str], float] = {}
-        for item in claims.items():
-            votes = self._vote_counts(claims, accuracy, item)
-            top = max(votes.values())
-            weights = {
-                value: math.exp(vote - top) for value, vote in votes.items()
-            }
-            total = sum(weights.values())
-            for value, weight in weights.items():
-                probabilities[(item, value)] = weight / total
-        return probabilities
-
-    def _estimate_accuracy(
-        self,
-        claims: ClaimSet,
-        probabilities: dict[tuple[Item, str], float],
-    ) -> dict[str, float]:
-        sums: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for claim in claims:
-            sums[claim.source_id] = sums.get(claim.source_id, 0.0) + (
-                probabilities[(claim.item, claim.value)]
-            )
-            counts[claim.source_id] = counts.get(claim.source_id, 0) + 1
-        return {
-            source: min(
-                max(sums[source] / counts[source], self.min_accuracy),
-                self.max_accuracy,
-            )
-            for source in sums
-        }
+        return accu_fuse(
+            compile_claims(claims),
+            n_false_values=self.n_false_values,
+            initial_accuracy=self.initial_accuracy,
+            initial_accuracies=self.initial_accuracies,
+            source_weights=self.source_weights,
+            max_iterations=self.max_iterations,
+            tolerance=self.tolerance,
+            min_accuracy=self.min_accuracy,
+            max_accuracy=self.max_accuracy,
+            popularity=self._popularity,
+            name=self.name,
+        )
 
 
 class PopAccu(Accu):
@@ -192,33 +95,3 @@ class PopAccu(Accu):
 
     name = "popaccu"
     _popularity = True
-
-    def _vote_counts(
-        self, claims: ClaimSet, accuracy: dict[str, float], item: Item
-    ) -> dict[str, float]:
-        values = claims.values_of(item)
-        total_claims = sum(len(value_claims) for value_claims in values.values())
-        if total_claims == 0:
-            return {}
-        shares = {
-            value: len(value_claims) / total_claims
-            for value, value_claims in values.items()
-        }
-        competing = sum(share * share for share in shares.values())
-        effective_n = max(1.0, 1.0 / competing)
-        votes: dict[str, float] = {}
-        for value, value_claims in values.items():
-            vote = 0.0
-            for claim in value_claims:
-                source_accuracy = min(
-                    max(accuracy[claim.source_id], self.min_accuracy),
-                    self.max_accuracy,
-                )
-                weight = self.source_weights.get(claim.source_id, 1.0)
-                vote += weight * math.log(
-                    effective_n * source_accuracy / (1.0 - source_accuracy)
-                )
-            # Popular values earn proportionally less per-claim boost:
-            # a claim of a common value is weaker evidence of truth.
-            votes[value] = vote * (1.0 - 0.5 * shares[value])
-        return votes

@@ -11,16 +11,17 @@ updates become tight loops over parallel arrays.
 
 Exactness contract
 ------------------
-The compiled loops replay the *exact float operation order* of the
-dict-based implementations: items in ``claims.items()`` order, values
-in ``values_of`` insertion order, claims in ``ClaimSet`` insertion
-order, covering sources in the same set-iteration order the legacy
-code observes in this process.  Per-source logarithms are hoisted out
-of the claim loop only where the legacy code computes the same value
+The kernels replay the *exact float operation order* of the dict-loop
+reference implementations (``tests/oracles/fusion_loops.py``, "the
+legacy code" below): items in ``claims.items()`` order, values in
+``values_of`` insertion order, claims in ``ClaimSet`` insertion order,
+covering sources in the same set-iteration order the legacy code
+observes in this process.  Per-source logarithms are hoisted out of
+the claim loop only where the legacy code computes the same value
 repeatedly (``log`` of identical inputs is deterministic), never where
-it would reorder an accumulation.  Decided truths are therefore
-byte-identical to the legacy paths at fixed iteration counts, and
-belief/quality scores are bit-equal (asserted within 1e-9 by tests).
+it would reorder an accumulation.  Truths, iteration counts, beliefs
+and source qualities are therefore equal to the reference's (asserted
+with ``==`` by the equivalence suites).
 
 Every compiled method reports ``converged_at`` — the round whose
 parameter delta dropped under ``tolerance`` — in the

@@ -19,12 +19,11 @@ claim weighted by its extraction confidence:
 from __future__ import annotations
 
 from repro.errors import FusionError
-from repro.fusion.base import (
-    ClaimSet,
-    FusionMethod,
-    FusionResult,
-    Item,
-    normalize_beliefs,
+from repro.fusion.base import ClaimSet, FusionMethod, FusionResult
+from repro.fusion.compiled import (
+    compile_claims,
+    gensums_fuse,
+    investment_fuse,
 )
 
 
@@ -39,73 +38,20 @@ class GeneralizedSums(FusionMethod):
         max_iterations: int = 20,
         tolerance: float = 1e-6,
         use_confidence: bool = True,
-        compiled: bool = True,
     ) -> None:
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.use_confidence = use_confidence
-        self.compiled = compiled
 
     def fuse(self, claims: ClaimSet) -> FusionResult:
         self._check_nonempty(claims)
-        if self.compiled:
-            from repro.fusion.compiled import compile_claims, gensums_fuse
-
-            return gensums_fuse(
-                compile_claims(claims),
-                max_iterations=self.max_iterations,
-                tolerance=self.tolerance,
-                use_confidence=self.use_confidence,
-                name=self.name,
-            )
-        trust = {source: 1.0 for source in claims.sources()}
-        belief: dict[tuple[Item, str], float] = {}
-        iterations = 0
-        converged_at = None
-        for iterations in range(1, self.max_iterations + 1):
-            belief = {}
-            for item in claims.items():
-                scores: dict[str, float] = {}
-                for value, value_claims in claims.values_of(item).items():
-                    scores[value] = sum(
-                        trust[claim.source_id]
-                        * (claim.confidence if self.use_confidence else 1.0)
-                        for claim in value_claims
-                    )
-                for value, score in normalize_beliefs(scores).items():
-                    belief[(item, value)] = score
-            new_trust: dict[str, float] = {}
-            counts: dict[str, int] = {}
-            for claim in claims:
-                weight = claim.confidence if self.use_confidence else 1.0
-                new_trust[claim.source_id] = new_trust.get(
-                    claim.source_id, 0.0
-                ) + weight * belief[(claim.item, claim.value)]
-                counts[claim.source_id] = counts.get(claim.source_id, 0) + 1
-            top = max(new_trust.values()) or 1.0
-            new_trust = {
-                source: value / top for source, value in new_trust.items()
-            }
-            delta = max(
-                abs(new_trust[source] - trust[source]) for source in trust
-            )
-            trust = new_trust
-            if delta < self.tolerance:
-                converged_at = iterations
-                break
-
-        result = FusionResult(self.name)
-        result.iterations = iterations
-        result.converged_at = converged_at
-        result.belief = belief
-        result.source_quality = trust
-        for item in claims.items():
-            values = claims.values_of(item)
-            winner = min(
-                values, key=lambda value: (-belief[(item, value)], value)
-            )
-            result.truths[item] = {winner}
-        return result
+        return gensums_fuse(
+            compile_claims(claims),
+            max_iterations=self.max_iterations,
+            tolerance=self.tolerance,
+            use_confidence=self.use_confidence,
+            name=self.name,
+        )
 
 
 class Investment(FusionMethod):
@@ -120,7 +66,6 @@ class Investment(FusionMethod):
         max_iterations: int = 20,
         tolerance: float = 1e-6,
         use_confidence: bool = True,
-        compiled: bool = True,
     ) -> None:
         if growth <= 0:
             raise FusionError("growth must be positive")
@@ -128,78 +73,14 @@ class Investment(FusionMethod):
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.use_confidence = use_confidence
-        self.compiled = compiled
 
     def fuse(self, claims: ClaimSet) -> FusionResult:
         self._check_nonempty(claims)
-        if self.compiled:
-            from repro.fusion.compiled import compile_claims, investment_fuse
-
-            return investment_fuse(
-                compile_claims(claims),
-                growth=self.growth,
-                max_iterations=self.max_iterations,
-                tolerance=self.tolerance,
-                use_confidence=self.use_confidence,
-                name=self.name,
-            )
-        trust = {source: 1.0 for source in claims.sources()}
-        # Per-source total claim weight (for proportional investment).
-        totals: dict[str, float] = {}
-        for claim in claims:
-            weight = claim.confidence if self.use_confidence else 1.0
-            totals[claim.source_id] = totals.get(claim.source_id, 0.0) + weight
-
-        belief: dict[tuple[Item, str], float] = {}
-        iterations = 0
-        converged_at = None
-        for iterations in range(1, self.max_iterations + 1):
-            invested: dict[tuple[Item, str], float] = {}
-            stake: dict[tuple[str, tuple[Item, str]], float] = {}
-            for claim in claims:
-                weight = claim.confidence if self.use_confidence else 1.0
-                share = weight / totals[claim.source_id]
-                credit = trust[claim.source_id] * share
-                key = (claim.item, claim.value)
-                invested[key] = invested.get(key, 0.0) + credit
-                stake[(claim.source_id, key)] = (
-                    stake.get((claim.source_id, key), 0.0) + credit
-                )
-            belief = {key: value**self.growth for key, value in invested.items()}
-            # Normalise beliefs within each item.
-            per_item: dict[Item, dict[str, float]] = {}
-            for (item, value), score in belief.items():
-                per_item.setdefault(item, {})[value] = score
-            belief = {}
-            for item, scores in per_item.items():
-                for value, score in normalize_beliefs(scores).items():
-                    belief[(item, value)] = score
-            new_trust: dict[str, float] = {source: 0.0 for source in trust}
-            for (source, key), credit in stake.items():
-                if invested[key] > 0:
-                    new_trust[source] += belief[key] * credit / invested[key]
-            top = max(new_trust.values()) or 1.0
-            new_trust = {
-                source: value / top for source, value in new_trust.items()
-            }
-            delta = max(
-                abs(new_trust[source] - trust[source]) for source in trust
-            )
-            trust = new_trust
-            if delta < self.tolerance:
-                converged_at = iterations
-                break
-
-        result = FusionResult(self.name)
-        result.iterations = iterations
-        result.converged_at = converged_at
-        result.belief = belief
-        result.source_quality = trust
-        for item in claims.items():
-            values = claims.values_of(item)
-            winner = min(
-                values,
-                key=lambda value: (-belief.get((item, value), 0.0), value),
-            )
-            result.truths[item] = {winner}
-        return result
+        return investment_fuse(
+            compile_claims(claims),
+            growth=self.growth,
+            max_iterations=self.max_iterations,
+            tolerance=self.tolerance,
+            use_confidence=self.use_confidence,
+            name=self.name,
+        )

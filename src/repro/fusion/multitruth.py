@@ -30,10 +30,9 @@ Optional hooks used by the paper's combined method:
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import FusionError
-from repro.fusion.base import ClaimSet, FusionMethod, FusionResult, Item
+from repro.fusion.base import ClaimSet, FusionMethod, FusionResult
+from repro.fusion.compiled import compile_claims, multitruth_fuse
 
 
 class MultiTruth(FusionMethod):
@@ -53,7 +52,6 @@ class MultiTruth(FusionMethod):
         max_iterations: int = 20,
         tolerance: float = 1e-4,
         floor: float = 0.02,
-        compiled: bool = True,
     ) -> None:
         if not 0 < prior < 1:
             raise FusionError("prior must lie in (0, 1)")
@@ -68,177 +66,19 @@ class MultiTruth(FusionMethod):
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.floor = floor
-        self.compiled = compiled
 
-    # ------------------------------------------------------------------
     def fuse(self, claims: ClaimSet) -> FusionResult:
         self._check_nonempty(claims)
-        if self.compiled:
-            from repro.fusion.compiled import compile_claims, multitruth_fuse
-
-            return multitruth_fuse(
-                compile_claims(claims),
-                prior=self.prior,
-                threshold=self.threshold,
-                initial_sensitivity=self.initial_sensitivity,
-                initial_specificity=self.initial_specificity,
-                source_weights=self.source_weights,
-                use_confidence=self.use_confidence,
-                max_iterations=self.max_iterations,
-                tolerance=self.tolerance,
-                floor=self.floor,
-                name=self.name,
-            )
-        sensitivity = {
-            source: self.initial_sensitivity for source in claims.sources()
-        }
-        specificity = {
-            source: self.initial_specificity for source in claims.sources()
-        }
-        posterior: dict[tuple[Item, str], float] = {}
-        iterations = 0
-        converged_at = None
-        for iterations in range(1, self.max_iterations + 1):
-            posterior = self._posteriors(claims, sensitivity, specificity)
-            new_sensitivity, new_specificity = self._estimate_quality(
-                claims, posterior
-            )
-            delta = max(
-                max(
-                    abs(new_sensitivity[s] - sensitivity[s])
-                    for s in sensitivity
-                ),
-                max(
-                    abs(new_specificity[s] - specificity[s])
-                    for s in specificity
-                ),
-            )
-            sensitivity, specificity = new_sensitivity, new_specificity
-            if delta < self.tolerance:
-                converged_at = iterations
-                break
-
-        result = FusionResult(self.name)
-        result.iterations = iterations
-        result.converged_at = converged_at
-        result.belief = posterior
-        result.source_quality = {
-            source: (sensitivity[source] + specificity[source]) / 2.0
-            for source in sensitivity
-        }
-        for item in claims.items():
-            values = claims.values_of(item)
-            decided = {
-                value
-                for value in values
-                if posterior[(item, value)] >= self.threshold
-            }
-            if not decided:
-                # Never return an empty answer: keep the best value.
-                decided = {
-                    min(
-                        values,
-                        key=lambda value: (-posterior[(item, value)], value),
-                    )
-                }
-            result.truths[item] = decided
-        return result
-
-    # ------------------------------------------------------------------
-    def _clamp(self, probability: float) -> float:
-        return min(max(probability, self.floor), 1.0 - self.floor)
-
-    def _posteriors(
-        self,
-        claims: ClaimSet,
-        sensitivity: dict[str, float],
-        specificity: dict[str, float],
-    ) -> dict[tuple[Item, str], float]:
-        prior_logodds = math.log(self.prior / (1.0 - self.prior))
-        posterior: dict[tuple[Item, str], float] = {}
-        for item in claims.items():
-            values = claims.values_of(item)
-            covering = claims.sources_claiming(item)
-            for value, value_claims in values.items():
-                claimers: dict[str, float] = {}
-                for claim in value_claims:
-                    confidence = (
-                        claim.confidence if self.use_confidence else 1.0
-                    )
-                    claimers[claim.source_id] = max(
-                        claimers.get(claim.source_id, 0.0), confidence
-                    )
-                logodds = prior_logodds
-                for source in covering:
-                    sens = self._clamp(sensitivity[source])
-                    spec = self._clamp(specificity[source])
-                    weight = self.source_weights.get(source, 1.0)
-                    if source in claimers:
-                        ratio = math.log(sens / (1.0 - spec))
-                        # Temper by confidence: a low-confidence claim is
-                        # weak evidence either way.
-                        logodds += weight * claimers[source] * ratio
-                    else:
-                        logodds += weight * math.log((1.0 - sens) / spec)
-                posterior[(item, value)] = 1.0 / (1.0 + math.exp(-logodds))
-        return posterior
-
-    def _estimate_quality(
-        self,
-        claims: ClaimSet,
-        posterior: dict[tuple[Item, str], float],
-    ) -> tuple[dict[str, float], dict[str, float]]:
-        # Soft counts per source: claimed-true / all-true (sensitivity)
-        # and silent-false / all-false (specificity), over covered items.
-        # Specificity is only informed by *contested* items (at least
-        # two distinct candidate values): on a single-candidate item a
-        # claimant is never silent, so counting it would drive the
-        # estimate to zero on sparse data.  Pseudo-counts anchored at
-        # the initial values keep thin evidence from collapsing either
-        # parameter.
-        claimed_true: dict[str, float] = {}
-        covered_true: dict[str, float] = {}
-        silent_false: dict[str, float] = {}
-        covered_false: dict[str, float] = {}
-        for item in claims.items():
-            values = claims.values_of(item)
-            covering = claims.sources_claiming(item)
-            contested = len(values) >= 2
-            for value, value_claims in values.items():
-                probability = posterior[(item, value)]
-                claimers = {claim.source_id for claim in value_claims}
-                for source in covering:
-                    covered_true[source] = (
-                        covered_true.get(source, 0.0) + probability
-                    )
-                    if contested:
-                        covered_false[source] = (
-                            covered_false.get(source, 0.0)
-                            + (1.0 - probability)
-                        )
-                    if source in claimers:
-                        claimed_true[source] = (
-                            claimed_true.get(source, 0.0) + probability
-                        )
-                    elif contested:
-                        silent_false[source] = (
-                            silent_false.get(source, 0.0)
-                            + (1.0 - probability)
-                        )
-        smoothing = 2.0
-        sensitivity: dict[str, float] = {}
-        specificity: dict[str, float] = {}
-        for source in claims.sources():
-            truths = covered_true.get(source, 0.0)
-            falses = covered_false.get(source, 0.0)
-            sensitivity[source] = self._clamp(
-                (claimed_true.get(source, 0.0)
-                 + smoothing * self.initial_sensitivity)
-                / (truths + smoothing)
-            )
-            specificity[source] = self._clamp(
-                (silent_false.get(source, 0.0)
-                 + smoothing * self.initial_specificity)
-                / (falses + smoothing)
-            )
-        return sensitivity, specificity
+        return multitruth_fuse(
+            compile_claims(claims),
+            prior=self.prior,
+            threshold=self.threshold,
+            initial_sensitivity=self.initial_sensitivity,
+            initial_specificity=self.initial_specificity,
+            source_weights=self.source_weights,
+            use_confidence=self.use_confidence,
+            max_iterations=self.max_iterations,
+            tolerance=self.tolerance,
+            floor=self.floor,
+            name=self.name,
+        )

@@ -99,7 +99,6 @@ class TestByteIdenticalChaosRun:
             fault_plan=_chaos_plan(noise_record_index),
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
             fusion_parallelism=2,
-            fusion_executor="serial",
         )
         pipeline = KnowledgeBaseConstructionPipeline(config)
         report = pipeline.run()
@@ -134,7 +133,6 @@ class TestByteIdenticalChaosRun:
             fault_plan=_chaos_plan(noise_record_index),
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
             fusion_parallelism=2,
-            fusion_executor="serial",
         )
         rerun = KnowledgeBaseConstructionPipeline(config)
         rerun_report = rerun.run()
@@ -163,7 +161,6 @@ class TestByteIdenticalChaosRun:
         config = _config(
             fault_plan=_chaos_plan(noise_record_index),
             fusion_parallelism=2,
-            fusion_executor="serial",
         )
         with pytest.raises(RetryExhaustedError):
             KnowledgeBaseConstructionPipeline(config).run()

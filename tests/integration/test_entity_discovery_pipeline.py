@@ -7,15 +7,22 @@ fused facts → KB augmentation (the paper's Sec. 3.1 plan).
 
 import pytest
 
+from repro.core import pipeline as pipeline_module
 from repro.core.pipeline import (
     KnowledgeBaseConstructionPipeline,
     PipelineConfig,
 )
+from repro.entity.discovery import (
+    JointEntityResolver,
+    resolve_mention_triples,
+)
+from repro.entity.linking import EntityLinker
 from repro.synth.kb_snapshots import KbPairConfig
 from repro.synth.querylog import QueryLogConfig
 from repro.synth.websites import WebsiteConfig
 from repro.synth.webtext import WebTextConfig
 from tests.conftest import SMALL_WORLD_CONFIG
+from tests.oracles.attribute_scan import ScanAttributeResolver
 
 
 @pytest.fixture(scope="module")
@@ -101,30 +108,50 @@ class TestDiscoveryFlow:
 
 
 class TestBlockingKnob:
-    def _config(self, entity_blocking):
-        return PipelineConfig(
-            world=SMALL_WORLD_CONFIG,
-            kb_pair=KbPairConfig(
-                entity_ratio_freebase=0.6, entity_ratio_dbpedia=0.5
-            ),
-            querylog=QueryLogConfig(seed=5, scale=0.001),
-            websites=WebsiteConfig(
-                seed=9, sites_per_class=2, pages_per_site=12
-            ),
-            webtext=WebTextConfig(
-                seed=15, sources_per_class=2, documents_per_source=6
-            ),
-            discover_new_entities=True,
-            entity_blocking=entity_blocking,
-        )
+    def test_blocking_on_off_identical_results(
+        self, discovery_run, monkeypatch
+    ):
+        """The run's resolved claims are what the full scans resolve.
 
-    def test_blocking_on_off_identical_results(self, discovery_run):
-        _, blocked_report = discovery_run  # default: blocking on
-        brute = KnowledgeBaseConstructionPipeline(self._config(False))
-        brute_report = brute.run()
-        assert sorted(blocked_report.fusion_result.truths) == sorted(
-            brute_report.fusion_result.truths
+        The extracted triples of the (blocked) run go through joint
+        resolution with a ``brute_floor`` no pool reaches and through
+        the attribute-resolver oracle; subjects, predicates and
+        clusters must come out as the pipeline's own.
+        """
+        pipeline, report = discovery_run
+        outcome = report.entity_resolution
+        extracted = [
+            scored
+            for output in pipeline.outputs.values()
+            for scored in output.triples
+        ]
+        # Every mention ends up linked or clustered within its class.
+        mention_classes = {
+            surface: entity.class_name
+            for surface, entity in outcome.linked.items()
+        }
+        for cluster in outcome.clusters:
+            for surface in cluster.surfaces:
+                mention_classes[surface] = cluster.class_name
+        assert mention_classes
+        scan = 10**9
+        resolver = JointEntityResolver(
+            EntityLinker(pipeline.entity_index, brute_floor=scan),
+            brute_floor=scan,
         )
+        resolved, scanned = resolve_mention_triples(
+            extracted, mention_classes, resolver
+        )
+        assert resolver.blocking_stats.queries == 0
+        monkeypatch.setattr(
+            pipeline_module, "AttributeResolver", ScanAttributeResolver
+        )
+        resolved = pipeline._resolve_attributes(resolved)
+
+        def claims(triples):
+            return [(scored.triple, scored.provenance) for scored in triples]
+
+        assert claims(resolved) == claims(pipeline.all_triples)
 
         def canon(outcome):
             return sorted(
@@ -137,9 +164,10 @@ class TestBlockingKnob:
                 for cluster in outcome.clusters
             )
 
-        assert canon(blocked_report.entity_resolution) == canon(
-            brute_report.entity_resolution
-        )
+        assert canon(scanned) == canon(outcome)
+        assert {s: e.entity_id for s, e in scanned.linked.items()} == {
+            s: e.entity_id for s, e in outcome.linked.items()
+        }
 
     def test_blocking_metrics_published(self, discovery_run):
         _, report = discovery_run

@@ -38,7 +38,6 @@ def _config(**overrides) -> PipelineConfig:
         websites=WebsiteConfig(sites_per_class=2, pages_per_site=6),
         webtext=WebTextConfig(sources_per_class=2, documents_per_source=6),
         fusion_tolerance=0.0,  # the byte-identity regime
-        fusion_executor="serial",
         **overrides,
     )
 
@@ -183,3 +182,42 @@ class TestResumeComposition:
         )
         with pytest.raises(PipelineError):
             pipeline.run_incremental(ClaimDelta(), resume=True)
+
+
+class TestConfigCheckedWithoutRun:
+    """``serve()`` and ``run_incremental()`` check the config ``run()``
+    checks: they are entered without one (drift runs, the e2e
+    benchmark), and a misspelt backend used to serve from memory."""
+
+    def _with_claims(self, incremental_run, **overrides):
+        pipeline = KnowledgeBaseConstructionPipeline(_config(**overrides))
+        pipeline.all_triples = list(incremental_run.pipeline.all_triples)
+        return pipeline
+
+    def test_unknown_backend_rejected_by_serve(self, incremental_run):
+        pipeline = self._with_claims(
+            incremental_run, storage_backend="sgement"
+        )
+        with pytest.raises(PipelineError, match="storage_backend must be"):
+            pipeline.serve()
+
+    def test_unknown_backend_rejected_by_resumed_run_incremental(
+        self, incremental_run
+    ):
+        pipeline = KnowledgeBaseConstructionPipeline(
+            _config(
+                checkpoint_dir=incremental_run.checkpoint_dir,
+                storage_backend="sgement",
+            )
+        )
+        with pytest.raises(PipelineError, match="storage_backend must be"):
+            pipeline.run_incremental(ClaimDelta(), resume=True)
+
+    def test_segment_backend_without_dir_names_the_field(
+        self, incremental_run
+    ):
+        pipeline = self._with_claims(
+            incremental_run, storage_backend="segment"
+        )
+        with pytest.raises(PipelineError, match="storage_dir"):
+            pipeline.serve()

@@ -19,7 +19,6 @@ from repro.core.pipeline import (
     CopyingScenarioReport,
     DriftScenarioReport,
     KnowledgeBaseConstructionPipeline,
-    PipelineConfig,
 )
 from repro.serving.tenancy import TenantMixReport
 from repro.obs.schema import validate_metrics, validate_tenant_metrics
@@ -43,10 +42,8 @@ def _report_bytes(report):
 class TestRunDrift:
     @pytest.fixture(scope="class")
     def drift_report(self):
-        pipeline = KnowledgeBaseConstructionPipeline(
-            PipelineConfig(drift=DRIFT)
-        )
-        report = pipeline.run_drift()
+        pipeline = KnowledgeBaseConstructionPipeline()
+        report = pipeline.run_drift(DRIFT)
         return pipeline, report
 
     def test_report_shape(self, drift_report):
@@ -76,9 +73,7 @@ class TestRunDrift:
 
     def test_double_run_is_byte_identical(self, drift_report):
         _, first = drift_report
-        second = KnowledgeBaseConstructionPipeline(
-            PipelineConfig(drift=DRIFT)
-        ).run_drift()
+        second = KnowledgeBaseConstructionPipeline().run_drift(DRIFT)
         assert _report_bytes(first) == _report_bytes(second)
 
     def test_metrics_published_and_schema_valid(self, drift_report):
@@ -98,9 +93,7 @@ class TestRunDrift:
         assert "f1@served" in table
 
     def test_explicit_config_overrides_pipeline_config(self):
-        pipeline = KnowledgeBaseConstructionPipeline(
-            PipelineConfig(drift=DRIFT)
-        )
+        pipeline = KnowledgeBaseConstructionPipeline()
         other = DriftConfig(seed=1, n_items=12, n_sources=4, epochs=2)
         report = pipeline.run_drift(other)
         assert report.seed == 1
@@ -110,10 +103,8 @@ class TestRunDrift:
 class TestRunCopying:
     @pytest.fixture(scope="class")
     def copying_report(self):
-        pipeline = KnowledgeBaseConstructionPipeline(
-            PipelineConfig(copying=COPYING)
-        )
-        report = pipeline.run_copying()
+        pipeline = KnowledgeBaseConstructionPipeline()
+        report = pipeline.run_copying(COPYING)
         return pipeline, report
 
     def test_report_shape(self, copying_report):
@@ -154,9 +145,7 @@ class TestRunCopying:
 
     def test_double_run_is_byte_identical(self, copying_report):
         _, first = copying_report
-        second = KnowledgeBaseConstructionPipeline(
-            PipelineConfig(copying=COPYING)
-        ).run_copying()
+        second = KnowledgeBaseConstructionPipeline().run_copying(COPYING)
         assert _report_bytes(first) == _report_bytes(second)
 
     def test_table_renders(self, copying_report):
@@ -169,10 +158,8 @@ class TestRunCopying:
 class TestRunTenants:
     @pytest.fixture(scope="class")
     def tenant_report(self):
-        pipeline = KnowledgeBaseConstructionPipeline(
-            PipelineConfig(tenants=TENANTS)
-        )
-        report = pipeline.run_tenants()
+        pipeline = KnowledgeBaseConstructionPipeline()
+        report = pipeline.run_tenants(TENANTS)
         return pipeline, report
 
     def test_report_shape(self, tenant_report):
@@ -190,9 +177,7 @@ class TestRunTenants:
 
     def test_double_run_is_byte_identical(self, tenant_report):
         _, first = tenant_report
-        second = KnowledgeBaseConstructionPipeline(
-            PipelineConfig(tenants=TENANTS)
-        ).run_tenants()
+        second = KnowledgeBaseConstructionPipeline().run_tenants(TENANTS)
         assert _report_bytes(first) == _report_bytes(second)
 
     def test_metrics_are_tenant_labeled_and_schema_valid(

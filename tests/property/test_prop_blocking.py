@@ -1,8 +1,10 @@
-"""Property tests: blocked cascade verdicts are identical to brute force.
+"""Property tests: blocked cascade verdicts are identical to the full scan.
 
-Seeded random worlds are replayed through both paths of the three
-blocking sites — mention linking, joint discovery, and attribute
-resolution.  The LSH tier is probabilistic by design but deterministic
+Seeded random worlds are replayed through the blocked path and the
+full scan of the three blocking sites — mention linking and joint
+discovery with ``brute_floor`` at 0 against a floor above the pool,
+attribute resolution against ``tests.oracles.attribute_scan``.  The
+LSH tier is probabilistic by design but deterministic
 under the pinned seeds, so these pins are stable: a pass today is a
 pass forever (the same contract PR 2 established for the attribute
 resolver's first blocking pass).
@@ -20,6 +22,10 @@ from repro.entity.linking import EntityLinker
 from repro.entity.resolution import AttributeResolver
 from repro.rdf.ontology import Entity
 from repro.textproc.similarity import levenshtein
+from tests.oracles.attribute_scan import ScanAttributeResolver
+
+# A brute_floor no pool reaches: every query takes the full scan.
+SCAN = 10**9
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -85,8 +91,8 @@ class TestLinkerEquivalence:
             catalog[surface] = Entity(
                 f"e/{i}", surface, classes[i % len(classes)]
             )
-        blocked = EntityLinker(catalog, blocking=True, brute_floor=0)
-        brute = EntityLinker(catalog, blocking=False)
+        blocked = EntityLinker(catalog, brute_floor=0)
+        brute = EntityLinker(catalog, brute_floor=SCAN)
         surfaces = list(catalog)
         for probe in _probes(rng, surfaces, 150):
             for class_name in (None, rng.choice(classes)):
@@ -133,12 +139,10 @@ class TestDiscoveryEquivalence:
             ]
 
         blocked = JointEntityResolver(
-            EntityLinker(catalog, blocking=True, brute_floor=0),
-            blocking=True,
-            brute_floor=0,
+            EntityLinker(catalog, brute_floor=0), brute_floor=0
         )
         brute = JointEntityResolver(
-            EntityLinker(catalog, blocking=False), blocking=False
+            EntityLinker(catalog, brute_floor=SCAN), brute_floor=SCAN
         )
         fast = blocked.resolve(clone(mentions))
         slow = brute.resolve(clone(mentions))
@@ -206,12 +210,8 @@ class TestAttributeResolverEquivalence:
         for left, right in zip(names[:10], names[10:20]):
             if left in profiles:
                 profiles[right] = set(profiles[left])
-        blocked = AttributeResolver(
-            "Thing", support, profiles, blocking=True
-        ).run()
-        brute = AttributeResolver(
-            "Thing", support, profiles, blocking=False
-        ).run()
+        blocked = AttributeResolver("Thing", support, profiles).run()
+        brute = ScanAttributeResolver("Thing", support, profiles).run()
         assert blocked.canonical_map == brute.canonical_map
         assert blocked.sub_attributes == brute.sub_attributes
 
@@ -337,8 +337,6 @@ class TestBlockingEquivalence:
             if (pairs := data.draw(_pairs))
         }
         blocked = AttributeResolver("T", support, profiles).run()
-        brute = AttributeResolver(
-            "T", support, profiles, blocking=False
-        ).run()
+        brute = ScanAttributeResolver("T", support, profiles).run()
         assert blocked.canonical_map == brute.canonical_map
         assert blocked.sub_attributes == brute.sub_attributes

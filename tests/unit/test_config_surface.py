@@ -1,0 +1,124 @@
+"""The option surface, pinned name by name.
+
+Every independently settable value doubles what tests and benches have
+to cover, so a new config field, CLI flag or constructor keyword is a
+reviewed edit to one of the lists below — not a default nobody reads.
+Removing one is the same edit in the other direction.
+"""
+
+import ast
+import dataclasses
+import inspect
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.cli import build_parser
+from repro.core.pipeline import PipelineConfig
+from repro.entity.discovery import JointEntityResolver
+from repro.entity.linking import EntityLinker
+from repro.entity.resolution import AttributeResolver
+from repro.fusion.accu import Accu
+from repro.fusion.confidence_weighted import GeneralizedSums, Investment
+from repro.fusion.knowledge_fusion import KnowledgeFusion
+from repro.fusion.multitruth import MultiTruth
+
+PIPELINE_CONFIG_FIELDS = {
+    # inputs: the world and its generators
+    "world", "kb_pair", "querylog", "websites", "webtext",
+    # extraction and claim preparation
+    "querystream", "dom", "webtext_extractor", "confidence",
+    "seed_min_support", "discover_new_entities", "resolve_attributes",
+    # fusion
+    "functionality_source", "use_hierarchy", "use_source_correlations",
+    "use_extractor_correlations", "use_confidence", "fusion_parallelism",
+    "fusion_tolerance",
+    # fault tolerance
+    "retry", "fault_plan", "stage_timeout", "min_sources",
+    "quarantine_capacity", "checkpoint_dir",
+    # storage and serving
+    "storage_backend", "storage_dir", "memtable_limit",
+    "serving_log_capacity",
+}
+
+PIPELINE_FLAGS = {
+    "-h", "--help", "--seed", "--query-scale", "--discover-entities",
+    "--export", "--fusion-parallel", "--retries", "--stage-timeout",
+    "--min-sources", "--checkpoint-dir", "--resume", "--storage-backend",
+    "--storage-dir", "--memtable-limit", "--apply-delta", "--serve",
+    "--metrics-out", "--trace-out",
+}
+
+KEYWORD_ONLY = {
+    Accu: {
+        "n_false_values", "initial_accuracy", "initial_accuracies",
+        "source_weights", "max_iterations", "tolerance", "min_accuracy",
+        "max_accuracy",
+    },
+    MultiTruth: {
+        "prior", "threshold", "initial_sensitivity", "initial_specificity",
+        "source_weights", "use_confidence", "max_iterations", "tolerance",
+        "floor",
+    },
+    GeneralizedSums: {"max_iterations", "tolerance", "use_confidence"},
+    Investment: {"growth", "max_iterations", "tolerance", "use_confidence"},
+    KnowledgeFusion: {
+        "hierarchy", "functional_of", "use_source_correlations",
+        "use_extractor_correlations", "use_confidence", "prior",
+        "threshold", "max_iterations", "tolerance", "parallelism", "retry",
+        "fault_plan", "metrics",
+    },
+    EntityLinker: {"min_similarity", "brute_floor"},
+    JointEntityResolver: {
+        "cluster_threshold", "profile_weight", "brute_floor",
+    },
+    AttributeResolver: {"profile_jaccard", "stats"},
+}
+
+
+def test_pipeline_config_fields():
+    fields = {field.name for field in dataclasses.fields(PipelineConfig)}
+    assert fields == PIPELINE_CONFIG_FIELDS
+
+
+def test_pipeline_cli_flags():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if action.dest == "command"
+    )
+    flags = {
+        flag
+        for action in subparsers.choices["pipeline"]._actions
+        for flag in action.option_strings
+    }
+    assert flags == PIPELINE_FLAGS
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(KEYWORD_ONLY, key=lambda cls: cls.__name__),
+    ids=lambda cls: cls.__name__,
+)
+def test_constructor_keywords(cls):
+    keywords = {
+        name
+        for name, parameter in inspect.signature(cls).parameters.items()
+        if parameter.kind is parameter.KEYWORD_ONLY
+    }
+    assert keywords == KEYWORD_ONLY[cls]
+
+
+def test_src_does_not_import_tests():
+    """Oracles depend on ``src/``, never the other way round."""
+    offenders = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "tests" or m.startswith("tests.") for m in modules):
+                offenders.append(str(path))
+    assert offenders == []

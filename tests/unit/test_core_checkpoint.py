@@ -32,11 +32,10 @@ class TestConfigFingerprint:
         assert config_fingerprint(base) != config_fingerprint(toggled)
 
     def test_execution_knobs_do_not_change_the_fingerprint(self):
-        # A run interrupted by an injected fault (or run with different
-        # parallelism) must be resumable by a clean config.
+        # A run interrupted by an injected fault (or run with sharded
+        # fusion) must be resumable by a clean config.
         base = PipelineConfig()
         execution_only = PipelineConfig(
-            parallelism=4,
             fusion_parallelism=2,
             retry=RetryPolicy(max_attempts=5),
             fault_plan=FaultPlan(seed=1).crash("stage:fusion"),

@@ -261,7 +261,8 @@ class TestBlockedLinkerCascade:
         assert linker.blocking_stats.queries == 1
 
     def test_blocking_off_never_queries_index(self):
-        linker = EntityLinker(self._catalog(), blocking=False)
+        # Off is a floor above the pool (81 entries): the full scan.
+        linker = EntityLinker(self._catalog(), brute_floor=10**9)
         linker.link("universty of adelaide")
         assert linker.blocking_stats.queries == 0
         assert linker.blocking_stats.fallback_queries == 1

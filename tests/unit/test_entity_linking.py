@@ -94,11 +94,12 @@ class TestPrecomputedCatalog:
             for i in range(120)
         }
 
-    @pytest.mark.parametrize("blocking", [True, False])
+    @pytest.mark.parametrize("blocked", [True, False])
     def test_link_does_not_retokenize_catalog(
-        self, catalog, monkeypatch, blocking
+        self, catalog, monkeypatch, blocked
     ):
-        linker = EntityLinker(catalog, blocking=blocking)
+        # Both sides of the pool-size choice: tiers 2-3, and the scan.
+        linker = EntityLinker(catalog, brute_floor=0 if blocked else 10**9)
         normalize_calls = []
         real_normalize = linking.normalize_name
         monkeypatch.setattr(

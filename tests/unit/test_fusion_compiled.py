@@ -1,20 +1,25 @@
 """Unit tests for the compiled fusion engine.
 
 The contract of :mod:`repro.fusion.compiled` is exact equivalence: the
-flat-array kernels replay the float operation order of the dict-based
-implementations, so decided truths must be identical and beliefs /
-source qualities must agree within 1e-9 (they are bit-equal in
-practice) at the same iteration counts.
+flat-array kernels replay the float operation order of the dict-loop
+implementations (``tests/oracles/fusion_loops.py``), so truths,
+iteration counts, beliefs, source qualities and canonical bytes must
+be equal — ``==``, no tolerance.
 """
 
 import pytest
 
-from repro.fusion.accu import Accu, PopAccu
+from repro.fusion.accu import Accu
 from repro.fusion.base import Claim, ClaimSet, value_key
 from repro.fusion.compiled import compile_claims
-from repro.fusion.confidence_weighted import GeneralizedSums, Investment
 from repro.fusion.multitruth import MultiTruth
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
+from tests.oracles.fusion_loops import (
+    PAIRS,
+    AccuLoops,
+    MultiTruthLoops,
+    assert_same_result,
+)
 
 
 def claim(item, value, source, extractor="ex", confidence=1.0):
@@ -124,16 +129,15 @@ WORLDS = {
     ),
 }
 
+# variant → (key into PAIRS, constructor arguments)
 METHODS = {
-    "accu": lambda compiled: Accu(compiled=compiled),
-    "accu-tol0": lambda compiled: Accu(tolerance=0.0, compiled=compiled),
-    "popaccu": lambda compiled: PopAccu(compiled=compiled),
-    "multitruth": lambda compiled: MultiTruth(compiled=compiled),
-    "multitruth-conf": lambda compiled: MultiTruth(
-        use_confidence=True, compiled=compiled
-    ),
-    "gensums": lambda compiled: GeneralizedSums(compiled=compiled),
-    "investment": lambda compiled: Investment(compiled=compiled),
+    "accu": ("accu", {}),
+    "accu-tol0": ("accu", {"tolerance": 0.0}),
+    "popaccu": ("popaccu", {}),
+    "multitruth": ("multitruth", {}),
+    "multitruth-conf": ("multitruth", {"use_confidence": True}),
+    "gensums": ("gensums", {}),
+    "investment": ("investment", {}),
 }
 
 
@@ -142,22 +146,12 @@ class TestCompiledEquivalence:
     @pytest.mark.parametrize("method_name", sorted(METHODS))
     def test_matches_legacy(self, world_name, method_name):
         claims = generate_claim_world(WORLDS[world_name]).claims
-        make = METHODS[method_name]
-        legacy = make(False).fuse(claims)
-        compiled = make(True).fuse(claims)
-        assert compiled.truths == legacy.truths
-        assert compiled.iterations == legacy.iterations
-        assert compiled.converged_at == legacy.converged_at
-        assert compiled.belief.keys() == legacy.belief.keys()
-        for key, score in legacy.belief.items():
-            assert compiled.belief[key] == pytest.approx(score, abs=1e-9)
-        assert (
-            compiled.source_quality.keys() == legacy.source_quality.keys()
+        pair, kwargs = METHODS[method_name]
+        method_cls, oracle_cls = PAIRS[pair]
+        assert_same_result(
+            method_cls(**kwargs).fuse(claims),
+            oracle_cls(**kwargs).fuse(claims),
         )
-        for source, quality in legacy.source_quality.items():
-            assert compiled.source_quality[source] == pytest.approx(
-                quality, abs=1e-9
-            )
 
     def test_source_weights_respected(self):
         claims = generate_claim_world(WORLDS["copiers"]).claims
@@ -165,15 +159,10 @@ class TestCompiledEquivalence:
             source: 0.5 + 0.02 * i
             for i, source in enumerate(sorted(claims.sources()))
         }
-        legacy = MultiTruth(source_weights=weights, compiled=False).fuse(
-            claims
+        assert_same_result(
+            MultiTruth(source_weights=weights).fuse(claims),
+            MultiTruthLoops(source_weights=weights).fuse(claims),
         )
-        compiled = MultiTruth(source_weights=weights, compiled=True).fuse(
-            claims
-        )
-        assert compiled.truths == legacy.truths
-        for key, score in legacy.belief.items():
-            assert compiled.belief[key] == pytest.approx(score, abs=1e-9)
 
     def test_initial_accuracies_respected(self):
         claims = generate_claim_world(WORLDS["plain"]).claims
@@ -181,10 +170,7 @@ class TestCompiledEquivalence:
             source: 0.6 + 0.03 * i
             for i, source in enumerate(sorted(claims.sources()))
         }
-        legacy = Accu(initial_accuracies=initial, compiled=False).fuse(claims)
-        compiled = Accu(initial_accuracies=initial, compiled=True).fuse(
-            claims
+        assert_same_result(
+            Accu(initial_accuracies=initial).fuse(claims),
+            AccuLoops(initial_accuracies=initial).fuse(claims),
         )
-        assert compiled.truths == legacy.truths
-        for key, score in legacy.belief.items():
-            assert compiled.belief[key] == pytest.approx(score, abs=1e-9)

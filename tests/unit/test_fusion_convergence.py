@@ -14,6 +14,7 @@ from repro.fusion.confidence_weighted import GeneralizedSums, Investment
 from repro.fusion.multitruth import MultiTruth
 from repro.fusion.vote import Vote
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
+from tests.oracles.fusion_loops import AccuLoops, assert_same_result
 
 
 @pytest.fixture(scope="module")
@@ -70,10 +71,11 @@ class TestEarlyExit:
         result = Vote().fuse(easy_claims)
         assert result.converged_at is None
 
-    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("early_exit", [True, False])
     def test_compiled_and_legacy_agree_on_round(
-        self, easy_claims, compiled
+        self, easy_claims, early_exit
     ):
-        result = Accu(compiled=compiled).fuse(easy_claims)
-        reference = Accu(compiled=not compiled).fuse(easy_claims)
-        assert result.converged_at == reference.converged_at
+        kwargs = {} if early_exit else {"tolerance": 0.0}
+        result = Accu(**kwargs).fuse(easy_claims)
+        assert_same_result(result, AccuLoops(**kwargs).fuse(easy_claims))
+        assert (result.converged_at is not None) == early_exit

@@ -149,9 +149,7 @@ class TestKnowledgeFusionParallel:
     def test_parallel_matches_serial(self):
         merged = three_component_claims()
         serial = KnowledgeFusion().fuse(merged)
-        parallel_method = KnowledgeFusion(
-            parallelism=2, fusion_executor="process"
-        )
+        parallel_method = KnowledgeFusion(parallelism=2)
         parallel = parallel_method.fuse(merged)
         assert parallel.truths == serial.truths
         assert parallel_method.last_shard_stats.components == 3

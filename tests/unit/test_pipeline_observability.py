@@ -129,7 +129,6 @@ def observed_runs(tmp_path_factory):
         config = _config(
             checkpoint_dir=tmp_path_factory.mktemp(name),
             fusion_parallelism=2,
-            fusion_executor="serial",
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
         )
         reports.append(KnowledgeBaseConstructionPipeline(config).run())

@@ -21,7 +21,6 @@ def _populated_report() -> PipelineReport:
     report.seed_sizes = {"Film": 12, "Book": 9}
     report.attribute_counts = {"kb": {"Book": 11, "Film": 13}}
     report.triple_counts = {"kb": 900, "dom": 4100}
-    report.extraction_wall = {"phase-a": 0.7, "phase-b": 2.1}
     report.fusion_wall = 0.42
     report.fusion_shards = {
         "components": 5,
