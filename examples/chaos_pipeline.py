@@ -103,7 +103,6 @@ def main() -> int:
         small_config(
             fault_plan=plan,
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-            fusion_parallelism=2,
         )
     )
     chaos_report = chaos.run()

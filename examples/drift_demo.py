@@ -4,7 +4,7 @@ Part 1 — **drift**: builds a seeded
 :class:`~repro.synth.drift.DriftingWorld` whose ground truth mutates
 over epochs (value changes, entity births/deaths, attribute renames)
 and drives its epoch-delta stream through the pipeline's serving
-layer with :meth:`run_drift`.  The per-epoch freshness table
+layer with :func:`~repro.core.scenarios.run_drift`.  The per-epoch freshness table
 separates *fusion quality* (f1 against the truth of the served epoch)
 from *staleness* (what the served verdicts get wrong only because the
 world moved on).
@@ -27,6 +27,7 @@ Usage::
 """
 
 from repro.core.pipeline import KnowledgeBaseConstructionPipeline
+from repro.core.scenarios import run_copying, run_drift
 from repro.evalx.freshness import freshness_report
 from repro.faults import FaultPlan, InjectedFault
 from repro.fusion.knowledge_fusion import KnowledgeFusion
@@ -42,7 +43,7 @@ COPYING = CopyingConfig(seed=0, n_items=60, lag=1)
 
 def drift_through_pipeline() -> None:
     pipeline = KnowledgeBaseConstructionPipeline()
-    report = pipeline.run_drift(DRIFT)
+    report = run_drift(pipeline, DRIFT)
     print(report.table())
     total_changes = sum(row.value_changes for row in report.rows)
     print(
@@ -54,7 +55,7 @@ def drift_through_pipeline() -> None:
     )
     assert report.final_version == DRIFT.epochs
 
-    copying = pipeline.run_copying(COPYING)
+    copying = run_copying(COPYING, metrics=pipeline.metrics)
     print()
     print(copying.table())
     aware = copying.mode("correlation-aware")

@@ -62,7 +62,6 @@ def small_config(checkpoint_dir: str, **overrides) -> PipelineConfig:
         websites=WebsiteConfig(sites_per_class=2, pages_per_site=6),
         webtext=WebTextConfig(sources_per_class=2, documents_per_source=6),
         checkpoint_dir=checkpoint_dir,
-        fusion_parallelism=2,
         retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
         **overrides,
     )

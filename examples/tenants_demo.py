@@ -4,7 +4,7 @@ Part 1 — **a mixed fleet**: expands a
 :class:`~repro.synth.tenants.TenantMixConfig` into one static, one
 drifting and one copying tenant, hosts them on a single
 :class:`~repro.serving.tenancy.TenantManager` (per-tenant metric
-labels, fair-share drain) via :meth:`run_tenants`, and prints the
+labels, fair-share drain) via :func:`run_tenants`, and prints the
 per-tenant eval table.  Running the mix twice proves the whole report
 is deterministic: same config, same bytes.
 
@@ -21,8 +21,9 @@ Usage::
 
 import json
 
-from repro.core.pipeline import KnowledgeBaseConstructionPipeline
+from repro.core.scenarios import run_tenants
 from repro.faults import FaultPlan
+from repro.obs import MetricsRegistry
 from repro.serving.tenancy import TenantManager
 from repro.synth.tenants import TenantMixConfig
 
@@ -32,10 +33,9 @@ MIX = TenantMixConfig(
 
 
 def mixed_fleet() -> None:
-    pipeline = KnowledgeBaseConstructionPipeline()
-    report = pipeline.run_tenants(MIX)
+    report = run_tenants(MIX, metrics=MetricsRegistry())
     print(report.table())
-    again = KnowledgeBaseConstructionPipeline().run_tenants(MIX)
+    again = run_tenants(MIX, metrics=MetricsRegistry())
     first = json.dumps(report.to_json_dict(), sort_keys=True)
     second = json.dumps(again.to_json_dict(), sort_keys=True)
     assert first == second

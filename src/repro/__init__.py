@@ -18,10 +18,10 @@ Quick start::
     print(report.fusion_report.precision)
 """
 
+from repro.core.config import PipelineConfig
 from repro.core.pipeline import (
     IncrementalReport,
     KnowledgeBaseConstructionPipeline,
-    PipelineConfig,
     PipelineHealth,
     PipelineReport,
 )

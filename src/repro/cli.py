@@ -51,15 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the augmented Freebase snapshot's claims as TSV",
     )
     pipeline.add_argument(
-        "--fusion-parallel", type=int, default=1, metavar="N",
-        help="shard fusion over connected components of the claim "
-        "graph as N MapReduce partitions (N >= 2), the path --retries "
-        "guards; truths identical to unsharded",
-    )
-    pipeline.add_argument(
         "--retries", type=int, default=0, metavar="N",
-        help="retry failed fusion map/reduce tasks up to N extra times "
-        "with exponential backoff (0 keeps single-attempt behaviour)",
+        help="fuse per connected component of the claim graph as "
+        "MapReduce tasks and retry a failed one up to N extra times "
+        "with exponential backoff (0: one unsharded fuse; truths are "
+        "identical either way)",
     )
     pipeline.add_argument(
         "--stage-timeout", type=float, default=None, metavar="SECONDS",
@@ -268,10 +264,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 # ----------------------------------------------------------------------
 def _run_pipeline(args) -> int:
-    from repro.core.pipeline import (
-        KnowledgeBaseConstructionPipeline,
-        PipelineConfig,
-    )
+    from repro.core.config import PipelineConfig
+    from repro.core.pipeline import KnowledgeBaseConstructionPipeline
     from repro.mapreduce.engine import RetryPolicy
     from repro.synth.querylog import QueryLogConfig
     from repro.synth.world import WorldConfig
@@ -285,7 +279,6 @@ def _run_pipeline(args) -> int:
         world=WorldConfig(seed=args.seed),
         querylog=QueryLogConfig(scale=args.query_scale),
         discover_new_entities=args.discover_entities,
-        fusion_parallelism=args.fusion_parallel,
         retry=retry,
         stage_timeout=args.stage_timeout,
         min_sources=args.min_sources,
@@ -561,10 +554,12 @@ def _run_fusion_demo(args) -> int:
 
 def _run_drift(args) -> int:
     from repro.core.pipeline import KnowledgeBaseConstructionPipeline
+    from repro.core.scenarios import run_drift
     from repro.synth.drift import DriftConfig
 
     pipeline = KnowledgeBaseConstructionPipeline()
-    report = pipeline.run_drift(
+    report = run_drift(
+        pipeline,
         DriftConfig(
             seed=args.seed,
             n_items=args.items,
@@ -574,7 +569,7 @@ def _run_drift(args) -> int:
             birth_rate=args.birth_rate,
             death_rate=args.death_rate,
             rename_rate=args.rename_rate,
-        )
+        ),
     )
     print(report.table())
     print(
@@ -594,11 +589,12 @@ def _run_drift(args) -> int:
 
 
 def _run_copying(args) -> int:
-    from repro.core.pipeline import KnowledgeBaseConstructionPipeline
+    from repro.core.scenarios import run_copying
+    from repro.obs import MetricsRegistry
     from repro.synth.copying import CopyingConfig
 
-    pipeline = KnowledgeBaseConstructionPipeline()
-    report = pipeline.run_copying(
+    metrics = MetricsRegistry()
+    report = run_copying(
         CopyingConfig(
             seed=args.seed,
             n_items=args.items,
@@ -607,7 +603,8 @@ def _run_copying(args) -> int:
             copy_fraction=args.copy_fraction,
             victim_accuracy=args.victim_accuracy,
             lag=args.lag,
-        )
+        ),
+        metrics=metrics,
     )
     print(report.table())
     aware = report.mode("correlation-aware")
@@ -621,24 +618,18 @@ def _run_copying(args) -> int:
         _dump_json(args.json, report.to_json_dict())
         print(f"report written to {args.json}")
     if args.metrics_out:
-        _dump_json(
-            args.metrics_out, pipeline.metrics.snapshot().to_json_dict()
-        )
+        _dump_json(args.metrics_out, metrics.snapshot().to_json_dict())
         print(f"metrics written to {args.metrics_out}")
     return 0
 
 
 def _run_tenants(args) -> int:
-    from repro.core.pipeline import (
-        KnowledgeBaseConstructionPipeline,
-        PipelineConfig,
-    )
+    from repro.core.scenarios import run_tenants
+    from repro.obs import MetricsRegistry
     from repro.synth.tenants import TenantMixConfig
 
-    pipeline = KnowledgeBaseConstructionPipeline(
-        PipelineConfig(checkpoint_dir=args.checkpoint_root)
-    )
-    report = pipeline.run_tenants(
+    metrics = MetricsRegistry()
+    report = run_tenants(
         TenantMixConfig(
             n_tenants=args.n_tenants,
             seed=args.seed,
@@ -649,7 +640,9 @@ def _run_tenants(args) -> int:
             n_sources=args.sources,
             parts=args.parts,
             epochs=args.epochs,
-        )
+        ),
+        metrics=metrics,
+        checkpoint_root=args.checkpoint_root,
     )
     print(report.table())
     halted = [row.name for row in report.rows if row.halted]
@@ -661,9 +654,7 @@ def _run_tenants(args) -> int:
         _dump_json(args.json, report.to_json_dict())
         print(f"report written to {args.json}")
     if args.metrics_out:
-        _dump_json(
-            args.metrics_out, pipeline.metrics.snapshot().to_json_dict()
-        )
+        _dump_json(args.metrics_out, metrics.snapshot().to_json_dict())
         print(f"metrics written to {args.metrics_out}")
     return 0
 

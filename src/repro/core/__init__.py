@@ -15,9 +15,9 @@ from repro.core.confidence import (
     ConfidenceConfig,
     ConfidenceScorer,
 )
+from repro.core.config import PipelineConfig
 from repro.core.pipeline import (
     KnowledgeBaseConstructionPipeline,
-    PipelineConfig,
     PipelineHealth,
     PipelineReport,
     StageTiming,

@@ -18,10 +18,13 @@ Knowledge fusion
     9.  evaluate against the world (gold standard by construction);
     10. augment the Freebase snapshot with the fused knowledge.
 
-Extraction stages
-    The four extractors run in line, in pipeline order; each stage body
-    is a module-level function of the world and its config that
-    measures its own work seconds.
+Stages
+    Every timed stage — 1, 2, 4, 5, 5b (joint entity resolution, when
+    ``discover_new_entities`` is on) and 6–10 — is entered through
+    :class:`_timed`, which fires the stage's fault point, times it
+    live and books the timing, span and metrics in one place.  The
+    configuration lives in :mod:`repro.core.config`, the drift /
+    copying / tenant scenario runs in :mod:`repro.core.scenarios`.
 
 Fault tolerance
     The fusion framework is meant to run over noisy Web-scale inputs
@@ -29,13 +32,15 @@ Fault tolerance
     mechanisms keep a run alive (all deterministic, all testable
     without wall-clock waits):
 
-    * **Stage isolation** — each extraction stage runs inside a guard:
+    * **Stage isolation** — the four extraction stages are *isolated*:
       an exception (or a deadline overrun against
       ``PipelineConfig.stage_timeout``) marks the stage ``degraded`` in
       ``PipelineReport.health`` and the pipeline continues with the
       remaining sources.  If fewer than ``min_sources`` extractor
       outputs survive, the run aborts with :class:`PipelineError` —
-      fusing one source is no fusion at all.
+      fusing one source is no fusion at all.  The later stages feed
+      everything downstream, so a failure there is marked and
+      re-raised — which is what checkpoint/resume is for.
     * **Record quarantine** — malformed input records (and records
       corrupted by an injected fault plan) are diverted to a
       :class:`~repro.core.quarantine.Quarantine` sink with per-source
@@ -48,9 +53,9 @@ Fault tolerance
       invalidates old checkpoints).  Degraded runs never write
       checkpoints — resume only ever restores healthy state.
 
-    ``PipelineConfig.retry`` and ``fault_plan`` ride through to the
-    sharded-fusion MapReduce job, so transient worker crashes during
-    fusion are retried with deterministic backoff (see
+    Setting ``PipelineConfig.retry`` or ``fault_plan`` runs the core
+    fuse as the sharded-fusion MapReduce job, so transient task crashes
+    during fusion are retried with deterministic backoff (see
     :mod:`repro.mapreduce.engine` and :mod:`repro.faults`).
 """
 
@@ -61,12 +66,13 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.augmentation import AugmentationReport, augment_kb
 from repro.core.checkpoint import CheckpointStore, config_fingerprint
+from repro.core.config import PipelineConfig
 from repro.core.quarantine import Quarantine, guard_records
 from repro.errors import PipelineError, StageTimeoutError
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, InjectedFault
 from repro.obs import MetricsRegistry, MetricsSnapshot, SpanTracer
 from repro.textproc.memo import clear_similarity_caches, publish_cache_metrics
-from repro.core.confidence import ConfidenceConfig, ConfidenceScorer
+from repro.core.confidence import ConfidenceScorer
 from repro.entity.blocking import BlockingStats
 from repro.entity.discovery import (
     JointEntityResolver,
@@ -79,130 +85,27 @@ from repro.entity.resolution import (
     apply_resolution,
     build_value_profiles,
 )
-from repro.evalx.freshness import FreshnessReport, freshness_report
 from repro.evalx.metrics import (
     TruthDiscoveryReport,
     evaluate_fusion,
     remap_subjects,
 )
-from repro.evalx.tables import format_ratio, render_table
 from repro.extract.base import ExtractorOutput
-from repro.extract.dom import DomExtractorConfig, DomTreeExtractor
+from repro.extract.dom import DomTreeExtractor
 from repro.extract.kb import KbExtractor, combine_kb_outputs
 from repro.extract.querystream import (
-    QueryStreamConfig,
     QueryStreamExtractor,
     QueryStreamStats,
 )
 from repro.extract.seeds import SeedSet, build_seed_sets
-from repro.extract.webtext import WebTextExtractor, WebTextExtractorConfig
+from repro.extract.webtext import WebTextExtractor
 from repro.fusion.base import ClaimSet, FusionResult
 from repro.fusion.knowledge_fusion import KnowledgeFusion
-from repro.mapreduce.engine import RetryPolicy
-from repro.synth.copying import CopyingConfig, generate_copying_world
-from repro.synth.drift import DriftConfig, DriftingWorld
-from repro.synth.tenants import TenantMixConfig
-from repro.synth.kb_snapshots import KbPairConfig, build_kb_pair
-from repro.synth.querylog import QueryLogConfig, QueryRecord, generate_query_log
-from repro.synth.websites import WebPage, WebsiteConfig, generate_websites
-from repro.synth.webtext import TextDocument, WebTextConfig, generate_webtext
-from repro.synth.world import GroundTruthWorld, WorldConfig
-
-# The four extraction stage names, in pipeline order (used to filter
-# report fragments into the extraction checkpoint).
-EXTRACTION_STAGES = (
-    "kb-extraction",
-    "query-stream",
-    "dom-extraction",
-    "webtext-extraction",
-)
-
-
-@dataclass(slots=True)
-class PipelineConfig:
-    """All knobs of the end-to-end run."""
-
-    world: WorldConfig = field(default_factory=WorldConfig)
-    kb_pair: KbPairConfig = field(default_factory=KbPairConfig)
-    querylog: QueryLogConfig = field(default_factory=QueryLogConfig)
-    querystream: QueryStreamConfig = field(default_factory=QueryStreamConfig)
-    websites: WebsiteConfig = field(default_factory=WebsiteConfig)
-    webtext: WebTextConfig = field(default_factory=WebTextConfig)
-    dom: DomExtractorConfig = field(default_factory=DomExtractorConfig)
-    webtext_extractor: WebTextExtractorConfig = field(
-        default_factory=WebTextExtractorConfig
-    )
-    confidence: ConfidenceConfig = field(default_factory=ConfidenceConfig)
-    seed_min_support: int = 1
-    # New-entity creation (Sec. 3.1): when on, Set_E is still the
-    # Freebase snapshot's entity sets, but pages naming unknown
-    # entities harvest mention facts, and joint resolution links or
-    # clusters them into new entities before fusion.
-    discover_new_entities: bool = False
-    # Functional/non-functional handling: "schema" uses the world
-    # catalogs' functional flags; "estimated" derives functionality
-    # degrees from the claims (repro.fusion.functionality) — the
-    # unsupervised option the paper's Sec. 1 calls for.
-    functionality_source: str = "schema"
-    use_hierarchy: bool = True
-    use_source_correlations: bool = True
-    use_extractor_correlations: bool = True
-    use_confidence: bool = True
-    resolve_attributes: bool = True
-    # Fusion sharding: >= 2 runs the core fuse per connected component
-    # of the claim graph (repro.fusion.sharding) as that many
-    # partitions of an in-process MapReduce job — the path ``retry``
-    # and ``fault_plan`` act on.  Truths are identical to the unsharded
-    # run; beliefs match bit-for-bit at tolerance 0 (see the sharding
-    # module's early-exit caveat).
-    fusion_parallelism: int = 1
-    # Convergence tolerance forwarded to the multi-truth core; None
-    # keeps the core's default.  Set 0.0 to pin the iteration count —
-    # the regime in which run_incremental() is byte-identical to a
-    # full re-fusion.
-    fusion_tolerance: float | None = None
-    # -- Fault tolerance ------------------------------------------------
-    # Retry policy for the sharded-fusion MapReduce job (None keeps the
-    # legacy single-attempt behaviour).
-    retry: RetryPolicy | None = None
-    # Deterministic fault plan (repro.faults) injected into extraction
-    # stage guards, record validation and the fusion job.  Testing
-    # only; None in production runs.
-    fault_plan: FaultPlan | None = None
-    # Deadline in seconds for each extraction stage (measured work time
-    # plus any injected slow-call seconds); overruns degrade the stage.
-    stage_timeout: float | None = None
-    # Minimum number of healthy extractor outputs required to proceed
-    # to fusion; fewer raises PipelineError.
-    min_sources: int = 1
-    # Quarantine capacity: total diverted records above this raise
-    # QuarantineOverflowError (losing most of a feed silently would be
-    # worse than failing).
-    quarantine_capacity: int = 1000
-    # Directory for stage checkpoints (None disables checkpointing).
-    checkpoint_dir: str | None = None
-    # -- Storage --------------------------------------------------------
-    # Claim-store backend behind the incremental engine's TripleStore:
-    # "memory" keeps the original dict-resident store; "segment" spills
-    # claims to mmapped LSM-style segment files under storage_dir, so
-    # the corpus is disk-bound instead of RAM-bound.  Fusion verdicts
-    # are byte-identical either way (the backends share one claim
-    # iteration order; see repro.rdf.backend).
-    storage_backend: str = "memory"
-    # Segment-file directory, required when storage_backend="segment".
-    # The directory is owned by the run lineage: reopening it primes
-    # from the last flushed state (adds of already-present claims
-    # deduplicate away).
-    storage_dir: str | None = None
-    # Memtable entries that trigger an automatic segment flush.
-    memtable_limit: int = 8192
-    # -- Serving --------------------------------------------------------
-    # Event-log backlog bound for Pipeline.serve(): once the serving
-    # consumer lags this many events behind the head, publishes are
-    # rejected with BackpressureError (explicit load shedding; the log
-    # never drops silently).
-    serving_log_capacity: int = 1024
-
+from repro.synth.kb_snapshots import build_kb_pair
+from repro.synth.querylog import QueryRecord, generate_query_log
+from repro.synth.websites import WebPage, generate_websites
+from repro.synth.webtext import TextDocument, generate_webtext
+from repro.synth.world import GroundTruthWorld
 
 @dataclass(slots=True)
 class StageTiming:
@@ -266,7 +169,7 @@ class PipelineReport:
     # timing also covers claim-set assembly and oracle construction).
     fusion_wall: float = 0.0
     # Connected-component accounting of a sharded fusion run (empty on
-    # serial fusion): components / workers / executor / largest_claims
+    # an unsharded fuse): components / workers / executor / largest_claims
     # / component_claims.
     fusion_shards: dict = field(default_factory=dict)
     # Degradation / quarantine / retry / resume accounting.
@@ -365,151 +268,6 @@ class IncrementalReport:
         }
 
 
-@dataclass(slots=True)
-class DriftEpochRow:
-    """One epoch of a drift scenario as the report records it."""
-
-    epoch: int
-    # The epoch the served KB version corresponds to after this
-    # epoch's delta was published and drained (== epoch unless the
-    # drain crashed and left serving on an earlier committed version).
-    served_epoch: int
-    delta_added: int
-    delta_retracted: int
-    births: int
-    deaths: int
-    renames: int
-    value_changes: int
-    freshness: FreshnessReport
-
-    def to_json_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "served_epoch": self.served_epoch,
-            "delta_added": self.delta_added,
-            "delta_retracted": self.delta_retracted,
-            "births": self.births,
-            "deaths": self.deaths,
-            "renames": self.renames,
-            "value_changes": self.value_changes,
-            "freshness": self.freshness.to_json_dict(),
-        }
-
-
-@dataclass(slots=True)
-class DriftScenarioReport:
-    """Everything one :meth:`run_drift` call produced.
-
-    ``to_json_dict`` is a pure function of the drift config (timing
-    lives only in ``wall_seconds``), so two same-seed runs serialize
-    byte-identically — the end-to-end determinism contract the
-    integration tests pin.
-    """
-
-    seed: int
-    epochs: int
-    base_claims: int
-    final_version: int
-    rows: list[DriftEpochRow] = field(default_factory=list)
-    wall_seconds: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "base_claims": self.base_claims,
-            "final_version": self.final_version,
-            "rows": [row.to_json_dict() for row in self.rows],
-        }
-
-    def table(self) -> str:
-        headers = [
-            "epoch", "served", "lag", "+claims", "-claims",
-            "f1@served", "f1@current", "staleness",
-        ]
-        rows = [
-            [
-                row.epoch,
-                row.served_epoch,
-                row.freshness.lag_epochs,
-                row.delta_added,
-                row.delta_retracted,
-                format_ratio(row.freshness.vs_served.f1),
-                format_ratio(row.freshness.vs_current.f1),
-                format_ratio(row.freshness.staleness),
-            ]
-            for row in self.rows
-        ]
-        return render_table(headers, rows, title="Drift scenario (freshness per epoch)")
-
-
-@dataclass(slots=True)
-class CopyingModeRow:
-    """One fusion mode's outcome on a copying world."""
-
-    mode: str
-    precision: float
-    recall: float
-    suppressed: int
-    leaked: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "precision": self.precision,
-            "recall": self.recall,
-            "suppressed": self.suppressed,
-            "leaked": self.leaked,
-        }
-
-
-@dataclass(slots=True)
-class CopyingScenarioReport:
-    """Everything one :meth:`run_copying` call produced."""
-
-    seed: int
-    claims: int
-    copied_errors: int
-    rows: list[CopyingModeRow] = field(default_factory=list)
-    wall_seconds: float = 0.0
-
-    def mode(self, name: str) -> CopyingModeRow:
-        for row in self.rows:
-            if row.mode == name:
-                return row
-        raise KeyError(name)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "claims": self.claims,
-            "copied_errors": self.copied_errors,
-            "rows": [row.to_json_dict() for row in self.rows],
-        }
-
-    def table(self) -> str:
-        headers = [
-            "mode", "precision", "recall", "suppressed", "leaked",
-        ]
-        rows = [
-            [
-                row.mode,
-                format_ratio(row.precision),
-                format_ratio(row.recall),
-                row.suppressed,
-                row.leaked,
-            ]
-            for row in self.rows
-        ]
-        return render_table(
-            headers, rows,
-            title=(
-                f"Copied-error suppression "
-                f"({self.copied_errors} copied errors)"
-            ),
-        )
-
-
 # ----------------------------------------------------------------------
 # Record validators for the quarantine guards: structurally broken
 # records (wrong type, empty payload) are diverted, not crashed on.
@@ -539,89 +297,6 @@ def _valid_document(record: object) -> bool:
     )
 
 
-# ----------------------------------------------------------------------
-# Extraction stage bodies: functions of (world, config), each measuring
-# its own wall time.
-
-
-def _kb_stage(world: GroundTruthWorld, kb_pair_config: KbPairConfig):
-    """Stage 1: build the KB snapshots and extract/combine their claims."""
-    started = time.perf_counter()
-    freebase, dbpedia = build_kb_pair(world, kb_pair_config)
-    freebase_output = KbExtractor(freebase).extract()
-    dbpedia_output = KbExtractor(dbpedia).extract()
-    kb_output = combine_kb_outputs([freebase_output, dbpedia_output])
-    return freebase, dbpedia, kb_output, time.perf_counter() - started
-
-
-def _querylog_stage(world: GroundTruthWorld, querylog_config: QueryLogConfig):
-    """Stage 2a: generate the query stream (extraction needs Set_E)."""
-    started = time.perf_counter()
-    log = generate_query_log(world, querylog_config)
-    return log, time.perf_counter() - started
-
-
-def _dom_stage(
-    entity_index,
-    seeds: dict[str, SeedSet],
-    dom_config: DomExtractorConfig,
-    world: GroundTruthWorld,
-    website_config: WebsiteConfig,
-    fault_plan: FaultPlan | None = None,
-    quarantine_capacity: int = 1000,
-):
-    """Stage 4: generate websites and run Algorithm 1 over them.
-
-    Pages pass through a record guard before extraction; diverted pages
-    land in a stage-local quarantine the caller merges back.
-    """
-    started = time.perf_counter()
-    sites = generate_websites(world, website_config)
-    local_quarantine = Quarantine(capacity=quarantine_capacity)
-    page_index = 0
-    for site in sites:
-        page_count = len(site.pages)
-        site.pages = guard_records(
-            site.pages, _valid_page, local_quarantine, "dom",
-            plan=fault_plan, scope="records:dom", start_index=page_index,
-        )
-        page_index += page_count
-    extractor = DomTreeExtractor(entity_index, seeds, dom_config)
-    output = extractor.extract(sites)
-    return (
-        output,
-        extractor.mention_classes,
-        local_quarantine,
-        time.perf_counter() - started,
-    )
-
-
-def _webtext_stage(
-    entity_index,
-    seeds: dict[str, SeedSet],
-    kb_triples,
-    world: GroundTruthWorld,
-    webtext_config: WebTextConfig,
-    extractor_config: WebTextExtractorConfig,
-    fault_plan: FaultPlan | None = None,
-    quarantine_capacity: int = 1000,
-):
-    """Stage 5: generate Web texts and run the seed-driven extractor."""
-    started = time.perf_counter()
-    documents = generate_webtext(world, webtext_config)
-    local_quarantine = Quarantine(capacity=quarantine_capacity)
-    documents = guard_records(
-        documents, _valid_document, local_quarantine, "webtext",
-        plan=fault_plan, scope="records:webtext",
-    )
-    extractor = WebTextExtractor(
-        entity_index, seeds, kb_triples, extractor_config
-    )
-    extractor.learn(documents)
-    output = extractor.extract(documents)
-    return output, local_quarantine, time.perf_counter() - started
-
-
 class KnowledgeBaseConstructionPipeline:
     """Run the whole Figure-1 framework over one world."""
 
@@ -643,12 +318,7 @@ class KnowledgeBaseConstructionPipeline:
         # confidence scoring); run_incremental() primes its store from
         # this when available.
         self.all_triples: list | None = None
-        # The KnowledgeFusion carrying the primed incremental engine
-        # (None until run_incremental() first primes one; invalidated
-        # by every full run()).
-        self.incremental_fusion: KnowledgeFusion | None = None
-        self._incremental_entity_resolution: ResolutionOutcome | None = None
-        self._incremental_offset = 0
+        self._reset_incremental()
         self.quarantine = Quarantine(capacity=self.config.quarantine_capacity)
         # Observability: one registry/tracer pair per run (rebuilt at the
         # top of run()); the report of the most recent run — even one
@@ -674,9 +344,7 @@ class KnowledgeBaseConstructionPipeline:
         self.tracer = SpanTracer()
         # A full run recomputes the claim corpus, so any previously
         # primed incremental engine is stale.
-        self.incremental_fusion = None
-        self._incremental_entity_resolution = None
-        self._incremental_offset = 0
+        self._reset_incremental()
         clear_similarity_caches()
         self.metrics.counter("pipeline_runs_total").inc()
         self.metrics.counter("quarantine_records_total")  # always present
@@ -695,10 +363,21 @@ class KnowledgeBaseConstructionPipeline:
             report.trace = self.tracer.to_json_dict()
         return report
 
+    def _reset_incremental(self) -> None:
+        """Forget the primed incremental engine.
+
+        The next :meth:`run_incremental` / :meth:`serve` primes a new
+        one from ``all_triples`` (or a checkpoint).
+        """
+        # The KnowledgeFusion carrying the primed engine.
+        self.incremental_fusion: KnowledgeFusion | None = None
+        self._incremental_entity_resolution: ResolutionOutcome | None = None
+        self._incremental_offset = 0
+
     def _run_phases(self, report: PipelineReport, resume: bool) -> None:
         world = self.world
         cfg = self.config
-        self._validate_config()
+        cfg.validate()
         health = report.health
         health.min_sources = cfg.min_sources
         self.quarantine = Quarantine(capacity=cfg.quarantine_capacity)
@@ -761,7 +440,6 @@ class KnowledgeBaseConstructionPipeline:
             # -- 5b. Joint entity linking + discovery ----------------------
             if cfg.discover_new_entities:
                 with self._stage_timer(report, "entity-resolution") as timing:
-                    self._check_fatal_fault("entity-resolution")
                     resolver = JointEntityResolver(
                         EntityLinker(self.entity_index)
                     )
@@ -779,13 +457,11 @@ class KnowledgeBaseConstructionPipeline:
             # -- 6. Attribute resolution ----------------------------------
             if cfg.resolve_attributes:
                 with self._stage_timer(report, "attribute-resolution") as timing:
-                    self._check_fatal_fault("attribute-resolution")
                     all_triples = self._resolve_attributes(all_triples)
                     timing.detail = f"{len(all_triples)} claims"
 
             # -- 7. Confidence scoring ------------------------------------
             with self._stage_timer(report, "confidence") as timing:
-                self._check_fatal_fault("confidence")
                 scorer = ConfidenceScorer(cfg.confidence)
                 all_triples = scorer.score_batch(all_triples)
                 for output in self.outputs.values():
@@ -817,7 +493,6 @@ class KnowledgeBaseConstructionPipeline:
         # -- 8. Fusion -----------------------------------------------------
         self.all_triples = all_triples
         with self._stage_timer(report, "fusion") as timing:
-            self._check_fatal_fault("fusion")
             self.claims = ClaimSet.from_scored_triples(all_triples)
             functional_of = self._select_functional_oracle(self.claims)
             fusion = self._build_fusion(functional_of)
@@ -847,7 +522,6 @@ class KnowledgeBaseConstructionPipeline:
 
         # -- 9. Evaluation --------------------------------------------------
         with self._stage_timer(report, "evaluation"):
-            self._check_fatal_fault("evaluation")
             evaluated = self._remap_for_evaluation(
                 result, report.entity_resolution
             )
@@ -855,7 +529,6 @@ class KnowledgeBaseConstructionPipeline:
 
         # -- 10. Augmentation ------------------------------------------------
         with self._stage_timer(report, "augmentation") as timing:
-            self._check_fatal_fault("augmentation")
             if self.freebase is None:
                 # The KB stage degraded away: there is no snapshot to
                 # augment, but fusion/evaluation above still ran.
@@ -884,53 +557,42 @@ class KnowledgeBaseConstructionPipeline:
                 )
 
     # ------------------------------------------------------------------
-    def _validate_config(self) -> None:
-        cfg = self.config
-        if cfg.fusion_parallelism < 1:
-            raise PipelineError("fusion_parallelism must be >= 1")
-        if cfg.min_sources < 0:
-            raise PipelineError("min_sources must be >= 0")
-        if cfg.quarantine_capacity < 1:
-            raise PipelineError("quarantine_capacity must be >= 1")
-        if cfg.stage_timeout is not None and cfg.stage_timeout <= 0:
-            raise PipelineError("stage_timeout must be positive")
-        if cfg.storage_backend not in ("memory", "segment"):
-            raise PipelineError(
-                "storage_backend must be 'memory' or 'segment', "
-                f"got {cfg.storage_backend!r}"
-            )
-        if cfg.storage_backend == "segment" and not cfg.storage_dir:
-            raise PipelineError(
-                "storage_backend='segment' requires storage_dir"
-            )
-        if cfg.memtable_limit < 1:
-            raise PipelineError("memtable_limit must be >= 1")
-
-    # ------------------------------------------------------------------
     # Observability helpers.
 
-    def _stage_timer(self, report: PipelineReport, stage: str) -> "_timed":
-        """A ``_timed`` wired to this run's tracer and metrics."""
+    def _stage_timer(
+        self, report: PipelineReport, stage: str, *, isolated: bool = False
+    ) -> "_timed":
+        """A ``_timed`` wired to this run's tracer, metrics and faults."""
+        cfg = self.config
         return _timed(
-            report, stage, tracer=self.tracer, metrics=self.metrics
+            report,
+            stage,
+            isolated=isolated,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            fault_plan=cfg.fault_plan,
+            stage_timeout=cfg.stage_timeout,
         )
 
-    def _record_stage(
-        self, report: PipelineReport, stage: str, seconds: float, detail: str
-    ) -> None:
-        """Book one completed extraction stage everywhere at once.
+    def _isolated_stage(self, report: PipelineReport, stage: str, body):
+        """Run ``body(timing)`` as one isolated extraction stage.
 
-        The stage body measured ``seconds`` itself, so the span is
-        back-dated rather than live-timed.
+        Returns what the body returned, or None when the stage failed:
+        it raised, an injected fault fired, or it overran
+        ``stage_timeout``.  ``_timed`` has marked it degraded by then,
+        and the caller keeps a source's output only if its whole stage
+        held.
         """
-        report.timings.append(StageTiming(stage, seconds, detail))
-        self.tracer.record(stage, seconds, detail=detail)
-        self.metrics.histogram(
-            "pipeline_stage_seconds", stage=stage
-        ).observe(seconds)
-        self.metrics.counter(
-            "pipeline_stage_success_total", stage=stage
-        ).inc()
+        timer = self._stage_timer(report, stage, isolated=True)
+        result = None
+        try:
+            with timer as timing:
+                result = body(timing)
+        except InjectedFault:
+            # Fired on entry, where a ``with`` block cannot be skipped
+            # from inside (``_timed.__enter__``).
+            pass
+        return None if timer.failed else result
 
     def _publish_fusion_metrics(
         self, report: PipelineReport, result, fusion
@@ -958,122 +620,33 @@ class KnowledgeBaseConstructionPipeline:
                 component_sizes.observe(size)
 
     # ------------------------------------------------------------------
-    def _check_fatal_fault(self, stage: str) -> None:
-        """Fire any injected fault targeting a post-extraction stage.
-
-        These stages are not isolated (their outputs feed everything
-        downstream), so an injected crash here aborts the run — exactly
-        the scenario checkpoint/resume exists for.
-        """
-        plan = self.config.fault_plan
-        if plan is not None:
-            plan.task_delay(f"stage:{stage}", 0, 0)
-
-    def _guarded_stage(self, report: PipelineReport, stage: str, call):
-        """Run one extraction stage inside an isolation boundary.
-
-        ``call`` must return a tuple whose last element is the stage's
-        measured work seconds.  On success returns that tuple with any
-        injected slow-seconds folded into the timing (so deadline tests
-        never actually sleep); on exception — organic, injected, or a
-        :class:`StageTimeoutError` raised here when the stage exceeds
-        ``stage_timeout`` — marks the stage degraded in the report's
-        health section and returns None, and the pipeline continues
-        with the remaining sources.
-        """
-        cfg = self.config
-        try:
-            extra = 0.0
-            if cfg.fault_plan is not None:
-                extra = cfg.fault_plan.task_delay(f"stage:{stage}", 0, 0)
-            result = call()
-            seconds = result[-1] + extra
-            if cfg.stage_timeout is not None and seconds > cfg.stage_timeout:
-                raise StageTimeoutError(
-                    f"stage {stage} ran {seconds:.3f}s, "
-                    f"over the {cfg.stage_timeout}s deadline"
-                )
-            return result[:-1] + (seconds,)
-        except Exception as exc:  # noqa: BLE001 — the isolation boundary
-            reason = f"{type(exc).__name__}: {exc}"
-            report.health.mark_degraded(stage, reason)
-            self.tracer.record(stage, 0.0, detail=reason, failed=True)
-            self.metrics.counter(
-                "pipeline_stage_failed_total", stage=stage
-            ).inc()
-            return None
-
-    def _guard_input(self, records, validator, source: str):
-        """Divert malformed records of one input stream."""
-        return guard_records(
-            records,
-            validator,
-            self.quarantine,
-            source,
-            plan=self.config.fault_plan,
-            scope=f"records:{source}",
-        )
-
-    # ------------------------------------------------------------------
     def _run_extraction(self, report: PipelineReport) -> dict[str, str]:
         """Stages 1-5: run the four extractors in pipeline order.
 
         Returns the DOM extractor's mention-surface → class map (used by
-        joint entity resolution).  Every stage runs inside
-        :meth:`_guarded_stage`, so one crashing extractor degrades its
-        source instead of killing the run.
+        joint entity resolution).  Every stage is isolated
+        (:meth:`_isolated_stage`), so one crashing extractor degrades
+        its source instead of killing the run.
         """
-        world = self.world
-        cfg = self.config
-        plan = cfg.fault_plan
-
         # -- 1. KB snapshots ------------------------------------------------
         kb_output = None
-        kb_result = self._guarded_stage(
-            report, "kb-extraction", lambda: _kb_stage(world, cfg.kb_pair)
-        )
-        if kb_result is not None:
-            self.freebase, self.dbpedia, kb_output, kb_seconds = kb_result
+        kb = self._isolated_stage(report, "kb-extraction", self._extract_kb)
+        if kb is not None:
+            self.freebase, self.dbpedia, kb_output = kb
             self.outputs["kb"] = kb_output
-            self._record_stage(
-                report, "kb-extraction", kb_seconds,
-                f"{len(kb_output.triples)} claims",
-            )
 
         self.entity_index = (
             self._set_e_index() if self.freebase is not None else {}
         )
 
         # -- 2. Query stream (extraction needs Set_E) ----------------------
-        def query_stream_call():
-            log, log_seconds = _querylog_stage(world, cfg.querylog)
-            log = self._guard_input(log, _valid_query_record, "querystream")
-            started = time.perf_counter()
-            extractor = QueryStreamExtractor(
-                self.entity_index, cfg.querystream
-            )
-            query_output, query_stats = extractor.extract(log)
-            return (
-                query_output,
-                query_stats,
-                len(log),
-                log_seconds + (time.perf_counter() - started),
-            )
-
         query_output = None
-        query_result = self._guarded_stage(
-            report, "query-stream", query_stream_call
+        query = self._isolated_stage(
+            report, "query-stream", self._extract_querystream
         )
-        if query_result is not None:
-            query_output, query_stats, record_count, query_seconds = (
-                query_result
-            )
+        if query is not None:
+            query_output, report.query_stats = query
             self.outputs["querystream"] = query_output
-            report.query_stats = query_stats
-            self._record_stage(
-                report, "query-stream", query_seconds,
-                f"{record_count} records",
-            )
 
         # -- 3. Seed sets --------------------------------------------------
         seed_outputs = [
@@ -1081,61 +654,99 @@ class KnowledgeBaseConstructionPipeline:
         ]
         self.seeds = build_seed_sets(
             seed_outputs,
-            world.classes(),
-            min_support=cfg.seed_min_support,
+            self.world.classes(),
+            min_support=self.config.seed_min_support,
         )
         report.seed_sizes = {
             class_name: len(seed) for class_name, seed in self.seeds.items()
         }
 
         # -- 4. DOM extraction ---------------------------------------------
-        dom_config = cfg.dom
-        if cfg.discover_new_entities:
-            dom_config = replace(dom_config, allow_mention_anchors=True)
-
-        def dom_stage_call():
-            output, mention_classes, local_quarantine, seconds = _dom_stage(
-                self.entity_index, self.seeds, dom_config,
-                world, cfg.websites, plan, cfg.quarantine_capacity,
-            )
-            self.quarantine.merge(local_quarantine)
-            return output, mention_classes, seconds
-
         mention_classes: dict[str, str] = {}
-        dom_result = self._guarded_stage(
-            report, "dom-extraction", dom_stage_call
+        dom = self._isolated_stage(
+            report, "dom-extraction", self._extract_dom
         )
-        if dom_result is not None:
-            dom_output, mention_classes, dom_seconds = dom_result
-            self.outputs["dom"] = dom_output
-            self._record_stage(
-                report, "dom-extraction", dom_seconds,
-                f"{len(dom_output.triples)} claims",
-            )
+        if dom is not None:
+            self.outputs["dom"], mention_classes = dom
 
         # -- 5. Web-text extraction ----------------------------------------
         kb_triples = kb_output.triples if kb_output is not None else []
-
-        def text_stage_call():
-            output, local_quarantine, seconds = _webtext_stage(
-                self.entity_index, self.seeds, kb_triples,
-                world, cfg.webtext, cfg.webtext_extractor,
-                plan, cfg.quarantine_capacity,
-            )
-            self.quarantine.merge(local_quarantine)
-            return output, seconds
-
-        text_result = self._guarded_stage(
-            report, "webtext-extraction", text_stage_call
+        text_output = self._isolated_stage(
+            report,
+            "webtext-extraction",
+            lambda timing: self._extract_webtext(timing, kb_triples),
         )
-        if text_result is not None:
-            text_output, text_seconds = text_result
+        if text_output is not None:
             self.outputs["webtext"] = text_output
-            self._record_stage(
-                report, "webtext-extraction", text_seconds,
-                f"{len(text_output.triples)} claims",
-            )
         return mention_classes
+
+    def _extract_kb(self, timing: StageTiming):
+        """Stage 1: build the KB snapshots and extract/combine their claims."""
+        freebase, dbpedia = build_kb_pair(self.world, self.config.kb_pair)
+        kb_output = combine_kb_outputs(
+            [KbExtractor(freebase).extract(), KbExtractor(dbpedia).extract()]
+        )
+        timing.detail = f"{len(kb_output.triples)} claims"
+        return freebase, dbpedia, kb_output
+
+    def _extract_querystream(self, timing: StageTiming):
+        """Stage 2: generate the query stream, extract credible attributes."""
+        cfg = self.config
+        log = guard_records(
+            generate_query_log(self.world, cfg.querylog),
+            _valid_query_record,
+            self.quarantine,
+            "querystream",
+            plan=cfg.fault_plan,
+            scope="records:querystream",
+        )
+        timing.detail = f"{len(log)} records"
+        extractor = QueryStreamExtractor(self.entity_index, cfg.querystream)
+        return extractor.extract(log)
+
+    def _extract_dom(self, timing: StageTiming):
+        """Stage 4: generate websites and run Algorithm 1 over them."""
+        cfg = self.config
+        dom_config = cfg.dom
+        if cfg.discover_new_entities:
+            dom_config = replace(dom_config, allow_mention_anchors=True)
+        sites = generate_websites(self.world, cfg.websites)
+        page_index = 0
+        for site in sites:
+            page_count = len(site.pages)
+            site.pages = guard_records(
+                site.pages,
+                _valid_page,
+                self.quarantine,
+                "dom",
+                plan=cfg.fault_plan,
+                scope="records:dom",
+                start_index=page_index,
+            )
+            page_index += page_count
+        extractor = DomTreeExtractor(self.entity_index, self.seeds, dom_config)
+        output = extractor.extract(sites)
+        timing.detail = f"{len(output.triples)} claims"
+        return output, extractor.mention_classes
+
+    def _extract_webtext(self, timing: StageTiming, kb_triples: list):
+        """Stage 5: generate Web texts and run the seed-driven extractor."""
+        cfg = self.config
+        documents = guard_records(
+            generate_webtext(self.world, cfg.webtext),
+            _valid_document,
+            self.quarantine,
+            "webtext",
+            plan=cfg.fault_plan,
+            scope="records:webtext",
+        )
+        extractor = WebTextExtractor(
+            self.entity_index, self.seeds, kb_triples, cfg.webtext_extractor
+        )
+        extractor.learn(documents)
+        output = extractor.extract(documents)
+        timing.detail = f"{len(output.triples)} claims"
+        return output
 
     # ------------------------------------------------------------------
     def _extraction_payload(
@@ -1225,7 +836,6 @@ class KnowledgeBaseConstructionPipeline:
             use_extractor_correlations=cfg.use_extractor_correlations,
             use_confidence=cfg.use_confidence,
             tolerance=cfg.fusion_tolerance,
-            parallelism=cfg.fusion_parallelism,
             retry=cfg.retry,
             fault_plan=cfg.fault_plan,
             metrics=self.metrics,
@@ -1293,8 +903,8 @@ class KnowledgeBaseConstructionPipeline:
         it came from this process's last run())."""
         # serve() / run_incremental() get here without a run(), so the
         # config has not been looked at yet.
-        self._validate_config()
         cfg = self.config
+        cfg.validate()
         all_triples = self.all_triples
         entity_resolution = (
             self.last_report.entity_resolution
@@ -1437,180 +1047,6 @@ class KnowledgeBaseConstructionPipeline:
             fault_plan=cfg.fault_plan,
         )
 
-    # ------------------------------------------------------------------
-    # Scenario runs: moving truth and copying sources.
-
-    def run_drift(
-        self, config: DriftConfig | None = None
-    ) -> DriftScenarioReport:
-        """Drive serving with a drifting world's epoch-delta stream.
-
-        Builds a seeded :class:`~repro.synth.drift.DriftingWorld`,
-        primes the incremental engine on its base corpus, then
-        publishes each epoch's :class:`ClaimDelta` through
-        :meth:`serve`'s event stream and drains it to a committed KB
-        version.  Every epoch is scored with
-        :func:`~repro.evalx.freshness.freshness_report` against both
-        the truth of the *served* epoch and the *current* truth, so
-        the report separates fusion quality from staleness.  The
-        report's ``to_json_dict`` is deterministic: same config, same
-        bytes.
-        """
-        cfg = config or DriftConfig()
-        started = time.perf_counter()
-        world = DriftingWorld(cfg)
-        self.metrics.counter("drift_runs_total").inc()
-        self.metrics.counter("drift_base_claims_total").inc(len(world.base))
-
-        # The drift corpus replaces whatever the last run() left: the
-        # engine must be primed fresh on the drifting world's base.
-        self.incremental_fusion = None
-        self._incremental_entity_resolution = None
-        self._incremental_offset = 0
-        self.all_triples = list(world.base)
-        server = self.serve()
-
-        report = DriftScenarioReport(
-            seed=cfg.seed,
-            epochs=cfg.epochs,
-            base_claims=len(world.base),
-            final_version=0,
-        )
-        for index, epoch in enumerate(world.epochs, start=1):
-            truth = epoch.truth
-            self.metrics.counter("drift_epochs_total").inc()
-            self.metrics.counter("drift_births_total").inc(len(truth.born))
-            self.metrics.counter("drift_deaths_total").inc(len(truth.died))
-            self.metrics.counter("drift_renames_total").inc(
-                len(truth.renamed)
-            )
-            self.metrics.counter("drift_value_changes_total").inc(
-                len(truth.changed)
-            )
-            server.publish(epoch.delta)
-            server.drain()
-            version = server.versions.current
-            served_epoch = version.version_id
-            fresh = freshness_report(
-                version.result.truths,
-                served_epoch=served_epoch,
-                current_epoch=index,
-                served_truth=world.truth_at(served_epoch),
-                current_truth=world.truth_at(index),
-            )
-            self.metrics.gauge("drift_freshness_lag_epochs").set(
-                fresh.lag_epochs
-            )
-            self.metrics.gauge("drift_staleness_ratio").set(fresh.staleness)
-            self.metrics.histogram("drift_epoch_delta_claims").observe(
-                len(epoch.delta.added) + len(epoch.delta.retracted)
-            )
-            report.rows.append(
-                DriftEpochRow(
-                    epoch=index,
-                    served_epoch=served_epoch,
-                    delta_added=len(epoch.delta.added),
-                    delta_retracted=len(epoch.delta.retracted),
-                    births=len(truth.born),
-                    deaths=len(truth.died),
-                    renames=len(truth.renamed),
-                    value_changes=len(truth.changed),
-                    freshness=fresh,
-                )
-            )
-        report.final_version = server.versions.current.version_id
-        report.wall_seconds = time.perf_counter() - started
-        return report
-
-    def run_copying(
-        self, config: CopyingConfig | None = None
-    ) -> CopyingScenarioReport:
-        """Fuse a copying world with correlations off, then on.
-
-        Builds a seeded :class:`~repro.synth.copying.CopyingWorld`
-        (copier sources replicating a victim's claims, errors
-        included) and fuses its claims twice — correlation-blind and
-        correlation-aware — scoring each mode's copied-error
-        suppression against the world's gold standard.  The
-        correlation machinery earns its keep when the aware mode
-        suppresses more copied errors than the blind one.
-        """
-        cfg = config or CopyingConfig()
-        started = time.perf_counter()
-        world = generate_copying_world(cfg)
-        self.metrics.counter("copying_runs_total").inc()
-        self.metrics.counter("copying_claims_total").inc(len(world.claims))
-        self.metrics.counter("copying_copied_errors_total").inc(
-            world.total_copied_errors()
-        )
-
-        report = CopyingScenarioReport(
-            seed=cfg.seed,
-            claims=len(world.claims),
-            copied_errors=world.total_copied_errors(),
-        )
-        for mode, correlated in (
-            ("correlation-blind", False),
-            ("correlation-aware", True),
-        ):
-            fusion = KnowledgeFusion(
-                tolerance=0.0,
-                use_source_correlations=correlated,
-                use_extractor_correlations=False,
-                use_confidence=False,
-            )
-            result = fusion.fuse(world.claims)
-            suppressed, leaked = world.copied_error_outcome(result.truths)
-            self.metrics.counter(
-                "copying_suppressed_total", mode=mode
-            ).inc(suppressed)
-            self.metrics.counter(
-                "copying_leaked_total", mode=mode
-            ).inc(leaked)
-            report.rows.append(
-                CopyingModeRow(
-                    mode=mode,
-                    precision=world.precision_of(result.truths),
-                    recall=world.recall_of(result.truths),
-                    suppressed=suppressed,
-                    leaked=leaked,
-                )
-            )
-        report.wall_seconds = time.perf_counter() - started
-        return report
-
-    def run_tenants(self, config: TenantMixConfig | None = None):
-        """Ingest and serve a multi-tenant mix on one shared runtime.
-
-        Expands the mix into per-tenant workloads
-        (:func:`~repro.synth.tenants.build_tenant_workload`), hosts
-        one isolated serving stack per tenant behind a
-        :class:`~repro.serving.tenancy.TenantManager` — per-tenant
-        metrics labels on this pipeline's registry, checkpoints under
-        ``checkpoint_dir/<tenant>`` when a checkpoint dir is set —
-        drains the fleet fair-share, and scores every tenant against
-        its own ground truth.  The report's ``to_json_dict`` is
-        deterministic: same mix config, same bytes.
-        """
-        from repro.serving.tenancy import TenantManager
-
-        cfg = config or TenantMixConfig()
-        started = time.perf_counter()
-        self.metrics.counter("tenant_runs_total").inc()
-        manager = TenantManager.from_mix(
-            cfg,
-            metrics=self.metrics,
-            capacity=self.config.serving_log_capacity,
-            retry=self.config.retry,
-            checkpoint_root=self.config.checkpoint_dir,
-        )
-        rounds = manager.drain_fair()
-        if self.config.checkpoint_dir is not None:
-            manager.checkpoint_all()
-        report = manager.eval_rows(rounds=rounds)
-        report.wall_seconds = time.perf_counter() - started
-        return report
-
     def _resolve_attributes(self, triples):
         profiles_by_class: dict[str, dict[str, set]] = {}
         support_by_class: dict[str, dict[str, int]] = {}
@@ -1638,14 +1074,27 @@ class KnowledgeBaseConstructionPipeline:
 
 
 class _timed:
-    """Context manager recording a stage timing into a report.
+    """Context manager running one pipeline stage.
 
-    The timing is appended whether or not the block raises: a failed
-    stage still spent the time, and dropping it made degraded-run
-    reports under-count wall-clock work.  Failures are marked in the
-    timing detail (``failed: <ExcType>``) and, when a tracer/metrics
-    pair is attached, in the span status and the
-    ``pipeline_stage_failed_total`` counter.
+    On entry it fires the ``stage:<name>`` point of ``fault_plan`` — an
+    injected crash raises there, injected slow seconds are added to the
+    measured time, so deadline tests never sleep — and starts the
+    clock.  On exit it books the stage once, everywhere: the timing in
+    ``report.timings``, the span, ``pipeline_stage_seconds`` and the
+    success/failed counter.  The timing is appended whether or not the
+    block raises: a failed stage still spent the time, and dropping it
+    made degraded-run reports under-count wall-clock work.  A failure
+    is marked in the timing detail (``failed: <ExcType>``), in
+    ``report.health``, in the span status and in
+    ``pipeline_stage_failed_total``; ``failed`` says so afterwards.
+
+    ``isolated`` is what happens next.  False (a stage everything
+    downstream needs): the exception propagates.  True (an extraction
+    stage): it is suppressed — the run goes on without that source —
+    and ``stage_timeout`` applies: a stage that took longer fails with
+    :class:`StageTimeoutError` even though its block finished.  Only an
+    entry fault still propagates from an isolated stage, marked like
+    any other failure: a context manager cannot skip its own block.
     """
 
     def __init__(
@@ -1653,43 +1102,77 @@ class _timed:
         report: PipelineReport,
         stage: str,
         *,
+        isolated: bool = False,
         tracer: SpanTracer | None = None,
         metrics: MetricsRegistry | None = None,
+        fault_plan: FaultPlan | None = None,
+        stage_timeout: float | None = None,
     ) -> None:
         self.report = report
         self.stage = stage
         self.timing = StageTiming(stage, 0.0)
+        self.failed = False
+        self._isolated = isolated
         self._tracer = tracer
         self._metrics = metrics
+        self._fault_plan = fault_plan
+        self._stage_timeout = stage_timeout
         self._span = None
+        self._injected_seconds = 0.0
 
     def __enter__(self) -> StageTiming:
         if self._tracer is not None:
             self._span = self._tracer.span(self.stage)
         self._start = time.perf_counter()
+        if self._fault_plan is not None:
+            try:
+                self._injected_seconds = self._fault_plan.task_delay(
+                    f"stage:{self.stage}", 0, 0
+                )
+            except InjectedFault as fault:
+                self._book(time.perf_counter() - self._start, fault)
+                raise
         return self.timing
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.timing.seconds = time.perf_counter() - self._start
-        failed = exc_type is not None
-        if failed:
-            marker = f"failed: {exc_type.__name__}"
-            self.timing.detail = (
-                f"{self.timing.detail}; {marker}"
-                if self.timing.detail else marker
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        seconds = (
+            time.perf_counter() - self._start + self._injected_seconds
+        )
+        if (
+            exc is None
+            and self._isolated
+            and self._stage_timeout is not None
+            and seconds > self._stage_timeout
+        ):
+            exc = StageTimeoutError(
+                f"stage {self.stage} ran {seconds:.3f}s, "
+                f"over the {self._stage_timeout}s deadline"
+            )
+        self._book(seconds, exc)
+        return self._isolated and isinstance(exc, Exception)
+
+    def _book(self, seconds: float, exc: BaseException | None) -> None:
+        timing = self.timing
+        timing.seconds = seconds
+        self.failed = exc is not None
+        if self.failed:
+            marker = f"failed: {type(exc).__name__}"
+            timing.detail = (
+                f"{timing.detail}; {marker}" if timing.detail else marker
             )
             self.report.health.mark_degraded(
-                self.stage, f"{exc_type.__name__}: {exc}"
+                self.stage, f"{type(exc).__name__}: {exc}"
             )
-        self.report.timings.append(self.timing)
+        self.report.timings.append(timing)
         if self._span is not None:
-            self._span.end(detail=self.timing.detail, failed=failed)
+            span = self._span.end(detail=timing.detail, failed=self.failed)
+            span.seconds = timing.seconds
         if self._metrics is not None:
             self._metrics.histogram(
                 "pipeline_stage_seconds", stage=self.stage
-            ).observe(self.timing.seconds)
+            ).observe(timing.seconds)
             outcome = (
                 "pipeline_stage_failed_total"
-                if failed else "pipeline_stage_success_total"
+                if self.failed else "pipeline_stage_success_total"
             )
             self._metrics.counter(outcome, stage=self.stage).inc()

@@ -12,9 +12,9 @@ mid-stage, record validation diverts bad records here, keeping
   :class:`~repro.errors.QuarantineOverflowError`, because losing most
   of a source silently would be worse than failing.
 
-The DOM and Web-text stage bodies build a local quarantine and the
-pipeline merges it back (:meth:`Quarantine.merge`), mirroring how the
-MapReduce engine merges per-worker counters.
+Every record guard of a pipeline run diverts into the run's one sink,
+so what a stage diverted stays counted when the stage itself fails
+afterwards.
 """
 
 from __future__ import annotations
@@ -132,30 +132,6 @@ class Quarantine:
             return
         hold = self.held.setdefault(source, [])
         hold[:0] = entries
-
-    def merge(self, other: "Quarantine") -> None:
-        """Fold a stage-local quarantine into this one.
-
-        Like :meth:`divert`, the capacity check happens before any
-        mutation, so a caught overflow leaves this sink unchanged.
-        """
-        if self.total + other.total > self.capacity:
-            raise QuarantineOverflowError(
-                f"quarantine overflow: merging {other.total} diverted "
-                f"records into {self.total} would exceed capacity "
-                f"{self.capacity}"
-            )
-        self.total += other.total
-        for source, count in other.counts.items():
-            self.counts[source] = self.counts.get(source, 0) + count
-        for source, examples in other.samples.items():
-            bucket = self.samples.setdefault(source, [])
-            for example in examples:
-                if len(bucket) >= self.sample_limit:
-                    break
-                bucket.append(example)
-        for source, entries in other.held.items():
-            self.held.setdefault(source, []).extend(entries)
 
     def to_dict(self) -> dict:
         """JSON-ready snapshot (sorted for deterministic serialization)."""

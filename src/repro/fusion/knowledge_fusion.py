@@ -42,12 +42,16 @@ class KnowledgeFusion(FusionMethod):
         Toggle the copy-detection discounts (ablation switches).
     use_confidence:
         Toggle soft-evidence claims (ablation switch).
-    parallelism:
-        With ``parallelism >= 2`` the core fuse runs sharded over the
-        connected components of the claim graph
-        (:mod:`repro.fusion.sharding`) as that many partitions of an
-        in-process MapReduce job, the dispatch ``retry`` and
-        ``fault_plan`` act on.  (Worker processes are
+    retry / fault_plan:
+        Setting either runs the core fuse sharded over the connected
+        components of the claim graph (:mod:`repro.fusion.sharding`),
+        one reduce task of an in-process MapReduce job per chunk of
+        components: ``retry`` (a
+        :class:`~repro.mapreduce.engine.RetryPolicy`) retries a failed
+        task, ``fault_plan`` (a :class:`repro.faults.FaultPlan`)
+        injects failures into them and into the incremental engine.
+        With neither, nothing can fail task by task and the fuse runs
+        unsharded.  (Worker processes are
         :func:`~repro.fusion.sharding.fuse_sharded`'s
         ``executor="process"``; they measured 0.31–0.54× of the
         unsharded fuse, so nothing here selects them.)
@@ -90,7 +94,6 @@ class KnowledgeFusion(FusionMethod):
         threshold: float = 0.5,
         max_iterations: int = 20,
         tolerance: float | None = None,
-        parallelism: int = 1,
         retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         metrics=None,
@@ -104,7 +107,6 @@ class KnowledgeFusion(FusionMethod):
         self.threshold = threshold
         self.max_iterations = max_iterations
         self.tolerance = tolerance
-        self.parallelism = parallelism
         self.retry = retry
         self.fault_plan = fault_plan
         self.metrics = metrics
@@ -128,14 +130,12 @@ class KnowledgeFusion(FusionMethod):
             source_weights = self._source_weights(working)
 
         base = self._base_method(source_weights)
-        if self.parallelism > 1:
+        if self.retry is not None or self.fault_plan is not None:
             from repro.fusion.sharding import fuse_sharded
 
             result, self.last_shard_stats = fuse_sharded(
                 base,
                 working,
-                workers=self.parallelism,
-                executor="serial",
                 retry=self.retry,
                 fault_plan=self.fault_plan,
                 metrics=self.metrics,

@@ -10,8 +10,10 @@ cross a component boundary, and the float operation order inside one
 component is unchanged, so the merged output is byte-identical).
 
 :func:`fuse_sharded` runs the components as reduce groups of the
-:mod:`repro.mapreduce` engine, which provides the ``"process"``
-executor (real parallelism for CPU-bound fusion) and its determinism
+:mod:`repro.mapreduce` engine, which provides per-task retries (why
+``KnowledgeFusion`` comes here whenever a retry policy or fault plan
+is set), the ``"process"`` executor (the paper's substrate; it has not
+measured faster than serial on this repo's hosts) and its determinism
 contract (reduce groups processed in sorted key order, results merged
 deterministically).  The fusion method rides to the workers inside the
 pickled reducer, like the accuracy snapshot in ``mr_accu``.
@@ -38,7 +40,6 @@ __all__ = [
     "ShardStats",
     "shard_claims",
     "fuse_sharded",
-    "fuse_sharded_segments",
 ]
 
 
@@ -52,8 +53,7 @@ class ShardStats:
     component_claims: list[int] = field(default_factory=list)
     component_items: list[int] = field(default_factory=list)
     # Fault-tolerance accounting, copied from the underlying job's
-    # JobStats when a retry policy or fault plan was active (zero on
-    # plain runs).
+    # JobStats.
     attempts: int = 0
     retries: int = 0
     timed_out_tasks: int = 0
@@ -180,166 +180,6 @@ def fuse_sharded(
     stats = ShardStats(workers=workers, executor=executor)
     converged: list[int | None] = []
     for _component, n_claims, result in job.run(claims):
-        stats.components += 1
-        stats.component_claims.append(n_claims)
-        stats.component_items.append(len(result.truths))
-        merged.truths.update(result.truths)
-        merged.belief.update(result.belief)
-        merged.source_quality.update(result.source_quality)
-        merged.iterations = max(merged.iterations, result.iterations)
-        converged.append(result.converged_at)
-    if converged and all(round_ is not None for round_ in converged):
-        merged.converged_at = max(converged)  # type: ignore[type-var]
-    stats.attempts = job.stats.attempts
-    stats.retries = job.stats.retries
-    stats.timed_out_tasks = job.stats.timed_out_tasks
-    return merged, stats
-
-
-# ----------------------------------------------------------------------
-# Zero-copy sharding over a segment-backed store.
-# ----------------------------------------------------------------------
-
-# Per-process cache of open segment readers, so a worker re-mmaps a
-# segment once per file, not once per reduce task.  Bounded: segments
-# are replaced wholesale by compaction, so stale entries only linger
-# until eviction.
-_READER_CACHE: dict[str, object] = {}
-_READER_CACHE_LIMIT = 4
-
-
-def _cached_reader(path: str):
-    from repro.rdf.segments import SegmentReader
-
-    reader = _READER_CACHE.get(path)
-    if reader is None:
-        while len(_READER_CACHE) >= _READER_CACHE_LIMIT:
-            _READER_CACHE.pop(next(iter(_READER_CACHE))).close()
-        reader = SegmentReader(path)
-        _READER_CACHE[path] = reader
-    return reader
-
-
-def _segment_mapper(record):
-    yield record[0], record[1]
-
-
-def _segment_reducer(method: FusionMethod, path: str, component: int,
-                     row_lists):
-    reader = _cached_reader(path)
-    scored = (
-        reader.row_scored(row) for rows in row_lists for row in rows
-    )
-    claims = ClaimSet.from_scored_triples(scored)
-    yield component, len(claims), method.fuse(claims)
-
-
-def fuse_sharded_segments(
-    method: FusionMethod,
-    store,
-    *,
-    workers: int = 1,
-    executor: str = "serial",
-    retry: RetryPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-    metrics=None,
-) -> tuple[FusionResult, ShardStats]:
-    """:func:`fuse_sharded` where workers read claims from the segment
-    file instead of pickled claim lists.
-
-    ``store`` is a segment-backed :class:`~repro.rdf.store.TripleStore`
-    (or the :class:`~repro.rdf.segments.SegmentBackend` itself).  The
-    store is compacted to one canonical segment; the parent computes
-    the item↔source connected components by streaming the *interned
-    id* columns (no claim objects are materialized), then ships each
-    reduce task only ``(component, row indexes)`` — workers mmap the
-    shared segment and build their component's claims in row order,
-    which replays the exact claim iteration the in-memory path sees.
-    The merged result is byte-identical to :func:`fuse_sharded` over
-    ``ClaimSet.from_scored_triples(store.claims())`` (property-tested).
-    """
-    from repro.rdf.segments import SegmentBackend
-    from repro.rdf.store import TripleStore
-
-    backend = store.backend if isinstance(store, TripleStore) else store
-    if not isinstance(backend, SegmentBackend):
-        raise FusionError(
-            "fuse_sharded_segments needs a segment-backed store, got "
-            f"{type(backend).__name__}"
-        )
-    if executor not in EXECUTORS:
-        raise FusionError(
-            f"fusion executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    if workers < 1:
-        raise FusionError("workers must be >= 1")
-
-    backend.compact()
-    readers = backend.segment_readers()
-    if not readers or len(backend) == 0:
-        raise FusionError(f"{method.name}: empty claim set")
-    reader = readers[0]
-    path = str(backend.segment_paths()[0])
-
-    # Union-find over int nodes: ("item", subject_id, predicate_id)
-    # joined to ("source", source_id) per row — the same bipartite
-    # graph _component_map builds, minus the string materialization.
-    parent: dict[tuple, tuple] = {}
-
-    def find(node):
-        root = node
-        while parent[root] is not root:
-            root = parent[root]
-        while parent[node] is not root:
-            parent[node], node = root, parent[node]
-        return root
-
-    subjects = reader.col_subject
-    predicates = reader.col_predicate
-    sources = reader.col_source
-    n_rows = reader.n_rows
-    for row in range(n_rows):
-        item = (0, subjects[row], predicates[row])
-        source = (1, sources[row])
-        for node in (item, source):
-            if node not in parent:
-                parent[node] = node
-        left, right = find(item), find(source)
-        if left is not right:
-            parent[right] = left
-
-    # Dense component ids by first appearance in row order — the same
-    # numbering _component_map derives from claim iteration order.
-    component_of_root: dict[tuple, int] = {}
-    component_of_source: dict[int, int] = {}
-    rows_of_component: dict[int, list[int]] = {}
-    for row in range(n_rows):
-        source = sources[row]
-        component = component_of_source.get(source)
-        if component is None:
-            root = find((1, source))
-            component = component_of_root.setdefault(
-                root, len(component_of_root)
-            )
-            component_of_source[source] = component
-        rows_of_component.setdefault(component, []).append(row)
-
-    job: MapReduceJob = MapReduceJob(
-        _segment_mapper,
-        functools.partial(_segment_reducer, method, path),
-        partitions=1,
-        executor=executor,
-        max_workers=workers,
-        retry=retry,
-        fault_plan=fault_plan,
-        metrics=metrics,
-    )
-    merged = FusionResult(method.name)
-    stats = ShardStats(workers=workers, executor=executor)
-    converged: list[int | None] = []
-    for _component, n_claims, result in job.run(
-        sorted(rows_of_component.items())
-    ):
         stats.components += 1
         stats.component_claims.append(n_claims)
         stats.component_items.append(len(result.truths))

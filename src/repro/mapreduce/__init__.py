@@ -4,7 +4,6 @@ from repro.mapreduce.engine import (
     EXECUTORS,
     JobStats,
     MapReduceJob,
-    Pipeline,
     RetryPolicy,
     shutdown_pools,
     word_count,
@@ -15,7 +14,6 @@ __all__ = [
     "EXECUTORS",
     "JobStats",
     "MapReduceJob",
-    "Pipeline",
     "RetryPolicy",
     "mr_accu",
     "mr_vote",

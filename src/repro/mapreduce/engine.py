@@ -6,17 +6,18 @@ architecture "inherent in the MapReduce architectures" (Sec. 3.1).
 This engine reproduces the programming model on one machine: mappers
 emit key/value pairs, an optional combiner pre-aggregates per
 partition, a hash partitioner shuffles, and reducers fold each key's
-values.  Jobs can be chained, which is how the iterative fusion
-algorithms run (one job per EM round).
+values.  A job's output is a list the next job can take as input; the
+iterative fusion algorithms loop over their jobs themselves (two per
+EM round, see :func:`repro.mapreduce.jobs.mr_accu`).
 
 Two executors are available:
 
-* ``"serial"`` (default) — the original in-process loop;
-* ``"process"`` — map partitions and reduce key-groups are dispatched
-  in chunks to a ``concurrent.futures.ProcessPoolExecutor``.  Job
-  functions must be picklable (module-level functions or
-  ``functools.partial`` over them — see :mod:`repro.mapreduce.jobs`);
-  per-worker counters are merged back into :class:`JobStats`.
+* ``"serial"`` (default) — tasks run in the calling process;
+* ``"process"`` — the same tasks are submitted to a
+  ``concurrent.futures.ProcessPoolExecutor``.  Job functions must be
+  picklable (module-level functions or ``functools.partial`` over them
+  — see :mod:`repro.mapreduce.jobs`); per-worker counters are merged
+  back into :class:`JobStats`.
 
 The engine is deliberately deterministic under *both* executors:
 partition results are merged in partition order and reducer input
@@ -24,23 +25,26 @@ preserves emission order, so the shuffle — and therefore the output —
 is byte-identical to a serial run regardless of worker count or
 partitioning.
 
-Fault tolerance: passing a :class:`RetryPolicy` (or a
-:class:`repro.faults.FaultPlan`) switches a job onto a guarded dispatch
-path where every map partition and reduce chunk is an individually
-retried task — deterministic exponential backoff (injectable ``sleep``
-and ``clock``, so tests never wait), per-task deadlines checked against
-measured duration, automatic recreation of a broken worker pool, and
-optional re-splitting of a poison partition down to single records to
-isolate (and drop-count) the offending one.  A task that fails every
-allowed attempt raises
-:class:`~repro.errors.RetryExhaustedError`; retries of a
-deterministic task cannot change its result, so output stays
-byte-identical to an unfaulted run whenever the job completes.
+Fault tolerance: there is one dispatch path.  Every map partition and
+every reduce chunk is an individually guarded task — attempts are
+counted, durations measured, a broken worker pool recreated — run
+under the job's :class:`RetryPolicy`, or under a one-attempt policy
+when none is given.  A policy brings deterministic exponential backoff
+(injectable ``sleep`` and ``clock``, so tests never wait), per-task
+deadlines checked against measured duration, and optional re-splitting
+of a poison partition down to single records to isolate (and
+drop-count) the offending one.  A task that fails every allowed
+attempt — the first one, without a policy — raises
+:class:`~repro.errors.RetryExhaustedError` chained from the task's own
+exception; retries of a deterministic task cannot change its result,
+so output stays byte-identical to an unfaulted run whenever the job
+completes.
 """
 
 from __future__ import annotations
 
 import atexit
+import functools
 import os
 import pickle
 import random
@@ -48,7 +52,7 @@ import time
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Generic, Hashable, TypeVar
 
 from repro.errors import ReproError, RetryExhaustedError, StageTimeoutError
@@ -105,9 +109,9 @@ atexit.register(shutdown_pools)
 class JobStats:
     """Counters of one job execution (merged across workers).
 
-    The retry counters (``attempts`` onward) are populated only on the
-    guarded dispatch path — a job run without a retry policy or fault
-    plan leaves them at zero.
+    ``attempts`` counts every task attempt, so a fault-free job reports
+    one per map partition and reduce chunk; the other three stay zero
+    until something fails.
     """
 
     input_records: int = 0
@@ -115,7 +119,6 @@ class JobStats:
     combine_output_records: int = 0
     reduce_groups: int = 0
     output_records: int = 0
-    # Guarded-path counters:
     attempts: int = 0
     retries: int = 0
     timed_out_tasks: int = 0
@@ -124,7 +127,7 @@ class JobStats:
 
 @dataclass(slots=True)
 class RetryPolicy:
-    """How a guarded job retries failed map/reduce tasks.
+    """How a job retries failed map/reduce tasks.
 
     ``backoff(n)`` is a deterministic exponential:
     ``backoff_base * 2**n`` seconds before the (n+2)-th attempt.  Both
@@ -245,13 +248,12 @@ class MapReduceJob(Generic[K, V]):
         Worker-process count for the process executor (default: the
         machine's CPU count).
     retry:
-        Optional :class:`RetryPolicy`.  Setting it (or ``fault_plan``)
-        moves the job onto the guarded dispatch path: per-task retries
-        with deterministic backoff, deadline checks, broken-pool
-        recovery and poison isolation.  Task failures then surface as
-        :class:`~repro.errors.RetryExhaustedError` once the attempt
-        budget is spent (``retry=None`` with a fault plan means a
-        budget of one attempt — "retries disabled").
+        Optional :class:`RetryPolicy`: per-task retries with
+        deterministic backoff, deadline checks and poison isolation.
+        ``None`` means a budget of one attempt — "retries disabled".
+        Either way a task failure surfaces as
+        :class:`~repro.errors.RetryExhaustedError` (chained from the
+        task's exception) once the attempt budget is spent.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` hooked into the map
         and reduce task wrappers (scopes ``"map"``/``"reduce"``,
@@ -259,10 +261,9 @@ class MapReduceJob(Generic[K, V]):
     metrics:
         Optional :class:`repro.obs.MetricsRegistry`.  When set,
         ``run()`` publishes every :class:`JobStats` counter as a
-        ``mapreduce_*`` metric (even when the job raises) and the
-        guarded path counts dispatch waves per scope
-        (``mapreduce_waves_total``) and times them
-        (``mapreduce_wave_seconds``).
+        ``mapreduce_*`` metric (even when the job raises), counts
+        dispatch waves per scope (``mapreduce_waves_total``) and times
+        them (``mapreduce_wave_seconds``).
     """
 
     def __init__(
@@ -303,15 +304,13 @@ class MapReduceJob(Generic[K, V]):
         """Execute the job and return the collected reducer output."""
         self.stats = JobStats()
         partitions = self._split(records)
-        parallel = self.executor == "process"
-        guarded = self.retry is not None or self.fault_plan is not None
         pool = None
-        if parallel:
+        if self.executor == "process":
             self._check_picklable()
             pool = _shared_pool(self._worker_count())
         self._active_pool = pool
         try:
-            return self._execute(partitions, guarded)
+            return self._execute(partitions)
         finally:
             self._active_pool = None
             self._publish_stats()
@@ -351,38 +350,20 @@ class MapReduceJob(Generic[K, V]):
             "mapreduce_poisoned_records_total"
         ).inc(stats.poisoned_records)
 
-    def _execute(
-        self, partitions: list[list[Any]], guarded: bool
-    ) -> list[Any]:
-        pool = self._active_pool
+    def _execute(self, partitions: list[list[Any]]) -> list[Any]:
         # Map (+ optional combine) per partition; partition results are
         # merged in partition order, making the shuffle independent of
         # worker scheduling.
-        if guarded:
-            partition_results = self._run_guarded(
-                _GuardedTask(
-                    _MapTask(self.mapper, self.combiner),
-                    "map",
-                    self.fault_plan,
-                ),
-                partitions,
-                scope="map",
-                resplit=_merge_partition_results,
-            )
-        elif pool is not None:
-            chunksize = max(1, len(partitions) // (self._worker_count() * 4))
-            partition_results = list(
-                pool.map(
-                    _MapTask(self.mapper, self.combiner),
-                    partitions,
-                    chunksize=chunksize,
-                )
-            )
-        else:
-            partition_results = [
-                _map_partition(self.mapper, self.combiner, partition)
-                for partition in partitions
-            ]
+        partition_results = self._run_guarded(
+            _GuardedTask(
+                functools.partial(_map_partition, self.mapper, self.combiner),
+                "map",
+                self.fault_plan,
+            ),
+            partitions,
+            scope="map",
+            resplit=_merge_partition_results,
+        )
 
         shuffled: dict[K, list[V]] = {}
         for result in partition_results:
@@ -395,43 +376,33 @@ class MapReduceJob(Generic[K, V]):
             for key, values in groups:
                 shuffled.setdefault(key, []).extend(values)
 
-        # Reduce in deterministic key order.
+        # Reduce in deterministic key order, in chunks under both
+        # executors so a retried task has the same granularity either
+        # way.
         keys = sorted(shuffled, key=repr)
         self.stats.reduce_groups = len(keys)
+        chunk_outputs = self._run_guarded(
+            _GuardedTask(
+                functools.partial(_reduce_chunk, self.reducer),
+                "reduce",
+                self.fault_plan,
+            ),
+            self._chunk_groups(keys, shuffled),
+            scope="reduce",
+            resplit=_merge_chunk_outputs,
+        )
         output: list[Any] = []
-        if guarded and keys:
-            # Both executors reduce in chunks on the guarded path so a
-            # retried task has the same granularity either way.
-            group_chunks = self._chunk_groups(keys, shuffled)
-            chunk_outputs = self._run_guarded(
-                _GuardedTask(
-                    _ReduceTask(self.reducer), "reduce", self.fault_plan
-                ),
-                group_chunks,
-                scope="reduce",
-                resplit=_merge_chunk_outputs,
-            )
-            for chunk_output in chunk_outputs:
-                if chunk_output is None:
-                    continue
-                for group_output in chunk_output:
-                    output.extend(group_output)
-        elif self._active_pool is not None and keys:
-            group_chunks = self._chunk_groups(keys, shuffled)
-            for chunk_output in self._active_pool.map(
-                _ReduceTask(self.reducer), group_chunks
-            ):
-                for group_output in chunk_output:
-                    output.extend(group_output)
-        else:
-            for key in keys:
-                output.extend(self.reducer(key, shuffled[key]))
+        for chunk_output in chunk_outputs:
+            if chunk_output is None:
+                continue
+            for group_output in chunk_output:
+                output.extend(group_output)
         self.stats.output_records = len(output)
         return output
 
     # ------------------------------------------------------------------
-    # Guarded dispatch: retries, deadlines, broken-pool recovery and
-    # poison isolation.
+    # Dispatch: retries, deadlines, broken-pool recovery and poison
+    # isolation.
 
     def _run_guarded(
         self,
@@ -606,33 +577,8 @@ class MapReduceJob(Generic[K, V]):
         return partitions
 
 
-class _MapTask:
-    """Picklable callable binding a mapper/combiner for pool dispatch."""
-
-    __slots__ = ("mapper", "combiner")
-
-    def __init__(self, mapper: Mapper, combiner: Combiner | None) -> None:
-        self.mapper = mapper
-        self.combiner = combiner
-
-    def __call__(self, partition: list[Any]):
-        return _map_partition(self.mapper, self.combiner, partition)
-
-
-class _ReduceTask:
-    """Picklable callable binding a reducer for pool dispatch."""
-
-    __slots__ = ("reducer",)
-
-    def __init__(self, reducer: Reducer) -> None:
-        self.reducer = reducer
-
-    def __call__(self, groups: list[tuple[Any, list[Any]]]):
-        return _reduce_chunk(self.reducer, groups)
-
-
 class _GuardedTask:
-    """Guarded-path task wrapper: fault hooks plus duration measurement.
+    """Task wrapper: fault hooks plus duration measurement.
 
     Called with ``(index, attempt, payload)`` so the fault plan can
     address tasks deterministically; returns ``(result, seconds)``
@@ -659,8 +605,8 @@ class _GuardedTask:
         return result, time.perf_counter() - started + extra
 
 
-# "Retries disabled": the guarded path with a one-attempt budget, used
-# when a fault plan is set without a retry policy.
+# "Retries disabled": the one-attempt budget of a job without a retry
+# policy.
 _SINGLE_ATTEMPT = RetryPolicy(max_attempts=1, backoff_base=0.0)
 
 
@@ -689,24 +635,6 @@ def _merge_chunk_outputs(survivors: list[Any]):
         for chunk_output in survivors
         for group_output in chunk_output
     ]
-
-
-@dataclass(slots=True)
-class Pipeline:
-    """A chain of jobs: each job's output feeds the next job's mapper."""
-
-    jobs: list[MapReduceJob] = field(default_factory=list)
-
-    def add(self, job: MapReduceJob) -> "Pipeline":
-        self.jobs.append(job)
-        return self
-
-    def run(self, records: Iterable[Any]) -> list[Any]:
-        current: Iterable[Any] = records
-        output: list[Any] = list(current)
-        for job in self.jobs:
-            output = job.run(output)
-        return output
 
 
 def _wc_mapper(doc: str) -> list[tuple[str, int]]:

@@ -1,4 +1,4 @@
-"""Process-merge-friendly metrics: counters, gauges, histograms.
+"""In-process metrics: counters, gauges, histograms.
 
 The observability substrate the production framework needs (the KBC
 architecture survey calls metrics a required cross-cutting component;
@@ -7,19 +7,15 @@ numbers).  Three metric kinds, deliberately minimal:
 
 * **counter** — a monotonically increasing total (``_total`` suffix by
   convention);
-* **gauge** — a point-in-time value (last set wins locally, merges by
-  maximum so merging is commutative);
+* **gauge** — a point-in-time value (last set wins);
 * **histogram** — observations bucketed against *fixed* upper bounds,
-  plus total count and sum.  Fixed bounds make worker snapshots
-  mergeable by plain element-wise addition.
+  plus total count and sum.
 
-Snapshots (:meth:`MetricsRegistry.snapshot`) are plain-data
-dataclasses: picklable, so a MapReduce worker can ship its local
-registry's snapshot back to the parent, which folds it in with
-:meth:`MetricsRegistry.merge_snapshot` — the same pattern
-``JobStats`` uses for engine counters.  Merging worker-local snapshots
-into a parent registry yields exactly the registry a serial run would
-have produced (tested).
+One registry serves a whole run: every instrumented layer writes into
+the registry it was handed, in the parent process (MapReduce workers
+report through ``JobStats``, which the job publishes here).  Snapshots
+(:meth:`MetricsRegistry.snapshot`) are plain-data dataclasses —
+picklable, JSON-ready copies.
 
 Determinism contract (mirrors ``PipelineReport.to_json_dict()``):
 count-type metrics — counters, gauges and histograms over discrete
@@ -107,23 +103,12 @@ def is_timing_metric(key: str) -> bool:
 
 @dataclass(slots=True)
 class HistogramSnapshot:
-    """Plain-data state of one histogram (picklable, mergeable)."""
+    """Plain-data state of one histogram (picklable)."""
 
     bounds: tuple[float, ...]
     counts: list[int]
     count: int = 0
     sum: float = 0.0
-
-    def merge(self, other: "HistogramSnapshot") -> None:
-        if self.bounds != other.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bucket bounds: "
-                f"{self.bounds} vs {other.bounds}"
-            )
-        for i, value in enumerate(other.counts):
-            self.counts[i] += value
-        self.count += other.count
-        self.sum += other.sum
 
     def to_json_dict(self) -> dict:
         return {
@@ -196,37 +181,11 @@ class _Histogram:
 
 @dataclass(slots=True)
 class MetricsSnapshot:
-    """Point-in-time plain-data copy of a registry (picklable).
-
-    ``merge`` folds another snapshot in: counters add, gauges take the
-    maximum (the commutative choice — merge order across workers is
-    scheduling-dependent), histograms add element-wise.
-    """
+    """Point-in-time plain-data copy of a registry (picklable)."""
 
     counters: dict[str, float] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
     histograms: dict[str, HistogramSnapshot] = field(default_factory=dict)
-
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        for key, value in other.counters.items():
-            self.counters[key] = self.counters.get(key, 0) + value
-        for key, value in other.gauges.items():
-            current = self.gauges.get(key)
-            self.gauges[key] = (
-                value if current is None else max(current, value)
-            )
-        for key, histogram in other.histograms.items():
-            mine = self.histograms.get(key)
-            if mine is None:
-                self.histograms[key] = HistogramSnapshot(
-                    bounds=histogram.bounds,
-                    counts=list(histogram.counts),
-                    count=histogram.count,
-                    sum=histogram.sum,
-                )
-            else:
-                mine.merge(histogram)
-        return self
 
     def to_json_dict(self) -> dict:
         """JSON-ready dict, deterministically key-ordered."""
@@ -299,7 +258,7 @@ class MetricsSnapshot:
 class MetricsRegistry:
     """Live metric store: create-on-first-use counters/gauges/histograms.
 
-    One registry per pipeline run (or per worker); handles returned by
+    One registry per pipeline run; handles returned by
     :meth:`counter`/:meth:`gauge`/:meth:`histogram` write straight into
     the registry's dicts, so there is no flush step — ``snapshot()``
     is always current.
@@ -389,32 +348,6 @@ class MetricsRegistry:
                 for key, histogram in self._histograms.items()
             },
         )
-
-    def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a worker-local snapshot into this registry.
-
-        Counters add, gauges take the maximum, histograms add
-        element-wise — merging N worker snapshots into a fresh registry
-        reproduces the registry a serial run would have built.
-        """
-        for key, value in snapshot.counters.items():
-            self._counters[key] = self._counters.get(key, 0) + value
-        for key, value in snapshot.gauges.items():
-            current = self._gauges.get(key)
-            self._gauges[key] = (
-                value if current is None else max(current, value)
-            )
-        for key, histogram in snapshot.histograms.items():
-            mine = self._histograms.get(key)
-            if mine is None:
-                self._histograms[key] = HistogramSnapshot(
-                    bounds=histogram.bounds,
-                    counts=list(histogram.counts),
-                    count=histogram.count,
-                    sum=histogram.sum,
-                )
-            else:
-                mine.merge(histogram)
 
 
 class LabeledRegistry:

@@ -9,11 +9,9 @@ tracers emit, kept dependency-free.
 Two ways to create spans:
 
 * :meth:`SpanTracer.span` — a context manager timing a live block
-  (the rewritten ``_timed`` in the pipeline uses this);
+  (the pipeline's ``_timed`` opens one per stage);
 * :meth:`SpanTracer.record` — attach an already-measured duration as a
-  completed child span, for work timed elsewhere (extraction stage
-  bodies measure their own wall time inside worker processes, so the
-  parent records the returned seconds).
+  completed child span, for work timed elsewhere.
 
 All span fields are timing-type and therefore outside the metric
 determinism contract; traces are for debugging latency, not for
@@ -124,8 +122,7 @@ class SpanTracer:
         """Attach a completed span whose duration was measured elsewhere.
 
         The start offset is back-dated by ``seconds`` so the span sits
-        where the work actually ran (stage bodies measure inside
-        worker processes and return their seconds to the parent).
+        where the work actually ran.
         """
         span = Span(
             name=name,

@@ -18,7 +18,8 @@ The gold standard records exactly which wrong values the copiers
 replicated (``copied_errors``), so an eval can score **copied-error
 suppression**: the fraction of replicated errors fusion kept out of
 the KB.  Comparing correlation-aware vs correlation-blind fusion on
-this world is the on/off table ``Pipeline.run_copying`` renders.
+this world is the on/off table
+:func:`repro.core.scenarios.run_copying` renders.
 """
 
 from __future__ import annotations

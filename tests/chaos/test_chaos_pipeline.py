@@ -26,6 +26,8 @@ from repro.core.pipeline import (
     PipelineConfig,
 )
 from repro.errors import PipelineError, RetryExhaustedError
+from repro.extract.dom import DomTreeExtractor
+from repro.extract.webtext import WebTextExtractor
 from repro.faults import FaultPlan, InjectedFault
 from repro.mapreduce.engine import RetryPolicy
 from repro.synth.querylog import QueryLogConfig, generate_query_log
@@ -98,7 +100,6 @@ class TestByteIdenticalChaosRun:
         config = _config(
             fault_plan=_chaos_plan(noise_record_index),
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-            fusion_parallelism=2,
         )
         pipeline = KnowledgeBaseConstructionPipeline(config)
         report = pipeline.run()
@@ -132,7 +133,6 @@ class TestByteIdenticalChaosRun:
         config = _config(
             fault_plan=_chaos_plan(noise_record_index),
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-            fusion_parallelism=2,
         )
         rerun = KnowledgeBaseConstructionPipeline(config)
         rerun_report = rerun.run()
@@ -158,10 +158,7 @@ class TestByteIdenticalChaosRun:
         )
 
     def test_same_plan_without_retries_is_fatal(self, noise_record_index):
-        config = _config(
-            fault_plan=_chaos_plan(noise_record_index),
-            fusion_parallelism=2,
-        )
+        config = _config(fault_plan=_chaos_plan(noise_record_index))
         with pytest.raises(RetryExhaustedError):
             KnowledgeBaseConstructionPipeline(config).run()
 
@@ -197,6 +194,36 @@ class TestGracefulDegradation:
         assert "StageTimeoutError" in report.health.degraded[
             "dom-extraction"
         ]
+
+    @pytest.mark.parametrize(
+        "source, stage, extractor",
+        [
+            ("dom", "dom-extraction", DomTreeExtractor),
+            ("webtext", "webtext-extraction", WebTextExtractor),
+        ],
+    )
+    def test_records_diverted_before_a_crash_stay_counted(
+        self, monkeypatch, source, stage, extractor
+    ):
+        """Regression: these two stages diverted into a stage-local
+        sink that reached the run's quarantine only if the stage
+        returned, so a crash after the record guard lost the count."""
+
+        def crash(self, *_args):
+            raise RuntimeError("extractor died")
+
+        monkeypatch.setattr(extractor, "extract", crash)
+        plan = FaultPlan(seed=7).corrupt(f"records:{source}", index=0)
+        report = KnowledgeBaseConstructionPipeline(
+            _config(fault_plan=plan)
+        ).run()
+        assert report.health.degraded[stage] == (
+            "RuntimeError: extractor died"
+        )
+        assert report.health.quarantined["counts"] == {source: 1}
+        assert report.metrics.counters[
+            f"quarantine_diverted_total{{source={source}}}"
+        ] == 1
 
     def test_below_min_sources_floor_raises(self):
         plan = (

@@ -1,12 +1,12 @@
-"""Integration tests: drift and copying scenarios through the pipeline.
+"""Integration tests: the drift, copying and tenant scenario runs.
 
 These pin the two acceptance contracts of the moving-truth scenarios:
 
-* :meth:`run_drift` drives the epoch-delta stream end-to-end through
+* :func:`run_drift` drives the epoch-delta stream end-to-end through
   :meth:`Pipeline.serve` and its JSON report is byte-identical across
   two same-seed runs (determinism survives the full serving stack, not
   just the generator).
-* :meth:`run_copying`'s eval table shows the correlation-aware mode
+* :func:`run_copying`'s eval table shows the correlation-aware mode
   suppressing strictly more copied errors than the correlation-blind
   mode, at no worse precision.
 """
@@ -15,11 +15,15 @@ import json
 
 import pytest
 
-from repro.core.pipeline import (
+from repro.core.pipeline import KnowledgeBaseConstructionPipeline
+from repro.core.scenarios import (
     CopyingScenarioReport,
     DriftScenarioReport,
-    KnowledgeBaseConstructionPipeline,
+    run_copying,
+    run_drift,
+    run_tenants,
 )
+from repro.obs import MetricsRegistry
 from repro.serving.tenancy import TenantMixReport
 from repro.obs.schema import validate_metrics, validate_tenant_metrics
 from repro.synth.copying import CopyingConfig
@@ -43,7 +47,7 @@ class TestRunDrift:
     @pytest.fixture(scope="class")
     def drift_report(self):
         pipeline = KnowledgeBaseConstructionPipeline()
-        report = pipeline.run_drift(DRIFT)
+        report = run_drift(pipeline, DRIFT)
         return pipeline, report
 
     def test_report_shape(self, drift_report):
@@ -73,7 +77,7 @@ class TestRunDrift:
 
     def test_double_run_is_byte_identical(self, drift_report):
         _, first = drift_report
-        second = KnowledgeBaseConstructionPipeline().run_drift(DRIFT)
+        second = run_drift(KnowledgeBaseConstructionPipeline(), DRIFT)
         assert _report_bytes(first) == _report_bytes(second)
 
     def test_metrics_published_and_schema_valid(self, drift_report):
@@ -95,7 +99,7 @@ class TestRunDrift:
     def test_explicit_config_overrides_pipeline_config(self):
         pipeline = KnowledgeBaseConstructionPipeline()
         other = DriftConfig(seed=1, n_items=12, n_sources=4, epochs=2)
-        report = pipeline.run_drift(other)
+        report = run_drift(pipeline, other)
         assert report.seed == 1
         assert len(report.rows) == 2
 
@@ -103,9 +107,9 @@ class TestRunDrift:
 class TestRunCopying:
     @pytest.fixture(scope="class")
     def copying_report(self):
-        pipeline = KnowledgeBaseConstructionPipeline()
-        report = pipeline.run_copying(COPYING)
-        return pipeline, report
+        metrics = MetricsRegistry()
+        report = run_copying(COPYING, metrics=metrics)
+        return metrics, report
 
     def test_report_shape(self, copying_report):
         _, report = copying_report
@@ -129,8 +133,8 @@ class TestRunCopying:
             assert row.suppressed + row.leaked == report.copied_errors
 
     def test_metrics_published_and_schema_valid(self, copying_report):
-        pipeline, report = copying_report
-        snapshot = pipeline.metrics.snapshot().to_json_dict()
+        metrics, report = copying_report
+        snapshot = metrics.snapshot().to_json_dict()
         validate_metrics(snapshot)
         counters = snapshot["counters"]
         assert counters["copying_runs_total"] == 1
@@ -145,7 +149,7 @@ class TestRunCopying:
 
     def test_double_run_is_byte_identical(self, copying_report):
         _, first = copying_report
-        second = KnowledgeBaseConstructionPipeline().run_copying(COPYING)
+        second = run_copying(COPYING, metrics=MetricsRegistry())
         assert _report_bytes(first) == _report_bytes(second)
 
     def test_table_renders(self, copying_report):
@@ -158,9 +162,9 @@ class TestRunCopying:
 class TestRunTenants:
     @pytest.fixture(scope="class")
     def tenant_report(self):
-        pipeline = KnowledgeBaseConstructionPipeline()
-        report = pipeline.run_tenants(TENANTS)
-        return pipeline, report
+        metrics = MetricsRegistry()
+        report = run_tenants(TENANTS, metrics=metrics)
+        return metrics, report
 
     def test_report_shape(self, tenant_report):
         _, report = tenant_report
@@ -177,14 +181,14 @@ class TestRunTenants:
 
     def test_double_run_is_byte_identical(self, tenant_report):
         _, first = tenant_report
-        second = KnowledgeBaseConstructionPipeline().run_tenants(TENANTS)
+        second = run_tenants(TENANTS, metrics=MetricsRegistry())
         assert _report_bytes(first) == _report_bytes(second)
 
     def test_metrics_are_tenant_labeled_and_schema_valid(
         self, tenant_report
     ):
-        pipeline, report = tenant_report
-        snapshot = pipeline.metrics.snapshot().to_json_dict()
+        metrics, report = tenant_report
+        snapshot = metrics.snapshot().to_json_dict()
         assert validate_metrics(snapshot) == []
         names = [row.name for row in report.rows]
         assert validate_tenant_metrics(snapshot, names) == []

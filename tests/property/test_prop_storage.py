@@ -7,7 +7,7 @@ a small memtable limit so flushes and compactions actually interleave
 with the mutations).  Every observable must agree: lengths, claim
 lists, every query surface, and — the hard contract from the design
 notes — byte-identical fusion verdicts at ``tolerance=0`` across the
-full, sharded (:func:`fuse_sharded_segments`) and incremental paths.
+full, sharded (:func:`fuse_sharded`) and incremental paths.
 """
 
 import random
@@ -17,7 +17,7 @@ import pytest
 from repro.fusion import Accu, MultiTruth
 from repro.fusion.base import ClaimSet
 from repro.fusion.knowledge_fusion import KnowledgeFusion
-from repro.fusion.sharding import fuse_sharded, fuse_sharded_segments
+from repro.fusion.sharding import fuse_sharded
 from repro.incremental import DeltaJournal, canonical_claims
 from repro.rdf.segments import SegmentBackend
 from repro.rdf.store import TripleStore
@@ -134,27 +134,27 @@ def test_full_fusion_verdicts_byte_identical(tmp_path, seed):
 @pytest.mark.parametrize("seed", [3, 29])
 @pytest.mark.parametrize("executor", ["serial", "process"])
 def test_sharded_segment_fusion_byte_identical(tmp_path, seed, executor):
-    """Zero-copy sharded fusion (workers mmap the canonical segment)
-    merges to the same bytes as in-memory sharded fusion."""
+    """Sharded fusion over the segment store's claims merges to the
+    same bytes as over the memory store's, and as the unsharded fuse."""
     corpus = _world_claims(seed)
     mem, seg = _pair(tmp_path, memtable_limit=6)
     mem.add_all(corpus)
     seg.add_all(corpus)
     method = Accu()
-    # The segment path replays claims in row order — the store's
-    # position order — so the in-memory reference uses the same order.
     claims = ClaimSet.from_scored_triples(mem.claims())
     expected, expected_stats = fuse_sharded(
         method, claims, workers=2, executor=executor
     )
-    got, got_stats = fuse_sharded_segments(
-        method, seg, workers=2, executor=executor
+    got, got_stats = fuse_sharded(
+        method,
+        ClaimSet.from_scored_triples(seg.claims()),
+        workers=2,
+        executor=executor,
     )
     assert got.canonical_bytes() == expected.canonical_bytes()
+    assert got.canonical_bytes() == method.fuse(claims).canonical_bytes()
     assert got_stats.components == expected_stats.components
-    assert sorted(got_stats.component_claims) == sorted(
-        expected_stats.component_claims
-    )
+    assert got_stats.component_claims == expected_stats.component_claims
 
 
 @pytest.mark.parametrize("seed", [3, 11, 29])

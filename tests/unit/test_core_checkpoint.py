@@ -36,7 +36,6 @@ class TestConfigFingerprint:
         # fusion) must be resumable by a clean config.
         base = PipelineConfig()
         execution_only = PipelineConfig(
-            fusion_parallelism=2,
             retry=RetryPolicy(max_attempts=5),
             fault_plan=FaultPlan(seed=1).crash("stage:fusion"),
             checkpoint_dir="/tmp/somewhere",

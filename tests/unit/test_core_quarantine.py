@@ -30,20 +30,6 @@ class TestQuarantine:
         with pytest.raises(QuarantineOverflowError):
             quarantine.divert("dom", "c")
 
-    def test_merge_folds_counts_and_respects_capacity(self):
-        parent = Quarantine(capacity=10)
-        child = Quarantine()
-        child.divert("webtext", "x")
-        child.divert("webtext", "y")
-        parent.divert("dom", "z")
-        parent.merge(child)
-        assert parent.total == 3
-        assert parent.counts == {"dom": 1, "webtext": 2}
-        tight = Quarantine(capacity=1)
-        tight.divert("dom", "only")
-        with pytest.raises(QuarantineOverflowError):
-            tight.merge(child)
-
     def test_caught_overflow_leaves_counters_consistent(self):
         """Regression: ``divert`` mutated counters before raising.
 
@@ -63,23 +49,6 @@ class TestQuarantine:
         assert quarantine.total == quarantine.capacity
         assert "webtext" not in quarantine.counts
         assert "webtext" not in quarantine.samples
-
-    def test_caught_merge_overflow_leaves_parent_unchanged(self):
-        parent = Quarantine(capacity=3)
-        parent.divert("dom", "a")
-        parent.divert("dom", "b")
-        child = Quarantine()
-        child.divert("webtext", "x")
-        child.divert("webtext", "y")
-        before = parent.to_dict()
-        with pytest.raises(QuarantineOverflowError):
-            parent.merge(child)
-        assert parent.to_dict() == before
-        # A merge that fits still works afterwards.
-        small = Quarantine()
-        small.divert("webtext", "z")
-        parent.merge(small)
-        assert parent.total == 3
 
     def test_to_dict_is_sorted_and_json_shaped(self):
         quarantine = Quarantine()
@@ -123,13 +92,6 @@ class TestDeadLetterHold:
         # Diversion accounting survives the drain.
         assert quarantine.counts == {"stream": 2}
         assert quarantine.total == 2
-
-    def test_merge_carries_held_records(self):
-        parent = Quarantine()
-        child = Quarantine()
-        child.divert("stream", "delta", reason="poison", retain=True)
-        parent.merge(child)
-        assert parent.drain("stream") == ["delta"]
 
     def test_to_dict_reports_held_counts_when_in_use(self):
         quarantine = Quarantine()

@@ -9,6 +9,7 @@ from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.fusion.multitruth import MultiTruth
 from repro.fusion.sharding import ShardStats, fuse_sharded, shard_claims
 from repro.fusion.vote import Vote
+from repro.mapreduce.engine import RetryPolicy
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
 
 
@@ -149,16 +150,16 @@ class TestKnowledgeFusionParallel:
     def test_parallel_matches_serial(self):
         merged = three_component_claims()
         serial = KnowledgeFusion().fuse(merged)
-        parallel_method = KnowledgeFusion(parallelism=2)
+        parallel_method = KnowledgeFusion(retry=RetryPolicy())
         parallel = parallel_method.fuse(merged)
         assert parallel.truths == serial.truths
         assert parallel_method.last_shard_stats.components == 3
 
     def test_serial_run_clears_stats(self):
         merged = three_component_claims()
-        method = KnowledgeFusion(parallelism=2)
+        method = KnowledgeFusion(retry=RetryPolicy())
         method.fuse(merged)
         assert method.last_shard_stats is not None
-        method.parallelism = 1
+        method.retry = None
         method.fuse(merged)
         assert method.last_shard_stats is None

@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import ReproError, RetryExhaustedError, StageTimeoutError
 from repro.faults import FaultPlan, InjectedFault
-from repro.mapreduce.engine import JobStats, MapReduceJob, RetryPolicy
+from repro.mapreduce.engine import MapReduceJob, RetryPolicy
 from repro.mapreduce.jobs import mr_vote
 from repro.fusion.base import Claim, ClaimSet
 
@@ -218,11 +218,12 @@ class TestGuardedExecution:
         job.run(WORDS)
         assert job.stats.retries == 0
         assert job.stats.poisoned_records == 0
-        # The non-guarded path leaves the new counters untouched.
-        legacy = _job()
-        legacy.run(WORDS)
-        assert legacy.stats.attempts == 0
-        assert isinstance(legacy.stats, JobStats)
+        # A job without a policy goes through the same dispatch with a
+        # one-attempt budget: every task is counted once.
+        plain = _job()
+        plain.run(WORDS)
+        assert plain.stats.attempts == job.stats.attempts > 0
+        assert plain.stats.retries == 0
 
 
 class TestProcessExecutorFaults:

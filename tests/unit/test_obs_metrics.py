@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry and its merge semantics."""
+"""Unit tests for the metrics registry and its snapshots."""
 
 import pickle
 
@@ -7,10 +7,8 @@ import pytest
 from repro.obs.metrics import (
     DEFAULT_COUNT_BUCKETS,
     DEFAULT_SECONDS_BUCKETS,
-    HistogramSnapshot,
     LabeledRegistry,
     MetricsRegistry,
-    MetricsSnapshot,
     base_name,
     is_timing_metric,
     metric_key,
@@ -116,12 +114,6 @@ class TestHistograms:
         with pytest.raises(ValueError):
             MetricsRegistry().histogram("sizes", buckets=())
 
-    def test_merge_requires_identical_bounds(self):
-        left = HistogramSnapshot(bounds=(1.0, 2.0), counts=[0, 0, 0])
-        right = HistogramSnapshot(bounds=(1.0, 3.0), counts=[0, 0, 0])
-        with pytest.raises(ValueError):
-            left.merge(right)
-
 
 def _worker_registry(observations, counter_by):
     registry = MetricsRegistry()
@@ -135,38 +127,6 @@ def _worker_registry(observations, counter_by):
 
 
 class TestMergeSemantics:
-    def test_merged_workers_equal_serial_run(self):
-        """Worker-local snapshots folded together == one serial registry."""
-        shards = [
-            ([1, 3, 9], {"a": 2}),
-            ([2, 2], {"a": 1, "b": 5}),
-            ([8], {"b": 1}),
-        ]
-        serial = _worker_registry(
-            [v for obs, _ in shards for v in obs],
-            {"a": 3, "b": 6},
-        )
-        # Gauges merge by max, so emulate the serial maximum.
-        serial.gauge("peak", shard="a").set(2)
-        serial.gauge("peak", shard="b").set(5)
-
-        parent = MetricsRegistry()
-        for observations, counters in shards:
-            parent.merge_snapshot(
-                _worker_registry(observations, counters).snapshot()
-            )
-        assert (
-            parent.snapshot().to_json_dict()
-            == serial.snapshot().to_json_dict()
-        )
-
-    def test_merge_is_commutative(self):
-        first = _worker_registry([1, 9], {"a": 2}).snapshot()
-        second = _worker_registry([3], {"b": 4}).snapshot()
-        left = MetricsSnapshot().merge(first).merge(second)
-        right = MetricsSnapshot().merge(second).merge(first)
-        assert left.to_json_dict() == right.to_json_dict()
-
     def test_snapshot_is_a_copy(self):
         registry = MetricsRegistry()
         counter = registry.counter("runs_total")

@@ -120,6 +120,76 @@ class TestTimedFailure:
         histograms = metrics.snapshot().histograms
         assert histograms["pipeline_stage_seconds{stage=fusion}"].count == 1
 
+    def test_isolated_stage_suppresses_and_marks_the_failure(self):
+        report = PipelineReport()
+        tracer = SpanTracer()
+        metrics = MetricsRegistry()
+        timer = _timed(
+            report, "dom-extraction", isolated=True,
+            tracer=tracer, metrics=metrics,
+        )
+        with timer:
+            raise ValueError("boom")
+        assert timer.failed
+        assert report.health.degraded["dom-extraction"] == "ValueError: boom"
+        assert report.timings[0].detail == "failed: ValueError"
+        assert tracer.to_json_dict()["spans"][0]["status"] == "failed"
+        counters = metrics.snapshot().counters
+        assert (
+            counters["pipeline_stage_failed_total{stage=dom-extraction}"]
+            == 1
+        )
+
+    def test_isolated_stage_does_not_swallow_an_interrupt(self):
+        report = PipelineReport()
+        with pytest.raises(KeyboardInterrupt):
+            with _timed(report, "dom-extraction", isolated=True):
+                raise KeyboardInterrupt
+
+    def test_injected_slow_seconds_breach_the_deadline_without_sleeping(
+        self,
+    ):
+        report = PipelineReport()
+        plan = FaultPlan(seed=1).slow(
+            "stage:dom-extraction", seconds=99.0, attempts=0
+        )
+        timer = _timed(
+            report, "dom-extraction", isolated=True,
+            fault_plan=plan, stage_timeout=5.0,
+        )
+        with timer as timing:
+            timing.detail = "3 claims"
+        assert timer.failed
+        assert 99.0 <= report.timings[0].seconds < 100.0
+        assert report.timings[0].detail == "3 claims; failed: StageTimeoutError"
+        assert report.health.degraded["dom-extraction"].startswith(
+            "StageTimeoutError: stage dom-extraction ran 99."
+        )
+
+    def test_deadline_applies_to_isolated_stages_only(self):
+        report = PipelineReport()
+        plan = FaultPlan(seed=1).slow("stage:fusion", seconds=99.0, attempts=0)
+        timer = _timed(report, "fusion", fault_plan=plan, stage_timeout=5.0)
+        with timer:
+            pass
+        assert not timer.failed
+        assert report.timings[0].seconds >= 99.0
+        assert report.health.status == "ok"
+
+    def test_entry_fault_is_booked_before_it_propagates(self):
+        report = PipelineReport()
+        metrics = MetricsRegistry()
+        plan = FaultPlan(seed=1).crash("stage:fusion", attempts=0)
+        entered = False
+        with pytest.raises(InjectedFault):
+            with _timed(report, "fusion", metrics=metrics, fault_plan=plan):
+                entered = True
+        assert not entered
+        assert report.timings[0].detail == "failed: InjectedFault"
+        assert "fusion" in report.health.degraded
+        counters = metrics.snapshot().counters
+        assert counters["pipeline_stage_failed_total{stage=fusion}"] == 1
+
 
 @pytest.fixture(scope="module")
 def observed_runs(tmp_path_factory):
@@ -128,7 +198,6 @@ def observed_runs(tmp_path_factory):
     for name in ("first", "second"):
         config = _config(
             checkpoint_dir=tmp_path_factory.mktemp(name),
-            fusion_parallelism=2,
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
         )
         reports.append(KnowledgeBaseConstructionPipeline(config).run())
