@@ -12,11 +12,9 @@ same breath, that none of them changes a single decision:
     (Equality with the dict-loop reference is the test suite's job:
     ``tests/unit/test_fusion_compiled.py``.)
 2.  **Connected-component sharding** — a multi-component claim graph
-    fused globally vs :func:`repro.fusion.sharding.fuse_sharded` at
-    workers 1/2/4; merged output must be byte-identical at fixed
-    iteration counts (``tolerance=0``), and the per-component stats
-    are reported (on small hosts process overhead can dominate — the
-    point of reporting every wall time).
+    fused globally vs :func:`repro.fusion.sharding.fuse_sharded`;
+    merged output must be byte-identical at fixed iteration counts
+    (``tolerance=0``), and the per-component stats are reported.
 3.  **Convergence early-exit** — rounds and wall time with the delta
     tolerance on vs off; decided truths must agree.
 
@@ -209,9 +207,6 @@ def _multi_component_claims(quick: bool) -> ClaimSet:
 
 def run_sharding_section(quick: bool) -> dict:
     claims = _multi_component_claims(quick)
-    worker_grid = [(1, "serial"), (2, "process")]
-    if not quick:
-        worker_grid.append((4, "process"))
     records = []
     for name in ("accu", "multitruth"):
         method_cls, _kernel = METHODS[name]
@@ -219,31 +214,19 @@ def run_sharding_section(quick: bool) -> dict:
         started = time.perf_counter()
         serial = method.fuse(claims)
         serial_seconds = time.perf_counter() - started
-        reference = _canonical_fusion_bytes(serial)
-        modes = []
-        stats = None
-        for workers, executor in worker_grid:
-            started = time.perf_counter()
-            sharded, stats = fuse_sharded(
-                method, claims, workers=workers, executor=executor
-            )
-            seconds = time.perf_counter() - started
-            modes.append(
-                {
-                    "workers": workers,
-                    "executor": executor,
-                    "seconds": round(seconds, 4),
-                    "speedup": round(serial_seconds / seconds, 3),
-                    "identical": (
-                        _canonical_fusion_bytes(sharded) == reference
-                    ),
-                }
-            )
+        started = time.perf_counter()
+        sharded, stats = fuse_sharded(method, claims)
+        seconds = time.perf_counter() - started
         records.append(
             {
                 "method": name,
                 "global_seconds": round(serial_seconds, 4),
-                "modes": modes,
+                "sharded_seconds": round(seconds, 4),
+                "speedup": round(serial_seconds / seconds, 3),
+                "identical": (
+                    _canonical_fusion_bytes(sharded)
+                    == _canonical_fusion_bytes(serial)
+                ),
                 "components": stats.components,
                 "component_claims": stats.component_claims,
                 "largest_claims": stats.largest_claims,
@@ -253,23 +236,20 @@ def run_sharding_section(quick: bool) -> dict:
 
 
 def sharding_table(section: dict) -> str:
-    rows = []
-    for record in section["runs"]:
-        for mode in record["modes"]:
-            rows.append(
-                [
-                    record["method"],
-                    record["components"],
-                    f"{record['global_seconds'] * 1000:.1f}ms",
-                    f"{mode['workers']} ({mode['executor']})",
-                    f"{mode['seconds'] * 1000:.1f}ms",
-                    f"{mode['speedup']:.2f}x",
-                    "yes" if mode["identical"] else "NO",
-                ]
-            )
+    rows = [
+        [
+            record["method"],
+            record["components"],
+            f"{record['global_seconds'] * 1000:.1f}ms",
+            f"{record['sharded_seconds'] * 1000:.1f}ms",
+            f"{record['speedup']:.2f}x",
+            "yes" if record["identical"] else "NO",
+        ]
+        for record in section["runs"]
+    ]
     return render_table(
-        ["method", "components", "global", "workers", "sharded",
-         "speedup", "identical"],
+        ["method", "components", "global", "sharded", "speedup",
+         "identical"],
         rows,
         title=(
             "Connected-component sharding "
@@ -392,12 +372,8 @@ def _check(document: dict) -> list[str]:
         if not record["identical"]:
             failures.append(f"warm {record['method']} kernel diverged")
     for record in document["sharding"]["runs"]:
-        for mode in record["modes"]:
-            if not mode["identical"]:
-                failures.append(
-                    f"sharded {record['method']} diverged at "
-                    f"{mode['workers']} {mode['executor']} workers"
-                )
+        if not record["identical"]:
+            failures.append(f"sharded {record['method']} diverged")
     for record in document["convergence"]["runs"]:
         if not record["same_truths"]:
             failures.append(

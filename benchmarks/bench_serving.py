@@ -30,11 +30,10 @@ import sys
 import threading
 import time
 
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RetryPolicy
 from repro.evalx.tables import render_table
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.incremental import canonical_claims
-from repro.mapreduce.engine import RetryPolicy
 from repro.obs.metrics import MetricsRegistry
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple

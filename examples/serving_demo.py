@@ -23,10 +23,9 @@ Usage::
     PYTHONPATH=src python examples/serving_demo.py
 """
 
-from repro.faults import FaultPlan, InjectedFault
+from repro.faults import FaultPlan, InjectedFault, RetryPolicy
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.incremental import canonical_claims
-from repro.mapreduce.engine import RetryPolicy
 from repro.obs.metrics import MetricsRegistry
 from repro.rdf.store import TripleStore
 from repro.serving.server import KBServer

@@ -32,10 +32,9 @@ from repro.errors import (
     RetryExhaustedError,
     StageTimeoutError,
 )
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RetryPolicy
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.incremental import ClaimDelta, IncrementalFusion, load_delta, save_delta
-from repro.mapreduce.engine import RetryPolicy
 from repro.obs import MetricsRegistry, MetricsSnapshot, SpanTracer
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 from repro.synth.world import GroundTruthWorld, WorldConfig

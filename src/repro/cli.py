@@ -266,7 +266,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _run_pipeline(args) -> int:
     from repro.core.config import PipelineConfig
     from repro.core.pipeline import KnowledgeBaseConstructionPipeline
-    from repro.mapreduce.engine import RetryPolicy
+    from repro.faults import RetryPolicy
     from repro.synth.querylog import QueryLogConfig
     from repro.synth.world import WorldConfig
 
@@ -295,8 +295,7 @@ def _run_pipeline(args) -> int:
     if report.fusion_shards:
         shards = report.fusion_shards
         print(
-            f"{'fusion shards':<22} {shards['components']} components "
-            f"on {shards['workers']} {shards['executor']} workers, "
+            f"{'fusion shards':<22} {shards['components']} components, "
             f"largest {shards['largest_claims']} claims"
         )
     health = report.health

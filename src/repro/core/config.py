@@ -9,8 +9,7 @@ from repro.errors import PipelineError
 from repro.extract.dom import DomExtractorConfig
 from repro.extract.querystream import QueryStreamConfig
 from repro.extract.webtext import WebTextExtractorConfig
-from repro.faults import FaultPlan
-from repro.mapreduce.engine import RetryPolicy
+from repro.faults import FaultPlan, RetryPolicy
 from repro.synth.kb_snapshots import KbPairConfig
 from repro.synth.querylog import QueryLogConfig
 from repro.synth.websites import WebsiteConfig

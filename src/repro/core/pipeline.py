@@ -169,8 +169,7 @@ class PipelineReport:
     # timing also covers claim-set assembly and oracle construction).
     fusion_wall: float = 0.0
     # Connected-component accounting of a sharded fusion run (empty on
-    # an unsharded fuse): components / workers / executor / largest_claims
-    # / component_claims.
+    # an unsharded fuse): components / largest_claims / component_claims.
     fusion_shards: dict = field(default_factory=dict)
     # Degradation / quarantine / retry / resume accounting.
     health: PipelineHealth = field(default_factory=PipelineHealth)
@@ -307,12 +306,7 @@ class KnowledgeBaseConstructionPipeline:
     ) -> None:
         self.config = config or PipelineConfig()
         self.world = world or GroundTruthWorld(self.config.world)
-        # Populated by run():
-        self.freebase = None
-        self.dbpedia = None
-        self.entity_index: dict[str, object] = {}
-        self.outputs: dict[str, ExtractorOutput] = {}
-        self.seeds: dict[str, SeedSet] = {}
+        self._reset_extraction()
         self.claims: ClaimSet | None = None
         # The scored claim list fusion ran on (post resolution and
         # confidence scoring); run_incremental() primes its store from
@@ -342,8 +336,11 @@ class KnowledgeBaseConstructionPipeline:
         self.last_report = report
         self.metrics = MetricsRegistry()
         self.tracer = SpanTracer()
-        # A full run recomputes the claim corpus, so any previously
-        # primed incremental engine is stale.
+        # A full run recomputes the claim corpus: what the previous run
+        # extracted must not stand in for a source that degrades in
+        # this one, and any previously primed incremental engine is
+        # stale.
+        self._reset_extraction()
         self._reset_incremental()
         clear_similarity_caches()
         self.metrics.counter("pipeline_runs_total").inc()
@@ -362,6 +359,14 @@ class KnowledgeBaseConstructionPipeline:
             report.metrics = self.metrics.snapshot()
             report.trace = self.tracer.to_json_dict()
         return report
+
+    def _reset_extraction(self) -> None:
+        """Forget what the extraction stages of a previous run left."""
+        self.freebase = None
+        self.dbpedia = None
+        self.entity_index: dict[str, object] = {}
+        self.outputs: dict[str, ExtractorOutput] = {}
+        self.seeds: dict[str, SeedSet] = {}
 
     def _reset_incremental(self) -> None:
         """Forget the primed incremental engine.
@@ -504,8 +509,6 @@ class KnowledgeBaseConstructionPipeline:
             if shard_stats is not None:
                 report.fusion_shards = {
                     "components": shard_stats.components,
-                    "workers": shard_stats.workers,
-                    "executor": shard_stats.executor,
                     "largest_claims": shard_stats.largest_claims,
                     "component_claims": shard_stats.component_claims,
                 }
@@ -680,6 +683,18 @@ class KnowledgeBaseConstructionPipeline:
             self.outputs["webtext"] = text_output
         return mention_classes
 
+    def _guard(self, source: str, records, valid, start_index: int = 0):
+        """Divert ``source``'s invalid records into the run's quarantine."""
+        return guard_records(
+            records,
+            valid,
+            self.quarantine,
+            source,
+            plan=self.config.fault_plan,
+            scope=f"records:{source}",
+            start_index=start_index,
+        )
+
     def _extract_kb(self, timing: StageTiming):
         """Stage 1: build the KB snapshots and extract/combine their claims."""
         freebase, dbpedia = build_kb_pair(self.world, self.config.kb_pair)
@@ -692,13 +707,10 @@ class KnowledgeBaseConstructionPipeline:
     def _extract_querystream(self, timing: StageTiming):
         """Stage 2: generate the query stream, extract credible attributes."""
         cfg = self.config
-        log = guard_records(
+        log = self._guard(
+            "querystream",
             generate_query_log(self.world, cfg.querylog),
             _valid_query_record,
-            self.quarantine,
-            "querystream",
-            plan=cfg.fault_plan,
-            scope="records:querystream",
         )
         timing.detail = f"{len(log)} records"
         extractor = QueryStreamExtractor(self.entity_index, cfg.querystream)
@@ -714,14 +726,8 @@ class KnowledgeBaseConstructionPipeline:
         page_index = 0
         for site in sites:
             page_count = len(site.pages)
-            site.pages = guard_records(
-                site.pages,
-                _valid_page,
-                self.quarantine,
-                "dom",
-                plan=cfg.fault_plan,
-                scope="records:dom",
-                start_index=page_index,
+            site.pages = self._guard(
+                "dom", site.pages, _valid_page, start_index=page_index
             )
             page_index += page_count
         extractor = DomTreeExtractor(self.entity_index, self.seeds, dom_config)
@@ -732,13 +738,10 @@ class KnowledgeBaseConstructionPipeline:
     def _extract_webtext(self, timing: StageTiming, kb_triples: list):
         """Stage 5: generate Web texts and run the seed-driven extractor."""
         cfg = self.config
-        documents = guard_records(
+        documents = self._guard(
+            "webtext",
             generate_webtext(self.world, cfg.webtext),
             _valid_document,
-            self.quarantine,
-            "webtext",
-            plan=cfg.fault_plan,
-            scope="records:webtext",
         )
         extractor = WebTextExtractor(
             self.entity_index, self.seeds, kb_triples, cfg.webtext_extractor

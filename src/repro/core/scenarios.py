@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from repro.evalx.freshness import FreshnessReport, freshness_report
 from repro.evalx.tables import format_ratio, render_table
+from repro.faults import RetryPolicy
 from repro.fusion.knowledge_fusion import KnowledgeFusion
-from repro.mapreduce.engine import RetryPolicy
 from repro.serving.tenancy import TenantManager
 from repro.synth.copying import CopyingConfig, generate_copying_world
 from repro.synth.drift import DriftConfig, DriftingWorld

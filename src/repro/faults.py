@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the fault-tolerance layer.
+"""Deterministic fault injection and the retry policy that answers it.
 
 Production KB construction must survive crashed workers, slow tasks and
 malformed records (Dong et al., *From Data Fusion to Knowledge Fusion*;
@@ -18,9 +18,14 @@ reproducible:
   validation then diverts to the quarantine.
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` targets plus a
-seed (used to derive the corruption payloads).  Plans are picklable, so
-they ride into MapReduce worker processes alongside the task wrappers;
-hooks are read-only, so a plan behaves identically under any executor.
+seed (used to derive the corruption payloads).  Plans are picklable and
+their hooks read-only, so one plan can ride along with every task
+wrapper and every repeated run.
+
+:class:`RetryPolicy` is the other half: how many attempts a guarded
+task gets, how long to wait between them and when an attempt counts as
+timed out.  The MapReduce engine, the sharded fuse, the KB server and
+the tenant manager all take one.
 
 Scope naming convention used across the repo:
 
@@ -50,9 +55,19 @@ Scope naming convention used across the repo:
 from __future__ import annotations
 
 import hashlib
+import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-__all__ = ["CorruptedRecord", "FaultPlan", "FaultSpec", "InjectedFault"]
+from repro.errors import ReproError
+
+__all__ = [
+    "CorruptedRecord",
+    "FaultPlan",
+    "FaultSpec",
+    "InjectedFault",
+    "RetryPolicy",
+]
 
 CRASH = "crash"
 SLOW = "slow"
@@ -122,8 +137,8 @@ class FaultPlan:
         )
 
     The hooks (:meth:`task_delay`, :meth:`corrupt_record`) never mutate
-    the plan, so the same plan object can be shared across executors,
-    worker processes and repeated runs.
+    the plan, so the same plan object can be shared across jobs, task
+    wrappers and repeated runs.
     """
 
     seed: int = 0
@@ -193,3 +208,39 @@ class FaultPlan:
             f"{self.seed}:{scope}:{index}".encode()
         ).hexdigest()
         return f"\x00corrupt[{digest[:16]}]"
+
+
+@dataclass(slots=True)
+class RetryPolicy:
+    """How a guarded task is retried.
+
+    ``backoff(n)`` is a deterministic exponential:
+    ``backoff_base * 2**n`` seconds before the (n+2)-th attempt;
+    ``sleep`` is injectable so chaos tests wait in fake time.
+    ``timeout`` bounds one task's measured duration (real wall time
+    plus any injected slow-call seconds); a breach counts in
+    ``JobStats.timed_out_tasks`` and is retried like a crash.
+    With ``resplit_poison`` a MapReduce partition that fails every
+    attempt is re-split into single-record tasks: records that still
+    fail are dropped and counted in ``JobStats.poisoned_records``
+    instead of sinking the job (reduce chunks re-split into single
+    key-groups the same way).
+    """
+
+    max_attempts: int = 3
+    backoff_base: float = 0.05
+    timeout: float | None = None
+    resplit_poison: bool = False
+    sleep: Callable[[float], None] = time.sleep
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ReproError("max_attempts must be >= 1")
+        if self.backoff_base < 0:
+            raise ReproError("backoff_base must be >= 0")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ReproError("timeout must be positive")
+
+    def backoff(self, retry_number: int) -> float:
+        """Seconds to wait before retry ``retry_number`` (0-based)."""
+        return self.backoff_base * (2.0 ** retry_number)

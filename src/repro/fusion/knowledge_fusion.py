@@ -17,12 +17,12 @@ from __future__ import annotations
 from collections.abc import Iterable
 from typing import Callable
 
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RetryPolicy
 from repro.fusion.base import Claim, ClaimSet, FusionMethod, FusionResult
-from repro.mapreduce.engine import RetryPolicy
 from repro.fusion.correlations import CorrelationEstimator
 from repro.fusion.hierarchy import CasefoldHierarchy, HierarchicalFusion
 from repro.fusion.multitruth import MultiTruth
+from repro.fusion.sharding import fuse_sharded
 from repro.rdf.hierarchy import ValueHierarchy
 
 FunctionalOracle = Callable[[str], bool]
@@ -46,15 +46,11 @@ class KnowledgeFusion(FusionMethod):
         Setting either runs the core fuse sharded over the connected
         components of the claim graph (:mod:`repro.fusion.sharding`),
         one reduce task of an in-process MapReduce job per chunk of
-        components: ``retry`` (a
-        :class:`~repro.mapreduce.engine.RetryPolicy`) retries a failed
-        task, ``fault_plan`` (a :class:`repro.faults.FaultPlan`)
-        injects failures into them and into the incremental engine.
-        With neither, nothing can fail task by task and the fuse runs
-        unsharded.  (Worker processes are
-        :func:`~repro.fusion.sharding.fuse_sharded`'s
-        ``executor="process"``; they measured 0.31–0.54× of the
-        unsharded fuse, so nothing here selects them.)
+        components: ``retry`` (a :class:`repro.faults.RetryPolicy`)
+        retries a failed task, ``fault_plan`` (a
+        :class:`repro.faults.FaultPlan`) injects failures into them
+        and into the incremental engine.  With neither, nothing can
+        fail task by task and the fuse runs unsharded.
         Correlation estimation stays global (copy detection must see
         all claims); only the fixed-point fuse shards.  The last run's
         :class:`~repro.fusion.sharding.ShardStats` is kept in
@@ -131,8 +127,6 @@ class KnowledgeFusion(FusionMethod):
 
         base = self._base_method(source_weights)
         if self.retry is not None or self.fault_plan is not None:
-            from repro.fusion.sharding import fuse_sharded
-
             result, self.last_shard_stats = fuse_sharded(
                 base,
                 working,

@@ -12,11 +12,10 @@ component is unchanged, so the merged output is byte-identical).
 :func:`fuse_sharded` runs the components as reduce groups of the
 :mod:`repro.mapreduce` engine, which provides per-task retries (why
 ``KnowledgeFusion`` comes here whenever a retry policy or fault plan
-is set), the ``"process"`` executor (the paper's substrate; it has not
-measured faster than serial on this repo's hosts) and its determinism
-contract (reduce groups processed in sorted key order, results merged
-deterministically).  The fusion method rides to the workers inside the
-pickled reducer, like the accuracy snapshot in ``mr_accu``.
+is set) and its determinism contract (reduce groups processed in
+sorted key order, results merged deterministically).  The fusion
+method is bound into the reducer, like the accuracy snapshot in
+``mr_accu``.
 
 Caveat: a component that satisfies its convergence tolerance early
 exits on its *own* delta, while a global run exits on the maximum
@@ -32,9 +31,8 @@ import functools
 from dataclasses import dataclass, field
 
 from repro.errors import FusionError
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RetryPolicy
 from repro.fusion.base import Claim, ClaimSet, FusionMethod, FusionResult
-from repro.mapreduce.engine import EXECUTORS, MapReduceJob, RetryPolicy
 
 __all__ = [
     "ShardStats",
@@ -48,8 +46,6 @@ class ShardStats:
     """Per-component accounting of one sharded fusion run."""
 
     components: int = 0
-    workers: int = 1
-    executor: str = "serial"
     component_claims: list[int] = field(default_factory=list)
     component_items: list[int] = field(default_factory=list)
     # Fault-tolerance accounting, copied from the underlying job's
@@ -132,18 +128,13 @@ def fuse_sharded(
     method: FusionMethod,
     claims: ClaimSet,
     *,
-    workers: int = 1,
-    executor: str = "serial",
-    partitions: int | None = None,
     retry: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
     metrics=None,
 ) -> tuple[FusionResult, ShardStats]:
     """Fuse each connected component independently and merge.
 
-    Components are the reduce groups of one MapReduce job; with
-    ``executor="process"`` they run on worker processes (the method
-    must be picklable — every built-in fusion method is).  Merged
+    Components are the reduce groups of one MapReduce job.  Merged
     truths/beliefs/source qualities are the disjoint union of the
     component results; ``iterations`` and ``converged_at`` report the
     slowest component (``converged_at`` is None if any component hit
@@ -151,12 +142,10 @@ def fuse_sharded(
     :class:`repro.obs.MetricsRegistry`) is handed to the underlying
     job, which publishes its ``mapreduce_*`` counters there.
     """
-    if executor not in EXECUTORS:
-        raise FusionError(
-            f"fusion executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    if workers < 1:
-        raise FusionError("workers must be >= 1")
+    # Imported here: repro.mapreduce.jobs imports repro.fusion.base, and
+    # only this function needs the engine.
+    from repro.mapreduce.engine import MapReduceJob
+
     if len(claims) == 0:
         raise FusionError(f"{method.name}: empty claim set")
 
@@ -165,19 +154,17 @@ def fuse_sharded(
     # more than one would interleave claim order inside each reduce
     # group, shifting float accumulation order at ULP level.  The map
     # side is a trivial tagging pass; all the work is in the reduce
-    # groups, which parallelize by component regardless.
+    # groups.
     job: MapReduceJob = MapReduceJob(
         functools.partial(_shard_mapper, mapping),
         functools.partial(_shard_reducer, method),
-        partitions=partitions or 1,
-        executor=executor,
-        max_workers=workers,
+        partitions=1,
         retry=retry,
         fault_plan=fault_plan,
         metrics=metrics,
     )
     merged = FusionResult(method.name)
-    stats = ShardStats(workers=workers, executor=executor)
+    stats = ShardStats()
     converged: list[int | None] = []
     for _component, n_claims, result in job.run(claims):
         stats.components += 1

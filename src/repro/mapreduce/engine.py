@@ -1,4 +1,4 @@
-"""A local MapReduce engine with pluggable executors.
+"""A local, in-process MapReduce engine.
 
 The paper scales knowledge fusion "by using a MapReduce based
 framework" (after Dong et al. [13]) and plans a distributed inference
@@ -10,27 +10,22 @@ values.  A job's output is a list the next job can take as input; the
 iterative fusion algorithms loop over their jobs themselves (two per
 EM round, see :func:`repro.mapreduce.jobs.mr_accu`).
 
-Two executors are available:
-
-* ``"serial"`` (default) — tasks run in the calling process;
-* ``"process"`` — the same tasks are submitted to a
-  ``concurrent.futures.ProcessPoolExecutor``.  Job functions must be
-  picklable (module-level functions or ``functools.partial`` over them
-  — see :mod:`repro.mapreduce.jobs`); per-worker counters are merged
-  back into :class:`JobStats`.
-
-The engine is deliberately deterministic under *both* executors:
-partition results are merged in partition order and reducer input
-preserves emission order, so the shuffle — and therefore the output —
-is byte-identical to a serial run regardless of worker count or
-partitioning.
+Every task runs in the calling process.  What is reproduced is the
+model and the shuffle semantics, not a cluster: worker processes
+measured 0.08–0.54× of this loop at every size tried on this repo's
+hosts, so the engine starts none.  The tasks stay distributable —
+:func:`_map_partition` and :func:`_reduce_chunk` are module-level
+functions over picklable job functions, partition results are merged
+in partition order and reducer input preserves emission order, so the
+output does not depend on where or in which order tasks ran (a test
+runs them on a pool of its own and requires the same bytes).
 
 Fault tolerance: there is one dispatch path.  Every map partition and
 every reduce chunk is an individually guarded task — attempts are
-counted, durations measured, a broken worker pool recreated — run
-under the job's :class:`RetryPolicy`, or under a one-attempt policy
+counted, durations measured — run under the job's
+:class:`~repro.faults.RetryPolicy`, or under a one-attempt policy
 when none is given.  A policy brings deterministic exponential backoff
-(injectable ``sleep`` and ``clock``, so tests never wait), per-task
+(injectable ``sleep``, so tests never wait), per-task
 deadlines checked against measured duration, and optional re-splitting
 of a poison partition down to single records to isolate (and
 drop-count) the offending one.  A task that fails every allowed
@@ -43,20 +38,14 @@ completes.
 
 from __future__ import annotations
 
-import atexit
 import functools
-import os
-import pickle
-import random
 import time
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Generic, Hashable, TypeVar
 
 from repro.errors import ReproError, RetryExhaustedError, StageTimeoutError
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RetryPolicy
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -65,49 +54,15 @@ Mapper = Callable[[Any], Iterable[tuple[K, V]]]
 Reducer = Callable[[K, list[V]], Iterable[Any]]
 Combiner = Callable[[K, list[V]], Iterable[V]]
 
-EXECUTORS = ("serial", "process")
-
-# Process pools are expensive to start, and iterative jobs (ACCU runs
-# two jobs per EM round) would otherwise pay that cost dozens of times;
-# pools are kept per worker count and reused across runs.
-_POOLS: dict[int, ProcessPoolExecutor] = {}
-
-
-def _shared_pool(workers: int) -> ProcessPoolExecutor:
-    pool = _POOLS.get(workers)
-    if pool is not None and getattr(pool, "_broken", False):
-        # A worker that died (segfault, OOM kill, os._exit) breaks the
-        # executor permanently; without this check the broken pool
-        # would poison every later job in the process.
-        pool.shutdown(wait=False, cancel_futures=True)
-        _POOLS.pop(workers, None)
-        pool = None
-    if pool is None:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        _POOLS[workers] = pool
-    return pool
-
-
-def _discard_pool(workers: int) -> None:
-    """Drop (and shut down) the shared pool for a worker count."""
-    pool = _POOLS.pop(workers, None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def shutdown_pools() -> None:
-    """Shut down every shared worker pool (safe to call repeatedly)."""
-    for pool in _POOLS.values():
-        pool.shutdown()
-    _POOLS.clear()
-
-
-atexit.register(shutdown_pools)
+# Reduce key-groups are batched into this many chunks, each one guarded
+# task.  A constant, so attempt counts and the key-groups a fault plan's
+# ``("reduce", index)`` addresses are the same on every host.
+REDUCE_CHUNKS = 4
 
 
 @dataclass(slots=True)
 class JobStats:
-    """Counters of one job execution (merged across workers).
+    """Counters of one job execution.
 
     ``attempts`` counts every task attempt, so a fault-free job reports
     one per map partition and reduce chunk; the other three stay zero
@@ -125,68 +80,6 @@ class JobStats:
     poisoned_records: int = 0
 
 
-@dataclass(slots=True)
-class RetryPolicy:
-    """How a job retries failed map/reduce tasks.
-
-    ``backoff(n)`` is a deterministic exponential:
-    ``backoff_base * 2**n`` seconds before the (n+2)-th attempt.  Both
-    ``sleep`` and ``clock`` are injectable so chaos tests measure and
-    wait in fake time.  ``timeout`` bounds one task's measured duration
-    (real wall time plus any injected slow-call seconds); a breach
-    counts in ``JobStats.timed_out_tasks`` and is retried like a crash.
-    With ``resplit_poison`` a partition that fails every attempt is
-    re-split into single-record tasks: records that still fail are
-    dropped and counted in ``JobStats.poisoned_records`` instead of
-    sinking the job (reduce chunks re-split into single key-groups the
-    same way).
-
-    ``jitter`` (default 0: off, byte-identical to the plain
-    exponential) spreads each delay uniformly over
-    ``[delay*(1-jitter), delay*(1+jitter)]`` so concurrent consumers
-    sharing a policy shape do not retry in lockstep.  The spread is a
-    *pure function* of ``(jitter_seed, retry_number)`` — not of call
-    order — so a schedule is exactly reproducible per seed; pass
-    ``jitter_rng`` (``retry_number -> [0, 1)``) to inject a different
-    deterministic source.
-    """
-
-    max_attempts: int = 3
-    backoff_base: float = 0.05
-    timeout: float | None = None
-    resplit_poison: bool = False
-    sleep: Callable[[float], None] = time.sleep
-    clock: Callable[[], float] = time.perf_counter
-    jitter: float = 0.0
-    jitter_seed: int = 0
-    jitter_rng: Callable[[int], float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ReproError("max_attempts must be >= 1")
-        if self.backoff_base < 0:
-            raise ReproError("backoff_base must be >= 0")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ReproError("timeout must be positive")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ReproError("jitter must lie in [0, 1)")
-
-    def backoff(self, retry_number: int) -> float:
-        """Seconds to wait before retry ``retry_number`` (0-based)."""
-        delay = self.backoff_base * (2.0 ** retry_number)
-        if self.jitter > 0.0:
-            if self.jitter_rng is not None:
-                unit = self.jitter_rng(retry_number)
-            else:
-                # Distinct int per (seed, retry): pure function of both,
-                # so call order never shifts the schedule.
-                unit = random.Random(
-                    self.jitter_seed * 2_654_435_761 + retry_number
-                ).random()
-            delay *= 1.0 + self.jitter * (2.0 * unit - 1.0)
-        return delay
-
-
 def _map_partition(
     mapper: Mapper,
     combiner: Combiner | None,
@@ -194,8 +87,6 @@ def _map_partition(
 ) -> tuple[list[tuple[Any, list[Any]]], int, int, int]:
     """Map (+ optionally combine) one partition.
 
-    Runs in a worker process under the ``"process"`` executor and
-    inline under ``"serial"`` — one code path, identical semantics.
     Returns the emitted groups in first-emission order plus the
     partition's counter deltas.
     """
@@ -239,16 +130,10 @@ class MapReduceJob(Generic[K, V]):
         pre-aggregation).
     partitions:
         Number of map partitions; affects only grouping of combiner
-        input and the granularity of parallel map dispatch, never
+        input and the granularity of a retried map task, never
         results.
-    executor:
-        ``"serial"`` or ``"process"``.  The process executor requires
-        picklable job functions and records.
-    max_workers:
-        Worker-process count for the process executor (default: the
-        machine's CPU count).
     retry:
-        Optional :class:`RetryPolicy`: per-task retries with
+        Optional :class:`~repro.faults.RetryPolicy`: per-task retries with
         deterministic backoff, deadline checks and poison isolation.
         ``None`` means a budget of one attempt — "retries disabled".
         Either way a task failure surfaces as
@@ -273,46 +158,28 @@ class MapReduceJob(Generic[K, V]):
         *,
         combiner: Combiner | None = None,
         partitions: int = 4,
-        executor: str = "serial",
-        max_workers: int | None = None,
         retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         metrics=None,
     ) -> None:
         if partitions < 1:
             raise ReproError("partitions must be >= 1")
-        if executor not in EXECUTORS:
-            raise ReproError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
-        if max_workers is not None and max_workers < 1:
-            raise ReproError("max_workers must be >= 1")
         self.mapper = mapper
         self.reducer = reducer
         self.combiner = combiner
         self.partitions = partitions
-        self.executor = executor
-        self.max_workers = max_workers
         self.retry = retry
         self.fault_plan = fault_plan
         self.metrics = metrics
         self.stats = JobStats()
-        self._active_pool: ProcessPoolExecutor | None = None
 
     # ------------------------------------------------------------------
     def run(self, records: Iterable[Any]) -> list[Any]:
         """Execute the job and return the collected reducer output."""
         self.stats = JobStats()
-        partitions = self._split(records)
-        pool = None
-        if self.executor == "process":
-            self._check_picklable()
-            pool = _shared_pool(self._worker_count())
-        self._active_pool = pool
         try:
-            return self._execute(partitions)
+            return self._execute(self._split(records))
         finally:
-            self._active_pool = None
             self._publish_stats()
 
     def _publish_stats(self) -> None:
@@ -352,8 +219,7 @@ class MapReduceJob(Generic[K, V]):
 
     def _execute(self, partitions: list[list[Any]]) -> list[Any]:
         # Map (+ optional combine) per partition; partition results are
-        # merged in partition order, making the shuffle independent of
-        # worker scheduling.
+        # merged in partition order.
         partition_results = self._run_guarded(
             _GuardedTask(
                 functools.partial(_map_partition, self.mapper, self.combiner),
@@ -376,9 +242,8 @@ class MapReduceJob(Generic[K, V]):
             for key, values in groups:
                 shuffled.setdefault(key, []).extend(values)
 
-        # Reduce in deterministic key order, in chunks under both
-        # executors so a retried task has the same granularity either
-        # way.
+        # Reduce in deterministic key order, in chunks: a chunk is the
+        # unit a retry repeats.
         keys = sorted(shuffled, key=repr)
         self.stats.reduce_groups = len(keys)
         chunk_outputs = self._run_guarded(
@@ -401,8 +266,7 @@ class MapReduceJob(Generic[K, V]):
         return output
 
     # ------------------------------------------------------------------
-    # Dispatch: retries, deadlines, broken-pool recovery and poison
-    # isolation.
+    # Dispatch: retries, deadlines and poison isolation.
 
     def _run_guarded(
         self,
@@ -416,9 +280,9 @@ class MapReduceJob(Generic[K, V]):
         """Run one payload per task with the effective retry policy.
 
         Returns results aligned with ``payloads``; a payload whose
-        every record/group is poison yields ``None`` (dropped).  All
-        tasks start together, so pending tasks share one attempt
-        counter and one deterministic backoff schedule.
+        every record/group is poison yields ``None`` (dropped).  Tasks
+        run in waves, so pending tasks share one attempt counter and
+        one deterministic backoff schedule.
         """
         policy = self.retry or _SINGLE_ATTEMPT
         results: list[Any] = [None] * len(payloads)
@@ -430,22 +294,11 @@ class MapReduceJob(Generic[K, V]):
                 self.metrics.counter(
                     "mapreduce_waves_total", scope=scope
                 ).inc()
-            futures = {}
-            if self._active_pool is not None:
-                for index in pending:
-                    futures[index] = self._submit(
-                        task, index, attempt, payloads[index]
-                    )
             failed: list[tuple[int, Exception]] = []
             for index in pending:
                 self.stats.attempts += 1
                 try:
-                    if self._active_pool is not None:
-                        result, seconds = futures[index].result()
-                    else:
-                        result, seconds = task(
-                            (index, attempt, payloads[index])
-                        )
+                    result, seconds = task(index, attempt, payloads[index])
                     if (
                         policy.timeout is not None
                         and seconds > policy.timeout
@@ -456,9 +309,6 @@ class MapReduceJob(Generic[K, V]):
                             f"deadline {policy.timeout}s"
                         )
                     results[index] = result
-                except BrokenProcessPool as exc:
-                    self._refresh_pool()
-                    failed.append((index, exc))
                 except Exception as exc:
                     failed.append((index, exc))
             if self.metrics is not None:
@@ -521,50 +371,12 @@ class MapReduceJob(Generic[K, V]):
             return None
         return resplit(survivors)
 
-    def _submit(self, task, index: int, attempt: int, payload):
-        """Submit one guarded task, recreating a broken pool on demand."""
-        try:
-            return self._active_pool.submit(
-                task, (index, attempt, payload)
-            )
-        except (BrokenProcessPool, RuntimeError):
-            # Submitting to a pool that broke (or was shut down) mid-run
-            # raises immediately; refresh once and resubmit.
-            self._refresh_pool()
-            return self._active_pool.submit(
-                task, (index, attempt, payload)
-            )
-
-    def _refresh_pool(self) -> None:
-        if self._active_pool is None:
-            return
-        _discard_pool(self._worker_count())
-        self._active_pool = _shared_pool(self._worker_count())
-
     # ------------------------------------------------------------------
-    def _worker_count(self) -> int:
-        return self.max_workers or os.cpu_count() or 1
-
-    def _check_picklable(self) -> None:
-        try:
-            pickle.dumps((self.mapper, self.reducer, self.combiner))
-        except Exception as exc:
-            raise ReproError(
-                "the process executor needs picklable job functions "
-                "(module-level functions or functools.partial over them); "
-                f"pickling failed with: {exc!r}"
-            ) from exc
-
     def _chunk_groups(
         self, keys: list[K], shuffled: dict[K, list[V]]
     ) -> list[list[tuple[K, list[V]]]]:
-        """Key-groups batched into roughly 4 chunks per worker.
-
-        Chunking amortizes per-task pickling overhead while keeping
-        enough tasks in flight to balance skewed groups.
-        """
-        target_chunks = self._worker_count() * 4
-        chunk_size = max(1, -(-len(keys) // target_chunks))
+        """Key-groups batched into at most :data:`REDUCE_CHUNKS` chunks."""
+        chunk_size = max(1, -(-len(keys) // REDUCE_CHUNKS))
         return [
             [(key, shuffled[key]) for key in keys[start : start + chunk_size]]
             for start in range(0, len(keys), chunk_size)
@@ -580,10 +392,10 @@ class MapReduceJob(Generic[K, V]):
 class _GuardedTask:
     """Task wrapper: fault hooks plus duration measurement.
 
-    Called with ``(index, attempt, payload)`` so the fault plan can
+    Called with ``index, attempt, payload`` so the fault plan can
     address tasks deterministically; returns ``(result, seconds)``
-    where seconds include any injected slow-call time.  Picklable for
-    the process executor (the plan rides along read-only).
+    where seconds include any injected slow-call time.  Picklable
+    (the plan rides along read-only).
     """
 
     __slots__ = ("task", "scope", "plan")
@@ -595,8 +407,7 @@ class _GuardedTask:
         self.scope = scope
         self.plan = plan
 
-    def __call__(self, spec: tuple[int, int, Any]):
-        index, attempt, payload = spec
+    def __call__(self, index: int, attempt: int, payload: Any):
         extra = 0.0
         if self.plan is not None:
             extra = self.plan.task_delay(self.scope, index, attempt)
@@ -649,18 +460,11 @@ def _wc_combiner(_word: str, counts: list[int]) -> list[int]:
     return [sum(counts)]
 
 
-def word_count(
-    documents: Iterable[str],
-    *,
-    executor: str = "serial",
-    max_workers: int | None = None,
-) -> dict[str, int]:
+def word_count(documents: Iterable[str]) -> dict[str, int]:
     """The canonical demo job; doubles as an engine self-test."""
     job: MapReduceJob[str, int] = MapReduceJob(
         mapper=_wc_mapper,
         reducer=_wc_reducer,
         combiner=_wc_combiner,
-        executor=executor,
-        max_workers=max_workers,
     )
     return dict(job.run(documents))

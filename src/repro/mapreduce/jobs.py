@@ -14,10 +14,9 @@ serve as the scale-out path rather than a separate algorithm.
 
 Every mapper/reducer/combiner here is a module-level function (round
 state such as the accuracy table is bound with ``functools.partial``),
-which makes the job definitions picklable — the contract of the
-engine's ``"process"`` executor.  Both entry points accept ``executor``
-and ``max_workers`` and produce byte-identical results under either
-executor (the engine's determinism guarantee).
+which keeps the job definitions picklable: the engine runs them in the
+calling process, and a test ships them to a pool of its own to show
+they would distribute with the same bytes out.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ from __future__ import annotations
 import functools
 import math
 
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RetryPolicy
 from repro.fusion.base import Claim, ClaimSet, FusionResult, Item
-from repro.mapreduce.engine import MapReduceJob, RetryPolicy
+from repro.mapreduce.engine import MapReduceJob
 
 
 def _vote_mapper(claim: Claim):
@@ -50,8 +49,6 @@ def mr_vote(
     claims: ClaimSet,
     *,
     partitions: int = 4,
-    executor: str = "serial",
-    max_workers: int | None = None,
     retry: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
 ) -> FusionResult:
@@ -60,8 +57,6 @@ def mr_vote(
         _vote_mapper,
         _vote_reducer,
         partitions=partitions,
-        executor=executor,
-        max_workers=max_workers,
         retry=retry,
         fault_plan=fault_plan,
     )
@@ -130,8 +125,6 @@ def mr_accu(
     partitions: int = 4,
     min_accuracy: float = 0.05,
     max_accuracy: float = 0.99,
-    executor: str = "serial",
-    max_workers: int | None = None,
     retry: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
 ) -> FusionResult:
@@ -140,9 +133,8 @@ def mr_accu(
     Round structure (per Dong et al.'s scale-up):
 
     1. job keyed by **item**: compute value probabilities under the
-       current accuracy table (broadcast like a distributed cache —
-       under the process executor the snapshot rides along inside each
-       round's pickled reducer);
+       current accuracy table (broadcast like a distributed cache:
+       the snapshot is bound into each round's reducer);
     2. job keyed by **source**: average the probabilities of each
        source's claims into its new accuracy.
     """
@@ -164,8 +156,6 @@ def mr_accu(
                 max_accuracy,
             ),
             partitions=partitions,
-            executor=executor,
-            max_workers=max_workers,
             retry=retry,
             fault_plan=fault_plan,
         )
@@ -180,8 +170,6 @@ def mr_accu(
             _accuracy_reducer,
             combiner=_accuracy_combiner,
             partitions=partitions,
-            executor=executor,
-            max_workers=max_workers,
             retry=retry,
             fault_plan=fault_plan,
         )

@@ -12,8 +12,8 @@ numbers).  Three metric kinds, deliberately minimal:
   plus total count and sum.
 
 One registry serves a whole run: every instrumented layer writes into
-the registry it was handed, in the parent process (MapReduce workers
-report through ``JobStats``, which the job publishes here).  Snapshots
+the registry it was handed (MapReduce tasks report through
+``JobStats``, which the job publishes here).  Snapshots
 (:meth:`MetricsRegistry.snapshot`) are plain-data dataclasses —
 picklable, JSON-ready copies.
 

@@ -14,7 +14,7 @@ processes one event end to end:
    publisher retries (same id, two offsets) and post-commit crash
    redelivery (same offset re-read) land here.
 3. **apply** — journal the delta through the incremental engine under
-   a deterministic :class:`~repro.mapreduce.engine.RetryPolicy` loop
+   a deterministic :class:`~repro.faults.RetryPolicy` loop
    (``stream:apply``, attempt-aware).  A failure whose engine sequence
    advanced anyway crashed *after* the engine's internal commit point
    — the delta is in; treat it as applied, never re-apply.  A failure
@@ -50,8 +50,8 @@ from dataclasses import dataclass
 
 from repro.core.quarantine import Quarantine
 from repro.errors import BackpressureError, ServingError
+from repro.faults import RetryPolicy
 from repro.incremental.delta import ClaimDelta
-from repro.mapreduce.engine import RetryPolicy
 from repro.serving.query import KBReader
 from repro.serving.stream import EventLog, StreamEvent
 from repro.serving.version import KBVersion, VersionedKB
@@ -122,8 +122,7 @@ class KBServer:
     :class:`~repro.incremental.engine.IncrementalFusion`;  the server
     becomes its single driver (nothing else may call ``apply_delta``
     on it once serving starts).  ``retry`` defaults to three attempts
-    with the standard deterministic backoff; pass a policy with
-    ``jitter`` set when several servers share one upstream.
+    with the standard deterministic backoff.
     """
 
     def __init__(

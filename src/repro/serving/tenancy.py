@@ -48,8 +48,8 @@ from repro.core.quarantine import Quarantine
 from repro.errors import BackpressureError, ServingError
 from repro.evalx.freshness import freshness_report, truth_metrics
 from repro.evalx.tables import format_ratio, render_table
+from repro.faults import RetryPolicy
 from repro.fusion.knowledge_fusion import KnowledgeFusion
-from repro.mapreduce.engine import RetryPolicy
 from repro.rdf.store import TripleStore
 from repro.serving.server import KBServer, STREAM_SOURCE
 from repro.serving.stream import EventLog

@@ -4,10 +4,8 @@ and the lexical-pattern engine."""
 from repro.textproc.memo import (
     CacheStats,
     clear_similarity_caches,
-    configure_similarity_caches,
     publish_cache_metrics,
     similarity_cache_stats,
-    similarity_caches_enabled,
 )
 from repro.textproc.normalize import (
     canonical_key,
@@ -40,9 +38,7 @@ __all__ = [
     "PatternMatch",
     "canonical_key",
     "clear_similarity_caches",
-    "configure_similarity_caches",
     "similarity_cache_stats",
-    "similarity_caches_enabled",
     "detokenize",
     "induce_pattern",
     "is_probable_misspelling",

@@ -19,16 +19,11 @@ The cache layer here is deliberately boring:
   :func:`similarity_cache_stats` snapshots them and
   :func:`publish_cache_metrics` exports them as ``simcache_*`` series,
   which is how a table that does not hit gets noticed;
-* **transparent** — scores are identical with caching on or off
-  (tested against the undecorated ``fn.__wrapped__``), and
-  :func:`configure_similarity_caches` can disable the layer globally
-  for debugging or measurement.
+* **transparent** — a memoized function returns what the undecorated
+  ``fn.__wrapped__`` returns (tested), cold or warm.
 
-Caches are per-process: worker processes spawned by the parallel
-execution layer each warm their own table, which is exactly the
-behaviour a distributed deployment would have.  The pipeline clears
-them at the top of every ``run()``, so a run never depends on the runs
-before it.
+Caches are module-global.  The pipeline clears them at the top of
+every ``run()``, so a run never depends on the runs before it.
 """
 
 from __future__ import annotations
@@ -38,8 +33,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 DEFAULT_MAX_SIZE = 65_536
-
-_ENABLED = True
 
 
 @dataclass(slots=True)
@@ -164,8 +157,6 @@ def memoized_pair(
     def decorate(fn: Callable) -> Callable:
         @functools.wraps(fn)
         def wrapper(left, right, *args, **kwargs):
-            if not _ENABLED:
-                return fn(left, right, *args, **kwargs)
             if symmetric and right < left:
                 key_pair = (right, left)
             else:
@@ -186,29 +177,6 @@ def memoized_pair(
         return wrapper
 
     return decorate
-
-
-def configure_similarity_caches(
-    *, enabled: bool | None = None, max_size: int | None = None
-) -> None:
-    """Globally enable/disable the cache layer and/or resize every cache.
-
-    Resizing clears the tables (entries beyond the new bound would
-    otherwise linger); toggling does not.
-    """
-    global _ENABLED
-    if enabled is not None:
-        _ENABLED = enabled
-    if max_size is not None:
-        if max_size < 1:
-            raise ValueError("max_size must be >= 1")
-        for cache in _REGISTRY.values():
-            cache.max_size = max_size
-            cache.clear()
-
-
-def similarity_caches_enabled() -> bool:
-    return _ENABLED
 
 
 def similarity_cache_stats() -> dict[str, CacheStats]:

@@ -15,9 +15,8 @@ import pytest
 
 from repro.errors import GenerationError
 from repro.evalx.freshness import freshness_report
-from repro.faults import FaultPlan, InjectedFault
+from repro.faults import FaultPlan, InjectedFault, RetryPolicy
 from repro.fusion.knowledge_fusion import KnowledgeFusion
-from repro.mapreduce.engine import RetryPolicy
 from repro.obs.metrics import MetricsRegistry
 from repro.rdf.store import TripleStore
 from repro.serving.server import KBServer

@@ -1,16 +1,15 @@
 """Chaos tests for the MapReduce engine: crashes cannot change output.
 
 The contract under test: a job configured with a retry policy produces
-*byte-identical* output under any injected-fault schedule it survives,
-on either executor — fault tolerance must never become a source of
-nondeterminism.
+*byte-identical* output under any injected-fault schedule it survives
+— fault tolerance must never become a source of nondeterminism.
 """
 
 import pytest
 
 from repro.errors import RetryExhaustedError
-from repro.faults import FaultPlan
-from repro.mapreduce.engine import MapReduceJob, RetryPolicy
+from repro.faults import FaultPlan, RetryPolicy
+from repro.mapreduce.engine import MapReduceJob
 from repro.mapreduce.jobs import mr_accu
 from repro.fusion.base import Claim, ClaimSet
 
@@ -36,13 +35,11 @@ def _chaos_plan() -> FaultPlan:
     )
 
 
-def _run(executor: str, fault_plan: FaultPlan | None):
+def _run(fault_plan: FaultPlan | None):
     job = MapReduceJob(
         _mapper,
         _reducer,
         partitions=4,
-        executor=executor,
-        max_workers=2 if executor == "process" else None,
         retry=(
             RetryPolicy(max_attempts=3, backoff_base=0.0)
             if fault_plan is not None
@@ -55,28 +52,22 @@ def _run(executor: str, fault_plan: FaultPlan | None):
 
 class TestByteIdenticalUnderFaults:
     def test_serial_output_identical_to_fault_free_run(self):
-        clean, _ = _run("serial", None)
-        chaotic, stats = _run("serial", _chaos_plan())
-        assert chaotic == clean
-        assert stats.retries == 2
-
-    def test_process_output_identical_to_fault_free_run(self):
-        clean, _ = _run("serial", None)
-        chaotic, stats = _run("process", _chaos_plan())
+        clean, _ = _run(None)
+        chaotic, stats = _run(_chaos_plan())
         assert chaotic == clean
         assert stats.retries == 2
 
     def test_two_chaos_runs_are_identical(self):
         # Determinism of the fault schedule itself: same seed, same
         # plan, same stats, same output.
-        first, first_stats = _run("serial", _chaos_plan())
-        second, second_stats = _run("serial", _chaos_plan())
+        first, first_stats = _run(_chaos_plan())
+        second, second_stats = _run(_chaos_plan())
         assert first == second
         assert first_stats == second_stats
 
     def test_without_retries_the_same_plan_is_fatal(self):
         with pytest.raises(RetryExhaustedError):
-            _run("serial", _chaos_plan().crash("map", index=3, attempts=0))
+            _run(_chaos_plan().crash("map", index=3, attempts=0))
         job = MapReduceJob(
             _mapper, _reducer, partitions=4, fault_plan=_chaos_plan()
         )

@@ -25,11 +25,10 @@ from repro.core.pipeline import (
     KnowledgeBaseConstructionPipeline,
     PipelineConfig,
 )
-from repro.errors import PipelineError, RetryExhaustedError
+from repro.errors import FusionError, PipelineError, RetryExhaustedError
 from repro.extract.dom import DomTreeExtractor
 from repro.extract.webtext import WebTextExtractor
-from repro.faults import FaultPlan, InjectedFault
-from repro.mapreduce.engine import RetryPolicy
+from repro.faults import FaultPlan, InjectedFault, RetryPolicy
 from repro.synth.querylog import QueryLogConfig, generate_query_log
 from repro.synth.websites import WebsiteConfig
 from repro.synth.webtext import WebTextConfig
@@ -65,6 +64,16 @@ def _fused_signature(report):
         {item: sorted(values) for item, values in result.truths.items()},
         result.belief,
     )
+
+
+def _deterministic(report) -> dict:
+    """``to_json_dict()`` without its wall-clock fields."""
+    payload = report.to_json_dict()
+    for timed in (
+        "timings", "wall_seconds", "cumulative_stage_seconds", "fusion_wall",
+    ):
+        del payload[timed]
+    return payload
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +233,45 @@ class TestGracefulDegradation:
         assert report.metrics.counters[
             f"quarantine_diverted_total{{source={source}}}"
         ] == 1
+
+    @pytest.mark.parametrize(
+        "stage, source",
+        [("kb-extraction", "kb"), ("webtext-extraction", "webtext")],
+    )
+    def test_second_run_does_not_fuse_the_first_runs_outputs(
+        self, stage, source
+    ):
+        """Regression: ``outputs`` / ``freebase`` / ... were set in
+        ``__init__`` only, so a source that degraded in a second
+        ``run()`` on the same object was still fused from the first."""
+        plan = FaultPlan().crash(f"stage:{stage}", attempts=0)
+
+        def last_report(pipeline):
+            try:
+                pipeline.run()
+            except FusionError:
+                # Without the KB's entities nothing extracts a claim.
+                assert source == "kb"
+            return pipeline.last_report
+
+        fresh = last_report(
+            KnowledgeBaseConstructionPipeline(_config(fault_plan=plan))
+        )
+        pipeline = KnowledgeBaseConstructionPipeline(_config())
+        pipeline.run()
+        pipeline.config.fault_plan = plan
+        second = last_report(pipeline)
+        assert stage in second.health.degraded
+        assert source not in second.health.active_sources
+        assert _deterministic(second) == _deterministic(fresh)
+
+    def test_running_twice_equals_running_once(self, baseline):
+        _pipeline, once = baseline
+        pipeline = KnowledgeBaseConstructionPipeline(_config())
+        pipeline.run()
+        twice = pipeline.run()
+        assert _deterministic(twice) == _deterministic(once)
+        assert _fused_signature(twice) == _fused_signature(once)
 
     def test_below_min_sources_floor_raises(self):
         plan = (

@@ -132,8 +132,7 @@ def test_full_fusion_verdicts_byte_identical(tmp_path, seed):
 
 
 @pytest.mark.parametrize("seed", [3, 29])
-@pytest.mark.parametrize("executor", ["serial", "process"])
-def test_sharded_segment_fusion_byte_identical(tmp_path, seed, executor):
+def test_sharded_segment_fusion_byte_identical(tmp_path, seed):
     """Sharded fusion over the segment store's claims merges to the
     same bytes as over the memory store's, and as the unsharded fuse."""
     corpus = _world_claims(seed)
@@ -142,14 +141,9 @@ def test_sharded_segment_fusion_byte_identical(tmp_path, seed, executor):
     seg.add_all(corpus)
     method = Accu()
     claims = ClaimSet.from_scored_triples(mem.claims())
-    expected, expected_stats = fuse_sharded(
-        method, claims, workers=2, executor=executor
-    )
+    expected, expected_stats = fuse_sharded(method, claims)
     got, got_stats = fuse_sharded(
-        method,
-        ClaimSet.from_scored_triples(seg.claims()),
-        workers=2,
-        executor=executor,
+        method, ClaimSet.from_scored_triples(seg.claims())
     )
     assert got.canonical_bytes() == expected.canonical_bytes()
     assert got.canonical_bytes() == method.fuse(claims).canonical_bytes()

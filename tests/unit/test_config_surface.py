@@ -9,22 +9,29 @@ Removing one is the same edit in the other direction.
 import ast
 import dataclasses
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import repro
 import repro.core.pipeline as pipeline_module
+import repro.mapreduce
 from repro.cli import build_parser
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import KnowledgeBaseConstructionPipeline
 from repro.entity.discovery import JointEntityResolver
 from repro.entity.linking import EntityLinker
 from repro.entity.resolution import AttributeResolver
+from repro.faults import RetryPolicy
 from repro.fusion.accu import Accu
 from repro.fusion.confidence_weighted import GeneralizedSums, Investment
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.fusion.multitruth import MultiTruth
+from repro.fusion.sharding import ShardStats, fuse_sharded
+from repro.mapreduce.engine import MapReduceJob
+from repro.mapreduce.jobs import mr_accu, mr_vote
 
 PIPELINE_CONFIG_FIELDS = {
     # inputs: the world and its generators
@@ -75,7 +82,34 @@ KEYWORD_ONLY = {
         "cluster_threshold", "profile_weight", "brute_floor",
     },
     AttributeResolver: {"profile_jaccard", "stats"},
+    MapReduceJob: {
+        "combiner", "partitions", "retry", "fault_plan", "metrics",
+    },
+    mr_vote: {"partitions", "retry", "fault_plan"},
+    mr_accu: {
+        "n_false_values", "initial_accuracy", "rounds", "partitions",
+        "min_accuracy", "max_accuracy", "retry", "fault_plan",
+    },
+    fuse_sharded: {"retry", "fault_plan", "metrics"},
 }
+
+DATACLASS_FIELDS = {
+    RetryPolicy: {
+        "max_attempts", "backoff_base", "timeout", "resplit_poison", "sleep",
+    },
+    ShardStats: {
+        "components", "component_claims", "component_items", "attempts",
+        "retries", "timed_out_tasks",
+    },
+}
+
+MAPREDUCE_EXPORTS = {
+    "JobStats", "MapReduceJob", "mr_accu", "mr_vote", "word_count",
+}
+
+# The MapReduce engine runs every task in the calling process; nothing
+# under src/ starts a worker of any kind.
+WORKER_MODULES = {"concurrent", "multiprocessing", "threading", "subprocess"}
 
 
 def test_pipeline_config_fields():
@@ -107,6 +141,19 @@ def test_constructor_keywords(cls):
         if parameter.kind is parameter.KEYWORD_ONLY
     }
     assert keywords == KEYWORD_ONLY[cls]
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(DATACLASS_FIELDS, key=lambda cls: cls.__name__),
+    ids=lambda cls: cls.__name__,
+)
+def test_dataclass_fields(cls):
+    fields = {field.name for field in dataclasses.fields(cls)}
+    assert fields == DATACLASS_FIELDS[cls]
+
+
+def test_mapreduce_exports():
+    assert set(repro.mapreduce.__all__) == MAPREDUCE_EXPORTS
 
 
 def test_pipeline_public_methods():
@@ -153,9 +200,8 @@ def test_traced_names_are_called_from_the_pipeline_module(name):
     assert name in function_names
 
 
-def test_src_does_not_import_tests():
-    """Oracles depend on ``src/``, never the other way round."""
-    offenders = []
+def _imports_under_src():
+    """``(path, imported module)`` for every import under ``src/repro``."""
     for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -164,6 +210,46 @@ def test_src_does_not_import_tests():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m == "tests" or m.startswith("tests.") for m in modules):
-                offenders.append(str(path))
+            for module in modules:
+                yield str(path), module
+
+
+def _within(module: str, packages) -> bool:
+    return any(
+        module == package or module.startswith(package + ".")
+        for package in packages
+    )
+
+
+def test_src_does_not_import_tests():
+    """Oracles depend on ``src/``, never the other way round."""
+    offenders = [
+        path for path, module in _imports_under_src()
+        if _within(module, {"tests"})
+    ]
     assert offenders == []
+
+
+def test_src_starts_no_worker():
+    offenders = [
+        (path, module) for path, module in _imports_under_src()
+        if _within(module, WORKER_MODULES)
+    ]
+    assert offenders == []
+
+
+def test_serving_import_loads_no_worker_machinery():
+    """A server process pays for no pool it never starts, and the
+    MapReduce engine loads when a sharded fuse first needs it."""
+    listing = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, repro.serving.server; print(*sorted(sys.modules))",
+        ],
+        check=True, capture_output=True, text=True,
+    ).stdout.split()
+    loaded = [
+        module for module in listing
+        if _within(module, {"multiprocessing", "concurrent", "repro.mapreduce"})
+    ]
+    assert loaded == []

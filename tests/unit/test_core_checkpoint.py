@@ -10,8 +10,7 @@ from repro.core.checkpoint import (
 )
 from repro.obs import MetricsRegistry
 from repro.core.pipeline import PipelineConfig
-from repro.faults import FaultPlan
-from repro.mapreduce.engine import RetryPolicy
+from repro.faults import FaultPlan, RetryPolicy
 from repro.synth.world import WorldConfig
 
 

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.errors import FusionError
+from repro.faults import RetryPolicy
 from repro.fusion.accu import Accu
 from repro.fusion.base import Claim, ClaimSet
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.fusion.multitruth import MultiTruth
 from repro.fusion.sharding import ShardStats, fuse_sharded, shard_claims
 from repro.fusion.vote import Vote
-from repro.mapreduce.engine import RetryPolicy
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
 
 
@@ -76,20 +76,13 @@ class TestShardClaims:
 
 class TestFuseSharded:
     @pytest.mark.parametrize(
-        "workers,executor", [(1, "serial"), (2, "process"), (4, "process")]
-    )
-    @pytest.mark.parametrize(
         "method", [Accu(tolerance=0.0), MultiTruth(tolerance=0.0)],
         ids=["accu", "multitruth"],
     )
-    def test_matches_serial_at_fixed_iterations(
-        self, method, workers, executor
-    ):
+    def test_matches_serial_at_fixed_iterations(self, method):
         merged = three_component_claims()
         serial = method.fuse(merged)
-        sharded, stats = fuse_sharded(
-            method, merged, workers=workers, executor=executor
-        )
+        sharded, stats = fuse_sharded(method, merged)
         assert sharded.truths == serial.truths
         assert sharded.iterations == serial.iterations
         assert sharded.belief.keys() == serial.belief.keys()
@@ -100,8 +93,6 @@ class TestFuseSharded:
                 quality, abs=1e-9
             )
         assert stats.components == 3
-        assert stats.workers == workers
-        assert stats.executor == executor
 
     def test_truths_match_with_early_exit(self):
         # Default tolerances: components may stop at different rounds
@@ -109,12 +100,12 @@ class TestFuseSharded:
         merged = three_component_claims()
         method = MultiTruth()
         serial = method.fuse(merged)
-        sharded, _stats = fuse_sharded(method, merged, workers=2)
+        sharded, _stats = fuse_sharded(method, merged)
         assert sharded.truths == serial.truths
 
     def test_stats_accounting(self):
         merged = three_component_claims()
-        _result, stats = fuse_sharded(Vote(), merged, workers=2)
+        _result, stats = fuse_sharded(Vote(), merged)
         assert isinstance(stats, ShardStats)
         assert len(stats.component_claims) == 3
         assert sum(stats.component_claims) == len(merged)
@@ -123,7 +114,7 @@ class TestFuseSharded:
 
     def test_converged_at_is_slowest_component(self):
         merged = three_component_claims()
-        result, _stats = fuse_sharded(Accu(), merged, workers=2)
+        result, _stats = fuse_sharded(Accu(), merged)
         assert result.converged_at is not None
         assert result.converged_at <= result.iterations
         per_shard = [Accu().fuse(s) for s in shard_claims(merged)]
@@ -131,17 +122,10 @@ class TestFuseSharded:
 
     def test_converged_at_none_when_any_component_caps(self):
         merged = three_component_claims()
-        result, _stats = fuse_sharded(
-            Accu(tolerance=0.0), merged, workers=2
-        )
+        result, _stats = fuse_sharded(Accu(tolerance=0.0), merged)
         assert result.converged_at is None
 
     def test_rejects_bad_arguments(self):
-        claims = three_component_claims()
-        with pytest.raises(FusionError):
-            fuse_sharded(Vote(), claims, executor="fork-bomb")
-        with pytest.raises(FusionError):
-            fuse_sharded(Vote(), claims, workers=0)
         with pytest.raises(FusionError):
             fuse_sharded(Vote(), ClaimSet())
 

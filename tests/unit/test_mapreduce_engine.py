@@ -32,6 +32,24 @@ class TestJobMechanics:
             results.append(dict(job.run(documents)))
         assert results[0] == results[1] == results[2]
 
+    @pytest.mark.parametrize("cpus", [1, 64])
+    def test_stats_do_not_depend_on_the_host(self, monkeypatch, cpus):
+        # Reduce chunks were once sized from os.cpu_count(): the same
+        # job booked 8 attempts on a 1-CPU host and 54 on a 64-CPU one,
+        # and a fault plan's ("reduce", index) named different groups.
+        documents = [f"w{i} w{i % 7} w{i % 3}" for i in range(40)]
+
+        def run():
+            job = MapReduceJob(_word_mapper, _sum_reducer)
+            return job.run(documents), job.stats
+
+        output, stats = run()
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        patched_output, patched_stats = run()
+        assert patched_output == output
+        assert patched_stats == stats
+        assert stats.attempts == 4 + 4  # map partitions + reduce chunks
+
     def test_combiner_preserves_result(self):
         documents = [f"w{i % 5}" for i in range(40)]
         plain = MapReduceJob(
@@ -135,8 +153,7 @@ class TestJobMetrics:
         assert counters["mapreduce_map_output_records_total"] == 3
 
     def test_guarded_path_counts_waves_and_retries(self):
-        from repro.faults import FaultPlan
-        from repro.mapreduce.engine import RetryPolicy
+        from repro.faults import FaultPlan, RetryPolicy
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()

@@ -6,13 +6,11 @@ injected sleep recorder, and deadlines compare *reported* durations —
 no test ever waits.
 """
 
-import os
-
 import pytest
 
 from repro.errors import ReproError, RetryExhaustedError, StageTimeoutError
-from repro.faults import FaultPlan, InjectedFault
-from repro.mapreduce.engine import MapReduceJob, RetryPolicy
+from repro.faults import FaultPlan, InjectedFault, RetryPolicy
+from repro.mapreduce.engine import MapReduceJob
 from repro.mapreduce.jobs import mr_vote
 from repro.fusion.base import Claim, ClaimSet
 
@@ -36,12 +34,6 @@ def _poison_mapper(record):
     yield record, 1
 
 
-def _exit_mapper(record):
-    # Simulates a segfaulting/OOM-killed worker: the process dies
-    # without raising, which breaks the whole ProcessPoolExecutor.
-    os._exit(1)
-
-
 def _job(**kwargs) -> MapReduceJob:
     return MapReduceJob(_mapper, _reducer, partitions=3, **kwargs)
 
@@ -63,65 +55,11 @@ class TestRetryPolicy:
             {"max_attempts": 0},
             {"backoff_base": -1.0},
             {"timeout": 0.0},
-            {"jitter": -0.1},
-            {"jitter": 1.0},
         ],
     )
     def test_invalid_policy_rejected(self, kwargs):
         with pytest.raises(ReproError):
             RetryPolicy(**kwargs)
-
-
-class TestRetryJitter:
-    def test_jitter_off_is_byte_identical_to_plain_exponential(self):
-        plain = RetryPolicy(backoff_base=0.05)
-        explicit_off = RetryPolicy(backoff_base=0.05, jitter=0.0,
-                                   jitter_seed=1234)
-        schedule = [plain.backoff(n) for n in range(6)]
-        assert [explicit_off.backoff(n) for n in range(6)] == schedule
-        assert schedule == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6]
-
-    def test_schedule_is_reproducible_per_seed(self):
-        first = RetryPolicy(backoff_base=0.05, jitter=0.5, jitter_seed=7)
-        second = RetryPolicy(backoff_base=0.05, jitter=0.5, jitter_seed=7)
-        schedule = [first.backoff(n) for n in range(8)]
-        assert [second.backoff(n) for n in range(8)] == schedule
-        # Pure function of (seed, retry_number): call order is irrelevant.
-        assert [first.backoff(n) for n in reversed(range(8))] == list(
-            reversed(schedule)
-        )
-
-    def test_different_seeds_break_lockstep(self):
-        schedules = [
-            tuple(
-                RetryPolicy(
-                    backoff_base=0.05, jitter=0.5, jitter_seed=seed
-                ).backoff(n)
-                for n in range(6)
-            )
-            for seed in range(4)
-        ]
-        assert len(set(schedules)) == len(schedules)
-
-    def test_jitter_is_bounded_around_the_exponential(self):
-        policy = RetryPolicy(backoff_base=0.05, jitter=0.25, jitter_seed=3)
-        for n in range(10):
-            base = 0.05 * 2.0**n
-            assert base * 0.75 <= policy.backoff(n) <= base * 1.25
-
-    def test_injectable_rng_overrides_the_seeded_source(self):
-        calls = []
-
-        def rng(retry_number):
-            calls.append(retry_number)
-            return 1.0 - 2**-53  # max uniform draw -> max spread
-
-        policy = RetryPolicy(
-            backoff_base=0.1, jitter=0.5, jitter_seed=99, jitter_rng=rng
-        )
-        delay = policy.backoff(2)
-        assert calls == [2]
-        assert delay == pytest.approx(0.1 * 4 * 1.5, rel=1e-9)
 
 
 class TestGuardedExecution:
@@ -224,35 +162,6 @@ class TestGuardedExecution:
         plain.run(WORDS)
         assert plain.stats.attempts == job.stats.attempts > 0
         assert plain.stats.retries == 0
-
-
-class TestProcessExecutorFaults:
-    def test_faulty_process_run_matches_clean_serial_run(self):
-        plan = FaultPlan(seed=1).crash("map", index=0, attempts=1)
-        job = MapReduceJob(
-            _mapper, _reducer, partitions=3, executor="process",
-            max_workers=2,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-            fault_plan=plan,
-        )
-        assert job.run(WORDS) == _clean_output()
-        assert job.stats.retries == 1
-
-    def test_broken_pool_does_not_poison_subsequent_jobs(self):
-        # A worker that dies mid-task breaks the shared pool; the next
-        # job asking for the same worker count must get a fresh pool
-        # instead of the broken cached one.
-        dying = MapReduceJob(
-            _exit_mapper, _reducer, partitions=2, executor="process",
-            max_workers=2,
-        )
-        with pytest.raises(Exception):
-            dying.run(WORDS)
-        healthy = MapReduceJob(
-            _mapper, _reducer, partitions=2, executor="process",
-            max_workers=2,
-        )
-        assert healthy.run(WORDS) == _clean_output()
 
 
 class TestFusionJobPassthrough:

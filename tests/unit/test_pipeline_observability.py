@@ -20,8 +20,7 @@ from repro.core.pipeline import (
     StageTiming,
     _timed,
 )
-from repro.faults import FaultPlan, InjectedFault
-from repro.mapreduce.engine import RetryPolicy
+from repro.faults import FaultPlan, InjectedFault, RetryPolicy
 from repro.obs import MetricsRegistry, SpanTracer, validate_metrics, \
     validate_trace
 from repro.synth.querylog import QueryLogConfig

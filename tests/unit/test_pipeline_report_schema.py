@@ -24,8 +24,6 @@ def _populated_report() -> PipelineReport:
     report.fusion_wall = 0.42
     report.fusion_shards = {
         "components": 5,
-        "workers": 2,
-        "executor": "process",
         "largest_claims": 1800,
         "component_claims": [1800, 900, 700, 400, 200],
     }

@@ -16,10 +16,8 @@ from repro.textproc import similarity
 from repro.textproc.memo import (
     BoundedCache,
     clear_similarity_caches,
-    configure_similarity_caches,
     memoized_pair,
     similarity_cache_stats,
-    similarity_caches_enabled,
 )
 
 _PATHS = [
@@ -33,12 +31,10 @@ _PATHS = [
 
 @pytest.fixture(autouse=True)
 def _clean_caches():
-    """Each test starts from empty caches and the enabled state."""
+    """Each test starts from, and leaves, empty caches."""
     clear_similarity_caches()
-    configure_similarity_caches(enabled=True)
     yield
     clear_similarity_caches()
-    configure_similarity_caches(enabled=True)
 
 
 class TestBoundedCache:
@@ -109,17 +105,14 @@ class TestSimilarityFunctionsCached:
             (path_similarity, pairs),
             (sequence_similarity, sequences),
         ]
-        configure_similarity_caches(enabled=True)
         cold = [[f(a, b) for a, b in args] for f, args in cases]
         # Warm pass: answered from the tables, must not drift.
         warm = [[f(a, b) for a, b in args] for f, args in cases]
         assert path_similarity.cache.hits >= len(pairs)
-        configure_similarity_caches(enabled=False)
-        disabled = [[f(a, b) for a, b in args] for f, args in cases]
         uncached = [
             [f.__wrapped__(a, b) for a, b in args] for f, args in cases
         ]
-        assert cold == warm == disabled == uncached
+        assert cold == warm == uncached
 
     def test_string_similarity_is_not_memoized(self):
         """The tables that never hit are gone: the registry holds the
@@ -138,42 +131,11 @@ class TestSimilarityFunctionsCached:
 
     def test_tagpath_similarity_cached_and_identical(self):
         left, right = _PATHS[0], _PATHS[1]
-        configure_similarity_caches(enabled=True)
         cached = path_similarity(left, right)
         again = path_similarity(left, right)
-        configure_similarity_caches(enabled=False)
-        plain = path_similarity(left, right)
+        plain = path_similarity.__wrapped__(left, right)
         assert cached == again == plain
         assert left.similarity(right) == plain
-
-    def test_global_toggle(self):
-        configure_similarity_caches(enabled=False)
-        assert not similarity_caches_enabled()
-        before = similarity_cache_stats()["tagpath-relative"].lookups
-        path_similarity(_PATHS[0], _PATHS[2])
-        assert similarity_cache_stats()["tagpath-relative"].lookups == before
-        configure_similarity_caches(enabled=True)
-        assert similarity_caches_enabled()
-        path_similarity(_PATHS[0], _PATHS[2])
-        assert (
-            similarity_cache_stats()["tagpath-relative"].lookups == before + 1
-        )
-
-    def test_resize_clears_and_bounds(self):
-        from repro.textproc.memo import _REGISTRY
-
-        sizes = {name: cache.max_size for name, cache in _REGISTRY.items()}
-        configure_similarity_caches(max_size=4)
-        try:
-            for i in range(20):
-                sequence_similarity((f"left{i}", "td"), (f"right{i}",))
-            stats = similarity_cache_stats()["tagpath-sequence"]
-            assert stats.size <= 4
-            assert stats.evictions > 0
-        finally:
-            for name, cache in _REGISTRY.items():
-                cache.max_size = sizes[name]
-                cache.clear()
 
     def test_stats_snapshot_shape(self):
         path_similarity(_PATHS[0], _PATHS[1])
