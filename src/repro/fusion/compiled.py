@@ -19,9 +19,17 @@ covering sources in the same set-iteration order the legacy code
 observes in this process.  Per-source logarithms are hoisted out of
 the claim loop only where the legacy code computes the same value
 repeatedly (``log`` of identical inputs is deterministic), never where
-it would reorder an accumulation.  Truths, iteration counts, beliefs
-and source qualities are therefore equal to the reference's (asserted
-with ``==`` by the equivalence suites).
+it would reorder an accumulation.  Multi-truth's products are hoisted
+the same way — ``weight * confidence`` is fixed for a fuse and
+``weight * log_silent`` for a round, and the legacy expression
+multiplies left to right, so the hoisted factor is the float it would
+have formed — and who claims what is decided once, into the cover-slot
+tables of :class:`CompiledClaims`, not probed per (pair, source,
+round).  Its four per-source soft counts are fed by separate loops;
+each adds, per source, in the legacy loop's item → pair order.
+Truths, iteration counts, beliefs and source qualities are therefore
+equal to the reference's (asserted with ``==`` by the equivalence
+suites).
 
 Every compiled method reports ``converged_at`` — the round whose
 parameter delta dropped under ``tolerance`` — in the
@@ -62,6 +70,19 @@ class CompiledClaims:
       global claim order);
     - ``item_source_start[i] : item_source_start[i + 1]`` — sources
       covering item *i*, in the legacy set-iteration order.
+
+    Multi-truth judges every pair against every source covering the
+    pair's item, so its tables hold one *cover slot* per (pair,
+    covering source), flat, in item → pair → ``item_sources`` order —
+    the order its log-odds sum and its per-source soft counts add in:
+
+    - ``cover_pair[t]`` / ``cover_source[t]`` — slot *t*'s pair and
+      source; ``cover_conf[t]`` — the source's maximum claim
+      confidence on that pair, ``None`` where it is silent on it;
+    - ``claimed_pair`` / ``claimed_source`` and ``silent_pair`` /
+      ``silent_source`` — the slots split by that, each in slot order.
+      A source silent on a pair claims another value of the item, so
+      every silent slot belongs to a contested item.
     """
 
     items: list[Item]
@@ -85,9 +106,13 @@ class CompiledClaims:
     source_claim_ids: list[int]
     item_source_start: list[int]
     item_sources: list[int]
-    # Per pair: claiming source -> max claim confidence, in
-    # first-claim order (what multi-truth's ``claimers`` dict sees).
-    pair_claimers: list[dict[int, float]]
+    cover_pair: list[int]
+    cover_source: list[int]
+    cover_conf: list[float | None]
+    claimed_pair: list[int]
+    claimed_source: list[int]
+    silent_pair: list[int]
+    silent_source: list[int]
 
     @property
     def n_items(self) -> int:
@@ -152,10 +177,19 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
     pair_claim_ids: list[int] = []
     item_source_start = [0]
     item_sources: list[int] = []
-    pair_claimers: list[dict[int, float]] = []
+    cover_pair: list[int] = []
+    cover_source: list[int] = []
+    cover_conf: list[float | None] = []
+    claimed_pair: list[int] = []
+    claimed_source: list[int] = []
+    silent_pair: list[int] = []
+    silent_source: list[int] = []
     for item in claims.items():
         item_idx = len(items)
         items.append(item)
+        # Covering sources in the same set-iteration order the legacy
+        # per-round loops observe (stable within one process).
+        cover = [source_id[name] for name in claims.sources_claiming(item)]
         for value, value_claims in claims.values_of(item).items():
             pair = len(pair_item)
             pair_item.append(item_idx)
@@ -169,13 +203,19 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
                 claimers[source] = max(
                     claimers.get(source, 0.0), claim.confidence
                 )
-            pair_claimers.append(claimers)
+            for source in cover:
+                confidence = claimers.get(source)
+                cover_pair.append(pair)
+                cover_source.append(source)
+                cover_conf.append(confidence)
+                if confidence is None:
+                    silent_pair.append(pair)
+                    silent_source.append(source)
+                else:
+                    claimed_pair.append(pair)
+                    claimed_source.append(source)
             pair_claim_start.append(len(pair_claim_ids))
-        # Covering sources in the same set-iteration order the legacy
-        # per-round loops observe (stable within one process).
-        item_sources.extend(
-            source_id[name] for name in claims.sources_claiming(item)
-        )
+        item_sources.extend(cover)
         item_source_start.append(len(item_sources))
         item_pair_start.append(len(pair_item))
 
@@ -214,7 +254,13 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
         source_claim_ids=source_claim_ids,
         item_source_start=item_source_start,
         item_sources=item_sources,
-        pair_claimers=pair_claimers,
+        cover_pair=cover_pair,
+        cover_source=cover_source,
+        cover_conf=cover_conf,
+        claimed_pair=claimed_pair,
+        claimed_source=claimed_source,
+        silent_pair=silent_pair,
+        silent_source=silent_source,
     )
 
 
@@ -393,13 +439,31 @@ def multitruth_fuse(
     ceiling = 1.0 - floor
 
     n_pairs = cc.n_pairs
-    posterior = array("d", bytes(8 * n_pairs))
-    log_claim = [0.0] * n_sources
-    log_silent = [0.0] * n_sources
     item_pair_start = cc.item_pair_start
-    item_source_start = cc.item_source_start
-    item_sources = cc.item_sources
-    pair_claimers = cc.pair_claimers
+    cover_pair = cc.cover_pair
+    cover_source = cc.cover_source
+    # Fixed for the whole fuse, per cover slot: where the slot finds
+    # its log-likelihood ratio in this round's ``ratio`` (the weighted
+    # silent ratios come first, then the claim ratios) and what
+    # multiplies it — a claimer's ``weight * confidence``, or 1.0 for a
+    # silent source, whose weight is folded in once per round.
+    ratio_at = [
+        s if confidence is None else n_sources + s
+        for s, confidence in zip(cover_source, cc.cover_conf)
+    ]
+    factor = [
+        1.0 if confidence is None
+        else weight[s] * (confidence if use_confidence else 1.0)
+        for s, confidence in zip(cover_source, cc.cover_conf)
+    ]
+    # Per pair: does its item have a second candidate value?
+    contested = [
+        item_pair_start[item + 1] - item_pair_start[item] >= 2
+        for item in cc.pair_item
+    ]
+    ratio = [0.0] * (2 * n_sources)
+    logodds_of = [0.0] * n_pairs
+    posterior = [0.0] * n_pairs
     prior_logodds = log(prior / (1.0 - prior))
     smoothing = 2.0
 
@@ -419,47 +483,39 @@ def multitruth_fuse(
                 spec = floor
             elif spec > ceiling:
                 spec = ceiling
-            log_claim[s] = log(sens / (1.0 - spec))
-            log_silent[s] = log((1.0 - sens) / spec)
+            ratio[s] = weight[s] * log((1.0 - sens) / spec)
+            ratio[n_sources + s] = log(sens / (1.0 - spec))
 
-        for item in range(cc.n_items):
-            cover_begin = item_source_start[item]
-            cover_end = item_source_start[item + 1]
-            for pair in range(item_pair_start[item], item_pair_start[item + 1]):
-                claimers = pair_claimers[pair]
+        # A pair's log-odds: its slots' terms added onto the prior in
+        # slot order; the last running sum stored is the pair's.
+        summing = -1
+        for pair, multiplier, at in zip(cover_pair, factor, ratio_at):
+            if pair != summing:
                 logodds = prior_logodds
-                for index in range(cover_begin, cover_end):
-                    s = item_sources[index]
-                    if s in claimers:
-                        confidence = claimers[s] if use_confidence else 1.0
-                        logodds += weight[s] * confidence * log_claim[s]
-                    else:
-                        logodds += weight[s] * log_silent[s]
-                posterior[pair] = 1.0 / (1.0 + exp(-logodds))
+                summing = pair
+            logodds += multiplier * ratio[at]
+            logodds_of[pair] = logodds
+        posterior = [1.0 / (1.0 + exp(-logodds)) for logodds in logodds_of]
+        # Specificity is informed by contested items only; adding the
+        # 0.0 of a single-candidate item leaves a soft count as it is.
+        complement = [
+            1.0 - probability if both_ways else 0.0
+            for probability, both_ways in zip(posterior, contested)
+        ]
 
+        # Each soft count has its own loop; every one adds per source
+        # in item → pair order, as the legacy single loop does.
         claimed_true = [0.0] * n_sources
         covered_true = [0.0] * n_sources
         silent_false = [0.0] * n_sources
         covered_false = [0.0] * n_sources
-        for item in range(cc.n_items):
-            cover_begin = item_source_start[item]
-            cover_end = item_source_start[item + 1]
-            begin = item_pair_start[item]
-            end = item_pair_start[item + 1]
-            contested = end - begin >= 2
-            for pair in range(begin, end):
-                probability = posterior[pair]
-                complement = 1.0 - probability
-                claimers = pair_claimers[pair]
-                for index in range(cover_begin, cover_end):
-                    s = item_sources[index]
-                    covered_true[s] += probability
-                    if contested:
-                        covered_false[s] += complement
-                    if s in claimers:
-                        claimed_true[s] += probability
-                    elif contested:
-                        silent_false[s] += complement
+        for pair, s in zip(cover_pair, cover_source):
+            covered_true[s] += posterior[pair]
+            covered_false[s] += complement[pair]
+        for pair, s in zip(cc.claimed_pair, cc.claimed_source):
+            claimed_true[s] += posterior[pair]
+        for pair, s in zip(cc.silent_pair, cc.silent_source):
+            silent_false[s] += complement[pair]
 
         delta = 0.0
         for s in range(n_sources):

@@ -16,10 +16,12 @@ while agreeing on a *rare/minority* value is strong evidence of copying
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import attrgetter
 
-from repro.fusion.base import ClaimSet, Item
+from repro.fusion.base import Claim, Item
 
 #: Rarity credited to an agreement no independent witness can vouch
 #: for.  With zero witnesses every agreement earns exactly this much,
@@ -73,21 +75,48 @@ class CorrelationEstimator:
         self.dependence_threshold = dependence_threshold
 
     # ------------------------------------------------------------------
-    def estimate(self, claims: ClaimSet) -> CorrelationEstimate:
-        """Compute pairwise dependence and independence weights."""
-        votes = self._votes_by_party(claims)
-        claimants = self._claimants_by_item_value(claims)
+    def estimate(self, claims: Iterable[Claim]) -> CorrelationEstimate:
+        """Compute pairwise dependence and independence weights.
 
+        ``claims`` may be any iterable, a one-shot one included; it is
+        read once, in order (the float sums below follow that order).
+        """
+        claims = list(claims)
+        party_of = attrgetter(
+            "source_id" if self.by == "source" else "extractor_id"
+        )
         estimate = CorrelationEstimate()
-        parties = sorted(votes)
+        parties = sorted({party_of(claim) for claim in claims})
+        if len(parties) < 2:
+            # Nobody to depend on: no table is built.
+            estimate.weights = dict.fromkeys(parties, 1.0)
+            return estimate
+
+        votes: dict[str, dict[Item, set[str]]] = {}
+        for claim in claims:
+            votes.setdefault(party_of(claim), {}).setdefault(
+                claim.item, set()
+            ).add(claim.value)
+        # One item set per party.  ``_pair_dependence`` adds floats in
+        # the iteration order of ``common``, and that order is decided
+        # by how the two operands of ``&`` were built — so each is
+        # built as ``set(votes[party])``, once instead of once per pair.
+        items_of = {party: set(votes[party]) for party in parties}
+        qualifying = []
         for left, right in combinations(parties, 2):
-            common = set(votes[left]) & set(votes[right])
-            if len(common) < self.min_common_items:
-                continue
-            score = self._pair_dependence(
-                left, right, votes[left], votes[right], common, claimants
+            common = items_of[left] & items_of[right]
+            if len(common) >= self.min_common_items:
+                qualifying.append((left, right, common))
+        if qualifying:
+            claimants = self._claimants_by_item_value(
+                claims,
+                party_of,
+                set().union(*(common for _, _, common in qualifying)),
             )
-            estimate.dependence[(left, right)] = score
+            for left, right, common in qualifying:
+                estimate.dependence[(left, right)] = self._pair_dependence(
+                    votes[left], votes[right], common, claimants
+                )
 
         # Independence weight: 1 / (1 + Σ strong dependences), so a
         # clique of k mutual copiers each weighs ~1/k.
@@ -102,37 +131,30 @@ class CorrelationEstimator:
         return estimate
 
     # ------------------------------------------------------------------
-    def _party(self, claim) -> str:
-        return claim.source_id if self.by == "source" else claim.extractor_id
-
-    def _votes_by_party(
-        self, claims: ClaimSet
-    ) -> dict[str, dict[Item, set[str]]]:
-        votes: dict[str, dict[Item, set[str]]] = {}
-        for claim in claims:
-            votes.setdefault(self._party(claim), {}).setdefault(
-                claim.item, set()
-            ).add(claim.value)
-        return votes
-
+    @staticmethod
     def _claimants_by_item_value(
-        self, claims: ClaimSet
-    ) -> dict[Item, dict[str, set[str]]]:
-        claimants: dict[Item, dict[str, set[str]]] = {}
+        claims: list[Claim], party_of, items: set[Item]
+    ) -> dict[Item, tuple[set[str], dict[str, set[str]]]]:
+        """Per item of ``items``: the parties claiming it, and those
+        claiming each of its values."""
+        claimants: dict[Item, tuple[set[str], dict[str, set[str]]]] = {}
         for claim in claims:
-            claimants.setdefault(claim.item, {}).setdefault(
-                claim.value, set()
-            ).add(self._party(claim))
+            item = claim.item
+            if item in items:
+                held = claimants.get(item)
+                if held is None:
+                    held = claimants[item] = (set(), {})
+                party = party_of(claim)
+                held[0].add(party)
+                held[1].setdefault(claim.value, set()).add(party)
         return claimants
 
+    @staticmethod
     def _pair_dependence(
-        self,
-        left: str,
-        right: str,
         left_votes: dict[Item, set[str]],
         right_votes: dict[Item, set[str]],
         common: set[Item],
-        claimants: dict[Item, dict[str, set[str]]],
+        claimants: dict[Item, tuple[set[str], dict[str, set[str]]]],
     ) -> float:
         """Dependence in [0, 1]: rarity-weighted agreement rate.
 
@@ -157,26 +179,20 @@ class CorrelationEstimator:
         agreement_rarity = 0.0
         union_size = 0
         for item in common:
-            by_value = claimants[item]
-            other_parties = {
-                party
-                for parties in by_value.values()
-                for party in parties
-                if party not in (left, right)
-            }
-            witnesses = len(other_parties)
+            everyone, by_value = claimants[item]
+            # Both parties of the pair claim the item (and, below, each
+            # shared value): everybody else is a witness.
+            witnesses = len(everyone) - 2
             # Confidence in the observed popularity: 0 with no
             # witnesses, 0.5 with one, 1.0 from two up.  ≥2 witnesses
             # reproduces the pre-fix arithmetic exactly.
-            weight = min(1.0, witnesses / 2.0)
-            shared = left_votes[item] & right_votes[item]
-            union = left_votes[item] | right_votes[item]
-            union_size += len(union)
+            weight = witnesses / 2.0 if witnesses < 2 else 1.0
+            left_values, right_values = left_votes[item], right_votes[item]
+            shared = left_values & right_values
+            union_size += len(left_values) + len(right_values) - len(shared)
             for value in shared:
                 if witnesses:
-                    others_claiming = len(
-                        by_value.get(value, set()) - {left, right}
-                    )
+                    others_claiming = len(by_value[value]) - 2
                     popularity_among_others = others_claiming / witnesses
                 else:
                     popularity_among_others = 0.0

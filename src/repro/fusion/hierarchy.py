@@ -36,9 +36,10 @@ class CasefoldHierarchy:
             parent = hierarchy.parent(node)
             if parent is not None:
                 self._parent[value_key(node)] = value_key(parent)
+        self._nodes = set(self._parent) | set(self._parent.values())
 
     def __contains__(self, key: str) -> bool:
-        return key in self._parent or key in set(self._parent.values())
+        return key in self._nodes
 
     def ancestors(self, key: str) -> list[str]:
         out: list[str] = []
@@ -139,6 +140,11 @@ class HierarchicalFusion(FusionMethod):
         refined.belief = dict(result.belief)
         for item in original.items():
             values = original.values_of(item)
+            if not any(value in self.hierarchy for value in values):
+                # No value lies on any chain: nothing was expanded for
+                # this item and nothing can refine its winners.
+                refined.truths[item] = set(result.truths.get(item, ()))
+                continue
             support = {
                 value: len({claim.source_id for claim in claims})
                 for value, claims in values.items()

@@ -196,8 +196,8 @@ class KnowledgeFusion(FusionMethod):
     ) -> dict[str, float]:
         """Global extractor-correlation independence weights.
 
-        ``claims`` is iterated more than once, in order: pass a claim
-        set or a list, in the order a full fuse would see them.
+        Pass the claims in the order a full fuse would see them: the
+        estimator's float sums follow it.
         """
         estimator = CorrelationEstimator(by="extractor")
         return estimator.estimate(claims).weights

@@ -45,15 +45,18 @@ Two estimation details make the reuse exact rather than approximate:
   per component inside :meth:`_fuse_component` and still matches the
   global estimate bit for bit.
 
-Per delta, the dirty-item re-read (one ``claims_for_items`` call) is
-O(delta) on the segment backend and one walk of the claim dict on the
+Per delta, the journal (one ``remove_all`` call, an ``add`` per claim)
+and the dirty-item re-read (one ``claims_for_items`` call) are O(delta)
+on the segment backend and one walk of the claim dict each on the
 memory backend, which has no per-item index; sharding / digests /
 re-weighting / fusion are O(region), and four passes stay O(store)
 with small constants: the staged store copy, the successor corpus
 (:meth:`_Corpus.replaced`, a slice-copying merge of the cached claims
-with the re-read items), the extractor estimate and the disjoint-union
-:meth:`_merge`.  Putting the entries back in first-item order is a
-sort of O(components) nearly sorted keys.
+with the re-read items), the extractor estimate — one read of the
+claims and nothing else when they name a single extractor, the vote
+table of every claim otherwise — and the disjoint-union :meth:`_merge`.
+Putting the entries back in first-item order is a sort of
+O(components) nearly sorted keys.
 
 Byte-identity contract: with ``KnowledgeFusion(tolerance=0)``,
 ``apply_delta(delta)`` and a full ``fuse(canonical_claims(store))``

@@ -3,7 +3,7 @@
 The :class:`DeltaJournal` is the single write path of the incremental
 subsystem: it applies a :class:`~repro.incremental.delta.ClaimDelta`
 to a :class:`~repro.rdf.store.TripleStore` strictly through the
-store's existing ``add``/``remove`` operations (so the store's
+store's ``add``/``remove_all`` operations (so the store's
 dedup/max-confidence semantics are the journal's semantics) and
 records, per delta, a :class:`DeltaReceipt` naming the *dirty* data
 items and sources — the seed set the fusion engine expands through
@@ -86,13 +86,14 @@ class DeltaJournal:
         delta.validate()
         receipt = DeltaReceipt(sequence=self._applied, label=delta.label)
 
-        # Retractions first: capture the sources that held the triple
-        # before the store forgets them.
+        # Retractions first, in one store call; the claims it hands
+        # back name the sources that held each triple.  A triple listed
+        # twice has nothing left to lose the second time.
+        lost = self.store.remove_all(delta.retracted)
         for triple in delta.retracted:
-            victims = self.store.claims(triple)
-            removed = self.store.remove(triple)
-            if removed:
-                receipt.removed_claims += removed
+            victims = lost.pop(triple, None)
+            if victims:
+                receipt.removed_claims += len(victims)
                 receipt.dirty_items.add(triple.item)
                 receipt.dirty_sources.update(
                     scored.provenance.source_id for scored in victims
@@ -101,23 +102,12 @@ class DeltaJournal:
                 receipt.missing_retractions += 1
 
         for scored in delta.added:
-            before = len(self.store)
-            self.store.add(scored)
-            if len(self.store) != before:
+            # Brand-new claims and confidence refreshes change the
+            # store; a duplicate at <= the stored confidence does not.
+            if self.store.add(scored):
                 receipt.added += 1
             else:
-                # Same (triple, provenance) key: the store either kept
-                # the old claim (duplicate with <= confidence — a
-                # no-op) or installed this one (a confidence refresh);
-                # the two are told apart by object identity.
-                refreshed = any(
-                    existing is scored
-                    for existing in self.store.claims(scored.triple)
-                )
-                if refreshed:
-                    receipt.added += 1
-                else:
-                    receipt.noop_additions += 1
+                receipt.noop_additions += 1
             receipt.dirty_items.add(scored.triple.item)
             receipt.dirty_sources.add(scored.provenance.source_id)
 

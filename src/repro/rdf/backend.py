@@ -16,24 +16,27 @@ Contract notes that matter for byte-identical fusion:
   ``remove`` followed by a re-add moves it to the end.  Fusion float
   accumulation order follows claim order, so every backend must
   reproduce this order exactly.
-* A claim that was installed by the most recent ``add`` must be
-  returned *by identity* from ``claims(triple)`` until the next
-  mutation — the delta journal distinguishes confidence refreshes
-  from dedup no-ops via ``existing is scored``.
 * ``add`` keeps the maximum confidence per key and is a no-op when the
-  stored confidence is already >= the incoming one.
+  stored confidence is already >= the incoming one.  It returns True
+  iff the store changed — a new key, or a raised confidence — so a
+  caller (the delta journal) never reads back to find out.
 * ``remove(triple)`` drops every provenance of the triple and returns
   how many claim keys went away; fully-removed triples never ghost in
   ``subjects()``/``predicates()``/match paths.
-* ``claims_for_item(subject, predicate)``, ``claims(triple)`` and
-  ``claims_for_items(items)`` return their claims in the same relative
-  order ``iter_claims()`` yields them (first insertion of the key).
+  ``remove_all(triples)`` is that for a batch, and hands back the
+  claims each triple lost.
+* ``claims_for_item(subject, predicate)``, ``claims(triple)``,
+  ``claims_for_items(items)`` and the lists ``remove_all`` returns
+  hold their claims in the same relative order ``iter_claims()``
+  yields them (first insertion of the key).
   What they cost is the backend's business: the segment backend
   answers each from its CSR indexes at O(answer); the memory backend
   has no per-item index, so its one-item lookups and ``remove`` each
   walk the claim dict — which is why a caller with several items to
-  read (the incremental engine's dirty-item re-read) asks for them in
-  one ``claims_for_items`` call, one walk on the memory backend.
+  read or several triples to retract (the incremental engine's
+  dirty-item re-read, the delta journal) asks for them in one
+  ``claims_for_items`` / ``remove_all`` call, one walk each on the
+  memory backend.
 * ``copy()`` yields a backend whose answers never change when the
   original mutates afterwards (and vice versa); it may share
   immutable structure with the original to get there.
@@ -63,8 +66,11 @@ class StorageBackend(abc.ABC):
 
     # -- mutation ------------------------------------------------------
     @abc.abstractmethod
-    def add(self, scored: ScoredTriple) -> None:
-        """Add one claim; keeps the max confidence on duplicates."""
+    def add(self, scored: ScoredTriple) -> bool:
+        """Add one claim; keeps the max confidence on duplicates.
+
+        True iff the store changed: a new key or a raised confidence.
+        """
 
     def add_all(self, scored: Iterable[ScoredTriple]) -> None:
         """Bulk insert; backends override with a batched single pass."""
@@ -74,6 +80,23 @@ class StorageBackend(abc.ABC):
     @abc.abstractmethod
     def remove(self, triple: Triple) -> int:
         """Remove every claim of ``triple``; returns how many existed."""
+
+    def remove_all(
+        self, triples: Iterable[Triple]
+    ) -> dict[Triple, list[ScoredTriple]]:
+        """:meth:`remove` every triple of ``triples``; by triple, the
+        claims it lost, in ``iter_claims()`` order (none: it was absent).
+
+        One lookup and one removal per distinct triple here; a backend
+        whose single lookups walk the store overrides this with one
+        walk for all of them.
+        """
+        lost: dict[Triple, list[ScoredTriple]] = {}
+        for triple in triples:
+            if triple not in lost:
+                lost[triple] = self.claims(triple)
+                self.remove(triple)
+        return lost
 
     # -- size / iteration ----------------------------------------------
     @abc.abstractmethod
@@ -194,14 +217,15 @@ class MemoryBackend(StorageBackend):
         return objects is not None and triple.obj in objects
 
     # -- mutation ------------------------------------------------------
-    def add(self, scored: ScoredTriple) -> None:
+    def add(self, scored: ScoredTriple) -> bool:
         key = (scored.triple, scored.provenance)
         existing = self._claims.get(key)
         if existing is not None and existing.confidence >= scored.confidence:
-            return
+            return False
         self._claims[key] = scored
         if existing is None:
             self._index(scored.triple)
+        return True
 
     def add_all(self, scored: Iterable[ScoredTriple]) -> None:
         """Single-pass bulk insert over an iterable (streams fine).
@@ -254,16 +278,46 @@ class MemoryBackend(StorageBackend):
         for key in keys:
             del self._claims[key]
         if keys:
-            self._discard_pruning(
-                self._spo, triple.subject, triple.predicate, triple.obj
-            )
-            self._discard_pruning(
-                self._pos, triple.predicate, triple.obj, triple.subject
-            )
-            self._discard_pruning(
-                self._osp, triple.obj, triple.subject, triple.predicate
-            )
+            self._unindex(triple)
         return len(keys)
+
+    def remove_all(
+        self, triples: Iterable[Triple]
+    ) -> dict[Triple, list[ScoredTriple]]:
+        """One walk of the claim dict for all of ``triples``."""
+        lost: dict[Triple, list[ScoredTriple]] = {
+            triple: [] for triple in triples
+        }
+        if not lost:
+            return lost
+        # The two-string item key hashes in C; ``Triple.__hash__`` is a
+        # Python call, paid only by the claims of a retracted item.
+        items = {triple.item for triple in lost}
+        dead = []
+        for key, scored in self._claims.items():
+            triple = key[0]
+            if (triple.subject, triple.predicate) in items:
+                held = lost.get(triple)
+                if held is not None:
+                    held.append(scored)
+                    dead.append(key)
+        for key in dead:
+            del self._claims[key]
+        for triple, held in lost.items():
+            if held:
+                self._unindex(triple)
+        return lost
+
+    def _unindex(self, triple: Triple) -> None:
+        self._discard_pruning(
+            self._spo, triple.subject, triple.predicate, triple.obj
+        )
+        self._discard_pruning(
+            self._pos, triple.predicate, triple.obj, triple.subject
+        )
+        self._discard_pruning(
+            self._osp, triple.obj, triple.subject, triple.predicate
+        )
 
     @staticmethod
     def _discard_pruning(index: dict, first, second, leaf) -> None:

@@ -854,24 +854,21 @@ class SegmentBackend(StorageBackend):
         )
 
     # -- mutation ------------------------------------------------------
-    def add(self, scored: ScoredTriple) -> None:
-        if self._add_one(scored):
-            self._maybe_flush()
+    def add(self, scored: ScoredTriple) -> bool:
+        """Install one claim; True iff the store changed.
 
-    def _add_one(self, scored: ScoredTriple) -> bool:
-        """Install one claim; True iff a brand-new key grew the memtable.
-
-        Only brand-new keys are followed by the auto-flush size check:
-        confidence refreshes (memtable- or segment-resident) must stay
-        in place — the delta journal inspects the freshly-installed
-        object by identity right after ``add`` returns, which a flush
-        would replace with a reconstructed segment copy.
+        A confidence refresh (memtable- or segment-resident) keeps its
+        position.  Only a brand-new key is followed by the auto-flush
+        size check — per claim, so a batch far larger than the memtable
+        streams through ``add_all`` in bounded memory, spilling a
+        segment every ``memtable_limit`` fresh claims.
         """
         key = (scored.triple, scored.provenance)
         entry = self._mem.get(key)
         if entry is not None:
             if entry[1].confidence < scored.confidence:
                 entry[1] = scored  # refresh keeps its position
+                return True
             return False
         existing = self._segment_lookup(key)
         if existing is not None:
@@ -880,10 +877,12 @@ class SegmentBackend(StorageBackend):
                 # Refresh of a segment-resident claim: shadow it in
                 # the memtable at its original position.
                 self._mem[key] = [position, scored]
+                return True
             return False
         self._seq += 1
         self._mem[key] = [self._seq, scored]
         self._live += 1
+        self._maybe_flush()
         return True
 
     def _segment_lookup(
@@ -903,18 +902,6 @@ class SegmentBackend(StorageBackend):
             else:
                 best = (max(best[0], found[0]), min(best[1], found[1]))
         return best
-
-    def add_all(self, scored) -> None:
-        """Bulk insert from any iterable, including one-shot streams.
-
-        The memtable limit is enforced *mid-batch*: a batch far larger
-        than the memtable streams through bounded memory, spilling a
-        segment every ``memtable_limit`` fresh claims instead of
-        accumulating the whole batch first.
-        """
-        for one in scored:
-            if self._add_one(one):
-                self._maybe_flush()
 
     def remove(self, triple: Triple) -> int:
         mem_keys = [key for key in self._mem if key[0] == triple]

@@ -89,9 +89,12 @@ class TripleStore:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def add(self, scored: ScoredTriple) -> None:
-        """Add one claim; keeps the max confidence on duplicates."""
-        self._backend.add(scored)
+    def add(self, scored: ScoredTriple) -> bool:
+        """Add one claim; keeps the max confidence on duplicates.
+
+        True iff the store changed: a new key or a raised confidence.
+        """
+        return self._backend.add(scored)
 
     def add_all(self, scored: Iterable[ScoredTriple]) -> None:
         """Add many claims in one backend-level batch."""
@@ -104,6 +107,16 @@ class TripleStore:
         ``predicates()`` or the match paths.
         """
         return self._backend.remove(triple)
+
+    def remove_all(
+        self, triples: Iterable[Triple]
+    ) -> dict[Triple, list[ScoredTriple]]:
+        """:meth:`remove` several triples; by triple, the claims it lost.
+
+        One call, so a backend without a per-triple index (the memory
+        backend) can answer with one walk instead of two per triple.
+        """
+        return self._backend.remove_all(triples)
 
     # ------------------------------------------------------------------
     # Lookup

@@ -2,10 +2,12 @@
 
 ``claims_for_item``, ``claims(triple)`` and ``remove`` each walk the
 one dict that defines first-insertion order — no triple indexes, no
-batching, no shared structure between copies.  Whatever the backend
-does to answer faster (``claims_for_items``, ``copy()`` sharing the
-claim objects, one day a per-item index) must return the same claims
-in the same order.
+batching, no shared structure between copies — and ``remove_all`` is
+the delta journal's former loop, a ``claims(triple)`` and a
+``remove(triple)`` per triple.  Whatever the backend does to answer
+faster (``claims_for_items``, ``remove_all`` in one walk, ``copy()``
+sharing the claim objects, one day a per-item index) must return the
+same claims in the same order.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ class LinearScanClaims:
     def __len__(self) -> int:
         return len(self._claims)
 
-    def add(self, scored: ScoredTriple) -> None:
+    def add(self, scored: ScoredTriple) -> bool:
         key = (scored.triple, scored.provenance)
         existing = self._claims.get(key)
         if existing is not None and existing.confidence >= scored.confidence:
-            return
+            return False
         self._claims[key] = scored
+        return True
 
     def add_all(self, scored) -> None:
         for one in scored:
@@ -40,6 +43,15 @@ class LinearScanClaims:
         for key in keys:
             del self._claims[key]
         return len(keys)
+
+    def remove_all(self, triples) -> dict:
+        lost: dict = {}
+        for triple in triples:
+            victims = self.claims(triple)
+            self.remove(triple)
+            # A triple listed twice lost its claims the first time.
+            lost.setdefault(triple, victims)
+        return lost
 
     def iter_claims(self):
         return iter(self._claims.values())

@@ -1,9 +1,12 @@
 """Property-based tests for the triple store."""
 
+import tempfile
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rdf.backend import MemoryBackend
+from repro.rdf.segments import SegmentBackend
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 from tests.oracles.linear_scan_backend import LinearScanClaims
@@ -98,6 +101,11 @@ operations = st.lists(
         st.tuples(st.just("add"), claims()),
         st.tuples(st.just("add_all"), st.lists(claims(), max_size=6)),
         st.tuples(st.just("remove"), triples),
+        # A batch of retractions: absent triples, and triples listed
+        # twice, among them.
+        st.tuples(st.just("remove_all"), st.lists(triples, max_size=6)),
+        # Retract a batch, then put one claim of each triple back.
+        st.tuples(st.just("retract_readd"), st.lists(claims(), max_size=4)),
         # Remove a triple, then put one claim of it back: the key
         # moves to the end of the store *and* of its item's answers.
         st.tuples(st.just("readd"), claims()),
@@ -129,33 +137,66 @@ def _assert_same_answers(backend, model):
             assert backend.claims(triple) == model.claims(triple)
 
 
+def _assert_same_losses(lost, expected):
+    """What a ``remove_all`` handed back: same triples, in the order
+    first listed, each with the claims it lost in store order."""
+    assert list(lost.items()) == list(expected.items())
+
+
 class TestClaimAnswersMatchTheDictModel:
     """``claims_for_item``, ``claims_for_items``, ``claims(triple)``,
-    ``remove`` and ``iter_claims`` — element for element, order
-    included — under interleaved mutation, and on copies taken along
-    the way (a copy shares the claim objects, nothing mutable)."""
+    ``add``'s verdict, ``remove``, ``remove_all`` and ``iter_claims`` —
+    element for element, order included — under interleaved mutation,
+    and on copies taken along the way (a copy shares the claim
+    objects, nothing mutable).  The segment backend runs with a
+    memtable of three claims, so flushes fall between the steps."""
 
     @given(operations)
     @settings(max_examples=150, deadline=None)
     def test_interleavings_agree_element_for_element(self, ops):
-        backend, model = MemoryBackend(), LinearScanClaims()
+        self._replay(MemoryBackend(), ops)
+
+    @given(operations)
+    @settings(max_examples=60, deadline=None)
+    def test_interleavings_agree_on_the_segment_backend(self, ops):
+        with tempfile.TemporaryDirectory() as scratch:
+            backend = SegmentBackend(scratch, memtable_limit=3)
+            try:
+                self._replay(backend, ops)
+            finally:
+                backend.close()
+
+    @staticmethod
+    def _replay(backend, ops):
+        model = LinearScanClaims()
         # Earlier copies with the answers they must keep giving.
         pinned = []
         for kind, payload in ops:
             if kind == "add":
-                backend.add(payload)
-                model.add(payload)
+                assert backend.add(payload) == model.add(payload)
             elif kind == "add_all":
                 backend.add_all(iter(payload))
                 model.add_all(payload)
             elif kind == "remove":
                 assert backend.remove(payload) == model.remove(payload)
+            elif kind == "remove_all":
+                _assert_same_losses(
+                    backend.remove_all(iter(payload)),
+                    model.remove_all(payload),
+                )
+            elif kind == "retract_readd":
+                retracted = [one.triple for one in payload]
+                _assert_same_losses(
+                    backend.remove_all(retracted),
+                    model.remove_all(retracted),
+                )
+                for one in payload:
+                    assert backend.add(one) == model.add(one)
             elif kind == "readd":
                 assert backend.remove(payload.triple) == model.remove(
                     payload.triple
                 )
-                backend.add(payload)
-                model.add(payload)
+                assert backend.add(payload) == model.add(payload)
             elif kind == "add_twice":
                 backend.add_all(payload + payload)
                 backend.add_all(payload)
@@ -171,4 +212,15 @@ class TestClaimAnswersMatchTheDictModel:
                 pinned.append((backend.copy(), frozen))
             _assert_same_answers(backend, model)
         for copied, frozen in pinned:
+            _assert_same_answers(copied, frozen)
+            # ... and what a batch of retractions would take from them.
+            everything = [
+                Triple(subject, predicate, Value(lexical))
+                for subject, predicate in ITEMS
+                for lexical in objects.elements
+            ]
+            _assert_same_losses(
+                copied.remove_all(everything + everything[:2]),
+                frozen.remove_all(everything + everything[:2]),
+            )
             _assert_same_answers(copied, frozen)

@@ -32,6 +32,8 @@ from repro.fusion.multitruth import MultiTruth
 from repro.fusion.sharding import ShardStats, fuse_sharded
 from repro.mapreduce.engine import MapReduceJob
 from repro.mapreduce.jobs import mr_accu, mr_vote
+from repro.rdf.backend import StorageBackend
+from repro.rdf.store import StoreSnapshot, TripleStore
 
 PIPELINE_CONFIG_FIELDS = {
     # inputs: the world and its generators
@@ -107,6 +109,24 @@ MAPREDUCE_EXPORTS = {
     "JobStats", "MapReduceJob", "mr_accu", "mr_vote", "word_count",
 }
 
+# Every public method of the storage contract is a read or a mutator.
+# A mutator is what a pinned snapshot must not have, so a new one is
+# listed here (and in tests/unit/test_rdf_snapshot.py's
+# test_pin_has_no_mutators) before it exists.
+STORAGE_READS = {
+    "iter_claims", "contains_triple", "match", "claims", "claims_for_item",
+    "claims_for_items", "objects", "subjects", "predicates", "sources",
+    "extractors", "copy",
+}
+STORAGE_MUTATORS = {
+    "add", "add_all", "remove", "remove_all", "flush", "compact", "close",
+}
+# What a backend may inherit: the batch forms default to their loops,
+# the lifecycle calls to nothing.
+STORAGE_DEFAULTS = {
+    "add_all", "remove_all", "claims_for_items", "flush", "compact", "close",
+}
+
 # The MapReduce engine runs every task in the calling process; nothing
 # under src/ starts a worker of any kind.
 WORKER_MODULES = {"concurrent", "multiprocessing", "threading", "subprocess"}
@@ -156,13 +176,34 @@ def test_mapreduce_exports():
     assert set(repro.mapreduce.__all__) == MAPREDUCE_EXPORTS
 
 
-def test_pipeline_public_methods():
-    public = {
-        name
-        for name, member in vars(KnowledgeBaseConstructionPipeline).items()
+def _public(cls):
+    return {
+        name for name, member in vars(cls).items()
         if callable(member) and not name.startswith("_")
     }
-    assert public == {"run", "run_incremental", "serve"}
+
+
+def test_storage_backend_surface():
+    assert _public(StorageBackend) == STORAGE_READS | STORAGE_MUTATORS
+    assert StorageBackend.__abstractmethods__ == (
+        (STORAGE_READS | STORAGE_MUTATORS) - STORAGE_DEFAULTS
+        | {"__len__"}
+    )
+    # The store facade delegates all of it; a pinned snapshot keeps the
+    # reads (iteration and membership as dunders, and it is no source
+    # of further copies) and none of the mutators.
+    assert STORAGE_MUTATORS | STORAGE_READS - {
+        "iter_claims", "contains_triple",
+    } <= _public(TripleStore)
+    assert _public(StoreSnapshot) == STORAGE_READS - {
+        "iter_claims", "contains_triple", "copy",
+    }
+
+
+def test_pipeline_public_methods():
+    assert _public(KnowledgeBaseConstructionPipeline) == {
+        "run", "run_incremental", "serve",
+    }
 
 
 # The names benchmarks/e2e/trace.py patches in the namespace of

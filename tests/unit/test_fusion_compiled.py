@@ -95,7 +95,10 @@ class TestCompileClaims:
             assert names == claims.sources_claiming(item)
 
     def test_pair_claimers_keep_max_confidence(self):
+        """The cover slots that replaced ``pair_claimers``: a source
+        claiming one pair twice holds the larger confidence."""
         claims = small_claims()
+        claims.add(claim(("s1", "p"), "v1", "b", "other", confidence=0.75))
         compiled = compile_claims(claims)
         pair = [
             p for p in range(compiled.n_pairs)
@@ -103,9 +106,48 @@ class TestCompileClaims:
         ][0]
         by_name = {
             compiled.sources[s]: conf
-            for s, conf in compiled.pair_claimers[pair].items()
+            for p, s, conf in zip(
+                compiled.cover_pair, compiled.cover_source,
+                compiled.cover_conf,
+            )
+            if p == pair
         }
-        assert by_name == {"a": 0.9, "b": 0.6}
+        assert by_name == {"a": 0.9, "b": 0.75, "c": None}
+
+    def test_cover_slots_follow_item_pair_source_order(self):
+        claims = small_claims()
+        compiled = compile_claims(claims)
+        expected = [
+            (pair, source)
+            for item in range(compiled.n_items)
+            for pair in compiled.item_pairs(item)
+            for source in compiled.item_sources[
+                compiled.item_source_start[item]:
+                compiled.item_source_start[item + 1]
+            ]
+        ]
+        slots = list(zip(compiled.cover_pair, compiled.cover_source))
+        assert slots == expected
+        claimed = [
+            slot for slot, conf in zip(slots, compiled.cover_conf)
+            if conf is not None
+        ]
+        silent = [
+            slot for slot, conf in zip(slots, compiled.cover_conf)
+            if conf is None
+        ]
+        assert claimed == list(
+            zip(compiled.claimed_pair, compiled.claimed_source)
+        )
+        assert silent == list(
+            zip(compiled.silent_pair, compiled.silent_source)
+        )
+        # Who claims what, read back from the slots.
+        assert {
+            (compiled.pair_key(p), compiled.sources[s]) for p, s in claimed
+        } == {
+            ((c.item, c.value), c.source_id) for c in claims
+        }
 
     def test_decode_beliefs_roundtrip(self):
         compiled = compile_claims(small_claims())
@@ -173,4 +215,76 @@ class TestCompiledEquivalence:
         assert_same_result(
             Accu(initial_accuracies=initial).fuse(claims),
             AccuLoops(initial_accuracies=initial).fuse(claims),
+        )
+
+
+def mixed_claims():
+    """Contested and single-value items, a source silent on some pairs
+    of an item it covers, and a source claiming one pair twice (two
+    extractors) at different confidences."""
+    rows = [
+        # contested, three values, five sources
+        (("film", "cast"), "alice", "s1", "dom", 0.9),
+        (("film", "cast"), "alice", "s1", "text", 0.4),
+        (("film", "cast"), "alice", "s2", "dom", 0.7),
+        (("film", "cast"), "bob", "s1", "dom", 0.8),
+        (("film", "cast"), "bob", "s3", "dom", 0.6),
+        (("film", "cast"), "bob", "s3", "text", 0.95),
+        (("film", "cast"), "carol", "s4", "dom", 0.5),
+        (("film", "cast"), "carol", "s5", "text", 1.0),
+        # single value, one source / several sources
+        (("film", "year"), "1999", "s2", "dom", 0.3),
+        (("city", "country"), "france", "s1", "dom", 0.9),
+        (("city", "country"), "france", "s4", "dom", 0.2),
+        (("city", "country"), "france", "s5", "text", 0.6),
+        # contested, two values, one source on both sides
+        (("city", "mayor"), "anne", "s2", "dom", 0.85),
+        (("city", "mayor"), "anne", "s3", "dom", 0.75),
+        (("city", "mayor"), "bert", "s3", "text", 0.65),
+        (("city", "mayor"), "bert", "s5", "dom", 0.0),
+    ]
+    return ClaimSet(
+        claim(item, value, source, extractor, confidence)
+        for item, value, source, extractor, confidence in rows
+    )
+
+
+SOURCE_WEIGHTS = {
+    "uniform": None,
+    "non-uniform": {"s1": 0.35, "s2": 1.0, "s3": 0.8, "s4": 0.0, "s5": 0.55},
+}
+
+
+class TestMultiTruthKernelMatrix:
+    """Source weights × confidence × item shapes against the dict
+    loops, ``==`` on everything a result carries."""
+
+    @pytest.mark.parametrize("use_confidence", [False, True])
+    @pytest.mark.parametrize("weights_name", sorted(SOURCE_WEIGHTS))
+    @pytest.mark.parametrize(
+        "rounds", [{}, {"tolerance": 0.0, "max_iterations": 8}],
+        ids=["early-exit", "pinned-rounds"],
+    )
+    def test_mixed_items(self, use_confidence, weights_name, rounds):
+        kwargs = dict(
+            source_weights=SOURCE_WEIGHTS[weights_name],
+            use_confidence=use_confidence, **rounds,
+        )
+        assert_same_result(
+            MultiTruth(**kwargs).fuse(mixed_claims()),
+            MultiTruthLoops(**kwargs).fuse(mixed_claims()),
+        )
+
+    @pytest.mark.parametrize("use_confidence", [False, True])
+    @pytest.mark.parametrize("world_name", sorted(WORLDS))
+    def test_seeded_worlds_with_weights(self, world_name, use_confidence):
+        claims = generate_claim_world(WORLDS[world_name]).claims
+        weights = {
+            source: 0.2 + 0.11 * i
+            for i, source in enumerate(sorted(claims.sources()))
+        }
+        kwargs = dict(source_weights=weights, use_confidence=use_confidence)
+        assert_same_result(
+            MultiTruth(**kwargs).fuse(claims),
+            MultiTruthLoops(**kwargs).fuse(claims),
         )

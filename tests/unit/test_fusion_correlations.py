@@ -3,8 +3,9 @@
 import pytest
 
 from repro.fusion.base import Claim, ClaimSet
-from repro.fusion.correlations import CorrelationEstimator
+from repro.fusion.correlations import UNWITNESSED_RARITY, CorrelationEstimator
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
+from tests.oracles.correlation_scan import CorrelationEstimatorScan
 
 
 def claim(item, value, source, extractor="ex"):
@@ -199,3 +200,161 @@ class TestWitnessBlending:
             claims.add(claim(item, f"other{index}", "w2"))
         estimate = CorrelationEstimator(min_common_items=3).estimate(claims)
         assert estimate.pair("left", "right") == pytest.approx(0.5)
+
+
+# ----------------------------------------------------------------------
+# The estimator against its first-written form, float for float.
+
+ORACLE_WORLDS = {
+    "plain": ClaimWorldConfig(seed=5, n_items=80, n_sources=8),
+    "multi-truth": ClaimWorldConfig(
+        seed=6, n_items=60, n_sources=9, truths_per_item=2,
+        source_accuracies=[0.85] * 9,
+    ),
+    "confidence": ClaimWorldConfig(
+        seed=7, n_items=60, n_sources=8, confidence_informative=True,
+    ),
+    "copiers": ClaimWorldConfig(
+        seed=8, n_items=60, n_sources=8, copier_cliques=2,
+    ),
+    "one-clique": ClaimWorldConfig(
+        seed=3, n_items=60, n_sources=6, copier_cliques=1,
+    ),
+    "sparse": ClaimWorldConfig(
+        seed=11, n_items=40, n_sources=12, coverage=0.3,
+    ),
+}
+
+
+def _spread_over_extractors(claims, n_extractors):
+    """The same claims, dealt round-robin to ``n_extractors`` extractors
+    (the synthetic worlds know one)."""
+    return [
+        Claim(
+            one.item, one.value, one.lexical, one.source_id,
+            f"ex{index % n_extractors}", one.confidence,
+        )
+        for index, one in enumerate(claims)
+    ]
+
+
+def _assert_same_estimate(claims, **kwargs):
+    claims = list(claims)
+    got = CorrelationEstimator(**kwargs).estimate(claims)
+    expected = CorrelationEstimatorScan(**kwargs).estimate(claims)
+    assert got.dependence == expected.dependence
+    assert list(got.dependence) == list(expected.dependence)
+    assert got.weights == expected.weights
+    assert list(got.weights) == list(expected.weights)
+    return got
+
+
+class TestEqualsTheScanOracle:
+    """``==`` on ``dependence`` — key order included — and ``weights``
+    against ``tests/oracles/correlation_scan.py``."""
+
+    @pytest.mark.parametrize("world_name", sorted(ORACLE_WORLDS))
+    @pytest.mark.parametrize("min_common_items", [1, 3, 10])
+    def test_seeded_worlds_by_source(self, world_name, min_common_items):
+        claims = generate_claim_world(ORACLE_WORLDS[world_name]).claims
+        estimate = _assert_same_estimate(
+            claims, min_common_items=min_common_items
+        )
+        assert set(estimate.weights) == claims.sources()
+
+    @pytest.mark.parametrize("world_name", sorted(ORACLE_WORLDS))
+    @pytest.mark.parametrize("n_extractors", [2, 3, 5])
+    def test_seeded_worlds_by_extractor(self, world_name, n_extractors):
+        claims = generate_claim_world(ORACLE_WORLDS[world_name]).claims
+        estimate = _assert_same_estimate(
+            _spread_over_extractors(claims, n_extractors), by="extractor"
+        )
+        assert len(estimate.dependence) == (
+            n_extractors * (n_extractors - 1) // 2
+        )
+
+    def test_no_claims(self):
+        estimate = _assert_same_estimate([])
+        assert estimate.weights == {} and estimate.dependence == {}
+
+    @pytest.mark.parametrize("by", ["source", "extractor"])
+    def test_one_party(self, by):
+        claims = [
+            claim((f"e{index}", "a"), f"v{index % 3}", "only", "only-ex")
+            for index in range(12)
+        ]
+        estimate = _assert_same_estimate(claims, by=by)
+        assert estimate.dependence == {}
+        assert list(estimate.weights.values()) == [1.0]
+
+    def test_two_parties_without_witnesses(self):
+        claims = []
+        for index in range(10):
+            item = (f"e{index}", "a")
+            claims.append(claim(item, f"v{index}", "left"))
+            claims.append(claim(item, f"v{index}", "right"))
+        estimate = _assert_same_estimate(claims)
+        assert list(estimate.dependence) == [("left", "right")]
+        # Ten agreements at the unwitnessed rarity over a union of ten.
+        assert estimate.pair("left", "right") == pytest.approx(
+            UNWITNESSED_RARITY
+        )
+
+    def test_no_qualifying_pair(self):
+        # Twelve sources, every pair sharing exactly two items.
+        claims = [
+            claim((f"e{left}-{right}-{k}", "a"), "v", f"s{source:02d}")
+            for left in range(12)
+            for right in range(left + 1, 12)
+            for k in range(2)
+            for source in (left, right)
+        ]
+        estimate = _assert_same_estimate(claims, min_common_items=3)
+        assert estimate.dependence == {}
+        assert set(estimate.weights.values()) == {1.0}
+        # ... and one below the bar they all qualify.
+        estimate = _assert_same_estimate(claims, min_common_items=2)
+        assert len(estimate.dependence) == 66
+
+    def test_copier_clique_among_witnesses(self):
+        claims = []
+        for index in range(12):
+            item = (f"e{index}", "a")
+            for copier in ("c1", "c2", "c3", "c4"):
+                claims.append(claim(item, f"odd{index}", copier))
+            claims.append(claim(item, f"v{index}", "w1"))
+            claims.append(claim(item, f"v{index}", "w2"))
+            if index % 3 == 0:
+                claims.append(claim(item, f"odd{index}", "w3"))
+        estimate = _assert_same_estimate(claims)
+        clique = [estimate.weights[c] for c in ("c1", "c2", "c3", "c4")]
+        assert max(clique) < min(
+            estimate.weights[w] for w in ("w1", "w2", "w3")
+        )
+
+    def test_a_source_claiming_two_values_of_an_item(self):
+        claims = []
+        for index in range(8):
+            item = (f"e{index}", "a")
+            claims.append(claim(item, "x", "left"))
+            claims.append(claim(item, "y", "left"))
+            claims.append(claim(item, "y", "right"))
+            claims.append(claim(item, "z", "right"))
+            claims.append(claim(item, "z" if index % 2 else "y", "w"))
+        _assert_same_estimate(claims)
+
+    @pytest.mark.parametrize("by", ["source", "extractor"])
+    def test_one_shot_iterable(self, by):
+        """A generator is read once and estimated like the list (the
+        scan read its claims twice: an empty claimant table, and a
+        ``KeyError`` as soon as a pair qualified)."""
+        claims = _spread_over_extractors(
+            generate_claim_world(ORACLE_WORLDS["copiers"]).claims, 3
+        )
+        expected = CorrelationEstimatorScan(by=by).estimate(claims)
+        assert expected.dependence
+        got = CorrelationEstimator(by=by).estimate(one for one in claims)
+        assert got == expected
+        assert list(got.dependence) == list(expected.dependence)
+        with pytest.raises(KeyError):
+            CorrelationEstimatorScan(by=by).estimate(one for one in claims)

@@ -8,6 +8,8 @@ from repro.fusion.hierarchy import CasefoldHierarchy, HierarchicalFusion
 from repro.fusion.multitruth import MultiTruth
 from repro.rdf.hierarchy import ValueHierarchy
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
+from tests.oracles.fusion_loops import assert_same_result
+from tests.oracles.hierarchy_walk import HierarchicalFusionEveryItem
 
 
 def claim(item, value, source):
@@ -149,3 +151,63 @@ class TestHierarchicalFusion:
 
     def test_method_name_wraps_base(self, locations):
         assert HierarchicalFusion(Accu(), locations).name == "hier(accu)"
+
+
+class TestSpecializeShortcut:
+    """An item none of whose values is a hierarchy node keeps its
+    winners as they stand — the same truths as walking its chains
+    (``tests/oracles/hierarchy_walk.py``)."""
+
+    @staticmethod
+    def _mixed_world():
+        """A hierarchical world and a flat one side by side, plus items
+        mixing chain values, roots and values off every chain."""
+        hier = generate_claim_world(
+            ClaimWorldConfig(
+                seed=17, n_items=40, n_sources=8, hierarchical=True
+            )
+        )
+        flat = generate_claim_world(
+            ClaimWorldConfig(seed=5, n_items=40, n_sources=8, false_pool=3)
+        )
+        root = sorted(hier.hierarchy.roots())[0]
+        leaf = sorted(
+            value for value in hier.hierarchy
+            if not hier.hierarchy.children(value)
+        )[0]
+        claims = ClaimSet(hier.claims)
+        for one in flat.claims:
+            claims.add(
+                Claim(
+                    (f"flat/{one.item[0]}", one.item[1]), one.value,
+                    one.lexical, one.source_id, one.extractor_id,
+                    one.confidence,
+                )
+            )
+        for source, value in enumerate([root, root, "nowhere", leaf]):
+            claims.add(claim(("mixed", "place"), value, f"source{source:02d}"))
+        for source, value in enumerate([root.upper(), "Elsewhere"]):
+            claims.add(claim(("root", "place"), value, f"source{source:02d}"))
+        return hier.hierarchy, claims
+
+    @pytest.mark.parametrize(
+        "base", [Accu, MultiTruth, lambda: MultiTruth(use_confidence=True)],
+        ids=["accu", "multitruth", "multitruth-conf"],
+    )
+    def test_same_result_as_walking_every_item(self, base):
+        hierarchy, claims = self._mixed_world()
+        view = CasefoldHierarchy(hierarchy)
+        on_a_chain = [
+            any(value in view for value in claims.values_of(item))
+            for item in claims.items()
+        ]
+        assert any(on_a_chain) and not all(on_a_chain)
+        assert_same_result(
+            HierarchicalFusion(base(), hierarchy).fuse(claims),
+            HierarchicalFusionEveryItem(base(), hierarchy).fuse(claims),
+        )
+
+    def test_root_only_value_is_a_node(self, locations):
+        view = CasefoldHierarchy(locations)
+        assert "china" in view and "australia" in view
+        assert "wuhan" in view and "hubei" in view

@@ -7,6 +7,7 @@ from repro.fusion.base import Claim, ClaimSet
 from repro.fusion.multitruth import MultiTruth
 from repro.fusion.vote import Vote
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
+from tests.oracles.fusion_loops import MultiTruthLoops, assert_same_result
 
 
 def claim(item, value, source, confidence=1.0):
@@ -119,6 +120,40 @@ class TestConfidenceHandling:
         with_conf = MultiTruth(use_confidence=True).fuse(world.claims)
         assert world.precision_of(with_conf.truths) >= world.precision_of(
             without.truths
+        )
+
+    @pytest.mark.parametrize("use_confidence", [False, True])
+    def test_a_pair_claimed_twice_counts_once_at_its_best(
+        self, use_confidence
+    ):
+        """One source, one pair, two extractors: the source is one
+        claimer of the pair, at the larger confidence."""
+        others = [
+            claim(("s", "p"), "right", "r2", confidence=0.8),
+            claim(("s", "p"), "wrong", "w1", confidence=0.7),
+            claim(("s", "q"), "only", "r1", confidence=0.5),
+        ]
+        twice = ClaimSet(
+            [
+                Claim(("s", "p"), "right", "right", "r1", "dom", 0.3),
+                Claim(("s", "p"), "right", "right", "r1", "text", 0.9),
+                *others,
+            ]
+        )
+        once = ClaimSet(
+            [Claim(("s", "p"), "right", "right", "r1", "text", 0.9), *others]
+        )
+        method = MultiTruth(
+            use_confidence=use_confidence,
+            source_weights={"r1": 0.6, "w1": 0.9},
+        )
+        assert method.fuse(twice).belief == method.fuse(once).belief
+        assert_same_result(
+            method.fuse(twice),
+            MultiTruthLoops(
+                use_confidence=use_confidence,
+                source_weights={"r1": 0.6, "w1": 0.9},
+            ).fuse(twice),
         )
 
 

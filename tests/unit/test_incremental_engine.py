@@ -182,21 +182,33 @@ class TestApplyDelta:
 
 
 class CountingStore(TripleStore):
-    """Counts whole-store reads across the engine's copy lineage."""
+    """Counts whole-store reads, and the journal's calls, across the
+    engine's copy lineage."""
 
     def __init__(self, backend=None, counts=None):
         super().__init__(backend)
         self.counts = (
-            {"full_reads": 0, "item_reads": []} if counts is None else counts
+            {
+                "full_reads": 0, "item_reads": [], "triple_reads": 0,
+                "removes": 0, "batch_removes": 0,
+            }
+            if counts is None else counts
         )
 
     def copy(self):
         return CountingStore(self.backend.copy(), self.counts)
 
     def claims(self, triple=None):
-        if triple is None:
-            self.counts["full_reads"] += 1
+        self.counts["full_reads" if triple is None else "triple_reads"] += 1
         return super().claims(triple)
+
+    def remove(self, triple):
+        self.counts["removes"] += 1
+        return super().remove(triple)
+
+    def remove_all(self, triples):
+        self.counts["batch_removes"] += 1
+        return super().remove_all(triples)
 
     def claims_for_items(self, items):
         items = list(items)
@@ -269,6 +281,142 @@ class TestDeltaWorkFollowsTheRegion:
         assert {subject.split("/")[0] for subject, _ in built} == {"w0"}
         reference = _fusion().fuse(canonical_claims(engine.store.copy()))
         assert engine.result.canonical_bytes() == reference.canonical_bytes()
+
+
+    def test_retractions_and_duplicate_adds_cost_one_store_call(self):
+        """Regression: the journal read ``claims(triple)`` and called
+        ``remove(triple)`` per retraction — two walks of the claim dict
+        each on the memory backend — and read ``claims(triple)`` back
+        after every add that left the store's size alone."""
+        store = _corpus(n_worlds=8, store=CountingStore())
+        weak = ScoredTriple(
+            Triple("w7/entity000", "attr", Value("weakly held")),
+            Provenance("w7/source00", "synthetic"),
+            0.4,
+        )
+        assert store.add(weak)
+        engine = _fusion().begin_incremental(store)
+        held = engine.store.claims()
+        retracted = []
+        for scored in held:
+            if scored.triple not in retracted:
+                retracted.append(scored.triple)
+        retracted = retracted[5:30]
+        assert len(retracted) >= 20
+        removed = sum(scored.triple in retracted for scored in held)
+        absent = Triple("w0/nobody", "capital", Value("nowhere"))
+        kept = [
+            scored for scored in held if scored.triple not in retracted
+        ]
+        delta = ClaimDelta(
+            # One triple twice, one the store never held.
+            retracted=[*retracted, retracted[0], absent],
+            added=[
+                # Duplicate keys: the stored object, an equal one, a
+                # weaker one (no-ops) and a stronger one (a refresh).
+                kept[0],
+                ScoredTriple(
+                    kept[1].triple, kept[1].provenance, kept[1].confidence
+                ),
+                weak.with_confidence(0.2),
+                weak.with_confidence(0.9),
+                # ... and a retracted triple put back.
+                ScoredTriple(
+                    retracted[3], Provenance("w0/source00", "synthetic"), 0.5
+                ),
+            ],
+        )
+        assert weak.triple not in retracted
+        for key in ("full_reads", "triple_reads", "removes", "batch_removes"):
+            store.counts[key] = 0
+        outcome = engine.apply_delta(delta)
+
+        assert store.counts["triple_reads"] == 0
+        assert store.counts["removes"] == 0
+        assert store.counts["batch_removes"] == 1
+        assert store.counts["full_reads"] == 0
+        receipt = outcome.receipt
+        assert receipt.removed_claims == removed
+        assert receipt.missing_retractions == 2
+        assert receipt.noop_additions == 3
+        assert receipt.added == 2
+        assert receipt.dirty_items == {
+            triple.item for triple in retracted
+        } | {scored.triple.item for scored in delta.added}
+        assert len(engine.store) == len(held) - removed + 1
+        reference = _fusion().fuse(canonical_claims(engine.store.copy()))
+        assert engine.result.canonical_bytes() == reference.canonical_bytes()
+
+
+class _CountingClaims:
+    """An iterable of claims that counts its passes and, per claim
+    field, how often the estimator read it."""
+
+    def __init__(self, claims):
+        self.reads = {"item": 0, "value": 0, "source_id": 0, "extractor_id": 0}
+        self.passes = 0
+        reads = self.reads
+
+        class Counted:
+            __slots__ = ("_claim",)
+
+            def __init__(self, one):
+                self._claim = one
+
+            def __getattr__(self, name):
+                reads[name] += 1
+                return getattr(self._claim, name)
+
+        self._claims = [Counted(one) for one in claims]
+
+    def __len__(self):
+        return len(self._claims)
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self._claims)
+
+
+class TestEstimatorBuildsWhatItsPairLoopReads:
+    def test_one_extractor_is_one_pass_and_no_table(self):
+        """Regression: with one extractor in the corpus the estimate is
+        ``{extractor: 1.0}``, yet both tables were built over every
+        claim (most of what a small delta cost on a one-extractor
+        store)."""
+        claims = _CountingClaims(canonical_claims(_corpus(n_worlds=20)))
+        estimate = CorrelationEstimator(by="extractor").estimate(claims)
+        assert estimate.weights == {"synthetic": 1.0}
+        assert estimate.dependence == {}
+        assert claims.passes == 1
+        assert claims.reads == {
+            "item": 0, "value": 0, "source_id": 0,
+            "extractor_id": len(claims),
+        }
+
+    def test_no_qualifying_pair_builds_no_claimant_table(self):
+        """Disjoint worlds of four sources with ``min_common_items``
+        above any world's item count: every source is collected and
+        votes, nobody is scored — two reads of the claims, not three."""
+        claims = _CountingClaims(
+            canonical_claims(_corpus(n_worlds=10, n_items=6))
+        )
+        estimate = CorrelationEstimator(min_common_items=7).estimate(claims)
+        assert len(estimate.weights) == 40
+        assert set(estimate.weights.values()) == {1.0}
+        assert estimate.dependence == {}
+        assert claims.passes == 1
+        assert claims.reads == {
+            "item": len(claims), "value": len(claims),
+            "source_id": 2 * len(claims), "extractor_id": 0,
+        }
+        # One item fewer and pairs qualify: the third read, of the
+        # items those pairs share.
+        claims = _CountingClaims(
+            canonical_claims(_corpus(n_worlds=10, n_items=6))
+        )
+        estimate = CorrelationEstimator(min_common_items=2).estimate(claims)
+        assert estimate.dependence
+        assert claims.reads["item"] == 2 * len(claims)
 
 
 class TestCorpusSuccessor:

@@ -140,7 +140,9 @@ class TestPinnedSnapshotImmutability:
         store = build_store(backend_name, tmp_path)
         pinned = store.pin()
         assert isinstance(pinned, StoreSnapshot)
-        for mutator in ("add", "add_all", "remove", "merge", "flush"):
+        for mutator in (
+            "add", "add_all", "remove", "remove_all", "merge", "flush",
+        ):
             assert not hasattr(pinned, mutator)
 
     @pytest.mark.parametrize("take", ["pin", "copy"])
