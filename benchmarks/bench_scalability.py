@@ -1,75 +1,30 @@
-"""Scale-up — fusion as MapReduce jobs, plus the segment storage engine.
+"""Scale-up — fusion as MapReduce jobs (Sec. 3.1 / Dong et al. [13]).
 
-Two sections:
-
-**mapreduce** (the original sweep): VOTE and ACCU both in memory and on
-the local MapReduce engine over growing claim volumes.  Expected
-shape: identical decisions at every size, near-linear growth of the
-MapReduce wall time.
-
-**storage** (the segment-backend engine):
-
-* ``add_all`` micro-benchmark — batched ingestion vs a per-claim
-  ``add`` loop on the memory backend (the batch defers per-claim index
-  churn to one pass);
-* memory ceiling — a corpus whose in-memory footprint is at least
-  **2x a configured RSS headroom budget** is streamed into a
-  :class:`~repro.rdf.segments.SegmentBackend` in a child process; the
-  child's peak RSS must stay under the budget while a twin child
-  holding the same corpus in a plain memory-backend store blows
-  through it (this is the whole point of the LSM layout: the working
-  set is the memtable, not the corpus);
-* cold start — reopening the flushed segment directory (manifest read
-  + mmap) vs re-ingesting the corpus from scratch; reopen must be at
-  least 5x faster.
-
-Results land in ``benchmarks/out/scalability.txt`` (tables) and
-``benchmarks/out/BENCH_storage.json``; a ``storage_*`` metrics
-snapshot — schema-validated in CI by ``python -m repro.obs.schema``
-— lands in ``benchmarks/out/storage_metrics.json``.  Run standalone
-with ``python benchmarks/bench_scalability.py [--quick]``.
+Runs VOTE and ACCU both in memory and on the local MapReduce engine
+over growing claim volumes.  Expected shape: identical decisions at
+every size (the jobs are the same algorithm), near-linear growth of the
+MapReduce wall time, and constant decision quality.
 """
 
-import argparse
-import json
-import os
-import pathlib
-import resource
-import subprocess
-import sys
-import tempfile
 import time
 
+import pytest
+
+from benchmarks.conftest import emit_report
 from repro.evalx.tables import format_ratio, render_table
 from repro.fusion.accu import Accu
 from repro.fusion.vote import Vote
 from repro.mapreduce.jobs import mr_accu, mr_vote
-from repro.obs import MetricsRegistry
-from repro.rdf.backend import MemoryBackend
-from repro.rdf.segments import SegmentBackend
-from repro.rdf.store import TripleStore
-from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
 
-OUT_DIR = pathlib.Path(__file__).parent / "out"
-
-# Storage-section knobs: (n_claims, lexical padding, RSS headroom
-# budget in MiB).  The corpus is sized so its in-memory footprint is
-# >= 2x the budget (checked empirically against the memory-backend
-# child, not assumed).
-STORAGE_FULL = (200_000, 600, 96)
-STORAGE_QUICK = (60_000, 300, 16)
-MEMTABLE_LIMIT = 2000
-COLD_START_MIN_SPEEDUP = 5.0
+ITEM_COUNTS = [100, 400, 1600]
 
 
-# ----------------------------------------------------------------------
-# MapReduce sweep (the original scale-up section).
-# ----------------------------------------------------------------------
-
-def run_mapreduce_section(quick: bool) -> dict:
-    records = []
-    for n_items in [100, 400] if quick else [100, 400, 1600]:
+@pytest.fixture(scope="module")
+def sweep():
+    rows = []
+    agreements = []
+    for n_items in ITEM_COUNTS:
         world = generate_claim_world(
             ClaimWorldConfig(seed=47, n_items=n_items, n_sources=10)
         )
@@ -81,396 +36,49 @@ def run_mapreduce_section(quick: bool) -> dict:
         distributed_vote = mr_vote(world.claims, partitions=4)
         distributed_seconds = time.perf_counter() - started
 
+        vote_agree = distributed_vote.truths == memory_vote.truths
+
         memory_accu = Accu(max_iterations=5).fuse(world.claims)
         distributed_accu = mr_accu(world.claims, rounds=5, partitions=4)
-        accu_agreement = sum(
+        accu_agree = sum(
             1
             for item, truth in memory_accu.truths.items()
             if distributed_accu.truths.get(item) == truth
         ) / len(memory_accu.truths)
 
-        records.append(
-            {
-                "items": n_items,
-                "claims": len(world.claims),
-                "memory_seconds": round(memory_seconds, 4),
-                "mapreduce_seconds": round(distributed_seconds, 4),
-                "vote_agrees": distributed_vote.truths == memory_vote.truths,
-                "accu_agreement": round(accu_agreement, 4),
-                "accu_precision": round(
-                    world.precision_of(distributed_accu.truths), 4
-                ),
-            }
+        agreements.append((vote_agree, accu_agree))
+        rows.append(
+            [
+                n_items,
+                len(world.claims),
+                f"{memory_seconds * 1000:.1f}ms",
+                f"{distributed_seconds * 1000:.1f}ms",
+                "yes" if vote_agree else "NO",
+                format_ratio(accu_agree),
+                format_ratio(world.precision_of(distributed_accu.truths)),
+            ]
         )
-    return {"runs": records}
+    return rows, agreements
 
 
-def mapreduce_table(section: dict) -> str:
-    rows = [
+def test_scalability_report(sweep, benchmark):
+    rows, agreements = sweep
+    world = generate_claim_world(
+        ClaimWorldConfig(seed=47, n_items=400, n_sources=10)
+    )
+    benchmark.pedantic(
+        lambda: mr_vote(world.claims, partitions=4), rounds=3, iterations=1
+    )
+    table = render_table(
         [
-            record["items"],
-            record["claims"],
-            f"{record['memory_seconds'] * 1000:.1f}ms",
-            f"{record['mapreduce_seconds'] * 1000:.1f}ms",
-            "yes" if record["vote_agrees"] else "NO",
-            format_ratio(record["accu_agreement"]),
-            format_ratio(record["accu_precision"]),
-        ]
-        for record in section["runs"]
-    ]
-    return render_table(
-        ["items", "claims", "in-memory VOTE", "MR VOTE",
-         "VOTE agrees", "ACCU agreement", "MR ACCU precision"],
+            "items", "claims", "in-memory VOTE", "MR VOTE",
+            "VOTE agrees", "ACCU agreement", "MR ACCU precision",
+        ],
         rows,
         title="Scale-up: fusion on the MapReduce engine",
     )
+    emit_report("scalability", table)
 
-
-# ----------------------------------------------------------------------
-# Storage section.
-# ----------------------------------------------------------------------
-
-def _stream_claims(n_claims: int, value_len: int):
-    """A deterministic bulk-claim stream, one claim at a time.
-
-    Every lexical is distinct (no dedup), values carry ``value_len``
-    bytes of padding so per-claim footprint is dominated by data, not
-    object headers, and subjects/sources repeat so the claim graph
-    looks like a real corpus rather than n singletons.
-    """
-    pad = "x" * value_len
-    n_subjects = max(1, n_claims // 4)
-    for i in range(n_claims):
-        yield ScoredTriple(
-            Triple(
-                f"item-{i % n_subjects:07d}",
-                f"p{i % 5}",
-                Value.string(f"{pad}-{i}"),
-            ),
-            Provenance(f"src-{i % 97}", "bulk"),
-            0.5 + (i % 50) / 100,
-        )
-
-
-def _peak_rss_bytes() -> int:
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return rss * 1024 if sys.platform != "darwin" else rss
-
-
-def _child(role: str, directory: str, n_claims: int, value_len: int) -> int:
-    """Worker mode: ingest the corpus, print a JSON report, exit.
-
-    ``probe`` imports everything and ingests nothing, measuring the
-    interpreter baseline the budgets are relative to.
-    """
-    started = time.perf_counter()
-    count = 0
-    if role == "segment":
-        backend = SegmentBackend(
-            directory,
-            memtable_limit=MEMTABLE_LIMIT,
-            # Full compaction materializes the corpus; keep it out of
-            # the bounded-ingest path (it has its own durability tests).
-            compact_threshold=10**9,
-        )
-        store = TripleStore(backend)
-        store.add_all(_stream_claims(n_claims, value_len))
-        store.flush()
-        count = len(store)
-    elif role == "memory":
-        store = TripleStore()
-        store.add_all(_stream_claims(n_claims, value_len))
-        count = len(store)
-    print(
-        json.dumps(
-            {
-                "role": role,
-                "claims": count,
-                "elapsed_seconds": round(time.perf_counter() - started, 4),
-                "peak_rss_bytes": _peak_rss_bytes(),
-            }
-        )
-    )
-    return 0
-
-
-def _spawn(role: str, directory: str, n_claims: int, value_len: int) -> dict:
-    env = dict(os.environ)
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [
-            sys.executable, os.fspath(pathlib.Path(__file__).resolve()),
-            "--child", role, "--dir", directory,
-            "--claims", str(n_claims), "--value-len", str(value_len),
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def _bench_add_all(quick: bool) -> dict:
-    import gc
-    import statistics
-
-    n_claims = 20_000 if quick else 60_000
-    corpus = list(_stream_claims(n_claims, 40))
-    loop_times, batch_times = [], []
-    for _ in range(3 if quick else 5):
-        gc.collect()
-        gc.disable()
-        batch_backend = MemoryBackend()
-        started = time.perf_counter()
-        batch_backend.add_all(corpus)
-        batch_times.append(time.perf_counter() - started)
-        gc.enable()
-        gc.collect()
-        gc.disable()
-        loop_backend = MemoryBackend()
-        add = loop_backend.add
-        started = time.perf_counter()
-        for scored in corpus:
-            add(scored)
-        loop_times.append(time.perf_counter() - started)
-        gc.enable()
-        assert list(batch_backend.iter_claims()) == list(
-            loop_backend.iter_claims()
-        )
-    loop_seconds = statistics.median(loop_times)
-    batch_seconds = statistics.median(batch_times)
-    return {
-        "claims": n_claims,
-        "loop_seconds": round(loop_seconds, 4),
-        "batch_seconds": round(batch_seconds, 4),
-        "speedup": round(loop_seconds / batch_seconds, 3),
-    }
-
-
-def _bench_metrics_snapshot() -> dict:
-    """A small instrumented segment workload; its snapshot is what CI
-    schema-validates."""
-    registry = MetricsRegistry()
-    with tempfile.TemporaryDirectory() as scratch:
-        backend = SegmentBackend(
-            pathlib.Path(scratch) / "metrics",
-            memtable_limit=64,
-            compact_threshold=4,
-            metrics=registry,
-        )
-        store = TripleStore(backend)
-        store.add_all(_stream_claims(1000, 40))
-        store.remove(next(_stream_claims(1, 40)).triple)
-        store.flush()
-        store.compact()
-        store.close()
-    return registry.snapshot().to_json_dict()
-
-
-def run_storage_section(quick: bool) -> dict:
-    n_claims, value_len, budget_mb = STORAGE_QUICK if quick else STORAGE_FULL
-    section: dict = {
-        "claims": n_claims,
-        "value_len": value_len,
-        "memtable_limit": MEMTABLE_LIMIT,
-        "rss_budget_mb": budget_mb,
-        "add_all": _bench_add_all(quick),
-    }
-    with tempfile.TemporaryDirectory() as scratch:
-        seg_dir = str(pathlib.Path(scratch) / "segments")
-        probe = _spawn("probe", seg_dir, 0, 0)
-        segment = _spawn("segment", seg_dir, n_claims, value_len)
-        memory = _spawn("memory", seg_dir, n_claims, value_len)
-
-        baseline = probe["peak_rss_bytes"]
-        budget = baseline + budget_mb * 1024 * 1024
-        corpus_footprint = memory["peak_rss_bytes"] - baseline
-        section["memory_ceiling"] = {
-            "baseline_rss_bytes": baseline,
-            "budget_bytes": budget,
-            "corpus_footprint_bytes": corpus_footprint,
-            "corpus_over_budget": round(
-                corpus_footprint / (budget_mb * 1024 * 1024), 2
-            ),
-            "segment_peak_rss_bytes": segment["peak_rss_bytes"],
-            "memory_peak_rss_bytes": memory["peak_rss_bytes"],
-            "segment_under_budget": segment["peak_rss_bytes"] <= budget,
-            "memory_over_budget": memory["peak_rss_bytes"] > budget,
-            "segment_ingest_seconds": segment["elapsed_seconds"],
-            "memory_ingest_seconds": memory["elapsed_seconds"],
-        }
-
-        # Cold start: reopen the flushed directory until first answer
-        # (manifest read + mmap + a point lookup) vs the re-ingest the
-        # reopen replaces.
-        probe_triple = next(_stream_claims(1, value_len)).triple
-        started = time.perf_counter()
-        reopened = TripleStore(SegmentBackend(seg_dir))
-        assert len(reopened) == segment["claims"]
-        assert probe_triple in reopened
-        reopen_seconds = time.perf_counter() - started
-        reopened.close()
-        section["cold_start"] = {
-            "reopen_seconds": round(reopen_seconds, 4),
-            "reingest_seconds": segment["elapsed_seconds"],
-            "speedup": round(
-                segment["elapsed_seconds"] / max(reopen_seconds, 1e-9), 1
-            ),
-        }
-    return section
-
-
-def storage_table(section: dict) -> str:
-    ceiling = section["memory_ceiling"]
-    cold = section["cold_start"]
-    add_all = section["add_all"]
-    mib = 1024 * 1024
-    rows = [
-        ["corpus", f"{section['claims']} claims",
-         f"footprint {ceiling['corpus_footprint_bytes'] / mib:.0f}MiB "
-         f"({ceiling['corpus_over_budget']:.1f}x budget)"],
-        ["RSS budget", f"{section['rss_budget_mb']}MiB headroom",
-         f"absolute {ceiling['budget_bytes'] / mib:.0f}MiB"],
-        ["segment ingest",
-         f"peak {ceiling['segment_peak_rss_bytes'] / mib:.0f}MiB",
-         "under budget" if ceiling["segment_under_budget"]
-         else "OVER BUDGET"],
-        ["memory ingest",
-         f"peak {ceiling['memory_peak_rss_bytes'] / mib:.0f}MiB",
-         "over budget (expected)" if ceiling["memory_over_budget"]
-         else "under budget (?)"],
-        ["cold start", f"reopen {cold['reopen_seconds'] * 1000:.1f}ms",
-         f"{cold['speedup']}x faster than re-ingest "
-         f"({cold['reingest_seconds']:.2f}s)"],
-        ["add_all batch", f"{add_all['batch_seconds'] * 1000:.1f}ms "
-         f"for {add_all['claims']} claims",
-         f"{add_all['speedup']}x vs per-claim add loop "
-         f"({add_all['loop_seconds'] * 1000:.1f}ms)"],
-    ]
-    return render_table(
-        ["measure", "value", "verdict"],
-        rows,
-        title=(
-            f"Segment storage engine (memtable {section['memtable_limit']} "
-            f"claims, {section['value_len']}B lexicals)"
-        ),
-    )
-
-
-# ----------------------------------------------------------------------
-# Driver.
-# ----------------------------------------------------------------------
-
-def run_all(quick: bool) -> tuple[dict, str]:
-    mapreduce = run_mapreduce_section(quick)
-    storage = run_storage_section(quick)
-    document = {
-        "meta": {
-            "quick": quick,
-            "cpu_count": os.cpu_count(),
-            "python": sys.version.split()[0],
-        },
-        "mapreduce": mapreduce,
-        "storage": storage,
-    }
-    tables = mapreduce_table(mapreduce) + "\n\n" + storage_table(storage)
-    return document, tables
-
-
-def emit(document: dict, tables: str, metrics_out: pathlib.Path) -> None:
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / "scalability.txt").write_text(tables + "\n")
-    (OUT_DIR / "BENCH_storage.json").write_text(
-        json.dumps(document, indent=2) + "\n"
-    )
-    metrics_out.parent.mkdir(parents=True, exist_ok=True)
-    metrics_out.write_text(
-        json.dumps(_bench_metrics_snapshot(), indent=2) + "\n"
-    )
-
-
-def _check(document: dict) -> list[str]:
-    failures = []
-    for record in document["mapreduce"]["runs"]:
-        if not record["vote_agrees"]:
-            failures.append(
-                f"MR VOTE diverged at {record['items']} items"
-            )
-        if record["accu_agreement"] <= 0.95:
-            failures.append(
-                f"MR ACCU agreement {record['accu_agreement']} <= 0.95 "
-                f"at {record['items']} items"
-            )
-    storage = document["storage"]
-    ceiling = storage["memory_ceiling"]
-    if not ceiling["segment_under_budget"]:
-        failures.append(
-            f"segment ingest peak RSS {ceiling['segment_peak_rss_bytes']} "
-            f"over budget {ceiling['budget_bytes']}"
-        )
-    if not document["meta"]["quick"]:
-        # Full-mode acceptance bars: the corpus really is >= 2x the
-        # budget headroom, and reopening beats re-ingesting 5x.
-        if ceiling["corpus_over_budget"] < 2.0:
-            failures.append(
-                f"corpus footprint only {ceiling['corpus_over_budget']}x "
-                "the RSS budget (need >= 2x)"
-            )
-        if not ceiling["memory_over_budget"]:
-            failures.append(
-                "memory-backend ingest unexpectedly fit the budget — "
-                "the ceiling comparison is vacuous"
-            )
-        if storage["cold_start"]["speedup"] < COLD_START_MIN_SPEEDUP:
-            failures.append(
-                f"cold start speedup {storage['cold_start']['speedup']}x "
-                f"< {COLD_START_MIN_SPEEDUP}x"
-            )
-    return failures
-
-
-def test_scalability_report():
-    document, tables = run_all(quick=False)
-    print()
-    print(tables)
-    emit(document, tables, OUT_DIR / "storage_metrics.json")
-    assert not _check(document)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="shrink the corpora (CI smoke mode)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        type=pathlib.Path,
-        default=OUT_DIR / "storage_metrics.json",
-        help="where to write the storage_* metrics snapshot",
-    )
-    parser.add_argument("--child", help=argparse.SUPPRESS)
-    parser.add_argument("--dir", help=argparse.SUPPRESS)
-    parser.add_argument("--claims", type=int, default=0,
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--value-len", type=int, default=0,
-                        help=argparse.SUPPRESS)
-    options = parser.parse_args(argv)
-    if options.child:
-        return _child(
-            options.child, options.dir, options.claims, options.value_len
-        )
-    document, tables = run_all(quick=options.quick)
-    print(tables)
-    emit(document, tables, options.metrics_out)
-    print(f"\nwrote {OUT_DIR / 'BENCH_storage.json'}")
-    failures = _check(document)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    for vote_agree, accu_agree in agreements:
+        assert vote_agree
+        assert accu_agree > 0.95

@@ -23,6 +23,8 @@ import argparse
 import sys
 from collections.abc import Sequence
 
+from repro.errors import ReproError
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -259,7 +261,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "tenants": _run_tenants,
         "query": _run_query,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ReproError, OSError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 # ----------------------------------------------------------------------
@@ -267,6 +273,7 @@ def _run_pipeline(args) -> int:
     from repro.core.config import PipelineConfig
     from repro.core.pipeline import KnowledgeBaseConstructionPipeline
     from repro.faults import RetryPolicy
+    from repro.incremental import load_delta
     from repro.synth.querylog import QueryLogConfig
     from repro.synth.world import WorldConfig
 
@@ -287,6 +294,10 @@ def _run_pipeline(args) -> int:
         storage_dir=args.storage_dir,
         memtable_limit=args.memtable_limit,
     )
+    # A bad option or an unreadable delta file fails here, before the
+    # run it would otherwise fail after.
+    config.validate()
+    deltas = [(path, load_delta(path)) for path in args.apply_delta]
     pipeline = KnowledgeBaseConstructionPipeline(config)
     report = pipeline.run(resume=args.resume)
     for timing in report.timings:
@@ -324,12 +335,10 @@ def _run_pipeline(args) -> int:
             f"+{augmentation.total_new_attributes()} attributes, "
             f"+{augmentation.new_entities} entities"
         )
-    if args.serve and args.apply_delta:
-        from repro.incremental import load_delta
-
+    if args.serve and deltas:
         server = pipeline.serve()
-        for path in args.apply_delta:
-            event = server.publish(load_delta(path))
+        for path, delta in deltas:
+            event = server.publish(delta)
             print(
                 f"published {path} as event {event.offset} "
                 f"({event.event_id})"
@@ -351,10 +360,8 @@ def _run_pipeline(args) -> int:
         reader = server.reader()
         for subject, score in reader.top_entities(5):
             print(f"  top entity {subject}: belief {score:.3f}")
-    for path in ([] if args.serve else args.apply_delta):
-        from repro.incremental import load_delta
-
-        incremental = pipeline.run_incremental(load_delta(path))
+    for path, delta in ([] if args.serve else deltas):
+        incremental = pipeline.run_incremental(delta)
         outcome = incremental.outcome
         receipt = outcome.receipt
         print(

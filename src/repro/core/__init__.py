@@ -12,7 +12,6 @@ from repro.core.checkpoint import (
 )
 from repro.core.confidence import (
     DEFAULT_EXTRACTOR_PRIORS,
-    ConfidenceConfig,
     ConfidenceScorer,
 )
 from repro.core.config import PipelineConfig
@@ -28,7 +27,6 @@ __all__ = [
     "AugmentationReport",
     "CHECKPOINT_STAGES",
     "CheckpointStore",
-    "ConfidenceConfig",
     "ConfidenceScorer",
     "DEFAULT_EXTRACTOR_PRIORS",
     "KnowledgeBaseConstructionPipeline",

@@ -61,13 +61,8 @@ _FINGERPRINT_FIELDS = (
     "world",
     "kb_pair",
     "querylog",
-    "querystream",
     "websites",
     "webtext",
-    "dom",
-    "webtext_extractor",
-    "confidence",
-    "seed_min_support",
     "discover_new_entities",
     "functionality_source",
     "resolve_attributes",

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.confidence import ConfidenceConfig
 from repro.errors import PipelineError
-from repro.extract.dom import DomExtractorConfig
-from repro.extract.querystream import QueryStreamConfig
-from repro.extract.webtext import WebTextExtractorConfig
 from repro.faults import FaultPlan, RetryPolicy
 from repro.synth.kb_snapshots import KbPairConfig
 from repro.synth.querylog import QueryLogConfig
@@ -26,15 +22,8 @@ class PipelineConfig:
     world: WorldConfig = field(default_factory=WorldConfig)
     kb_pair: KbPairConfig = field(default_factory=KbPairConfig)
     querylog: QueryLogConfig = field(default_factory=QueryLogConfig)
-    querystream: QueryStreamConfig = field(default_factory=QueryStreamConfig)
     websites: WebsiteConfig = field(default_factory=WebsiteConfig)
     webtext: WebTextConfig = field(default_factory=WebTextConfig)
-    dom: DomExtractorConfig = field(default_factory=DomExtractorConfig)
-    webtext_extractor: WebTextExtractorConfig = field(
-        default_factory=WebTextExtractorConfig
-    )
-    confidence: ConfidenceConfig = field(default_factory=ConfidenceConfig)
-    seed_min_support: int = 1
     # New-entity creation (Sec. 3.1): when on, Set_E is still the
     # Freebase snapshot's entity sets, but pages naming unknown
     # entities harvest mention facts, and joint resolution links or
@@ -74,10 +63,6 @@ class PipelineConfig:
     # Minimum number of healthy extractor outputs required to proceed
     # to fusion; fewer raises PipelineError.
     min_sources: int = 1
-    # Quarantine capacity: total diverted records above this raise
-    # QuarantineOverflowError (losing most of a feed silently would be
-    # worse than failing).
-    quarantine_capacity: int = 1000
     # Directory for stage checkpoints (None disables checkpointing).
     checkpoint_dir: str | None = None
     # -- Storage --------------------------------------------------------
@@ -95,19 +80,11 @@ class PipelineConfig:
     storage_dir: str | None = None
     # Memtable entries that trigger an automatic segment flush.
     memtable_limit: int = 8192
-    # -- Serving --------------------------------------------------------
-    # Event-log backlog bound for Pipeline.serve(): once the serving
-    # consumer lags this many events behind the head, publishes are
-    # rejected with BackpressureError (explicit load shedding; the log
-    # never drops silently).
-    serving_log_capacity: int = 1024
 
     def validate(self) -> None:
         """Raise :class:`PipelineError` on an out-of-range knob."""
         if self.min_sources < 0:
             raise PipelineError("min_sources must be >= 0")
-        if self.quarantine_capacity < 1:
-            raise PipelineError("quarantine_capacity must be >= 1")
         if self.stage_timeout is not None and self.stage_timeout <= 0:
             raise PipelineError("stage_timeout must be positive")
         if self.storage_backend not in ("memory", "segment"):

@@ -62,7 +62,7 @@ Fault tolerance
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.augmentation import AugmentationReport, augment_kb
 from repro.core.checkpoint import CheckpointStore, config_fingerprint
@@ -91,7 +91,7 @@ from repro.evalx.metrics import (
     remap_subjects,
 )
 from repro.extract.base import ExtractorOutput
-from repro.extract.dom import DomTreeExtractor
+from repro.extract.dom import DomExtractorConfig, DomTreeExtractor
 from repro.extract.kb import KbExtractor, combine_kb_outputs
 from repro.extract.querystream import (
     QueryStreamExtractor,
@@ -313,7 +313,7 @@ class KnowledgeBaseConstructionPipeline:
         # this when available.
         self.all_triples: list | None = None
         self._reset_incremental()
-        self.quarantine = Quarantine(capacity=self.config.quarantine_capacity)
+        self.quarantine = Quarantine()
         # Observability: one registry/tracer pair per run (rebuilt at the
         # top of run()); the report of the most recent run — even one
         # that died mid-stage — stays reachable for debugging.
@@ -385,7 +385,7 @@ class KnowledgeBaseConstructionPipeline:
         cfg.validate()
         health = report.health
         health.min_sources = cfg.min_sources
-        self.quarantine = Quarantine(capacity=cfg.quarantine_capacity)
+        self.quarantine = Quarantine()
 
         store = None
         if cfg.checkpoint_dir is not None:
@@ -467,7 +467,7 @@ class KnowledgeBaseConstructionPipeline:
 
             # -- 7. Confidence scoring ------------------------------------
             with self._stage_timer(report, "confidence") as timing:
-                scorer = ConfidenceScorer(cfg.confidence)
+                scorer = ConfidenceScorer()
                 all_triples = scorer.score_batch(all_triples)
                 for output in self.outputs.values():
                     for per_class in output.attributes.values():
@@ -655,11 +655,7 @@ class KnowledgeBaseConstructionPipeline:
         seed_outputs = [
             output for output in (kb_output, query_output) if output is not None
         ]
-        self.seeds = build_seed_sets(
-            seed_outputs,
-            self.world.classes(),
-            min_support=self.config.seed_min_support,
-        )
+        self.seeds = build_seed_sets(seed_outputs, self.world.classes())
         report.seed_sizes = {
             class_name: len(seed) for class_name, seed in self.seeds.items()
         }
@@ -713,15 +709,12 @@ class KnowledgeBaseConstructionPipeline:
             _valid_query_record,
         )
         timing.detail = f"{len(log)} records"
-        extractor = QueryStreamExtractor(self.entity_index, cfg.querystream)
+        extractor = QueryStreamExtractor(self.entity_index)
         return extractor.extract(log)
 
     def _extract_dom(self, timing: StageTiming):
         """Stage 4: generate websites and run Algorithm 1 over them."""
         cfg = self.config
-        dom_config = cfg.dom
-        if cfg.discover_new_entities:
-            dom_config = replace(dom_config, allow_mention_anchors=True)
         sites = generate_websites(self.world, cfg.websites)
         page_index = 0
         for site in sites:
@@ -730,7 +723,11 @@ class KnowledgeBaseConstructionPipeline:
                 "dom", site.pages, _valid_page, start_index=page_index
             )
             page_index += page_count
-        extractor = DomTreeExtractor(self.entity_index, self.seeds, dom_config)
+        extractor = DomTreeExtractor(
+            self.entity_index,
+            self.seeds,
+            DomExtractorConfig(allow_mention_anchors=cfg.discover_new_entities),
+        )
         output = extractor.extract(sites)
         timing.detail = f"{len(output.triples)} claims"
         return output, extractor.mention_classes
@@ -743,9 +740,7 @@ class KnowledgeBaseConstructionPipeline:
             generate_webtext(self.world, cfg.webtext),
             _valid_document,
         )
-        extractor = WebTextExtractor(
-            self.entity_index, self.seeds, kb_triples, cfg.webtext_extractor
-        )
+        extractor = WebTextExtractor(self.entity_index, self.seeds, kb_triples)
         extractor.learn(documents)
         output = extractor.extract(documents)
         timing.detail = f"{len(output.triples)} claims"
@@ -1040,12 +1035,9 @@ class KnowledgeBaseConstructionPipeline:
         cfg = self.config
         return KBServer(
             self.incremental_fusion.incremental,
-            log if log is not None else EventLog(
-                cfg.serving_log_capacity, metrics=self.metrics
-            ),
+            log if log is not None else EventLog(metrics=self.metrics),
             group=group,
             retry=retry if retry is not None else cfg.retry,
-            quarantine=Quarantine(capacity=cfg.quarantine_capacity),
             metrics=self.metrics,
             fault_plan=cfg.fault_plan,
         )

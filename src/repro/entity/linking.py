@@ -107,10 +107,6 @@ def surface_similarity(left: str, right: str) -> float:
     return form_similarity(SurfaceForm.build(left), SurfaceForm.build(right))
 
 
-def _link_similarity(left: str, right: str) -> float:
-    return surface_similarity(left, right)
-
-
 def mention_subject(surface: str) -> str:
     """The subject id used for an unlinked mention."""
     return MENTION_PREFIX + normalize_name(surface)

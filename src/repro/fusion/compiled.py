@@ -5,7 +5,7 @@ Python dicts of :class:`~repro.fusion.base.Claim` objects — attribute
 chasing, per-claim ``math.log`` calls, and per-round set construction
 dominate their profiles long before the arithmetic does.  This module
 "compiles" a :class:`ClaimSet` once into integer-indexed flat arrays
-(interned item/value/source/extractor ids, ``array('d')`` confidence
+(interned item/value/source ids, ``array('d')`` confidence
 vectors, CSR-style offset tables) shared by every method, so per-round
 updates become tight loops over parallel arrays.
 
@@ -64,16 +64,13 @@ class CompiledClaims:
 
     - ``item_pair_start[i] : item_pair_start[i + 1]`` — item *i*'s pairs;
     - ``pair_claim_start[p] : pair_claim_start[p + 1]`` — indices into
-      ``pair_claim_ids`` of the claims asserting pair *p*;
-    - ``source_claim_start[s] : source_claim_start[s + 1]`` — indices
-      into ``source_claim_ids`` of source *s*'s claims (ascending
-      global claim order);
-    - ``item_source_start[i] : item_source_start[i + 1]`` — sources
-      covering item *i*, in the legacy set-iteration order.
+      ``pair_claim_source`` / ``pair_claim_conf`` of the claims
+      asserting pair *p*, in ``ClaimSet`` insertion order.
 
     Multi-truth judges every pair against every source covering the
     pair's item, so its tables hold one *cover slot* per (pair,
-    covering source), flat, in item → pair → ``item_sources`` order —
+    covering source), flat, in item → pair → covering-source order
+    (the legacy set-iteration order of ``sources_claiming(item)``) —
     the order its log-odds sum and its per-source soft counts add in:
 
     - ``cover_pair[t]`` / ``cover_source[t]`` — slot *t*'s pair and
@@ -87,25 +84,17 @@ class CompiledClaims:
 
     items: list[Item]
     sources: list[str]
-    extractors: list[str]
     pair_item: list[int]
     pair_value: list[str]
     item_pair_start: list[int]
     claim_pair: list[int]
     claim_source: list[int]
-    claim_extractor: list[int]
     claim_conf: array
     pair_claim_start: list[int]
-    pair_claim_ids: list[int]
-    # Pre-gathered per-pair views (pair_claim_ids resolved through
-    # claim_source / claim_conf once, at compile time): one less
-    # indirection in the vote/score hot loops.
+    # Per-pair views of claim_source / claim_conf, gathered once at
+    # compile time: one less indirection in the vote/score hot loops.
     pair_claim_source: list[int]
     pair_claim_conf: array
-    source_claim_start: list[int]
-    source_claim_ids: list[int]
-    item_source_start: list[int]
-    item_sources: list[int]
     cover_pair: list[int]
     cover_source: list[int]
     cover_conf: list[float | None]
@@ -151,22 +140,17 @@ class CompiledClaims:
 def compile_claims(claims: ClaimSet) -> CompiledClaims:
     """One-pass compilation of a claim set into flat arrays."""
     source_id: dict[str, int] = {}
-    extractor_id: dict[str, int] = {}
     claim_list = list(claims)
     claim_index = {id(claim): index for index, claim in enumerate(claim_list)}
 
     n_claims = len(claim_list)
     claim_pair = [0] * n_claims
     claim_source = [0] * n_claims
-    claim_extractor = [0] * n_claims
     claim_conf = array("d", bytes(8 * n_claims))
     for index, claim in enumerate(claim_list):
-        source = source_id.setdefault(claim.source_id, len(source_id))
-        extractor = extractor_id.setdefault(
-            claim.extractor_id, len(extractor_id)
+        claim_source[index] = source_id.setdefault(
+            claim.source_id, len(source_id)
         )
-        claim_source[index] = source
-        claim_extractor[index] = extractor
         claim_conf[index] = claim.confidence
 
     items: list[Item] = []
@@ -175,8 +159,6 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
     item_pair_start = [0]
     pair_claim_start = [0]
     pair_claim_ids: list[int] = []
-    item_source_start = [0]
-    item_sources: list[int] = []
     cover_pair: list[int] = []
     cover_source: list[int] = []
     cover_conf: list[float | None] = []
@@ -215,8 +197,6 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
                     claimed_pair.append(pair)
                     claimed_source.append(source)
             pair_claim_start.append(len(pair_claim_ids))
-        item_sources.extend(cover)
-        item_source_start.append(len(item_sources))
         item_pair_start.append(len(pair_item))
 
     pair_claim_source = [claim_source[index] for index in pair_claim_ids]
@@ -224,36 +204,18 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
         "d", (claim_conf[index] for index in pair_claim_ids)
     )
 
-    source_claim_start = [0] * (len(source_id) + 1)
-    for source in claim_source:
-        source_claim_start[source + 1] += 1
-    for source in range(len(source_id)):
-        source_claim_start[source + 1] += source_claim_start[source]
-    cursor = list(source_claim_start)
-    source_claim_ids = [0] * n_claims
-    for index, source in enumerate(claim_source):
-        source_claim_ids[cursor[source]] = index
-        cursor[source] += 1
-
     return CompiledClaims(
         items=items,
         sources=list(source_id),
-        extractors=list(extractor_id),
         pair_item=pair_item,
         pair_value=pair_value,
         item_pair_start=item_pair_start,
         claim_pair=claim_pair,
         claim_source=claim_source,
-        claim_extractor=claim_extractor,
         claim_conf=claim_conf,
         pair_claim_start=pair_claim_start,
-        pair_claim_ids=pair_claim_ids,
         pair_claim_source=pair_claim_source,
         pair_claim_conf=pair_claim_conf,
-        source_claim_start=source_claim_start,
-        source_claim_ids=source_claim_ids,
-        item_source_start=item_source_start,
-        item_sources=item_sources,
         cover_pair=cover_pair,
         cover_source=cover_source,
         cover_conf=cover_conf,

@@ -6,12 +6,8 @@ pipeline root span, stage spans under it, and finer-grained children
 (phases, fuse call) under those.  This is the same shape distributed
 tracers emit, kept dependency-free.
 
-Two ways to create spans:
-
-* :meth:`SpanTracer.span` — a context manager timing a live block
-  (the pipeline's ``_timed`` opens one per stage);
-* :meth:`SpanTracer.record` — attach an already-measured duration as a
-  completed child span, for work timed elsewhere.
+Spans are created by :meth:`SpanTracer.span`, a context manager timing
+a live block (the pipeline's ``_timed`` opens one per stage).
 
 All span fields are timing-type and therefore outside the metric
 determinism contract; traces are for debugging latency, not for
@@ -110,29 +106,6 @@ class SpanTracer:
         self._attach(span)
         self._stack.append(span)
         return _SpanHandle(self, span)
-
-    def record(
-        self,
-        name: str,
-        seconds: float,
-        *,
-        detail: str = "",
-        failed: bool = False,
-    ) -> Span:
-        """Attach a completed span whose duration was measured elsewhere.
-
-        The start offset is back-dated by ``seconds`` so the span sits
-        where the work actually ran.
-        """
-        span = Span(
-            name=name,
-            start=max(0.0, self._now() - seconds),
-            seconds=seconds,
-            detail=detail,
-            status="failed" if failed else "ok",
-        )
-        self._attach(span)
-        return span
 
     def to_json_dict(self) -> dict:
         """The JSON trace tree (``--trace-out`` writes exactly this)."""

@@ -166,9 +166,6 @@ class Ontology:
         except KeyError:
             raise OntologyError(f"unknown class {name!r}") from None
 
-    def has_class(self, name: str) -> bool:
-        return name in self._classes
-
     @property
     def class_names(self) -> tuple[str, ...]:
         return tuple(self._classes)

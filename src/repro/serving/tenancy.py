@@ -39,7 +39,6 @@ because every input to its stack is tenant-local and deterministic.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 

@@ -116,6 +116,33 @@ def test_reader_pinned_before_crash_is_unaffected():
     assert server.versions.current.version_id > reader.version.version_id
 
 
+@pytest.mark.parametrize("drain_every", [2, 3])
+def test_lazy_drain_lags_k_minus_one_and_ends_on_the_same_bytes(drain_every):
+    """A consumer that falls behind a moving world: epochs published
+    continuously but drained every k-th.  The freshness lag after each
+    publish tops out at exactly k - 1, and the stream is the same
+    stream however it is drained."""
+    world = DriftingWorld(
+        DriftConfig(seed=11, n_items=16, n_sources=5, epochs=7)
+    )
+    eager, lazy = make_server(world), make_server(world)
+    lags = []
+    for published, delta in enumerate(world.deltas(), start=1):
+        eager.publish(delta)
+        eager.drain()
+        lazy.publish(delta)
+        if published % drain_every == 0:
+            lazy.drain()
+        lags.append(published - lazy.versions.current.version_id)
+    assert lags == [n % drain_every for n in range(1, 8)]
+    assert max(lags) == drain_every - 1
+    lazy.drain()
+    assert (
+        lazy.versions.current.result.canonical_bytes()
+        == eager.versions.current.result.canonical_bytes()
+    )
+
+
 def test_drift_metrics_survive_crash(tmp_path):
     """drift_* metrics published before a crash stay in the registry."""
     world = DriftingWorld(CONFIG)

@@ -17,6 +17,10 @@ All faults come from seeded :class:`~repro.faults.FaultPlan`
 schedules; nothing here sleeps or depends on wall time.
 """
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.errors import BackpressureError
@@ -59,8 +63,9 @@ def make_server(
     retry=None,
     capacity=1024,
     metrics=None,
+    stream=None,
 ):
-    base, deltas = world()
+    base, deltas = stream or world()
     store = TripleStore()
     store.add_all(base)
     engine = KnowledgeFusion(
@@ -329,6 +334,71 @@ class TestSnapshotIsolation:
         fresh = server.reader()
         assert fresh.version.version_id == len(deltas)
         assert fresh.version.canonical_bytes() == REFERENCE
+
+
+    def test_reader_thread_racing_the_writer_sees_committed_versions(self):
+        """The one two-thread run in the repository: a writer drains
+        twelve deltas while a reader re-pins and looks up a fixed item
+        set.  Versions arrive in order, every pin answers after the
+        join as it did when read, and the end state is a cold
+        re-fusion's."""
+        corpus = scored_from_claims(
+            generate_claim_world(
+                ClaimWorldConfig(seed=23, n_items=120, n_sources=4)
+            ).claims
+        )
+        server, deltas = make_server(
+            stream=generate_delta_stream(
+                corpus, DeltaStreamConfig(seed=23, parts=12)
+            )
+        )
+        items = sorted({one.triple.item for one in corpus})[:8]
+        for delta in deltas:
+            server.publish(delta)
+        first_read, drained = threading.Event(), threading.Event()
+        seen = []  # (pinned reader, its answers), in read order
+
+        def read():
+            while True:
+                last = drained.is_set()
+                reader = server.reader()
+                seen.append(
+                    (reader, [reader.lookup(*item) for item in items])
+                )
+                first_read.set()
+                if last:
+                    return
+
+        def write():
+            try:
+                assert first_read.wait(timeout=60)
+                return server.drain()
+            finally:
+                drained.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                reading, writing = pool.submit(read), pool.submit(write)
+                outcomes = writing.result(timeout=120)
+                reading.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert len(outcomes) == len(deltas) >= 10
+        assert all(outcome.action == "applied" for outcome in outcomes)
+        ids = [reader.version.version_id for reader, _ in seen]
+        assert ids == sorted(ids)
+        assert (ids[0], ids[-1]) == (0, len(deltas))
+        for reader, answers in seen:
+            assert [reader.lookup(*item) for item in items] == answers
+        cold = KnowledgeFusion(tolerance=0.0, max_iterations=8).fuse(
+            canonical_claims(server.engine.store.copy())
+        )
+        assert server.versions.current.canonical_bytes() == (
+            cold.canonical_bytes()
+        )
 
 
 class TestDeterminism:

@@ -95,9 +95,10 @@ class TestHashSeed:
     @pytest.mark.xfail(
         strict=True,
         reason=(
-            "repro.fusion.compiled.compile_claims fills item_sources in "
-            "the iteration order of the set ClaimSet.sources_claiming() "
-            "returns (str hashes, so PYTHONHASHSEED), and "
+            "repro.fusion.compiled.compile_claims lays out each item's "
+            "cover slots in the iteration order of the set "
+            "ClaimSet.sources_claiming() returns (str hashes, so "
+            "PYTHONHASHSEED), and "
             "multitruth_fuse adds each item's per-source log-odds terms "
             "in that order: float addition is not associative, the last "
             "bits of the posteriors move.  Sorting that set makes the "

@@ -108,6 +108,67 @@ class TestLinkerEquivalence:
         assert brute.blocking_stats.queries == 0
 
 
+def _scaled_catalog(rng, size):
+    """``size`` distinct 3-word names over an ~n^(1/3) vocabulary, so
+    near-neighbour density stays realistic instead of saturating."""
+    vocab = [
+        _word(rng, 4, 9) for _ in range(max(60, round(4 * size ** (1 / 3))))
+    ]
+    names = set()
+    while len(names) < size:
+        names.add(" ".join(rng.choice(vocab) for _ in range(3)))
+    return {
+        name: Entity(f"e/{i}", name, "Thing")
+        for i, name in enumerate(sorted(names))
+    }
+
+
+def _typo_probes(rng, names, count):
+    """Misspelled catalog names — the expensive fuzzy-match hot path."""
+    probes = []
+    for _ in range(count):
+        words = rng.choice(names).split()
+        index = rng.randrange(len(words))
+        word = words[index]
+        position = rng.randrange(len(word))
+        words[index] = (
+            word[:position] + rng.choice(_LETTERS) + word[position + 1:]
+        )
+        probes.append(" ".join(words))
+    return probes
+
+
+@pytest.mark.slow
+def test_blocked_verdicts_match_the_scan_at_scale():
+    """10 000 and 100 000 entities, 100 typo probes each (the scan
+    answers the first 30 at 100k: ~2.5 s a probe).  Counts, not
+    clocks, say blocking still blocks: candidates per query grow by
+    less than the catalog did, and at 100k at least nine tenths of
+    the catalog never reach the scorer."""
+    def verdicts(linker, probes):
+        return [
+            (d.entity.entity_id, d.score) if d.linked else None
+            for d in map(linker.link, probes)
+        ]
+
+    per_query = {}
+    for size, scanned in ((10_000, 100), (100_000, 30)):
+        rng = random.Random(20_150_000 + size)
+        catalog = _scaled_catalog(rng, size)
+        probes = _typo_probes(rng, list(catalog), 100)
+        blocked = EntityLinker(catalog)
+        scan = EntityLinker(catalog, brute_floor=len(catalog))
+        assert verdicts(blocked, probes)[:scanned] == verdicts(
+            scan, probes[:scanned]
+        )
+        stats = blocked.blocking_stats
+        assert scan.blocking_stats.queries == 0
+        per_query[size] = stats.tier2_candidates / stats.queries
+        pruned_share = stats.pruned / (stats.pruned + stats.tier2_candidates)
+    assert per_query[100_000] / per_query[10_000] < 10
+    assert pruned_share >= 0.9
+
+
 class TestDiscoveryEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_blocked_outcomes_match_brute(self, seed):

@@ -149,31 +149,43 @@ class TestClaimAnswersMatchTheDictModel:
     element for element, order included — under interleaved mutation,
     and on copies taken along the way (a copy shares the claim
     objects, nothing mutable).  The segment backend runs with a
-    memtable of three claims, so flushes fall between the steps."""
+    memtable of three claims, so flushes fall between the steps.
+    ``batched`` replays the same interleavings with every insertion
+    going through ``add_all``: it must leave what the model's ``add``
+    loop leaves, in the same ``iter_claims()`` order."""
 
-    @given(operations)
-    @settings(max_examples=150, deadline=None)
-    def test_interleavings_agree_element_for_element(self, ops):
-        self._replay(MemoryBackend(), ops)
+    @given(operations, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_interleavings_agree_element_for_element(self, ops, batched):
+        self._replay(MemoryBackend(), ops, batched)
 
-    @given(operations)
-    @settings(max_examples=60, deadline=None)
-    def test_interleavings_agree_on_the_segment_backend(self, ops):
+    @given(operations, st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_interleavings_agree_on_the_segment_backend(self, ops, batched):
         with tempfile.TemporaryDirectory() as scratch:
             backend = SegmentBackend(scratch, memtable_limit=3)
             try:
-                self._replay(backend, ops)
+                self._replay(backend, ops, batched)
             finally:
                 backend.close()
 
     @staticmethod
-    def _replay(backend, ops):
+    def _replay(backend, ops, batched):
         model = LinearScanClaims()
+
+        def insert(batch):
+            if batched:
+                backend.add_all(iter(batch))
+                model.add_all(batch)
+            else:
+                for one in batch:
+                    assert backend.add(one) == model.add(one)
+
         # Earlier copies with the answers they must keep giving.
         pinned = []
         for kind, payload in ops:
             if kind == "add":
-                assert backend.add(payload) == model.add(payload)
+                insert([payload])
             elif kind == "add_all":
                 backend.add_all(iter(payload))
                 model.add_all(payload)
@@ -190,13 +202,12 @@ class TestClaimAnswersMatchTheDictModel:
                     backend.remove_all(retracted),
                     model.remove_all(retracted),
                 )
-                for one in payload:
-                    assert backend.add(one) == model.add(one)
+                insert(payload)
             elif kind == "readd":
                 assert backend.remove(payload.triple) == model.remove(
                     payload.triple
                 )
-                assert backend.add(payload) == model.add(payload)
+                insert([payload])
             elif kind == "add_twice":
                 backend.add_all(payload + payload)
                 backend.add_all(payload)

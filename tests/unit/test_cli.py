@@ -235,6 +235,33 @@ class TestApplyDelta:
         assert "top entity" in out
 
 
+class TestUsageErrors:
+    """A mistyped option is one ``repro: error:`` line and status 2,
+    reported before any work is done — not a traceback after it."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pipeline", "--storage-backend", "segment"],
+             "requires storage_dir"),
+            (["pipeline", "--memtable-limit", "0"],
+             "memtable_limit must be >= 1"),
+            (["pipeline", "--apply-delta", "/no/such/delta.json"],
+             "cannot read delta file /no/such/delta.json"),
+            (["query", "/no/such.tsv"], "/no/such.tsv"),
+        ],
+        ids=["segment-without-dir", "memtable-zero", "missing-delta",
+             "missing-tsv"],
+    )
+    def test_reported_on_stderr_before_the_run(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: error: ")
+        assert message in line
+
+
 class TestStorageFlags:
     def test_pipeline_storage_defaults_and_flags(self):
         defaults = build_parser().parse_args(["pipeline"])

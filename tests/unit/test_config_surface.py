@@ -39,17 +39,15 @@ PIPELINE_CONFIG_FIELDS = {
     # inputs: the world and its generators
     "world", "kb_pair", "querylog", "websites", "webtext",
     # extraction and claim preparation
-    "querystream", "dom", "webtext_extractor", "confidence",
-    "seed_min_support", "discover_new_entities", "resolve_attributes",
+    "discover_new_entities", "resolve_attributes",
     # fusion
     "functionality_source", "use_hierarchy", "use_source_correlations",
     "use_extractor_correlations", "use_confidence", "fusion_tolerance",
     # fault tolerance
     "retry", "fault_plan", "stage_timeout", "min_sources",
-    "quarantine_capacity", "checkpoint_dir",
-    # storage and serving
+    "checkpoint_dir",
+    # storage
     "storage_backend", "storage_dir", "memtable_limit",
-    "serving_log_capacity",
 }
 
 PIPELINE_FLAGS = {
@@ -294,3 +292,45 @@ def test_serving_import_loads_no_worker_machinery():
         if _within(module, {"multiprocessing", "concurrent", "repro.mapreduce"})
     ]
     assert loaded == []
+
+
+# One measuring instrument: speed is measured by benchmarks/e2e (the
+# driver contract in BENCHMARK.json); what is left beside it reproduces
+# the paper's tables, figure, algorithm and Sec. 3.2 commitments under
+# pytest-benchmark.  A second instrument — a script with its own
+# argument parser, timing loop and BENCH_*.json — is a reviewed edit
+# to this list.
+PAPER_BENCHES = {
+    "bench_table1.py", "bench_table2.py", "bench_table3.py",
+    "bench_figure1_pipeline.py", "bench_dom_extraction.py",
+    "bench_fusion_methods.py", "bench_functionality.py",
+    "bench_gold_calibration.py", "bench_scalability.py",
+    "bench_entity_discovery.py", "bench_ablation_confidence.py",
+    "bench_ablation_correlations.py", "bench_ablation_hierarchy.py",
+    "bench_ablation_resolution.py",
+}
+
+
+def test_benchmarks_are_the_paper_benches_and_nothing_else():
+    benchmarks = Path(__file__).resolve().parents[2] / "benchmarks"
+    assert {
+        path.name for path in benchmarks.glob("bench_*.py")
+    } == PAPER_BENCHES
+    for name in sorted(PAPER_BENCHES):
+        tree = ast.parse((benchmarks / name).read_text())
+        tests = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("test_")
+        ]
+        assert tests, name
+        for test in tests:
+            assert "benchmark" in {a.arg for a in test.args.args}, (
+                name, test.name,
+            )
+        imported = {
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names
+        }
+        assert "argparse" not in imported, name
+    assert list((benchmarks / "out").glob("BENCH_*.json")) == []

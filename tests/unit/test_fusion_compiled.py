@@ -11,7 +11,13 @@ import pytest
 
 from repro.fusion.accu import Accu
 from repro.fusion.base import Claim, ClaimSet, value_key
-from repro.fusion.compiled import compile_claims
+from repro.fusion.compiled import (
+    accu_fuse,
+    compile_claims,
+    gensums_fuse,
+    investment_fuse,
+    multitruth_fuse,
+)
 from repro.fusion.multitruth import MultiTruth
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
 from tests.oracles.fusion_loops import (
@@ -46,7 +52,6 @@ class TestCompileClaims:
         assert compiled.n_items == 2
         assert compiled.n_pairs == 4
         assert set(compiled.sources) == {"a", "b", "c"}
-        assert set(compiled.extractors) == {"ex", "other"}
         assert compiled.items == list(claims.items())
 
     def test_pairs_follow_values_of_order(self):
@@ -64,35 +69,34 @@ class TestCompileClaims:
     def test_pair_claims_csr(self):
         claims = small_claims()
         compiled = compile_claims(claims)
-        claim_list = list(claims)
         for pair in range(compiled.n_pairs):
             item, value = compiled.pair_key(pair)
             start = compiled.pair_claim_start[pair]
             stop = compiled.pair_claim_start[pair + 1]
-            got = [claim_list[c] for c in compiled.pair_claim_ids[start:stop]]
-            assert got == claims.values_of(item)[value]
-
-    def test_source_claims_csr(self):
-        claims = small_claims()
-        compiled = compile_claims(claims)
-        claim_list = list(claims)
-        for s, name in enumerate(compiled.sources):
-            start = compiled.source_claim_start[s]
-            stop = compiled.source_claim_start[s + 1]
-            got = [claim_list[c] for c in compiled.source_claim_ids[start:stop]]
-            assert got == [c for c in claim_list if c.source_id == name]
+            got = list(zip(
+                (compiled.sources[s]
+                 for s in compiled.pair_claim_source[start:stop]),
+                compiled.pair_claim_conf[start:stop],
+            ))
+            assert got == [
+                (c.source_id, c.confidence)
+                for c in claims.values_of(item)[value]
+            ]
 
     def test_item_sources_cover_claimants(self):
+        """Every pair of an item has one cover slot per source claiming
+        any value of that item."""
         claims = small_claims()
         compiled = compile_claims(claims)
-        for i, item in enumerate(compiled.items):
-            start = compiled.item_source_start[i]
-            stop = compiled.item_source_start[i + 1]
-            names = {
+        for pair in range(compiled.n_pairs):
+            item, _value = compiled.pair_key(pair)
+            names = [
                 compiled.sources[s]
-                for s in compiled.item_sources[start:stop]
-            }
-            assert names == claims.sources_claiming(item)
+                for p, s in zip(compiled.cover_pair, compiled.cover_source)
+                if p == pair
+            ]
+            assert len(names) == len(set(names))
+            assert set(names) == claims.sources_claiming(item)
 
     def test_pair_claimers_keep_max_confidence(self):
         """The cover slots that replaced ``pair_claimers``: a source
@@ -121,10 +125,10 @@ class TestCompileClaims:
             (pair, source)
             for item in range(compiled.n_items)
             for pair in compiled.item_pairs(item)
-            for source in compiled.item_sources[
-                compiled.item_source_start[item]:
-                compiled.item_source_start[item + 1]
-            ]
+            for source in (
+                compiled.sources.index(name)
+                for name in claims.sources_claiming(compiled.items[item])
+            )
         ]
         slots = list(zip(compiled.cover_pair, compiled.cover_source))
         assert slots == expected
@@ -216,6 +220,27 @@ class TestCompiledEquivalence:
             Accu(initial_accuracies=initial).fuse(claims),
             AccuLoops(initial_accuracies=initial).fuse(claims),
         )
+
+
+KERNELS = {
+    "accu": accu_fuse,
+    "popaccu": lambda cc: accu_fuse(cc, popularity=True, name="popaccu"),
+    "multitruth": multitruth_fuse,
+    "gensums": gensums_fuse,
+    "investment": investment_fuse,
+}
+
+
+@pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+def test_kernels_do_not_write_into_the_tables(kernel_name):
+    """One ``CompiledClaims`` serves any number of fuses: the second
+    over a used object equals one over a fresh compile."""
+    claims = generate_claim_world(WORLDS["multi-truth"]).claims
+    kernel = KERNELS[kernel_name]
+    compiled = compile_claims(claims)
+    first = kernel(compiled).canonical_bytes()
+    assert kernel(compiled).canonical_bytes() == first
+    assert kernel(compile_claims(claims)).canonical_bytes() == first
 
 
 def mixed_claims():

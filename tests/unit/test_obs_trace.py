@@ -70,39 +70,12 @@ class TestSpanNesting:
         assert tracer.to_json_dict()["spans"][0]["status"] == "failed"
 
 
-class TestRecord:
-    def test_record_backdates_the_start(self):
-        clock = FakeClock()
-        tracer = SpanTracer(clock=clock)
-        clock.advance(10.0)
-        tracer.record("dom-extraction", 4.0, detail="12 claims")
-        span = tracer.to_json_dict()["spans"][0]
-        assert span["start"] == 6.0
-        assert span["seconds"] == 4.0
-        assert span["detail"] == "12 claims"
-
-    def test_record_never_starts_before_the_epoch(self):
-        tracer = SpanTracer(clock=FakeClock())
-        tracer.record("stage", 99.0)
-        assert tracer.to_json_dict()["spans"][0]["start"] == 0.0
-
-    def test_record_nests_under_the_open_span(self):
-        clock = FakeClock()
-        tracer = SpanTracer(clock=clock)
-        with tracer.span("extraction-phase-a"):
-            clock.advance(1.0)
-            tracer.record("kb-extraction", 0.5, failed=True)
-        root = tracer.to_json_dict()["spans"][0]
-        (child,) = root["children"]
-        assert child["name"] == "kb-extraction"
-        assert child["status"] == "failed"
-
-
 class TestExport:
     def test_export_passes_the_schema_validator(self):
         clock = FakeClock()
         tracer = SpanTracer(clock=clock)
         with tracer.span("pipeline"):
             clock.advance(1.0)
-            tracer.record("stage", 0.25, detail="ok")
+            with tracer.span("stage", detail="ok"):
+                clock.advance(0.25)
         assert validate_trace(tracer.to_json_dict()) == []

@@ -1,5 +1,11 @@
 """Unit tests for the mmapped segment storage backend."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import StoreError
@@ -368,3 +374,80 @@ class TestMemoryBackendBatchAddAll:
         assert one.predicates() == batch.predicates()
         assert one.match() == batch.match()
         assert len(one) == len(batch)
+
+
+# Streams 200 000 distinct claims with 600-byte lexicals into a segment
+# store (``segment``), a memory store (``memory``) or nowhere (``probe``:
+# the interpreter-plus-imports baseline) and prints the peak of its own
+# anonymous resident memory, sampled every 500 claims.  Anonymous, not
+# total: ``ru_maxrss`` is inherited from the spawning process, and total
+# RSS counts the touched pages of mmapped segment files, which are page
+# cache the kernel may drop.
+_INGEST_CHILD = """
+import json, sys
+from repro.rdf.segments import SegmentBackend
+from repro.rdf.store import TripleStore
+from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
+
+role, directory = sys.argv[1:]
+peak = 0
+
+def sample():
+    global peak
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("RssAnon:"):
+                peak = max(peak, int(line.split()[1]) * 1024)
+
+def stream(n_claims=200_000, pad="x" * 600):
+    for i in range(n_claims):
+        if i % 500 == 0:
+            sample()
+        yield ScoredTriple(
+            Triple(f"item-{i % (n_claims // 4):07d}", f"p{i % 5}",
+                   Value.string(f"{pad}-{i}")),
+            Provenance(f"src-{i % 97}", "bulk"),
+            0.5 + (i % 50) / 100,
+        )
+
+count = 0
+if role != "probe":
+    # Full compaction materializes the corpus; it has its own tests.
+    store = TripleStore(
+        SegmentBackend(directory, memtable_limit=2000, compact_threshold=10**9)
+        if role == "segment" else None
+    )
+    store.add_all(stream())
+    store.flush()
+    count = len(store)
+sample()
+print(json.dumps({"claims": count, "peak_anon_bytes": peak}))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/self/status"
+)
+def test_segment_ingest_stays_under_a_budget_the_corpus_exceeds(tmp_path):
+    """A corpus at least twice a 96 MiB headroom budget streams into a
+    segment store under the budget (memtable 2 000 claims), while the
+    same corpus in a memory store goes over it."""
+    budget = 96 << 20
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
+
+    def spawn(role):
+        proc = subprocess.run(
+            [sys.executable, "-c", _INGEST_CHILD, role,
+             str(tmp_path / "segments")],
+            env=env, capture_output=True, text=True, check=True, timeout=600,
+        )
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    baseline = spawn("probe")["peak_anon_bytes"]
+    segment, memory = spawn("segment"), spawn("memory")
+    assert segment["claims"] == memory["claims"] == 200_000
+    assert memory["peak_anon_bytes"] - baseline >= 2 * budget
+    assert segment["peak_anon_bytes"] - baseline <= budget
