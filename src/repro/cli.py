@@ -5,8 +5,6 @@ writing any code:
 
 * ``pipeline``   — run the end-to-end framework, print the report,
   optionally export the fused KB;
-* ``table1`` / ``table2`` / ``table3`` — regenerate the paper's tables;
-* ``fusion-demo`` — compare fusion methods on a synthetic claim regime;
 * ``drift``     — run a drifting-world scenario through the serving
   stream and print per-epoch freshness metrics;
 * ``copying``   — fuse a source-copying world with correlations off
@@ -15,6 +13,9 @@ writing any code:
   shared runtime and print the per-tenant eval table;
 * ``query``     — run a single-pattern query against an exported
   claims TSV file.
+
+The paper's tables are printed by ``benchmarks/bench_table{1,2,3}.py``
+and the fusion-method comparison by ``examples/truth_discovery.py``.
 """
 
 from __future__ import annotations
@@ -117,27 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out", metavar="FILE",
         help="write the run's span trace tree as JSON",
     )
-
-    for name, help_text in (
-        ("table1", "statistics of representative KBs"),
-        ("table2", "attribute extraction from existing KBs"),
-        ("table3", "query-stream extraction results"),
-    ):
-        table = sub.add_parser(name, help=f"regenerate {help_text}")
-        table.add_argument("--seed", type=int, default=7)
-        if name == "table3":
-            table.add_argument("--scale", type=float, default=0.01)
-
-    demo = sub.add_parser(
-        "fusion-demo", help="compare fusion methods on a claim regime"
-    )
-    demo.add_argument(
-        "--scenario",
-        choices=("skewed", "copiers", "multi-truth", "hierarchy"),
-        default="copiers",
-    )
-    demo.add_argument("--items", type=int, default=120)
-    demo.add_argument("--seed", type=int, default=2)
 
     drift = sub.add_parser(
         "drift",
@@ -252,10 +232,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "pipeline": _run_pipeline,
-        "table1": _run_table1,
-        "table2": _run_table2,
-        "table3": _run_table3,
-        "fusion-demo": _run_fusion_demo,
         "drift": _run_drift,
         "copying": _run_copying,
         "tenants": _run_tenants,
@@ -404,158 +380,6 @@ def _dump_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _run_table1(args) -> int:
-    from repro.evalx.tables import render_table
-    from repro.synth.kb_snapshots import (
-        PAPER_TABLE1,
-        build_representative_snapshots,
-    )
-    from repro.synth.world import GroundTruthWorld, WorldConfig
-
-    world = GroundTruthWorld(WorldConfig(seed=args.seed))
-    snapshots = build_representative_snapshots(world)
-    rows = [
-        [
-            name,
-            f"{PAPER_TABLE1[name][0]}M / {PAPER_TABLE1[name][1]}",
-            snapshots[name].entity_count(),
-            snapshots[name].attribute_count(),
-        ]
-        for name in PAPER_TABLE1
-    ]
-    print(
-        render_table(
-            ["KB", "paper (entities/attrs)", "ours entities", "ours attrs"],
-            rows,
-            title="Table 1: Statistics of Representative KBs",
-        )
-    )
-    return 0
-
-
-def _run_table2(args) -> int:
-    from repro.evalx.tables import render_table
-    from repro.extract.kb import KbExtractor, combine_kb_outputs
-    from repro.synth.kb_snapshots import build_kb_pair
-    from repro.synth.world import GroundTruthWorld, WorldConfig
-
-    world = GroundTruthWorld(WorldConfig(seed=args.seed))
-    freebase, dbpedia = build_kb_pair(world)
-    freebase_extractor = KbExtractor(freebase)
-    dbpedia_extractor = KbExtractor(dbpedia)
-    freebase_output = freebase_extractor.extract()
-    dbpedia_output = dbpedia_extractor.extract()
-    combined = combine_kb_outputs([freebase_output, dbpedia_output])
-    rows = [
-        [
-            class_name,
-            len(dbpedia_extractor.schema_attribute_names(class_name)),
-            dbpedia_output.attribute_count(class_name),
-            len(freebase_extractor.schema_attribute_names(class_name)),
-            freebase_output.attribute_count(class_name),
-            combined.attribute_count(class_name),
-        ]
-        for class_name in world.classes()
-    ]
-    print(
-        render_table(
-            [
-                "Class", "DBpedia", "Extrac.(DBpedia)", "Freebase",
-                "Extrac.(Freebase)", "Combine",
-            ],
-            rows,
-            title="Table 2: Statistics of Five Representative Classes",
-        )
-    )
-    return 0
-
-
-def _run_table3(args) -> int:
-    from repro.evalx.tables import render_table
-    from repro.extract.querystream import QueryStreamExtractor
-    from repro.synth.querylog import QueryLogConfig, generate_query_log
-    from repro.synth.world import GroundTruthWorld, WorldConfig
-
-    world = GroundTruthWorld(WorldConfig(seed=args.seed))
-    log = generate_query_log(world, QueryLogConfig(scale=args.scale))
-    _output, stats = QueryStreamExtractor(world.entity_index()).extract(log)
-    rows = [
-        [
-            class_name,
-            stats.relevant_records.get(class_name, 0),
-            stats.credible_attributes.get(class_name, 0) or "N/A",
-        ]
-        for class_name in world.classes()
-    ]
-    print(
-        render_table(
-            ["Class", "relevant records", "credible attributes"],
-            rows,
-            title=(
-                f"Table 3: Query Stream Extraction "
-                f"({len(log)} records, scale {args.scale})"
-            ),
-        )
-    )
-    return 0
-
-
-def _run_fusion_demo(args) -> int:
-    from repro.evalx.tables import render_table
-    from repro.fusion.accu import Accu, PopAccu
-    from repro.fusion.hierarchy import HierarchicalFusion
-    from repro.fusion.knowledge_fusion import KnowledgeFusion
-    from repro.fusion.multitruth import MultiTruth
-    from repro.fusion.vote import Vote
-    from repro.synth.claims import ClaimWorldConfig, generate_claim_world
-
-    configs = {
-        "skewed": ClaimWorldConfig(
-            seed=args.seed, n_items=args.items, n_sources=9,
-            source_accuracies=[0.95, 0.9, 0.9, 0.5, 0.45, 0.45, 0.4, 0.4,
-                               0.35],
-        ),
-        "copiers": ClaimWorldConfig(
-            seed=args.seed, n_items=args.items, n_sources=8,
-            copier_cliques=2,
-        ),
-        "multi-truth": ClaimWorldConfig(
-            seed=args.seed, n_items=args.items, n_sources=10,
-            truths_per_item=2, source_accuracies=[0.85] * 10,
-        ),
-        "hierarchy": ClaimWorldConfig(
-            seed=args.seed, n_items=args.items, n_sources=8,
-            hierarchical=True, generalization_rate=0.4,
-        ),
-    }
-    world = generate_claim_world(configs[args.scenario])
-    methods = [
-        Vote(), Accu(), PopAccu(), MultiTruth(),
-        KnowledgeFusion(hierarchy=world.hierarchy),
-    ]
-    if world.hierarchy is not None:
-        methods.insert(4, HierarchicalFusion(Accu(), world.hierarchy))
-    rows = []
-    for method in methods:
-        result = method.fuse(world.claims)
-        rows.append(
-            [
-                method.name,
-                f"{world.precision_of(result.truths):.3f}",
-                f"{world.recall_of(result.truths):.3f}",
-                result.iterations,
-            ]
-        )
-    print(
-        render_table(
-            ["method", "precision", "recall", "iterations"],
-            rows,
-            title=f"Fusion demo: scenario={args.scenario}",
-        )
-    )
-    return 0
 
 
 def _run_drift(args) -> int:

@@ -87,6 +87,11 @@ class PipelineConfig:
             raise PipelineError("min_sources must be >= 0")
         if self.stage_timeout is not None and self.stage_timeout <= 0:
             raise PipelineError("stage_timeout must be positive")
+        if self.functionality_source not in ("schema", "estimated"):
+            raise PipelineError(
+                "functionality_source must be 'schema' or 'estimated', "
+                f"got {self.functionality_source!r}"
+            )
         if self.storage_backend not in ("memory", "segment"):
             raise PipelineError(
                 "storage_backend must be 'memory' or 'segment', "

@@ -810,19 +810,13 @@ class KnowledgeBaseConstructionPipeline:
 
     def _select_functional_oracle(self, claims: ClaimSet):
         """The functionality oracle per ``functionality_source``."""
-        cfg = self.config
-        if cfg.functionality_source == "estimated":
+        if self.config.functionality_source == "estimated":
             from repro.fusion.functionality import (
                 functional_oracle_from_claims,
             )
 
             return functional_oracle_from_claims(claims)
-        if cfg.functionality_source == "schema":
-            return self._functional_oracle()
-        raise PipelineError(
-            "functionality_source must be 'schema' or 'estimated', "
-            f"got {cfg.functionality_source!r}"
-        )
+        return self._functional_oracle()
 
     def _build_fusion(self, functional_of) -> KnowledgeFusion:
         """The combined fusion method, configured from this pipeline."""
@@ -1015,29 +1009,25 @@ class KnowledgeBaseConstructionPipeline:
             wall_seconds=time.perf_counter() - started,
         )
 
-    def serve(self, *, resume: bool = False, retry=None, log=None,
-              group: str = "serving"):
+    def serve(self):
         """Build a :class:`~repro.serving.server.KBServer` over this run.
 
-        Primes the incremental engine if needed (same corpus rules as
-        :meth:`run_incremental`: last ``run()``, or ``resume=True``
-        with a checkpoint), then hands it to a server whose event log,
-        retry policy, quarantine, metrics and fault plan come from the
-        pipeline config.  Readers pin immutable versions while
+        Primes the incremental engine from the last ``run()`` if
+        needed (a fresh process restores that run first, with
+        ``run(resume=True)``), then hands it to a server with its own
+        event log whose retry policy, metrics and fault plan come from
+        the pipeline config.  Readers pin immutable versions while
         published deltas commit through the stream consumer — see
         :mod:`repro.serving`.
         """
         from repro.serving.server import KBServer
-        from repro.serving.stream import EventLog
 
         if self.incremental_fusion is None:
-            self._prime_incremental(resume)
+            self._prime_incremental(resume=False)
         cfg = self.config
         return KBServer(
             self.incremental_fusion.incremental,
-            log if log is not None else EventLog(metrics=self.metrics),
-            group=group,
-            retry=retry if retry is not None else cfg.retry,
+            retry=cfg.retry,
             metrics=self.metrics,
             fault_plan=cfg.fault_plan,
         )

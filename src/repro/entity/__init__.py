@@ -21,7 +21,6 @@ from repro.entity.linking import (
     form_similarity,
     is_mention,
     mention_subject,
-    surface_similarity,
 )
 from repro.entity.resolution import (
     AttributeResolution,
@@ -51,5 +50,4 @@ __all__ = [
     "mention_subject",
     "resolve_mention_triples",
     "shingle_surface",
-    "surface_similarity",
 ]

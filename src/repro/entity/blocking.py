@@ -3,7 +3,7 @@
 The entity layer's hot paths — mention linking, joint cluster
 resolution and attribute-variant resolution — all reduce to "find the
 best match for one probe among N candidates".  Scanning all N with the
-expensive scorers (``surface_similarity``, ``_profiles_match``) is
+expensive scorers (``form_similarity``, ``_profiles_match``) is
 quadratic over a corpus whose probes also number ~N; "From Data Fusion
 to Knowledge Fusion" is blunt that fusion quality work is moot when
 candidate matching cannot keep up.  This module supplies the candidate

@@ -12,7 +12,7 @@ Matching runs as a 3-tier cascade:
 * **tier 2** — candidate generation through
   :class:`repro.entity.blocking.SurfaceBlockingIndex` (MinHash/LSH
   buckets + bounded token/prefix postings);
-* **tier 3** — the expensive :func:`surface_similarity` scorer, run
+* **tier 3** — the expensive :func:`form_similarity` scorer, run
   only on tier-2 survivors in catalog order, so the argmax and its
   tie-breaking match the full scan.
 
@@ -72,11 +72,14 @@ class SurfaceForm:
 
 
 def form_similarity(left: SurfaceForm, right: SurfaceForm) -> float:
-    """:func:`surface_similarity` over precomputed forms.
+    """Similarity between two entity surfaces for linking/clustering.
 
-    Scores are identical to the string version — the same Jaro-Winkler
-    / token-Jaccard max and the same token-set boosts — without
-    re-normalising or re-splitting either side.
+    Extends character/token name similarity (the Jaro-Winkler /
+    token-Jaccard max) with token-set reasoning on content words: a
+    permutation ("Adelaide University" ~ "University of Adelaide")
+    scores 0.9 and a containment ("Atlantis" ⊆ "Republic of Atlantis")
+    scores 0.85 — both common co-reference shapes.  Works on
+    precomputed forms, so neither side is re-normalised or re-split.
     """
     if left.norm == right.norm:
         score = 1.0
@@ -94,17 +97,6 @@ def form_similarity(left: SurfaceForm, right: SurfaceForm) -> float:
     ):
         return max(score, 0.85)
     return score
-
-
-def surface_similarity(left: str, right: str) -> float:
-    """Similarity between two entity surfaces for linking/clustering.
-
-    Extends character/token name similarity with token-set reasoning on
-    content words: a permutation ("Adelaide University" ~ "University
-    of Adelaide") scores 0.9 and a containment ("Atlantis" ⊆ "Republic
-    of Atlantis") scores 0.85 — both common co-reference shapes.
-    """
-    return form_similarity(SurfaceForm.build(left), SurfaceForm.build(right))
 
 
 def mention_subject(surface: str) -> str:

@@ -28,10 +28,6 @@ class ParseError(ReproError):
     """Raised when HTML or a pattern expression cannot be parsed."""
 
 
-class ExtractionError(ReproError):
-    """Raised when an extractor is misconfigured or its input is invalid."""
-
-
 class FusionError(ReproError):
     """Raised when a fusion method receives invalid claims or parameters."""
 

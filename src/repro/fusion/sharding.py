@@ -28,6 +28,7 @@ the equivalence tests pin both regimes.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import FusionError
@@ -37,6 +38,7 @@ from repro.fusion.base import Claim, ClaimSet, FusionMethod, FusionResult
 __all__ = [
     "ShardStats",
     "shard_claims",
+    "merge_results",
     "fuse_sharded",
 ]
 
@@ -47,7 +49,6 @@ class ShardStats:
 
     components: int = 0
     component_claims: list[int] = field(default_factory=list)
-    component_items: list[int] = field(default_factory=list)
     # Fault-tolerance accounting, copied from the underlying job's
     # JobStats.
     attempts: int = 0
@@ -57,10 +58,6 @@ class ShardStats:
     @property
     def largest_claims(self) -> int:
         return max(self.component_claims, default=0)
-
-    @property
-    def largest_items(self) -> int:
-        return max(self.component_items, default=0)
 
 
 def _component_map(claims: ClaimSet) -> dict[str, int]:
@@ -116,6 +113,31 @@ def shard_claims(claims: ClaimSet) -> list[ClaimSet]:
     return [shards[component] for component in sorted(shards)]
 
 
+def merge_results(
+    name: str, results: Iterable[FusionResult]
+) -> FusionResult:
+    """The disjoint union of per-component results, as one result.
+
+    Truth sets are copied: the merged result is handed to callers (and
+    mutated by the functional constraint's rebinds) while a component
+    result may stay cached.  ``iterations`` and ``converged_at`` report
+    the slowest component (``converged_at`` is None if any component
+    hit its iteration cap).
+    """
+    merged = FusionResult(name)
+    converged: list[int | None] = []
+    for result in results:
+        for item, values in result.truths.items():
+            merged.truths[item] = set(values)
+        merged.belief.update(result.belief)
+        merged.source_quality.update(result.source_quality)
+        merged.iterations = max(merged.iterations, result.iterations)
+        converged.append(result.converged_at)
+    if converged and all(round_ is not None for round_ in converged):
+        merged.converged_at = max(converged)  # type: ignore[type-var]
+    return merged
+
+
 def _shard_mapper(mapping: dict[str, int], claim: Claim):
     yield mapping[claim.source_id], claim
 
@@ -134,11 +156,8 @@ def fuse_sharded(
 ) -> tuple[FusionResult, ShardStats]:
     """Fuse each connected component independently and merge.
 
-    Components are the reduce groups of one MapReduce job.  Merged
-    truths/beliefs/source qualities are the disjoint union of the
-    component results; ``iterations`` and ``converged_at`` report the
-    slowest component (``converged_at`` is None if any component hit
-    its iteration cap).  ``metrics`` (a
+    Components are the reduce groups of one MapReduce job; the merged
+    result is their :func:`merge_results`.  ``metrics`` (a
     :class:`repro.obs.MetricsRegistry`) is handed to the underlying
     job, which publishes its ``mapreduce_*`` counters there.
     """
@@ -163,20 +182,13 @@ def fuse_sharded(
         fault_plan=fault_plan,
         metrics=metrics,
     )
-    merged = FusionResult(method.name)
     stats = ShardStats()
-    converged: list[int | None] = []
+    results: list[FusionResult] = []
     for _component, n_claims, result in job.run(claims):
         stats.components += 1
         stats.component_claims.append(n_claims)
-        stats.component_items.append(len(result.truths))
-        merged.truths.update(result.truths)
-        merged.belief.update(result.belief)
-        merged.source_quality.update(result.source_quality)
-        merged.iterations = max(merged.iterations, result.iterations)
-        converged.append(result.converged_at)
-    if converged and all(round_ is not None for round_ in converged):
-        merged.converged_at = max(converged)  # type: ignore[type-var]
+        results.append(result)
+    merged = merge_results(method.name, results)
     stats.attempts = job.stats.attempts
     stats.retries = job.stats.retries
     stats.timed_out_tasks = job.stats.timed_out_tasks

@@ -79,7 +79,7 @@ from itertools import accumulate
 
 from repro.errors import DeltaError
 from repro.fusion.base import Claim, ClaimSet, FusionResult, Item
-from repro.fusion.sharding import shard_claims
+from repro.fusion.sharding import merge_results, shard_claims
 from repro.incremental.delta import ClaimDelta
 from repro.incremental.journal import (
     RECEIPT_TAIL,
@@ -600,23 +600,11 @@ class IncrementalFusion:
         return fusion._base_method(source_weights).fuse(shard)
 
     def _merge(self, entries: list[ComponentEntry]) -> FusionResult:
-        """The served result: the disjoint union of the entries
-        (mirroring ``fuse_sharded``), functionally constrained."""
-        merged = FusionResult(self.fusion.name)
-        converged: list[int | None] = []
-        for entry in entries:
-            result = entry.result
-            for item, values in result.truths.items():
-                # Copy the sets: the merged result is handed to
-                # callers (and mutated by the functional constraint's
-                # rebinds), while the entry stays cached.
-                merged.truths[item] = set(values)
-            merged.belief.update(result.belief)
-            merged.source_quality.update(result.source_quality)
-            merged.iterations = max(merged.iterations, result.iterations)
-            converged.append(result.converged_at)
-        if converged and all(round_ is not None for round_ in converged):
-            merged.converged_at = max(converged)  # type: ignore[type-var]
+        """The served result: the disjoint union of the entries,
+        functionally constrained."""
+        merged = merge_results(
+            self.fusion.name, (entry.result for entry in entries)
+        )
         if self.fusion.functional_of is not None:
             self.fusion._constrain_functional(merged)
         return merged

@@ -6,7 +6,7 @@ from repro.rdf.io import dump_claims_tsv, dump_ntriples, load_claims_tsv
 from repro.rdf.ontology import Attribute, Entity, Ontology, OntologyClass
 from repro.rdf.query import GraphQuery, TriplePattern, Var, select
 from repro.rdf.segments import SegmentBackend, SegmentReader
-from repro.rdf.store import StoreSnapshot, TripleStore
+from repro.rdf.store import TripleStore
 from repro.rdf.triple import (
     Provenance,
     ScoredTriple,
@@ -35,7 +35,6 @@ __all__ = [
     "SegmentBackend",
     "SegmentReader",
     "StorageBackend",
-    "StoreSnapshot",
     "Triple",
     "TripleStore",
     "Value",

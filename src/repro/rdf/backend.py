@@ -107,8 +107,8 @@ class StorageBackend(abc.ABC):
     def iter_claims(self) -> Iterator[ScoredTriple]:
         """Live claims in first-insertion order, without copying.
 
-        Callers that mutate while iterating must take a
-        ``snapshot()`` at the store level instead.
+        Callers that mutate while iterating must walk the
+        ``claims()`` list instead.
         """
 
     @abc.abstractmethod
@@ -158,14 +158,6 @@ class StorageBackend(abc.ABC):
     @abc.abstractmethod
     def predicates(self, subject: str | None = None) -> set[str]:
         """All predicates, optionally restricted to one subject."""
-
-    @abc.abstractmethod
-    def sources(self) -> set[str]:
-        """Distinct provenance source ids across live claims."""
-
-    @abc.abstractmethod
-    def extractors(self) -> set[str]:
-        """Distinct provenance extractor ids across live claims."""
 
     # -- bulk / lifecycle ----------------------------------------------
     @abc.abstractmethod
@@ -419,17 +411,6 @@ class MemoryBackend(StorageBackend):
         if subject is None:
             return set(self._pos)
         return set(self._spo.get(subject, {}))
-
-    def sources(self) -> set[str]:
-        return {
-            scored.provenance.source_id for scored in self._claims.values()
-        }
-
-    def extractors(self) -> set[str]:
-        return {
-            scored.provenance.extractor_id
-            for scored in self._claims.values()
-        }
 
     def copy(self) -> "MemoryBackend":
         """A clone that shares the (immutable) claims with this backend.

@@ -1036,14 +1036,6 @@ class SegmentBackend(StorageBackend):
         self._segments = []
         self._publish_gauges()
 
-    def segment_paths(self) -> list[Path]:
-        """Paths of the current segment files, oldest first."""
-        return [self.directory / name for name in self._names]
-
-    def segment_readers(self) -> list[SegmentReader]:
-        """The open segment readers, oldest first (shared, immutable)."""
-        return list(self._segments)
-
     # -- lookup --------------------------------------------------------
     def claims(self, triple: Triple | None = None) -> list[ScoredTriple]:
         if triple is None:
@@ -1153,16 +1145,6 @@ class SegmentBackend(StorageBackend):
             lambda key: key[0].subject == subject,
         )
         return {entry[1].triple.predicate for entry in merged.values()}
-
-    def sources(self) -> set[str]:
-        out = self._live_column_strings("source")
-        out.update(key[1].source_id for key in self._mem)
-        return out
-
-    def extractors(self) -> set[str]:
-        out = self._live_column_strings("extractor")
-        out.update(key[1].extractor_id for key in self._mem)
-        return out
 
     # -- bulk ----------------------------------------------------------
     def copy(self) -> "SegmentBackend":

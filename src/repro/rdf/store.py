@@ -16,14 +16,13 @@ depend on the backend choice.
 
 Iteration is **zero-copy**: ``iter(store)`` streams the backend's live
 claims without materializing a list.  Callers that mutate the store
-while iterating must use :meth:`TripleStore.snapshot` instead.
+while iterating must walk the :meth:`TripleStore.claims` list instead.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from repro.errors import StoreError
 from repro.rdf.backend import MemoryBackend, StorageBackend
 from repro.rdf.triple import ScoredTriple, Triple, Value
 
@@ -54,37 +53,12 @@ class TripleStore:
         return len(self._backend)
 
     def __iter__(self) -> Iterator[ScoredTriple]:
-        """Stream claims lazily; see :meth:`snapshot` for mutation-safe
+        """Stream claims lazily; see :meth:`claims` for mutation-safe
         iteration."""
         return self._backend.iter_claims()
 
     def __contains__(self, triple: Triple) -> bool:
         return self._backend.contains_triple(triple)
-
-    def snapshot(self) -> list[ScoredTriple]:
-        """A materialized copy of the current claims.
-
-        Safe to iterate while mutating the store; plain ``iter(store)``
-        is zero-copy and follows the backend's live state.
-        """
-        return list(self._backend.iter_claims())
-
-    def pin(self) -> "StoreSnapshot":
-        """An immutable, index-preserving snapshot of the current state.
-
-        Unlike :meth:`snapshot` (a flat claim list), the pinned
-        snapshot keeps the SPO/POS/OSP lookup surface: ``match``,
-        ``claims_for_item``, ``objects`` and friends all answer from
-        the state at pin time, no matter how the live store mutates
-        afterwards.  Backed by :meth:`StorageBackend.copy`, which the
-        segment backend implements as a cheap reader-sharing clone
-        (segments are immutable files), so pinning a disk-resident
-        store does not duplicate the corpus.
-
-        This is the invariant the serving layer's snapshot-isolated
-        reads stand on.
-        """
-        return StoreSnapshot(self._backend.copy())
 
     # ------------------------------------------------------------------
     # Mutation
@@ -164,14 +138,6 @@ class TripleStore:
         """All predicates, optionally restricted to one subject."""
         return self._backend.predicates(subject)
 
-    def sources(self) -> set[str]:
-        """Distinct provenance source ids across all claims."""
-        return self._backend.sources()
-
-    def extractors(self) -> set[str]:
-        """Distinct provenance extractor ids across all claims."""
-        return self._backend.extractors()
-
     # ------------------------------------------------------------------
     # Lifecycle (no-ops on in-memory backends)
     # ------------------------------------------------------------------
@@ -187,83 +153,17 @@ class TripleStore:
         """Release backend OS resources (mmaps, file handles)."""
         self._backend.close()
 
-    # ------------------------------------------------------------------
-    # Bulk helpers
-    # ------------------------------------------------------------------
-    def merge(self, other: "TripleStore") -> None:
-        """Add every claim of ``other`` into this store."""
-        if other is self:
-            raise StoreError("cannot merge a store into itself")
-        self.add_all(other.claims())
-
     def copy(self) -> "TripleStore":
-        """A shallow copy holding the same (immutable) claims."""
+        """An independently mutable store holding the same claims.
+
+        Neither store's answers — iteration, ``match``,
+        ``claims_for_item``, ``objects`` and friends — change when the
+        other mutates afterwards: the invariant the serving layer's
+        snapshot-isolated reads stand on.  Backed by
+        :meth:`StorageBackend.copy`, which the segment backend
+        implements as a reader-sharing clone (segments are immutable
+        files), so copying a disk-resident store does not duplicate
+        the corpus.
+        """
         return TripleStore(self._backend.copy())
 
-
-class StoreSnapshot:
-    """Read-only view of a :class:`TripleStore` state at pin time.
-
-    Exposes the store's whole lookup surface (iteration plus the
-    SPO/POS/OSP index paths) and none of its mutators, so holding a
-    snapshot can never tear a concurrent writer and a concurrent
-    writer can never change what the snapshot answers.  Built by
-    :meth:`TripleStore.pin` over a private backend copy.
-    """
-
-    __slots__ = ("_backend",)
-
-    def __init__(self, backend: StorageBackend) -> None:
-        self._backend = backend
-
-    def __len__(self) -> int:
-        return len(self._backend)
-
-    def __iter__(self) -> Iterator[ScoredTriple]:
-        return self._backend.iter_claims()
-
-    def __contains__(self, triple: Triple) -> bool:
-        return self._backend.contains_triple(triple)
-
-    def match(
-        self,
-        subject: str | None = None,
-        predicate: str | None = None,
-        obj: Value | None = None,
-    ) -> list[Triple]:
-        """Pattern match against the pinned state (``None`` wildcards)."""
-        return self._backend.match(subject, predicate, obj)
-
-    def claims(self, triple: Triple | None = None) -> list[ScoredTriple]:
-        """All pinned claims, or all claims of one specific triple."""
-        return self._backend.claims(triple)
-
-    def claims_for_item(self, subject: str, predicate: str) -> list[ScoredTriple]:
-        """Every pinned claim about the data item ``(subject, predicate)``."""
-        return self._backend.claims_for_item(subject, predicate)
-
-    def claims_for_items(
-        self, items: Iterable[tuple[str, str]]
-    ) -> dict[tuple[str, str], list[ScoredTriple]]:
-        """:meth:`claims_for_item` of several data items, by item."""
-        return self._backend.claims_for_items(items)
-
-    def objects(self, subject: str, predicate: str) -> set[Value]:
-        """Distinct object values claimed for a data item at pin time."""
-        return self._backend.objects(subject, predicate)
-
-    def subjects(self) -> set[str]:
-        """All subjects appearing in the pinned state."""
-        return self._backend.subjects()
-
-    def predicates(self, subject: str | None = None) -> set[str]:
-        """All predicates, optionally restricted to one subject."""
-        return self._backend.predicates(subject)
-
-    def sources(self) -> set[str]:
-        """Distinct provenance source ids at pin time."""
-        return self._backend.sources()
-
-    def extractors(self) -> set[str]:
-        """Distinct provenance extractor ids at pin time."""
-        return self._backend.extractors()

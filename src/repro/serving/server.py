@@ -173,11 +173,9 @@ class KBServer:
         self._publish_gauges()
 
     # -- producer convenience ------------------------------------------
-    def publish(
-        self, delta: ClaimDelta, *, event_id: str | None = None
-    ) -> StreamEvent:
+    def publish(self, delta: ClaimDelta) -> StreamEvent:
         """Append one delta to the log (subject to backpressure)."""
-        return self.log.append(delta, event_id=event_id)
+        return self.log.append(delta)
 
     # -- read side -----------------------------------------------------
     def reader(self) -> KBReader:

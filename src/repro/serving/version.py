@@ -17,8 +17,8 @@ committed :class:`~repro.incremental.engine._FusionState` owns a store
 that is never mutated again (deltas journal against copies), so a
 ``KBVersion`` can hold the engine's store *by reference* — zero-copy
 over the segment backend's mmapped files — and still be immutable.
-Callers outside that discipline should pin with
-:meth:`repro.rdf.store.TripleStore.pin` instead.
+Callers outside that discipline should hold a
+:meth:`repro.rdf.store.TripleStore.copy` instead.
 """
 
 from __future__ import annotations

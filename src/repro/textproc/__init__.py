@@ -1,12 +1,7 @@
 """Text substrate: tokenization, sentences, similarity, normalisation,
 and the lexical-pattern engine."""
 
-from repro.textproc.memo import (
-    CacheStats,
-    clear_similarity_caches,
-    publish_cache_metrics,
-    similarity_cache_stats,
-)
+from repro.textproc.memo import clear_similarity_caches, publish_cache_metrics
 from repro.textproc.normalize import (
     canonical_key,
     is_probable_misspelling,
@@ -33,12 +28,10 @@ from repro.textproc.similarity import (
 from repro.textproc.tokenize import detokenize, normalize_token, tokenize_words
 
 __all__ = [
-    "CacheStats",
     "LexicalPattern",
     "PatternMatch",
     "canonical_key",
     "clear_similarity_caches",
-    "similarity_cache_stats",
     "detokenize",
     "induce_pattern",
     "is_probable_misspelling",

@@ -9,10 +9,13 @@ never loses durable claims, and a retry after the fault converges to
 the same state a fault-free run produces.
 """
 
+import json
+
 import pytest
 
 from repro.faults import FaultPlan, InjectedFault
-from repro.rdf.segments import SegmentBackend
+from repro.obs import MetricsRegistry
+from repro.rdf.segments import SegmentBackend, SegmentReader
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 
@@ -31,6 +34,11 @@ CORPUS = [
           conf=0.5 + (i % 10) / 20)
     for i in range(40)
 ]
+
+
+def _manifest_segments(directory):
+    """Names of the segment files the on-disk manifest references."""
+    return json.loads((directory / "MANIFEST.json").read_text())["segments"]
 
 
 def _reopen(directory):
@@ -105,19 +113,20 @@ class TestCompactionCrashes:
     def test_content_is_invariant_across_crash_points(self, tmp_path, phase):
         directory = tmp_path / "s"
         plan = FaultPlan(seed=7).crash("storage:compaction", index=phase)
+        registry = MetricsRegistry()
         backend = SegmentBackend(
             directory,
             memtable_limit=5,
             compact_threshold=100,  # keep auto-compaction out of the way
             fault_plan=plan,
+            metrics=registry,
         )
         store = TripleStore(backend)
         store.add_all(CORPUS)
         assert store.remove(CORPUS[0].triple) == 1
         store.flush()
         expected = store.claims()
-        n_segments_before = len(backend.segment_readers())
-        assert n_segments_before > 1
+        assert registry.snapshot().gauges["storage_segments"] > 1
 
         with pytest.raises(InjectedFault):
             store.compact()
@@ -131,8 +140,11 @@ class TestCompactionCrashes:
         backend.fault_plan = None
         store.compact()
         assert store.claims() == expected
-        assert len(backend.segment_readers()) == 1
-        assert backend.segment_readers()[0].canonical
+        assert registry.snapshot().gauges["storage_segments"] == 1
+        (name,) = _manifest_segments(directory)
+        reader = SegmentReader(directory / name)
+        assert reader.canonical
+        reader.close()
         assert _reopen(directory).claims() == expected
 
     def test_crashed_compaction_leaves_no_referenced_garbage(
@@ -151,12 +163,9 @@ class TestCompactionCrashes:
             store.compact()
         # The abandoned canonical segment is unreferenced; open-time
         # recovery sweeps it and every temp file.
-        reopened_backend = SegmentBackend(directory)
+        SegmentBackend(directory)
         on_disk = {path.name for path in directory.glob("seg-*")}
-        referenced = {
-            path.name for path in reopened_backend.segment_paths()
-        }
-        assert on_disk == referenced
+        assert on_disk == set(_manifest_segments(directory))
         assert list(directory.glob("*.tmp")) == []
 
 

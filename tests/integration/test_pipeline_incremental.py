@@ -221,3 +221,20 @@ class TestConfigCheckedWithoutRun:
         )
         with pytest.raises(PipelineError, match="storage_dir"):
             pipeline.serve()
+
+    def test_mistyped_functionality_source_rejected_before_any_stage(
+        self, incremental_run
+    ):
+        def mistyped():
+            return self._with_claims(
+                incremental_run, functionality_source="schema "
+            )
+
+        pipeline = mistyped()
+        with pytest.raises(PipelineError, match="functionality_source must"):
+            pipeline.run()
+        assert pipeline.last_report.timings == []
+        with pytest.raises(PipelineError, match="functionality_source must"):
+            mistyped().serve()
+        with pytest.raises(PipelineError, match="functionality_source must"):
+            mistyped().run_incremental(ClaimDelta())

@@ -53,12 +53,9 @@ def _pair(tmp_path, memtable_limit=7, **kwargs):
 def _assert_equivalent(mem, seg):
     assert len(seg) == len(mem)
     assert seg.claims() == mem.claims()
-    assert seg.snapshot() == mem.snapshot()
     assert list(iter(seg)) == list(iter(mem))
     assert seg.subjects() == mem.subjects()
     assert seg.predicates() == mem.predicates()
-    assert seg.sources() == mem.sources()
-    assert seg.extractors() == mem.extractors()
     assert seg.match() == mem.match()
     for subject in mem.subjects():
         assert seg.predicates(subject) == mem.predicates(subject)

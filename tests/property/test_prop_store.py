@@ -85,7 +85,7 @@ class TestStoreInvariants:
         left.add_all(left_batch)
         right = TripleStore()
         right.add_all(right_batch)
-        left.merge(right)
+        left.add_all(right.claims())
         for claim in right_batch:
             assert claim.triple in left
 
@@ -113,8 +113,9 @@ operations = st.lists(
         # The *same objects* again: a batch holding each claim twice,
         # then the whole batch once more.
         st.tuples(st.just("add_twice"), st.lists(claims(), max_size=4)),
-        # ``b = a.copy(); b.merge(a); a.merge(b)`` — copies share their
-        # claim objects, so both merges re-add identical objects.
+        # ``b = a.copy(); b.add_all(a.claims()); a.add_all(b.claims())``
+        # — copies share their claim objects, so both re-add identical
+        # objects.
         st.tuples(st.just("merge_copy"), st.none()),
     ),
     max_size=40,

@@ -46,14 +46,6 @@ class TestParser:
         assert args.checkpoint_dir == "/tmp/ckpt"
         assert args.resume
 
-    def test_fusion_demo_scenarios(self):
-        args = build_parser().parse_args(
-            ["fusion-demo", "--scenario", "multi-truth"]
-        )
-        assert args.scenario == "multi-truth"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fusion-demo", "--scenario", "nope"])
-
     def test_pipeline_observability_flags(self):
         args = build_parser().parse_args(
             ["pipeline", "--metrics-out", "m.json", "--trace-out", "t.json"]
@@ -87,40 +79,6 @@ class TestPipelineObservabilityExport:
         assert validate_trace(trace_doc) == []
         assert metrics_doc["counters"]["pipeline_runs_total"] == 1
         assert trace_doc["spans"][0]["name"] == "pipeline"
-
-
-class TestTableCommands:
-    def test_table2_prints_paper_numbers(self, capsys):
-        assert main(["table2"]) == 0
-        out = capsys.readouterr().out
-        assert "University" in out
-        assert "518" in out
-
-    def test_table1_prints_all_kbs(self, capsys):
-        assert main(["table1"]) == 0
-        out = capsys.readouterr().out
-        for kb in ("YAGO", "DBpedia", "Freebase", "NELL"):
-            assert kb in out
-
-    def test_table3_prints_hotel_na(self, capsys):
-        assert main(["table3", "--scale", "0.002"]) == 0
-        out = capsys.readouterr().out
-        assert "Hotel" in out
-        assert "N/A" in out
-
-
-class TestFusionDemo:
-    def test_copiers_scenario(self, capsys):
-        assert main(["fusion-demo", "--items", "60"]) == 0
-        out = capsys.readouterr().out
-        assert "knowledge-fusion" in out
-        assert "vote" in out
-
-    def test_hierarchy_scenario_adds_wrapper(self, capsys):
-        assert main(
-            ["fusion-demo", "--scenario", "hierarchy", "--items", "40"]
-        ) == 0
-        assert "hier(accu)" in capsys.readouterr().out
 
 
 class TestQueryCommand:

@@ -18,6 +18,8 @@ import pytest
 import repro
 import repro.core.pipeline as pipeline_module
 import repro.mapreduce
+import repro.rdf
+import repro.textproc.memo
 from repro.cli import build_parser
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import KnowledgeBaseConstructionPipeline
@@ -33,7 +35,7 @@ from repro.fusion.sharding import ShardStats, fuse_sharded
 from repro.mapreduce.engine import MapReduceJob
 from repro.mapreduce.jobs import mr_accu, mr_vote
 from repro.rdf.backend import StorageBackend
-from repro.rdf.store import StoreSnapshot, TripleStore
+from repro.rdf.store import TripleStore
 
 PIPELINE_CONFIG_FIELDS = {
     # inputs: the world and its generators
@@ -98,8 +100,8 @@ DATACLASS_FIELDS = {
         "max_attempts", "backoff_base", "timeout", "resplit_poison", "sleep",
     },
     ShardStats: {
-        "components", "component_claims", "component_items", "attempts",
-        "retries", "timed_out_tasks",
+        "components", "component_claims", "attempts", "retries",
+        "timed_out_tasks",
     },
 }
 
@@ -107,14 +109,14 @@ MAPREDUCE_EXPORTS = {
     "JobStats", "MapReduceJob", "mr_accu", "mr_vote", "word_count",
 }
 
-# Every public method of the storage contract is a read or a mutator.
-# A mutator is what a pinned snapshot must not have, so a new one is
-# listed here (and in tests/unit/test_rdf_snapshot.py's
-# test_pin_has_no_mutators) before it exists.
+CLI_SUBCOMMANDS = {"pipeline", "drift", "copying", "tenants", "query"}
+
+# Every public method of the storage contract is a read or a mutator,
+# and there is one spelling per job: a second one on the contract or on
+# the store facade is listed here before it exists.
 STORAGE_READS = {
     "iter_claims", "contains_triple", "match", "claims", "claims_for_item",
-    "claims_for_items", "objects", "subjects", "predicates", "sources",
-    "extractors", "copy",
+    "claims_for_items", "objects", "subjects", "predicates", "copy",
 }
 STORAGE_MUTATORS = {
     "add", "add_all", "remove", "remove_all", "flush", "compact", "close",
@@ -140,6 +142,7 @@ def test_pipeline_cli_flags():
         action for action in build_parser()._actions
         if action.dest == "command"
     )
+    assert set(subparsers.choices) == CLI_SUBCOMMANDS
     flags = {
         flag
         for action in subparsers.choices["pipeline"]._actions
@@ -187,15 +190,20 @@ def test_storage_backend_surface():
         (STORAGE_READS | STORAGE_MUTATORS) - STORAGE_DEFAULTS
         | {"__len__"}
     )
-    # The store facade delegates all of it; a pinned snapshot keeps the
-    # reads (iteration and membership as dunders, and it is no source
-    # of further copies) and none of the mutators.
-    assert STORAGE_MUTATORS | STORAGE_READS - {
+    # The store facade delegates all of it (iteration and membership
+    # as dunders) and adds nothing: a held copy() is the snapshot.
+    assert _public(TripleStore) == STORAGE_MUTATORS | STORAGE_READS - {
         "iter_claims", "contains_triple",
-    } <= _public(TripleStore)
-    assert _public(StoreSnapshot) == STORAGE_READS - {
-        "iter_claims", "contains_triple", "copy",
     }
+    assert "StoreSnapshot" not in vars(repro.rdf)
+
+
+def test_the_similarity_cache_is_the_stdlib_one():
+    memo = repro.textproc.memo
+    assert [
+        name for name, member in vars(memo).items()
+        if inspect.isclass(member) and member.__module__ == memo.__name__
+    ] == []
 
 
 def test_pipeline_public_methods():

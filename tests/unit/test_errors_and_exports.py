@@ -12,7 +12,7 @@ class TestErrorHierarchy:
     def test_all_derive_from_base(self):
         for name in (
             "OntologyError", "HierarchyError", "StoreError", "ParseError",
-            "ExtractionError", "FusionError", "PipelineError",
+            "FusionError", "PipelineError",
             "GenerationError", "RetryExhaustedError", "StageTimeoutError",
             "QuarantineOverflowError",
         ):

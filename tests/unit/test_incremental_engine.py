@@ -5,9 +5,11 @@ import random
 import pytest
 
 from repro.errors import DeltaError
+from repro.faults import RetryPolicy
 from repro.fusion.correlations import CorrelationEstimator
 from repro.fusion.knowledge_fusion import KnowledgeFusion
-from repro.fusion.sharding import shard_claims
+from repro.fusion.sharding import merge_results, shard_claims
+from repro.fusion.vote import Vote
 from repro.fusion.base import Claim, ClaimSet
 from repro.incremental import ClaimDelta, IncrementalFusion, canonical_claims
 from repro.incremental.engine import _Corpus
@@ -76,6 +78,29 @@ class TestPrime:
         reference = _fusion().fuse(canonical_claims(store.copy()))
         engine = _fusion().begin_incremental(store)
         assert engine.result.canonical_bytes() == reference.canonical_bytes()
+
+    def test_prime_and_the_sharded_fuse_share_one_copying_merge(self):
+        store = _corpus()
+        claims = canonical_claims(store.copy())
+        # A retry policy sends the fuse through fuse_sharded.
+        sharded = _fusion(retry=RetryPolicy()).fuse(claims)
+        engine = _fusion().begin_incremental(store)
+        assert engine.result.canonical_bytes() == sharded.canonical_bytes()
+        # The merged truth sets are copies: ruining a merged result
+        # reaches neither the engine's cached components ...
+        expected = {
+            item: set(values) for item, values in engine.result.truths.items()
+        }
+        for values in engine.result.truths.values():
+            values.clear()
+        engine.apply_delta(ClaimDelta())
+        assert engine.result.truths == expected
+        # ... nor the component results a sharded fuse merged.
+        parts = [Vote().fuse(shard) for shard in shard_claims(claims)]
+        merged = merge_results("vote", parts)
+        for values in merged.truths.values():
+            values.clear()
+        assert all(values for part in parts for values in part.truths.values())
 
     def test_components_counted(self):
         engine = _fusion().begin_incremental(_corpus(n_worlds=5))

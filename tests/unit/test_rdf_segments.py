@@ -97,8 +97,6 @@ class TestSegmentBackendSemantics:
         assert seg.subjects() == mem.subjects()
         assert seg.predicates() == mem.predicates()
         assert seg.predicates("france") == mem.predicates("france")
-        assert seg.sources() == mem.sources()
-        assert seg.extractors() == mem.extractors()
         assert seg.objects("france", "capital") == mem.objects(
             "france", "capital"
         )
@@ -240,21 +238,24 @@ class TestDurability:
 class TestCompaction:
     def test_compaction_folds_to_one_canonical_segment(self, tmp_path):
         directory = tmp_path / "s"
-        backend = SegmentBackend(directory, memtable_limit=2)
-        store = TripleStore(backend)
+        registry = MetricsRegistry()
+        store = TripleStore(
+            SegmentBackend(directory, memtable_limit=2, metrics=registry)
+        )
         store.add_all(CORPUS)
         store.flush()
         store.remove(CORPUS[0].triple)
         store.flush()
         before = store.claims()
         store.compact()
-        readers = backend.segment_readers()
-        assert len(readers) == 1
-        assert readers[0].canonical
-        assert readers[0].n_tombs == 0
-        assert store.claims() == before
+        assert registry.snapshot().gauges["storage_segments"] == 1
         # Old segment files are gone from disk.
-        assert len(list(directory.glob("seg-*.seg"))) == 1
+        (path,) = directory.glob("seg-*.seg")
+        reader = SegmentReader(path)
+        assert reader.canonical
+        assert reader.n_tombs == 0
+        reader.close()
+        assert store.claims() == before
 
     def test_canonical_fast_path_matches_general_merge(self, tmp_path):
         backend = SegmentBackend(tmp_path / "s", memtable_limit=2)
@@ -270,13 +271,16 @@ class TestCompaction:
         assert general[-1] == extra
 
     def test_auto_compaction_bounds_segment_count(self, tmp_path):
-        backend = SegmentBackend(
-            tmp_path / "s", memtable_limit=1, compact_threshold=3
+        registry = MetricsRegistry()
+        store = TripleStore(
+            SegmentBackend(
+                tmp_path / "s", memtable_limit=1, compact_threshold=3,
+                metrics=registry,
+            )
         )
-        store = TripleStore(backend)
         for i in range(30):
             store.add(claim(f"s{i}", "p", f"v{i}"))
-        assert len(backend.segment_readers()) < 3 + 1
+        assert registry.snapshot().gauges["storage_segments"] < 3 + 1
 
 
 class TestCopyAndLifecycle:
@@ -293,19 +297,22 @@ class TestCopyAndLifecycle:
         assert len(staged) == len(CORPUS)  # -1 removed, +1 added
 
     def test_close_releases_mmaps(self, tmp_path):
-        backend = SegmentBackend(tmp_path / "s", memtable_limit=2)
-        store = TripleStore(backend)
+        registry = MetricsRegistry()
+        store = TripleStore(
+            SegmentBackend(tmp_path / "s", memtable_limit=2, metrics=registry)
+        )
         store.add_all(CORPUS)
         store.flush()
+        assert registry.snapshot().gauges["storage_open_mmaps"] > 0
         store.close()
-        assert backend.segment_readers() == []
+        assert registry.snapshot().gauges["storage_open_mmaps"] == 0
 
     def test_merge_between_backends(self, tmp_path):
         seg = seg_store(tmp_path)
         seg.add_all(CORPUS[:3])
         other = TripleStore()
         other.add_all(CORPUS[3:])
-        seg.merge(other)
+        seg.add_all(other.claims())
         mem = TripleStore()
         mem.add_all(CORPUS)
         assert seg.claims() == mem.claims()

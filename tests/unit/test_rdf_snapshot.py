@@ -1,14 +1,15 @@
-"""Snapshot-pinning immutability: the invariant serving stands on.
+"""Copy immutability: the invariant serving stands on.
 
-``TripleStore.pin()`` must keep answering from the state at pin time —
-iteration *and* every index lookup path — no matter how the live store
-mutates afterwards, on both storage backends.
+A held ``TripleStore.copy()`` (a committed version's store) must keep
+answering from the state at copy time — iteration *and* every index
+lookup path — no matter how the live store mutates afterwards, on both
+storage backends.
 """
 
 import pytest
 
 from repro.rdf.segments import SegmentBackend
-from repro.rdf.store import StoreSnapshot, TripleStore
+from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 
 
@@ -71,7 +72,7 @@ def mutate_heavily(store):
 class TestPinnedSnapshotImmutability:
     def test_iteration_is_frozen_at_pin_time(self, backend_name, tmp_path):
         store = build_store(backend_name, tmp_path)
-        pinned = store.pin()
+        pinned = store.copy()
         before = signature(pinned)
         assert before == signature(CORPUS)
 
@@ -86,7 +87,7 @@ class TestPinnedSnapshotImmutability:
         self, backend_name, tmp_path
     ):
         store = build_store(backend_name, tmp_path)
-        pinned = store.pin()
+        pinned = store.copy()
         before_match = sorted(
             (t.subject, t.predicate, t.obj.lexical)
             for t in pinned.match(predicate="capital")
@@ -120,7 +121,7 @@ class TestPinnedSnapshotImmutability:
         self, backend_name, tmp_path
     ):
         store = build_store(backend_name, tmp_path)
-        pinned = store.pin()
+        pinned = store.copy()
         store.add(claim("france", "capital", "Paris", source="a", conf=0.99))
         paris = [
             scored
@@ -131,23 +132,13 @@ class TestPinnedSnapshotImmutability:
 
     def test_snapshot_list_is_frozen_too(self, backend_name, tmp_path):
         store = build_store(backend_name, tmp_path)
-        flat = store.snapshot()
+        flat = store.claims()
         before = signature(flat)
         mutate_heavily(store)
         assert signature(flat) == before
 
-    def test_pin_has_no_mutators(self, backend_name, tmp_path):
-        store = build_store(backend_name, tmp_path)
-        pinned = store.pin()
-        assert isinstance(pinned, StoreSnapshot)
-        for mutator in (
-            "add", "add_all", "remove", "remove_all", "merge", "flush",
-        ):
-            assert not hasattr(pinned, mutator)
-
-    @pytest.mark.parametrize("take", ["pin", "copy"])
     def test_item_answers_survive_every_mutation_of_the_live_store(
-        self, backend_name, tmp_path, take
+        self, backend_name, tmp_path
     ):
         """The memory backend's copies share their claim objects with
         the live store: an add, a confidence refresh, a remove and a
@@ -172,7 +163,7 @@ class TestPinnedSnapshotImmutability:
                 view.claims(berlin),
             )
 
-        held = store.pin() if take == "pin" else store.copy()
+        held = store.copy()
         before = answers(held)
         assert [len(answer) for answer in before] == [2, 1, 2, 1, 1, 1]
 
@@ -196,7 +187,7 @@ class TestPinnedSnapshotImmutability:
         # The live store did move on all of it.
         assert [len(answer) for answer in answers(store)] == [2, 0, 2, 1, 0, 0]
 
-        if take == "copy" and backend_name == "memory":
+        if backend_name == "memory":
             # And the other way round: the copy's own mutations never
             # reach the live store (a segment directory has one
             # mutating lineage at a time).

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import StoreError
+from repro.fusion.base import ClaimSet
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 
@@ -89,8 +89,11 @@ class TestLookups:
         assert store.predicates("germany") == {"capital"}
 
     def test_sources_and_extractors(self, store):
-        assert store.sources() == {"a", "b"}
-        assert store.extractors() == {"ex"}
+        # Provenance scans are a ClaimSet question (fusion's view of
+        # the same claims), not a store method.
+        claims = ClaimSet.from_scored_triples(store)
+        assert claims.sources() == {"a", "b"}
+        assert claims.extractors() == {"ex"}
 
     def test_claims_for_item(self, store):
         claims = store.claims_for_item("france", "capital")
@@ -114,12 +117,8 @@ class TestMutation:
     def test_merge(self, store):
         other = TripleStore()
         other.add(claim("spain", "capital", "Madrid"))
-        store.merge(other)
+        store.add_all(other.claims())
         assert Triple("spain", "capital", Value("Madrid")) in store
-
-    def test_merge_self_rejected(self, store):
-        with pytest.raises(StoreError):
-            store.merge(store)
 
     def test_copy_independent(self, store):
         clone = store.copy()
@@ -194,12 +193,12 @@ class TestBackendFacade:
         assert store.backend.name == "memory"
 
     def test_snapshot_is_a_stable_list(self, store):
-        frozen = store.snapshot()
+        frozen = store.claims()
         assert isinstance(frozen, list)
         assert len(frozen) == 4
         store.add(claim("spain", "capital", "Madrid"))
-        assert len(frozen) == 4  # snapshot unaffected by later adds
-        assert frozen == store.snapshot()[:4]
+        assert len(frozen) == 4  # the list is unaffected by later adds
+        assert frozen == store.claims()[:4]
 
     def test_iteration_is_zero_copy(self, store):
         """Regression: __iter__ used to materialize a full list of the
@@ -209,7 +208,7 @@ class TestBackendFacade:
         unmaterialized = iter(store)
         first = next(unmaterialized)
         assert not isinstance(unmaterialized, type(iter([])))
-        assert first in store.snapshot()
+        assert first in store.claims()
 
     def test_iter_claims_shares_backend_objects(self, store):
         # The objects coming out of iteration are the stored objects

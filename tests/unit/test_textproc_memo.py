@@ -2,7 +2,9 @@
 
 The layer serves the two tag-path tables of Algorithm 1 (the only
 memo tables that hit: 99.9 % in a pipeline run); the uncached
-reference of a memoized function is its ``__wrapped__``.
+reference of a memoized function is its ``__wrapped__``, and the
+counters are read the way an operator reads them: as the
+``simcache_*`` series ``publish_cache_metrics`` exports.
 """
 
 import pytest
@@ -12,12 +14,13 @@ from repro.htmldom.tagpath import (
     path_similarity,
     sequence_similarity,
 )
+from repro.obs import MetricsRegistry
+from repro.obs.metrics import metric_key, parse_key
 from repro.textproc import similarity
 from repro.textproc.memo import (
-    BoundedCache,
     clear_similarity_caches,
     memoized_pair,
-    similarity_cache_stats,
+    publish_cache_metrics,
 )
 
 _PATHS = [
@@ -37,31 +40,53 @@ def _clean_caches():
     clear_similarity_caches()
 
 
+def _published(cache: str) -> dict[str, float]:
+    """One table's ``simcache_*`` series, by short name."""
+    registry = MetricsRegistry()
+    publish_cache_metrics(registry)
+    snapshot = registry.snapshot()
+    labels = {"cache": cache}
+    series = {
+        short: snapshot.counters[metric_key(f"simcache_{short}_total", labels)]
+        for short in ("hits", "misses", "evictions")
+    }
+    series["size"] = snapshot.gauges[metric_key("simcache_size", labels)]
+    return series
+
+
 class TestBoundedCache:
+    """The table behind ``memoized_pair``: counted and bounded."""
+
     def test_hit_and_miss_counters(self):
-        cache = BoundedCache("t", max_size=8)
-        assert cache.lookup("k") is not None  # a miss sentinel
-        assert cache.misses == 1 and cache.hits == 0
-        cache.store("k", 42)
-        assert cache.lookup("k") == 42
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.stats().hit_rate == 0.5
+        @memoized_pair("test-pair-count", max_size=8, symmetric=False)
+        def f(a, b):
+            return a + b
+
+        assert f(1, 2) == 3
+        assert _published("test-pair-count") == {
+            "hits": 0, "misses": 1, "evictions": 0, "size": 1,
+        }
+        assert f(1, 2) == 3
+        assert _published("test-pair-count") == {
+            "hits": 1, "misses": 1, "evictions": 0, "size": 1,
+        }
 
     def test_bounded_size_with_evictions(self):
-        cache = BoundedCache("t", max_size=4)
-        for i in range(10):
-            cache.store(i, i)
-        assert len(cache) == 4
-        assert cache.evictions == 6
-        # FIFO: the oldest keys are gone, the newest survive.
-        assert cache.lookup(9) == 9
-        from repro.textproc.memo import _MISS
+        @memoized_pair("test-pair-bound", max_size=2, symmetric=False)
+        def f(a, b):
+            return a + b
 
-        assert cache.lookup(0) is _MISS
-
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            BoundedCache("t", max_size=0)
+        for i in range(7):
+            f(i, 0)
+            assert f.cache_info().currsize <= 2
+        f(6, 0)  # the newest entry survived
+        assert _published("test-pair-bound") == {
+            "hits": 1, "misses": 7, "evictions": 5, "size": 2,
+        }
+        clear_similarity_caches()
+        assert _published("test-pair-bound") == {
+            "hits": 0, "misses": 0, "evictions": 0, "size": 0,
+        }
 
 
 class TestMemoizedPair:
@@ -83,9 +108,11 @@ class TestMemoizedPair:
             return len(a) + len(b)
 
         f("aa", "b")
-        assert f.cache.misses == 1
+        assert _published("test-pair-sym")["misses"] == 1
         f("b", "aa")
-        assert f.cache.hits == 1
+        assert _published("test-pair-sym") == {
+            "hits": 1, "misses": 1, "evictions": 0, "size": 1,
+        }
 
     def test_kwargs_partition_the_key(self):
         @memoized_pair("test-pair-kw", max_size=16)
@@ -94,7 +121,7 @@ class TestMemoizedPair:
 
         assert f("a", "b", scale=1) == 2
         assert f("a", "b", scale=3) == 6  # no collision
-        assert f.cache.misses == 2
+        assert _published("test-pair-kw")["misses"] == 2
 
 
 class TestSimilarityFunctionsCached:
@@ -108,7 +135,7 @@ class TestSimilarityFunctionsCached:
         cold = [[f(a, b) for a, b in args] for f, args in cases]
         # Warm pass: answered from the tables, must not drift.
         warm = [[f(a, b) for a, b in args] for f, args in cases]
-        assert path_similarity.cache.hits >= len(pairs)
+        assert _published("tagpath-relative")["hits"] >= len(pairs)
         uncached = [
             [f.__wrapped__(a, b) for a, b in args] for f, args in cases
         ]
@@ -118,15 +145,19 @@ class TestSimilarityFunctionsCached:
         """The tables that never hit are gone: the registry holds the
         two tag-path tables and the string measures are plain
         functions."""
+        registry = MetricsRegistry()
+        publish_cache_metrics(registry)
         tables = {
-            name for name in similarity_cache_stats()
-            if not name.startswith("test-pair-")  # TestMemoizedPair's own
+            parse_key(key)[1]["cache"] for key in registry.snapshot().gauges
         }
-        assert tables == {"tagpath-sequence", "tagpath-relative"}
+        assert {
+            name for name in tables
+            if not name.startswith("test-pair-")  # this file's own
+        } == {"tagpath-sequence", "tagpath-relative"}
         for name in ("levenshtein", "jaro_winkler", "token_jaccard",
                      "name_similarity"):
             fn = getattr(similarity, name)
-            assert not hasattr(fn, "cache"), name
+            assert not hasattr(fn, "cache_info"), name
             assert not hasattr(fn, "__wrapped__"), name
 
     def test_tagpath_similarity_cached_and_identical(self):
@@ -139,9 +170,9 @@ class TestSimilarityFunctionsCached:
 
     def test_stats_snapshot_shape(self):
         path_similarity(_PATHS[0], _PATHS[1])
-        snapshot = similarity_cache_stats()
-        assert {"tagpath-sequence", "tagpath-relative"} <= set(snapshot)
-        entry = snapshot["tagpath-relative"].as_dict()
-        assert {"hits", "misses", "evictions", "size", "max_size",
-                "hit_rate"} <= set(entry)
-        assert entry["misses"] == 1
+        assert _published("tagpath-relative") == {
+            "hits": 0, "misses": 1, "evictions": 0, "size": 1,
+        }
+        # One path pair scores its two arms: two sequence lookups.
+        sequence = _published("tagpath-sequence")
+        assert sequence["hits"] + sequence["misses"] == 2
