@@ -928,7 +928,6 @@ class KnowledgeBaseConstructionPipeline:
             all_triples = payload["all_triples"]
             entity_resolution = payload.get("entity_resolution")
 
-        claims = ClaimSet.from_scored_triples(all_triples)
         functional_refresh = None
         if cfg.functionality_source == "estimated":
             from repro.fusion.functionality import (
@@ -940,7 +939,7 @@ class KnowledgeBaseConstructionPipeline:
             functional_of = None
             functional_refresh = functional_oracle_from_claims
         else:
-            functional_of = self._select_functional_oracle(claims)
+            functional_of = self._functional_oracle()
 
         fusion = self._build_fusion(functional_of)
         triple_store = self._build_claim_store()

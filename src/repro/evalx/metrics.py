@@ -145,7 +145,7 @@ def evaluate_fusion(
     selected = list(items) if items is not None else list(result.truths)
     for item in selected:
         subject, predicate = item
-        decided = result.truths.get(item, set())
+        decided = result.truths.get(item, frozenset())
         truth_set = true_value_keys(world, subject, predicate)
         leaf_set = {
             value_key(value)
@@ -184,7 +184,9 @@ def remap_subjects(
     remapped.source_quality = dict(result.source_quality)
     for (subject, predicate), values in result.truths.items():
         target = (mapping.get(subject, subject), predicate)
-        remapped.truths.setdefault(target, set()).update(values)
+        remapped.truths[target] = (
+            remapped.truths.get(target, frozenset()) | values
+        )
     for ((subject, predicate), value), belief in result.belief.items():
         target = ((mapping.get(subject, subject), predicate), value)
         remapped.belief[target] = max(

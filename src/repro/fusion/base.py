@@ -15,6 +15,8 @@ from __future__ import annotations
 import abc
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
 
 from repro.errors import FusionError
 from repro.rdf.triple import ScoredTriple
@@ -44,11 +46,19 @@ class ClaimSet:
 
     Deduplicates identical (item, value, source, extractor) claims,
     keeping the maximum confidence.
+
+    Claims are grouped by item in three flat tables — item → slot,
+    slot → start, the claims by item in first-appearance order — not
+    in a dict and a list per item: a set has about as many items as
+    claims, and every long-lived container is walked by each full
+    collector pass.  :meth:`values_of` builds an item's dict on demand.
     """
 
     def __init__(self, claims: Iterable[Claim] = ()) -> None:
         self._claims: dict[tuple[Item, str, str, str], Claim] = {}
-        self._by_item: dict[Item, dict[str, list[Claim]]] = {}
+        self._slot_of: dict[Item, int] = {}
+        self._starts: list[int] = [0]
+        self._grouped: list[Claim] = []
         self._stale = False
         for claim in claims:
             self.add(claim)
@@ -62,13 +72,25 @@ class ClaimSet:
         self._stale = True
 
     def _reindex(self) -> None:
+        """Regroup after an :meth:`add`: count per item, then place."""
         if not self._stale:
             return
-        self._by_item = {}
+        slot_of: dict[Item, int] = {}
+        counts: list[int] = []
         for claim in self._claims.values():
-            self._by_item.setdefault(claim.item, {}).setdefault(
-                claim.value, []
-            ).append(claim)
+            slot = slot_of.setdefault(claim.item, len(counts))
+            if slot == len(counts):
+                counts.append(1)
+            else:
+                counts[slot] += 1
+        starts = list(accumulate(counts, initial=0))
+        fill = starts[:-1]
+        grouped: list = [None] * len(self._claims)
+        for claim in self._claims.values():
+            slot = slot_of[claim.item]
+            grouped[fill[slot]] = claim
+            fill[slot] += 1
+        self._slot_of, self._starts, self._grouped = slot_of, starts, grouped
         self._stale = False
 
     def __len__(self) -> int:
@@ -79,12 +101,23 @@ class ClaimSet:
 
     def items(self) -> list[Item]:
         self._reindex()
-        return list(self._by_item)
+        return list(self._slot_of)
 
     def values_of(self, item: Item) -> dict[str, list[Claim]]:
-        """Value key → claims asserting it, for one item."""
+        """Value key → claims asserting it, for one item (values in
+        first-claimed order, claims in insertion order), built per call."""
         self._reindex()
-        return self._by_item.get(item, {})
+        values: dict[str, list[Claim]] = {}
+        slot = self._slot_of.get(item)
+        if slot is not None:
+            starts = self._starts
+            for claim in self._grouped[starts[slot]:starts[slot + 1]]:
+                held = values.get(claim.value)
+                if held is None:
+                    values[claim.value] = [claim]
+                else:
+                    held.append(claim)
+        return values
 
     def sources(self) -> set[str]:
         return {claim.source_id for claim in self._claims.values()}
@@ -94,18 +127,16 @@ class ClaimSet:
 
     def sources_claiming(self, item: Item) -> set[str]:
         """Sources that assert *any* value for an item."""
-        return {
-            claim.source_id
-            for claims in self.values_of(item).values()
-            for claim in claims
-        }
+        return claiming_sources(self.values_of(item))
 
     def stats(self) -> "ClaimSetStats":
         """Size summary of the claim set (items/values/sources/claims)."""
         self._reindex()
         return ClaimSetStats(
-            n_items=len(self._by_item),
-            n_values=sum(len(values) for values in self._by_item.values()),
+            n_items=len(self._slot_of),
+            n_values=len(
+                {(claim.item, claim.value) for claim in self._grouped}
+            ),
             n_sources=len(self.sources()),
             n_extractors=len(self.extractors()),
             n_claims=len(self._claims),
@@ -130,6 +161,13 @@ class ClaimSet:
         return claims
 
 
+def claiming_sources(values: dict[str, list[Claim]]) -> set[str]:
+    """The sources behind one :meth:`ClaimSet.values_of` answer, added
+    value by value, claim by claim (multi-truth sums in this set's
+    iteration order, so there is one way to build it)."""
+    return {claim.source_id for claims in values.values() for claim in claims}
+
+
 @dataclass(slots=True)
 class ClaimSetStats:
     """Size summary of a :class:`ClaimSet`."""
@@ -141,12 +179,27 @@ class ClaimSetStats:
     n_claims: int
 
 
+@lru_cache(maxsize=1 << 16)
+def _single_truth(value: str) -> frozenset[str]:
+    """One shared set per value: most items decide one value, and a
+    re-fusion that confirms it then leaves the collector nothing new
+    (bounded: an evicted value's set is built again)."""
+    return frozenset((value,))
+
+
 @dataclass(slots=True)
 class FusionResult:
-    """Decided truths and beliefs of one fusion run."""
+    """Decided truths and beliefs of one fusion run.
+
+    A truth set is a ``frozenset``, written by :meth:`decide` or by
+    rebinding ``truths[item]``: results share their sets — a hierarchy
+    wrapper with its base method's result, a merged result with the
+    cached per-component results it was merged from — and the type is
+    what keeps one holder from changing another's verdicts.
+    """
 
     method: str
-    truths: dict[Item, set[str]] = field(default_factory=dict)
+    truths: dict[Item, frozenset[str]] = field(default_factory=dict)
     belief: dict[tuple[Item, str], float] = field(default_factory=dict)
     source_quality: dict[str, float] = field(default_factory=dict)
     iterations: int = 0
@@ -155,8 +208,17 @@ class FusionResult:
     # ``max_iterations`` without converging (or does not iterate).
     converged_at: int | None = None
 
+    def decide(self, item: Item, values: list[str]) -> None:
+        """Bind ``item``'s truth set to ``values``, frozen in the order
+        given — the order the reference loops add them to their sets,
+        so the set iterates as theirs does."""
+        self.truths[item] = (
+            _single_truth(values[0]) if len(values) == 1
+            else frozenset(values)
+        )
+
     def is_true(self, item: Item, value: str) -> bool:
-        return value in self.truths.get(item, set())
+        return value in self.truths.get(item, ())
 
     def decided_items(self) -> list[Item]:
         return list(self.truths)

@@ -42,7 +42,12 @@ from array import array
 from dataclasses import dataclass
 from math import exp, log
 
-from repro.fusion.base import ClaimSet, FusionResult, Item
+from repro.fusion.base import (
+    ClaimSet,
+    FusionResult,
+    Item,
+    claiming_sources,
+)
 
 __all__ = [
     "CompiledClaims",
@@ -169,10 +174,11 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
     for item in claims.items():
         item_idx = len(items)
         items.append(item)
+        values = claims.values_of(item)
         # Covering sources in the same set-iteration order the legacy
         # per-round loops observe (stable within one process).
-        cover = [source_id[name] for name in claims.sources_claiming(item)]
-        for value, value_claims in claims.values_of(item).items():
+        cover = [source_id[name] for name in claiming_sources(values)]
+        for value, value_claims in values.items():
             pair = len(pair_item)
             pair_item.append(item_idx)
             pair_value.append(value)
@@ -370,7 +376,7 @@ def _single_truths(cc: CompiledClaims, scores, result: FusionResult) -> None:
             key = (-scores[pair], pair_value[pair])
             if key < best:
                 best = key
-        result.truths[cc.items[item]] = {best[1]}
+        result.decide(cc.items[item], [best[1]])
 
 
 # ----------------------------------------------------------------------
@@ -519,19 +525,19 @@ def multitruth_fuse(
     for item in range(cc.n_items):
         begin = item_pair_start[item]
         end = item_pair_start[item + 1]
-        decided = {
+        decided = [
             pair_value[pair]
             for pair in range(begin, end)
             if posterior[pair] >= threshold
-        }
+        ]
         if not decided:
             best = (-posterior[begin], pair_value[begin])
             for pair in range(begin + 1, end):
                 key = (-posterior[pair], pair_value[pair])
                 if key < best:
                     best = key
-            decided = {best[1]}
-        result.truths[cc.items[item]] = decided
+            decided = [best[1]]
+        result.decide(cc.items[item], decided)
     return result
 
 

@@ -92,11 +92,18 @@ class CorrelationEstimator:
             estimate.weights = dict.fromkeys(parties, 1.0)
             return estimate
 
-        votes: dict[str, dict[Item, set[str]]] = {}
+        # A ballot is the claimed value itself, a set only from the
+        # party's second value of the item on: a set per ballot is a
+        # container per claim for the collector to walk.
+        votes: dict[str, dict[Item, str | set[str]]] = {}
         for claim in claims:
-            votes.setdefault(party_of(claim), {}).setdefault(
-                claim.item, set()
-            ).add(claim.value)
+            ballots = votes.setdefault(party_of(claim), {})
+            item, value = claim.item, claim.value
+            held = ballots.setdefault(item, value)
+            if isinstance(held, set):
+                held.add(value)
+            elif held != value:
+                ballots[item] = {held, value}
         # One item set per party.  ``_pair_dependence`` adds floats in
         # the iteration order of ``common``, and that order is decided
         # by how the two operands of ``&`` were built — so each is
@@ -151,8 +158,8 @@ class CorrelationEstimator:
 
     @staticmethod
     def _pair_dependence(
-        left_votes: dict[Item, set[str]],
-        right_votes: dict[Item, set[str]],
+        left_votes: dict[Item, str | set[str]],
+        right_votes: dict[Item, str | set[str]],
         common: set[Item],
         claimants: dict[Item, tuple[set[str], dict[str, set[str]]]],
     ) -> float:
@@ -188,8 +195,18 @@ class CorrelationEstimator:
             # reproduces the pre-fix arithmetic exactly.
             weight = witnesses / 2.0 if witnesses < 2 else 1.0
             left_values, right_values = left_votes[item], right_votes[item]
-            shared = left_values & right_values
-            union_size += len(left_values) + len(right_values) - len(shared)
+            if isinstance(left_values, str) and isinstance(right_values, str):
+                shared = (left_values,) if left_values == right_values else ()
+                union_size += 2 - len(shared)
+            else:
+                if isinstance(left_values, str):
+                    left_values = {left_values}
+                elif isinstance(right_values, str):
+                    right_values = {right_values}
+                shared = left_values & right_values
+                union_size += (
+                    len(left_values) + len(right_values) - len(shared)
+                )
             for value in shared:
                 if witnesses:
                     others_claiming = len(by_value[value]) - 2

@@ -140,24 +140,25 @@ class HierarchicalFusion(FusionMethod):
         refined.belief = dict(result.belief)
         for item in original.items():
             values = original.values_of(item)
+            winners = result.truths.get(item, frozenset())
             if not any(value in self.hierarchy for value in values):
                 # No value lies on any chain: nothing was expanded for
                 # this item and nothing can refine its winners.
-                refined.truths[item] = set(result.truths.get(item, ()))
+                refined.truths[item] = winners
                 continue
             support = {
                 value: len({claim.source_id for claim in claims})
                 for value, claims in values.items()
             }
-            truths: set[str] = set()
-            for winner in result.truths.get(item, set()):
+            truths: list[str] = []
+            for winner in winners:
                 chain_members = [
                     value
                     for value in support
                     if self.hierarchy.on_same_chain(value, winner)
                 ]
                 if not chain_members:
-                    truths.add(winner)
+                    truths.append(winner)
                     continue
                 chain_support = sum(support[value] for value in chain_members)
                 best = winner
@@ -176,9 +177,9 @@ class HierarchicalFusion(FusionMethod):
                         break
                 # The winner's chain is jointly true; report the
                 # specific winner plus its observed generalisations.
-                truths.add(best)
+                truths.append(best)
                 for ancestor in self.hierarchy.ancestors(best):
                     if ancestor in support:
-                        truths.add(ancestor)
-            refined.truths[item] = truths
+                        truths.append(ancestor)
+            refined.decide(item, truths)
         return refined

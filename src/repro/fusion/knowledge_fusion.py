@@ -276,8 +276,8 @@ class KnowledgeFusion(FusionMethod):
                     kept or {best},
                     key=lambda value: self._casefold_hierarchy.depth(value),
                 )
-                result.truths[item] = set(
+                result.truths[item] = frozenset(
                     self._casefold_hierarchy.chain(deepest)
                 ) & (truths | {deepest})
             else:
-                result.truths[item] = {best}
+                result.decide(item, [best])

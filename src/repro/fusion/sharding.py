@@ -118,17 +118,17 @@ def merge_results(
 ) -> FusionResult:
     """The disjoint union of per-component results, as one result.
 
-    Truth sets are copied: the merged result is handed to callers (and
-    mutated by the functional constraint's rebinds) while a component
-    result may stay cached.  ``iterations`` and ``converged_at`` report
-    the slowest component (``converged_at`` is None if any component
-    hit its iteration cap).
+    Truth sets are shared, not copied: the merged result is handed to
+    callers (and rebound, item by item, by the functional constraint)
+    while a component result may stay cached, and a ``frozenset``
+    cannot be changed through either.  ``iterations`` and
+    ``converged_at`` report the slowest component (``converged_at`` is
+    None if any component hit its iteration cap).
     """
     merged = FusionResult(name)
     converged: list[int | None] = []
     for result in results:
-        for item, values in result.truths.items():
-            merged.truths[item] = set(values)
+        merged.truths.update(result.truths)
         merged.belief.update(result.belief)
         merged.source_quality.update(result.source_quality)
         merged.iterations = max(merged.iterations, result.iterations)

@@ -43,7 +43,7 @@ class Vote(FusionMethod):
             winner = min(
                 scores, key=lambda value: (-scores[value], value)
             )
-            result.truths[item] = {winner}
+            result.decide(item, [winner])
             total = sum(scores.values())
             for value, score in scores.items():
                 result.belief[(item, value)] = (

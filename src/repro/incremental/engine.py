@@ -48,15 +48,23 @@ Two estimation details make the reuse exact rather than approximate:
 Per delta, the journal (one ``remove_all`` call, an ``add`` per claim)
 and the dirty-item re-read (one ``claims_for_items`` call) are O(delta)
 on the segment backend and one walk of the claim dict each on the
-memory backend, which has no per-item index; sharding / digests /
-re-weighting / fusion are O(region), and four passes stay O(store)
-with small constants: the staged store copy, the successor corpus
-(:meth:`_Corpus.replaced`, a slice-copying merge of the cached claims
-with the re-read items), the extractor estimate — one read of the
-claims and nothing else when they name a single extractor, the vote
-table of every claim otherwise — and the disjoint-union :meth:`_merge`.
-Putting the entries back in first-item order is a sort of
-O(components) nearly sorted keys.
+memory backend, which has no per-item index; the staged store copy
+shares the memory backend's index leaves copy-on-write and costs the
+paths the journal writes; sharding / digests / re-weighting / fusion
+are O(region), and three passes stay O(store) with small constants:
+the successor corpus (:meth:`_Corpus.replaced`, a slice-copying merge
+of the cached claims with the re-read items), the extractor estimate —
+one read of the claims and nothing else when they name a single
+extractor, the vote table of every claim otherwise — and the
+disjoint-union :meth:`_merge`.  Putting the entries back in first-item
+order is a sort of O(components) nearly sorted keys.
+
+None of this builds a long-lived container per item or per claim —
+each is walked by every later full collector pass, and enough of them
+per delta put such a pass inside every delta: claim groups are flat
+tables (:class:`~repro.fusion.base.ClaimSet`, :class:`_Corpus`), and
+the component cache and the merged result share one ``frozenset`` of
+truths per item (:func:`~repro.fusion.sharding.merge_results`).
 
 Byte-identity contract: with ``KnowledgeFusion(tolerance=0)``,
 ``apply_delta(delta)`` and a full ``fuse(canonical_claims(store))``

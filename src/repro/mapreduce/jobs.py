@@ -62,7 +62,7 @@ def mr_vote(
     )
     result = FusionResult("mr-vote")
     for item, winner, scores in job.run(claims):
-        result.truths[item] = {winner}
+        result.decide(item, [winner])
         total = sum(scores.values())
         for value, score in scores.items():
             result.belief[(item, value)] = score / total if total else 0.0
@@ -195,5 +195,5 @@ def mr_accu(
             values,
             key=lambda value: (-probabilities.get((item, value), 0.0), value),
         )
-        result.truths[item] = {winner}
+        result.decide(item, [winner])
     return result

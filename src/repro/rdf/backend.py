@@ -39,7 +39,11 @@ Contract notes that matter for byte-identical fusion:
   memory backend.
 * ``copy()`` yields a backend whose answers never change when the
   original mutates afterwards (and vice versa); it may share
-  immutable structure with the original to get there.
+  structure with the original to get there, as long as neither side
+  ever writes a container the other can reach.  The memory backend
+  shares its triple indexes copy-on-write: a copy costs three
+  top-level ``dict.copy()`` calls, and each side shallow-copies a
+  second-level dict or a leaf set the first time it writes it.
 """
 
 from __future__ import annotations
@@ -194,6 +198,11 @@ class MemoryBackend(StorageBackend):
         self._pos: dict[str, dict[Value, set[str]]] = {}
         # object -> subject -> set of predicates
         self._osp: dict[Value, dict[str, set[str]]] = {}
+        # None until the first ``copy()``.  From then on, per index:
+        # the first-level keys whose second-level dict, and the
+        # ``(first, second)`` keys whose leaf set, this backend has made
+        # its own since; any other container may be shared with a copy.
+        self._owned: tuple[tuple[set, set], ...] | None = None
 
     def __len__(self) -> int:
         return len(self._claims)
@@ -229,8 +238,11 @@ class MemoryBackend(StorageBackend):
         and hashing a ``(triple, provenance)`` tuple recursively
         hashes every field, so it dominates the insert.  Insertion
         order — and therefore fusion float accumulation order — is
-        identical to the loop.
+        identical to the loop.  A backend that shares index containers
+        with a copy takes the loop, whose :meth:`_index` knows which.
         """
+        if self._owned is not None:
+            return super().add_all(scored)
         claims_setdefault = self._claims.setdefault
         claims = self._claims
         spo, pos, osp = self._spo, self._pos, self._osp
@@ -255,15 +267,40 @@ class MemoryBackend(StorageBackend):
             ).add(predicate)
 
     def _index(self, triple: Triple) -> None:
-        self._spo.setdefault(triple.subject, {}).setdefault(
-            triple.predicate, set()
-        ).add(triple.obj)
-        self._pos.setdefault(triple.predicate, {}).setdefault(
-            triple.obj, set()
-        ).add(triple.subject)
-        self._osp.setdefault(triple.obj, {}).setdefault(
-            triple.subject, set()
-        ).add(triple.predicate)
+        subject, predicate, obj = triple.subject, triple.predicate, triple.obj
+        if self._owned is not None:
+            spo, pos, osp = self._owned
+            self._own(self._spo, spo, subject, predicate).add(obj)
+            self._own(self._pos, pos, predicate, obj).add(subject)
+            self._own(self._osp, osp, obj, subject).add(predicate)
+            return
+        self._spo.setdefault(subject, {}).setdefault(
+            predicate, set()
+        ).add(obj)
+        self._pos.setdefault(predicate, {}).setdefault(
+            obj, set()
+        ).add(subject)
+        self._osp.setdefault(obj, {}).setdefault(
+            subject, set()
+        ).add(predicate)
+
+    @staticmethod
+    def _own(index: dict, owned, first, second) -> set:
+        """The leaf ``index[first][second]``, it and ``index[first]``
+        each created or shallow-copied unless ``owned`` says this
+        backend already made it its own: the path of one index write."""
+        firsts, leaves = owned
+        by_second = index.get(first)
+        if first not in firsts:
+            by_second = index[first] = (
+                {} if by_second is None else by_second.copy()
+            )
+            firsts.add(first)
+        leaf = by_second.get(second)
+        if (first, second) not in leaves:
+            leaf = by_second[second] = set() if leaf is None else set(leaf)
+            leaves.add((first, second))
+        return leaf
 
     def remove(self, triple: Triple) -> int:
         keys = [key for key in self._claims if key[0] == triple]
@@ -301,30 +338,39 @@ class MemoryBackend(StorageBackend):
         return lost
 
     def _unindex(self, triple: Triple) -> None:
+        spo, pos, osp = self._owned or (None, None, None)
         self._discard_pruning(
-            self._spo, triple.subject, triple.predicate, triple.obj
+            self._spo, spo, triple.subject, triple.predicate, triple.obj
         )
         self._discard_pruning(
-            self._pos, triple.predicate, triple.obj, triple.subject
+            self._pos, pos, triple.predicate, triple.obj, triple.subject
         )
         self._discard_pruning(
-            self._osp, triple.obj, triple.subject, triple.predicate
+            self._osp, osp, triple.obj, triple.subject, triple.predicate
         )
 
-    @staticmethod
-    def _discard_pruning(index: dict, first, second, leaf) -> None:
-        """Drop ``leaf`` from ``index[first][second]``, pruning empties."""
+    @classmethod
+    def _discard_pruning(cls, index: dict, owned, first, second, leaf) -> None:
+        """Drop ``leaf`` from ``index[first][second]``, pruning empties
+        (a pruned key leaves the ownership record with its container)."""
         by_second = index.get(first)
         if by_second is None:
             return
         leaves = by_second.get(second)
         if leaves is None:
             return
+        if owned is not None:
+            leaves = cls._own(index, owned, first, second)
+            by_second = index[first]
         leaves.discard(leaf)
         if not leaves:
             del by_second[second]
+            if owned is not None:
+                owned[1].discard((first, second))
         if not by_second:
             del index[first]
+            if owned is not None:
+                owned[0].discard(first)
 
     # -- lookup --------------------------------------------------------
     def match(
@@ -413,24 +459,22 @@ class MemoryBackend(StorageBackend):
         return set(self._spo.get(subject, {}))
 
     def copy(self) -> "MemoryBackend":
-        """A clone that shares the (immutable) claims with this backend.
+        """A clone that shares the (immutable) claims with this backend
+        and, copy-on-write, every second-level dict and leaf set of the
+        triple indexes.
 
         ``dict.copy()`` reuses the stored key hashes — re-inserting
         every ``(triple, provenance)`` key through ``add_all`` would
-        hash each field again — and the triple indexes are copied
-        level by level, their mutable set leaves included.
+        hash each field again.  Both sides start over with empty
+        ownership records and shallow-copy an index path the first
+        time they write it (:meth:`_own`).  Ownership goes by key: the
+        ``id()`` of a freed container can come back on a shared one.
         """
         clone = MemoryBackend()
         clone._claims = self._claims.copy()
-        clone._spo = _copy_nested(self._spo)
-        clone._pos = _copy_nested(self._pos)
-        clone._osp = _copy_nested(self._osp)
+        clone._spo = self._spo.copy()
+        clone._pos = self._pos.copy()
+        clone._osp = self._osp.copy()
+        self._owned = tuple((set(), set()) for _ in range(3))
+        clone._owned = tuple((set(), set()) for _ in range(3))
         return clone
-
-
-def _copy_nested(index: dict) -> dict:
-    """Copy a two-level ``first -> second -> set`` index, sets included."""
-    return {
-        first: {second: set(leaves) for second, leaves in by_second.items()}
-        for first, by_second in index.items()
-    }

@@ -1,8 +1,8 @@
 """Append-only event log with consumer groups and explicit load shedding.
 
 The serving layer's ingest path is a stream, not a function call
-(ROADMAP item 1; the async-first consumer-group architecture the
-Engram ADR in SNIPPETS.md documents): producers *publish* claim deltas
+(the async-first consumer-group architecture the Engram ADR in
+SNIPPETS.md documents): producers *publish* claim deltas
 as immutable :class:`StreamEvent` records, and the serving consumer
 *delivers* them in offset order with at-least-once semantics.  The
 pieces:

@@ -2,8 +2,8 @@
 
 The paper's system is shared infrastructure — "millions of users"
 means many independent knowledge worlds ingested and served by one
-operator (ROADMAP item 4).  The tenancy model here is *share the
-runtime, share nothing else*:
+operator.  The tenancy model here is *share the runtime, share nothing
+else*:
 
 * **Per-tenant stack** — every tenant owns a full
   ``engine → EventLog → KBServer → VersionedKB`` chain

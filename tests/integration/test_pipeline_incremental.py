@@ -18,6 +18,7 @@ from repro.core.pipeline import (
     PipelineConfig,
 )
 from repro.errors import PipelineError
+from repro.fusion.base import ClaimSet
 from repro.incremental import ClaimDelta, canonical_claims
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 from repro.synth.querylog import QueryLogConfig
@@ -238,3 +239,55 @@ class TestConfigCheckedWithoutRun:
             mistyped().serve()
         with pytest.raises(PipelineError, match="functionality_source must"):
             mistyped().run_incremental(ClaimDelta())
+
+
+class TestServeBuildsNoClaimSetOfItsOwn:
+    """The engine canonicalizes the corpus itself; a ``ClaimSet`` of
+    every claim built beside it is read by nobody, and on a web-sized
+    corpus its claims and key tuples outlive the prime as work for
+    the collector."""
+
+    @pytest.mark.parametrize("source", ["schema", "estimated"])
+    def test_serve_builds_no_claim_set_outside_the_engine(
+        self, incremental_run, monkeypatch, source
+    ):
+        import repro.core.pipeline as pipeline_module
+
+        built = []
+
+        class Spy(ClaimSet):
+            """What ``core/pipeline.py`` reaches through its own
+            ``ClaimSet`` name; the engine imports the real one."""
+
+            def __init__(self, claims=()):
+                built.append("ClaimSet()")
+                super().__init__(claims)
+
+            @staticmethod
+            def from_scored_triples(triples):
+                built.append("from_scored_triples")
+                return ClaimSet.from_scored_triples(triples)
+
+        pipeline = KnowledgeBaseConstructionPipeline(
+            _config(functionality_source=source)
+        )
+        pipeline.all_triples = list(incremental_run.pipeline.all_triples)
+        monkeypatch.setattr(pipeline_module, "ClaimSet", Spy)
+        engine = pipeline.serve().engine
+        assert built == []
+        # ... and the oracle is still the configured one.
+        decided = {predicate for _subject, predicate in engine.result.truths}
+        assert (engine.functional_refresh is not None) == (
+            source == "estimated"
+        )
+        if source == "schema":
+            schema = pipeline._functional_oracle()
+            assert [
+                engine.fusion.functional_of(predicate)
+                for predicate in sorted(decided)
+            ] == [schema(predicate) for predicate in sorted(decided)]
+        assert engine.result.canonical_bytes() == (
+            pipeline._build_fusion(engine.fusion.functional_of)
+            .fuse(canonical_claims(engine.store.copy()))
+            .canonical_bytes()
+        )

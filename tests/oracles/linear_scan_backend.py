@@ -8,6 +8,11 @@ the delta journal's former loop, a ``claims(triple)`` and a
 faster (``claims_for_items``, ``remove_all`` in one walk, ``copy()``
 sharing the claim objects, one day a per-item index) must return the
 same claims in the same order.
+
+The triple-level reads (``match``, ``objects``, ``subjects``,
+``predicates``, ``contains_triple``) are derived from the same dict,
+one scan each: what the backend's SPO/POS/OSP indexes — shared
+copy-on-write between copies — must keep answering.
 """
 
 from __future__ import annotations
@@ -74,3 +79,29 @@ class LinearScanClaims:
             if scored.triple.subject == subject
             and scored.triple.predicate == predicate
         ]
+
+    # -- the triple-level reads, one scan of the dict each --------------
+    def _triples(self) -> list[Triple]:
+        """Distinct live triples, in first-insertion order."""
+        return list(dict.fromkeys(key[0] for key in self._claims))
+
+    def match(self, subject=None, predicate=None, obj=None) -> list[Triple]:
+        return [
+            triple
+            for triple in self._triples()
+            if subject in (None, triple.subject)
+            and predicate in (None, triple.predicate)
+            and (obj is None or triple.obj == obj)
+        ]
+
+    def contains_triple(self, triple: Triple) -> bool:
+        return triple in self._triples()
+
+    def objects(self, subject: str, predicate: str) -> set:
+        return {triple.obj for triple in self.match(subject, predicate)}
+
+    def subjects(self) -> set[str]:
+        return {triple.subject for triple in self._triples()}
+
+    def predicates(self, subject: str | None = None) -> set[str]:
+        return {triple.predicate for triple in self.match(subject)}

@@ -117,14 +117,56 @@ operations = st.lists(
         # — copies share their claim objects, so both re-add identical
         # objects.
         st.tuples(st.just("merge_copy"), st.none()),
+        # A copy of an earlier copy (of the live backend when there is
+        # none yet), then writes to earlier copies: source, copy and
+        # copy's copy all write after sharing.
+        st.tuples(st.just("copy_of_copy"), st.integers(0, 7)),
+        st.tuples(
+            st.just("add_to_copy"), st.tuples(st.integers(0, 7), claims())
+        ),
+        st.tuples(
+            st.just("remove_from_copy"),
+            st.tuples(st.integers(0, 7), st.lists(triples, max_size=3)),
+        ),
     ),
     max_size=40,
 )
 ITEMS = [(s, p) for s in subjects.elements for p in predicates.elements]
+VALUES = [Value(lexical) for lexical in objects.elements]
+#: All eight shapes of a ``match`` pattern, at every binding.
+PATTERNS = [
+    (subject, predicate, obj)
+    for subject in [None, *subjects.elements]
+    for predicate in [None, *predicates.elements]
+    for obj in [None, *VALUES]
+]
+
+
+def _assert_same_triple_answers(backend, model):
+    """The reads the SPO/POS/OSP indexes answer: same triples (each
+    once; their order is the backend's business), same sets."""
+    for pattern in PATTERNS:
+        found = backend.match(*pattern)
+        assert len(found) == len(set(found))
+        assert set(found) == set(model.match(*pattern))
+    assert backend.subjects() == model.subjects()
+    assert backend.predicates() == model.predicates()
+    for subject in subjects.elements:
+        assert backend.predicates(subject) == model.predicates(subject)
+    for subject, predicate in ITEMS:
+        assert backend.objects(subject, predicate) == model.objects(
+            subject, predicate
+        )
+        for value in VALUES:
+            triple = Triple(subject, predicate, value)
+            assert backend.contains_triple(triple) == model.contains_triple(
+                triple
+            )
 
 
 def _assert_same_answers(backend, model):
     assert list(backend.iter_claims()) == list(model.iter_claims())
+    _assert_same_triple_answers(backend, model)
     by_item = {item: model.claims_for_item(*item) for item in ITEMS}
     assert backend.claims_for_items(ITEMS) == by_item
     assert backend.claims_for_items(ITEMS[1:2]) == {
@@ -147,9 +189,13 @@ def _assert_same_losses(lost, expected):
 class TestClaimAnswersMatchTheDictModel:
     """``claims_for_item``, ``claims_for_items``, ``claims(triple)``,
     ``add``'s verdict, ``remove``, ``remove_all`` and ``iter_claims`` —
-    element for element, order included — under interleaved mutation,
-    and on copies taken along the way (a copy shares the claim
-    objects, nothing mutable).  The segment backend runs with a
+    element for element, order included — and ``match`` (all eight
+    patterns), ``objects``, ``subjects``, ``predicates`` and
+    ``contains_triple``, under interleaved mutation, and after every
+    step on every copy taken along the way: a copy shares the claim
+    objects and, copy-on-write, index containers, and copies are
+    written to mid-sequence like their source.  The segment backend
+    runs with a
     memtable of three claims, so flushes fall between the steps.
     ``batched`` replays the same interleavings with every insertion
     going through ``add_all``: it must leave what the model's ``add``
@@ -182,8 +228,14 @@ class TestClaimAnswersMatchTheDictModel:
                 for one in batch:
                     assert backend.add(one) == model.add(one)
 
-        # Earlier copies with the answers they must keep giving.
+        # Earlier copies, each with the model of what it must answer.
         pinned = []
+
+        def pin(source, source_model):
+            twin = LinearScanClaims()
+            twin.add_all(source_model.claims())
+            pinned.append((source.copy(), twin))
+
         for kind, payload in ops:
             if kind == "add":
                 insert([payload])
@@ -218,13 +270,27 @@ class TestClaimAnswersMatchTheDictModel:
                 other.add_all(backend.claims())
                 backend.add_all(other.claims())
                 _assert_same_answers(other, model)
+            elif kind == "copy":
+                pin(backend, model)
+            elif kind == "copy_of_copy":
+                pin(*pinned[payload % len(pinned)] if pinned
+                    else (backend, model))
+            elif kind == "add_to_copy":
+                if pinned:
+                    copied, frozen = pinned[payload[0] % len(pinned)]
+                    assert copied.add(payload[1]) == frozen.add(payload[1])
             else:
-                frozen = LinearScanClaims()
-                frozen.add_all(model.claims())
-                pinned.append((backend.copy(), frozen))
+                assert kind == "remove_from_copy"
+                if pinned:
+                    copied, frozen = pinned[payload[0] % len(pinned)]
+                    _assert_same_losses(
+                        copied.remove_all(payload[1]),
+                        frozen.remove_all(payload[1]),
+                    )
             _assert_same_answers(backend, model)
+            for copied, frozen in pinned:
+                _assert_same_answers(copied, frozen)
         for copied, frozen in pinned:
-            _assert_same_answers(copied, frozen)
             # ... and what a batch of retractions would take from them.
             everything = [
                 Triple(subject, predicate, Value(lexical))

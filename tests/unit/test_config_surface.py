@@ -131,6 +131,11 @@ STORAGE_DEFAULTS = {
 # under src/ starts a worker of any kind.
 WORKER_MODULES = {"concurrent", "multiprocessing", "threading", "subprocess"}
 
+# The per-delta path keeps clear of full collector passes by building
+# no container per item (tests/unit/test_collector_budget.py), not by
+# freezing, disabling or re-tuning the collector.
+COLLECTOR_MODULES = {"gc"}
+
 
 def test_pipeline_config_fields():
     fields = {field.name for field in dataclasses.fields(PipelineConfig)}
@@ -281,6 +286,14 @@ def test_src_starts_no_worker():
     offenders = [
         (path, module) for path, module in _imports_under_src()
         if _within(module, WORKER_MODULES)
+    ]
+    assert offenders == []
+
+
+def test_src_leaves_the_collector_alone():
+    offenders = [
+        (path, module) for path, module in _imports_under_src()
+        if _within(module, COLLECTOR_MODULES)
     ]
     assert offenders == []
 

@@ -135,6 +135,92 @@ class TestFusionResult:
         assert result.belief_of(("s", "p"), "w") == 0.0
 
 
+class TestTruthSetsAreFrozen:
+    """Results share their truth sets (a hierarchy wrapper with its
+    base method's, a merged result with the cached components'), so
+    every producer in ``src/`` hands out ``frozenset`` values: a
+    holder can rebind an item, never change a set."""
+
+    @staticmethod
+    def _producers():
+        from repro.evalx.metrics import remap_subjects
+        from repro.faults import RetryPolicy
+        from repro.fusion import (
+            Accu,
+            GeneralizedSums,
+            HierarchicalFusion,
+            Investment,
+            KnowledgeFusion,
+            MultiTruth,
+            PopAccu,
+        )
+        from repro.mapreduce.jobs import mr_accu, mr_vote
+        from repro.synth.claims import ClaimWorldConfig, generate_claim_world
+
+        world = generate_claim_world(
+            ClaimWorldConfig(
+                seed=5, n_items=12, n_sources=5, truths_per_item=2,
+                hierarchical=True,
+            )
+        )
+        functional = dict(
+            hierarchy=world.hierarchy, functional_of=lambda predicate: True
+        )
+        methods = {
+            "Vote": Vote(),
+            "Accu": Accu(),
+            "PopAccu": PopAccu(),
+            "MultiTruth": MultiTruth(),
+            "GeneralizedSums": GeneralizedSums(),
+            "Investment": Investment(),
+            "HierarchicalFusion": HierarchicalFusion(
+                MultiTruth(), world.hierarchy
+            ),
+            "KnowledgeFusion": KnowledgeFusion(**functional),
+        }
+        producers = {
+            name: method.fuse for name, method in methods.items()
+        }
+        producers.update({
+            "KnowledgeFusion, no hierarchy": KnowledgeFusion(
+                functional_of=lambda predicate: True
+            ).fuse,
+            "KnowledgeFusion, sharded": KnowledgeFusion(
+                retry=RetryPolicy(), **functional
+            ).fuse,
+            "mr_vote": mr_vote,
+            "mr_accu": mr_accu,
+            # Every subject folded onto one: truth sets are united.
+            "remap_subjects": lambda claims: remap_subjects(
+                MultiTruth().fuse(claims),
+                {subject: "one" for subject, _predicate in claims.items()},
+            ),
+        })
+        return world.claims, methods, producers
+
+    def test_every_fusion_method_in_src_is_on_the_roster(self):
+        import repro.fusion  # noqa: F401  (defines every method)
+        from repro.fusion.base import FusionMethod
+
+        def concrete(cls):
+            for sub in cls.__subclasses__():
+                if sub.__module__.startswith("repro."):
+                    yield sub.__name__
+                    yield from concrete(sub)
+
+        _claims, methods, _producers = self._producers()
+        assert sorted(concrete(FusionMethod)) == sorted(methods)
+
+    def test_every_producer_returns_frozen_truth_sets(self):
+        claims, _methods, producers = self._producers()
+        for name, produce in producers.items():
+            result = produce(claims)
+            assert result.truths, name
+            assert {type(values) for values in result.truths.values()} == {
+                frozenset
+            }, name
+
+
 class TestGuards:
     def test_empty_claims_rejected(self):
         with pytest.raises(FusionError):

@@ -86,21 +86,31 @@ class TestPrime:
         sharded = _fusion(retry=RetryPolicy()).fuse(claims)
         engine = _fusion().begin_incremental(store)
         assert engine.result.canonical_bytes() == sharded.canonical_bytes()
-        # The merged truth sets are copies: ruining a merged result
-        # reaches neither the engine's cached components ...
-        expected = {
-            item: set(values) for item, values in engine.result.truths.items()
-        }
-        for values in engine.result.truths.values():
-            values.clear()
+        # The merged truth sets are the components' own, not copies —
+        # what keeps a holder of the merged result from ruining the
+        # engine's cached components is their type ...
+        for entry in engine._state.entries:
+            for item, values in entry.result.truths.items():
+                assert engine.result.truths[item] is values
+        expected = dict(engine.result.truths)
+        for values in expected.values():
+            assert type(values) is frozenset
+            with pytest.raises(AttributeError):
+                values.clear()
+            with pytest.raises(AttributeError):
+                values.add("ruined")
+        served = engine.result.canonical_bytes()
         engine.apply_delta(ClaimDelta())
         assert engine.result.truths == expected
-        # ... nor the component results a sharded fuse merged.
+        assert engine.result.canonical_bytes() == served
+        # ... and the same holds for what a sharded fuse merged.
         parts = [Vote().fuse(shard) for shard in shard_claims(claims)]
         merged = merge_results("vote", parts)
-        for values in merged.truths.values():
-            values.clear()
-        assert all(values for part in parts for values in part.truths.values())
+        assert len(merged.truths) == sum(len(part.truths) for part in parts)
+        for part in parts:
+            for item, values in part.truths.items():
+                assert merged.truths[item] is values
+                assert type(values) is frozenset
 
     def test_components_counted(self):
         engine = _fusion().begin_incremental(_corpus(n_worlds=5))
@@ -184,14 +194,47 @@ class TestApplyDelta:
         assert engine.sequence == 0
 
     def test_cached_results_survive_caller_mutation(self):
-        engine = _fusion().begin_incremental(_corpus(n_worlds=3))
+        # Two truths an item, so a functional constraint has verdicts
+        # to cut down.
+        world = generate_claim_world(
+            ClaimWorldConfig(
+                seed=77, n_items=8, n_sources=5, truths_per_item=2
+            )
+        )
+        store = TripleStore()
+        store.add_all(scored_from_claims(world.claims))
+        engine = _fusion().begin_incremental(store)
         outcome = engine.apply_delta(ClaimDelta(label="noop"))
-        # Trash the returned truth sets...
-        for values in outcome.result.truths.values():
-            values.clear()
-        # ...then re-apply: the merged result must be rebuilt intact.
+        served = outcome.result.canonical_bytes()
+        cached = [
+            (entry, dict(entry.result.truths), entry.result.canonical_bytes())
+            for entry in engine._state.entries
+        ]
+        # The one way left to change a served result: rebind an item,
+        # as the functional constraint does ...
+        before = dict(outcome.result.truths)
+        _fusion(functional_of=lambda predicate: True)._constrain_functional(
+            outcome.result
+        )
+        rebound = [
+            item for item, values in outcome.result.truths.items()
+            if values is not before[item]
+        ]
+        assert rebound
+        assert all(
+            type(values) is frozenset and len(values) == 1
+            for values in map(outcome.result.truths.get, rebound)
+        )
+        # ... which reaches no cached component ...
+        for entry, truths, as_bytes in cached:
+            assert entry.result.truths == truths
+            assert all(
+                entry.result.truths[item] is truths[item] for item in truths
+            )
+            assert entry.result.canonical_bytes() == as_bytes
+        # ...so the next merged result is rebuilt intact.
         fresh = engine.apply_delta(ClaimDelta(label="noop-2"))
-        assert all(values for values in fresh.result.truths.values())
+        assert fresh.result.canonical_bytes() == served
         reference = _fusion().fuse(canonical_claims(engine.store.copy()))
         assert fresh.result.canonical_bytes() == reference.canonical_bytes()
 
