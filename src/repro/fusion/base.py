@@ -8,15 +8,25 @@ so formatting variants of the same value agree.
 Every fusion method consumes a :class:`ClaimSet` and returns a
 :class:`FusionResult` mapping each item to its decided truths with
 belief scores.
+
+Fusion is per data item, so a claim set is its claims *grouped by
+item*, and the stages between a claim corpus and a kernel inherit that
+grouping instead of rebuilding it: a stage that maps claims one to one
+(reweighting), keeps or drops whole items (sharding, a region of the
+incremental engine) or inserts claims inside an item (hierarchy
+expansion) hands its deduplicated list to :meth:`ClaimSet.adopt`, and
+a caller that walks every item reads :meth:`ClaimSet.runs`.  Only
+:meth:`ClaimSet.add`, on arbitrary input, hashes claim keys.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
+from operator import attrgetter
 
 from repro.errors import FusionError
 from repro.rdf.triple import ScoredTriple
@@ -41,67 +51,132 @@ class Claim:
     confidence: float = 1.0
 
 
+#: What makes two claims the same claim (:meth:`ClaimSet.add` keeps
+#: the more confident one).
+claim_key = attrgetter("item", "value", "source_id", "extractor_id")
+
+
 class ClaimSet:
     """Indexed collection of claims.
 
     Deduplicates identical (item, value, source, extractor) claims,
-    keeping the maximum confidence.
+    keeping the maximum confidence at the first one's position.
 
-    Claims are grouped by item in three flat tables — item → slot,
-    slot → start, the claims by item in first-appearance order — not
-    in a dict and a list per item: a set has about as many items as
-    claims, and every long-lived container is walked by each full
-    collector pass.  :meth:`values_of` builds an item's dict on demand.
+    Claims are grouped by item in flat tables — item → slot, slot →
+    start, the claims by item in first-appearance order — not in a
+    dict and a list per item: a set has about as many items as claims,
+    and every long-lived container is walked by each full collector
+    pass.  :meth:`values_of` builds an item's dict on demand.
+
+    Only :meth:`add` hashes claim keys.  A list that is deduplicated
+    already — another set's claims, mapped one to one, filtered item
+    by item, or with claims inserted inside an item — is taken as it
+    is by :meth:`adopt`, and where its items are contiguous (canonical
+    claims are) the grouping is one scan for item boundaries.
     """
 
     def __init__(self, claims: Iterable[Claim] = ()) -> None:
-        self._claims: dict[tuple[Item, str, str, str], Claim] = {}
-        self._slot_of: dict[Item, int] = {}
-        self._starts: list[int] = [0]
-        self._grouped: list[Claim] = []
-        self._stale = False
+        # Insertion order; a refreshed claim stays where it was.
+        self._order: list[Claim] = []
+        # Claim key → position in ``_order``; None on an adopted list
+        # until the first ``add``.
+        self._at: dict[tuple, int] | None = {}
+        # The grouping tables are ``_reindex``'s to build.
+        self._stale = True
         for claim in claims:
             self.add(claim)
 
+    @classmethod
+    def adopt(cls, claims: list[Claim]) -> "ClaimSet":
+        """The set over ``claims``, which hold no two claims of one
+        key: no claim is hashed, and the list is not copied (a later
+        :meth:`add` copies it first)."""
+        adopted = cls()
+        adopted._order = claims
+        adopted._at = None
+        return adopted
+
     def add(self, claim: Claim) -> None:
-        key = (claim.item, claim.value, claim.source_id, claim.extractor_id)
-        existing = self._claims.get(key)
-        if existing is not None and existing.confidence >= claim.confidence:
+        at = self._at
+        if at is None:
+            self._order = list(self._order)
+            at = self._at = {
+                claim_key(held): position
+                for position, held in enumerate(self._order)
+            }
+        order = self._order
+        position = at.setdefault(claim_key(claim), len(order))
+        if position == len(order):
+            order.append(claim)
+        elif order[position].confidence >= claim.confidence:
             return
-        self._claims[key] = claim
+        else:
+            order[position] = claim
         self._stale = True
 
     def _reindex(self) -> None:
-        """Regroup after an :meth:`add`: count per item, then place."""
+        """Regroup after an :meth:`add` or an adoption: count per item
+        — one dict probe per run of one item's claims — then place,
+        unless no item's claims lie apart and the claims are grouped
+        as they stand.  ``_positions`` maps a grouped index to the
+        claim's position in ``_order``."""
         if not self._stale:
             return
+        order = self._order
         slot_of: dict[Item, int] = {}
         counts: list[int] = []
-        for claim in self._claims.values():
-            slot = slot_of.setdefault(claim.item, len(counts))
-            if slot == len(counts):
-                counts.append(1)
-            else:
-                counts[slot] += 1
+        apart = False
+        previous = slot = None
+        for claim in order:
+            item = claim.item
+            if item != previous:
+                previous = item
+                slot = slot_of.setdefault(item, len(counts))
+                if slot == len(counts):
+                    counts.append(0)
+                else:
+                    apart = True
+            counts[slot] += 1
         starts = list(accumulate(counts, initial=0))
-        fill = starts[:-1]
-        grouped: list = [None] * len(self._claims)
-        for claim in self._claims.values():
-            slot = slot_of[claim.item]
-            grouped[fill[slot]] = claim
-            fill[slot] += 1
-        self._slot_of, self._starts, self._grouped = slot_of, starts, grouped
+        if apart:
+            fill = starts[:-1]
+            grouped: list = [None] * len(order)
+            positions: Sequence[int] = [0] * len(order)
+            for position, claim in enumerate(order):
+                slot = slot_of[claim.item]
+                grouped[fill[slot]] = claim
+                positions[fill[slot]] = position
+                fill[slot] += 1
+        else:
+            grouped, positions = order, range(len(order))
+        self._slot_of, self._starts = slot_of, starts
+        self._grouped, self._positions = grouped, positions
         self._stale = False
 
     def __len__(self) -> int:
-        return len(self._claims)
+        return len(self._order)
 
     def __iter__(self):
-        return iter(list(self._claims.values()))
+        return iter(list(self._order))
 
     def items(self) -> list[Item]:
         self._reindex()
         return list(self._slot_of)
+
+    def runs(self) -> Iterator[tuple[Item, list[Claim]]]:
+        """Every item with its claims (in insertion order), in
+        :meth:`items` order: what a caller that walks every item reads
+        in place of one :meth:`values_of` dict per item."""
+        self._reindex()
+        grouped, starts = self._grouped, self._starts
+        for item, begin, end in zip(self._slot_of, starts, starts[1:]):
+            yield item, grouped[begin:end]
+
+    def positions(self) -> Sequence[int]:
+        """Where each claim of :meth:`runs`, runs laid end to end,
+        stands in iteration order."""
+        self._reindex()
+        return self._positions
 
     def values_of(self, item: Item) -> dict[str, list[Claim]]:
         """Value key → claims asserting it, for one item (values in
@@ -120,10 +195,10 @@ class ClaimSet:
         return values
 
     def sources(self) -> set[str]:
-        return {claim.source_id for claim in self._claims.values()}
+        return {claim.source_id for claim in self._order}
 
     def extractors(self) -> set[str]:
-        return {claim.extractor_id for claim in self._claims.values()}
+        return {claim.extractor_id for claim in self._order}
 
     def sources_claiming(self, item: Item) -> set[str]:
         """Sources that assert *any* value for an item."""
@@ -139,7 +214,7 @@ class ClaimSet:
             ),
             n_sources=len(self.sources()),
             n_extractors=len(self.extractors()),
-            n_claims=len(self._claims),
+            n_claims=len(self._order),
         )
 
     @staticmethod

@@ -7,7 +7,12 @@ dominate their profiles long before the arithmetic does.  This module
 "compiles" a :class:`ClaimSet` once into integer-indexed flat arrays
 (interned item/value/source ids, ``array('d')`` confidence
 vectors, CSR-style offset tables) shared by every method, so per-round
-updates become tight loops over parallel arrays.
+updates become tight loops over parallel arrays.  The compilation
+walks the set's item runs (:meth:`ClaimSet.runs`): an item with one
+claim — most are — appends its pair and its one cover slot directly,
+a longer run is grouped by value on the spot, and a claim's place in
+claim order comes from :meth:`ClaimSet.positions`, so no claim is
+looked up in any table.
 
 Exactness contract
 ------------------
@@ -145,18 +150,13 @@ class CompiledClaims:
 def compile_claims(claims: ClaimSet) -> CompiledClaims:
     """One-pass compilation of a claim set into flat arrays."""
     source_id: dict[str, int] = {}
-    claim_list = list(claims)
-    claim_index = {id(claim): index for index, claim in enumerate(claim_list)}
-
-    n_claims = len(claim_list)
-    claim_pair = [0] * n_claims
-    claim_source = [0] * n_claims
-    claim_conf = array("d", bytes(8 * n_claims))
-    for index, claim in enumerate(claim_list):
-        claim_source[index] = source_id.setdefault(
-            claim.source_id, len(source_id)
-        )
-        claim_conf[index] = claim.confidence
+    order = list(claims)
+    claim_source = [
+        source_id.setdefault(claim.source_id, len(source_id))
+        for claim in order
+    ]
+    claim_conf = array("d", [claim.confidence for claim in order])
+    claim_pair = [0] * len(order)
 
     items: list[Item] = []
     pair_item: list[int] = []
@@ -171,10 +171,42 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
     claimed_source: list[int] = []
     silent_pair: list[int] = []
     silent_source: list[int] = []
-    for item in claims.items():
+    positions = claims.positions()
+    done = 0  # claims of the runs walked so far
+    for item, run in claims.runs():
         item_idx = len(items)
         items.append(item)
-        values = claims.values_of(item)
+        if len(run) == 1:
+            # Most items: one claim, so one pair and one cover slot.
+            index = positions[done]
+            pair = len(pair_item)
+            pair_item.append(item_idx)
+            pair_value.append(run[0].value)
+            claim_pair[index] = pair
+            pair_claim_ids.append(index)
+            source = claim_source[index]
+            cover_pair.append(pair)
+            cover_source.append(source)
+            cover_conf.append(max(0.0, run[0].confidence))
+            claimed_pair.append(pair)
+            claimed_source.append(source)
+            pair_claim_start.append(len(pair_claim_ids))
+            item_pair_start.append(len(pair_item))
+            done += 1
+            continue
+        # ``ClaimSet.values_of`` of the run, and beside each claim
+        # where it stands in claim order.
+        values: dict[str, list] = {}
+        indexes: dict[str, list[int]] = {}
+        for index, claim in zip(positions[done:done + len(run)], run):
+            held = values.get(claim.value)
+            if held is None:
+                values[claim.value] = [claim]
+                indexes[claim.value] = [index]
+            else:
+                held.append(claim)
+                indexes[claim.value].append(index)
+        done += len(run)
         # Covering sources in the same set-iteration order the legacy
         # per-round loops observe (stable within one process).
         cover = [source_id[name] for name in claiming_sources(values)]
@@ -183,8 +215,7 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
             pair_item.append(item_idx)
             pair_value.append(value)
             claimers: dict[int, float] = {}
-            for claim in value_claims:
-                index = claim_index[id(claim)]
+            for index, claim in zip(indexes[value], value_claims):
                 claim_pair[index] = pair
                 pair_claim_ids.append(index)
                 source = claim_source[index]

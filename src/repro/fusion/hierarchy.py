@@ -22,6 +22,7 @@ from repro.fusion.base import (
     ClaimSet,
     FusionMethod,
     FusionResult,
+    claim_key,
     value_key,
 )
 from repro.rdf.hierarchy import ValueHierarchy
@@ -36,10 +37,10 @@ class CasefoldHierarchy:
             parent = hierarchy.parent(node)
             if parent is not None:
                 self._parent[value_key(node)] = value_key(parent)
-        self._nodes = set(self._parent) | set(self._parent.values())
+        self.nodes = frozenset(self._parent) | frozenset(self._parent.values())
 
     def __contains__(self, key: str) -> bool:
-        return key in self._nodes
+        return key in self.nodes
 
     def ancestors(self, key: str) -> list[str]:
         out: list[str] = []
@@ -111,14 +112,25 @@ class HierarchicalFusion(FusionMethod):
 
     # ------------------------------------------------------------------
     def _expand(self, claims: ClaimSet) -> ClaimSet:
-        """Add virtual generalisation claims for hierarchical values."""
-        expanded = ClaimSet()
+        """Add virtual generalisation claims for hierarchical values.
+
+        A virtual claim's value is a hierarchy node, so only a claim
+        of a node can share a key with one: those are deduplicated as
+        :meth:`ClaimSet.add` would (first position, maximum
+        confidence), every other claim is carried over as it stands.
+        """
+        nodes = self.hierarchy.nodes
+        expanded: list[Claim] = []
+        at: dict[tuple, int] = {}
         for claim in claims:
-            expanded.add(claim)
+            if claim.value not in nodes:
+                expanded.append(claim)
+                continue
             confidence = claim.confidence
+            chain = [claim]
             for ancestor in self.hierarchy.ancestors(claim.value):
                 confidence *= self.decay
-                expanded.add(
+                chain.append(
                     Claim(
                         item=claim.item,
                         value=ancestor,
@@ -128,7 +140,15 @@ class HierarchicalFusion(FusionMethod):
                         confidence=confidence,
                     )
                 )
-        return expanded
+            for link in chain:
+                key = claim_key(link)
+                position = at.get(key)
+                if position is None:
+                    at[key] = len(expanded)
+                    expanded.append(link)
+                elif not expanded[position].confidence >= link.confidence:
+                    expanded[position] = link
+        return ClaimSet.adopt(expanded)
 
     def _specialize(
         self, original: ClaimSet, result: FusionResult
@@ -137,21 +157,24 @@ class HierarchicalFusion(FusionMethod):
         refined = FusionResult(self.name)
         refined.iterations = result.iterations
         refined.source_quality = result.source_quality
-        refined.belief = dict(result.belief)
-        for item in original.items():
+        refined.belief = result.belief
+        # An item none of whose values lies on a chain keeps its
+        # winners: nothing was expanded for it, nothing can refine them.
+        refined.truths = {
+            item: result.truths.get(item, frozenset())
+            for item in original.items()
+        }
+        nodes = self.hierarchy.nodes
+        for item in dict.fromkeys(
+            claim.item for claim in original if claim.value in nodes
+        ):
             values = original.values_of(item)
-            winners = result.truths.get(item, frozenset())
-            if not any(value in self.hierarchy for value in values):
-                # No value lies on any chain: nothing was expanded for
-                # this item and nothing can refine its winners.
-                refined.truths[item] = winners
-                continue
             support = {
                 value: len({claim.source_id for claim in claims})
                 for value, claims in values.items()
             }
             truths: list[str] = []
-            for winner in winners:
+            for winner in refined.truths[item]:
                 chain_members = [
                     value
                     for value in support

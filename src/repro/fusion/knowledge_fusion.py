@@ -236,8 +236,13 @@ class KnowledgeFusion(FusionMethod):
     def _apply_extractor_weights(
         self, claims: Iterable[Claim], weights: dict[str, float]
     ) -> ClaimSet:
-        """Fold extractor-correlation discounts into claim confidences."""
-        reweighted = ClaimSet()
+        """Fold extractor-correlation discounts into claim confidences.
+
+        ``claims`` are deduplicated (a claim set, or a list read from
+        one); a discount moves neither a claim's key nor its place, so
+        the result adopts the reweighted list.
+        """
+        reweighted: list[Claim] = []
         for claim in claims:
             weight = weights.get(claim.extractor_id, 1.0)
             confidence = claim.confidence if self.use_confidence else 1.0
@@ -253,8 +258,8 @@ class KnowledgeFusion(FusionMethod):
                     extractor_id=claim.extractor_id,
                     confidence=confidence,
                 )
-            reweighted.add(claim)
-        return reweighted
+            reweighted.append(claim)
+        return ClaimSet.adopt(reweighted)
 
     def _constrain_functional(self, result: FusionResult) -> None:
         """Keep a single truth (or chain) for functional attributes."""

@@ -8,6 +8,11 @@ fusing components separately and merging the results is exactly
 equivalent to one global run (per-source and per-item statistics never
 cross a component boundary, and the float operation order inside one
 component is unchanged, so the merged output is byte-identical).
+:func:`shard_claims` finds the components by joining the sources of
+each item's run and deals the claims out in their order: a shard is a
+sub-list of a deduplicated list, adopted by its :class:`ClaimSet`
+without hashing a claim, and a set that is one component is its own
+shard.
 
 :func:`fuse_sharded` runs the components as reduce groups of the
 :mod:`repro.mapreduce` engine, which provides per-task retries (why
@@ -63,40 +68,40 @@ class ShardStats:
 def _component_map(claims: ClaimSet) -> dict[str, int]:
     """Source id → component id via union-find over the claim graph.
 
-    Component ids are densely numbered in order of first appearance in
-    the claim set's iteration order, so the sharding is deterministic.
+    An item joins the sources of its run, so the sources alone are the
+    nodes.  Component ids are densely numbered in order of first
+    appearance in the claim set's iteration order, so the sharding is
+    deterministic.
     """
-    parent: dict[object, object] = {}
+    parent: dict[str, str] = {}
 
     def find(node):
         root = node
-        while parent[root] is not root:
+        while parent[root] != root:
             root = parent[root]
-        while parent[node] is not root:  # path compression
+        while parent[node] != root:  # path compression
             parent[node], node = root, parent[node]
         return root
 
-    def union(left, right):
-        for node in (left, right):
-            if node not in parent:
-                parent[node] = node
-        left_root, right_root = find(left), find(right)
-        if left_root is not right_root:
-            parent[right_root] = left_root
+    for _item, run in claims.runs():
+        first = run[0].source_id
+        if first not in parent:
+            parent[first] = first
+        if len(run) > 1:
+            root = find(first)
+            for source in {claim.source_id for claim in run}:
+                if source not in parent:
+                    parent[source] = root
+                else:
+                    parent[find(source)] = root
 
-    for claim in claims:
-        union(("item", claim.item), ("source", claim.source_id))
-
-    component_of_root: dict[object, int] = {}
-    mapping: dict[str, int] = {}
-    for claim in claims:
-        source = claim.source_id
-        if source not in mapping:
-            root = find(("source", source))
-            mapping[source] = component_of_root.setdefault(
-                root, len(component_of_root)
-            )
-    return mapping
+    component_of_root: dict[str, int] = {}
+    return {
+        source: component_of_root.setdefault(
+            find(source), len(component_of_root)
+        )
+        for source in dict.fromkeys(claim.source_id for claim in claims)
+    }
 
 
 def shard_claims(claims: ClaimSet) -> list[ClaimSet]:
@@ -104,13 +109,18 @@ def shard_claims(claims: ClaimSet) -> list[ClaimSet]:
 
     Claims keep their relative order inside each shard, so fusing a
     shard replays the exact float operation order of the global run
-    restricted to that component.
+    restricted to that component.  A set that is one component is its
+    own shard; a shard of several is a filtered list of a deduplicated
+    one, so no claim is hashed again.
     """
     mapping = _component_map(claims)
-    shards: dict[int, ClaimSet] = {}
+    components = len(set(mapping.values()))
+    if components == 1:
+        return [claims]
+    shards: list[list[Claim]] = [[] for _ in range(components)]
     for claim in claims:
-        shards.setdefault(mapping[claim.source_id], ClaimSet()).add(claim)
-    return [shards[component] for component in sorted(shards)]
+        shards[mapping[claim.source_id]].append(claim)
+    return [ClaimSet.adopt(shard) for shard in shards]
 
 
 def merge_results(

@@ -20,9 +20,18 @@ exploits that, and keeps the work of a delta proportional to the
 3. the canonical claim set is partitioned into connected components;
    each component carries its items, its sources and a content
    digest.  The prior components that hold a dirty item or a dirty
-   source form the delta's region: only the region is re-sharded,
-   digested, re-weighted and (where a digest moved) re-fused; every
-   other component's entry is carried over untouched;
+   source form the delta's region: only the region is re-weighted,
+   re-sharded and (where a digest moved) re-fused; every other
+   component's entry is carried over untouched.  The region's claims
+   are slices of the cached corpus (all of it, when the region holds
+   every component), and they stay grouped by item from there to the
+   kernel: the reweighted list, a shard of it and its hierarchy
+   expansion are each adopted by a :class:`ClaimSet` as they stand,
+   ``compile_claims`` walks the item runs — no stage hashes a claim
+   into a set of its own.  A component's digest is the hash of its
+   items' digests in item order; the corpus keeps one digest per item
+   (of its *reweighted* claims), so under unchanged extractor weights
+   a delta digests its re-read items and nothing else;
 4. the merged result plus the new component cache are committed as a
    single state-object swap, so a crash anywhere before the commit
    leaves the engine fully pre-delta (the torn-state chaos contract).
@@ -35,10 +44,11 @@ Two estimation details make the reuse exact rather than approximate:
   follow set-insertion order, so the order is part of the
   byte-identity contract).  Weights equal to the committed ones leave
   every component outside the region bit-for-bit as it was; a shifted
-  weight can change any component's digest and degenerates the delta
-  to a full recompute, which is the correct price for a global
-  parameter shift (a configured ``functional_refresh`` re-derives its
-  oracle from all claims and takes the same path);
+  weight can change any item's digest: every item is digested again
+  and the delta degenerates to a full recompute, which is the correct
+  price for a global parameter shift (a configured
+  ``functional_refresh`` re-derives its oracle from all claims and
+  takes the same path, with the digests it has);
 * source-correlation weights are component-local by construction
   (sources in different components share no items, and the estimator
   ignores pairs without common items), so the engine estimates them
@@ -50,14 +60,15 @@ and the dirty-item re-read (one ``claims_for_items`` call) are O(delta)
 on the segment backend and one walk of the claim dict each on the
 memory backend, which has no per-item index; the staged store copy
 shares the memory backend's index leaves copy-on-write and costs the
-paths the journal writes; sharding / digests / re-weighting / fusion
-are O(region), and three passes stay O(store) with small constants:
-the successor corpus (:meth:`_Corpus.replaced`, a slice-copying merge
-of the cached claims with the re-read items), the extractor estimate —
-one read of the claims and nothing else when they name a single
-extractor, the vote table of every claim otherwise — and the
-disjoint-union :meth:`_merge`.  Putting the entries back in first-item
-order is a sort of O(components) nearly sorted keys.
+paths the journal writes; re-weighting / sharding / fusion are
+O(region) and digesting O(delta), and three passes stay O(store) with
+small constants: the successor corpus (:meth:`_Corpus.replaced`, a
+slice-copying merge of the cached claims, items, counts and digests
+with the re-read items), the extractor estimate — one read of the
+claims and nothing else when they name a single extractor, the vote
+table of every claim otherwise — and the disjoint-union
+:meth:`_merge`.  Putting the entries back in first-item order is a
+sort of O(components) nearly sorted keys.
 
 None of this builds a long-lived container per item or per claim —
 each is walked by every later full collector pass, and enough of them
@@ -83,7 +94,7 @@ from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from repro.errors import DeltaError
 from repro.fusion.base import Claim, ClaimSet, FusionResult, Item
@@ -150,35 +161,37 @@ class _Corpus:
 
     ``claims`` is the global canonical order (pre-reweight): ``items``
     is sorted, and item ``i`` owns the ``counts[i]`` claims from
-    ``starts[i]`` on.  Flat lists rather than a container per item:
-    a store has about as many items as claims, and the collector
-    walks every container a long-lived state holds.  Never mutated
-    once built; :meth:`replaced` derives the successor.
+    ``starts[i]`` on; ``digests[i]`` is :func:`_item_digest` of its
+    *reweighted* run, ``None`` until :meth:`IncrementalFusion.
+    _fuse_shards` has seen that run (it fills them in before the state
+    holding the corpus is committed).  Flat lists rather than a
+    container per item: a store has about as many items as claims, and
+    the collector walks every container a long-lived state holds.
+    Otherwise never mutated once built; :meth:`replaced` derives the
+    successor.
     """
 
-    __slots__ = ("claims", "items", "counts", "starts")
+    __slots__ = ("claims", "items", "counts", "starts", "digests")
 
     def __init__(
-        self, claims: list[Claim], items: list[Item], counts: list[int]
+        self,
+        claims: list[Claim],
+        items: list[Item],
+        counts: list[int],
+        digests: list[bytes | None],
     ) -> None:
         self.claims = claims
         self.items = items
         self.counts = counts
         self.starts = list(accumulate(counts, initial=0))
+        self.digests = digests
 
     @classmethod
     def of(cls, claims: ClaimSet) -> "_Corpus":
-        """Index a canonically ordered claim set (one pass)."""
-        flat = list(claims)
-        items: list[Item] = []
-        counts: list[int] = []
-        for claim in flat:
-            if items and items[-1] == claim.item:
-                counts[-1] += 1
-            else:
-                items.append(claim.item)
-                counts.append(1)
-        return cls(flat, items, counts)
+        """Index a canonically ordered claim set."""
+        items = claims.items()
+        counts = [len(run) for _item, run in claims.runs()]
+        return cls(list(claims), items, counts, [None] * len(items))
 
     def claims_of(self, item: Item) -> list[Claim]:
         at = bisect_left(self.items, item)
@@ -188,7 +201,8 @@ class _Corpus:
 
     def replaced(self, fresh: dict[Item, list[Claim]]) -> "_Corpus":
         """A corpus where each item of ``fresh`` holds exactly those
-        claims (none: the item is gone); every other item is kept.
+        claims (none: the item is gone) and no digest yet; every other
+        item is kept, digest included.
 
         One merge pass: the runs between the sorted dirty items are
         copied over as slices — O(store) in list copying, whatever the
@@ -197,6 +211,7 @@ class _Corpus:
         claims: list[Claim] = []
         items: list[Item] = []
         counts: list[int] = []
+        digests: list[bytes | None] = []
         old_items, starts = self.items, self.starts
         done = 0  # items of this corpus already carried or replaced
         for item in sorted(fresh):
@@ -204,21 +219,45 @@ class _Corpus:
             claims += self.claims[starts[done]:starts[at]]
             items += old_items[done:at]
             counts += self.counts[done:at]
+            digests += self.digests[done:at]
             new = fresh[item]
             if new:
                 claims += new
                 items.append(item)
                 counts.append(len(new))
+                digests.append(None)
             held = at < len(old_items) and old_items[at] == item
             done = at + held
         claims += self.claims[starts[done]:]
         items += old_items[done:]
         counts += self.counts[done:]
-        return _Corpus(claims, items, counts)
+        digests += self.digests[done:]
+        return _Corpus(claims, items, counts, digests)
+
+    def spans(self, wanted: Iterable[Item]) -> list[tuple[int, int]]:
+        """The items of ``wanted`` (sorted) this corpus holds, as
+        maximal ``[lo, hi)`` runs of item indexes: one ``bisect`` where
+        a run begins, a comparison per item inside it."""
+        items = self.items
+        spans: list[tuple[int, int]] = []
+        lo = hi = 0
+        for item in wanted:
+            if hi < len(items) and items[hi] == item:
+                hi += 1
+                continue
+            at = bisect_left(items, item, hi)
+            if at < len(items) and items[at] == item:
+                if hi > lo:
+                    spans.append((lo, hi))
+                lo, hi = at, at + 1
+        if hi > lo:
+            spans.append((lo, hi))
+        return spans
 
 
-def _component_digest(shard: ClaimSet) -> str:
-    """Content digest of one component's (reweighted) claims."""
+def _item_digest(run: list[Claim]) -> bytes:
+    """Content digest of one item's (reweighted) claims: 16 bytes,
+    since a corpus keeps one per item."""
     signature = sorted(
         (
             claim.item,
@@ -228,9 +267,9 @@ def _component_digest(shard: ClaimSet) -> str:
             claim.extractor_id,
             claim.confidence,
         )
-        for claim in shard
+        for claim in run
     )
-    return hashlib.sha256(repr(signature).encode()).hexdigest()
+    return hashlib.blake2b(repr(signature).encode(), digest_size=16).digest()
 
 
 @dataclass(slots=True)
@@ -378,11 +417,12 @@ class IncrementalFusion:
         claims = canonical_claims(store)
         if len(claims) == 0:
             raise DeltaError(_EMPTY_STORE)
-        weights = self._extractor_weights(claims)
-        entries = self._recompute(claims, weights, [], _ComputeStats())
+        corpus = _Corpus.of(claims)
+        weights = self._extractor_weights(corpus.claims)
+        entries = self._recompute(corpus, weights, [], _ComputeStats())
         self._state = _FusionState(
             store=store,
-            corpus=_Corpus.of(claims),
+            corpus=corpus,
             extractor_weights=weights,
             entries=entries,
             result=self._merge(entries),
@@ -460,13 +500,12 @@ class IncrementalFusion:
 
         weights = self._extractor_weights(corpus.claims)
         stats = _ComputeStats()
-        if (
-            weights != prior.extractor_weights
-            or self.functional_refresh is not None
-        ):
-            entries = self._recompute(
-                ClaimSet(corpus.claims), weights, prior.entries, stats
-            )
+        shifted = weights != prior.extractor_weights
+        if shifted:
+            # Any reweighted run can have moved: no digest stands.
+            corpus.digests = [None] * len(corpus.items)
+        if shifted or self.functional_refresh is not None:
+            entries = self._recompute(corpus, weights, prior.entries, stats)
         else:
             entries = self._refuse_region(receipt, corpus, weights, stats)
         return (
@@ -491,16 +530,20 @@ class IncrementalFusion:
 
     def _recompute(
         self,
-        claims: ClaimSet,
+        corpus: _Corpus,
         weights: dict[str, float],
         prior: list[ComponentEntry],
         stats: _ComputeStats,
     ) -> list[ComponentEntry]:
         """Every component from all canonical claims: the prime, and
         the fallback when a delta moved a global parameter."""
-        entries = self._fuse_shards(claims, weights, prior, stats)
+        entries = self._fuse_shards(
+            corpus, [(0, len(corpus.items))], weights, prior, stats
+        )
         if self.functional_refresh is not None:
-            self.fusion.functional_of = self.functional_refresh(claims)
+            self.fusion.functional_of = self.functional_refresh(
+                ClaimSet.adopt(corpus.claims)
+            )
         return entries
 
     def _refuse_region(
@@ -520,59 +563,80 @@ class IncrementalFusion:
         """
         prior = self._state
         touched = set(receipt.dirty_sources)
+        new_items: list[Item] = []
         for item in receipt.dirty_items:
             before = prior.corpus.claims_of(item)
             if before:
                 touched.add(before[0].source_id)
+            else:
+                new_items.append(item)
         carried: list[ComponentEntry] = []
         region: list[ComponentEntry] = []
-        region_items = set(receipt.dirty_items)
         for entry in prior.entries:
             if touched.isdisjoint(entry.sources):
                 carried.append(entry)
             else:
                 region.append(entry)
-                region_items.update(entry.items)
         stats.reused_components = len(carried)
         stats.reused_verdicts = sum(
             len(entry.result.truths) for entry in carried
         )
-        fresh = self._fuse_shards(
-            [
-                claim
-                for item in sorted(region_items)
-                for claim in corpus.claims_of(item)
-            ],
-            weights,
-            region,
-            stats,
+        # The region's items — its entries' (each tuple sorted) and
+        # those new to the store — as slices of the corpus: all of it,
+        # in one, when the region holds every entry.
+        spans = corpus.spans(
+            sorted(chain(new_items, *(entry.items for entry in region)))
         )
+        fresh = self._fuse_shards(corpus, spans, weights, region, stats)
         return sorted(carried + fresh, key=lambda entry: entry.items[0])
 
     def _fuse_shards(
         self,
-        claims: Iterable[Claim],
+        corpus: _Corpus,
+        spans: list[tuple[int, int]],
         weights: dict[str, float],
         prior: list[ComponentEntry],
         stats: _ComputeStats,
     ) -> list[ComponentEntry]:
-        """One entry per component of ``claims``: cached or re-fused.
+        """One entry per component of the corpus items in ``spans``
+        (``[lo, hi)`` index runs): cached or re-fused.
 
-        ``claims`` are canonical and pre-reweight.  A component whose
-        source set and (reweighted) content digest match a ``prior``
-        entry is clean; its entry is reused verbatim.
+        A component whose source set and content digest — the hash of
+        its items' digests, in item order — match a ``prior`` entry is
+        clean; its entry is reused verbatim.  Only the items without a
+        digest yet (a delta's re-read ones; all, after a weight shift)
+        are digested here, on their reweighted runs.
         """
         fusion = self.fusion
+        claims = list(
+            chain.from_iterable(
+                corpus.claims[corpus.starts[lo]:corpus.starts[hi]]
+                for lo, hi in spans
+            )
+        )
         working = (
             fusion._apply_extractor_weights(claims, weights)
             if fusion.use_extractor_correlations
-            else ClaimSet(claims)
+            else ClaimSet.adopt(claims)
         )
+        # The working set's runs are the corpus items of the spans, in
+        # order: the k-th run is digested into the k-th index.
+        digests = corpus.digests
+        digest_of: dict[Item, bytes] = {}
+        runs = working.runs()
+        for lo, hi in spans:
+            for index, (item, run) in zip(range(lo, hi), runs):
+                if digests[index] is None:
+                    digests[index] = _item_digest(run)
+                digest_of[item] = digests[index]
         cache = {entry.sources: entry for entry in prior}
         entries: list[ComponentEntry] = []
         for shard in shard_claims(working):
             sources = frozenset(shard.sources())
-            digest = _component_digest(shard)
+            items = tuple(shard.items())
+            digest = hashlib.sha256(
+                b"".join(map(digest_of.__getitem__, items))
+            ).hexdigest()
             cached = cache.get(sources)
             if cached is not None and cached.content_hash == digest:
                 entries.append(cached)
@@ -585,7 +649,7 @@ class IncrementalFusion:
                         content_hash=digest,
                         n_claims=len(shard),
                         result=self._fuse_component(shard),
-                        items=tuple(shard.items()),
+                        items=items,
                     )
                 )
                 stats.dirty_components += 1

@@ -673,8 +673,10 @@ class SegmentBackend(StorageBackend):
         self.fault_plan = fault_plan
         self._segments: list[SegmentReader] = []
         self._names: list[str] = []
-        # (triple, provenance) -> [position seqno, stored claim]
-        self._mem: dict[tuple[Triple, Provenance], list] = {}
+        # (triple, provenance) -> (position seqno, stored claim);
+        # entries are replaced, never written into, so a copy() is one
+        # dict copy.
+        self._mem: dict[tuple[Triple, Provenance], tuple] = {}
         self._mem_tombs: list[tuple[Triple, int]] = []
         # triple -> newest tombstone seqno (memtable + all segments)
         self._tomb: dict[Triple, int] = {}
@@ -682,6 +684,8 @@ class SegmentBackend(StorageBackend):
         # dedup probe for a never-stored claim is one set miss instead
         # of a per-segment string lookup.  ~tens of bytes per key —
         # the in-RAM role a bloom filter plays in production LSMs.
+        # Shared with copy() siblings: rebound, never updated in place,
+        # once the directory is open.
         self._key_filter: set[int] = set()
         self._seq = 0
         self._live = 0
@@ -867,7 +871,8 @@ class SegmentBackend(StorageBackend):
         entry = self._mem.get(key)
         if entry is not None:
             if entry[1].confidence < scored.confidence:
-                entry[1] = scored  # refresh keeps its position
+                # A refresh keeps its position.
+                self._mem[key] = (entry[0], scored)
                 return True
             return False
         existing = self._segment_lookup(key)
@@ -876,11 +881,11 @@ class SegmentBackend(StorageBackend):
             if conf < scored.confidence:
                 # Refresh of a segment-resident claim: shadow it in
                 # the memtable at its original position.
-                self._mem[key] = [position, scored]
+                self._mem[key] = (position, scored)
                 return True
             return False
         self._seq += 1
-        self._mem[key] = [self._seq, scored]
+        self._mem[key] = (self._seq, scored)
         self._live += 1
         self._maybe_flush()
         return True
@@ -964,7 +969,7 @@ class SegmentBackend(StorageBackend):
             raise
         reader = SegmentReader(self.directory / name)
         self._segments.append(reader)
-        self._key_filter.update(reader.key_hashes)
+        self._key_filter = self._key_filter.union(reader.key_hashes)
         self._mem.clear()
         self._mem_tombs.clear()
         self._count("storage_flushes_total")
@@ -1150,9 +1155,11 @@ class SegmentBackend(StorageBackend):
     def copy(self) -> "SegmentBackend":
         """A staged sibling sharing the immutable segment readers.
 
-        The memtable, tombstones and counters are copied; the segment
-        readers (and the directory) are shared — segments are
-        immutable, so both lineages read them safely.  Whichever
+        The memtable (one dict copy: its entries are tuples),
+        tombstones and counters are copied; the segment readers, the
+        directory and the key filter are shared — segments are
+        immutable and the filter is rebound by whoever flushes, so
+        both lineages read them safely.  Whichever
         lineage flushes last owns the on-disk manifest; the incremental
         engine's stage-then-commit flow keeps exactly one lineage
         mutating at a time.
@@ -1165,12 +1172,10 @@ class SegmentBackend(StorageBackend):
         clone.fault_plan = self.fault_plan
         clone._segments = list(self._segments)
         clone._names = list(self._names)
-        clone._mem = {
-            key: [entry[0], entry[1]] for key, entry in self._mem.items()
-        }
+        clone._mem = dict(self._mem)
         clone._mem_tombs = list(self._mem_tombs)
         clone._tomb = dict(self._tomb)
-        clone._key_filter = set(self._key_filter)
+        clone._key_filter = self._key_filter
         clone._seq = self._seq
         clone._live = self._live
         return clone

@@ -95,10 +95,12 @@ class TestHashSeed:
     @pytest.mark.xfail(
         strict=True,
         reason=(
-            "repro.fusion.compiled.compile_claims lays out each item's "
-            "cover slots in the iteration order of the set "
-            "ClaimSet.sources_claiming() returns (str hashes, so "
-            "PYTHONHASHSEED), and "
+            "repro.fusion.compiled.compile_claims lays out the cover "
+            "slots of an item claimed more than once in the iteration "
+            "order of the set repro.fusion.base.claiming_sources() "
+            "builds from the run's value -> claims dict (str hashes, so "
+            "PYTHONHASHSEED; ClaimSet.sources_claiming() builds the same "
+            "set for the oracles), and "
             "multitruth_fuse adds each item's per-source log-odds terms "
             "in that order: float addition is not associative, the last "
             "bits of the posteriors move.  Sorting that set makes the "

@@ -16,6 +16,7 @@ value until it is two — and these counts fail if one comes back.
 
 import gc
 
+import pytest
 from hypothesis import given, settings
 
 from repro.fusion.base import ClaimSet, ClaimSetStats
@@ -23,6 +24,7 @@ from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.incremental import ClaimDelta
 from repro.incremental.journal import DeltaJournal
 from repro.rdf.backend import MemoryBackend
+from repro.rdf.segments import SegmentBackend
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
@@ -105,6 +107,34 @@ class TestStoreCopy:
         # Per index write: a second-level dict, a leaf set, a record.
         assert journalled - copied < 20 * (7 + receipt.removed_claims)
         assert len(clone) == len(backend) + 7 - receipt.removed_claims
+
+    @pytest.mark.parametrize("memtable_fill", [0, 1, 600])
+    def test_segment_copy_allocates_no_container_per_memtable_entry(
+        self, tmp_path, memtable_fill
+    ):
+        """A memtable entry is a tuple the copy shares, the key filter
+        is shared outright: ``copy()`` is a handful of flat copies
+        whatever the memtable and the segments hold (one list per
+        entry and a copy of the filter before)."""
+        _world, scored = _corpus(400, 14, 0.9, hierarchical=False)
+        backend = SegmentBackend(tmp_path / "segments", memtable_limit=10**6)
+        backend.add_all(scored[memtable_fill:])
+        backend.flush()
+        backend.add_all(scored[:memtable_fill])
+        assert len(backend) > 5000 and len(backend._mem) == memtable_fill
+        gc.collect()
+        gc.disable()
+        try:
+            start = gc.get_count()[0]
+            clone = backend.copy()
+            copied = gc.get_count()[0]
+        finally:
+            gc.enable()
+        assert copied - start < 16
+        assert len(clone) == len(backend)
+        assert clone.claims_for_item(*scored[0].triple.item) == (
+            backend.claims_for_item(*scored[0].triple.item)
+        )
 
 
 class TestDeltaPromotions:

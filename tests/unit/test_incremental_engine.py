@@ -416,6 +416,178 @@ class TestDeltaWorkFollowsTheRegion:
         assert engine.result.canonical_bytes() == reference.canonical_bytes()
 
 
+class TestADeltaGroupsItsClaimsOnce:
+    """Regression: between the committed corpus and the kernel every
+    stage — reweight, shard, expand — re-hashed each claim into a
+    ``ClaimSet`` of its own (about three ``add`` calls per *stored*
+    claim and delta), ``compile_claims`` and ``_specialize`` asked for
+    a ``values_of`` dict per item, and the component's digest
+    serialized every claim it held to learn that one item changed.
+
+    On the one-component, hierarchical, three-extractor corpus of
+    ``test_collector_budget.py``."""
+
+    @pytest.fixture()
+    def primed(self):
+        from tests.unit.test_collector_budget import _corpus as budget_corpus
+
+        world, scored = budget_corpus(1000, 3, 0.7, hierarchical=True)
+        store = TripleStore()
+        store.add_all(scored)
+
+        def fusion():
+            return _fusion(hierarchy=world.hierarchy)
+
+        engine = fusion().begin_incremental(store)
+        assert engine.components == 1 and len(store) > 2000
+        return engine, scored, fusion
+
+    @staticmethod
+    def _spies(monkeypatch):
+        import repro.incremental.engine as engine_mod
+
+        adds, grouped, digested = [], [], []
+        real_add, real_values_of = ClaimSet.add, ClaimSet.values_of
+        real_digest = engine_mod._item_digest
+
+        def add(self, claim):
+            adds.append(claim)
+            return real_add(self, claim)
+
+        def values_of(self, item):
+            grouped.append(item)
+            return real_values_of(self, item)
+
+        def item_digest(run):
+            digested.append(run[0].item)
+            return real_digest(run)
+
+        monkeypatch.setattr(ClaimSet, "add", add)
+        monkeypatch.setattr(ClaimSet, "values_of", values_of)
+        monkeypatch.setattr(engine_mod, "_item_digest", item_digest)
+        return adds, grouped, digested
+
+    def test_ten_claim_delta_hashes_and_digests_its_dirty_items_only(
+        self, primed, monkeypatch
+    ):
+        from tests.oracles.whole_store_engine import WholeStoreEngine
+
+        engine, scored, fusion = primed
+        oracle = WholeStoreEngine(fusion(), engine.store.copy())
+        oracle.prime()
+        delta = ClaimDelta(
+            added=[
+                ScoredTriple(
+                    Triple(
+                        one.triple.subject, one.triple.predicate,
+                        Value(f"elsewhere {index}"),
+                    ),
+                    one.provenance,
+                    0.6,
+                )
+                for index, one in enumerate(scored[:20:2])
+            ]
+        )
+        adds, grouped, digested = self._spies(monkeypatch)
+        outcome = engine.apply_delta(delta)
+        monkeypatch.undo()
+
+        assert outcome.receipt.added == 10
+        assert outcome.refused_claims == len(engine.store)
+        dirty = sorted(outcome.receipt.dirty_items)
+        hierarchy = engine.fusion._casefold_hierarchy
+        dirty_claims = [
+            claim
+            for item in dirty
+            for claim in engine.store.claims_for_item(*item)
+        ]
+        expansions = sum(
+            len(hierarchy.ancestors(claim.value))
+            for claim in ClaimSet.from_scored_triples(dirty_claims)
+        )
+        assert 0 < len(adds) <= len(dirty_claims) + expansions
+        assert len(adds) < len(engine.store) / 20
+
+        runs = dict(engine.claims.runs())
+        plain = [
+            item for item, run in runs.items()
+            if len(run) == 1 and run[0].value not in hierarchy
+        ]
+        assert len(plain) > 20 and not set(plain) & set(grouped)
+        assert grouped and len(grouped) == len(set(grouped))
+
+        assert sorted(digested) == dirty
+
+        expected = oracle.apply_delta(delta)
+        assert (
+            outcome.result.canonical_bytes()
+            == expected.result.canonical_bytes()
+        )
+        assert list(outcome.result.truths) == list(expected.result.truths)
+
+    def test_a_weight_shift_digests_every_item_and_equals_the_oracle(
+        self, primed, monkeypatch
+    ):
+        from tests.oracles.whole_store_engine import WholeStoreEngine
+
+        engine, scored, fusion = primed
+        oracle = WholeStoreEngine(fusion(), engine.store.copy())
+        oracle.prime()
+        before = dict(engine._state.extractor_weights)
+        # A fourth extractor repeating three of "kb"'s claims: the two
+        # are discounted as correlated, every "kb" claim is reweighted.
+        kb = [one for one in scored if one.provenance.extractor_id == "kb"]
+        delta = ClaimDelta(
+            added=[
+                ScoredTriple(
+                    one.triple,
+                    Provenance(one.provenance.source_id, "mirror"),
+                    one.confidence,
+                )
+                for one in kb[:3]
+            ]
+        )
+        _adds, _grouped, digested = self._spies(monkeypatch)
+        outcome = engine.apply_delta(delta)
+        monkeypatch.undo()
+
+        after = engine._state.extractor_weights
+        assert before["kb"] == 1.0 and after["kb"] < 1.0
+        assert sorted(digested) == engine.claims.items()
+        expected = oracle.apply_delta(delta)
+        for field in (
+            "components", "dirty_components", "reused_components",
+            "reused_verdicts", "refused_claims", "degenerate",
+        ):
+            assert getattr(outcome, field) == getattr(expected, field), field
+        assert (
+            outcome.result.canonical_bytes()
+            == expected.result.canonical_bytes()
+        )
+        assert list(outcome.result.truths) == list(expected.result.truths)
+        # The digests it took serve the next, weight-preserving delta.
+        follow_up = ClaimDelta(
+            added=[
+                ScoredTriple(
+                    Triple(
+                        scored[0].triple.subject, scored[0].triple.predicate,
+                        Value("one more"),
+                    ),
+                    scored[0].provenance,
+                    0.5,
+                )
+            ]
+        )
+        _adds, _grouped, digested = self._spies(monkeypatch)
+        outcome = engine.apply_delta(follow_up)
+        monkeypatch.undo()
+        assert digested == [scored[0].triple.item]
+        assert (
+            outcome.result.canonical_bytes()
+            == oracle.apply_delta(follow_up).result.canonical_bytes()
+        )
+
+
 class _CountingClaims:
     """An iterable of claims that counts its passes and, per claim
     field, how often the estimator read it."""
@@ -514,6 +686,8 @@ class TestCorpusSuccessor:
                 for item, claims in {**held, **fresh}.items()
                 if claims
             }
+            # Every item digested, as in a committed state.
+            corpus.digests[:] = [repr(item).encode() for item in corpus.items]
             corpus = corpus.replaced(fresh)
             rebuilt = _Corpus.of(
                 ClaimSet(c for item in sorted(held) for c in held[item])
@@ -522,8 +696,71 @@ class TestCorpusSuccessor:
             assert corpus.items == rebuilt.items
             assert corpus.counts == rebuilt.counts
             assert corpus.starts == rebuilt.starts
+            # A re-read item has no digest yet, a kept one keeps its own.
+            assert corpus.digests == [
+                None if item in fresh else repr(item).encode()
+                for item in corpus.items
+            ]
             for item in names:
                 assert corpus.claims_of(item) == held.get(item, [])
+            # Any sorted selection, absent items included, comes back
+            # as the maximal index runs of the items held.
+            wanted = sorted(rng.sample(names, rng.randrange(0, 13)))
+            spans = corpus.spans(wanted)
+            assert [
+                index for lo, hi in spans for index in range(lo, hi)
+            ] == [
+                index for index, item in enumerate(corpus.items)
+                if item in wanted
+            ]
+            assert all(lo < hi for lo, hi in spans)
+            assert all(
+                ahead[0] > behind[1]
+                for behind, ahead in zip(spans, spans[1:])
+            )
+
+    def test_a_region_interleaved_with_carried_components(self):
+        """Two components whose items alternate in canonical order and
+        a third behind them: a delta into the first re-fuses its two
+        slices of the corpus and carries the others."""
+        def one(subject, source, value="v", confidence=0.9):
+            return ScoredTriple(
+                Triple(subject, "p", Value(value)),
+                Provenance(source, "ex"),
+                confidence,
+            )
+
+        store = TripleStore()
+        store.add_all(
+            [
+                one("k1", "left-a"), one("k1", "left-b", "w"),
+                one("k2", "right-a"), one("k2", "right-b", "w"),
+                one("k3", "left-a"), one("k3", "left-b"),
+                one("k4", "right-a"),
+                one("k5", "far"),
+            ]
+        )
+        from tests.oracles.whole_store_engine import WholeStoreEngine
+
+        oracle = WholeStoreEngine(_fusion(), store.copy())
+        oracle.prime()
+        engine = _fusion().begin_incremental(store)
+        assert engine.components == 3
+        corpus = engine._state.corpus
+        assert corpus.spans([("k1", "p"), ("k3", "p")]) == [(0, 1), (2, 3)]
+        delta = ClaimDelta(
+            added=[one("k3", "left-a", "w", 0.4), one("k0", "left-b")]
+        )
+        outcome = engine.apply_delta(delta)
+        assert outcome.dirty_components == 1
+        assert outcome.reused_components == 2
+        assert outcome.refused_claims == 6
+        assert all(
+            digest is not None for digest in engine._state.corpus.digests
+        )
+        reference = oracle.apply_delta(delta).result
+        assert engine.result.canonical_bytes() == reference.canonical_bytes()
+        assert list(engine.result.truths) == list(reference.truths)
 
 
 class TestReceiptTrailIsBounded:

@@ -196,3 +196,50 @@ class TestPinnedSnapshotImmutability:
             assert held.remove(berlin) == 1
             held.add(claim("germany", "capital", "Bonn", source="b"))
             assert answers(store) == live
+
+
+class TestSegmentCopySharesWhatItDoesNotWrite:
+    """``SegmentBackend.copy()`` shares the memtable's entries and the
+    key filter with its source; a writer replaces an entry and rebinds
+    the filter, so neither side sees the other's writes."""
+
+    def test_refresh_and_flush_in_the_copy_leave_the_source_alone(
+        self, tmp_path
+    ):
+        backend = SegmentBackend(tmp_path / "segstore", memtable_limit=100)
+        backend.add_all(CORPUS[:3])
+        backend.flush()
+        backend.add_all(CORPUS[3:])
+        entries = dict(backend._mem)
+        key_filter = backend._key_filter
+        hashes = set(key_filter)
+        before = signature(backend.iter_claims())
+        assert len(entries) == 2 and len(hashes) == 3
+
+        clone = backend.copy()
+        assert clone._key_filter is key_filter
+        # A refresh of a memtable-resident claim, in the copy.
+        assert clone.add(
+            claim("germany", "capital", "Berlin", source="a", conf=0.95)
+        )
+        assert [
+            scored.confidence
+            for scored in clone.claims_for_item("germany", "capital")
+        ] == [0.95]
+        assert all(backend._mem[key] is entries[key] for key in entries)
+        assert [
+            scored.confidence
+            for scored in backend.claims_for_item("germany", "capital")
+        ] == [0.8]
+
+        clone.flush()
+        assert not clone._mem and len(clone._key_filter) == 5
+        assert backend._key_filter is key_filter and set(key_filter) == hashes
+        assert backend._mem == entries
+        assert signature(backend.iter_claims()) == before
+        # The source's filter still answers for the source: a claim the
+        # copy flushed is new to it, a flushed one of its own is not.
+        assert not backend.add(CORPUS[0])
+        assert backend.add(
+            claim("germany", "capital", "Berlin", source="a", conf=0.9)
+        )
