@@ -227,6 +227,8 @@ def run_drift(
         server.publish(epoch.delta)
         server.drain()
         version = server.versions.current
+        # Committed deltas, not the engine's sequence: that one runs
+        # ahead when an apply succeeded and its commit crashed.
         served_epoch = version.version_id
         fresh = freshness_report(
             version.result.truths,

@@ -194,7 +194,10 @@ class MinHashLSH:
     ``num_perm`` hash permutations are split into ``bands`` bands of
     ``num_perm // bands`` rows; two sets land in the same bucket of a
     band when their signatures agree on every row of that band, which
-    happens with probability ``s^rows`` for Jaccard similarity ``s``.
+    happens with probability ``s^rows`` for Jaccard similarity ``s``,
+    so a pair collides somewhere with ``1 - (1 - s^rows)^bands`` —
+    0.94 at ``s = 0.4`` and 0.99 at ``s = 0.5`` with the defaults (16
+    bands of 2 rows).
     Members are integer ids assigned by the caller.
     """
 

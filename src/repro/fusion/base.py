@@ -295,9 +295,6 @@ class FusionResult:
     def is_true(self, item: Item, value: str) -> bool:
         return value in self.truths.get(item, ())
 
-    def decided_items(self) -> list[Item]:
-        return list(self.truths)
-
     def belief_of(self, item: Item, value: str) -> float:
         return self.belief.get((item, value), 0.0)
 

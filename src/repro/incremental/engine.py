@@ -72,8 +72,11 @@ sort of O(components) nearly sorted keys.
 
 None of this builds a long-lived container per item or per claim —
 each is walked by every later full collector pass, and enough of them
-per delta put such a pass inside every delta: claim groups are flat
-tables (:class:`~repro.fusion.base.ClaimSet`, :class:`_Corpus`), and
+per delta put such a pass inside every delta (CPython starts one when
+the containers promoted since the last exceed a quarter of the
+long-lived heap, and it costs ≈ 0.45 µs per tracked container, so a
+promoted container is paid for about four times over, ≈ 2 µs, whatever
+the heap size): claim groups are flat tables (:class:`~repro.fusion.base.ClaimSet`, :class:`_Corpus`), and
 the component cache and the merged result share one ``frozenset`` of
 truths per item (:func:`~repro.fusion.sharding.merge_results`).
 

@@ -1,8 +1,8 @@
 """Observability substrate: metrics registry + span tracing.
 
-* :mod:`repro.obs.metrics` — counters/gauges/histograms with picklable,
-  mergeable snapshots (worker-local registries fold into the parent
-  the way MapReduce ``JobStats`` do);
+* :mod:`repro.obs.metrics` — counters/gauges/histograms in one
+  registry per run, with picklable plain-data snapshots (MapReduce
+  tasks report through ``JobStats``, which the job publishes);
 * :mod:`repro.obs.trace` — nested wall-clock spans exportable as a
   JSON trace tree;
 * :mod:`repro.obs.schema` — validators for the exported JSON documents

@@ -1,6 +1,6 @@
 """Schema validation for the exported metrics / trace JSON.
 
-The documented shapes (also in README's Observability section):
+The documented shapes:
 
 Metrics (``--metrics-out``)::
 

@@ -43,7 +43,13 @@ aligned)::
                keyhash[q*n_rows]
 
 ``flags`` bit 0 marks a *canonical* segment (compaction output),
-enabling the streaming iteration fast path.
+enabling the streaming iteration fast path.  The code states this
+layout once, as ``_TABLES`` and ``_COLUMNS``: the writer, the reader
+and ``SegmentReader.close`` walk that declaration, and the end of the
+walk is the length the file must have — a file that is shorter or
+longer than its header implies is refused with ``StoreError`` at open
+rather than mapped into short columns.  (A corrupt manifest or a
+listed-but-missing segment is not checked here.)
 
 Durability model: segment + manifest writes follow the checkpoint
 temp-file pattern (write temp, ``os.replace``), so a crash mid-flush
@@ -111,8 +117,40 @@ _MANIFEST = "MANIFEST.json"
 _SERIAL = itertools.count()
 
 
-def _pad8(out: bytearray) -> None:
-    out.extend(b"\x00" * (-len(out) % 8))
+# The byte layout, declared once: build_segment_bytes writes,
+# SegmentReader maps and SegmentReader.close drops exactly this walk
+# (the module docstring draws the same picture), so the end of the
+# walk is the length a valid file must have.
+_TABLES = (
+    "subjects", "predicates", "lexicals", "sources", "extractors",
+    "locators",
+)
+# (reader attribute, array type code, length) in file order.  A length
+# is a header count, or a table name for a CSR offset column: one
+# entry per id of that table, plus the end.
+_COLUMNS = (
+    ("col_seq", "q", "n_rows"),
+    ("col_subject", "q", "n_rows"),
+    ("col_predicate", "q", "n_rows"),
+    ("col_lexical", "q", "n_rows"),
+    ("col_kind", "q", "n_rows"),
+    ("col_source", "q", "n_rows"),
+    ("col_extractor", "q", "n_rows"),
+    ("col_locator", "q", "n_rows"),
+    ("col_confidence", "d", "n_rows"),
+    ("tomb_seq", "q", "n_tombs"),
+    ("tomb_subject", "q", "n_tombs"),
+    ("tomb_predicate", "q", "n_tombs"),
+    ("tomb_lexical", "q", "n_tombs"),
+    ("tomb_kind", "q", "n_tombs"),
+    ("spo_perm", "q", "n_rows"),
+    ("subj_start", "q", "subjects"),
+    ("pos_perm", "q", "n_rows"),
+    ("pred_start", "q", "predicates"),
+    ("osp_perm", "q", "n_rows"),
+    ("lex_start", "q", "lexicals"),
+    ("key_hashes", "q", "n_rows"),
+)
 
 
 def _append_table(out: bytearray, strings: list[str]) -> None:
@@ -122,7 +160,7 @@ def _append_table(out: bytearray, strings: list[str]) -> None:
         raw = text.encode("utf-8")
         out.extend(struct.pack("=q", len(raw)))
         out.extend(raw)
-    _pad8(out)
+    out.extend(b"\x00" * (-len(out) % 8))
     struct.pack_into("=q", out, start, len(out) - start)
 
 
@@ -168,75 +206,70 @@ def build_segment_bytes(
 
     ``rows`` are ``(seqno, claim)`` in the order they should be stored
     (compaction stores them position-sorted and sets ``canonical``).
+    Columns are filled by name; ``_COLUMNS`` decides where each lands.
     """
-    subjects: dict[str, int] = {}
-    predicates: dict[str, int] = {}
-    lexicals: dict[str, int] = {}
-    sources: dict[str, int] = {}
-    extractors: dict[str, int] = {}
-    locators: dict[str, int] = {}
-
     n = len(rows)
-    col_seq = array("q", bytes(8 * n))
-    col_subj = array("q", bytes(8 * n))
-    col_pred = array("q", bytes(8 * n))
-    col_lex = array("q", bytes(8 * n))
-    col_kind = array("q", bytes(8 * n))
-    col_src = array("q", bytes(8 * n))
-    col_ext = array("q", bytes(8 * n))
-    col_loc = array("q", bytes(8 * n))
-    col_conf = array("d", bytes(8 * n))
-    col_key = array("q", bytes(8 * n))
+    ids: dict[str, dict[str, int]] = {name: {} for name in _TABLES}
 
-    for i, (seq, scored) in enumerate(rows):
-        triple = scored.triple
-        prov = scored.provenance
-        col_key[i] = _key_hash(triple, prov)
-        col_seq[i] = seq
-        col_subj[i] = _intern(subjects, triple.subject)
-        col_pred[i] = _intern(predicates, triple.predicate)
-        col_lex[i] = _intern(lexicals, triple.obj.lexical)
-        col_kind[i] = _KIND_INDEX[triple.obj.kind]
-        col_src[i] = _intern(sources, prov.source_id)
-        col_ext[i] = _intern(extractors, prov.extractor_id)
-        col_loc[i] = _intern(locators, prov.locator)
-        col_conf[i] = scored.confidence
+    def interned(table: str, strings) -> array:
+        seen = ids[table]
+        return array("q", [_intern(seen, text) for text in strings])
 
-    tomb_cols = [array("q", bytes(8 * len(tombs))) for _ in range(5)]
-    for i, (triple, seq) in enumerate(tombs):
-        tomb_cols[0][i] = seq
-        tomb_cols[1][i] = _intern(subjects, triple.subject)
-        tomb_cols[2][i] = _intern(predicates, triple.predicate)
-        tomb_cols[3][i] = _intern(lexicals, triple.obj.lexical)
-        tomb_cols[4][i] = _KIND_INDEX[triple.obj.kind]
+    triples = [scored.triple for _seq, scored in rows]
+    objects = [triple.obj for triple in triples]
+    provs = [scored.provenance for _seq, scored in rows]
+    dead = [triple for triple, _seq in tombs]
+    col = {
+        "key_hashes": array("q", map(_key_hash, triples, provs)),
+        "col_seq": array("q", [seq for seq, _scored in rows]),
+        "col_subject": interned("subjects", [t.subject for t in triples]),
+        "col_predicate": interned(
+            "predicates", [t.predicate for t in triples]
+        ),
+        "col_lexical": interned("lexicals", [o.lexical for o in objects]),
+        "col_kind": array("q", [_KIND_INDEX[o.kind] for o in objects]),
+        "col_source": interned("sources", [p.source_id for p in provs]),
+        "col_extractor": interned(
+            "extractors", [p.extractor_id for p in provs]
+        ),
+        "col_locator": interned("locators", [p.locator for p in provs]),
+        "col_confidence": array(
+            "d", [scored.confidence for _seq, scored in rows]
+        ),
+        # Tombstones intern after the rows: ids are first-seen order.
+        "tomb_seq": array("q", [seq for _triple, seq in tombs]),
+        "tomb_subject": interned("subjects", [t.subject for t in dead]),
+        "tomb_predicate": interned(
+            "predicates", [t.predicate for t in dead]
+        ),
+        "tomb_lexical": interned("lexicals", [t.obj.lexical for t in dead]),
+        "tomb_kind": array("q", [_KIND_INDEX[t.obj.kind] for t in dead]),
+    }
 
-    def perm_and_starts(primary: array, secondary, n_ids: int):
-        perm = array(
+    def index(perm: str, starts: str, table: str, *order: str) -> None:
+        # One CSR index: row numbers sorted by the ``order`` columns
+        # then seq, and per id of ``table`` where its slice starts.
+        a, b, c, d = (col[name] for name in order)
+        seqs = col["col_seq"]
+        col[perm] = array(
             "q",
-            sorted(range(n), key=lambda i: (primary[i], *secondary(i))),
+            sorted(
+                range(n), key=lambda i: (a[i], b[i], c[i], d[i], seqs[i])
+            ),
         )
-        starts = array("q", bytes(8 * (n_ids + 1)))
-        for i in primary:
-            starts[i + 1] += 1
+        n_ids = len(ids[table])
+        offsets = col[starts] = array("q", bytes(8 * (n_ids + 1)))
+        for i in a:
+            offsets[i + 1] += 1
         for i in range(n_ids):
-            starts[i + 1] += starts[i]
-        return perm, starts
+            offsets[i + 1] += offsets[i]
 
-    spo_perm, subj_start = perm_and_starts(
-        col_subj,
-        lambda i: (col_pred[i], col_lex[i], col_kind[i], col_seq[i]),
-        len(subjects),
-    )
-    pos_perm, pred_start = perm_and_starts(
-        col_pred,
-        lambda i: (col_lex[i], col_kind[i], col_subj[i], col_seq[i]),
-        len(predicates),
-    )
-    osp_perm, lex_start = perm_and_starts(
-        col_lex,
-        lambda i: (col_kind[i], col_subj[i], col_pred[i], col_seq[i]),
-        len(lexicals),
-    )
+    index("spo_perm", "subj_start", "subjects",
+          "col_subject", "col_predicate", "col_lexical", "col_kind")
+    index("pos_perm", "pred_start", "predicates",
+          "col_predicate", "col_lexical", "col_kind", "col_subject")
+    index("osp_perm", "lex_start", "lexicals",
+          "col_lexical", "col_kind", "col_subject", "col_predicate")
 
     out = bytearray()
     out.extend(
@@ -248,17 +281,10 @@ def build_segment_bytes(
             len(tombs),
         )
     )
-    for table in (subjects, predicates, lexicals, sources, extractors,
-                  locators):
-        _append_table(out, list(table))
-    for col in (col_seq, col_subj, col_pred, col_lex, col_kind, col_src,
-                col_ext, col_loc, col_conf):
-        out.extend(col.tobytes())
-    for col in tomb_cols:
-        out.extend(col.tobytes())
-    for col in (spo_perm, subj_start, pos_perm, pred_start, osp_perm,
-                lex_start, col_key):
-        out.extend(col.tobytes())
+    for name in _TABLES:
+        _append_table(out, list(ids[name]))
+    for name, _code, _length in _COLUMNS:
+        out.extend(col[name].tobytes())
     return bytes(out)
 
 
@@ -296,170 +322,95 @@ class SegmentReader:
             self._file.close()
             raise StoreError(f"empty or unmappable segment: {self.path}")
         buf = memoryview(self._mm)
+        size = self.nbytes = len(buf)
+        if size < _HEADER.size:
+            raise self._refused(buf, "truncated segment header")
         magic, version, flags, n_rows, n_tombs = _HEADER.unpack_from(buf, 0)
         if magic != _MAGIC:
-            self._release(buf)
-            raise StoreError(f"not a segment file: {self.path}")
+            raise self._refused(buf, "not a segment file")
         if version != _VERSION:
-            self._release(buf)
-            raise StoreError(
-                f"unsupported segment version {version} in {self.path}"
+            raise self._refused(
+                buf, f"unsupported segment version {version}"
             )
         self.canonical = bool(flags & _FLAG_CANONICAL)
         self.n_rows = n_rows
         self.n_tombs = n_tombs
-        self.nbytes = len(self._mm)
 
         # Record where each intern table lives without decoding it —
         # the nbytes prefix lets us hop over the string payloads.
+        counts = {"n_rows": n_rows, "n_tombs": n_tombs}
         offset = _HEADER.size
-        table_offsets: list[int] = []
-        table_counts: list[int] = []
-        for _ in range(6):
+        self._table_offsets: dict[str, int] = {}
+        for name in _TABLES:
+            if offset + 16 > size:
+                raise self._refused(buf, "segment ends inside its tables")
             nbytes, count = struct.unpack_from("=qq", buf, offset)
-            table_offsets.append(offset)
-            table_counts.append(count)
+            self._table_offsets[name] = offset
+            counts[name] = count + 1
             offset += nbytes
-        self._table_offsets = table_offsets
-        self._tables: list[list[str] | None] = [None] * 6
-        n_subjects, n_predicates, n_lexicals = table_counts[:3]
+        # The layout's walk ends where the file must: a short file
+        # would map short columns (a key missing from the dedup
+        # filter), a long one was not written by build_segment_bytes.
+        expected = offset + 8 * sum(
+            counts[length] for _name, _code, length in _COLUMNS
+        )
+        if expected != size:
+            raise self._refused(
+                buf, f"segment is {size} bytes, its header says {expected}"
+            )
 
-        views: list[memoryview] = [buf]
+        self._views: list[memoryview] = [buf]
+        for name, code, length in _COLUMNS:
+            end = offset + 8 * counts[length]
+            view = buf[offset:end].cast(code)
+            self._views.append(view)
+            setattr(self, name, view)
+            offset = end
+        # table name -> {string: id}, built on a table's first lookup.
+        self._ids: dict[str, dict[str, int]] = {}
 
-        def col(fmt: str, count: int) -> memoryview:
-            nonlocal offset
-            view = buf[offset:offset + 8 * count].cast(fmt)
-            views.append(view)
-            offset += 8 * count
-            return view
-
-        self.col_seq = col("q", n_rows)
-        self.col_subject = col("q", n_rows)
-        self.col_predicate = col("q", n_rows)
-        self.col_lexical = col("q", n_rows)
-        self.col_kind = col("q", n_rows)
-        self.col_source = col("q", n_rows)
-        self.col_extractor = col("q", n_rows)
-        self.col_locator = col("q", n_rows)
-        self.col_confidence = col("d", n_rows)
-
-        self.tomb_seq = col("q", n_tombs)
-        self.tomb_subject = col("q", n_tombs)
-        self.tomb_predicate = col("q", n_tombs)
-        self.tomb_lexical = col("q", n_tombs)
-        self.tomb_kind = col("q", n_tombs)
-
-        self.spo_perm = col("q", n_rows)
-        self.subj_start = col("q", n_subjects + 1)
-        self.pos_perm = col("q", n_rows)
-        self.pred_start = col("q", n_predicates + 1)
-        self.osp_perm = col("q", n_rows)
-        self.lex_start = col("q", n_lexicals + 1)
-        self.key_hashes = col("q", n_rows)
-
-        self._views = views
-        # str -> id reverse maps, built lazily on first point lookup.
-        self._subject_ids: dict[str, int] | None = None
-        self._predicate_ids: dict[str, int] | None = None
-        self._lexical_ids: dict[str, int] | None = None
-        self._source_ids: dict[str, int] | None = None
-        self._extractor_ids: dict[str, int] | None = None
-        self._locator_ids: dict[str, int] | None = None
-
-    def _release(self, buf: memoryview) -> None:
+    def _refused(self, buf: memoryview, why: str) -> StoreError:
+        """Release the file and mmap; the error for the caller to raise."""
         buf.release()
         self._mm.close()
         self._file.close()
+        return StoreError(f"{why}: {self.path}")
 
     def close(self) -> None:
         """Release the mmap.  Invalidates every column view."""
         views = self.__dict__.pop("_views", None)
         if views is None:
             return
-        for name in (
-            "col_seq", "col_subject", "col_predicate", "col_lexical",
-            "col_kind", "col_source", "col_extractor", "col_locator",
-            "col_confidence", "tomb_seq", "tomb_subject",
-            "tomb_predicate", "tomb_lexical", "tomb_kind", "spo_perm",
-            "subj_start", "pos_perm", "pred_start", "osp_perm",
-            "lex_start", "key_hashes",
-        ):
+        for name, _code, _length in _COLUMNS:
             self.__dict__.pop(name, None)
         for view in reversed(views):
             view.release()
         self._mm.close()
         self._file.close()
 
-    # -- lazy intern tables --------------------------------------------
-    def _table(self, index: int) -> list[str]:
-        table = self._tables[index]
-        if table is None:
-            buf = memoryview(self._mm)
-            try:
-                table = _read_table(buf, self._table_offsets[index])
-            finally:
-                buf.release()
-            self._tables[index] = table
+    def __getattr__(self, name: str) -> list[str]:
+        # Reached only for an attribute not set yet: a string table is
+        # decoded on the first query that needs it, then kept as a
+        # plain attribute (``reader.subjects[id]``).
+        offset = self.__dict__.get("_table_offsets", {}).get(name)
+        if offset is None:
+            raise AttributeError(name)
+        buf = memoryview(self._mm)
+        try:
+            table = _read_table(buf, offset)
+        finally:
+            buf.release()
+        self.__dict__[name] = table
         return table
 
-    @property
-    def subjects(self) -> list[str]:
-        return self._table(0)
-
-    @property
-    def predicates(self) -> list[str]:
-        return self._table(1)
-
-    @property
-    def lexicals(self) -> list[str]:
-        return self._table(2)
-
-    @property
-    def sources(self) -> list[str]:
-        return self._table(3)
-
-    @property
-    def extractors(self) -> list[str]:
-        return self._table(4)
-
-    @property
-    def locators(self) -> list[str]:
-        return self._table(5)
-
-    # -- id lookups ----------------------------------------------------
-    @staticmethod
-    def _lazy_ids(strings: list[str], cached) -> dict[str, int]:
-        if cached is None:
-            cached = {text: i for i, text in enumerate(strings)}
-        return cached
-
-    def subject_id(self, subject: str) -> int | None:
-        self._subject_ids = self._lazy_ids(self.subjects, self._subject_ids)
-        return self._subject_ids.get(subject)
-
-    def predicate_id(self, predicate: str) -> int | None:
-        self._predicate_ids = self._lazy_ids(
-            self.predicates, self._predicate_ids
-        )
-        return self._predicate_ids.get(predicate)
-
-    def lexical_id(self, lexical: str) -> int | None:
-        self._lexical_ids = self._lazy_ids(self.lexicals, self._lexical_ids)
-        return self._lexical_ids.get(lexical)
-
-    def source_id(self, source: str) -> int | None:
-        self._source_ids = self._lazy_ids(self.sources, self._source_ids)
-        return self._source_ids.get(source)
-
-    def extractor_id(self, extractor: str) -> int | None:
-        self._extractor_ids = self._lazy_ids(
-            self.extractors, self._extractor_ids
-        )
-        return self._extractor_ids.get(extractor)
-
-    def locator_id(self, locator: str) -> int | None:
-        self._locator_ids = self._lazy_ids(self.locators, self._locator_ids)
-        return self._locator_ids.get(locator)
+    def string_id(self, table: str, text: str) -> int | None:
+        """Id of ``text`` in one string table, ``None`` if absent."""
+        ids = self._ids.get(table)
+        if ids is None:
+            ids = self._ids[table] = {
+                string: i for i, string in enumerate(getattr(self, table))
+            }
+        return ids.get(text)
 
     # -- row materialization -------------------------------------------
     def row_scored(self, row: int) -> ScoredTriple:
@@ -490,7 +441,7 @@ class SegmentReader:
     # -- slice access --------------------------------------------------
     def subject_rows(self, subject: str) -> Iterator[int]:
         """Row indexes of one subject, via the SPO permutation slice."""
-        sid = self.subject_id(subject)
+        sid = self.string_id("subjects", subject)
         if sid is None:
             return iter(())
         lo, hi = self.subj_start[sid], self.subj_start[sid + 1]
@@ -498,7 +449,7 @@ class SegmentReader:
         return (perm[i] for i in range(lo, hi))
 
     def predicate_rows(self, predicate: str) -> Iterator[int]:
-        pid = self.predicate_id(predicate)
+        pid = self.string_id("predicates", predicate)
         if pid is None:
             return iter(())
         lo, hi = self.pred_start[pid], self.pred_start[pid + 1]
@@ -506,7 +457,7 @@ class SegmentReader:
         return (perm[i] for i in range(lo, hi))
 
     def object_rows(self, obj: Value) -> Iterator[int]:
-        lid = self.lexical_id(obj.lexical)
+        lid = self.string_id("lexicals", obj.lexical)
         if lid is None:
             return iter(())
         kind = _KIND_INDEX[obj.kind]
@@ -519,8 +470,8 @@ class SegmentReader:
 
     def triple_rows(self, triple: Triple, tomb_seq: int) -> list[int]:
         """Live row indexes asserting exactly ``triple``."""
-        pid = self.predicate_id(triple.predicate)
-        lid = self.lexical_id(triple.obj.lexical)
+        pid = self.string_id("predicates", triple.predicate)
+        lid = self.string_id("lexicals", triple.obj.lexical)
         if pid is None or lid is None:
             return []
         kind = _KIND_INDEX[triple.obj.kind]
@@ -547,11 +498,11 @@ class SegmentReader:
         """
         out: dict[tuple[int, int, int, int], int] = {}
         for triple, seq in tomb.items():
-            sid = self.subject_id(triple.subject)
+            sid = self.string_id("subjects", triple.subject)
             if sid is None:
                 continue
-            pid = self.predicate_id(triple.predicate)
-            lid = self.lexical_id(triple.obj.lexical)
+            pid = self.string_id("predicates", triple.predicate)
+            lid = self.string_id("lexicals", triple.obj.lexical)
             if pid is None or lid is None:
                 continue
             out[(sid, pid, lid, _KIND_INDEX[triple.obj.kind])] = seq
@@ -603,9 +554,9 @@ class SegmentReader:
         tomb_seq: int,
     ) -> tuple[float, int] | None:
         """(max confidence, first seqno) of live rows for one claim key."""
-        src = self.source_id(prov.source_id)
-        ext = self.extractor_id(prov.extractor_id)
-        loc = self.locator_id(prov.locator)
+        src = self.string_id("sources", prov.source_id)
+        ext = self.string_id("extractors", prov.extractor_id)
+        loc = self.string_id("locators", prov.locator)
         if src is None or ext is None or loc is None:
             return None
         srcs = self.col_source
@@ -1060,7 +1011,7 @@ class SegmentBackend(StorageBackend):
     ) -> list[ScoredTriple]:
         def rows(seg):
             preds = seg.col_predicate
-            pid = seg.predicate_id(predicate)
+            pid = seg.string_id("predicates", predicate)
             if pid is None:
                 return ()
             return (

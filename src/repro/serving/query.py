@@ -21,9 +21,15 @@ Three query families, each riding an existing index:
   entities" ranking computed lazily once per reader and cached
   (versions are immutable, so the cache can never go stale).
 
-Reads against a segment-backed store go through the backend's mmapped
-CSR indexes without materializing the corpus — the zero-copy path the
-PR 7 storage engine built.
+What a read costs: :meth:`lookup` is two dict probes into the fused
+result plus the store's ``claims_for_item`` — O(claims of the item) on
+the segment backend (the subject's rows of each segment's CSR index
+plus the bounded memtable, straight off the mmap), one walk of the
+claim dict on the memory backend, which has no per-item index and
+spends practically all of a served read there.  :meth:`scan_subject`
+is one ``lookup`` per predicate of the subject; :meth:`scan_predicate`
+and :meth:`top_entities` build an O(fused items) index once per reader,
+then cost one ``lookup`` per answer.
 """
 
 from __future__ import annotations

@@ -41,6 +41,11 @@ Degradation is observable, never silent: the obs registry carries
 ``serving_version`` / ``serving_lag_events`` / ``serving_degraded``
 gauges and ``stream_*`` counters, so an operator can tell "serving a
 stale version because ingest is failing" from "caught up".
+``serving_degraded=1`` over a flat ``serving_version`` is the former:
+reads still answer, at most ``serving_lag_events`` + the poisoned
+deltas behind the head; look at ``stream_events_poisoned_total`` and
+``status().quarantined_held``, fix the cause, then
+:meth:`KBServer.requeue_quarantined`.
 """
 
 from __future__ import annotations

@@ -71,15 +71,6 @@ class StreamEvent:
     event_id: str
     delta: ClaimDelta
 
-    def describe(self) -> dict:
-        return {
-            "offset": self.offset,
-            "event_id": self.event_id,
-            "label": self.delta.label,
-            "added": len(self.delta.added),
-            "retracted": len(self.delta.retracted),
-        }
-
 
 class EventLog:
     """In-process append-only delta log with per-group offset tracking."""

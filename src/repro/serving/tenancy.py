@@ -67,6 +67,10 @@ __all__ = [
     "tenant_fingerprint",
 ]
 
+# Events one tenant may consume per fair-share turn, after its one
+# publish: two against one, so a backlog shrinks every turn.
+STEPS_PER_TURN = 2
+
 
 def tenant_fingerprint(spec: TenantSpec) -> str:
     """Checkpoint fingerprint of one tenant's world.
@@ -151,8 +155,9 @@ class TenantRuntime:
             and self.server.log.lag(self.server.group) == 0
         )
 
-    def pump(self, steps: int = 2) -> bool:
-        """One fair-share turn: publish one delta, consume ``steps``.
+    def pump(self) -> bool:
+        """One fair-share turn: publish one delta, consume up to
+        :data:`STEPS_PER_TURN` events.
 
         Returns whether any progress happened (a publish or a
         consumed event).  A publish shed by backpressure is deferred
@@ -171,7 +176,7 @@ class TenantRuntime:
             except BackpressureError:
                 self.deferred_publishes += 1
                 self._count("tenant_publish_deferred_total")
-        for _ in range(steps):
+        for _ in range(STEPS_PER_TURN):
             if self.server.step() is None:
                 break
             progress = True
@@ -386,17 +391,12 @@ class TenantManager:
             self.metrics.gauge("tenant_count").set(len(self.tenants))
         return runtime
 
-    def drain_fair(
-        self,
-        *,
-        steps_per_round: int = 2,
-        max_rounds: int | None = None,
-    ) -> int:
+    def drain_fair(self, *, max_rounds: int | None = None) -> int:
         """Round-robin every live tenant to completion; returns rounds.
 
         Each round walks tenants in stable name order, giving each one
         :meth:`TenantRuntime.pump` turn (one publish + up to
-        ``steps_per_round`` consumed events).  A tenant that throws is
+        :data:`STEPS_PER_TURN` consumed events).  A tenant that throws is
         caught *at its own boundary*: the fault is recorded on that
         tenant, everyone else's round proceeds.  Repeated faulting
         without progress (``fault_limit``) halts just that tenant.
@@ -417,7 +417,7 @@ class TenantManager:
             for name in live:
                 runtime = self.tenants[name]
                 try:
-                    progressed = runtime.pump(steps_per_round)
+                    progressed = runtime.pump()
                 except Exception as exc:  # noqa: BLE001 — tenant boundary
                     runtime.fault_count += 1
                     runtime.last_fault = f"{type(exc).__name__}: {exc}"

@@ -33,6 +33,7 @@ from repro.synth.querylog import QueryLogConfig, generate_query_log
 from repro.synth.websites import WebsiteConfig
 from repro.synth.webtext import WebTextConfig
 from repro.synth.world import WorldConfig
+from tests.conftest import run_python
 
 
 def _config(**overrides) -> PipelineConfig:
@@ -83,14 +84,18 @@ def baseline():
     return pipeline, report
 
 
-@pytest.fixture(scope="module")
-def noise_record_index(baseline):
+def _first_noise_record(world) -> int:
     """Index of the first noise query record (contributes no claims)."""
-    pipeline, _ = baseline
-    log = generate_query_log(pipeline.world, _config().querylog)
+    log = generate_query_log(world, _config().querylog)
     return next(
         i for i, record in enumerate(log) if record.gold_class is None
     )
+
+
+@pytest.fixture(scope="module")
+def noise_record_index(baseline):
+    pipeline, _ = baseline
+    return _first_noise_record(pipeline.world)
 
 
 def _chaos_plan(noise_index: int) -> FaultPlan:
@@ -165,6 +170,24 @@ class TestByteIdenticalChaosRun:
         assert (
             rerun_report.metrics.counters["mapreduce_retries_total"] >= 1
         )
+
+    def test_deterministic_sections_do_not_depend_on_the_hash_seed(self):
+        # Two processes, two hash seeds, one chaos plan (the run of
+        # tests/chaos/chaos_build.py, checkpoints on): the report's
+        # clock-free sections and the count-type metrics are the same
+        # bytes, and both exports satisfy their schemas.
+        first, second = (
+            json.loads(
+                run_python(
+                    "-m", "tests.chaos.chaos_build", hash_seed=hash_seed
+                )
+            )
+            for hash_seed in (1, 2)
+        )
+        assert first["schema_problems"] == []
+        assert first["report"]["health"]["retry"]["retries"] >= 1
+        assert first["report"] == second["report"]
+        assert first["deterministic_subset"] == second["deterministic_subset"]
 
     def test_same_plan_without_retries_is_fatal(self, noise_record_index):
         config = _config(fault_plan=_chaos_plan(noise_record_index))

@@ -6,6 +6,11 @@ Tests that mutate state build their own objects.
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.extract.kb import KbExtractor, combine_kb_outputs
@@ -16,6 +21,28 @@ from repro.synth.querylog import QueryLogConfig, generate_query_log
 from repro.synth.websites import WebsiteConfig, generate_websites
 from repro.synth.webtext import WebTextConfig, generate_webtext
 from repro.synth.world import GroundTruthWorld, WorldConfig
+
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def run_python(*args, hash_seed=None, cwd=REPO_ROOT) -> str:
+    """Stdout of a child interpreter that can import ``repro`` and
+    ``tests``; it has to exit 0.  A child process is how a test chooses
+    the hash seed (``PYTHONHASHSEED``) or runs a script as a user does.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), str(REPO_ROOT)]
+    )
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    done = subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 SMALL_WORLD_CONFIG = WorldConfig(

@@ -9,14 +9,10 @@ the filters (``23cb693``), where the work counts below fail.
 """
 
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
-_ROOT = pathlib.Path(__file__).resolve().parents[2]
+from tests.conftest import run_python
 
 # Taken at the parent commit with this same helper.
 PARENT_REPORT_DIGEST = "8e2e5a02a2246d41297ea838fa2865b7"
@@ -28,17 +24,11 @@ PARENT_LEVENSHTEIN_DP_CALLS = 5_856
 
 
 def _build(hash_seed: int) -> dict:
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = str(hash_seed)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(_ROOT / "src"), str(_ROOT)]
+    return json.loads(
+        run_python(
+            "-m", "tests.integration.smoke_build", hash_seed=hash_seed
+        )
     )
-    done = subprocess.run(
-        [sys.executable, "-m", "tests.integration.smoke_build"],
-        cwd=_ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
 
 
 @pytest.fixture(scope="module")

@@ -355,3 +355,78 @@ def test_benchmarks_are_the_paper_benches_and_nothing_else():
         }
         assert "argparse" not in imported, name
     assert list((benchmarks / "out").glob("BENCH_*.json")) == []
+
+
+# Said once: a layer is described in one DESIGN.md section (how it
+# works is in its module docstring) and demonstrated by one example;
+# README.md is the front door and shares no heading with DESIGN.md.  A
+# new section or script is a reviewed edit to one of these lists.
+EXAMPLES = {
+    "quickstart.py", "truth_discovery.py", "dom_wrapper_induction.py",
+    "query_stream_mining.py", "ontology_augmentation.py",
+    "kb_query_and_export.py", "serving_demo.py",
+}
+README_SECTIONS = [
+    "Install", "Quickstart", "Layers", "Reproducing the paper",
+    "Measuring speed", "Tests", "Layout",
+]
+DESIGN_FRONT_MATTER = [
+    "Substitutions (paper resource → what we build → why it preserves "
+    "behaviour)",
+    "System inventory (every subsystem, built from scratch)",
+    "Per-experiment index",
+]
+# In the order a claim travels through Figure 1.
+DESIGN_LAYERS = [
+    "Synthetic world and gold standard", "Extraction", "Entity matching",
+    "Attribute resolution and confidence", "Fusion", "MapReduce",
+    "RDF store", "Incremental re-fusion", "Serving", "Tenancy",
+    "Faults, checkpoints and quarantine", "Observability",
+    "Pipeline, scenarios and CLI",
+]
+_REPO = Path(__file__).resolve().parents[2]
+
+
+def _sections(name: str) -> dict[str, str]:
+    """``##`` heading -> body of one top-level markdown file."""
+    sections: dict[str, str] = {}
+    heading = None
+    for line in (_REPO / name).read_text().splitlines():
+        if line.startswith("## "):
+            heading = line[3:].strip()
+            sections[heading] = ""
+        elif heading is not None:
+            sections[heading] += line + "\n"
+    return sections
+
+
+def test_examples_are_the_seven_walk_throughs():
+    assert {
+        path.name for path in (_REPO / "examples").iterdir()
+        if not path.name.startswith((".", "__"))
+    } == EXAMPLES
+
+
+def test_readme_and_design_describe_each_layer_once():
+    readme, design = _sections("README.md"), _sections("DESIGN.md")
+    assert list(readme) == README_SECTIONS
+    assert list(design) == DESIGN_FRONT_MATTER + DESIGN_LAYERS
+    headings = [
+        {
+            line.lstrip("#").strip()
+            for line in (_REPO / name).read_text().splitlines()
+            if line.startswith(("## ", "### "))
+        }
+        for name in ("README.md", "DESIGN.md")
+    ]
+    assert not headings[0] & headings[1]
+    for layer in DESIGN_LAYERS:
+        body = design[layer]
+        parts = [
+            body.find(f"**{part}.**")
+            for part in ("Does", "Contract", "Cost", "Where")
+        ]
+        assert -1 not in parts and parts == sorted(parts), layer
+        # Every layer is a row of the inventory and of README's table.
+        assert f"| {layer} |" in design[DESIGN_FRONT_MATTER[1]], layer
+        assert f"| {layer} |" in readme["Layers"], layer

@@ -1,5 +1,6 @@
 """Unit tests for the mmapped segment storage backend."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -84,6 +85,46 @@ class TestSegmentFile:
         path.write_bytes(b"NOTASEGMENT-----plus some trailing bytes")
         with pytest.raises(StoreError):
             SegmentReader(path)
+
+    @pytest.mark.skipif(
+        sys.byteorder != "little", reason="segments are native-endian"
+    )
+    @pytest.mark.parametrize(
+        "canonical, digest",
+        [
+            (False, "b8b3271504a8307754f8338e2d7e1a30"
+                    "448dfbf6d8cb3d0db73e8aa677e67cf6"),
+            (True, "5e87a942a007e7f95b92ef7d3d491c63"
+                   "63a298913bd6b26032bc337a972c3fad"),
+        ],
+    )
+    def test_format_version_1_bytes_are_pinned(self, canonical, digest):
+        # Taken from the writer that listed the columns by hand: the
+        # declared layout must lay the same bytes down.
+        rows = [(i + 1, scored) for i, scored in enumerate(CORPUS)]
+        tombs = [(Triple("old", "p", Value("v")), 99)]
+        blob = build_segment_bytes(rows, tombs, canonical=canonical)
+        assert len(blob) == 1192
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    def test_refuses_a_file_of_the_wrong_length(self, tmp_path):
+        # Every aligned prefix: inside the header, the tables, each
+        # column.  Eight bytes short used to open with n_rows == 6 and
+        # five key hashes, so the dedup filter missed a stored key.
+        rows = [(i + 1, scored) for i, scored in enumerate(CORPUS)]
+        tombs = [(Triple("old", "p", Value("v")), 99)]
+        blob = build_segment_bytes(rows, tombs)
+        path = tmp_path / "cut.seg"
+        wrong = [blob[:cut] for cut in range(8, len(blob), 8)]
+        wrong.append(blob + bytes(8))
+        for damaged in wrong:
+            path.write_bytes(damaged)
+            with pytest.raises(StoreError):
+                SegmentReader(path)
+        path.write_bytes(blob)
+        reader = SegmentReader(path)
+        assert len(reader.key_hashes) == reader.n_rows == len(CORPUS)
+        reader.close()
 
 
 class TestSegmentBackendSemantics:
