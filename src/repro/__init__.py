@@ -20,7 +20,6 @@ Quick start::
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import (
-    IncrementalReport,
     KnowledgeBaseConstructionPipeline,
     PipelineHealth,
     PipelineReport,
@@ -47,7 +46,6 @@ __all__ = [
     "FaultPlan",
     "GroundTruthWorld",
     "IncrementalFusion",
-    "IncrementalReport",
     "KnowledgeBaseConstructionPipeline",
     "KnowledgeFusion",
     "load_delta",

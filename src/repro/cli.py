@@ -4,7 +4,7 @@
 writing any code:
 
 * ``pipeline``   — run the end-to-end framework, print the report,
-  optionally export the fused KB;
+  optionally serve claim deltas on top and export the fused KB;
 * ``drift``     — run a drifting-world scenario through the serving
   stream and print per-epoch freshness metrics;
 * ``copying``   — fuse a source-copying world with correlations off
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument(
         "--storage-backend", choices=("memory", "segment"),
         default="memory",
-        help="claim-store backend for incremental runs: 'memory' keeps "
+        help="claim-store backend of the served KB: 'memory' keeps "
         "claims in dicts, 'segment' spills them to mmapped LSM segment "
         "files under --storage-dir (verdicts identical either way)",
     )
@@ -98,16 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipeline.add_argument(
         "--apply-delta", metavar="PATH", action="append", default=[],
-        help="after the run, apply a JSON claim delta (added/retracted "
-        "triples) incrementally, re-fusing only the dirty connected "
-        "components; repeatable, applied in order",
-    )
-    pipeline.add_argument(
-        "--serve", action="store_true",
-        help="route --apply-delta files through the serving layer "
-        "(publish to the event log, consume with redelivery/dedup "
-        "semantics, report version/lag/staleness) instead of calling "
-        "run_incremental directly",
+        help="after the run, publish a JSON claim delta (added/retracted "
+        "triples) to the serving layer, which re-fuses only the dirty "
+        "connected components and commits a new KB version; "
+        "repeatable, applied in order",
     )
     pipeline.add_argument(
         "--metrics-out", metavar="FILE",
@@ -248,11 +242,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _run_pipeline(args) -> int:
     from repro.core.config import PipelineConfig
     from repro.core.pipeline import KnowledgeBaseConstructionPipeline
+    from repro.evalx.metrics import evaluate_fusion
     from repro.faults import RetryPolicy
     from repro.incremental import load_delta
     from repro.synth.querylog import QueryLogConfig
     from repro.synth.world import WorldConfig
 
+    if args.retries < 0:
+        raise ReproError(f"--retries must be >= 0, got {args.retries}")
     retry = (
         RetryPolicy(max_attempts=args.retries + 1)
         if args.retries > 0
@@ -299,11 +296,7 @@ def _run_pipeline(args) -> int:
             f"resumed: {health.resumed_stages or 'none'}; "
             f"retry: {health.retry or 'none'}"
         )
-    fusion = report.fusion_report
-    print(
-        f"fusion: {fusion.items} items, precision {fusion.precision:.3f}, "
-        f"recall {fusion.recall:.3f}, F1 {fusion.f1:.3f}"
-    )
+    _print_fusion(report.fusion_report)
     augmentation = report.augmentation
     if augmentation is not None:
         print(
@@ -311,7 +304,7 @@ def _run_pipeline(args) -> int:
             f"+{augmentation.total_new_attributes()} attributes, "
             f"+{augmentation.new_entities} entities"
         )
-    if args.serve and deltas:
+    if deltas:
         server = pipeline.serve()
         for path, delta in deltas:
             event = server.publish(delta)
@@ -334,37 +327,27 @@ def _run_pipeline(args) -> int:
             f"{f', {status.poisoned} poisoned' if status.poisoned else ''}"
         )
         reader = server.reader()
+        _print_fusion(
+            evaluate_fusion(
+                pipeline.world,
+                pipeline._remap_for_evaluation(
+                    reader.version.result, report.entity_resolution
+                ),
+            )
+        )
         for subject, score in reader.top_entities(5):
             print(f"  top entity {subject}: belief {score:.3f}")
-    for path, delta in ([] if args.serve else deltas):
-        incremental = pipeline.run_incremental(delta)
-        outcome = incremental.outcome
-        receipt = outcome.receipt
-        print(
-            f"delta #{incremental.sequence} ({path}): "
-            f"+{receipt.added} claims, -{receipt.removed_claims} claims; "
-            f"{outcome.dirty_components}/{outcome.components} components "
-            f"re-fused, {outcome.reused_verdicts} verdicts reused"
-            f"{' (degenerate: full re-fusion)' if outcome.degenerate else ''}"
-            f" in {outcome.wall_seconds:.2f}s"
-        )
-        fused = incremental.fusion_report
-        print(
-            f"  fusion: {fused.items} items, "
-            f"precision {fused.precision:.3f}, recall {fused.recall:.3f}, "
-            f"F1 {fused.f1:.3f}"
-        )
     if args.export:
         from repro.rdf.io import dump_claims_tsv
 
         written = dump_claims_tsv(pipeline.freebase.store, args.export)
         print(f"exported {written} claims to {args.export}")
     if args.metrics_out:
-        # report.metrics is frozen at the end of run(); deltas applied
-        # afterwards accrue storage_*/incremental_* metrics in the live
-        # registry, so re-snapshot to include them.
+        # report.metrics is frozen at the end of run(); deltas served
+        # afterwards accrue stream_*/serving_*/incremental_*/storage_*
+        # metrics in the live registry, so re-snapshot to include them.
         metrics = report.metrics
-        if args.apply_delta:
+        if deltas:
             metrics = pipeline.metrics.snapshot()
         _dump_json(args.metrics_out, metrics.to_json_dict())
         print(f"metrics written to {args.metrics_out}")
@@ -372,6 +355,13 @@ def _run_pipeline(args) -> int:
         _dump_json(args.trace_out, report.trace)
         print(f"trace written to {args.trace_out}")
     return 0
+
+
+def _print_fusion(fusion) -> None:
+    print(
+        f"fusion: {fusion.items} items, precision {fusion.precision:.3f}, "
+        f"recall {fusion.recall:.3f}, F1 {fusion.f1:.3f}"
+    )
 
 
 def _dump_json(path: str, payload: dict) -> None:

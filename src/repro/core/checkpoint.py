@@ -11,9 +11,9 @@ instead of recomputing.  Two rules keep resume safe:
   checkpoint whose fingerprint does not match the current config is
   silently treated as absent — stale state is rejected, never merged.
   Execution knobs (fusion sharding, retry policy, fault plan, the
-  checkpoint directory itself) are deliberately excluded: they
-  change *how* a run executes, not *what* it computes, so a run
-  interrupted by an injected fault can resume without one.
+  storage backend, the checkpoint directory itself) are deliberately
+  excluded: they change *how* a run executes, not *what* it computes,
+  so a run interrupted by an injected fault can resume without one.
 * **Atomic** — payloads are pickled to a temp file and ``os.replace``d
   into place, so a crash mid-write leaves either the old checkpoint or
   none, never a truncated one (unreadable files are also treated as
@@ -25,14 +25,15 @@ Checkpointed stages (in pipeline order):
   extractor outputs, seed sets, Set_E, mention classes, plus the
   report fragments (timings, health) those stages generated;
 * ``"claims"`` — the scored claim list after entity/attribute
-  resolution and confidence scoring;
-* ``"incremental"`` — the post-delta claim corpus and delta sequence
-  written by ``run_incremental()``, so resume and delta-apply compose
-  (a resumed session primes its incremental engine from the last
-  applied delta, not from the original claims).
+  resolution and confidence scoring.
 
 Fusion and later stages always rerun: they are comparatively cheap and
-depend on fusion toggles outside the fingerprint.
+depend on fusion toggles outside the fingerprint.  Deltas are not
+checkpointed: a recovering process runs ``run(resume=True)`` and
+re-publishes them to ``serve()``, whose server applies them
+content-idempotently.  The third stage name, ``"incremental"``, is the
+serving cursor :meth:`repro.serving.tenancy.TenantRuntime.checkpoint`
+writes.
 """
 
 from __future__ import annotations
@@ -66,12 +67,6 @@ _FINGERPRINT_FIELDS = (
     "discover_new_entities",
     "functionality_source",
     "resolve_attributes",
-    # The storage backend does not change fused *verdicts* (that
-    # equivalence is property-tested), but an "incremental" checkpoint
-    # resumed under a different backend would silently detach the
-    # checkpointed delta sequence from the segment directory's on-disk
-    # lineage — so backend identity participates in the fingerprint.
-    "storage_backend",
 )
 
 

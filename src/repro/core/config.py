@@ -41,8 +41,8 @@ class PipelineConfig:
     resolve_attributes: bool = True
     # Convergence tolerance forwarded to the multi-truth core; None
     # keeps the core's default.  Set 0.0 to pin the iteration count —
-    # the regime in which run_incremental() is byte-identical to a
-    # full re-fusion.
+    # the regime in which every version serve() commits is
+    # byte-identical to a full re-fusion of its store.
     fusion_tolerance: float | None = None
     # -- Fault tolerance ------------------------------------------------
     # Retry policy for the fusion MapReduce job.  Setting it (or

@@ -231,42 +231,6 @@ class PipelineReport:
         }
 
 
-@dataclass(slots=True)
-class IncrementalReport:
-    """Everything one :meth:`run_incremental` call produced.
-
-    ``sequence`` is the engine's delta counter, offset by the sequence
-    restored from an ``"incremental"`` checkpoint (so it keeps counting
-    across resumed sessions).  ``primed`` marks the call that built the
-    engine (the expensive path); ``resumed_from`` names the checkpoint
-    stage the claim corpus came from (None when it came from an
-    in-memory run).
-    """
-
-    outcome: object  # repro.incremental.engine.DeltaOutcome
-    fusion_result: FusionResult
-    fusion_report: TruthDiscoveryReport
-    sequence: int
-    primed: bool = False
-    resumed_from: str | None = None
-    wall_seconds: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sequence": self.sequence,
-            "primed": self.primed,
-            "resumed_from": self.resumed_from,
-            "wall_seconds": self.wall_seconds,
-            "outcome": self.outcome.to_json_dict(),
-            "fusion": {
-                "items": self.fusion_report.items,
-                "precision": self.fusion_report.precision,
-                "recall": self.fusion_report.recall,
-                "f1": self.fusion_report.f1,
-            },
-        }
-
-
 # ----------------------------------------------------------------------
 # Record validators for the quarantine guards: structurally broken
 # records (wrong type, empty payload) are diverted, not crashed on.
@@ -309,8 +273,7 @@ class KnowledgeBaseConstructionPipeline:
         self._reset_extraction()
         self.claims: ClaimSet | None = None
         # The scored claim list fusion ran on (post resolution and
-        # confidence scoring); run_incremental() primes its store from
-        # this when available.
+        # confidence scoring); serve() primes its store from this.
         self.all_triples: list | None = None
         self._reset_incremental()
         self.quarantine = Quarantine()
@@ -369,20 +332,16 @@ class KnowledgeBaseConstructionPipeline:
         self.seeds: dict[str, SeedSet] = {}
 
     def _reset_incremental(self) -> None:
-        """Forget the primed incremental engine.
-
-        The next :meth:`run_incremental` / :meth:`serve` primes a new
-        one from ``all_triples`` (or a checkpoint).
-        """
-        # The KnowledgeFusion carrying the primed engine.
-        self.incremental_fusion: KnowledgeFusion | None = None
-        self._incremental_entity_resolution: ResolutionOutcome | None = None
-        self._incremental_offset = 0
+        """Forget the primed incremental engine; the next :meth:`serve`
+        primes a new one from ``all_triples``."""
+        self._engine = None
 
     def _run_phases(self, report: PipelineReport, resume: bool) -> None:
         world = self.world
         cfg = self.config
         cfg.validate()
+        if resume and cfg.checkpoint_dir is None:
+            raise PipelineError("resume needs a checkpoint_dir to resume from")
         health = report.health
         health.min_sources = cfg.min_sources
         self.quarantine = Quarantine()
@@ -852,16 +811,7 @@ class KnowledgeBaseConstructionPipeline:
         return remap_subjects(result, mapping)
 
     # ------------------------------------------------------------------
-    # Incremental updates.
-
-    def _checkpoint_store(self) -> CheckpointStore | None:
-        if self.config.checkpoint_dir is None:
-            return None
-        return CheckpointStore(
-            self.config.checkpoint_dir,
-            config_fingerprint(self.config),
-            metrics=self.metrics,
-        )
+    # Serving the built KB.
 
     def _build_claim_store(self):
         """A :class:`TripleStore` on the configured storage backend.
@@ -889,44 +839,17 @@ class KnowledgeBaseConstructionPipeline:
             )
         return TripleStore()
 
-    def _prime_incremental(self, resume: bool) -> str | None:
-        """Build and prime the incremental engine; returns the
-        checkpoint stage the claim corpus was restored from (None when
-        it came from this process's last run())."""
-        # serve() / run_incremental() get here without a run(), so the
-        # config has not been looked at yet.
+    def _prime_incremental(self):
+        """Build and prime the incremental engine on ``all_triples``."""
+        # serve() gets here without a run() (drift runs, the e2e
+        # benchmark), so the config has not been looked at yet.
         cfg = self.config
         cfg.validate()
-        all_triples = self.all_triples
-        entity_resolution = (
-            self.last_report.entity_resolution
-            if self.last_report is not None
-            else None
-        )
-        resumed_from = None
-        if all_triples is None:
-            store = self._checkpoint_store()
-            if store is None or not resume:
-                raise PipelineError(
-                    "run_incremental needs claims: call run() first, or "
-                    "pass resume=True with a checkpoint_dir holding a "
-                    "claims/incremental checkpoint"
-                )
-            payload = store.load("incremental")
-            if payload is not None:
-                resumed_from = "incremental"
-                self._incremental_offset = payload.get("sequence", 0)
-            else:
-                payload = store.load("claims")
-                if payload is None:
-                    raise PipelineError(
-                        "resume=True but no usable claims/incremental "
-                        f"checkpoint in {cfg.checkpoint_dir!r} (missing "
-                        "or stale fingerprint)"
-                    )
-                resumed_from = "claims"
-            all_triples = payload["all_triples"]
-            entity_resolution = payload.get("entity_resolution")
+        if self.all_triples is None:
+            raise PipelineError(
+                "serve() needs claims: call run() first (run(resume=True) "
+                "restores them from a checkpoint_dir)"
+            )
 
         functional_refresh = None
         if cfg.functionality_source == "estimated":
@@ -943,89 +866,31 @@ class KnowledgeBaseConstructionPipeline:
 
         fusion = self._build_fusion(functional_of)
         triple_store = self._build_claim_store()
-        triple_store.add_all(all_triples)
-        fusion.begin_incremental(
+        triple_store.add_all(self.all_triples)
+        return fusion.begin_incremental(
             triple_store, functional_refresh=functional_refresh
-        )
-        self.incremental_fusion = fusion
-        self._incremental_entity_resolution = entity_resolution
-        return resumed_from
-
-    def run_incremental(self, delta, *, resume: bool = False):
-        """Apply one :class:`~repro.incremental.delta.ClaimDelta`.
-
-        Journals the delta into the claim store and re-fuses only the
-        dirty connected components (see :mod:`repro.incremental`), then
-        re-evaluates the merged result against the world.  The claim
-        corpus comes from, in order of preference: the engine primed by
-        a previous call, this process's last :meth:`run`, or (with
-        ``resume=True`` and a ``checkpoint_dir``) the ``"incremental"``
-        or ``"claims"`` checkpoint — so resume and delta-apply compose:
-        a crashed session picks up exactly where the last applied delta
-        left the store.  Each successful call saves an ``"incremental"``
-        checkpoint with the post-delta claim corpus.
-
-        Returns an :class:`IncrementalReport`.
-        """
-        started = time.perf_counter()
-        self.metrics.counter("pipeline_incremental_runs_total").inc()
-        primed = False
-        resumed_from = None
-        if self.incremental_fusion is None:
-            resumed_from = self._prime_incremental(resume)
-            primed = True
-
-        outcome = self.incremental_fusion.apply_delta(delta)
-        engine = self.incremental_fusion.incremental
-        self.all_triples = engine.store.claims()
-        self.claims = engine.claims
-
-        evaluated = self._remap_for_evaluation(
-            outcome.result, self._incremental_entity_resolution
-        )
-        fusion_report = evaluate_fusion(self.world, evaluated)
-
-        sequence = self._incremental_offset + outcome.sequence
-        store = self._checkpoint_store()
-        if store is not None:
-            store.save(
-                "incremental",
-                {
-                    "all_triples": engine.store.claims(),
-                    "sequence": sequence,
-                    "entity_resolution": (
-                        self._incremental_entity_resolution
-                    ),
-                },
-            )
-        return IncrementalReport(
-            outcome=outcome,
-            fusion_result=outcome.result,
-            fusion_report=fusion_report,
-            sequence=sequence,
-            primed=primed,
-            resumed_from=resumed_from,
-            wall_seconds=time.perf_counter() - started,
         )
 
     def serve(self):
         """Build a :class:`~repro.serving.server.KBServer` over this run.
 
-        Primes the incremental engine from the last ``run()`` if
-        needed (a fresh process restores that run first, with
-        ``run(resume=True)``), then hands it to a server with its own
-        event log whose retry policy, metrics and fault plan come from
-        the pipeline config.  Readers pin immutable versions while
-        published deltas commit through the stream consumer — see
+        The one way to change the built KB: deltas are published to the
+        server and applied by its stream consumer.  Primes the
+        incremental engine from the last ``run()`` if needed (a fresh
+        process restores that run first, with ``run(resume=True)``) and
+        reuses it until the next ``run()``, then hands it to a server
+        with its own event log whose retry policy, metrics and fault
+        plan come from the pipeline config.  Readers pin immutable
+        versions while published deltas commit — see
         :mod:`repro.serving`.
         """
         from repro.serving.server import KBServer
 
-        if self.incremental_fusion is None:
-            self._prime_incremental(resume=False)
+        if self._engine is None:
+            self._engine = self._prime_incremental()
         cfg = self.config
         return KBServer(
-            self.incremental_fusion.incremental,
+            self._engine,
             retry=cfg.retry,
             metrics=self.metrics,
             fault_plan=cfg.fault_plan,

@@ -70,10 +70,11 @@ class KnowledgeFusion(FusionMethod):
     -------------------
     ``begin_incremental(store)`` primes an
     :class:`~repro.incremental.engine.IncrementalFusion` over a triple
-    store and returns it; subsequent ``apply_delta(delta)`` calls
-    journal a :class:`~repro.incremental.delta.ClaimDelta` into the
-    store and re-fuse only the dirty connected components, reusing
-    cached verdicts everywhere else.
+    store and returns it.  Its ``apply_delta(delta)`` journals a
+    :class:`~repro.incremental.delta.ClaimDelta` into the store and
+    re-fuses only the dirty connected components, reusing cached
+    verdicts everywhere else.  Within the library its one caller is
+    :class:`~repro.serving.server.KBServer`.
     """
 
     name = "knowledge-fusion"
@@ -107,7 +108,6 @@ class KnowledgeFusion(FusionMethod):
         self.fault_plan = fault_plan
         self.metrics = metrics
         self.last_shard_stats = None
-        self.incremental = None
         self._casefold_hierarchy = (
             CasefoldHierarchy(hierarchy) if hierarchy is not None else None
         )
@@ -154,37 +154,19 @@ class KnowledgeFusion(FusionMethod):
         atomically).  ``functional_refresh``, when given, is a
         callable ``ClaimSet -> FunctionalOracle`` re-derived after
         every delta (the ``functionality_source="estimated"`` mode of
-        the pipeline).  The engine is also kept on ``self.incremental``
-        so :meth:`apply_delta` can be called on the fusion object
-        directly.
+        the pipeline).
         """
         from repro.incremental.engine import IncrementalFusion
 
-        self.incremental = IncrementalFusion(
+        engine = IncrementalFusion(
             self,
             store,
             functional_refresh=functional_refresh,
             metrics=self.metrics,
             fault_plan=self.fault_plan,
         )
-        self.incremental.prime()
-        return self.incremental
-
-    def apply_delta(self, delta):
-        """Apply a :class:`ClaimDelta` to the primed incremental state.
-
-        Returns the engine's
-        :class:`~repro.incremental.engine.DeltaOutcome`; raises
-        :class:`~repro.errors.DeltaError` when no incremental engine
-        was primed via :meth:`begin_incremental`.
-        """
-        if self.incremental is None:
-            from repro.errors import DeltaError
-
-            raise DeltaError(
-                "apply_delta called before begin_incremental(store)"
-            )
-        return self.incremental.apply_delta(delta)
+        engine.prime()
+        return engine
 
     # ------------------------------------------------------------------
     # Shared building blocks (also driven by the incremental engine,

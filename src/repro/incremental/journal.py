@@ -15,7 +15,6 @@ atomically replace a value for an item.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.incremental.delta import ClaimDelta
@@ -23,9 +22,9 @@ from repro.rdf.store import TripleStore
 
 __all__ = ["RECEIPT_TAIL", "DeltaJournal", "DeltaReceipt"]
 
-#: How many receipts a journal (and the engine) keeps.  A receipt holds
-#: its delta's dirty-item and dirty-source sets, so an unbounded trail
-#: grows with every delta a long-lived server ever applied.
+#: How many receipts the incremental engine keeps.  A receipt holds its
+#: delta's dirty-item and dirty-source sets, so an unbounded trail grows
+#: with every delta a long-lived server ever applied.
 RECEIPT_TAIL = 256
 
 Item = tuple[str, str]
@@ -69,22 +68,19 @@ class DeltaReceipt:
 
 
 class DeltaJournal:
-    """Apply deltas to a store, keeping the latest receipts.
+    """Apply deltas to a store, one receipt per delta.
 
-    ``receipts`` is the ordered tail of the last :data:`RECEIPT_TAIL`
-    receipts; ``DeltaReceipt.sequence`` keeps counting every delta the
-    journal ever applied.
+    A receipt's ``sequence`` is 0 here: the caller that owns the delta
+    stream (the engine) numbers it and keeps the trail.
     """
 
     def __init__(self, store: TripleStore) -> None:
         self.store = store
-        self.receipts: deque[DeltaReceipt] = deque(maxlen=RECEIPT_TAIL)
-        self._applied = 0
 
     def apply(self, delta: ClaimDelta) -> DeltaReceipt:
-        """Apply one delta; returns (and records) its receipt."""
+        """Apply one delta; returns its receipt."""
         delta.validate()
-        receipt = DeltaReceipt(sequence=self._applied, label=delta.label)
+        receipt = DeltaReceipt(sequence=0, label=delta.label)
 
         # Retractions first, in one store call; the claims it hands
         # back name the sources that held each triple.  A triple listed
@@ -110,7 +106,4 @@ class DeltaJournal:
                 receipt.noop_additions += 1
             receipt.dirty_items.add(scored.triple.item)
             receipt.dirty_sources.add(scored.provenance.source_id)
-
-        self.receipts.append(receipt)
-        self._applied += 1
         return receipt

@@ -8,9 +8,9 @@ truth and a noisy base claim corpus, then every later epoch mutates
 the truth (value changes, births, deaths, attribute renames) and emits
 the corresponding source observations as one
 :class:`~repro.incremental.delta.ClaimDelta` — retract the stale
-claims, add fresh observations of the new truth.  Feeding the epoch
-deltas through ``Pipeline.run_incremental`` / ``Pipeline.serve`` runs
-the whole incremental + serving stack against truth that moves, and
+claims, add fresh observations of the new truth.  Publishing the epoch
+deltas to ``Pipeline.serve()``'s server runs the whole incremental +
+serving stack against truth that moves, and
 :mod:`repro.evalx.freshness` scores every served version against the
 truth *of its own epoch* versus the *current* truth (freshness lag /
 staleness — the uncertainty dimension the Jarnac survey calls out).

@@ -1,11 +1,12 @@
-"""Integration tests: incremental delta-apply through the pipeline.
+"""Integration tests: deltas served on top of a pipeline run.
 
-Runs the full pipeline once on a small world, then drives
-:meth:`run_incremental` — checking the engine's byte-identity contract
-against the pipeline's own fusion configuration, sequence bookkeeping
-across repeated deltas, and the checkpoint/resume composition (a fresh
-pipeline process applies the next delta without re-running
-extraction).
+Runs the full pipeline once on a small world, then publishes deltas to
+:meth:`serve`'s server — the one way a built KB changes — checking the
+engine's byte-identity contract against the pipeline's own fusion
+configuration, version and sequence bookkeeping across repeated
+deltas, and crash recovery: a fresh pipeline process resumes the run
+from its checkpoint without re-extraction, re-publishes the deltas and
+ends on the same bytes.
 """
 
 from types import SimpleNamespace
@@ -13,7 +14,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.pipeline import (
-    IncrementalReport,
     KnowledgeBaseConstructionPipeline,
     PipelineConfig,
 )
@@ -62,6 +62,24 @@ def _delta(all_triples, value, *, retract_first=True):
     return ClaimDelta(added=added, retracted=retracted, label=value)
 
 
+def _deltas(all_triples):
+    return [
+        _delta(all_triples, "incremental-town"),
+        _delta(all_triples, "incremental-city", retract_first=False),
+    ]
+
+
+def _serve(pipeline, deltas):
+    """Publish and apply each delta in turn; the outcome of each."""
+    server = pipeline.serve()
+    outcomes = []
+    for delta in deltas:
+        server.publish(delta)
+        (outcome,) = server.drain()
+        outcomes.append(outcome)
+    return server, outcomes
+
+
 @pytest.fixture(scope="module")
 def incremental_run(tmp_path_factory):
     checkpoint_dir = str(tmp_path_factory.mktemp("incremental-ckpt"))
@@ -69,130 +87,125 @@ def incremental_run(tmp_path_factory):
         _config(checkpoint_dir=checkpoint_dir)
     )
     run_report = pipeline.run()
-    first = pipeline.run_incremental(
-        _delta(pipeline.all_triples, "incremental-town")
-    )
-    second = pipeline.run_incremental(
-        _delta(pipeline.all_triples, "incremental-city", retract_first=False)
-    )
+    base = list(pipeline.all_triples)
+    server, outcomes = _serve(pipeline, _deltas(base))
     return SimpleNamespace(
         checkpoint_dir=checkpoint_dir,
         pipeline=pipeline,
         run_report=run_report,
-        first=first,
-        second=second,
+        base=base,
+        server=server,
+        outcomes=outcomes,
     )
 
 
 class TestRunIncremental:
-    def test_returns_incremental_reports(self, incremental_run):
-        assert isinstance(incremental_run.first, IncrementalReport)
-        assert isinstance(incremental_run.second, IncrementalReport)
+    """A ``run()``, then two deltas through ``serve()``."""
 
     def test_first_call_primes_later_calls_reuse(self, incremental_run):
-        assert incremental_run.first.primed
-        assert incremental_run.first.resumed_from is None  # in-memory claims
-        assert not incremental_run.second.primed
+        engine = incremental_run.server.engine
+        assert incremental_run.pipeline.serve().engine is engine
+        assert engine.sequence == 2
 
     def test_sequence_advances(self, incremental_run):
-        assert incremental_run.first.sequence == 1
-        assert incremental_run.second.sequence == 2
+        assert [
+            (outcome.action, outcome.version_id, outcome.sequence)
+            for outcome in incremental_run.outcomes
+        ] == [("applied", 1, 1), ("applied", 2, 2)]
+        current = incremental_run.server.versions.current
+        assert (current.version_id, current.sequence) == (2, 2)
 
     def test_delta_content_landed_in_claim_corpus(self, incremental_run):
         values = {
             scored.triple.obj.lexical
-            for scored in incremental_run.pipeline.all_triples
+            for scored in incremental_run.server.engine.store.claims()
         }
-        assert "incremental-town" in values
-        assert "incremental-city" in values
+        assert {"incremental-town", "incremental-city"} <= values
 
     def test_result_matches_full_refusion_of_post_delta_store(
         self, incremental_run
     ):
         pipeline = incremental_run.pipeline
-        engine = pipeline.incremental_fusion.incremental
-        claims = canonical_claims(engine.store.copy())
+        served = incremental_run.server.versions.current
+        claims = canonical_claims(served.store.copy())
         reference_fusion = pipeline._build_fusion(
             pipeline._select_functional_oracle(claims)
         )
         reference = reference_fusion.fuse(claims)
         assert (
-            incremental_run.second.fusion_result.canonical_bytes()
-            == reference.canonical_bytes()
+            served.result.canonical_bytes() == reference.canonical_bytes()
         )
 
     def test_fusion_still_scores_against_world(self, incremental_run):
-        report = incremental_run.second.fusion_report
-        assert report.items > 0
-        assert report.precision > 0.5
+        from repro.evalx.metrics import evaluate_fusion
 
-    def test_report_json_shape(self, incremental_run):
-        payload = incremental_run.first.to_json_dict()
-        assert payload["sequence"] == 1
-        assert payload["primed"] is True
-        assert payload["outcome"]["receipt"]["added"] == 1
-        assert payload["fusion"]["items"] > 0
+        pipeline = incremental_run.pipeline
+        report = evaluate_fusion(
+            pipeline.world, incremental_run.server.versions.current.result
+        )
+        assert report.items > 0
+        assert report.f1 > 0.5
 
     def test_outcome_accounting(self, incremental_run):
-        outcome = incremental_run.first.outcome
-        assert outcome.receipt.added == 1
-        assert outcome.receipt.removed_claims >= 1
-        assert outcome.components >= 1
-        assert 1 <= outcome.dirty_components <= outcome.components
+        engine = incremental_run.server.engine
+        first = engine.receipts[0]
+        assert (first.sequence, first.label) == (1, "incremental-town")
+        assert first.added == 1
+        assert first.removed_claims >= 1
+        metrics = incremental_run.pipeline.metrics.snapshot().to_json_dict()
+        assert metrics["counters"]["incremental_deltas_total"] == 2
+        assert metrics["counters"]["incremental_dirty_components"] >= 2
+        assert (
+            metrics["gauges"]["incremental_components"]
+            == engine.components
+        )
 
 
 class TestResumeComposition:
-    def test_fresh_process_resumes_from_incremental_checkpoint(
+    def test_fresh_process_resumes_from_claims_and_replays_deltas(
         self, incremental_run
     ):
+        """Crash recovery: ``run(resume=True)`` restores the claims
+        checkpoint without re-extraction, and the deltas are published
+        again."""
         resumed = KnowledgeBaseConstructionPipeline(
             _config(checkpoint_dir=incremental_run.checkpoint_dir)
         )
-        # No run(): the claim corpus comes from the checkpoint.
-        report = resumed.run_incremental(
-            _delta(
-                incremental_run.pipeline.all_triples,
-                "incremental-village",
-                retract_first=False,
-            ),
-            resume=True,
+        report = resumed.run(resume=True)
+        assert report.health.resumed_stages == ["extraction", "claims"]
+        server, outcomes = _serve(
+            resumed, _deltas(incremental_run.base)
         )
-        assert report.primed
-        assert report.resumed_from == "incremental"
-        # Sequence keeps counting across processes.
-        assert report.sequence == incremental_run.second.sequence + 1
-        values = {
-            scored.triple.obj.lexical for scored in resumed.all_triples
-        }
-        assert {"incremental-town", "incremental-city",
-                "incremental-village"} <= values
+        assert [outcome.action for outcome in outcomes] == [
+            "applied", "applied",
+        ]
+        assert (
+            server.versions.current.result.canonical_bytes()
+            == incremental_run.server.versions.current.result
+            .canonical_bytes()
+        )
 
     def test_no_claims_and_no_checkpoint_rejected(self):
         pipeline = KnowledgeBaseConstructionPipeline(_config())
-        with pytest.raises(PipelineError):
-            pipeline.run_incremental(ClaimDelta())
+        with pytest.raises(PipelineError, match="call run"):
+            pipeline.serve()
 
     def test_resume_without_checkpoint_dir_rejected(self):
+        """Rejected before any stage, not silently recomputed."""
         pipeline = KnowledgeBaseConstructionPipeline(_config())
-        with pytest.raises(PipelineError):
-            pipeline.run_incremental(ClaimDelta(), resume=True)
-
-    def test_resume_with_empty_checkpoint_dir_rejected(self, tmp_path):
-        pipeline = KnowledgeBaseConstructionPipeline(
-            _config(checkpoint_dir=str(tmp_path / "empty"))
-        )
-        with pytest.raises(PipelineError):
-            pipeline.run_incremental(ClaimDelta(), resume=True)
+        with pytest.raises(PipelineError, match="checkpoint_dir"):
+            pipeline.run(resume=True)
+        assert pipeline.last_report.timings == []
 
 
 class TestConfigCheckedWithoutRun:
-    """``serve()`` and ``run_incremental()`` check the config ``run()``
-    checks: they are entered without one (drift runs, the e2e
-    benchmark), and a misspelt backend used to serve from memory."""
+    """``serve()`` checks the config ``run()`` checks: it is entered
+    without one (drift runs, the e2e benchmark), and a misspelt backend
+    used to serve from memory."""
 
     def _with_claims(self, incremental_run, **overrides):
         pipeline = KnowledgeBaseConstructionPipeline(_config(**overrides))
-        pipeline.all_triples = list(incremental_run.pipeline.all_triples)
+        pipeline.all_triples = list(incremental_run.base)
         return pipeline
 
     def test_unknown_backend_rejected_by_serve(self, incremental_run):
@@ -201,18 +214,6 @@ class TestConfigCheckedWithoutRun:
         )
         with pytest.raises(PipelineError, match="storage_backend must be"):
             pipeline.serve()
-
-    def test_unknown_backend_rejected_by_resumed_run_incremental(
-        self, incremental_run
-    ):
-        pipeline = KnowledgeBaseConstructionPipeline(
-            _config(
-                checkpoint_dir=incremental_run.checkpoint_dir,
-                storage_backend="sgement",
-            )
-        )
-        with pytest.raises(PipelineError, match="storage_backend must be"):
-            pipeline.run_incremental(ClaimDelta(), resume=True)
 
     def test_segment_backend_without_dir_names_the_field(
         self, incremental_run
@@ -237,8 +238,6 @@ class TestConfigCheckedWithoutRun:
         assert pipeline.last_report.timings == []
         with pytest.raises(PipelineError, match="functionality_source must"):
             mistyped().serve()
-        with pytest.raises(PipelineError, match="functionality_source must"):
-            mistyped().run_incremental(ClaimDelta())
 
 
 class TestServeBuildsNoClaimSetOfItsOwn:
@@ -271,7 +270,7 @@ class TestServeBuildsNoClaimSetOfItsOwn:
         pipeline = KnowledgeBaseConstructionPipeline(
             _config(functionality_source=source)
         )
-        pipeline.all_triples = list(incremental_run.pipeline.all_triples)
+        pipeline.all_triples = list(incremental_run.base)
         monkeypatch.setattr(pipeline_module, "ClaimSet", Spy)
         engine = pipeline.serve().engine
         assert built == []

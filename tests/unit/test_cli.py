@@ -9,6 +9,22 @@ from repro.rdf.io import dump_claims_tsv
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 
+_ONE_CLAIM_DELTA = {
+    "label": "cli-test",
+    "added": [
+        {
+            "subject": "delta/test-entity",
+            "predicate": "capital",
+            "object": "Testville",
+            "kind": "string",
+            "source": "delta-src",
+            "extractor": "dom",
+            "confidence": 0.9,
+        }
+    ],
+    "retracted": [],
+}
+
 
 class TestParser:
     def test_requires_command(self):
@@ -132,65 +148,50 @@ class TestApplyDelta:
         assert args.apply_delta == ["a.json", "b.json"]
         assert build_parser().parse_args(["pipeline"]).apply_delta == []
 
-    def test_pipeline_applies_delta_file(self, tmp_path, capsys):
+    @staticmethod
+    def _apply_one_claim_delta(tmp_path, capsys):
         delta_path = tmp_path / "delta.json"
-        delta_path.write_text(
-            json.dumps(
-                {
-                    "label": "cli-test",
-                    "added": [
-                        {
-                            "subject": "delta/test-entity",
-                            "predicate": "capital",
-                            "object": "Testville",
-                            "kind": "string",
-                            "source": "delta-src",
-                            "extractor": "dom",
-                            "confidence": 0.9,
-                        }
-                    ],
-                    "retracted": [],
-                }
-            )
+        delta_path.write_text(json.dumps(_ONE_CLAIM_DELTA))
+        assert main(
+            [
+                "pipeline", "--query-scale", "0.0005",
+                "--apply-delta", str(delta_path),
+            ]
+        ) == 0
+        return delta_path, capsys.readouterr().out.splitlines()
+
+    def test_pipeline_applies_delta_file(self, tmp_path, capsys):
+        """The served version is scored like the run's own result, in
+        one block after the serving line."""
+        _, lines = self._apply_one_claim_delta(tmp_path, capsys)
+        served = lines.index(
+            "serving: version 1, 1 events applied, lag 0, healthy"
         )
-        assert main(["pipeline", "--apply-delta", str(delta_path)]) == 0
-        out = capsys.readouterr().out
-        assert f"delta #1 ({delta_path})" in out
-        assert "+1 claims" in out
-        assert "re-fused" in out
-        assert "verdicts reused" in out
+        _run_fusion, served_fusion = [
+            line for line in lines if line.startswith("fusion: ")
+        ]
+        assert lines.index(served_fusion) == served + 1
+        assert lines[served + 2].startswith("  top entity ")
 
     def test_pipeline_serve_routes_delta_through_stream(
         self, tmp_path, capsys
     ):
-        delta_path = tmp_path / "delta.json"
-        delta_path.write_text(
-            json.dumps(
-                {
-                    "label": "cli-serve-test",
-                    "added": [
-                        {
-                            "subject": "delta/test-entity",
-                            "predicate": "capital",
-                            "object": "Testville",
-                            "kind": "string",
-                            "source": "delta-src",
-                            "extractor": "dom",
-                            "confidence": 0.9,
-                        }
-                    ],
-                    "retracted": [],
-                }
-            )
+        """Without any switch, a delta file is published to the stream
+        and committed by the serving layer as a new version."""
+        delta_path, lines = self._apply_one_claim_delta(tmp_path, capsys)
+        assert f"published {delta_path} as event 0" in "\n".join(lines)
+        served = lines.index(
+            "serving: version 1, 1 events applied, lag 0, healthy"
         )
-        assert main(
-            ["pipeline", "--serve", "--apply-delta", str(delta_path)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "published" in out
-        assert "event 0: applied -> version 1" in out
-        assert "serving: version 1, 1 events applied, lag 0, healthy" in out
-        assert "top entity" in out
+        assert lines[served - 1].startswith(
+            "event 0: applied -> version 1 (sequence 1, "
+        )
+
+    def test_serve_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["pipeline", "--serve"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --serve" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -207,9 +208,12 @@ class TestUsageErrors:
             (["pipeline", "--apply-delta", "/no/such/delta.json"],
              "cannot read delta file /no/such/delta.json"),
             (["query", "/no/such.tsv"], "/no/such.tsv"),
+            (["pipeline", "--resume"], "resume needs a checkpoint_dir"),
+            (["pipeline", "--retries", "-1"], "--retries must be >= 0"),
         ],
         ids=["segment-without-dir", "memtable-zero", "missing-delta",
-             "missing-tsv"],
+             "missing-tsv", "resume-without-checkpoint-dir",
+             "negative-retries"],
     )
     def test_reported_on_stderr_before_the_run(self, argv, message, capsys):
         assert main(argv) == 2
@@ -246,25 +250,7 @@ class TestStorageFlags:
         from repro.obs import validate_metrics
 
         delta_path = tmp_path / "delta.json"
-        delta_path.write_text(
-            json.dumps(
-                {
-                    "label": "cli-storage-test",
-                    "added": [
-                        {
-                            "subject": "delta/test-entity",
-                            "predicate": "capital",
-                            "object": "Testville",
-                            "kind": "string",
-                            "source": "delta-src",
-                            "extractor": "dom",
-                            "confidence": 0.9,
-                        }
-                    ],
-                    "retracted": [],
-                }
-            )
-        )
+        delta_path.write_text(json.dumps(_ONE_CLAIM_DELTA))
         metrics_path = tmp_path / "metrics.json"
         assert main(
             [

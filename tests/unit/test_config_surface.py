@@ -56,7 +56,7 @@ PIPELINE_FLAGS = {
     "-h", "--help", "--seed", "--query-scale", "--discover-entities",
     "--export", "--retries", "--stage-timeout",
     "--min-sources", "--checkpoint-dir", "--resume", "--storage-backend",
-    "--storage-dir", "--memtable-limit", "--apply-delta", "--serve",
+    "--storage-dir", "--memtable-limit", "--apply-delta",
     "--metrics-out", "--trace-out",
 }
 
@@ -136,6 +136,11 @@ WORKER_MODULES = {"concurrent", "multiprocessing", "threading", "subprocess"}
 # freezing, disabling or re-tuning the collector.
 COLLECTOR_MODULES = {"gc"}
 
+# A live KB changes one way: a delta published to a KBServer, applied by
+# its stream consumer (dedup fence, retry, quarantine, versioned
+# commit).  No second path hands a delta to the engine.
+DELTA_APPLIERS = {"serving/server.py"}
+
 
 def test_pipeline_config_fields():
     fields = {field.name for field in dataclasses.fields(PipelineConfig)}
@@ -212,9 +217,7 @@ def test_the_similarity_cache_is_the_stdlib_one():
 
 
 def test_pipeline_public_methods():
-    assert _public(KnowledgeBaseConstructionPipeline) == {
-        "run", "run_incremental", "serve",
-    }
+    assert _public(KnowledgeBaseConstructionPipeline) == {"run", "serve"}
 
 
 # The names benchmarks/e2e/trace.py patches in the namespace of
@@ -296,6 +299,19 @@ def test_src_leaves_the_collector_alone():
         if _within(module, COLLECTOR_MODULES)
     ]
     assert offenders == []
+
+
+def test_only_the_server_applies_deltas():
+    package = Path(repro.__file__).parent
+    callers = {
+        path.relative_to(package).as_posix()
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "apply_delta"
+    }
+    assert callers == DELTA_APPLIERS
 
 
 def test_serving_import_loads_no_worker_machinery():

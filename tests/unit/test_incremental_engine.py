@@ -129,10 +129,6 @@ class TestPrime:
         with pytest.raises(DeltaError):
             engine.apply_delta(ClaimDelta())
 
-    def test_apply_delta_before_begin_incremental_rejected(self):
-        with pytest.raises(DeltaError):
-            _fusion().apply_delta(ClaimDelta())
-
 
 class TestApplyDelta:
     def test_single_component_delta_reuses_the_rest(self):
