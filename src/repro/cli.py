@@ -55,10 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipeline.add_argument(
         "--retries", type=int, default=0, metavar="N",
-        help="fuse per connected component of the claim graph as "
-        "MapReduce tasks and retry a failed one up to N extra times "
-        "with exponential backoff (0: one unsharded fuse; truths are "
-        "identical either way)",
+        help="retry a failed task of the fusion MapReduce job (one per "
+        "connected component of the claim graph) up to N extra times "
+        "with exponential backoff; the fused output is the same",
     )
     pipeline.add_argument(
         "--stage-timeout", type=float, default=None, metavar="SECONDS",
@@ -276,12 +275,11 @@ def _run_pipeline(args) -> int:
     for timing in report.timings:
         print(f"{timing.stage:<22} {timing.seconds:6.2f}s  {timing.detail}")
     print(f"{'fusion wall':<22} {report.fusion_wall:6.2f}s")
-    if report.fusion_shards:
-        shards = report.fusion_shards
-        print(
-            f"{'fusion shards':<22} {shards['components']} components, "
-            f"largest {shards['largest_claims']} claims"
-        )
+    shards = report.fusion_shards
+    print(
+        f"{'fusion shards':<22} {shards['components']} components, "
+        f"largest {shards['largest_claims']} claims"
+    )
     health = report.health
     if (
         health.status != "ok"

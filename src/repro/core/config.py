@@ -40,18 +40,15 @@ class PipelineConfig:
     use_confidence: bool = True
     resolve_attributes: bool = True
     # Convergence tolerance forwarded to the multi-truth core; None
-    # keeps the core's default.  Set 0.0 to pin the iteration count —
-    # the regime in which every version serve() commits is
-    # byte-identical to a full re-fusion of its store.
+    # keeps the core's default.  Set 0.0 to pin the iteration count.
+    # A fuse and every version serve() commits both exit per connected
+    # component, so the two agree byte for byte at any tolerance.
     fusion_tolerance: float | None = None
     # -- Fault tolerance ------------------------------------------------
-    # Retry policy for the fusion MapReduce job.  Setting it (or
-    # ``fault_plan``) runs the core fuse per connected component of the
-    # claim graph (repro.fusion.sharding) as the reduce tasks of a
-    # MapReduce job, each retried under this policy; None with a fault
-    # plan means one attempt.  Truths are identical to the unsharded
-    # fuse; beliefs match bit-for-bit at tolerance 0 (see the sharding
-    # module's early-exit caveat).
+    # Retry policy for the tasks of the fusion MapReduce job (a reduce
+    # group per connected component of the claim graph,
+    # repro.fusion.knowledge_fusion); None means one attempt.  It
+    # decides only whether a failed task is retried, never the beliefs.
     retry: RetryPolicy | None = None
     # Deterministic fault plan (repro.faults) injected into the stage
     # fault points, record validation and the fusion job.  Testing

@@ -53,10 +53,9 @@ Fault tolerance
       invalidates old checkpoints).  Degraded runs never write
       checkpoints — resume only ever restores healthy state.
 
-    Setting ``PipelineConfig.retry`` or ``fault_plan`` runs the core
-    fuse as the sharded-fusion MapReduce job, so transient task crashes
-    during fusion are retried with deterministic backoff (see
-    :mod:`repro.mapreduce.engine` and :mod:`repro.faults`).
+    The fuse is one MapReduce job, a reduce group per component of the
+    claim graph; ``PipelineConfig.retry`` retries its failed tasks with
+    deterministic backoff (:mod:`repro.mapreduce.engine`).
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ class PipelineHealth:
     # Quarantine.to_dict() snapshot: total / per-source counts / samples.
     quarantined: dict = field(default_factory=dict)
     # Fusion-job retry counters (attempts/retries/timed_out_tasks) when
-    # a retry policy or fault plan was active.
+    # a task of it was retried or timed out.
     retry: dict = field(default_factory=dict)
 
     def mark_degraded(self, stage: str, reason: str) -> None:
@@ -168,8 +167,8 @@ class PipelineReport:
     # Wall-clock seconds of the fuse call alone (the fusion stage
     # timing also covers claim-set assembly and oracle construction).
     fusion_wall: float = 0.0
-    # Connected-component accounting of a sharded fusion run (empty on
-    # an unsharded fuse): components / largest_claims / component_claims.
+    # Connected-component accounting of the fuse (empty on a hand-built
+    # report): components / largest_claims / component_claims.
     fusion_shards: dict = field(default_factory=dict)
     # Degradation / quarantine / retry / resume accounting.
     health: PipelineHealth = field(default_factory=PipelineHealth)
@@ -465,18 +464,17 @@ class KnowledgeBaseConstructionPipeline:
             report.fusion_wall = time.perf_counter() - fuse_started
             self._publish_fusion_metrics(report, result, fusion)
             shard_stats = fusion.last_shard_stats
-            if shard_stats is not None:
-                report.fusion_shards = {
-                    "components": shard_stats.components,
-                    "largest_claims": shard_stats.largest_claims,
-                    "component_claims": shard_stats.component_claims,
+            report.fusion_shards = {
+                "components": shard_stats.components,
+                "largest_claims": shard_stats.largest_claims,
+                "component_claims": shard_stats.component_claims,
+            }
+            if shard_stats.retries or shard_stats.timed_out_tasks:
+                health.retry = {
+                    "attempts": shard_stats.attempts,
+                    "retries": shard_stats.retries,
+                    "timed_out_tasks": shard_stats.timed_out_tasks,
                 }
-                if shard_stats.attempts:
-                    health.retry = {
-                        "attempts": shard_stats.attempts,
-                        "retries": shard_stats.retries,
-                        "timed_out_tasks": shard_stats.timed_out_tasks,
-                    }
             report.fusion_result = result
             timing.detail = (
                 f"{len(self.claims)} claims, {len(result.truths)} items"
@@ -572,14 +570,13 @@ class KnowledgeBaseConstructionPipeline:
             )
         metrics.histogram("fusion_fuse_seconds").observe(report.fusion_wall)
         shard_stats = fusion.last_shard_stats
-        if shard_stats is not None:
-            metrics.gauge("fusion_components").set(shard_stats.components)
-            metrics.gauge("fusion_largest_component_claims").set(
-                shard_stats.largest_claims
-            )
-            component_sizes = metrics.histogram("fusion_component_claims")
-            for size in shard_stats.component_claims:
-                component_sizes.observe(size)
+        metrics.gauge("fusion_components").set(shard_stats.components)
+        metrics.gauge("fusion_largest_component_claims").set(
+            shard_stats.largest_claims
+        )
+        component_sizes = metrics.histogram("fusion_component_claims")
+        for size in shard_stats.component_claims:
+            component_sizes.observe(size)
 
     # ------------------------------------------------------------------
     def _run_extraction(self, report: PipelineReport) -> dict[str, str]:

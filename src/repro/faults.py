@@ -24,8 +24,9 @@ wrapper and every repeated run.
 
 :class:`RetryPolicy` is the other half: how many attempts a guarded
 task gets, how long to wait between them and when an attempt counts as
-timed out.  The MapReduce engine, the sharded fuse, the KB server and
-the tenant manager all take one.
+timed out.  The MapReduce engine (and so every fuse, a job with a task
+per chunk of components), the KB server and the tenant manager all
+take one.
 
 Scope naming convention used across the repo:
 

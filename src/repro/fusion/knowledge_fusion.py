@@ -10,11 +10,22 @@ which this class composes on top of the multi-truth Bayesian core:
 3. inter-source and inter-extractor correlations — copy-detection
    weights discount correlated claimants;
 4. extraction confidence scores — claims act as soft evidence.
+
+Fusing a claim graph is defined once, here: (1) reweight the claims by
+the global extractor weights, (2) split them into connected components
+(:func:`~repro.fusion.sharding.shard_claims`), (3) fuse each component
+with its own source-correlation weights and the hierarchy-wrapped
+multi-truth core, (4) merge the results and (5) apply the functional
+constraint.  :meth:`KnowledgeFusion.fuse` runs steps 2–4 as one
+:func:`~repro.fusion.sharding.fuse_sharded` MapReduce job; the
+incremental engine runs the same public steps over its cached
+components, so a component exits on its own convergence in both.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from types import SimpleNamespace
 from typing import Callable
 
 from repro.faults import FaultPlan, RetryPolicy
@@ -22,7 +33,7 @@ from repro.fusion.base import Claim, ClaimSet, FusionMethod, FusionResult
 from repro.fusion.correlations import CorrelationEstimator
 from repro.fusion.hierarchy import CasefoldHierarchy, HierarchicalFusion
 from repro.fusion.multitruth import MultiTruth
-from repro.fusion.sharding import fuse_sharded
+from repro.fusion.sharding import fuse_sharded, merge_results
 from repro.rdf.hierarchy import ValueHierarchy
 
 FunctionalOracle = Callable[[str], bool]
@@ -43,26 +54,20 @@ class KnowledgeFusion(FusionMethod):
     use_confidence:
         Toggle soft-evidence claims (ablation switch).
     retry / fault_plan:
-        Setting either runs the core fuse sharded over the connected
-        components of the claim graph (:mod:`repro.fusion.sharding`),
-        one reduce task of an in-process MapReduce job per chunk of
-        components: ``retry`` (a :class:`repro.faults.RetryPolicy`)
-        retries a failed task, ``fault_plan`` (a
-        :class:`repro.faults.FaultPlan`) injects failures into them
-        and into the incremental engine.  With neither, nothing can
-        fail task by task and the fuse runs unsharded.
-        Correlation estimation stays global (copy detection must see
-        all claims); only the fixed-point fuse shards.  The last run's
-        :class:`~repro.fusion.sharding.ShardStats` is kept in
-        ``last_shard_stats`` (None on unsharded runs).
+        A :class:`repro.faults.RetryPolicy` for the component tasks of
+        the fuse's MapReduce job (None: one attempt) and a
+        :class:`repro.faults.FaultPlan` injected into them and into the
+        incremental engine; neither changes the beliefs.  The last
+        run's :class:`~repro.fusion.sharding.ShardStats` is
+        ``last_shard_stats``.
     tolerance:
         Optional convergence tolerance forwarded to the multi-truth
         core; ``None`` keeps the core's own default.  ``tolerance=0``
-        pins the iteration count, which is the regime in which the
-        incremental engine's byte-identity contract holds.
+        pins the iteration count.  Each component exits on its own
+        convergence, in a fuse and in the incremental engine alike.
     metrics:
         Optional :class:`repro.obs.MetricsRegistry` handed down to the
-        sharded fuse's MapReduce job (``mapreduce_*`` counters) and to
+        fuse's MapReduce job (``mapreduce_*`` counters) and to
         the incremental engine (``incremental_*`` metrics); the
         pipeline passes its per-run registry here.
 
@@ -107,40 +112,24 @@ class KnowledgeFusion(FusionMethod):
         self.retry = retry
         self.fault_plan = fault_plan
         self.metrics = metrics
-        self.last_shard_stats = None
         self._casefold_hierarchy = (
             CasefoldHierarchy(hierarchy) if hierarchy is not None else None
         )
 
     # ------------------------------------------------------------------
     def fuse(self, claims: ClaimSet) -> FusionResult:
-        self._check_nonempty(claims)
-        working = claims
-        if self.use_extractor_correlations:
-            working = self._apply_extractor_weights(
-                working, self._extractor_weights(working)
-            )
-
-        source_weights: dict[str, float] | None = None
-        if self.use_source_correlations:
-            source_weights = self._source_weights(working)
-
-        base = self._base_method(source_weights)
-        if self.retry is not None or self.fault_plan is not None:
-            result, self.last_shard_stats = fuse_sharded(
-                base,
-                working,
-                retry=self.retry,
-                fault_plan=self.fault_plan,
-                metrics=self.metrics,
-            )
-        else:
-            self.last_shard_stats = None
-            result = base.fuse(working)
-        result.method = self.name
-        if self.functional_of is not None:
-            self._constrain_functional(result)
-        return result
+        """The five steps of the module docstring, steps 2–4 as one
+        :func:`~repro.fusion.sharding.fuse_sharded` job."""
+        working = self.reweighted(claims, self.extractor_weights(claims))
+        components = SimpleNamespace(name=self.name, fuse=self.fuse_component)
+        result, self.last_shard_stats = fuse_sharded(
+            components,
+            working,
+            retry=self.retry,
+            fault_plan=self.fault_plan,
+            metrics=self.metrics,
+        )
+        return self.constrain_functional(result, self.functional_of)
 
     # ------------------------------------------------------------------
     # Incremental updates.
@@ -159,71 +148,38 @@ class KnowledgeFusion(FusionMethod):
         from repro.incremental.engine import IncrementalFusion
 
         engine = IncrementalFusion(
-            self,
-            store,
-            functional_refresh=functional_refresh,
-            metrics=self.metrics,
-            fault_plan=self.fault_plan,
+            self, store, functional_refresh=functional_refresh
         )
         engine.prime()
         return engine
 
     # ------------------------------------------------------------------
-    # Shared building blocks (also driven by the incremental engine,
-    # which must replay exactly this preparation to keep its
-    # byte-identity contract).
+    # The steps, shared with the incremental engine.
 
-    def _extractor_weights(
-        self, claims: Iterable[Claim]
-    ) -> dict[str, float]:
-        """Global extractor-correlation independence weights.
+    def extractor_weights(self, claims: Iterable[Claim]) -> dict[str, float]:
+        """Step 1a: global extractor-correlation independence weights
+        (none when that correlation is switched off).
 
         Pass the claims in the order a full fuse would see them: the
         estimator's float sums follow it.
         """
-        estimator = CorrelationEstimator(by="extractor")
-        return estimator.estimate(claims).weights
+        if not self.use_extractor_correlations:
+            return {}
+        return CorrelationEstimator(by="extractor").estimate(claims).weights
 
-    def _source_weights(self, claims: ClaimSet) -> dict[str, float]:
-        """Source-correlation independence weights over ``claims``.
-
-        Sources in different connected components of the claim graph
-        share no items, so no dependence pair ever crosses a component
-        boundary: estimating per component and merging yields exactly
-        the global estimate (the incremental engine relies on this).
-        """
-        estimator = CorrelationEstimator(by="source")
-        return estimator.estimate(claims).weights
-
-    def _base_method(
-        self, source_weights: dict[str, float] | None
-    ) -> FusionMethod:
-        """The multi-truth core (hierarchy-wrapped when configured)."""
-        kwargs = {}
-        if self.tolerance is not None:
-            kwargs["tolerance"] = self.tolerance
-        base: FusionMethod = MultiTruth(
-            prior=self.prior,
-            threshold=self.threshold,
-            source_weights=source_weights,
-            use_confidence=self.use_confidence
-            or self.use_extractor_correlations,
-            max_iterations=self.max_iterations,
-            **kwargs,
-        )
-        if self.hierarchy is not None:
-            base = HierarchicalFusion(base, self.hierarchy)
-        return base
-
-    def _apply_extractor_weights(
+    def reweighted(
         self, claims: Iterable[Claim], weights: dict[str, float]
     ) -> ClaimSet:
-        """Fold extractor-correlation discounts into claim confidences.
+        """Step 1b: fold extractor-correlation discounts into claim
+        confidences (claims stand as they are when that correlation is
+        switched off).
 
         ``claims`` are deduplicated (a claim set, or a list read from
         one); a discount moves neither a claim's key nor its place, so
         the result adopts the reweighted list.
         """
+        if not self.use_extractor_correlations:
+            return ClaimSet.adopt(list(claims))
         reweighted: list[Claim] = []
         for claim in claims:
             weight = weights.get(claim.extractor_id, 1.0)
@@ -243,13 +199,57 @@ class KnowledgeFusion(FusionMethod):
             reweighted.append(claim)
         return ClaimSet.adopt(reweighted)
 
-    def _constrain_functional(self, result: FusionResult) -> None:
-        """Keep a single truth (or chain) for functional attributes."""
+    def fuse_component(self, shard: ClaimSet) -> FusionResult:
+        """Step 3: fuse one connected component of reweighted claims.
+
+        Its source-correlation weights are estimated on the component
+        alone (sources in different components share no items, so no
+        dependence pair crosses a component boundary); the core is the
+        multi-truth model, hierarchy-wrapped when configured.
+        """
+        source_weights = (
+            CorrelationEstimator(by="source").estimate(shard).weights
+            if self.use_source_correlations
+            else None
+        )
+        kwargs = {}
+        if self.tolerance is not None:
+            kwargs["tolerance"] = self.tolerance
+        base: FusionMethod = MultiTruth(
+            prior=self.prior,
+            threshold=self.threshold,
+            source_weights=source_weights,
+            use_confidence=self.use_confidence
+            or self.use_extractor_correlations,
+            max_iterations=self.max_iterations,
+            **kwargs,
+        )
+        if self.hierarchy is not None:
+            base = HierarchicalFusion(base, self.hierarchy)
+        return base.fuse(shard)
+
+    def finish(
+        self,
+        results: Iterable[FusionResult],
+        functional_of: FunctionalOracle | None,
+    ) -> FusionResult:
+        """Steps 4 and 5: merge per-component results, then constrain."""
+        merged = merge_results(self.name, results)
+        return self.constrain_functional(merged, functional_of)
+
+    def constrain_functional(
+        self, result: FusionResult, functional_of: FunctionalOracle | None
+    ) -> FusionResult:
+        """Step 5: keep a single truth (or chain) for the items of
+        attributes ``functional_of`` calls functional (None: no
+        attribute is).  Changes ``result`` in place and returns it."""
+        if functional_of is None:
+            return result
         for item, truths in result.truths.items():
             if len(truths) <= 1:
                 continue
             predicate = item[1]
-            if not self.functional_of(predicate):
+            if not functional_of(predicate):
                 continue
             best = min(
                 truths,
@@ -268,3 +268,4 @@ class KnowledgeFusion(FusionMethod):
                 ) & (truths | {deepest})
             else:
                 result.decide(item, [best])
+        return result

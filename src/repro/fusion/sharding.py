@@ -14,20 +14,19 @@ sub-list of a deduplicated list, adopted by its :class:`ClaimSet`
 without hashing a claim, and a set that is one component is its own
 shard.
 
-:func:`fuse_sharded` runs the components as reduce groups of the
-:mod:`repro.mapreduce` engine, which provides per-task retries (why
-``KnowledgeFusion`` comes here whenever a retry policy or fault plan
-is set) and its determinism contract (reduce groups processed in
-sorted key order, results merged deterministically).  The fusion
-method is bound into the reducer, like the accuracy snapshot in
-``mr_accu``.
+:func:`fuse_sharded` runs the shards as the records of one
+:mod:`repro.mapreduce` job, a reduce group per component — every
+``KnowledgeFusion.fuse`` is one — for its per-task retries and its
+determinism contract (reduce groups processed in sorted key order,
+results merged deterministically).  The fusion method is bound into
+the reducer, like the accuracy snapshot in ``mr_accu``.
 
 Caveat: a component that satisfies its convergence tolerance early
-exits on its *own* delta, while a global run exits on the maximum
-delta across all components — identical truths in practice, but extra
-rounds elsewhere can move beliefs by up to the tolerance.  Run with
-``tolerance=0`` (fixed iterations) for bit-identical merged output;
-the equivalence tests pin both regimes.
+exits on its *own* delta, while one run of a method over the whole set
+exits on the maximum delta across all components — identical truths in
+practice, but extra rounds elsewhere can move beliefs by up to the
+tolerance.  At ``tolerance=0`` (fixed iterations) the two are
+bit-identical; the equivalence tests pin both regimes.
 """
 
 from __future__ import annotations
@@ -148,12 +147,13 @@ def merge_results(
     return merged
 
 
-def _shard_mapper(mapping: dict[str, int], claim: Claim):
-    yield mapping[claim.source_id], claim
+def _component_mapper(record: tuple[int, ClaimSet]):
+    yield record
 
 
-def _shard_reducer(method: FusionMethod, component: int, claims: list[Claim]):
-    yield component, len(claims), method.fuse(ClaimSet(claims))
+def _component_reducer(method: FusionMethod, component: int, shards: list):
+    (shard,) = shards
+    yield component, len(shard), method.fuse(shard)
 
 
 def fuse_sharded(
@@ -166,10 +166,12 @@ def fuse_sharded(
 ) -> tuple[FusionResult, ShardStats]:
     """Fuse each connected component independently and merge.
 
-    Components are the reduce groups of one MapReduce job; the merged
+    ``method`` has a ``name`` and a ``fuse(ClaimSet)`` for one
+    component.  The components are the reduce groups of one MapReduce
+    job (one attempt per task without a ``retry`` policy); the merged
     result is their :func:`merge_results`.  ``metrics`` (a
-    :class:`repro.obs.MetricsRegistry`) is handed to the underlying
-    job, which publishes its ``mapreduce_*`` counters there.
+    :class:`repro.obs.MetricsRegistry`) receives its ``mapreduce_*``
+    counters.
     """
     # Imported here: repro.mapreduce.jobs imports repro.fusion.base, and
     # only this function needs the engine.
@@ -178,15 +180,10 @@ def fuse_sharded(
     if len(claims) == 0:
         raise FusionError(f"{method.name}: empty claim set")
 
-    mapping = _component_map(claims)
-    # One map partition: the engine splits partitions round-robin, and
-    # more than one would interleave claim order inside each reduce
-    # group, shifting float accumulation order at ULP level.  The map
-    # side is a trivial tagging pass; all the work is in the reduce
-    # groups.
+    # One map partition: the mapper only keys each shard by its index.
     job: MapReduceJob = MapReduceJob(
-        functools.partial(_shard_mapper, mapping),
-        functools.partial(_shard_reducer, method),
+        _component_mapper,
+        functools.partial(_component_reducer, method),
         partitions=1,
         retry=retry,
         fault_plan=fault_plan,
@@ -194,7 +191,9 @@ def fuse_sharded(
     )
     stats = ShardStats()
     results: list[FusionResult] = []
-    for _component, n_claims, result in job.run(claims):
+    for _component, n_claims, result in job.run(
+        enumerate(shard_claims(claims))
+    ):
         stats.components += 1
         stats.component_claims.append(n_claims)
         results.append(result)

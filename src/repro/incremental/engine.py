@@ -51,9 +51,13 @@ Two estimation details make the reuse exact rather than approximate:
   takes the same path, with the digests it has);
 * source-correlation weights are component-local by construction
   (sources in different components share no items, and the estimator
-  ignores pairs without common items), so the engine estimates them
-  per component inside :meth:`_fuse_component` and still matches the
-  global estimate bit for bit.
+  ignores pairs without common items), so a component is fused on its
+  own, as in every fuse.
+
+The engine owns no fusion step.  It runs the steps that define a fuse
+(:mod:`repro.fusion.knowledge_fusion`) around its component cache,
+through the fusion object's public methods: ``extractor_weights``,
+``reweighted``, ``fuse_component`` and ``finish``.
 
 Per delta, the journal (one ``remove_all`` call, an ``add`` per claim)
 and the dirty-item re-read (one ``claims_for_items`` call) are O(delta)
@@ -66,9 +70,9 @@ small constants: the successor corpus (:meth:`_Corpus.replaced`, a
 slice-copying merge of the cached claims, items, counts and digests
 with the re-read items), the extractor estimate — one read of the
 claims and nothing else when they name a single extractor, the vote
-table of every claim otherwise — and the disjoint-union
-:meth:`_merge`.  Putting the entries back in first-item order is a
-sort of O(components) nearly sorted keys.
+table of every claim otherwise — and the disjoint-union merge.
+Putting the entries back in first-item order is a sort of
+O(components) nearly sorted keys.
 
 None of this builds a long-lived container per item or per claim —
 each is walked by every later full collector pass, and enough of them
@@ -80,13 +84,11 @@ the heap size): claim groups are flat tables (:class:`~repro.fusion.base.ClaimSe
 the component cache and the merged result share one ``frozenset`` of
 truths per item (:func:`~repro.fusion.sharding.merge_results`).
 
-Byte-identity contract: with ``KnowledgeFusion(tolerance=0)``,
-``apply_delta(delta)`` and a full ``fuse(canonical_claims(store))``
-over the post-delta store produce results whose
-:meth:`~repro.fusion.base.FusionResult.canonical_bytes` agree exactly.
-At a nonzero tolerance, per-component early exit keeps engine-to-engine
-determinism but may differ from a *global* fuse by up to the tolerance
-(the standard sharding caveat).
+Byte-identity contract: ``apply_delta(delta)`` and a full
+``fuse(canonical_claims(store))`` over the post-delta store produce
+results whose :meth:`~repro.fusion.base.FusionResult.canonical_bytes`
+agree exactly — both fuse component by component, so a component's
+early exit is the same in either.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ from itertools import accumulate, chain
 
 from repro.errors import DeltaError
 from repro.fusion.base import Claim, ClaimSet, FusionResult, Item
-from repro.fusion.sharding import merge_results, shard_claims
+from repro.fusion.sharding import shard_claims
 from repro.incremental.delta import ClaimDelta
 from repro.incremental.journal import (
     RECEIPT_TAIL,
@@ -356,25 +358,19 @@ class _ComputeStats:
 class IncrementalFusion:
     """Cached per-component fusion state plus the delta-apply loop.
 
-    Built via :meth:`KnowledgeFusion.begin_incremental`; not intended
-    to be constructed from scratch elsewhere (it drives the fusion
-    object's private preparation helpers to guarantee byte-identity
-    with full re-fusion).
+    Built via :meth:`KnowledgeFusion.begin_incremental`, with that
+    object's metrics, fault plan and functionality oracle; the engine
+    keeps the oracle ``functional_refresh`` last derived itself.
     """
 
     def __init__(
-        self,
-        fusion,
-        store: TripleStore,
-        *,
-        functional_refresh=None,
-        metrics=None,
-        fault_plan=None,
+        self, fusion, store: TripleStore, *, functional_refresh=None
     ) -> None:
         self.fusion = fusion
+        self.functional_of = fusion.functional_of
         self.functional_refresh = functional_refresh
-        self.metrics = metrics
-        self.fault_plan = fault_plan
+        self.metrics = fusion.metrics
+        self.fault_plan = fusion.fault_plan
         # The last RECEIPT_TAIL receipts; ``sequence`` counts them all.
         self.receipts: deque[DeltaReceipt] = deque(maxlen=RECEIPT_TAIL)
         self._initial_store = store
@@ -421,14 +417,16 @@ class IncrementalFusion:
         if len(claims) == 0:
             raise DeltaError(_EMPTY_STORE)
         corpus = _Corpus.of(claims)
-        weights = self._extractor_weights(corpus.claims)
+        weights = self.fusion.extractor_weights(corpus.claims)
         entries = self._recompute(corpus, weights, [], _ComputeStats())
         self._state = _FusionState(
             store=store,
             corpus=corpus,
             extractor_weights=weights,
             entries=entries,
-            result=self._merge(entries),
+            result=self.fusion.finish(
+                (entry.result for entry in entries), self.functional_of
+            ),
         )
         self._count("incremental_primes_total")
         self._gauge("incremental_components", len(entries))
@@ -501,7 +499,7 @@ class IncrementalFusion:
         if not corpus.claims:
             raise DeltaError(_EMPTY_STORE)
 
-        weights = self._extractor_weights(corpus.claims)
+        weights = self.fusion.extractor_weights(corpus.claims)
         stats = _ComputeStats()
         shifted = weights != prior.extractor_weights
         if shifted:
@@ -517,19 +515,13 @@ class IncrementalFusion:
                 corpus=corpus,
                 extractor_weights=weights,
                 entries=entries,
-                result=self._merge(entries),
+                result=self.fusion.finish(
+                    (entry.result for entry in entries), self.functional_of
+                ),
                 sequence=prior.sequence + 1,
             ),
             stats,
         )
-
-    def _extractor_weights(
-        self, claims: Iterable[Claim]
-    ) -> dict[str, float]:
-        """Global extractor weights over all claims, canonical order."""
-        if not self.fusion.use_extractor_correlations:
-            return {}
-        return self.fusion._extractor_weights(claims)
 
     def _recompute(
         self,
@@ -544,7 +536,7 @@ class IncrementalFusion:
             corpus, [(0, len(corpus.items))], weights, prior, stats
         )
         if self.functional_refresh is not None:
-            self.fusion.functional_of = self.functional_refresh(
+            self.functional_of = self.functional_refresh(
                 ClaimSet.adopt(corpus.claims)
             )
         return entries
@@ -611,16 +603,12 @@ class IncrementalFusion:
         are digested here, on their reweighted runs.
         """
         fusion = self.fusion
-        claims = list(
+        working = fusion.reweighted(
             chain.from_iterable(
                 corpus.claims[corpus.starts[lo]:corpus.starts[hi]]
                 for lo, hi in spans
-            )
-        )
-        working = (
-            fusion._apply_extractor_weights(claims, weights)
-            if fusion.use_extractor_correlations
-            else ClaimSet.adopt(claims)
+            ),
+            weights,
         )
         # The working set's runs are the corpus items of the spans, in
         # order: the k-th run is digested into the k-th index.
@@ -651,38 +639,13 @@ class IncrementalFusion:
                         sources=sources,
                         content_hash=digest,
                         n_claims=len(shard),
-                        result=self._fuse_component(shard),
+                        result=fusion.fuse_component(shard),
                         items=items,
                     )
                 )
                 stats.dirty_components += 1
                 stats.refused_claims += len(shard)
         return entries
-
-    def _fuse_component(self, shard: ClaimSet) -> FusionResult:
-        """Fuse one component exactly as the global run would.
-
-        Source-correlation weights are estimated on the shard alone —
-        identical to the global estimate restricted to the shard,
-        because no dependence pair crosses a component boundary.
-        """
-        fusion = self.fusion
-        source_weights = (
-            fusion._source_weights(shard)
-            if fusion.use_source_correlations
-            else None
-        )
-        return fusion._base_method(source_weights).fuse(shard)
-
-    def _merge(self, entries: list[ComponentEntry]) -> FusionResult:
-        """The served result: the disjoint union of the entries,
-        functionally constrained."""
-        merged = merge_results(
-            self.fusion.name, (entry.result for entry in entries)
-        )
-        if self.fusion.functional_of is not None:
-            self.fusion._constrain_functional(merged)
-        return merged
 
     # -- plumbing -------------------------------------------------------
     def _fault(self, scope: str) -> float:

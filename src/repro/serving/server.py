@@ -167,10 +167,6 @@ class KBServer:
         )
         self._degraded = False
         self._poisoned = 0
-        # Lifetime count of events fenced (applied + poisoned).  The
-        # fence inside the committed version ages with log compaction,
-        # so it no longer doubles as this statistic.
-        self._fenced_total = 0
         # Log base the fence was last aged against; re-age lazily only
         # when compaction has advanced it.
         self._fence_base = self.log.base
@@ -197,7 +193,9 @@ class KBServer:
             committed_offset=self.log.committed(self.group),
             head_offset=self.log.head,
             lag_events=self.log.lag(self.group),
-            applied_events=self._fenced_total,
+            # One commit per fenced (applied or poisoned) event; the
+            # fence itself ages with log compaction.
+            applied_events=version.version_id,
             degraded=self._degraded,
             poisoned=self._poisoned,
             quarantined_held=len(
@@ -274,7 +272,6 @@ class KBServer:
             self._degraded = True
             self._poisoned += 1
         self.versions.commit(successor)
-        self._fenced_total += 1
         injected += self._fault("stream:post-commit", event.offset)
         self.log.commit_offset(self.group, event.offset + 1)
 

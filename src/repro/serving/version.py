@@ -69,7 +69,6 @@ class KBVersion:
             "version_id": self.version_id,
             "sequence": self.sequence,
             "offset": self.offset,
-            "applied_events": len(self.applied),
             "claims": len(self.store),
             "fused_items": len(self.result.truths),
             "label": self.label,

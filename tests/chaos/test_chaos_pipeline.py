@@ -99,12 +99,14 @@ def noise_record_index(baseline):
 
 
 def _chaos_plan(noise_index: int) -> FaultPlan:
-    # >= 1 map-partition crash (transient, in the sharded-fusion job)
-    # and >= 1 corrupted input record, per the acceptance scenario.
+    # A transient crash in each phase of the build's fusion job (its
+    # map partition and its first reduce chunk) and >= 1 corrupted
+    # input record, per the acceptance scenario.
     return (
         FaultPlan(seed=11)
         .corrupt("records:querystream", index=noise_index)
         .crash("map", index=0, attempts=1)
+        .crash("reduce", index=0, attempts=1)
     )
 
 
@@ -136,7 +138,7 @@ class TestByteIdenticalChaosRun:
         health = report.health
         assert health.quarantined["total"] == 1
         assert health.quarantined["counts"] == {"querystream": 1}
-        assert health.retry["retries"] >= 1
+        assert health.retry["retries"] >= 2  # a map and a reduce task
         assert health.status == "ok"  # no stage degraded, just retried
 
     def test_same_seed_chaos_runs_are_identical(

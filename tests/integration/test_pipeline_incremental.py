@@ -282,11 +282,11 @@ class TestServeBuildsNoClaimSetOfItsOwn:
         if source == "schema":
             schema = pipeline._functional_oracle()
             assert [
-                engine.fusion.functional_of(predicate)
+                engine.functional_of(predicate)
                 for predicate in sorted(decided)
             ] == [schema(predicate) for predicate in sorted(decided)]
         assert engine.result.canonical_bytes() == (
-            pipeline._build_fusion(engine.fusion.functional_of)
+            pipeline._build_fusion(engine.functional_of)
             .fuse(canonical_claims(engine.store.copy()))
             .canonical_bytes()
         )

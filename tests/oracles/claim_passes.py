@@ -1,7 +1,7 @@
 """The claim passes between a claim set and the kernels, re-hashing.
 
 ``compile_claims``, ``HierarchicalFusion._expand``, ``shard_claims`` /
-``_component_map`` and ``KnowledgeFusion._apply_extractor_weights`` as
+``_component_map`` and ``KnowledgeFusion.reweighted`` as
 they were written first: each builds a :class:`ClaimSet` of its own
 through ``add`` (a key tuple, a hash and a dict store per claim) or
 asks ``values_of`` for a dict per item, and ``compile_claims`` finds a
@@ -203,7 +203,7 @@ class HierarchicalFusionAddingEveryClaim(HierarchicalFusion):
 class KnowledgeFusionAddingEveryClaim(KnowledgeFusion):
     """:class:`KnowledgeFusion` reweighting through ``ClaimSet.add``."""
 
-    def _apply_extractor_weights(
+    def reweighted(
         self, claims: Iterable[Claim], weights: dict[str, float]
     ) -> ClaimSet:
         """Fold extractor-correlation discounts into claim confidences."""

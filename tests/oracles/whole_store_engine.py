@@ -50,6 +50,7 @@ class WholeStoreEngine:
     def __init__(self, fusion, store, *, functional_refresh=None) -> None:
         self.fusion = fusion
         self.store = store
+        self.functional_of = fusion.functional_of
         self.functional_refresh = functional_refresh
         self.entries: list[_Entry] = []
         self.result: FusionResult | None = None
@@ -83,11 +84,7 @@ class WholeStoreEngine:
     def _compute(self, store, prior):
         fusion = self.fusion
         claims = canonical_claims(store)
-        working = claims
-        if fusion.use_extractor_correlations:
-            working = fusion._apply_extractor_weights(
-                claims, fusion._extractor_weights(claims)
-            )
+        working = fusion.reweighted(claims, fusion.extractor_weights(claims))
         stats = {
             "dirty": 0, "reused": 0, "reused_verdicts": 0,
             "refused_claims": 0,
@@ -102,17 +99,8 @@ class WholeStoreEngine:
                 stats["reused"] += 1
                 stats["reused_verdicts"] += len(cached.result.truths)
             else:
-                source_weights = (
-                    fusion._source_weights(shard)
-                    if fusion.use_source_correlations
-                    else None
-                )
                 entries.append(
-                    _Entry(
-                        sources,
-                        digest,
-                        fusion._base_method(source_weights).fuse(shard),
-                    )
+                    _Entry(sources, digest, fusion.fuse_component(shard))
                 )
                 stats["dirty"] += 1
                 stats["refused_claims"] += len(shard)
@@ -131,7 +119,6 @@ class WholeStoreEngine:
         if converged and all(round_ is not None for round_ in converged):
             merged.converged_at = max(converged)
         if self.functional_refresh is not None:
-            fusion.functional_of = self.functional_refresh(claims)
-        if fusion.functional_of is not None:
-            fusion._constrain_functional(merged)
+            self.functional_of = self.functional_refresh(claims)
+        fusion.constrain_functional(merged, self.functional_of)
         return entries, merged, stats

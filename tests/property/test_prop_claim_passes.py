@@ -1,7 +1,7 @@
 """Property tests: the claim passes equal their re-hashing oracles.
 
 ``compile_claims``, ``HierarchicalFusion._expand``, ``shard_claims``
-and ``KnowledgeFusion._apply_extractor_weights`` inherit the item runs
+and ``KnowledgeFusion.reweighted`` inherit the item runs
 of the claim set they are handed; ``tests.oracles.claim_passes`` has
 the bodies that built a ``ClaimSet`` through ``add`` at every stage.
 Both must return the same thing *in order* — every ``CompiledClaims``
@@ -188,10 +188,10 @@ class TestPassesEqualTheirOracles:
         claims, _hierarchy = case
         ours = KnowledgeFusion(
             use_confidence=use_confidence
-        )._apply_extractor_weights(claims, weights)
+        ).reweighted(claims, weights)
         theirs = oracle.KnowledgeFusionAddingEveryClaim(
             use_confidence=use_confidence
-        )._apply_extractor_weights(claims, weights)
+        ).reweighted(claims, weights)
         _assert_same_set(ours, theirs)
         # An undiscounted claim stands for itself in both.
         assert [

@@ -314,6 +314,37 @@ def test_only_the_server_applies_deltas():
     assert callers == DELTA_APPLIERS
 
 
+def _is_the_engines_fusion(node) -> bool:
+    """``self.fusion``, or the local ``fusion`` the engine binds it to."""
+    if isinstance(node, ast.Name):
+        return node.id == "fusion"
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "fusion"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
+def test_the_engine_fuses_through_public_steps_only():
+    """The incremental engine runs the steps that define a fuse
+    (repro.fusion.knowledge_fusion) and keeps no copy of them: it reads
+    no private attribute of its fusion object and writes none."""
+    path = Path(repro.__file__).parent / "incremental" / "engine.py"
+    tree = ast.parse(path.read_text())
+    offenders = [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and _is_the_engines_fusion(node.value)
+        and (node.attr.startswith("_") or not isinstance(node.ctx, ast.Load))
+    ]
+    assert offenders == []
+    assert "setattr" not in {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+    }
+
+
 def test_serving_import_loads_no_worker_machinery():
     """A server process pays for no pool it never starts, and the
     MapReduce engine loads when a sharded fuse first needs it."""

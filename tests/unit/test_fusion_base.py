@@ -144,7 +144,6 @@ class TestTruthSetsAreFrozen:
     @staticmethod
     def _producers():
         from repro.evalx.metrics import remap_subjects
-        from repro.faults import RetryPolicy
         from repro.fusion import (
             Accu,
             GeneralizedSums,
@@ -184,9 +183,6 @@ class TestTruthSetsAreFrozen:
         producers.update({
             "KnowledgeFusion, no hierarchy": KnowledgeFusion(
                 functional_of=lambda predicate: True
-            ).fuse,
-            "KnowledgeFusion, sharded": KnowledgeFusion(
-                retry=RetryPolicy(), **functional
             ).fuse,
             "mr_vote": mr_vote,
             "mr_accu": mr_accu,

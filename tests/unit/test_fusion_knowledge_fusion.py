@@ -150,7 +150,7 @@ class TestExtractorReweighting:
         weights = {"ex0": 1.0, "ex1": 0.5}
         for use_confidence in (True, False):
             fusion = KnowledgeFusion(use_confidence=use_confidence)
-            got = list(fusion._apply_extractor_weights(claims, weights))
+            got = list(fusion.reweighted(claims, weights))
             for before, after in zip(claims, got, strict=True):
                 base = before.confidence if use_confidence else 1.0
                 want = max(

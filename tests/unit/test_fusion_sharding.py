@@ -10,7 +10,10 @@ from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.fusion.multitruth import MultiTruth
 from repro.fusion.sharding import ShardStats, fuse_sharded, shard_claims
 from repro.fusion.vote import Vote
+from repro.incremental import ClaimDelta, canonical_claims
+from repro.rdf.store import TripleStore
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
+from repro.synth.deltas import scored_from_claims
 
 
 def namespaced_world(seed, namespace, **overrides):
@@ -138,11 +141,27 @@ class TestKnowledgeFusionParallel:
         assert parallel.truths == serial.truths
         assert parallel_method.last_shard_stats.components == 3
 
-    def test_serial_run_clears_stats(self):
+    def test_a_retry_policy_does_not_change_the_beliefs(self):
+        # One fuse path: a policy only decides whether a failed
+        # component task is retried, at every tolerance.
         merged = three_component_claims()
-        method = KnowledgeFusion(retry=RetryPolicy())
-        method.fuse(merged)
-        assert method.last_shard_stats is not None
-        method.retry = None
-        method.fuse(merged)
-        assert method.last_shard_stats is None
+        assert (
+            KnowledgeFusion(retry=RetryPolicy()).fuse(merged).canonical_bytes()
+            == KnowledgeFusion().fuse(merged).canonical_bytes()
+        )
+
+    def test_a_served_prime_equals_the_fuse(self):
+        store = TripleStore()
+        store.add_all(scored_from_claims(three_component_claims()))
+        expected = KnowledgeFusion().fuse(canonical_claims(store.copy()))
+        engine = KnowledgeFusion().begin_incremental(store)
+        assert engine.components == 3
+        assert engine.result.canonical_bytes() == expected.canonical_bytes()
+        # ... and so does a version re-fused from one dirty component.
+        first = next(iter(engine.store.claims()))
+        outcome = engine.apply_delta(ClaimDelta(retracted=[first.triple]))
+        assert outcome.dirty_components == 1
+        expected = KnowledgeFusion().fuse(
+            canonical_claims(engine.store.copy())
+        )
+        assert engine.result.canonical_bytes() == expected.canonical_bytes()

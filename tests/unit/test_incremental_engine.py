@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.errors import DeltaError
-from repro.faults import RetryPolicy
 from repro.fusion.correlations import CorrelationEstimator
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.fusion.sharding import merge_results, shard_claims
@@ -82,8 +81,7 @@ class TestPrime:
     def test_prime_and_the_sharded_fuse_share_one_copying_merge(self):
         store = _corpus()
         claims = canonical_claims(store.copy())
-        # A retry policy sends the fuse through fuse_sharded.
-        sharded = _fusion(retry=RetryPolicy()).fuse(claims)
+        sharded = _fusion().fuse(claims)
         engine = _fusion().begin_incremental(store)
         assert engine.result.canonical_bytes() == sharded.canonical_bytes()
         # The merged truth sets are the components' own, not copies —
@@ -209,8 +207,8 @@ class TestApplyDelta:
         # The one way left to change a served result: rebind an item,
         # as the functional constraint does ...
         before = dict(outcome.result.truths)
-        _fusion(functional_of=lambda predicate: True)._constrain_functional(
-            outcome.result
+        _fusion().constrain_functional(
+            outcome.result, lambda predicate: True
         )
         rebound = [
             item for item, values in outcome.result.truths.items()

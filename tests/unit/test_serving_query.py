@@ -4,11 +4,12 @@ import pytest
 
 from repro.errors import ServingError
 from repro.fusion.knowledge_fusion import KnowledgeFusion
-from repro.incremental import canonical_claims
+from repro.incremental import ClaimDelta, canonical_claims
 from repro.obs.metrics import MetricsRegistry
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 from repro.serving.query import KBReader
+from repro.serving.server import KBServer
 from repro.serving.version import KBVersion, VersionedKB
 
 
@@ -80,6 +81,31 @@ class TestVersionedKB:
         assert summary["version_id"] == 0
         assert summary["claims"] == len(CORPUS)
         assert summary["fused_items"] == len(version.result.truths)
+
+    def test_describe_agrees_with_the_server_status(self):
+        # Regression: describe() reported the size of the dedup fence,
+        # which ages with log compaction, as "applied_events".
+        store = TripleStore()
+        store.add_all(CORPUS)
+        server = KBServer(
+            KnowledgeFusion(tolerance=0.0, max_iterations=8)
+            .begin_incremental(store)
+        )
+        for index in range(4):
+            server.publish(
+                ClaimDelta(
+                    added=[claim(f"city{index}", "capital", "x", "s1")]
+                )
+            )
+        assert len(server.drain()) == 4
+        summary = server.versions.current.describe()
+        status = server.status().to_json_dict()
+        shared = summary.keys() & status.keys()
+        assert shared >= {"version_id", "sequence"}
+        assert {key: summary[key] for key in shared} == {
+            key: status[key] for key in shared
+        }
+        assert status["applied_events"] == summary["version_id"] == 4
 
 
 class TestPointLookups:
