@@ -1,9 +1,13 @@
-"""Scale-up — fusion as MapReduce jobs (Sec. 3.1 / Dong et al. [13]).
+"""Scale-up — fusion as the fuse's MapReduce job (Sec. 3.1 / Dong et al. [13]).
 
-Runs VOTE and ACCU both in memory and on the local MapReduce engine
-over growing claim volumes.  Expected shape: identical decisions at
-every size (the jobs are the same algorithm), near-linear growth of the
-MapReduce wall time, and constant decision quality.
+Builds claim sets of 4, 16 and 64 independent claim worlds (item and
+source ids prefixed per world, so each world is one connected
+component) and runs VOTE and ACCU both in memory over the whole set
+and as the job every ``KnowledgeFusion.fuse`` runs — ``fuse_sharded``,
+a reduce group per component.  Expected shape: identical truths at
+every size (at ``tolerance=0`` a component's fuse replays the global
+run's float operations), one reduce group per world, and wall time
+growing with the claim count.
 """
 
 import time
@@ -11,74 +15,106 @@ import time
 import pytest
 
 from benchmarks.conftest import emit_report
-from repro.evalx.tables import format_ratio, render_table
+from repro.evalx.tables import render_table
 from repro.fusion.accu import Accu
+from repro.fusion.base import Claim, ClaimSet
+from repro.fusion.knowledge_fusion import KnowledgeFusion
+from repro.fusion.sharding import fuse_sharded
 from repro.fusion.vote import Vote
-from repro.mapreduce.jobs import mr_accu, mr_vote
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
 
-ITEM_COUNTS = [100, 400, 1600]
+WORLD_COUNTS = [4, 16, 64]
+
+
+def worlds_claims(worlds: int) -> ClaimSet:
+    """``worlds`` claim worlds, ids prefixed per world: one component each."""
+    claims = ClaimSet()
+    for index in range(worlds):
+        world = generate_claim_world(
+            ClaimWorldConfig(seed=47 + index, n_items=25, n_sources=10)
+        )
+        prefix = f"w{index:03d}/"
+        for claim in world.claims:
+            claims.add(
+                Claim(
+                    item=(prefix + claim.item[0], claim.item[1]),
+                    value=claim.value,
+                    lexical=claim.lexical,
+                    source_id=prefix + claim.source_id,
+                    extractor_id=claim.extractor_id,
+                    confidence=claim.confidence,
+                )
+            )
+    return claims
+
+
+def _timed(run):
+    started = time.perf_counter()
+    result = run()
+    return result, time.perf_counter() - started
+
+
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1000:.1f}ms"
 
 
 @pytest.fixture(scope="module")
 def sweep():
     rows = []
-    agreements = []
-    for n_items in ITEM_COUNTS:
-        world = generate_claim_world(
-            ClaimWorldConfig(seed=47, n_items=n_items, n_sources=10)
+    checks = []
+    for worlds in WORLD_COUNTS:
+        claims = worlds_claims(worlds)
+        vote, vote_seconds = _timed(lambda: Vote().fuse(claims))
+        (mr_vote, _stats), mr_vote_seconds = _timed(
+            lambda: fuse_sharded(Vote(), claims)
         )
-        started = time.perf_counter()
-        memory_vote = Vote().fuse(world.claims)
-        memory_seconds = time.perf_counter() - started
+        accu = Accu(tolerance=0.0, max_iterations=5)
+        memory_accu, accu_seconds = _timed(lambda: accu.fuse(claims))
+        (mr_accu, _stats), mr_accu_seconds = _timed(
+            lambda: fuse_sharded(accu, claims)
+        )
+        fusion = KnowledgeFusion(tolerance=0.0)
+        _result, fusion_seconds = _timed(lambda: fusion.fuse(claims))
+        components = fusion.last_shard_stats.components
 
-        started = time.perf_counter()
-        distributed_vote = mr_vote(world.claims, partitions=4)
-        distributed_seconds = time.perf_counter() - started
-
-        vote_agree = distributed_vote.truths == memory_vote.truths
-
-        memory_accu = Accu(max_iterations=5).fuse(world.claims)
-        distributed_accu = mr_accu(world.claims, rounds=5, partitions=4)
-        accu_agree = sum(
-            1
-            for item, truth in memory_accu.truths.items()
-            if distributed_accu.truths.get(item) == truth
-        ) / len(memory_accu.truths)
-
-        agreements.append((vote_agree, accu_agree))
+        vote_equal = mr_vote.truths == vote.truths
+        accu_equal = mr_accu.truths == memory_accu.truths
+        checks.append((worlds, vote_equal, accu_equal, components))
         rows.append(
             [
-                n_items,
-                len(world.claims),
-                f"{memory_seconds * 1000:.1f}ms",
-                f"{distributed_seconds * 1000:.1f}ms",
-                "yes" if vote_agree else "NO",
-                format_ratio(accu_agree),
-                format_ratio(world.precision_of(distributed_accu.truths)),
+                worlds,
+                len(claims),
+                _ms(vote_seconds),
+                _ms(mr_vote_seconds),
+                _ms(accu_seconds),
+                _ms(mr_accu_seconds),
+                _ms(fusion_seconds),
+                "yes" if vote_equal else "NO",
+                "yes" if accu_equal else "NO",
+                components,
             ]
         )
-    return rows, agreements
+    return rows, checks
 
 
 def test_scalability_report(sweep, benchmark):
-    rows, agreements = sweep
-    world = generate_claim_world(
-        ClaimWorldConfig(seed=47, n_items=400, n_sources=10)
-    )
+    rows, checks = sweep
+    claims = worlds_claims(16)
     benchmark.pedantic(
-        lambda: mr_vote(world.claims, partitions=4), rounds=3, iterations=1
+        lambda: fuse_sharded(Vote(), claims), rounds=3, iterations=1
     )
     table = render_table(
         [
-            "items", "claims", "in-memory VOTE", "MR VOTE",
-            "VOTE agrees", "ACCU agreement", "MR ACCU precision",
+            "worlds", "claims", "in-memory VOTE", "MR VOTE",
+            "in-memory ACCU", "MR ACCU", "KnowledgeFusion",
+            "VOTE equal", "ACCU equal", "components",
         ],
         rows,
-        title="Scale-up: fusion on the MapReduce engine",
+        title="Scale-up: fusion as the fuse's MapReduce job",
     )
     emit_report("scalability", table)
 
-    for vote_agree, accu_agree in agreements:
-        assert vote_agree
-        assert accu_agree > 0.95
+    for worlds, vote_equal, accu_equal, components in checks:
+        assert vote_equal, worlds
+        assert accu_equal, worlds
+        assert components == worlds

@@ -45,7 +45,8 @@ class ServingError(ReproError):
 
     Covers version-handle misuse (committing a non-monotonic version)
     and stream-consumer misconfiguration; *not* raised for consumer
-    task failures, which go through retry/poison handling instead.
+    task failures, which the consumer retries and then parks as poison
+    deltas instead.
     """
 
 
@@ -65,10 +66,11 @@ class BackpressureError(ReproError):
 class RetryExhaustedError(ReproError):
     """Raised when a task keeps failing after every allowed attempt.
 
-    The MapReduce engine raises this once a map partition or reduce
+    The MapReduce engine raises this once its map task or a reduce
     chunk has failed ``RetryPolicy.max_attempts`` times (the last
-    underlying failure is chained as ``__cause__``).  With retries
-    disabled a single failure exhausts the budget immediately.
+    underlying failure is chained as ``__cause__``), so a fuse either
+    covers every component or raises.  With retries disabled a single
+    failure exhausts the budget immediately.
     """
 
 

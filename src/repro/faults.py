@@ -31,7 +31,8 @@ take one.
 Scope naming convention used across the repo:
 
 * ``"map"`` / ``"reduce"`` — MapReduce task wrappers
-  (:mod:`repro.mapreduce.engine`), indexed by partition/chunk;
+  (:mod:`repro.mapreduce.engine`): ``map`` is the one map task, index
+  0; ``reduce`` is indexed by reduce chunk;
 * ``"stage:<name>"`` — pipeline stages (``stage:dom-extraction``,
   ``stage:fusion``, ...), always index 0;
 * ``"records:<source>"`` — extractor input streams
@@ -221,17 +222,11 @@ class RetryPolicy:
     ``timeout`` bounds one task's measured duration (real wall time
     plus any injected slow-call seconds); a breach counts in
     ``JobStats.timed_out_tasks`` and is retried like a crash.
-    With ``resplit_poison`` a MapReduce partition that fails every
-    attempt is re-split into single-record tasks: records that still
-    fail are dropped and counted in ``JobStats.poisoned_records``
-    instead of sinking the job (reduce chunks re-split into single
-    key-groups the same way).
     """
 
     max_attempts: int = 3
     backoff_base: float = 0.05
     timeout: float | None = None
-    resplit_poison: bool = False
     sleep: Callable[[float], None] = time.sleep
 
     def __post_init__(self) -> None:

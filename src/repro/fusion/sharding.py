@@ -19,7 +19,9 @@ shard.
 ``KnowledgeFusion.fuse`` is one — for its per-task retries and its
 determinism contract (reduce groups processed in sorted key order,
 results merged deterministically).  The fusion method is bound into
-the reducer, like the accuracy snapshot in ``mr_accu``.
+the reducer with ``functools.partial``, which keeps the job picklable.
+A component task that fails every allowed attempt fails the fuse: the
+merged result always covers every component.
 
 Caveat: a component that satisfies its convergence tolerance early
 exits on its *own* delta, while one run of a method over the whole set
@@ -173,18 +175,18 @@ def fuse_sharded(
     :class:`repro.obs.MetricsRegistry`) receives its ``mapreduce_*``
     counters.
     """
-    # Imported here: repro.mapreduce.jobs imports repro.fusion.base, and
-    # only this function needs the engine.
+    # Imported here, where a fuse first needs the engine: importing
+    # repro.serving.server (which reaches this module) loads no
+    # repro.mapreduce.
     from repro.mapreduce.engine import MapReduceJob
 
     if len(claims) == 0:
         raise FusionError(f"{method.name}: empty claim set")
 
-    # One map partition: the mapper only keys each shard by its index.
+    # The mapper only keys each shard by its index.
     job: MapReduceJob = MapReduceJob(
         _component_mapper,
         functools.partial(_component_reducer, method),
-        partitions=1,
         retry=retry,
         fault_plan=fault_plan,
         metrics=metrics,

@@ -1,12 +1,8 @@
-"""Local MapReduce engine and fusion jobs (the scale-out substrate)."""
+"""Local MapReduce engine: the substrate every fuse runs on."""
 
-from repro.mapreduce.engine import JobStats, MapReduceJob, word_count
-from repro.mapreduce.jobs import mr_accu, mr_vote
+from repro.mapreduce.engine import JobStats, MapReduceJob
 
 __all__ = [
     "JobStats",
     "MapReduceJob",
-    "mr_accu",
-    "mr_vote",
-    "word_count",
 ]

@@ -2,7 +2,7 @@
 
 The acceptance contract, verified against a real (small) world:
 
-* a seeded fault plan with a map-partition crash and a corrupted input
+* a seeded fault plan with a map-task crash and a corrupted input
   record, run with retries + quarantine enabled, completes with output
   byte-identical to the fault-free run;
 * the same plan with retries disabled raises RetryExhaustedError;
@@ -100,7 +100,7 @@ def noise_record_index(baseline):
 
 def _chaos_plan(noise_index: int) -> FaultPlan:
     # A transient crash in each phase of the build's fusion job (its
-    # map partition and its first reduce chunk) and >= 1 corrupted
+    # map task and its first reduce chunk) and >= 1 corrupted
     # input record, per the acceptance scenario.
     return (
         FaultPlan(seed=11)
@@ -297,6 +297,22 @@ class TestGracefulDegradation:
         twice = pipeline.run()
         assert _deterministic(twice) == _deterministic(once)
         assert _fused_signature(twice) == _fused_signature(once)
+
+    def test_a_fusion_task_that_never_succeeds_fails_the_run(self):
+        # Every retry fails the reduce chunk: the run raises and books
+        # the fusion stage as failed rather than fusing a part of the
+        # claim graph.
+        pipeline = KnowledgeBaseConstructionPipeline(
+            _config(
+                retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+                fault_plan=FaultPlan().crash("reduce", index=0, attempts=0),
+            )
+        )
+        with pytest.raises(RetryExhaustedError):
+            pipeline.run()
+        report = pipeline.last_report
+        assert "fusion" in report.health.degraded
+        assert report.fusion_result is None
 
     def test_below_min_sources_floor_raises(self):
         plan = (

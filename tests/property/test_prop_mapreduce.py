@@ -11,41 +11,26 @@ records = st.lists(
 )
 
 
-def sum_job(partitions, combiner=False):
+def sum_job():
     return MapReduceJob(
         lambda record: [(record[0], record[1])],
         lambda key, values: [(key, sum(values))],
-        combiner=(lambda key, values: [sum(values)]) if combiner else None,
-        partitions=partitions,
     )
 
 
 class TestEngineInvariants:
-    @given(records, st.integers(min_value=1, max_value=8))
-    @settings(max_examples=60)
-    def test_partition_invariance(self, data, partitions):
-        baseline = dict(sum_job(1).run(data))
-        assert dict(sum_job(partitions).run(data)) == baseline
-
-    @given(records, st.integers(min_value=1, max_value=8))
-    @settings(max_examples=60)
-    def test_combiner_invariance(self, data, partitions):
-        plain = dict(sum_job(partitions).run(data))
-        combined = dict(sum_job(partitions, combiner=True).run(data))
-        assert plain == combined
-
     @given(records)
     @settings(max_examples=60)
     def test_matches_direct_aggregation(self, data):
         expected = {}
         for key, value in data:
             expected[key] = expected.get(key, 0) + value
-        assert dict(sum_job(3).run(data)) == expected
+        assert dict(sum_job().run(data)) == expected
 
     @given(records)
     @settings(max_examples=60)
     def test_stats_accounting(self, data):
-        job = sum_job(2)
+        job = sum_job()
         output = job.run(data)
         assert job.stats.input_records == len(data)
         assert job.stats.map_output_records == len(data)

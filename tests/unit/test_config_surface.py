@@ -32,8 +32,7 @@ from repro.fusion.confidence_weighted import GeneralizedSums, Investment
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.fusion.multitruth import MultiTruth
 from repro.fusion.sharding import ShardStats, fuse_sharded
-from repro.mapreduce.engine import MapReduceJob
-from repro.mapreduce.jobs import mr_accu, mr_vote
+from repro.mapreduce.engine import JobStats, MapReduceJob
 from repro.rdf.backend import StorageBackend
 from repro.rdf.store import TripleStore
 
@@ -84,20 +83,15 @@ KEYWORD_ONLY = {
         "cluster_threshold", "profile_weight", "brute_floor",
     },
     AttributeResolver: {"profile_jaccard", "stats"},
-    MapReduceJob: {
-        "combiner", "partitions", "retry", "fault_plan", "metrics",
-    },
-    mr_vote: {"partitions", "retry", "fault_plan"},
-    mr_accu: {
-        "n_false_values", "initial_accuracy", "rounds", "partitions",
-        "min_accuracy", "max_accuracy", "retry", "fault_plan",
-    },
+    MapReduceJob: {"retry", "fault_plan", "metrics"},
     fuse_sharded: {"retry", "fault_plan", "metrics"},
 }
 
 DATACLASS_FIELDS = {
-    RetryPolicy: {
-        "max_attempts", "backoff_base", "timeout", "resplit_poison", "sleep",
+    RetryPolicy: {"max_attempts", "backoff_base", "timeout", "sleep"},
+    JobStats: {
+        "input_records", "map_output_records", "reduce_groups",
+        "output_records", "attempts", "retries", "timed_out_tasks",
     },
     ShardStats: {
         "components", "component_claims", "attempts", "retries",
@@ -105,9 +99,7 @@ DATACLASS_FIELDS = {
     },
 }
 
-MAPREDUCE_EXPORTS = {
-    "JobStats", "MapReduceJob", "mr_accu", "mr_vote", "word_count",
-}
+MAPREDUCE_EXPORTS = {"JobStats", "MapReduceJob"}
 
 CLI_SUBCOMMANDS = {"pipeline", "drift", "copying", "tenants", "query"}
 

@@ -153,7 +153,6 @@ class TestTruthSetsAreFrozen:
             MultiTruth,
             PopAccu,
         )
-        from repro.mapreduce.jobs import mr_accu, mr_vote
         from repro.synth.claims import ClaimWorldConfig, generate_claim_world
 
         world = generate_claim_world(
@@ -184,8 +183,6 @@ class TestTruthSetsAreFrozen:
             "KnowledgeFusion, no hierarchy": KnowledgeFusion(
                 functional_of=lambda predicate: True
             ).fuse,
-            "mr_vote": mr_vote,
-            "mr_accu": mr_accu,
             # Every subject folded onto one: truth sets are united.
             "remap_subjects": lambda claims: remap_subjects(
                 MultiTruth().fuse(claims),

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import FusionError
-from repro.faults import RetryPolicy
+from repro.errors import FusionError, RetryExhaustedError
+from repro.faults import FaultPlan, InjectedFault, RetryPolicy
 from repro.fusion.accu import Accu
 from repro.fusion.base import Claim, ClaimSet
 from repro.fusion.knowledge_fusion import KnowledgeFusion
@@ -149,6 +149,18 @@ class TestKnowledgeFusionParallel:
             KnowledgeFusion(retry=RetryPolicy()).fuse(merged).canonical_bytes()
             == KnowledgeFusion().fuse(merged).canonical_bytes()
         )
+
+    def test_a_component_task_that_never_succeeds_fails_the_fuse(self):
+        # Regression: a policy could once re-split the exhausted chunk
+        # and drop its components, returning fewer items than the
+        # claims hold without an error.
+        fusion = KnowledgeFusion(
+            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+            fault_plan=FaultPlan().crash("reduce", index=0, attempts=0),
+        )
+        with pytest.raises(RetryExhaustedError) as excinfo:
+            fusion.fuse(three_component_claims())
+        assert isinstance(excinfo.value.__cause__, InjectedFault)
 
     def test_a_served_prime_equals_the_fuse(self):
         store = TripleStore()

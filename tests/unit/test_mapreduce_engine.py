@@ -1,37 +1,19 @@
 """Unit tests for the local MapReduce engine."""
 
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
-from repro.errors import ReproError
-from repro.mapreduce.engine import MapReduceJob, word_count
-
-
-class TestWordCount:
-    def test_counts(self):
-        counts = word_count(["a b a", "b c", "A"])
-        assert counts == {"a": 3, "b": 2, "c": 1}
-
-    def test_empty_input(self):
-        assert word_count([]) == {}
+from repro.fusion import sharding
+from repro.fusion.accu import Accu
+from repro.mapreduce import engine
+from repro.mapreduce.engine import MapReduceJob
+from tests.unit.test_fusion_sharding import three_component_claims
 
 
 class TestJobMechanics:
-    def test_bad_partitions_rejected(self):
-        with pytest.raises(ReproError):
-            MapReduceJob(lambda x: [], lambda k, v: [], partitions=0)
-
-    def test_partition_count_does_not_change_result(self):
-        documents = [f"w{i % 5} w{i % 3}" for i in range(50)]
-        results = []
-        for partitions in (1, 3, 7):
-            job = MapReduceJob(
-                lambda doc: [(word, 1) for word in doc.split()],
-                lambda word, counts: [(word, sum(counts))],
-                partitions=partitions,
-            )
-            results.append(dict(job.run(documents)))
-        assert results[0] == results[1] == results[2]
-
     @pytest.mark.parametrize("cpus", [1, 64])
     def test_stats_do_not_depend_on_the_host(self, monkeypatch, cpus):
         # Reduce chunks were once sized from os.cpu_count(): the same
@@ -48,32 +30,7 @@ class TestJobMechanics:
         patched_output, patched_stats = run()
         assert patched_output == output
         assert patched_stats == stats
-        assert stats.attempts == 4 + 4  # map partitions + reduce chunks
-
-    def test_combiner_preserves_result(self):
-        documents = [f"w{i % 5}" for i in range(40)]
-        plain = MapReduceJob(
-            lambda doc: [(word, 1) for word in doc.split()],
-            lambda word, counts: [(word, sum(counts))],
-        )
-        combined = MapReduceJob(
-            lambda doc: [(word, 1) for word in doc.split()],
-            lambda word, counts: [(word, sum(counts))],
-            combiner=lambda word, counts: [sum(counts)],
-        )
-        assert dict(plain.run(documents)) == dict(combined.run(documents))
-
-    def test_combiner_reduces_shuffle_volume(self):
-        documents = ["x x x x"] * 10
-        job = MapReduceJob(
-            lambda doc: [(word, 1) for word in doc.split()],
-            lambda word, counts: [(word, sum(counts))],
-            combiner=lambda word, counts: [sum(counts)],
-            partitions=2,
-        )
-        job.run(documents)
-        assert job.stats.map_output_records == 40
-        assert job.stats.combine_output_records == 2
+        assert stats.attempts == 1 + 4  # the map task + reduce chunks
 
     def test_stats_populated(self):
         job = MapReduceJob(
@@ -101,7 +58,7 @@ class TestJobMechanics:
 class TestPipeline:
     def test_chained_jobs(self):
         # Job 1: word counts; job 2: bucket counts by parity.  A job's
-        # output list is the next job's input (how mr_accu iterates).
+        # output list is the next job's input.
         count_job = MapReduceJob(
             lambda doc: [(word, 1) for word in doc.split()],
             lambda word, counts: [(word, sum(counts))],
@@ -161,7 +118,6 @@ class TestJobMetrics:
         job = MapReduceJob(
             _word_mapper,
             _sum_reducer,
-            partitions=2,
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
             fault_plan=plan,
             metrics=registry,
@@ -195,3 +151,50 @@ class TestJobMetrics:
         counters = registry.snapshot().counters
         assert counters["mapreduce_jobs_total"] == 1
         assert counters["mapreduce_attempts_total"] >= 1
+
+
+def _run_on_pool(pool, job, records):
+    """``job``'s map → shuffle → reduce with every task sent to ``pool``.
+
+    ``pool.map`` pickles the task (and with it the job's mapper and
+    reducer) and returns results in submission order, so the merge
+    below is the engine's: sorted keys, chunk by chunk.
+    """
+    ((shuffled, _map_output),) = pool.map(
+        functools.partial(engine._map_records, job.mapper), [records]
+    )
+    chunk_outputs = pool.map(
+        functools.partial(engine._reduce_chunk, job.reducer),
+        job._chunk_groups(sorted(shuffled, key=repr), shuffled),
+    )
+    return [
+        record
+        for chunk_output in chunk_outputs
+        for group_output in chunk_output
+        for record in group_output
+    ]
+
+
+def test_jobs_distribute_to_the_same_bytes():
+    """The engine starts no worker, but its tasks stay distributable:
+    the fuse's own job — a record per component, ACCU bound into the
+    reducer — run on a two-process pool owned by this test, gives the
+    in-process output."""
+    records = list(enumerate(sharding.shard_claims(three_component_claims())))
+    job = MapReduceJob(
+        sharding._component_mapper,
+        functools.partial(sharding._component_reducer, Accu(tolerance=0.0)),
+    )
+
+    def as_bytes(output):
+        return [
+            (component, n_claims, result.canonical_bytes())
+            for component, n_claims, result in output
+        ]
+
+    with ProcessPoolExecutor(
+        max_workers=2, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        distributed = _run_on_pool(pool, job, records)
+    assert len(distributed) == 3
+    assert as_bytes(distributed) == as_bytes(job.run(records))

@@ -11,8 +11,6 @@ import pytest
 from repro.errors import ReproError, RetryExhaustedError, StageTimeoutError
 from repro.faults import FaultPlan, InjectedFault, RetryPolicy
 from repro.mapreduce.engine import MapReduceJob
-from repro.mapreduce.jobs import mr_vote
-from repro.fusion.base import Claim, ClaimSet
 
 WORDS = [
     "fusion", "vote", "fusion", "accu", "claim", "vote", "fusion",
@@ -35,7 +33,7 @@ def _poison_mapper(record):
 
 
 def _job(**kwargs) -> MapReduceJob:
-    return MapReduceJob(_mapper, _reducer, partitions=3, **kwargs)
+    return MapReduceJob(_mapper, _reducer, **kwargs)
 
 
 def _clean_output():
@@ -64,7 +62,7 @@ class TestRetryPolicy:
 
 class TestGuardedExecution:
     def test_transient_crash_is_retried_to_identical_output(self):
-        plan = FaultPlan(seed=1).crash("map", index=1, attempts=1)
+        plan = FaultPlan(seed=1).crash("map", index=0, attempts=1)
         job = _job(
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
             fault_plan=plan,
@@ -74,12 +72,12 @@ class TestGuardedExecution:
         assert job.stats.attempts > 0
 
     def test_retries_disabled_raises_retry_exhausted(self):
-        plan = FaultPlan(seed=1).crash("map", index=1, attempts=1)
+        plan = FaultPlan(seed=1).crash("map", index=0, attempts=1)
         job = _job(fault_plan=plan)  # no retry policy: single attempt
         with pytest.raises(RetryExhaustedError) as excinfo:
             job.run(WORDS)
         assert isinstance(excinfo.value.__cause__, InjectedFault)
-        assert "map task 1" in str(excinfo.value)
+        assert "map task 0" in str(excinfo.value)
 
     def test_permanent_crash_exhausts_even_with_retries(self):
         plan = FaultPlan(seed=1).crash("reduce", index=0, attempts=0)
@@ -128,60 +126,26 @@ class TestGuardedExecution:
         assert isinstance(excinfo.value.__cause__, StageTimeoutError)
         assert job.stats.timed_out_tasks == 2
 
-    def test_poison_resplit_drops_only_the_poison_record(self):
-        records = WORDS + ["poison"]
+    def test_a_poison_record_sinks_the_job(self):
         job = MapReduceJob(
             _poison_mapper,
             _reducer,
-            partitions=3,
-            retry=RetryPolicy(
-                max_attempts=2, backoff_base=0.0, resplit_poison=True
-            ),
-        )
-        assert job.run(records) == _clean_output()
-        assert job.stats.poisoned_records == 1
-
-    def test_without_resplit_poison_record_sinks_the_job(self):
-        job = MapReduceJob(
-            _poison_mapper,
-            _reducer,
-            partitions=3,
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
         )
-        with pytest.raises(RetryExhaustedError):
+        with pytest.raises(RetryExhaustedError) as excinfo:
             job.run(WORDS + ["poison"])
+        # No record is dropped to save the job: the poison's own error
+        # is the cause, after both attempts.
+        assert isinstance(excinfo.value.__cause__, ValueError)
+        assert job.stats.attempts == 2
 
     def test_guarded_stats_start_from_clean_jobstats(self):
         job = _job(retry=RetryPolicy(max_attempts=2, backoff_base=0.0))
         job.run(WORDS)
         assert job.stats.retries == 0
-        assert job.stats.poisoned_records == 0
         # A job without a policy goes through the same dispatch with a
         # one-attempt budget: every task is counted once.
         plain = _job()
         plain.run(WORDS)
         assert plain.stats.attempts == job.stats.attempts > 0
         assert plain.stats.retries == 0
-
-
-class TestFusionJobPassthrough:
-    def _claims(self) -> ClaimSet:
-        claims = ClaimSet()
-        for source, value in (
-            ("s1", "a"), ("s2", "a"), ("s3", "b"), ("s1", "b"),
-        ):
-            claims.add(Claim(("e1", "p"), value, value, source, "ext"))
-            claims.add(Claim(("e2", "p"), value, value, source, "ext"))
-        return claims
-
-    def test_mr_vote_with_transient_fault_matches_clean_run(self):
-        claims = self._claims()
-        clean = mr_vote(claims)
-        plan = FaultPlan(seed=2).crash("map", index=0, attempts=1)
-        faulty = mr_vote(
-            claims,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-            fault_plan=plan,
-        )
-        assert faulty.truths == clean.truths
-        assert faulty.belief == clean.belief
