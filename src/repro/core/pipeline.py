@@ -20,11 +20,13 @@ Knowledge fusion
 
 Stages
     Every timed stage — 1, 2, 4, 5, 5b (joint entity resolution, when
-    ``discover_new_entities`` is on) and 6–10 — is entered through
-    :class:`_timed`, which fires the stage's fault point, times it
-    live and books the timing, span and metrics in one place.  The
-    configuration lives in :mod:`repro.core.config`, the drift /
-    copying / tenant scenario runs in :mod:`repro.core.scenarios`.
+    ``discover_new_entities`` is on) and 6–10 — is booked by
+    :class:`_timed`: timing, health, span and metrics in one place.
+    The four extraction stages run their body as one
+    :meth:`~repro.faults.RetryPolicy.call` (one attempt,
+    ``stage_timeout`` its deadline).  The configuration lives in
+    :mod:`repro.core.config`, the drift / copying / tenant scenario
+    runs in :mod:`repro.core.scenarios`.
 
 Fault tolerance
     The fusion framework is meant to run over noisy Web-scale inputs
@@ -67,8 +69,8 @@ from repro.core.augmentation import AugmentationReport, augment_kb
 from repro.core.checkpoint import CheckpointStore, config_fingerprint
 from repro.core.config import PipelineConfig
 from repro.core.quarantine import Quarantine, guard_records
-from repro.errors import PipelineError, StageTimeoutError
-from repro.faults import FaultPlan, InjectedFault
+from repro.errors import PipelineError, RetryExhaustedError
+from repro.faults import FaultPlan, InjectedFault, RetryPolicy, fire
 from repro.obs import MetricsRegistry, MetricsSnapshot, SpanTracer
 from repro.textproc.memo import clear_similarity_caches, publish_cache_metrics
 from repro.core.confidence import ConfidenceScorer
@@ -519,39 +521,47 @@ class KnowledgeBaseConstructionPipeline:
     # ------------------------------------------------------------------
     # Observability helpers.
 
-    def _stage_timer(
-        self, report: PipelineReport, stage: str, *, isolated: bool = False
-    ) -> "_timed":
+    def _stage_timer(self, report: PipelineReport, stage: str) -> "_timed":
         """A ``_timed`` wired to this run's tracer, metrics and faults."""
-        cfg = self.config
         return _timed(
             report,
             stage,
-            isolated=isolated,
             tracer=self.tracer,
             metrics=self.metrics,
-            fault_plan=cfg.fault_plan,
-            stage_timeout=cfg.stage_timeout,
+            fault_plan=self.config.fault_plan,
         )
 
     def _isolated_stage(self, report: PipelineReport, stage: str, body):
         """Run ``body(timing)`` as one isolated extraction stage.
 
+        The body is one guarded step: one attempt that fires the
+        ``stage:<name>`` point and must finish within ``stage_timeout``.
         Returns what the body returned, or None when the stage failed:
-        it raised, an injected fault fired, or it overran
-        ``stage_timeout``.  ``_timed`` has marked it degraded by then,
-        and the caller keeps a source's output only if its whole stage
-        held.
+        it raised, an injected fault fired, or it overran the deadline.
+        ``_timed`` books the underlying failure as degraded, and the
+        caller keeps a source's output only if its whole stage held.
         """
-        timer = self._stage_timer(report, stage, isolated=True)
+        cfg = self.config
+        policy = RetryPolicy(max_attempts=1, timeout=cfg.stage_timeout)
+        timer = _timed(
+            report, stage, isolated=True,
+            tracer=self.tracer, metrics=self.metrics,
+        )
         result = None
-        try:
-            with timer as timing:
-                result = body(timing)
-        except InjectedFault:
-            # Fired on entry, where a ``with`` block cannot be skipped
-            # from inside (``_timed.__enter__``).
-            pass
+        with timer as timing:
+            try:
+                result, record = policy.call(
+                    f"stage:{stage}",
+                    0,
+                    lambda: body(timing),
+                    plan=cfg.fault_plan,
+                )
+            except RetryExhaustedError as exhausted:
+                # Book the stage's own failure, not the one-attempt
+                # budget it exhausted.
+                timer.injected_seconds = exhausted.record.injected_seconds
+                raise exhausted.__cause__ from None
+            timer.injected_seconds = record.injected_seconds
         return None if timer.failed else result
 
     def _publish_fusion_metrics(
@@ -643,7 +653,6 @@ class KnowledgeBaseConstructionPipeline:
             self.quarantine,
             source,
             plan=self.config.fault_plan,
-            scope=f"records:{source}",
             start_index=start_index,
         )
 
@@ -920,12 +929,12 @@ class KnowledgeBaseConstructionPipeline:
 
 
 class _timed:
-    """Context manager running one pipeline stage.
+    """Context manager booking one pipeline stage.
 
-    On entry it fires the ``stage:<name>`` point of ``fault_plan`` — an
-    injected crash raises there, injected slow seconds are added to the
-    measured time, so deadline tests never sleep — and starts the
-    clock.  On exit it books the stage once, everywhere: the timing in
+    On entry it fires the ``stage:<name>`` point of ``fault_plan``, if
+    any, and starts the clock; injected slow seconds (and what the
+    caller adds to ``injected_seconds``) count as measured time.  On
+    exit it books the stage once, everywhere: the timing in
     ``report.timings``, the span, ``pipeline_stage_seconds`` and the
     success/failed counter.  The timing is appended whether or not the
     block raises: a failed stage still spent the time, and dropping it
@@ -936,11 +945,7 @@ class _timed:
 
     ``isolated`` is what happens next.  False (a stage everything
     downstream needs): the exception propagates.  True (an extraction
-    stage): it is suppressed — the run goes on without that source —
-    and ``stage_timeout`` applies: a stage that took longer fails with
-    :class:`StageTimeoutError` even though its block finished.  Only an
-    entry fault still propagates from an isolated stage, marked like
-    any other failure: a context manager cannot skip its own block.
+    stage): it is suppressed, and the run goes on without that source.
     """
 
     def __init__(
@@ -952,48 +957,33 @@ class _timed:
         tracer: SpanTracer | None = None,
         metrics: MetricsRegistry | None = None,
         fault_plan: FaultPlan | None = None,
-        stage_timeout: float | None = None,
     ) -> None:
         self.report = report
         self.stage = stage
         self.timing = StageTiming(stage, 0.0)
         self.failed = False
+        self.injected_seconds = 0.0
         self._isolated = isolated
         self._tracer = tracer
         self._metrics = metrics
         self._fault_plan = fault_plan
-        self._stage_timeout = stage_timeout
         self._span = None
-        self._injected_seconds = 0.0
 
     def __enter__(self) -> StageTiming:
         if self._tracer is not None:
             self._span = self._tracer.span(self.stage)
         self._start = time.perf_counter()
-        if self._fault_plan is not None:
-            try:
-                self._injected_seconds = self._fault_plan.task_delay(
-                    f"stage:{self.stage}", 0, 0
-                )
-            except InjectedFault as fault:
-                self._book(time.perf_counter() - self._start, fault)
-                raise
+        try:
+            self.injected_seconds = fire(
+                self._fault_plan, f"stage:{self.stage}"
+            )
+        except InjectedFault as fault:
+            self._book(time.perf_counter() - self._start, fault)
+            raise
         return self.timing
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        seconds = (
-            time.perf_counter() - self._start + self._injected_seconds
-        )
-        if (
-            exc is None
-            and self._isolated
-            and self._stage_timeout is not None
-            and seconds > self._stage_timeout
-        ):
-            exc = StageTimeoutError(
-                f"stage {self.stage} ran {seconds:.3f}s, "
-                f"over the {self._stage_timeout}s deadline"
-            )
+        seconds = time.perf_counter() - self._start + self.injected_seconds
         self._book(seconds, exc)
         return self._isolated and isinstance(exc, Exception)
 

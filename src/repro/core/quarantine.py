@@ -160,20 +160,20 @@ def guard_records(
     source: str,
     *,
     plan: FaultPlan | None = None,
-    scope: str | None = None,
     start_index: int = 0,
 ) -> list[object]:
     """Validate an input stream, diverting bad records to the quarantine.
 
     When a fault plan is given, each record first passes through its
-    corruption hook (``scope``/``start_index`` address records the way
-    the plan does); a :class:`~repro.faults.CorruptedRecord` always
+    corruption hook (scope ``records:<source>``, indexed from
+    ``start_index``); a :class:`~repro.faults.CorruptedRecord` always
     fails validation and is diverted with reason ``injected-corruption``
     so chaos reports distinguish injected damage from organic noise.
     """
+    scope = f"records:{source}"
     clean: list[object] = []
     for offset, record in enumerate(records):
-        if plan is not None and scope is not None:
+        if plan is not None:
             record = plan.corrupt_record(scope, start_index + offset, record)
         if isinstance(record, CorruptedRecord):
             quarantine.divert(source, record, reason="injected-corruption")

@@ -66,11 +66,11 @@ class BackpressureError(ReproError):
 class RetryExhaustedError(ReproError):
     """Raised when a task keeps failing after every allowed attempt.
 
-    The MapReduce engine raises this once its map task or a reduce
-    chunk has failed ``RetryPolicy.max_attempts`` times (the last
-    underlying failure is chained as ``__cause__``), so a fuse either
-    covers every component or raises.  With retries disabled a single
-    failure exhausts the budget immediately.
+    ``RetryPolicy.call`` raises this once a guarded step has failed
+    ``max_attempts`` times: the last underlying failure is chained as
+    ``__cause__`` and the call's ``AttemptRecord`` is ``record``.  A
+    MapReduce task that exhausts its budget fails the whole job, so a
+    fuse either covers every component or raises.
     """
 
 

@@ -20,7 +20,7 @@ reproducible:
 A :class:`FaultPlan` is a list of :class:`FaultSpec` targets plus a
 seed (used to derive the corruption payloads).  Plans are picklable and
 their hooks read-only, so one plan can ride along with every task
-wrapper and every repeated run.
+and every repeated run.
 
 :class:`RetryPolicy` is the other half: how many attempts a guarded
 task gets, how long to wait between them and when an attempt counts as
@@ -28,30 +28,12 @@ timed out.  The MapReduce engine (and so every fuse, a job with a task
 per chunk of components), the KB server and the tenant manager all
 take one.
 
-Scope naming convention used across the repo:
-
-* ``"map"`` / ``"reduce"`` — MapReduce task wrappers
-  (:mod:`repro.mapreduce.engine`): ``map`` is the one map task, index
-  0; ``reduce`` is indexed by reduce chunk;
-* ``"stage:<name>"`` — pipeline stages (``stage:dom-extraction``,
-  ``stage:fusion``, ...), always index 0;
-* ``"records:<source>"`` — extractor input streams
-  (``records:querystream``, ``records:dom``, ``records:webtext``),
-  indexed by record position;
-* ``"storage:flush"`` / ``"storage:compaction"`` — segment-store
-  durability points (:mod:`repro.rdf.segments`), indexed by write
-  phase: 0 before the segment temp is written, 1 before the segment
-  ``os.replace``, 2 before the manifest ``os.replace``, 3 after the
-  manifest lands but before the in-memory commit;
-* ``"stream:*"`` — serving-layer consumer stages
-  (:mod:`repro.serving.server`), indexed by event offset:
-  ``stream:deliver`` fires as an event is taken off the log (before
-  any state changes), ``stream:apply`` inside the retried apply loop
-  (attempt-aware, so ``attempts=N`` models a transient consumer
-  fault), ``stream:commit`` after the delta applied but before the
-  version rebind (a crash here leaves reads fully pre-delta), and
-  ``stream:post-commit`` after the rebind but before the offset ack
-  (a crash here exercises redelivery against the dedup fence).
+Every scope ``src/`` fires or corrupts is listed once, in
+:data:`SCOPES`, with what its index means; :func:`fire` and the plan
+builders refuse any other name, and ``tests/chaos/test_fault_roster.py``
+fails on an entry no chaos test injects.  :func:`fire` is the one fault
+point and :meth:`RetryPolicy.call` the one attempt loop (fault point,
+timing, deadline, backoff) that every guarded step runs through.
 """
 
 from __future__ import annotations
@@ -61,19 +43,79 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.errors import ReproError
+from repro.errors import ReproError, RetryExhaustedError, StageTimeoutError
 
 __all__ = [
+    "SCOPES",
+    "AttemptRecord",
     "CorruptedRecord",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
     "RetryPolicy",
+    "fire",
 ]
 
 CRASH = "crash"
 SLOW = "slow"
 CORRUPT = "corrupt"
+
+#: The roster: every fault scope ``src/`` fires or corrupts, and what
+#: its index means.  A new scope is an edit here.
+SCOPES: dict[str, str] = {
+    "map": "the MapReduce job's one map task; always 0",
+    "reduce": "a MapReduce reduce chunk, 0 .. REDUCE_CHUNKS - 1",
+    "stage:kb-extraction": "pipeline stage 1 (isolated); always 0",
+    "stage:query-stream": "pipeline stage 2 (isolated); always 0",
+    "stage:dom-extraction": "pipeline stage 4 (isolated); always 0",
+    "stage:webtext-extraction": "pipeline stage 5 (isolated); always 0",
+    "stage:entity-resolution": "pipeline stage 5b; always 0",
+    "stage:attribute-resolution": "pipeline stage 6; always 0",
+    "stage:confidence": "pipeline stage 7; always 0",
+    "stage:fusion": "pipeline stage 8; always 0",
+    "stage:evaluation": "pipeline stage 9; always 0",
+    "stage:augmentation": "pipeline stage 10; always 0",
+    "stage:incremental-journal":
+        "IncrementalFusion.apply_delta before any staging; always 0",
+    "stage:incremental-fusion":
+        "apply_delta after journalling, before re-fusion; always 0",
+    "stage:incremental-commit":
+        "apply_delta after its commit (state is post-delta); always 0",
+    "records:querystream": "a query-log record, by position",
+    "records:dom": "a web page, by position across every site",
+    "records:webtext": "a text document, by position",
+    "storage:flush": "segment flush phase: 0 before the temp is "
+        "written, 1 before the segment os.replace, 2 before the "
+        "manifest os.replace, 3 before the in-memory commit",
+    "storage:compaction": "segment compaction phase, numbered as flush",
+    "stream:deliver":
+        "event offset; as the event leaves the log, before any change",
+    "stream:apply": "event offset; each attempt of the server's apply",
+    "stream:commit": "event offset; after the apply, before the rebind",
+    "stream:post-commit":
+        "event offset; after the rebind, before the offset ack",
+}
+
+
+def _known(scope: str) -> str:
+    if scope not in SCOPES:
+        raise ReproError(f"unknown fault scope {scope!r}: not in SCOPES")
+    return scope
+
+
+def fire(
+    plan: FaultPlan | None, scope: str, index: int = 0, attempt: int = 0
+) -> float:
+    """Fire the fault point ``(scope, index, attempt)`` of ``plan``.
+
+    Returns the injected slow seconds (0.0 without a plan) or raises
+    the scheduled :class:`InjectedFault`; a scope not in
+    :data:`SCOPES` raises :class:`~repro.errors.ReproError` either way.
+    """
+    _known(scope)
+    if plan is None:
+        return 0.0
+    return plan.task_delay(scope, index, attempt)
 
 
 class InjectedFault(RuntimeError):
@@ -151,7 +193,7 @@ class FaultPlan:
         self, scope: str, *, index: int | None = 0, attempts: int = 1
     ) -> "FaultPlan":
         """Schedule an :class:`InjectedFault` for a task's first attempts."""
-        self.specs.append(FaultSpec(CRASH, scope, index, attempts))
+        self.specs.append(FaultSpec(CRASH, _known(scope), index, attempts))
         return self
 
     def slow(
@@ -163,17 +205,19 @@ class FaultPlan:
         attempts: int = 1,
     ) -> "FaultPlan":
         """Schedule extra *reported* seconds for a task (no real sleep)."""
-        self.specs.append(FaultSpec(SLOW, scope, index, attempts, seconds))
+        self.specs.append(
+            FaultSpec(SLOW, _known(scope), index, attempts, seconds)
+        )
         return self
 
     def corrupt(self, scope: str, *, index: int) -> "FaultPlan":
         """Schedule one input record to be replaced with seeded garbage."""
-        self.specs.append(FaultSpec(CORRUPT, scope, index))
+        self.specs.append(FaultSpec(CORRUPT, _known(scope), index))
         return self
 
     # -- hooks ---------------------------------------------------------
     def task_delay(self, scope: str, index: int, attempt: int) -> float:
-        """Crash/slow hook called by task wrappers before/around a task.
+        """Crash/slow hook; ``src/`` reaches it only through :func:`fire`.
 
         Raises :class:`InjectedFault` if a crash spec matches; otherwise
         returns the summed injected seconds of matching slow specs.
@@ -213,15 +257,25 @@ class FaultPlan:
 
 
 @dataclass(slots=True)
+class AttemptRecord:
+    """What one :meth:`RetryPolicy.call` spent: every attempt, the ones
+    that overran the deadline, and the injected slow seconds."""
+
+    attempts: int = 0
+    timed_out: int = 0
+    injected_seconds: float = 0.0
+
+
+@dataclass(slots=True)
 class RetryPolicy:
-    """How a guarded task is retried.
+    """How a guarded step is retried.
 
     ``backoff(n)`` is a deterministic exponential:
     ``backoff_base * 2**n`` seconds before the (n+2)-th attempt;
     ``sleep`` is injectable so chaos tests wait in fake time.
-    ``timeout`` bounds one task's measured duration (real wall time
-    plus any injected slow-call seconds); a breach counts in
-    ``JobStats.timed_out_tasks`` and is retried like a crash.
+    ``timeout`` bounds one attempt's measured duration (real wall time
+    plus any injected slow-call seconds); a breach is retried like a
+    crash.
     """
 
     max_attempts: int = 3
@@ -240,3 +294,50 @@ class RetryPolicy:
     def backoff(self, retry_number: int) -> float:
         """Seconds to wait before retry ``retry_number`` (0-based)."""
         return self.backoff_base * (2.0 ** retry_number)
+
+    def call(
+        self,
+        scope: str,
+        index: int,
+        body: Callable[[], object],
+        *,
+        plan: FaultPlan | None = None,
+    ) -> tuple[object, AttemptRecord]:
+        """Run ``body()`` as the guarded step ``(scope, index)``.
+
+        Each attempt fires the fault point, times the body (injected
+        slow seconds included) and fails with
+        :class:`~repro.errors.StageTimeoutError` past ``timeout``; a
+        failed attempt sleeps ``backoff(n)`` before the next.  Returns
+        the body's result and the :class:`AttemptRecord`.  After the
+        last failed attempt raises
+        :class:`~repro.errors.RetryExhaustedError` chained from that
+        failure, with the record as its ``record``.
+        """
+        _known(scope)
+        record = AttemptRecord()
+        for attempt in range(self.max_attempts):
+            if attempt:
+                self.sleep(self.backoff(attempt - 1))
+            record.attempts += 1
+            try:
+                injected = fire(plan, scope, index, attempt)
+                record.injected_seconds += injected
+                started = time.perf_counter()
+                result = body()
+                seconds = time.perf_counter() - started + injected
+                if self.timeout is not None and seconds > self.timeout:
+                    record.timed_out += 1
+                    raise StageTimeoutError(
+                        f"{scope} task {index} ran {seconds:.3f}s, "
+                        f"deadline {self.timeout}s"
+                    )
+                return result, record
+            except Exception as exc:  # noqa: BLE001 — the step's boundary
+                failure = exc
+        exhausted = RetryExhaustedError(
+            f"{scope} task {index} failed after {record.attempts} "
+            f"attempt(s): {failure!r}"
+        )
+        exhausted.record = record
+        raise exhausted from failure

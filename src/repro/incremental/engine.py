@@ -102,6 +102,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 
 from repro.errors import DeltaError
+from repro.faults import fire
 from repro.fusion.base import Claim, ClaimSet, FusionResult, Item
 from repro.fusion.sharding import shard_claims
 from repro.incremental.delta import ClaimDelta
@@ -446,13 +447,13 @@ class IncrementalFusion:
         """
         self._require_primed()
         started = time.perf_counter()
-        injected = self._fault("stage:incremental-journal")
+        injected = fire(self.fault_plan, "stage:incremental-journal")
 
         staged = self._state.store.copy()
         receipt = DeltaJournal(staged).apply(delta)
         receipt.sequence = self._state.sequence + 1
 
-        injected += self._fault("stage:incremental-fusion")
+        injected += fire(self.fault_plan, "stage:incremental-fusion")
         state, stats = self._advance(staged, receipt)
 
         # -- commit: one attribute rebind -------------------------------
@@ -474,7 +475,7 @@ class IncrementalFusion:
             wall_seconds=wall,
         )
         self._publish(outcome)
-        self._fault("stage:incremental-commit")
+        fire(self.fault_plan, "stage:incremental-commit")
         return outcome
 
     # -- internals ------------------------------------------------------
@@ -648,12 +649,6 @@ class IncrementalFusion:
         return entries
 
     # -- plumbing -------------------------------------------------------
-    def _fault(self, scope: str) -> float:
-        """Fire an injected fault point; returns injected slow seconds."""
-        if self.fault_plan is None:
-            return 0.0
-        return self.fault_plan.task_delay(scope, 0, 0)
-
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None and amount:
             self.metrics.counter(name).inc(amount)

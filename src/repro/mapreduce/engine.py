@@ -19,30 +19,26 @@ emission order, so the output does not depend on where or in which
 order tasks ran (a test runs them on a pool of its own and requires
 the same bytes).
 
-Fault tolerance: there is one dispatch path.  The map task and every
-reduce chunk is an individually guarded task — attempts are counted,
-durations measured — run under the job's
-:class:`~repro.faults.RetryPolicy`, or under a one-attempt policy
-when none is given.  A policy brings deterministic exponential backoff
-(injectable ``sleep``, so tests never wait) and per-task deadlines
-checked against measured duration.  A task that fails every allowed
-attempt — the first one, without a policy — raises
-:class:`~repro.errors.RetryExhaustedError` chained from the task's own
-exception, so a job either reduces every key or returns nothing;
-retries of a deterministic task cannot change its result, so output
-stays byte-identical to an unfaulted run whenever the job completes.
+Fault tolerance: the map task and then each reduce chunk, in order,
+is one guarded step, :meth:`repro.faults.RetryPolicy.call` under the
+job's policy (or a one-attempt policy when none is given): its own
+attempts, deterministic backoff and deadline.  A task that fails every allowed
+attempt raises :class:`~repro.errors.RetryExhaustedError` chained
+from the task's own exception, so a job either reduces every key or
+returns nothing; retries of a deterministic task cannot change its
+result, so output stays byte-identical to an unfaulted run whenever
+the job completes.
 """
 
 from __future__ import annotations
 
 import functools
-import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Any, Generic, Hashable, TypeVar
 
-from repro.errors import RetryExhaustedError, StageTimeoutError
-from repro.faults import FaultPlan, RetryPolicy
+from repro.errors import RetryExhaustedError
+from repro.faults import AttemptRecord, FaultPlan, RetryPolicy
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -112,15 +108,13 @@ class MapReduceJob(Generic[K, V]):
         (chained from the task's exception) once the attempt budget is
         spent.
     fault_plan:
-        Optional :class:`repro.faults.FaultPlan` hooked into the map
-        and reduce task wrappers (scope ``"map"``, index 0, and scope
-        ``"reduce"``, indexed by chunk) for deterministic chaos testing.
+        Optional :class:`repro.faults.FaultPlan` fired by the map and
+        reduce tasks (scope ``"map"``, index 0, and scope ``"reduce"``,
+        indexed by chunk) for deterministic chaos testing.
     metrics:
         Optional :class:`repro.obs.MetricsRegistry`.  When set,
         ``run()`` publishes every :class:`JobStats` counter as a
-        ``mapreduce_*`` metric (even when the job raises), counts
-        dispatch waves per scope (``mapreduce_waves_total``) and times
-        them (``mapreduce_wave_seconds``).
+        ``mapreduce_*`` metric, even when the job raises.
     """
 
     def __init__(
@@ -178,17 +172,13 @@ class MapReduceJob(Generic[K, V]):
         ).inc(stats.timed_out_tasks)
 
     def _execute(self, records: list[Any]) -> list[Any]:
+        policy = self.retry or RetryPolicy(max_attempts=1)
         # The map task is one guarded task over every record; its
         # key-groups are the shuffle.
         self.stats.input_records = len(records)
-        ((shuffled, map_output),) = self._run_guarded(
-            _GuardedTask(
-                functools.partial(_map_records, self.mapper),
-                "map",
-                self.fault_plan,
-            ),
-            [records],
-            scope="map",
+        shuffled, map_output = self._guarded(
+            policy, "map", 0,
+            functools.partial(_map_records, self.mapper, records),
         )
         self.stats.map_output_records = map_output
 
@@ -196,86 +186,34 @@ class MapReduceJob(Generic[K, V]):
         # unit a retry repeats.
         keys = sorted(shuffled, key=repr)
         self.stats.reduce_groups = len(keys)
-        chunk_outputs = self._run_guarded(
-            _GuardedTask(
-                functools.partial(_reduce_chunk, self.reducer),
-                "reduce",
-                self.fault_plan,
-            ),
-            self._chunk_groups(keys, shuffled),
-            scope="reduce",
-        )
-        output = [
-            record
-            for chunk_output in chunk_outputs
-            for group_output in chunk_output
-            for record in group_output
-        ]
+        output = []
+        for index, groups in enumerate(self._chunk_groups(keys, shuffled)):
+            chunk_output = self._guarded(
+                policy, "reduce", index,
+                functools.partial(_reduce_chunk, self.reducer, groups),
+            )
+            for group_output in chunk_output:
+                output.extend(group_output)
         self.stats.output_records = len(output)
         return output
 
-    # ------------------------------------------------------------------
-    # Dispatch: retries and deadlines.
+    def _guarded(self, policy: RetryPolicy, scope: str, index: int, body):
+        """One task under ``policy``; its attempts land in ``stats``
+        whether it succeeds or exhausts its budget."""
+        try:
+            result, record = policy.call(
+                scope, index, body, plan=self.fault_plan
+            )
+        except RetryExhaustedError as exhausted:
+            self._count_attempts(exhausted.record)
+            raise
+        self._count_attempts(record)
+        return result
 
-    def _run_guarded(
-        self,
-        task: "_GuardedTask",
-        payloads: list[Any],
-        *,
-        scope: str,
-    ) -> list[Any]:
-        """Run one payload per task with the effective retry policy.
-
-        Returns results aligned with ``payloads``, or raises
-        :class:`~repro.errors.RetryExhaustedError` for the first task
-        that failed its last allowed attempt.  Tasks run in waves, so
-        pending tasks share one attempt counter and one deterministic
-        backoff schedule.
-        """
-        policy = self.retry or _SINGLE_ATTEMPT
-        results: list[Any] = [None] * len(payloads)
-        pending = list(range(len(payloads)))
-        attempt = 0
-        while pending:
-            wave_started = time.perf_counter()
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "mapreduce_waves_total", scope=scope
-                ).inc()
-            failed: list[tuple[int, Exception]] = []
-            for index in pending:
-                self.stats.attempts += 1
-                try:
-                    result, seconds = task(index, attempt, payloads[index])
-                    if (
-                        policy.timeout is not None
-                        and seconds > policy.timeout
-                    ):
-                        self.stats.timed_out_tasks += 1
-                        raise StageTimeoutError(
-                            f"{scope} task {index} ran {seconds:.3f}s, "
-                            f"deadline {policy.timeout}s"
-                        )
-                    results[index] = result
-                except Exception as exc:
-                    failed.append((index, exc))
-            if self.metrics is not None:
-                self.metrics.histogram(
-                    "mapreduce_wave_seconds", scope=scope
-                ).observe(time.perf_counter() - wave_started)
-            if not failed:
-                break
-            attempt += 1
-            if attempt >= policy.max_attempts:
-                index, exc = failed[0]
-                raise RetryExhaustedError(
-                    f"{scope} task {index} failed after "
-                    f"{attempt} attempt(s): {exc!r}"
-                ) from exc
-            self.stats.retries += len(failed)
-            policy.sleep(policy.backoff(attempt - 1))
-            pending = [index for index, _exc in failed]
-        return results
+    def _count_attempts(self, record: AttemptRecord) -> None:
+        self.stats.attempts += record.attempts
+        self.stats.retries += record.attempts - 1
+        self.stats.timed_out_tasks += record.timed_out
 
     # ------------------------------------------------------------------
     def _chunk_groups(
@@ -287,35 +225,3 @@ class MapReduceJob(Generic[K, V]):
             [(key, shuffled[key]) for key in keys[start : start + chunk_size]]
             for start in range(0, len(keys), chunk_size)
         ]
-
-
-class _GuardedTask:
-    """Task wrapper: fault hooks plus duration measurement.
-
-    Called with ``index, attempt, payload`` so the fault plan can
-    address tasks deterministically; returns ``(result, seconds)``
-    where seconds include any injected slow-call time.  Picklable
-    (the plan rides along read-only).
-    """
-
-    __slots__ = ("task", "scope", "plan")
-
-    def __init__(
-        self, task, scope: str, plan: FaultPlan | None
-    ) -> None:
-        self.task = task
-        self.scope = scope
-        self.plan = plan
-
-    def __call__(self, index: int, attempt: int, payload: Any):
-        extra = 0.0
-        if self.plan is not None:
-            extra = self.plan.task_delay(self.scope, index, attempt)
-        started = time.perf_counter()
-        result = self.task(payload)
-        return result, time.perf_counter() - started + extra
-
-
-# "Retries disabled": the one-attempt budget of a job without a retry
-# policy.
-_SINGLE_ATTEMPT = RetryPolicy(max_attempts=1, backoff_base=0.0)

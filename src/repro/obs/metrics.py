@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 # Fixed default bucket upper bounds.  Counts cover the sizes seen in
-# this repo (claims per component, records per wave); seconds cover
+# this repo (claims per component, records per chunk); seconds cover
 # micro-benchmarks through full pipeline runs.  The last implicit
 # bucket is +inf (the overflow slot).
 DEFAULT_COUNT_BUCKETS = (

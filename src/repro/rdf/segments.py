@@ -85,6 +85,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from repro.errors import StoreError
+from repro.faults import fire
 from repro.rdf.backend import StorageBackend
 from repro.rdf.triple import (
     Provenance,
@@ -701,11 +702,7 @@ class SegmentBackend(StorageBackend):
         temp.write_bytes(blob)
         return name
 
-    # -- fault / metrics hooks -----------------------------------------
-    def _fault(self, scope: str, phase: int) -> None:
-        if self.fault_plan is not None:
-            self.fault_plan.task_delay(scope, phase, 0)
-
+    # -- metrics hooks -------------------------------------------------
     def _count(self, metric: str, amount: int = 1) -> None:
         if self.metrics is not None:
             self.metrics.counter(metric).inc(amount)
@@ -902,19 +899,19 @@ class SegmentBackend(StorageBackend):
         if not self._mem and not self._mem_tombs:
             return
         started = time.perf_counter()
-        self._fault("storage:flush", 0)
+        fire(self.fault_plan, "storage:flush", 0)
         rows = [
             (entry[0], entry[1]) for entry in self._mem.values()
         ]
         blob = build_segment_bytes(rows, list(self._mem_tombs))
         name = self._write_segment_file(blob)
-        self._fault("storage:flush", 1)
+        fire(self.fault_plan, "storage:flush", 1)
         os.replace(self.directory / f"{name}.tmp", self.directory / name)
-        self._fault("storage:flush", 2)
+        fire(self.fault_plan, "storage:flush", 2)
         self._names.append(name)
         try:
             self._write_manifest()
-            self._fault("storage:flush", 3)
+            fire(self.fault_plan, "storage:flush", 3)
         except BaseException:
             self._names.pop()
             raise
@@ -950,20 +947,20 @@ class SegmentBackend(StorageBackend):
         ):
             return
         started = time.perf_counter()
-        self._fault("storage:compaction", 0)
+        fire(self.fault_plan, "storage:compaction", 0)
         rows = [
             (entry[0], entry[1]) for entry in self._ordered_entries()
         ]
         blob = build_segment_bytes(rows, [], canonical=True)
         name = self._write_segment_file(blob)
-        self._fault("storage:compaction", 1)
+        fire(self.fault_plan, "storage:compaction", 1)
         os.replace(self.directory / f"{name}.tmp", self.directory / name)
-        self._fault("storage:compaction", 2)
+        fire(self.fault_plan, "storage:compaction", 2)
         old_names = self._names
         self._names = [name]
         try:
             self._write_manifest()
-            self._fault("storage:compaction", 3)
+            fire(self.fault_plan, "storage:compaction", 3)
         except BaseException:
             self._names = old_names
             raise

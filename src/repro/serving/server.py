@@ -13,11 +13,13 @@ processes one event end to end:
    what makes at-least-once delivery *exactly-once application*: both
    publisher retries (same id, two offsets) and post-commit crash
    redelivery (same offset re-read) land here.
-3. **apply** — journal the delta through the incremental engine under
-   a deterministic :class:`~repro.faults.RetryPolicy` loop
-   (``stream:apply``, attempt-aware).  A failure whose engine sequence
-   advanced anyway crashed *after* the engine's internal commit point
-   — the delta is in; treat it as applied, never re-apply.  A failure
+3. **apply** — journal the delta through the incremental engine as
+   one guarded step, :meth:`~repro.faults.RetryPolicy.call`
+   (``stream:apply``, attempt-aware), with no deadline: an apply that
+   finished has committed, and running it again would apply it twice.
+   A failure whose engine sequence advanced anyway crashed *after* the
+   engine's internal commit point — the delta is in; treat it as
+   applied, never re-apply.  A failure
    that exhausts the budget is a **poison delta**: it is diverted into
    the :class:`~repro.core.quarantine.Quarantine` dead-letter hold
    (listable, inspectable, re-enqueuable exactly once via
@@ -50,12 +52,13 @@ deltas behind the head; look at ``stream_events_poisoned_total`` and
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
 from repro.core.quarantine import Quarantine
-from repro.errors import BackpressureError, ServingError
-from repro.faults import RetryPolicy
+from repro.errors import BackpressureError, RetryExhaustedError, ServingError
+from repro.faults import RetryPolicy, fire
 from repro.incremental.delta import ClaimDelta
 from repro.serving.query import KBReader
 from repro.serving.stream import EventLog, StreamEvent
@@ -216,7 +219,7 @@ class KBServer:
             self._publish_gauges()
             return None
         started = time.perf_counter()
-        injected = self._fault("stream:deliver", event.offset)
+        injected = fire(self.fault_plan, "stream:deliver", event.offset)
 
         version = self.versions.current
         if event.event_id in version.applied:
@@ -234,12 +237,25 @@ class KBServer:
                 wall_seconds=time.perf_counter() - started + injected,
             )
 
-        applied, attempts, failure, slow = self._apply_with_retry(event)
-        injected += slow
+        # No deadline: an apply that finished has committed, and running
+        # it again would apply the delta twice.
+        failure = None
+        try:
+            _, record = dataclasses.replace(self.retry, timeout=None).call(
+                "stream:apply",
+                event.offset,
+                lambda: self._apply(event.delta),
+                plan=self.fault_plan,
+            )
+        except RetryExhaustedError as exhausted:
+            record = exhausted.record
+            cause = exhausted.__cause__
+            failure = f"{type(cause).__name__}: {cause}"
+        injected += record.injected_seconds
 
-        injected += self._fault("stream:commit", event.offset)
+        injected += fire(self.fault_plan, "stream:commit", event.offset)
         fence = self._aged_fence(version) | {event.event_id}
-        if applied:
+        if failure is None:
             successor = KBVersion(
                 version_id=version.version_id + 1,
                 sequence=self.engine.sequence,
@@ -272,14 +288,14 @@ class KBServer:
             self._degraded = True
             self._poisoned += 1
         self.versions.commit(successor)
-        injected += self._fault("stream:post-commit", event.offset)
+        injected += fire(self.fault_plan, "stream:post-commit", event.offset)
         self.log.commit_offset(self.group, event.offset + 1)
 
         wall = time.perf_counter() - started + injected
-        action = "applied" if applied else "poisoned"
+        action = "applied" if failure is None else "poisoned"
         self._count(f"stream_events_{action}_total")
-        if attempts > 1:
-            self._count("stream_retries_total", attempts - 1)
+        if record.attempts > 1:
+            self._count("stream_retries_total", record.attempts - 1)
         if self.metrics is not None:
             self.metrics.histogram("stream_apply_seconds").observe(wall)
         self._publish_gauges()
@@ -289,7 +305,7 @@ class KBServer:
             action=action,
             version_id=successor.version_id,
             sequence=successor.sequence,
-            attempts=attempts,
+            attempts=record.attempts,
             error=failure,
             wall_seconds=wall,
         )
@@ -360,40 +376,19 @@ class KBServer:
             if self.log.has_id(event_id)
         )
 
-    def _apply_with_retry(
-        self, event: StreamEvent
-    ) -> tuple[bool, int, str | None, float]:
-        """Apply one delta under the retry budget.
+    def _apply(self, delta: ClaimDelta) -> None:
+        """Journal ``delta`` through the engine.
 
-        Returns ``(applied, attempts, failure, injected_seconds)``;
-        ``applied`` False means the budget is exhausted (poison).
+        A crash that surfaces after the engine's own commit (e.g. a
+        ``stage:incremental-commit`` fault) counts as applied:
+        re-applying would double the delta.
         """
-        budget = self.retry.max_attempts
-        failure: str | None = None
-        injected = 0.0
-        for attempt in range(budget):
-            pre_sequence = self.engine.sequence
-            try:
-                injected += self._fault(
-                    "stream:apply", event.offset, attempt
-                )
-                self.engine.apply_delta(event.delta)
-                return True, attempt + 1, None, injected
-            except Exception as exc:  # noqa: BLE001 — consumer boundary
-                if self.engine.sequence > pre_sequence:
-                    # The engine committed before the crash surfaced
-                    # (e.g. a stage:incremental-commit fault): the
-                    # delta is applied; re-applying would double it.
-                    return True, attempt + 1, None, injected
-                failure = f"{type(exc).__name__}: {exc}"
-                if attempt + 1 < budget:
-                    self.retry.sleep(self.retry.backoff(attempt))
-        return False, budget, failure, injected
-
-    def _fault(self, scope: str, index: int, attempt: int = 0) -> float:
-        if self.fault_plan is None:
-            return 0.0
-        return self.fault_plan.task_delay(scope, index, attempt)
+        before = self.engine.sequence
+        try:
+            self.engine.apply_delta(delta)
+        except Exception:
+            if self.engine.sequence == before:
+                raise
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None and amount:

@@ -230,14 +230,17 @@ class TestGracefulDegradation:
         ]
 
     @pytest.mark.parametrize(
-        "source, stage, extractor",
+        "source, scope, stage, extractor",
         [
-            ("dom", "dom-extraction", DomTreeExtractor),
-            ("webtext", "webtext-extraction", WebTextExtractor),
+            ("dom", "records:dom", "dom-extraction", DomTreeExtractor),
+            (
+                "webtext", "records:webtext", "webtext-extraction",
+                WebTextExtractor,
+            ),
         ],
     )
     def test_records_diverted_before_a_crash_stay_counted(
-        self, monkeypatch, source, stage, extractor
+        self, monkeypatch, source, scope, stage, extractor
     ):
         """Regression: these two stages diverted into a stage-local
         sink that reached the run's quarantine only if the stage
@@ -247,7 +250,7 @@ class TestGracefulDegradation:
             raise RuntimeError("extractor died")
 
         monkeypatch.setattr(extractor, "extract", crash)
-        plan = FaultPlan(seed=7).corrupt(f"records:{source}", index=0)
+        plan = FaultPlan(seed=7).corrupt(scope, index=0)
         report = KnowledgeBaseConstructionPipeline(
             _config(fault_plan=plan)
         ).run()
@@ -313,6 +316,33 @@ class TestGracefulDegradation:
         report = pipeline.last_report
         assert "fusion" in report.health.degraded
         assert report.fusion_result is None
+
+    @pytest.mark.parametrize(
+        "scope",
+        [
+            "stage:entity-resolution",
+            "stage:attribute-resolution",
+            "stage:confidence",
+            "stage:evaluation",
+            "stage:augmentation",
+        ],
+    )
+    def test_a_crashed_downstream_stage_fails_the_run(self, scope):
+        # Stages after extraction feed everything downstream: a crash
+        # there is booked, then raised (checkpoint/resume recovers).
+        stage = scope.removeprefix("stage:")
+        pipeline = KnowledgeBaseConstructionPipeline(
+            _config(
+                fault_plan=FaultPlan(seed=7).crash(scope, attempts=0),
+                discover_new_entities=stage == "entity-resolution",
+            )
+        )
+        with pytest.raises(InjectedFault):
+            pipeline.run()
+        report = pipeline.last_report
+        assert stage in report.health.degraded
+        (timing,) = [t for t in report.timings if t.stage == stage]
+        assert "failed: InjectedFault" in timing.detail
 
     def test_below_min_sources_floor_raises(self):
         plan = (

@@ -195,6 +195,25 @@ class TestApplyRetries:
         assert sleeps == [0.5, 1.0]  # deterministic, fake-timed
         assert server.versions.current.canonical_bytes() == REFERENCE
 
+    def test_a_slow_apply_has_no_deadline(self):
+        # An apply that finished has committed: a deadline breach would
+        # retry it and apply the delta twice, so the policy's timeout
+        # never applies to it.
+        plan = FaultPlan(seed=5).slow(
+            "stream:apply", seconds=99.0, index=None, attempts=0
+        )
+        server, deltas = make_server(
+            stream_plan=plan,
+            retry=RetryPolicy(max_attempts=3, timeout=1.0),
+        )
+        for delta in deltas:
+            server.publish(delta)
+        outcomes = server.drain()
+        assert [outcome.action for outcome in outcomes] == ["applied"] * 3
+        assert [outcome.attempts for outcome in outcomes] == [1] * 3
+        assert server.engine.sequence == len(deltas)
+        assert server.versions.current.canonical_bytes() == REFERENCE
+
     @pytest.mark.parametrize(
         "scope", ["stage:incremental-journal", "stage:incremental-fusion"]
     )

@@ -156,7 +156,7 @@ class TestGuardRecords:
         quarantine = Quarantine()
         clean = guard_records(
             ["a", "b", "c"], lambda r: isinstance(r, str), quarantine,
-            "dom", plan=plan, scope="records:dom",
+            "dom", plan=plan,
         )
         assert clean == ["a", "c"]
         assert quarantine.counts == {"dom": 1}
@@ -167,6 +167,6 @@ class TestGuardRecords:
         quarantine = Quarantine()
         clean = guard_records(
             ["a", "b"], lambda r: True, quarantine, "dom",
-            plan=plan, scope="records:dom", start_index=9,
+            plan=plan, start_index=9,
         )
         assert clean == ["a"]

@@ -4,7 +4,16 @@ import pickle
 
 import pytest
 
-from repro.faults import CorruptedRecord, FaultPlan, FaultSpec, InjectedFault
+from repro.errors import ReproError, RetryExhaustedError, StageTimeoutError
+from repro.faults import (
+    SCOPES,
+    CorruptedRecord,
+    FaultPlan,
+    FaultSpec,
+    InjectedFault,
+    RetryPolicy,
+    fire,
+)
 
 
 class TestFaultSpec:
@@ -90,3 +99,76 @@ class TestFaultPlanHooks:
         assert clone.seed == plan.seed
         with pytest.raises(InjectedFault):
             clone.task_delay("map", 0, 1)
+
+
+class TestRoster:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda plan: plan.crash("stream:aply"),
+            lambda plan: plan.slow("stage:dom", seconds=1.0),
+            lambda plan: plan.corrupt("records:html", index=0),
+        ],
+        ids=["crash", "slow", "corrupt"],
+    )
+    def test_a_plan_rejects_a_scope_off_the_roster(self, build):
+        # A misspelt plan would otherwise inject nothing, and the chaos
+        # test built on it would pass without testing anything.
+        with pytest.raises(ReproError, match="unknown fault scope"):
+            build(FaultPlan(seed=1))
+
+    @pytest.mark.parametrize("plan", [None, FaultPlan(seed=1)])
+    def test_firing_a_scope_off_the_roster_raises(self, plan):
+        with pytest.raises(ReproError, match="unknown fault scope"):
+            fire(plan, "stream:aply")
+
+    def test_fire_without_a_plan_injects_nothing(self):
+        assert all(fire(None, scope, 3, 1) == 0.0 for scope in SCOPES)
+
+    def test_fire_is_the_plans_hook(self):
+        plan = FaultPlan(seed=1).slow("reduce", seconds=2.5, index=1)
+        assert fire(plan, "reduce", 1) == 2.5
+        assert fire(plan, "reduce", 0) == 0.0
+        with pytest.raises(InjectedFault):
+            fire(FaultPlan().crash("map"), "map")
+
+
+class TestRetryPolicyCall:
+    def test_a_transient_fault_is_retried_after_a_backoff(self):
+        sleeps = []
+        policy = RetryPolicy(max_attempts=3, backoff_base=0.5,
+                             sleep=sleeps.append)
+        plan = FaultPlan(seed=1).crash("reduce", index=2, attempts=2)
+        result, record = policy.call("reduce", 2, lambda: "done", plan=plan)
+        assert result == "done"
+        assert (record.attempts, record.timed_out) == (3, 0)
+        assert sleeps == [0.5, 1.0]
+
+    def test_injected_seconds_breach_the_deadline(self):
+        policy = RetryPolicy(max_attempts=2, backoff_base=0.0, timeout=5.0)
+        plan = FaultPlan(seed=1).slow("map", seconds=99.0, attempts=1)
+        result, record = policy.call("map", 0, lambda: 7, plan=plan)
+        assert result == 7
+        assert (record.attempts, record.timed_out) == (2, 1)
+        assert record.injected_seconds == 99.0
+
+    def test_the_last_failure_is_the_cause_and_the_record_rides_along(self):
+        policy = RetryPolicy(max_attempts=2, backoff_base=0.0, timeout=5.0)
+        plan = FaultPlan(seed=1).slow("map", seconds=99.0, attempts=0)
+        with pytest.raises(RetryExhaustedError) as excinfo:
+            policy.call("map", 0, lambda: 7, plan=plan)
+        assert isinstance(excinfo.value.__cause__, StageTimeoutError)
+        assert "map task 0 failed after 2 attempt(s)" in str(excinfo.value)
+        record = excinfo.value.record
+        assert (record.attempts, record.timed_out) == (2, 2)
+
+    def test_an_interrupt_is_not_retried(self):
+        calls = []
+
+        def body():
+            calls.append(1)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            RetryPolicy(max_attempts=3, backoff_base=0.0).call("map", 0, body)
+        assert calls == [1]

@@ -162,6 +162,25 @@ class TestKnowledgeFusionParallel:
             fusion.fuse(three_component_claims())
         assert isinstance(excinfo.value.__cause__, InjectedFault)
 
+    def test_each_reduce_chunk_is_retried_on_its_own(self):
+        # Three components, three reduce chunks; each crashes on its
+        # first attempt and gets its own backoff before its retry.
+        sleeps = []
+        merged = three_component_claims()
+        fusion = KnowledgeFusion(
+            retry=RetryPolicy(
+                max_attempts=2, backoff_base=0.5, sleep=sleeps.append
+            ),
+            fault_plan=FaultPlan().crash("reduce", index=None, attempts=1),
+        )
+        result = fusion.fuse(merged)
+        clean = KnowledgeFusion().fuse(merged)
+        assert result.truths == clean.truths
+        assert result.belief == clean.belief
+        stats = fusion.last_shard_stats
+        assert (stats.attempts, stats.retries) == (7, 3)
+        assert sleeps == [0.5] * 3
+
     def test_a_served_prime_equals_the_fuse(self):
         store = TripleStore()
         store.add_all(scored_from_claims(three_component_claims()))

@@ -109,7 +109,7 @@ class TestJobMetrics:
         assert counters["mapreduce_input_records_total"] == 2
         assert counters["mapreduce_map_output_records_total"] == 3
 
-    def test_guarded_path_counts_waves_and_retries(self):
+    def test_guarded_path_counts_attempts_and_retries(self):
         from repro.faults import FaultPlan, RetryPolicy
         from repro.obs import MetricsRegistry
 
@@ -123,18 +123,13 @@ class TestJobMetrics:
             metrics=registry,
         )
         job.run(["a b", "c d"])
-        snapshot = registry.snapshot()
-        # Wave 1 runs both scopes' tasks; the injected crash forces a
-        # second map wave.
-        assert snapshot.counters["mapreduce_waves_total{scope=map}"] == 2
-        assert snapshot.counters["mapreduce_waves_total{scope=reduce}"] == 1
-        assert snapshot.counters["mapreduce_retries_total"] == 1
-        assert (
-            snapshot.counters["mapreduce_attempts_total"]
-            == job.stats.attempts
-        )
-        waves = snapshot.histograms["mapreduce_wave_seconds{scope=map}"]
-        assert waves.count == 2
+        counters = registry.snapshot().counters
+        # The map task crashes once and is retried; each of the four
+        # reduce chunks (one key each) runs once.
+        assert counters["mapreduce_attempts_total"] == 2 + 4
+        assert counters["mapreduce_retries_total"] == 1
+        assert counters["mapreduce_timed_out_tasks_total"] == 0
+        assert (job.stats.attempts, job.stats.retries) == (6, 1)
 
     def test_stats_published_even_when_the_job_dies(self):
         from repro.errors import RetryExhaustedError

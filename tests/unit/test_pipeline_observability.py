@@ -152,23 +152,28 @@ class TestTimedFailure:
         plan = FaultPlan(seed=1).slow(
             "stage:dom-extraction", seconds=99.0, attempts=0
         )
-        timer = _timed(
-            report, "dom-extraction", isolated=True,
-            fault_plan=plan, stage_timeout=5.0,
+        pipeline = KnowledgeBaseConstructionPipeline(
+            _config(fault_plan=plan, stage_timeout=5.0)
         )
-        with timer as timing:
+
+        def body(timing):
             timing.detail = "3 claims"
-        assert timer.failed
+            return "output"
+
+        assert pipeline._isolated_stage(report, "dom-extraction", body) is None
         assert 99.0 <= report.timings[0].seconds < 100.0
         assert report.timings[0].detail == "3 claims; failed: StageTimeoutError"
         assert report.health.degraded["dom-extraction"].startswith(
-            "StageTimeoutError: stage dom-extraction ran 99."
+            "StageTimeoutError: stage:dom-extraction task 0 ran 99."
         )
 
     def test_deadline_applies_to_isolated_stages_only(self):
         report = PipelineReport()
         plan = FaultPlan(seed=1).slow("stage:fusion", seconds=99.0, attempts=0)
-        timer = _timed(report, "fusion", fault_plan=plan, stage_timeout=5.0)
+        pipeline = KnowledgeBaseConstructionPipeline(
+            _config(fault_plan=plan, stage_timeout=5.0)
+        )
+        timer = pipeline._stage_timer(report, "fusion")
         with timer:
             pass
         assert not timer.failed
