@@ -9,10 +9,10 @@ dominate their profiles long before the arithmetic does.  This module
 vectors, CSR-style offset tables) shared by every method, so per-round
 updates become tight loops over parallel arrays.  The compilation
 walks the set's item runs (:meth:`ClaimSet.runs`): an item with one
-claim — most are — appends its pair and its one cover slot directly,
-a longer run is grouped by value on the spot, and a claim's place in
-claim order comes from :meth:`ClaimSet.positions`, so no claim is
-looked up in any table.
+claim — most are — appends its pair and finds its one-slot evidence
+class directly, a longer run is grouped by value on the spot, and a
+claim's place in claim order comes from :meth:`ClaimSet.positions`,
+so no claim is looked up in any table.
 
 Exactness contract
 ------------------
@@ -28,10 +28,22 @@ it would reorder an accumulation.  Multi-truth's products are hoisted
 the same way — ``weight * confidence`` is fixed for a fuse and
 ``weight * log_silent`` for a round, and the legacy expression
 multiplies left to right, so the hoisted factor is the float it would
-have formed — and who claims what is decided once, into the cover-slot
-tables of :class:`CompiledClaims`, not probed per (pair, source,
-round).  Its four per-source soft counts are fed by separate loops;
-each adds, per source, in the legacy loop's item → pair order.
+have formed — and who claims what is decided once, into the tables of
+:class:`CompiledClaims`, not probed per (pair, source, round).
+
+Multi-truth shares work only where the floats are provably the same.
+A pair's log-odds, posterior and complement depend on nothing but its
+*evidence* — the ``(source, cover confidence)`` sequence of its cover
+slots — so a round computes them once per evidence class and every
+pair of the class reads the class's floats: the ones the legacy loop
+would have formed for each of them.  The four per-source soft counts
+are *not* shared: each source adds its slots' values one by one in
+the legacy loop's item → pair order, because a float sum reordered,
+grouped or multiplied out changes its bits.  The two false counts
+skip the slots of one-value items, whose 0.0 leaves a non-negative sum
+as it is.  Classes are keyed by evidence, never by weights, so one
+compile serves any ``source_weights`` / ``use_confidence``.
+
 Truths, iteration counts, beliefs and source qualities are therefore
 equal to the reference's (asserted with ``==`` by the equivalence
 suites).
@@ -78,18 +90,34 @@ class CompiledClaims:
       asserting pair *p*, in ``ClaimSet`` insertion order.
 
     Multi-truth judges every pair against every source covering the
-    pair's item, so its tables hold one *cover slot* per (pair,
-    covering source), flat, in item → pair → covering-source order
-    (the legacy set-iteration order of ``sources_claiming(item)``) —
-    the order its log-odds sum and its per-source soft counts add in:
+    pair's item: one *cover slot* per (pair, covering source), in item
+    → pair → covering-source order (the legacy set-iteration order of
+    ``sources_claiming(item)``), holding the source's maximum claim
+    confidence on the pair, or ``None`` where it is silent on it.  A
+    pair's *evidence* is its slots' ``(source, cover confidence)``
+    sequence, and that alone fixes its log-odds, posterior and
+    complement, so the tables store each *evidence class* once:
 
-    - ``cover_pair[t]`` / ``cover_source[t]`` — slot *t*'s pair and
-      source; ``cover_conf[t]`` — the source's maximum claim
-      confidence on that pair, ``None`` where it is silent on it;
-    - ``claimed_pair`` / ``claimed_source`` and ``silent_pair`` /
-      ``silent_source`` — the slots split by that, each in slot order.
-      A source silent on a pair claims another value of the item, so
-      every silent slot belongs to a contested item.
+    - ``pair_class[p]`` — pair *p*'s class.  A pair of an item with
+      one candidate value (most are) shares its class with every such
+      pair of equal evidence; a pair of a contested item has a class
+      of its own (contested evidence rarely repeats, and keying it
+      would cost more than it saves);
+    - ``evidence_class`` / ``evidence_source`` / ``evidence_conf`` —
+      each class's slots in cover order, classes contiguous and in id
+      order.
+
+    The per-source soft counts, though, must add pair by pair in slot
+    order (reordering a float sum changes its bits), so each source
+    keeps the classes of its slots in that order, one list per source
+    and count:
+
+    - ``cover_classes[s]`` — every slot of *s*;
+    - ``claimed_classes[s]`` / ``silent_classes[s]`` — the slots where
+      *s* claims the pair / is silent on it.  A source silent on a pair
+      claims another value of the item, so every silent slot belongs
+      to a contested item;
+    - ``contested_classes[s]`` — the slots of *s* on contested items.
     """
 
     items: list[Item]
@@ -105,13 +133,14 @@ class CompiledClaims:
     # compile time: one less indirection in the vote/score hot loops.
     pair_claim_source: list[int]
     pair_claim_conf: array
-    cover_pair: list[int]
-    cover_source: list[int]
-    cover_conf: list[float | None]
-    claimed_pair: list[int]
-    claimed_source: list[int]
-    silent_pair: list[int]
-    silent_source: list[int]
+    pair_class: list[int]
+    evidence_class: list[int]
+    evidence_source: list[int]
+    evidence_conf: list[float | None]
+    cover_classes: list[list[int]]
+    claimed_classes: list[list[int]]
+    silent_classes: list[list[int]]
+    contested_classes: list[list[int]]
 
     @property
     def n_items(self) -> int:
@@ -128,6 +157,10 @@ class CompiledClaims:
     @property
     def n_claims(self) -> int:
         return len(self.claim_pair)
+
+    @property
+    def n_classes(self) -> int:
+        return self.evidence_class[-1] + 1 if self.evidence_class else 0
 
     def pair_key(self, pair: int) -> tuple[Item, str]:
         """The ``(item, value)`` belief key of one pair."""
@@ -164,13 +197,20 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
     item_pair_start = [0]
     pair_claim_start = [0]
     pair_claim_ids: list[int] = []
-    cover_pair: list[int] = []
-    cover_source: list[int] = []
-    cover_conf: list[float | None] = []
-    claimed_pair: list[int] = []
-    claimed_source: list[int] = []
-    silent_pair: list[int] = []
-    silent_source: list[int] = []
+    pair_class: list[int] = []
+    evidence_class: list[int] = []
+    evidence_source: list[int] = []
+    evidence_conf: list[float | None] = []
+    cover_classes: list[list[int]] = [[] for _ in source_id]
+    claimed_classes: list[list[int]] = [[] for _ in source_id]
+    silent_classes: list[list[int]] = [[] for _ in source_id]
+    contested_classes: list[list[int]] = [[] for _ in source_id]
+    # The classes of one-value items by evidence: one slot's per source
+    # by confidence; a longer one's laid flat, the cover sources in
+    # order, then their confidences in the same order.
+    lone_class: list[dict[float, int]] = [{} for _ in source_id]
+    class_of: dict[tuple, int] = {}
+    n_classes = 0
     positions = claims.positions()
     done = 0  # claims of the runs walked so far
     for item, run in claims.runs():
@@ -185,11 +225,20 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
             claim_pair[index] = pair
             pair_claim_ids.append(index)
             source = claim_source[index]
-            cover_pair.append(pair)
-            cover_source.append(source)
-            cover_conf.append(max(0.0, run[0].confidence))
-            claimed_pair.append(pair)
-            claimed_source.append(source)
+            confidence = run[0].confidence
+            if not confidence > 0.0:  # max(0.0, confidence), no call
+                confidence = 0.0
+            lone = lone_class[source]
+            evidence = lone.get(confidence)
+            if evidence is None:
+                evidence = lone[confidence] = n_classes
+                n_classes += 1
+                evidence_class.append(evidence)
+                evidence_source.append(source)
+                evidence_conf.append(confidence)
+            pair_class.append(evidence)
+            cover_classes[source].append(evidence)
+            claimed_classes[source].append(evidence)
             pair_claim_start.append(len(pair_claim_ids))
             item_pair_start.append(len(pair_item))
             done += 1
@@ -210,6 +259,7 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
         # Covering sources in the same set-iteration order the legacy
         # per-round loops observe (stable within one process).
         cover = [source_id[name] for name in claiming_sources(values)]
+        contested = len(values) >= 2
         for value, value_claims in values.items():
             pair = len(pair_item)
             pair_item.append(item_idx)
@@ -219,20 +269,42 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
                 claim_pair[index] = pair
                 pair_claim_ids.append(index)
                 source = claim_source[index]
-                claimers[source] = max(
-                    claimers.get(source, 0.0), claim.confidence
-                )
-            for source in cover:
-                confidence = claimers.get(source)
-                cover_pair.append(pair)
-                cover_source.append(source)
-                cover_conf.append(confidence)
-                if confidence is None:
-                    silent_pair.append(pair)
-                    silent_source.append(source)
+                held = claimers.get(source, 0.0)
+                confidence = claim.confidence
+                claimers[source] = confidence if confidence > held else held
+            if contested:
+                evidence = n_classes
+                n_classes += 1
+                for source in cover:
+                    confidence = claimers.get(source)
+                    evidence_class.append(evidence)
+                    evidence_source.append(source)
+                    evidence_conf.append(confidence)
+                    cover_classes[source].append(evidence)
+                    contested_classes[source].append(evidence)
+                    if confidence is None:
+                        silent_classes[source].append(evidence)
+                    else:
+                        claimed_classes[source].append(evidence)
+            else:
+                # One value: every covering source claims it.
+                if len(cover) == 1:
+                    table, key = lone_class[cover[0]], claimers[cover[0]]
                 else:
-                    claimed_pair.append(pair)
-                    claimed_source.append(source)
+                    table = class_of
+                    key = (*cover, *map(claimers.__getitem__, cover))
+                evidence = table.get(key)
+                if evidence is None:
+                    evidence = table[key] = n_classes
+                    n_classes += 1
+                    for source in cover:
+                        evidence_class.append(evidence)
+                        evidence_source.append(source)
+                        evidence_conf.append(claimers[source])
+                for source in cover:
+                    cover_classes[source].append(evidence)
+                    claimed_classes[source].append(evidence)
+            pair_class.append(evidence)
             pair_claim_start.append(len(pair_claim_ids))
         item_pair_start.append(len(pair_item))
 
@@ -253,13 +325,14 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
         pair_claim_start=pair_claim_start,
         pair_claim_source=pair_claim_source,
         pair_claim_conf=pair_claim_conf,
-        cover_pair=cover_pair,
-        cover_source=cover_source,
-        cover_conf=cover_conf,
-        claimed_pair=claimed_pair,
-        claimed_source=claimed_source,
-        silent_pair=silent_pair,
-        silent_source=silent_source,
+        pair_class=pair_class,
+        evidence_class=evidence_class,
+        evidence_source=evidence_source,
+        evidence_conf=evidence_conf,
+        cover_classes=cover_classes,
+        claimed_classes=claimed_classes,
+        silent_classes=silent_classes,
+        contested_classes=contested_classes,
     )
 
 
@@ -437,32 +510,26 @@ def multitruth_fuse(
     specificity = [initial_specificity] * n_sources
     ceiling = 1.0 - floor
 
-    n_pairs = cc.n_pairs
     item_pair_start = cc.item_pair_start
-    cover_pair = cc.cover_pair
-    cover_source = cc.cover_source
-    # Fixed for the whole fuse, per cover slot: where the slot finds
+    evidence_class = cc.evidence_class
+    evidence_source = cc.evidence_source
+    # Fixed for the whole fuse, per evidence slot: where the slot finds
     # its log-likelihood ratio in this round's ``ratio`` (the weighted
     # silent ratios come first, then the claim ratios) and what
     # multiplies it — a claimer's ``weight * confidence``, or 1.0 for a
     # silent source, whose weight is folded in once per round.
     ratio_at = [
         s if confidence is None else n_sources + s
-        for s, confidence in zip(cover_source, cc.cover_conf)
+        for s, confidence in zip(evidence_source, cc.evidence_conf)
     ]
     factor = [
         1.0 if confidence is None
         else weight[s] * (confidence if use_confidence else 1.0)
-        for s, confidence in zip(cover_source, cc.cover_conf)
-    ]
-    # Per pair: does its item have a second candidate value?
-    contested = [
-        item_pair_start[item + 1] - item_pair_start[item] >= 2
-        for item in cc.pair_item
+        for s, confidence in zip(evidence_source, cc.evidence_conf)
     ]
     ratio = [0.0] * (2 * n_sources)
-    logodds_of = [0.0] * n_pairs
-    posterior = [0.0] * n_pairs
+    logodds_of = [0.0] * cc.n_classes
+    posterior = [0.0] * cc.n_classes
     prior_logodds = log(prior / (1.0 - prior))
     smoothing = 2.0
 
@@ -485,36 +552,26 @@ def multitruth_fuse(
             ratio[s] = weight[s] * log((1.0 - sens) / spec)
             ratio[n_sources + s] = log(sens / (1.0 - spec))
 
-        # A pair's log-odds: its slots' terms added onto the prior in
-        # slot order; the last running sum stored is the pair's.
+        # A class's log-odds: its slots' terms added onto the prior in
+        # cover order; the last running sum stored is the class's.
         summing = -1
-        for pair, multiplier, at in zip(cover_pair, factor, ratio_at):
-            if pair != summing:
+        for evidence, multiplier, at in zip(evidence_class, factor, ratio_at):
+            if evidence != summing:
                 logodds = prior_logodds
-                summing = pair
+                summing = evidence
             logodds += multiplier * ratio[at]
-            logodds_of[pair] = logodds
+            logodds_of[evidence] = logodds
         posterior = [1.0 / (1.0 + exp(-logodds)) for logodds in logodds_of]
-        # Specificity is informed by contested items only; adding the
-        # 0.0 of a single-candidate item leaves a soft count as it is.
-        complement = [
-            1.0 - probability if both_ways else 0.0
-            for probability, both_ways in zip(posterior, contested)
-        ]
+        complement = [1.0 - probability for probability in posterior]
 
-        # Each soft count has its own loop; every one adds per source
-        # in item → pair order, as the legacy single loop does.
-        claimed_true = [0.0] * n_sources
-        covered_true = [0.0] * n_sources
-        silent_false = [0.0] * n_sources
-        covered_false = [0.0] * n_sources
-        for pair, s in zip(cover_pair, cover_source):
-            covered_true[s] += posterior[pair]
-            covered_false[s] += complement[pair]
-        for pair, s in zip(cc.claimed_pair, cc.claimed_source):
-            claimed_true[s] += posterior[pair]
-        for pair, s in zip(cc.silent_pair, cc.silent_source):
-            silent_false[s] += complement[pair]
+        # The soft counts add per source in slot order, as the legacy
+        # single loop does.  Specificity is informed by contested items
+        # only, so the false counts skip the other slots (adding their
+        # 0.0 would leave a non-negative sum as it is).
+        claimed_true = _sums_in_order(cc.claimed_classes, posterior)
+        covered_true = _sums_in_order(cc.cover_classes, posterior)
+        silent_false = _sums_in_order(cc.silent_classes, complement)
+        covered_false = _sums_in_order(cc.contested_classes, complement)
 
         delta = 0.0
         for s in range(n_sources):
@@ -544,6 +601,7 @@ def multitruth_fuse(
             converged_at = iterations
             break
 
+    posterior = [posterior[evidence] for evidence in cc.pair_class]
     result = FusionResult(name)
     result.iterations = iterations
     result.converged_at = converged_at
@@ -553,9 +611,11 @@ def multitruth_fuse(
         for s, source in enumerate(cc.sources)
     }
     pair_value = cc.pair_value
-    for item in range(cc.n_items):
-        begin = item_pair_start[item]
-        end = item_pair_start[item + 1]
+    for item, begin, end in zip(cc.items, item_pair_start, item_pair_start[1:]):
+        if end - begin == 1:
+            # A lone candidate is the truth whatever its posterior.
+            result.decide(item, [pair_value[begin]])
+            continue
         decided = [
             pair_value[pair]
             for pair in range(begin, end)
@@ -568,8 +628,21 @@ def multitruth_fuse(
                 if key < best:
                     best = key
             decided = [best[1]]
-        result.decide(cc.items[item], decided)
+        result.decide(item, decided)
     return result
+
+
+def _sums_in_order(
+    sequences: list[list[int]], values: list[float]
+) -> list[float]:
+    """Per sequence of indexes, its values added left to right onto 0.0."""
+    sums = []
+    for sequence in sequences:
+        total = 0.0
+        for index in sequence:
+            total += values[index]
+        sums.append(total)
+    return sums
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from collections.abc import Iterable
 from types import SimpleNamespace
 from typing import Callable
 
+from repro.errors import FusionError
 from repro.faults import FaultPlan, RetryPolicy
 from repro.fusion.base import Claim, ClaimSet, FusionMethod, FusionResult
 from repro.fusion.correlations import CorrelationEstimator
@@ -100,6 +101,8 @@ class KnowledgeFusion(FusionMethod):
         fault_plan: FaultPlan | None = None,
         metrics=None,
     ) -> None:
+        if max_iterations < 1:
+            raise FusionError("max_iterations must be at least 1")
         self.hierarchy = hierarchy
         self.functional_of = functional_of
         self.use_source_correlations = use_source_correlations

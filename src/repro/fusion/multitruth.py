@@ -57,6 +57,13 @@ class MultiTruth(FusionMethod):
             raise FusionError("prior must lie in (0, 1)")
         if not 0 < threshold < 1:
             raise FusionError("threshold must lie in (0, 1)")
+        if max_iterations < 1:
+            # No round leaves every belief 0.0 yet still decides truths.
+            raise FusionError("max_iterations must be at least 1")
+        if not 0 < floor < 0.5:
+            # Quality is clamped to [floor, 1 - floor]: from 0.5 up the
+            # clamp inverts and every source comes out below the floor.
+            raise FusionError("floor must lie in (0, 0.5)")
         self.prior = prior
         self.threshold = threshold
         self.initial_sensitivity = initial_sensitivity

@@ -12,7 +12,10 @@ in order — for any claim set, one built by ``add`` in an order that
 interleaves the items included.
 
 The bodies below are the former ``src/`` ones, moved here unchanged
-(the two methods on subclasses of their owners).
+(the two methods on subclasses of their owners), except that
+``compile_claims`` now reads multi-truth's evidence classes and
+per-source class lists back from the flat cover slots it used to
+return, in a second pass ``src/`` does not make.
 """
 
 from __future__ import annotations
@@ -58,10 +61,6 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
     cover_pair: list[int] = []
     cover_source: list[int] = []
     cover_conf: list[float | None] = []
-    claimed_pair: list[int] = []
-    claimed_source: list[int] = []
-    silent_pair: list[int] = []
-    silent_source: list[int] = []
     for item in claims.items():
         item_idx = len(items)
         items.append(item)
@@ -87,12 +86,6 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
                 cover_pair.append(pair)
                 cover_source.append(source)
                 cover_conf.append(confidence)
-                if confidence is None:
-                    silent_pair.append(pair)
-                    silent_source.append(source)
-                else:
-                    claimed_pair.append(pair)
-                    claimed_source.append(source)
             pair_claim_start.append(len(pair_claim_ids))
         item_pair_start.append(len(pair_item))
 
@@ -100,6 +93,42 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
     pair_claim_conf = array(
         "d", (claim_conf[index] for index in pair_claim_ids)
     )
+
+    # Evidence classes, read back from the flat cover slots: a pair of
+    # a one-value item joins the first pair of equal evidence, a pair
+    # of a contested item has a class of its own.
+    slots_of: dict[int, list] = {}
+    for pair, source, confidence in zip(cover_pair, cover_source, cover_conf):
+        slots_of.setdefault(pair, []).append((source, confidence))
+    one_value = [
+        item_pair_start[item + 1] - item_pair_start[item] == 1
+        for item in pair_item
+    ]
+    class_of: dict[tuple, int] = {}
+    pair_class: list[int] = []
+    evidence_class: list[int] = []
+    evidence_source: list[int] = []
+    evidence_conf: list[float | None] = []
+    for pair, slots in sorted(slots_of.items()):
+        key = tuple(slots) if one_value[pair] else ("contested", pair)
+        if key not in class_of:
+            class_of[key] = len(class_of)
+            for source, confidence in slots:
+                evidence_class.append(class_of[key])
+                evidence_source.append(source)
+                evidence_conf.append(confidence)
+        pair_class.append(class_of[key])
+    cover_classes, claimed_classes, silent_classes, contested_classes = (
+        [[] for _ in source_id] for _ in range(4)
+    )
+    for pair, source, confidence in zip(cover_pair, cover_source, cover_conf):
+        cover_classes[source].append(pair_class[pair])
+        if confidence is None:
+            silent_classes[source].append(pair_class[pair])
+        else:
+            claimed_classes[source].append(pair_class[pair])
+        if not one_value[pair]:
+            contested_classes[source].append(pair_class[pair])
 
     return CompiledClaims(
         items=items,
@@ -113,13 +142,14 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
         pair_claim_start=pair_claim_start,
         pair_claim_source=pair_claim_source,
         pair_claim_conf=pair_claim_conf,
-        cover_pair=cover_pair,
-        cover_source=cover_source,
-        cover_conf=cover_conf,
-        claimed_pair=claimed_pair,
-        claimed_source=claimed_source,
-        silent_pair=silent_pair,
-        silent_source=silent_source,
+        pair_class=pair_class,
+        evidence_class=evidence_class,
+        evidence_source=evidence_source,
+        evidence_conf=evidence_conf,
+        cover_classes=cover_classes,
+        claimed_classes=claimed_classes,
+        silent_classes=silent_classes,
+        contested_classes=contested_classes,
     )
 
 

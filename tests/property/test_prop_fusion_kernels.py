@@ -48,6 +48,43 @@ def claim_sets(draw):
     )
 
 
+_COARSE = [0.0, 0.5, 1.0]
+
+
+@st.composite
+def shared_evidence(draw):
+    """Many pairs of equal evidence: ``(claims, source_weights)`` over
+    2–4 sources, confidences and weights from three values, the three
+    kinds of item mixed — one claimer, several claimers of one value,
+    contested."""
+    sources = [f"s{index}" for index in range(draw(st.integers(2, 4)))]
+    pick_source = st.sampled_from(sources)
+    pick_conf = st.sampled_from(_COARSE)
+    claims = []
+    kinds = st.sampled_from(["one claimer", "several claimers", "contested"])
+    for item in range(draw(st.integers(1, 30))):
+        key = (f"e{item}", "p")
+        kind = draw(kinds)
+        if kind == "one claimer":
+            rows = [("v0", draw(pick_source))]
+        elif kind == "several claimers":
+            chosen = draw(st.lists(pick_source, min_size=2, unique=True))
+            rows = [("v0", source) for source in chosen]
+        else:
+            rows = draw(st.lists(
+                st.tuples(st.sampled_from(["v0", "v1", "v2"]), pick_source),
+                min_size=2, max_size=6,
+            ).filter(lambda rows: len({value for value, _ in rows}) >= 2))
+        for value, source in rows:
+            claims.append(
+                Claim(key, value, value, source, "ex", draw(pick_conf))
+            )
+    weights = {
+        source: draw(st.sampled_from(_COARSE)) for source in sources
+    }
+    return ClaimSet(claims), weights
+
+
 def _outcome(method, claims):
     """The fused result, or ``ZeroDivisionError``.
 
@@ -75,6 +112,20 @@ class TestKernelsEqualOracles:
             assert result is ZeroDivisionError
         else:
             assert_same_result(result, reference)
+
+    @pytest.mark.parametrize("use_confidence", [False, True])
+    @given(case=shared_evidence())
+    @settings(max_examples=80, deadline=None)
+    def test_multitruth_over_shared_evidence(self, use_confidence, case):
+        """Pairs of equal evidence share one computation per round;
+        pairs that differ in any slot must not."""
+        claims, weights = case
+        kwargs = dict(source_weights=weights, use_confidence=use_confidence)
+        method_cls, oracle_cls = PAIRS["multitruth"]
+        assert_same_result(
+            method_cls(**kwargs).fuse(claims),
+            oracle_cls(**kwargs).fuse(claims),
+        )
 
     @pytest.mark.parametrize("name", sorted(PAIRS))
     def test_empty_claim_set_refused(self, name):

@@ -7,6 +7,9 @@ iteration counts, beliefs, source qualities and canonical bytes must
 be equal — ``==``, no tolerance.
 """
 
+import copy
+from dataclasses import fields
+
 import pytest
 
 from repro.fusion.accu import Accu
@@ -42,6 +45,43 @@ def small_claims():
             claim(("s2", "p"), "v3", "b", "other", confidence=0.5),
         ]
     )
+
+
+def evidence(compiled, pair):
+    """The ``(source, cover confidence)`` slots of a pair's class."""
+    cls = compiled.pair_class[pair]
+    return [
+        (source, conf)
+        for c, source, conf in zip(
+            compiled.evidence_class, compiled.evidence_source,
+            compiled.evidence_conf,
+        )
+        if c == cls
+    ]
+
+
+def expected_slots(claims, compiled):
+    """``(pair, source, cover confidence)`` per cover slot, from the
+    claim set: pairs in order, sources in ``sources_claiming`` order, a
+    claimer's largest confidence (floored at 0.0) or ``None``."""
+    slots = []
+    for pair in range(compiled.n_pairs):
+        item, value = compiled.pair_key(pair)
+        for name in claims.sources_claiming(item):
+            confidences = [
+                c.confidence for c in claims.values_of(item)[value]
+                if c.source_id == name
+            ]
+            slots.append((
+                pair,
+                compiled.sources.index(name),
+                max([0.0, *confidences]) if confidences else None,
+            ))
+    return slots
+
+
+def classes(compiled, pairs):
+    return [compiled.pair_class[pair] for pair, _conf in pairs]
 
 
 class TestCompileClaims:
@@ -84,23 +124,21 @@ class TestCompileClaims:
             ]
 
     def test_item_sources_cover_claimants(self):
-        """Every pair of an item has one cover slot per source claiming
-        any value of that item."""
+        """Every pair's evidence has one slot per source claiming any
+        value of its item."""
         claims = small_claims()
         compiled = compile_claims(claims)
         for pair in range(compiled.n_pairs):
             item, _value = compiled.pair_key(pair)
             names = [
-                compiled.sources[s]
-                for p, s in zip(compiled.cover_pair, compiled.cover_source)
-                if p == pair
+                compiled.sources[s] for s, _conf in evidence(compiled, pair)
             ]
             assert len(names) == len(set(names))
             assert set(names) == claims.sources_claiming(item)
 
     def test_pair_claimers_keep_max_confidence(self):
-        """The cover slots that replaced ``pair_claimers``: a source
-        claiming one pair twice holds the larger confidence."""
+        """A source claiming one pair twice holds the larger confidence
+        in the pair's evidence."""
         claims = small_claims()
         claims.add(claim(("s1", "p"), "v1", "b", "other", confidence=0.75))
         compiled = compile_claims(claims)
@@ -109,46 +147,42 @@ class TestCompileClaims:
             if compiled.pair_key(p) == (("s1", "p"), "v1")
         ][0]
         by_name = {
-            compiled.sources[s]: conf
-            for p, s, conf in zip(
-                compiled.cover_pair, compiled.cover_source,
-                compiled.cover_conf,
-            )
-            if p == pair
+            compiled.sources[s]: conf for s, conf in evidence(compiled, pair)
         }
         assert by_name == {"a": 0.9, "b": 0.75, "c": None}
 
     def test_cover_slots_follow_item_pair_source_order(self):
         claims = small_claims()
         compiled = compile_claims(claims)
-        expected = [
-            (pair, source)
-            for item in range(compiled.n_items)
-            for pair in compiled.item_pairs(item)
-            for source in (
-                compiled.sources.index(name)
-                for name in claims.sources_claiming(compiled.items[item])
+        slots = expected_slots(claims, compiled)
+        assert [
+            (pair, source, conf)
+            for pair in range(compiled.n_pairs)
+            for source, conf in evidence(compiled, pair)
+        ] == slots
+        # Each source's class lists follow the slots, split by kind.
+        for source in range(compiled.n_sources):
+            mine = [
+                (pair, conf) for pair, s, conf in slots if s == source
+            ]
+            contested = [
+                (pair, conf) for pair, conf in mine
+                if len(compiled.item_pairs(compiled.pair_item[pair])) > 1
+            ]
+            assert compiled.cover_classes[source] == classes(compiled, mine)
+            assert compiled.claimed_classes[source] == classes(
+                compiled, [(p, c) for p, c in mine if c is not None]
             )
-        ]
-        slots = list(zip(compiled.cover_pair, compiled.cover_source))
-        assert slots == expected
-        claimed = [
-            slot for slot, conf in zip(slots, compiled.cover_conf)
-            if conf is not None
-        ]
-        silent = [
-            slot for slot, conf in zip(slots, compiled.cover_conf)
-            if conf is None
-        ]
-        assert claimed == list(
-            zip(compiled.claimed_pair, compiled.claimed_source)
-        )
-        assert silent == list(
-            zip(compiled.silent_pair, compiled.silent_source)
-        )
+            assert compiled.silent_classes[source] == classes(
+                compiled, [(p, c) for p, c in mine if c is None]
+            )
+            assert compiled.contested_classes[source] == classes(
+                compiled, contested
+            )
         # Who claims what, read back from the slots.
         assert {
-            (compiled.pair_key(p), compiled.sources[s]) for p, s in claimed
+            (compiled.pair_key(p), compiled.sources[s])
+            for p, s, conf in slots if conf is not None
         } == {
             ((c.item, c.value), c.source_id) for c in claims
         }
@@ -159,6 +193,79 @@ class TestCompileClaims:
         decoded = compiled.decode_beliefs(scores)
         assert decoded[compiled.pair_key(2)] == 2.0
         assert len(decoded) == compiled.n_pairs
+
+
+# Sparse coverage: items with one claimer, with several claimers of one
+# value, and contested ones; every confidence is 1.0 (uninformative).
+EVIDENCE_WORLD = ClaimWorldConfig(
+    seed=9, n_items=200, n_sources=12, coverage=0.12
+)
+
+
+class TestEvidenceClasses:
+    """Multi-truth computes a round once per evidence class; pairs of
+    equal evidence must share one, and only those."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        claims = generate_claim_world(EVIDENCE_WORLD).claims
+        compiled = compile_claims(claims)
+        slots: dict[int, list] = {}
+        for pair, source, conf in expected_slots(claims, compiled):
+            slots.setdefault(pair, []).append((source, conf))
+        return compiled, slots
+
+    @staticmethod
+    def one_value(compiled, pair):
+        return len(compiled.item_pairs(compiled.pair_item[pair])) == 1
+
+    def test_every_pair_has_a_class(self, world):
+        compiled, _slots = world
+        assert len(compiled.pair_class) == compiled.n_pairs
+        assert set(compiled.pair_class) == set(range(compiled.n_classes))
+        assert compiled.evidence_class == sorted(compiled.evidence_class)
+        assert compiled.n_classes < compiled.n_pairs
+
+    def test_a_class_holds_pairs_of_equal_evidence(self, world):
+        compiled, slots = world
+        members: dict[int, set] = {}
+        for pair in range(compiled.n_pairs):
+            assert evidence(compiled, pair) == slots[pair]
+            members.setdefault(compiled.pair_class[pair], set()).add(
+                tuple(slots[pair])
+            )
+        assert all(len(evidences) == 1 for evidences in members.values())
+        # One-value pairs of equal evidence share their class.
+        shared: dict[tuple, set] = {}
+        for pair in range(compiled.n_pairs):
+            if self.one_value(compiled, pair):
+                shared.setdefault(tuple(slots[pair]), set()).add(
+                    compiled.pair_class[pair]
+                )
+        assert all(len(classes) == 1 for classes in shared.values())
+
+    def test_single_claimer_classes_are_few(self, world):
+        compiled, slots = world
+        kinds = {"one claimer": [], "several claimers": [], "contested": []}
+        for pair in range(compiled.n_pairs):
+            if not self.one_value(compiled, pair):
+                kinds["contested"].append(pair)
+            elif len(slots[pair]) == 1:
+                kinds["one claimer"].append(pair)
+            else:
+                kinds["several claimers"].append(pair)
+        assert all(kinds.values()), {k: len(v) for k, v in kinds.items()}
+        single = kinds["one claimer"]
+        sources = {slots[pair][0][0] for pair in single}
+        confidences = {slots[pair][0][1] for pair in single}
+        assert confidences == {1.0}
+        assert len({compiled.pair_class[pair] for pair in single}) <= (
+            len(sources) * len(confidences)
+        ) < len(single)
+        # A contested pair's class is its own.
+        contested = [compiled.pair_class[pair] for pair in kinds["contested"]]
+        assert len(set(contested)) == len(contested)
+        assert not set(contested) & set(compiled.pair_class[p] for p in single)
 
 
 WORLDS = {
@@ -234,13 +341,21 @@ KERNELS = {
 @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
 def test_kernels_do_not_write_into_the_tables(kernel_name):
     """One ``CompiledClaims`` serves any number of fuses: the second
-    over a used object equals one over a fresh compile."""
+    over a used object equals one over a fresh compile, and every
+    table — the evidence classes and per-source class lists included —
+    reads as it did before the first."""
     claims = generate_claim_world(WORLDS["multi-truth"]).claims
     kernel = KERNELS[kernel_name]
     compiled = compile_claims(claims)
+    tables = {
+        table.name: copy.deepcopy(getattr(compiled, table.name))
+        for table in fields(compiled)
+    }
     first = kernel(compiled).canonical_bytes()
     assert kernel(compiled).canonical_bytes() == first
     assert kernel(compile_claims(claims)).canonical_bytes() == first
+    for name, before in tables.items():
+        assert getattr(compiled, name) == before, name
 
 
 def mixed_claims():

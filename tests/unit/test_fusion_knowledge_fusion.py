@@ -1,5 +1,8 @@
 """Unit tests for the paper's combined knowledge-fusion method."""
 
+import pytest
+
+from repro.errors import FusionError
 from repro.fusion.base import Claim
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.fusion.multitruth import MultiTruth
@@ -120,6 +123,11 @@ class TestConfidence:
 
 
 class TestGeneralBehaviour:
+    @pytest.mark.parametrize("rounds", [0, -3])
+    def test_no_round_refused(self, rounds):
+        with pytest.raises(FusionError, match="max_iterations"):
+            KnowledgeFusion(max_iterations=rounds)
+
     def test_method_name(self):
         world = generate_claim_world(ClaimWorldConfig(seed=1, n_items=5))
         result = KnowledgeFusion().fuse(world.claims)

@@ -23,6 +23,32 @@ class TestValidation:
         with pytest.raises(FusionError):
             MultiTruth(threshold=1.0)
 
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_no_round_refused(self, rounds):
+        """Zero rounds used to leave every belief 0.0 and still decide
+        truths."""
+        with pytest.raises(FusionError, match="max_iterations"):
+            MultiTruth(max_iterations=rounds)
+
+    @pytest.mark.parametrize("floor", [0.0, -0.1, 0.5, 0.6, 1.0])
+    def test_floor_outside_the_open_half_refused(self, floor):
+        """A floor of 0.5 or more inverts the ``[floor, 1 - floor]``
+        clamp (0.6 used to report every source at quality 0.4)."""
+        with pytest.raises(FusionError, match="floor"):
+            MultiTruth(floor=floor)
+
+    @pytest.mark.parametrize("floor", [0.001, 0.02, 0.499])
+    def test_floor_inside_accepted(self, floor):
+        claims = ClaimSet([claim(("e", "p"), "v", "s1")])
+        quality = MultiTruth(floor=floor).fuse(claims).source_quality["s1"]
+        assert floor <= quality <= 1.0 - floor
+
+    def test_one_round_accepted(self):
+        claims = ClaimSet([claim(("e", "p"), "v", "s1")])
+        result = MultiTruth(max_iterations=1).fuse(claims)
+        assert result.iterations == 1
+        assert result.belief[(("e", "p"), "v")] > 0.0
+
 
 class TestMultiTruthDecisions:
     def test_multiple_truths_decided(self):
