@@ -29,14 +29,17 @@ Contract notes that matter for byte-identical fusion:
   ``claims_for_items(items)`` and the lists ``remove_all`` returns
   hold their claims in the same relative order ``iter_claims()``
   yields them (first insertion of the key).
-  What they cost is the backend's business: the segment backend
-  answers each from its CSR indexes at O(answer); the memory backend
-  has no per-item index, so its one-item lookups and ``remove`` each
-  walk the claim dict — which is why a caller with several items to
-  read or several triples to retract (the incremental engine's
-  dirty-item re-read, the delta journal) asks for them in one
-  ``claims_for_items`` / ``remove_all`` call, one walk each on the
-  memory backend.
+  What they cost is the backend's business.  The segment backend
+  answers an item, triple or subject read — and ``remove`` and
+  ``contains_triple`` — at O(answer): the subject's rows of each
+  segment's CSR index plus the item's keys in its memtable index, each
+  row checked against the tombstones by its own triple.  The memory
+  backend has no per-item index, so its one-item lookups and
+  ``remove`` each walk the claim dict — which is why a caller with
+  several items to read or several triples to retract (the
+  incremental engine's dirty-item re-read, the delta journal) asks for
+  them in one ``claims_for_items`` / ``remove_all`` call, one walk
+  each on the memory backend.
 * ``copy()`` yields a backend whose answers never change when the
   original mutates afterwards (and vice versa); it may share
   structure with the original to get there, as long as neither side

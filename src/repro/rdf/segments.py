@@ -10,7 +10,13 @@ files** plus a small in-memory **memtable**:
   tombstone seqno for its triple;
 * **compaction** merges every segment into one *canonical* segment
   (unique keys, insertion-ordered, max confidence folded, no
-  tombstones) and drops the rest.
+  tombstones) and drops the rest;
+* an item, triple or subject read — and ``remove`` — costs its answer:
+  candidate rows come from each segment's CSR slice and memtable keys
+  from the memtable's item / subject index, and each row is checked
+  against the tombstone map by its own triple.  Only the whole-column
+  scans behind ``subjects()`` / ``predicates()`` project the tombstone
+  map onto a segment's ids, once per segment.
 
 A segment file is the :mod:`repro.fusion.compiled` idiom spilled to
 disk: string-interning tables plus flat ``array('q')``/``array('d')``
@@ -489,15 +495,26 @@ class SegmentReader:
             and seqs[row] > tomb_seq
         ]
 
-    def intern_tomb_map(
-        self, tomb: dict[Triple, int]
-    ) -> dict[tuple[int, int, int, int], int]:
-        """Project a triple-keyed tombstone map onto this segment's ids.
+    def item_rows(self, subject: str, predicate: str) -> Iterator[int]:
+        """Row indexes of one data item, via its subject's SPO slice."""
+        pid = self.string_id("predicates", predicate)
+        if pid is None:
+            return iter(())
+        preds = self.col_predicate
+        return (
+            row for row in self.subject_rows(subject) if preds[row] == pid
+        )
 
-        Triples whose strings this segment never interned cannot match
-        any row here and are skipped.
+    def live_rows(
+        self, tomb: dict[Triple, int]
+    ) -> Iterator[int]:
+        """All live row indexes, in storage order.
+
+        A whole-column scan, so the tombstone map is projected onto
+        this segment's ids once (triples whose strings it never
+        interned match no row here) and each row is one tuple probe.
         """
-        out: dict[tuple[int, int, int, int], int] = {}
+        tomb_ids: dict[tuple[int, int, int, int], int] = {}
         for triple, seq in tomb.items():
             sid = self.string_id("subjects", triple.subject)
             if sid is None:
@@ -506,16 +523,7 @@ class SegmentReader:
             lid = self.string_id("lexicals", triple.obj.lexical)
             if pid is None or lid is None:
                 continue
-            out[(sid, pid, lid, _KIND_INDEX[triple.obj.kind])] = seq
-        return out
-
-    def live_rows(
-        self, tomb: dict[Triple, int]
-    ) -> Iterator[int]:
-        """All live row indexes, in storage order."""
-        if not tomb:
-            return iter(range(self.n_rows))
-        tomb_ids = self.intern_tomb_map(tomb)
+            tomb_ids[(sid, pid, lid, _KIND_INDEX[triple.obj.kind])] = seq
         if not tomb_ids:
             return iter(range(self.n_rows))
         seqs = self.col_seq
@@ -629,6 +637,14 @@ class SegmentBackend(StorageBackend):
         # entries are replaced, never written into, so a copy() is one
         # dict copy.
         self._mem: dict[tuple[Triple, Provenance], tuple] = {}
+        # The memtable's keys by data item, and its predicates by
+        # subject (see _mem_index): an item or subject read touches its
+        # own keys only.  Values are tuples, replaced on write, so a
+        # copy() shares them.
+        self._mem_items: dict[tuple[str, str], tuple] = {}
+        self._mem_subjects: dict[str, tuple[str, ...]] = {}
+        # Keys added to the memtable and not yet filed in that index.
+        self._unfiled: list[tuple[Triple, Provenance]] = []
         self._mem_tombs: list[tuple[Triple, int]] = []
         # triple -> newest tombstone seqno (memtable + all segments)
         self._tomb: dict[Triple, int] = {}
@@ -745,37 +761,31 @@ class SegmentBackend(StorageBackend):
             return (only.row_scored(row) for row in range(only.n_rows))
         return (scored for _pos, scored in self._ordered_entries())
 
-    def _fold(self, segment_rows, mem_pred) -> dict:
-        """Merge segment rows + memtable entries into per-key entries.
+    def _fold(self, segment_rows, mem_keys) -> list[list]:
+        """Merge segment rows + memtable entries into position order.
 
-        ``segment_rows(seg)`` yields candidate row indexes (liveness
-        is checked here); ``mem_pred(key)`` filters memtable entries.
-        Returns ``{key: [position, claim]}`` with max confidence
-        folded; the memtable entry, when present, is authoritative for
-        both (its position was resolved against the segments at add
-        time, and its confidence is by construction the maximum).
+        ``segment_rows(seg)`` yields candidate row indexes; a row is
+        live unless a tombstone of its own triple is at least as new,
+        checked here one row at a time, so a read pays for its
+        candidates and not for the tombstone map.  ``mem_keys`` are the
+        memtable keys of the answer.  Returns ``[position, claim]``
+        per key, max confidence folded, sorted by position; the
+        memtable entry, when present, is authoritative for both (its
+        position was resolved against the segments at add time, and
+        its confidence is by construction the maximum).
         """
         merged: dict = {}
+        tomb = self._tomb
         for seg in self._segments:
-            tomb_ids = (
-                seg.intern_tomb_map(self._tomb) if self._tomb else {}
-            )
             seqs = seg.col_seq
-            subs = seg.col_subject
-            preds = seg.col_predicate
-            lexes = seg.col_lexical
-            kinds = seg.col_kind
             confs = seg.col_confidence
             for row in segment_rows(seg):
                 seq = seqs[row]
-                if tomb_ids:
-                    dead_at = tomb_ids.get(
-                        (subs[row], preds[row], lexes[row], kinds[row])
-                    )
-                    if dead_at is not None and seq <= dead_at:
-                        continue
                 scored = seg.row_scored(row)
-                key = (scored.triple, scored.provenance)
+                triple = scored.triple
+                if tomb and seq <= tomb.get(triple, -1):
+                    continue
+                key = (triple, scored.provenance)
                 entry = merged.get(key)
                 if entry is None:
                     merged[key] = [seq, scored]
@@ -784,20 +794,71 @@ class SegmentBackend(StorageBackend):
                         entry[0] = seq
                     if confs[row] > entry[1].confidence:
                         entry[1] = scored
-        for key, entry in self._mem.items():
-            if not mem_pred(key):
-                continue
-            merged[key] = [entry[0], entry[1]]
-        return merged
-
-    def _ordered_entries(self) -> list[list]:
-        merged = self._fold(
-            lambda seg: range(seg.n_rows), lambda key: True
-        )
+        mem = self._mem
+        for key in mem_keys:
+            merged[key] = list(mem[key])
         return sorted(merged.values(), key=lambda entry: entry[0])
 
+    def _ordered_entries(self) -> list[list]:
+        return self._fold(lambda seg: range(seg.n_rows), self._mem)
+
+    # -- memtable index ------------------------------------------------
+    def _mem_index(self) -> tuple[dict, dict]:
+        """The memtable's keys by item and its predicates by subject.
+
+        ``add`` only queues a new key; the first read after it files
+        the queue.  A bulk ingest that flushes before it reads never
+        builds the index at all.
+        """
+        items, subjects = self._mem_items, self._mem_subjects
+        for key in self._unfiled:
+            subject, predicate = item = key[0].item
+            keys = items.get(item)
+            if keys is None:
+                items[item] = (key,)
+                subjects[subject] = subjects.get(subject, ()) + (predicate,)
+            else:
+                items[item] = keys + (key,)
+        self._unfiled.clear()
+        return items, subjects
+
+    def _item_keys(self, subject: str, predicate: str) -> tuple:
+        return self._mem_index()[0].get((subject, predicate), ())
+
+    def _subject_keys(self, subject: str) -> list:
+        items, subjects = self._mem_index()
+        return [
+            key
+            for predicate in subjects.get(subject, ())
+            for key in items[(subject, predicate)]
+        ]
+
+    def _drop_mem_triple(self, triple: Triple) -> list:
+        """Remove every memtable key of ``triple``; the keys removed."""
+        items, subjects = self._mem_index()
+        subject, predicate = item = triple.item
+        dropped, kept = [], []
+        for key in items.get(item, ()):
+            (dropped if key[0] == triple else kept).append(key)
+        if not dropped:
+            return dropped
+        for key in dropped:
+            del self._mem[key]
+        if kept:
+            items[item] = tuple(kept)
+            return dropped
+        del items[item]
+        left = tuple(
+            other for other in subjects[subject] if other != predicate
+        )
+        if left:
+            subjects[subject] = left
+        else:
+            del subjects[subject]
+        return dropped
+
     def contains_triple(self, triple: Triple) -> bool:
-        for key in self._mem:
+        for key in self._item_keys(triple.subject, triple.predicate):
             if key[0] == triple:
                 return True
         tomb_seq = self._tomb_seq(triple)
@@ -830,10 +891,12 @@ class SegmentBackend(StorageBackend):
                 # Refresh of a segment-resident claim: shadow it in
                 # the memtable at its original position.
                 self._mem[key] = (position, scored)
+                self._unfiled.append(key)
                 return True
             return False
         self._seq += 1
         self._mem[key] = (self._seq, scored)
+        self._unfiled.append(key)
         self._live += 1
         self._maybe_flush()
         return True
@@ -857,17 +920,14 @@ class SegmentBackend(StorageBackend):
         return best
 
     def remove(self, triple: Triple) -> int:
-        mem_keys = [key for key in self._mem if key[0] == triple]
         tomb_seq = self._tomb_seq(triple)
         seg_keys: set = set()
         for seg in self._segments:
             for row in seg.triple_rows(triple, tomb_seq):
                 seg_keys.add((triple, seg.row_provenance(row)))
-        victims = set(mem_keys) | seg_keys
+        victims = seg_keys.union(self._drop_mem_triple(triple))
         if not victims:
             return 0
-        for key in mem_keys:
-            del self._mem[key]
         if seg_keys:
             # Only segment-resident rows need a tombstone; pure
             # memtable keys are simply purged.
@@ -919,6 +979,9 @@ class SegmentBackend(StorageBackend):
         self._segments.append(reader)
         self._key_filter = self._key_filter.union(reader.key_hashes)
         self._mem.clear()
+        self._mem_items.clear()
+        self._mem_subjects.clear()
+        self._unfiled.clear()
         self._mem_tombs.clear()
         self._count("storage_flushes_total")
         self._count("storage_segments_written_total")
@@ -994,39 +1057,24 @@ class SegmentBackend(StorageBackend):
         if triple is None:
             return [scored for scored in self.iter_claims()]
         tomb_seq = self._tomb_seq(triple)
-        merged = self._fold(
+        entries = self._fold(
             lambda seg: seg.triple_rows(triple, tomb_seq),
-            lambda key: key[0] == triple,
+            [
+                key
+                for key in self._item_keys(triple.subject, triple.predicate)
+                if key[0] == triple
+            ],
         )
-        return [
-            entry[1]
-            for entry in sorted(merged.values(), key=lambda e: e[0])
-        ]
+        return [entry[1] for entry in entries]
 
     def claims_for_item(
         self, subject: str, predicate: str
     ) -> list[ScoredTriple]:
-        def rows(seg):
-            preds = seg.col_predicate
-            pid = seg.string_id("predicates", predicate)
-            if pid is None:
-                return ()
-            return (
-                row
-                for row in seg.subject_rows(subject)
-                if preds[row] == pid
-            )
-
-        merged = self._fold(
-            rows,
-            lambda key: (
-                key[0].subject == subject and key[0].predicate == predicate
-            ),
+        entries = self._fold(
+            lambda seg: seg.item_rows(subject, predicate),
+            self._item_keys(subject, predicate),
         )
-        return [
-            entry[1]
-            for entry in sorted(merged.values(), key=lambda e: e[0])
-        ]
+        return [entry[1] for entry in entries]
 
     def match(
         self,
@@ -1034,32 +1082,33 @@ class SegmentBackend(StorageBackend):
         predicate: str | None = None,
         obj: Value | None = None,
     ) -> list[Triple]:
-        if subject is not None:
-            merged = self._fold(
+        if subject is not None and predicate is not None:
+            entries = self._fold(
+                lambda seg: seg.item_rows(subject, predicate),
+                self._item_keys(subject, predicate),
+            )
+        elif subject is not None:
+            entries = self._fold(
                 lambda seg: seg.subject_rows(subject),
-                lambda key: key[0].subject == subject,
+                self._subject_keys(subject),
             )
         elif predicate is not None:
-            merged = self._fold(
+            entries = self._fold(
                 lambda seg: seg.predicate_rows(predicate),
-                lambda key: key[0].predicate == predicate,
+                [key for key in self._mem if key[0].predicate == predicate],
             )
         elif obj is not None:
-            merged = self._fold(
+            entries = self._fold(
                 lambda seg: seg.object_rows(obj),
-                lambda key: key[0].obj == obj,
+                [key for key in self._mem if key[0].obj == obj],
             )
         else:
-            merged = self._fold(
-                lambda seg: range(seg.n_rows), lambda key: True
-            )
+            entries = self._ordered_entries()
         seen: set[Triple] = set()
         out: list[Triple] = []
-        for entry in sorted(merged.values(), key=lambda e: e[0]):
+        for entry in entries:
             triple = entry[1].triple
             if triple in seen:
-                continue
-            if predicate is not None and triple.predicate != predicate:
                 continue
             if obj is not None and triple.obj != obj:
                 continue
@@ -1074,7 +1123,7 @@ class SegmentBackend(StorageBackend):
         }
 
     def _live_column_strings(self, column_name: str) -> set[str]:
-        """Distinct strings of one column across live rows + memtable."""
+        """Distinct strings of one column across live segment rows."""
         out: set[str] = set()
         for seg in self._segments:
             column = getattr(seg, f"col_{column_name}")
@@ -1085,29 +1134,31 @@ class SegmentBackend(StorageBackend):
 
     def subjects(self) -> set[str]:
         out = self._live_column_strings("subject")
-        out.update(key[0].subject for key in self._mem)
+        out.update(self._mem_index()[1])
         return out
 
     def predicates(self, subject: str | None = None) -> set[str]:
         if subject is None:
             out = self._live_column_strings("predicate")
-            out.update(key[0].predicate for key in self._mem)
+            out.update(
+                predicate for _subject, predicate in self._mem_index()[0]
+            )
             return out
-        merged = self._fold(
+        entries = self._fold(
             lambda seg: seg.subject_rows(subject),
-            lambda key: key[0].subject == subject,
+            self._subject_keys(subject),
         )
-        return {entry[1].triple.predicate for entry in merged.values()}
+        return {entry[1].triple.predicate for entry in entries}
 
     # -- bulk ----------------------------------------------------------
     def copy(self) -> "SegmentBackend":
         """A staged sibling sharing the immutable segment readers.
 
-        The memtable (one dict copy: its entries are tuples),
-        tombstones and counters are copied; the segment readers, the
-        directory and the key filter are shared — segments are
-        immutable and the filter is rebound by whoever flushes, so
-        both lineages read them safely.  Whichever
+        The memtable and its item / subject indexes (one dict copy
+        each: their values are tuples), tombstones and counters are
+        copied; the segment readers, the directory and the key filter
+        are shared — segments are immutable and the filter is rebound
+        by whoever flushes, so both lineages read them safely.  Whichever
         lineage flushes last owns the on-disk manifest; the incremental
         engine's stage-then-commit flow keeps exactly one lineage
         mutating at a time.
@@ -1121,6 +1172,9 @@ class SegmentBackend(StorageBackend):
         clone._segments = list(self._segments)
         clone._names = list(self._names)
         clone._mem = dict(self._mem)
+        clone._mem_items = dict(self._mem_items)
+        clone._mem_subjects = dict(self._mem_subjects)
+        clone._unfiled = list(self._unfiled)
         clone._mem_tombs = list(self._mem_tombs)
         clone._tomb = dict(self._tomb)
         clone._key_filter = self._key_filter

@@ -2,6 +2,7 @@
 
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,38 +97,54 @@ class TestStoreInvariants:
 triples = st.builds(
     Triple, subjects, predicates, st.builds(Value, objects)
 )
-operations = st.lists(
+#: Steps on the backend under test and on the copies it hands out.
+STEPS = [
+    st.tuples(st.just("add"), claims()),
+    st.tuples(st.just("add_all"), st.lists(claims(), max_size=6)),
+    st.tuples(st.just("remove"), triples),
+    # A batch of retractions: absent triples, and triples listed
+    # twice, among them.
+    st.tuples(st.just("remove_all"), st.lists(triples, max_size=6)),
+    # Retract a batch, then put one claim of each triple back.
+    st.tuples(st.just("retract_readd"), st.lists(claims(), max_size=4)),
+    # Remove a triple, then put one claim of it back: the key
+    # moves to the end of the store *and* of its item's answers.
+    st.tuples(st.just("readd"), claims()),
+    st.tuples(st.just("copy"), st.none()),
+    # The *same objects* again: a batch holding each claim twice,
+    # then the whole batch once more.
+    st.tuples(st.just("add_twice"), st.lists(claims(), max_size=4)),
+    # ``b = a.copy(); b.add_all(a.claims()); a.add_all(b.claims())``
+    # — copies share their claim objects, so both re-add identical
+    # objects.
+    st.tuples(st.just("merge_copy"), st.none()),
+    # A copy of an earlier copy (of the live backend when there is
+    # none yet).
+    st.tuples(st.just("copy_of_copy"), st.integers(0, 7)),
+    # Spill the memtable (a no-op on the memory backend).
+    st.tuples(st.just("flush"), st.none()),
+]
+#: Writes to earlier copies: source, copy and copy's copy all write
+#: after sharing.
+COPY_WRITES = [
+    st.tuples(
+        st.just("add_to_copy"), st.tuples(st.integers(0, 7), claims())
+    ),
+    st.tuples(
+        st.just("remove_from_copy"),
+        st.tuples(st.integers(0, 7), st.lists(triples, max_size=3)),
+    ),
+]
+operations = st.lists(st.one_of(*STEPS, *COPY_WRITES), max_size=40)
+#: A segment directory's lifecycle between the steps.  Copies do not
+#: write here: a lineage that flushes owns the directory's manifest
+#: (and one that compacts unlinks the segments it replaced), so a
+#: reopen recovers the backend's own state only while it is the one
+#: writer.
+lifecycle_operations = st.lists(
     st.one_of(
-        st.tuples(st.just("add"), claims()),
-        st.tuples(st.just("add_all"), st.lists(claims(), max_size=6)),
-        st.tuples(st.just("remove"), triples),
-        # A batch of retractions: absent triples, and triples listed
-        # twice, among them.
-        st.tuples(st.just("remove_all"), st.lists(triples, max_size=6)),
-        # Retract a batch, then put one claim of each triple back.
-        st.tuples(st.just("retract_readd"), st.lists(claims(), max_size=4)),
-        # Remove a triple, then put one claim of it back: the key
-        # moves to the end of the store *and* of its item's answers.
-        st.tuples(st.just("readd"), claims()),
-        st.tuples(st.just("copy"), st.none()),
-        # The *same objects* again: a batch holding each claim twice,
-        # then the whole batch once more.
-        st.tuples(st.just("add_twice"), st.lists(claims(), max_size=4)),
-        # ``b = a.copy(); b.add_all(a.claims()); a.add_all(b.claims())``
-        # — copies share their claim objects, so both re-add identical
-        # objects.
-        st.tuples(st.just("merge_copy"), st.none()),
-        # A copy of an earlier copy (of the live backend when there is
-        # none yet), then writes to earlier copies: source, copy and
-        # copy's copy all write after sharing.
-        st.tuples(st.just("copy_of_copy"), st.integers(0, 7)),
-        st.tuples(
-            st.just("add_to_copy"), st.tuples(st.integers(0, 7), claims())
-        ),
-        st.tuples(
-            st.just("remove_from_copy"),
-            st.tuples(st.integers(0, 7), st.lists(triples, max_size=3)),
-        ),
+        *STEPS,
+        st.tuples(st.sampled_from(["compact", "reopen"]), st.none()),
     ),
     max_size=40,
 )
@@ -195,11 +212,15 @@ class TestClaimAnswersMatchTheDictModel:
     step on every copy taken along the way: a copy shares the claim
     objects and, copy-on-write, index containers, and copies are
     written to mid-sequence like their source.  The segment backend
-    runs with a
-    memtable of three claims, so flushes fall between the steps.
-    ``batched`` replays the same interleavings with every insertion
-    going through ``add_all``: it must leave what the model's ``add``
-    loop leaves, in the same ``iter_claims()`` order."""
+    runs each sequence twice: with a memtable of three claims, so
+    auto-flushes fall between the steps and tombstones span several
+    segments, and with one of 64, so items hold several memtable keys
+    (and its item / subject index is what answers) until a ``flush``
+    step spills them.  ``batched`` replays the same interleavings with
+    every insertion going through ``add_all``: it must leave what the
+    model's ``add`` loop leaves, in the same ``iter_claims()`` order.
+    The slow variant also compacts and reopens the directory between
+    steps, at random memtable sizes and compaction thresholds."""
 
     @given(operations, st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -209,15 +230,48 @@ class TestClaimAnswersMatchTheDictModel:
     @given(operations, st.booleans())
     @settings(max_examples=120, deadline=None)
     def test_interleavings_agree_on_the_segment_backend(self, ops, batched):
+        for memtable_limit in (3, 64):
+            with tempfile.TemporaryDirectory() as scratch:
+                backend = SegmentBackend(
+                    scratch, memtable_limit=memtable_limit
+                )
+                try:
+                    self._replay(backend, ops, batched)
+                finally:
+                    backend.close()
+
+    @pytest.mark.slow
+    @given(
+        lifecycle_operations,
+        st.booleans(),
+        st.integers(1, 20),
+        st.integers(2, 8),
+    )
+    @settings(max_examples=800, deadline=None)
+    def test_interleavings_agree_across_compaction_and_reopen(
+        self, ops, batched, memtable_limit, compact_threshold
+    ):
         with tempfile.TemporaryDirectory() as scratch:
-            backend = SegmentBackend(scratch, memtable_limit=3)
+            opened = []
+
+            def reopen():
+                opened.append(
+                    SegmentBackend(
+                        scratch,
+                        memtable_limit=memtable_limit,
+                        compact_threshold=compact_threshold,
+                    )
+                )
+                return opened[-1]
+
             try:
-                self._replay(backend, ops, batched)
+                self._replay(reopen(), ops, batched, reopen)
             finally:
-                backend.close()
+                for backend in opened:
+                    backend.close()
 
     @staticmethod
-    def _replay(backend, ops, batched):
+    def _replay(backend, ops, batched, reopen=None):
         model = LinearScanClaims()
 
         def insert(batch):
@@ -275,6 +329,14 @@ class TestClaimAnswersMatchTheDictModel:
             elif kind == "copy_of_copy":
                 pin(*pinned[payload % len(pinned)] if pinned
                     else (backend, model))
+            elif kind == "flush":
+                backend.flush()
+            elif kind == "compact":
+                backend.compact()
+            elif kind == "reopen":
+                # Unflushed writes are volatile: spill them first.
+                backend.flush()
+                backend = reopen()
             elif kind == "add_to_copy":
                 if pinned:
                     copied, frozen = pinned[payload[0] % len(pinned)]

@@ -1,5 +1,6 @@
 """Unit tests for the mmapped segment storage backend."""
 
+import collections
 import hashlib
 import json
 import os
@@ -405,6 +406,135 @@ class TestStorageMetrics:
         deterministic = registry.snapshot().deterministic_subset()
         assert "storage_flush_seconds" not in deterministic["histograms"]
         assert "storage_flushes_total" in deterministic["counters"]
+
+
+@pytest.fixture
+def read_work(monkeypatch):
+    """Calls, while the test runs, of the reader's two units of read
+    work — a string-id probe and a row materialization — and of
+    ``Triple.__eq__``, the unit of a walk over memtable keys."""
+    counts = collections.Counter()
+
+    def count(owner, name):
+        raw = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return raw(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(SegmentReader, "string_id")
+    count(SegmentReader, "row_scored")
+    count(Triple, "__eq__")
+    return counts
+
+
+class TestReadsCostTheAnswer:
+    """An item, triple or subject read — and a ``remove`` — on a store
+    carrying hundreds of tombstones and a full memtable does the work
+    of the same call on a store holding only its live claims, in the
+    same number of segments: counts, not time, in the style of
+    ``tests/unit/test_collector_budget.py``.  The slack is one call
+    per segment (a segment missing a string answers in fewer probes).
+    Projecting the tombstone map onto every segment per read, or
+    walking the memtable, is hundreds of calls over it."""
+
+    SEGMENTS = 5
+
+    @staticmethod
+    def _corpus():
+        # 250 subjects x 2 predicates x 4 values, a second source on
+        # every third triple.
+        first = [
+            claim(f"s{i // 8:03d}", f"p{i % 2}", f"v{(i // 2) % 4}",
+                  source="a", conf=0.5 + (i % 5) / 10)
+            for i in range(2000)
+        ]
+        return first + [
+            ScoredTriple(one.triple, Provenance("b", "ex"), 0.4)
+            for one in first[::3]
+        ]
+
+    @classmethod
+    def _stores(cls, tmp_path):
+        corpus = cls._corpus()
+        heavy = SegmentBackend(
+            tmp_path / "heavy", memtable_limit=10**6,
+            compact_threshold=10**6,
+        )
+        quarter = -(-len(corpus) // 4)
+        for start in range(0, len(corpus), quarter):
+            heavy.add_all(corpus[start:start + quarter])
+            heavy.flush()
+        dead = [one.triple for one in corpus[:2000:6]]  # 334 triples
+        for triple in dead[:150]:
+            assert heavy.remove(triple)
+        heavy.flush()  # a fifth segment: tombstones only
+        for triple in dead[150:]:
+            assert heavy.remove(triple)
+        # The memtable: a new value on every item, and 50 of the dead
+        # triples back under a new source.
+        for index, one in enumerate(corpus[:2000:4]):
+            heavy.add(claim(one.triple.subject, one.triple.predicate,
+                            f"new-{index}", source="m", conf=0.7))
+        for triple in dead[::7][:50]:
+            heavy.add(ScoredTriple(triple, Provenance("z", "ex"), 0.9))
+        assert len(heavy._segments) == cls.SEGMENTS
+        assert len(heavy._tomb) >= 300 and len(heavy._mem) >= 500
+
+        live = heavy.claims()
+        light = SegmentBackend(
+            tmp_path / "light", memtable_limit=10**6,
+            compact_threshold=10**6,
+        )
+        fifth = -(-len(live) // cls.SEGMENTS)
+        for start in range(0, len(live), fifth):
+            light.add_all(live[start:start + fifth])
+            light.flush()
+        assert len(light._segments) == cls.SEGMENTS
+        assert not light._tomb and not light._mem
+        assert light.claims() == live
+        return corpus, dead, heavy, light
+
+    def test_reads_do_the_work_of_a_store_without_tombstones_or_memtable(
+        self, tmp_path, read_work
+    ):
+        corpus, dead, heavy, light = self._stores(tmp_path)
+        probes = [
+            dead[1],  # tombstoned in a flushed segment
+            dead[200],  # tombstoned in the memtable
+            dead[7],  # tombstoned, then back in the memtable
+            corpus[4].triple,  # its item has a memtable claim
+            corpus[9].triple,  # the memtable never touched its item
+            Triple("s-none", "p0", Value("v0")),  # absent
+        ]
+
+        def work(call):
+            read_work.clear()
+            answer = call()
+            return answer, dict(read_work)
+
+        for triple in probes:
+            subject, predicate = triple.item
+            for name, call in [
+                ("claims_for_item",
+                 lambda store: store.claims_for_item(subject, predicate)),
+                ("claims", lambda store: store.claims(triple)),
+                ("contains_triple",
+                 lambda store: store.contains_triple(triple)),
+                ("predicates", lambda store: store.predicates(subject)),
+                ("remove", lambda store: store.copy().remove(triple)),
+            ]:
+                heavy_answer, heavy_work = work(lambda: call(heavy))
+                light_answer, light_work = work(lambda: call(light))
+                assert heavy_answer == light_answer, (name, triple)
+                # A memtable hit may answer with less (contains_triple
+                # of a revived triple reads no segment), never more.
+                for unit in ("string_id", "row_scored", "__eq__"):
+                    assert heavy_work.get(unit, 0) <= (
+                        light_work.get(unit, 0) + self.SEGMENTS
+                    ), (name, triple, unit, heavy_work, light_work)
 
 
 class TestMemoryBackendBatchAddAll:
