@@ -2,9 +2,9 @@
 
 Actionable knowledge must be queryable.  This example runs the
 pipeline, exports the augmented Freebase snapshot to the claims TSV
-format, reloads it, and answers conjunctive graph queries over the
-fused knowledge — including facts that entered the KB only through
-fusion.
+format, reloads it, and answers pattern queries over the fused
+knowledge with ``TripleStore.match`` (``None`` is a wildcard) —
+including facts that entered the KB only through fusion.
 
 Run:  python examples/kb_query_and_export.py
 """
@@ -14,7 +14,6 @@ from pathlib import Path
 
 from repro import KnowledgeBaseConstructionPipeline, PipelineConfig
 from repro.rdf.io import dump_claims_tsv, load_claims_tsv
-from repro.rdf.query import GraphQuery, TriplePattern, Var
 from repro.synth.querylog import QueryLogConfig
 from repro.synth.websites import WebsiteConfig
 
@@ -40,15 +39,12 @@ def main() -> None:
 
     # Query 1: everything the KB knows about one university.
     university = pipeline.world.entities("University")[0]
-    rows = GraphQuery(
-        [TriplePattern(university.entity_id, Var("p"), Var("o"))]
-    ).solve(store)
-    print(f"\n{university.name} — {len(rows)} facts; first 8:")
-    for row in sorted(rows, key=lambda r: r["p"])[:8]:
-        print(f"  {row['p']:<28} {row['o']}")
+    triples = store.match(subject=university.entity_id)
+    print(f"\n{university.name} — {len(triples)} facts; first 8:")
+    for triple in sorted(triples, key=lambda t: t.predicate)[:8]:
+        print(f"  {triple.predicate:<28} {triple.obj.lexical}")
 
-    # Query 2: a join — subjects sharing a fused-in predicate value
-    # with provenance from fusion itself.
+    # Query 2: a claims scan — the claims fusion itself attached.
     fused = [
         scored
         for scored in store.claims()
@@ -62,12 +58,12 @@ def main() -> None:
             f"{triple.obj.lexical})  belief={scored.confidence:.2f}"
         )
 
-    # Query 3: conjunctive pattern with a filter.
-    query = GraphQuery(
-        [TriplePattern(Var("s"), Var("p"), Var("o"))],
-        filters={"o": lambda value: value.isdigit() and len(value) >= 6},
-    )
-    big_numbers = query.solve(store)
+    # Query 3: every triple, filtered on its object.
+    big_numbers = [
+        triple
+        for triple in store.match()
+        if triple.obj.lexical.isdigit() and len(triple.obj.lexical) >= 6
+    ]
     print(f"\nFacts with 6+ digit numeric values: {len(big_numbers)}")
 
 

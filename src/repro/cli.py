@@ -479,21 +479,24 @@ def _run_tenants(args) -> int:
 
 def _run_query(args) -> int:
     from repro.rdf.io import load_claims_tsv
-    from repro.rdf.query import TriplePattern, Var, GraphQuery
+    from repro.rdf.triple import Value
 
     store = load_claims_tsv(args.path)
-    pattern = TriplePattern(
-        args.subject if args.subject else Var("s"),
-        args.predicate if args.predicate else Var("p"),
-        args.obj if args.obj else Var("o"),
+    subject, predicate = args.subject or None, args.predicate or None
+    triples = store.match(
+        subject, predicate, Value(args.obj) if args.obj else None
     )
-    rows = GraphQuery([pattern]).solve(store)
-    for binding in rows[: args.limit]:
-        subject = args.subject or binding.get("s", "")
-        predicate = args.predicate or binding.get("p", "")
-        obj = args.obj or binding.get("o", "")
-        print(f"({subject}, {predicate}, {obj})")
-    print(f"{len(rows)} solutions")
+    # An object matches by its lexical form whatever its kind: when the
+    # typed (string) probe finds nothing, filter the pattern without it.
+    if args.obj and not triples:
+        triples = [
+            triple
+            for triple in store.match(subject, predicate)
+            if triple.obj.lexical == args.obj
+        ]
+    for triple in triples[: args.limit]:
+        print(f"({triple.subject}, {triple.predicate}, {triple.obj.lexical})")
+    print(f"{len(triples)} solutions")
     return 0
 
 

@@ -5,11 +5,7 @@ from repro.core.augmentation import (
     AugmentationReport,
     augment_kb,
 )
-from repro.core.checkpoint import (
-    CHECKPOINT_STAGES,
-    CheckpointStore,
-    config_fingerprint,
-)
+from repro.core.checkpoint import CheckpointStore, config_fingerprint
 from repro.core.confidence import (
     DEFAULT_EXTRACTOR_PRIORS,
     ConfidenceScorer,
@@ -25,7 +21,6 @@ from repro.core.quarantine import Quarantine, guard_records
 
 __all__ = [
     "AugmentationReport",
-    "CHECKPOINT_STAGES",
     "CheckpointStore",
     "ConfidenceScorer",
     "DEFAULT_EXTRACTOR_PRIORS",

@@ -19,7 +19,9 @@ instead of recomputing.  Two rules keep resume safe:
   none, never a truncated one (unreadable files are also treated as
   absent).
 
-Checkpointed stages (in pipeline order):
+The store knows no stage names: a stage is whatever name its caller
+saves under, one ``<stage>.ckpt`` envelope each.  The pipeline writes
+two (in pipeline order):
 
 * ``"extraction"`` — everything stages 1–5 produced: snapshots,
   extractor outputs, seed sets, Set_E, mention classes, plus the
@@ -31,9 +33,8 @@ Fusion and later stages always rerun: they are comparatively cheap and
 depend on fusion toggles outside the fingerprint.  Deltas are not
 checkpointed: a recovering process runs ``run(resume=True)`` and
 re-publishes them to ``serve()``, whose server applies them
-content-idempotently.  The third stage name, ``"incremental"``, is the
-serving cursor :meth:`repro.serving.tenancy.TenantRuntime.checkpoint`
-writes.
+content-idempotently.  A tenant writes one, ``"serving"``: the serving
+cursor :meth:`repro.serving.tenancy.TenantRuntime.checkpoint` saves.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ import pickle
 import time
 from pathlib import Path
 
-__all__ = ["CHECKPOINT_STAGES", "CheckpointStore", "config_fingerprint"]
-
-CHECKPOINT_STAGES = ("extraction", "claims", "incremental")
+__all__ = ["CheckpointStore", "config_fingerprint"]
 
 # A temp file younger than this is assumed to belong to a live writer
 # (another process mid-``save``); the save-path sweep leaves it alone.
@@ -213,15 +212,14 @@ class CheckpointStore:
         return envelope.get("payload")
 
     def clear(self) -> int:
-        """Delete every checkpoint (and orphaned temp) file.
+        """Delete every ``*.ckpt`` file in the directory, whatever its
+        stage, and the orphaned temps :meth:`sweep_temp_files` may take.
 
         Returns how many files were removed, temps included.
         """
         removed = 0
-        for stage in CHECKPOINT_STAGES:
-            target = self.path(stage)
-            if target.exists():
-                target.unlink()
-                removed += 1
+        for target in self.directory.glob("*.ckpt"):
+            target.unlink()
+            removed += 1
         removed += self.sweep_temp_files()
         return removed

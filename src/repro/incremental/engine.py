@@ -333,20 +333,6 @@ class DeltaOutcome:
     degenerate: bool
     wall_seconds: float = 0.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sequence": self.sequence,
-            "receipt": self.receipt.to_json_dict(),
-            "components": self.components,
-            "dirty_components": self.dirty_components,
-            "reused_components": self.reused_components,
-            "reused_verdicts": self.reused_verdicts,
-            "refused_claims": self.refused_claims,
-            "degenerate": self.degenerate,
-            "wall_seconds": self.wall_seconds,
-            "fused_items": len(self.result.truths),
-        }
-
 
 @dataclass(slots=True)
 class _ComputeStats:

@@ -43,6 +43,8 @@ import numbers
 import sys
 from collections.abc import Sequence
 
+from repro.obs.metrics import metric_key, parse_key
+
 __all__ = [
     "validate_metrics",
     "validate_tenant_metrics",
@@ -61,14 +63,29 @@ def _is_number(value: object) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _parse(key: object) -> tuple[str, dict[str, str]] | None:
+    """``key`` as name + labels, or None when it is not a key
+    :func:`~repro.obs.metrics.metric_key` renders (it does not parse,
+    or does not render back to itself)."""
+    if not isinstance(key, str):
+        return None
+    try:
+        name, labels = parse_key(key)
+    except ValueError:
+        return None
+    if not name or metric_key(name, labels) != key:
+        return None
+    return name, labels
+
+
 def _check_scalar_map(payload: dict, kind: str, errors: list[str]) -> None:
     section = payload.get(kind)
     if not isinstance(section, dict):
         errors.append(f"{kind}: expected an object, got {type(section).__name__}")
         return
     for key, value in section.items():
-        if not isinstance(key, str) or not key:
-            errors.append(f"{kind}: non-string metric key {key!r}")
+        if _parse(key) is None:
+            errors.append(f"{kind}: malformed metric key {key!r}")
         if not _is_number(value):
             errors.append(f"{kind}[{key!r}]: expected a number, got {value!r}")
 
@@ -90,6 +107,8 @@ def validate_metrics(payload: object) -> list[str]:
         return errors
     for key, histogram in histograms.items():
         prefix = f"histograms[{key!r}]"
+        if _parse(key) is None:
+            errors.append(f"histograms: malformed metric key {key!r}")
         if not isinstance(histogram, dict):
             errors.append(f"{prefix}: expected an object")
             continue
@@ -140,8 +159,9 @@ def validate_tenant_metrics(
     tenant must have a ``serving_version`` gauge: a tenant with no
     series at all never reported, which is its own kind of silent.
 
-    Structural problems (:func:`validate_metrics`) are not re-checked
-    here; run both.
+    Other structural problems (:func:`validate_metrics`) are not
+    re-checked here, except a key that does not parse, whose tenant
+    cannot be read; run both.
     """
     errors: list[str] = []
     if not isinstance(payload, dict):
@@ -150,28 +170,16 @@ def validate_tenant_metrics(
             f"got {type(payload).__name__}"
         ]
     known = set(tenants)
-    # Local parse of ``name{k=v,...}`` keys — mirrors
-    # repro.obs.metrics.parse_key, kept inline so the validator stays
-    # importable against raw JSON with no registry in sight.
-    def split(key: str) -> tuple[str, dict[str, str]]:
-        brace = key.find("{")
-        if brace < 0:
-            return key, {}
-        body = key[brace + 1 : -1]
-        if not body:
-            return key[:brace], {}
-        return key[:brace], dict(
-            part.split("=", 1) for part in body.split(",") if "=" in part
-        )
-
     for kind in ("counters", "gauges", "histograms"):
         section = payload.get(kind)
         if not isinstance(section, dict):
             continue  # validate_metrics reports the structural problem
         for key in section:
-            if not isinstance(key, str):
+            parsed = _parse(key)
+            if parsed is None:
+                errors.append(f"{kind}[{key!r}]: malformed metric key")
                 continue
-            name, labels = split(key)
+            name, labels = parsed
             if not name.startswith(TENANT_SCOPED_PREFIXES):
                 continue
             tenant = labels.get("tenant")

@@ -1,10 +1,10 @@
-"""RDF substrate: triples, stores, ontologies and value hierarchies."""
+"""RDF substrate: triples, stores, ontologies, value hierarchies and the
+claims TSV format.  A query is one ``TripleStore.match`` pattern."""
 
 from repro.rdf.backend import MemoryBackend, StorageBackend
 from repro.rdf.hierarchy import ValueHierarchy
-from repro.rdf.io import dump_claims_tsv, dump_ntriples, load_claims_tsv
+from repro.rdf.io import dump_claims_tsv, load_claims_tsv
 from repro.rdf.ontology import Attribute, Entity, Ontology, OntologyClass
-from repro.rdf.query import GraphQuery, TriplePattern, Var, select
 from repro.rdf.segments import SegmentBackend, SegmentReader
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import (
@@ -13,19 +13,12 @@ from repro.rdf.triple import (
     Triple,
     Value,
     ValueKind,
-    distinct_triples,
-    group_by_item,
 )
 
 __all__ = [
     "Attribute",
-    "GraphQuery",
-    "TriplePattern",
-    "Var",
     "dump_claims_tsv",
-    "dump_ntriples",
     "load_claims_tsv",
-    "select",
     "Entity",
     "MemoryBackend",
     "Ontology",
@@ -40,6 +33,4 @@ __all__ = [
     "Value",
     "ValueHierarchy",
     "ValueKind",
-    "distinct_triples",
-    "group_by_item",
 ]

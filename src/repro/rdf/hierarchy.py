@@ -8,9 +8,10 @@ levels.  Fusion must treat such values as mutually supporting, not
 conflicting (Sec. 3.2, bullet 2).
 
 A :class:`ValueHierarchy` is a forest over lexical value strings: each
-value has at most one parent (its direct generalisation).  The class
-answers ancestor/descendant queries, finds chains, and computes a
-support coefficient between two values used by hierarchical fusion.
+value has at most one parent (its direct generalisation).  The
+generators build one edge by edge; fusion reads it once, through its
+nodes and their parents, into
+:class:`repro.fusion.hierarchy.CasefoldHierarchy`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class ValueHierarchy:
 
     def __init__(self, edges: Iterable[tuple[str, str]] = ()) -> None:
         self._parent: dict[str, str] = {}
-        self._children: dict[str, set[str]] = {}
+        self._nodes: set[str] = set()
         for child, parent in edges:
             self.add_edge(child, parent)
 
@@ -57,7 +58,7 @@ class ValueHierarchy:
                 f"edge {child!r} -> {parent!r} would create a cycle"
             )
         self._parent[child] = parent
-        self._children.setdefault(parent, set()).add(child)
+        self._nodes.update((child, parent))
 
     def add_chain(self, chain: Iterable[str]) -> None:
         """Declare a most-specific-first chain, e.g.
@@ -70,15 +71,14 @@ class ValueHierarchy:
     # Queries
     # ------------------------------------------------------------------
     def __contains__(self, value: str) -> bool:
-        return value in self._parent or value in self._children
+        return value in self._nodes
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._nodes)
 
     def parent(self, value: str) -> str | None:
         """Direct generalisation, or None for roots / unknown values."""
         return self._parent.get(value)
-
-    def children(self, value: str) -> set[str]:
-        """Direct specialisations."""
-        return set(self._children.get(value, set()))
 
     def ancestors(self, value: str) -> list[str]:
         """Proper ancestors from nearest to farthest."""
@@ -89,82 +89,6 @@ class ValueHierarchy:
             current = self._parent.get(current)
         return out
 
-    def descendants(self, value: str) -> set[str]:
-        """All proper descendants."""
-        out: set[str] = set()
-        frontier = list(self._children.get(value, set()))
-        while frontier:
-            node = frontier.pop()
-            if node in out:
-                continue
-            out.add(node)
-            frontier.extend(self._children.get(node, set()))
-        return out
-
-    def chain(self, value: str) -> list[str]:
-        """The value followed by all its ancestors (specific → general)."""
-        return [value, *self.ancestors(value)]
-
-    def roots(self) -> set[str]:
-        """Values that have children but no parent."""
-        return {value for value in self._children if value not in self._parent}
-
     def depth(self, value: str) -> int:
         """Distance to the root of the value's tree (root = 0)."""
         return len(self.ancestors(value))
-
-    def __iter__(self) -> Iterator[str]:
-        seen = set(self._parent) | set(self._children)
-        return iter(seen)
-
-    def __len__(self) -> int:
-        return len(set(self._parent) | set(self._children))
-
-    # ------------------------------------------------------------------
-    # Fusion support
-    # ------------------------------------------------------------------
-    def related(self, value_a: str, value_b: str) -> bool:
-        """True when one value generalises the other (or they are equal).
-
-        Related values are *mutually supporting* during fusion: the
-        claims ``birth place = China`` and ``birth place = Wuhan`` are
-        both true, not conflicting.
-        """
-        if value_a == value_b:
-            return True
-        return value_a in self.ancestors(value_b) or value_b in self.ancestors(
-            value_a
-        )
-
-    def support(self, claimed: str, candidate: str) -> float:
-        """How strongly a claim of ``claimed`` supports truth of ``candidate``.
-
-        Returns 1.0 for equality, and a value decaying with the
-        hierarchy distance when the two lie on one chain:
-
-        * a *specific* claim fully implies its generalisations
-          (``Wuhan`` ⇒ ``China``), so support is 1.0 upward;
-        * a *general* claim only partially supports a specialisation
-          (``China`` weakly supports ``Wuhan``), so support decays as
-          ``1 / (1 + distance)`` downward;
-        * unrelated values give 0.0.
-        """
-        if claimed == candidate:
-            return 1.0
-        ancestors_of_claimed = self.ancestors(claimed)
-        if candidate in ancestors_of_claimed:
-            return 1.0
-        ancestors_of_candidate = self.ancestors(candidate)
-        if claimed in ancestors_of_candidate:
-            distance = ancestors_of_candidate.index(claimed) + 1
-            return 1.0 / (1.0 + distance)
-        return 0.0
-
-    def lowest_common_ancestor(self, value_a: str, value_b: str) -> str | None:
-        """LCA of two values, or None when they share no tree."""
-        chain_a = self.chain(value_a)
-        chain_b_set = set(self.chain(value_b))
-        for node in chain_a:
-            if node in chain_b_set:
-                return node
-        return None

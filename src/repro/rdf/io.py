@@ -1,18 +1,14 @@
-"""Persistence for triple stores.
+"""Persistence for triple stores: the claims TSV format.
 
-Two interchange formats:
-
-* **claims TSV** — the lossless native format: one claim per line with
-  subject, predicate, object lexical, object kind, source, extractor,
-  locator and confidence (tab-separated, header line, escaped
-  tabs/newlines);
-* **N-Triples-like** — a lossy export of the distinct triples for
-  interoperability (``<subject> <predicate> "object" .``).
+One claim per line with subject, predicate, object lexical, object
+kind, source, extractor, locator and confidence (tab-separated, header
+line, escaped tabs/newlines) — lossless, so a reloaded store holds the
+same claims.  ``repro pipeline --export`` writes it and ``repro query``
+reads it.
 """
 
 from __future__ import annotations
 
-import io
 import pathlib
 
 from repro.errors import StoreError
@@ -119,19 +115,3 @@ def load_claims_tsv(path: str | pathlib.Path) -> TripleStore:
             )
         )
     return store
-
-
-def dump_ntriples(store: TripleStore, path: str | pathlib.Path) -> int:
-    """Export distinct triples in an N-Triples-like format."""
-    buffer = io.StringIO()
-    triples = sorted(
-        store.match(),
-        key=lambda t: (t.subject, t.predicate, t.obj.lexical),
-    )
-    for triple in triples:
-        escaped = triple.obj.lexical.replace("\\", "\\\\").replace('"', '\\"')
-        buffer.write(
-            f"<{triple.subject}> <{triple.predicate}> \"{escaped}\" .\n"
-        )
-    pathlib.Path(path).write_text(buffer.getvalue(), encoding="utf-8")
-    return len(triples)

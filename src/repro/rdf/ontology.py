@@ -97,25 +97,6 @@ class OntologyClass:
         self._attributes[attribute.name] = attribute
         return True
 
-    def attribute(self, name: str) -> Attribute:
-        try:
-            return self._attributes[name]
-        except KeyError:
-            raise OntologyError(
-                f"class {self.name!r} has no attribute {name!r}"
-            ) from None
-
-    def has_attribute(self, name: str) -> bool:
-        return name in self._attributes
-
-    @property
-    def attributes(self) -> tuple[Attribute, ...]:
-        return tuple(self._attributes.values())
-
-    @property
-    def attribute_names(self) -> tuple[str, ...]:
-        return tuple(self._attributes)
-
     # -- entities -------------------------------------------------------
     def add_entity(self, entity: Entity) -> None:
         if entity.class_name != self.name:
@@ -125,26 +106,9 @@ class OntologyClass:
             )
         self._entities[entity.entity_id] = entity
 
-    def entity(self, entity_id: str) -> Entity:
-        try:
-            return self._entities[entity_id]
-        except KeyError:
-            raise OntologyError(
-                f"class {self.name!r} has no entity {entity_id!r}"
-            ) from None
-
     @property
     def entities(self) -> tuple[Entity, ...]:
         return tuple(self._entities.values())
-
-    def __len__(self) -> int:
-        return len(self._entities)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"OntologyClass({self.name!r}, {len(self._attributes)} attrs, "
-            f"{len(self._entities)} entities)"
-        )
 
 
 class Ontology:
@@ -172,27 +136,6 @@ class Ontology:
 
     def __iter__(self) -> Iterator[OntologyClass]:
         return iter(self._classes.values())
-
-    def __len__(self) -> int:
-        return len(self._classes)
-
-    def entity_count(self) -> int:
-        """Total entities across classes."""
-        return sum(len(cls) for cls in self)
-
-    def attribute_count(self) -> int:
-        """Total distinct attribute names across classes."""
-        names = {attr.name for cls in self for attr in cls.attributes}
-        return len(names)
-
-    def find_entity(self, entity_id: str) -> Entity | None:
-        """Locate an entity by id across all classes."""
-        for cls in self:
-            try:
-                return cls.entity(entity_id)
-            except OntologyError:
-                continue
-        return None
 
     def entity_index(self) -> dict[str, Entity]:
         """Map from every surface form (lower-cased) to its entity.

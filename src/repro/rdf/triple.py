@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
 
 
 class ValueKind(enum.Enum):
@@ -63,16 +62,6 @@ class Value:
     def string(lexical: str) -> "Value":
         """Convenience constructor for a plain string literal."""
         return Value(lexical, ValueKind.STRING)
-
-    @staticmethod
-    def number(number: float | int) -> "Value":
-        """Convenience constructor for a numeric literal."""
-        return Value(repr(number), ValueKind.NUMBER)
-
-    @staticmethod
-    def entity(entity_id: str) -> "Value":
-        """Convenience constructor for an entity reference."""
-        return Value(entity_id, ValueKind.ENTITY)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,21 +146,3 @@ class ScoredTriple:
     def with_confidence(self, confidence: float) -> "ScoredTriple":
         """Return a copy carrying a new confidence score."""
         return ScoredTriple(self.triple, self.provenance, confidence)
-
-
-def group_by_item(
-    extractions: Iterable[ScoredTriple],
-) -> dict[tuple[str, str], list[ScoredTriple]]:
-    """Group scored triples by their data item ``(subject, predicate)``.
-
-    This is the canonical pre-processing step of every fusion method.
-    """
-    grouped: dict[tuple[str, str], list[ScoredTriple]] = {}
-    for extraction in extractions:
-        grouped.setdefault(extraction.triple.item, []).append(extraction)
-    return grouped
-
-
-def distinct_triples(extractions: Iterable[ScoredTriple]) -> set[Triple]:
-    """Return the set of distinct triples among scored extractions."""
-    return {extraction.triple for extraction in extractions}

@@ -96,11 +96,6 @@ class KBReader:
             claims=len(self.version.store.claims_for_item(subject, predicate)),
         )
 
-    def belief(self, subject: str, predicate: str, value: str) -> float:
-        """Belief score of one (item, value) pair (0.0 when unknown)."""
-        self._count_read("belief")
-        return self.version.result.belief_of((subject, predicate), value)
-
     # -- scans ---------------------------------------------------------
     def scan_subject(self, subject: str) -> list[FactView]:
         """Every fused fact of one entity, predicate-sorted.

@@ -83,17 +83,6 @@ class StepOutcome:
     error: str | None = None
     wall_seconds: float = 0.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "offset": self.offset,
-            "event_id": self.event_id,
-            "action": self.action,
-            "version_id": self.version_id,
-            "sequence": self.sequence,
-            "attempts": self.attempts,
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class ServingStatus:
@@ -108,19 +97,6 @@ class ServingStatus:
     degraded: bool
     poisoned: int
     quarantined_held: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "version_id": self.version_id,
-            "sequence": self.sequence,
-            "committed_offset": self.committed_offset,
-            "head_offset": self.head_offset,
-            "lag_events": self.lag_events,
-            "applied_events": self.applied_events,
-            "degraded": self.degraded,
-            "poisoned": self.poisoned,
-            "quarantined_held": self.quarantined_held,
-        }
 
 
 class KBServer:

@@ -194,7 +194,7 @@ class TenantRuntime:
             return None
         version = self.server.versions.current
         return self.checkpoints.save(
-            "incremental",
+            "serving",
             {
                 "tenant": self.name,
                 "version_id": version.version_id,
@@ -443,13 +443,6 @@ class TenantManager:
             name: path
             for name in self.names()
             if (path := self.tenants[name].checkpoint()) is not None
-        }
-
-    def statuses(self) -> dict:
-        """Per-tenant :class:`~repro.serving.server.ServingStatus`."""
-        return {
-            name: self.tenants[name].server.status()
-            for name in self.names()
         }
 
     # ------------------------------------------------------------------

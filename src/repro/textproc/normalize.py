@@ -96,20 +96,3 @@ def is_probable_misspelling(
     if abs(len(left_norm) - len(right_norm)) > allowed:
         return False
     return levenshtein(left_norm, right_norm, limit=allowed) <= allowed
-
-
-def canonical_key(name: str) -> str:
-    """A collision-tolerant key used to group misspelled duplicates.
-
-    Removes vowels after the first character of each word, which maps
-    common vowel-level misspellings to the same key while keeping
-    distinct words apart.
-    """
-    words = normalize_attribute(name).split(" ")
-    keyed = []
-    for word in words:
-        if not word:
-            continue
-        head, rest = word[0], word[1:]
-        keyed.append(head + "".join(ch for ch in rest if ch not in "aeiou"))
-    return " ".join(keyed)

@@ -26,10 +26,9 @@ pattern) pairs leave here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import ParseError
-from repro.textproc.tokenize import tokenize_words
 
 SlotValidator = Callable[[list[str]], bool]
 
@@ -127,10 +126,6 @@ class LexicalPattern:
             if anchored:
                 break
         return matches
-
-    def match_text(self, text: str, *, anchored: bool = False) -> list[PatternMatch]:
-        """Tokenize ``text`` and match."""
-        return self.match_tokens(tokenize_words(text), anchored=anchored)
 
     # ------------------------------------------------------------------
     def _match_at(
@@ -263,17 +258,3 @@ def _escape_literal(token: str) -> str:
     if not cleaned or any(ch in cleaned for ch in "<>[]|"):
         return ""
     return cleaned.lower()
-
-
-def match_any(
-    patterns: Iterable[LexicalPattern],
-    tokens: Sequence[str],
-    *,
-    anchored: bool = False,
-) -> list[tuple[LexicalPattern, PatternMatch]]:
-    """Match a token sequence against many patterns; collect all hits."""
-    hits: list[tuple[LexicalPattern, PatternMatch]] = []
-    for pattern in patterns:
-        for match in pattern.match_tokens(tokens, anchored=anchored):
-            hits.append((pattern, match))
-    return hits

@@ -3,8 +3,8 @@
 Entity linking, attribute synonym resolution and misspelling detection
 all need cheap, dependency-free string similarity.  Implemented here:
 Levenshtein distance (with a band-optimised early exit), Jaro and
-Jaro-Winkler similarity, token Jaccard, and a combined name similarity
-used by record linkage.
+Jaro-Winkler similarity, and the Jaccard of two token sets (the entity
+layer holds its surface forms' tokens precomputed).
 
 None of them is memoized: the pipeline practically never asks for the
 same pair twice (a memo table in front of the Levenshtein DP hit 7
@@ -86,13 +86,6 @@ def _banded_levenshtein(left: str, right: str, limit: int) -> int:
     return previous[width] if previous[width] <= limit else big
 
 
-def levenshtein_similarity(left: str, right: str) -> float:
-    """``1 - distance / max(len)`` in ``[0, 1]``; empty == empty is 1."""
-    if not left and not right:
-        return 1.0
-    return 1.0 - levenshtein(left, right) / max(len(left), len(right))
-
-
 def jaro(left: str, right: str) -> float:
     """Jaro similarity in ``[0, 1]``."""
     if left == right:
@@ -145,43 +138,11 @@ def jaro_winkler(left: str, right: str, *, prefix_scale: float = 0.1) -> float:
     return base + prefix * prefix_scale * (1.0 - base)
 
 
-def token_jaccard(left: str, right: str) -> float:
-    """Jaccard similarity of lower-cased token sets."""
-    return token_set_jaccard(
-        set(left.lower().split()), set(right.lower().split())
-    )
-
-
 def token_set_jaccard(tokens_left, tokens_right) -> float:
-    """Jaccard of two pre-tokenised sets (both empty counts as 1.0).
-
-    The set-level core of :func:`token_jaccard`, exposed so hot paths
-    that hold precomputed token sets (the entity layer's surface
-    forms) can score without re-splitting the strings on every call.
-    """
+    """Jaccard of two pre-tokenised sets (both empty counts as 1.0)."""
     if not tokens_left and not tokens_right:
         return 1.0
     if not tokens_left or not tokens_right:
         return 0.0
     overlap = len(tokens_left & tokens_right)
     return overlap / (len(tokens_left) + len(tokens_right) - overlap)
-
-
-def name_similarity(left: str, right: str) -> float:
-    """Combined similarity for entity/attribute names in ``[0, 1]``.
-
-    Takes the stronger of two complementary signals: character-level
-    Jaro-Winkler (captures misspelling closeness, "Adelade" ~
-    "Adelaide") and token Jaccard (captures word reordering,
-    "University of Adelaide" ~ "Adelaide University").  Either signal
-    alone can be near zero for a pair the other recognises, so the max
-    is the right combiner.
-    """
-    left_norm = left.lower().strip()
-    right_norm = right.lower().strip()
-    if left_norm == right_norm:
-        return 1.0
-    return max(
-        jaro_winkler(left_norm, right_norm),
-        token_jaccard(left_norm, right_norm),
-    )

@@ -51,11 +51,6 @@ def _split_token(raw: str) -> list[str]:
     return prefix + parts + suffix
 
 
-def normalize_token(token: str) -> str:
-    """Lower-case a token for case-insensitive comparison."""
-    return token.lower()
-
-
 def detokenize(tokens: list[str]) -> str:
     """Join tokens back into a readable string.
 

@@ -154,11 +154,29 @@ class TestCrashIsolation:
 
 class TestBackpressureIsolation:
     def test_tiny_logs_defer_but_never_corrupt(self, bystander_reference):
-        # capacity=1 forces constant backpressure + compaction in every
-        # tenant; deferred publishes retry on later rounds and the final
-        # bytes still match the roomy solo run.
-        manager = TenantManager.from_mix(MIX, capacity=1)
+        # capacity=1 keeps every log at its bound.  A turn publishes one
+        # event and consumes it, so only an event the consumer leaves
+        # behind makes the next publish wait: a post-commit crash in the
+        # victim does (the version is in, the offset is not acked).  The
+        # deferred publish retries on a later round and the final bytes
+        # still match the roomy solo run.
+        registry = MetricsRegistry()
+        manager = TenantManager.from_mix(
+            MIX,
+            capacity=1,
+            metrics=registry,
+            fault_plans={
+                VICTIM: FaultPlan(seed=5).crash(
+                    "stream:post-commit", index=1
+                ),
+            },
+        )
         manager.drain_fair()
+        victim = manager.tenant(VICTIM)
+        assert victim.deferred_publishes > 0
+        assert registry.snapshot().counters[
+            f"tenant_publish_deferred_total{{tenant={VICTIM}}}"
+        ] == victim.deferred_publishes
         for name in (VICTIM, BYSTANDER):
             runtime = manager.tenant(name)
             assert runtime.finished

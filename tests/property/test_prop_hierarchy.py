@@ -38,53 +38,3 @@ class TestHierarchyInvariants:
         hierarchy, nodes = forest
         for node in nodes:
             assert hierarchy.depth(node) == len(hierarchy.ancestors(node))
-
-    @given(forests())
-    @settings(max_examples=60)
-    def test_descendants_inverse_of_ancestors(self, forest):
-        hierarchy, nodes = forest
-        for node in nodes:
-            for ancestor in hierarchy.ancestors(node):
-                assert node in hierarchy.descendants(ancestor)
-
-    @given(forests())
-    @settings(max_examples=60)
-    def test_related_is_symmetric(self, forest):
-        hierarchy, nodes = forest
-        for left in nodes[:10]:
-            for right in nodes[:10]:
-                assert hierarchy.related(left, right) == hierarchy.related(
-                    right, left
-                )
-
-    @given(forests())
-    @settings(max_examples=60)
-    def test_support_bounds_and_direction(self, forest):
-        hierarchy, nodes = forest
-        for left in nodes[:10]:
-            for right in nodes[:10]:
-                support = hierarchy.support(left, right)
-                assert 0.0 <= support <= 1.0
-                # Upward support is total; downward is partial.
-                if right in hierarchy.ancestors(left):
-                    assert support == 1.0
-                if left in hierarchy.ancestors(right):
-                    assert 0.0 < support < 1.0
-
-    @given(forests())
-    @settings(max_examples=60)
-    def test_lca_is_common_ancestor(self, forest):
-        hierarchy, nodes = forest
-        for left in nodes[:8]:
-            for right in nodes[:8]:
-                lca = hierarchy.lowest_common_ancestor(left, right)
-                if lca is not None:
-                    assert lca in hierarchy.chain(left)
-                    assert lca in hierarchy.chain(right)
-
-    @given(forests())
-    @settings(max_examples=60)
-    def test_roots_have_no_parent(self, forest):
-        hierarchy, _nodes = forest
-        for root in hierarchy.roots():
-            assert hierarchy.parent(root) is None

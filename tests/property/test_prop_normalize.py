@@ -1,10 +1,9 @@
 """Property-based tests for normalisation."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.textproc.normalize import (
-    canonical_key,
     normalize_attribute,
     normalize_name,
     singularize,
@@ -62,15 +61,3 @@ class TestSingularize:
     @given(words)
     def test_lowercase_output(self, word):
         assert singularize(word) == singularize(word).lower()
-
-
-class TestCanonicalKey:
-    @given(phrases)
-    def test_deterministic(self, phrase):
-        assert canonical_key(phrase) == canonical_key(phrase)
-
-    @given(phrases)
-    def test_stable_under_normalisation(self, phrase):
-        assert canonical_key(phrase) == canonical_key(
-            normalize_attribute(phrase)
-        )

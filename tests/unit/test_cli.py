@@ -7,7 +7,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.rdf.io import dump_claims_tsv
 from repro.rdf.store import TripleStore
-from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
+from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value, ValueKind
 
 _ONE_CLAIM_DELTA = {
     "label": "cli-test",
@@ -138,6 +138,34 @@ class TestQueryCommand:
             ]
         ) == 0
         assert "1 solutions" in capsys.readouterr().out
+
+    def test_object_of_any_kind_matches_by_its_lexical_form(
+        self, tmp_path, capsys
+    ):
+        # --object probes the string-kind value first; a number or an
+        # entity reference is found by the lexical fallback.
+        store = TripleStore()
+        for subject, obj in (
+            ("book/1", Value("1874", ValueKind.NUMBER)),
+            ("book/2", Value("1874")),
+            ("book/3", Value("person/7", ValueKind.ENTITY)),
+        ):
+            store.add(
+                ScoredTriple(
+                    Triple(subject, "year", obj), Provenance("src", "ex")
+                )
+            )
+        path = tmp_path / "claims.tsv"
+        dump_claims_tsv(store, path)
+        assert main(["query", str(path), "--object", "person/7"]) == 0
+        assert capsys.readouterr().out == (
+            "(book/3, year, person/7)\n1 solutions\n"
+        )
+        # A string-kind hit answers alone: no fallback to other kinds.
+        assert main(["query", str(path), "--object", "1874"]) == 0
+        assert capsys.readouterr().out == (
+            "(book/2, year, 1874)\n1 solutions\n"
+        )
 
 
 class TestApplyDelta:
@@ -324,5 +352,5 @@ class TestTenantsCommand:
             "--items", "8", "--sources", "3", "--parts", "2",
             "--checkpoint-root", str(root),
         ])
-        assert (root / "tenant00" / "incremental.ckpt").exists()
-        assert (root / "tenant01" / "incremental.ckpt").exists()
+        assert (root / "tenant00" / "serving.ckpt").exists()
+        assert (root / "tenant01" / "serving.ckpt").exists()

@@ -3,11 +3,7 @@
 import os
 import time
 
-from repro.core.checkpoint import (
-    CHECKPOINT_STAGES,
-    CheckpointStore,
-    config_fingerprint,
-)
+from repro.core.checkpoint import CheckpointStore, config_fingerprint
 from repro.obs import MetricsRegistry
 from repro.core.pipeline import PipelineConfig
 from repro.faults import FaultPlan, RetryPolicy
@@ -74,11 +70,23 @@ class TestCheckpointStore:
         assert leftovers == ["claims.ckpt"]
 
     def test_clear_removes_known_stages(self, tmp_path):
+        # The stages the pipeline ("extraction", "claims") and a tenant
+        # ("serving") write.
+        stages = ("extraction", "claims", "serving")
         store = CheckpointStore(tmp_path, "fp-1")
-        for stage in CHECKPOINT_STAGES:
+        for stage in stages:
             store.save(stage, stage)
-        assert store.clear() == len(CHECKPOINT_STAGES)
-        assert all(store.load(stage) is None for stage in CHECKPOINT_STAGES)
+        assert store.clear() == len(stages)
+        assert all(store.load(stage) is None for stage in stages)
+
+    def test_clear_removes_a_stage_it_was_never_told_about(self, tmp_path):
+        # Regression: clear() deleted only a fixed list of stage names,
+        # so a checkpoint saved under any other name survived it.
+        store = CheckpointStore(tmp_path, "fp-1")
+        store.save("my-stage", {"x": 1})
+        assert store.clear() == 1
+        assert store.load("my-stage") is None
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTempFileHygiene:

@@ -170,11 +170,10 @@ class TestSpecializeShortcut:
         flat = generate_claim_world(
             ClaimWorldConfig(seed=5, n_items=40, n_sources=8, false_pool=3)
         )
-        root = sorted(hier.hierarchy.roots())[0]
-        leaf = sorted(
-            value for value in hier.hierarchy
-            if not hier.hierarchy.children(value)
-        )[0]
+        nodes = hier.hierarchy
+        parents = {nodes.parent(value) for value in nodes}
+        root = sorted(value for value in nodes if nodes.parent(value) is None)[0]
+        leaf = sorted(value for value in nodes if value not in parents)[0]
         claims = ClaimSet(hier.claims)
         for one in flat.claims:
             claims.add(

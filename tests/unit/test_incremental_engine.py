@@ -232,16 +232,6 @@ class TestApplyDelta:
         reference = _fusion().fuse(canonical_claims(engine.store.copy()))
         assert fresh.result.canonical_bytes() == reference.canonical_bytes()
 
-    def test_outcome_json_dict_shape(self):
-        engine = _fusion().begin_incremental(_corpus(n_worlds=2))
-        payload = engine.apply_delta(_component_delta(engine.store)).to_json_dict()
-        assert payload["sequence"] == 1
-        assert payload["components"] == 2
-        assert payload["dirty_components"] == 1
-        assert payload["receipt"]["added"] == 1
-        assert payload["fused_items"] == len(engine.result.truths)
-        assert payload["wall_seconds"] >= 0.0
-
 
 class CountingStore(TripleStore):
     """Counts whole-store reads, and the journal's calls, across the

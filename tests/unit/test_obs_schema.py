@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.obs.schema import (
     main,
     validate_metrics,
@@ -173,6 +175,32 @@ class TestValidateTenantMetrics:
         assert any(
             "t02" in p and "serving_version" in p for p in problems
         )
+
+    @pytest.mark.parametrize("section", ["counters", "gauges", "histograms"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "stream_events_total{tenant",  # unterminated label body
+            "stream_events_total{tenant=t00,ghost}",  # label without "="
+            "stream_events_total{}",  # renders as the bare name
+            "stream_events_total{tenant=t00}x",  # trailing text
+        ],
+    )
+    def test_malformed_key_is_a_problem_in_both_validators(
+        self, section, key
+    ):
+        # Regression: validate_metrics only checked that a key was a
+        # non-empty string, and the tenant validator split keys with a
+        # parser of its own that skipped what it could not read.
+        doc = tenant_metrics()
+        value = good_metrics()["histograms"]["sizes"]
+        doc[section][key] = value if section == "histograms" else 1
+        problems = validate_metrics(doc)
+        assert [p for p in problems if "malformed" in p] == [
+            f"{section}: malformed metric key {key!r}"
+        ]
+        tenant_problems = validate_tenant_metrics(doc, ["t00", "t01"])
+        assert f"{section}[{key!r}]: malformed metric key" in tenant_problems
 
     def test_unscoped_series_need_no_label(self):
         doc = {

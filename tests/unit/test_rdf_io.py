@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import StoreError
-from repro.rdf.io import dump_claims_tsv, dump_ntriples, load_claims_tsv
+from repro.rdf.io import dump_claims_tsv, load_claims_tsv
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value, ValueKind
 
@@ -101,18 +101,3 @@ class TestClaimsTsvErrors:
         del header
         with pytest.raises(StoreError):
             load_claims_tsv(path)
-
-
-class TestNtriples:
-    def test_export_distinct_triples(self, store, tmp_path):
-        path = tmp_path / "out.nt"
-        count = dump_ntriples(store, path)
-        assert count == 3
-        text = path.read_text()
-        assert '<book/1> <author> "Jane Doe" .' in text
-        assert text.count(" .\n") == 3
-
-    def test_quotes_escaped(self, store, tmp_path):
-        path = tmp_path / "out.nt"
-        dump_ntriples(store, path)
-        assert '\\"and\\"' in path.read_text()

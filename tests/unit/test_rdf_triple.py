@@ -8,8 +8,6 @@ from repro.rdf.triple import (
     Triple,
     Value,
     ValueKind,
-    distinct_triples,
-    group_by_item,
 )
 
 
@@ -18,14 +16,6 @@ class TestValue:
         value = Value.string("Adelaide")
         assert value.lexical == "Adelaide"
         assert value.kind is ValueKind.STRING
-
-    def test_number_constructor(self):
-        assert Value.number(42).lexical == "42"
-        assert Value.number(42).kind is ValueKind.NUMBER
-
-    def test_entity_constructor(self):
-        value = Value.entity("book/0001")
-        assert value.kind is ValueKind.ENTITY
 
     def test_empty_lexical_rejected(self):
         with pytest.raises(ValueError):
@@ -92,24 +82,3 @@ class TestScoredTriple:
         assert updated.confidence == 0.9
         assert original.confidence == 0.5
         assert updated.triple is original.triple
-
-
-class TestGrouping:
-    def _claims(self):
-        prov_a = Provenance("a", "dom")
-        prov_b = Provenance("b", "dom")
-        return [
-            ScoredTriple(Triple("s", "p", Value("v1")), prov_a),
-            ScoredTriple(Triple("s", "p", Value("v2")), prov_b),
-            ScoredTriple(Triple("s", "q", Value("v1")), prov_a),
-        ]
-
-    def test_group_by_item(self):
-        grouped = group_by_item(self._claims())
-        assert set(grouped) == {("s", "p"), ("s", "q")}
-        assert len(grouped[("s", "p")]) == 2
-
-    def test_distinct_triples(self):
-        claims = self._claims()
-        claims.append(claims[0])
-        assert len(distinct_triples(claims)) == 3

@@ -1,5 +1,7 @@
 """Unit tests for versioned-KB handles and the pinned query surface."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ServingError
@@ -99,7 +101,7 @@ class TestVersionedKB:
             )
         assert len(server.drain()) == 4
         summary = server.versions.current.describe()
-        status = server.status().to_json_dict()
+        status = dataclasses.asdict(server.status())
         shared = summary.keys() & status.keys()
         assert shared >= {"version_id", "sequence"}
         assert {key: summary[key] for key in shared} == {
@@ -124,11 +126,12 @@ class TestPointLookups:
         assert view.claims == 0
 
     def test_belief_of_losing_and_unknown_values(self, version):
-        reader = KBReader(version)
-        winner = reader.belief("france", "capital", "paris")
-        loser = reader.belief("france", "capital", "lyon")
+        item = ("france", "capital")
+        winner = version.result.belief_of(item, "paris")
+        loser = version.result.belief_of(item, "lyon")
+        assert KBReader(version).lookup(*item).beliefs == {"paris": winner}
         assert winner > loser > 0.0
-        assert reader.belief("france", "capital", "nowhere") == 0.0
+        assert version.result.belief_of(item, "nowhere") == 0.0
 
 
 class TestScans:

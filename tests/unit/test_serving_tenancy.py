@@ -43,7 +43,9 @@ class TestManagerBasics:
             assert runtime.finished
             assert runtime.halted is None
             assert runtime.published == len(runtime.workload.deltas)
-        for status in manager.statuses().values():
+        for status in (
+            manager.tenant(name).server.status() for name in manager.names()
+        ):
             assert status.lag_events == 0
 
     def test_drain_is_idempotent_once_finished(self):
@@ -100,7 +102,7 @@ class TestPerTenantCheckpoints:
         paths = manager.checkpoint_all()
         assert sorted(paths) == ["tenant00", "tenant01"]
         for name, path in paths.items():
-            assert path == tmp_path / name / "incremental.ckpt"
+            assert path == tmp_path / name / "serving.ckpt"
             assert path.exists()
 
     def test_checkpoint_payload_records_the_serving_cursor(self, tmp_path):
@@ -110,7 +112,7 @@ class TestPerTenantCheckpoints:
         manager.drain_fair()
         runtime = manager.tenant("tenant00")
         runtime.checkpoint()
-        payload = runtime.checkpoints.load("incremental")
+        payload = runtime.checkpoints.load("serving")
         version = runtime.server.versions.current
         assert payload["tenant"] == "tenant00"
         assert payload["version_id"] == version.version_id

@@ -77,12 +77,13 @@ class TestGenerateLocations:
     def test_structure(self):
         hierarchy, cities = generate_locations(random.Random(1), 3, 2, 4)
         assert len(cities) == 3 * 2 * 4
-        assert len(hierarchy.roots()) == 3
+        roots = [value for value in hierarchy if hierarchy.parent(value) is None]
+        assert len(roots) == 3
 
     def test_city_chains_have_three_levels(self):
         hierarchy, cities = generate_locations(random.Random(1), 2, 2, 2)
         for city in cities:
-            assert len(hierarchy.chain(city)) == 3
+            assert hierarchy.depth(city) == 2
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(GenerationError):

@@ -65,7 +65,7 @@ class TestStructure:
         )
         for truths in world.truths.values():
             for truth in truths:
-                assert len(world.hierarchy.chain(truth)) == 3
+                assert world.hierarchy.depth(truth) == 2
 
     def test_informative_confidence_separates_truth(self):
         world = generate_claim_world(

@@ -154,8 +154,7 @@ class TestSimilarityFunctionsCached:
             name for name in tables
             if not name.startswith("test-pair-")  # this file's own
         } == {"tagpath-sequence", "tagpath-relative"}
-        for name in ("levenshtein", "jaro_winkler", "token_jaccard",
-                     "name_similarity"):
+        for name in ("levenshtein", "jaro_winkler", "token_set_jaccard"):
             fn = getattr(similarity, name)
             assert not hasattr(fn, "cache_info"), name
             assert not hasattr(fn, "__wrapped__"), name

@@ -1,7 +1,6 @@
 """Unit tests for name/attribute normalisation."""
 
 from repro.textproc.normalize import (
-    canonical_key,
     is_probable_misspelling,
     normalize_attribute,
     normalize_name,
@@ -85,14 +84,3 @@ class TestMisspellingDetection:
 
     def test_empty_rejected(self):
         assert not is_probable_misspelling("", "x")
-
-
-class TestCanonicalKey:
-    def test_vowel_typos_collide(self):
-        assert canonical_key("capital") == canonical_key("capitol")
-
-    def test_distinct_words_differ(self):
-        assert canonical_key("capital") != canonical_key("population")
-
-    def test_multiword(self):
-        assert canonical_key("birth place") == canonical_key("Birth Places")

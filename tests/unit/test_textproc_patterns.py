@@ -3,12 +3,13 @@
 import pytest
 
 from repro.errors import ParseError
-from repro.textproc.patterns import (
-    LexicalPattern,
-    induce_pattern,
-    match_any,
-)
+from repro.textproc.patterns import LexicalPattern, induce_pattern
 from repro.textproc.tokenize import tokenize_words
+
+
+def match_text(pattern, text, *, anchored=False):
+    """Match ``text`` the way the extractors do: tokenized first."""
+    return pattern.match_tokens(tokenize_words(text), anchored=anchored)
 
 
 class TestCompilation:
@@ -36,51 +37,51 @@ class TestCompilation:
 class TestMatching:
     def test_literal_case_insensitive(self):
         pattern = LexicalPattern("the <A> of <E>")
-        matches = pattern.match_text("The capital of France")
+        matches = match_text(pattern, "The capital of France")
         assert len(matches) == 1
         assert matches[0].text("A") == "capital"
         assert matches[0].text("E") == "France"
 
     def test_alternation(self):
         pattern = LexicalPattern("what|who is <E>")
-        assert pattern.match_text("Who is Alice")
-        assert pattern.match_text("What is this")
-        assert not pattern.match_text("Where is this")
+        assert match_text(pattern, "Who is Alice")
+        assert match_text(pattern, "What is this")
+        assert not match_text(pattern, "Where is this")
 
     def test_optional_group_present(self):
         # Anchored matching forces the slot to consume the full tail,
         # so the optional determiner is taken by the group, not by E.
         pattern = LexicalPattern("the <A> of [the|a|an] <E>")
-        matches = pattern.match_text(
-            "the capital of the United States", anchored=True
+        matches = match_text(
+            pattern, "the capital of the United States", anchored=True
         )
         assert matches[0].text("E") == "United States"
 
     def test_optional_group_absent(self):
         pattern = LexicalPattern("the <A> of [the|a|an] <E>")
-        matches = pattern.match_text("the capital of France")
+        matches = match_text(pattern, "the capital of France")
         assert matches[0].text("E") == "France"
 
     def test_multi_token_slot(self):
         pattern = LexicalPattern("the <A> of <E>")
-        matches = pattern.match_text("the head of state of Atlantis")
+        matches = match_text(pattern, "the head of state of Atlantis")
         assert matches  # A may span "head" with E spanning rest, etc.
 
     def test_slot_cannot_cross_punctuation(self):
         pattern = LexicalPattern("the <A> of <E>")
-        matches = pattern.match_text("the end. of story")
+        matches = match_text(pattern, "the end. of story")
         assert not matches
 
     def test_anchored_requires_full_consumption(self):
         pattern = LexicalPattern("<E> 's <A>")
-        assert pattern.match_text("France's capital", anchored=True)
+        assert match_text(pattern, "France's capital", anchored=True)
         # Trailing punctuation cannot be absorbed by a slot, so the
         # anchored match fails on un-stripped queries.
-        assert not pattern.match_text("France's capital?", anchored=True)
+        assert not match_text(pattern, "France's capital?", anchored=True)
 
     def test_unanchored_scans(self):
         pattern = LexicalPattern("<E> 's <A>")
-        matches = pattern.match_text("see France's capital now")
+        matches = match_text(pattern, "see France's capital now")
         assert matches
 
     def test_validator_forces_backtracking(self):
@@ -89,24 +90,24 @@ class TestMatching:
             "the <A> of <E>",
             validators={"E": lambda toks: " ".join(toks).lower() in entities},
         )
-        matches = pattern.match_text("the capital of united states")
+        matches = match_text(pattern, "the capital of united states")
         assert matches[0].text("E") == "united states"
 
     def test_validator_rejects_all(self):
         pattern = LexicalPattern(
             "the <A> of <E>", validators={"E": lambda toks: False}
         )
-        assert not pattern.match_text("the capital of France")
+        assert not match_text(pattern, "the capital of France")
 
     def test_multiple_matches(self):
         pattern = LexicalPattern("x <A> y")
-        matches = pattern.match_text("x a y and x b y")
+        matches = match_text(pattern, "x a y and x b y")
         assert [m.text("A") for m in matches] == ["a", "b"]
 
     def test_max_slot_tokens_enforced(self):
         pattern = LexicalPattern("the <A> end", max_slot_tokens=2)
-        assert pattern.match_text("the a b end")
-        assert not pattern.match_text("the a b c end")
+        assert match_text(pattern, "the a b end")
+        assert not match_text(pattern, "the a b c end")
 
     def test_empty_tokens(self):
         pattern = LexicalPattern("<A>")
@@ -121,7 +122,7 @@ class TestInducePattern:
         )
         assert pattern is not None
         assert pattern.source == "the <A> of <E> is <V> ."
-        matches = pattern.match_text("the currency of Japan is Yen .")
+        matches = match_text(pattern, "the currency of Japan is Yen .")
         assert matches and matches[0].text("V") == "Yen"
 
     def test_overlapping_spans_rejected(self):
@@ -138,14 +139,3 @@ class TestInducePattern:
 
     def test_no_slots_rejected(self):
         assert induce_pattern(tokenize_words("a b"), {}) is None
-
-
-class TestMatchAny:
-    def test_collects_across_patterns(self):
-        patterns = [
-            LexicalPattern("the <A> of <E>"),
-            LexicalPattern("<E> 's <A>"),
-        ]
-        hits = match_any(patterns, tokenize_words("France's capital"))
-        assert len(hits) == 1
-        assert hits[0][0].source == "<E> 's <A>"

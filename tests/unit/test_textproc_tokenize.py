@@ -1,6 +1,6 @@
 """Unit tests for word tokenization."""
 
-from repro.textproc.tokenize import detokenize, normalize_token, tokenize_words
+from repro.textproc.tokenize import detokenize, tokenize_words
 
 
 class TestTokenizeWords:
@@ -37,11 +37,6 @@ class TestTokenizeWords:
 
     def test_only_punctuation(self):
         assert tokenize_words("...") == [".", ".", "."]
-
-
-class TestNormalizeToken:
-    def test_lowercases(self):
-        assert normalize_token("Paris") == "paris"
 
 
 class TestDetokenize:
