@@ -494,6 +494,12 @@ def _run_query(args) -> int:
             for triple in store.match(subject, predicate)
             if triple.obj.lexical == args.obj
         ]
+    # A predicate's or an object's matches come in set order, which
+    # moves with the hash seed; sort so that --limit keeps the same
+    # solutions under any seed.
+    triples.sort(
+        key=lambda t: (t.subject, t.predicate, t.obj.lexical, t.obj.kind.value)
+    )
     for triple in triples[: args.limit]:
         print(f"({triple.subject}, {triple.predicate}, {triple.obj.lexical})")
     print(f"{len(triples)} solutions")

@@ -61,10 +61,9 @@ through the fusion object's public methods: ``extractor_weights``,
 
 Per delta, the journal (one ``remove_all`` call, an ``add`` per claim)
 and the dirty-item re-read (one ``claims_for_items`` call) are O(delta)
-on the segment backend and one walk of the claim dict each on the
-memory backend, which has no per-item index; the staged store copy
-shares the memory backend's index leaves copy-on-write and costs the
-paths the journal writes; re-weighting / sharding / fusion are
+on both backends, each item or triple read off an index; the staged
+store copy shares the memory backend's index leaves copy-on-write and
+costs the paths the journal writes; re-weighting / sharding / fusion are
 O(region) and digesting O(delta), and three passes stay O(store) with
 small constants: the successor corpus (:meth:`_Corpus.replaced`, a
 slice-copying merge of the cached claims, items, counts and digests

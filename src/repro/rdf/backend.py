@@ -29,24 +29,20 @@ Contract notes that matter for byte-identical fusion:
   ``claims_for_items(items)`` and the lists ``remove_all`` returns
   hold their claims in the same relative order ``iter_claims()``
   yields them (first insertion of the key).
-  What they cost is the backend's business.  The segment backend
-  answers an item, triple or subject read — and ``remove`` and
-  ``contains_triple`` — at O(answer): the subject's rows of each
-  segment's CSR index plus the item's keys in its memtable index, each
-  row checked against the tombstones by its own triple.  The memory
-  backend has no per-item index, so its one-item lookups and
-  ``remove`` each walk the claim dict — which is why a caller with
-  several items to read or several triples to retract (the
-  incremental engine's dirty-item re-read, the delta journal) asks for
-  them in one ``claims_for_items`` / ``remove_all`` call, one walk
-  each on the memory backend.
+  Both backends answer an item or triple read — and ``remove`` and
+  ``contains_triple`` — at O(claims of the item): the memory backend
+  reads the item's claim keys off its SPO leaf; the segment backend
+  reads the subject's rows of each segment's CSR index plus the item's
+  keys in its memtable index, each row checked against the tombstones
+  by its own triple.  So neither overrides the batch forms
+  ``claims_for_items`` and ``remove_all``: their loops cost the answer.
 * ``copy()`` yields a backend whose answers never change when the
   original mutates afterwards (and vice versa); it may share
   structure with the original to get there, as long as neither side
   ever writes a container the other can reach.  The memory backend
   shares its triple indexes copy-on-write: a copy costs three
   top-level ``dict.copy()`` calls, and each side shallow-copies a
-  second-level dict or a leaf set the first time it writes it.
+  second-level dict or a leaf the first time it writes it.
 """
 
 from __future__ import annotations
@@ -94,9 +90,8 @@ class StorageBackend(abc.ABC):
         """:meth:`remove` every triple of ``triples``; by triple, the
         claims it lost, in ``iter_claims()`` order (none: it was absent).
 
-        One lookup and one removal per distinct triple here; a backend
-        whose single lookups walk the store overrides this with one
-        walk for all of them.
+        One ``claims`` and one ``remove`` per distinct triple, each
+        O(claims of the item) on every backend.
         """
         lost: dict[Triple, list[ScoredTriple]] = {}
         for triple in triples:
@@ -149,8 +144,8 @@ class StorageBackend(abc.ABC):
     ) -> dict[tuple[str, str], list[ScoredTriple]]:
         """``claims_for_item`` of every item of ``items``, by item.
 
-        One lookup per item here; a backend whose single lookups walk
-        the store overrides this with one walk for all of them.
+        One lookup per item, each O(claims of the item) on every
+        backend.
         """
         return {item: self.claims_for_item(*item) for item in items}
 
@@ -182,12 +177,20 @@ class StorageBackend(abc.ABC):
 
 
 class MemoryBackend(StorageBackend):
-    """The original in-memory dict store with SPO/POS/OSP indexes.
+    """The in-memory dict store with SPO/POS/OSP indexes.
 
     Deduplicates on the full ``(triple, provenance)`` pair: the same
     triple asserted by two different sources is kept twice (fusion
     needs both claims), while re-adding an identical claim is a no-op
     that refreshes its confidence to the maximum seen.
+
+    An item's SPO leaf is its claim keys, in claim-dict order: a new
+    key is appended, a confidence refresh leaves it in place, and a
+    ``remove`` followed by a re-add moves it to the end, as in the
+    dict.  So every item-level read — ``claims_for_item``,
+    ``claims(triple)``, ``contains_triple``, ``objects``,
+    ``match(subject=…)`` and ``remove`` — reads one leaf, at O(claims
+    of the item).  The POS and OSP leaves are sets.
     """
 
     name = "memory"
@@ -195,16 +198,16 @@ class MemoryBackend(StorageBackend):
     def __init__(self) -> None:
         # (triple, provenance) -> ScoredTriple
         self._claims: dict[tuple[Triple, Provenance], ScoredTriple] = {}
-        # subject -> predicate -> set of object values
-        self._spo: dict[str, dict[str, set[Value]]] = {}
+        # subject -> predicate -> the item's claim keys, in dict order
+        self._spo: dict[str, dict[str, list[tuple[Triple, Provenance]]]] = {}
         # predicate -> object -> set of subjects
         self._pos: dict[str, dict[Value, set[str]]] = {}
         # object -> subject -> set of predicates
         self._osp: dict[Value, dict[str, set[str]]] = {}
         # None until the first ``copy()``.  From then on, per index:
         # the first-level keys whose second-level dict, and the
-        # ``(first, second)`` keys whose leaf set, this backend has made
-        # its own since; any other container may be shared with a copy.
+        # ``(first, second)`` keys whose leaf, this backend has made its
+        # own since; any other container may be shared with a copy.
         self._owned: tuple[tuple[set, set], ...] | None = None
 
     def __len__(self) -> int:
@@ -213,12 +216,18 @@ class MemoryBackend(StorageBackend):
     def iter_claims(self) -> Iterator[ScoredTriple]:
         return iter(self._claims.values())
 
-    def contains_triple(self, triple: Triple) -> bool:
-        by_predicate = self._spo.get(triple.subject)
+    def _keys(self, subject: str, predicate: str):
+        """The item's claim keys in claim-dict order; read, never write."""
+        by_predicate = self._spo.get(subject)
         if by_predicate is None:
-            return False
-        objects = by_predicate.get(triple.predicate)
-        return objects is not None and triple.obj in objects
+            return ()
+        return by_predicate.get(predicate, ())
+
+    def contains_triple(self, triple: Triple) -> bool:
+        return any(
+            key[0] == triple
+            for key in self._keys(triple.subject, triple.predicate)
+        )
 
     # -- mutation ------------------------------------------------------
     def add(self, scored: ScoredTriple) -> bool:
@@ -228,7 +237,7 @@ class MemoryBackend(StorageBackend):
             return False
         self._claims[key] = scored
         if existing is None:
-            self._index(scored.triple)
+            self._index(key)
         return True
 
     def add_all(self, scored: Iterable[ScoredTriple]) -> None:
@@ -239,29 +248,36 @@ class MemoryBackend(StorageBackend):
         and ``dict.setdefault`` installs a fresh key with a *single*
         key hash where the get-then-assign in :meth:`add` pays two —
         and hashing a ``(triple, provenance)`` tuple recursively
-        hashes every field, so it dominates the insert.  Insertion
-        order — and therefore fusion float accumulation order — is
-        identical to the loop.  A backend that shares index containers
-        with a copy takes the loop, whose :meth:`_index` knows which.
+        hashes every field, so it dominates the insert.  A key is new
+        when the dict grew: the same claim object twice in one batch
+        finds itself the second time.  Insertion order — and
+        therefore fusion float accumulation order — is identical to
+        the loop.  A backend that shares index containers with a copy
+        takes the loop, whose :meth:`_index` knows which.
         """
         if self._owned is not None:
             return super().add_all(scored)
         claims_setdefault = self._claims.setdefault
         claims = self._claims
+        size = len(claims)
         spo, pos, osp = self._spo, self._pos, self._osp
         for one in scored:
             key = (one.triple, one.provenance)
             existing = claims_setdefault(key, one)
-            if existing is not one:
+            if len(claims) == size:
                 if existing.confidence < one.confidence:
                     claims[key] = one
                 continue
+            size += 1
             triple = one.triple
             subject, predicate = triple.subject, triple.predicate
             obj = triple.obj
-            spo.setdefault(subject, {}).setdefault(
-                predicate, set()
-            ).add(obj)
+            by_predicate = spo.setdefault(subject, {})
+            keys = by_predicate.get(predicate)
+            if keys is None:
+                by_predicate[predicate] = [key]
+            else:
+                keys.append(key)
             pos.setdefault(predicate, {}).setdefault(
                 obj, set()
             ).add(subject)
@@ -269,17 +285,18 @@ class MemoryBackend(StorageBackend):
                 subject, set()
             ).add(predicate)
 
-    def _index(self, triple: Triple) -> None:
+    def _index(self, key: tuple[Triple, Provenance]) -> None:
+        triple = key[0]
         subject, predicate, obj = triple.subject, triple.predicate, triple.obj
         if self._owned is not None:
             spo, pos, osp = self._owned
-            self._own(self._spo, spo, subject, predicate).add(obj)
-            self._own(self._pos, pos, predicate, obj).add(subject)
-            self._own(self._osp, osp, obj, subject).add(predicate)
+            self._own(self._spo, spo, subject, predicate, list).append(key)
+            self._own(self._pos, pos, predicate, obj, set).add(subject)
+            self._own(self._osp, osp, obj, subject, set).add(predicate)
             return
         self._spo.setdefault(subject, {}).setdefault(
-            predicate, set()
-        ).add(obj)
+            predicate, []
+        ).append(key)
         self._pos.setdefault(predicate, {}).setdefault(
             obj, set()
         ).add(subject)
@@ -288,7 +305,7 @@ class MemoryBackend(StorageBackend):
         ).add(predicate)
 
     @staticmethod
-    def _own(index: dict, owned, first, second) -> set:
+    def _own(index: dict, owned, first, second, leaf_type: type):
         """The leaf ``index[first][second]``, it and ``index[first]``
         each created or shallow-copied unless ``owned`` says this
         backend already made it its own: the path of one index write."""
@@ -301,61 +318,43 @@ class MemoryBackend(StorageBackend):
             firsts.add(first)
         leaf = by_second.get(second)
         if (first, second) not in leaves:
-            leaf = by_second[second] = set() if leaf is None else set(leaf)
+            leaf = by_second[second] = (
+                leaf_type() if leaf is None else leaf_type(leaf)
+            )
             leaves.add((first, second))
         return leaf
 
     def remove(self, triple: Triple) -> int:
-        keys = [key for key in self._claims if key[0] == triple]
-        for key in keys:
-            del self._claims[key]
-        if keys:
-            self._unindex(triple)
-        return len(keys)
-
-    def remove_all(
-        self, triples: Iterable[Triple]
-    ) -> dict[Triple, list[ScoredTriple]]:
-        """One walk of the claim dict for all of ``triples``."""
-        lost: dict[Triple, list[ScoredTriple]] = {
-            triple: [] for triple in triples
-        }
-        if not lost:
-            return lost
-        # The two-string item key hashes in C; ``Triple.__hash__`` is a
-        # Python call, paid only by the claims of a retracted item.
-        items = {triple.item for triple in lost}
-        dead = []
-        for key, scored in self._claims.items():
-            triple = key[0]
-            if (triple.subject, triple.predicate) in items:
-                held = lost.get(triple)
-                if held is not None:
-                    held.append(scored)
-                    dead.append(key)
+        dead = [
+            key
+            for key in self._keys(triple.subject, triple.predicate)
+            if key[0] == triple
+        ]
         for key in dead:
             del self._claims[key]
-        for triple, held in lost.items():
-            if held:
-                self._unindex(triple)
-        return lost
+        if dead:
+            self._unindex(triple)
+        return len(dead)
 
     def _unindex(self, triple: Triple) -> None:
         spo, pos, osp = self._owned or (None, None, None)
         self._discard_pruning(
-            self._spo, spo, triple.subject, triple.predicate, triple.obj
+            self._spo, spo, triple.subject, triple.predicate, triple, list
         )
         self._discard_pruning(
-            self._pos, pos, triple.predicate, triple.obj, triple.subject
+            self._pos, pos, triple.predicate, triple.obj, triple.subject, set
         )
         self._discard_pruning(
-            self._osp, osp, triple.obj, triple.subject, triple.predicate
+            self._osp, osp, triple.obj, triple.subject, triple.predicate, set
         )
 
     @classmethod
-    def _discard_pruning(cls, index: dict, owned, first, second, leaf) -> None:
-        """Drop ``leaf`` from ``index[first][second]``, pruning empties
-        (a pruned key leaves the ownership record with its container)."""
+    def _discard_pruning(
+        cls, index: dict, owned, first, second, leaf, leaf_type: type
+    ) -> None:
+        """Drop ``leaf`` from ``index[first][second]`` — from an SPO
+        leaf, every key of the triple ``leaf`` — pruning empties (a
+        pruned key leaves the ownership record with its container)."""
         by_second = index.get(first)
         if by_second is None:
             return
@@ -363,9 +362,12 @@ class MemoryBackend(StorageBackend):
         if leaves is None:
             return
         if owned is not None:
-            leaves = cls._own(index, owned, first, second)
+            leaves = cls._own(index, owned, first, second, leaf_type)
             by_second = index[first]
-        leaves.discard(leaf)
+        if leaf_type is list:
+            leaves[:] = [key for key in leaves if key[0] != leaf]
+        else:
+            leaves.discard(leaf)
         if not leaves:
             del by_second[second]
             if owned is not None:
@@ -384,15 +386,17 @@ class MemoryBackend(StorageBackend):
     ) -> list[Triple]:
         if subject is not None:
             by_predicate = self._spo.get(subject, {})
-            predicates = (
-                [predicate] if predicate is not None else list(by_predicate)
+            leaves = (
+                [by_predicate.get(predicate, ())]
+                if predicate is not None
+                else by_predicate.values()
             )
-            result = []
-            for pred in predicates:
-                for value in by_predicate.get(pred, ()):
-                    if obj is None or value == obj:
-                        result.append(Triple(subject, pred, value))
-            return result
+            return [
+                triple
+                for keys in leaves
+                for triple in dict.fromkeys(key[0] for key in keys)
+                if obj is None or triple.obj == obj
+            ]
         if predicate is not None:
             by_object = self._pos.get(predicate, {})
             objects = [obj] if obj is not None else list(by_object)
@@ -408,50 +412,26 @@ class MemoryBackend(StorageBackend):
                 for subj, preds in by_subject.items()
                 for pred in preds
             ]
-        seen: set[Triple] = set()
-        out: list[Triple] = []
-        for scored in self._claims.values():
-            if scored.triple not in seen:
-                seen.add(scored.triple)
-                out.append(scored.triple)
-        return out
+        return list(dict.fromkeys(key[0] for key in self._claims))
 
     def claims(self, triple: Triple | None = None) -> list[ScoredTriple]:
         if triple is None:
             return list(self._claims.values())
+        claims = self._claims
         return [
-            scored
-            for (stored, _prov), scored in self._claims.items()
-            if stored == triple
+            claims[key]
+            for key in self._keys(triple.subject, triple.predicate)
+            if key[0] == triple
         ]
 
     def claims_for_item(
         self, subject: str, predicate: str
     ) -> list[ScoredTriple]:
-        return [
-            scored
-            for scored in self._claims.values()
-            if scored.triple.subject == subject
-            and scored.triple.predicate == predicate
-        ]
-
-    def claims_for_items(
-        self, items: Iterable[tuple[str, str]]
-    ) -> dict[tuple[str, str], list[ScoredTriple]]:
-        """One walk of the claim dict for all of ``items``."""
-        found: dict[tuple[str, str], list[ScoredTriple]] = {
-            item: [] for item in items
-        }
-        if found:
-            for scored in self._claims.values():
-                triple = scored.triple
-                held = found.get((triple.subject, triple.predicate))
-                if held is not None:
-                    held.append(scored)
-        return found
+        claims = self._claims
+        return [claims[key] for key in self._keys(subject, predicate)]
 
     def objects(self, subject: str, predicate: str) -> set[Value]:
-        return set(self._spo.get(subject, {}).get(predicate, set()))
+        return {key[0].obj for key in self._keys(subject, predicate)}
 
     def subjects(self) -> set[str]:
         return set(self._spo)
@@ -463,7 +443,7 @@ class MemoryBackend(StorageBackend):
 
     def copy(self) -> "MemoryBackend":
         """A clone that shares the (immutable) claims with this backend
-        and, copy-on-write, every second-level dict and leaf set of the
+        and, copy-on-write, every second-level dict and leaf of the
         triple indexes.
 
         ``dict.copy()`` reuses the stored key hashes — re-inserting

@@ -85,11 +85,7 @@ class TripleStore:
     def remove_all(
         self, triples: Iterable[Triple]
     ) -> dict[Triple, list[ScoredTriple]]:
-        """:meth:`remove` several triples; by triple, the claims it lost.
-
-        One call, so a backend without a per-triple index (the memory
-        backend) can answer with one walk instead of two per triple.
-        """
+        """:meth:`remove` several triples; by triple, the claims it lost."""
         return self._backend.remove_all(triples)
 
     # ------------------------------------------------------------------
@@ -119,11 +115,7 @@ class TripleStore:
     def claims_for_items(
         self, items: Iterable[tuple[str, str]]
     ) -> dict[tuple[str, str], list[ScoredTriple]]:
-        """:meth:`claims_for_item` of several data items, by item.
-
-        One call, so a backend without a per-item index (the memory
-        backend) can answer with one walk instead of one per item.
-        """
+        """:meth:`claims_for_item` of several data items, by item."""
         return self._backend.claims_for_items(items)
 
     def objects(self, subject: str, predicate: str) -> set[Value]:

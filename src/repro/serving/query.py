@@ -23,11 +23,10 @@ Three query families, each riding an existing index:
 
 What a read costs: :meth:`lookup` is two dict probes into the fused
 result plus the store's ``claims_for_item`` — O(claims of the item) on
-the segment backend (the subject's rows of each segment's CSR index,
-straight off the mmap, plus the item's keys in the memtable's index;
-each row is checked against the tombstones by its own triple), one
-walk of the claim dict on the memory backend, which has no per-item
-index and spends practically all of a served read there.
+both backends: the item's claim keys off the memory backend's SPO
+leaf, or the subject's rows of each segment's CSR index, straight off
+the mmap, plus the item's keys in the memtable's index (each row
+checked against the tombstones by its own triple).
 :meth:`scan_subject` is the store's ``predicates(subject)`` — O(claims
 of the subject) on the segment backend, one index probe on the memory
 backend — then one ``lookup`` per predicate; :meth:`scan_predicate`

@@ -3,10 +3,10 @@
 ``claims_for_item``, ``claims(triple)`` and ``remove`` each walk the
 one dict that defines first-insertion order — no triple indexes, no
 batching, no shared structure between copies — and ``remove_all`` is
-the delta journal's former loop, a ``claims(triple)`` and a
-``remove(triple)`` per triple.  Whatever the backend does to answer
-faster (``claims_for_items``, ``remove_all`` in one walk, ``copy()``
-sharing the claim objects, one day a per-item index) must return the
+a ``claims(triple)`` and a ``remove(triple)`` per triple.  Whatever
+the backend does to answer faster (an item's claim keys held in its
+SPO leaf, that leaf and the rest of the indexes shared copy-on-write
+between copies, ``copy()`` sharing the claim objects) must return the
 same claims in the same order.
 
 The triple-level reads (``match``, ``objects``, ``subjects``,

@@ -71,8 +71,8 @@ def _assert_equivalent(mem, seg):
             assert seg.claims_for_item(
                 subject, predicate
             ) == mem.claims_for_item(subject, predicate)
-    # The batched form is the single lookups, by item — one walk on the
-    # memory backend, one indexed read per item on the segment backend.
+    # The batched form is the single lookups, by item — one indexed
+    # read per item on either backend.
     items = [(s, p) for s in mem.subjects() for p in mem.predicates(s)]
     items.append(("no-such-subject", "no-such-predicate"))
     by_item = {item: mem.claims_for_item(*item) for item in items}

@@ -8,6 +8,7 @@ from repro.cli import build_parser, main
 from repro.rdf.io import dump_claims_tsv
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value, ValueKind
+from tests.conftest import run_python
 
 _ONE_CLAIM_DELTA = {
     "label": "cli-test",
@@ -166,6 +167,44 @@ class TestQueryCommand:
         assert capsys.readouterr().out == (
             "(book/2, year, 1874)\n1 solutions\n"
         )
+
+    def test_solutions_print_sorted_under_any_hash_seed(self, tmp_path):
+        # Six values of one item and six subjects of one (predicate,
+        # object), neither inserted in sorted order: the POS index holds
+        # a predicate's subjects in set order, so without the sort even
+        # *which* three solutions --limit keeps moves with
+        # PYTHONHASHSEED.
+        store = TripleStore()
+        for index, city in enumerate(
+            ["Paris", "Lyon", "Nice", "Lille", "Brest", "Metz"]
+        ):
+            store.add(
+                ScoredTriple(
+                    Triple("france", "city", Value(city)),
+                    Provenance(f"src{index}", "ex"),
+                )
+            )
+        for thing in ["rose", "fire", "apple", "blood", "wine", "cherry"]:
+            store.add(
+                ScoredTriple(
+                    Triple(thing, "color", Value("red")),
+                    Provenance("src", "ex"),
+                )
+            )
+        path = tmp_path / "claims.tsv"
+        dump_claims_tsv(store, path)
+        for pattern in (["--subject", "france"], ["--predicate", "color"]):
+            args = ["-m", "repro.cli", "query", str(path), *pattern]
+            printed = [
+                run_python(*args, "--limit", "3", hash_seed=seed)
+                for seed in (0, 1, 2)
+            ]
+            assert printed[0] == printed[1] == printed[2], pattern
+            lines = printed[0].splitlines()
+            assert lines[-1] == "6 solutions"
+            everything = run_python(*args, hash_seed=0).splitlines()
+            assert everything[:-1] == sorted(everything[:-1])
+            assert lines[:-1] == everything[:3]
 
 
 class TestApplyDelta:

@@ -282,9 +282,9 @@ class TestDeltaWorkFollowsTheRegion:
     one digest per component) however few components it touched.
 
     Now it asks the store for its dirty items only — one
-    ``claims_for_items`` call, indexed reads on the segment backend and
-    one walk of the claim dict on the memory backend, which decodes and
-    sorts nothing — and builds fusion claims for the region alone."""
+    ``claims_for_items`` call, indexed reads that decode and sort
+    nothing on either backend — and builds fusion claims for the region
+    alone."""
 
     @pytest.mark.parametrize("backend_name", ["memory", "segment"])
     def test_one_component_delta_reads_and_builds_only_its_region(

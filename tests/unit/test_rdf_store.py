@@ -3,8 +3,10 @@
 import pytest
 
 from repro.fusion.base import ClaimSet
+from repro.rdf.backend import MemoryBackend
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
+from tests.oracles.linear_scan_backend import LinearScanClaims
 
 
 def claim(subject, predicate, value, source="src", extractor="ex", conf=1.0):
@@ -187,8 +189,6 @@ class TestIndexConsistencyAfterRemoval:
 
 class TestBackendFacade:
     def test_default_backend_is_memory(self, store):
-        from repro.rdf.backend import MemoryBackend
-
         assert isinstance(store.backend, MemoryBackend)
         assert store.backend.name == "memory"
 
@@ -217,3 +217,143 @@ class TestBackendFacade:
         via_iter = {id(scored) for scored in store}
         via_claims = {id(scored) for scored in store.claims()}
         assert via_iter == via_claims
+
+
+class TestAddAllFilesEachKeyOnce:
+    """``add_all``'s fast path decides that a key is new by the claim
+    dict growing.  Asking ``existing is not one`` instead takes the
+    same claim object, listed twice in one batch, for a new key the
+    second time, and files it twice in its item's SPO leaf.  Both paths
+    run: a fresh store, and one that shares its indexes with a copy."""
+
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_the_same_claim_twice_is_one_key(self, copied):
+        store = TripleStore()
+        if copied:
+            store.copy()
+        x = claim("france", "capital", "Paris", source="a", conf=0.5)
+        store.add_all([x, x])
+        assert len(store) == 1
+        assert store.claims_for_item("france", "capital") == [x]
+        assert store.match(subject="france") == [x.triple]
+
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_a_refresh_in_the_batch_keeps_the_key_in_place(self, copied):
+        store = TripleStore()
+        if copied:
+            store.copy()
+        lyon = claim("france", "capital", "Lyon", source="a", conf=0.5)
+        x = claim("france", "capital", "Paris", source="a", conf=0.5)
+        nice = claim("france", "capital", "Nice", source="a", conf=0.5)
+        higher = x.with_confidence(0.9)
+        store.add_all([lyon, x, nice, higher])
+        assert len(store) == 3
+        assert store.claims_for_item("france", "capital") == [
+            lyon, higher, nice,
+        ]
+        assert store.match(subject="france") == [
+            lyon.triple, x.triple, nice.triple,
+        ]
+
+
+class _NoWalk(dict):
+    """A claim dict that answers by key and refuses to be walked."""
+
+    def _walk(self, *args):
+        raise AssertionError("a read walked the whole claim dict")
+
+    __iter__ = keys = values = items = _walk
+
+
+class TestMemoryReadsCostTheAnswer:
+    """On the memory backend an item, triple or subject read — and a
+    ``remove`` — reads the item's SPO leaf and probes the claim dict by
+    key; it never walks the dict.  Counts, not time, as in
+    ``tests/unit/test_rdf_segments.py::TestReadsCostTheAnswer``: here
+    the count of whole-store walks, which must be zero.  The answers
+    must still be the dict model's, element for element."""
+
+    @staticmethod
+    def _corpus():
+        # 250 subjects x 2 predicates x 4 values, a second source on
+        # every third triple.
+        first = [
+            claim(f"s{i // 8:03d}", f"p{i % 2}", f"v{(i // 2) % 4}",
+                  source="a", conf=0.5 + (i % 5) / 10)
+            for i in range(2000)
+        ]
+        return first + [
+            ScoredTriple(one.triple, Provenance("b", "ex"), 0.4)
+            for one in first[::3]
+        ]
+
+    def test_item_reads_and_removes_never_walk_the_claim_dict(self):
+        corpus = self._corpus()
+        live = MemoryBackend()
+        live.add_all(corpus)
+        # Refreshes, and keys removed then re-added (to their leaf's
+        # end), so the leaves are not plain insertion order.
+        churn = [one.with_confidence(1.0) for one in corpus[5:400:5]]
+        moved = [one.triple for one in corpus[:300:11]]
+        live.add_all(churn)
+        for triple in moved:
+            live.remove(triple)
+        back = [
+            ScoredTriple(triple, Provenance("c", "ex"), 0.6)
+            for triple in moved
+        ]
+        live.add_all(back)
+        held = live.copy()
+        assert len(held) >= 2000
+
+        probes = [
+            corpus[0].triple,  # a second source
+            corpus[1].triple,
+            corpus[10].triple,  # refreshed
+            moved[3],  # removed, then back under a new source
+            Triple("s001", "p0", Value("v-none")),  # absent value
+            Triple("s-none", "p0", Value("v0")),  # absent subject
+        ]
+        for backend in (live, held):
+            model = LinearScanClaims()
+            model.add_all(backend.claims())
+            backend._claims = _NoWalk(backend._claims)
+            self._assert_answers_without_walking(backend, model, probes)
+
+    @staticmethod
+    def _assert_answers_without_walking(backend, model, probes):
+        items = list(dict.fromkeys(triple.item for triple in probes))
+
+        def same_reads():
+            for subject, predicate in items:
+                assert backend.claims_for_item(
+                    subject, predicate
+                ) == model.claims_for_item(subject, predicate)
+                assert backend.objects(
+                    subject, predicate
+                ) == model.objects(subject, predicate)
+                assert backend.match(
+                    subject=subject, predicate=predicate
+                ) == model.match(subject, predicate)
+                assert set(backend.match(subject=subject)) == set(
+                    model.match(subject)
+                )
+            for triple in probes:
+                assert backend.claims(triple) == model.claims(triple)
+                assert backend.contains_triple(
+                    triple
+                ) == model.contains_triple(triple)
+            assert backend.claims_for_items(items) == {
+                item: model.claims_for_item(*item) for item in items
+            }
+
+        same_reads()
+        assert backend.remove(probes[0]) == model.remove(probes[0])
+        assert backend.remove(probes[-1]) == model.remove(probes[-1]) == 0
+        lost = backend.remove_all(probes[1:] + probes[1:2])
+        assert list(lost.items()) == list(
+            model.remove_all(probes[1:] + probes[1:2]).items()
+        )
+        assert sum(map(len, lost.values())) > 0
+        same_reads()
+        assert len(backend) == len(model)
