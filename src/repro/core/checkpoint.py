@@ -17,15 +17,16 @@ instead of recomputing.  Two rules keep resume safe:
 * **Atomic** — payloads are pickled to a temp file and ``os.replace``d
   into place, so a crash mid-write leaves either the old checkpoint or
   none, never a truncated one (unreadable files are also treated as
-  absent).
+  absent); the stage's next save sweeps a crashed writer's temp.
 
 The store knows no stage names: a stage is whatever name its caller
 saves under, one ``<stage>.ckpt`` envelope each.  The pipeline writes
 two (in pipeline order):
 
 * ``"extraction"`` — everything stages 1–5 produced: snapshots,
-  extractor outputs, seed sets, Set_E, mention classes, plus the
-  report fragments (timings, health) those stages generated;
+  extractor outputs, seed sets, Set_E, mention classes, the
+  quarantine, plus the report fragments (seed sizes, query-stream
+  stats) those stages generated;
 * ``"claims"`` — the scored claim list after entity/attribute
   resolution and confidence scoring.
 
@@ -90,15 +91,12 @@ class CheckpointStore:
     ``os.replace`` orphans its temp file, so (a) temp names embed the
     writing process's pid plus a module-wide serial — concurrent runs
     (or two stores in one process) can never clobber each other's
-    in-flight temp file — and (b) both :meth:`save` and :meth:`clear`
-    sweep ``*.tmp`` siblings left by earlier crashes.  Sweeps only
-    treat *this process's own* temps (pid embedded in the name) as
-    fair game unconditionally; anything else — another pid's, the
-    legacy pid-less naming — is deleted only once it looks abandoned
-    (older than :data:`_STALE_TEMP_SECONDS`), because when tenants
-    share one checkpoint root a sibling store may be mid-``save`` and
+    in-flight temp file — and (b) :meth:`save` sweeps its stage's
+    ``*.tmp`` siblings left by earlier crashes, but only once they look
+    abandoned (older than :data:`_STALE_TEMP_SECONDS`): when tenants
+    share one checkpoint root a sibling store may be mid-``save``, and
     deleting its in-flight temp out from under its ``os.replace``
-    loses that checkpoint.  Both sweeps are best-effort: a
+    loses that checkpoint.  The sweep is best-effort: a
     concurrently-vanishing file is not an error.
 
     ``metrics`` (optional) is a :class:`repro.obs.MetricsRegistry`;
@@ -136,49 +134,26 @@ class CheckpointStore:
             else:
                 self.metrics.counter(name, stage=stage).inc()
 
-    def sweep_temp_files(
-        self,
-        stage: str | None = None,
-        *,
-        max_age: float | None = None,
-    ) -> int:
-        """Remove orphaned ``*.tmp`` files; returns how many went away.
-
-        With ``stage`` set only that stage's temps are swept (the
-        ``save`` path); without it every checkpoint temp in the
-        directory is (the ``clear`` path).  With ``max_age`` set, temps
-        modified within the last ``max_age`` seconds are skipped — they
-        may belong to a live concurrent writer.  Without ``max_age``
-        only temps this process wrote (its pid in the name) go
-        unconditionally; foreign temps — another pid's, or the legacy
-        pid-less ``<stage>.ckpt.tmp`` naming — still get the
-        :data:`_STALE_TEMP_SECONDS` age gate, since a store sharing
-        the directory may be mid-``save``.
-        """
-        pattern = f"{stage}.ckpt*.tmp" if stage else "*.ckpt*.tmp"
-        own_marker = f".ckpt.{os.getpid()}."
+    def _sweep_stale_temps(self, stage: str) -> None:
+        """Remove ``stage``'s abandoned ``*.tmp`` files (see the class
+        docstring); a younger one may belong to a live writer."""
         removed = 0
-        for orphan in self.directory.glob(pattern):
+        for orphan in self.directory.glob(f"{stage}.ckpt*.tmp"):
             try:
-                age_gate = max_age
-                if age_gate is None and own_marker not in orphan.name:
-                    age_gate = _STALE_TEMP_SECONDS
-                if age_gate is not None:
-                    age = time.time() - orphan.stat().st_mtime
-                    if age < age_gate:
-                        continue  # possibly a live writer's temp
+                age = time.time() - orphan.stat().st_mtime
+                if age < _STALE_TEMP_SECONDS:
+                    continue  # possibly a live writer's temp
                 orphan.unlink()
                 removed += 1
             except OSError:
                 pass  # already gone or held elsewhere: not our orphan
         if removed and self.metrics is not None:
             self.metrics.counter("checkpoint_temps_swept_total").inc(removed)
-        return removed
 
     def save(self, stage: str, payload: object) -> Path:
         """Atomically write one stage's checkpoint."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.sweep_temp_files(stage, max_age=_STALE_TEMP_SECONDS)
+        self._sweep_stale_temps(stage)
         blob = pickle.dumps(
             {"fingerprint": self.fingerprint, "stage": stage,
              "payload": payload},
@@ -210,16 +185,3 @@ class CheckpointStore:
             return None  # stale: produced by a different config/seed
         self._count("checkpoint_loads_total", stage)
         return envelope.get("payload")
-
-    def clear(self) -> int:
-        """Delete every ``*.ckpt`` file in the directory, whatever its
-        stage, and the orphaned temps :meth:`sweep_temp_files` may take.
-
-        Returns how many files were removed, temps included.
-        """
-        removed = 0
-        for target in self.directory.glob("*.ckpt"):
-            target.unlink()
-            removed += 1
-        removed += self.sweep_temp_files()
-        return removed

@@ -19,14 +19,12 @@ Knowledge fusion
     10. augment the Freebase snapshot with the fused knowledge.
 
 Stages
-    Every timed stage — 1, 2, 4, 5, 5b (joint entity resolution, when
-    ``discover_new_entities`` is on) and 6–10 — is booked by
-    :class:`_timed`: timing, health, span and metrics in one place.
-    The four extraction stages run their body as one
-    :meth:`~repro.faults.RetryPolicy.call` (one attempt,
-    ``stage_timeout`` its deadline).  The configuration lives in
-    :mod:`repro.core.config`, the drift / copying / tenant scenario
-    runs in :mod:`repro.core.scenarios`.
+    :data:`STAGES` declares the timed stages (1, 2, 4, 5, joint entity
+    resolution and 6–10) in run order, and which are isolated.  Each
+    runs as one ``_stage`` call — one :meth:`~repro.faults.RetryPolicy.call`
+    booked once: timing, health, span and metrics.  The configuration
+    lives in :mod:`repro.core.config`, the drift / copying / tenant
+    scenario runs in :mod:`repro.core.scenarios`.
 
 Fault tolerance
     The fusion framework is meant to run over noisy Web-scale inputs
@@ -70,7 +68,7 @@ from repro.core.checkpoint import CheckpointStore, config_fingerprint
 from repro.core.config import PipelineConfig
 from repro.core.quarantine import Quarantine, guard_records
 from repro.errors import PipelineError, RetryExhaustedError
-from repro.faults import FaultPlan, InjectedFault, RetryPolicy, fire
+from repro.faults import RetryPolicy
 from repro.obs import MetricsRegistry, MetricsSnapshot, SpanTracer
 from repro.textproc.memo import clear_similarity_caches, publish_cache_metrics
 from repro.core.confidence import ConfidenceScorer
@@ -107,6 +105,22 @@ from repro.synth.querylog import QueryRecord, generate_query_log
 from repro.synth.websites import WebPage, generate_websites
 from repro.synth.webtext import TextDocument, generate_webtext
 from repro.synth.world import GroundTruthWorld
+
+#: The timed stages in run order, each mapped to whether it is isolated
+#: (a failure degrades its source and the run goes on without it).
+STAGES: dict[str, bool] = {
+    "kb-extraction": True,
+    "query-stream": True,
+    "dom-extraction": True,
+    "webtext-extraction": True,
+    "entity-resolution": False,
+    "attribute-resolution": False,
+    "confidence": False,
+    "fusion": False,
+    "evaluation": False,
+    "augmentation": False,
+}
+
 
 @dataclass(slots=True)
 class StageTiming:
@@ -187,14 +201,6 @@ class PipelineReport:
         """Summed per-stage work seconds."""
         return sum(timing.seconds for timing in self.timings)
 
-    def total_seconds(self) -> float:
-        """True end-to-end seconds of the run.
-
-        ``run()`` measures the wall clock around the whole run; the
-        per-stage sum is only a fallback for hand-built reports.
-        """
-        return self.wall_seconds or self.cumulative_stage_seconds()
-
     def to_json_dict(self) -> dict:
         """JSON-serializable report summary (``json.dumps``-ready).
 
@@ -230,6 +236,12 @@ class PipelineReport:
             ),
             "health": self.health.to_dict(),
         }
+
+
+def _counted(timing: StageTiming, triples: list) -> list:
+    """Note the claim count of a stage's output in its timing."""
+    timing.detail = f"{len(triples)} claims"
+    return triples
 
 
 # ----------------------------------------------------------------------
@@ -354,20 +366,11 @@ class KnowledgeBaseConstructionPipeline:
                 metrics=self.metrics,
             )
 
-        restored = (
-            store.load("extraction")
-            if (store is not None and resume)
-            else None
+        mention_classes = self._checkpointed(
+            report, store, resume, "extraction",
+            lambda: self._run_extraction(report),
+            lambda payload: self._restore_extraction(report, payload),
         )
-        if restored is not None:
-            mention_classes = self._restore_extraction(report, restored)
-        else:
-            mention_classes = self._run_extraction(report)
-            if store is not None and not health.degraded:
-                store.save(
-                    "extraction",
-                    self._extraction_payload(report, mention_classes),
-                )
 
         health.quarantined = self.quarantine.to_dict()
         health.active_sources = sorted(self.outputs)
@@ -386,64 +389,11 @@ class KnowledgeBaseConstructionPipeline:
                 f"{cfg.min_sources}; degraded: {sorted(health.degraded)}"
             )
 
-        claims_payload = (
-            store.load("claims") if (store is not None and resume) else None
+        all_triples = self._checkpointed(
+            report, store, resume, "claims",
+            lambda: self._prepare_claims(report, mention_classes),
+            lambda payload: self._restore_claims(report, payload),
         )
-        if claims_payload is not None:
-            all_triples = claims_payload["all_triples"]
-            self.outputs = dict(claims_payload["outputs"])
-            report.entity_resolution = claims_payload["entity_resolution"]
-            health.resumed_stages.append("claims")
-            health.active_sources = sorted(self.outputs)
-        else:
-            all_triples = [
-                scored
-                for output in self.outputs.values()
-                for scored in output.triples
-            ]
-
-            # -- 5b. Joint entity linking + discovery ----------------------
-            if cfg.discover_new_entities:
-                with self._stage_timer(report, "entity-resolution") as timing:
-                    resolver = JointEntityResolver(
-                        EntityLinker(self.entity_index)
-                    )
-                    all_triples, outcome = resolve_mention_triples(
-                        all_triples, mention_classes, resolver
-                    )
-                    report.entity_resolution = outcome
-                    resolver.linker.publish_blocking_metrics(self.metrics)
-                    resolver.blocking_stats.publish(self.metrics)
-                    timing.detail = (
-                        f"{len(outcome.linked)} linked, "
-                        f"{len(outcome.clusters)} new entities"
-                    )
-
-            # -- 6. Attribute resolution ----------------------------------
-            if cfg.resolve_attributes:
-                with self._stage_timer(report, "attribute-resolution") as timing:
-                    all_triples = self._resolve_attributes(all_triples)
-                    timing.detail = f"{len(all_triples)} claims"
-
-            # -- 7. Confidence scoring ------------------------------------
-            with self._stage_timer(report, "confidence") as timing:
-                scorer = ConfidenceScorer()
-                all_triples = scorer.score_batch(all_triples)
-                for output in self.outputs.values():
-                    for per_class in output.attributes.values():
-                        for record in per_class.values():
-                            record.confidence = scorer.score_attribute(record)
-                timing.detail = f"{len(all_triples)} claims"
-
-            if store is not None and not health.degraded:
-                store.save(
-                    "claims",
-                    {
-                        "all_triples": all_triples,
-                        "outputs": self.outputs,
-                        "entity_resolution": report.entity_resolution,
-                    },
-                )
 
         for extractor_id, output in self.outputs.items():
             report.attribute_counts[extractor_id] = {
@@ -455,114 +405,98 @@ class KnowledgeBaseConstructionPipeline:
                 "extraction_claims_total", extractor=extractor_id
             ).inc(len(output.triples))
 
-        # -- 8. Fusion -----------------------------------------------------
         self.all_triples = all_triples
-        with self._stage_timer(report, "fusion") as timing:
-            self.claims = ClaimSet.from_scored_triples(all_triples)
-            functional_of = self._select_functional_oracle(self.claims)
-            fusion = self._build_fusion(functional_of)
-            fuse_started = time.perf_counter()
-            result = fusion.fuse(self.claims)
-            report.fusion_wall = time.perf_counter() - fuse_started
-            self._publish_fusion_metrics(report, result, fusion)
-            shard_stats = fusion.last_shard_stats
-            report.fusion_shards = {
-                "components": shard_stats.components,
-                "largest_claims": shard_stats.largest_claims,
-                "component_claims": shard_stats.component_claims,
-            }
-            if shard_stats.retries or shard_stats.timed_out_tasks:
-                health.retry = {
-                    "attempts": shard_stats.attempts,
-                    "retries": shard_stats.retries,
-                    "timed_out_tasks": shard_stats.timed_out_tasks,
-                }
-            report.fusion_result = result
-            timing.detail = (
-                f"{len(self.claims)} claims, {len(result.truths)} items"
-            )
-
-        # -- 9. Evaluation --------------------------------------------------
-        with self._stage_timer(report, "evaluation"):
-            evaluated = self._remap_for_evaluation(
-                result, report.entity_resolution
-            )
-            report.fusion_report = evaluate_fusion(world, evaluated)
-
-        # -- 10. Augmentation ------------------------------------------------
-        with self._stage_timer(report, "augmentation") as timing:
-            if self.freebase is None:
-                # The KB stage degraded away: there is no snapshot to
-                # augment, but fusion/evaluation above still ran.
-                health.mark_degraded(
-                    "augmentation", "skipped: kb snapshot unavailable"
-                )
-                timing.detail = "skipped"
-            else:
-                discovered_entities = (
-                    report.entity_resolution.new_entities()
-                    if report.entity_resolution is not None
-                    else None
-                )
-                report.augmentation = augment_kb(
-                    self.freebase,
-                    list(self.outputs.values()),
-                    result,
-                    self.claims,
-                    class_of_subject=self._class_of_subject,
-                    new_entities=discovered_entities,
-                )
-                timing.detail = (
-                    f"{report.augmentation.new_facts} facts, "
-                    f"{report.augmentation.total_new_attributes()} attributes, "
-                    f"{report.augmentation.new_entities} entities"
-                )
-
-    # ------------------------------------------------------------------
-    # Observability helpers.
-
-    def _stage_timer(self, report: PipelineReport, stage: str) -> "_timed":
-        """A ``_timed`` wired to this run's tracer, metrics and faults."""
-        return _timed(
-            report,
-            stage,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            fault_plan=self.config.fault_plan,
+        result = report.fusion_result = self._stage(
+            report, "fusion",
+            lambda timing: self._fuse(timing, report, all_triples),
+        )
+        report.fusion_report = self._stage(
+            report, "evaluation",
+            lambda timing: evaluate_fusion(
+                world,
+                self._remap_for_evaluation(result, report.entity_resolution),
+            ),
+        )
+        report.augmentation = self._stage(
+            report, "augmentation",
+            lambda timing: self._augment(timing, report, result),
         )
 
-    def _isolated_stage(self, report: PipelineReport, stage: str, body):
-        """Run ``body(timing)`` as one isolated extraction stage.
+    def _checkpointed(self, report, store, resume, phase, compute, restore):
+        """One checkpointed phase: ``restore`` the payload ``store`` holds
+        for ``phase`` on a resumed run, else the one ``compute`` builds,
+        saved first while the run is still healthy."""
+        payload = store.load(phase) if resume else None
+        if payload is not None:
+            report.health.resumed_stages.append(phase)
+        else:
+            payload = compute()
+            if store is not None and not report.health.degraded:
+                store.save(phase, payload)
+        return restore(payload)
+
+    def _stage(self, report: PipelineReport, name: str, body):
+        """Run ``body(timing)`` as the stage ``name`` and book it once.
 
         The body is one guarded step: one attempt that fires the
-        ``stage:<name>`` point and must finish within ``stage_timeout``.
-        Returns what the body returned, or None when the stage failed:
-        it raised, an injected fault fired, or it overran the deadline.
-        ``_timed`` books the underlying failure as degraded, and the
-        caller keeps a source's output only if its whole stage held.
+        ``stage:<name>`` point; an isolated stage (per :data:`STAGES`)
+        must also finish within ``stage_timeout``.  The timing (injected
+        seconds included) is booked whether or not the stage fails — in
+        ``report.timings``, the span, ``pipeline_stage_seconds`` and the
+        success/failed counter — and a failure is marked
+        ``failed: <ExcType>`` in the timing and span and degraded in
+        ``report.health``.  Returns what the body returned.  A failed
+        isolated stage returns None (the caller keeps a source's output
+        only if its whole stage held, deadline included); any other
+        failure, and every interrupt, propagates.
         """
+        isolated = STAGES[name]
         cfg = self.config
-        policy = RetryPolicy(max_attempts=1, timeout=cfg.stage_timeout)
-        timer = _timed(
-            report, stage, isolated=True,
-            tracer=self.tracer, metrics=self.metrics,
+        policy = RetryPolicy(
+            max_attempts=1, timeout=cfg.stage_timeout if isolated else None
         )
-        result = None
-        with timer as timing:
-            try:
-                result, record = policy.call(
-                    f"stage:{stage}",
-                    0,
-                    lambda: body(timing),
-                    plan=cfg.fault_plan,
+        timing = StageTiming(name, 0.0)
+        span = self.tracer.span(name)
+        started = time.perf_counter()
+        injected, failure = 0.0, None
+        try:
+            result, record = policy.call(
+                f"stage:{name}", 0, lambda: body(timing), plan=cfg.fault_plan
+            )
+            injected = record.injected_seconds
+            return result
+        except RetryExhaustedError as exhausted:
+            # Book the stage's own failure, not the one-attempt budget
+            # it exhausted.
+            injected = exhausted.record.injected_seconds
+            failure = exhausted.__cause__
+            if isolated:
+                return None
+            raise failure from None
+        except BaseException as interrupt:  # booked, never suppressed
+            failure = interrupt
+            raise
+        finally:
+            timing.seconds = time.perf_counter() - started + injected
+            if failure is not None:
+                marker = f"failed: {type(failure).__name__}"
+                timing.detail = (
+                    f"{timing.detail}; {marker}" if timing.detail else marker
                 )
-            except RetryExhaustedError as exhausted:
-                # Book the stage's own failure, not the one-attempt
-                # budget it exhausted.
-                timer.injected_seconds = exhausted.record.injected_seconds
-                raise exhausted.__cause__ from None
-            timer.injected_seconds = record.injected_seconds
-        return None if timer.failed else result
+                report.health.mark_degraded(
+                    name, f"{type(failure).__name__}: {failure}"
+                )
+            report.timings.append(timing)
+            span.end(
+                detail=timing.detail, failed=failure is not None
+            ).seconds = timing.seconds
+            self.metrics.histogram(
+                "pipeline_stage_seconds", stage=name
+            ).observe(timing.seconds)
+            outcome = "failed" if failure is not None else "success"
+            self.metrics.counter(
+                f"pipeline_stage_{outcome}_total", stage=name
+            ).inc()
 
     def _publish_fusion_metrics(
         self, report: PipelineReport, result, fusion
@@ -589,17 +523,17 @@ class KnowledgeBaseConstructionPipeline:
             component_sizes.observe(size)
 
     # ------------------------------------------------------------------
-    def _run_extraction(self, report: PipelineReport) -> dict[str, str]:
+    def _run_extraction(self, report: PipelineReport) -> dict:
         """Stages 1-5: run the four extractors in pipeline order.
 
-        Returns the DOM extractor's mention-surface → class map (used by
-        joint entity resolution).  Every stage is isolated
-        (:meth:`_isolated_stage`), so one crashing extractor degrades
-        its source instead of killing the run.
+        Returns the extraction checkpoint's payload, the DOM extractor's
+        mention-surface → class map (used by joint entity resolution)
+        among it.  Every stage is isolated, so one crashing extractor
+        degrades its source instead of killing the run.
         """
         # -- 1. KB snapshots ------------------------------------------------
         kb_output = None
-        kb = self._isolated_stage(report, "kb-extraction", self._extract_kb)
+        kb = self._stage(report, "kb-extraction", self._extract_kb)
         if kb is not None:
             self.freebase, self.dbpedia, kb_output = kb
             self.outputs["kb"] = kb_output
@@ -610,9 +544,7 @@ class KnowledgeBaseConstructionPipeline:
 
         # -- 2. Query stream (extraction needs Set_E) ----------------------
         query_output = None
-        query = self._isolated_stage(
-            report, "query-stream", self._extract_querystream
-        )
+        query = self._stage(report, "query-stream", self._extract_querystream)
         if query is not None:
             query_output, report.query_stats = query
             self.outputs["querystream"] = query_output
@@ -628,22 +560,30 @@ class KnowledgeBaseConstructionPipeline:
 
         # -- 4. DOM extraction ---------------------------------------------
         mention_classes: dict[str, str] = {}
-        dom = self._isolated_stage(
-            report, "dom-extraction", self._extract_dom
-        )
+        dom = self._stage(report, "dom-extraction", self._extract_dom)
         if dom is not None:
             self.outputs["dom"], mention_classes = dom
 
         # -- 5. Web-text extraction ----------------------------------------
         kb_triples = kb_output.triples if kb_output is not None else []
-        text_output = self._isolated_stage(
+        text_output = self._stage(
             report,
             "webtext-extraction",
             lambda timing: self._extract_webtext(timing, kb_triples),
         )
         if text_output is not None:
             self.outputs["webtext"] = text_output
-        return mention_classes
+        return {
+            "freebase": self.freebase,
+            "dbpedia": self.dbpedia,
+            "outputs": self.outputs,
+            "seeds": self.seeds,
+            "entity_index": self.entity_index,
+            "mention_classes": mention_classes,
+            "seed_sizes": report.seed_sizes,
+            "query_stats": report.query_stats,
+            "quarantine": self.quarantine,
+        }
 
     def _guard(self, source: str, records, valid, start_index: int = 0):
         """Divert ``source``'s invalid records into the run's quarantine."""
@@ -711,27 +651,125 @@ class KnowledgeBaseConstructionPipeline:
         timing.detail = f"{len(output.triples)} claims"
         return output
 
-    # ------------------------------------------------------------------
-    def _extraction_payload(
+    def _prepare_claims(
         self, report: PipelineReport, mention_classes: dict[str, str]
     ) -> dict:
-        """Everything the extraction checkpoint must restore."""
+        """Stages 6-7 on the extracted claims (joint entity resolution
+        first, when on); returns the claims checkpoint's payload."""
+        cfg = self.config
+        all_triples = [
+            scored
+            for output in self.outputs.values()
+            for scored in output.triples
+        ]
+        if cfg.discover_new_entities:
+            all_triples, report.entity_resolution = self._stage(
+                report, "entity-resolution",
+                lambda timing: self._resolve_entities(
+                    timing, all_triples, mention_classes
+                ),
+            )
+        if cfg.resolve_attributes:
+            all_triples = self._stage(
+                report, "attribute-resolution",
+                lambda timing: _counted(
+                    timing, self._resolve_attributes(all_triples)
+                ),
+            )
+        all_triples = self._stage(
+            report, "confidence",
+            lambda timing: _counted(timing, self._score(all_triples)),
+        )
         return {
-            "freebase": self.freebase,
-            "dbpedia": self.dbpedia,
+            "all_triples": all_triples,
             "outputs": self.outputs,
-            "seeds": self.seeds,
-            "entity_index": self.entity_index,
-            "mention_classes": mention_classes,
-            "seed_sizes": report.seed_sizes,
-            "query_stats": report.query_stats,
-            "quarantine": self.quarantine,
+            "entity_resolution": report.entity_resolution,
         }
 
+    def _resolve_entities(self, timing: StageTiming, triples, mention_classes):
+        """Joint entity linking + discovery over the extracted claims."""
+        resolver = JointEntityResolver(EntityLinker(self.entity_index))
+        triples, outcome = resolve_mention_triples(
+            triples, mention_classes, resolver
+        )
+        resolver.linker.publish_blocking_metrics(self.metrics)
+        resolver.blocking_stats.publish(self.metrics)
+        timing.detail = (
+            f"{len(outcome.linked)} linked, "
+            f"{len(outcome.clusters)} new entities"
+        )
+        return triples, outcome
+
+    def _score(self, triples):
+        """Stage 7: unified confidence for every claim and attribute."""
+        scorer = ConfidenceScorer()
+        triples = scorer.score_batch(triples)
+        for output in self.outputs.values():
+            for per_class in output.attributes.values():
+                for record in per_class.values():
+                    record.confidence = scorer.score_attribute(record)
+        return triples
+
+    def _fuse(self, timing: StageTiming, report: PipelineReport, triples):
+        """Stage 8: fuse every claim with the combined method."""
+        self.claims = ClaimSet.from_scored_triples(triples)
+        functional_of, refresh = self._functionality()
+        if refresh is not None:
+            functional_of = refresh(self.claims)
+        fusion = self._build_fusion(functional_of)
+        fuse_started = time.perf_counter()
+        result = fusion.fuse(self.claims)
+        report.fusion_wall = time.perf_counter() - fuse_started
+        self._publish_fusion_metrics(report, result, fusion)
+        shard_stats = fusion.last_shard_stats
+        report.fusion_shards = {
+            "components": shard_stats.components,
+            "largest_claims": shard_stats.largest_claims,
+            "component_claims": shard_stats.component_claims,
+        }
+        if shard_stats.retries or shard_stats.timed_out_tasks:
+            report.health.retry = {
+                "attempts": shard_stats.attempts,
+                "retries": shard_stats.retries,
+                "timed_out_tasks": shard_stats.timed_out_tasks,
+            }
+        timing.detail = f"{len(self.claims)} claims, {len(result.truths)} items"
+        return result
+
+    def _augment(self, timing: StageTiming, report: PipelineReport, result):
+        """Stage 10: augment the Freebase snapshot with the fused knowledge."""
+        if self.freebase is None:
+            # The KB stage degraded away: there is no snapshot to
+            # augment, but fusion/evaluation above still ran.
+            report.health.mark_degraded(
+                "augmentation", "skipped: kb snapshot unavailable"
+            )
+            timing.detail = "skipped"
+            return None
+        augmentation = augment_kb(
+            self.freebase,
+            list(self.outputs.values()),
+            result,
+            self.claims,
+            class_of_subject=self._class_of_subject,
+            new_entities=(
+                report.entity_resolution.new_entities()
+                if report.entity_resolution is not None
+                else None
+            ),
+        )
+        timing.detail = (
+            f"{augmentation.new_facts} facts, "
+            f"{augmentation.total_new_attributes()} attributes, "
+            f"{augmentation.new_entities} entities"
+        )
+        return augmentation
+
+    # ------------------------------------------------------------------
     def _restore_extraction(
         self, report: PipelineReport, payload: dict
     ) -> dict[str, str]:
-        """Restore extraction state from a checkpoint payload.
+        """Take extraction state from a payload (a no-op on this run's own).
 
         Stage timings are deliberately not restored: a resumed report
         shows no extraction timings, which is the visible signal the
@@ -745,8 +783,14 @@ class KnowledgeBaseConstructionPipeline:
         self.quarantine = payload["quarantine"]
         report.seed_sizes = payload["seed_sizes"]
         report.query_stats = payload["query_stats"]
-        report.health.resumed_stages.append("extraction")
         return payload["mention_classes"]
+
+    def _restore_claims(self, report: PipelineReport, payload: dict) -> list:
+        """Take the claims payload's state; returns the scored claims."""
+        self.outputs = dict(payload["outputs"])
+        report.entity_resolution = payload["entity_resolution"]
+        report.health.active_sources = sorted(self.outputs)
+        return payload["all_triples"]
 
     # ------------------------------------------------------------------
     def _set_e_index(self):
@@ -766,22 +810,24 @@ class KnowledgeBaseConstructionPipeline:
                 return class_name
         return None
 
-    def _functional_oracle(self):
-        functional: dict[str, bool] = {}
-        for class_name in self.world.classes():
-            for spec in self.world.catalogs[class_name].attributes:
-                functional.setdefault(spec.name, spec.functional)
-        return lambda predicate: functional.get(predicate, False)
+    def _functionality(self):
+        """``(functional_of, refresh)`` per ``functionality_source``.
 
-    def _select_functional_oracle(self, claims: ClaimSet):
-        """The functionality oracle per ``functionality_source``."""
+        ``"schema"``: the world's catalogs decide, no refresh.
+        ``"estimated"``: no fixed oracle; ``refresh(claims)`` estimates
+        one from the claims it is given.
+        """
         if self.config.functionality_source == "estimated":
             from repro.fusion.functionality import (
                 functional_oracle_from_claims,
             )
 
-            return functional_oracle_from_claims(claims)
-        return self._functional_oracle()
+            return None, functional_oracle_from_claims
+        functional: dict[str, bool] = {}
+        for class_name in self.world.classes():
+            for spec in self.world.catalogs[class_name].attributes:
+                functional.setdefault(spec.name, spec.functional)
+        return (lambda predicate: functional.get(predicate, False)), None
 
     def _build_fusion(self, functional_of) -> KnowledgeFusion:
         """The combined fusion method, configured from this pipeline."""
@@ -856,25 +902,14 @@ class KnowledgeBaseConstructionPipeline:
                 "serve() needs claims: call run() first (run(resume=True) "
                 "restores them from a checkpoint_dir)"
             )
-
-        functional_refresh = None
-        if cfg.functionality_source == "estimated":
-            from repro.fusion.functionality import (
-                functional_oracle_from_claims,
-            )
-
-            # Re-derived by the engine after every delta; the initial
-            # oracle is set by prime() through the same callback.
-            functional_of = None
-            functional_refresh = functional_oracle_from_claims
-        else:
-            functional_of = self._functional_oracle()
-
+        # An estimated oracle is re-derived by the engine after every
+        # delta; prime() sets the initial one through the same callback.
+        functional_of, refresh = self._functionality()
         fusion = self._build_fusion(functional_of)
         triple_store = self._build_claim_store()
         triple_store.add_all(self.all_triples)
         return fusion.begin_incremental(
-            triple_store, functional_refresh=functional_refresh
+            triple_store, functional_refresh=refresh
         )
 
     def serve(self):
@@ -927,88 +962,3 @@ class KnowledgeBaseConstructionPipeline:
         stats.publish(self.metrics)
         return apply_resolution(triples, resolutions, self._class_of_subject)
 
-
-class _timed:
-    """Context manager booking one pipeline stage.
-
-    On entry it fires the ``stage:<name>`` point of ``fault_plan``, if
-    any, and starts the clock; injected slow seconds (and what the
-    caller adds to ``injected_seconds``) count as measured time.  On
-    exit it books the stage once, everywhere: the timing in
-    ``report.timings``, the span, ``pipeline_stage_seconds`` and the
-    success/failed counter.  The timing is appended whether or not the
-    block raises: a failed stage still spent the time, and dropping it
-    made degraded-run reports under-count wall-clock work.  A failure
-    is marked in the timing detail (``failed: <ExcType>``), in
-    ``report.health``, in the span status and in
-    ``pipeline_stage_failed_total``; ``failed`` says so afterwards.
-
-    ``isolated`` is what happens next.  False (a stage everything
-    downstream needs): the exception propagates.  True (an extraction
-    stage): it is suppressed, and the run goes on without that source.
-    """
-
-    def __init__(
-        self,
-        report: PipelineReport,
-        stage: str,
-        *,
-        isolated: bool = False,
-        tracer: SpanTracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        fault_plan: FaultPlan | None = None,
-    ) -> None:
-        self.report = report
-        self.stage = stage
-        self.timing = StageTiming(stage, 0.0)
-        self.failed = False
-        self.injected_seconds = 0.0
-        self._isolated = isolated
-        self._tracer = tracer
-        self._metrics = metrics
-        self._fault_plan = fault_plan
-        self._span = None
-
-    def __enter__(self) -> StageTiming:
-        if self._tracer is not None:
-            self._span = self._tracer.span(self.stage)
-        self._start = time.perf_counter()
-        try:
-            self.injected_seconds = fire(
-                self._fault_plan, f"stage:{self.stage}"
-            )
-        except InjectedFault as fault:
-            self._book(time.perf_counter() - self._start, fault)
-            raise
-        return self.timing
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        seconds = time.perf_counter() - self._start + self.injected_seconds
-        self._book(seconds, exc)
-        return self._isolated and isinstance(exc, Exception)
-
-    def _book(self, seconds: float, exc: BaseException | None) -> None:
-        timing = self.timing
-        timing.seconds = seconds
-        self.failed = exc is not None
-        if self.failed:
-            marker = f"failed: {type(exc).__name__}"
-            timing.detail = (
-                f"{timing.detail}; {marker}" if timing.detail else marker
-            )
-            self.report.health.mark_degraded(
-                self.stage, f"{type(exc).__name__}: {exc}"
-            )
-        self.report.timings.append(timing)
-        if self._span is not None:
-            span = self._span.end(detail=timing.detail, failed=self.failed)
-            span.seconds = timing.seconds
-        if self._metrics is not None:
-            self._metrics.histogram(
-                "pipeline_stage_seconds", stage=self.stage
-            ).observe(timing.seconds)
-            outcome = (
-                "pipeline_stage_failed_total"
-                if self.failed else "pipeline_stage_success_total"
-            )
-            self._metrics.counter(outcome, stage=self.stage).inc()

@@ -61,20 +61,21 @@ SLOW = "slow"
 CORRUPT = "corrupt"
 
 #: The roster: every fault scope ``src/`` fires or corrupts, and what
-#: its index means.  A new scope is an edit here.
+#: its index means.  A new scope is an edit here.  The pipeline's
+#: ``stage:<name>`` entries are the names of ``repro.core.pipeline.STAGES``.
 SCOPES: dict[str, str] = {
     "map": "the MapReduce job's one map task; always 0",
     "reduce": "a MapReduce reduce chunk, 0 .. REDUCE_CHUNKS - 1",
-    "stage:kb-extraction": "pipeline stage 1 (isolated); always 0",
-    "stage:query-stream": "pipeline stage 2 (isolated); always 0",
-    "stage:dom-extraction": "pipeline stage 4 (isolated); always 0",
-    "stage:webtext-extraction": "pipeline stage 5 (isolated); always 0",
-    "stage:entity-resolution": "pipeline stage 5b; always 0",
-    "stage:attribute-resolution": "pipeline stage 6; always 0",
-    "stage:confidence": "pipeline stage 7; always 0",
-    "stage:fusion": "pipeline stage 8; always 0",
-    "stage:evaluation": "pipeline stage 9; always 0",
-    "stage:augmentation": "pipeline stage 10; always 0",
+    "stage:kb-extraction": "a pipeline stage; always 0",
+    "stage:query-stream": "a pipeline stage; always 0",
+    "stage:dom-extraction": "a pipeline stage; always 0",
+    "stage:webtext-extraction": "a pipeline stage; always 0",
+    "stage:entity-resolution": "a pipeline stage; always 0",
+    "stage:attribute-resolution": "a pipeline stage; always 0",
+    "stage:confidence": "a pipeline stage; always 0",
+    "stage:fusion": "a pipeline stage; always 0",
+    "stage:evaluation": "a pipeline stage; always 0",
+    "stage:augmentation": "a pipeline stage; always 0",
     "stage:incremental-journal":
         "IncrementalFusion.apply_delta before any staging; always 0",
     "stage:incremental-fusion":

@@ -7,7 +7,8 @@ pipeline root span, stage spans under it, and finer-grained children
 tracers emit, kept dependency-free.
 
 Spans are created by :meth:`SpanTracer.span`, a context manager timing
-a live block (the pipeline's ``_timed`` opens one per stage).
+a live block, or closed by ``.end()`` (the pipeline's ``_stage`` opens
+one per stage).
 
 All span fields are timing-type and therefore outside the metric
 determinism contract; traces are for debugging latency, not for

@@ -228,6 +228,14 @@ class TestGracefulDegradation:
         assert "StageTimeoutError" in report.health.degraded[
             "dom-extraction"
         ]
+        # The overrun stage's output is kept out of the run, though its
+        # body returned one before the deadline was checked.
+        assert "dom" not in report.health.active_sources
+        assert all(
+            scored.provenance.extractor_id != "dom"
+            for scored in pipeline.all_triples
+        )
+        assert "dom" not in report.triple_counts
 
     @pytest.mark.parametrize(
         "source, scope, stage, extractor",

@@ -128,8 +128,9 @@ class TestRunIncremental:
         pipeline = incremental_run.pipeline
         served = incremental_run.server.versions.current
         claims = canonical_claims(served.store.copy())
+        functional_of, refresh = pipeline._functionality()
         reference_fusion = pipeline._build_fusion(
-            pipeline._select_functional_oracle(claims)
+            functional_of if refresh is None else refresh(claims)
         )
         reference = reference_fusion.fuse(claims)
         assert (
@@ -280,7 +281,7 @@ class TestServeBuildsNoClaimSetOfItsOwn:
             source == "estimated"
         )
         if source == "schema":
-            schema = pipeline._functional_oracle()
+            schema, _refresh = pipeline._functionality()
             assert [
                 engine.functional_of(predicate)
                 for predicate in sorted(decided)

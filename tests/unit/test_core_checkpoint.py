@@ -69,25 +69,6 @@ class TestCheckpointStore:
         leftovers = [p.name for p in tmp_path.iterdir()]
         assert leftovers == ["claims.ckpt"]
 
-    def test_clear_removes_known_stages(self, tmp_path):
-        # The stages the pipeline ("extraction", "claims") and a tenant
-        # ("serving") write.
-        stages = ("extraction", "claims", "serving")
-        store = CheckpointStore(tmp_path, "fp-1")
-        for stage in stages:
-            store.save(stage, stage)
-        assert store.clear() == len(stages)
-        assert all(store.load(stage) is None for stage in stages)
-
-    def test_clear_removes_a_stage_it_was_never_told_about(self, tmp_path):
-        # Regression: clear() deleted only a fixed list of stage names,
-        # so a checkpoint saved under any other name survived it.
-        store = CheckpointStore(tmp_path, "fp-1")
-        store.save("my-stage", {"x": 1})
-        assert store.clear() == 1
-        assert store.load("my-stage") is None
-        assert list(tmp_path.iterdir()) == []
-
 
 class TestTempFileHygiene:
     """Regression: a crash mid-save orphaned ``.tmp`` files forever."""
@@ -115,30 +96,6 @@ class TestTempFileHygiene:
         live = self._orphan(tmp_path, "claims.ckpt.998.7.tmp", age=0.0)
         store.save("claims", {"x": 1})
         assert live.exists()
-
-    def test_clear_sweeps_own_and_stale_orphans(self, tmp_path):
-        store = CheckpointStore(tmp_path, "fp-1")
-        store.save("extraction", {"x": 1})
-        # Own-pid temp: swept even when fresh (this process is not
-        # mid-save — it is the one calling clear).
-        own = tmp_path / f"claims.ckpt.{os.getpid()}.777.tmp"
-        own.write_bytes(b"half-written")
-        self._orphan(tmp_path, "extraction.ckpt.tmp")  # stale legacy
-        assert store.clear() == 3
-        assert list(tmp_path.iterdir()) == []
-
-    def test_clear_spares_a_sibling_stores_live_temp(self, tmp_path):
-        # Regression: two tenants share one checkpoint root.  Tenant
-        # B's store is mid-``save`` (fresh temp, foreign pid) when
-        # tenant A clears its checkpoints — the old unconditional
-        # sweep deleted B's in-flight temp and lost its checkpoint.
-        clearing = CheckpointStore(tmp_path, "fp-a")
-        clearing.save("extraction", {"x": 1})
-        live = self._orphan(tmp_path, "claims.ckpt.999.3.tmp", age=0.0)
-        legacy_live = self._orphan(tmp_path, "claims.ckpt.tmp", age=0.0)
-        assert clearing.clear() == 1  # only its own checkpoint file
-        assert live.exists()
-        assert legacy_live.exists()
 
     def test_temp_names_unique_across_stores_in_one_process(self, tmp_path):
         # Two stores sharing a directory must never mint the same temp

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.core.pipeline import STAGES
 from repro.errors import ReproError, RetryExhaustedError, StageTimeoutError
 from repro.faults import (
     SCOPES,
@@ -121,6 +122,14 @@ class TestRoster:
     def test_firing_a_scope_off_the_roster_raises(self, plan):
         with pytest.raises(ReproError, match="unknown fault scope"):
             fire(plan, "stream:aply")
+
+    def test_pipeline_stage_scopes_are_the_declared_stages(self):
+        pipeline_scopes = {
+            scope for scope in SCOPES
+            if scope.startswith("stage:")
+            and not scope.startswith("stage:incremental-")
+        }
+        assert pipeline_scopes == {f"stage:{name}" for name in STAGES}
 
     def test_fire_without_a_plan_injects_nothing(self):
         assert all(fire(None, scope, 3, 1) == 0.0 for scope in SCOPES)

@@ -1,8 +1,7 @@
 """Pipeline observability: report accuracy fixes and instrumentation.
 
-Covers the two report-accuracy regressions (``total_seconds``
-double-counting overlapped concurrent stages; ``_timed`` silently
-dropping a raising stage's timing) plus the integration surface:
+Covers the report-accuracy regression (a raising stage's timing
+silently dropped) on ``_stage``, plus the integration surface:
 ``PipelineReport.metrics`` / ``.trace`` populated across every
 instrumented layer, the deterministic metric subset byte-identical
 across same-seed runs, and a fatal mid-run crash leaving an
@@ -18,11 +17,9 @@ from repro.core.pipeline import (
     PipelineConfig,
     PipelineReport,
     StageTiming,
-    _timed,
 )
 from repro.faults import FaultPlan, InjectedFault, RetryPolicy
-from repro.obs import MetricsRegistry, SpanTracer, validate_metrics, \
-    validate_trace
+from repro.obs import validate_metrics, validate_trace
 from repro.synth.querylog import QueryLogConfig
 from repro.synth.websites import WebsiteConfig
 from repro.synth.webtext import WebTextConfig
@@ -45,26 +42,7 @@ def _config(**overrides) -> PipelineConfig:
 
 
 class TestTotalSeconds:
-    """Regression: concurrent stage timings overlap on the wall clock.
-
-    Summing per-stage seconds double-counts whenever stages ran in
-    parallel; ``total_seconds()`` must report measured wall time, with
-    the sum available separately as ``cumulative_stage_seconds()``.
-    """
-
-    def test_total_is_wall_not_the_overlapping_sum(self):
-        report = PipelineReport()
-        # Two stages that ran concurrently for 3s each: 4s of wall.
-        report.timings.append(StageTiming("dom-extraction", 3.0))
-        report.timings.append(StageTiming("webtext-extraction", 3.0))
-        report.wall_seconds = 4.0
-        assert report.cumulative_stage_seconds() == 6.0
-        assert report.total_seconds() == 4.0
-
-    def test_fallback_to_cumulative_when_wall_unmeasured(self):
-        report = PipelineReport()
-        report.timings.append(StageTiming("fusion", 2.0))
-        assert report.total_seconds() == 2.0
+    """The run's total is the measured wall clock, not the stage sum."""
 
     def test_json_dict_carries_both(self):
         report = PipelineReport()
@@ -75,14 +53,21 @@ class TestTotalSeconds:
         assert payload["cumulative_stage_seconds"] == 2.0
 
 
+def _failing(exc):
+    def body(timing):
+        raise exc
+
+    return body
+
+
 class TestTimedFailure:
     """Regression: a raising stage must not lose its timing."""
 
     def test_timing_appended_with_failure_marker(self):
         report = PipelineReport()
+        pipeline = KnowledgeBaseConstructionPipeline(_config())
         with pytest.raises(ValueError):
-            with _timed(report, "confidence"):
-                raise ValueError("boom")
+            pipeline._stage(report, "confidence", _failing(ValueError("boom")))
         (timing,) = report.timings
         assert timing.stage == "confidence"
         assert timing.seconds >= 0.0
@@ -91,49 +76,50 @@ class TestTimedFailure:
 
     def test_marker_appends_to_existing_detail(self):
         report = PipelineReport()
+        pipeline = KnowledgeBaseConstructionPipeline(_config())
+
+        def body(timing):
+            timing.detail = "120 claims"
+            raise RuntimeError("dead")
+
         with pytest.raises(RuntimeError):
-            with _timed(report, "fusion") as timing:
-                timing.detail = "120 claims"
-                raise RuntimeError("dead")
+            pipeline._stage(report, "fusion", body)
         assert report.timings[0].detail == "120 claims; failed: RuntimeError"
 
     def test_success_path_unchanged(self):
         report = PipelineReport()
-        with _timed(report, "fusion") as timing:
+        pipeline = KnowledgeBaseConstructionPipeline(_config())
+
+        def body(timing):
             timing.detail = "ok"
+            return "fused"
+
+        assert pipeline._stage(report, "fusion", body) == "fused"
         assert report.timings[0].detail == "ok"
         assert report.health.status == "ok"
 
     def test_tracer_and_metrics_see_the_failure(self):
         report = PipelineReport()
-        tracer = SpanTracer()
-        metrics = MetricsRegistry()
+        pipeline = KnowledgeBaseConstructionPipeline(_config())
         with pytest.raises(ValueError):
-            with _timed(report, "fusion", tracer=tracer, metrics=metrics):
-                raise ValueError("boom")
-        span = tracer.to_json_dict()["spans"][0]
+            pipeline._stage(report, "fusion", _failing(ValueError("boom")))
+        span = pipeline.tracer.to_json_dict()["spans"][0]
         assert span["status"] == "failed"
         assert span["detail"] == "failed: ValueError"
-        counters = metrics.snapshot().counters
-        assert counters["pipeline_stage_failed_total{stage=fusion}"] == 1
-        histograms = metrics.snapshot().histograms
-        assert histograms["pipeline_stage_seconds{stage=fusion}"].count == 1
+        snapshot = pipeline.metrics.snapshot()
+        assert snapshot.counters["pipeline_stage_failed_total{stage=fusion}"] == 1
+        assert snapshot.histograms["pipeline_stage_seconds{stage=fusion}"].count == 1
 
     def test_isolated_stage_suppresses_and_marks_the_failure(self):
         report = PipelineReport()
-        tracer = SpanTracer()
-        metrics = MetricsRegistry()
-        timer = _timed(
-            report, "dom-extraction", isolated=True,
-            tracer=tracer, metrics=metrics,
-        )
-        with timer:
-            raise ValueError("boom")
-        assert timer.failed
+        pipeline = KnowledgeBaseConstructionPipeline(_config())
+        assert pipeline._stage(
+            report, "dom-extraction", _failing(ValueError("boom"))
+        ) is None
         assert report.health.degraded["dom-extraction"] == "ValueError: boom"
         assert report.timings[0].detail == "failed: ValueError"
-        assert tracer.to_json_dict()["spans"][0]["status"] == "failed"
-        counters = metrics.snapshot().counters
+        assert pipeline.tracer.to_json_dict()["spans"][0]["status"] == "failed"
+        counters = pipeline.metrics.snapshot().counters
         assert (
             counters["pipeline_stage_failed_total{stage=dom-extraction}"]
             == 1
@@ -141,9 +127,13 @@ class TestTimedFailure:
 
     def test_isolated_stage_does_not_swallow_an_interrupt(self):
         report = PipelineReport()
+        pipeline = KnowledgeBaseConstructionPipeline(_config())
         with pytest.raises(KeyboardInterrupt):
-            with _timed(report, "dom-extraction", isolated=True):
-                raise KeyboardInterrupt
+            pipeline._stage(
+                report, "dom-extraction", _failing(KeyboardInterrupt())
+            )
+        assert report.timings[0].detail == "failed: KeyboardInterrupt"
+        assert "dom-extraction" in report.health.degraded
 
     def test_injected_slow_seconds_breach_the_deadline_without_sleeping(
         self,
@@ -160,7 +150,7 @@ class TestTimedFailure:
             timing.detail = "3 claims"
             return "output"
 
-        assert pipeline._isolated_stage(report, "dom-extraction", body) is None
+        assert pipeline._stage(report, "dom-extraction", body) is None
         assert 99.0 <= report.timings[0].seconds < 100.0
         assert report.timings[0].detail == "3 claims; failed: StageTimeoutError"
         assert report.health.degraded["dom-extraction"].startswith(
@@ -173,25 +163,23 @@ class TestTimedFailure:
         pipeline = KnowledgeBaseConstructionPipeline(
             _config(fault_plan=plan, stage_timeout=5.0)
         )
-        timer = pipeline._stage_timer(report, "fusion")
-        with timer:
-            pass
-        assert not timer.failed
+        assert pipeline._stage(report, "fusion", lambda timing: "fused") == (
+            "fused"
+        )
         assert report.timings[0].seconds >= 99.0
         assert report.health.status == "ok"
 
     def test_entry_fault_is_booked_before_it_propagates(self):
         report = PipelineReport()
-        metrics = MetricsRegistry()
         plan = FaultPlan(seed=1).crash("stage:fusion", attempts=0)
-        entered = False
+        pipeline = KnowledgeBaseConstructionPipeline(_config(fault_plan=plan))
+        entered = []
         with pytest.raises(InjectedFault):
-            with _timed(report, "fusion", metrics=metrics, fault_plan=plan):
-                entered = True
+            pipeline._stage(report, "fusion", entered.append)
         assert not entered
         assert report.timings[0].detail == "failed: InjectedFault"
         assert "fusion" in report.health.degraded
-        counters = metrics.snapshot().counters
+        counters = pipeline.metrics.snapshot().counters
         assert counters["pipeline_stage_failed_total{stage=fusion}"] == 1
 
 
@@ -226,8 +214,7 @@ class TestInstrumentationIntegration:
 
     def test_wall_seconds_measured(self, observed_runs):
         report = observed_runs[0]
-        assert report.wall_seconds > 0.0
-        assert report.total_seconds() == report.wall_seconds
+        assert 0.0 < report.cumulative_stage_seconds() <= report.wall_seconds
 
     def test_trace_rooted_at_the_pipeline_span(self, observed_runs):
         root = observed_runs[0].trace["spans"][0]
