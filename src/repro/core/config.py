@@ -67,8 +67,8 @@ class PipelineConfig:
     # "memory" keeps the original dict-resident store; "segment" spills
     # claims to mmapped LSM-style segment files under storage_dir, so
     # the corpus is disk-bound instead of RAM-bound.  Fusion verdicts
-    # are byte-identical either way (the backends share one claim
-    # iteration order; see repro.rdf.backend).
+    # are byte-identical either way (fusion reads the claims in
+    # ClaimSet order, whatever order a backend holds them in).
     storage_backend: str = "memory"
     # Segment-file directory, required when storage_backend="segment".
     # The directory is owned by the run lineage: reopening it primes

@@ -9,23 +9,25 @@ Every fusion method consumes a :class:`ClaimSet` and returns a
 :class:`FusionResult` mapping each item to its decided truths with
 belief scores.
 
-Fusion is per data item, so a claim set is its claims *grouped by
-item*, and the stages between a claim corpus and a kernel inherit that
-grouping instead of rebuilding it: a stage that maps claims one to one
-(reweighting), keeps or drops whole items (sharding, a region of the
-incremental engine) or inserts claims inside an item (hierarchy
-expansion) hands its deduplicated list to :meth:`ClaimSet.adopt`, and
-a caller that walks every item reads :meth:`ClaimSet.runs`.  Only
-:meth:`ClaimSet.add`, on arbitrary input, hashes claim keys.
+Fusion is defined over a *set* of claims, so a claim set has one
+canonical order, :data:`claim_key` order, whatever order its claims
+came in: items sorted, each followed by its own claims.  The stages
+between a claim corpus and a kernel inherit that order instead of
+rebuilding it: a stage that maps claims one to one (reweighting),
+keeps or drops whole items (sharding, a region of the incremental
+engine) or rebuilds an item's claims (hierarchy expansion) hands its
+deduplicated list to :meth:`ClaimSet.adopt`, and a caller that walks
+every item reads :meth:`ClaimSet.runs`.  Only :meth:`ClaimSet.add`,
+on arbitrary input, hashes claim keys.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import attrgetter
 
 from repro.errors import FusionError
@@ -52,141 +54,126 @@ class Claim:
 
 
 #: What makes two claims the same claim (:meth:`ClaimSet.add` keeps
-#: the more confident one).
+#: the more confident one), and the canonical claim order.
 claim_key = attrgetter("item", "value", "source_id", "extractor_id")
+_source_of = attrgetter("source_id")
 
 
 class ClaimSet:
-    """Indexed collection of claims.
+    """Indexed collection of claims, in one canonical order.
 
-    Deduplicates identical (item, value, source, extractor) claims,
-    keeping the maximum confidence at the first one's position.
+    The canonical order is :data:`claim_key` order: items sorted, each
+    item's claims by value, source and extractor.  A set built from
+    arbitrary input — by the constructor, :meth:`add` or
+    :meth:`from_scored_triples` — deduplicates identical keys, keeping
+    the maximum confidence (the first claim on a tie), and is sorted
+    when it is first read: what it iterates, and so every float a
+    fusion method adds, depends on the claims alone, not on the order
+    they came in or on the hash seed.
 
     Claims are grouped by item in flat tables — item → slot, slot →
-    start, the claims by item in first-appearance order — not in a
-    dict and a list per item: a set has about as many items as claims,
-    and every long-lived container is walked by each full collector
-    pass.  :meth:`values_of` builds an item's dict on demand.
+    start, the claims themselves — not in a dict and a list per item:
+    a set has about as many items as claims, and every long-lived
+    container is walked by each full collector pass.  :meth:`values_of`
+    builds an item's dict on demand.
 
     Only :meth:`add` hashes claim keys.  A list that is deduplicated
     already — another set's claims, mapped one to one, filtered item
     by item, or with claims inserted inside an item — is taken as it
-    is by :meth:`adopt`, and where its items are contiguous (canonical
-    claims are) the grouping is one scan for item boundaries.
+    stands by :meth:`adopt`; grouping it is one scan for item
+    boundaries, which refuses a list where an item's claims lie apart.
     """
 
     def __init__(self, claims: Iterable[Claim] = ()) -> None:
-        # Insertion order; a refreshed claim stays where it was.
+        # The claims: sorted, or an adopted list as it was handed over.
         self._order: list[Claim] = []
-        # Claim key → position in ``_order``; None on an adopted list
-        # until the first ``add``.
-        self._at: dict[tuple, int] | None = {}
-        # The grouping tables are ``_reindex``'s to build.
-        self._stale = True
+        # Claim key → claim while claims added since the last sort wait
+        # for the next one; None otherwise.
+        self._pending: dict[tuple, Claim] | None = None
+        # The grouping tables, None until ``_reindex`` builds them.
+        self._slot_of: dict[Item, int] | None = None
         for claim in claims:
             self.add(claim)
 
     @classmethod
     def adopt(cls, claims: list[Claim]) -> "ClaimSet":
-        """The set over ``claims``, which hold no two claims of one
-        key: no claim is hashed, and the list is not copied (a later
-        :meth:`add` copies it first)."""
+        """The set over ``claims``, which hold no two claims of one key
+        and each item's claims together: no claim is hashed, and the
+        list is neither copied nor reordered (a later :meth:`add`
+        sorts a copy)."""
         adopted = cls()
         adopted._order = claims
-        adopted._at = None
         return adopted
 
     def add(self, claim: Claim) -> None:
-        at = self._at
-        if at is None:
-            self._order = list(self._order)
-            at = self._at = {
-                claim_key(held): position
-                for position, held in enumerate(self._order)
+        pending = self._pending
+        if pending is None:
+            pending = self._pending = {
+                claim_key(held): held for held in self._order
             }
-        order = self._order
-        position = at.setdefault(claim_key(claim), len(order))
-        if position == len(order):
-            order.append(claim)
-        elif order[position].confidence >= claim.confidence:
-            return
-        else:
-            order[position] = claim
-        self._stale = True
+            self._slot_of = None
+        key = claim_key(claim)
+        held = pending.setdefault(key, claim)
+        if held is not claim and not held.confidence >= claim.confidence:
+            pending[key] = claim
 
     def _reindex(self) -> None:
-        """Regroup after an :meth:`add` or an adoption: count per item
-        — one dict probe per run of one item's claims — then place,
-        unless no item's claims lie apart and the claims are grouped
-        as they stand.  ``_positions`` maps a grouped index to the
-        claim's position in ``_order``."""
-        if not self._stale:
+        """Sort what was added, then group: one dict store per item.
+        Raises :class:`FusionError` on an adopted list where an item's
+        claims lie apart."""
+        if self._slot_of is not None:
             return
-        order = self._order
+        pending = self._pending
+        if pending is not None:
+            self._order = [pending[key] for key in sorted(pending)]
+            self._pending = None
         slot_of: dict[Item, int] = {}
         counts: list[int] = []
-        apart = False
-        previous = slot = None
-        for claim in order:
+        previous = None
+        for claim in self._order:
             item = claim.item
             if item != previous:
                 previous = item
-                slot = slot_of.setdefault(item, len(counts))
-                if slot == len(counts):
-                    counts.append(0)
-                else:
-                    apart = True
-            counts[slot] += 1
-        starts = list(accumulate(counts, initial=0))
-        if apart:
-            fill = starts[:-1]
-            grouped: list = [None] * len(order)
-            positions: Sequence[int] = [0] * len(order)
-            for position, claim in enumerate(order):
-                slot = slot_of[claim.item]
-                grouped[fill[slot]] = claim
-                positions[fill[slot]] = position
-                fill[slot] += 1
-        else:
-            grouped, positions = order, range(len(order))
-        self._slot_of, self._starts = slot_of, starts
-        self._grouped, self._positions = grouped, positions
-        self._stale = False
+                if slot_of.setdefault(item, len(counts)) != len(counts):
+                    raise FusionError(
+                        f"adopted claims of item {item!r} lie apart"
+                    )
+                counts.append(0)
+            counts[-1] += 1
+        self._slot_of = slot_of
+        self._starts = list(accumulate(counts, initial=0))
 
     def __len__(self) -> int:
-        return len(self._order)
+        pending = self._pending
+        return len(self._order if pending is None else pending)
 
-    def __iter__(self):
-        return iter(list(self._order))
+    def __iter__(self) -> Iterator[Claim]:
+        self._reindex()
+        return iter(self._order)
 
     def items(self) -> list[Item]:
         self._reindex()
         return list(self._slot_of)
 
     def runs(self) -> Iterator[tuple[Item, list[Claim]]]:
-        """Every item with its claims (in insertion order), in
-        :meth:`items` order: what a caller that walks every item reads
-        in place of one :meth:`values_of` dict per item."""
+        """Every item with its claims, in :meth:`items` order — the
+        claims laid end to end are the set's iteration order: what a
+        caller that walks every item reads in place of one
+        :meth:`values_of` dict per item."""
         self._reindex()
-        grouped, starts = self._grouped, self._starts
+        order, starts = self._order, self._starts
         for item, begin, end in zip(self._slot_of, starts, starts[1:]):
-            yield item, grouped[begin:end]
-
-    def positions(self) -> Sequence[int]:
-        """Where each claim of :meth:`runs`, runs laid end to end,
-        stands in iteration order."""
-        self._reindex()
-        return self._positions
+            yield item, order[begin:end]
 
     def values_of(self, item: Item) -> dict[str, list[Claim]]:
         """Value key → claims asserting it, for one item (values in
-        first-claimed order, claims in insertion order), built per call."""
+        first-claimed order, claims in claim order), built per call."""
         self._reindex()
         values: dict[str, list[Claim]] = {}
         slot = self._slot_of.get(item)
         if slot is not None:
             starts = self._starts
-            for claim in self._grouped[starts[slot]:starts[slot + 1]]:
+            for claim in self._order[starts[slot]:starts[slot + 1]]:
                 held = values.get(claim.value)
                 if held is None:
                     values[claim.value] = [claim]
@@ -195,13 +182,13 @@ class ClaimSet:
         return values
 
     def sources(self) -> set[str]:
-        return {claim.source_id for claim in self._order}
+        return {claim.source_id for claim in self}
 
     def extractors(self) -> set[str]:
-        return {claim.extractor_id for claim in self._order}
+        return {claim.extractor_id for claim in self}
 
-    def sources_claiming(self, item: Item) -> set[str]:
-        """Sources that assert *any* value for an item."""
+    def sources_claiming(self, item: Item) -> list[str]:
+        """Sources that assert *any* value for an item, in claim order."""
         return claiming_sources(self.values_of(item))
 
     def stats(self) -> "ClaimSetStats":
@@ -209,9 +196,7 @@ class ClaimSet:
         self._reindex()
         return ClaimSetStats(
             n_items=len(self._slot_of),
-            n_values=len(
-                {(claim.item, claim.value) for claim in self._grouped}
-            ),
+            n_values=len({(claim.item, claim.value) for claim in self}),
             n_sources=len(self.sources()),
             n_extractors=len(self.extractors()),
             n_claims=len(self._order),
@@ -219,28 +204,48 @@ class ClaimSet:
 
     @staticmethod
     def from_scored_triples(triples: Iterable[ScoredTriple]) -> "ClaimSet":
-        """Build a claim set from extractor output."""
+        """Build a claim set from extractor output.
+
+        The claims are made in canonical order (a key's duplicates by
+        confidence, then surface), so a walk over the set reads them in
+        the order they were allocated (walks over the same claims
+        allocated in the store's order ran up to a fifth slower on a
+        2-CPU x86 host).
+        """
+        keyed = sorted(
+            (
+                scored.triple.subject,
+                scored.triple.predicate,
+                value_key(scored.triple.obj.lexical),
+                scored.provenance.source_id,
+                scored.provenance.extractor_id,
+                scored.confidence,
+                scored.triple.obj.lexical,
+            )
+            for scored in triples
+        )
         claims = ClaimSet()
-        for scored in triples:
-            triple = scored.triple
+        for subject, predicate, value, source, extractor, confidence, lexical in keyed:
             claims.add(
                 Claim(
-                    item=triple.item,
-                    value=value_key(triple.obj.lexical),
-                    lexical=triple.obj.lexical,
-                    source_id=scored.provenance.source_id,
-                    extractor_id=scored.provenance.extractor_id,
-                    confidence=scored.confidence,
+                    item=(subject, predicate),
+                    value=value,
+                    lexical=lexical,
+                    source_id=source,
+                    extractor_id=extractor,
+                    confidence=confidence,
                 )
             )
         return claims
 
 
-def claiming_sources(values: dict[str, list[Claim]]) -> set[str]:
-    """The sources behind one :meth:`ClaimSet.values_of` answer, added
-    value by value, claim by claim (multi-truth sums in this set's
-    iteration order, so there is one way to build it)."""
-    return {claim.source_id for claims in values.values() for claim in claims}
+def claiming_sources(values: dict[str, list[Claim]]) -> list[str]:
+    """The sources behind one :meth:`ClaimSet.values_of` answer, each
+    once, value by value, claim by claim (multi-truth sums in this
+    order, so there is one way to build it)."""
+    return list(
+        dict.fromkeys(map(_source_of, chain.from_iterable(values.values())))
+    )
 
 
 @dataclass(slots=True)

@@ -11,17 +11,16 @@ updates become tight loops over parallel arrays.  The compilation
 walks the set's item runs (:meth:`ClaimSet.runs`): an item with one
 claim — most are — appends its pair and finds its one-slot evidence
 class directly, a longer run is grouped by value on the spot, and a
-claim's place in claim order comes from :meth:`ClaimSet.positions`,
-so no claim is looked up in any table.
+claim's index is its place in the runs laid end to end (the set's
+claim order), so no claim is looked up in any table.
 
 Exactness contract
 ------------------
 The kernels replay the *exact float operation order* of the dict-loop
 reference implementations (``tests/oracles/fusion_loops.py``, "the
 legacy code" below): items in ``claims.items()`` order, values in
-``values_of`` insertion order, claims in ``ClaimSet`` insertion order,
-covering sources in the same set-iteration order the legacy code
-observes in this process.  Per-source logarithms are hoisted out of
+``values_of`` order, claims in ``ClaimSet`` order, covering sources
+in ``sources_claiming`` order.  Per-source logarithms are hoisted out of
 the claim loop only where the legacy code computes the same value
 repeatedly (``log`` of identical inputs is deterministic), never where
 it would reorder an accumulation.  Multi-truth's products are hoisted
@@ -87,11 +86,11 @@ class CompiledClaims:
     - ``item_pair_start[i] : item_pair_start[i + 1]`` — item *i*'s pairs;
     - ``pair_claim_start[p] : pair_claim_start[p + 1]`` — indices into
       ``pair_claim_source`` / ``pair_claim_conf`` of the claims
-      asserting pair *p*, in ``ClaimSet`` insertion order.
+      asserting pair *p*, in ``ClaimSet`` order.
 
     Multi-truth judges every pair against every source covering the
     pair's item: one *cover slot* per (pair, covering source), in item
-    → pair → covering-source order (the legacy set-iteration order of
+    → pair → covering-source order (the order of
     ``sources_claiming(item)``), holding the source's maximum claim
     confidence on the pair, or ``None`` where it is silent on it.  A
     pair's *evidence* is its slots' ``(source, cover confidence)``
@@ -211,14 +210,13 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
     lone_class: list[dict[float, int]] = [{} for _ in source_id]
     class_of: dict[tuple, int] = {}
     n_classes = 0
-    positions = claims.positions()
-    done = 0  # claims of the runs walked so far
+    done = 0  # claims of the runs walked so far: the next one's index
     for item, run in claims.runs():
         item_idx = len(items)
         items.append(item)
         if len(run) == 1:
             # Most items: one claim, so one pair and one cover slot.
-            index = positions[done]
+            index = done
             pair = len(pair_item)
             pair_item.append(item_idx)
             pair_value.append(run[0].value)
@@ -244,10 +242,10 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
             done += 1
             continue
         # ``ClaimSet.values_of`` of the run, and beside each claim
-        # where it stands in claim order.
+        # its index.
         values: dict[str, list] = {}
         indexes: dict[str, list[int]] = {}
-        for index, claim in zip(positions[done:done + len(run)], run):
+        for index, claim in enumerate(run, done):
             held = values.get(claim.value)
             if held is None:
                 values[claim.value] = [claim]
@@ -256,8 +254,8 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
                 held.append(claim)
                 indexes[claim.value].append(index)
         done += len(run)
-        # Covering sources in the same set-iteration order the legacy
-        # per-round loops observe (stable within one process).
+        # Covering sources in ``sources_claiming`` order, as the
+        # reference loops walk them.
         cover = [source_id[name] for name in claiming_sources(values)]
         contested = len(values) >= 2
         for value, value_claims in values.items():

@@ -79,7 +79,7 @@ class CorrelationEstimator:
         """Compute pairwise dependence and independence weights.
 
         ``claims`` may be any iterable, a one-shot one included; it is
-        read once, in order (the float sums below follow that order).
+        read once, and the estimate does not depend on its order.
         """
         claims = list(claims)
         party_of = attrgetter(
@@ -104,10 +104,9 @@ class CorrelationEstimator:
                 held.add(value)
             elif held != value:
                 ballots[item] = {held, value}
-        # One item set per party.  ``_pair_dependence`` adds floats in
-        # the iteration order of ``common``, and that order is decided
-        # by how the two operands of ``&`` were built — so each is
-        # built as ``set(votes[party])``, once instead of once per pair.
+        # One item set per party, built once instead of once per pair
+        # (``_pair_dependence`` adds its floats in sorted item order,
+        # whatever order ``&`` yields the common items in).
         items_of = {party: set(votes[party]) for party in parties}
         qualifying = []
         for left, right in combinations(parties, 2):
@@ -182,10 +181,13 @@ class CorrelationEstimator:
         per item (Jaccard style), so both popular-only agreement and
         frequent disagreement drive the dependence toward zero; a pair
         that always disagrees scores near 0 even over many items.
+
+        Items and shared values are walked in sorted order, so the sum
+        depends on neither the hash seed nor the claim order.
         """
         agreement_rarity = 0.0
         union_size = 0
-        for item in common:
+        for item in sorted(common):
             everyone, by_value = claimants[item]
             # Both parties of the pair claim the item (and, below, each
             # shared value): everybody else is a witness.
@@ -203,7 +205,7 @@ class CorrelationEstimator:
                     left_values = {left_values}
                 elif isinstance(right_values, str):
                     right_values = {right_values}
-                shared = left_values & right_values
+                shared = sorted(left_values & right_values)
                 union_size += (
                     len(left_values) + len(right_values) - len(shared)
                 )

@@ -114,18 +114,38 @@ class HierarchicalFusion(FusionMethod):
     def _expand(self, claims: ClaimSet) -> ClaimSet:
         """Add virtual generalisation claims for hierarchical values.
 
-        A virtual claim's value is a hierarchy node, so only a claim
-        of a node can share a key with one: those are deduplicated as
-        :meth:`ClaimSet.add` would (first position, maximum
-        confidence), every other claim is carried over as it stands.
+        A virtual claim's value is a hierarchy node, so only an item
+        with a claim of a node gains claims: its run is rebuilt with
+        them, deduplicated as :meth:`ClaimSet.add` would (maximum
+        confidence, the first claim on a tie) and in claim-key order;
+        every other run is carried over as it stands.  A canonical set
+        expands to a canonical set.
         """
         nodes = self.hierarchy.nodes
+        order = list(claims)
         expanded: list[Claim] = []
-        at: dict[tuple, int] = {}
-        for claim in claims:
-            if claim.value not in nodes:
-                expanded.append(claim)
+        done = 0  # ``order[:done]`` is in ``expanded``
+        for at, claim in enumerate(order):
+            if claim.value not in nodes or at < done:
                 continue
+            # A node's item: its claims lie together around ``at``.
+            item, start, end = claim.item, at, at + 1
+            while start > done and order[start - 1].item == item:
+                start -= 1
+            while end < len(order) and order[end].item == item:
+                end += 1
+            expanded += order[done:start]
+            expanded += self._expanded_run(order[start:end])
+            done = end
+        expanded += order[done:]
+        return ClaimSet.adopt(expanded)
+
+    def _expanded_run(self, run: list[Claim]) -> list[Claim]:
+        """One item's claims, each followed by a virtual claim per
+        ancestor of its value (confidence decayed per level),
+        deduplicated and in claim-key order."""
+        by_key: dict[tuple, Claim] = {}
+        for claim in run:
             confidence = claim.confidence
             chain = [claim]
             for ancestor in self.hierarchy.ancestors(claim.value):
@@ -142,13 +162,10 @@ class HierarchicalFusion(FusionMethod):
                 )
             for link in chain:
                 key = claim_key(link)
-                position = at.get(key)
-                if position is None:
-                    at[key] = len(expanded)
-                    expanded.append(link)
-                elif not expanded[position].confidence >= link.confidence:
-                    expanded[position] = link
-        return ClaimSet.adopt(expanded)
+                held = by_key.setdefault(key, link)
+                if held is not link and not held.confidence >= link.confidence:
+                    by_key[key] = link
+        return [by_key[key] for key in sorted(by_key)]
 
     def _specialize(
         self, original: ClaimSet, result: FusionResult
@@ -156,6 +173,7 @@ class HierarchicalFusion(FusionMethod):
         """Refine winners to the most specific well-supported value."""
         refined = FusionResult(self.name)
         refined.iterations = result.iterations
+        refined.converged_at = result.converged_at
         refined.source_quality = result.source_quality
         refined.belief = result.belief
         # An item none of whose values lies on a chain keeps its

@@ -161,10 +161,8 @@ class KnowledgeFusion(FusionMethod):
 
     def extractor_weights(self, claims: Iterable[Claim]) -> dict[str, float]:
         """Step 1a: global extractor-correlation independence weights
-        (none when that correlation is switched off).
-
-        Pass the claims in the order a full fuse would see them: the
-        estimator's float sums follow it.
+        (none when that correlation is switched off).  They depend on
+        the claims alone, not on the order they are passed in.
         """
         if not self.use_extractor_correlations:
             return {}

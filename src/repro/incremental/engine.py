@@ -9,14 +9,14 @@ exploits that, and keeps the work of a delta proportional to the
 
 1. the current claim corpus lives in a :class:`TripleStore`; each
    delta is journalled against a *copy* of it (retract, then add);
-2. claims are canonicalized (sorted on a total key, then deduplicated
-   through :meth:`ClaimSet.from_scored_triples`), so the fused output
-   is a function of store *content*, not of journal history.  The
-   sort key starts with the data item, so the canonical order is the
-   items in sorted order, each followed by its own claims: the
-   committed state caches the canonical claims *per item* (one flat
-   list plus per-item spans), and a delta re-reads only its dirty
-   items from the staged store;
+2. claims are read into a :class:`ClaimSet` (deduplicated, then in
+   the set's canonical claim-key order), so the fused output is a
+   function of store *content*, not of journal history.  The key
+   starts with the data item, so the canonical order is the items in
+   sorted order, each followed by its own claims: the committed state
+   caches the canonical claims *per item* (one flat list plus
+   per-item spans), and a delta re-reads only its dirty items from
+   the staged store;
 3. the canonical claim set is partitioned into connected components;
    each component carries its items, its sources and a content
    digest.  The prior components that hold a dirty item or a dirty
@@ -40,9 +40,7 @@ Two estimation details make the reuse exact rather than approximate:
 
 * extractor-correlation weights are global (extractors span
   components), so they are re-estimated per delta — one pass over the
-  cached claims in global canonical order (the estimator's float sums
-  follow set-insertion order, so the order is part of the
-  byte-identity contract).  Weights equal to the committed ones leave
+  cached claims.  Weights equal to the committed ones leave
   every component outside the region bit-for-bit as it was; a shifted
   weight can change any item's digest: every item is digested again
   and the delta degenerates to a full recompute, which is the correct
@@ -111,7 +109,6 @@ from repro.incremental.journal import (
     DeltaReceipt,
 )
 from repro.rdf.store import TripleStore
-from repro.rdf.triple import ScoredTriple
 
 __all__ = [
     "ComponentEntry",
@@ -121,37 +118,11 @@ __all__ = [
 ]
 
 
-def _scored_sort_key(scored: ScoredTriple):
-    triple = scored.triple
-    provenance = scored.provenance
-    return (
-        triple.subject,
-        triple.predicate,
-        triple.obj.kind.value,
-        triple.obj.lexical,
-        provenance.source_id,
-        provenance.extractor_id,
-        provenance.locator,
-        scored.confidence,
-    )
-
-
 def canonical_claims(store: TripleStore) -> ClaimSet:
-    """The store's claims as a canonically-ordered :class:`ClaimSet`.
-
-    Sorting on a total key before building the claim set makes the
-    fused output a pure function of store *content*: two stores that
-    hold the same claims — regardless of the add/remove history that
-    produced them — yield byte-identical claim sets, hence
-    byte-identical fusion (float accumulation order included).
-    """
-    return _canonicalize(store.claims())
-
-
-def _canonicalize(scored: Iterable[ScoredTriple]) -> ClaimSet:
-    return ClaimSet.from_scored_triples(
-        sorted(scored, key=_scored_sort_key)
-    )
+    """The store's claims as a :class:`ClaimSet`, in its canonical
+    order: two stores that hold the same claims — whatever add/remove
+    history produced them — yield byte-identical fusion."""
+    return ClaimSet.from_scored_triples(store.claims())
 
 
 #: Raised when a delta leaves nothing to fuse (and on an empty prime).
@@ -476,7 +447,7 @@ class IncrementalFusion:
         prior = self._state
         corpus = prior.corpus.replaced(
             {
-                item: list(_canonicalize(scored))
+                item: list(ClaimSet.from_scored_triples(scored))
                 for item, scored in staged.claims_for_items(
                     receipt.dirty_items
                 ).items()

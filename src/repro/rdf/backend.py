@@ -13,9 +13,10 @@ Contract notes that matter for byte-identical fusion:
 * ``iter_claims()`` / ``claims()`` enumerate live claims in **first
   insertion order** of their ``(triple, provenance)`` key — dict
   semantics: a confidence refresh keeps the key's position, a
-  ``remove`` followed by a re-add moves it to the end.  Fusion float
-  accumulation order follows claim order, so every backend must
-  reproduce this order exactly.
+  ``remove`` followed by a re-add moves it to the end.  Every backend
+  reproduces this order exactly, so their answers compare with ``==``
+  (fusion reads the claims in :class:`~repro.fusion.base.ClaimSet`
+  order, not in this one).
 * ``add`` keeps the maximum confidence per key and is a no-op when the
   stored confidence is already >= the incoming one.  It returns True
   iff the store changed — a new key, or a raised confidence — so a

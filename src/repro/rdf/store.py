@@ -11,8 +11,9 @@ so that fusion can retrieve every claim about a data item.
 the original pure-dict layout; the
 :class:`~repro.rdf.segments.SegmentBackend` spills to mmapped segment
 files so the corpus is disk-bound instead of RAM-bound.  Every backend
-preserves the same claim-iteration order, so fusion verdicts do not
-depend on the backend choice.
+preserves the same claim-iteration order, and fusion reads claims in
+their :class:`~repro.fusion.base.ClaimSet` order anyway, so fusion
+verdicts do not depend on the backend choice.
 
 Iteration is **zero-copy**: ``iter(store)`` streams the backend's live
 claims without materializing a list.  Callers that mutate the store

@@ -162,6 +162,21 @@ class TestRunIncremental:
         )
 
 
+class TestRunAndServeFuseOneOrder:
+    def test_run_bytes_equal_serves_version_zero(self):
+        """``run()`` fuses the pipeline's claim list, ``serve()`` primes
+        over the store's claims: one canonical claim order makes them
+        the same fuse."""
+        pipeline = KnowledgeBaseConstructionPipeline(_config())
+        report = pipeline.run()
+        version = pipeline.serve().versions.current
+        assert version.version_id == 0
+        assert (
+            version.canonical_bytes()
+            == report.fusion_result.canonical_bytes()
+        )
+
+
 class TestResumeComposition:
     def test_fresh_process_resumes_from_claims_and_replays_deltas(
         self, incremental_run

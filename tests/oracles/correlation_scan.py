@@ -7,10 +7,12 @@ claimant table.  The estimator in ``src/`` builds less — nothing at
 one party, no claimant table without a qualifying pair, one item set
 per party, witness counts as ``len(...) - 2`` — and must return the
 same estimate: ``dependence`` with ``==`` *including key order*, and
-``weights``, because every float is added in the same order (the
-iteration order of the set ``common`` included).
+``weights``, because every float is added in the same order (common
+items and shared values in sorted order).
 
-The methods below are the former ``src/`` ones, moved here unchanged.
+The methods below are the former ``src/`` ones, moved here unchanged
+but for that order: they walked ``common`` and ``shared`` in set
+order, which the hash seed decides.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class CorrelationEstimatorScan(CorrelationEstimator):
         """
         agreement_rarity = 0.0
         union_size = 0
-        for item in common:
+        for item in sorted(common):
             by_value = claimants[item]
             other_parties = {
                 party
@@ -130,7 +132,7 @@ class CorrelationEstimatorScan(CorrelationEstimator):
             shared = left_votes[item] & right_votes[item]
             union = left_votes[item] | right_votes[item]
             union_size += len(union)
-            for value in shared:
+            for value in sorted(shared):
                 if witnesses:
                     others_claiming = len(
                         by_value.get(value, set()) - {left, right}

@@ -8,7 +8,8 @@ expanded for it, a value off every chain is only on a chain with
 itself) and must decide the same truths.
 
 ``_specialize`` below is the former ``src/`` method, moved here
-unchanged.
+unchanged but for the base method's ``converged_at``, which it now
+copies as ``src/`` does.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ class HierarchicalFusionEveryItem(HierarchicalFusion):
         """Refine winners to the most specific well-supported value."""
         refined = FusionResult(self.name)
         refined.iterations = result.iterations
+        refined.converged_at = result.converged_at
         refined.source_quality = result.source_quality
         refined.belief = dict(result.belief)
         for item in original.items():

@@ -207,15 +207,15 @@ def _assert_groups_as_nested(claims: ClaimSet):
             for value in values
             for ours, theirs in zip(answer[value], values[value])
         )
-        covering = {
+        covering = [
             claim.source_id
             for value_claims in values.values()
             for claim in value_claims
-        }
-        # Same insertion sequence, so the same iteration order.
-        assert list(claims.sources_claiming(item)) == list(covering)
+        ]
+        # Each source once, where it first claims a value.
+        assert claims.sources_claiming(item) == list(dict.fromkeys(covering))
     assert claims.values_of(("no such", "item")) == {}
-    assert claims.sources_claiming(("no such", "item")) == set()
+    assert claims.sources_claiming(("no such", "item")) == []
     assert claims.stats() == ClaimSetStats(
         n_items=len(by_item),
         n_values=sum(len(values) for values in by_item.values()),

@@ -7,6 +7,7 @@ from repro.fusion.base import (
     Claim,
     ClaimSet,
     FusionResult,
+    claim_key,
     normalize_beliefs,
     value_key,
 )
@@ -68,8 +69,8 @@ class TestClaimSet:
         claims = ClaimSet(
             [claim(("s", "p"), "v1", "a"), claim(("s", "p"), "v2", "b")]
         )
-        assert claims.sources_claiming(("s", "p")) == {"a", "b"}
-        assert claims.sources_claiming(("x", "y")) == set()
+        assert claims.sources_claiming(("s", "p")) == ["a", "b"]
+        assert claims.sources_claiming(("x", "y")) == []
 
     def test_reindex_after_mutation(self):
         claims = ClaimSet([claim(("s", "p"), "v1", "a")])
@@ -83,11 +84,48 @@ class TestClaimSet:
         # the new claim, not the cached index.
         assert claims.values_of(("s", "p")).keys() == {"v1"}
         claims.add(claim(("s", "p"), "v2", "b"))
-        assert claims._stale
+        assert claims._slot_of is None  # the grouping tables are stale
         assert claims.values_of(("s", "p")).keys() == {"v1", "v2"}
-        assert claims.sources_claiming(("s", "p")) == {"a", "b"}
+        assert claims.sources_claiming(("s", "p")) == ["a", "b"]
         claims.add(claim(("t", "p"), "v1", "a"))
         assert claims.items() == [("s", "p"), ("t", "p")]
+
+    def test_iterates_in_claim_key_order_whatever_the_input_order(self):
+        pool = [
+            claim(("t", "p"), "v1", "a"),
+            claim(("s", "p"), "v2", "a"),
+            claim(("s", "p"), "v1", "b"),
+            claim(("s", "p"), "v1", "a", extractor="dom"),
+            claim(("s", "p"), "v1", "a"),
+        ]
+        canonical = sorted(pool, key=claim_key)
+        for order in (pool, pool[::-1], canonical):
+            claims = ClaimSet(order)
+            assert list(claims) == canonical
+            assert claims.items() == [("s", "p"), ("t", "p")]
+            assert claims.sources_claiming(("s", "p")) == ["a", "b"]
+            runs = [one for _item, run in claims.runs() for one in run]
+            assert runs == canonical
+
+    def test_adopt_takes_the_list_as_it_stands(self):
+        held = [claim(("t", "p"), "v", "a"), claim(("s", "p"), "v", "a")]
+        adopted = ClaimSet.adopt(held)
+        assert list(adopted) == held
+        assert adopted.items() == [("t", "p"), ("s", "p")]
+        adopted.add(claim(("r", "p"), "v", "a"))  # now sorted, a copy
+        assert adopted.items() == [("r", "p"), ("s", "p"), ("t", "p")]
+        assert [one.item for one in held] == [("t", "p"), ("s", "p")]
+
+    def test_adopt_refuses_an_item_whose_claims_lie_apart(self):
+        adopted = ClaimSet.adopt(
+            [
+                claim(("s", "p"), "v", "a"),
+                claim(("t", "p"), "v", "a"),
+                claim(("s", "p"), "w", "a"),
+            ]
+        )
+        with pytest.raises(FusionError, match="lie apart"):
+            adopted.items()
 
     def test_stats(self):
         claims = ClaimSet(

@@ -134,7 +134,7 @@ class TestCompileClaims:
                 compiled.sources[s] for s, _conf in evidence(compiled, pair)
             ]
             assert len(names) == len(set(names))
-            assert set(names) == claims.sources_claiming(item)
+            assert names == claims.sources_claiming(item)
 
     def test_pair_claimers_keep_max_confidence(self):
         """A source claiming one pair twice holds the larger confidence

@@ -379,20 +379,6 @@ print(json.dumps(sorted(
 
 
 class TestHashSeed:
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason=(
-            "CorrelationEstimator._pair_dependence sums its per-item "
-            "terms in the iteration order of the set of common items, "
-            "which PYTHONHASHSEED decides: the last bits of a score "
-            "move, and `score >= dependence_threshold` can turn one ulp "
-            "into a different independence weight (on the default CLI "
-            "world, 2 verdicts flip under 9 of 81 hash seeds).  Summing "
-            "in a fixed item order moves fused digests, so the fix "
-            "lands with the digest re-record."
-        ),
-    )
     def test_dependence_scores_are_hash_seed_independent(self):
         first, second = (
             json.loads(run_python("-c", _HEX_DEPENDENCE, hash_seed=seed))

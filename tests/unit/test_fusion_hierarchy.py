@@ -152,6 +152,23 @@ class TestHierarchicalFusion:
     def test_method_name_wraps_base(self, locations):
         assert HierarchicalFusion(Accu(), locations).name == "hier(accu)"
 
+    def test_reports_the_base_methods_convergence_round(self):
+        """An early exit is the base method's to report: the wrapper
+        once dropped ``converged_at``, so every hierarchy-wrapped fuse
+        read as one that never converged."""
+        world = generate_claim_world(
+            ClaimWorldConfig(seed=19, n_items=30, n_sources=6,
+                             hierarchical=True)
+        )
+        base = MultiTruth(max_iterations=50)
+        wrapped = HierarchicalFusion(base, world.hierarchy)
+        fused = wrapped.fuse(world.claims)
+        reference = base.fuse(wrapped._expand(world.claims))
+        assert reference.converged_at is not None
+        assert reference.converged_at < base.max_iterations
+        assert fused.converged_at == reference.converged_at
+        assert fused.iterations == reference.iterations
+
 
 class TestSpecializeShortcut:
     """An item none of whose values is a hierarchy node keeps its
