@@ -19,7 +19,9 @@ multi-truth core, (4) merge the results and (5) apply the functional
 constraint.  :meth:`KnowledgeFusion.fuse` runs steps 2–4 as one
 :func:`~repro.fusion.sharding.fuse_sharded` MapReduce job; the
 incremental engine runs the same public steps over its cached
-components, so a component exits on its own convergence in both.
+components, so a component exits on its own convergence in both, and
+does steps 4–5 as one :func:`~repro.fusion.sharding.patch_results`,
+which constrains only the components a delta re-fused.
 """
 
 from __future__ import annotations
@@ -30,11 +32,17 @@ from typing import Callable
 
 from repro.errors import FusionError
 from repro.faults import FaultPlan, RetryPolicy
-from repro.fusion.base import Claim, ClaimSet, FusionMethod, FusionResult
+from repro.fusion.base import (
+    Claim,
+    ClaimSet,
+    FusionMethod,
+    FusionResult,
+    Item,
+)
 from repro.fusion.correlations import CorrelationEstimator
 from repro.fusion.hierarchy import CasefoldHierarchy, HierarchicalFusion
 from repro.fusion.multitruth import MultiTruth
-from repro.fusion.sharding import fuse_sharded, merge_results
+from repro.fusion.sharding import fuse_sharded
 from repro.rdf.hierarchy import ValueHierarchy
 
 FunctionalOracle = Callable[[str], bool]
@@ -229,23 +237,25 @@ class KnowledgeFusion(FusionMethod):
             base = HierarchicalFusion(base, self.hierarchy)
         return base.fuse(shard)
 
-    def finish(
-        self,
-        results: Iterable[FusionResult],
-        functional_of: FunctionalOracle | None,
-    ) -> FusionResult:
-        """Steps 4 and 5: merge per-component results, then constrain."""
-        merged = merge_results(self.name, results)
-        return self.constrain_functional(merged, functional_of)
-
     def constrain_functional(
         self, result: FusionResult, functional_of: FunctionalOracle | None
     ) -> FusionResult:
         """Step 5: keep a single truth (or chain) for the items of
         attributes ``functional_of`` calls functional (None: no
         attribute is).  Changes ``result`` in place and returns it."""
+        result.truths.update(self.functional_rebinds(result, functional_of))
+        return result
+
+    def functional_rebinds(
+        self, result: FusionResult, functional_of: FunctionalOracle | None
+    ) -> dict[Item, frozenset[str]]:
+        """Step 5 without the write: the truth set each item of
+        ``result`` that the constraint changes is rebound to."""
+        # Decided into a result of its own, so a single truth is the
+        # set ``decide`` shares.
+        rebound = FusionResult(result.method)
         if functional_of is None:
-            return result
+            return rebound.truths
         for item, truths in result.truths.items():
             if len(truths) <= 1:
                 continue
@@ -264,9 +274,9 @@ class KnowledgeFusion(FusionMethod):
                     kept or {best},
                     key=lambda value: self._casefold_hierarchy.depth(value),
                 )
-                result.truths[item] = frozenset(
+                rebound.truths[item] = frozenset(
                     self._casefold_hierarchy.chain(deepest)
                 ) & (truths | {deepest})
             else:
-                result.decide(item, [best])
-        return result
+                rebound.decide(item, [best])
+        return rebound.truths

@@ -23,6 +23,11 @@ the reducer with ``functools.partial``, which keeps the job picklable.
 A component task that fails every allowed attempt fails the fuse: the
 merged result always covers every component.
 
+:func:`patch_results` is the same merge for a caller that keeps
+component results across fuses (the incremental engine): it patches
+the previous merge's beliefs and source qualities by the components
+that changed, and constrains only their items.
+
 Caveat: a component that satisfies its convergence tolerance early
 exits on its *own* delta, while one run of a method over the whole set
 exits on the maximum delta across all components — identical truths in
@@ -34,17 +39,26 @@ bit-identical; the equivalence tests pin both regimes.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import FusionError
 from repro.faults import FaultPlan, RetryPolicy
-from repro.fusion.base import Claim, ClaimSet, FusionMethod, FusionResult
+from repro.fusion.base import (
+    Claim,
+    ClaimSet,
+    FusionMethod,
+    FusionResult,
+    Item,
+)
 
 __all__ = [
+    "MergedMaps",
     "ShardStats",
     "shard_claims",
     "merge_results",
+    "patch_results",
     "fuse_sharded",
 ]
 
@@ -136,17 +150,101 @@ def merge_results(
     ``converged_at`` report the slowest component (``converged_at`` is
     None if any component hit its iteration cap).
     """
-    merged = FusionResult(name)
-    converged: list[int | None] = []
+    results = list(results)
+    merged = _merged_truths(name, results)
     for result in results:
-        merged.truths.update(result.truths)
         merged.belief.update(result.belief)
         merged.source_quality.update(result.source_quality)
-        merged.iterations = max(merged.iterations, result.iterations)
-        converged.append(result.converged_at)
-    if converged and all(round_ is not None for round_ in converged):
-        merged.converged_at = max(converged)  # type: ignore[type-var]
     return merged
+
+
+_iterations_of = attrgetter("iterations")
+_converged_of = attrgetter("converged_at")
+
+
+def _merged_truths(name: str, results: list[FusionResult]) -> FusionResult:
+    """A result holding the union of ``results``' truths, in their
+    order, and their slowest round counts; no beliefs yet."""
+    truths: dict[Item, frozenset[str]] = {}
+    for result in results:
+        truths.update(result.truths)
+    merged = FusionResult(
+        name, truths, iterations=max(map(_iterations_of, results), default=0)
+    )
+    converged = list(map(_converged_of, results))
+    if converged and None not in converged:
+        merged.converged_at = max(converged)
+    return merged
+
+
+@dataclass(slots=True)
+class MergedMaps:
+    """What :func:`patch_results` patches the next merge from: the
+    merge's beliefs and source qualities, and the truth sets its
+    functional constraint rebound.  Its owner hands none of them out —
+    the merged result carries copies — so no holder of a result can
+    change the next one."""
+
+    belief: dict[tuple[Item, str], float]
+    source_quality: dict[str, float]
+    rebound: dict[Item, frozenset[str]]
+
+
+def patch_results(
+    name: str,
+    results: list[FusionResult],
+    *,
+    constrain: Callable[[FusionResult], dict[Item, frozenset[str]]]
+    | None = None,
+    prior: MergedMaps | None = None,
+    dropped: Iterable[FusionResult] = (),
+    fresh: Iterable[FusionResult] = (),
+) -> tuple[FusionResult, MergedMaps]:
+    """:func:`merge_results` of ``results`` (every component, in
+    order) with the functional constraint applied, plus the maps the
+    next call patches it from.  ``constrain`` is the constraint: given
+    a result, the truth set each item it changes is rebound to.
+
+    Without a ``prior`` the maps are merged from ``results`` and every
+    item is constrained.  With one, ``dropped`` are the results
+    ``prior`` covers that are gone and ``fresh`` the new ones: the
+    maps are ``prior``'s copies less ``dropped``'s keys plus
+    ``fresh``'s, and only ``fresh``'s items are constrained — every
+    other item keeps the rebinding ``prior`` recorded.  Components own
+    disjoint items and sources, so the result is the same either way;
+    a patch reads the maps of no result outside ``dropped`` and
+    ``fresh``.  ``truths`` is rebuilt whole, one ``dict.update`` per
+    result, so it iterates in ``results`` order; a rebinding keeps an
+    item's place.
+    """
+    if prior is None:
+        merged = region = merge_results(name, results)
+        belief = merged.belief.copy()
+        quality = merged.source_quality.copy()
+        rebound: dict[Item, frozenset[str]] = {}
+    else:
+        merged = _merged_truths(name, results)
+        belief = prior.belief.copy()
+        quality = prior.source_quality.copy()
+        rebound = prior.rebound.copy()
+        for result in dropped:
+            for key in result.belief:
+                del belief[key]
+            for source in result.source_quality:
+                del quality[source]
+            for item in result.truths:
+                rebound.pop(item, None)
+        region = FusionResult(name, belief=belief)
+        for result in fresh:
+            belief.update(result.belief)
+            quality.update(result.source_quality)
+            region.truths.update(result.truths)
+        merged.belief = belief.copy()
+        merged.source_quality = quality.copy()
+    if constrain is not None:
+        rebound.update(constrain(region))
+    merged.truths.update(rebound)
+    return merged, MergedMaps(belief, quality, rebound)
 
 
 def _component_mapper(record: tuple[int, ClaimSet]):

@@ -32,15 +32,28 @@ exploits that, and keeps the work of a delta proportional to the
    items' digests in item order; the corpus keeps one digest per item
    (of its *reweighted* claims), so under unchanged extractor weights
    a delta digests its re-read items and nothing else;
-4. the merged result plus the new component cache are committed as a
+4. the merged result is patched, not re-merged: the committed state
+   keeps its own copies of the merged belief and source-quality maps,
+   and a delta copies them, drops the keys of the region's prior
+   entries and adds those of its fresh ones; the functional constraint
+   runs on the fresh entries' items alone, and the truth sets it
+   rebinds are kept as a small item → truths overlay.  ``truths`` is
+   rebuilt with one ``dict.update`` per entry and the overlay laid
+   over it, so it iterates in the same order as a cold prime's.  When
+   the region is every component the maps are merged from the fresh
+   entries alone;
+5. the merged result plus the new component cache are committed as a
    single state-object swap, so a crash anywhere before the commit
    leaves the engine fully pre-delta (the torn-state chaos contract).
 
 Two estimation details make the reuse exact rather than approximate:
 
 * extractor-correlation weights are global (extractors span
-  components), so they are re-estimated per delta — one pass over the
-  cached claims.  Weights equal to the committed ones leave
+  components), so they are re-estimated per delta.  With fewer than
+  two extractors they are the estimator's own early exit, read off the
+  corpus's per-extractor claim count (its census, which a delta moves
+  by the runs it swaps); with two or more the estimator reads every
+  cached claim.  Weights equal to the committed ones leave
   every component outside the region bit-for-bit as it was; a shifted
   weight can change any item's digest: every item is digested again
   and the delta degenerates to a full recompute, which is the correct
@@ -54,22 +67,25 @@ Two estimation details make the reuse exact rather than approximate:
 
 The engine owns no fusion step.  It runs the steps that define a fuse
 (:mod:`repro.fusion.knowledge_fusion`) around its component cache,
-through the fusion object's public methods: ``extractor_weights``,
-``reweighted``, ``fuse_component`` and ``finish``.
+through the fusion object's public methods — ``extractor_weights``,
+``reweighted``, ``fuse_component`` and ``functional_rebinds`` — and
+merges with :func:`~repro.fusion.sharding.patch_results`.
 
 Per delta, the journal (one ``remove_all`` call, an ``add`` per claim)
 and the dirty-item re-read (one ``claims_for_items`` call) are O(delta)
 on both backends, each item or triple read off an index; the staged
 store copy shares the memory backend's index leaves copy-on-write and
-costs the paths the journal writes; re-weighting / sharding / fusion are
-O(region) and digesting O(delta), and three passes stay O(store) with
-small constants: the successor corpus (:meth:`_Corpus.replaced`, a
-slice-copying merge of the cached claims, items, counts and digests
-with the re-read items), the extractor estimate — one read of the
-claims and nothing else when they name a single extractor, the vote
-table of every claim otherwise — and the disjoint-union merge.
-Putting the entries back in first-item order is a sort of
-O(components) nearly sorted keys.
+costs the paths the journal writes; digesting and the census are
+O(delta); re-weighting, sharding, fusion, the functional constraint
+and the belief / source-quality patch are O(region).  What stays
+O(store) is copying at C speed: the successor corpus
+(:meth:`_Corpus.replaced`, slice copies of the cached claims, items,
+counts and digests around the re-read items), the two copies of each
+merged map (the engine's and the served result's) and the ``truths``
+rebuild, one ``dict.update`` per component.  So is the extractor
+estimate with two or more extractors, which reads every claim.
+Putting the entries back in first-item order, and the merge's round
+counts, are O(components).
 
 None of this builds a long-lived container per item or per claim —
 each is walked by every later full collector pass, and enough of them
@@ -79,7 +95,7 @@ long-lived heap, and it costs ≈ 0.45 µs per tracked container, so a
 promoted container is paid for about four times over, ≈ 2 µs, whatever
 the heap size): claim groups are flat tables (:class:`~repro.fusion.base.ClaimSet`, :class:`_Corpus`), and
 the component cache and the merged result share one ``frozenset`` of
-truths per item (:func:`~repro.fusion.sharding.merge_results`).
+truths per item (:func:`~repro.fusion.sharding.patch_results`).
 
 Byte-identity contract: ``apply_delta(delta)`` and a full
 ``fuse(canonical_claims(store))`` over the post-delta store produce
@@ -93,15 +109,17 @@ from __future__ import annotations
 import hashlib
 import time
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain
+from operator import attrgetter
 
 from repro.errors import DeltaError
 from repro.faults import fire
 from repro.fusion.base import Claim, ClaimSet, FusionResult, Item
-from repro.fusion.sharding import shard_claims
+from repro.fusion.sharding import MergedMaps, patch_results, shard_claims
 from repro.incremental.delta import ClaimDelta
 from repro.incremental.journal import (
     RECEIPT_TAIL,
@@ -131,6 +149,8 @@ _EMPTY_STORE = (
     "(did the delta retract every claim?)"
 )
 
+_extractor_of = attrgetter("extractor_id")
+
 
 class _Corpus:
     """Every canonical, deduplicated claim of a store, item by item.
@@ -140,14 +160,15 @@ class _Corpus:
     ``starts[i]`` on; ``digests[i]`` is :func:`_item_digest` of its
     *reweighted* run, ``None`` until :meth:`IncrementalFusion.
     _fuse_shards` has seen that run (it fills them in before the state
-    holding the corpus is committed).  Flat lists rather than a
-    container per item: a store has about as many items as claims, and
-    the collector walks every container a long-lived state holds.
+    holding the corpus is committed).  ``census`` counts the claims of
+    each extractor (none at zero).  Flat lists rather than a container
+    per item: a store has about as many items as claims, and the
+    collector walks every container a long-lived state holds.
     Otherwise never mutated once built; :meth:`replaced` derives the
     successor.
     """
 
-    __slots__ = ("claims", "items", "counts", "starts", "digests")
+    __slots__ = ("claims", "items", "counts", "starts", "digests", "census")
 
     def __init__(
         self,
@@ -155,19 +176,25 @@ class _Corpus:
         items: list[Item],
         counts: list[int],
         digests: list[bytes | None],
+        census: Counter[str],
     ) -> None:
         self.claims = claims
         self.items = items
         self.counts = counts
         self.starts = list(accumulate(counts, initial=0))
         self.digests = digests
+        self.census = census
 
     @classmethod
     def of(cls, claims: ClaimSet) -> "_Corpus":
         """Index a canonically ordered claim set."""
         items = claims.items()
         counts = [len(run) for _item, run in claims.runs()]
-        return cls(list(claims), items, counts, [None] * len(items))
+        ordered = list(claims)
+        return cls(
+            ordered, items, counts, [None] * len(items),
+            Counter(map(_extractor_of, ordered)),
+        )
 
     def claims_of(self, item: Item) -> list[Claim]:
         at = bisect_left(self.items, item)
@@ -182,12 +209,15 @@ class _Corpus:
 
         One merge pass: the runs between the sorted dirty items are
         copied over as slices — O(store) in list copying, whatever the
-        size of the delta.
+        size of the delta.  The census moves by the runs swapped.
         """
         claims: list[Claim] = []
         items: list[Item] = []
         counts: list[int] = []
         digests: list[bytes | None] = []
+        # Counted claim by claim at C speed; subtracted extractor by
+        # extractor at the end.
+        census, gone = self.census.copy(), Counter()
         old_items, starts = self.items, self.starts
         done = 0  # items of this corpus already carried or replaced
         for item in sorted(fresh):
@@ -202,13 +232,19 @@ class _Corpus:
                 items.append(item)
                 counts.append(len(new))
                 digests.append(None)
+                census.update(map(_extractor_of, new))
             held = at < len(old_items) and old_items[at] == item
+            if held:
+                gone.update(
+                    map(_extractor_of, self.claims[starts[at]:starts[at + 1]])
+                )
             done = at + held
         claims += self.claims[starts[done]:]
         items += old_items[done:]
         counts += self.counts[done:]
         digests += self.digests[done:]
-        return _Corpus(claims, items, counts, digests)
+        census.subtract(gone)
+        return _Corpus(claims, items, counts, digests, +census)
 
     def spans(self, wanted: Iterable[Item]) -> list[tuple[int, int]]:
         """The items of ``wanted`` (sorted) this corpus holds, as
@@ -250,7 +286,12 @@ def _item_digest(run: list[Claim]) -> bytes:
 
 @dataclass(slots=True)
 class ComponentEntry:
-    """Cached fusion of one connected component."""
+    """Cached fusion of one connected component.
+
+    A delta reads a carried entry's sources, digest, items and truths,
+    never its belief or source-quality map: those reach the merged
+    result only when the entry is fresh, and leave it only when the
+    entry is in a later delta's region."""
 
     sources: frozenset[str]
     content_hash: str
@@ -272,7 +313,8 @@ class _FusionState:
     side and installs it with a single attribute rebind — the commit
     point of the no-torn-state contract.  Nothing reachable from a
     committed state is mutated afterwards; successor states share its
-    claims and carried-over entries.
+    claims and carried-over entries, and patch copies of its
+    ``merged`` maps.
     """
 
     store: TripleStore
@@ -281,6 +323,9 @@ class _FusionState:
     # Ordered by first canonical item, as ``shard_claims`` numbers them.
     entries: list[ComponentEntry]
     result: FusionResult
+    # The engine's own copies of ``result``'s maps, which the next
+    # delta's merge patches (``result`` is the caller's to change).
+    merged: MergedMaps
     sequence: int = 0
 
 
@@ -374,16 +419,16 @@ class IncrementalFusion:
         if len(claims) == 0:
             raise DeltaError(_EMPTY_STORE)
         corpus = _Corpus.of(claims)
-        weights = self.fusion.extractor_weights(corpus.claims)
+        weights = self._extractor_weights(corpus)
         entries = self._recompute(corpus, weights, [], _ComputeStats())
+        result, merged = self._merge(entries)
         self._state = _FusionState(
             store=store,
             corpus=corpus,
             extractor_weights=weights,
             entries=entries,
-            result=self.fusion.finish(
-                (entry.result for entry in entries), self.functional_of
-            ),
+            result=result,
+            merged=merged,
         )
         self._count("incremental_primes_total")
         self._gauge("incremental_components", len(entries))
@@ -441,8 +486,9 @@ class IncrementalFusion:
         """The successor of the committed state over ``staged``.
 
         Re-reads the receipt's dirty items, re-estimates the global
-        extractor weights, then re-fuses the delta's region — or
-        everything, when the weights moved.
+        extractor weights, then re-fuses the delta's region and patches
+        the merged result by it — or re-fuses and merges everything,
+        when the weights moved.
         """
         prior = self._state
         corpus = prior.corpus.replaced(
@@ -456,7 +502,7 @@ class IncrementalFusion:
         if not corpus.claims:
             raise DeltaError(_EMPTY_STORE)
 
-        weights = self.fusion.extractor_weights(corpus.claims)
+        weights = self._extractor_weights(corpus)
         stats = _ComputeStats()
         shifted = weights != prior.extractor_weights
         if shifted:
@@ -464,20 +510,60 @@ class IncrementalFusion:
             corpus.digests = [None] * len(corpus.items)
         if shifted or self.functional_refresh is not None:
             entries = self._recompute(corpus, weights, prior.entries, stats)
+            result, merged = self._merge(entries)
         else:
-            entries = self._refuse_region(receipt, corpus, weights, stats)
+            entries, region, fresh = self._refuse_region(
+                receipt, corpus, weights, stats
+            )
+            result, merged = self._merge(entries, region, fresh)
         return (
             _FusionState(
                 store=staged,
                 corpus=corpus,
                 extractor_weights=weights,
                 entries=entries,
-                result=self.fusion.finish(
-                    (entry.result for entry in entries), self.functional_of
-                ),
+                result=result,
+                merged=merged,
                 sequence=prior.sequence + 1,
             ),
             stats,
+        )
+
+    def _extractor_weights(self, corpus: _Corpus) -> dict[str, float]:
+        """The fusion's extractor weights over ``corpus``.  Below two
+        extractors they are the estimator's own early exit, read off
+        the census: no claim is walked."""
+        if len(corpus.census) < 2 and self.fusion.use_extractor_correlations:
+            return dict.fromkeys(sorted(corpus.census), 1.0)
+        return self.fusion.extractor_weights(corpus.claims)
+
+    def _merge(
+        self,
+        entries: list[ComponentEntry],
+        region: list[ComponentEntry] | None = None,
+        fresh: list[ComponentEntry] = (),
+    ) -> tuple[FusionResult, MergedMaps]:
+        """The merged, constrained result over ``entries``: patched
+        from the committed state's maps by a delta's ``region`` (the
+        prior entries it replaced) and its ``fresh`` entries, or merged
+        whole without a region or when it is every prior entry."""
+        fusion = self.fusion
+        constrain = (
+            None if self.functional_of is None
+            else partial(
+                fusion.functional_rebinds, functional_of=self.functional_of
+            )
+        )
+        results = [entry.result for entry in entries]
+        if region is None or len(region) == len(self._state.entries):
+            return patch_results(fusion.name, results, constrain=constrain)
+        return patch_results(
+            fusion.name,
+            results,
+            constrain=constrain,
+            prior=self._state.merged,
+            dropped=[entry.result for entry in region],
+            fresh=[entry.result for entry in fresh],
         )
 
     def _recompute(
@@ -504,9 +590,12 @@ class IncrementalFusion:
         corpus: _Corpus,
         weights: dict[str, float],
         stats: _ComputeStats,
-    ) -> list[ComponentEntry]:
+    ) -> tuple[
+        list[ComponentEntry], list[ComponentEntry], list[ComponentEntry]
+    ]:
         """Re-fuse the components a delta can have changed, carrying
-        every other entry of the committed state over untouched.
+        every other entry of the committed state over untouched: every
+        entry, the region's prior entries and its fresh ones.
 
         A prior component is in the region iff it holds a dirty source
         or a source that claimed a dirty item before: every changed
@@ -540,7 +629,8 @@ class IncrementalFusion:
             sorted(chain(new_items, *(entry.items for entry in region)))
         )
         fresh = self._fuse_shards(corpus, spans, weights, region, stats)
-        return sorted(carried + fresh, key=lambda entry: entry.items[0])
+        entries = sorted(carried + fresh, key=lambda entry: entry.items[0])
+        return entries, region, fresh
 
     def _fuse_shards(
         self,

@@ -11,10 +11,11 @@ full fusion of a reference store journalled with the same deltas.
 
 A second stream runs over *many* components and scripts every delta
 shape that moves a component boundary (merge, split, new and vanishing
-components, in-place refresh, no-op, emptied item, extractor-weight
-shift); there the engine is compared step by step — bytes, accounting,
-truth order — with the whole-store engine it replaced
-(``tests/oracles``) and with a cold prime, on both backends.
+components, in-place refresh, no-op, emptied item, a second extractor
+coming and going, extractor-weight shift); there the engine is compared
+step by step — bytes, accounting, truth order — with the whole-store
+engine it replaced (``tests/oracles``) and with a cold prime, on both
+backends, and again under a functional constraint that rebinds.
 """
 
 import random
@@ -23,6 +24,7 @@ import pytest
 
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.incremental import ClaimDelta, DeltaJournal, canonical_claims
+from repro.incremental import engine as engine_mod
 from repro.rdf.segments import SegmentBackend
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
@@ -35,8 +37,8 @@ from repro.synth.deltas import (
 from tests.oracles.whole_store_engine import WholeStoreEngine
 
 
-def _fusion():
-    return KnowledgeFusion(tolerance=0.0, max_iterations=8)
+def _fusion(**kwargs):
+    return KnowledgeFusion(tolerance=0.0, max_iterations=8, **kwargs)
 
 
 def _stream(seed, parts=3):
@@ -147,7 +149,7 @@ def _scored(subject, predicate, value, source, extractor="synthetic",
     )
 
 
-def _many_component_stream(seed, n_worlds=9):
+def _many_component_stream(seed, n_worlds=9, truths_per_item=1):
     """(base, [(label, delta)]) over ``n_worlds`` disjoint components.
 
     Seeded per-world add / retract / re-add deltas interleaved
@@ -158,7 +160,8 @@ def _many_component_stream(seed, n_worlds=9):
     for index in range(n_worlds):
         world = generate_claim_world(
             ClaimWorldConfig(
-                seed=seed * 100 + index, n_items=6, n_sources=4
+                seed=seed * 100 + index, n_items=6, n_sources=4,
+                truths_per_item=truths_per_item,
             )
         )
         world_base, world_deltas = generate_delta_stream(
@@ -203,6 +206,13 @@ def _many_component_stream(seed, n_worlds=9):
     lonely = _scored("zz/lonely", "attr", "only-claim", "zz/source")
     refreshed = claim_of(rng.randrange(n_worlds))
     emptied = item_of(rng.randrange(n_worlds))
+    # The only claim of a second extractor: its arrival and its
+    # retraction each move the census across two extractors.
+    seconded = rng.randrange(n_worlds)
+    second = _scored(
+        *item_of(seconded), "second-opinion", f"w{seconded}/source00",
+        "second",
+    )
     # Two new extractors on three items of three components: "echo"
     # repeats what "synthetic" says there, "dissent" says otherwise —
     # the (echo, synthetic) pair turns strongly dependent and every
@@ -253,6 +263,8 @@ def _many_component_stream(seed, n_worlds=9):
                 )
             ),
         ),
+        ("second-extractor", ClaimDelta(added=[second])),
+        ("second-extractor-gone", ClaimDelta(retracted=[second.triple])),
         ("weight-shift", ClaimDelta(added=shift)),
         # The same shapes again, now under non-trivial weights.
         ("merge", ClaimDelta(added=[bridge])),
@@ -281,9 +293,34 @@ def _accounting(outcome):
 @pytest.mark.parametrize("backend_name", ["memory", "segment"])
 @pytest.mark.parametrize("seed", [2, 17])
 def test_region_refusion_equals_whole_store_engine(
-    seed, backend_name, tmp_path
+    seed, backend_name, tmp_path, monkeypatch
 ):
-    base, deltas = _many_component_stream(seed)
+    _replay_against_whole_store(
+        seed, backend_name, None, tmp_path, monkeypatch
+    )
+
+
+@pytest.mark.parametrize("backend_name", ["memory", "segment"])
+@pytest.mark.parametrize("seed", [2, 17])
+def test_region_refusion_under_a_rebinding_functional_constraint(
+    seed, backend_name, tmp_path, monkeypatch
+):
+    """Every item functional: the constraint cuts the two-truth
+    verdicts down, and a delta's merge keeps the other components'
+    cuts as they were."""
+    _replay_against_whole_store(
+        seed, backend_name, lambda predicate: True, tmp_path, monkeypatch
+    )
+
+
+def _replay_against_whole_store(
+    seed, backend_name, functional_of, tmp_path, monkeypatch
+):
+    # Two truths an item give the functional constraint verdicts to
+    # cut down.
+    base, deltas = _many_component_stream(
+        seed, truths_per_item=1 if functional_of is None else 2
+    )
     if backend_name == "segment":
         store = TripleStore(
             SegmentBackend(tmp_path / "seg", memtable_limit=9)
@@ -294,15 +331,28 @@ def test_region_refusion_equals_whole_store_engine(
     oracle_store = TripleStore()
     oracle_store.add_all(base)
 
-    engine = _fusion().begin_incremental(store)
-    oracle = WholeStoreEngine(_fusion(), oracle_store)
+    engine = _fusion(functional_of=functional_of).begin_incremental(store)
+    oracle = WholeStoreEngine(
+        _fusion(functional_of=functional_of), oracle_store
+    )
     oracle.prime()
     assert list(engine.result.truths) == list(oracle.result.truths)
 
+    # Items digested per delta: all of them on the weight-shift path.
+    digested = []
+    item_digest = engine_mod._item_digest
+    monkeypatch.setattr(
+        engine_mod, "_item_digest",
+        lambda run: digested.append(run[0].item) or item_digest(run),
+    )
+
     seen = set()
+    rebound = 0
     before_components = engine.components
     for label, delta in deltas:
+        digested.clear()
         outcome = engine.apply_delta(delta)
+        redigested = sorted(digested)
         expected = oracle.apply_delta(delta)
         where = f"seed {seed}, {label} delta {outcome.sequence}"
         assert _accounting(outcome) == _accounting(expected), where
@@ -323,7 +373,9 @@ def test_region_refusion_equals_whole_store_engine(
 
         cold_store = TripleStore()
         cold_store.add_all(engine.store.claims())
-        cold = _fusion().begin_incremental(cold_store)
+        cold = _fusion(functional_of=functional_of).begin_incremental(
+            cold_store
+        )
         assert (
             cold.result.canonical_bytes()
             == outcome.result.canonical_bytes()
@@ -343,13 +395,28 @@ def test_region_refusion_equals_whole_store_engine(
             assert outcome.dirty_components == 0, where
         elif label == "refresh":
             assert outcome.dirty_components == 1, where
+        elif label.startswith("second-extractor"):
+            # The census crossed two extractors: the weights' keys moved
+            # (their values did not, so the components are reused).
+            assert sorted(engine._state.extractor_weights) == (
+                ["second", "synthetic"] if label == "second-extractor"
+                else ["synthetic"]
+            ), where
+            assert redigested == engine.claims.items(), where
         elif label == "weight-shift":
-            assert outcome.degenerate, where
+            assert redigested == engine.claims.items(), where
+            # On single-truth worlds the echo moves every weight.
+            if functional_of is None:
+                assert outcome.degenerate, where
         if label not in ("seeded", "weight-shift"):
             assert not outcome.degenerate, where
         seen.add(label)
         before_components = outcome.components
+        rebound = max(rebound, len(engine._state.merged.rebound))
     assert seen >= {
         "seeded", "merge", "split", "new-component", "last-claim",
-        "refresh", "noop", "item-emptied", "weight-shift",
+        "refresh", "noop", "item-emptied", "second-extractor",
+        "second-extractor-gone", "weight-shift",
     }
+    # The constraint rebound verdicts the overlay had to carry.
+    assert (rebound > 0) == (functional_of is not None)

@@ -1,6 +1,7 @@
 """Unit tests for the dirty-component incremental fusion engine."""
 
 import random
+from collections.abc import Mapping
 
 import pytest
 
@@ -233,6 +234,47 @@ class TestApplyDelta:
         assert fresh.result.canonical_bytes() == reference.canonical_bytes()
 
 
+class TestCallerWritesStayOut:
+    """A served result is the caller's: writes to its belief and
+    source-quality maps reach neither the engine's own copies, which
+    the next delta's merge is patched from, nor that merge."""
+
+    @staticmethod
+    def _scribble(result):
+        for mapping, stranger in (
+            (result.belief, (("nobody", "said"), "this")),
+            (result.source_quality, "nobody"),
+        ):
+            # One key of the delta's component, one of another.
+            first, last = min(mapping), max(mapping)
+            del mapping[first]
+            mapping[last] = 0.123
+            mapping[stranger] = 1.0
+
+    def test_belief_and_source_quality_writes_leave_the_next_delta(self):
+        from tests.oracles.whole_store_engine import WholeStoreEngine
+
+        store = _corpus()
+        oracle = WholeStoreEngine(_fusion(), store.copy())
+        oracle.prime()
+        engine = _fusion().begin_incremental(store)
+        served = engine.result
+        for value in ("first", "second"):
+            self._scribble(served)
+            delta = _component_delta(engine.store, value=value)
+            outcome = engine.apply_delta(delta)
+            expected = oracle.apply_delta(delta)
+            assert outcome.dirty_components == 1
+            assert (
+                outcome.result.canonical_bytes()
+                == expected.result.canonical_bytes()
+            )
+            assert list(outcome.result.truths) == list(
+                expected.result.truths
+            )
+            served = outcome.result
+
+
 class CountingStore(TripleStore):
     """Counts whole-store reads, and the journal's calls, across the
     engine's copy lineage."""
@@ -274,6 +316,22 @@ class CountingStore(TripleStore):
     def __iter__(self):
         self.counts["full_reads"] += 1
         return super().__iter__()
+
+
+class _Unwalkable(Mapping):
+    """A read-only mapping that answers lookups and refuses a walk."""
+
+    def __init__(self, held):
+        self._held = held
+
+    def __getitem__(self, key):
+        return self._held[key]
+
+    def __len__(self):
+        return len(self._held)
+
+    def __iter__(self):
+        raise AssertionError("a carried entry's map was walked")
 
 
 class TestDeltaWorkFollowsTheRegion:
@@ -334,6 +392,61 @@ class TestDeltaWorkFollowsTheRegion:
         reference = _fusion().fuse(canonical_claims(engine.store.copy()))
         assert engine.result.canonical_bytes() == reference.canonical_bytes()
 
+
+    @pytest.mark.parametrize("backend_name", ["memory", "segment"])
+    def test_one_extractor_delta_estimates_nothing_and_walks_no_carried_map(
+        self, monkeypatch, tmp_path, backend_name
+    ):
+        """Regression: every delta re-merged every component's belief
+        and source-quality map into the result, and asked the
+        extractor estimator for weights that one extractor fixes at
+        1.0 — two walks over the store, whatever the delta."""
+        from tests.oracles.whole_store_engine import WholeStoreEngine
+
+        backend = (
+            SegmentBackend(tmp_path / "segments")
+            if backend_name == "segment" else None
+        )
+        store = _corpus(n_worlds=50, store=TripleStore(backend))
+        oracle = WholeStoreEngine(_fusion(), store.copy())
+        oracle.prime()
+        engine = _fusion().begin_incremental(store)
+        assert engine._state.extractor_weights == {"synthetic": 1.0}
+        delta = _component_delta(engine.store)
+        carried = [
+            entry for entry in engine._state.entries
+            if not any(source.startswith("w0/") for source in entry.sources)
+        ]
+        assert len(carried) == 49
+        for entry in carried:
+            entry.result.belief = _Unwalkable(entry.result.belief)
+            entry.result.source_quality = _Unwalkable(
+                entry.result.source_quality
+            )
+        estimates = []
+        real_estimate = CorrelationEstimator.estimate
+
+        def estimate(self, claims):
+            estimates.append(self.by)
+            return real_estimate(self, claims)
+
+        monkeypatch.setattr(CorrelationEstimator, "estimate", estimate)
+        outcome = engine.apply_delta(delta)
+        # An empty region is a patch too, not a merge of everything.
+        noop = engine.apply_delta(ClaimDelta(label="noop"))
+        monkeypatch.undo()
+
+        assert outcome.dirty_components == 1
+        assert noop.dirty_components == 0
+        assert "extractor" not in estimates
+        assert estimates == ["source"]  # the re-fused component's own
+        expected = oracle.apply_delta(delta)
+        assert (
+            outcome.result.canonical_bytes()
+            == expected.result.canonical_bytes()
+            == noop.result.canonical_bytes()
+        )
+        assert list(outcome.result.truths) == list(expected.result.truths)
 
     def test_retractions_and_duplicate_adds_cost_one_store_call(self):
         """Regression: the journal read ``claims(triple)`` and called
@@ -648,7 +761,12 @@ class TestCorpusSuccessor:
 
     @staticmethod
     def _claims(item, n):
-        return [Claim(item, f"v{k}", f"v{k}", f"s{k}", "ex") for k in range(n)]
+        # A third claim is the only kind "rare" extracts: its count
+        # comes and goes with the items that have three.
+        return [
+            Claim(item, f"v{k}", f"v{k}", f"s{k}", "rare" if k == 2 else "ex")
+            for k in range(n)
+        ]
 
     def test_replaced_equals_a_rebuild(self):
         rng = random.Random(7)
@@ -680,6 +798,8 @@ class TestCorpusSuccessor:
             assert corpus.items == rebuilt.items
             assert corpus.counts == rebuilt.counts
             assert corpus.starts == rebuilt.starts
+            assert corpus.census == rebuilt.census
+            assert all(corpus.census.values())
             # A re-read item has no digest yet, a kept one keeps its own.
             assert corpus.digests == [
                 None if item in fresh else repr(item).encode()
