@@ -37,6 +37,11 @@ Contract notes that matter for byte-identical fusion:
   keys in its memtable index, each row checked against the tombstones
   by its own triple.  So neither overrides the batch forms
   ``claims_for_items`` and ``remove_all``: their loops cost the answer.
+* ``count_for_item(subject, predicate)`` is
+  ``len(claims_for_item(subject, predicate))`` at the same O(claims of
+  the item), with no claim built: the memory backend's SPO leaf length,
+  the segment backend's rows folded at the level of their strings.  It
+  refuses every row the claim read refuses, with the same exception.
 * ``copy()`` yields a backend whose answers never change when the
   original mutates afterwards (and vice versa); it may share
   structure with the original to get there, as long as neither side
@@ -140,6 +145,12 @@ class StorageBackend(abc.ABC):
         """Every claim about the data item ``(subject, predicate)``,
         in ``iter_claims()`` order."""
 
+    @abc.abstractmethod
+    def count_for_item(self, subject: str, predicate: str) -> int:
+        """How many claims ``claims_for_item(subject, predicate)``
+        returns, without building them; it refuses what that read
+        refuses, with the same exception."""
+
     def claims_for_items(
         self, items: Iterable[tuple[str, str]]
     ) -> dict[tuple[str, str], list[ScoredTriple]]:
@@ -189,9 +200,10 @@ class MemoryBackend(StorageBackend):
     key is appended, a confidence refresh leaves it in place, and a
     ``remove`` followed by a re-add moves it to the end, as in the
     dict.  So every item-level read — ``claims_for_item``,
-    ``claims(triple)``, ``contains_triple``, ``objects``,
-    ``match(subject=…)`` and ``remove`` — reads one leaf, at O(claims
-    of the item).  The POS and OSP leaves are sets.
+    ``count_for_item`` (the leaf's length), ``claims(triple)``,
+    ``contains_triple``, ``objects``, ``match(subject=…)`` and
+    ``remove`` — reads one leaf, at O(claims of the item).  The POS
+    and OSP leaves are sets.
     """
 
     name = "memory"
@@ -430,6 +442,9 @@ class MemoryBackend(StorageBackend):
     ) -> list[ScoredTriple]:
         claims = self._claims
         return [claims[key] for key in self._keys(subject, predicate)]
+
+    def count_for_item(self, subject: str, predicate: str) -> int:
+        return len(self._keys(subject, predicate))
 
     def objects(self, subject: str, predicate: str) -> set[Value]:
         return {key[0].obj for key in self._keys(subject, predicate)}

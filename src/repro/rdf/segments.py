@@ -14,9 +14,11 @@ files** plus a small in-memory **memtable**:
 * an item, triple or subject read — and ``remove`` — costs its answer:
   candidate rows come from each segment's CSR slice and memtable keys
   from the memtable's item / subject index, and each row is checked
-  against the tombstone map by its own triple.  Only the whole-column
-  scans behind ``subjects()`` / ``predicates()`` project the tombstone
-  map onto a segment's ids, once per segment.
+  against the tombstone map by its own triple.  ``count_for_item`` and
+  ``predicates(subject)`` fold those rows as strings and decode no
+  claim.  Only the whole-column scans behind ``subjects()`` /
+  ``predicates()`` project the tombstone map onto a segment's ids, once
+  per segment.
 
 A segment file is the :mod:`repro.fusion.compiled` idiom spilled to
 disk: string-interning tables plus flat ``array('q')``/``array('d')``
@@ -438,6 +440,30 @@ class SegmentReader:
             self.col_confidence[row],
         )
 
+    def row_key(self, row: int) -> tuple:
+        """One row's claim key as its strings — ``(subject, predicate,
+        lexical, kind, source, extractor, locator)`` — with no object
+        built.
+
+        Refuses every row :meth:`row_scored` refuses, with the same
+        exception: the strings are read in its order, and a row that
+        fails a check is handed to it to raise.
+        """
+        subject = self.subjects[self.col_subject[row]]
+        predicate = self.predicates[self.col_predicate[row]]
+        lexical = self.lexicals[self.col_lexical[row]]
+        kind = _KINDS[self.col_kind[row]]
+        if not (lexical and subject and predicate):
+            self.row_scored(row)
+        source = self.sources[self.col_source[row]]
+        extractor = self.extractors[self.col_extractor[row]]
+        locator = self.locators[self.col_locator[row]]
+        if not (
+            source and extractor and 0.0 <= self.col_confidence[row] <= 1.0
+        ):
+            self.row_scored(row)
+        return (subject, predicate, lexical, kind, source, extractor, locator)
+
     def row_provenance(self, row: int) -> Provenance:
         return Provenance(
             self.sources[self.col_source[row]],
@@ -446,14 +472,14 @@ class SegmentReader:
         )
 
     # -- slice access --------------------------------------------------
-    def subject_rows(self, subject: str) -> Iterator[int]:
+    def subject_rows(self, subject: str) -> list[int]:
         """Row indexes of one subject, via the SPO permutation slice."""
         sid = self.string_id("subjects", subject)
         if sid is None:
-            return iter(())
-        lo, hi = self.subj_start[sid], self.subj_start[sid + 1]
-        perm = self.spo_perm
-        return (perm[i] for i in range(lo, hi))
+            return []
+        return self.spo_perm[
+            self.subj_start[sid]:self.subj_start[sid + 1]
+        ].tolist()
 
     def predicate_rows(self, predicate: str) -> Iterator[int]:
         pid = self.string_id("predicates", predicate)
@@ -495,15 +521,16 @@ class SegmentReader:
             and seqs[row] > tomb_seq
         ]
 
-    def item_rows(self, subject: str, predicate: str) -> Iterator[int]:
+    def item_rows(self, subject: str, predicate: str) -> list[int]:
         """Row indexes of one data item, via its subject's SPO slice."""
+        rows = self.subject_rows(subject)
+        if not rows:
+            return rows
         pid = self.string_id("predicates", predicate)
         if pid is None:
-            return iter(())
+            return []
         preds = self.col_predicate
-        return (
-            row for row in self.subject_rows(subject) if preds[row] == pid
-        )
+        return [row for row in rows if preds[row] == pid]
 
     def live_rows(
         self, tomb: dict[Triple, int]
@@ -799,6 +826,23 @@ class SegmentBackend(StorageBackend):
             merged[key] = list(mem[key])
         return sorted(merged.values(), key=lambda entry: entry[0])
 
+    def _live_keys(self, segment_rows) -> Iterator[tuple]:
+        """The :meth:`SegmentReader.row_key` of every live candidate
+        row, a key once per segment holding it: :meth:`_fold` without
+        the claims.  Rows are refused and checked against the
+        tombstones (by their own triple) as there; memtable keys are
+        the caller's to add."""
+        tomb = self._tomb
+        for seg in self._segments:
+            seqs = seg.col_seq
+            for row in segment_rows(seg):
+                key = seg.row_key(row)
+                if tomb and seqs[row] <= tomb.get(
+                    Triple(key[0], key[1], Value(key[2], key[3])), -1
+                ):
+                    continue
+                yield key
+
     def _ordered_entries(self) -> list[list]:
         return self._fold(lambda seg: range(seg.n_rows), self._mem)
 
@@ -1076,6 +1120,22 @@ class SegmentBackend(StorageBackend):
         )
         return [entry[1] for entry in entries]
 
+    def count_for_item(self, subject: str, predicate: str) -> int:
+        mem_keys = self._item_keys(subject, predicate)
+        keys = set(
+            self._live_keys(lambda seg: seg.item_rows(subject, predicate))
+        )
+        if not keys:
+            return len(mem_keys)
+        # A memtable key shadows the segment rows of its claim.
+        keys.update(
+            (triple.subject, triple.predicate, triple.obj.lexical,
+             triple.obj.kind, prov.source_id, prov.extractor_id,
+             prov.locator)
+            for triple, prov in mem_keys
+        )
+        return len(keys)
+
     def match(
         self,
         subject: str | None = None,
@@ -1144,11 +1204,12 @@ class SegmentBackend(StorageBackend):
                 predicate for _subject, predicate in self._mem_index()[0]
             )
             return out
-        entries = self._fold(
-            lambda seg: seg.subject_rows(subject),
-            self._subject_keys(subject),
-        )
-        return {entry[1].triple.predicate for entry in entries}
+        out = {
+            key[1]
+            for key in self._live_keys(lambda seg: seg.subject_rows(subject))
+        }
+        out.update(self._mem_index()[1].get(subject, ()))
+        return out
 
     # -- bulk ----------------------------------------------------------
     def copy(self) -> "SegmentBackend":

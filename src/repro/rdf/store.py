@@ -113,6 +113,10 @@ class TripleStore:
         """Every claim about the data item ``(subject, predicate)``."""
         return self._backend.claims_for_item(subject, predicate)
 
+    def count_for_item(self, subject: str, predicate: str) -> int:
+        """How many claims :meth:`claims_for_item` returns, none built."""
+        return self._backend.count_for_item(subject, predicate)
+
     def claims_for_items(
         self, items: Iterable[tuple[str, str]]
     ) -> dict[tuple[str, str], list[ScoredTriple]]:

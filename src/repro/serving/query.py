@@ -22,16 +22,18 @@ Three query families, each riding an existing index:
   (versions are immutable, so the cache can never go stale).
 
 What a read costs: :meth:`lookup` is two dict probes into the fused
-result plus the store's ``claims_for_item`` — O(claims of the item) on
-both backends: the item's claim keys off the memory backend's SPO
-leaf, or the subject's rows of each segment's CSR index, straight off
-the mmap, plus the item's keys in the memtable's index (each row
-checked against the tombstones by its own triple).
-:meth:`scan_subject` is the store's ``predicates(subject)`` — O(claims
-of the subject) on the segment backend, one index probe on the memory
-backend — then one ``lookup`` per predicate; :meth:`scan_predicate`
-and :meth:`top_entities` build an O(fused items) index once per reader,
-then cost one ``lookup`` per answer.
+result plus the store's ``count_for_item``, which builds no claim: the
+length of the memory backend's SPO leaf, or on the segment backend the
+item's rows of each segment's CSR index, straight off the mmap, folded
+as strings with the item's keys in the memtable's index (each row
+checked against the tombstones by its own triple) — O(claims of the
+item).  :meth:`scan_subject` is the store's ``predicates(subject)`` —
+the same decode-free fold over the subject's rows on the segment
+backend, one index probe on the memory backend — then one ``lookup``
+per predicate; :meth:`scan_predicate` and :meth:`top_entities` build an
+O(fused items) index once per reader, then cost one ``lookup`` per
+answer.  Each read kind resolves its ``serving_reads_total`` counter
+once per reader, on its first read.
 """
 
 from __future__ import annotations
@@ -77,6 +79,9 @@ class KBReader:
         self.metrics = metrics
         self._ranking: list[tuple[float, str]] | None = None
         self._by_predicate: dict[str, list[str]] | None = None
+        # ``serving_reads_total`` handles by read kind, each resolved
+        # on the kind's first read: a labelled key is rendered once.
+        self._read_counters: dict[str, object] = {}
 
     # -- point lookups -------------------------------------------------
     def lookup(self, subject: str, predicate: str) -> FactView:
@@ -92,7 +97,7 @@ class KBReader:
             beliefs={
                 value: result.belief_of(item, value) for value in values
             },
-            claims=len(self.version.store.claims_for_item(subject, predicate)),
+            claims=self.version.store.count_for_item(subject, predicate),
         )
 
     # -- scans ---------------------------------------------------------
@@ -144,7 +149,8 @@ class KBReader:
     def top_entities(self, k: int) -> list[tuple[str, float]]:
         """The k subjects with the highest summed fused-fact belief.
 
-        Deterministic: score descending, then subject ascending.  The
+        Deterministic: score descending, then subject ascending; ``k``
+        at or below zero answers nothing.  The
         full ranking is computed once per reader and cached — the
         pinned version can never change under it.
         """
@@ -162,10 +168,17 @@ class KBReader:
                 key=lambda pair: (-pair[0], pair[1]),
             )
         return [
-            (subject, score) for score, subject in self._ranking[:k]
+            (subject, score)
+            for score, subject in self._ranking[:max(0, k)]
         ]
 
     # -- plumbing ------------------------------------------------------
     def _count_read(self, kind: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter("serving_reads_total", kind=kind).inc()
+        if self.metrics is None:
+            return
+        counter = self._read_counters.get(kind)
+        if counter is None:
+            counter = self._read_counters[kind] = self.metrics.counter(
+                "serving_reads_total", kind=kind
+            )
+        counter.inc()

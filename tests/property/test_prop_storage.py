@@ -58,7 +58,10 @@ def _assert_equivalent(mem, seg):
     assert seg.predicates() == mem.predicates()
     assert seg.match() == mem.match()
     for subject in mem.subjects():
-        assert seg.predicates(subject) == mem.predicates(subject)
+        assert seg.predicates(subject) == mem.predicates(subject) == {
+            scored.triple.predicate
+            for scored in mem.claims() if scored.triple.subject == subject
+        }
         assert sorted(
             map(str, seg.match(subject=subject))
         ) == sorted(map(str, mem.match(subject=subject)))
@@ -71,6 +74,10 @@ def _assert_equivalent(mem, seg):
             assert seg.claims_for_item(
                 subject, predicate
             ) == mem.claims_for_item(subject, predicate)
+            # The count builds no claim on either backend.
+            count = len(mem.claims_for_item(subject, predicate))
+            assert seg.count_for_item(subject, predicate) == count
+            assert mem.count_for_item(subject, predicate) == count
     # The batched form is the single lookups, by item — one indexed
     # read per item on either backend.
     items = [(s, p) for s in mem.subjects() for p in mem.predicates(s)]
@@ -78,6 +85,7 @@ def _assert_equivalent(mem, seg):
     by_item = {item: mem.claims_for_item(*item) for item in items}
     assert mem.claims_for_items(items) == by_item
     assert seg.claims_for_items(items) == by_item
+    assert seg.count_for_item(*items[-1]) == 0
     for triple in mem.match():
         assert (triple in seg) == (triple in mem)
         assert seg.claims(triple) == mem.claims(triple)

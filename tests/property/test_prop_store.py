@@ -190,8 +190,16 @@ def _assert_same_answers(backend, model):
         ITEMS[1]: by_item[ITEMS[1]]
     }
     assert backend.claims_for_items([]) == {}
+    # A subject's predicates are those of its items with claims: the
+    # answer a read that decodes every claim gives.
+    for subject in subjects.elements:
+        assert backend.predicates(subject) == {
+            predicate for (held, predicate), found in by_item.items()
+            if held == subject and found
+        }
     for (subject, predicate), expected in by_item.items():
         assert backend.claims_for_item(subject, predicate) == expected
+        assert backend.count_for_item(subject, predicate) == len(expected)
         for lexical in objects.elements:
             triple = Triple(subject, predicate, Value(lexical))
             assert backend.claims(triple) == model.claims(triple)
@@ -204,7 +212,8 @@ def _assert_same_losses(lost, expected):
 
 
 class TestClaimAnswersMatchTheDictModel:
-    """``claims_for_item``, ``claims_for_items``, ``claims(triple)``,
+    """``claims_for_item``, ``count_for_item`` (its length),
+    ``claims_for_items``, ``claims(triple)``,
     ``add``'s verdict, ``remove``, ``remove_all`` and ``iter_claims`` —
     element for element, order included — and ``match`` (all eight
     patterns), ``objects``, ``subjects``, ``predicates`` and

@@ -108,7 +108,8 @@ CLI_SUBCOMMANDS = {"pipeline", "drift", "copying", "tenants", "query"}
 # the store facade is listed here before it exists.
 STORAGE_READS = {
     "iter_claims", "contains_triple", "match", "claims", "claims_for_item",
-    "claims_for_items", "objects", "subjects", "predicates", "copy",
+    "count_for_item", "claims_for_items", "objects", "subjects",
+    "predicates", "copy",
 }
 STORAGE_MUTATORS = {
     "add", "add_all", "remove", "remove_all", "flush", "compact", "close",

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
@@ -19,8 +20,11 @@ from repro.rdf.segments import (
     SegmentReader,
     build_segment_bytes,
 )
+from repro.fusion.base import FusionResult
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
+from repro.serving.query import KBReader
+from repro.serving.version import KBVersion
 
 
 def claim(subject, predicate, value, source="src", extractor="ex",
@@ -410,9 +414,10 @@ class TestStorageMetrics:
 
 @pytest.fixture
 def read_work(monkeypatch):
-    """Calls, while the test runs, of the reader's two units of read
-    work — a string-id probe and a row materialization — and of
-    ``Triple.__eq__``, the unit of a walk over memtable keys."""
+    """Calls, while the test runs, of the reader's units of read work —
+    a string-id probe, a row materialization, a row's string key, a
+    whole-column scan — and of ``Triple.__eq__``, the unit of a walk
+    over memtable keys."""
     counts = collections.Counter()
 
     def count(owner, name):
@@ -426,6 +431,8 @@ def read_work(monkeypatch):
 
     count(SegmentReader, "string_id")
     count(SegmentReader, "row_scored")
+    count(SegmentReader, "row_key")
+    count(SegmentReader, "live_rows")
     count(Triple, "__eq__")
     return counts
 
@@ -520,6 +527,8 @@ class TestReadsCostTheAnswer:
             for name, call in [
                 ("claims_for_item",
                  lambda store: store.claims_for_item(subject, predicate)),
+                ("count_for_item",
+                 lambda store: store.count_for_item(subject, predicate)),
                 ("claims", lambda store: store.claims(triple)),
                 ("contains_triple",
                  lambda store: store.contains_triple(triple)),
@@ -535,6 +544,135 @@ class TestReadsCostTheAnswer:
                     assert heavy_work.get(unit, 0) <= (
                         light_work.get(unit, 0) + self.SEGMENTS
                     ), (name, triple, unit, heavy_work, light_work)
+
+    def test_counts_and_subject_predicates_decode_no_claim(
+        self, tmp_path, read_work
+    ):
+        """``count_for_item``, a reader's ``lookup`` (which reads the
+        count) and ``predicates(subject)`` build no claim and examine
+        exactly the item's (the subject's) rows of each segment, dead
+        ones included: no whole-column scan.  Their answers are the
+        decoding reads'."""
+        corpus, dead, heavy, light = self._stores(tmp_path)
+        store = TripleStore(heavy)
+        reader = KBReader(KBVersion(
+            version_id=0, sequence=0, store=store,
+            result=FusionResult(method="none"),
+        ))
+
+        def rows_of(subject, predicate=None):
+            # Candidate rows by a scan of the subject / predicate columns.
+            total = 0
+            for seg in heavy._segments:
+                sid = seg.string_id("subjects", subject)
+                pid = seg.string_id("predicates", predicate or "")
+                total += sum(
+                    1 for row in range(seg.n_rows)
+                    if seg.col_subject[row] == sid
+                    and (predicate is None or seg.col_predicate[row] == pid)
+                )
+            return total
+
+        probes = [dead[1], dead[200], dead[7], corpus[4].triple,
+                  corpus[9].triple, Triple("s-none", "p0", Value("v0"))]
+        examined = 0
+        for triple in probes:
+            subject, predicate = triple.item
+            decoded = heavy.claims_for_item(subject, predicate)
+            subject_claims = [
+                one for one in heavy.claims() if one.triple.subject == subject
+            ]
+            for call, answer, rows in [
+                (lambda: heavy.count_for_item(subject, predicate),
+                 len(decoded), rows_of(subject, predicate)),
+                (lambda: reader.lookup(subject, predicate).claims,
+                 len(decoded), rows_of(subject, predicate)),
+                (lambda: heavy.predicates(subject),
+                 {one.triple.predicate for one in subject_claims},
+                 rows_of(subject)),
+            ]:
+                read_work.clear()
+                assert call() == answer, triple
+                assert read_work["row_scored"] == 0, triple
+                assert read_work["live_rows"] == 0, triple
+                assert read_work["row_key"] == rows, triple
+                examined += rows
+        assert examined > 0
+
+
+def test_a_key_in_several_segments_counts_once(tmp_path):
+    """Each refresh shadows a flushed key, so after three flushes the
+    key has a row in every segment; a triple tombstoned and re-added
+    (into the memtable) leaves a dead row: the count is still the
+    number of claims the item read returns."""
+    backend = SegmentBackend(tmp_path / "store", memtable_limit=10**6,
+                             compact_threshold=10**6)
+    first = claim("e", "p", "v1", source="a", conf=0.2)
+    backend.add_all([first, claim("e", "p", "v2", source="b")])
+    backend.flush()
+    backend.add(first.with_confidence(0.5))
+    backend.flush()
+    backend.add(first.with_confidence(0.9))
+    backend.remove(Triple("e", "p", Value("v2")))
+    backend.flush()
+    backend.add(claim("e", "p", "v2", source="c"))
+    assert len(backend._segments) == 3
+    decoded = backend.claims_for_item("e", "p")
+    assert [one.provenance.source_id for one in decoded] == ["a", "c"]
+    assert backend.count_for_item("e", "p") == 2
+    assert backend.predicates("e") == {"p"}
+
+
+class TestCountRefusesWhatTheClaimReadRefuses:
+    """A segment row the claim read refuses — here a confidence outside
+    [0, 1] or an empty source, written into the file after the flush —
+    makes ``count_for_item`` and ``predicates(subject)`` raise the
+    exception ``claims_for_item`` raises, and the row's neighbours
+    still count."""
+
+    @staticmethod
+    def _corrupted(tmp_path, old: bytes, new: bytes) -> SegmentBackend:
+        backend = SegmentBackend(tmp_path / "store", memtable_limit=10**6)
+        backend.add_all([
+            claim("e", "p", "v1", source="a", conf=0.5),
+            claim("e", "p", "v2", source="b", conf=0.123456789),
+            claim("f", "p", "v1", source="a", conf=0.5),
+            claim("e", "q", "v3", source="zz-last", conf=0.5),
+        ])
+        backend.flush()
+        backend.close()
+        (path,) = (tmp_path / "store").glob("seg-*.seg")
+        blob = path.read_bytes()
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
+        return SegmentBackend(tmp_path / "store")
+
+    @pytest.mark.parametrize("old, new, item", [
+        (struct.pack("=d", 0.123456789), struct.pack("=d", 1.5),
+         ("e", "p")),
+        (struct.pack("=d", 0.123456789), struct.pack("=d", float("nan")),
+         ("e", "p")),
+        # The last source interned: a zero length reads as "".
+        (struct.pack("=q", 7) + b"zz-last", struct.pack("=q", 0) + b"zz-last",
+         ("e", "q")),
+    ])
+    def test_same_exception_as_the_claim_read(self, tmp_path, old, new, item):
+        backend = self._corrupted(tmp_path, old, new)
+
+        def raised(call):
+            with pytest.raises(Exception) as info:
+                call()
+            return type(info.value)
+
+        try:
+            refused = raised(lambda: backend.claims_for_item(*item))
+            assert refused is ValueError
+            assert raised(lambda: backend.count_for_item(*item)) is refused
+            assert raised(lambda: backend.predicates(item[0])) is refused
+            assert backend.count_for_item("f", "p") == 1
+            assert backend.predicates("f") == {"p"}
+        finally:
+            backend.close()
 
 
 class TestMemoryBackendBatchAddAll:

@@ -265,10 +265,30 @@ class _NoWalk(dict):
     __iter__ = keys = values = items = _walk
 
 
+class _NoFetch(_NoWalk):
+    """A claim dict that refuses to hand out a claim as well."""
+
+    def _fetch(self, *args):
+        raise AssertionError("a count fetched a claim")
+
+    __getitem__ = get = __contains__ = _fetch
+
+
+class _ProbeCounting(dict):
+    """An SPO root that counts its probes."""
+
+    probes = 0
+
+    def get(self, *args):
+        self.probes += 1
+        return super().get(*args)
+
+
 class TestMemoryReadsCostTheAnswer:
     """On the memory backend an item, triple or subject read — and a
     ``remove`` — reads the item's SPO leaf and probes the claim dict by
-    key; it never walks the dict.  Counts, not time, as in
+    key; it never walks the dict, and ``count_for_item`` does not even
+    probe it.  Counts, not time, as in
     ``tests/unit/test_rdf_segments.py::TestReadsCostTheAnswer``: here
     the count of whole-store walks, which must be zero.  The answers
     must still be the dict model's, element for element."""
@@ -347,7 +367,20 @@ class TestMemoryReadsCostTheAnswer:
                 item: model.claims_for_item(*item) for item in items
             }
 
+        def same_counts():
+            # One SPO probe, one leaf, no claim fetched.
+            claims, spo = backend._claims, backend._spo
+            backend._claims = _NoFetch()
+            for subject, predicate in items:
+                backend._spo = _ProbeCounting(spo)
+                assert backend.count_for_item(subject, predicate) == len(
+                    model.claims_for_item(subject, predicate)
+                )
+                assert backend._spo.probes == 1
+            backend._claims, backend._spo = claims, spo
+
         same_reads()
+        same_counts()
         assert backend.remove(probes[0]) == model.remove(probes[0])
         assert backend.remove(probes[-1]) == model.remove(probes[-1]) == 0
         lost = backend.remove_all(probes[1:] + probes[1:2])
@@ -356,4 +389,5 @@ class TestMemoryReadsCostTheAnswer:
         )
         assert sum(map(len, lost.values())) > 0
         same_reads()
+        same_counts()
         assert len(backend) == len(model)

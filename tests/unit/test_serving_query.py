@@ -1,5 +1,6 @@
 """Unit tests for versioned-KB handles and the pinned query surface."""
 
+import collections
 import dataclasses
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro.errors import ServingError
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.incremental import ClaimDelta, canonical_claims
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import LabeledRegistry, MetricsRegistry
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 from repro.serving.query import KBReader
@@ -170,6 +171,14 @@ class TestTopEntities:
             key=lambda s: (-dict(reader.top_entities(10))[s], s),
         )
 
+    def test_k_at_or_below_zero_answers_nothing(self, version):
+        # A negative k used to slice from the end: every entity but
+        # the last |k|.  It is clamped as scan_predicate clamps limit.
+        reader = KBReader(version)
+        assert len(reader.top_entities(3)) == 3
+        for k in (0, -1, -2, -10):
+            assert reader.top_entities(k) == []
+
 
 class TestReadMetrics:
     def test_reads_are_counted_by_kind(self, version):
@@ -188,6 +197,58 @@ class TestReadMetrics:
             == 1
         )
 
+    def test_a_labelled_view_renders_each_kind_once_per_reader(
+        self, version, monkeypatch
+    ):
+        """Behind a tenant's ``LabeledRegistry`` the counts per tenant
+        are what a fresh ``counter(...).inc()`` per read records, but a
+        reader asks the view for each kind's handle at most once."""
+        resolved = []
+        raw = LabeledRegistry.counter
+
+        def counting(view, name, **labels):
+            resolved.append((id(view), name, labels.get("kind")))
+            return raw(view, name, **labels)
+
+        monkeypatch.setattr(LabeledRegistry, "counter", counting)
+        registry = MetricsRegistry()
+        script = {
+            "a": [("lookup", ("france", "capital"))] * 3
+            + [("scan_subject", ("france",))] * 2
+            + [("scan_predicate", ("capital",)), ("top_entities", (1,))]
+            + [("top_entities", (2,))],
+            "b": [("lookup", ("spain", "capital")),
+                  ("scan_subject", ("germany",))],
+        }
+        views = {}
+        for tenant, reads in script.items():
+            views[tenant] = registry.labeled(tenant=tenant)
+            reader = KBReader(version, metrics=views[tenant])
+            for kind, args in reads:
+                getattr(reader, kind)(*args)
+        assert sorted(collections.Counter(resolved).values()) == [1] * 6
+        assert {(view, kind) for view, _name, kind in resolved} == {
+            (id(views["a"]), kind)
+            for kind in ("lookup", "scan_subject", "scan_predicate",
+                         "top_entities")
+        } | {(id(views["b"]), kind) for kind in ("lookup", "scan_subject")}
+
+        # The same series and counts as one handle per read, a scan's
+        # inner lookups counted: france has two predicates, germany
+        # one, and three entities hold a fused capital.
+        monkeypatch.setattr(LabeledRegistry, "counter", raw)
+        expected = MetricsRegistry()
+        for tenant, kinds in {
+            "a": ["lookup"] * (3 + 2 * 2 + 3) + ["scan_subject"] * 2
+            + ["scan_predicate"] + ["top_entities"] * 2,
+            "b": ["lookup"] * 2 + ["scan_subject"],
+        }.items():
+            for kind in kinds:
+                expected.labeled(tenant=tenant).counter(
+                    "serving_reads_total", kind=kind
+                ).inc()
+        assert registry.snapshot().counters == expected.snapshot().counters
+
 
 class CountingStore(TripleStore):
     """TripleStore that counts the reader-visible access paths."""
@@ -195,15 +256,15 @@ class CountingStore(TripleStore):
     def __init__(self):
         super().__init__()
         self.match_calls = 0
-        self.claims_for_item_calls = 0
+        self.count_for_item_calls = 0
 
     def match(self, *args, **kwargs):
         self.match_calls += 1
         return super().match(*args, **kwargs)
 
-    def claims_for_item(self, *args, **kwargs):
-        self.claims_for_item_calls += 1
-        return super().claims_for_item(*args, **kwargs)
+    def count_for_item(self, *args, **kwargs):
+        self.count_for_item_calls += 1
+        return super().count_for_item(*args, **kwargs)
 
 
 class TestScanPredicateShortCircuit:
@@ -229,7 +290,7 @@ class TestScanPredicateShortCircuit:
             canonical_claims(store)
         )
         store.match_calls = 0
-        store.claims_for_item_calls = 0
+        store.count_for_item_calls = 0
         return store, KBVersion(
             version_id=0, sequence=0, store=store, result=result
         )
@@ -241,7 +302,8 @@ class TestScanPredicateShortCircuit:
         assert store.match_calls == 0, (
             "bounded scan materialized the store's full subject set"
         )
-        assert store.claims_for_item_calls == 1, (
+        # A lookup's one store read is its item's claim count.
+        assert store.count_for_item_calls == 1, (
             "bounded scan looked up more subjects than it returned"
         )
 
