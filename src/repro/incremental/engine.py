@@ -71,10 +71,11 @@ through the fusion object's public methods — ``extractor_weights``,
 ``reweighted``, ``fuse_component`` and ``functional_rebinds`` — and
 merges with :func:`~repro.fusion.sharding.patch_results`.
 
-Per delta, the journal (one ``remove_all`` call, an ``add`` per claim)
-and the dirty-item re-read (one ``claims_for_items`` call) are O(delta)
-on both backends, each item or triple read off an index; the staged
-store copy shares the memory backend's index leaves copy-on-write and
+Per delta, the journal (a ``remove`` per retracted triple, an ``add``
+per claim) and the dirty-item re-read (a ``claims_for_item`` per dirty
+item) are O(delta) on both backends, each item or triple read off an
+index; the staged store copy shares the memory backend's index leaves
+(and the segment backend's memtable, which is one) copy-on-write and
 costs the paths the journal writes; digesting and the census are
 O(delta); re-weighting, sharding, fusion, the functional constraint
 and the belief / source-quality patch are O(region).  What stays
@@ -493,10 +494,12 @@ class IncrementalFusion:
         prior = self._state
         corpus = prior.corpus.replaced(
             {
-                item: list(ClaimSet.from_scored_triples(scored))
-                for item, scored in staged.claims_for_items(
-                    receipt.dirty_items
-                ).items()
+                item: list(
+                    ClaimSet.from_scored_triples(
+                        staged.claims_for_item(*item)
+                    )
+                )
+                for item in receipt.dirty_items
             }
         )
         if not corpus.claims:

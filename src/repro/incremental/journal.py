@@ -3,14 +3,16 @@
 The :class:`DeltaJournal` is the single write path of the incremental
 subsystem: it applies a :class:`~repro.incremental.delta.ClaimDelta`
 to a :class:`~repro.rdf.store.TripleStore` strictly through the
-store's ``add``/``remove_all`` operations (so the store's
+store's ``add``/``remove`` operations (so the store's
 dedup/max-confidence semantics are the journal's semantics) and
 records, per delta, a :class:`DeltaReceipt` naming the *dirty* data
 items and sources — the seed set the fusion engine expands through
 the connected-component structure of the claim graph.
 
 Within one delta, retractions apply before additions, so a delta can
-atomically replace a value for an item.
+atomically replace a value for an item.  A retraction is one ``remove``
+call, and the claims it returns name the sources that held the triple:
+the journal reads nothing back.
 """
 
 from __future__ import annotations
@@ -82,12 +84,11 @@ class DeltaJournal:
         delta.validate()
         receipt = DeltaReceipt(sequence=0, label=delta.label)
 
-        # Retractions first, in one store call; the claims it hands
-        # back name the sources that held each triple.  A triple listed
+        # Retractions first, one ``remove`` each; the claims it hands
+        # back name the sources that held the triple.  A triple listed
         # twice has nothing left to lose the second time.
-        lost = self.store.remove_all(delta.retracted)
         for triple in delta.retracted:
-            victims = lost.pop(triple, None)
+            victims = self.store.remove(triple)
             if victims:
                 receipt.removed_claims += len(victims)
                 receipt.dirty_items.add(triple.item)

@@ -22,21 +22,20 @@ Contract notes that matter for byte-identical fusion:
   iff the store changed — a new key, or a raised confidence — so a
   caller (the delta journal) never reads back to find out.
 * ``remove(triple)`` drops every provenance of the triple and returns
-  how many claim keys went away; fully-removed triples never ghost in
-  ``subjects()``/``predicates()``/match paths.
-  ``remove_all(triples)`` is that for a batch, and hands back the
-  claims each triple lost.
-* ``claims_for_item(subject, predicate)``, ``claims(triple)``,
-  ``claims_for_items(items)`` and the lists ``remove_all`` returns
-  hold their claims in the same relative order ``iter_claims()``
-  yields them (first insertion of the key).
+  the claims it dropped (an empty list: the triple was absent), so a
+  caller (the delta journal) never reads them first; fully-removed
+  triples never ghost in ``subjects()``/``predicates()``/match paths.
+* ``claims_for_item(subject, predicate)``, ``claims(triple)`` and the
+  list ``remove`` returns hold their claims in the same relative order
+  ``iter_claims()`` yields them (first insertion of the key).
   Both backends answer an item or triple read — and ``remove`` and
   ``contains_triple`` — at O(claims of the item): the memory backend
-  reads the item's claim keys off its SPO leaf; the segment backend
-  reads the subject's rows of each segment's CSR index plus the item's
-  keys in its memtable index, each row checked against the tombstones
-  by its own triple.  So neither overrides the batch forms
-  ``claims_for_items`` and ``remove_all``: their loops cost the answer.
+  reads the item's claim keys off its SPO leaf, ``remove`` in one walk
+  of it; the segment backend reads the subject's rows of each
+  segment's CSR index, each row checked against the tombstones by its
+  own triple, plus the same read of its memtable, which is a memory
+  backend.  The contract has no batch forms: a caller loops, and the
+  loop costs the answer.
 * ``count_for_item(subject, predicate)`` is
   ``len(claims_for_item(subject, predicate))`` at the same O(claims of
   the item), with no claim built: the memory backend's SPO leaf length,
@@ -46,9 +45,10 @@ Contract notes that matter for byte-identical fusion:
   original mutates afterwards (and vice versa); it may share
   structure with the original to get there, as long as neither side
   ever writes a container the other can reach.  The memory backend
-  shares its triple indexes copy-on-write: a copy costs three
-  top-level ``dict.copy()`` calls, and each side shallow-copies a
-  second-level dict or a leaf the first time it writes it.
+  shares its triple indexes copy-on-write: a copy costs four
+  top-level ``dict.copy()`` calls (the claims and three indexes), and
+  each side shallow-copies a second-level dict or a leaf the first
+  time it writes it.
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ from collections.abc import Iterable, Iterator
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 
 __all__ = ["MemoryBackend", "StorageBackend"]
+
+# The tags of MemoryBackend's three indexes in its ownership record.
+_SPO, _POS, _OSP = range(3)
 
 
 class StorageBackend(abc.ABC):
@@ -87,24 +90,9 @@ class StorageBackend(abc.ABC):
             self.add(one)
 
     @abc.abstractmethod
-    def remove(self, triple: Triple) -> int:
-        """Remove every claim of ``triple``; returns how many existed."""
-
-    def remove_all(
-        self, triples: Iterable[Triple]
-    ) -> dict[Triple, list[ScoredTriple]]:
-        """:meth:`remove` every triple of ``triples``; by triple, the
-        claims it lost, in ``iter_claims()`` order (none: it was absent).
-
-        One ``claims`` and one ``remove`` per distinct triple, each
-        O(claims of the item) on every backend.
-        """
-        lost: dict[Triple, list[ScoredTriple]] = {}
-        for triple in triples:
-            if triple not in lost:
-                lost[triple] = self.claims(triple)
-                self.remove(triple)
-        return lost
+    def remove(self, triple: Triple) -> list[ScoredTriple]:
+        """Remove every claim of ``triple``; returns the claims removed,
+        in ``iter_claims()`` order (none: it was absent)."""
 
     # -- size / iteration ----------------------------------------------
     @abc.abstractmethod
@@ -150,16 +138,6 @@ class StorageBackend(abc.ABC):
         """How many claims ``claims_for_item(subject, predicate)``
         returns, without building them; it refuses what that read
         refuses, with the same exception."""
-
-    def claims_for_items(
-        self, items: Iterable[tuple[str, str]]
-    ) -> dict[tuple[str, str], list[ScoredTriple]]:
-        """``claims_for_item`` of every item of ``items``, by item.
-
-        One lookup per item, each O(claims of the item) on every
-        backend.
-        """
-        return {item: self.claims_for_item(*item) for item in items}
 
     @abc.abstractmethod
     def objects(self, subject: str, predicate: str) -> set[Value]:
@@ -217,11 +195,12 @@ class MemoryBackend(StorageBackend):
         self._pos: dict[str, dict[Value, set[str]]] = {}
         # object -> subject -> set of predicates
         self._osp: dict[Value, dict[str, set[str]]] = {}
-        # None until the first ``copy()``.  From then on, per index:
-        # the first-level keys whose second-level dict, and the
-        # ``(first, second)`` keys whose leaf, this backend has made its
-        # own since; any other container may be shared with a copy.
-        self._owned: tuple[tuple[set, set], ...] | None = None
+        # None until the first ``copy()``.  From then on the
+        # ``(index, first)`` keys whose second-level dict, and the
+        # ``(index, first, second)`` keys whose leaf, this backend has
+        # made its own since (``index`` is _SPO, _POS or _OSP); any
+        # other container may be shared with a copy.
+        self._owned: set[tuple] | None = None
 
     def __len__(self) -> int:
         return len(self._claims)
@@ -244,13 +223,18 @@ class MemoryBackend(StorageBackend):
 
     # -- mutation ------------------------------------------------------
     def add(self, scored: ScoredTriple) -> bool:
+        # One key hash for a new key, as in add_all: the key is new
+        # when the dict grew.
         key = (scored.triple, scored.provenance)
-        existing = self._claims.get(key)
-        if existing is not None and existing.confidence >= scored.confidence:
-            return False
-        self._claims[key] = scored
-        if existing is None:
+        claims = self._claims
+        size = len(claims)
+        existing = claims.setdefault(key, scored)
+        if len(claims) > size:
             self._index(key)
+            return True
+        if existing.confidence >= scored.confidence:
+            return False
+        claims[key] = scored
         return True
 
     def add_all(self, scored: Iterable[ScoredTriple]) -> None:
@@ -302,10 +286,9 @@ class MemoryBackend(StorageBackend):
         triple = key[0]
         subject, predicate, obj = triple.subject, triple.predicate, triple.obj
         if self._owned is not None:
-            spo, pos, osp = self._owned
-            self._own(self._spo, spo, subject, predicate, list).append(key)
-            self._own(self._pos, pos, predicate, obj, set).add(subject)
-            self._own(self._osp, osp, obj, subject, set).add(predicate)
+            self._own(self._spo, _SPO, subject, predicate, list).append(key)
+            self._own(self._pos, _POS, predicate, obj, set).add(subject)
+            self._own(self._osp, _OSP, obj, subject, set).add(predicate)
             return
         self._spo.setdefault(subject, {}).setdefault(
             predicate, []
@@ -317,78 +300,78 @@ class MemoryBackend(StorageBackend):
             subject, set()
         ).add(predicate)
 
-    @staticmethod
-    def _own(index: dict, owned, first, second, leaf_type: type):
+    def _own(self, index: dict, tag: int, first, second, leaf_type: type):
         """The leaf ``index[first][second]``, it and ``index[first]``
-        each created or shallow-copied unless ``owned`` says this
-        backend already made it its own: the path of one index write."""
-        firsts, leaves = owned
+        each created or shallow-copied unless the ownership record says
+        this backend already made it its own: the path of one index
+        write."""
+        owned = self._owned
         by_second = index.get(first)
-        if first not in firsts:
+        if (tag, first) not in owned:
             by_second = index[first] = (
                 {} if by_second is None else by_second.copy()
             )
-            firsts.add(first)
+            owned.add((tag, first))
         leaf = by_second.get(second)
-        if (first, second) not in leaves:
+        if (tag, first, second) not in owned:
             leaf = by_second[second] = (
                 leaf_type() if leaf is None else leaf_type(leaf)
             )
-            leaves.add((first, second))
+            owned.add((tag, first, second))
         return leaf
 
-    def remove(self, triple: Triple) -> int:
-        dead = [
-            key
-            for key in self._keys(triple.subject, triple.predicate)
-            if key[0] == triple
-        ]
-        for key in dead:
-            del self._claims[key]
-        if dead:
-            self._unindex(triple)
-        return len(dead)
+    def remove(self, triple: Triple) -> list[ScoredTriple]:
+        # One walk of the item's SPO leaf splits it into the triple's
+        # keys and the leaf that stays.
+        dead: list[tuple[Triple, Provenance]] = []
+        kept: list[tuple[Triple, Provenance]] = []
+        for key in self._keys(triple.subject, triple.predicate):
+            (dead if key[0] == triple else kept).append(key)
+        if not dead:
+            return []
+        self._unindex(triple, kept)
+        claims = self._claims
+        return [claims.pop(key) for key in dead]
 
-    def _unindex(self, triple: Triple) -> None:
-        spo, pos, osp = self._owned or (None, None, None)
-        self._discard_pruning(
-            self._spo, spo, triple.subject, triple.predicate, triple, list
-        )
-        self._discard_pruning(
-            self._pos, pos, triple.predicate, triple.obj, triple.subject, set
-        )
-        self._discard_pruning(
-            self._osp, osp, triple.obj, triple.subject, triple.predicate, set
-        )
+    def _unindex(self, triple: Triple, kept: list) -> None:
+        """Drop ``triple`` from the three indexes, pruning empties;
+        ``kept`` is its item's SPO leaf without it, a fresh list."""
+        subject, predicate, obj = triple.subject, triple.predicate, triple.obj
+        owned = self._owned
+        self._set_leaf(self._spo, _SPO, subject, predicate, kept)
+        for index, tag, first, second, member in (
+            (self._pos, _POS, predicate, obj, subject),
+            (self._osp, _OSP, obj, subject, predicate),
+        ):
+            leaf = index[first][second]
+            if owned is None or (tag, first, second) in owned:
+                leaf.discard(member)
+            else:
+                leaf = leaf - {member}
+            self._set_leaf(index, tag, first, second, leaf)
 
-    @classmethod
-    def _discard_pruning(
-        cls, index: dict, owned, first, second, leaf, leaf_type: type
-    ) -> None:
-        """Drop ``leaf`` from ``index[first][second]`` — from an SPO
-        leaf, every key of the triple ``leaf`` — pruning empties (a
-        pruned key leaves the ownership record with its container)."""
-        by_second = index.get(first)
-        if by_second is None:
-            return
-        leaves = by_second.get(second)
-        if leaves is None:
-            return
-        if owned is not None:
-            leaves = cls._own(index, owned, first, second, leaf_type)
-            by_second = index[first]
-        if leaf_type is list:
-            leaves[:] = [key for key in leaves if key[0] != leaf]
-        else:
-            leaves.discard(leaf)
-        if not leaves:
-            del by_second[second]
+    def _set_leaf(self, index: dict, tag: int, first, second, leaf) -> None:
+        """Make ``leaf``, this backend's own, ``index[first][second]``
+        — or, when it is empty, drop that key and an emptied
+        ``index[first]`` (a pruned key leaves the ownership record with
+        its container)."""
+        owned = self._owned
+        by_second = index[first]
+        if owned is not None and (tag, first) not in owned:
+            by_second = index[first] = by_second.copy()
+            owned.add((tag, first))
+        if leaf:
+            by_second[second] = leaf
             if owned is not None:
-                owned[1].discard((first, second))
+                owned.add((tag, first, second))
+            return
+        del by_second[second]
+        if owned is not None:
+            owned.discard((tag, first, second))
         if not by_second:
             del index[first]
             if owned is not None:
-                owned[0].discard(first)
+                owned.discard((tag, first))
 
     # -- lookup --------------------------------------------------------
     def match(
@@ -468,12 +451,14 @@ class MemoryBackend(StorageBackend):
         ownership records and shallow-copy an index path the first
         time they write it (:meth:`_own`).  Ownership goes by key: the
         ``id()`` of a freed container can come back on a shared one.
+        One record per side and a clone made without ``__init__``
+        keep a copy at a handful of containers.
         """
-        clone = MemoryBackend()
+        clone = MemoryBackend.__new__(MemoryBackend)
         clone._claims = self._claims.copy()
         clone._spo = self._spo.copy()
         clone._pos = self._pos.copy()
         clone._osp = self._osp.copy()
-        self._owned = tuple((set(), set()) for _ in range(3))
-        clone._owned = tuple((set(), set()) for _ in range(3))
+        self._owned = set()
+        clone._owned = set()
         return clone

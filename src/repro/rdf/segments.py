@@ -1,24 +1,26 @@
 """Disk-resident LSM-style storage backend over mmapped segment files.
 
 The :class:`SegmentBackend` keeps claims in append-only **segment
-files** plus a small in-memory **memtable**:
+files** plus a small in-memory **memtable**, which is a
+:class:`~repro.rdf.backend.MemoryBackend` plus each claim key's
+position seqno:
 
 * mutations land in the memtable; when it crosses ``memtable_limit``
   live entries it is *flushed* to a new immutable segment file;
 * ``remove`` writes a **tombstone** (triple + sequence number) — a
   segment row is live iff its seqno is greater than the newest
-  tombstone seqno for its triple;
+  tombstone seqno for its triple — and returns the claims it dropped;
 * **compaction** merges every segment into one *canonical* segment
   (unique keys, insertion-ordered, max confidence folded, no
   tombstones) and drops the rest;
 * an item, triple or subject read — and ``remove`` — costs its answer:
-  candidate rows come from each segment's CSR slice and memtable keys
-  from the memtable's item / subject index, and each row is checked
-  against the tombstone map by its own triple.  ``count_for_item`` and
-  ``predicates(subject)`` fold those rows as strings and decode no
-  claim.  Only the whole-column scans behind ``subjects()`` /
-  ``predicates()`` project the tombstone map onto a segment's ids, once
-  per segment.
+  candidate rows come from each segment's CSR slice and memtable
+  claims from the same read of the memtable's SPO/POS/OSP index, and
+  each row is checked against the tombstone map by its own triple.
+  ``count_for_item`` and ``predicates(subject)`` fold those rows as
+  strings and decode no claim.  Only the whole-column scans behind
+  ``subjects()`` / ``predicates()`` project the tombstone map onto a
+  segment's ids, once per segment.
 
 A segment file is the :mod:`repro.fusion.compiled` idiom spilled to
 disk: string-interning tables plus flat ``array('q')``/``array('d')``
@@ -71,12 +73,16 @@ Ordering contract (see :mod:`repro.rdf.backend`): every claim key's
 position is the seqno of its first *live* add; iteration sorts live
 keys by that position, reproducing ``MemoryBackend``'s dict insertion
 order — confidence refreshes keep their position, remove + re-add
-moves to the end — so fusion verdicts are byte-identical.
+moves to the end — so fusion verdicts are byte-identical.  A refreshed
+segment-resident claim enters the memtable at its old position, so the
+memtable's own order is not position order; its index and its
+position map gain and lose keys together, so a flush pairs them by
+order.
 
 Concurrency model: one live writer lineage per directory.  ``copy()``
-shares the immutable segment readers (cheap staging for the
-incremental engine); whichever copy flushes last owns the on-disk
-manifest.
+shares the immutable segment readers and, copy-on-write, the memtable's
+index (cheap staging for the incremental engine); whichever copy
+flushes last owns the on-disk manifest.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ from pathlib import Path
 
 from repro.errors import StoreError
 from repro.faults import fire
-from repro.rdf.backend import StorageBackend
+from repro.rdf.backend import MemoryBackend, StorageBackend
 from repro.rdf.triple import (
     Provenance,
     ScoredTriple,
@@ -464,13 +470,6 @@ class SegmentReader:
             self.row_scored(row)
         return (subject, predicate, lexical, kind, source, extractor, locator)
 
-    def row_provenance(self, row: int) -> Provenance:
-        return Provenance(
-            self.sources[self.col_source[row]],
-            self.extractors[self.col_extractor[row]],
-            self.locators[self.col_locator[row]],
-        )
-
     # -- slice access --------------------------------------------------
     def subject_rows(self, subject: str) -> list[int]:
         """Row indexes of one subject, via the SPO permutation slice."""
@@ -660,18 +659,13 @@ class SegmentBackend(StorageBackend):
         self.fault_plan = fault_plan
         self._segments: list[SegmentReader] = []
         self._names: list[str] = []
-        # (triple, provenance) -> (position seqno, stored claim);
-        # entries are replaced, never written into, so a copy() is one
-        # dict copy.
-        self._mem: dict[tuple[Triple, Provenance], tuple] = {}
-        # The memtable's keys by data item, and its predicates by
-        # subject (see _mem_index): an item or subject read touches its
-        # own keys only.  Values are tuples, replaced on write, so a
-        # copy() shares them.
-        self._mem_items: dict[tuple[str, str], tuple] = {}
-        self._mem_subjects: dict[str, tuple[str, ...]] = {}
-        # Keys added to the memtable and not yet filed in that index.
-        self._unfiled: list[tuple[Triple, Provenance]] = []
+        # The memtable: its claims, indexed as any memory store, and
+        # each claim key's position seqno.  The two gain and lose keys
+        # together, so they iterate in step; a refreshed
+        # segment-resident claim keeps its old position, so their
+        # order is not position order.
+        self._mem = MemoryBackend()
+        self._positions: dict[tuple[Triple, Provenance], int] = {}
         self._mem_tombs: list[tuple[Triple, int]] = []
         # triple -> newest tombstone seqno (memtable + all segments)
         self._tomb: dict[Triple, int] = {}
@@ -775,7 +769,7 @@ class SegmentBackend(StorageBackend):
         if not self._segments:
             # All positions were minted fresh into the memtable, so
             # dict order *is* position order: stream it zero-copy.
-            return (entry[1] for entry in self._mem.values())
+            return self._mem.iter_claims()
         only = self._segments[0]
         if (
             len(self._segments) == 1
@@ -788,14 +782,14 @@ class SegmentBackend(StorageBackend):
             return (only.row_scored(row) for row in range(only.n_rows))
         return (scored for _pos, scored in self._ordered_entries())
 
-    def _fold(self, segment_rows, mem_keys) -> list[list]:
+    def _fold(self, segment_rows, mem_claims) -> list[list]:
         """Merge segment rows + memtable entries into position order.
 
         ``segment_rows(seg)`` yields candidate row indexes; a row is
         live unless a tombstone of its own triple is at least as new,
         checked here one row at a time, so a read pays for its
-        candidates and not for the tombstone map.  ``mem_keys`` are the
-        memtable keys of the answer.  Returns ``[position, claim]``
+        candidates and not for the tombstone map.  ``mem_claims`` are
+        the memtable claims of the answer.  Returns ``[position, claim]``
         per key, max confidence folded, sorted by position; the
         memtable entry, when present, is authoritative for both (its
         position was resolved against the segments at add time, and
@@ -821,9 +815,10 @@ class SegmentBackend(StorageBackend):
                         entry[0] = seq
                     if confs[row] > entry[1].confidence:
                         entry[1] = scored
-        mem = self._mem
-        for key in mem_keys:
-            merged[key] = list(mem[key])
+        positions = self._positions
+        for scored in mem_claims:
+            key = (scored.triple, scored.provenance)
+            merged[key] = [positions[key], scored]
         return sorted(merged.values(), key=lambda entry: entry[0])
 
     def _live_keys(self, segment_rows) -> Iterator[tuple]:
@@ -844,67 +839,32 @@ class SegmentBackend(StorageBackend):
                 yield key
 
     def _ordered_entries(self) -> list[list]:
-        return self._fold(lambda seg: range(seg.n_rows), self._mem)
+        return self._fold(
+            lambda seg: range(seg.n_rows), self._mem.iter_claims()
+        )
 
-    # -- memtable index ------------------------------------------------
-    def _mem_index(self) -> tuple[dict, dict]:
-        """The memtable's keys by item and its predicates by subject.
-
-        ``add`` only queues a new key; the first read after it files
-        the queue.  A bulk ingest that flushes before it reads never
-        builds the index at all.
-        """
-        items, subjects = self._mem_items, self._mem_subjects
-        for key in self._unfiled:
-            subject, predicate = item = key[0].item
-            keys = items.get(item)
-            if keys is None:
-                items[item] = (key,)
-                subjects[subject] = subjects.get(subject, ()) + (predicate,)
-            else:
-                items[item] = keys + (key,)
-        self._unfiled.clear()
-        return items, subjects
-
-    def _item_keys(self, subject: str, predicate: str) -> tuple:
-        return self._mem_index()[0].get((subject, predicate), ())
-
-    def _subject_keys(self, subject: str) -> list:
-        items, subjects = self._mem_index()
+    def _mem_matches(
+        self,
+        subject: str | None,
+        predicate: str | None,
+        obj: Value | None,
+    ) -> list[ScoredTriple]:
+        """The memtable's claims of the triples matching a pattern
+        with at least one position bound: the claims of each matched
+        item, kept by a set probe of their triple, so a claim of
+        another value costs a hash and no comparison."""
+        mem = self._mem
+        triples = set(mem.match(subject, predicate, obj))
         return [
-            key
-            for predicate in subjects.get(subject, ())
-            for key in items[(subject, predicate)]
+            scored
+            for item in {triple.item for triple in triples}
+            for scored in mem.claims_for_item(*item)
+            if scored.triple in triples
         ]
 
-    def _drop_mem_triple(self, triple: Triple) -> list:
-        """Remove every memtable key of ``triple``; the keys removed."""
-        items, subjects = self._mem_index()
-        subject, predicate = item = triple.item
-        dropped, kept = [], []
-        for key in items.get(item, ()):
-            (dropped if key[0] == triple else kept).append(key)
-        if not dropped:
-            return dropped
-        for key in dropped:
-            del self._mem[key]
-        if kept:
-            items[item] = tuple(kept)
-            return dropped
-        del items[item]
-        left = tuple(
-            other for other in subjects[subject] if other != predicate
-        )
-        if left:
-            subjects[subject] = left
-        else:
-            del subjects[subject]
-        return dropped
-
     def contains_triple(self, triple: Triple) -> bool:
-        for key in self._item_keys(triple.subject, triple.predicate):
-            if key[0] == triple:
-                return True
+        if self._mem.contains_triple(triple):
+            return True
         tomb_seq = self._tomb_seq(triple)
         return any(
             seg.triple_rows(triple, tomb_seq) for seg in self._segments
@@ -921,26 +881,22 @@ class SegmentBackend(StorageBackend):
         segment every ``memtable_limit`` fresh claims.
         """
         key = (scored.triple, scored.provenance)
-        entry = self._mem.get(key)
-        if entry is not None:
-            if entry[1].confidence < scored.confidence:
-                # A refresh keeps its position.
-                self._mem[key] = (entry[0], scored)
-                return True
-            return False
+        if key in self._positions:
+            # A refresh keeps its position.
+            return self._mem.add(scored)
         existing = self._segment_lookup(key)
         if existing is not None:
             conf, position = existing
             if conf < scored.confidence:
                 # Refresh of a segment-resident claim: shadow it in
                 # the memtable at its original position.
-                self._mem[key] = (position, scored)
-                self._unfiled.append(key)
+                self._positions[key] = position
+                self._mem.add(scored)
                 return True
             return False
         self._seq += 1
-        self._mem[key] = (self._seq, scored)
-        self._unfiled.append(key)
+        self._positions[key] = self._seq
+        self._mem.add(scored)
         self._live += 1
         self._maybe_flush()
         return True
@@ -963,25 +919,27 @@ class SegmentBackend(StorageBackend):
                 best = (max(best[0], found[0]), min(best[1], found[1]))
         return best
 
-    def remove(self, triple: Triple) -> int:
+    def remove(self, triple: Triple) -> list[ScoredTriple]:
         tomb_seq = self._tomb_seq(triple)
-        seg_keys: set = set()
-        for seg in self._segments:
-            for row in seg.triple_rows(triple, tomb_seq):
-                seg_keys.add((triple, seg.row_provenance(row)))
-        victims = seg_keys.union(self._drop_mem_triple(triple))
-        if not victims:
-            return 0
-        if seg_keys:
+        rows = {
+            seg: seg.triple_rows(triple, tomb_seq) for seg in self._segments
+        }
+        dropped = self._mem.remove(triple)
+        lost = [entry[1] for entry in self._fold(rows.__getitem__, dropped)]
+        for scored in dropped:
+            del self._positions[(scored.triple, scored.provenance)]
+        if not lost:
+            return lost
+        if any(rows.values()):
             # Only segment-resident rows need a tombstone; pure
             # memtable keys are simply purged.
             self._seq += 1
             self._tomb[triple] = self._seq
             self._mem_tombs.append((triple, self._seq))
             self._count("storage_tombstones_total")
-        self._live -= len(victims)
+        self._live -= len(lost)
         self._maybe_flush()
-        return len(victims)
+        return lost
 
     # -- flush / compaction --------------------------------------------
     def _maybe_flush(self) -> None:
@@ -1004,9 +962,8 @@ class SegmentBackend(StorageBackend):
             return
         started = time.perf_counter()
         fire(self.fault_plan, "storage:flush", 0)
-        rows = [
-            (entry[0], entry[1]) for entry in self._mem.values()
-        ]
+        # The two memtable dicts iterate in step: no key is hashed.
+        rows = list(zip(self._positions.values(), self._mem.iter_claims()))
         blob = build_segment_bytes(rows, list(self._mem_tombs))
         name = self._write_segment_file(blob)
         fire(self.fault_plan, "storage:flush", 1)
@@ -1022,10 +979,9 @@ class SegmentBackend(StorageBackend):
         reader = SegmentReader(self.directory / name)
         self._segments.append(reader)
         self._key_filter = self._key_filter.union(reader.key_hashes)
-        self._mem.clear()
-        self._mem_items.clear()
-        self._mem_subjects.clear()
-        self._unfiled.clear()
+        # Rebound, not cleared: a copy() may share the memtable's index.
+        self._mem = MemoryBackend()
+        self._positions = {}
         self._mem_tombs.clear()
         self._count("storage_flushes_total")
         self._count("storage_segments_written_total")
@@ -1103,11 +1059,7 @@ class SegmentBackend(StorageBackend):
         tomb_seq = self._tomb_seq(triple)
         entries = self._fold(
             lambda seg: seg.triple_rows(triple, tomb_seq),
-            [
-                key
-                for key in self._item_keys(triple.subject, triple.predicate)
-                if key[0] == triple
-            ],
+            self._mem.claims(triple),
         )
         return [entry[1] for entry in entries]
 
@@ -1116,24 +1068,24 @@ class SegmentBackend(StorageBackend):
     ) -> list[ScoredTriple]:
         entries = self._fold(
             lambda seg: seg.item_rows(subject, predicate),
-            self._item_keys(subject, predicate),
+            self._mem.claims_for_item(subject, predicate),
         )
         return [entry[1] for entry in entries]
 
     def count_for_item(self, subject: str, predicate: str) -> int:
-        mem_keys = self._item_keys(subject, predicate)
         keys = set(
             self._live_keys(lambda seg: seg.item_rows(subject, predicate))
         )
         if not keys:
-            return len(mem_keys)
+            return self._mem.count_for_item(subject, predicate)
         # A memtable key shadows the segment rows of its claim.
-        keys.update(
-            (triple.subject, triple.predicate, triple.obj.lexical,
-             triple.obj.kind, prov.source_id, prov.extractor_id,
-             prov.locator)
-            for triple, prov in mem_keys
-        )
+        for scored in self._mem.claims_for_item(subject, predicate):
+            triple, prov = scored.triple, scored.provenance
+            keys.add(
+                (triple.subject, triple.predicate, triple.obj.lexical,
+                 triple.obj.kind, prov.source_id, prov.extractor_id,
+                 prov.locator)
+            )
         return len(keys)
 
     def match(
@@ -1143,34 +1095,33 @@ class SegmentBackend(StorageBackend):
         obj: Value | None = None,
     ) -> list[Triple]:
         if subject is not None and predicate is not None:
-            entries = self._fold(
-                lambda seg: seg.item_rows(subject, predicate),
-                self._item_keys(subject, predicate),
-            )
+            rows = lambda seg: seg.item_rows(subject, predicate)
         elif subject is not None:
-            entries = self._fold(
-                lambda seg: seg.subject_rows(subject),
-                self._subject_keys(subject),
-            )
+            rows = lambda seg: seg.subject_rows(subject)
         elif predicate is not None:
-            entries = self._fold(
-                lambda seg: seg.predicate_rows(predicate),
-                [key for key in self._mem if key[0].predicate == predicate],
-            )
+            rows = lambda seg: seg.predicate_rows(predicate)
         elif obj is not None:
-            entries = self._fold(
-                lambda seg: seg.object_rows(obj),
-                [key for key in self._mem if key[0].obj == obj],
-            )
+            rows = lambda seg: seg.object_rows(obj)
         else:
+            rows = None
+        if rows is None:
             entries = self._ordered_entries()
+        else:
+            entries = self._fold(
+                rows, self._mem_matches(subject, predicate, obj)
+            )
+        # The memtable's matches and the object slice hold only
+        # ``obj``; a subject or predicate slice holds other objects too.
+        check_obj = obj is not None and (
+            subject is not None or predicate is not None
+        )
         seen: set[Triple] = set()
         out: list[Triple] = []
         for entry in entries:
             triple = entry[1].triple
             if triple in seen:
                 continue
-            if obj is not None and triple.obj != obj:
+            if check_obj and triple.obj != obj:
                 continue
             seen.add(triple)
             out.append(triple)
@@ -1194,29 +1145,27 @@ class SegmentBackend(StorageBackend):
 
     def subjects(self) -> set[str]:
         out = self._live_column_strings("subject")
-        out.update(self._mem_index()[1])
+        out.update(self._mem.subjects())
         return out
 
     def predicates(self, subject: str | None = None) -> set[str]:
         if subject is None:
             out = self._live_column_strings("predicate")
-            out.update(
-                predicate for _subject, predicate in self._mem_index()[0]
-            )
+            out.update(self._mem.predicates())
             return out
         out = {
             key[1]
             for key in self._live_keys(lambda seg: seg.subject_rows(subject))
         }
-        out.update(self._mem_index()[1].get(subject, ()))
+        out.update(self._mem.predicates(subject))
         return out
 
     # -- bulk ----------------------------------------------------------
     def copy(self) -> "SegmentBackend":
         """A staged sibling sharing the immutable segment readers.
 
-        The memtable and its item / subject indexes (one dict copy
-        each: their values are tuples), tombstones and counters are
+        The memtable (a memory backend's copy-on-write ``copy()`` and
+        one dict copy of its positions), tombstones and counters are
         copied; the segment readers, the directory and the key filter
         are shared — segments are immutable and the filter is rebound
         by whoever flushes, so both lineages read them safely.  Whichever
@@ -1232,10 +1181,8 @@ class SegmentBackend(StorageBackend):
         clone.fault_plan = self.fault_plan
         clone._segments = list(self._segments)
         clone._names = list(self._names)
-        clone._mem = dict(self._mem)
-        clone._mem_items = dict(self._mem_items)
-        clone._mem_subjects = dict(self._mem_subjects)
-        clone._unfiled = list(self._unfiled)
+        clone._mem = self._mem.copy()
+        clone._positions = self._positions.copy()
         clone._mem_tombs = list(self._mem_tombs)
         clone._tomb = dict(self._tomb)
         clone._key_filter = self._key_filter

@@ -39,6 +39,11 @@ class TripleStore:
     ``backend`` defaults to a fresh in-memory :class:`MemoryBackend`;
     pass a :class:`~repro.rdf.segments.SegmentBackend` for
     disk-resident storage.
+
+    Every method is one backend call, and the only batch form is
+    ``add_all``: a caller that reads several items or retracts several
+    triples loops over :meth:`claims_for_item` / :meth:`remove`, each
+    O(claims of the item) on every backend.
     """
 
     def __init__(self, backend: StorageBackend | None = None) -> None:
@@ -75,19 +80,14 @@ class TripleStore:
         """Add many claims in one backend-level batch."""
         self._backend.add_all(scored)
 
-    def remove(self, triple: Triple) -> int:
-        """Remove every claim of ``triple``; returns how many were removed.
+    def remove(self, triple: Triple) -> list[ScoredTriple]:
+        """Remove every claim of ``triple``; returns the claims removed,
+        in iteration order (none: the triple was absent).
 
         Fully-removed triples never ghost in ``subjects()``,
         ``predicates()`` or the match paths.
         """
         return self._backend.remove(triple)
-
-    def remove_all(
-        self, triples: Iterable[Triple]
-    ) -> dict[Triple, list[ScoredTriple]]:
-        """:meth:`remove` several triples; by triple, the claims it lost."""
-        return self._backend.remove_all(triples)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -116,12 +116,6 @@ class TripleStore:
     def count_for_item(self, subject: str, predicate: str) -> int:
         """How many claims :meth:`claims_for_item` returns, none built."""
         return self._backend.count_for_item(subject, predicate)
-
-    def claims_for_items(
-        self, items: Iterable[tuple[str, str]]
-    ) -> dict[tuple[str, str], list[ScoredTriple]]:
-        """:meth:`claims_for_item` of several data items, by item."""
-        return self._backend.claims_for_items(items)
 
     def objects(self, subject: str, predicate: str) -> set[Value]:
         """Distinct object values claimed for a data item."""

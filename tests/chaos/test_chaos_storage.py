@@ -123,7 +123,7 @@ class TestCompactionCrashes:
         )
         store = TripleStore(backend)
         store.add_all(CORPUS)
-        assert store.remove(CORPUS[0].triple) == 1
+        assert store.remove(CORPUS[0].triple) == [CORPUS[0]]
         store.flush()
         expected = store.claims()
         assert registry.snapshot().gauges["storage_segments"] > 1

@@ -2,8 +2,8 @@
 
 ``claims_for_item``, ``claims(triple)`` and ``remove`` each walk the
 one dict that defines first-insertion order — no triple indexes, no
-batching, no shared structure between copies — and ``remove_all`` is
-a ``claims(triple)`` and a ``remove(triple)`` per triple.  Whatever
+shared structure between copies — and ``remove`` hands back what it
+dropped, in that order.  Whatever
 the backend does to answer faster (an item's claim keys held in its
 SPO leaf, that leaf and the rest of the indexes shared copy-on-write
 between copies, ``copy()`` sharing the claim objects) must return the
@@ -43,20 +43,9 @@ class LinearScanClaims:
         for one in scored:
             self.add(one)
 
-    def remove(self, triple: Triple) -> int:
+    def remove(self, triple: Triple) -> list[ScoredTriple]:
         keys = [key for key in self._claims if key[0] == triple]
-        for key in keys:
-            del self._claims[key]
-        return len(keys)
-
-    def remove_all(self, triples) -> dict:
-        lost: dict = {}
-        for triple in triples:
-            victims = self.claims(triple)
-            self.remove(triple)
-            # A triple listed twice lost its claims the first time.
-            lost.setdefault(triple, victims)
-        return lost
+        return [self._claims.pop(key) for key in keys]
 
     def iter_claims(self):
         return iter(self._claims.values())

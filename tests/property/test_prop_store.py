@@ -102,9 +102,9 @@ STEPS = [
     st.tuples(st.just("add"), claims()),
     st.tuples(st.just("add_all"), st.lists(claims(), max_size=6)),
     st.tuples(st.just("remove"), triples),
-    # A batch of retractions: absent triples, and triples listed
+    # A run of retractions: absent triples, and triples listed
     # twice, among them.
-    st.tuples(st.just("remove_all"), st.lists(triples, max_size=6)),
+    st.tuples(st.just("remove_run"), st.lists(triples, max_size=6)),
     # Retract a batch, then put one claim of each triple back.
     st.tuples(st.just("retract_readd"), st.lists(claims(), max_size=4)),
     # Remove a triple, then put one claim of it back: the key
@@ -185,11 +185,6 @@ def _assert_same_answers(backend, model):
     assert list(backend.iter_claims()) == list(model.iter_claims())
     _assert_same_triple_answers(backend, model)
     by_item = {item: model.claims_for_item(*item) for item in ITEMS}
-    assert backend.claims_for_items(ITEMS) == by_item
-    assert backend.claims_for_items(ITEMS[1:2]) == {
-        ITEMS[1]: by_item[ITEMS[1]]
-    }
-    assert backend.claims_for_items([]) == {}
     # A subject's predicates are those of its items with claims: the
     # answer a read that decodes every claim gives.
     for subject in subjects.elements:
@@ -205,16 +200,18 @@ def _assert_same_answers(backend, model):
             assert backend.claims(triple) == model.claims(triple)
 
 
-def _assert_same_losses(lost, expected):
-    """What a ``remove_all`` handed back: same triples, in the order
-    first listed, each with the claims it lost in store order."""
-    assert list(lost.items()) == list(expected.items())
+def _assert_same_losses(backend, model, retracted):
+    """A ``remove`` per triple, in order: each hands back the claims the
+    model's does, element for element, in store order — none for an
+    absent triple or for one listed a second time."""
+    for triple in retracted:
+        assert backend.remove(triple) == model.remove(triple)
 
 
 class TestClaimAnswersMatchTheDictModel:
     """``claims_for_item``, ``count_for_item`` (its length),
-    ``claims_for_items``, ``claims(triple)``,
-    ``add``'s verdict, ``remove``, ``remove_all`` and ``iter_claims`` —
+    ``claims(triple)``, ``add``'s verdict, the claims ``remove`` hands
+    back and ``iter_claims`` —
     element for element, order included — and ``match`` (all eight
     patterns), ``objects``, ``subjects``, ``predicates`` and
     ``contains_triple``, under interleaved mutation, and after every
@@ -224,7 +221,7 @@ class TestClaimAnswersMatchTheDictModel:
     runs each sequence twice: with a memtable of three claims, so
     auto-flushes fall between the steps and tombstones span several
     segments, and with one of 64, so items hold several memtable keys
-    (and its item / subject index is what answers) until a ``flush``
+    (and its memory-backend index is what answers) until a ``flush``
     step spills them.  ``batched`` replays the same interleavings with
     every insertion going through ``add_all``: it must leave what the
     model's ``add`` loop leaves, in the same ``iter_claims()`` order.
@@ -307,16 +304,11 @@ class TestClaimAnswersMatchTheDictModel:
                 model.add_all(payload)
             elif kind == "remove":
                 assert backend.remove(payload) == model.remove(payload)
-            elif kind == "remove_all":
-                _assert_same_losses(
-                    backend.remove_all(iter(payload)),
-                    model.remove_all(payload),
-                )
+            elif kind == "remove_run":
+                _assert_same_losses(backend, model, payload)
             elif kind == "retract_readd":
-                retracted = [one.triple for one in payload]
                 _assert_same_losses(
-                    backend.remove_all(retracted),
-                    model.remove_all(retracted),
+                    backend, model, [one.triple for one in payload]
                 )
                 insert(payload)
             elif kind == "readd":
@@ -354,22 +346,16 @@ class TestClaimAnswersMatchTheDictModel:
                 assert kind == "remove_from_copy"
                 if pinned:
                     copied, frozen = pinned[payload[0] % len(pinned)]
-                    _assert_same_losses(
-                        copied.remove_all(payload[1]),
-                        frozen.remove_all(payload[1]),
-                    )
+                    _assert_same_losses(copied, frozen, payload[1])
             _assert_same_answers(backend, model)
             for copied, frozen in pinned:
                 _assert_same_answers(copied, frozen)
         for copied, frozen in pinned:
-            # ... and what a batch of retractions would take from them.
+            # ... and what a run of retractions would take from them.
             everything = [
                 Triple(subject, predicate, Value(lexical))
                 for subject, predicate in ITEMS
                 for lexical in objects.elements
             ]
-            _assert_same_losses(
-                copied.remove_all(everything + everything[:2]),
-                frozen.remove_all(everything + everything[:2]),
-            )
+            _assert_same_losses(copied, frozen, everything + everything[:2])
             _assert_same_answers(copied, frozen)

@@ -108,17 +108,14 @@ CLI_SUBCOMMANDS = {"pipeline", "drift", "copying", "tenants", "query"}
 # the store facade is listed here before it exists.
 STORAGE_READS = {
     "iter_claims", "contains_triple", "match", "claims", "claims_for_item",
-    "count_for_item", "claims_for_items", "objects", "subjects",
-    "predicates", "copy",
+    "count_for_item", "objects", "subjects", "predicates", "copy",
 }
 STORAGE_MUTATORS = {
-    "add", "add_all", "remove", "remove_all", "flush", "compact", "close",
+    "add", "add_all", "remove", "flush", "compact", "close",
 }
-# What a backend may inherit: the batch forms default to their loops,
-# the lifecycle calls to nothing.
-STORAGE_DEFAULTS = {
-    "add_all", "remove_all", "claims_for_items", "flush", "compact", "close",
-}
+# What a backend may inherit: ``add_all`` defaults to its loop, the
+# lifecycle calls to nothing.
+STORAGE_DEFAULTS = {"add_all", "flush", "compact", "close"}
 
 # The MapReduce engine runs every task in the calling process; nothing
 # under src/ starts a worker of any kind.

@@ -276,15 +276,16 @@ class TestCallerWritesStayOut:
 
 
 class CountingStore(TripleStore):
-    """Counts whole-store reads, and the journal's calls, across the
-    engine's copy lineage."""
+    """Counts whole-store reads, and the journal's and the re-read's
+    calls — the item of each ``claims_for_item``, the triple of each
+    ``remove`` — across the engine's copy lineage."""
 
     def __init__(self, backend=None, counts=None):
         super().__init__(backend)
         self.counts = (
             {
                 "full_reads": 0, "item_reads": [], "triple_reads": 0,
-                "removes": 0, "batch_removes": 0,
+                "removes": [],
             }
             if counts is None else counts
         )
@@ -297,17 +298,12 @@ class CountingStore(TripleStore):
         return super().claims(triple)
 
     def remove(self, triple):
-        self.counts["removes"] += 1
+        self.counts["removes"].append(triple)
         return super().remove(triple)
 
-    def remove_all(self, triples):
-        self.counts["batch_removes"] += 1
-        return super().remove_all(triples)
-
-    def claims_for_items(self, items):
-        items = list(items)
-        self.counts["item_reads"].append(sorted(items))
-        return super().claims_for_items(items)
+    def claims_for_item(self, subject, predicate):
+        self.counts["item_reads"].append((subject, predicate))
+        return super().claims_for_item(subject, predicate)
 
     def snapshot(self):
         self.counts["full_reads"] += 1
@@ -340,9 +336,9 @@ class TestDeltaWorkFollowsTheRegion:
     one digest per component) however few components it touched.
 
     Now it asks the store for its dirty items only — one
-    ``claims_for_items`` call, indexed reads that decode and sort
-    nothing on either backend — and builds fusion claims for the region
-    alone."""
+    ``claims_for_item`` call per dirty item, indexed reads that decode
+    and sort nothing on either backend — and builds fusion claims for
+    the region alone."""
 
     @pytest.mark.parametrize("backend_name", ["memory", "segment"])
     def test_one_component_delta_reads_and_builds_only_its_region(
@@ -361,6 +357,7 @@ class TestDeltaWorkFollowsTheRegion:
         delta = _component_delta(engine.store)
         assert store.counts["full_reads"] > 0  # the prime reads it all
         store.counts["full_reads"] = 0
+        store.counts["item_reads"].clear()
 
         real_claim = base_mod.Claim
         built = []
@@ -381,9 +378,10 @@ class TestDeltaWorkFollowsTheRegion:
         assert store.counts["full_reads"] == 0, (
             "a one-component delta read the whole store"
         )
-        assert store.counts["item_reads"] == [
-            sorted(outcome.receipt.dirty_items)
-        ]
+        # Each dirty item read once, and nothing else.
+        assert sorted(store.counts["item_reads"]) == sorted(
+            outcome.receipt.dirty_items
+        )
         region = outcome.refused_claims
         assert region < total_claims / 20
         # One decode of the dirty item, one reweight of the region.
@@ -452,7 +450,9 @@ class TestDeltaWorkFollowsTheRegion:
         """Regression: the journal read ``claims(triple)`` and called
         ``remove(triple)`` per retraction — two walks of the claim dict
         each on the memory backend — and read ``claims(triple)`` back
-        after every add that left the store's size alone."""
+        after every add that left the store's size alone.  Now a
+        retraction is one ``remove``, whose returned claims name the
+        sources, and an add reads nothing back."""
         store = _corpus(n_worlds=8, store=CountingStore())
         weak = ScoredTriple(
             Triple("w7/entity000", "attr", Value("weakly held")),
@@ -492,13 +492,15 @@ class TestDeltaWorkFollowsTheRegion:
             ],
         )
         assert weak.triple not in retracted
-        for key in ("full_reads", "triple_reads", "removes", "batch_removes"):
+        for key in ("full_reads", "triple_reads"):
             store.counts[key] = 0
+        store.counts["removes"].clear()
         outcome = engine.apply_delta(delta)
 
         assert store.counts["triple_reads"] == 0
-        assert store.counts["removes"] == 0
-        assert store.counts["batch_removes"] == 1
+        # One remove per retracted triple, the repeat and the absent
+        # one included.
+        assert store.counts["removes"] == list(delta.retracted)
         assert store.counts["full_reads"] == 0
         receipt = outcome.receipt
         assert receipt.removed_claims == removed

@@ -177,7 +177,7 @@ class TestSegmentBackendSemantics:
         for store in (mem, seg):
             store.add_all(CORPUS)
             store.flush()
-            assert store.remove(CORPUS[0].triple) == 1
+            assert store.remove(CORPUS[0].triple) == [CORPUS[0]]
             store.add(CORPUS[0])
         assert seg.claims() == mem.claims()
         assert seg.claims()[-1] == CORPUS[0]
@@ -189,7 +189,13 @@ class TestSegmentBackendSemantics:
         seg.flush()  # both Berlin claims now segment-resident
         seg.add(claim("germany", "capital", "Berlin", source="b",
                       conf=0.99, locator="page-7"))  # memtable shadow
-        assert seg.remove(berlin) == 2
+        # Both, in iteration order: the memtable shadow at its
+        # segment-resident claim's position.
+        assert seg.remove(berlin) == [
+            CORPUS[3],
+            claim("germany", "capital", "Berlin", source="b", conf=0.99,
+                  locator="page-7"),
+        ]
         assert berlin not in seg
         assert seg.claims(berlin) == []
         assert "germany" not in seg.subjects()
@@ -201,14 +207,14 @@ class TestSegmentBackendSemantics:
         backend = SegmentBackend(tmp_path / "s", memtable_limit=100)
         store = TripleStore(backend)
         store.add(CORPUS[0])
-        assert store.remove(CORPUS[0].triple) == 1
+        assert store.remove(CORPUS[0].triple) == [CORPUS[0]]
         assert backend._tomb == {}
         assert len(store) == 0
 
     def test_missing_remove_returns_zero(self, tmp_path):
         seg = seg_store(tmp_path)
         seg.add_all(CORPUS)
-        assert seg.remove(Triple("narnia", "capital", Value("x"))) == 0
+        assert seg.remove(Triple("narnia", "capital", Value("x"))) == []
 
     def test_add_all_enforces_memtable_limit_mid_batch(self, tmp_path):
         registry = MetricsRegistry()
@@ -416,15 +422,16 @@ class TestStorageMetrics:
 def read_work(monkeypatch):
     """Calls, while the test runs, of the reader's units of read work —
     a string-id probe, a row materialization, a row's string key, a
-    whole-column scan — and of ``Triple.__eq__``, the unit of a walk
-    over memtable keys."""
+    whole-column scan — and of ``Triple.__eq__`` and ``Value.__eq__``
+    (counted as ``"Value.__eq__"``), the units of a walk over memtable
+    keys."""
     counts = collections.Counter()
 
-    def count(owner, name):
+    def count(owner, name, unit=None):
         raw = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            counts[name] += 1
+            counts[unit or name] += 1
             return raw(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
@@ -434,6 +441,7 @@ def read_work(monkeypatch):
     count(SegmentReader, "row_key")
     count(SegmentReader, "live_rows")
     count(Triple, "__eq__")
+    count(Value, "__eq__", "Value.__eq__")
     return counts
 
 
@@ -598,6 +606,42 @@ class TestReadsCostTheAnswer:
                 assert read_work["row_key"] == rows, triple
                 examined += rows
         assert examined > 0
+
+
+def test_memtable_object_match_costs_its_answer(tmp_path, read_work):
+    """Regression: ``match(obj=…)`` and ``match(predicate=…)`` filtered
+    every memtable key by its object or predicate — a ``Value.__eq__``
+    per key.  The memtable is a memory backend, whose OSP and POS
+    leaves answer: an object match compares the claims of its answer,
+    and the answers are the memory backend's."""
+    backend = SegmentBackend(tmp_path / "store", memtable_limit=10**6)
+    memory = MemoryBackend()
+    # 200 subjects x 3 predicates, two values per item out of 40, a
+    # second source on every fifth claim.
+    corpus = [
+        claim(f"s{i // 6:03d}", f"p{i % 3}", f"v{i % 40}", source="a")
+        for i in range(1200)
+    ]
+    corpus += [
+        ScoredTriple(one.triple, Provenance("b", "ex"), 0.5)
+        for one in corpus[::5]
+    ]
+    for one in corpus:
+        assert backend.add(one) == memory.add(one)
+    assert len(backend._mem) == len(backend) >= 1000
+    assert not backend._segments
+    for value in (Value("v0"), Value("v17"), Value("absent")):
+        read_work.clear()
+        found = backend.match(obj=value)
+        work = read_work["Value.__eq__"]
+        answer = sum(len(memory.claims(triple)) for triple in found)
+        assert work <= answer + 2, (value, work, answer)
+        assert len(found) == len(set(found))
+        assert set(found) == set(memory.match(obj=value))
+    for predicate in ("p0", "p2", "absent"):
+        found = backend.match(predicate=predicate)
+        assert len(found) == len(set(found))
+        assert set(found) == set(memory.match(predicate=predicate))
 
 
 def test_a_key_in_several_segments_counts_once(tmp_path):

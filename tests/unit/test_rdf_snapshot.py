@@ -143,8 +143,7 @@ class TestPinnedSnapshotImmutability:
         """The memory backend's copies share their claim objects with
         the live store: an add, a confidence refresh, a remove and a
         remove + re-add on the live side must each leave the copy's
-        ``claims_for_item`` / ``claims_for_items`` / ``claims(triple)``
-        answers — and what a ``remove`` on the copy would drop — as
+        ``claims_for_item`` / ``claims(triple)`` answers — and what a ``remove`` on the copy would drop — as
         they were."""
         store = build_store(backend_name, tmp_path)
         paris = Triple("france", "capital", Value("Paris"))
@@ -155,9 +154,6 @@ class TestPinnedSnapshotImmutability:
             return (
                 view.claims_for_item("france", "capital"),
                 view.claims_for_item("germany", "capital"),
-                view.claims_for_items(
-                    [("france", "capital"), ("germany", "capital")]
-                ),
                 view.claims(paris),
                 view.claims(lyon),
                 view.claims(berlin),
@@ -165,7 +161,7 @@ class TestPinnedSnapshotImmutability:
 
         held = store.copy()
         before = answers(held)
-        assert [len(answer) for answer in before] == [2, 1, 2, 1, 1, 1]
+        assert [len(answer) for answer in before] == [2, 1, 1, 1, 1]
 
         mutations = [
             lambda: store.add(
@@ -185,23 +181,25 @@ class TestPinnedSnapshotImmutability:
             mutate()
             assert answers(held) == before
         # The live store did move on all of it.
-        assert [len(answer) for answer in answers(store)] == [2, 0, 2, 1, 0, 0]
+        assert [len(answer) for answer in answers(store)] == [2, 0, 1, 0, 0]
 
         if backend_name == "memory":
             # And the other way round: the copy's own mutations never
             # reach the live store (a segment directory has one
             # mutating lineage at a time).
             live = answers(store)
-            assert held.remove(paris) == 1
-            assert held.remove(berlin) == 1
+            assert held.remove(paris) == before[2]
+            assert held.remove(berlin) == before[4]
             held.add(claim("germany", "capital", "Bonn", source="b"))
             assert answers(store) == live
 
 
 class TestSegmentCopySharesWhatItDoesNotWrite:
-    """``SegmentBackend.copy()`` shares the memtable's entries and the
-    key filter with its source; a writer replaces an entry and rebinds
-    the filter, so neither side sees the other's writes."""
+    """``SegmentBackend.copy()`` shares the memtable — a memory
+    backend, copy-on-write — and the key filter with its source; a
+    writer copies the index path it writes, replaces a claim, rebinds
+    the filter and, on flush, the memtable, so neither side sees the
+    other's writes."""
 
     def test_refresh_and_flush_in_the_copy_leave_the_source_alone(
         self, tmp_path
@@ -210,11 +208,12 @@ class TestSegmentCopySharesWhatItDoesNotWrite:
         backend.add_all(CORPUS[:3])
         backend.flush()
         backend.add_all(CORPUS[3:])
-        entries = dict(backend._mem)
+        memtable = backend._mem.claims()
+        positions = dict(backend._positions)
         key_filter = backend._key_filter
         hashes = set(key_filter)
         before = signature(backend.iter_claims())
-        assert len(entries) == 2 and len(hashes) == 3
+        assert len(memtable) == len(positions) == 2 and len(hashes) == 3
 
         clone = backend.copy()
         assert clone._key_filter is key_filter
@@ -226,16 +225,21 @@ class TestSegmentCopySharesWhatItDoesNotWrite:
             scored.confidence
             for scored in clone.claims_for_item("germany", "capital")
         ] == [0.95]
-        assert all(backend._mem[key] is entries[key] for key in entries)
+        assert all(
+            held is was
+            for held, was in zip(backend._mem.claims(), memtable, strict=True)
+        )
         assert [
             scored.confidence
             for scored in backend.claims_for_item("germany", "capital")
         ] == [0.8]
 
         clone.flush()
-        assert not clone._mem and len(clone._key_filter) == 5
+        assert not clone._mem and not clone._positions
+        assert len(clone._key_filter) == 5
         assert backend._key_filter is key_filter and set(key_filter) == hashes
-        assert backend._mem == entries
+        assert backend._mem.claims() == memtable
+        assert backend._positions == positions
         assert signature(backend.iter_claims()) == before
         # The source's filter still answers for the source: a claim the
         # copy flushed is new to it, a flushed one of its own is not.

@@ -109,12 +109,14 @@ class TestLookups:
 class TestMutation:
     def test_remove(self, store):
         removed = store.remove(Triple("france", "capital", Value("Paris")))
-        assert removed == 1
+        assert [scored.triple for scored in removed] == [
+            Triple("france", "capital", Value("Paris"))
+        ]
         assert Triple("france", "capital", Value("Paris")) not in store
         assert len(store) == 3
 
     def test_remove_missing_returns_zero(self, store):
-        assert store.remove(Triple("x", "y", Value("z"))) == 0
+        assert store.remove(Triple("x", "y", Value("z"))) == []
 
     def test_merge(self, store):
         other = TripleStore()
@@ -363,9 +365,6 @@ class TestMemoryReadsCostTheAnswer:
                 assert backend.contains_triple(
                     triple
                 ) == model.contains_triple(triple)
-            assert backend.claims_for_items(items) == {
-                item: model.claims_for_item(*item) for item in items
-            }
 
         def same_counts():
             # One SPO probe, one leaf, no claim fetched.
@@ -382,12 +381,12 @@ class TestMemoryReadsCostTheAnswer:
         same_reads()
         same_counts()
         assert backend.remove(probes[0]) == model.remove(probes[0])
-        assert backend.remove(probes[-1]) == model.remove(probes[-1]) == 0
-        lost = backend.remove_all(probes[1:] + probes[1:2])
-        assert list(lost.items()) == list(
-            model.remove_all(probes[1:] + probes[1:2]).items()
-        )
-        assert sum(map(len, lost.values())) > 0
+        assert backend.remove(probes[-1]) == model.remove(probes[-1]) == []
+        # A triple removed twice has nothing left to lose the second time.
+        retracted = probes[1:] + probes[1:2]
+        lost = [backend.remove(triple) for triple in retracted]
+        assert lost == [model.remove(triple) for triple in retracted]
+        assert sum(map(len, lost)) > 0 and lost[-1] == []
         same_reads()
         same_counts()
         assert len(backend) == len(model)
