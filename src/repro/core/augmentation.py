@@ -42,7 +42,11 @@ def augment_kb(
     min_attribute_confidence: float = 0.0,
     new_entities: Iterable | None = None,
 ) -> AugmentationReport:
-    """Augment a KB snapshot in place.
+    """Augment the KB snapshot it is handed, in place.
+
+    The pipeline hands it a copy of its held Freebase snapshot (the
+    store copied on write, fresh class views), so the source stays as
+    it was built and the next run reads it unchanged.
 
     Parameters
     ----------

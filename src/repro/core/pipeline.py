@@ -3,12 +3,12 @@
 Orchestrates both phases of the framework over a ground-truth world:
 
 Knowledge extraction
-    1.  build KB snapshots (Freebase + DBpedia) and extract/combine
-        their attributes and claims;
+    1.  extract/combine the attributes and claims of the KB snapshots
+        (Freebase + DBpedia);
     2.  generate the query stream and extract credible attributes;
     3.  form per-class seed sets from the two accurate sources;
-    4.  generate websites and run the DOM extractor (Algorithm 1);
-    5.  generate Web texts and run the seed-driven text extractor;
+    4.  run the DOM extractor (Algorithm 1) over the websites;
+    5.  run the seed-driven text extractor over the Web texts;
     6.  resolve attribute misspellings/synonyms across extractors;
     7.  assign unified confidence scores to every triple.
 
@@ -17,6 +17,13 @@ Knowledge fusion
         hierarchy + correlations + confidence);
     9.  evaluate against the world (gold standard by construction);
     10. augment the Freebase snapshot with the fused knowledge.
+
+Sources
+    The KB pair, the websites and the Web texts are inputs, not stages:
+    :data:`SOURCES` builds each once per pipeline, the first time a
+    stage reads it, and no run writes into one (the DOM stage guards
+    pages into new sites, augmentation works on a copy of the Freebase
+    snapshot).  The query log is a stream, generated per run.
 
 Stages
     :data:`STAGES` declares the timed stages (1, 2, 4, 5, joint entity
@@ -61,7 +68,8 @@ Fault tolerance
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 from repro.core.augmentation import AugmentationReport, augment_kb
 from repro.core.checkpoint import CheckpointStore, config_fingerprint
@@ -119,6 +127,14 @@ STAGES: dict[str, bool] = {
     "fusion": False,
     "evaluation": False,
     "augmentation": False,
+}
+
+#: The held sources, each built from the world and its config section
+#: once per pipeline, on first read.  The query log is a stream, not one.
+SOURCES: dict[str, Callable[[GroundTruthWorld, PipelineConfig], object]] = {
+    "kb_pair": lambda world, cfg: build_kb_pair(world, cfg.kb_pair),
+    "websites": lambda world, cfg: generate_websites(world, cfg.websites),
+    "webtext": lambda world, cfg: generate_webtext(world, cfg.webtext),
 }
 
 
@@ -283,6 +299,8 @@ class KnowledgeBaseConstructionPipeline:
     ) -> None:
         self.config = config or PipelineConfig()
         self.world = world or GroundTruthWorld(self.config.world)
+        # SOURCES name -> the held source, built on first read.
+        self._sources: dict[str, object] = {}
         self._reset_extraction()
         self.claims: ClaimSet | None = None
         # The scored claim list fusion ran on (post resolution and
@@ -337,12 +355,20 @@ class KnowledgeBaseConstructionPipeline:
         return report
 
     def _reset_extraction(self) -> None:
-        """Forget what the extraction stages of a previous run left."""
+        """Forget what the stages of a previous run left (not the
+        sources: no run writes into them)."""
+        # The constructed KB: the augmented copy of the Freebase snapshot.
         self.freebase = None
-        self.dbpedia = None
         self.entity_index: dict[str, object] = {}
         self.outputs: dict[str, ExtractorOutput] = {}
         self.seeds: dict[str, SeedSet] = {}
+
+    def _source(self, name: str):
+        """The held source ``name`` (see :data:`SOURCES`)."""
+        held = self._sources.get(name)
+        if held is None:
+            held = self._sources[name] = SOURCES[name](self.world, self.config)
+        return held
 
     def _reset_incremental(self) -> None:
         """Forget the primed incremental engine; the next :meth:`serve`
@@ -532,14 +558,12 @@ class KnowledgeBaseConstructionPipeline:
         degrades its source instead of killing the run.
         """
         # -- 1. KB snapshots ------------------------------------------------
-        kb_output = None
-        kb = self._stage(report, "kb-extraction", self._extract_kb)
-        if kb is not None:
-            self.freebase, self.dbpedia, kb_output = kb
+        kb_output = self._stage(report, "kb-extraction", self._extract_kb)
+        if kb_output is not None:
             self.outputs["kb"] = kb_output
 
         self.entity_index = (
-            self._set_e_index() if self.freebase is not None else {}
+            self._set_e_index() if kb_output is not None else {}
         )
 
         # -- 2. Query stream (extraction needs Set_E) ----------------------
@@ -574,8 +598,6 @@ class KnowledgeBaseConstructionPipeline:
         if text_output is not None:
             self.outputs["webtext"] = text_output
         return {
-            "freebase": self.freebase,
-            "dbpedia": self.dbpedia,
             "outputs": self.outputs,
             "seeds": self.seeds,
             "entity_index": self.entity_index,
@@ -597,13 +619,12 @@ class KnowledgeBaseConstructionPipeline:
         )
 
     def _extract_kb(self, timing: StageTiming):
-        """Stage 1: build the KB snapshots and extract/combine their claims."""
-        freebase, dbpedia = build_kb_pair(self.world, self.config.kb_pair)
+        """Stage 1: extract/combine the claims of the KB snapshots."""
         kb_output = combine_kb_outputs(
-            [KbExtractor(freebase).extract(), KbExtractor(dbpedia).extract()]
+            [KbExtractor(kb).extract() for kb in self._source("kb_pair")]
         )
         timing.detail = f"{len(kb_output.triples)} claims"
-        return freebase, dbpedia, kb_output
+        return kb_output
 
     def _extract_querystream(self, timing: StageTiming):
         """Stage 2: generate the query stream, extract credible attributes."""
@@ -618,16 +639,16 @@ class KnowledgeBaseConstructionPipeline:
         return extractor.extract(log)
 
     def _extract_dom(self, timing: StageTiming):
-        """Stage 4: generate websites and run Algorithm 1 over them."""
+        """Stage 4: run Algorithm 1 over the guarded websites."""
         cfg = self.config
-        sites = generate_websites(self.world, cfg.websites)
+        sites = []
         page_index = 0
-        for site in sites:
-            page_count = len(site.pages)
-            site.pages = self._guard(
+        for site in self._source("websites"):
+            pages = self._guard(
                 "dom", site.pages, _valid_page, start_index=page_index
             )
-            page_index += page_count
+            sites.append(replace(site, pages=pages))
+            page_index += len(site.pages)
         extractor = DomTreeExtractor(
             self.entity_index,
             self.seeds,
@@ -638,12 +659,9 @@ class KnowledgeBaseConstructionPipeline:
         return output, extractor.mention_classes
 
     def _extract_webtext(self, timing: StageTiming, kb_triples: list):
-        """Stage 5: generate Web texts and run the seed-driven extractor."""
-        cfg = self.config
+        """Stage 5: run the seed-driven extractor over the Web texts."""
         documents = self._guard(
-            "webtext",
-            generate_webtext(self.world, cfg.webtext),
-            _valid_document,
+            "webtext", self._source("webtext"), _valid_document
         )
         extractor = WebTextExtractor(self.entity_index, self.seeds, kb_triples)
         extractor.learn(documents)
@@ -737,8 +755,9 @@ class KnowledgeBaseConstructionPipeline:
         return result
 
     def _augment(self, timing: StageTiming, report: PipelineReport, result):
-        """Stage 10: augment the Freebase snapshot with the fused knowledge."""
-        if self.freebase is None:
+        """Stage 10: augment a copy of the Freebase snapshot with the
+        fused knowledge; the copy is ``self.freebase``."""
+        if "kb" not in self.outputs:
             # The KB stage degraded away: there is no snapshot to
             # augment, but fusion/evaluation above still ran.
             report.health.mark_degraded(
@@ -746,6 +765,14 @@ class KnowledgeBaseConstructionPipeline:
             )
             timing.detail = "skipped"
             return None
+        held = self._source("kb_pair")[0]
+        self.freebase = replace(
+            held,
+            classes={
+                name: replace(view) for name, view in held.classes.items()
+            },
+            store=held.store.copy(),
+        )
         augmentation = augment_kb(
             self.freebase,
             list(self.outputs.values()),
@@ -775,8 +802,6 @@ class KnowledgeBaseConstructionPipeline:
         shows no extraction timings, which is the visible signal the
         stages were skipped.
         """
-        self.freebase = payload["freebase"]
-        self.dbpedia = payload["dbpedia"]
         self.outputs = dict(payload["outputs"])
         self.seeds = payload["seeds"]
         self.entity_index = payload["entity_index"]
@@ -796,7 +821,7 @@ class KnowledgeBaseConstructionPipeline:
     def _set_e_index(self):
         """Set_E: representative entities of the Freebase snapshot."""
         index: dict[str, object] = {}
-        for view in self.freebase.classes.values():
+        for view in self._source("kb_pair")[0].classes.values():
             for entity in view.entities:
                 for form in entity.surface_forms():
                     index.setdefault(form.lower(), entity)

@@ -77,6 +77,13 @@ def _deterministic(report) -> dict:
     return payload
 
 
+def _kb_signature(snapshot) -> tuple:
+    return (
+        snapshot.kb_id, snapshot.naming, snapshot.classes,
+        list(snapshot.store),
+    )
+
+
 @pytest.fixture(scope="module")
 def baseline():
     pipeline = KnowledgeBaseConstructionPipeline(_config())
@@ -387,6 +394,11 @@ class TestCheckpointResume:
         base_pipeline, base_report = baseline
         assert _claim_signature(resumed) == _claim_signature(base_pipeline)
         assert _fused_signature(report) == _fused_signature(base_report)
+        # The checkpoint holds no KB snapshot: the resumed run augments
+        # a copy of the one it builds, and ends on the baseline's KB.
+        assert _kb_signature(resumed.freebase) == _kb_signature(
+            base_pipeline.freebase
+        )
 
     def test_changed_seed_invalidates_checkpoints(self, tmp_path):
         first = _config(checkpoint_dir=str(tmp_path))
