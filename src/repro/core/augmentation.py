@@ -39,7 +39,6 @@ def augment_kb(
     claims: ClaimSet,
     *,
     class_of_subject,
-    min_attribute_confidence: float = 0.0,
     new_entities: Iterable | None = None,
 ) -> AugmentationReport:
     """Augment the KB snapshot it is handed, in place.
@@ -84,9 +83,7 @@ def augment_kb(
         known_canonical = set(known)
         added: list[str] = []
         for output in discovered:
-            for name, record in output.attributes.get(class_name, {}).items():
-                if record.confidence < min_attribute_confidence:
-                    continue
+            for name in output.attributes.get(class_name, {}):
                 rendered = render_name(name, class_name, snapshot.naming)
                 if rendered in known_canonical or name in known_canonical:
                     continue

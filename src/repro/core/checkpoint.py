@@ -31,11 +31,12 @@ two (in pipeline order):
   resolution and confidence scoring.
 
 Fusion and later stages always rerun: they are comparatively cheap and
-depend on fusion toggles outside the fingerprint.  Deltas are not
-checkpointed: a recovering process runs ``run(resume=True)`` and
-re-publishes them to ``serve()``, whose server applies them
-content-idempotently.  A tenant writes one, ``"serving"``: the serving
-cursor :meth:`repro.serving.tenancy.TenantRuntime.checkpoint` saves.
+depend on ``fusion_tolerance``, which is outside the fingerprint.
+Deltas are not checkpointed: a recovering process runs
+``run(resume=True)`` and re-publishes them to ``serve()``, whose server
+applies them content-idempotently.  A tenant writes one,
+``"serving"``: the serving cursor
+:meth:`repro.serving.tenancy.TenantRuntime.checkpoint` saves.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ _FINGERPRINT_FIELDS = (
     "websites",
     "webtext",
     "discover_new_entities",
-    "functionality_source",
     "resolve_attributes",
 )
 

@@ -29,15 +29,6 @@ class PipelineConfig:
     # entities harvest mention facts, and joint resolution links or
     # clusters them into new entities before fusion.
     discover_new_entities: bool = False
-    # Functional/non-functional handling: "schema" uses the world
-    # catalogs' functional flags; "estimated" derives functionality
-    # degrees from the claims (repro.fusion.functionality) — the
-    # unsupervised option the paper's Sec. 1 calls for.
-    functionality_source: str = "schema"
-    use_hierarchy: bool = True
-    use_source_correlations: bool = True
-    use_extractor_correlations: bool = True
-    use_confidence: bool = True
     resolve_attributes: bool = True
     # Convergence tolerance forwarded to the multi-truth core; None
     # keeps the core's default.  Set 0.0 to pin the iteration count.
@@ -84,11 +75,6 @@ class PipelineConfig:
             raise PipelineError("min_sources must be >= 0")
         if self.stage_timeout is not None and self.stage_timeout <= 0:
             raise PipelineError("stage_timeout must be positive")
-        if self.functionality_source not in ("schema", "estimated"):
-            raise PipelineError(
-                "functionality_source must be 'schema' or 'estimated', "
-                f"got {self.functionality_source!r}"
-            )
         if self.storage_backend not in ("memory", "segment"):
             raise PipelineError(
                 "storage_backend must be 'memory' or 'segment', "

@@ -731,10 +731,7 @@ class KnowledgeBaseConstructionPipeline:
     def _fuse(self, timing: StageTiming, report: PipelineReport, triples):
         """Stage 8: fuse every claim with the combined method."""
         self.claims = ClaimSet.from_scored_triples(triples)
-        functional_of, refresh = self._functionality()
-        if refresh is not None:
-            functional_of = refresh(self.claims)
-        fusion = self._build_fusion(functional_of)
+        fusion = self._build_fusion()
         fuse_started = time.perf_counter()
         result = fusion.fuse(self.claims)
         report.fusion_wall = time.perf_counter() - fuse_started
@@ -835,34 +832,17 @@ class KnowledgeBaseConstructionPipeline:
                 return class_name
         return None
 
-    def _functionality(self):
-        """``(functional_of, refresh)`` per ``functionality_source``.
-
-        ``"schema"``: the world's catalogs decide, no refresh.
-        ``"estimated"``: no fixed oracle; ``refresh(claims)`` estimates
-        one from the claims it is given.
-        """
-        if self.config.functionality_source == "estimated":
-            from repro.fusion.functionality import (
-                functional_oracle_from_claims,
-            )
-
-            return None, functional_oracle_from_claims
+    def _build_fusion(self) -> KnowledgeFusion:
+        """The combined fusion method, configured from this pipeline;
+        the world's catalogs say which attribute is functional."""
         functional: dict[str, bool] = {}
         for class_name in self.world.classes():
             for spec in self.world.catalogs[class_name].attributes:
                 functional.setdefault(spec.name, spec.functional)
-        return (lambda predicate: functional.get(predicate, False)), None
-
-    def _build_fusion(self, functional_of) -> KnowledgeFusion:
-        """The combined fusion method, configured from this pipeline."""
         cfg = self.config
         return KnowledgeFusion(
-            hierarchy=self.world.hierarchy if cfg.use_hierarchy else None,
-            functional_of=functional_of,
-            use_source_correlations=cfg.use_source_correlations,
-            use_extractor_correlations=cfg.use_extractor_correlations,
-            use_confidence=cfg.use_confidence,
+            hierarchy=self.world.hierarchy,
+            functional_of=lambda predicate: functional.get(predicate, False),
             tolerance=cfg.fusion_tolerance,
             retry=cfg.retry,
             fault_plan=cfg.fault_plan,
@@ -927,15 +907,9 @@ class KnowledgeBaseConstructionPipeline:
                 "serve() needs claims: call run() first (run(resume=True) "
                 "restores them from a checkpoint_dir)"
             )
-        # An estimated oracle is re-derived by the engine after every
-        # delta; prime() sets the initial one through the same callback.
-        functional_of, refresh = self._functionality()
-        fusion = self._build_fusion(functional_of)
         triple_store = self._build_claim_store()
         triple_store.add_all(self.all_triples)
-        return fusion.begin_incremental(
-            triple_store, functional_refresh=refresh
-        )
+        return self._build_fusion().begin_incremental(triple_store)
 
     def serve(self):
         """Build a :class:`~repro.serving.server.KBServer` over this run.

@@ -44,6 +44,11 @@ from repro.entity.linking import (
 from repro.rdf.ontology import Entity
 from repro.rdf.triple import ScoredTriple, Triple
 
+#: The blended score at which a mention joins a discovered cluster.
+CLUSTER_THRESHOLD = 0.82
+#: The weight of profile (fact) overlap against name similarity.
+PROFILE_WEIGHT = 0.35
+
 
 @dataclass(slots=True)
 class MentionRecord:
@@ -108,21 +113,21 @@ class _ClassBlock:
 
 
 class JointEntityResolver:
-    """Greedy joint linking + discovery over a stream of mentions."""
+    """Greedy joint linking + discovery over a stream of mentions.
+
+    A mention joins the best-scoring cluster of its class when the
+    score reaches :data:`CLUSTER_THRESHOLD`; the score blends name
+    similarity with profile overlap, the latter weighted
+    :data:`PROFILE_WEIGHT`.
+    """
 
     def __init__(
         self,
         linker: EntityLinker,
         *,
-        cluster_threshold: float = 0.82,
-        profile_weight: float = 0.35,
         brute_floor: int = DEFAULT_BRUTE_FLOOR,
     ) -> None:
-        if not 0 <= profile_weight <= 1:
-            raise ValueError("profile_weight must lie in [0, 1]")
         self.linker = linker
-        self.cluster_threshold = cluster_threshold
-        self.profile_weight = profile_weight
         self.brute_floor = brute_floor
         self.blocking_stats = BlockingStats("discovery")
 
@@ -171,7 +176,7 @@ class JointEntityResolver:
                     best_cluster = clusters[ordinal]
                     best_ordinal = ordinal
                     best_score = score
-            if best_cluster is not None and best_score >= self.cluster_threshold:
+            if best_cluster is not None and best_score >= CLUSTER_THRESHOLD:
                 new_facts = mention.facts - best_cluster.profile
                 if mention.surface not in best_cluster.surfaces:
                     block.join(best_ordinal, probe, new_facts)
@@ -219,8 +224,8 @@ class JointEntityResolver:
         union = len(facts | profile)
         profile_score = overlap / union if union else 0.0
         return (
-            (1 - self.profile_weight) * name_score
-            + self.profile_weight * profile_score
+            (1 - PROFILE_WEIGHT) * name_score
+            + PROFILE_WEIGHT * profile_score
         )
 
 

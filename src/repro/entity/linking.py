@@ -39,6 +39,9 @@ from repro.textproc.similarity import jaro_winkler, token_set_jaccard
 
 MENTION_PREFIX = "mention:"
 
+#: Fuzzy-match acceptance threshold; matches below it stay unlinked.
+MIN_LINK_SIMILARITY = 0.88
+
 _CONNECTIVES = frozenset({"of", "the", "a", "an", "in", "for"})
 
 
@@ -130,9 +133,6 @@ class EntityLinker:
     entity_index:
         Surface form → entity (from
         :meth:`repro.rdf.ontology.Ontology.entity_index`).
-    min_similarity:
-        Fuzzy-match acceptance threshold; matches below it stay
-        unlinked.
     brute_floor:
         Candidate pools at or below this size are scanned exhaustively
         instead of going through the MinHash/LSH blocking index.
@@ -142,14 +142,12 @@ class EntityLinker:
         self,
         entity_index: dict[str, Entity],
         *,
-        min_similarity: float = 0.88,
         brute_floor: int = DEFAULT_BRUTE_FLOOR,
     ) -> None:
         self._exact = {
             normalize_name(surface): entity
             for surface, entity in entity_index.items()
         }
-        self.min_similarity = min_similarity
         self.brute_floor = brute_floor
         self.blocking_stats = BlockingStats("linker")
         # Fuzzy candidates bucketed by class for optional restriction.
@@ -229,6 +227,6 @@ class EntityLinker:
                 score = form_similarity(probe, self._forms[candidate_surface])
                 if score > best_score:
                     best, best_score = entity, score
-        if best is not None and best_score >= self.min_similarity:
+        if best is not None and best_score >= MIN_LINK_SIMILARITY:
             return LinkDecision(surface, best, best_score)
         return LinkDecision(surface, None, best_score)

@@ -40,6 +40,9 @@ _SUBATTRIBUTE_MODIFIERS = (
 
 _CONNECTIVES = frozenset({"of", "the", "a", "an", "in", "for"})
 
+#: Value-profile Jaccard at which two attribute names merge.
+PROFILE_JACCARD = 0.5
+
 
 @dataclass(slots=True)
 class AttributeResolution:
@@ -100,13 +103,11 @@ class AttributeResolver:
         support: dict[str, int],
         value_profiles: dict[str, set[tuple[str, str]]] | None = None,
         *,
-        profile_jaccard: float = 0.5,
         stats: BlockingStats | None = None,
     ) -> None:
         self.class_name = class_name
         self.support = dict(support)
         self.value_profiles = value_profiles or {}
-        self.profile_jaccard = profile_jaccard
         self.stats = stats if stats is not None else BlockingStats("attributes")
 
     def run(self) -> AttributeResolution:
@@ -213,7 +214,7 @@ class AttributeResolver:
         # profile sits inside the canonical's profile should merge.
         smaller = min(len(profile), len(other))
         return (
-            overlap / union >= self.profile_jaccard
+            overlap / union >= PROFILE_JACCARD
             or (smaller > 0 and overlap / smaller >= 0.8 and overlap >= 3)
         )
 

@@ -17,13 +17,12 @@ knowledge fusion [13]:
 
 Both assume a single truth per item; both support per-source initial
 accuracies (e.g. from a gold standard, as the paper's improvement
-suggests) and optional per-source weights (used by the
-correlation-aware wrapper).
+suggests).  ``n``, the starting accuracy and the accuracy clamp are
+the ``ACCU_*`` constants of :mod:`repro.fusion.compiled`.
 """
 
 from __future__ import annotations
 
-from repro.errors import FusionError
 from repro.fusion.base import ClaimSet, FusionMethod, FusionResult
 from repro.fusion.compiled import accu_fuse, compile_claims
 
@@ -43,40 +42,21 @@ class Accu(FusionMethod):
     def __init__(
         self,
         *,
-        n_false_values: int = 10,
-        initial_accuracy: float = 0.8,
         initial_accuracies: dict[str, float] | None = None,
-        source_weights: dict[str, float] | None = None,
         max_iterations: int = 20,
         tolerance: float = 1e-4,
-        min_accuracy: float = 0.05,
-        max_accuracy: float = 0.99,
     ) -> None:
-        if n_false_values < 1:
-            raise FusionError("n_false_values must be >= 1")
-        if not 0 < initial_accuracy < 1:
-            raise FusionError("initial_accuracy must lie in (0, 1)")
-        self.n_false_values = n_false_values
-        self.initial_accuracy = initial_accuracy
         self.initial_accuracies = dict(initial_accuracies or {})
-        self.source_weights = dict(source_weights or {})
         self.max_iterations = max_iterations
         self.tolerance = tolerance
-        self.min_accuracy = min_accuracy
-        self.max_accuracy = max_accuracy
 
     def fuse(self, claims: ClaimSet) -> FusionResult:
         self._check_nonempty(claims)
         return accu_fuse(
             compile_claims(claims),
-            n_false_values=self.n_false_values,
-            initial_accuracy=self.initial_accuracy,
             initial_accuracies=self.initial_accuracies,
-            source_weights=self.source_weights,
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
-            min_accuracy=self.min_accuracy,
-            max_accuracy=self.max_accuracy,
             popularity=self._popularity,
             name=self.name,
         )

@@ -43,6 +43,10 @@ skip the slots of one-value items, whose 0.0 leaves a non-negative sum
 as it is.  Classes are keyed by evidence, never by weights, so one
 compile serves any ``source_weights`` / ``use_confidence``.
 
+Each model's fixed parameters are the module constants below, read by
+the kernel (bound to a local at its top) and by the reference loops
+alike; they are the values every table of the reproduction runs at.
+
 Truths, iteration counts, beliefs and source qualities are therefore
 equal to the reference's (asserted with ``==`` by the equivalence
 suites).
@@ -73,6 +77,26 @@ __all__ = [
     "gensums_fuse",
     "investment_fuse",
 ]
+
+#: ACCU's ``n``: the uniformly likely false values of an item.
+ACCU_FALSE_VALUES = 10
+#: The accuracy a source starts from without a calibrated one.
+ACCU_INITIAL_ACCURACY = 0.8
+#: The range a source accuracy is clamped to, so no vote is infinite.
+ACCU_MIN_ACCURACY = 0.05
+ACCU_MAX_ACCURACY = 0.99
+#: Multi-truth's prior probability that a candidate value is true.
+MULTITRUTH_PRIOR = 0.3
+#: The posterior at or above which a candidate value is a truth.
+MULTITRUTH_THRESHOLD = 0.5
+#: The sensitivity and specificity a source starts from; the
+#: re-estimates are smoothed toward them.
+MULTITRUTH_INITIAL_SENSITIVITY = 0.7
+MULTITRUTH_INITIAL_SPECIFICITY = 0.9
+#: Sensitivity and specificity are clamped to ``[floor, 1 - floor]``.
+MULTITRUTH_FLOOR = 0.02
+#: Investment's belief exponent on invested credit (convex above 1).
+INVESTMENT_GROWTH = 1.2
 
 
 @dataclass(slots=True)
@@ -341,27 +365,22 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
 def accu_fuse(
     compiled: CompiledClaims,
     *,
-    n_false_values: int = 10,
-    initial_accuracy: float = 0.8,
     initial_accuracies: dict[str, float] | None = None,
-    source_weights: dict[str, float] | None = None,
     max_iterations: int = 20,
     tolerance: float = 1e-4,
-    min_accuracy: float = 0.05,
-    max_accuracy: float = 0.99,
     popularity: bool = False,
     name: str = "accu",
 ) -> FusionResult:
     """ACCU (or POPACCU when ``popularity``) over compiled arrays."""
     cc = compiled
+    n_false_values = ACCU_FALSE_VALUES
+    min_accuracy = ACCU_MIN_ACCURACY
+    max_accuracy = ACCU_MAX_ACCURACY
     initial_accuracies = initial_accuracies or {}
-    source_weights = source_weights or {}
     accuracy = [
-        initial_accuracies.get(source, initial_accuracy)
+        initial_accuracies.get(source, ACCU_INITIAL_ACCURACY)
         for source in cc.sources
     ]
-    weight = [source_weights.get(source, 1.0) for source in cc.sources]
-    uniform_weights = all(w == 1.0 for w in weight)
 
     n_pairs = cc.n_pairs
     probabilities = array("d", bytes(8 * n_pairs))
@@ -418,10 +437,7 @@ def accu_fuse(
                         )
                     else:
                         contribution = term[s]
-                    if uniform_weights:
-                        vote += contribution
-                    else:
-                        vote += weight[s] * contribution
+                    vote += contribution
                 if popularity:
                     share = (
                         pair_start[pair + 1] - pair_start[pair]
@@ -488,19 +504,18 @@ def _single_truths(cc: CompiledClaims, scores, result: FusionResult) -> None:
 def multitruth_fuse(
     compiled: CompiledClaims,
     *,
-    prior: float = 0.3,
-    threshold: float = 0.5,
-    initial_sensitivity: float = 0.7,
-    initial_specificity: float = 0.9,
     source_weights: dict[str, float] | None = None,
     use_confidence: bool = False,
     max_iterations: int = 20,
     tolerance: float = 1e-4,
-    floor: float = 0.02,
     name: str = "multitruth",
 ) -> FusionResult:
     """Two-sided multi-truth fusion over compiled arrays."""
     cc = compiled
+    threshold = MULTITRUTH_THRESHOLD
+    initial_sensitivity = MULTITRUTH_INITIAL_SENSITIVITY
+    initial_specificity = MULTITRUTH_INITIAL_SPECIFICITY
+    floor = MULTITRUTH_FLOOR
     source_weights = source_weights or {}
     n_sources = cc.n_sources
     weight = [source_weights.get(source, 1.0) for source in cc.sources]
@@ -528,7 +543,7 @@ def multitruth_fuse(
     ratio = [0.0] * (2 * n_sources)
     logodds_of = [0.0] * cc.n_classes
     posterior = [0.0] * cc.n_classes
-    prior_logodds = log(prior / (1.0 - prior))
+    prior_logodds = log(MULTITRUTH_PRIOR / (1.0 - MULTITRUTH_PRIOR))
     smoothing = 2.0
 
     iterations = 0
@@ -724,7 +739,6 @@ def gensums_fuse(
 def investment_fuse(
     compiled: CompiledClaims,
     *,
-    growth: float = 1.2,
     max_iterations: int = 20,
     tolerance: float = 1e-6,
     use_confidence: bool = True,
@@ -734,9 +748,12 @@ def investment_fuse(
 
     The per-claim investment shares and the (source, pair) stake slots
     are structural — they never change across rounds — so they are
-    compiled once; each round is then two passes over flat arrays.
+    compiled once; each round is then two passes over flat arrays.  A
+    source whose claims weigh 0.0 in total (every confidence 0.0)
+    stakes nothing: its shares are 0.0.
     """
     cc = compiled
+    growth = INVESTMENT_GROWTH
     n_sources = cc.n_sources
     n_claims = cc.n_claims
     claim_source = cc.claim_source
@@ -757,7 +774,8 @@ def investment_fuse(
     slot_pair: list[int] = []
     for index in range(n_claims):
         weight = claim_conf[index] if use_confidence else 1.0
-        claim_share[index] = weight / totals[claim_source[index]]
+        total = totals[claim_source[index]]
+        claim_share[index] = weight / total if total else 0.0
         key = (claim_source[index], claim_pair[index])
         slot = slot_of.get(key)
         if slot is None:

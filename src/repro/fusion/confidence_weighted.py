@@ -11,14 +11,14 @@ claim weighted by its extraction confidence:
   trust of a source is the average belief of its claims.
 * **Investment**: sources "invest" their trust across their claims
   proportionally to claim confidence; beliefs grow by a convex function
-  of invested credit, and sources earn back trust proportionally to
-  their share of each claim's belief — rewarding sources that back
-  well-corroborated values early.
+  of invested credit (the power
+  :data:`~repro.fusion.compiled.INVESTMENT_GROWTH`), and sources earn
+  back trust proportionally to their share of each claim's belief —
+  rewarding sources that back well-corroborated values early.
 """
 
 from __future__ import annotations
 
-from repro.errors import FusionError
 from repro.fusion.base import ClaimSet, FusionMethod, FusionResult
 from repro.fusion.compiled import (
     compile_claims,
@@ -62,14 +62,10 @@ class Investment(FusionMethod):
     def __init__(
         self,
         *,
-        growth: float = 1.2,
         max_iterations: int = 20,
         tolerance: float = 1e-6,
         use_confidence: bool = True,
     ) -> None:
-        if growth <= 0:
-            raise FusionError("growth must be positive")
-        self.growth = growth
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.use_confidence = use_confidence
@@ -78,7 +74,6 @@ class Investment(FusionMethod):
         self._check_nonempty(claims)
         return investment_fuse(
             compile_claims(claims),
-            growth=self.growth,
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
             use_confidence=self.use_confidence,

@@ -29,9 +29,12 @@ from repro.fusion.base import Claim, Item
 #: ``0.2 × |shared| / |union|`` regardless of what the values are —
 #: intended: with no outside evidence, agreement content cannot
 #: distinguish copying from two honest sources, and the constant sits
-#: below the default ``dependence_threshold`` (0.25) so such pairs are
-#: never discounted.  Pinned in tests/unit/test_fusion_correlations.py.
+#: below :data:`DEPENDENCE_THRESHOLD` so such pairs are never
+#: discounted.  Pinned in tests/unit/test_fusion_correlations.py.
 UNWITNESSED_RARITY = 0.2
+
+#: Pairs at or above this dependence count toward weight discounts.
+DEPENDENCE_THRESHOLD = 0.25
 
 
 @dataclass(slots=True)
@@ -56,9 +59,6 @@ class CorrelationEstimator:
         dimension to correlate.
     min_common_items:
         Pairs sharing fewer items are assumed independent.
-    dependence_threshold:
-        Pairs at or above this dependence count toward weight
-        discounts.
     """
 
     def __init__(
@@ -66,13 +66,11 @@ class CorrelationEstimator:
         *,
         by: str = "source",
         min_common_items: int = 3,
-        dependence_threshold: float = 0.25,
     ) -> None:
         if by not in ("source", "extractor"):
             raise ValueError("by must be 'source' or 'extractor'")
         self.by = by
         self.min_common_items = min_common_items
-        self.dependence_threshold = dependence_threshold
 
     # ------------------------------------------------------------------
     def estimate(self, claims: Iterable[Claim]) -> CorrelationEstimate:
@@ -130,7 +128,7 @@ class CorrelationEstimator:
             strong = sum(
                 score
                 for (left, right), score in estimate.dependence.items()
-                if score >= self.dependence_threshold
+                if score >= DEPENDENCE_THRESHOLD
                 and party in (left, right)
             )
             estimate.weights[party] = 1.0 / (1.0 + strong)

@@ -27,6 +27,12 @@ from repro.fusion.base import (
 )
 from repro.rdf.hierarchy import ValueHierarchy
 
+#: Confidence kept per generalisation level by a virtual claim.
+GENERALISATION_DECAY = 0.9
+#: A more specific observed value replaces a winner once it holds this
+#: share of the chain's direct source support.
+SPECIALIZE_SHARE = 0.25
+
 
 class CasefoldHierarchy:
     """A :class:`ValueHierarchy` view keyed by casefolded value keys."""
@@ -75,32 +81,17 @@ class HierarchicalFusion(FusionMethod):
         The underlying method (ACCU, multi-truth, ...).
     hierarchy:
         The value hierarchy (e.g. locations).
-    decay:
-        Confidence decay per generalisation level for virtual claims.
-    specialize_share:
-        A more specific observed value replaces the winner when the
-        share of the chain's direct source support it holds reaches
-        this fraction.  Direct support (who actually asserted the exact
-        value) is used rather than base beliefs because iterative
-        methods produce winner-take-all belief distributions.
+
+    Virtual claims decay by :data:`GENERALISATION_DECAY` per level.
+    Specialisation (:data:`SPECIALIZE_SHARE`) weighs *direct* source
+    support (who actually asserted the exact value), not base beliefs,
+    because iterative methods produce winner-take-all belief
+    distributions.
     """
 
-    def __init__(
-        self,
-        base: FusionMethod,
-        hierarchy: ValueHierarchy,
-        *,
-        decay: float = 0.9,
-        specialize_share: float = 0.25,
-    ) -> None:
-        if not 0 < decay <= 1:
-            raise ValueError("decay must lie in (0, 1]")
-        if not 0 < specialize_share <= 1:
-            raise ValueError("specialize_share must lie in (0, 1]")
+    def __init__(self, base: FusionMethod, hierarchy: ValueHierarchy) -> None:
         self.base = base
         self.hierarchy = CasefoldHierarchy(hierarchy)
-        self.decay = decay
-        self.specialize_share = specialize_share
         self.name = f"hier({base.name})"
 
     # ------------------------------------------------------------------
@@ -149,7 +140,7 @@ class HierarchicalFusion(FusionMethod):
             confidence = claim.confidence
             chain = [claim]
             for ancestor in self.hierarchy.ancestors(claim.value):
-                confidence *= self.decay
+                confidence *= GENERALISATION_DECAY
                 chain.append(
                     Claim(
                         item=claim.item,
@@ -213,7 +204,7 @@ class HierarchicalFusion(FusionMethod):
                         and value != winner
                     ):
                         continue
-                    if support[value] >= self.specialize_share * chain_support:
+                    if support[value] >= SPECIALIZE_SHARE * chain_support:
                         best = value
                         break
                 # The winner's chain is jointly true; report the

@@ -101,8 +101,6 @@ class KnowledgeFusion(FusionMethod):
         use_source_correlations: bool = True,
         use_extractor_correlations: bool = True,
         use_confidence: bool = True,
-        prior: float = 0.3,
-        threshold: float = 0.5,
         max_iterations: int = 20,
         tolerance: float | None = None,
         retry: RetryPolicy | None = None,
@@ -116,8 +114,6 @@ class KnowledgeFusion(FusionMethod):
         self.use_source_correlations = use_source_correlations
         self.use_extractor_correlations = use_extractor_correlations
         self.use_confidence = use_confidence
-        self.prior = prior
-        self.threshold = threshold
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.retry = retry
@@ -145,22 +141,17 @@ class KnowledgeFusion(FusionMethod):
     # ------------------------------------------------------------------
     # Incremental updates.
 
-    def begin_incremental(self, store, *, functional_refresh=None):
+    def begin_incremental(self, store):
         """Prime an incremental engine over ``store`` and return it.
 
         ``store`` is a :class:`~repro.rdf.store.TripleStore` holding
         the current claim corpus; the engine takes ownership of it
         (deltas are journalled against internal copies and committed
-        atomically).  ``functional_refresh``, when given, is a
-        callable ``ClaimSet -> FunctionalOracle`` re-derived after
-        every delta (the ``functionality_source="estimated"`` mode of
-        the pipeline).
+        atomically).
         """
         from repro.incremental.engine import IncrementalFusion
 
-        engine = IncrementalFusion(
-            self, store, functional_refresh=functional_refresh
-        )
+        engine = IncrementalFusion(self, store)
         engine.prime()
         return engine
 
@@ -225,8 +216,6 @@ class KnowledgeFusion(FusionMethod):
         if self.tolerance is not None:
             kwargs["tolerance"] = self.tolerance
         base: FusionMethod = MultiTruth(
-            prior=self.prior,
-            threshold=self.threshold,
             source_weights=source_weights,
             use_confidence=self.use_confidence
             or self.use_extractor_correlations,

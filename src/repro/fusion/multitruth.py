@@ -18,7 +18,9 @@ contributes ``sens_s / (1 - spec_s)`` and a covering source silent on
 probability above a threshold are truths — one, several, or none per
 item.  Quality parameters are re-estimated from the decisions until
 convergence (a scalable hard-EM in place of the paper's Gibbs
-sampling).
+sampling).  The prior, the threshold, the starting quality and its
+clamp are the ``MULTITRUTH_*`` constants of
+:mod:`repro.fusion.compiled`.
 
 Optional hooks used by the paper's combined method:
 
@@ -43,49 +45,26 @@ class MultiTruth(FusionMethod):
     def __init__(
         self,
         *,
-        prior: float = 0.3,
-        threshold: float = 0.5,
-        initial_sensitivity: float = 0.7,
-        initial_specificity: float = 0.9,
         source_weights: dict[str, float] | None = None,
         use_confidence: bool = False,
         max_iterations: int = 20,
         tolerance: float = 1e-4,
-        floor: float = 0.02,
     ) -> None:
-        if not 0 < prior < 1:
-            raise FusionError("prior must lie in (0, 1)")
-        if not 0 < threshold < 1:
-            raise FusionError("threshold must lie in (0, 1)")
         if max_iterations < 1:
             # No round leaves every belief 0.0 yet still decides truths.
             raise FusionError("max_iterations must be at least 1")
-        if not 0 < floor < 0.5:
-            # Quality is clamped to [floor, 1 - floor]: from 0.5 up the
-            # clamp inverts and every source comes out below the floor.
-            raise FusionError("floor must lie in (0, 0.5)")
-        self.prior = prior
-        self.threshold = threshold
-        self.initial_sensitivity = initial_sensitivity
-        self.initial_specificity = initial_specificity
         self.source_weights = dict(source_weights or {})
         self.use_confidence = use_confidence
         self.max_iterations = max_iterations
         self.tolerance = tolerance
-        self.floor = floor
 
     def fuse(self, claims: ClaimSet) -> FusionResult:
         self._check_nonempty(claims)
         return multitruth_fuse(
             compile_claims(claims),
-            prior=self.prior,
-            threshold=self.threshold,
-            initial_sensitivity=self.initial_sensitivity,
-            initial_specificity=self.initial_specificity,
             source_weights=self.source_weights,
             use_confidence=self.use_confidence,
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
-            floor=self.floor,
             name=self.name,
         )

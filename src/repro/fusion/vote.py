@@ -12,19 +12,9 @@ from repro.fusion.base import ClaimSet, FusionMethod, FusionResult
 
 
 class Vote(FusionMethod):
-    """Single-truth majority voting.
-
-    Parameters
-    ----------
-    weighted:
-        When ``True``, votes are weighted by claim confidence instead
-        of counting each source once.
-    """
+    """Single-truth majority voting: each source counts once."""
 
     name = "vote"
-
-    def __init__(self, *, weighted: bool = False) -> None:
-        self.weighted = weighted
 
     def fuse(self, claims: ClaimSet) -> FusionResult:
         self._check_nonempty(claims)
@@ -32,14 +22,9 @@ class Vote(FusionMethod):
         for item in claims.items():
             scores: dict[str, float] = {}
             for value, value_claims in claims.values_of(item).items():
-                if self.weighted:
-                    scores[value] = sum(
-                        claim.confidence for claim in value_claims
-                    )
-                else:
-                    scores[value] = float(
-                        len({claim.source_id for claim in value_claims})
-                    )
+                scores[value] = float(
+                    len({claim.source_id for claim in value_claims})
+                )
             winner = min(
                 scores, key=lambda value: (-scores[value], value)
             )

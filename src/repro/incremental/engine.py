@@ -57,9 +57,7 @@ Two estimation details make the reuse exact rather than approximate:
   every component outside the region bit-for-bit as it was; a shifted
   weight can change any item's digest: every item is digested again
   and the delta degenerates to a full recompute, which is the correct
-  price for a global parameter shift (a configured
-  ``functional_refresh`` re-derives its oracle from all claims and
-  takes the same path, with the digests it has);
+  price for a global parameter shift;
 * source-correlation weights are component-local by construction
   (sources in different components share no items, and the estimator
   ignores pairs without common items), so a component is fused on its
@@ -298,8 +296,7 @@ class ComponentEntry:
     content_hash: str
     n_claims: int
     # The component's own fused sub-result, *before* the functional
-    # constraint (which is applied on the merged result so a changed
-    # functionality oracle never invalidates the cache).
+    # constraint, which is applied on the merged result.
     result: FusionResult
     # The component's data items, sorted; ``items[0]`` is where the
     # component first appears in the global canonical order.
@@ -362,16 +359,13 @@ class IncrementalFusion:
     """Cached per-component fusion state plus the delta-apply loop.
 
     Built via :meth:`KnowledgeFusion.begin_incremental`, with that
-    object's metrics, fault plan and functionality oracle; the engine
-    keeps the oracle ``functional_refresh`` last derived itself.
+    object's metrics, fault plan and functionality oracle, all three
+    fixed at construction.
     """
 
-    def __init__(
-        self, fusion, store: TripleStore, *, functional_refresh=None
-    ) -> None:
+    def __init__(self, fusion, store: TripleStore) -> None:
         self.fusion = fusion
         self.functional_of = fusion.functional_of
-        self.functional_refresh = functional_refresh
         self.metrics = fusion.metrics
         self.fault_plan = fusion.fault_plan
         # The last RECEIPT_TAIL receipts; ``sequence`` counts them all.
@@ -511,7 +505,6 @@ class IncrementalFusion:
         if shifted:
             # Any reweighted run can have moved: no digest stands.
             corpus.digests = [None] * len(corpus.items)
-        if shifted or self.functional_refresh is not None:
             entries = self._recompute(corpus, weights, prior.entries, stats)
             result, merged = self._merge(entries)
         else:
@@ -578,14 +571,9 @@ class IncrementalFusion:
     ) -> list[ComponentEntry]:
         """Every component from all canonical claims: the prime, and
         the fallback when a delta moved a global parameter."""
-        entries = self._fuse_shards(
+        return self._fuse_shards(
             corpus, [(0, len(corpus.items))], weights, prior, stats
         )
-        if self.functional_refresh is not None:
-            self.functional_of = self.functional_refresh(
-                ClaimSet.adopt(corpus.claims)
-            )
-        return entries
 
     def _refuse_region(
         self,

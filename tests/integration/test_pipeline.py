@@ -97,41 +97,8 @@ class TestAblationToggles:
             webtext=WebTextConfig(
                 seed=15, sources_per_class=1, documents_per_source=4
             ),
-            use_hierarchy=False,
-            use_source_correlations=False,
-            use_extractor_correlations=False,
-            use_confidence=False,
             resolve_attributes=False,
         )
         report = KnowledgeBaseConstructionPipeline(config).run()
         assert report.fusion_report.precision > 0.5
 
-
-class TestFunctionalitySource:
-    def test_estimated_functionality_runs(self):
-        config = PipelineConfig(
-            world=SMALL_WORLD_CONFIG,
-            querylog=QueryLogConfig(seed=5, scale=0.001),
-            websites=WebsiteConfig(seed=9, sites_per_class=1,
-                                   pages_per_site=8),
-            webtext=WebTextConfig(seed=15, sources_per_class=1,
-                                  documents_per_source=4),
-            functionality_source="estimated",
-        )
-        report = KnowledgeBaseConstructionPipeline(config).run()
-        assert report.fusion_report.precision > 0.8
-
-    def test_unknown_functionality_source_rejected(self):
-        from repro.errors import PipelineError
-
-        config = PipelineConfig(
-            world=SMALL_WORLD_CONFIG,
-            querylog=QueryLogConfig(seed=5, scale=0.001),
-            websites=WebsiteConfig(seed=9, sites_per_class=1,
-                                   pages_per_site=6),
-            webtext=WebTextConfig(seed=15, sources_per_class=1,
-                                  documents_per_source=3),
-            functionality_source="astrology",
-        )
-        with pytest.raises(PipelineError):
-            KnowledgeBaseConstructionPipeline(config).run()

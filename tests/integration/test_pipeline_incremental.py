@@ -128,11 +128,7 @@ class TestRunIncremental:
         pipeline = incremental_run.pipeline
         served = incremental_run.server.versions.current
         claims = canonical_claims(served.store.copy())
-        functional_of, refresh = pipeline._functionality()
-        reference_fusion = pipeline._build_fusion(
-            functional_of if refresh is None else refresh(claims)
-        )
-        reference = reference_fusion.fuse(claims)
+        reference = pipeline._build_fusion().fuse(claims)
         assert (
             served.result.canonical_bytes() == reference.canonical_bytes()
         )
@@ -240,19 +236,19 @@ class TestConfigCheckedWithoutRun:
         with pytest.raises(PipelineError, match="storage_dir"):
             pipeline.serve()
 
-    def test_mistyped_functionality_source_rejected_before_any_stage(
+    def test_mistyped_storage_backend_rejected_before_any_stage(
         self, incremental_run
     ):
         def mistyped():
             return self._with_claims(
-                incremental_run, functionality_source="schema "
+                incremental_run, storage_backend="memory "
             )
 
         pipeline = mistyped()
-        with pytest.raises(PipelineError, match="functionality_source must"):
+        with pytest.raises(PipelineError, match="storage_backend must"):
             pipeline.run()
         assert pipeline.last_report.timings == []
-        with pytest.raises(PipelineError, match="functionality_source must"):
+        with pytest.raises(PipelineError, match="storage_backend must"):
             mistyped().serve()
 
 
@@ -262,9 +258,8 @@ class TestServeBuildsNoClaimSetOfItsOwn:
     corpus its claims and key tuples outlive the prime as work for
     the collector."""
 
-    @pytest.mark.parametrize("source", ["schema", "estimated"])
     def test_serve_builds_no_claim_set_outside_the_engine(
-        self, incremental_run, monkeypatch, source
+        self, incremental_run, monkeypatch
     ):
         import repro.core.pipeline as pipeline_module
 
@@ -283,26 +278,19 @@ class TestServeBuildsNoClaimSetOfItsOwn:
                 built.append("from_scored_triples")
                 return ClaimSet.from_scored_triples(triples)
 
-        pipeline = KnowledgeBaseConstructionPipeline(
-            _config(functionality_source=source)
-        )
+        pipeline = KnowledgeBaseConstructionPipeline(_config())
         pipeline.all_triples = list(incremental_run.base)
         monkeypatch.setattr(pipeline_module, "ClaimSet", Spy)
         engine = pipeline.serve().engine
         assert built == []
-        # ... and the oracle is still the configured one.
+        # ... and the oracle is still the schema's.
         decided = {predicate for _subject, predicate in engine.result.truths}
-        assert (engine.functional_refresh is not None) == (
-            source == "estimated"
-        )
-        if source == "schema":
-            schema, _refresh = pipeline._functionality()
-            assert [
-                engine.functional_of(predicate)
-                for predicate in sorted(decided)
-            ] == [schema(predicate) for predicate in sorted(decided)]
+        schema = pipeline._build_fusion().functional_of
+        assert [
+            engine.functional_of(predicate) for predicate in sorted(decided)
+        ] == [schema(predicate) for predicate in sorted(decided)]
         assert engine.result.canonical_bytes() == (
-            pipeline._build_fusion(engine.functional_of)
+            pipeline._build_fusion()
             .fuse(canonical_claims(engine.store.copy()))
             .canonical_bytes()
         )

@@ -25,7 +25,7 @@ from collections.abc import Iterable
 
 from repro.fusion.base import Claim, ClaimSet, Item, claiming_sources
 from repro.fusion.compiled import CompiledClaims
-from repro.fusion.hierarchy import HierarchicalFusion
+from repro.fusion.hierarchy import GENERALISATION_DECAY, HierarchicalFusion
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 
 __all__ = [
@@ -216,7 +216,7 @@ class HierarchicalFusionAddingEveryClaim(HierarchicalFusion):
             expanded.add(claim)
             confidence = claim.confidence
             for ancestor in self.hierarchy.ancestors(claim.value):
-                confidence *= self.decay
+                confidence *= GENERALISATION_DECAY
                 expanded.add(
                     Claim(
                         item=claim.item,

@@ -21,6 +21,7 @@ from itertools import combinations
 
 from repro.fusion.base import ClaimSet, Item
 from repro.fusion.correlations import (
+    DEPENDENCE_THRESHOLD,
     UNWITNESSED_RARITY,
     CorrelationEstimate,
     CorrelationEstimator,
@@ -55,7 +56,7 @@ class CorrelationEstimatorScan(CorrelationEstimator):
             strong = sum(
                 score
                 for (left, right), score in estimate.dependence.items()
-                if score >= self.dependence_threshold
+                if score >= DEPENDENCE_THRESHOLD
                 and party in (left, right)
             )
             estimate.weights[party] = 1.0 / (1.0 + strong)

@@ -11,7 +11,9 @@ same order, so the equivalence suites compare against these with
 Each oracle subclasses its ``src/`` method (constructor, validation and
 parameters are shared) and overrides ``fuse()`` with the loops, moved
 here unchanged from ``src/repro/fusion/{accu,multitruth,
-confidence_weighted}.py``.
+confidence_weighted}.py`` but for the model constants, which both
+sides read from :mod:`repro.fusion.compiled`, and Investment's
+zero-total source, which stakes nothing on both.
 """
 
 from __future__ import annotations
@@ -20,6 +22,18 @@ import math
 
 from repro.fusion.accu import Accu, PopAccu
 from repro.fusion.base import ClaimSet, FusionResult, Item, normalize_beliefs
+from repro.fusion.compiled import (
+    ACCU_FALSE_VALUES,
+    ACCU_INITIAL_ACCURACY,
+    ACCU_MAX_ACCURACY,
+    ACCU_MIN_ACCURACY,
+    INVESTMENT_GROWTH,
+    MULTITRUTH_FLOOR,
+    MULTITRUTH_INITIAL_SENSITIVITY,
+    MULTITRUTH_INITIAL_SPECIFICITY,
+    MULTITRUTH_PRIOR,
+    MULTITRUTH_THRESHOLD,
+)
 from repro.fusion.confidence_weighted import GeneralizedSums, Investment
 from repro.fusion.multitruth import MultiTruth
 
@@ -51,7 +65,7 @@ class AccuLoops(Accu):
     def fuse(self, claims: ClaimSet) -> FusionResult:
         self._check_nonempty(claims)
         accuracy = {
-            source: self.initial_accuracies.get(source, self.initial_accuracy)
+            source: self.initial_accuracies.get(source, ACCU_INITIAL_ACCURACY)
             for source in claims.sources()
         }
         probabilities: dict[tuple[Item, str], float] = {}
@@ -92,12 +106,11 @@ class AccuLoops(Accu):
             vote = 0.0
             for claim in value_claims:
                 source_accuracy = min(
-                    max(accuracy[claim.source_id], self.min_accuracy),
-                    self.max_accuracy,
+                    max(accuracy[claim.source_id], ACCU_MIN_ACCURACY),
+                    ACCU_MAX_ACCURACY,
                 )
-                weight = self.source_weights.get(claim.source_id, 1.0)
-                vote += weight * math.log(
-                    self.n_false_values
+                vote += math.log(
+                    ACCU_FALSE_VALUES
                     * source_accuracy
                     / (1.0 - source_accuracy)
                 )
@@ -133,8 +146,8 @@ class AccuLoops(Accu):
             counts[claim.source_id] = counts.get(claim.source_id, 0) + 1
         return {
             source: min(
-                max(sums[source] / counts[source], self.min_accuracy),
-                self.max_accuracy,
+                max(sums[source] / counts[source], ACCU_MIN_ACCURACY),
+                ACCU_MAX_ACCURACY,
             )
             for source in sums
         }
@@ -163,11 +176,10 @@ class PopAccuLoops(AccuLoops):
             vote = 0.0
             for claim in value_claims:
                 source_accuracy = min(
-                    max(accuracy[claim.source_id], self.min_accuracy),
-                    self.max_accuracy,
+                    max(accuracy[claim.source_id], ACCU_MIN_ACCURACY),
+                    ACCU_MAX_ACCURACY,
                 )
-                weight = self.source_weights.get(claim.source_id, 1.0)
-                vote += weight * math.log(
+                vote += math.log(
                     effective_n * source_accuracy / (1.0 - source_accuracy)
                 )
             # Popular values earn proportionally less per-claim boost:
@@ -182,10 +194,12 @@ class MultiTruthLoops(MultiTruth):
     def fuse(self, claims: ClaimSet) -> FusionResult:
         self._check_nonempty(claims)
         sensitivity = {
-            source: self.initial_sensitivity for source in claims.sources()
+            source: MULTITRUTH_INITIAL_SENSITIVITY
+            for source in claims.sources()
         }
         specificity = {
-            source: self.initial_specificity for source in claims.sources()
+            source: MULTITRUTH_INITIAL_SPECIFICITY
+            for source in claims.sources()
         }
         posterior: dict[tuple[Item, str], float] = {}
         iterations = 0
@@ -223,7 +237,7 @@ class MultiTruthLoops(MultiTruth):
             decided = {
                 value
                 for value in values
-                if posterior[(item, value)] >= self.threshold
+                if posterior[(item, value)] >= MULTITRUTH_THRESHOLD
             }
             if not decided:
                 # Never return an empty answer: keep the best value.
@@ -238,7 +252,7 @@ class MultiTruthLoops(MultiTruth):
 
     # ------------------------------------------------------------------
     def _clamp(self, probability: float) -> float:
-        return min(max(probability, self.floor), 1.0 - self.floor)
+        return min(max(probability, MULTITRUTH_FLOOR), 1.0 - MULTITRUTH_FLOOR)
 
     def _posteriors(
         self,
@@ -246,7 +260,7 @@ class MultiTruthLoops(MultiTruth):
         sensitivity: dict[str, float],
         specificity: dict[str, float],
     ) -> dict[tuple[Item, str], float]:
-        prior_logodds = math.log(self.prior / (1.0 - self.prior))
+        prior_logodds = math.log(MULTITRUTH_PRIOR / (1.0 - MULTITRUTH_PRIOR))
         posterior: dict[tuple[Item, str], float] = {}
         for item in claims.items():
             values = claims.values_of(item)
@@ -325,12 +339,12 @@ class MultiTruthLoops(MultiTruth):
             falses = covered_false.get(source, 0.0)
             sensitivity[source] = self._clamp(
                 (claimed_true.get(source, 0.0)
-                 + smoothing * self.initial_sensitivity)
+                 + smoothing * MULTITRUTH_INITIAL_SENSITIVITY)
                 / (truths + smoothing)
             )
             specificity[source] = self._clamp(
                 (silent_false.get(source, 0.0)
-                 + smoothing * self.initial_specificity)
+                 + smoothing * MULTITRUTH_INITIAL_SPECIFICITY)
                 / (falses + smoothing)
             )
         return sensitivity, specificity
@@ -411,14 +425,18 @@ class InvestmentLoops(Investment):
             stake: dict[tuple[str, tuple[Item, str]], float] = {}
             for claim in claims:
                 weight = claim.confidence if self.use_confidence else 1.0
-                share = weight / totals[claim.source_id]
+                total = totals[claim.source_id]
+                share = weight / total if total else 0.0
                 credit = trust[claim.source_id] * share
                 key = (claim.item, claim.value)
                 invested[key] = invested.get(key, 0.0) + credit
                 stake[(claim.source_id, key)] = (
                     stake.get((claim.source_id, key), 0.0) + credit
                 )
-            belief = {key: value**self.growth for key, value in invested.items()}
+            belief = {
+                key: value**INVESTMENT_GROWTH
+                for key, value in invested.items()
+            }
             # Normalise beliefs within each item.
             per_item: dict[Item, dict[str, float]] = {}
             for (item, value), score in belief.items():

@@ -15,7 +15,7 @@ copies as ``src/`` does.
 from __future__ import annotations
 
 from repro.fusion.base import ClaimSet, FusionResult
-from repro.fusion.hierarchy import HierarchicalFusion
+from repro.fusion.hierarchy import SPECIALIZE_SHARE, HierarchicalFusion
 
 __all__ = ["HierarchicalFusionEveryItem"]
 
@@ -60,7 +60,7 @@ class HierarchicalFusionEveryItem(HierarchicalFusion):
                         and value != winner
                     ):
                         continue
-                    if support[value] >= self.specialize_share * chain_support:
+                    if support[value] >= SPECIALIZE_SHARE * chain_support:
                         best = value
                         break
                 # The winner's chain is jointly true; report the

@@ -47,11 +47,10 @@ class _Entry:
 class WholeStoreEngine:
     """``prime()`` / ``apply_delta()`` with a full recompute per delta."""
 
-    def __init__(self, fusion, store, *, functional_refresh=None) -> None:
+    def __init__(self, fusion, store) -> None:
         self.fusion = fusion
         self.store = store
         self.functional_of = fusion.functional_of
-        self.functional_refresh = functional_refresh
         self.entries: list[_Entry] = []
         self.result: FusionResult | None = None
         self.sequence = -1
@@ -118,7 +117,5 @@ class WholeStoreEngine:
             converged.append(entry.result.converged_at)
         if converged and all(round_ is not None for round_ in converged):
             merged.converged_at = max(converged)
-        if self.functional_refresh is not None:
-            self.functional_of = self.functional_refresh(claims)
         fusion.constrain_functional(merged, self.functional_of)
         return entries, merged, stats

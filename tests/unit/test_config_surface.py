@@ -3,7 +3,8 @@
 Every independently settable value doubles what tests and benches have
 to cover, so a new config field, CLI flag or constructor keyword is a
 reviewed edit to one of the lists below — not a default nobody reads.
-Removing one is the same edit in the other direction.
+Removing one is the same edit in the other direction.  A value that
+only tests would set is a named constant in ``src/``, not a keyword.
 """
 
 import ast
@@ -42,8 +43,7 @@ PIPELINE_CONFIG_FIELDS = {
     # extraction and claim preparation
     "discover_new_entities", "resolve_attributes",
     # fusion
-    "functionality_source", "use_hierarchy", "use_source_correlations",
-    "use_extractor_correlations", "use_confidence", "fusion_tolerance",
+    "fusion_tolerance",
     # fault tolerance
     "retry", "fault_plan", "stage_timeout", "min_sources",
     "checkpoint_dir",
@@ -60,31 +60,108 @@ PIPELINE_FLAGS = {
 }
 
 KEYWORD_ONLY = {
-    Accu: {
-        "n_false_values", "initial_accuracy", "initial_accuracies",
-        "source_weights", "max_iterations", "tolerance", "min_accuracy",
-        "max_accuracy",
-    },
+    Accu: {"initial_accuracies", "max_iterations", "tolerance"},
     MultiTruth: {
-        "prior", "threshold", "initial_sensitivity", "initial_specificity",
         "source_weights", "use_confidence", "max_iterations", "tolerance",
-        "floor",
     },
     GeneralizedSums: {"max_iterations", "tolerance", "use_confidence"},
-    Investment: {"growth", "max_iterations", "tolerance", "use_confidence"},
+    Investment: {"max_iterations", "tolerance", "use_confidence"},
     KnowledgeFusion: {
         "hierarchy", "functional_of", "use_source_correlations",
-        "use_extractor_correlations", "use_confidence", "prior",
-        "threshold", "max_iterations", "tolerance", "retry", "fault_plan",
-        "metrics",
+        "use_extractor_correlations", "use_confidence", "max_iterations",
+        "tolerance", "retry", "fault_plan", "metrics",
     },
-    EntityLinker: {"min_similarity", "brute_floor"},
-    JointEntityResolver: {
-        "cluster_threshold", "profile_weight", "brute_floor",
-    },
-    AttributeResolver: {"profile_jaccard", "stats"},
+    EntityLinker: {"brute_floor"},
+    JointEntityResolver: {"brute_floor"},
+    AttributeResolver: {"stats"},
     MapReduceJob: {"retry", "fault_plan", "metrics"},
     fuse_sharded: {"retry", "fault_plan", "metrics"},
+}
+
+# The keyword-only parameters of every other public class constructor
+# and public module-level function under src/repro, by dotted name; with
+# KEYWORD_ONLY it is the whole keyword surface (what neither lists has
+# none).  Most are injected dependencies (metrics, fault plans, retry,
+# capacity, paths, seeds) or test seams that put a small input on either
+# side of a size-selected path (brute_floor, token_cap, min_support, ...).
+SRC_KEYWORD_ONLY = {
+    "repro.core.augmentation.augment_kb": {
+        "class_of_subject", "new_entities",
+    },
+    "repro.core.checkpoint.CheckpointStore": {"metrics"},
+    "repro.core.quarantine.guard_records": {"plan", "start_index"},
+    "repro.core.scenarios.run_copying": {"metrics"},
+    "repro.core.scenarios.run_tenants": {
+        "metrics", "capacity", "retry", "checkpoint_root",
+    },
+    "repro.entity.blocking.MinHashLSH": {"num_perm", "bands", "seed"},
+    "repro.entity.blocking.SurfaceBlockingIndex": {
+        "num_perm", "bands", "seed", "token_cap",
+    },
+    "repro.errors.BackpressureError": {"reason"},
+    "repro.evalx.freshness.freshness_report": {
+        "served_epoch", "current_epoch", "served_truth", "current_truth",
+    },
+    "repro.evalx.metrics.evaluate_fusion": {"items"},
+    "repro.evalx.tables.format_ratio": {"digits"},
+    "repro.evalx.tables.render_table": {"title"},
+    "repro.extract.seeds.build_seed_sets": {"min_support"},
+    "repro.fusion.calibration.calibrate_sources": {
+        "label_fraction", "max_labels", "seed", "smoothing",
+    },
+    "repro.fusion.compiled.accu_fuse": {
+        "initial_accuracies", "max_iterations", "tolerance", "popularity",
+        "name",
+    },
+    "repro.fusion.compiled.gensums_fuse": {
+        "max_iterations", "tolerance", "use_confidence", "name",
+    },
+    "repro.fusion.compiled.investment_fuse": {
+        "max_iterations", "tolerance", "use_confidence", "name",
+    },
+    "repro.fusion.compiled.multitruth_fuse": {
+        "source_weights", "use_confidence", "max_iterations", "tolerance",
+        "name",
+    },
+    "repro.fusion.correlations.CorrelationEstimator": {
+        "by", "min_common_items",
+    },
+    "repro.fusion.functionality.FunctionalityEstimator": {
+        "min_observations",
+    },
+    "repro.fusion.functionality.functional_oracle_from_claims": {
+        "threshold", "min_observations",
+    },
+    "repro.fusion.sharding.patch_results": {
+        "constrain", "prior", "dropped", "fresh",
+    },
+    "repro.htmldom.tagpath.absolute_path": {"clean", "with_classes"},
+    "repro.htmldom.tagpath.relative_path": {"clean", "with_classes"},
+    "repro.rdf.segments.SegmentBackend": {
+        "memtable_limit", "compact_threshold", "metrics", "fault_plan",
+    },
+    "repro.rdf.segments.build_segment_bytes": {"canonical"},
+    "repro.serving.query.KBReader": {"metrics"},
+    "repro.serving.server.KBServer": {
+        "group", "retry", "quarantine", "metrics", "fault_plan",
+    },
+    "repro.serving.stream.EventLog": {"metrics"},
+    "repro.serving.tenancy.TenantManager": {
+        "metrics", "capacity", "retry", "fault_plans", "checkpoint_root",
+        "fault_limit",
+    },
+    "repro.serving.tenancy.TenantRuntime": {
+        "metrics", "capacity", "retry", "fault_plan", "checkpoint_dir",
+        "max_iterations",
+    },
+    "repro.textproc.memo.memoized_pair": {"max_size", "symmetric"},
+    "repro.textproc.normalize.is_probable_misspelling": {"normalized"},
+    "repro.textproc.patterns.LexicalPattern": {
+        "max_slot_tokens", "validators",
+    },
+    "repro.textproc.patterns.induce_pattern": {"max_slot_tokens"},
+    "repro.textproc.similarity.jaro_winkler": {"prefix_scale"},
+    "repro.textproc.similarity.levenshtein": {"limit"},
 }
 
 DATACLASS_FIELDS = {
@@ -162,6 +239,44 @@ def test_constructor_keywords(cls):
         if parameter.kind is parameter.KEYWORD_ONLY
     }
     assert keywords == KEYWORD_ONLY[cls]
+
+
+def _keyword_only_under_src():
+    """Dotted name → keyword-only parameters of every public class
+    constructor (an ``__init__`` the class defines) and public
+    module-level function under ``src/repro`` that has any."""
+    package = Path(repro.__file__).parent
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        parts = path.relative_to(package.parent).with_suffix("").parts
+        module = ".".join(parts).removesuffix(".__init__")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                functions = [
+                    member for member in node.body
+                    if isinstance(member, ast.FunctionDef)
+                    and member.name == "__init__"
+                ]
+            elif isinstance(node, ast.FunctionDef):
+                functions = [node]
+            else:
+                continue
+            if node.name.startswith("_"):
+                continue
+            for function in functions:
+                keywords = {arg.arg for arg in function.args.kwonlyargs}
+                if keywords:
+                    found[f"{module}.{node.name}"] = keywords
+    return found
+
+
+def test_every_keyword_only_parameter_under_src_is_pinned():
+    pinned = {
+        f"{owner.__module__}.{owner.__qualname__}": keywords
+        for owner, keywords in KEYWORD_ONLY.items()
+    }
+    assert not pinned.keys() & SRC_KEYWORD_ONLY.keys()
+    assert _keyword_only_under_src() == pinned | SRC_KEYWORD_ONLY
 
 
 @pytest.mark.parametrize(

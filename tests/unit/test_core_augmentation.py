@@ -43,7 +43,7 @@ def fusion_fixture():
 
 
 class TestAugmentation:
-    def _augment(self, snapshot, discovered=None, min_conf=0.0):
+    def _augment(self, snapshot, discovered=None):
         result, claims = fusion_fixture()
         return augment_kb(
             snapshot,
@@ -51,7 +51,6 @@ class TestAugmentation:
             result,
             claims,
             class_of_subject=lambda s: "Book" if s.startswith("book/") else None,
-            min_attribute_confidence=min_conf,
         )
 
     def test_new_attribute_added_to_schema_view(self, snapshot):
@@ -66,13 +65,6 @@ class TestAugmentation:
         output = ExtractorOutput("dom")
         output.add_attribute("Book", "genre")  # already in instance attrs
         report = self._augment(snapshot, [output])
-        assert report.total_new_attributes() == 0
-
-    def test_low_confidence_attribute_skipped(self, snapshot):
-        output = ExtractorOutput("dom")
-        record = output.add_attribute("Book", "price")
-        record.confidence = 0.1
-        report = self._augment(snapshot, [output], min_conf=0.5)
         assert report.total_new_attributes() == 0
 
     def test_new_fact_attached_with_fusion_provenance(self, snapshot):

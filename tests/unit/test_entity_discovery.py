@@ -77,19 +77,23 @@ class TestDiscovery:
         assert len(outcome.clusters) == 2
 
     def test_profile_overlap_helps_clustering(self):
-        linker = EntityLinker({})
-        resolver = JointEntityResolver(
-            linker, cluster_threshold=0.7, profile_weight=0.5
-        )
+        # The names score 0.81, under the cluster threshold on their
+        # own; the shared profile lifts the blend over it.
         facts = {("capital", "arko"), ("currency", "zed"), ("gdp", "9")}
-        outcome = resolver.resolve(
-            [
-                MentionRecord("Kingdom of Zub", "Country", set(facts)),
-                MentionRecord("Zub Kingdom", "Country", set(facts)),
-            ]
-        )
-        assert len(outcome.clusters) == 1
-        assert outcome.clusters[0].profile == facts
+
+        def clusters(profile):
+            resolver = JointEntityResolver(EntityLinker({}))
+            return resolver.resolve(
+                [
+                    MentionRecord("Zub Kingdom", "Country", set(profile)),
+                    MentionRecord("Zubland", "Country", set(profile)),
+                ]
+            ).clusters
+
+        assert len(clusters(set())) == 2
+        together = clusters(facts)
+        assert len(together) == 1
+        assert together[0].profile == facts
 
     def test_cluster_ids_unique(self, resolver):
         outcome = resolver.resolve(
@@ -101,10 +105,6 @@ class TestDiscovery:
         )
         ids = [cluster.cluster_id for cluster in outcome.clusters]
         assert len(ids) == len(set(ids))
-
-    def test_invalid_profile_weight_rejected(self):
-        with pytest.raises(ValueError):
-            JointEntityResolver(EntityLinker({}), profile_weight=2.0)
 
     def test_aliases_on_materialised_entity(self, resolver):
         outcome = resolver.resolve(

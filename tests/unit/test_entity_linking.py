@@ -4,6 +4,7 @@ import pytest
 
 import repro.entity.linking as linking
 from repro.entity.linking import (
+    MIN_LINK_SIMILARITY,
     EntityLinker,
     SurfaceForm,
     is_mention,
@@ -73,11 +74,10 @@ class TestFuzzyLinking:
         assert decision.entity is None
 
     def test_threshold_respected(self):
-        strict = EntityLinker(
-            {"france": Entity("c/1", "France", "Country")},
-            min_similarity=0.999,
-        )
-        assert not strict.link("Frances").linked
+        linker = EntityLinker({"france": Entity("c/1", "France", "Country")})
+        below, above = linker.link("Fransisco"), linker.link("Frankreich")
+        assert below.score < MIN_LINK_SIMILARITY <= above.score
+        assert (below.linked, above.linked) == (False, True)
 
     def test_fuzzy_class_restriction(self, linker):
         decision = linker.link("Universty of Adelaide", class_name="Book")

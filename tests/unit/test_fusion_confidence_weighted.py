@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import FusionError
 from repro.fusion.base import Claim, ClaimSet
 from repro.fusion.confidence_weighted import GeneralizedSums, Investment
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
@@ -70,9 +69,17 @@ class TestGeneralizedSums:
 
 
 class TestInvestment:
-    def test_bad_growth_rejected(self):
-        with pytest.raises(FusionError):
-            Investment(growth=0)
+    def test_a_source_of_zero_total_confidence_stakes_nothing(self):
+        """Its shares used to divide by its 0.0 total and raise."""
+        claims = ClaimSet(
+            [
+                claim(("s", "p"), "a", "s1", confidence=0.0),
+                claim(("s", "p"), "b", "s2", confidence=0.9),
+            ]
+        )
+        result = Investment().fuse(claims)
+        assert result.truths[("s", "p")] == {"b"}
+        assert result.source_quality == {"s1": 0.0, "s2": 1.0}
 
     def test_majority_recovered(self):
         claims = ClaimSet(

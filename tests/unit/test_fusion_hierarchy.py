@@ -46,14 +46,6 @@ class TestCasefoldHierarchy:
 
 
 class TestHierarchicalFusion:
-    def test_invalid_decay_rejected(self, locations):
-        with pytest.raises(ValueError):
-            HierarchicalFusion(Accu(), locations, decay=0)
-
-    def test_invalid_share_rejected(self, locations):
-        with pytest.raises(ValueError):
-            HierarchicalFusion(Accu(), locations, specialize_share=0)
-
     def test_related_values_support_each_other(self, locations):
         # Three sources: Adelaide, South Australia, Australia — all on
         # one chain — vs two sources on the wrong value.  Flat fusion
@@ -103,9 +95,7 @@ class TestHierarchicalFusion:
             [claim(("f", "bp"), "Australia", f"s{i}") for i in range(9)]
             + [claim(("f", "bp"), "Adelaide", "s9")]
         )
-        fused = HierarchicalFusion(
-            Accu(), locations, specialize_share=0.5
-        ).fuse(claims)
+        fused = HierarchicalFusion(Accu(), locations).fuse(claims)
         assert "adelaide" not in fused.truths[("f", "bp")]
 
     def test_non_hierarchical_values_untouched(self, locations):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import FusionError
 from repro.fusion.base import Claim, ClaimSet
+from repro.fusion.compiled import MULTITRUTH_FLOOR, MULTITRUTH_THRESHOLD
 from repro.fusion.multitruth import MultiTruth
 from repro.fusion.vote import Vote
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
@@ -15,14 +16,6 @@ def claim(item, value, source, confidence=1.0):
 
 
 class TestValidation:
-    def test_bad_prior(self):
-        with pytest.raises(FusionError):
-            MultiTruth(prior=0.0)
-
-    def test_bad_threshold(self):
-        with pytest.raises(FusionError):
-            MultiTruth(threshold=1.0)
-
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_no_round_refused(self, rounds):
         """Zero rounds used to leave every belief 0.0 and still decide
@@ -30,18 +23,10 @@ class TestValidation:
         with pytest.raises(FusionError, match="max_iterations"):
             MultiTruth(max_iterations=rounds)
 
-    @pytest.mark.parametrize("floor", [0.0, -0.1, 0.5, 0.6, 1.0])
-    def test_floor_outside_the_open_half_refused(self, floor):
-        """A floor of 0.5 or more inverts the ``[floor, 1 - floor]``
-        clamp (0.6 used to report every source at quality 0.4)."""
-        with pytest.raises(FusionError, match="floor"):
-            MultiTruth(floor=floor)
-
-    @pytest.mark.parametrize("floor", [0.001, 0.02, 0.499])
-    def test_floor_inside_accepted(self, floor):
+    def test_quality_stays_inside_the_floor(self):
         claims = ClaimSet([claim(("e", "p"), "v", "s1")])
-        quality = MultiTruth(floor=floor).fuse(claims).source_quality["s1"]
-        assert floor <= quality <= 1.0 - floor
+        quality = MultiTruth().fuse(claims).source_quality["s1"]
+        assert MULTITRUTH_FLOOR <= quality <= 1.0 - MULTITRUTH_FLOOR
 
     def test_one_round_accepted(self):
         claims = ClaimSet([claim(("e", "p"), "v", "s1")])
@@ -69,9 +54,14 @@ class TestMultiTruthDecisions:
         assert "carol" not in result.truths[("film", "cast")]
 
     def test_never_returns_empty_decision(self):
-        claims = ClaimSet([claim(("s", "p"), "lonely", "s1")])
-        result = MultiTruth(prior=0.05).fuse(claims)
-        assert result.truths[("s", "p")] == {"lonely"}
+        # Three sources, three values: no posterior reaches the
+        # threshold, and the best value is decided all the same.
+        claims = ClaimSet(
+            [claim(("s", "p"), value, f"s{value}") for value in "abc"]
+        )
+        result = MultiTruth().fuse(claims)
+        assert max(result.belief.values()) < MULTITRUTH_THRESHOLD
+        assert len(result.truths[("s", "p")]) == 1
 
     def test_posteriors_are_probabilities(self):
         world = generate_claim_world(

@@ -63,17 +63,6 @@ class TestVote:
         )
         assert abs(total - 1.0) < 1e-9
 
-    def test_weighted_mode_uses_confidence(self):
-        claims = ClaimSet(
-            [
-                claim(("s", "p"), "a", "s1", confidence=0.9),
-                claim(("s", "p"), "b", "s2", confidence=0.2),
-                claim(("s", "p"), "b", "s3", confidence=0.2),
-            ]
-        )
-        assert Vote(weighted=True).fuse(claims).truths[("s", "p")] == {"a"}
-        assert Vote(weighted=False).fuse(claims).truths[("s", "p")] == {"b"}
-
     def test_recovers_truth_on_synthetic_world(self):
         from repro.synth.claims import ClaimWorldConfig, generate_claim_world
 
