@@ -494,9 +494,9 @@ def _run_query(args) -> int:
             for triple in store.match(subject, predicate)
             if triple.obj.lexical == args.obj
         ]
-    # A predicate's or an object's matches come in set order, which
-    # moves with the hash seed; sort so that --limit keeps the same
-    # solutions under any seed.
+    # Matches come in claim order, which is the file's row order; sort
+    # so that --limit keeps the same solutions whatever order the
+    # export wrote its rows in, under any hash seed.
     triples.sort(
         key=lambda t: (t.subject, t.predicate, t.obj.lexical, t.obj.kind.value)
     )

@@ -35,7 +35,7 @@ from repro.extract.base import ExtractorOutput
 from repro.rdf.ontology import Entity
 from repro.synth.querylog import QueryRecord
 from repro.textproc.normalize import normalize_attribute
-from repro.textproc.patterns import LexicalPattern
+from repro.textproc.patterns import LexicalPattern, known_surface
 from repro.textproc.tokenize import tokenize_words
 
 EXTRACTOR_ID = "querystream"
@@ -104,7 +104,7 @@ class QueryStreamExtractor:
         self._surface_tokens = frozenset(
             token for surface in self._index for token in surface.split()
         )
-        validators = {"E": self._is_known_entity}
+        validators = {"E": known_surface(self._index)}
         self.patterns = [
             LexicalPattern(
                 source,
@@ -167,9 +167,6 @@ class QueryStreamExtractor:
         return output, stats
 
     # ------------------------------------------------------------------
-    def _is_known_entity(self, tokens: list[str]) -> bool:
-        return " ".join(tokens).lower() in self._index
-
     def _mentioned_entities(self, lowered: list[str]) -> dict[str, Entity]:
         """Entities whose surface form appears as a span of the
         (lower-cased) tokens."""

@@ -27,7 +27,7 @@ from repro.rdf.ontology import Entity
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 from repro.synth.webtext import TextDocument
 from repro.textproc.normalize import normalize_attribute
-from repro.textproc.patterns import LexicalPattern, induce_pattern
+from repro.textproc.patterns import LexicalPattern, induce_pattern, known_surface
 from repro.textproc.sentences import split_sentences
 from repro.textproc.tokenize import detokenize, tokenize_words
 
@@ -136,7 +136,7 @@ class WebTextExtractor:
             self.learned_patterns[key] = LexicalPattern(
                 key,
                 max_slot_tokens=self.config.max_slot_tokens,
-                validators={"E": self._is_known_entity},
+                validators={"E": known_surface(self._index)},
             )
             self._pattern_support[key] = 0
         self._pattern_support[key] += 1
@@ -207,9 +207,6 @@ class WebTextExtractor:
     # ------------------------------------------------------------------
     # Span finders
     # ------------------------------------------------------------------
-    def _is_known_entity(self, tokens: list[str]) -> bool:
-        return " ".join(tokens).lower() in self._index
-
     def _find_entity_span(
         self, tokens: list[str]
     ) -> tuple[Entity, tuple[int, int]] | None:

@@ -23,7 +23,7 @@ the ``ACCU_*`` constants of :mod:`repro.fusion.compiled`.
 
 from __future__ import annotations
 
-from repro.fusion.base import ClaimSet, FusionMethod, FusionResult
+from repro.fusion.base import ClaimSet, FusionMethod, FusionResult, check_iterations
 from repro.fusion.compiled import accu_fuse, compile_claims
 
 
@@ -47,7 +47,7 @@ class Accu(FusionMethod):
         tolerance: float = 1e-4,
     ) -> None:
         self.initial_accuracies = dict(initial_accuracies or {})
-        self.max_iterations = max_iterations
+        self.max_iterations = check_iterations(max_iterations)
         self.tolerance = tolerance
 
     def fuse(self, claims: ClaimSet) -> FusionResult:

@@ -342,6 +342,15 @@ class FusionMethod(abc.ABC):
             raise FusionError(f"{self.name}: empty claim set")
 
 
+def check_iterations(max_iterations: int) -> int:
+    """``max_iterations`` of an iterative method, refused below 1: with
+    no round every belief stays 0.0, yet truths would still be decided
+    (by value key)."""
+    if max_iterations < 1:
+        raise FusionError("max_iterations must be at least 1")
+    return max_iterations
+
+
 def normalize_beliefs(beliefs: dict[str, float]) -> dict[str, float]:
     """Scale a value→belief map so the maximum is 1 (empty-safe)."""
     if not beliefs:

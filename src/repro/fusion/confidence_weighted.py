@@ -19,7 +19,7 @@ claim weighted by its extraction confidence:
 
 from __future__ import annotations
 
-from repro.fusion.base import ClaimSet, FusionMethod, FusionResult
+from repro.fusion.base import ClaimSet, FusionMethod, FusionResult, check_iterations
 from repro.fusion.compiled import (
     compile_claims,
     gensums_fuse,
@@ -39,7 +39,7 @@ class GeneralizedSums(FusionMethod):
         tolerance: float = 1e-6,
         use_confidence: bool = True,
     ) -> None:
-        self.max_iterations = max_iterations
+        self.max_iterations = check_iterations(max_iterations)
         self.tolerance = tolerance
         self.use_confidence = use_confidence
 
@@ -66,7 +66,7 @@ class Investment(FusionMethod):
         tolerance: float = 1e-6,
         use_confidence: bool = True,
     ) -> None:
-        self.max_iterations = max_iterations
+        self.max_iterations = check_iterations(max_iterations)
         self.tolerance = tolerance
         self.use_confidence = use_confidence
 

@@ -24,6 +24,11 @@ from statistics import median
 from repro.errors import FusionError
 from repro.fusion.base import ClaimSet
 
+#: The degree from which a predicate counts as (practically) functional:
+#: a typical source asserting one value per subject reads 1.0, two
+#: values 0.5.
+FUNCTIONAL_THRESHOLD = 0.75
+
 
 @dataclass(slots=True)
 class FunctionalityEstimate:
@@ -35,9 +40,9 @@ class FunctionalityEstimate:
     def of(self, predicate: str) -> float:
         return self.degree.get(predicate, self.default)
 
-    def is_functional(self, predicate: str, *, threshold: float = 0.75) -> bool:
+    def is_functional(self, predicate: str) -> bool:
         """Classify a predicate as (practically) functional."""
-        return self.of(predicate) >= threshold
+        return self.of(predicate) >= FUNCTIONAL_THRESHOLD
 
 
 class FunctionalityEstimator:
@@ -77,18 +82,8 @@ class FunctionalityEstimator:
         return estimate
 
 
-def functional_oracle_from_claims(
-    claims: ClaimSet,
-    *,
-    threshold: float = 0.75,
-    min_observations: int = 5,
-):
+def functional_oracle_from_claims(claims: ClaimSet):
     """Build a ``predicate -> bool`` oracle for
     :class:`repro.fusion.knowledge_fusion.KnowledgeFusion` straight from
     the claims (unsupervised replacement for a schema oracle)."""
-    estimate = FunctionalityEstimator(
-        min_observations=min_observations
-    ).estimate(claims)
-    return lambda predicate: estimate.is_functional(
-        predicate, threshold=threshold
-    )
+    return FunctionalityEstimator().estimate(claims).is_functional

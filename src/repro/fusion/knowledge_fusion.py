@@ -30,7 +30,6 @@ from collections.abc import Iterable
 from types import SimpleNamespace
 from typing import Callable
 
-from repro.errors import FusionError
 from repro.faults import FaultPlan, RetryPolicy
 from repro.fusion.base import (
     Claim,
@@ -38,6 +37,7 @@ from repro.fusion.base import (
     FusionMethod,
     FusionResult,
     Item,
+    check_iterations,
 )
 from repro.fusion.correlations import CorrelationEstimator
 from repro.fusion.hierarchy import CasefoldHierarchy, HierarchicalFusion
@@ -107,14 +107,12 @@ class KnowledgeFusion(FusionMethod):
         fault_plan: FaultPlan | None = None,
         metrics=None,
     ) -> None:
-        if max_iterations < 1:
-            raise FusionError("max_iterations must be at least 1")
         self.hierarchy = hierarchy
         self.functional_of = functional_of
         self.use_source_correlations = use_source_correlations
         self.use_extractor_correlations = use_extractor_correlations
         self.use_confidence = use_confidence
-        self.max_iterations = max_iterations
+        self.max_iterations = check_iterations(max_iterations)
         self.tolerance = tolerance
         self.retry = retry
         self.fault_plan = fault_plan

@@ -32,8 +32,7 @@ Optional hooks used by the paper's combined method:
 
 from __future__ import annotations
 
-from repro.errors import FusionError
-from repro.fusion.base import ClaimSet, FusionMethod, FusionResult
+from repro.fusion.base import ClaimSet, FusionMethod, FusionResult, check_iterations
 from repro.fusion.compiled import compile_claims, multitruth_fuse
 
 
@@ -50,12 +49,9 @@ class MultiTruth(FusionMethod):
         max_iterations: int = 20,
         tolerance: float = 1e-4,
     ) -> None:
-        if max_iterations < 1:
-            # No round leaves every belief 0.0 yet still decides truths.
-            raise FusionError("max_iterations must be at least 1")
         self.source_weights = dict(source_weights or {})
         self.use_confidence = use_confidence
-        self.max_iterations = max_iterations
+        self.max_iterations = check_iterations(max_iterations)
         self.tolerance = tolerance
 
     def fuse(self, claims: ClaimSet) -> FusionResult:

@@ -45,10 +45,16 @@ Contract notes that matter for byte-identical fusion:
   original mutates afterwards (and vice versa); it may share
   structure with the original to get there, as long as neither side
   ever writes a container the other can reach.  The memory backend
-  shares its triple indexes copy-on-write: a copy costs four
-  top-level ``dict.copy()`` calls (the claims and three indexes), and
-  each side shallow-copies a second-level dict or a leaf the first
-  time it writes it.
+  shares its SPO index copy-on-write: a copy costs two top-level
+  ``dict.copy()`` calls (the claims and the index), and each side
+  shallow-copies a subject's predicate dict or an item's leaf the
+  first time it writes it.
+* ``match`` with a bound subject reads that subject's index entries;
+  the memory backend has no index for a pattern with an unbound
+  subject and answers it with one O(claims) walk of its claim keys,
+  in claim-dict order.  The segment backend keeps POS / OSP
+  permutations in its files (it cannot walk a segment cheaply) and
+  reads the rest of its answer from the memtable's walk.
 """
 
 from __future__ import annotations
@@ -59,9 +65,6 @@ from collections.abc import Iterable, Iterator
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 
 __all__ = ["MemoryBackend", "StorageBackend"]
-
-# The tags of MemoryBackend's three indexes in its ownership record.
-_SPO, _POS, _OSP = range(3)
 
 
 class StorageBackend(abc.ABC):
@@ -167,7 +170,7 @@ class StorageBackend(abc.ABC):
 
 
 class MemoryBackend(StorageBackend):
-    """The in-memory dict store with SPO/POS/OSP indexes.
+    """The in-memory dict store with one index, SPO.
 
     Deduplicates on the full ``(triple, provenance)`` pair: the same
     triple asserted by two different sources is kept twice (fusion
@@ -180,8 +183,11 @@ class MemoryBackend(StorageBackend):
     dict.  So every item-level read — ``claims_for_item``,
     ``count_for_item`` (the leaf's length), ``claims(triple)``,
     ``contains_triple``, ``objects``, ``match(subject=…)`` and
-    ``remove`` — reads one leaf, at O(claims of the item).  The POS
-    and OSP leaves are sets.
+    ``remove`` — reads one leaf, at O(claims of the item), and a write
+    files its claim key once.  Every stage reads by item, so there is
+    no POS or OSP index: a ``match`` with an unbound subject walks the
+    claim keys once (O(claims)), and answers in claim-dict order under
+    any hash seed.
     """
 
     name = "memory"
@@ -191,16 +197,11 @@ class MemoryBackend(StorageBackend):
         self._claims: dict[tuple[Triple, Provenance], ScoredTriple] = {}
         # subject -> predicate -> the item's claim keys, in dict order
         self._spo: dict[str, dict[str, list[tuple[Triple, Provenance]]]] = {}
-        # predicate -> object -> set of subjects
-        self._pos: dict[str, dict[Value, set[str]]] = {}
-        # object -> subject -> set of predicates
-        self._osp: dict[Value, dict[str, set[str]]] = {}
-        # None until the first ``copy()``.  From then on the
-        # ``(index, first)`` keys whose second-level dict, and the
-        # ``(index, first, second)`` keys whose leaf, this backend has
-        # made its own since (``index`` is _SPO, _POS or _OSP); any
-        # other container may be shared with a copy.
-        self._owned: set[tuple] | None = None
+        # None until the first ``copy()``.  From then on the subjects
+        # whose predicate dict, and the ``(subject, predicate)`` items
+        # whose leaf, this backend has made its own since; any other
+        # container may be shared with a copy.
+        self._owned: set[str | tuple[str, str]] | None = None
 
     def __len__(self) -> int:
         return len(self._claims)
@@ -241,7 +242,7 @@ class MemoryBackend(StorageBackend):
         """Single-pass bulk insert over an iterable (streams fine).
 
         Equivalent to repeated :meth:`add` but cheaper per claim: the
-        claim dict and index roots are bound once outside the loop,
+        claim dict and index root are bound once outside the loop,
         and ``dict.setdefault`` installs a fresh key with a *single*
         key hash where the get-then-assign in :meth:`add` pays two —
         and hashing a ``(triple, provenance)`` tuple recursively
@@ -257,7 +258,7 @@ class MemoryBackend(StorageBackend):
         claims_setdefault = self._claims.setdefault
         claims = self._claims
         size = len(claims)
-        spo, pos, osp = self._spo, self._pos, self._osp
+        spo = self._spo
         for one in scored:
             key = (one.triple, one.provenance)
             existing = claims_setdefault(key, one)
@@ -268,57 +269,44 @@ class MemoryBackend(StorageBackend):
             size += 1
             triple = one.triple
             subject, predicate = triple.subject, triple.predicate
-            obj = triple.obj
             by_predicate = spo.setdefault(subject, {})
             keys = by_predicate.get(predicate)
             if keys is None:
                 by_predicate[predicate] = [key]
             else:
                 keys.append(key)
-            pos.setdefault(predicate, {}).setdefault(
-                obj, set()
-            ).add(subject)
-            osp.setdefault(obj, {}).setdefault(
-                subject, set()
-            ).add(predicate)
 
     def _index(self, key: tuple[Triple, Provenance]) -> None:
         triple = key[0]
-        subject, predicate, obj = triple.subject, triple.predicate, triple.obj
+        subject, predicate = triple.subject, triple.predicate
         if self._owned is not None:
-            self._own(self._spo, _SPO, subject, predicate, list).append(key)
-            self._own(self._pos, _POS, predicate, obj, set).add(subject)
-            self._own(self._osp, _OSP, obj, subject, set).add(predicate)
+            self._own(subject, predicate).append(key)
             return
         self._spo.setdefault(subject, {}).setdefault(
             predicate, []
         ).append(key)
-        self._pos.setdefault(predicate, {}).setdefault(
-            obj, set()
-        ).add(subject)
-        self._osp.setdefault(obj, {}).setdefault(
-            subject, set()
-        ).add(predicate)
 
-    def _own(self, index: dict, tag: int, first, second, leaf_type: type):
-        """The leaf ``index[first][second]``, it and ``index[first]``
-        each created or shallow-copied unless the ownership record says
-        this backend already made it its own: the path of one index
-        write."""
+    def _own(self, subject: str, predicate: str) -> list:
+        """The leaf ``_spo[subject][predicate]``, it and
+        ``_spo[subject]`` each created or shallow-copied unless the
+        ownership record says this backend already made it its own:
+        the path of one index write."""
         owned = self._owned
-        by_second = index.get(first)
-        if (tag, first) not in owned:
-            by_second = index[first] = (
-                {} if by_second is None else by_second.copy()
+        spo = self._spo
+        by_predicate = spo.get(subject)
+        if subject not in owned:
+            by_predicate = spo[subject] = (
+                {} if by_predicate is None else by_predicate.copy()
             )
-            owned.add((tag, first))
-        leaf = by_second.get(second)
-        if (tag, first, second) not in owned:
-            leaf = by_second[second] = (
-                leaf_type() if leaf is None else leaf_type(leaf)
+            owned.add(subject)
+        item = (subject, predicate)
+        keys = by_predicate.get(predicate)
+        if item not in owned:
+            keys = by_predicate[predicate] = (
+                [] if keys is None else keys.copy()
             )
-            owned.add((tag, first, second))
-        return leaf
+            owned.add(item)
+        return keys
 
     def remove(self, triple: Triple) -> list[ScoredTriple]:
         # One walk of the item's SPO leaf splits it into the triple's
@@ -329,49 +317,33 @@ class MemoryBackend(StorageBackend):
             (dead if key[0] == triple else kept).append(key)
         if not dead:
             return []
-        self._unindex(triple, kept)
+        self._set_leaf(triple.subject, triple.predicate, kept)
         claims = self._claims
         return [claims.pop(key) for key in dead]
 
-    def _unindex(self, triple: Triple, kept: list) -> None:
-        """Drop ``triple`` from the three indexes, pruning empties;
-        ``kept`` is its item's SPO leaf without it, a fresh list."""
-        subject, predicate, obj = triple.subject, triple.predicate, triple.obj
+    def _set_leaf(self, subject: str, predicate: str, keys: list) -> None:
+        """Make ``keys``, a fresh list, ``_spo[subject][predicate]`` —
+        or, when it is empty, drop that key and an emptied
+        ``_spo[subject]`` (a pruned key leaves the ownership record
+        with its container)."""
         owned = self._owned
-        self._set_leaf(self._spo, _SPO, subject, predicate, kept)
-        for index, tag, first, second, member in (
-            (self._pos, _POS, predicate, obj, subject),
-            (self._osp, _OSP, obj, subject, predicate),
-        ):
-            leaf = index[first][second]
-            if owned is None or (tag, first, second) in owned:
-                leaf.discard(member)
-            else:
-                leaf = leaf - {member}
-            self._set_leaf(index, tag, first, second, leaf)
-
-    def _set_leaf(self, index: dict, tag: int, first, second, leaf) -> None:
-        """Make ``leaf``, this backend's own, ``index[first][second]``
-        — or, when it is empty, drop that key and an emptied
-        ``index[first]`` (a pruned key leaves the ownership record with
-        its container)."""
-        owned = self._owned
-        by_second = index[first]
-        if owned is not None and (tag, first) not in owned:
-            by_second = index[first] = by_second.copy()
-            owned.add((tag, first))
-        if leaf:
-            by_second[second] = leaf
+        spo = self._spo
+        by_predicate = spo[subject]
+        if owned is not None and subject not in owned:
+            by_predicate = spo[subject] = by_predicate.copy()
+            owned.add(subject)
+        if keys:
+            by_predicate[predicate] = keys
             if owned is not None:
-                owned.add((tag, first, second))
+                owned.add((subject, predicate))
             return
-        del by_second[second]
+        del by_predicate[predicate]
         if owned is not None:
-            owned.discard((tag, first, second))
-        if not by_second:
-            del index[first]
+            owned.discard((subject, predicate))
+        if not by_predicate:
+            del spo[subject]
             if owned is not None:
-                owned.discard((tag, first))
+                owned.discard(subject)
 
     # -- lookup --------------------------------------------------------
     def match(
@@ -393,22 +365,17 @@ class MemoryBackend(StorageBackend):
                 for triple in dict.fromkeys(key[0] for key in keys)
                 if obj is None or triple.obj == obj
             ]
-        if predicate is not None:
-            by_object = self._pos.get(predicate, {})
-            objects = [obj] if obj is not None else list(by_object)
-            return [
-                Triple(subj, predicate, value)
-                for value in objects
-                for subj in by_object.get(value, ())
-            ]
-        if obj is not None:
-            by_subject = self._osp.get(obj, {})
-            return [
-                Triple(subj, pred, obj)
-                for subj, preds in by_subject.items()
-                for pred in preds
-            ]
-        return list(dict.fromkeys(key[0] for key in self._claims))
+        # No index leads to an unbound subject: one walk of the claim
+        # keys, each compared by the bound positions, then deduplicated
+        # in claim-dict order.
+        return list(
+            dict.fromkeys(
+                key[0]
+                for key in self._claims
+                if (predicate is None or key[0].predicate == predicate)
+                and (obj is None or key[0].obj == obj)
+            )
+        )
 
     def claims(self, triple: Triple | None = None) -> list[ScoredTriple]:
         if triple is None:
@@ -437,13 +404,17 @@ class MemoryBackend(StorageBackend):
 
     def predicates(self, subject: str | None = None) -> set[str]:
         if subject is None:
-            return set(self._pos)
+            return {
+                predicate
+                for by_predicate in self._spo.values()
+                for predicate in by_predicate
+            }
         return set(self._spo.get(subject, {}))
 
     def copy(self) -> "MemoryBackend":
         """A clone that shares the (immutable) claims with this backend
-        and, copy-on-write, every second-level dict and leaf of the
-        triple indexes.
+        and, copy-on-write, every predicate dict and leaf of the SPO
+        index.
 
         ``dict.copy()`` reuses the stored key hashes — re-inserting
         every ``(triple, provenance)`` key through ``add_all`` would
@@ -457,8 +428,6 @@ class MemoryBackend(StorageBackend):
         clone = MemoryBackend.__new__(MemoryBackend)
         clone._claims = self._claims.copy()
         clone._spo = self._spo.copy()
-        clone._pos = self._pos.copy()
-        clone._osp = self._osp.copy()
         self._owned = set()
         clone._owned = set()
         return clone

@@ -15,8 +15,11 @@ position seqno:
   tombstones) and drops the rest;
 * an item, triple or subject read — and ``remove`` — costs its answer:
   candidate rows come from each segment's CSR slice and memtable
-  claims from the same read of the memtable's SPO/POS/OSP index, and
-  each row is checked against the tombstone map by its own triple.
+  claims from the same read of the memtable's SPO index, and each row
+  is checked against the tombstone map by its own triple.  A
+  predicate or object match reads those segment slices too, but the
+  memtable has only its SPO index, so it walks the memtable's claim
+  keys once.
   ``count_for_item`` and ``predicates(subject)`` fold those rows as
   strings and decode no claim.  Only the whole-column scans behind
   ``subjects()`` / ``predicates()`` project the tombstone map onto a

@@ -1,14 +1,17 @@
 """An indexed triple store over a pluggable storage backend.
 
-The store keeps three indexes (SPO, POS, OSP) so that any lookup with
-at least one bound position runs in time proportional to the size of
-its answer, mirroring the classic triple-table layout of RDF
-databases.  Scored extractions are stored alongside their provenance
-so that fusion can retrieve every claim about a data item.
+Every stage of the pipeline reads claims by data item
+``(subject, predicate)`` — extraction output, attribute resolution,
+fusion's per-item rounds, every served read — so an item read costs
+the claims of the item on every backend.  Scored extractions are
+stored alongside their provenance so that fusion can retrieve every
+claim about a data item.  A ``match`` with an unbound subject is for
+one-shot queries (``repro query``): the default backend answers it
+with one walk of the claims.
 
 *Where* claims live is delegated to a :class:`StorageBackend`
 (:mod:`repro.rdf.backend`): the default :class:`MemoryBackend` keeps
-the original pure-dict layout; the
+the claims in a dict with one SPO index over it; the
 :class:`~repro.rdf.segments.SegmentBackend` spills to mmapped segment
 files so the corpus is disk-bound instead of RAM-bound.  Every backend
 preserves the same claim-iteration order, and fusion reads claims in
@@ -29,7 +32,7 @@ from repro.rdf.triple import ScoredTriple, Triple, Value
 
 
 class TripleStore:
-    """RDF claim store with SPO/POS/OSP lookups.
+    """RDF claim store with item-level reads and pattern matches.
 
     The store deduplicates on the full ``(triple, provenance)`` pair:
     the same triple asserted by two different sources is kept twice
@@ -100,8 +103,9 @@ class TripleStore:
     ) -> list[Triple]:
         """Return distinct triples matching a pattern with ``None`` wildcards.
 
-        Uses the most selective available index; a fully unbound pattern
-        enumerates the store.
+        A bound subject reads that subject's claims; any other pattern
+        costs what the backend's unbound-subject scan costs (one walk
+        of the claims on the memory backend).
         """
         return self._backend.match(subject, predicate, obj)
 

@@ -8,14 +8,14 @@ what an existing reader answers, and a fresh reader picks up the new
 version wholesale.  This is snapshot isolation by construction, not by
 locking.
 
-Three query families, each riding an existing index:
+Three query families:
 
 * **point lookup** — :meth:`lookup` resolves one data item
   ``(subject, predicate)`` to its fused truth values with belief
-  scores and supporting-claim counts (SPO path);
+  scores and supporting-claim counts (the store's SPO index);
 * **scans** — :meth:`scan_subject` enumerates every fused fact of one
   entity (SPO), :meth:`scan_predicate` every entity holding a fused
-  value for one attribute (POS);
+  value for one attribute (a per-reader index of the fused items);
 * **top-k** — :meth:`top_entities` ranks subjects by the summed
   belief of their fused facts, a cheap "most strongly attested
   entities" ranking computed lazily once per reader and cached

@@ -26,7 +26,7 @@ pattern) pairs leave here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 from repro.errors import ParseError
 
@@ -136,51 +136,65 @@ class LexicalPattern:
         anchored: bool,
     ) -> PatternMatch | None:
         bindings: dict[str, list[str]] = {}
-
-        def recurse(element_index: int, token_index: int) -> int | None:
-            """Try to match elements[element_index:]; returns end index."""
-            if element_index == len(self.elements):
-                if anchored and token_index != len(tokens):
-                    return None
-                return token_index
-            element = self.elements[element_index]
-            if element.kind == "literal":
-                if (
-                    token_index < len(tokens)
-                    and lowered[token_index] in element.words
-                ):
-                    return recurse(element_index + 1, token_index + 1)
-                return None
-            if element.kind == "optional":
-                if (
-                    token_index < len(tokens)
-                    and lowered[token_index] in element.words
-                ):
-                    end = recurse(element_index + 1, token_index + 1)
-                    if end is not None:
-                        return end
-                return recurse(element_index + 1, token_index)
-            # Slot: try lengths non-greedily.
-            validator = self.validators.get(element.slot)
-            for length in range(1, self.max_slot_tokens + 1):
-                if token_index + length > len(tokens):
-                    break
-                candidate = list(tokens[token_index : token_index + length])
-                if any(_is_boundary_token(tok) for tok in candidate):
-                    break
-                if validator is not None and not validator(candidate):
-                    continue
-                bindings[element.slot] = candidate
-                end = recurse(element_index + 1, token_index + length)
-                if end is not None:
-                    return end
-            bindings.pop(element.slot, None)
-            return None
-
-        end = recurse(0, start)
+        end = self._match_from(0, start, (tokens, lowered, anchored, bindings))
         if end is None:
             return None
         return PatternMatch(dict(bindings), start, end)
+
+    def _match_from(
+        self, element_index: int, token_index: int, scan: tuple
+    ) -> int | None:
+        """Try to match elements[element_index:]; returns end index.
+
+        ``scan`` is ``(tokens, lowered, anchored, bindings)``.  A method,
+        not a closure: a closure that calls itself holds its own cell, a
+        cycle left to the collector on every scan."""
+        tokens, lowered, anchored, bindings = scan
+        if element_index == len(self.elements):
+            if anchored and token_index != len(tokens):
+                return None
+            return token_index
+        element = self.elements[element_index]
+        rest = element_index + 1
+        if element.kind == "literal":
+            if (
+                token_index < len(tokens)
+                and lowered[token_index] in element.words
+            ):
+                return self._match_from(rest, token_index + 1, scan)
+            return None
+        if element.kind == "optional":
+            if (
+                token_index < len(tokens)
+                and lowered[token_index] in element.words
+            ):
+                end = self._match_from(rest, token_index + 1, scan)
+                if end is not None:
+                    return end
+            return self._match_from(rest, token_index, scan)
+        # Slot: try lengths non-greedily.
+        validator = self.validators.get(element.slot)
+        for length in range(1, self.max_slot_tokens + 1):
+            if token_index + length > len(tokens):
+                break
+            candidate = list(tokens[token_index : token_index + length])
+            if any(_is_boundary_token(tok) for tok in candidate):
+                break
+            if validator is not None and not validator(candidate):
+                continue
+            bindings[element.slot] = candidate
+            end = self._match_from(rest, token_index + length, scan)
+            if end is not None:
+                return end
+        bindings.pop(element.slot, None)
+        return None
+
+
+def known_surface(index: Container[str]) -> SlotValidator:
+    """A slot validator accepting a span whose lower-cased text is in
+    ``index``.  It holds the index alone: a bound method of the
+    extractor that owns the patterns would tie the two in a cycle."""
+    return lambda tokens: " ".join(tokens).lower() in index
 
 
 def _is_boundary_token(token: str) -> bool:

@@ -57,6 +57,18 @@ def _assert_equivalent(mem, seg):
     assert seg.subjects() == mem.subjects()
     assert seg.predicates() == mem.predicates()
     assert seg.match() == mem.match()
+    # A pattern with an unbound subject: the memory backend walks its
+    # claims once and answers in their order; the segment backend's
+    # answer holds the same triples.
+    distinct = list(dict.fromkeys(scored.triple for scored in mem.claims()))
+    for predicate in mem.predicates():
+        found = mem.match(predicate=predicate)
+        assert found == [t for t in distinct if t.predicate == predicate]
+        assert set(seg.match(predicate=predicate)) == set(found)
+    for value in list(dict.fromkeys(t.obj for t in distinct))[:4]:
+        found = mem.match(obj=value)
+        assert found == [t for t in distinct if t.obj == value]
+        assert set(seg.match(obj=value)) == set(found)
     for subject in mem.subjects():
         assert seg.predicates(subject) == mem.predicates(subject) == {
             scored.triple.predicate

@@ -15,10 +15,12 @@ value until it is two — and these counts fail if one comes back.
 """
 
 import gc
+import types
 
 import pytest
 from hypothesis import given, settings
 
+from repro.core.pipeline import KnowledgeBaseConstructionPipeline
 from repro.fusion.base import ClaimSet, ClaimSetStats
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.incremental import ClaimDelta
@@ -28,6 +30,8 @@ from repro.rdf.segments import SegmentBackend
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
+from repro.textproc.patterns import LexicalPattern
+from tests.conftest import smoke_pipeline_config
 from tests.property.test_prop_claims import configs
 
 EXTRACTORS = ("dom", "text", "kb")
@@ -104,9 +108,40 @@ class TestStoreCopy:
             gc.enable()
         assert copied - start < 64
         assert receipt.added == 7 and receipt.removed_claims > 0
-        # Per index write: a second-level dict, a leaf set, a record.
-        assert journalled - copied < 20 * (7 + receipt.removed_claims)
+        # Per write of the one index: the claim key, a predicate dict
+        # and a leaf copied, their ownership record.
+        assert journalled - copied < 4 * (7 + receipt.removed_claims)
         assert len(clone) == len(backend) + 7 - receipt.removed_claims
+
+    def test_add_all_files_each_claim_in_one_index(self):
+        """A bulk insert allocates the claim key, one list per item and
+        one dict per subject, and nothing else per claim: a second
+        index (a container per predicate, object or pair of them)
+        would show up here."""
+        corpus = [
+            ScoredTriple(
+                Triple(f"s{subject}", f"p{predicate}", Value(f"v{value}")),
+                Provenance(f"src{source}", "dom"),
+                0.5,
+            )
+            for subject in range(100)
+            for predicate in range(4)
+            for value in range(3)
+            for source in range(2)
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            start = gc.get_count()[0]
+            backend = MemoryBackend()
+            backend.add_all(corpus)
+            allocated = gc.get_count()[0] - start
+        finally:
+            gc.enable()
+        assert len(backend) == len(corpus)
+        items = {one.triple.item for one in corpus}
+        subjects = {one.triple.subject for one in corpus}
+        assert allocated <= len(corpus) + len(items) + len(subjects) + 8
 
     @pytest.mark.parametrize("memtable_fill", [0, 1, 600])
     def test_segment_copy_allocates_no_container_per_memtable_entry(
@@ -184,6 +219,43 @@ class TestDeltaPromotions:
             promotions.count
             < self.PER_REFUSED_CLAIM * outcome.refused_claims
         )
+
+
+class TestBuildPathCycles:
+    def test_extraction_leaves_no_pattern_or_extractor_to_the_collector(
+        self,
+    ):
+        """What a build drops, refcounting frees: the pattern matcher
+        recurses through a method, not through a closure holding its own
+        cell, and an extractor's patterns validate their entity slot
+        against the entity index, not through a bound method of the
+        extractor (which tied it and its seed tables to its patterns).
+        ``DEBUG_SAVEALL`` keeps everything a collector pass finds
+        unreachable, during the run and after it, in ``gc.garbage``.
+        (DOM parent links are still cycles.)"""
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            pipeline = KnowledgeBaseConstructionPipeline(
+                smoke_pipeline_config()
+            )
+            pipeline.run()
+            del pipeline
+            gc.collect()
+            leaked = [
+                getattr(obj, "__qualname__", type(obj).__name__)
+                for obj in gc.garbage
+                if isinstance(obj, LexicalPattern)
+                or type(obj).__name__.endswith("Extractor")
+                or (
+                    isinstance(obj, types.FunctionType)
+                    and obj.__module__ == "repro.textproc.patterns"
+                )
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
 
 def _nested(claims):

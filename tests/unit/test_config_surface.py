@@ -129,9 +129,6 @@ SRC_KEYWORD_ONLY = {
     "repro.fusion.functionality.FunctionalityEstimator": {
         "min_observations",
     },
-    "repro.fusion.functionality.functional_oracle_from_claims": {
-        "threshold", "min_observations",
-    },
     "repro.fusion.sharding.patch_results": {
         "constrain", "prior", "dropped", "fresh",
     },

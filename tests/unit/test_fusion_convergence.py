@@ -9,6 +9,7 @@ disabled (``tolerance=0`` runs all rounds).
 
 import pytest
 
+from repro.errors import FusionError
 from repro.fusion.accu import Accu, PopAccu
 from repro.fusion.confidence_weighted import GeneralizedSums, Investment
 from repro.fusion.multitruth import MultiTruth
@@ -66,6 +67,15 @@ class TestEarlyExit:
         result = method.fuse(easy_claims)
         assert result.iterations == 7
         assert result.converged_at is None
+
+    @pytest.mark.parametrize("name", sorted(FIXED_POINT_METHODS))
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_no_round_is_refused_at_construction(self, name, max_iterations):
+        """Without a round every belief stays 0.0 and truths would be
+        decided by value key: each iterative method refuses it."""
+        method_cls, _tolerance = FIXED_POINT_METHODS[name]
+        with pytest.raises(FusionError, match="at least 1"):
+            method_cls(max_iterations=max_iterations)
 
     def test_vote_does_not_iterate(self, easy_claims):
         result = Vote().fuse(easy_claims)
