@@ -49,12 +49,11 @@ Contract notes that matter for byte-identical fusion:
   ``dict.copy()`` calls (the claims and the index), and each side
   shallow-copies a subject's predicate dict or an item's leaf the
   first time it writes it.
-* ``match`` with a bound subject reads that subject's index entries;
-  the memory backend has no index for a pattern with an unbound
-  subject and answers it with one O(claims) walk of its claim keys,
-  in claim-dict order.  The segment backend keeps POS / OSP
-  permutations in its files (it cannot walk a segment cheaply) and
-  reads the rest of its answer from the memtable's walk.
+* ``match`` with a bound subject reads that subject's index entries.
+  Neither backend has an index for a pattern with an unbound subject:
+  the memory backend answers it with one O(claims) walk of its claim
+  keys, the segment backend with one walk of its live claims in
+  position order, so both answer in ``iter_claims()`` order.
 """
 
 from __future__ import annotations

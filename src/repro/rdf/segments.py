@@ -16,10 +16,10 @@ position seqno:
 * an item, triple or subject read — and ``remove`` — costs its answer:
   candidate rows come from each segment's CSR slice and memtable
   claims from the same read of the memtable's SPO index, and each row
-  is checked against the tombstone map by its own triple.  A
-  predicate or object match reads those segment slices too, but the
-  memtable has only its SPO index, so it walks the memtable's claim
-  keys once.
+  is checked against the tombstone map by its own triple.  Every
+  stage reads by item, so a file keeps one index, SPO, as the
+  memtable does: a ``match`` with an unbound subject walks the live
+  claims once, in position order.
   ``count_for_item`` and ``predicates(subject)`` fold those rows as
   strings and decode no claim.  Only the whole-column scans behind
   ``subjects()`` / ``predicates()`` project the tombstone map onto a
@@ -31,9 +31,9 @@ columns, mmapped read-only at open and accessed zero-copy through
 ``memoryview.cast``.  The intern tables are *lazy*: each is length-
 prefixed so opening a segment skips over them without touching their
 pages, and strings are only decoded when a query actually needs them —
-an ingest-only workload never materializes them at all.  CSR-style
-SPO/POS/OSP permutation indexes make bound-position lookups slice
-scans instead of full scans, and a per-row **key-hash column**
+an ingest-only workload never materializes them at all.  A CSR-style
+SPO permutation makes a subject, item or triple lookup a slice scan
+instead of a full scan, and a per-row **key-hash column**
 (blake2b-64 of the full claim key) feeds an in-memory hash filter so
 the dedup probe for a never-seen claim is a set miss, not a per-
 segment string lookup.
@@ -51,8 +51,6 @@ aligned)::
                (one column = n_rows contiguous values)
     tombs    : seq[q] subject[q] predicate[q] lexical[q] kind[q]
     indexes  : spo_perm[q*n_rows]  subj_start[q*(n_subjects+1)]
-               pos_perm[q*n_rows]  pred_start[q*(n_predicates+1)]
-               osp_perm[q*n_rows]  lex_start[q*(n_lexicals+1)]
                keyhash[q*n_rows]
 
 ``flags`` bit 0 marks a *canonical* segment (compaction output),
@@ -61,8 +59,12 @@ layout once, as ``_TABLES`` and ``_COLUMNS``: the writer, the reader
 and ``SegmentReader.close`` walk that declaration, and the end of the
 walk is the length the file must have — a file that is shorter or
 longer than its header implies is refused with ``StoreError`` at open
-rather than mapped into short columns.  (A corrupt manifest or a
-listed-but-missing segment is not checked here.)
+rather than mapped into short columns, and so is a version other
+than this module's (2: version 1 files also held POS / OSP
+permutations).  A manifest that is not the object ``_write_manifest``
+writes, or that lists a segment name it would not mint or a file that
+is gone, is refused with ``StoreError`` before any file is opened or
+swept.
 
 Durability model: segment + manifest writes follow the checkpoint
 temp-file pattern (write temp, ``os.replace``), so a crash mid-flush
@@ -95,6 +97,7 @@ import itertools
 import json
 import mmap
 import os
+import re
 import struct
 import time
 from array import array
@@ -115,7 +118,7 @@ from repro.rdf.triple import (
 __all__ = ["SegmentBackend", "SegmentReader"]
 
 _MAGIC = b"REPROSEG"
-_VERSION = 1
+_VERSION = 2
 _FLAG_CANONICAL = 1
 _HEADER = struct.Struct("=8sqqqq")
 
@@ -133,6 +136,9 @@ _MANIFEST = "MANIFEST.json"
 # Module-level so two backends in one process never mint the same
 # segment or temp file name (same trick as the checkpoint store).
 _SERIAL = itertools.count()
+# What _write_segment_file mints: a bare name, so a manifest entry can
+# neither leave the directory nor name a file no flush wrote.
+_SEGMENT_NAME = re.compile(r"seg-[0-9]+-[0-9]+\.seg")
 
 
 # The byte layout, declared once: build_segment_bytes writes,
@@ -163,10 +169,6 @@ _COLUMNS = (
     ("tomb_kind", "q", "n_tombs"),
     ("spo_perm", "q", "n_rows"),
     ("subj_start", "q", "subjects"),
-    ("pos_perm", "q", "n_rows"),
-    ("pred_start", "q", "predicates"),
-    ("osp_perm", "q", "n_rows"),
-    ("lex_start", "q", "lexicals"),
     ("key_hashes", "q", "n_rows"),
 )
 
@@ -264,30 +266,27 @@ def build_segment_bytes(
         "tomb_kind": array("q", [_KIND_INDEX[t.obj.kind] for t in dead]),
     }
 
-    def index(perm: str, starts: str, table: str, *order: str) -> None:
-        # One CSR index: row numbers sorted by the ``order`` columns
-        # then seq, and per id of ``table`` where its slice starts.
-        a, b, c, d = (col[name] for name in order)
-        seqs = col["col_seq"]
-        col[perm] = array(
-            "q",
-            sorted(
-                range(n), key=lambda i: (a[i], b[i], c[i], d[i], seqs[i])
-            ),
+    # The one CSR index, SPO: row numbers sorted by subject, predicate,
+    # object then seq, and per subject id where its slice starts.
+    subs, preds, lexes, kinds, seqs = (
+        col[name] for name in (
+            "col_subject", "col_predicate", "col_lexical", "col_kind",
+            "col_seq",
         )
-        n_ids = len(ids[table])
-        offsets = col[starts] = array("q", bytes(8 * (n_ids + 1)))
-        for i in a:
-            offsets[i + 1] += 1
-        for i in range(n_ids):
-            offsets[i + 1] += offsets[i]
-
-    index("spo_perm", "subj_start", "subjects",
-          "col_subject", "col_predicate", "col_lexical", "col_kind")
-    index("pos_perm", "pred_start", "predicates",
-          "col_predicate", "col_lexical", "col_kind", "col_subject")
-    index("osp_perm", "lex_start", "lexicals",
-          "col_lexical", "col_kind", "col_subject", "col_predicate")
+    )
+    col["spo_perm"] = array(
+        "q",
+        sorted(
+            range(n),
+            key=lambda i: (subs[i], preds[i], lexes[i], kinds[i], seqs[i]),
+        ),
+    )
+    n_subjects = len(ids["subjects"])
+    starts = col["subj_start"] = array("q", bytes(8 * (n_subjects + 1)))
+    for i in subs:
+        starts[i + 1] += 1
+    for i in range(n_subjects):
+        starts[i + 1] += starts[i]
 
     out = bytearray()
     out.extend(
@@ -483,26 +482,6 @@ class SegmentReader:
             self.subj_start[sid]:self.subj_start[sid + 1]
         ].tolist()
 
-    def predicate_rows(self, predicate: str) -> Iterator[int]:
-        pid = self.string_id("predicates", predicate)
-        if pid is None:
-            return iter(())
-        lo, hi = self.pred_start[pid], self.pred_start[pid + 1]
-        perm = self.pos_perm
-        return (perm[i] for i in range(lo, hi))
-
-    def object_rows(self, obj: Value) -> Iterator[int]:
-        lid = self.string_id("lexicals", obj.lexical)
-        if lid is None:
-            return iter(())
-        kind = _KIND_INDEX[obj.kind]
-        lo, hi = self.lex_start[lid], self.lex_start[lid + 1]
-        perm = self.osp_perm
-        kinds = self.col_kind
-        return (
-            perm[i] for i in range(lo, hi) if kinds[perm[i]] == kind
-        )
-
     def triple_rows(self, triple: Triple, tomb_seq: int) -> list[int]:
         """Live row indexes asserting exactly ``triple``."""
         pid = self.string_id("predicates", triple.predicate)
@@ -688,10 +667,35 @@ class SegmentBackend(StorageBackend):
         manifest = self.directory / _MANIFEST
         names: list[str] = []
         if manifest.exists():
-            state = json.loads(manifest.read_text())
-            names = list(state["segments"])
-            self._seq = int(state["next_seq"])
-            self._live = int(state["live"])
+            # Refused before any segment is opened or swept: a
+            # malformed manifest deletes nothing.
+            try:
+                state = json.loads(manifest.read_text())
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise StoreError(f"unreadable manifest: {manifest}") from exc
+            names = state.get("segments") if isinstance(state, dict) else None
+            if not (
+                isinstance(names, list)
+                and state.get("version") == 1
+                and all(
+                    type(state.get(key)) is int
+                    for key in ("version", "next_seq", "live")
+                )
+                and all(
+                    isinstance(name, str) and _SEGMENT_NAME.fullmatch(name)
+                    for name in names
+                )
+            ):
+                raise StoreError(f"malformed manifest: {manifest}")
+            missing = [
+                name for name in names if not (self.directory / name).is_file()
+            ]
+            if missing:
+                raise StoreError(
+                    f"manifest lists missing segments {missing}: {manifest}"
+                )
+            self._seq = state["next_seq"]
+            self._live = state["live"]
         for name in names:
             reader = SegmentReader(self.directory / name)
             self._segments.append(reader)
@@ -845,25 +849,6 @@ class SegmentBackend(StorageBackend):
         return self._fold(
             lambda seg: range(seg.n_rows), self._mem.iter_claims()
         )
-
-    def _mem_matches(
-        self,
-        subject: str | None,
-        predicate: str | None,
-        obj: Value | None,
-    ) -> list[ScoredTriple]:
-        """The memtable's claims of the triples matching a pattern
-        with at least one position bound: the claims of each matched
-        item, kept by a set probe of their triple, so a claim of
-        another value costs a hash and no comparison."""
-        mem = self._mem
-        triples = set(mem.match(subject, predicate, obj))
-        return [
-            scored
-            for item in {triple.item for triple in triples}
-            for scored in mem.claims_for_item(*item)
-            if scored.triple in triples
-        ]
 
     def contains_triple(self, triple: Triple) -> bool:
         if self._mem.contains_triple(triple):
@@ -1097,38 +1082,32 @@ class SegmentBackend(StorageBackend):
         predicate: str | None = None,
         obj: Value | None = None,
     ) -> list[Triple]:
-        if subject is not None and predicate is not None:
-            rows = lambda seg: seg.item_rows(subject, predicate)
-        elif subject is not None:
-            rows = lambda seg: seg.subject_rows(subject)
-        elif predicate is not None:
-            rows = lambda seg: seg.predicate_rows(predicate)
-        elif obj is not None:
-            rows = lambda seg: seg.object_rows(obj)
-        else:
-            rows = None
-        if rows is None:
-            entries = self._ordered_entries()
-        else:
+        if subject is None:
+            # No index leads to an unbound subject: one walk of the
+            # live claims in position order, as the memory backend
+            # walks its claim keys, so the answers are its answers.
+            claims = self.iter_claims()
+        elif predicate is None:
+            mem = self._mem
             entries = self._fold(
-                rows, self._mem_matches(subject, predicate, obj)
+                lambda seg: seg.subject_rows(subject),
+                [
+                    scored
+                    for each in mem.predicates(subject)
+                    for scored in mem.claims_for_item(subject, each)
+                ],
             )
-        # The memtable's matches and the object slice hold only
-        # ``obj``; a subject or predicate slice holds other objects too.
-        check_obj = obj is not None and (
-            subject is not None or predicate is not None
+            claims = (entry[1] for entry in entries)
+        else:
+            claims = self.claims_for_item(subject, predicate)
+        return list(
+            dict.fromkeys(
+                scored.triple
+                for scored in claims
+                if (predicate is None or scored.triple.predicate == predicate)
+                and (obj is None or scored.triple.obj == obj)
+            )
         )
-        seen: set[Triple] = set()
-        out: list[Triple] = []
-        for entry in entries:
-            triple = entry[1].triple
-            if triple in seen:
-                continue
-            if check_obj and triple.obj != obj:
-                continue
-            seen.add(triple)
-            out.append(triple)
-        return out
 
     def objects(self, subject: str, predicate: str) -> set[Value]:
         return {

@@ -11,8 +11,9 @@ same claims in the same order.
 
 The triple-level reads (``match``, ``objects``, ``subjects``,
 ``predicates``, ``contains_triple``) are derived from the same dict,
-one scan each: what the backend's SPO/POS/OSP indexes — shared
-copy-on-write between copies — must keep answering.
+one scan each: what the backend's SPO index — shared copy-on-write
+between copies — and its walk for an unbound subject must keep
+answering.
 """
 
 from __future__ import annotations

@@ -170,10 +170,9 @@ class TestQueryCommand:
 
     def test_solutions_print_sorted_under_any_hash_seed(self, tmp_path):
         # Six values of one item and six subjects of one (predicate,
-        # object), neither inserted in sorted order: the POS index holds
-        # a predicate's subjects in set order, so without the sort even
-        # *which* three solutions --limit keeps moves with
-        # PYTHONHASHSEED.
+        # object), neither inserted in sorted order: a store answers in
+        # claim order, not sorted order, so without the sort --limit
+        # would keep whichever three solutions came first.
         store = TripleStore()
         for index, city in enumerate(
             ["Paris", "Lyon", "Nice", "Lille", "Brest", "Metz"]

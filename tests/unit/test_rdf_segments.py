@@ -97,20 +97,33 @@ class TestSegmentFile:
     @pytest.mark.parametrize(
         "canonical, digest",
         [
-            (False, "b8b3271504a8307754f8338e2d7e1a30"
-                    "448dfbf6d8cb3d0db73e8aa677e67cf6"),
-            (True, "5e87a942a007e7f95b92ef7d3d491c63"
-                   "63a298913bd6b26032bc337a972c3fad"),
+            (False, "b24e678a737c1a802b50419bd85e3292"
+                    "f5bda82f6f210d0df9bc04d9dae5fd1f"),
+            (True, "3947f3be9a7839844981ff848b6c7348"
+                   "fd9b1d4eb23ffbc30a22e4553d37ebc1"),
         ],
     )
-    def test_format_version_1_bytes_are_pinned(self, canonical, digest):
-        # Taken from the writer that listed the columns by hand: the
-        # declared layout must lay the same bytes down.
+    def test_format_version_2_bytes_are_pinned(self, canonical, digest):
+        # Version 1's bytes with its POS / OSP columns (pos_perm,
+        # pred_start, osp_perm, lex_start) cut out and the version
+        # field set to 2: every column a file keeps is laid down as
+        # before.
         rows = [(i + 1, scored) for i, scored in enumerate(CORPUS)]
         tombs = [(Triple("old", "p", Value("v")), 99)]
         blob = build_segment_bytes(rows, tombs, canonical=canonical)
-        assert len(blob) == 1192
+        assert len(blob) == 1008
         assert hashlib.sha256(blob).hexdigest() == digest
+
+    def test_refuses_a_version_1_file(self, tmp_path):
+        # A version-1 file also holds POS / OSP permutations; no
+        # reader of them is kept, so it is refused, not misread.
+        rows = [(i + 1, scored) for i, scored in enumerate(CORPUS)]
+        blob = bytearray(build_segment_bytes(rows, []))
+        struct.pack_into("=q", blob, 8, 1)
+        path = tmp_path / "old.seg"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(StoreError, match="unsupported segment version 1"):
+            SegmentReader(path)
 
     def test_refuses_a_file_of_the_wrong_length(self, tmp_path):
         # Every aligned prefix: inside the header, the tables, each
@@ -285,6 +298,61 @@ class TestDurability:
         TripleStore(SegmentBackend(directory))
         assert not (directory / "seg-999-999.seg").exists()
         assert not (directory / "whatever.tmp").exists()
+
+
+def _listing(*extra):
+    """A manifest edit: the good segment list plus ``extra`` names."""
+    return lambda good: {**good, "segments": good["segments"] + list(extra)}
+
+
+class TestManifestIsRefusedNotMisread:
+    """A manifest that is not what a flush writes — not JSON, not an
+    object, a field missing or of the wrong type, a segment name that
+    is not a bare ``seg-*.seg`` name, a listed file that is gone — is
+    refused with ``StoreError`` at open, before the orphan sweep: the
+    store's segment file is still there afterwards."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda good: b"{not json",
+        lambda good: b"\xff\xfe",
+        lambda good: [good],
+        lambda good: None,
+        lambda good: {k: v for k, v in good.items() if k != "version"},
+        lambda good: {k: v for k, v in good.items() if k != "live"},
+        lambda good: {**good, "version": 2},
+        lambda good: {**good, "version": True},
+        lambda good: {**good, "next_seq": str(good["next_seq"])},
+        lambda good: {**good, "live": float(good["live"])},
+        lambda good: {**good, "segments": good["segments"][0]},
+        _listing(7),
+        _listing("../seg-1-1.seg"),
+        _listing("sub/seg-1-1.seg"),
+        _listing("MANIFEST.json"),
+        _listing("seg-1-1.seg"),  # no such file
+    ], ids=[
+        "not-json", "not-utf8", "list", "null", "no-version", "no-live",
+        "version-2", "version-true", "next-seq-str", "live-float",
+        "segments-str", "name-int", "name-dotdot", "name-separator",
+        "name-manifest", "name-missing",
+    ])
+    def test_refused_before_any_file_is_swept(self, tmp_path, edit):
+        directory = tmp_path / "s"
+        store = SegmentBackend(directory, memtable_limit=100)
+        store.add_all(CORPUS)
+        store.flush()
+        store.close()
+        manifest = directory / "MANIFEST.json"
+        good = json.loads(manifest.read_text())
+        (segment,) = good["segments"]
+        bad = edit(good)
+        if not isinstance(bad, bytes):
+            bad = json.dumps(bad).encode()
+        manifest.write_bytes(bad)
+        with pytest.raises(StoreError):
+            SegmentBackend(directory)
+        assert (directory / segment).exists()
+        manifest.write_text(json.dumps(good))
+        assert SegmentBackend(directory).claims() == CORPUS
 
 
 class TestCompaction:
@@ -644,6 +712,55 @@ def test_memtable_pattern_match_walks_each_key_once(tmp_path, read_work):
         assert read_work["Value.__eq__"] <= len(backend._mem) + 2
         assert found == memory.match(predicate=predicate)
         assert len(found) == len(set(found))
+
+
+def test_segment_pattern_match_builds_each_row_once(tmp_path, read_work):
+    """With segments in play, ``match(obj=…)`` and ``match(predicate=…)``
+    walk the live claims once in position order: at most one
+    ``row_scored`` per stored row — three segments, tombstones and a
+    memtable included — and the answers are the memory backend's,
+    element for element.  No file keeps a POS or OSP index."""
+    backend = SegmentBackend(tmp_path / "store", memtable_limit=10**6,
+                             compact_threshold=10**6)
+    memory = MemoryBackend()
+    corpus = [
+        claim(f"s{i // 6:03d}", f"p{i % 3}", f"v{i % 40}", source="a")
+        for i in range(900)
+    ]
+    corpus += [
+        ScoredTriple(one.triple, Provenance("b", "ex"), 0.5)
+        for one in corpus[::5]
+    ]
+    third = len(corpus) // 3
+    for start in range(0, len(corpus), third):
+        for one in corpus[start:start + third]:
+            assert backend.add(one) == memory.add(one)
+        backend.flush()
+    for one in corpus[:300:7]:
+        assert backend.remove(one.triple) == memory.remove(one.triple)
+    for index, one in enumerate(corpus[100:400:3]):
+        # Refreshes of flushed claims, and new claims of old items.
+        for fresh in (one.with_confidence(1.0),
+                      claim(one.triple.subject, one.triple.predicate,
+                            f"m{index % 9}", source="m")):
+            assert backend.add(fresh) == memory.add(fresh)
+    assert len(backend._segments) >= 3
+    assert backend._tomb and backend._mem
+    stored = sum(seg.n_rows for seg in backend._segments)
+    for value in (Value("v0"), Value("m3"), Value("absent")):
+        read_work.clear()
+        found = backend.match(obj=value)
+        assert read_work["row_scored"] <= stored, value
+        assert found == memory.match(obj=value)
+    for predicate in ("p0", "p2", "absent"):
+        read_work.clear()
+        found = backend.match(predicate=predicate)
+        assert read_work["row_scored"] <= stored, predicate
+        assert found == memory.match(predicate=predicate)
+    assert backend.match(predicate="p1", obj=Value("v1")) == memory.match(
+        predicate="p1", obj=Value("v1")
+    )
+    assert backend.match() == memory.match()
 
 
 def test_a_key_in_several_segments_counts_once(tmp_path):
