@@ -15,15 +15,19 @@ position seqno:
   tombstones) and drops the rest;
 * an item, triple or subject read — and ``remove`` — costs its answer:
   candidate rows come from each segment's CSR slice and memtable
-  claims from the same read of the memtable's SPO index, and each row
-  is checked against the tombstone map by its own triple.  Every
-  stage reads by item, so a file keeps one index, SPO, as the
-  memtable does: a ``match`` with an unbound subject walks the live
-  claims once, in position order.
-  ``count_for_item`` and ``predicates(subject)`` fold those rows as
-  strings and decode no claim.  Only the whole-column scans behind
-  ``subjects()`` / ``predicates()`` project the tombstone map onto a
-  segment's ids, once per segment.
+  claims from the same read of the memtable's SPO index.  A row is
+  probed against the tombstone map, by its own triple, only when its
+  item is in the set of tombstoned items.  Every stage reads by item,
+  so a file keeps one index, SPO, as the memtable does: a ``match``
+  with an unbound subject walks the live claims once, in position
+  order.  The claim read folds rows on their string keys and builds
+  only each key's winning row; ``count_for_item`` and
+  ``predicates(subject)`` fold the same keys and build no claim.  An
+  item whose rows sit in one segment, with no tombstone and no
+  memtable claim, needs no fold (a segment's keys are unique): its
+  count is its rows and its claim read builds each row once.  Only
+  the whole-column scans behind ``subjects()`` / ``predicates()``
+  project the tombstone map onto a segment's ids, once per segment.
 
 A segment file is the :mod:`repro.fusion.compiled` idiom spilled to
 disk: string-interning tables plus flat ``array('q')``/``array('d')``
@@ -130,6 +134,9 @@ _KINDS = (
     ValueKind.ENTITY,
 )
 _KIND_INDEX = {kind: index for index, kind in enumerate(_KINDS)}
+# A kind column value read as _KINDS reads it: refused (IndexError) or
+# made the index of the kind it names.
+_KIND_CODES = tuple(range(len(_KINDS)))
 
 _MANIFEST = "MANIFEST.json"
 
@@ -206,6 +213,17 @@ def _key_hash(triple: Triple, prov: Provenance) -> int:
     ).encode("utf-8", "surrogatepass")
     digest = hashlib.blake2b(raw, digest_size=8).digest()
     return struct.unpack("=q", digest)[0]
+
+
+def _claim_key(scored: ScoredTriple) -> tuple:
+    """A claim's key spelled as :meth:`SegmentReader.row_key` spells a
+    row's."""
+    triple, prov = scored.triple, scored.provenance
+    return (
+        triple.subject, triple.predicate, triple.obj.lexical,
+        _KIND_INDEX[triple.obj.kind], prov.source_id, prov.extractor_id,
+        prov.locator,
+    )
 
 
 def _intern(table: dict[str, int], value: str) -> int:
@@ -317,6 +335,28 @@ def _read_table(buf: memoryview, offset: int) -> list[str]:
     return strings
 
 
+class _StringTable:
+    """One of a reader's string tables, decoded on its first read and
+    then kept as a plain attribute of the reader, which shadows this
+    descriptor.  (A ``__getattr__`` on the reader would make every
+    attribute read of it — each column read of a row — take the slow
+    lookup path.)"""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, reader, owner=None):
+        if reader is None:
+            return self
+        buf = memoryview(reader._mm)
+        try:
+            table = _read_table(buf, reader._table_offsets[self.name])
+        finally:
+            buf.release()
+        setattr(reader, self.name, table)
+        return table
+
+
 class SegmentReader:
     """Zero-copy read access to one mmapped segment file.
 
@@ -383,7 +423,8 @@ class SegmentReader:
             self._views.append(view)
             setattr(self, name, view)
             offset = end
-        # table name -> {string: id}, built on a table's first lookup.
+        # table name -> {string: id}, built on a table's first lookup;
+        # the tables themselves are decoded on first use (_StringTable).
         self._ids: dict[str, dict[str, int]] = {}
 
     def _refused(self, buf: memoryview, why: str) -> StoreError:
@@ -404,21 +445,6 @@ class SegmentReader:
             view.release()
         self._mm.close()
         self._file.close()
-
-    def __getattr__(self, name: str) -> list[str]:
-        # Reached only for an attribute not set yet: a string table is
-        # decoded on the first query that needs it, then kept as a
-        # plain attribute (``reader.subjects[id]``).
-        offset = self.__dict__.get("_table_offsets", {}).get(name)
-        if offset is None:
-            raise AttributeError(name)
-        buf = memoryview(self._mm)
-        try:
-            table = _read_table(buf, offset)
-        finally:
-            buf.release()
-        self.__dict__[name] = table
-        return table
 
     def string_id(self, table: str, text: str) -> int | None:
         """Id of ``text`` in one string table, ``None`` if absent."""
@@ -450,8 +476,8 @@ class SegmentReader:
 
     def row_key(self, row: int) -> tuple:
         """One row's claim key as its strings — ``(subject, predicate,
-        lexical, kind, source, extractor, locator)`` — with no object
-        built.
+        lexical, kind, source, extractor, locator)``, the kind as its
+        index in ``_KINDS`` — with no object built.
 
         Refuses every row :meth:`row_scored` refuses, with the same
         exception: the strings are read in its order, and a row that
@@ -460,7 +486,7 @@ class SegmentReader:
         subject = self.subjects[self.col_subject[row]]
         predicate = self.predicates[self.col_predicate[row]]
         lexical = self.lexicals[self.col_lexical[row]]
-        kind = _KINDS[self.col_kind[row]]
+        kind = _KIND_CODES[self.col_kind[row]]
         if not (lexical and subject and predicate):
             self.row_scored(row)
         source = self.sources[self.col_source[row]]
@@ -503,15 +529,26 @@ class SegmentReader:
         ]
 
     def item_rows(self, subject: str, predicate: str) -> list[int]:
-        """Row indexes of one data item, via its subject's SPO slice."""
-        rows = self.subject_rows(subject)
-        if not rows:
-            return rows
+        """Row indexes of one data item: the run of its subject's SPO
+        slice that holds its predicate (the slice is sorted by
+        predicate id)."""
+        sid = self.string_id("subjects", subject)
+        if sid is None:
+            return []
         pid = self.string_id("predicates", predicate)
         if pid is None:
             return []
+        perm = self.spo_perm
         preds = self.col_predicate
-        return [row for row in rows if preds[row] == pid]
+        starts = self.subj_start
+        rows: list[int] = []
+        for index in range(starts[sid], starts[sid + 1]):
+            row = perm[index]
+            if preds[row] == pid:
+                rows.append(row)
+            elif rows:
+                break
+        return rows
 
     def live_rows(
         self, tomb: dict[Triple, int]
@@ -595,6 +632,11 @@ class SegmentReader:
         return best
 
 
+# ``reader.subjects[id]`` and the other tables of _TABLES.
+for _table in _TABLES:
+    setattr(SegmentReader, _table, _StringTable(_table))
+
+
 class SegmentBackend(StorageBackend):
     """LSM-style triple storage: memtable + mmapped segments + manifest.
 
@@ -651,6 +693,10 @@ class SegmentBackend(StorageBackend):
         self._mem_tombs: list[tuple[Triple, int]] = []
         # triple -> newest tombstone seqno (memtable + all segments)
         self._tomb: dict[Triple, int] = {}
+        # The items of _tomb's triples: a row whose item is not here
+        # needs no tombstone probe.  Shared with copy() siblings as the
+        # key filter is: rebound, never updated in place, once open.
+        self._tomb_items: set[tuple[str, str]] = set()
         # Key hashes of every segment-resident row (live or not): the
         # dedup probe for a never-stored claim is one set miss instead
         # of a per-segment string lookup.  ~tens of bytes per key —
@@ -696,14 +742,23 @@ class SegmentBackend(StorageBackend):
                 )
             self._seq = state["next_seq"]
             self._live = state["live"]
-        for name in names:
-            reader = SegmentReader(self.directory / name)
-            self._segments.append(reader)
-            self._names.append(name)
-            self._key_filter.update(reader.key_hashes)
-            for triple, seq in reader.iter_tombstones():
-                if seq > self._tomb.get(triple, -1):
-                    self._tomb[triple] = seq
+        try:
+            for name in names:
+                reader = SegmentReader(self.directory / name)
+                self._segments.append(reader)
+                self._names.append(name)
+                self._key_filter.update(reader.key_hashes)
+                for triple, seq in reader.iter_tombstones():
+                    if seq > self._tomb.get(triple, -1):
+                        self._tomb[triple] = seq
+        except BaseException:
+            # The raised error's traceback holds this backend: unmap
+            # the segments already opened rather than leave them mapped
+            # for as long as the error lives.
+            for reader in self._segments:
+                reader.close()
+            raise
+        self._tomb_items = {triple.item for triple in self._tomb}
         self._sweep_orphans(set(names))
         self._publish_gauges()
 
@@ -789,65 +844,94 @@ class SegmentBackend(StorageBackend):
             return (only.row_scored(row) for row in range(only.n_rows))
         return (scored for _pos, scored in self._ordered_entries())
 
-    def _fold(self, segment_rows, mem_claims) -> list[list]:
-        """Merge segment rows + memtable entries into position order.
+    def _held(self, rows_of, *args) -> list[tuple[SegmentReader, list]]:
+        """``(segment, rows)`` for each segment where the candidate rows
+        ``rows_of(seg, *args)`` are not empty."""
+        return [
+            (seg, rows)
+            for seg in self._segments
+            if (rows := rows_of(seg, *args))
+        ]
 
-        ``segment_rows(seg)`` yields candidate row indexes; a row is
-        live unless a tombstone of its own triple is at least as new,
-        checked here one row at a time, so a read pays for its
-        candidates and not for the tombstone map.  ``mem_claims`` are
-        the memtable claims of the answer.  Returns ``[position, claim]``
-        per key, max confidence folded, sorted by position; the
-        memtable entry, when present, is authoritative for both (its
-        position was resolved against the segments at add time, and
-        its confidence is by construction the maximum).
+    def _fold(self, held, mem_claims: list[ScoredTriple]) -> list[list]:
+        """Merge segment rows + memtable claims into position order.
+
+        ``held`` is :meth:`_held`'s answer and ``mem_claims`` are the
+        memtable claims of the answer.  Returns ``[position, claim]``
+        per live key, sorted by position.  A memtable entry is
+        authoritative for its key (its position was resolved against
+        the segments at add time, and its confidence is by construction
+        the maximum).  The other keys fold their live rows
+        (:meth:`_live_keys`) on their :meth:`SegmentReader.row_key`
+        strings — first position, max confidence — and only each key's
+        winning row is built.
+
+        When one segment holds every row, the memtable holds none of
+        the answer and no row's item has a tombstone, there is nothing
+        to fold (a segment's keys are unique): each row is built once,
+        in position order.
         """
-        merged: dict = {}
-        tomb = self._tomb
-        for seg in self._segments:
-            seqs = seg.col_seq
-            confs = seg.col_confidence
-            for row in segment_rows(seg):
-                seq = seqs[row]
-                scored = seg.row_scored(row)
-                triple = scored.triple
-                if tomb and seq <= tomb.get(triple, -1):
-                    continue
-                key = (triple, scored.provenance)
-                entry = merged.get(key)
-                if entry is None:
-                    merged[key] = [seq, scored]
-                else:
-                    if seq < entry[0]:
-                        entry[0] = seq
-                    if confs[row] > entry[1].confidence:
-                        entry[1] = scored
+        tomb_items = self._tomb_items
+        if len(held) == 1 and not mem_claims:
+            ((seg, rows),) = held
+            if not tomb_items or tomb_items.isdisjoint(
+                (seg.subjects[seg.col_subject[row]],
+                 seg.predicates[seg.col_predicate[row]])
+                for row in rows
+            ):
+                seqs = seg.col_seq
+                return [
+                    [seqs[row], seg.row_scored(row)]
+                    for row in sorted(rows, key=seqs.__getitem__)
+                ]
         positions = self._positions
-        for scored in mem_claims:
-            key = (scored.triple, scored.provenance)
-            merged[key] = [positions[key], scored]
-        return sorted(merged.values(), key=lambda entry: entry[0])
+        entries = [
+            [positions[(scored.triple, scored.provenance)], scored]
+            for scored in mem_claims
+        ]
+        shadowed = set(map(_claim_key, mem_claims))
+        won: dict[tuple, list] = {}  # key -> [first position, seg, row]
+        for seg, row, key in self._live_keys(held):
+            if key in shadowed:
+                continue
+            seq = seg.col_seq[row]
+            entry = won.get(key)
+            if entry is None:
+                won[key] = [seq, seg, row]
+                continue
+            if seq < entry[0]:
+                entry[0] = seq
+            if seg.col_confidence[row] > entry[1].col_confidence[entry[2]]:
+                entry[1], entry[2] = seg, row
+        entries.extend(
+            [seq, seg.row_scored(row)] for seq, seg, row in won.values()
+        )
+        entries.sort(key=lambda entry: entry[0])
+        return entries
 
-    def _live_keys(self, segment_rows) -> Iterator[tuple]:
-        """The :meth:`SegmentReader.row_key` of every live candidate
-        row, a key once per segment holding it: :meth:`_fold` without
-        the claims.  Rows are refused and checked against the
-        tombstones (by their own triple) as there; memtable keys are
-        the caller's to add."""
+    def _live_keys(self, held) -> Iterator[tuple[SegmentReader, int, tuple]]:
+        """``(segment, row, row key)`` for every live row of ``held``,
+        a key once per segment holding it.  Each row is refused as
+        :meth:`SegmentReader.row_key` refuses it; it is dead when a
+        tombstone of its own triple is at least as new, probed only for
+        a row whose item has a tombstone — so a read pays for its
+        candidates and not for the tombstone map."""
         tomb = self._tomb
-        for seg in self._segments:
+        tomb_items = self._tomb_items
+        for seg, rows in held:
             seqs = seg.col_seq
-            for row in segment_rows(seg):
+            for row in rows:
                 key = seg.row_key(row)
-                if tomb and seqs[row] <= tomb.get(
-                    Triple(key[0], key[1], Value(key[2], key[3])), -1
+                if (key[0], key[1]) in tomb_items and seqs[row] <= tomb.get(
+                    Triple(key[0], key[1], Value(key[2], _KINDS[key[3]])), -1
                 ):
                     continue
-                yield key
+                yield seg, row, key
 
     def _ordered_entries(self) -> list[list]:
         return self._fold(
-            lambda seg: range(seg.n_rows), self._mem.iter_claims()
+            self._held(lambda seg: range(seg.n_rows)),
+            list(self._mem.iter_claims()),
         )
 
     def contains_triple(self, triple: Triple) -> bool:
@@ -909,21 +993,21 @@ class SegmentBackend(StorageBackend):
 
     def remove(self, triple: Triple) -> list[ScoredTriple]:
         tomb_seq = self._tomb_seq(triple)
-        rows = {
-            seg: seg.triple_rows(triple, tomb_seq) for seg in self._segments
-        }
+        held = self._held(SegmentReader.triple_rows, triple, tomb_seq)
         dropped = self._mem.remove(triple)
-        lost = [entry[1] for entry in self._fold(rows.__getitem__, dropped)]
+        lost = [entry[1] for entry in self._fold(held, dropped)]
         for scored in dropped:
             del self._positions[(scored.triple, scored.provenance)]
         if not lost:
             return lost
-        if any(rows.values()):
+        if held:
             # Only segment-resident rows need a tombstone; pure
             # memtable keys are simply purged.
             self._seq += 1
             self._tomb[triple] = self._seq
             self._mem_tombs.append((triple, self._seq))
+            if triple.item not in self._tomb_items:
+                self._tomb_items = self._tomb_items | {triple.item}
             self._count("storage_tombstones_total")
         self._live -= len(lost)
         self._maybe_flush()
@@ -1021,6 +1105,7 @@ class SegmentBackend(StorageBackend):
         self._segments = [SegmentReader(self.directory / name)]
         self._key_filter = set(self._segments[0].key_hashes)
         self._tomb.clear()
+        self._tomb_items = set()
         for old in old_names:
             try:
                 (self.directory / old).unlink()
@@ -1046,7 +1131,7 @@ class SegmentBackend(StorageBackend):
             return [scored for scored in self.iter_claims()]
         tomb_seq = self._tomb_seq(triple)
         entries = self._fold(
-            lambda seg: seg.triple_rows(triple, tomb_seq),
+            self._held(SegmentReader.triple_rows, triple, tomb_seq),
             self._mem.claims(triple),
         )
         return [entry[1] for entry in entries]
@@ -1055,25 +1140,29 @@ class SegmentBackend(StorageBackend):
         self, subject: str, predicate: str
     ) -> list[ScoredTriple]:
         entries = self._fold(
-            lambda seg: seg.item_rows(subject, predicate),
+            self._held(SegmentReader.item_rows, subject, predicate),
             self._mem.claims_for_item(subject, predicate),
         )
         return [entry[1] for entry in entries]
 
     def count_for_item(self, subject: str, predicate: str) -> int:
-        keys = set(
-            self._live_keys(lambda seg: seg.item_rows(subject, predicate))
-        )
-        if not keys:
-            return self._mem.count_for_item(subject, predicate)
+        held = self._held(SegmentReader.item_rows, subject, predicate)
+        if (
+            len(held) == 1
+            and (subject, predicate) not in self._tomb_items
+            and not self._mem.count_for_item(subject, predicate)
+        ):
+            # One segment's keys are unique and nothing shadows them:
+            # the count is its rows, each refused as the fold would.
+            ((seg, rows),) = held
+            for row in rows:
+                seg.row_key(row)
+            return len(rows)
+        keys = {key for _seg, _row, key in self._live_keys(held)}
         # A memtable key shadows the segment rows of its claim.
-        for scored in self._mem.claims_for_item(subject, predicate):
-            triple, prov = scored.triple, scored.provenance
-            keys.add(
-                (triple.subject, triple.predicate, triple.obj.lexical,
-                 triple.obj.kind, prov.source_id, prov.extractor_id,
-                 prov.locator)
-            )
+        keys.update(
+            map(_claim_key, self._mem.claims_for_item(subject, predicate))
+        )
         return len(keys)
 
     def match(
@@ -1090,7 +1179,7 @@ class SegmentBackend(StorageBackend):
         elif predicate is None:
             mem = self._mem
             entries = self._fold(
-                lambda seg: seg.subject_rows(subject),
+                self._held(SegmentReader.subject_rows, subject),
                 [
                     scored
                     for each in mem.predicates(subject)
@@ -1135,10 +1224,8 @@ class SegmentBackend(StorageBackend):
             out = self._live_column_strings("predicate")
             out.update(self._mem.predicates())
             return out
-        out = {
-            key[1]
-            for key in self._live_keys(lambda seg: seg.subject_rows(subject))
-        }
+        held = self._held(SegmentReader.subject_rows, subject)
+        out = {key[1] for _seg, _row, key in self._live_keys(held)}
         out.update(self._mem.predicates(subject))
         return out
 
@@ -1167,6 +1254,7 @@ class SegmentBackend(StorageBackend):
         clone._positions = self._positions.copy()
         clone._mem_tombs = list(self._mem_tombs)
         clone._tomb = dict(self._tomb)
+        clone._tomb_items = self._tomb_items
         clone._key_filter = self._key_filter
         clone._seq = self._seq
         clone._live = self._live

@@ -24,15 +24,17 @@ Three query families:
 What a read costs: :meth:`lookup` is two dict probes into the fused
 result plus the store's ``count_for_item``, which builds no claim: the
 length of the memory backend's SPO leaf, or on the segment backend the
-item's rows of each segment's CSR index, straight off the mmap, folded
-as strings with the item's keys in the memtable's index (each row
-checked against the tombstones by its own triple) — O(claims of the
-item).  :meth:`scan_subject` is the store's ``predicates(subject)`` —
-the same decode-free fold over the subject's rows on the segment
-backend, one index probe on the memory backend — then one ``lookup``
-per predicate; :meth:`scan_predicate` and :meth:`top_entities` build an
-O(fused items) index once per reader, then cost one ``lookup`` per
-answer.  Each read kind resolves its ``serving_reads_total`` counter
+item's rows of each segment's CSR index, straight off the mmap.  When
+one segment holds them and the item has no tombstone and no memtable
+claim, the count is those rows, each still refused as the claim read
+refuses it; otherwise they are folded as strings with the item's keys
+in the memtable's index, a row probed against the tombstones only when
+its item has one — O(claims of the item) either way.
+:meth:`scan_subject` is the store's ``predicates(subject)`` — the same
+decode-free fold over the subject's rows on the segment backend, one
+index probe on the memory backend — then one ``lookup`` per predicate;
+:meth:`scan_predicate` and :meth:`top_entities` build an O(fused items)
+index once per reader, then cost one ``lookup`` per answer.  Each read kind resolves its ``serving_reads_total`` counter
 once per reader, on its first read.
 """
 

@@ -299,6 +299,37 @@ class TestDurability:
         assert not (directory / "seg-999-999.seg").exists()
         assert not (directory / "whatever.tmp").exists()
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd"
+    )
+    def test_a_refused_segment_leaves_none_mapped(self, tmp_path):
+        """A listed segment refused at open (here cut by 8 bytes) makes
+        the open raise with the segments it already opened unmapped:
+        errors kept alive — each traceback holds its half-built
+        backend — hold no file descriptor."""
+        directory = tmp_path / "s"
+        backend = SegmentBackend(directory, memtable_limit=100)
+        backend.add_all(CORPUS[:3])
+        backend.flush()
+        backend.add_all(CORPUS[3:])
+        backend.flush()
+        backend.close()
+        names = json.loads((directory / "MANIFEST.json").read_text())
+        assert len(names["segments"]) == 2
+        cut = directory / names["segments"][-1]
+        cut.write_bytes(cut.read_bytes()[:-8])
+
+        def open_descriptors():
+            return len(os.listdir("/proc/self/fd"))
+
+        kept = []
+        before = open_descriptors()
+        for _ in range(5):
+            with pytest.raises(StoreError, match="its header says") as info:
+                SegmentBackend(directory)
+            kept.append(info.value)
+        assert open_descriptors() == before
+
 
 def _listing(*extra):
     """A manifest edit: the good segment list plus ``extra`` names."""
@@ -492,7 +523,7 @@ def read_work(monkeypatch):
     a string-id probe, a row materialization, a row's string key, a
     whole-column scan — and of ``Triple.__eq__`` and ``Value.__eq__``
     (counted as ``"Value.__eq__"``), the units of a walk over memtable
-    keys."""
+    keys; ``"Triple"`` counts the triples built."""
     counts = collections.Counter()
 
     def count(owner, name, unit=None):
@@ -510,6 +541,7 @@ def read_work(monkeypatch):
     count(SegmentReader, "live_rows")
     count(Triple, "__eq__")
     count(Value, "__eq__", "Value.__eq__")
+    count(Triple, "__post_init__", "Triple")
     return counts
 
 
@@ -784,6 +816,150 @@ def test_a_key_in_several_segments_counts_once(tmp_path):
     assert [one.provenance.source_id for one in decoded] == ["a", "c"]
     assert backend.count_for_item("e", "p") == 2
     assert backend.predicates("e") == {"p"}
+
+
+def test_an_item_nothing_shadows_is_read_without_a_fold(tmp_path, read_work):
+    """An item whose rows sit in one segment, with no tombstone and no
+    memtable claim, is read without a fold, though the store carries
+    tombstones, a memtable and four segments: a reader's ``lookup``
+    (the count) builds no claim and no triple and examines exactly the
+    item's rows, and ``claims_for_item`` builds each row once and
+    reads no row key.  An item that needs the fold builds only each
+    segment key's winning row."""
+    backend = SegmentBackend(tmp_path / "store", memtable_limit=10**6,
+                             compact_threshold=10**6)
+    # 30 subjects x 2 predicates x 2 sources, a segment per 10 subjects.
+    corpus = [
+        claim(f"s{i // 4:03d}", f"p{i % 2}", f"v{i % 3}",
+              source=f"src{(i // 2) % 2}", conf=0.5)
+        for i in range(120)
+    ]
+    for start in range(0, len(corpus), 40):
+        backend.add_all(corpus[start:start + 40])
+        backend.flush()
+    backend.remove(corpus[0].triple)  # the item ("s000", "p0")
+    backend.flush()
+    backend.add(corpus[5].with_confidence(0.9))  # ("s001", "p1")
+    backend.add(claim("s002", "p0", "fresh", source="m"))
+    assert len(backend._segments) == 4
+    assert backend._tomb and backend._mem
+    reader = KBReader(KBVersion(
+        version_id=0, sequence=0, store=TripleStore(backend),
+        result=FusionResult(method="none"),
+    ))
+    memory = MemoryBackend()
+    for one in corpus:
+        memory.add(one)
+    memory.remove(corpus[0].triple)
+    memory.add(corpus[5].with_confidence(0.9))
+    memory.add(claim("s002", "p0", "fresh", source="m"))
+
+    plain = [(f"s{n:03d}", f"p{n % 2}") for n in range(3, 30, 4)]
+    for subject, predicate in plain:
+        (rows,) = [
+            found for seg in backend._segments
+            if (found := seg.item_rows(subject, predicate))
+        ]
+        assert all(dead.item != (subject, predicate) for dead in backend._tomb)
+        assert not backend._mem.count_for_item(subject, predicate)
+        read_work.clear()
+        view = reader.lookup(subject, predicate)
+        assert view.claims == len(rows) == memory.count_for_item(
+            subject, predicate
+        )
+        assert read_work["row_scored"] == 0
+        assert read_work["Triple"] == 0
+        assert read_work["row_key"] == len(rows)
+        read_work.clear()
+        claims = backend.claims_for_item(subject, predicate)
+        assert claims == memory.claims_for_item(subject, predicate)
+        assert read_work["row_scored"] == len(rows)
+        assert read_work["row_key"] == 0
+
+    for item, from_segments in [
+        (("s000", "p0"), 1),  # tombstoned: one live key of two
+        (("s001", "p1"), 1),  # one key of two shadowed by the memtable
+        (("s002", "p0"), 2),  # a memtable claim besides two keys
+    ]:
+        read_work.clear()
+        claims = backend.claims_for_item(*item)
+        assert claims == memory.claims_for_item(*item)
+        assert read_work["row_scored"] == from_segments, item
+        assert backend.count_for_item(*item) == len(claims)
+
+
+def _assert_answers_agree(backend, memory, items) -> None:
+    """``count_for_item``, ``claims_for_item`` and
+    ``predicates(subject)`` of ``backend`` equal ``memory``'s on every
+    item, and so do those of a copy of each."""
+    for store, model in ((backend, memory), (backend.copy(), memory.copy())):
+        for subject, predicate in items:
+            assert store.count_for_item(subject, predicate) == (
+                model.count_for_item(subject, predicate)
+            ), (subject, predicate)
+            assert store.claims_for_item(subject, predicate) == (
+                model.claims_for_item(subject, predicate)
+            ), (subject, predicate)
+        for subject in {subject for subject, _predicate in items}:
+            assert store.predicates(subject) == model.predicates(subject)
+
+
+def test_tombstoned_items_track_remove_compact_reopen_and_refresh(tmp_path):
+    """The tombstoned-item set decides which rows a read probes against
+    the tombstones, and which items skip the fold; after each step that
+    changes it — a ``remove`` on a staged copy, which leaves its source
+    alone; a flush and a reopen, which reads it back from the tombstone
+    columns; ``compact()``, which empties it; a key refreshed into the
+    memtable and flushed into a second segment — the store and a copy
+    of it answer as the memory backend does."""
+    directory = tmp_path / "store"
+    backend = SegmentBackend(directory, memtable_limit=10**6,
+                             compact_threshold=10**6)
+    memory = MemoryBackend()
+    corpus = [
+        claim(f"e{i % 5}", f"p{i % 2}", f"v{i % 4}", source=f"s{i % 3}",
+              conf=0.1 + (i % 7) / 10)
+        for i in range(40)
+    ]
+    for one in corpus:
+        assert backend.add(one) == memory.add(one)
+    backend.flush()
+    items = sorted({one.triple.item for one in corpus}) + [("e9", "p0")]
+    _assert_answers_agree(backend, memory, items)
+
+    # A remove on a staged copy: the source keeps its answers.
+    staged, model = backend.copy(), memory.copy()
+    gone = corpus[3].triple
+    assert staged.remove(gone) == model.remove(gone)
+    assert gone.item in staged._tomb_items
+    assert gone.item not in backend._tomb_items
+    _assert_answers_agree(staged, model, items)
+    _assert_answers_agree(backend, memory, items)
+
+    # Flushed, then read back from the tombstone columns at open.
+    staged.flush()
+    backend, memory = SegmentBackend(directory), model
+    assert backend._tomb_items == {gone.item}
+    _assert_answers_agree(backend, memory, items)
+
+    backend.compact()
+    assert not backend._tomb_items and len(backend._segments) == 1
+    _assert_answers_agree(backend, memory, items)
+
+    # A key refreshed into the memtable shadows its segment row, then
+    # is flushed into a second segment beside it; a removed triple
+    # comes back under a new position.
+    refreshed = corpus[8].with_confidence(1.0)
+    assert backend.add(refreshed) == memory.add(refreshed)
+    assert backend.remove(corpus[9].triple) == memory.remove(
+        corpus[9].triple
+    )
+    assert backend.add(corpus[9]) == memory.add(corpus[9])
+    _assert_answers_agree(backend, memory, items)
+    backend.flush()
+    assert len(backend._segments) == 2
+    _assert_answers_agree(backend, memory, items)
+    _assert_answers_agree(SegmentBackend(directory), memory, items)
 
 
 class TestCountRefusesWhatTheClaimReadRefuses:
