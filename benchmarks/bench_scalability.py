@@ -3,11 +3,12 @@
 Builds claim sets of 4, 16 and 64 independent claim worlds (item and
 source ids prefixed per world, so each world is one connected
 component) and runs VOTE and ACCU both in memory over the whole set
-and as the job every ``KnowledgeFusion.fuse`` runs — ``fuse_sharded``,
-a reduce group per component.  Expected shape: identical truths at
-every size (at ``tolerance=0`` a component's fuse replays the global
-run's float operations), one reduce group per world, and wall time
-growing with the claim count.
+and as the dispatch every ``KnowledgeFusion.fuse`` runs —
+``shard_claims``, one ``fuse_sharded`` job (a reduce group per
+component) and the ``patch_results`` merge.  Expected shape: identical
+truths at every size (at ``tolerance=0`` a component's fuse replays
+the global run's float operations), one reduce group per world, and
+wall time growing with the claim count.
 """
 
 import time
@@ -19,7 +20,7 @@ from repro.evalx.tables import render_table
 from repro.fusion.accu import Accu
 from repro.fusion.base import Claim, ClaimSet
 from repro.fusion.knowledge_fusion import KnowledgeFusion
-from repro.fusion.sharding import fuse_sharded
+from repro.fusion.sharding import fuse_sharded, patch_results, shard_claims
 from repro.fusion.vote import Vote
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
 
@@ -48,6 +49,12 @@ def worlds_claims(worlds: int) -> ClaimSet:
     return claims
 
 
+def as_job(method, claims: ClaimSet):
+    """``method`` over ``claims`` as the fuse's MapReduce job, merged."""
+    results, _stats = fuse_sharded(method.fuse, shard_claims(claims))
+    return patch_results(method.name, results)[0]
+
+
 def _timed(run):
     started = time.perf_counter()
     result = run()
@@ -65,14 +72,10 @@ def sweep():
     for worlds in WORLD_COUNTS:
         claims = worlds_claims(worlds)
         vote, vote_seconds = _timed(lambda: Vote().fuse(claims))
-        (mr_vote, _stats), mr_vote_seconds = _timed(
-            lambda: fuse_sharded(Vote(), claims)
-        )
+        mr_vote, mr_vote_seconds = _timed(lambda: as_job(Vote(), claims))
         accu = Accu(tolerance=0.0, max_iterations=5)
         memory_accu, accu_seconds = _timed(lambda: accu.fuse(claims))
-        (mr_accu, _stats), mr_accu_seconds = _timed(
-            lambda: fuse_sharded(accu, claims)
-        )
+        mr_accu, mr_accu_seconds = _timed(lambda: as_job(accu, claims))
         fusion = KnowledgeFusion(tolerance=0.0)
         _result, fusion_seconds = _timed(lambda: fusion.fuse(claims))
         components = fusion.last_shard_stats.components
@@ -101,7 +104,7 @@ def test_scalability_report(sweep, benchmark):
     rows, checks = sweep
     claims = worlds_claims(16)
     benchmark.pedantic(
-        lambda: fuse_sharded(Vote(), claims), rounds=3, iterations=1
+        lambda: as_job(Vote(), claims), rounds=3, iterations=1
     )
     table = render_table(
         [

@@ -16,20 +16,22 @@ the global extractor weights, (2) split them into connected components
 (:func:`~repro.fusion.sharding.shard_claims`), (3) fuse each component
 with its own source-correlation weights and the hierarchy-wrapped
 multi-truth core, (4) merge the results and (5) apply the functional
-constraint.  :meth:`KnowledgeFusion.fuse` runs steps 2–4 as one
-:func:`~repro.fusion.sharding.fuse_sharded` MapReduce job; the
-incremental engine runs the same public steps over its cached
-components, so a component exits on its own convergence in both, and
-does steps 4–5 as one :func:`~repro.fusion.sharding.patch_results`,
-which constrains only the components a delta re-fused.
+constraint.  Step 3 is one :func:`~repro.fusion.sharding.fuse_sharded`
+MapReduce job and steps 4–5 are one
+:func:`~repro.fusion.sharding.patch_results`, in
+:meth:`KnowledgeFusion.fuse` and in the incremental engine alike: the
+engine is this fuse plus a component cache, so it dispatches only the
+components its cache misses and constrains only their items.  A
+component exits on its own convergence in both.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from types import SimpleNamespace
+from functools import partial
 from typing import Callable
 
+from repro.errors import FusionError
 from repro.faults import FaultPlan, RetryPolicy
 from repro.fusion.base import (
     Claim,
@@ -42,7 +44,7 @@ from repro.fusion.base import (
 from repro.fusion.correlations import CorrelationEstimator
 from repro.fusion.hierarchy import CasefoldHierarchy, HierarchicalFusion
 from repro.fusion.multitruth import MultiTruth
-from repro.fusion.sharding import fuse_sharded
+from repro.fusion.sharding import fuse_sharded, patch_results, shard_claims
 from repro.rdf.hierarchy import ValueHierarchy
 
 FunctionalOracle = Callable[[str], bool]
@@ -64,10 +66,11 @@ class KnowledgeFusion(FusionMethod):
         Toggle soft-evidence claims (ablation switch).
     retry / fault_plan:
         A :class:`repro.faults.RetryPolicy` for the component tasks of
-        the fuse's MapReduce job (None: one attempt) and a
-        :class:`repro.faults.FaultPlan` injected into them and into the
-        incremental engine; neither changes the beliefs.  The last
-        run's :class:`~repro.fusion.sharding.ShardStats` is
+        every MapReduce job a fuse, a prime or a delta runs (None: one
+        attempt) and a :class:`repro.faults.FaultPlan` injected into
+        them and into the incremental engine's stages; neither changes
+        the beliefs.  The last fuse's
+        :class:`~repro.fusion.sharding.ShardStats` is
         ``last_shard_stats``.
     tolerance:
         Optional convergence tolerance forwarded to the multi-truth
@@ -75,10 +78,10 @@ class KnowledgeFusion(FusionMethod):
         pins the iteration count.  Each component exits on its own
         convergence, in a fuse and in the incremental engine alike.
     metrics:
-        Optional :class:`repro.obs.MetricsRegistry` handed down to the
-        fuse's MapReduce job (``mapreduce_*`` counters) and to
-        the incremental engine (``incremental_*`` metrics); the
-        pipeline passes its per-run registry here.
+        Optional :class:`repro.obs.MetricsRegistry` handed down to
+        those MapReduce jobs (``mapreduce_*`` counters) and to the
+        incremental engine (``incremental_*`` metrics); the pipeline
+        passes its per-run registry here.
 
     Incremental updates
     -------------------
@@ -123,18 +126,25 @@ class KnowledgeFusion(FusionMethod):
 
     # ------------------------------------------------------------------
     def fuse(self, claims: ClaimSet) -> FusionResult:
-        """The five steps of the module docstring, steps 2–4 as one
-        :func:`~repro.fusion.sharding.fuse_sharded` job."""
+        """The five steps of the module docstring."""
+        if len(claims) == 0:
+            raise FusionError(f"{self.name}: empty claim set")
         working = self.reweighted(claims, self.extractor_weights(claims))
-        components = SimpleNamespace(name=self.name, fuse=self.fuse_component)
-        result, self.last_shard_stats = fuse_sharded(
-            components,
-            working,
+        results, self.last_shard_stats = fuse_sharded(
+            self.fuse_component,
+            shard_claims(working),
             retry=self.retry,
             fault_plan=self.fault_plan,
             metrics=self.metrics,
         )
-        return self.constrain_functional(result, self.functional_of)
+        result, _maps = patch_results(
+            self.name,
+            results,
+            constrain=partial(
+                self.functional_rebinds, functional_of=self.functional_of
+            ),
+        )
+        return result
 
     # ------------------------------------------------------------------
     # Incremental updates.
@@ -224,20 +234,13 @@ class KnowledgeFusion(FusionMethod):
             base = HierarchicalFusion(base, self.hierarchy)
         return base.fuse(shard)
 
-    def constrain_functional(
-        self, result: FusionResult, functional_of: FunctionalOracle | None
-    ) -> FusionResult:
-        """Step 5: keep a single truth (or chain) for the items of
-        attributes ``functional_of`` calls functional (None: no
-        attribute is).  Changes ``result`` in place and returns it."""
-        result.truths.update(self.functional_rebinds(result, functional_of))
-        return result
-
     def functional_rebinds(
         self, result: FusionResult, functional_of: FunctionalOracle | None
     ) -> dict[Item, frozenset[str]]:
-        """Step 5 without the write: the truth set each item of
-        ``result`` that the constraint changes is rebound to."""
+        """Step 5: the truth set each item of ``result`` that the
+        constraint rebinds to a single truth (or chain) — the items of
+        attributes ``functional_of`` calls functional (None: no
+        attribute is)."""
         # Decided into a result of its own, so a single truth is the
         # set ``decide`` shares.
         rebound = FusionResult(result.method)

@@ -14,19 +14,23 @@ sub-list of a deduplicated list, adopted by its :class:`ClaimSet`
 without hashing a claim, and a set that is one component is its own
 shard.
 
-:func:`fuse_sharded` runs the shards as the records of one
-:mod:`repro.mapreduce` job, a reduce group per component — every
-``KnowledgeFusion.fuse`` is one — for its per-task retries and its
-determinism contract (reduce groups processed in sorted key order,
-results merged deterministically).  The fusion method is bound into
-the reducer with ``functools.partial``, which keeps the job picklable.
-A component task that fails every allowed attempt fails the fuse: the
-merged result always covers every component.
+:func:`fuse_sharded` is the one dispatch: it runs given shards as the
+records of one :mod:`repro.mapreduce` job, a reduce group per shard,
+for the job's per-task retries, fault points and ``mapreduce_*``
+counters, and returns their results in shard order.  Every
+``KnowledgeFusion.fuse`` is one such job over all its components; the
+incremental engine runs one over the components a prime or a delta
+finds missing from its cache, and none when nothing is.  The fusion
+callable is bound into the reducer with ``functools.partial``, which
+keeps the job picklable.  A component task that fails every allowed
+attempt fails the whole call: nothing is merged from part of the
+components.
 
-:func:`patch_results` is the same merge for a caller that keeps
-component results across fuses (the incremental engine): it patches
-the previous merge's beliefs and source qualities by the components
-that changed, and constrains only their items.
+:func:`patch_results` is the one merge.  Given every component result
+it builds their union and applies the functional constraint; given
+also the maps of the previous merge (the incremental engine keeps
+them), it patches that merge's beliefs and source qualities by the
+components that changed, and constrains only their items.
 
 Caveat: a component that satisfies its convergence tolerance early
 exits on its *own* delta, while one run of a method over the whole set
@@ -41,14 +45,11 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from operator import attrgetter
 
-from repro.errors import FusionError
 from repro.faults import FaultPlan, RetryPolicy
 from repro.fusion.base import (
     Claim,
     ClaimSet,
-    FusionMethod,
     FusionResult,
     Item,
 )
@@ -57,7 +58,6 @@ __all__ = [
     "MergedMaps",
     "ShardStats",
     "shard_claims",
-    "merge_results",
     "patch_results",
     "fuse_sharded",
 ]
@@ -138,45 +138,6 @@ def shard_claims(claims: ClaimSet) -> list[ClaimSet]:
     return [ClaimSet.adopt(shard) for shard in shards]
 
 
-def merge_results(
-    name: str, results: Iterable[FusionResult]
-) -> FusionResult:
-    """The disjoint union of per-component results, as one result.
-
-    Truth sets are shared, not copied: the merged result is handed to
-    callers (and rebound, item by item, by the functional constraint)
-    while a component result may stay cached, and a ``frozenset``
-    cannot be changed through either.  ``iterations`` and
-    ``converged_at`` report the slowest component (``converged_at`` is
-    None if any component hit its iteration cap).
-    """
-    results = list(results)
-    merged = _merged_truths(name, results)
-    for result in results:
-        merged.belief.update(result.belief)
-        merged.source_quality.update(result.source_quality)
-    return merged
-
-
-_iterations_of = attrgetter("iterations")
-_converged_of = attrgetter("converged_at")
-
-
-def _merged_truths(name: str, results: list[FusionResult]) -> FusionResult:
-    """A result holding the union of ``results``' truths, in their
-    order, and their slowest round counts; no beliefs yet."""
-    truths: dict[Item, frozenset[str]] = {}
-    for result in results:
-        truths.update(result.truths)
-    merged = FusionResult(
-        name, truths, iterations=max(map(_iterations_of, results), default=0)
-    )
-    converged = list(map(_converged_of, results))
-    if converged and None not in converged:
-        merged.converged_at = max(converged)
-    return merged
-
-
 @dataclass(slots=True)
 class MergedMaps:
     """What :func:`patch_results` patches the next merge from: the
@@ -200,47 +161,58 @@ def patch_results(
     dropped: Iterable[FusionResult] = (),
     fresh: Iterable[FusionResult] = (),
 ) -> tuple[FusionResult, MergedMaps]:
-    """:func:`merge_results` of ``results`` (every component, in
-    order) with the functional constraint applied, plus the maps the
-    next call patches it from.  ``constrain`` is the constraint: given
-    a result, the truth set each item it changes is rebound to.
+    """The disjoint union of ``results`` (every component, in order)
+    as one result, with the functional constraint applied, plus the
+    maps the next call patches it from.  ``constrain`` is the
+    constraint: given a result, the truth set each item it changes is
+    rebound to.
 
-    Without a ``prior`` the maps are merged from ``results`` and every
-    item is constrained.  With one, ``dropped`` are the results
+    Without a ``prior`` the maps are the union of every result's and
+    every item is constrained.  With one, ``dropped`` are the results
     ``prior`` covers that are gone and ``fresh`` the new ones: the
     maps are ``prior``'s copies less ``dropped``'s keys plus
     ``fresh``'s, and only ``fresh``'s items are constrained — every
     other item keeps the rebinding ``prior`` recorded.  Components own
     disjoint items and sources, so the result is the same either way;
     a patch reads the maps of no result outside ``dropped`` and
-    ``fresh``.  ``truths`` is rebuilt whole, one ``dict.update`` per
-    result, so it iterates in ``results`` order; a rebinding keeps an
-    item's place.
+    ``fresh``.
+
+    ``truths`` is built whole, one ``dict.update`` per result, so it
+    iterates in ``results`` order; a rebinding keeps an item's place.
+    Truth sets are shared, not copied: a component result may stay
+    cached while the merged one is handed out, and a ``frozenset``
+    cannot be changed through either.  ``iterations`` and
+    ``converged_at`` report the slowest component (``converged_at`` is
+    None if any component hit its iteration cap).
     """
+    merged = FusionResult(
+        name,
+        iterations=max((result.iterations for result in results), default=0),
+    )
+    converged = [result.converged_at for result in results]
+    if converged and None not in converged:
+        merged.converged_at = max(converged)
+    for result in results:
+        merged.truths.update(result.truths)
     if prior is None:
-        merged = region = merge_results(name, results)
-        belief = merged.belief.copy()
-        quality = merged.source_quality.copy()
-        rebound: dict[Item, frozenset[str]] = {}
-    else:
-        merged = _merged_truths(name, results)
-        belief = prior.belief.copy()
-        quality = prior.source_quality.copy()
-        rebound = prior.rebound.copy()
-        for result in dropped:
-            for key in result.belief:
-                del belief[key]
-            for source in result.source_quality:
-                del quality[source]
-            for item in result.truths:
-                rebound.pop(item, None)
-        region = FusionResult(name, belief=belief)
-        for result in fresh:
-            belief.update(result.belief)
-            quality.update(result.source_quality)
-            region.truths.update(result.truths)
-        merged.belief = belief.copy()
-        merged.source_quality = quality.copy()
+        prior, fresh = MergedMaps({}, {}, {}), results
+    belief = prior.belief.copy()
+    quality = prior.source_quality.copy()
+    rebound = prior.rebound.copy()
+    for result in dropped:
+        for key in result.belief:
+            del belief[key]
+        for source in result.source_quality:
+            del quality[source]
+        for item in result.truths:
+            rebound.pop(item, None)
+    region = FusionResult(name, belief=belief)
+    for result in fresh:
+        belief.update(result.belief)
+        quality.update(result.source_quality)
+        region.truths.update(result.truths)
+    merged.belief = belief.copy()
+    merged.source_quality = quality.copy()
     if constrain is not None:
         rebound.update(constrain(region))
     merged.truths.update(rebound)
@@ -251,25 +223,28 @@ def _component_mapper(record: tuple[int, ClaimSet]):
     yield record
 
 
-def _component_reducer(method: FusionMethod, component: int, shards: list):
+def _component_reducer(
+    fuse: Callable[[ClaimSet], FusionResult], component: int, shards: list
+):
     (shard,) = shards
-    yield component, len(shard), method.fuse(shard)
+    yield component, fuse(shard)
 
 
 def fuse_sharded(
-    method: FusionMethod,
-    claims: ClaimSet,
+    fuse: Callable[[ClaimSet], FusionResult],
+    shards: list[ClaimSet],
     *,
     retry: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
     metrics=None,
-) -> tuple[FusionResult, ShardStats]:
-    """Fuse each connected component independently and merge.
+) -> tuple[list[FusionResult], ShardStats]:
+    """``fuse`` of each shard, as one MapReduce job: the results,
+    unmerged, in ``shards`` order, and the job's accounting.
 
-    ``method`` has a ``name`` and a ``fuse(ClaimSet)`` for one
-    component.  The components are the reduce groups of one MapReduce
-    job (one attempt per task without a ``retry`` policy); the merged
-    result is their :func:`merge_results`.  ``metrics`` (a
+    ``shards`` are connected components (:func:`shard_claims`); each is
+    a record and a reduce group of the job (one attempt per task
+    without a ``retry`` policy), so a component task that fails every
+    allowed attempt fails the whole call.  ``metrics`` (a
     :class:`repro.obs.MetricsRegistry`) receives its ``mapreduce_*``
     counters.
     """
@@ -278,27 +253,21 @@ def fuse_sharded(
     # repro.mapreduce.
     from repro.mapreduce.engine import MapReduceJob
 
-    if len(claims) == 0:
-        raise FusionError(f"{method.name}: empty claim set")
-
     # The mapper only keys each shard by its index.
     job: MapReduceJob = MapReduceJob(
         _component_mapper,
-        functools.partial(_component_reducer, method),
+        functools.partial(_component_reducer, fuse),
         retry=retry,
         fault_plan=fault_plan,
         metrics=metrics,
     )
-    stats = ShardStats()
-    results: list[FusionResult] = []
-    for _component, n_claims, result in job.run(
-        enumerate(shard_claims(claims))
-    ):
-        stats.components += 1
-        stats.component_claims.append(n_claims)
-        results.append(result)
-    merged = merge_results(method.name, results)
-    stats.attempts = job.stats.attempts
-    stats.retries = job.stats.retries
-    stats.timed_out_tasks = job.stats.timed_out_tasks
-    return merged, stats
+    # The job reduces the indexes in its own (sorted-``repr``) order.
+    by_component = dict(job.run(enumerate(shards)))
+    stats = ShardStats(
+        components=len(shards),
+        component_claims=list(map(len, shards)),
+        attempts=job.stats.attempts,
+        retries=job.stats.retries,
+        timed_out_tasks=job.stats.timed_out_tasks,
+    )
+    return [by_component[index] for index in range(len(shards))], stats

@@ -63,11 +63,16 @@ Two estimation details make the reuse exact rather than approximate:
   ignores pairs without common items), so a component is fused on its
   own, as in every fuse.
 
-The engine owns no fusion step.  It runs the steps that define a fuse
-(:mod:`repro.fusion.knowledge_fusion`) around its component cache,
-through the fusion object's public methods — ``extractor_weights``,
-``reweighted``, ``fuse_component`` and ``functional_rebinds`` — and
-merges with :func:`~repro.fusion.sharding.patch_results`.
+The engine is the fuse plus a component cache: one dispatch, one
+merge.  It runs the steps that define a fuse
+(:mod:`repro.fusion.knowledge_fusion`) through the fusion object's
+public methods — ``extractor_weights``, ``reweighted``,
+``fuse_component`` and ``functional_rebinds`` — sends the components
+its cache misses through the fuse's dispatch,
+:func:`~repro.fusion.sharding.fuse_sharded` (one MapReduce job, with
+the fusion's retry policy, fault plan and metrics; none when nothing
+misses), and merges with the fuse's merge,
+:func:`~repro.fusion.sharding.patch_results`.
 
 Per delta, the journal (a ``remove`` per retracted triple, an ``add``
 per claim) and the dirty-item re-read (a ``claims_for_item`` per dirty
@@ -118,7 +123,12 @@ from operator import attrgetter
 from repro.errors import DeltaError
 from repro.faults import fire
 from repro.fusion.base import Claim, ClaimSet, FusionResult, Item
-from repro.fusion.sharding import MergedMaps, patch_results, shard_claims
+from repro.fusion.sharding import (
+    MergedMaps,
+    fuse_sharded,
+    patch_results,
+    shard_claims,
+)
 from repro.incremental.delta import ClaimDelta
 from repro.incremental.journal import (
     RECEIPT_TAIL,
@@ -294,7 +304,6 @@ class ComponentEntry:
 
     sources: frozenset[str]
     content_hash: str
-    n_claims: int
     # The component's own fused sub-result, *before* the functional
     # constraint, which is applied on the merged result.
     result: FusionResult
@@ -415,7 +424,9 @@ class IncrementalFusion:
             raise DeltaError(_EMPTY_STORE)
         corpus = _Corpus.of(claims)
         weights = self._extractor_weights(corpus)
-        entries = self._recompute(corpus, weights, [], _ComputeStats())
+        entries = self._fuse_shards(
+            corpus, [(0, len(corpus.items))], weights, [], _ComputeStats()
+        )
         result, merged = self._merge(entries)
         self._state = _FusionState(
             store=store,
@@ -505,7 +516,10 @@ class IncrementalFusion:
         if shifted:
             # Any reweighted run can have moved: no digest stands.
             corpus.digests = [None] * len(corpus.items)
-            entries = self._recompute(corpus, weights, prior.entries, stats)
+            entries = self._fuse_shards(
+                corpus, [(0, len(corpus.items))], weights, prior.entries,
+                stats,
+            )
             result, merged = self._merge(entries)
         else:
             entries, region, fresh = self._refuse_region(
@@ -544,11 +558,8 @@ class IncrementalFusion:
         prior entries it replaced) and its ``fresh`` entries, or merged
         whole without a region or when it is every prior entry."""
         fusion = self.fusion
-        constrain = (
-            None if self.functional_of is None
-            else partial(
-                fusion.functional_rebinds, functional_of=self.functional_of
-            )
+        constrain = partial(
+            fusion.functional_rebinds, functional_of=self.functional_of
         )
         results = [entry.result for entry in entries]
         if region is None or len(region) == len(self._state.entries):
@@ -560,19 +571,6 @@ class IncrementalFusion:
             prior=self._state.merged,
             dropped=[entry.result for entry in region],
             fresh=[entry.result for entry in fresh],
-        )
-
-    def _recompute(
-        self,
-        corpus: _Corpus,
-        weights: dict[str, float],
-        prior: list[ComponentEntry],
-        stats: _ComputeStats,
-    ) -> list[ComponentEntry]:
-        """Every component from all canonical claims: the prime, and
-        the fallback when a delta moved a global parameter."""
-        return self._fuse_shards(
-            corpus, [(0, len(corpus.items))], weights, prior, stats
         )
 
     def _refuse_region(
@@ -636,9 +634,11 @@ class IncrementalFusion:
 
         A component whose source set and content digest — the hash of
         its items' digests, in item order — match a ``prior`` entry is
-        clean; its entry is reused verbatim.  Only the items without a
-        digest yet (a delta's re-read ones; all, after a weight shift)
-        are digested here, on their reweighted runs.
+        clean; its entry is reused verbatim.  The others are fused by
+        one :func:`~repro.fusion.sharding.fuse_sharded` job, none when
+        every component is clean.  Only the items without a digest yet
+        (a delta's re-read ones; all, after a weight shift) are
+        digested here, on their reweighted runs.
         """
         fusion = self.fusion
         working = fusion.reweighted(
@@ -660,29 +660,37 @@ class IncrementalFusion:
                 digest_of[item] = digests[index]
         cache = {entry.sources: entry for entry in prior}
         entries: list[ComponentEntry] = []
+        # The entries the cache misses, and their shards: one job fills
+        # in their results once every one is known.
+        missed: list[ComponentEntry] = []
+        shards: list[ClaimSet] = []
         for shard in shard_claims(working):
             sources = frozenset(shard.sources())
             items = tuple(shard.items())
             digest = hashlib.sha256(
                 b"".join(map(digest_of.__getitem__, items))
             ).hexdigest()
-            cached = cache.get(sources)
-            if cached is not None and cached.content_hash == digest:
-                entries.append(cached)
+            entry = cache.get(sources)
+            if entry is not None and entry.content_hash == digest:
                 stats.reused_components += 1
-                stats.reused_verdicts += len(cached.result.truths)
+                stats.reused_verdicts += len(entry.result.truths)
             else:
-                entries.append(
-                    ComponentEntry(
-                        sources=sources,
-                        content_hash=digest,
-                        n_claims=len(shard),
-                        result=fusion.fuse_component(shard),
-                        items=items,
-                    )
-                )
+                entry = ComponentEntry(sources, digest, None, items)
+                missed.append(entry)
+                shards.append(shard)
                 stats.dirty_components += 1
                 stats.refused_claims += len(shard)
+            entries.append(entry)
+        if missed:
+            results, _shard_stats = fuse_sharded(
+                fusion.fuse_component,
+                shards,
+                retry=fusion.retry,
+                fault_plan=self.fault_plan,
+                metrics=self.metrics,
+            )
+            for entry, result in zip(missed, results):
+                entry.result = result
         return entries
 
     # -- plumbing -------------------------------------------------------

@@ -6,8 +6,10 @@ architecture "inherent in the MapReduce architectures" (Sec. 3.1).
 This engine reproduces the programming model on one machine: a mapper
 emits key/value pairs, the shuffle groups them by key, and reducers
 fold each key's values in sorted key order.  Its one job in ``src/``
-is the fuse (:func:`repro.fusion.sharding.fuse_sharded`): a record per
-connected component of the claim graph, a reduce group per component.
+is the fuse's dispatch (:func:`repro.fusion.sharding.fuse_sharded`): a
+record and a reduce group per connected component of the claim graph,
+run by every ``KnowledgeFusion.fuse`` and by every prime or delta of
+the incremental engine that re-fuses a component.
 
 Every task runs in the calling process.  What is reproduced is the
 model and the shuffle semantics, not a cluster: worker processes

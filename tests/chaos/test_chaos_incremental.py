@@ -4,14 +4,19 @@ The atomicity contract: a crash before the commit point leaves the
 engine fully pre-delta (store bytes, fused result, sequence); a crash
 after the commit point leaves it fully post-delta.  There is no
 observable in-between.  Faults come from :mod:`repro.faults`, so every
-schedule is deterministic and replayable.
+schedule is deterministic and replayable.  A delta's re-fusion is the
+fuse's MapReduce job, so its ``reduce`` tasks are fault points too: a
+crash the job's retry policy outlives changes no byte, and one it
+does not is a pre-commit crash.
 """
 
 import pytest
 
-from repro.faults import FaultPlan, InjectedFault
+from repro.errors import RetryExhaustedError
+from repro.faults import FaultPlan, InjectedFault, RetryPolicy
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.incremental import ClaimDelta, canonical_claims
+from repro.obs import MetricsRegistry
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
@@ -29,10 +34,8 @@ def _store():
     return store
 
 
-def _fusion(fault_plan=None):
-    return KnowledgeFusion(
-        tolerance=0.0, max_iterations=8, fault_plan=fault_plan
-    )
+def _fusion(**kwargs):
+    return KnowledgeFusion(tolerance=0.0, max_iterations=8, **kwargs)
 
 
 def _delta(store):
@@ -143,3 +146,46 @@ def test_slow_fault_inflates_reported_wall_time_without_sleeping():
     assert outcome.wall_seconds >= 90.0
     reference = _fusion().fuse(canonical_claims(engine.store.copy()))
     assert outcome.result.canonical_bytes() == reference.canonical_bytes()
+
+
+def _retries(registry):
+    return registry.snapshot().counters["mapreduce_retries_total"]
+
+
+def test_a_crashed_component_task_is_retried_inside_the_deltas_job():
+    # A delta re-fuses its dirty component as the fuse does, in one
+    # MapReduce job under the fusion's retry policy: the job's first
+    # reduce chunk crashes once, in the prime's job and in the delta's.
+    registry = MetricsRegistry()
+    engine = _fusion(
+        retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+        fault_plan=FaultPlan().crash("reduce", index=0, attempts=1),
+        metrics=registry,
+    ).begin_incremental(_store())
+    assert _retries(registry) == 1
+    outcome = engine.apply_delta(_delta(engine.store))
+    assert outcome.dirty_components == 1
+    assert _retries(registry) == 2
+
+    clean = _fusion().begin_incremental(_store())
+    clean.apply_delta(_delta(clean.store))
+    assert engine.result.canonical_bytes() == clean.result.canonical_bytes()
+
+
+def test_a_component_task_that_never_succeeds_leaves_the_delta_unapplied():
+    engine = _fusion(
+        retry=RetryPolicy(max_attempts=2, backoff_base=0.0)
+    ).begin_incremental(_store())
+    delta = _delta(engine.store)
+    before_store = _store_signature(engine.store)
+    before_bytes = engine.result.canonical_bytes()
+
+    engine.fault_plan = FaultPlan().crash("reduce", index=0, attempts=0)
+    with pytest.raises(RetryExhaustedError) as excinfo:
+        engine.apply_delta(delta)
+
+    assert isinstance(excinfo.value.__cause__, InjectedFault)
+    assert engine.sequence == 0
+    assert len(engine.receipts) == 0
+    assert _store_signature(engine.store) == before_store
+    assert engine.result.canonical_bytes() == before_bytes

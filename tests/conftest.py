@@ -16,6 +16,7 @@ import pytest
 from repro.extract.kb import KbExtractor, combine_kb_outputs
 from repro.extract.querystream import QueryStreamExtractor
 from repro.extract.seeds import build_seed_sets
+from repro.fusion.sharding import fuse_sharded, patch_results, shard_claims
 from repro.synth.kb_snapshots import build_kb_pair
 from repro.synth.querylog import QueryLogConfig, generate_query_log
 from repro.synth.websites import WebsiteConfig, generate_websites
@@ -43,6 +44,17 @@ def run_python(*args, hash_seed=None, cwd=REPO_ROOT) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def fuse_by_component(method, claims):
+    """``method`` (a ``name`` and a ``fuse(ClaimSet)``) run over
+    ``claims`` as ``KnowledgeFusion.fuse`` runs its component fuse:
+    :func:`shard_claims`, one :func:`fuse_sharded` job and one
+    :func:`patch_results`, with no constraint.  Returns the merged
+    result and the job's :class:`ShardStats`."""
+    results, stats = fuse_sharded(method.fuse, shard_claims(claims))
+    merged, _maps = patch_results(method.name, results)
+    return merged, stats
 
 
 SMALL_WORLD_CONFIG = WorldConfig(

@@ -117,5 +117,7 @@ class WholeStoreEngine:
             converged.append(entry.result.converged_at)
         if converged and all(round_ is not None for round_ in converged):
             merged.converged_at = max(converged)
-        fusion.constrain_functional(merged, self.functional_of)
+        merged.truths.update(
+            fusion.functional_rebinds(merged, self.functional_of)
+        )
         return entries, merged, stats

@@ -36,11 +36,11 @@ from repro.fusion.confidence_weighted import GeneralizedSums, Investment
 from repro.fusion.hierarchy import HierarchicalFusion
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.fusion.multitruth import MultiTruth
-from repro.fusion.sharding import fuse_sharded
 from repro.fusion.vote import Vote
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
+from tests.conftest import fuse_by_component
 
 EXTRACTORS = ("dom", "kb", "text")
 FIXED_ROUNDS = {"max_iterations": 8, "tolerance": 0.0}
@@ -217,13 +217,13 @@ class TestMetamorphicRelations:
 
 
 def _sharded(fuse):
-    """``fuse`` run component by component, as :func:`fuse_sharded`
-    runs a method."""
+    """``fuse`` run component by component, as ``KnowledgeFusion.fuse``
+    runs its component fuse (:func:`fuse_sharded`)."""
 
     def run(claims, hierarchy):
         method = SimpleNamespace(
             name="sharded", fuse=lambda shard: fuse(list(shard), hierarchy)
         )
-        return fuse_sharded(method, ClaimSet(claims))[0]
+        return fuse_by_component(method, ClaimSet(claims))[0]
 
     return run

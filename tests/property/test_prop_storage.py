@@ -17,7 +17,6 @@ import pytest
 from repro.fusion import Accu, MultiTruth
 from repro.fusion.base import ClaimSet
 from repro.fusion.knowledge_fusion import KnowledgeFusion
-from repro.fusion.sharding import fuse_sharded
 from repro.incremental import DeltaJournal, canonical_claims
 from repro.rdf.segments import SegmentBackend
 from repro.rdf.store import TripleStore
@@ -27,6 +26,7 @@ from repro.synth.deltas import (
     generate_delta_stream,
     scored_from_claims,
 )
+from tests.conftest import fuse_by_component
 
 
 def _fusion():
@@ -152,8 +152,8 @@ def test_sharded_segment_fusion_byte_identical(tmp_path, seed):
     seg.add_all(corpus)
     method = Accu()
     claims = ClaimSet.from_scored_triples(mem.claims())
-    expected, expected_stats = fuse_sharded(method, claims)
-    got, got_stats = fuse_sharded(
+    expected, expected_stats = fuse_by_component(method, claims)
+    got, got_stats = fuse_by_component(
         method, ClaimSet.from_scored_triples(seg.claims())
     )
     assert got.canonical_bytes() == expected.canonical_bytes()

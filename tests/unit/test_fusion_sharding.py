@@ -14,6 +14,7 @@ from repro.incremental import ClaimDelta, canonical_claims
 from repro.rdf.store import TripleStore
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
 from repro.synth.deltas import scored_from_claims
+from tests.conftest import fuse_by_component
 
 
 def namespaced_world(seed, namespace, **overrides):
@@ -46,6 +47,16 @@ def three_component_claims():
     merged = ClaimSet()
     for i, seed in enumerate([11, 22, 33]):
         for c in namespaced_world(seed, f"w{i}:"):
+            merged.add(c)
+    return merged
+
+
+def twelve_component_claims():
+    """Twelve worlds, ``w00:`` … ``w11:``: more components than the
+    ten whose indexes sort the same as numbers and as ``repr``s."""
+    merged = ClaimSet()
+    for i in range(12):
+        for c in namespaced_world(100 + i, f"w{i:02d}:", n_items=8):
             merged.add(c)
     return merged
 
@@ -85,7 +96,7 @@ class TestFuseSharded:
     def test_matches_serial_at_fixed_iterations(self, method):
         merged = three_component_claims()
         serial = method.fuse(merged)
-        sharded, stats = fuse_sharded(method, merged)
+        sharded, stats = fuse_by_component(method, merged)
         assert sharded.truths == serial.truths
         assert sharded.iterations == serial.iterations
         assert sharded.belief.keys() == serial.belief.keys()
@@ -103,12 +114,12 @@ class TestFuseSharded:
         merged = three_component_claims()
         method = MultiTruth()
         serial = method.fuse(merged)
-        sharded, _stats = fuse_sharded(method, merged)
+        sharded, _stats = fuse_by_component(method, merged)
         assert sharded.truths == serial.truths
 
     def test_stats_accounting(self):
         merged = three_component_claims()
-        _result, stats = fuse_sharded(Vote(), merged)
+        _result, stats = fuse_by_component(Vote(), merged)
         assert isinstance(stats, ShardStats)
         assert len(stats.component_claims) == 3
         assert sum(stats.component_claims) == len(merged)
@@ -116,7 +127,7 @@ class TestFuseSharded:
 
     def test_converged_at_is_slowest_component(self):
         merged = three_component_claims()
-        result, _stats = fuse_sharded(Accu(), merged)
+        result, _stats = fuse_by_component(Accu(), merged)
         assert result.converged_at is not None
         assert result.converged_at <= result.iterations
         per_shard = [Accu().fuse(s) for s in shard_claims(merged)]
@@ -124,12 +135,25 @@ class TestFuseSharded:
 
     def test_converged_at_none_when_any_component_caps(self):
         merged = three_component_claims()
-        result, _stats = fuse_sharded(Accu(tolerance=0.0), merged)
+        result, _stats = fuse_by_component(Accu(tolerance=0.0), merged)
         assert result.converged_at is None
 
+    def test_results_come_back_in_shard_order(self):
+        # The job reduces component 10 before component 2 (it sorts
+        # its keys by ``repr``); the caller gets them in shard order.
+        shards = shard_claims(twelve_component_claims())
+        assert len(shards) == 12
+        results, stats = fuse_sharded(Vote().fuse, shards)
+        assert [result.canonical_bytes() for result in results] == [
+            Vote().fuse(shard).canonical_bytes() for shard in shards
+        ]
+        assert stats.components == 12
+        assert stats.component_claims == [len(shard) for shard in shards]
+
     def test_rejects_bad_arguments(self):
+        # An empty claim set is refused by the fuse, before any job.
         with pytest.raises(FusionError):
-            fuse_sharded(Vote(), ClaimSet())
+            KnowledgeFusion().fuse(ClaimSet())
 
 
 class TestKnowledgeFusionParallel:
@@ -188,6 +212,7 @@ class TestKnowledgeFusionParallel:
         engine = KnowledgeFusion().begin_incremental(store)
         assert engine.components == 3
         assert engine.result.canonical_bytes() == expected.canonical_bytes()
+        assert list(engine.result.truths) == list(expected.truths)
         # ... and so does a version re-fused from one dirty component.
         first = next(iter(engine.store.claims()))
         outcome = engine.apply_delta(ClaimDelta(retracted=[first.triple]))
@@ -196,3 +221,19 @@ class TestKnowledgeFusionParallel:
             canonical_claims(engine.store.copy())
         )
         assert engine.result.canonical_bytes() == expected.canonical_bytes()
+        assert list(engine.result.truths) == list(expected.truths)
+
+    def test_a_prime_iterates_truths_in_the_fuses_order(self):
+        # Regression: the fuse once merged its components in the job's
+        # reduce order (w00, w01, w10, w11, w02, ...) and a prime in
+        # shard order, so the two results, equal in bytes, iterated
+        # their truths differently past ten components.
+        claims = twelve_component_claims()
+        store = TripleStore()
+        store.add_all(scored_from_claims(claims))
+        fusion = KnowledgeFusion(tolerance=0.0, max_iterations=8)
+        fused = fusion.fuse(canonical_claims(store.copy()))
+        primed = fusion.begin_incremental(store).result
+        assert list(fused.truths) == list(primed.truths)
+        assert fused.canonical_bytes() == primed.canonical_bytes()
+        assert len({item[0].split(":")[0] for item in fused.truths}) == 12

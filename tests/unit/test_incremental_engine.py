@@ -8,7 +8,7 @@ import pytest
 from repro.errors import DeltaError
 from repro.fusion.correlations import CorrelationEstimator
 from repro.fusion.knowledge_fusion import KnowledgeFusion
-from repro.fusion.sharding import merge_results, shard_claims
+from repro.fusion.sharding import patch_results, shard_claims
 from repro.fusion.vote import Vote
 from repro.fusion.base import Claim, ClaimSet
 from repro.incremental import ClaimDelta, IncrementalFusion, canonical_claims
@@ -104,7 +104,7 @@ class TestPrime:
         assert engine.result.canonical_bytes() == served
         # ... and the same holds for what a sharded fuse merged.
         parts = [Vote().fuse(shard) for shard in shard_claims(claims)]
-        merged = merge_results("vote", parts)
+        merged, _maps = patch_results("vote", parts)
         assert len(merged.truths) == sum(len(part.truths) for part in parts)
         for part in parts:
             for item, values in part.truths.items():
@@ -208,8 +208,10 @@ class TestApplyDelta:
         # The one way left to change a served result: rebind an item,
         # as the functional constraint does ...
         before = dict(outcome.result.truths)
-        _fusion().constrain_functional(
-            outcome.result, lambda predicate: True
+        outcome.result.truths.update(
+            _fusion().functional_rebinds(
+                outcome.result, lambda predicate: True
+            )
         )
         rebound = [
             item for item, values in outcome.result.truths.items()
@@ -907,6 +909,28 @@ class TestMetrics:
         assert snapshot.counters["incremental_claims_added_total"] == 1
         assert snapshot.gauges["incremental_components"] == 3
         assert snapshot.histograms["incremental_delta_seconds"].count == 1
+
+    def test_a_prime_and_a_dirty_delta_each_run_one_job(self):
+        # The fuse's dispatch: a prime sends every component through
+        # one MapReduce job, a delta only the ones it dirtied, and a
+        # delta that dirties none runs no job at all.
+        registry = MetricsRegistry()
+        engine = _fusion(metrics=registry).begin_incremental(
+            _corpus(n_worlds=3)
+        )
+
+        def job_counters():
+            counters = registry.snapshot().counters
+            return (
+                counters["mapreduce_jobs_total"],
+                counters["mapreduce_reduce_groups_total"],
+            )
+
+        assert job_counters() == (1, 3)
+        engine.apply_delta(_component_delta(engine.store))
+        assert job_counters() == (2, 4)
+        engine.apply_delta(ClaimDelta())
+        assert job_counters() == (2, 4)
 
 
 class TestPerComponentEquivalence:

@@ -178,13 +178,15 @@ def test_jobs_distribute_to_the_same_bytes():
     records = list(enumerate(sharding.shard_claims(three_component_claims())))
     job = MapReduceJob(
         sharding._component_mapper,
-        functools.partial(sharding._component_reducer, Accu(tolerance=0.0)),
+        functools.partial(
+            sharding._component_reducer, Accu(tolerance=0.0).fuse
+        ),
     )
 
     def as_bytes(output):
         return [
-            (component, n_claims, result.canonical_bytes())
-            for component, n_claims, result in output
+            (component, result.canonical_bytes())
+            for component, result in output
         ]
 
     with ProcessPoolExecutor(
