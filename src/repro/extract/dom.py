@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from repro.entity.linking import mention_subject
 from repro.extract.base import ExtractorOutput
 from repro.extract.seeds import SeedSet
-from repro.htmldom.node import TextNode
+from repro.htmldom.node import ElementNode, TextNode
 from repro.htmldom.parser import parse_html
 from repro.htmldom.tagpath import RelativeTagPath, relative_path
 from repro.rdf.ontology import Entity
@@ -51,7 +51,6 @@ class DomExtractorConfig:
     min_attribute_support: int = 2  # distinct pages for a *new* attribute
     max_label_tokens: int = 6
     max_passes_per_site: int = 3
-    with_classes: bool = True  # include CSS classes in tag-path labels
     # New-entity creation support (Sec. 3.1): pages whose heading names
     # no known entity still harvest values for *seed* attributes, with
     # mention subjects that joint entity resolution later links or
@@ -59,12 +58,17 @@ class DomExtractorConfig:
     allow_mention_anchors: bool = False
 
 
+# A page's non-blank text nodes in document order, each with the
+# elements above it (``ElementNode.iter_texts``).
+_Texts = list[tuple[TextNode, tuple[ElementNode, ...]]]
+
+
 @dataclass(slots=True)
 class _LabelNode:
     """A non-entity text node that may be an attribute label."""
 
-    node: TextNode
     order: int  # document order among text nodes
+    chain: tuple[ElementNode, ...]
     canonical: str
     path: RelativeTagPath | None = None
 
@@ -182,41 +186,41 @@ class DomTreeExtractor:
         evidence: dict[tuple[str, str], _AttributeEvidence],
         pending: list[tuple[tuple[str, str], ScoredTriple]],
     ) -> tuple[bool, int]:
-        document = parse_html(html)
-        text_nodes = list(document.iter_text_nodes())
+        texts = list(parse_html(html).iter_texts())
 
         # Classify text nodes: entity vs non-entity.
-        anchor: TextNode | None = None
+        anchor: int | None = None  # the entity node's document order
         anchor_entity: Entity | None = None
         labels: list[_LabelNode] = []
-        for order, node in enumerate(text_nodes):
+        for order, (node, chain) in enumerate(texts):
             surface = node.text.strip().lower()
             entity = self._index.get(surface)
             if entity is not None and entity.class_name == class_name:
                 if anchor is None:
-                    anchor = node
+                    anchor = order
                     anchor_entity = entity
                 continue
             canonical = normalize_attribute(node.text)
-            labels.append(_LabelNode(node, order, canonical))
+            labels.append(_LabelNode(order, chain, canonical))
         mention_mode = False
         if anchor is None:
             if not self.config.allow_mention_anchors:
                 # Algorithm 1 requires an entity of Set_E on the page;
                 # such pages are final (no seed growth changes them).
                 return True, 0
-            anchor = self._heading_node(text_nodes)
+            anchor = self._heading_node(texts)
             if anchor is None:
                 return True, 0
             mention_mode = True
-            labels = [label for label in labels if label.node is not anchor]
+            labels = [label for label in labels if label.order != anchor]
+        anchor_node, anchor_chain = texts[anchor]
 
         # Induced tag-path pattern set: paths from the entity node to
         # every seed-attribute label on this page.
         induced: list[RelativeTagPath] = []
         for label in labels:
             if label.canonical and label.canonical in seeds:
-                label.path = self._path(anchor, label.node)
+                label.path = relative_path(anchor_chain, label.chain)
                 induced.append(label.path)
         if not induced:
             return False, 0  # no (A, E) pair yet: revisit on a later pass
@@ -226,7 +230,7 @@ class DomTreeExtractor:
         label_orders: dict[int, _LabelNode] = {}
         for label in labels:
             if label.path is None:
-                label.path = self._path(anchor, label.node)
+                label.path = relative_path(anchor_chain, label.chain)
             similarity = max(
                 label.path.similarity(pattern) for pattern in induced
             )
@@ -254,17 +258,13 @@ class DomTreeExtractor:
 
         # Value triples: the next non-label text node after each label.
         if mention_mode:
-            surface = " ".join(anchor.text.split())
+            surface = " ".join(anchor_node.text.split())
             subject = mention_subject(surface)
             self.mention_classes[surface] = class_name
         else:
             subject = anchor_entity.entity_id
-        order_of = {id(node): order for order, node in enumerate(text_nodes)}
-        anchor_order = order_of[id(anchor)]
         for order, label in sorted(label_orders.items()):
-            value_node = self._value_node(
-                text_nodes, order, label_orders, anchor_order
-            )
+            value_node = self._value_node(texts, order, label_orders, anchor)
             if value_node is None:
                 continue
             value_text = " ".join(value_node.text.split())
@@ -290,11 +290,6 @@ class DomTreeExtractor:
         return True, new_count
 
     # ------------------------------------------------------------------
-    def _path(self, anchor: TextNode, node: TextNode) -> RelativeTagPath:
-        return relative_path(
-            anchor, node, clean=True, with_classes=self.config.with_classes
-        )
-
     def _acceptable_label(self, canonical: str) -> bool:
         """Filter obviously non-attribute label texts."""
         if not canonical:
@@ -309,17 +304,16 @@ class DomTreeExtractor:
         return True
 
     @staticmethod
-    def _heading_node(text_nodes: list[TextNode]) -> TextNode | None:
-        """The page-title text node: the first h1/h2 text."""
-        for node in text_nodes:
-            parent = node.parent
-            if parent is not None and parent.tag in ("h1", "h2"):
-                return node
+    def _heading_node(texts: _Texts) -> int | None:
+        """The page-title text node's order: the first h1/h2 text."""
+        for order, (_, chain) in enumerate(texts):
+            if chain and chain[-1].tag in ("h1", "h2"):
+                return order
         return None
 
     @staticmethod
     def _value_node(
-        text_nodes: list[TextNode],
+        texts: _Texts,
         label_order: int,
         label_orders: dict[int, "_LabelNode"],
         anchor_order: int,
@@ -328,11 +322,11 @@ class DomTreeExtractor:
         that is neither another label nor the entity anchor."""
         for offset in (1, 2, 3):
             order = label_order + offset
-            if order >= len(text_nodes):
+            if order >= len(texts):
                 return None
             if order == anchor_order:
                 continue
             if order in label_orders:
                 return None  # immediately followed by another label
-            return text_nodes[order]
+            return texts[order][0]
         return None

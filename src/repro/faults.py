@@ -313,7 +313,10 @@ class RetryPolicy:
         the body's result and the :class:`AttemptRecord`.  After the
         last failed attempt raises
         :class:`~repro.errors.RetryExhaustedError` chained from that
-        failure, with the record as its ``record``.
+        failure, with the record as its ``record``.  A body that raises
+        ``RetryExhaustedError`` has used up a guarded step of its own,
+        so that attempt is the last: nested guards add their attempts,
+        they never multiply them.
         """
         _known(scope)
         record = AttemptRecord()
@@ -336,6 +339,8 @@ class RetryPolicy:
                 return result, record
             except Exception as exc:  # noqa: BLE001 — the step's boundary
                 failure = exc
+                if isinstance(exc, RetryExhaustedError):
+                    break
         exhausted = RetryExhaustedError(
             f"{scope} task {index} failed after {record.attempts} "
             f"attempt(s): {failure!r}"

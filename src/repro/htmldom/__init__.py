@@ -1,12 +1,11 @@
 """HTML/DOM substrate: tokenizer, parser, node model, tag paths."""
 
 from repro.htmldom.node import Document, DomNode, ElementNode, TextNode
-from repro.htmldom.parser import parse_fragment, parse_html
+from repro.htmldom.parser import parse_html
 from repro.htmldom.serialize import to_html
 from repro.htmldom.tagpath import (
     NOISY_TAGS,
     RelativeTagPath,
-    absolute_path,
     relative_path,
     sequence_similarity,
 )
@@ -21,8 +20,6 @@ __all__ = [
     "RelativeTagPath",
     "TextNode",
     "TokenType",
-    "absolute_path",
-    "parse_fragment",
     "parse_html",
     "relative_path",
     "sequence_similarity",

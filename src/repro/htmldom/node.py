@@ -2,8 +2,13 @@
 
 A deliberately small DOM: element nodes with a tag, attributes and
 children, plus text nodes.  This is everything Algorithm 1 needs — the
-DOM extractor only walks trees, reads text nodes, and computes tag
-paths.
+DOM extractor reads a page's non-blank text nodes in document order,
+each with the elements above it, and computes tag paths between them.
+
+The tree holds no back-references: a node knows its children and
+nothing above it, so a page is freed by reference counting alone.
+What sits above a text node is the ancestor chain
+:meth:`ElementNode.iter_texts` hands out with it.
 """
 
 from __future__ import annotations
@@ -14,16 +19,7 @@ from collections.abc import Iterator
 class DomNode:
     """Common base for element and text nodes."""
 
-    __slots__ = ("parent",)
-
-    def __init__(self) -> None:
-        self.parent: ElementNode | None = None
-
-    def root(self) -> "DomNode":
-        node: DomNode = self
-        while node.parent is not None:
-            node = node.parent
-        return node
+    __slots__ = ()
 
 
 class TextNode(DomNode):
@@ -32,7 +28,6 @@ class TextNode(DomNode):
     __slots__ = ("text",)
 
     def __init__(self, text: str) -> None:
-        super().__init__()
         self.text = text
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -45,22 +40,13 @@ class ElementNode(DomNode):
 
     __slots__ = ("tag", "attrs", "children")
 
-    def __init__(
-        self,
-        tag: str,
-        attrs: dict[str, str] | None = None,
-        children: list[DomNode] | None = None,
-    ) -> None:
-        super().__init__()
+    def __init__(self, tag: str, attrs: dict[str, str] | None = None) -> None:
         self.tag = tag.lower()
         self.attrs: dict[str, str] = dict(attrs or {})
         self.children: list[DomNode] = []
-        for child in children or []:
-            self.append(child)
 
     def append(self, child: DomNode) -> DomNode:
         """Attach ``child`` as the last child and return it."""
-        child.parent = self
         self.children.append(child)
         return child
 
@@ -78,50 +64,27 @@ class ElementNode(DomNode):
         self.append(node)
         return node
 
-    # ------------------------------------------------------------------
-    # Traversal
-    # ------------------------------------------------------------------
-    def iter_nodes(self) -> Iterator[DomNode]:
-        """Depth-first pre-order walk, including self."""
-        stack: list[DomNode] = [self]
+    def iter_texts(
+        self,
+    ) -> Iterator[tuple[TextNode, tuple["ElementNode", ...]]]:
+        """Every non-blank text node, in document order, with its chain.
+
+        The chain is the tuple of elements from this node down to the
+        text's enclosing element; the synthetic ``#document`` root is
+        not part of it.  Text nodes under one element share one tuple.
+        """
+        chain = () if self.tag == "#document" else (self,)
+        stack = [(iter(self.children), chain)]
         while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, ElementNode):
-                stack.extend(reversed(node.children))
-
-    def iter_elements(self, tag: str | None = None) -> Iterator["ElementNode"]:
-        """All descendant elements (including self), optionally by tag."""
-        for node in self.iter_nodes():
-            if isinstance(node, ElementNode):
-                if tag is None or node.tag == tag.lower():
-                    yield node
-
-    def iter_text_nodes(self) -> Iterator[TextNode]:
-        """All descendant text nodes whose text is non-blank."""
-        for node in self.iter_nodes():
-            if isinstance(node, TextNode) and node.text.strip():
-                yield node
-
-    def text_content(self) -> str:
-        """Concatenated, whitespace-normalised text of the subtree."""
-        parts = [node.text.strip() for node in self.iter_text_nodes()]
-        return " ".join(part for part in parts if part)
-
-    def find(self, tag: str) -> "ElementNode | None":
-        """First descendant element with the given tag, else None."""
-        for element in self.iter_elements(tag):
-            if element is not self:
-                return element
-        return None
-
-    def find_all(self, tag: str) -> list["ElementNode"]:
-        """All descendant elements with the given tag (excluding self)."""
-        return [el for el in self.iter_elements(tag) if el is not self]
-
-    def get(self, attr: str, default: str = "") -> str:
-        """Attribute value with a default."""
-        return self.attrs.get(attr, default)
+            children, chain = stack[-1]
+            for child in children:
+                if isinstance(child, ElementNode):
+                    stack.append((iter(child.children), chain + (child,)))
+                    break
+                if child.text.strip():
+                    yield child, chain
+            else:
+                stack.pop()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ElementNode(<{self.tag}>, {len(self.children)} children)"
@@ -132,16 +95,3 @@ class Document(ElementNode):
 
     def __init__(self) -> None:
         super().__init__("#document")
-
-    @property
-    def html(self) -> ElementNode | None:
-        """The top-level <html> element when present."""
-        for child in self.children:
-            if isinstance(child, ElementNode) and child.tag == "html":
-                return child
-        return None
-
-    @property
-    def body(self) -> ElementNode | None:
-        """The <body> element when present."""
-        return self.find("body")

@@ -9,7 +9,7 @@ dropping of end tags that match nothing.
 
 from __future__ import annotations
 
-from repro.htmldom.node import Document, DomNode, ElementNode, TextNode
+from repro.htmldom.node import Document, ElementNode, TextNode
 from repro.htmldom.tokenizer import TokenType, tokenize
 
 # When a new tag in the key set opens, any open element in the value set
@@ -27,11 +27,6 @@ _IMPLIED_CLOSE: dict[str, frozenset[str]] = {
     "tbody": frozenset({"thead", "tbody", "tfoot", "tr", "td", "th"}),
     "tfoot": frozenset({"thead", "tbody", "tfoot", "tr", "td", "th"}),
 }
-
-# Closing one of these implicitly closes everything up to it.
-_SCOPE_TAGS = frozenset(
-    {"table", "ul", "ol", "dl", "select", "html", "body", "head"}
-)
 
 
 def parse_html(markup: str) -> Document:
@@ -79,19 +74,14 @@ def _imply_end_tags(stack: list[ElementNode], incoming: str) -> None:
 
 
 def _close_tag(stack: list[ElementNode], tag: str) -> None:
-    """Handle an end tag: close up to the matching open element.
+    """Handle an end tag: close up to its nearest open element.
 
-    An end tag that matches no open element is dropped, except that a
-    scope tag (``</table>`` etc.) always pops intervening open elements
-    when its opener is somewhere on the stack.
+    Every end tag, whatever its name, pops the nearest open element
+    with its tag and everything opened inside it; an end tag that
+    matches no open element is dropped.
     """
     for index in range(len(stack) - 1, 0, -1):
         if stack[index].tag == tag:
             del stack[index:]
             return
     # No matching opener: ignore (browser behaviour for stray end tags).
-
-
-def parse_fragment(markup: str) -> list[DomNode]:
-    """Parse an HTML fragment and return its top-level nodes."""
-    return list(parse_html(markup).children)

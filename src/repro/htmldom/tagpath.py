@@ -6,22 +6,24 @@ entity node and a seed-attribute node are induced into a pattern set,
 after "removal of noisy tags"; other nodes whose paths are *similar* to
 an induced pattern are recognised as new attributes.
 
-Two notions are provided:
-
-* :func:`absolute_path` — root-to-node tag sequence;
-* :func:`relative_path` — the structural relation between two nodes,
-  expressed as the tag sequence climbing from the first node to their
-  lowest common ancestor and descending to the second node.  This is
-  what "tag path between E and A" means operationally: it is invariant
-  to where the pair sits in the page, which lets a pattern learned from
-  one (entity, seed) pair transfer to sibling records on the same page.
+A node's path is the ancestor chain the page walk
+(:meth:`~repro.htmldom.node.ElementNode.iter_texts`) hands out with it.
+:func:`relative_path` turns two chains into the structural relation
+between their nodes: the tags climbing from the first node to their
+lowest common ancestor and descending to the second node.  This is
+what "tag path between E and A" means operationally: it is invariant
+to where the pair sits in the page, which lets a pattern learned from
+one (entity, seed) pair transfer to sibling records on the same page.
+Each label carries the element's first CSS class and noisy tags are
+removed, as the paper does.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.htmldom.node import DomNode, ElementNode
+from repro.htmldom.node import ElementNode
 from repro.textproc.memo import memoized_pair
 
 # Purely presentational tags the paper removes as noise before
@@ -31,54 +33,25 @@ NOISY_TAGS = frozenset(
 )
 
 
-def _ancestor_elements(node: DomNode) -> list[ElementNode]:
-    """Elements from the root down to (and excluding) the node itself."""
-    chain: list[ElementNode] = []
-    current = node.parent
-    while current is not None:
-        if current.tag != "#document":
-            chain.append(current)
-        current = current.parent
-    chain.reverse()
-    return chain
-
-
-def _tag_label(element: ElementNode, with_classes: bool) -> str:
+def _tag_label(element: ElementNode) -> str:
     """The path label of one element: ``tag`` or ``tag.first-class``.
 
     Including the first CSS class disambiguates structurally identical
     positions (``div.key`` vs ``div.val``), which real-world wrapper
     induction also relies on.
     """
-    if with_classes:
-        class_attr = element.attrs.get("class", "").split()
-        if class_attr:
-            return f"{element.tag}.{class_attr[0]}"
+    class_attr = element.attrs.get("class", "").split()
+    if class_attr:
+        return f"{element.tag}.{class_attr[0]}"
     return element.tag
 
 
-def _is_noisy(label: str) -> bool:
-    return label.split(".", 1)[0] in NOISY_TAGS
-
-
-def absolute_path(
-    node: DomNode, *, clean: bool = True, with_classes: bool = False
-) -> tuple[str, ...]:
-    """Root-to-node tag sequence.
-
-    For an element node the sequence includes the node's own tag; for a
-    text node it ends at the enclosing element.  With ``clean=True``
-    (the default, matching the paper) noisy formatting tags are removed.
-    With ``with_classes=True`` each label carries the element's first
-    CSS class (``div.key``).
-    """
-    elements = _ancestor_elements(node)
-    if isinstance(node, ElementNode) and node.tag != "#document":
-        elements.append(node)
-    tags = [_tag_label(element, with_classes) for element in elements]
-    if clean:
-        tags = [tag for tag in tags if not _is_noisy(tag)]
-    return tuple(tags)
+def _clean_labels(elements: Sequence[ElementNode]) -> tuple[str, ...]:
+    """The labels of ``elements`` in order, noisy tags removed."""
+    labels = map(_tag_label, elements)
+    return tuple(
+        label for label in labels if label.split(".", 1)[0] not in NOISY_TAGS
+    )
 
 
 @memoized_pair("tagpath-sequence")
@@ -161,40 +134,22 @@ def path_similarity(left: RelativeTagPath, right: RelativeTagPath) -> float:
 
 
 def relative_path(
-    from_node: DomNode,
-    to_node: DomNode,
-    *,
-    clean: bool = True,
-    with_classes: bool = False,
+    from_chain: Sequence[ElementNode], to_chain: Sequence[ElementNode]
 ) -> RelativeTagPath:
-    """Compute the :class:`RelativeTagPath` between two nodes of one tree.
+    """The :class:`RelativeTagPath` between two nodes of one tree, given
+    their ancestor chains (root first, as the page walk yields them).
 
-    Raises ``ValueError`` when the nodes do not share a root.
+    Raises ``ValueError`` when the chains do not share a root.
     """
-    from_chain = _ancestor_elements(from_node)
-    to_chain = _ancestor_elements(to_node)
-    if isinstance(from_node, ElementNode):
-        from_chain.append(from_node)
-    if isinstance(to_node, ElementNode):
-        to_chain.append(to_node)
     if not from_chain or not to_chain or from_chain[0] is not to_chain[0]:
         raise ValueError("nodes do not belong to the same document")
-
     common = 0
     for left, right in zip(from_chain, to_chain):
-        if left is right:
-            common += 1
-        else:
+        if left is not right:
             break
-    lca = from_chain[common - 1]
-    up_tags = [
-        _tag_label(element, with_classes)
-        for element in reversed(from_chain[common:])
-    ]
-    down_tags = [
-        _tag_label(element, with_classes) for element in to_chain[common:]
-    ]
-    if clean:
-        up_tags = [tag for tag in up_tags if not _is_noisy(tag)]
-        down_tags = [tag for tag in down_tags if not _is_noisy(tag)]
-    return RelativeTagPath(tuple(up_tags), _tag_label(lca, with_classes), tuple(down_tags))
+        common += 1
+    return RelativeTagPath(
+        _clean_labels(from_chain[common:][::-1]),
+        _tag_label(from_chain[common - 1]),
+        _clean_labels(to_chain[common:]),
+    )

@@ -211,14 +211,6 @@ class ClassCatalog:
     class_name: str
     attributes: tuple[AttributeSpec, ...]
 
-    def spec(self, name: str) -> AttributeSpec:
-        for attribute in self.attributes:
-            if attribute.name == name:
-                return attribute
-        raise GenerationError(
-            f"class {self.class_name!r} has no attribute {name!r}"
-        )
-
     def names(self) -> tuple[str, ...]:
         return tuple(attribute.name for attribute in self.attributes)
 

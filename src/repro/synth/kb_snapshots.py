@@ -96,17 +96,6 @@ class KbSnapshot:
     def entity_count(self) -> int:
         return sum(len(view.entities) for view in self.classes.values())
 
-    def schema_attribute_count(self, class_name: str | None = None) -> int:
-        """Distinct official-schema attribute names."""
-        if class_name is not None:
-            return len(self.classes[class_name].schema_attributes)
-        names = {
-            attribute
-            for view in self.classes.values()
-            for attribute in view.schema_attributes
-        }
-        return len(names)
-
     def attribute_count(self) -> int:
         """Distinct attribute names anywhere in the KB (schema + usage)."""
         names = {

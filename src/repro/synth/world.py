@@ -271,12 +271,6 @@ class GroundTruthWorld:
             expanded.update(self.hierarchy.ancestors(leaf))
         return expanded
 
-    def is_true(self, triple: Triple) -> bool:
-        """Gold-standard truth of one triple (hierarchy-aware)."""
-        return triple.obj.lexical in self.true_values(
-            triple.subject, triple.predicate
-        )
-
     def facts(self) -> list[Triple]:
         """Every asserted (leaf-level) true triple."""
         return self.truth.match()

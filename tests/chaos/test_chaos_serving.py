@@ -253,6 +253,81 @@ class TestApplyRetries:
         assert server.versions.current.canonical_bytes() == REFERENCE
 
 
+class TestNestedRetries:
+    """The server retries a whole apply, and the fuse's MapReduce job
+    inside it retries each component task.  A task that used up its
+    own attempts is final for the apply around it: the two budgets
+    add, they never multiply."""
+
+    def make_nested(self, *, engine_plan=None, stream_plan=None, sleep=None):
+        retry = RetryPolicy(max_attempts=3, backoff_base=0.0)
+        metrics = MetricsRegistry()
+        base, deltas = world()
+        store = TripleStore()
+        store.add_all(base)
+        engine = KnowledgeFusion(
+            tolerance=0.0, max_iterations=8, retry=retry, metrics=metrics
+        ).begin_incremental(store)
+        engine.fault_plan = engine_plan  # after the prime, which fuses too
+        server = KBServer(
+            engine,
+            EventLog(1024),
+            retry=retry if sleep is None else RetryPolicy(
+                max_attempts=3, backoff_base=0.0, sleep=sleep
+            ),
+            fault_plan=stream_plan,
+            metrics=metrics,
+        )
+        return server, deltas, metrics
+
+    def test_an_exhausted_component_task_is_not_rerun_by_the_server(self):
+        plan = FaultPlan(seed=5).crash("reduce", index=0, attempts=0)
+        server, deltas, metrics = self.make_nested(engine_plan=plan)
+        primed = metrics.snapshot().counters
+        server.publish(deltas[0])
+        (outcome,) = server.drain()
+        assert outcome.action == "poisoned"
+        assert outcome.attempts == 1
+        assert "reduce task 0 failed after 3 attempt(s)" in outcome.error
+        counters = metrics.snapshot().counters
+
+        def spent(name):
+            return counters.get(name, 0) - primed.get(name, 0)
+
+        # One job, whose reduce task 0 ran 3 times: 2 retries (not 3
+        # jobs and 6 retries under a server that re-ran the apply).
+        assert spent("mapreduce_jobs_total") == 1
+        assert spent("mapreduce_retries_total") == 2
+        assert spent("stream_retries_total") == 0
+
+    def test_a_transient_apply_crash_is_still_retried(self):
+        plan = FaultPlan(seed=5).crash("stream:apply", index=0, attempts=2)
+        server, deltas, _ = self.make_nested(stream_plan=plan)
+        for delta in deltas:
+            server.publish(delta)
+        outcomes = server.drain()
+        assert [outcome.action for outcome in outcomes] == ["applied"] * 3
+        assert outcomes[0].attempts == 3
+        assert server.versions.current.canonical_bytes() == REFERENCE
+
+    @pytest.mark.parametrize(
+        "scope", ["stage:incremental-journal", "stage:incremental-fusion"]
+    )
+    def test_an_engine_crash_is_still_retried(self, scope):
+        def heal(_seconds):
+            server.engine.fault_plan = None
+
+        server, deltas, _ = self.make_nested(
+            engine_plan=FaultPlan(seed=5).crash(scope), sleep=heal
+        )
+        for delta in deltas:
+            server.publish(delta)
+        outcomes = server.drain()
+        assert [outcome.action for outcome in outcomes] == ["applied"] * 3
+        assert outcomes[0].attempts == 2
+        assert server.versions.current.canonical_bytes() == REFERENCE
+
+
 class TestPoisonDeltas:
     def plan_for_last(self, deltas):
         # Permanent crash (attempts=0) pinned to the last event offset.

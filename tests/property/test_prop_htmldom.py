@@ -61,14 +61,22 @@ class TestRoundTrip:
     @given(html_trees())
     @settings(max_examples=100)
     def test_text_content_preserved(self, markup):
+        # Every text, with its chain, survives serialise→parse.
         document = parse_html(markup)
-        text = document.text_content()
         reparsed = parse_html(to_html(document))
-        assert reparsed.text_content() == text
+        assert _walk(reparsed) == _walk(document)
 
     @given(st.lists(words, min_size=1, max_size=5))
     @settings(max_examples=50)
     def test_text_nodes_in_document_order(self, texts):
         markup = "".join(f"<p>{t}</p>" for t in texts)
         document = parse_html(markup)
-        assert [node.text for node in document.iter_text_nodes()] == texts
+        assert _walk(document) == [(text, ("p",)) for text in texts]
+
+
+def _walk(document):
+    """``(text, chain tags)`` for every text the walk yields."""
+    return [
+        (node.text, tuple(element.tag for element in chain))
+        for node, chain in document.iter_texts()
+    ]

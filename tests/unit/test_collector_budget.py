@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from repro.core.pipeline import KnowledgeBaseConstructionPipeline
 from repro.fusion.base import ClaimSet, ClaimSetStats
 from repro.fusion.knowledge_fusion import KnowledgeFusion
+from repro.htmldom.node import DomNode
 from repro.incremental import ClaimDelta
 from repro.incremental.journal import DeltaJournal
 from repro.rdf.backend import MemoryBackend
@@ -229,10 +230,10 @@ class TestBuildPathCycles:
         recurses through a method, not through a closure holding its own
         cell, and an extractor's patterns validate their entity slot
         against the entity index, not through a bound method of the
-        extractor (which tied it and its seed tables to its patterns).
+        extractor (which tied it and its seed tables to its patterns),
+        and a parsed or generated page is a tree without parent links.
         ``DEBUG_SAVEALL`` keeps everything a collector pass finds
-        unreachable, during the run and after it, in ``gc.garbage``.
-        (DOM parent links are still cycles.)"""
+        unreachable, during the run and after it, in ``gc.garbage``."""
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
@@ -245,7 +246,7 @@ class TestBuildPathCycles:
             leaked = [
                 getattr(obj, "__qualname__", type(obj).__name__)
                 for obj in gc.garbage
-                if isinstance(obj, LexicalPattern)
+                if isinstance(obj, (LexicalPattern, DomNode))
                 or type(obj).__name__.endswith("Extractor")
                 or (
                     isinstance(obj, types.FunctionType)

@@ -132,8 +132,6 @@ SRC_KEYWORD_ONLY = {
     "repro.fusion.sharding.patch_results": {
         "constrain", "prior", "dropped", "fresh",
     },
-    "repro.htmldom.tagpath.absolute_path": {"clean", "with_classes"},
-    "repro.htmldom.tagpath.relative_path": {"clean", "with_classes"},
     "repro.rdf.segments.SegmentBackend": {
         "memtable_limit", "compact_threshold", "metrics", "fault_plan",
     },

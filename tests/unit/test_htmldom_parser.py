@@ -1,112 +1,123 @@
-"""Unit tests for the HTML parser (tree construction)."""
+"""Unit tests for the HTML parser (tree construction).
 
-from repro.htmldom.node import ElementNode, TextNode
-from repro.htmldom.parser import parse_fragment, parse_html
+The tree is read the way the build path reads it: the walk's non-blank
+texts with their ancestor chains, and ``to_html``.
+"""
+
+from repro.htmldom.parser import parse_html
+from repro.htmldom.serialize import to_html
+
+
+def walk(markup):
+    """``(text, chain tags)`` for every text the walk yields."""
+    return [
+        (node.text, tuple(element.tag for element in chain))
+        for node, chain in parse_html(markup).iter_texts()
+    ]
 
 
 class TestBasicTrees:
     def test_nested_structure(self):
-        doc = parse_html("<html><body><p>hi</p></body></html>")
-        body = doc.body
-        assert body is not None
-        paragraph = body.find("p")
-        assert paragraph.text_content() == "hi"
+        assert walk("<html><body><p>hi</p></body></html>") == [
+            ("hi", ("html", "body", "p")),
+        ]
 
     def test_document_root_tag(self):
         doc = parse_html("<p>x</p>")
         assert doc.tag == "#document"
+        assert walk("<p>x</p>") == [("x", ("p",))]  # not in the chain
 
     def test_html_property(self):
-        assert parse_html("<html></html>").html is not None
-        assert parse_html("<p>x</p>").html is None
+        assert [c.tag for c in parse_html("<html></html>").children] == ["html"]
+        assert [c.tag for c in parse_html("<p>x</p>").children] == ["p"]
 
     def test_attributes_preserved(self):
         doc = parse_html('<div id="main" class="wide"></div>')
-        div = doc.find("div")
-        assert div.get("id") == "main"
-        assert div.get("missing", "d") == "d"
+        (div,) = doc.children
+        assert div.attrs == {"id": "main", "class": "wide"}
+        assert div.attrs.get("missing", "d") == "d"
 
     def test_void_element_has_no_children(self):
-        doc = parse_html("<p>a<br>b</p>")
-        paragraph = doc.find("p")
-        tags = [
-            child.tag
-            for child in paragraph.children
-            if isinstance(child, ElementNode)
-        ]
-        assert tags == ["br"]
-        assert paragraph.text_content() == "a b"
+        markup = "<p>a<br>b</p>"
+        assert to_html(parse_html(markup)) == "<p>a<br/>b</p>"
+        assert walk(markup) == [("a", ("p",)), ("b", ("p",))]
 
     def test_parent_links(self):
+        # What the chain holds are the parsed elements themselves.
         doc = parse_html("<div><span>x</span></div>")
-        span = doc.find("span")
-        assert span.parent.tag == "div"
-        text = span.children[0]
-        assert isinstance(text, TextNode)
-        assert text.root() is doc
+        ((text, chain),) = doc.iter_texts()
+        (div,) = doc.children
+        (span,) = div.children
+        assert chain[0] is div and chain[1] is span
+        assert span.children == [text]
 
 
 class TestImpliedEndTags:
     def test_li_closes_li(self):
-        doc = parse_html("<ul><li>a<li>b<li>c</ul>")
-        items = doc.find_all("li")
-        assert [li.text_content() for li in items] == ["a", "b", "c"]
         # siblings, not nested
-        assert all(li.parent.tag == "ul" for li in items)
+        assert walk("<ul><li>a<li>b<li>c</ul>") == [
+            ("a", ("ul", "li")), ("b", ("ul", "li")), ("c", ("ul", "li")),
+        ]
 
     def test_p_closes_p(self):
-        doc = parse_html("<p>one<p>two")
-        paragraphs = doc.find_all("p")
-        assert len(paragraphs) == 2
+        assert to_html(parse_html("<p>one<p>two")) == "<p>one</p><p>two</p>"
 
     def test_table_cells_close_each_other(self):
-        doc = parse_html("<table><tr><td>a<td>b<tr><td>c</table>")
-        rows = doc.find_all("tr")
-        assert len(rows) == 2
-        assert len(rows[0].find_all("td")) == 2
+        assert to_html(
+            parse_html("<table><tr><td>a<td>b<tr><td>c</table>")
+        ) == (
+            "<table><tr><td>a</td><td>b</td></tr>"
+            "<tr><td>c</td></tr></table>"
+        )
 
     def test_dt_dd_close_each_other(self):
-        doc = parse_html("<dl><dt>k<dd>v<dt>k2<dd>v2</dl>")
-        assert len(doc.find_all("dt")) == 2
-        assert len(doc.find_all("dd")) == 2
+        assert walk("<dl><dt>k<dd>v<dt>k2<dd>v2</dl>") == [
+            ("k", ("dl", "dt")), ("v", ("dl", "dd")),
+            ("k2", ("dl", "dt")), ("v2", ("dl", "dd")),
+        ]
 
 
 class TestRecovery:
     def test_stray_end_tag_ignored(self):
-        doc = parse_html("<div>a</span>b</div>")
         # Adjacent text runs are normalised into one node.
-        div = doc.find("div")
-        assert div.text_content() == "ab"
-        assert len(div.children) == 1
+        assert walk("<div>a</span>b</div>") == [("ab", ("div",))]
+        assert to_html(parse_html("<div>a</span>b</div>")) == "<div>ab</div>"
 
     def test_unclosed_elements_at_eof(self):
-        doc = parse_html("<div><p>open")
-        assert doc.find("p").text_content() == "open"
+        assert walk("<div><p>open") == [("open", ("div", "p"))]
 
     def test_mismatched_close_pops_to_match(self):
-        doc = parse_html("<div><span>x</div>y")
-        div = doc.find("div")
-        assert div.text_content() == "x"
+        assert walk("<div><span>x</div>y") == [
+            ("x", ("div", "span")), ("y", ()),
+        ]
+
+    def test_any_end_tag_closes_to_its_nearest_opener(self):
+        # Not only a table or list end tag: </div> closes the <b> too.
+        assert to_html(parse_html("<div><b>x</div>y")) == (
+            "<div><b>x</b></div>y"
+        )
 
     def test_comments_dropped(self):
-        doc = parse_html("<div><!-- note -->x</div>")
-        assert doc.find("div").text_content() == "x"
+        assert walk("<div><!-- note -->x</div>") == [("x", ("div",))]
 
 
 class TestTraversal:
     def test_iter_text_nodes_skips_blank(self):
-        doc = parse_html("<div>  <p>a</p>\n<p>b</p> </div>")
-        assert [t.text for t in doc.iter_text_nodes()] == ["a", "b"]
+        assert walk("<div>  <p>a</p>\n<p>b</p> </div>") == [
+            ("a", ("div", "p")), ("b", ("div", "p")),
+        ]
 
     def test_iter_elements_by_tag(self):
-        doc = parse_html("<div><p>a</p><span><p>b</p></span></div>")
-        assert len(list(doc.iter_elements("p"))) == 2
+        assert walk("<div><p>a</p><span><p>b</p></span></div>") == [
+            ("a", ("div", "p")), ("b", ("div", "span", "p")),
+        ]
 
     def test_document_order(self):
-        doc = parse_html("<div><p>1</p><p>2</p><p>3</p></div>")
-        texts = [t.text for t in doc.iter_text_nodes()]
-        assert texts == ["1", "2", "3"]
+        markup = "<div><p>1</p><p>2</p><p>3</p></div>"
+        assert [text for text, _ in walk(markup)] == ["1", "2", "3"]
 
     def test_parse_fragment(self):
-        nodes = parse_fragment("<p>a</p><p>b</p>")
-        assert len(nodes) == 2
+        # A fragment parses into its top-level siblings.
+        doc = parse_html("<p>a</p><p>b</p>")
+        assert [child.tag for child in doc.children] == ["p", "p"]
+        assert walk("<p>a</p><p>b</p>") == [("a", ("p",)), ("b", ("p",))]

@@ -5,7 +5,6 @@ import pytest
 from repro.htmldom.parser import parse_html
 from repro.htmldom.tagpath import (
     RelativeTagPath,
-    absolute_path,
     relative_path,
     sequence_similarity,
 )
@@ -22,32 +21,43 @@ MARKUP = """
 
 
 @pytest.fixture
-def nodes():
+def chains():
+    """Each text's ancestor chain, as the page walk yields it."""
     doc = parse_html(MARKUP)
-    return {t.text: t for t in doc.iter_text_nodes()}
+    return {node.text: chain for node, chain in doc.iter_texts()}
+
+
+def _tags(chain):
+    return tuple(element.tag for element in chain)
 
 
 class TestAbsolutePath:
-    def test_text_node_path(self, nodes):
-        assert absolute_path(nodes["Capital"]) == (
+    """A node's absolute path is the chain the walk yields with it."""
+
+    def test_text_node_path(self, chains):
+        assert _tags(chains["Capital"]) == (
             "html", "body", "table", "tr", "th",
         )
 
-    def test_noisy_tags_removed(self, nodes):
-        assert absolute_path(nodes["Paris"]) == (
-            "html", "body", "table", "tr", "td",
+    def test_noisy_tags_removed(self, chains):
+        # Paris sits in <td><b>: the <b> is presentational noise.
+        path = relative_path(chains["Capital"], chains["Paris"])
+        assert path == RelativeTagPath(("th",), "tr", ("td",))
+
+    def test_noisy_tags_kept_when_clean_false(self, chains):
+        # The chain itself keeps every element; only paths drop noise.
+        assert _tags(chains["Paris"])[-1] == "b"
+
+    def test_with_classes(self, chains):
+        path = relative_path(chains["France"], chains["France"])
+        assert path == RelativeTagPath((), "h1.entity-name", ())
+
+    def test_element_path_includes_self(self, chains):
+        table = chains["Capital"][2]
+        assert table.tag == "table"
+        assert [_tags(chain) for _, chain in table.iter_texts()][0] == (
+            "table", "tr", "th",
         )
-
-    def test_noisy_tags_kept_when_clean_false(self, nodes):
-        assert absolute_path(nodes["Paris"], clean=False)[-1] == "b"
-
-    def test_with_classes(self, nodes):
-        path = absolute_path(nodes["France"], with_classes=True)
-        assert path[-1] == "h1.entity-name"
-
-    def test_element_path_includes_self(self, nodes):
-        table = nodes["Capital"].parent.parent.parent
-        assert absolute_path(table)[-1] == "table"
 
 
 class TestSequenceSimilarity:
@@ -76,42 +86,54 @@ class TestSequenceSimilarity:
 
 
 class TestRelativePath:
-    def test_between_heading_and_label(self, nodes):
-        path = relative_path(nodes["France"], nodes["Capital"])
-        assert path.up == ("h1",)
+    def test_between_heading_and_label(self, chains):
+        path = relative_path(chains["France"], chains["Capital"])
+        assert path.up == ("h1.entity-name",)
         assert path.lca == "body"
-        assert path.down == ("table", "tr", "th")
+        assert path.down == ("table.infobox", "tr", "th")
 
-    def test_same_shape_labels_have_equal_paths(self, nodes):
-        path_one = relative_path(nodes["France"], nodes["Capital"])
-        path_two = relative_path(nodes["France"], nodes["Population"])
+    def test_same_shape_labels_have_equal_paths(self, chains):
+        path_one = relative_path(chains["France"], chains["Capital"])
+        path_two = relative_path(chains["France"], chains["Population"])
         assert path_one == path_two
         assert path_one.similarity(path_two) == 1.0
 
-    def test_label_vs_value_differ(self, nodes):
-        label = relative_path(nodes["France"], nodes["Capital"])
-        value = relative_path(nodes["France"], nodes["Paris"])
+    def test_label_vs_value_differ(self, chains):
+        label = relative_path(chains["France"], chains["Capital"])
+        value = relative_path(chains["France"], chains["Paris"])
         assert label != value
         assert label.similarity(value) < 1.0
+
+    def test_lca_is_the_last_shared_element(self, chains):
+        path = relative_path(chains["Capital"], chains["Population"])
+        assert path == RelativeTagPath(("th", "tr"), "table.infobox", ("tr", "th"))
+
+    def test_texts_under_one_element(self, chains):
+        path = relative_path(chains["Capital"], chains["Capital"])
+        assert path == RelativeTagPath((), "th", ())
 
     def test_lca_mismatch_halves_similarity(self):
         left = RelativeTagPath(("h1",), "body", ("table", "tr", "th"))
         right = RelativeTagPath(("h1",), "div", ("table", "tr", "th"))
         assert right.similarity(left) == 0.5
 
-    def test_different_documents_rejected(self, nodes):
+    def test_different_documents_rejected(self, chains):
         other = parse_html(MARKUP)
-        foreign = next(other.iter_text_nodes())
+        _, foreign = next(other.iter_texts())
+        assert _tags(foreign) == _tags(chains["France"])
         with pytest.raises(ValueError):
-            relative_path(nodes["France"], foreign)
+            relative_path(chains["France"], foreign)
+
+    def test_empty_chain_rejected(self, chains):
+        with pytest.raises(ValueError):
+            relative_path((), chains["France"])
 
     def test_str_rendering(self):
         path = RelativeTagPath(("h1",), "body", ("table", "tr"))
         assert str(path) == "h1 ^body table/tr"
 
-    def test_with_classes(self, nodes):
-        path = relative_path(
-            nodes["France"], nodes["Capital"], with_classes=True
-        )
+    def test_with_classes(self, chains):
+        # Every label carries the element's first CSS class.
+        path = relative_path(chains["France"], chains["67M"])
         assert path.up == ("h1.entity-name",)
-        assert path.down == ("table.infobox", "tr", "th")
+        assert path.down == ("table.infobox", "tr", "td")

@@ -47,9 +47,10 @@ class TestBuildCatalog:
 
     def test_spec_lookup(self):
         catalog = build_catalog("Film", random.Random(1))
-        assert catalog.spec("director").functional
-        with pytest.raises(GenerationError):
-            catalog.spec("warp drive")
+        specs = {spec.name: spec for spec in catalog.attributes}
+        assert specs["director"].functional
+        assert "warp drive" not in specs
+        assert tuple(specs) == catalog.names()
 
     def test_propensities_in_range(self):
         catalog = build_catalog("University", random.Random(1))

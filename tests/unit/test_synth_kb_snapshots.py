@@ -52,10 +52,10 @@ class TestKbPair:
         freebase, dbpedia = kb_pair
         for class_name, (db_schema, _, fb_schema, _, _) in PAPER_TABLE2.items():
             universe = len(world.attribute_names(class_name))
-            assert dbpedia.schema_attribute_count(class_name) == min(
+            assert len(dbpedia.classes[class_name].schema_attributes) == min(
                 db_schema, universe
             )
-            assert freebase.schema_attribute_count(class_name) == min(
+            assert len(freebase.classes[class_name].schema_attributes) == min(
                 fb_schema, universe
             )
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import GenerationError
-from repro.rdf.triple import Triple, Value
 from repro.synth.world import GroundTruthWorld, WorldConfig
 
 
@@ -103,21 +102,16 @@ class TestTruthSemantics:
             if leaves:
                 leaf = next(iter(leaves))
                 parent = world.hierarchy.parent(leaf)
-                assert world.is_true(
-                    Triple(entity.entity_id, "capital", Value(leaf))
-                )
-                assert world.is_true(
-                    Triple(entity.entity_id, "capital", Value(parent))
-                )
-                assert not world.is_true(
-                    Triple(entity.entity_id, "capital", Value("Nowhere123"))
-                )
+                truths = world.true_values(entity.entity_id, "capital")
+                assert leaf in truths
+                assert parent in truths
+                assert "Nowhere123" not in truths
                 return
         pytest.fail("no country with a capital fact")
 
     def test_value_pools_contain_truths(self, world):
         catalog = world.catalogs["Book"]
-        spec = catalog.spec("author")
+        (spec,) = [s for s in catalog.attributes if s.name == "author"]
         pool = set(world.value_pool("Book", spec))
         for entity in world.entities("Book"):
             leaves = world.true_leaf_values(entity.entity_id, "author")
