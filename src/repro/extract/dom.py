@@ -214,6 +214,10 @@ class DomTreeExtractor:
             mention_mode = True
             labels = [label for label in labels if label.order != anchor]
         anchor_node, anchor_chain = texts[anchor]
+        # A label outside the anchor's top-level element (a page with no
+        # single root) has no tag path to it.
+        root = anchor_chain[0] if anchor_chain else None
+        labels = [one for one in labels if one.chain and one.chain[0] is root]
 
         # Induced tag-path pattern set: paths from the entity node to
         # every seed-attribute label on this page.

@@ -13,9 +13,12 @@ position seqno:
 * **compaction** merges every segment into one *canonical* segment
   (unique keys, insertion-ordered, max confidence folded, no
   tombstones) and drops the rest;
-* an item, triple or subject read — and ``remove`` — costs its answer:
-  candidate rows come from each segment's CSR slice and memtable
-  claims from the same read of the memtable's SPO index.  A row is
+* an item, triple or subject read — and ``remove`` and the dedup
+  probe — costs its answer: a subject route (subject → the segments
+  holding its rows, with its id in each; built on the first such read,
+  dropped when the segment list changes) names the segments to visit,
+  candidate rows come from their CSR slices and memtable claims from
+  the same read of the memtable's SPO index.  A row is
   probed against the tombstone map, by its own triple, only when its
   item is in the set of tombstoned items.  Every stage reads by item,
   so a file keeps one index, SPO, as the memtable does: a ``match``
@@ -499,16 +502,15 @@ class SegmentReader:
         return (subject, predicate, lexical, kind, source, extractor, locator)
 
     # -- slice access --------------------------------------------------
-    def subject_rows(self, subject: str) -> list[int]:
+    def subject_rows(self, sid: int) -> list[int]:
         """Row indexes of one subject, via the SPO permutation slice."""
-        sid = self.string_id("subjects", subject)
-        if sid is None:
-            return []
         return self.spo_perm[
             self.subj_start[sid]:self.subj_start[sid + 1]
         ].tolist()
 
-    def triple_rows(self, triple: Triple, tomb_seq: int) -> list[int]:
+    def triple_rows(
+        self, sid: int, triple: Triple, tomb_seq: int
+    ) -> list[int]:
         """Live row indexes asserting exactly ``triple``."""
         pid = self.string_id("predicates", triple.predicate)
         lid = self.string_id("lexicals", triple.obj.lexical)
@@ -521,20 +523,17 @@ class SegmentReader:
         kinds = self.col_kind
         return [
             row
-            for row in self.subject_rows(triple.subject)
+            for row in self.subject_rows(sid)
             if preds[row] == pid
             and lexes[row] == lid
             and kinds[row] == kind
             and seqs[row] > tomb_seq
         ]
 
-    def item_rows(self, subject: str, predicate: str) -> list[int]:
+    def item_rows(self, sid: int, predicate: str) -> list[int]:
         """Row indexes of one data item: the run of its subject's SPO
         slice that holds its predicate (the slice is sorted by
         predicate id)."""
-        sid = self.string_id("subjects", subject)
-        if sid is None:
-            return []
         pid = self.string_id("predicates", predicate)
         if pid is None:
             return []
@@ -603,6 +602,7 @@ class SegmentReader:
 
     def lookup_key(
         self,
+        sid: int,
         triple: Triple,
         prov: Provenance,
         tomb_seq: int,
@@ -619,7 +619,7 @@ class SegmentReader:
         seqs = self.col_seq
         confs = self.col_confidence
         best: tuple[float, int] | None = None
-        for row in self.triple_rows(triple, tomb_seq):
+        for row in self.triple_rows(sid, triple, tomb_seq):
             if srcs[row] != src or exts[row] != ext or locs[row] != loc:
                 continue
             if best is None:
@@ -704,6 +704,10 @@ class SegmentBackend(StorageBackend):
         # Shared with copy() siblings: rebound, never updated in place,
         # once the directory is open.
         self._key_filter: set[int] = set()
+        # The subject route, subject -> ((segment, subject id), ...) in
+        # segment order: built by the first subject-keyed read, rebound
+        # to None when the segment list changes, shared with copy().
+        self._route: dict[str, tuple] | None = None
         self._seq = 0
         self._live = 0
         self._open_directory()
@@ -844,13 +848,30 @@ class SegmentBackend(StorageBackend):
             return (only.row_scored(row) for row in range(only.n_rows))
         return (scored for _pos, scored in self._ordered_entries())
 
-    def _held(self, rows_of, *args) -> list[tuple[SegmentReader, list]]:
-        """``(segment, rows)`` for each segment where the candidate rows
-        ``rows_of(seg, *args)`` are not empty."""
+    def _routed(self, subject: str) -> tuple:
+        """``(segment, subject id)`` for each segment holding rows of
+        ``subject``, in segment order."""
+        route = self._route
+        if route is None:
+            route = {}
+            for seg in self._segments:
+                starts = seg.subj_start
+                for sid, name in enumerate(seg.subjects):
+                    if starts[sid] != starts[sid + 1]:
+                        route[name] = route.get(name, ()) + ((seg, sid),)
+            self._route = route
+        return route.get(subject, ())
+
+    def _held(
+        self, subject: str, rows_of, *args
+    ) -> list[tuple[SegmentReader, list]]:
+        """``(segment, rows)`` for each segment the route names for
+        ``subject`` where the candidate rows ``rows_of(seg, sid, *args)``
+        are not empty."""
         return [
             (seg, rows)
-            for seg in self._segments
-            if (rows := rows_of(seg, *args))
+            for seg, sid in self._routed(subject)
+            if (rows := rows_of(seg, sid, *args))
         ]
 
     def _fold(self, held, mem_claims: list[ScoredTriple]) -> list[list]:
@@ -930,7 +951,7 @@ class SegmentBackend(StorageBackend):
 
     def _ordered_entries(self) -> list[list]:
         return self._fold(
-            self._held(lambda seg: range(seg.n_rows)),
+            [(seg, range(seg.n_rows)) for seg in self._segments if seg.n_rows],
             list(self._mem.iter_claims()),
         )
 
@@ -939,7 +960,8 @@ class SegmentBackend(StorageBackend):
             return True
         tomb_seq = self._tomb_seq(triple)
         return any(
-            seg.triple_rows(triple, tomb_seq) for seg in self._segments
+            seg.triple_rows(sid, triple, tomb_seq)
+            for seg, sid in self._routed(triple.subject)
         )
 
     # -- mutation ------------------------------------------------------
@@ -981,8 +1003,8 @@ class SegmentBackend(StorageBackend):
             return None
         tomb_seq = self._tomb_seq(triple)
         best: tuple[float, int] | None = None
-        for seg in self._segments:
-            found = seg.lookup_key(triple, prov, tomb_seq)
+        for seg, sid in self._routed(triple.subject):
+            found = seg.lookup_key(sid, triple, prov, tomb_seq)
             if found is None:
                 continue
             if best is None:
@@ -993,7 +1015,9 @@ class SegmentBackend(StorageBackend):
 
     def remove(self, triple: Triple) -> list[ScoredTriple]:
         tomb_seq = self._tomb_seq(triple)
-        held = self._held(SegmentReader.triple_rows, triple, tomb_seq)
+        held = self._held(
+            triple.subject, SegmentReader.triple_rows, triple, tomb_seq
+        )
         dropped = self._mem.remove(triple)
         lost = [entry[1] for entry in self._fold(held, dropped)]
         for scored in dropped:
@@ -1050,6 +1074,7 @@ class SegmentBackend(StorageBackend):
             raise
         reader = SegmentReader(self.directory / name)
         self._segments.append(reader)
+        self._route = None
         self._key_filter = self._key_filter.union(reader.key_hashes)
         # Rebound, not cleared: a copy() may share the memtable's index.
         self._mem = MemoryBackend()
@@ -1103,6 +1128,7 @@ class SegmentBackend(StorageBackend):
         # still share them (mmaps survive the unlink; the OS reclaims
         # on GC).
         self._segments = [SegmentReader(self.directory / name)]
+        self._route = None
         self._key_filter = set(self._segments[0].key_hashes)
         self._tomb.clear()
         self._tomb_items = set()
@@ -1123,6 +1149,7 @@ class SegmentBackend(StorageBackend):
         for reader in self._segments:
             reader.close()
         self._segments = []
+        self._route = None
         self._publish_gauges()
 
     # -- lookup --------------------------------------------------------
@@ -1131,7 +1158,9 @@ class SegmentBackend(StorageBackend):
             return [scored for scored in self.iter_claims()]
         tomb_seq = self._tomb_seq(triple)
         entries = self._fold(
-            self._held(SegmentReader.triple_rows, triple, tomb_seq),
+            self._held(
+                triple.subject, SegmentReader.triple_rows, triple, tomb_seq
+            ),
             self._mem.claims(triple),
         )
         return [entry[1] for entry in entries]
@@ -1140,13 +1169,13 @@ class SegmentBackend(StorageBackend):
         self, subject: str, predicate: str
     ) -> list[ScoredTriple]:
         entries = self._fold(
-            self._held(SegmentReader.item_rows, subject, predicate),
+            self._held(subject, SegmentReader.item_rows, predicate),
             self._mem.claims_for_item(subject, predicate),
         )
         return [entry[1] for entry in entries]
 
     def count_for_item(self, subject: str, predicate: str) -> int:
-        held = self._held(SegmentReader.item_rows, subject, predicate)
+        held = self._held(subject, SegmentReader.item_rows, predicate)
         if (
             len(held) == 1
             and (subject, predicate) not in self._tomb_items
@@ -1179,7 +1208,7 @@ class SegmentBackend(StorageBackend):
         elif predicate is None:
             mem = self._mem
             entries = self._fold(
-                self._held(SegmentReader.subject_rows, subject),
+                self._held(subject, SegmentReader.subject_rows),
                 [
                     scored
                     for each in mem.predicates(subject)
@@ -1224,7 +1253,7 @@ class SegmentBackend(StorageBackend):
             out = self._live_column_strings("predicate")
             out.update(self._mem.predicates())
             return out
-        held = self._held(SegmentReader.subject_rows, subject)
+        held = self._held(subject, SegmentReader.subject_rows)
         out = {key[1] for _seg, _row, key in self._live_keys(held)}
         out.update(self._mem.predicates(subject))
         return out
@@ -1256,6 +1285,7 @@ class SegmentBackend(StorageBackend):
         clone._tomb = dict(self._tomb)
         clone._tomb_items = self._tomb_items
         clone._key_filter = self._key_filter
+        clone._route = self._route
         clone._seq = self._seq
         clone._live = self._live
         return clone

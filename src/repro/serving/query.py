@@ -21,40 +21,48 @@ Three query families:
   entities" ranking computed lazily once per reader and cached
   (versions are immutable, so the cache can never go stale).
 
-What a read costs: :meth:`lookup` is two dict probes into the fused
-result plus the store's ``count_for_item``, which builds no claim: the
-length of the memory backend's SPO leaf, or on the segment backend the
-item's rows of each segment's CSR index, straight off the mmap.  When
-one segment holds them and the item has no tombstone and no memtable
-claim, the count is those rows, each still refused as the claim read
-refuses it; otherwise they are folded as strings with the item's keys
-in the memtable's index, a row probed against the tombstones only when
-its item has one — O(claims of the item) either way.
+What a read costs: :meth:`lookup` is a dict probe into the fused
+truths and one into the beliefs per value (a truth set is sorted only
+when it holds two or more), one tuple for the :class:`FactView`, and
+the store's ``count_for_item``, which builds no claim: the length of
+the memory backend's SPO leaf, or on the segment backend the item's
+rows of the CSR index of each segment the store's subject route names
+for the subject — no other segment is probed — straight off the mmap.
+When one segment holds them and the item has no tombstone and no
+memtable claim, the count is those rows, each still refused as the
+claim read refuses it; otherwise they are folded as strings with the
+item's keys in the memtable's index, a row probed against the
+tombstones only when its item has one — O(claims of the item) either
+way.
 :meth:`scan_subject` is the store's ``predicates(subject)`` — the same
 decode-free fold over the subject's rows on the segment backend, one
 index probe on the memory backend — then one ``lookup`` per predicate;
 :meth:`scan_predicate` and :meth:`top_entities` build an O(fused items)
-index once per reader, then cost one ``lookup`` per answer.  Each read kind resolves its ``serving_reads_total`` counter
-once per reader, on its first read.
+index once per reader, then cost one ``lookup`` per answer.  Each read
+kind resolves its ``serving_reads_total`` counter once per reader, on
+its first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.serving.version import KBVersion
 
 __all__ = ["FactView", "KBReader"]
 
 
-@dataclass(frozen=True, slots=True)
-class FactView:
+class FactView(NamedTuple):
     """One fused data item as a reader returns it.
 
     ``values`` are the fused-true value keys (sorted, deterministic);
     ``beliefs`` maps each to its fusion belief score; ``claims`` counts
     the supporting claims the store holds for the item (every value,
     not only the fused-true ones).
+
+    A view is a read-only tuple, built in one allocation: assigning a
+    field raises ``AttributeError``, and a view compares equal to a
+    plain tuple of the same five fields.
     """
 
     subject: str
@@ -91,15 +99,13 @@ class KBReader:
         self._count_read("lookup")
         item = (subject, predicate)
         result = self.version.result
-        values = tuple(sorted(result.truths.get(item, ())))
+        truth = result.truths.get(item, ())
+        values = tuple(sorted(truth)) if len(truth) > 1 else tuple(truth)
+        belief = result.belief.get
         return FactView(
-            subject=subject,
-            predicate=predicate,
-            values=values,
-            beliefs={
-                value: result.belief_of(item, value) for value in values
-            },
-            claims=self.version.store.count_for_item(subject, predicate),
+            subject, predicate, values,
+            {value: belief((item, value), 0.0) for value in values},
+            self.version.store.count_for_item(subject, predicate),
         )
 
     # -- scans ---------------------------------------------------------

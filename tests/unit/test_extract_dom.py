@@ -163,6 +163,58 @@ class TestTriples:
         assert all(s.triple.subject == "book/1" for s in output.triples)
 
 
+class TestRootlessPages:
+    """A page whose markup has no single root element — top-level
+    siblings, or text straight under ``#document`` — has no tag path
+    between its entity node and a label outside the entity's top-level
+    element: such labels are no candidates, and the page costs the
+    other sites of the call nothing."""
+
+    ROOTLESS = [
+        "<h1>The Silent River</h1><p>Author</p><p>Jane Doe</p>",
+        "The Silent River<p>Author</p><p>Jane Doe</p>",
+        "<h1>The Silent River</h1><table><tr><th>Author</th>"
+        "<td>Jane Doe</td></tr></table>",
+    ]
+
+    @staticmethod
+    def _extract(entity_index, sites):
+        extractor = DomTreeExtractor(
+            entity_index,
+            {"Book": SeedSet("Book", ["author"])},
+            DomExtractorConfig(min_attribute_support=1),
+        )
+        return extractor.extract(sites)
+
+    @pytest.mark.parametrize("html", ROOTLESS)
+    def test_a_rootless_page_leaves_other_sites_alone(
+        self, entity_index, html
+    ):
+        rooted = Website("www.example.com", "Book", "table", [
+            make_page("u1", "Golden Empire",
+                      [("Author", "A"), ("Genre", "Drama")],
+                      entity_id="book/2"),
+        ])
+        rootless = Website("www.rootless.org", "Book", "list", [
+            WebPage("r1", html, "book/1", "The Silent River", ()),
+        ])
+        alone = self._extract(entity_index, [rooted])
+        mixed = self._extract(entity_index, [rootless, rooted])
+        assert alone.triples
+        assert mixed.triples == alone.triples
+        assert mixed.attribute_names("Book") == alone.attribute_names("Book")
+
+    @pytest.mark.parametrize("html", ROOTLESS)
+    def test_a_rootless_page_yields_no_pair_across_roots(
+        self, entity_index, html
+    ):
+        rootless = Website("www.rootless.org", "Book", "list", [
+            WebPage("r1", html, "book/1", "The Silent River", ()),
+        ])
+        output = self._extract(entity_index, [rootless])
+        assert not output.triples
+
+
 class TestGeneratedSites:
     def test_all_layouts_extract(self, world, seed_sets, websites):
         extractor = DomTreeExtractor(world.entity_index(), seed_sets)

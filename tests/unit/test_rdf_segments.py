@@ -80,9 +80,11 @@ class TestSegmentFile:
         path = tmp_path / "one.seg"
         path.write_bytes(build_segment_bytes(rows, []))
         reader = SegmentReader(path)
-        france = sorted(reader.subject_rows("france"))
+        france = sorted(
+            reader.subject_rows(reader.string_id("subjects", "france"))
+        )
         assert france == [0, 1, 2]
-        assert list(reader.subject_rows("narnia")) == []
+        assert reader.string_id("subjects", "narnia") is None
         reader.close()
 
     def test_rejects_foreign_files(self, tmp_path):
@@ -521,9 +523,10 @@ class TestStorageMetrics:
 def read_work(monkeypatch):
     """Calls, while the test runs, of the reader's units of read work —
     a string-id probe, a row materialization, a row's string key, a
-    whole-column scan — and of ``Triple.__eq__`` and ``Value.__eq__``
-    (counted as ``"Value.__eq__"``), the units of a walk over memtable
-    keys; ``"Triple"`` counts the triples built."""
+    whole-column scan, a segment's item or subject slice (the row
+    helpers that take a subject id) — and of ``Triple.__eq__`` and
+    ``Value.__eq__`` (counted as ``"Value.__eq__"``), the units of a
+    walk over memtable keys; ``"Triple"`` counts the triples built."""
     counts = collections.Counter()
 
     def count(owner, name, unit=None):
@@ -539,6 +542,8 @@ def read_work(monkeypatch):
     count(SegmentReader, "row_scored")
     count(SegmentReader, "row_key")
     count(SegmentReader, "live_rows")
+    count(SegmentReader, "item_rows")
+    count(SegmentReader, "subject_rows")
     count(Triple, "__eq__")
     count(Value, "__eq__", "Value.__eq__")
     count(Triple, "__post_init__", "Triple")
@@ -858,7 +863,8 @@ def test_an_item_nothing_shadows_is_read_without_a_fold(tmp_path, read_work):
     for subject, predicate in plain:
         (rows,) = [
             found for seg in backend._segments
-            if (found := seg.item_rows(subject, predicate))
+            if (sid := seg.string_id("subjects", subject)) is not None
+            and (found := seg.item_rows(sid, predicate))
         ]
         assert all(dead.item != (subject, predicate) for dead in backend._tomb)
         assert not backend._mem.count_for_item(subject, predicate)
@@ -960,6 +966,175 @@ def test_tombstoned_items_track_remove_compact_reopen_and_refresh(tmp_path):
     assert len(backend._segments) == 2
     _assert_answers_agree(backend, memory, items)
     _assert_answers_agree(SegmentBackend(directory), memory, items)
+
+
+def _assert_routed_reads_agree(backend, memory, subjects) -> None:
+    """Every subject-keyed read of ``backend`` — ``count_for_item``,
+    ``claims_for_item``, ``predicates(subject)``, ``match(subject=…)``
+    and ``contains_triple`` — answers as ``memory`` does, element for
+    element, on ``subjects`` (present or not) and every predicate the
+    two stores name.  ``match(subject=…)`` with an unbound predicate
+    is compared as a sorted list: the memory backend groups it by
+    predicate, the segment backend answers in position order."""
+    predicates = sorted(memory.predicates() | {"p-none"})
+    for subject in subjects:
+        assert backend.predicates(subject) == memory.predicates(subject)
+        assert sorted(map(str, backend.match(subject=subject))) == sorted(
+            map(str, memory.match(subject=subject))
+        ), subject
+        for predicate in predicates:
+            item = (subject, predicate)
+            assert backend.claims_for_item(*item) == (
+                memory.claims_for_item(*item)
+            ), item
+            assert backend.count_for_item(*item) == (
+                memory.count_for_item(*item)
+            ), item
+            assert backend.match(subject=subject, predicate=predicate) == (
+                memory.match(subject=subject, predicate=predicate)
+            ), item
+    for triple in memory.match() + [Triple("s-none", "p0", Value("v0"))]:
+        if triple.subject in subjects:
+            assert backend.contains_triple(triple) == (
+                memory.contains_triple(triple)
+            ), triple
+
+
+def test_the_subject_route_follows_every_segment_change(tmp_path):
+    """Subject-keyed reads visit only the segments the subject route
+    names; after each change of the segment list — a flush, a
+    ``copy()`` whose sibling flushes, a ``remove`` tombstoning a
+    segment-resident row, a compaction, close and reopen — with
+    subjects held by several segments, the store answers as the memory
+    backend does.  Each step reads first, so a route built before the
+    change is what the change must rebind."""
+    directory = tmp_path / "store"
+    backend = SegmentBackend(directory, memtable_limit=10**6,
+                             compact_threshold=10**6)
+    memory = MemoryBackend()
+
+    def add(claims, store=backend, model=memory):
+        for one in claims:
+            assert store.add(one) == model.add(one)
+
+    # 12 subjects; every flush below adds rows of subjects an earlier
+    # segment already holds, and one subject of its own.
+    corpus = [
+        claim(f"e{i % 12:02d}", f"p{i % 3}", f"v{i % 5}", source=f"s{i % 4}",
+              conf=0.1 + (i % 9) / 10)
+        for i in range(120)
+    ]
+    subjects = sorted({one.triple.subject for one in corpus}) + [
+        "e-new", "e-staged", "s-none",
+    ]
+    add(corpus[:60])
+    backend.flush()
+    _assert_routed_reads_agree(backend, memory, subjects)
+    add(corpus[60:])
+    add([claim("e-new", "p0", "fresh", source="m")])
+    backend.flush()
+    assert len(backend._segments) == 2
+    assert len(backend._routed("e00")) == 2
+    _assert_routed_reads_agree(backend, memory, subjects)
+
+    # A refresh of a segment-resident claim, flushed into a third
+    # segment: the subject is now held by three.
+    add([corpus[0].with_confidence(1.0)])
+    _assert_routed_reads_agree(backend, memory, subjects)
+    backend.flush()
+    assert len(backend._routed(corpus[0].triple.subject)) == 3
+    _assert_routed_reads_agree(backend, memory, subjects)
+
+    # A staged copy shares the route; its flush rebinds its own and
+    # leaves the source's alone.
+    staged, model = backend.copy(), memory.copy()
+    assert staged._route is backend._route
+    add([claim("e-staged", "p1", "x", source="m"),
+         claim("e01", "p1", "staged", source="m")], staged, model)
+    staged.flush()
+    assert staged._route is not backend._route
+    _assert_routed_reads_agree(staged, model, subjects)
+    _assert_routed_reads_agree(backend, memory, subjects)
+    assert backend.count_for_item("e-staged", "p1") == 0
+
+    # A remove tombstoning segment-resident rows, then flushed.
+    gone = corpus[13].triple
+    assert backend.remove(gone) == memory.remove(gone)
+    _assert_routed_reads_agree(backend, memory, subjects)
+    backend.flush()
+    _assert_routed_reads_agree(backend, memory, subjects)
+
+    backend.compact()
+    assert len(backend._segments) == 1
+    assert all(len(backend._routed(s)) <= 1 for s in subjects)
+    _assert_routed_reads_agree(backend, memory, subjects)
+
+    add([claim("e02", "p2", "after", source="m")])
+    backend.flush()
+    _assert_routed_reads_agree(backend, memory, subjects)
+    backend.close()
+    # A closed store reads no segment: its route went with them.
+    assert backend.count_for_item("e02", "p2") == 0
+    assert backend.predicates("e02") == set()
+    reopened = SegmentBackend(directory)
+    try:
+        _assert_routed_reads_agree(reopened, memory, subjects)
+    finally:
+        reopened.close()
+
+
+def test_a_read_touches_only_the_segments_holding_its_subject(
+    tmp_path, read_work
+):
+    """On a six-segment store where each subject's rows sit in one
+    segment, ``count_for_item`` and ``claims_for_item`` read one item
+    slice, ``predicates(subject)`` one subject slice, and a subject no
+    segment holds reads none: a read's work is bounded by the segments
+    holding its subject, not by the segment count."""
+    backend = SegmentBackend(tmp_path / "store", memtable_limit=10**6,
+                             compact_threshold=10**6)
+    memory = MemoryBackend()
+    # 24 subjects x 2 predicates x 2 values, four subjects a segment.
+    corpus = [
+        claim(f"e{i // 4:02d}", f"p{i % 2}", f"v{(i // 2) % 2}", source="a")
+        for i in range(96)
+    ]
+    for start in range(0, len(corpus), 16):
+        for one in corpus[start:start + 16]:
+            assert backend.add(one) == memory.add(one)
+        backend.flush()
+    assert len(backend._segments) == 6
+    backend.predicates("e00")  # builds the route, outside the counts
+
+    for subject in ("e00", "e13", "e23"):
+        held = [
+            seg for seg in backend._segments
+            if seg.string_id("subjects", subject) is not None
+        ]
+        assert len(held) == 1
+        for predicate in ("p0", "p1", "p-none"):
+            read_work.clear()
+            assert backend.count_for_item(subject, predicate) == (
+                memory.count_for_item(subject, predicate)
+            )
+            assert read_work["item_rows"] == 1, (subject, predicate)
+            read_work.clear()
+            assert backend.claims_for_item(subject, predicate) == (
+                memory.claims_for_item(subject, predicate)
+            )
+            assert read_work["item_rows"] == 1, (subject, predicate)
+        read_work.clear()
+        assert backend.predicates(subject) == memory.predicates(subject)
+        assert read_work["subject_rows"] == 1, subject
+        assert read_work["item_rows"] == 0, subject
+
+    read_work.clear()
+    assert backend.count_for_item("s-none", "p0") == 0
+    assert backend.claims_for_item("s-none", "p0") == []
+    assert backend.predicates("s-none") == set()
+    assert not backend.contains_triple(Triple("s-none", "p0", Value("v0")))
+    assert read_work["item_rows"] == read_work["subject_rows"] == 0
+    assert read_work["string_id"] == 0
 
 
 class TestCountRefusesWhatTheClaimReadRefuses:

@@ -6,6 +6,7 @@ import dataclasses
 import pytest
 
 from repro.errors import ServingError
+from repro.fusion.base import FusionResult
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.incremental import ClaimDelta, canonical_claims
 from repro.obs.metrics import LabeledRegistry, MetricsRegistry
@@ -157,6 +158,75 @@ class TestScans:
     def test_scan_predicate_skips_undecided_items(self, version):
         views = KBReader(version).scan_predicate("capital")
         assert all(not view.is_empty() for view in views)
+
+
+class TestFactView:
+    @staticmethod
+    def _fields(version, subject, predicate):
+        """A view's five fields as a reader has always computed them:
+        the truth set sorted, a belief per value (0.0 when the result
+        holds none) and the store's claim count for the item."""
+        item = (subject, predicate)
+        values = tuple(sorted(version.result.truths.get(item, ())))
+        return (
+            subject,
+            predicate,
+            values,
+            {value: version.result.belief_of(item, value)
+             for value in values},
+            len(version.store.claims_for_item(subject, predicate)),
+        )
+
+    def test_a_view_is_read_only(self, version):
+        view = KBReader(version).lookup("france", "capital")
+        for field in ("subject", "predicate", "values", "beliefs", "claims"):
+            with pytest.raises(AttributeError):
+                setattr(view, field, None)
+        assert view.values == ("paris",)
+
+    def test_reads_return_the_fields_of_their_items(self, version):
+        reader = KBReader(version)
+        items = sorted(version.result.truths) + [
+            ("atlantis", "capital"), ("france", "anthem"),
+        ]
+        for subject, predicate in items:
+            view = reader.lookup(subject, predicate)
+            expected = self._fields(version, subject, predicate)
+            # A view is a tuple: it equals the plain tuple of its fields.
+            assert view == expected
+            assert (view.subject, view.predicate, view.values,
+                    view.beliefs, view.claims) == expected
+        for subject in ("france", "germany", "spain", "atlantis"):
+            assert reader.scan_subject(subject) == [
+                self._fields(version, subject, predicate)
+                for predicate in sorted(version.store.predicates(subject))
+            ]
+        for predicate in ("capital", "population", "anthem"):
+            holders = sorted(
+                subject for (subject, each), values
+                in version.result.truths.items()
+                if each == predicate and values
+            )
+            assert reader.scan_predicate(predicate) == [
+                self._fields(version, subject, predicate)
+                for subject in holders
+            ]
+
+    def test_a_truth_set_of_several_values_is_sorted(self):
+        item = ("france", "language")
+        result = FusionResult(
+            method="none",
+            truths={item: frozenset({"occitan", "breton", "french"})},
+            belief={(item, "french"): 0.9, (item, "breton"): 0.4},
+        )
+        view = KBReader(KBVersion(
+            version_id=0, sequence=0, store=TripleStore(), result=result,
+        )).lookup(*item)
+        assert view.values == ("breton", "french", "occitan")
+        assert view.beliefs == {
+            "breton": 0.4, "french": 0.9, "occitan": 0.0,
+        }
+        assert view.best() == "french" and view.claims == 0
 
 
 class TestTopEntities:
