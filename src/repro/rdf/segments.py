@@ -13,37 +13,37 @@ position seqno:
 * **compaction** merges every segment into one *canonical* segment
   (unique keys, insertion-ordered, max confidence folded, no
   tombstones) and drops the rest;
-* an item, triple or subject read — and ``remove`` and the dedup
-  probe — costs its answer: a subject route (subject → the segments
-  holding its rows, with its id in each; built on the first such read,
-  dropped when the segment list changes) names the segments to visit,
-  candidate rows come from their CSR slices and memtable claims from
-  the same read of the memtable's SPO index.  A row is
-  probed against the tombstone map, by its own triple, only when its
-  item is in the set of tombstoned items.  Every stage reads by item,
-  so a file keeps one index, SPO, as the memtable does: a ``match``
-  with an unbound subject walks the live claims once, in position
-  order.  The claim read folds rows on their string keys and builds
-  only each key's winning row; ``count_for_item`` and
-  ``predicates(subject)`` fold the same keys and build no claim.  An
-  item whose rows sit in one segment, with no tombstone and no
-  memtable claim, needs no fold (a segment's keys are unique): its
-  count is its rows and its claim read builds each row once.  Only
-  the whole-column scans behind ``subjects()`` / ``predicates()``
-  project the tombstone map onto a segment's ids, once per segment.
+* an item, triple or subject read — and ``remove`` and the dedup probe
+  of ``add``, which is the triple read restricted to the claim's key —
+  costs its answer: a subject route (subject → the segments holding
+  its rows, with its id in each; extended by each segment as it opens
+  or is flushed, rebuilt from the one segment a compaction leaves)
+  names the segments to visit, so a never-stored subject is one dict
+  miss; candidate rows come from their CSR slices and memtable claims
+  from the same read of the memtable's SPO index.  A row is probed
+  against the tombstone map, by its own triple, only when its item is
+  in the set of tombstoned items.  Every stage reads by item, so a
+  file keeps one index, SPO, as the memtable does: a ``match`` with an
+  unbound subject walks the live claims once, in position order.  The
+  claim read folds rows on their string keys and builds only each
+  key's winning row; ``count_for_item`` and ``predicates(subject)``
+  fold the same keys and build no claim.  An item whose rows sit in
+  one segment, with no tombstone and no memtable claim, needs no fold
+  (a segment's keys are unique): its count is its rows and its claim
+  read builds each row once.  Only the whole-column scans behind
+  ``subjects()`` / ``predicates()`` project the tombstone map onto a
+  segment's ids, once per segment.
 
 A segment file is the :mod:`repro.fusion.compiled` idiom spilled to
 disk: string-interning tables plus flat ``array('q')``/``array('d')``
 columns, mmapped read-only at open and accessed zero-copy through
-``memoryview.cast``.  The intern tables are *lazy*: each is length-
-prefixed so opening a segment skips over them without touching their
-pages, and strings are only decoded when a query actually needs them —
-an ingest-only workload never materializes them at all.  A CSR-style
-SPO permutation makes a subject, item or triple lookup a slice scan
-instead of a full scan, and a per-row **key-hash column**
-(blake2b-64 of the full claim key) feeds an in-memory hash filter so
-the dedup probe for a never-seen claim is a set miss, not a per-
-segment string lookup.
+``memoryview.cast``.  Each intern table is length-prefixed, so opening
+a segment hops over it; the subjects table is decoded when the segment
+opens or is flushed (the route reads it), every other table on the
+first query that needs it.  A table whose bytes are not UTF-8, or
+whose entries run past its length prefix, is refused with
+``StoreError`` when it is decoded.  A CSR-style SPO permutation makes
+a subject, item or triple lookup a slice scan instead of a full scan.
 
 Byte layout (all integers native-endian int64, every section 8-byte
 aligned)::
@@ -58,7 +58,6 @@ aligned)::
                (one column = n_rows contiguous values)
     tombs    : seq[q] subject[q] predicate[q] lexical[q] kind[q]
     indexes  : spo_perm[q*n_rows]  subj_start[q*(n_subjects+1)]
-               keyhash[q*n_rows]
 
 ``flags`` bit 0 marks a *canonical* segment (compaction output),
 enabling the streaming iteration fast path.  The code states this
@@ -67,11 +66,11 @@ and ``SegmentReader.close`` walk that declaration, and the end of the
 walk is the length the file must have — a file that is shorter or
 longer than its header implies is refused with ``StoreError`` at open
 rather than mapped into short columns, and so is a version other
-than this module's (2: version 1 files also held POS / OSP
-permutations).  A manifest that is not the object ``_write_manifest``
-writes, or that lists a segment name it would not mint or a file that
-is gone, is refused with ``StoreError`` before any file is opened or
-swept.
+than this module's (3: version 1 files also held POS / OSP
+permutations, version 2 files a per-row key-hash column).  A manifest
+that is not the object ``_write_manifest`` writes, or that lists a
+segment name it would not mint or a file that is gone, is refused
+with ``StoreError`` before any file is opened or swept.
 
 Durability model: segment + manifest writes follow the checkpoint
 temp-file pattern (write temp, ``os.replace``), so a crash mid-flush
@@ -99,7 +98,6 @@ flushes last owns the on-disk manifest.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import mmap
@@ -125,7 +123,7 @@ from repro.rdf.triple import (
 __all__ = ["SegmentBackend", "SegmentReader"]
 
 _MAGIC = b"REPROSEG"
-_VERSION = 2
+_VERSION = 3
 _FLAG_CANONICAL = 1
 _HEADER = struct.Struct("=8sqqqq")
 
@@ -179,7 +177,6 @@ _COLUMNS = (
     ("tomb_kind", "q", "n_tombs"),
     ("spo_perm", "q", "n_rows"),
     ("subj_start", "q", "subjects"),
-    ("key_hashes", "q", "n_rows"),
 )
 
 
@@ -192,30 +189,6 @@ def _append_table(out: bytearray, strings: list[str]) -> None:
         out.extend(raw)
     out.extend(b"\x00" * (-len(out) % 8))
     struct.pack_into("=q", out, start, len(out) - start)
-
-
-def _key_hash(triple: Triple, prov: Provenance) -> int:
-    """Deterministic 64-bit hash of a full claim key.
-
-    Process-independent (unlike ``hash()`` under ``PYTHONHASHSEED``),
-    so hashes computed at build time match hashes computed by any
-    later reader.  Collisions — including separator ambiguity — only
-    cost a wasted exact lookup, never a wrong answer: the hash filter
-    gates the probe, the interned-id comparison decides it.
-    """
-    raw = "\x1f".join(
-        (
-            triple.subject,
-            triple.predicate,
-            triple.obj.lexical,
-            str(_KIND_INDEX[triple.obj.kind]),
-            prov.source_id,
-            prov.extractor_id,
-            prov.locator,
-        )
-    ).encode("utf-8", "surrogatepass")
-    digest = hashlib.blake2b(raw, digest_size=8).digest()
-    return struct.unpack("=q", digest)[0]
 
 
 def _claim_key(scored: ScoredTriple) -> tuple:
@@ -261,7 +234,6 @@ def build_segment_bytes(
     provs = [scored.provenance for _seq, scored in rows]
     dead = [triple for triple, _seq in tombs]
     col = {
-        "key_hashes": array("q", map(_key_hash, triples, provs)),
         "col_seq": array("q", [seq for seq, _scored in rows]),
         "col_subject": interned("subjects", [t.subject for t in triples]),
         "col_predicate": interned(
@@ -327,12 +299,19 @@ def build_segment_bytes(
 
 
 def _read_table(buf: memoryview, offset: int) -> list[str]:
-    (count,) = struct.unpack_from("=q", buf, offset + 8)
+    """The string table at ``offset``; ``ValueError`` when an entry is
+    not UTF-8 or does not end inside the table's ``nbytes`` span."""
+    nbytes, count = struct.unpack_from("=qq", buf, offset)
+    end = min(offset + nbytes, len(buf))
     offset += 16
     strings: list[str] = []
     for _ in range(count):
+        if offset + 8 > end:
+            raise ValueError("string table entry overruns its table")
         (length,) = struct.unpack_from("=q", buf, offset)
         offset += 8
+        if not 0 <= length <= end - offset:
+            raise ValueError("string table entry overruns its table")
         strings.append(bytes(buf[offset:offset + length]).decode("utf-8"))
         offset += length
     return strings
@@ -354,6 +333,10 @@ class _StringTable:
         buf = memoryview(reader._mm)
         try:
             table = _read_table(buf, reader._table_offsets[self.name])
+        except ValueError as exc:
+            raise StoreError(
+                f"corrupt {self.name} table: {reader.path}"
+            ) from exc
         finally:
             buf.release()
         setattr(reader, self.name, table)
@@ -409,8 +392,8 @@ class SegmentReader:
             counts[name] = count + 1
             offset += nbytes
         # The layout's walk ends where the file must: a short file
-        # would map short columns (a key missing from the dedup
-        # filter), a long one was not written by build_segment_bytes.
+        # would map short columns (rows past their end), a long one
+        # was not written by build_segment_bytes.
         expected = offset + 8 * sum(
             counts[length] for _name, _code, length in _COLUMNS
         )
@@ -600,41 +583,23 @@ class SegmentReader:
                 self.tomb_seq[i],
             )
 
-    def lookup_key(
-        self,
-        sid: int,
-        triple: Triple,
-        prov: Provenance,
-        tomb_seq: int,
-    ) -> tuple[float, int] | None:
-        """(max confidence, first seqno) of live rows for one claim key."""
-        src = self.string_id("sources", prov.source_id)
-        ext = self.string_id("extractors", prov.extractor_id)
-        loc = self.string_id("locators", prov.locator)
-        if src is None or ext is None or loc is None:
-            return None
-        srcs = self.col_source
-        exts = self.col_extractor
-        locs = self.col_locator
-        seqs = self.col_seq
-        confs = self.col_confidence
-        best: tuple[float, int] | None = None
-        for row in self.triple_rows(sid, triple, tomb_seq):
-            if srcs[row] != src or exts[row] != ext or locs[row] != loc:
-                continue
-            if best is None:
-                best = (confs[row], seqs[row])
-            else:
-                best = (
-                    max(best[0], confs[row]),
-                    min(best[1], seqs[row]),
-                )
-        return best
-
 
 # ``reader.subjects[id]`` and the other tables of _TABLES.
 for _table in _TABLES:
     setattr(SegmentReader, _table, _StringTable(_table))
+
+
+def _routed_with(route: dict[str, tuple], *segs: SegmentReader) -> dict:
+    """A copy of ``route`` extended by ``segs`` in order: ``(seg, subject
+    id)`` for each subject holding rows in ``seg`` (a subject only its
+    tombstones name holds none).  Decodes the subjects tables."""
+    route = route.copy()
+    for seg in segs:
+        starts = seg.subj_start
+        for sid, name in enumerate(seg.subjects):
+            if starts[sid] != starts[sid + 1]:
+                route[name] = route.get(name, ()) + ((seg, sid),)
+    return route
 
 
 class SegmentBackend(StorageBackend):
@@ -695,19 +660,12 @@ class SegmentBackend(StorageBackend):
         self._tomb: dict[Triple, int] = {}
         # The items of _tomb's triples: a row whose item is not here
         # needs no tombstone probe.  Shared with copy() siblings as the
-        # key filter is: rebound, never updated in place, once open.
+        # route is: rebound, never updated in place, once open.
         self._tomb_items: set[tuple[str, str]] = set()
-        # Key hashes of every segment-resident row (live or not): the
-        # dedup probe for a never-stored claim is one set miss instead
-        # of a per-segment string lookup.  ~tens of bytes per key —
-        # the in-RAM role a bloom filter plays in production LSMs.
-        # Shared with copy() siblings: rebound, never updated in place,
-        # once the directory is open.
-        self._key_filter: set[int] = set()
         # The subject route, subject -> ((segment, subject id), ...) in
-        # segment order: built by the first subject-keyed read, rebound
-        # to None when the segment list changes, shared with copy().
-        self._route: dict[str, tuple] | None = None
+        # segment order (_routed_with): rebound whenever the segment
+        # list changes, never updated in place, shared with copy().
+        self._route: dict[str, tuple] = {}
         self._seq = 0
         self._live = 0
         self._open_directory()
@@ -751,10 +709,10 @@ class SegmentBackend(StorageBackend):
                 reader = SegmentReader(self.directory / name)
                 self._segments.append(reader)
                 self._names.append(name)
-                self._key_filter.update(reader.key_hashes)
                 for triple, seq in reader.iter_tombstones():
                     if seq > self._tomb.get(triple, -1):
                         self._tomb[triple] = seq
+            self._route = _routed_with({}, *self._segments)
         except BaseException:
             # The raised error's traceback holds this backend: unmap
             # the segments already opened rather than leave them mapped
@@ -851,16 +809,7 @@ class SegmentBackend(StorageBackend):
     def _routed(self, subject: str) -> tuple:
         """``(segment, subject id)`` for each segment holding rows of
         ``subject``, in segment order."""
-        route = self._route
-        if route is None:
-            route = {}
-            for seg in self._segments:
-                starts = seg.subj_start
-                for sid, name in enumerate(seg.subjects):
-                    if starts[sid] != starts[sid + 1]:
-                        route[name] = route.get(name, ()) + ((seg, sid),)
-            self._route = route
-        return route.get(subject, ())
+        return self._route.get(subject, ())
 
     def _held(
         self, subject: str, rows_of, *args
@@ -978,7 +927,7 @@ class SegmentBackend(StorageBackend):
         if key in self._positions:
             # A refresh keeps its position.
             return self._mem.add(scored)
-        existing = self._segment_lookup(key)
+        existing = self._segment_lookup(scored)
         if existing is not None:
             conf, position = existing
             if conf < scored.confidence:
@@ -996,21 +945,24 @@ class SegmentBackend(StorageBackend):
         return True
 
     def _segment_lookup(
-        self, key: tuple[Triple, Provenance]
+        self, scored: ScoredTriple
     ) -> tuple[float, int] | None:
-        triple, prov = key
-        if _key_hash(triple, prov) not in self._key_filter:
-            return None
-        tomb_seq = self._tomb_seq(triple)
+        """(max confidence, first seqno) of the live segment rows of
+        ``scored``'s key: the triple read, restricted to that key."""
+        triple = scored.triple
+        want = _claim_key(scored)
         best: tuple[float, int] | None = None
-        for seg, sid in self._routed(triple.subject):
-            found = seg.lookup_key(sid, triple, prov, tomb_seq)
-            if found is None:
+        held = self._held(
+            triple.subject, SegmentReader.triple_rows, triple,
+            self._tomb_seq(triple),
+        )
+        for seg, row, key in self._live_keys(held):
+            if key != want:
                 continue
-            if best is None:
-                best = found
-            else:
-                best = (max(best[0], found[0]), min(best[1], found[1]))
+            conf, seq = seg.col_confidence[row], seg.col_seq[row]
+            best = (conf, seq) if best is None else (
+                max(best[0], conf), min(best[1], seq)
+            )
         return best
 
     def remove(self, triple: Triple) -> list[ScoredTriple]:
@@ -1074,8 +1026,7 @@ class SegmentBackend(StorageBackend):
             raise
         reader = SegmentReader(self.directory / name)
         self._segments.append(reader)
-        self._route = None
-        self._key_filter = self._key_filter.union(reader.key_hashes)
+        self._route = _routed_with(self._route, reader)
         # Rebound, not cleared: a copy() may share the memtable's index.
         self._mem = MemoryBackend()
         self._positions = {}
@@ -1128,8 +1079,7 @@ class SegmentBackend(StorageBackend):
         # still share them (mmaps survive the unlink; the OS reclaims
         # on GC).
         self._segments = [SegmentReader(self.directory / name)]
-        self._route = None
-        self._key_filter = set(self._segments[0].key_hashes)
+        self._route = _routed_with({}, self._segments[0])
         self._tomb.clear()
         self._tomb_items = set()
         for old in old_names:
@@ -1149,7 +1099,7 @@ class SegmentBackend(StorageBackend):
         for reader in self._segments:
             reader.close()
         self._segments = []
-        self._route = None
+        self._route = {}
         self._publish_gauges()
 
     # -- lookup --------------------------------------------------------
@@ -1264,8 +1214,8 @@ class SegmentBackend(StorageBackend):
 
         The memtable (a memory backend's copy-on-write ``copy()`` and
         one dict copy of its positions), tombstones and counters are
-        copied; the segment readers, the directory and the key filter
-        are shared — segments are immutable and the filter is rebound
+        copied; the segment readers, the directory and the subject route
+        are shared — segments are immutable and the route is rebound
         by whoever flushes, so both lineages read them safely.  Whichever
         lineage flushes last owns the on-disk manifest; the incremental
         engine's stage-then-commit flow keeps exactly one lineage
@@ -1284,7 +1234,6 @@ class SegmentBackend(StorageBackend):
         clone._mem_tombs = list(self._mem_tombs)
         clone._tomb = dict(self._tomb)
         clone._tomb_items = self._tomb_items
-        clone._key_filter = self._key_filter
         clone._route = self._route
         clone._seq = self._seq
         clone._live = self._live

@@ -148,10 +148,10 @@ class TestStoreCopy:
     def test_segment_copy_allocates_no_container_per_memtable_entry(
         self, tmp_path, memtable_fill
     ):
-        """A memtable entry is a tuple the copy shares, the key filter
-        is shared outright: ``copy()`` is a handful of flat copies
-        whatever the memtable and the segments hold (one list per
-        entry and a copy of the filter before)."""
+        """A memtable entry is a tuple the copy shares, the subject
+        route is shared outright: ``copy()`` is a handful of flat
+        copies whatever the memtable and the segments hold (one list
+        per entry before)."""
         _world, scored = _corpus(400, 14, 0.9, hierarchical=False)
         backend = SegmentBackend(tmp_path / "segments", memtable_limit=10**6)
         backend.add_all(scored[memtable_fill:])

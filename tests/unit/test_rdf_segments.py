@@ -99,38 +99,41 @@ class TestSegmentFile:
     @pytest.mark.parametrize(
         "canonical, digest",
         [
-            (False, "b24e678a737c1a802b50419bd85e3292"
-                    "f5bda82f6f210d0df9bc04d9dae5fd1f"),
-            (True, "3947f3be9a7839844981ff848b6c7348"
-                   "fd9b1d4eb23ffbc30a22e4553d37ebc1"),
+            (False, "13a6ad73e892d3f852f96b1e063b3aa7"
+                    "3fb4e41ba690ad11e0bf7a8162db153e"),
+            (True, "f987941f6593511515ec5def41ad1688"
+                   "2360f88d42c36c15088c481a4dcbfe7d"),
         ],
     )
-    def test_format_version_2_bytes_are_pinned(self, canonical, digest):
-        # Version 1's bytes with its POS / OSP columns (pos_perm,
-        # pred_start, osp_perm, lex_start) cut out and the version
-        # field set to 2: every column a file keeps is laid down as
-        # before.
+    def test_format_version_3_bytes_are_pinned(self, canonical, digest):
+        # Version 2's bytes with its last column, the per-row key
+        # hashes (6 rows, 48 bytes), cut off and the version field set
+        # to 3: every column a file keeps is laid down as before.
         rows = [(i + 1, scored) for i, scored in enumerate(CORPUS)]
         tombs = [(Triple("old", "p", Value("v")), 99)]
         blob = build_segment_bytes(rows, tombs, canonical=canonical)
-        assert len(blob) == 1008
+        assert len(blob) == 960
         assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_refuses_a_version_1_file(self, tmp_path):
-        # A version-1 file also holds POS / OSP permutations; no
-        # reader of them is kept, so it is refused, not misread.
+        # A version-1 file also holds POS / OSP permutations, a
+        # version-2 file a key-hash column; no reader of either is
+        # kept, so both are refused, not misread.
         rows = [(i + 1, scored) for i, scored in enumerate(CORPUS)]
-        blob = bytearray(build_segment_bytes(rows, []))
-        struct.pack_into("=q", blob, 8, 1)
         path = tmp_path / "old.seg"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(StoreError, match="unsupported segment version 1"):
-            SegmentReader(path)
+        for version in (1, 2):
+            blob = bytearray(build_segment_bytes(rows, []))
+            struct.pack_into("=q", blob, 8, version)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(
+                StoreError, match=f"unsupported segment version {version}"
+            ):
+                SegmentReader(path)
 
     def test_refuses_a_file_of_the_wrong_length(self, tmp_path):
         # Every aligned prefix: inside the header, the tables, each
         # column.  Eight bytes short used to open with n_rows == 6 and
-        # five key hashes, so the dedup filter missed a stored key.
+        # its last column, subj_start, one entry short.
         rows = [(i + 1, scored) for i, scored in enumerate(CORPUS)]
         tombs = [(Triple("old", "p", Value("v")), 99)]
         blob = build_segment_bytes(rows, tombs)
@@ -143,7 +146,7 @@ class TestSegmentFile:
                 SegmentReader(path)
         path.write_bytes(blob)
         reader = SegmentReader(path)
-        assert len(reader.key_hashes) == reader.n_rows == len(CORPUS)
+        assert reader.n_rows == len(reader.col_confidence) == len(CORPUS)
         reader.close()
 
 
@@ -331,6 +334,94 @@ class TestDurability:
                 SegmentBackend(directory)
             kept.append(info.value)
         assert open_descriptors() == before
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _damaged_store(directory, damage):
+    """A two-segment store (``CORPUS[:3]`` then ``CORPUS[3:]``), closed,
+    its second segment's bytes replaced by ``damage(bytes)``."""
+    backend = SegmentBackend(directory, memtable_limit=100)
+    backend.add_all(CORPUS[:3])
+    backend.flush()
+    backend.add_all(CORPUS[3:])
+    backend.flush()
+    backend.close()
+    names = json.loads((directory / "MANIFEST.json").read_text())
+    damaged = directory / names["segments"][-1]
+    damaged.write_bytes(damage(damaged.read_bytes()))
+    return damaged
+
+
+def _overrun(blob, text):
+    """``blob`` with the length prefix of the table entry ``text``
+    pointing past its table's ``nbytes`` span (but inside the file)."""
+    at = blob.index(text) - 8
+    return blob[:at] + struct.pack("=q", 200) + blob[at + 8:]
+
+
+class TestCorruptStringTablesAreRefused:
+    """A string table whose bytes are not UTF-8, or whose entries run
+    past its ``nbytes`` span, is refused with ``StoreError`` naming the
+    file and the table, not decoded into a ``UnicodeDecodeError`` or
+    into strings read from the next section."""
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd"
+    )
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda blob: blob.replace(b"spain", b"\xffpain"),
+            lambda blob: _overrun(blob, b"germany"),
+        ],
+        ids=["not-utf8", "overrun"],
+    )
+    def test_a_corrupt_subjects_table_is_refused_at_open(
+        self, tmp_path, damage
+    ):
+        """The subject route decodes each segment's subjects table as
+        the segment opens: the open raises, with the segments it
+        already opened unmapped."""
+        directory = tmp_path / "s"
+        damaged = _damaged_store(directory, damage)
+        kept = []
+        before = _open_descriptors()
+        for _ in range(5):
+            with pytest.raises(
+                StoreError, match="corrupt subjects table"
+            ) as info:
+                SegmentBackend(directory)
+            assert str(damaged) in str(info.value)
+            kept.append(info.value)
+        assert _open_descriptors() == before
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda blob: blob.replace(b"capital", b"\xffapital"),
+            lambda blob: _overrun(blob, b"capital"),
+        ],
+        ids=["not-utf8", "overrun"],
+    )
+    def test_a_corrupt_predicates_table_is_refused_at_first_read(
+        self, tmp_path, damage
+    ):
+        directory = tmp_path / "s"
+        damaged = _damaged_store(directory, damage)
+        backend = SegmentBackend(directory)
+        try:
+            with pytest.raises(
+                StoreError, match="corrupt predicates table"
+            ) as info:
+                backend.count_for_item("germany", "capital")
+            assert str(damaged) in str(info.value)
+            # The first segment's tables are whole: its reads answer.
+            assert backend.count_for_item("france", "capital") == 2
+        finally:
+            backend.close()
 
 
 def _listing(*extra):
@@ -523,8 +614,8 @@ class TestStorageMetrics:
 def read_work(monkeypatch):
     """Calls, while the test runs, of the reader's units of read work —
     a string-id probe, a row materialization, a row's string key, a
-    whole-column scan, a segment's item or subject slice (the row
-    helpers that take a subject id) — and of ``Triple.__eq__`` and
+    whole-column scan, a segment's item, subject or triple slice (the
+    row helpers that take a subject id) — and of ``Triple.__eq__`` and
     ``Value.__eq__`` (counted as ``"Value.__eq__"``), the units of a
     walk over memtable keys; ``"Triple"`` counts the triples built."""
     counts = collections.Counter()
@@ -544,6 +635,7 @@ def read_work(monkeypatch):
     count(SegmentReader, "live_rows")
     count(SegmentReader, "item_rows")
     count(SegmentReader, "subject_rows")
+    count(SegmentReader, "triple_rows")
     count(Triple, "__eq__")
     count(Value, "__eq__", "Value.__eq__")
     count(Triple, "__post_init__", "Triple")
@@ -1000,18 +1092,35 @@ def _assert_routed_reads_agree(backend, memory, subjects) -> None:
             ), triple
 
 
+def _route_from_scratch(segments) -> dict:
+    """The subject route of ``segments`` built over all of them."""
+    route = {}
+    for seg in segments:
+        starts = seg.subj_start
+        for sid, name in enumerate(seg.subjects):
+            if starts[sid] != starts[sid + 1]:
+                route[name] = route.get(name, ()) + ((seg, sid),)
+    return route
+
+
+def _assert_route_exact(backend) -> None:
+    assert backend._route == _route_from_scratch(backend._segments)
+
+
 def test_the_subject_route_follows_every_segment_change(tmp_path):
     """Subject-keyed reads visit only the segments the subject route
     names; after each change of the segment list — a flush, a
     ``copy()`` whose sibling flushes, a ``remove`` tombstoning a
     segment-resident row, a compaction, close and reopen — with
     subjects held by several segments, the store answers as the memory
-    backend does.  Each step reads first, so a route built before the
-    change is what the change must rebind."""
+    backend does, and its route is the one built from scratch over its
+    segments.  A flush extends the route: a subject the new segment
+    does not hold keeps its entry, the same tuple."""
     directory = tmp_path / "store"
     backend = SegmentBackend(directory, memtable_limit=10**6,
                              compact_threshold=10**6)
     memory = MemoryBackend()
+    _assert_route_exact(backend)
 
     def add(claims, store=backend, model=memory):
         for one in claims:
@@ -1029,30 +1138,40 @@ def test_the_subject_route_follows_every_segment_change(tmp_path):
     ]
     add(corpus[:60])
     backend.flush()
+    _assert_route_exact(backend)
     _assert_routed_reads_agree(backend, memory, subjects)
     add(corpus[60:])
     add([claim("e-new", "p0", "fresh", source="m")])
     backend.flush()
+    _assert_route_exact(backend)
     assert len(backend._segments) == 2
     assert len(backend._routed("e00")) == 2
     _assert_routed_reads_agree(backend, memory, subjects)
 
     # A refresh of a segment-resident claim, flushed into a third
-    # segment: the subject is now held by three.
+    # segment: the subject is now held by three, the others keep their
+    # entries.
     add([corpus[0].with_confidence(1.0)])
     _assert_routed_reads_agree(backend, memory, subjects)
+    kept = {s: backend._route[s] for s in ("e01", "e11", "e-new")}
     backend.flush()
+    _assert_route_exact(backend)
     assert len(backend._routed(corpus[0].triple.subject)) == 3
+    assert all(backend._route[s] is entry for s, entry in kept.items())
     _assert_routed_reads_agree(backend, memory, subjects)
 
     # A staged copy shares the route; its flush rebinds its own and
     # leaves the source's alone.
     staged, model = backend.copy(), memory.copy()
     assert staged._route is backend._route
+    route = backend._route
     add([claim("e-staged", "p1", "x", source="m"),
          claim("e01", "p1", "staged", source="m")], staged, model)
     staged.flush()
     assert staged._route is not backend._route
+    assert backend._route is route
+    _assert_route_exact(staged)
+    _assert_route_exact(backend)
     _assert_routed_reads_agree(staged, model, subjects)
     _assert_routed_reads_agree(backend, memory, subjects)
     assert backend.count_for_item("e-staged", "p1") == 0
@@ -1062,22 +1181,29 @@ def test_the_subject_route_follows_every_segment_change(tmp_path):
     assert backend.remove(gone) == memory.remove(gone)
     _assert_routed_reads_agree(backend, memory, subjects)
     backend.flush()
+    _assert_route_exact(backend)
     _assert_routed_reads_agree(backend, memory, subjects)
 
     backend.compact()
+    _assert_route_exact(backend)
     assert len(backend._segments) == 1
     assert all(len(backend._routed(s)) <= 1 for s in subjects)
     _assert_routed_reads_agree(backend, memory, subjects)
 
     add([claim("e02", "p2", "after", source="m")])
     backend.flush()
+    _assert_route_exact(backend)
     _assert_routed_reads_agree(backend, memory, subjects)
     backend.close()
     # A closed store reads no segment: its route went with them.
+    assert not backend._segments
+    _assert_route_exact(backend)
     assert backend.count_for_item("e02", "p2") == 0
     assert backend.predicates("e02") == set()
     reopened = SegmentBackend(directory)
     try:
+        _assert_route_exact(reopened)
+        assert len(reopened._segments) == 2
         _assert_routed_reads_agree(reopened, memory, subjects)
     finally:
         reopened.close()
@@ -1135,6 +1261,50 @@ def test_a_read_touches_only_the_segments_holding_its_subject(
     assert not backend.contains_triple(Triple("s-none", "p0", Value("v0")))
     assert read_work["item_rows"] == read_work["subject_rows"] == 0
     assert read_work["string_id"] == 0
+
+
+def test_the_dedup_probe_reads_only_the_segments_holding_its_subject(
+    tmp_path, read_work
+):
+    """``add``'s dedup probe is the triple read restricted to the
+    claim's key.  On a six-segment store where each subject's rows sit
+    in one segment, re-adding a stored claim, refreshing one and adding
+    a new claim of a held subject each read one triple slice; a claim
+    of a subject no segment holds reads none.  Every ``add`` answers
+    as the memory backend's."""
+    backend = SegmentBackend(tmp_path / "store", memtable_limit=10**6,
+                             compact_threshold=10**6)
+    memory = MemoryBackend()
+    # 24 subjects x 2 predicates x 2 values, four subjects a segment.
+    corpus = [
+        claim(f"e{i // 4:02d}", f"p{i % 2}", f"v{(i // 2) % 2}", source="a",
+              conf=0.5)
+        for i in range(96)
+    ]
+    for start in range(0, len(corpus), 16):
+        for one in corpus[start:start + 16]:
+            assert backend.add(one) == memory.add(one)
+        backend.flush()
+    assert len(backend._segments) == 6
+
+    for one, visits in [
+        (corpus[0], 1),  # stored: no change
+        (corpus[17].with_confidence(0.4), 1),  # stored higher: no change
+        (corpus[17].with_confidence(0.9), 1),  # a refresh
+        (corpus[50].with_confidence(0.5), 1),  # stored equal: no change
+        (claim("e13", "p0", "v-new", source="a"), 1),  # a new value
+        (claim("e13", "p0", "v0", source="b"), 1),  # a new source
+        (claim("e23", "p-new", "v0", source="a"), 1),  # a new predicate
+        (claim("s-none", "p0", "v0", source="a"), 0),  # a new subject
+    ]:
+        read_work.clear()
+        assert backend.add(one) == memory.add(one), one
+        assert read_work["triple_rows"] == visits, one
+        if not visits:
+            assert read_work["string_id"] == 0, one
+    assert backend.claims() == memory.claims()
+    backend.flush()
+    assert backend.claims() == memory.claims()
 
 
 class TestCountRefusesWhatTheClaimReadRefuses:

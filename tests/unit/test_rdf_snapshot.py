@@ -196,9 +196,9 @@ class TestPinnedSnapshotImmutability:
 
 class TestSegmentCopySharesWhatItDoesNotWrite:
     """``SegmentBackend.copy()`` shares the memtable — a memory
-    backend, copy-on-write — and the key filter with its source; a
-    writer copies the index path it writes, replaces a claim, rebinds
-    the filter and, on flush, the memtable, so neither side sees the
+    backend, copy-on-write — and the subject route with its source; a
+    writer copies the index path it writes, replaces a claim and, on
+    flush, rebinds the route and the memtable, so neither side sees the
     other's writes."""
 
     def test_refresh_and_flush_in_the_copy_leave_the_source_alone(
@@ -210,13 +210,15 @@ class TestSegmentCopySharesWhatItDoesNotWrite:
         backend.add_all(CORPUS[3:])
         memtable = backend._mem.claims()
         positions = dict(backend._positions)
-        key_filter = backend._key_filter
-        hashes = set(key_filter)
+        route = backend._route
+        answers = dict(route)
         before = signature(backend.iter_claims())
-        assert len(memtable) == len(positions) == 2 and len(hashes) == 3
+        assert len(memtable) == len(positions) == 2 and list(route) == [
+            "france"
+        ]
 
         clone = backend.copy()
-        assert clone._key_filter is key_filter
+        assert clone._route is route
         # A refresh of a memtable-resident claim, in the copy.
         assert clone.add(
             claim("germany", "capital", "Berlin", source="a", conf=0.95)
@@ -236,12 +238,14 @@ class TestSegmentCopySharesWhatItDoesNotWrite:
 
         clone.flush()
         assert not clone._mem and not clone._positions
-        assert len(clone._key_filter) == 5
-        assert backend._key_filter is key_filter and set(key_filter) == hashes
+        assert clone._route is not route
+        assert sorted(clone._route) == ["france", "germany", "spain"]
+        assert backend._route is route and route == answers
+        assert backend._routed("germany") == ()
         assert backend._mem.claims() == memtable
         assert backend._positions == positions
         assert signature(backend.iter_claims()) == before
-        # The source's filter still answers for the source: a claim the
+        # The source's route still answers for the source: a claim the
         # copy flushed is new to it, a flushed one of its own is not.
         assert not backend.add(CORPUS[0])
         assert backend.add(
