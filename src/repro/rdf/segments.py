@@ -10,9 +10,10 @@ position seqno:
 * ``remove`` writes a **tombstone** (triple + sequence number) — a
   segment row is live iff its seqno is greater than the newest
   tombstone seqno for its triple — and returns the claims it dropped;
-* **compaction** merges every segment into one *canonical* segment
-  (unique keys, insertion-ordered, max confidence folded, no
-  tombstones) and drops the rest;
+* **compaction** merges every segment into one (unique keys,
+  position-ordered, max confidence folded, no tombstones) and drops
+  the rest.  A store of one segment and nothing over it — a first
+  flush or compaction output — iterates by streaming that segment;
 * an item, triple or subject read — and ``remove`` and the dedup probe
   of ``add``, which is the triple read restricted to the claim's key —
   costs its answer: a subject route (subject → the segments holding
@@ -20,7 +21,11 @@ position seqno:
   or is flushed, rebuilt from the one segment a compaction leaves)
   names the segments to visit, so a never-stored subject is one dict
   miss; candidate rows come from their CSR slices and memtable claims
-  from the same read of the memtable's SPO index.  A row is probed
+  from the same read of the memtable's SPO index.  A triple read is a
+  filtered item read: the item's run of rows, kept when kind, seqno
+  and the row's lexical bytes in the map match; the dedup probe
+  compares provenance bytes the same way, so a new claim decodes no
+  table (the predicates aside).  A row is probed
   against the tombstone map, by its own triple, only when its item is
   in the set of tombstoned items.  Every stage reads by item, so a
   file keeps one index, SPO, as the memtable does: a ``match`` with an
@@ -32,42 +37,44 @@ position seqno:
   (a segment's keys are unique): its count is its rows and its claim
   read builds each row once.  Only the whole-column scans behind
   ``subjects()`` / ``predicates()`` project the tombstone map onto a
-  segment's ids, once per segment.
+  segment's rows, once per segment, by the same triple read.
 
 A segment file is the :mod:`repro.fusion.compiled` idiom spilled to
 disk: string-interning tables plus flat ``array('q')``/``array('d')``
 columns, mmapped read-only at open and accessed zero-copy through
-``memoryview.cast``.  Each intern table is length-prefixed, so opening
-a segment hops over it; the subjects table is decoded when the segment
-opens or is flushed (the route reads it), every other table on the
-first query that needs it.  A table whose bytes are not UTF-8, or
-whose entries run past its length prefix, is refused with
-``StoreError`` when it is decoded.  A CSR-style SPO permutation makes
-a subject, item or triple lookup a slice scan instead of a full scan.
+``memoryview.cast``.  Each intern table is its entries' UTF-8 bytes
+plus a column of end offsets, so entry *i* is a slice of the map that
+a probe compares in place.  The subjects table is decoded when the
+segment opens or is flushed (the route reads it), every other table
+on the first read that builds a string of it, one slice per offset
+pair.  A table whose bytes are not UTF-8, or whose offsets do not
+climb from 0 to its byte length, is refused with ``StoreError`` when
+it is decoded.  A CSR-style SPO permutation makes a subject, item or
+triple lookup a slice scan instead of a full scan.
 
-Byte layout (all integers native-endian int64, every section 8-byte
-aligned)::
+Byte layout, version 4 (all integers native-endian int64, every
+column padded to 8 bytes)::
 
-    header   : magic "REPROSEG" | version | flags | n_rows | n_tombs
+    header   : magic "REPROSEG" | version | n_rows | n_tombs
+               | (count | nbytes) for each of the 6 tables
     tables   : 6 string tables (subjects, predicates, lexicals,
                sources, extractors, locators), each:
-               nbytes | count | (byte_len | utf8 bytes)*count | pad
-               (nbytes spans the whole table, enabling lazy skip)
+               end offsets[q*(count+1)], the first 0 | utf8[nbytes]
     rows     : seq[q] subject[q] predicate[q] lexical[q] kind[q]
                source[q] extractor[q] locator[q] confidence[d]
                (one column = n_rows contiguous values)
     tombs    : seq[q] subject[q] predicate[q] lexical[q] kind[q]
     indexes  : spo_perm[q*n_rows]  subj_start[q*(n_subjects+1)]
 
-``flags`` bit 0 marks a *canonical* segment (compaction output),
-enabling the streaming iteration fast path.  The code states this
-layout once, as ``_TABLES`` and ``_COLUMNS``: the writer, the reader
-and ``SegmentReader.close`` walk that declaration, and the end of the
-walk is the length the file must have — a file that is shorter or
-longer than its header implies is refused with ``StoreError`` at open
-rather than mapped into short columns, and so is a version other
-than this module's (3: version 1 files also held POS / OSP
-permutations, version 2 files a per-row key-hash column).  A manifest
+The code states this layout once, as ``_TABLES``, ``_HEADER`` and
+``_COLUMNS``: the writer, the reader and ``SegmentReader.close`` walk
+that declaration, and the end of the one walk is the length the file
+must have — a file that is shorter or longer than its header implies
+is refused with ``StoreError`` at open rather than mapped into short
+columns, and so is a version other than this module's (version 1
+files also held POS / OSP permutations, version 2 files a per-row
+key-hash column, version 3 files length-prefixed tables and a flags
+field).  A manifest
 that is not the object ``_write_manifest`` writes, or that lists a
 segment name it would not mint or a file that is gone, is refused
 with ``StoreError`` before any file is opened or swept.
@@ -123,9 +130,7 @@ from repro.rdf.triple import (
 __all__ = ["SegmentBackend", "SegmentReader"]
 
 _MAGIC = b"REPROSEG"
-_VERSION = 3
-_FLAG_CANONICAL = 1
-_HEADER = struct.Struct("=8sqqqq")
+_VERSION = 4
 
 # Fixed object-kind encoding (column values index this tuple).
 _KINDS = (
@@ -157,10 +162,21 @@ _TABLES = (
     "subjects", "predicates", "lexicals", "sources", "extractors",
     "locators",
 )
-# (reader attribute, array type code, length) in file order.  A length
-# is a header count, or a table name for a CSR offset column: one
-# entry per id of that table, plus the end.
-_COLUMNS = (
+# The header after magic and version: the row and tombstone counts,
+# then each table's entry count and UTF-8 byte length.
+_HEADER = struct.Struct("=8sq" + "qq" + "qq" * len(_TABLES))
+# (reader attribute, array type code, length) in file order, each
+# column padded to 8 bytes.  A length is a header count: a table's
+# byte length for its UTF-8 column, or a table name for a CSR offset
+# column — one entry per id of that table, plus the end.
+_COLUMNS = tuple(
+    column
+    for table in _TABLES
+    for column in (
+        (f"{table}_end", "q", table),
+        (f"{table}_utf8", "B", f"{table}_bytes"),
+    )
+) + (
     ("col_seq", "q", "n_rows"),
     ("col_subject", "q", "n_rows"),
     ("col_predicate", "q", "n_rows"),
@@ -178,17 +194,6 @@ _COLUMNS = (
     ("spo_perm", "q", "n_rows"),
     ("subj_start", "q", "subjects"),
 )
-
-
-def _append_table(out: bytearray, strings: list[str]) -> None:
-    start = len(out)
-    out.extend(struct.pack("=qq", 0, len(strings)))  # nbytes backfilled
-    for text in strings:
-        raw = text.encode("utf-8")
-        out.extend(struct.pack("=q", len(raw)))
-        out.extend(raw)
-    out.extend(b"\x00" * (-len(out) % 8))
-    struct.pack_into("=q", out, start, len(out) - start)
 
 
 def _claim_key(scored: ScoredTriple) -> tuple:
@@ -213,14 +218,12 @@ def _intern(table: dict[str, int], value: str) -> int:
 def build_segment_bytes(
     rows: list[tuple[int, ScoredTriple]],
     tombs: list[tuple[Triple, int]],
-    *,
-    canonical: bool = False,
 ) -> bytes:
     """Serialize claims + tombstones into one segment blob.
 
     ``rows`` are ``(seqno, claim)`` in the order they should be stored
-    (compaction stores them position-sorted and sets ``canonical``).
-    Columns are filled by name; ``_COLUMNS`` decides where each lands.
+    (compaction stores them position-sorted).  Columns are filled by
+    name; ``_COLUMNS`` decides where each lands.
     """
     n = len(rows)
     ids: dict[str, dict[str, int]] = {name: {} for name in _TABLES}
@@ -281,40 +284,37 @@ def build_segment_bytes(
     for i in range(n_subjects):
         starts[i + 1] += starts[i]
 
-    out = bytearray()
-    out.extend(
-        _HEADER.pack(
-            _MAGIC,
-            _VERSION,
-            _FLAG_CANONICAL if canonical else 0,
-            n,
-            len(tombs),
+    # Each string table: its entries' UTF-8 bytes back to back, and
+    # where each entry ends (after a leading 0), so entry i is the
+    # slice between offsets i and i + 1.
+    counts = [n, len(tombs)]
+    for table in _TABLES:
+        raws = [text.encode("utf-8") for text in ids[table]]
+        col[f"{table}_end"] = array(
+            "q", itertools.accumulate(map(len, raws), initial=0)
         )
-    )
-    for name in _TABLES:
-        _append_table(out, list(ids[name]))
+        col[f"{table}_utf8"] = utf8 = b"".join(raws)
+        counts += (len(raws), len(utf8))
+
+    out = bytearray(_HEADER.pack(_MAGIC, _VERSION, *counts))
     for name, _code, _length in _COLUMNS:
-        out.extend(col[name].tobytes())
+        out += col[name]
+        out += bytes(-len(out) % 8)
     return bytes(out)
 
 
-def _read_table(buf: memoryview, offset: int) -> list[str]:
-    """The string table at ``offset``; ``ValueError`` when an entry is
-    not UTF-8 or does not end inside the table's ``nbytes`` span."""
-    nbytes, count = struct.unpack_from("=qq", buf, offset)
-    end = min(offset + nbytes, len(buf))
-    offset += 16
-    strings: list[str] = []
-    for _ in range(count):
-        if offset + 8 > end:
-            raise ValueError("string table entry overruns its table")
-        (length,) = struct.unpack_from("=q", buf, offset)
-        offset += 8
-        if not 0 <= length <= end - offset:
-            raise ValueError("string table entry overruns its table")
-        strings.append(bytes(buf[offset:offset + length]).decode("utf-8"))
-        offset += length
-    return strings
+def _read_table(utf8: memoryview, ends: memoryview) -> list[str]:
+    """One string table's entries, entry i the bytes between its
+    offsets i and i + 1; ``ValueError`` when an entry is not UTF-8 or
+    the offsets do not climb from 0 to the table's byte length."""
+    raw = utf8.tobytes()
+    bounds = ends.tolist()
+    if bounds[:1] != [0] or bounds[-1] != len(raw) or bounds != sorted(bounds):
+        raise ValueError("string table offsets do not climb from 0 to its end")
+    return [
+        raw[start:end].decode("utf-8")
+        for start, end in zip(bounds, bounds[1:])
+    ]
 
 
 class _StringTable:
@@ -330,15 +330,15 @@ class _StringTable:
     def __get__(self, reader, owner=None):
         if reader is None:
             return self
-        buf = memoryview(reader._mm)
         try:
-            table = _read_table(buf, reader._table_offsets[self.name])
+            table = _read_table(
+                getattr(reader, f"{self.name}_utf8"),
+                getattr(reader, f"{self.name}_end"),
+            )
         except ValueError as exc:
             raise StoreError(
                 f"corrupt {self.name} table: {reader.path}"
             ) from exc
-        finally:
-            buf.release()
         setattr(reader, self.name, table)
         return table
 
@@ -368,47 +368,39 @@ class SegmentReader:
         size = self.nbytes = len(buf)
         if size < _HEADER.size:
             raise self._refused(buf, "truncated segment header")
-        magic, version, flags, n_rows, n_tombs = _HEADER.unpack_from(buf, 0)
+        magic, version, n_rows, n_tombs, *tables = _HEADER.unpack_from(buf, 0)
         if magic != _MAGIC:
             raise self._refused(buf, "not a segment file")
         if version != _VERSION:
             raise self._refused(
                 buf, f"unsupported segment version {version}"
             )
-        self.canonical = bool(flags & _FLAG_CANONICAL)
         self.n_rows = n_rows
         self.n_tombs = n_tombs
 
-        # Record where each intern table lives without decoding it —
-        # the nbytes prefix lets us hop over the string payloads.
         counts = {"n_rows": n_rows, "n_tombs": n_tombs}
-        offset = _HEADER.size
-        self._table_offsets: dict[str, int] = {}
-        for name in _TABLES:
-            if offset + 16 > size:
-                raise self._refused(buf, "segment ends inside its tables")
-            nbytes, count = struct.unpack_from("=qq", buf, offset)
-            self._table_offsets[name] = offset
+        for name, count, nbytes in zip(_TABLES, tables[::2], tables[1::2]):
             counts[name] = count + 1
-            offset += nbytes
+            counts[f"{name}_bytes"] = nbytes
         # The layout's walk ends where the file must: a short file
         # would map short columns (rows past their end), a long one
         # was not written by build_segment_bytes.
-        expected = offset + 8 * sum(
-            counts[length] for _name, _code, length in _COLUMNS
-        )
-        if expected != size:
+        spans = []
+        offset = _HEADER.size
+        for name, code, length in _COLUMNS:
+            end = offset + struct.calcsize(code) * counts[length]
+            spans.append((name, code, offset, end))
+            offset = end + -end % 8
+        if offset != size:
             raise self._refused(
-                buf, f"segment is {size} bytes, its header says {expected}"
+                buf, f"segment is {size} bytes, its header says {offset}"
             )
 
         self._views: list[memoryview] = [buf]
-        for name, code, length in _COLUMNS:
-            end = offset + 8 * counts[length]
-            view = buf[offset:end].cast(code)
+        for name, code, start, end in spans:
+            view = buf[start:end].cast(code)
             self._views.append(view)
             setattr(self, name, view)
-            offset = end
         # table name -> {string: id}, built on a table's first lookup;
         # the tables themselves are decoded on first use (_StringTable).
         self._ids: dict[str, dict[str, int]] = {}
@@ -491,26 +483,46 @@ class SegmentReader:
             self.subj_start[sid]:self.subj_start[sid + 1]
         ].tolist()
 
+    def entry(self, table: str, i: int) -> memoryview:
+        """Entry ``i`` of ``table`` as its UTF-8 bytes, sliced from the
+        map: a probe compares it with no table decoded."""
+        ends = getattr(self, f"{table}_end")
+        return getattr(self, f"{table}_utf8")[ends[i]:ends[i + 1]]
+
     def triple_rows(
         self, sid: int, triple: Triple, tomb_seq: int
     ) -> list[int]:
-        """Live row indexes asserting exactly ``triple``."""
-        pid = self.string_id("predicates", triple.predicate)
-        lid = self.string_id("lexicals", triple.obj.lexical)
-        if pid is None or lid is None:
-            return []
+        """Live row indexes asserting exactly ``triple``: the rows of
+        its item of its kind, newer than ``tomb_seq``, whose lexical
+        bytes in the map are its lexical's."""
         kind = _KIND_INDEX[triple.obj.kind]
+        lexical = triple.obj.lexical.encode("utf-8")
         seqs = self.col_seq
-        preds = self.col_predicate
-        lexes = self.col_lexical
         kinds = self.col_kind
+        lexes = self.col_lexical
         return [
             row
-            for row in self.subject_rows(sid)
-            if preds[row] == pid
-            and lexes[row] == lid
-            and kinds[row] == kind
+            for row in self.item_rows(sid, triple.predicate)
+            if kinds[row] == kind
             and seqs[row] > tomb_seq
+            and self.entry("lexicals", lexes[row]) == lexical
+        ]
+
+    def provenance_rows(
+        self, rows: list[int], prov: Provenance
+    ) -> list[int]:
+        """Those of ``rows`` whose source, extractor and locator bytes
+        in the map are ``prov``'s."""
+        source, extractor, locator = (
+            text.encode("utf-8")
+            for text in (prov.source_id, prov.extractor_id, prov.locator)
+        )
+        return [
+            row
+            for row in rows
+            if self.entry("sources", self.col_source[row]) == source
+            and self.entry("extractors", self.col_extractor[row]) == extractor
+            and self.entry("locators", self.col_locator[row]) == locator
         ]
 
     def item_rows(self, sid: int, predicate: str) -> list[int]:
@@ -538,36 +550,22 @@ class SegmentReader:
         """All live row indexes, in storage order.
 
         A whole-column scan, so the tombstone map is projected onto
-        this segment's ids once (triples whose strings it never
-        interned match no row here) and each row is one tuple probe.
+        this segment's rows once — each tombstone's triple read, as
+        :meth:`triple_rows` reads it, names the rows it kills — and
+        each row is one set probe.
         """
-        tomb_ids: dict[tuple[int, int, int, int], int] = {}
+        seqs = self.col_seq
+        dead: set[int] = set()
         for triple, seq in tomb.items():
             sid = self.string_id("subjects", triple.subject)
-            if sid is None:
-                continue
-            pid = self.string_id("predicates", triple.predicate)
-            lid = self.string_id("lexicals", triple.obj.lexical)
-            if pid is None or lid is None:
-                continue
-            tomb_ids[(sid, pid, lid, _KIND_INDEX[triple.obj.kind])] = seq
-        if not tomb_ids:
-            return iter(range(self.n_rows))
-        seqs = self.col_seq
-        subs = self.col_subject
-        preds = self.col_predicate
-        lexes = self.col_lexical
-        kinds = self.col_kind
-
-        def generate():
-            for row in range(self.n_rows):
-                dead_at = tomb_ids.get(
-                    (subs[row], preds[row], lexes[row], kinds[row])
+            if sid is not None:
+                dead.update(
+                    row for row in self.triple_rows(sid, triple, -1)
+                    if seqs[row] <= seq
                 )
-                if dead_at is None or seqs[row] > dead_at:
-                    yield row
-
-        return generate()
+        if not dead:
+            return iter(range(self.n_rows))
+        return (row for row in range(self.n_rows) if row not in dead)
 
     def iter_tombstones(self) -> Iterator[tuple[Triple, int]]:
         for i in range(self.n_tombs):
@@ -794,17 +792,19 @@ class SegmentBackend(StorageBackend):
             # All positions were minted fresh into the memtable, so
             # dict order *is* position order: stream it zero-copy.
             return self._mem.iter_claims()
-        only = self._segments[0]
-        if (
-            len(self._segments) == 1
-            and only.canonical
-            and not self._mem
-            and not self._tomb
-        ):
-            # Canonical fast path: rows are already unique,
-            # position-ordered and confidence-folded.
+        if self._settled():
+            only = self._segments[0]
             return (only.row_scored(row) for row in range(only.n_rows))
         return (scored for _pos, scored in self._ordered_entries())
+
+    def _settled(self) -> bool:
+        """One segment and nothing over it, so its rows are the live
+        claims: unique, confidence-folded and in position order.  One
+        segment is a first flush, whose seqnos were minted ascending in
+        memtable order, or compaction output, written in position
+        order; only a flush adds a segment, and a flush after a remove
+        leaves two."""
+        return len(self._segments) == 1 and not self._mem and not self._tomb
 
     def _routed(self, subject: str) -> tuple:
         """``(segment, subject id)`` for each segment holding rows of
@@ -948,21 +948,25 @@ class SegmentBackend(StorageBackend):
         self, scored: ScoredTriple
     ) -> tuple[float, int] | None:
         """(max confidence, first seqno) of the live segment rows of
-        ``scored``'s key: the triple read, restricted to that key."""
+        ``scored``'s key: the triple read, restricted to the claim's
+        provenance (:meth:`SegmentReader.provenance_rows`), so the probe
+        decodes no table but predicates.  A matched row whose
+        confidence is not a probability is refused as the claim read
+        refuses it."""
         triple = scored.triple
-        want = _claim_key(scored)
         best: tuple[float, int] | None = None
         held = self._held(
             triple.subject, SegmentReader.triple_rows, triple,
             self._tomb_seq(triple),
         )
-        for seg, row, key in self._live_keys(held):
-            if key != want:
-                continue
-            conf, seq = seg.col_confidence[row], seg.col_seq[row]
-            best = (conf, seq) if best is None else (
-                max(best[0], conf), min(best[1], seq)
-            )
+        for seg, rows in held:
+            for row in seg.provenance_rows(rows, scored.provenance):
+                conf, seq = seg.col_confidence[row], seg.col_seq[row]
+                if not 0.0 <= conf <= 1.0:
+                    seg.row_scored(row)
+                best = (conf, seq) if best is None else (
+                    max(best[0], conf), min(best[1], seq)
+                )
         return best
 
     def remove(self, triple: Triple) -> list[ScoredTriple]:
@@ -1039,30 +1043,24 @@ class SegmentBackend(StorageBackend):
         self._publish_gauges()
 
     def compact(self) -> None:
-        """Merge all segments into one canonical segment.
+        """Merge all segments into one.
 
         Folds duplicate keys to their max confidence, drops dead rows
-        and every tombstone, and stores rows in position order with
-        the canonical flag set (enabling the streaming iteration fast
-        path).  Replaced segment files are unlinked best-effort after
+        and every tombstone, and stores rows in position order, so the
+        store is :meth:`_settled` and iterates by streaming the one
+        segment.  Replaced segment files are unlinked best-effort after
         the new manifest lands — a crash in between only leaves
         orphans for the next open to sweep.
         """
         self.flush()
-        if not self._segments:
-            return
-        if (
-            len(self._segments) == 1
-            and self._segments[0].canonical
-            and not self._tomb
-        ):
+        if not self._segments or self._settled():
             return
         started = time.perf_counter()
         fire(self.fault_plan, "storage:compaction", 0)
         rows = [
             (entry[0], entry[1]) for entry in self._ordered_entries()
         ]
-        blob = build_segment_bytes(rows, [], canonical=True)
+        blob = build_segment_bytes(rows, [])
         name = self._write_segment_file(blob)
         fire(self.fault_plan, "storage:compaction", 1)
         os.replace(self.directory / f"{name}.tmp", self.directory / name)

@@ -133,7 +133,7 @@ class TestCompactionCrashes:
 
         # Compaction never changes logical content, so every crash
         # point must recover to the same claims — only the physical
-        # layout (old segments vs one canonical segment) may differ.
+        # layout (old segments vs one compacted segment) may differ.
         assert store.claims() == expected
         assert _reopen(directory).claims() == expected
 
@@ -143,7 +143,9 @@ class TestCompactionCrashes:
         assert registry.snapshot().gauges["storage_segments"] == 1
         (name,) = _manifest_segments(directory)
         reader = SegmentReader(directory / name)
-        assert reader.canonical
+        # One segment in position order, with no tombstone.
+        assert reader.n_tombs == 0
+        assert reader.col_seq.tolist() == sorted(reader.col_seq.tolist())
         reader.close()
         assert _reopen(directory).claims() == expected
 

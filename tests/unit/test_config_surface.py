@@ -135,7 +135,6 @@ SRC_KEYWORD_ONLY = {
     "repro.rdf.segments.SegmentBackend": {
         "memtable_limit", "compact_threshold", "metrics", "fault_plan",
     },
-    "repro.rdf.segments.build_segment_bytes": {"canonical"},
     "repro.serving.query.KBReader": {"metrics"},
     "repro.serving.server.KBServer": {
         "group", "retry", "quarantine", "metrics", "fault_plan",

@@ -1,5 +1,6 @@
 """Unit tests for the mmapped segment storage backend."""
 
+import base64
 import collections
 import hashlib
 import json
@@ -8,6 +9,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -52,6 +54,27 @@ CORPUS = [
 ]
 
 
+# The two files version 3 wrote for CORPUS plus one tombstone, plain
+# and canonical (zlib, then base64).  No writer of that format is kept,
+# so its bytes are kept here to show that a reader refuses them.
+VERSION_3_BLOBS = {
+    False: (
+        "eNoLcg0I8g92dWdmQAVsUJoRSntAaRY0+bSixLzkVHYoLz21KDcxr5IVyi0uSMzMg5mc"
+        "n5MCJB2gPJgoTGdyYkFmSWIOF5RbkF9QmpNYkpmfB3NAAYRKQLMfZlVAYlFmMcxxPpX5"
+        "cGvNzH1hap1Si3Iy82A838SUoswUmPFlUNoAzX0w+UQYIwnGSAaTGlAeExqdWgEzISU/"
+        "F4s69HAuSExP1TVH2MeE5g4WNP+yMeAHjGg0EwF1DESah+4udPeRCxiJtJdS8wipO3sG"
+        "BN7Yz5oJAjft08DgGZT/0t4YDB7bQ1R/sE9GCwcmtHgiNhxZcOhjxhHvMBoASVs6fg=="
+    ),
+    True: (
+        "eNoLcg0I8g92dWdmgABGKM2GxveA0ixo8mlFiXnJqexQXnpqUW5iXiUrlFtckJiZBzM5"
+        "PycFSDpAeTBRmM7kxILMksQcLii3IL+gNCexJDM/D+aAAgiVgGY/zKqAxKLMYpjjfCrz"
+        "4daamfvC1DqlFuVk5sF4vokpRZkpMOPLoLQBmvtg8okwRhKMkQwmNaA8JjQ6tQJmQkp+"
+        "LhZ1DGj+KEhMT9U1R9jHhOYOFjT/sjHgB4xoNBMBdQxEmofuLnT3kQsYibSXUvMIqTt7"
+        "BgTe2M+aCQI37dPA4BmU/9LeGAwe20NUf7BPRgsHJrR4IjYcWXDoY8YR7zAaAE0LOn8="
+    ),
+}
+
+
 class TestSegmentFile:
     def test_round_trips_rows_and_tombstones(self, tmp_path):
         rows = [(i + 1, scored) for i, scored in enumerate(CORPUS)]
@@ -62,7 +85,6 @@ class TestSegmentFile:
         assert reader.n_rows == len(CORPUS)
         assert [reader.row_scored(i) for i in range(reader.n_rows)] == CORPUS
         assert list(reader.iter_tombstones()) == tombs
-        assert not reader.canonical
         reader.close()
 
     def test_columns_are_zero_copy_views(self, tmp_path):
@@ -96,6 +118,24 @@ class TestSegmentFile:
     @pytest.mark.skipif(
         sys.byteorder != "little", reason="segments are native-endian"
     )
+    def test_format_version_4_bytes_are_pinned(self):
+        # These bytes decode to the rows, tombstones and SPO entries of
+        # version 3's pinned blob, string for string and number for
+        # number: only the header (no flags; each table's entry count
+        # and byte length) and the tables (UTF-8 bytes plus a column
+        # of end offsets, no length prefixes) are laid down anew.
+        rows = [(i + 1, scored) for i, scored in enumerate(CORPUS)]
+        tombs = [(Triple("old", "p", Value("v")), 99)]
+        blob = build_segment_bytes(rows, tombs)
+        assert len(blob) == 1000
+        assert hashlib.sha256(blob).hexdigest() == (
+            "dfff7deeaef1fbeb67dd3a43d1a0c23e"
+            "278257e16283049ad0595c52d837db3d"
+        )
+
+    @pytest.mark.skipif(
+        sys.byteorder != "little", reason="segments are native-endian"
+    )
     @pytest.mark.parametrize(
         "canonical, digest",
         [
@@ -105,23 +145,29 @@ class TestSegmentFile:
                    "2360f88d42c36c15088c481a4dcbfe7d"),
         ],
     )
-    def test_format_version_3_bytes_are_pinned(self, canonical, digest):
-        # Version 2's bytes with its last column, the per-row key
-        # hashes (6 rows, 48 bytes), cut off and the version field set
-        # to 3: every column a file keeps is laid down as before.
-        rows = [(i + 1, scored) for i, scored in enumerate(CORPUS)]
-        tombs = [(Triple("old", "p", Value("v")), 99)]
-        blob = build_segment_bytes(rows, tombs, canonical=canonical)
+    def test_format_version_3_bytes_are_pinned(
+        self, tmp_path, canonical, digest
+    ):
+        # The very bytes version 3 wrote, plain and canonical, are
+        # refused by their version, not misread as a version-4 file.
+        blob = zlib.decompress(base64.b64decode(VERSION_3_BLOBS[canonical]))
         assert len(blob) == 960
         assert hashlib.sha256(blob).hexdigest() == digest
+        path = tmp_path / "v3.seg"
+        path.write_bytes(blob)
+        with pytest.raises(
+            StoreError, match="unsupported segment version 3"
+        ):
+            SegmentReader(path)
 
     def test_refuses_a_version_1_file(self, tmp_path):
         # A version-1 file also holds POS / OSP permutations, a
-        # version-2 file a key-hash column; no reader of either is
-        # kept, so both are refused, not misread.
+        # version-2 file a key-hash column, a version-3 file
+        # length-prefixed tables and a flags field; no reader of any
+        # is kept, so each is refused, not misread.
         rows = [(i + 1, scored) for i, scored in enumerate(CORPUS)]
         path = tmp_path / "old.seg"
-        for version in (1, 2):
+        for version in (1, 2, 3):
             blob = bytearray(build_segment_bytes(rows, []))
             struct.pack_into("=q", blob, 8, version)
             path.write_bytes(bytes(blob))
@@ -355,18 +401,39 @@ def _damaged_store(directory, damage):
     return damaged
 
 
-def _overrun(blob, text):
-    """``blob`` with the length prefix of the table entry ``text``
-    pointing past its table's ``nbytes`` span (but inside the file)."""
-    at = blob.index(text) - 8
-    return blob[:at] + struct.pack("=q", 200) + blob[at + 8:]
+def _offsets(utf8, count, edit):
+    """A damage: the end offsets of the table whose bytes are ``utf8``
+    (``count`` entries; its offsets column lies just before them)
+    replaced by ``edit(offsets)``."""
+
+    def damage(blob):
+        at = blob.index(utf8) - 8 * (count + 1)
+        shape = f"={count + 1}q"
+        ends = edit(list(struct.unpack_from(shape, blob, at)))
+        return blob[:at] + struct.pack(shape, *ends) + blob[at + 8 * len(ends):]
+
+    return damage
+
+
+# Offset damages, each one a check of the decode alone would miss:
+# without it the table decodes into strings cut at the wrong bytes.
+def _past(ends):
+    return ends[:-1] + [ends[-1] + 1]  # the last entry gains a pad byte
+
+
+def _decreasing(ends):
+    return [0, -1] + ends[2:]  # the first entry reads all but the last byte
+
+
+def _not_from_zero(ends):
+    return [1] + ends[1:]  # the first entry loses its first byte
 
 
 class TestCorruptStringTablesAreRefused:
-    """A string table whose bytes are not UTF-8, or whose entries run
-    past its ``nbytes`` span, is refused with ``StoreError`` naming the
-    file and the table, not decoded into a ``UnicodeDecodeError`` or
-    into strings read from the next section."""
+    """A string table whose bytes are not UTF-8, or whose end offsets
+    do not climb from 0 to its byte length, is refused with
+    ``StoreError`` naming the file and the table, not decoded into a
+    ``UnicodeDecodeError`` or into strings cut at the wrong bytes."""
 
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd"
@@ -375,9 +442,11 @@ class TestCorruptStringTablesAreRefused:
         "damage",
         [
             lambda blob: blob.replace(b"spain", b"\xffpain"),
-            lambda blob: _overrun(blob, b"germany"),
+            _offsets(b"germanyspain", 2, _past),
+            _offsets(b"germanyspain", 2, _decreasing),
+            _offsets(b"germanyspain", 2, _not_from_zero),
         ],
-        ids=["not-utf8", "overrun"],
+        ids=["not-utf8", "end-past", "decreasing", "not-from-zero"],
     )
     def test_a_corrupt_subjects_table_is_refused_at_open(
         self, tmp_path, damage
@@ -402,9 +471,11 @@ class TestCorruptStringTablesAreRefused:
         "damage",
         [
             lambda blob: blob.replace(b"capital", b"\xffapital"),
-            lambda blob: _overrun(blob, b"capital"),
+            _offsets(b"capital", 1, _past),
+            _offsets(b"capital", 1, _decreasing),
+            _offsets(b"capital", 1, _not_from_zero),
         ],
-        ids=["not-utf8", "overrun"],
+        ids=["not-utf8", "end-past", "decreasing", "not-from-zero"],
     )
     def test_a_corrupt_predicates_table_is_refused_at_first_read(
         self, tmp_path, damage
@@ -496,8 +567,8 @@ class TestCompaction:
         # Old segment files are gone from disk.
         (path,) = directory.glob("seg-*.seg")
         reader = SegmentReader(path)
-        assert reader.canonical
         assert reader.n_tombs == 0
+        assert reader.col_seq.tolist() == sorted(reader.col_seq.tolist())
         reader.close()
         assert store.claims() == before
 
@@ -1307,6 +1378,86 @@ def test_the_dedup_probe_reads_only_the_segments_holding_its_subject(
     assert backend.claims() == memory.claims()
 
 
+def test_a_new_claim_decodes_no_segment_table(tmp_path, monkeypatch):
+    """``add``'s dedup probe compares a candidate row's lexical and
+    provenance as bytes in the map.  Ingesting claims whose subjects
+    and items recur across seven segments — every claim new, a new
+    value or a stored triple under a new source — decodes no segment's
+    lexicals or locators table and asks no lexical id; neither does
+    re-adding or refreshing a stored claim.  Every ``add`` answers as
+    the memory backend's."""
+    backend = SegmentBackend(tmp_path / "store", memtable_limit=400,
+                             compact_threshold=10**6)
+    memory = MemoryBackend()
+    asked = collections.Counter()
+    string_id = SegmentReader.string_id
+
+    def counted(reader, table, text):
+        asked[table] += 1
+        return string_id(reader, table, text)
+
+    monkeypatch.setattr(SegmentReader, "string_id", counted)
+    # 40 subjects x 3 predicates x 5 values, the 600 triples once under
+    # each of five sources.
+    corpus = [
+        claim(f"e{i % 40:02d}", f"p{i // 40 % 3}", f"v{i // 120 % 5}",
+              source=f"s{i // 600}", locator=f"page-{i % 7}", conf=0.5)
+        for i in range(3000)
+    ]
+    again = [corpus[5], corpus[1234].with_confidence(0.9), corpus[2999]]
+    for one in corpus + again:
+        assert backend.add(one) == memory.add(one), one
+    assert len(backend._segments) == 7
+    for seg in backend._segments:
+        assert "lexicals" not in vars(seg) and "locators" not in vars(seg)
+    assert asked["lexicals"] == asked["locators"] == 0
+    assert backend.claims() == memory.claims()
+
+
+def test_one_segment_streams_in_the_memory_backends_order(tmp_path):
+    """A store holding one segment and nothing over it streams that
+    segment's rows as the live claims.  Every way to one segment — a
+    first flush after a memtable refresh and a remove + re-add, a
+    copy() that flushes first, a reopen, a compaction — leaves them in
+    the memory backend's order."""
+
+    def assert_streams(backend, memory):
+        assert len(backend._segments) == 1 and backend._settled()
+        assert list(backend.iter_claims()) == list(memory.iter_claims())
+
+    def churn(store):
+        store.add_all(CORPUS)
+        store.add(CORPUS[1].with_confidence(0.95))  # a memtable refresh
+        store.remove(CORPUS[0].triple)
+        store.add(CORPUS[0])  # re-added: moves to the end
+
+    directory = tmp_path / "s"
+    backend = SegmentBackend(directory, memtable_limit=10**6,
+                             compact_threshold=10**6)
+    memory = MemoryBackend()
+    churn(backend)
+    churn(memory)
+    staged, model = backend.copy(), memory.copy()
+    for store in (staged, model):
+        store.add(claim("zz", "p", "v"))
+    staged.flush()  # the copy flushes first
+    assert_streams(staged, model)
+    backend.flush()
+    assert_streams(backend, memory)
+    assert_streams(SegmentBackend(directory), memory)
+
+    # Two segments and a tombstone, compacted back to one.
+    for store in (backend, memory):
+        store.add(CORPUS[2].with_confidence(0.99))
+        store.remove(CORPUS[3].triple)
+        store.add(claim("aa", "p", "v"))
+    backend.flush()
+    assert len(backend._segments) == 2
+    backend.compact()
+    assert_streams(backend, memory)
+    assert_streams(SegmentBackend(directory), memory)
+
+
 class TestCountRefusesWhatTheClaimReadRefuses:
     """A segment row the claim read refuses — here a confidence outside
     [0, 1] or an empty source, written into the file after the flush —
@@ -1336,9 +1487,10 @@ class TestCountRefusesWhatTheClaimReadRefuses:
          ("e", "p")),
         (struct.pack("=d", 0.123456789), struct.pack("=d", float("nan")),
          ("e", "p")),
-        # The last source interned: a zero length reads as "".
-        (struct.pack("=q", 7) + b"zz-last", struct.pack("=q", 0) + b"zz-last",
-         ("e", "q")),
+        # The last source interned reads as "": its start offset moved
+        # to its end, the source before it gaining its bytes.
+        (struct.pack("=4q", 0, 1, 2, 9) + b"abzz-last",
+         struct.pack("=4q", 0, 1, 9, 9) + b"abzz-last", ("e", "q")),
     ])
     def test_same_exception_as_the_claim_read(self, tmp_path, old, new, item):
         backend = self._corrupted(tmp_path, old, new)
