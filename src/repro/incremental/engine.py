@@ -42,9 +42,20 @@ exploits that, and keeps the work of a delta proportional to the
    over it, so it iterates in the same order as a cold prime's.  When
    the region is every component the maps are merged from the fresh
    entries alone;
-5. the merged result plus the new component cache are committed as a
-   single state-object swap, so a crash anywhere before the commit
-   leaves the engine fully pre-delta (the torn-state chaos contract).
+5. the read index the serving layer reads (the top-k ranking and the
+   per-predicate subject lists, :mod:`repro.fusion.readindex`) is
+   patched the same way: built cold at the prime, after a weight shift
+   and when the region is every component, otherwise copied and
+   re-derived for the subjects the region holds before or after the
+   delta.  Such a subject's score is re-summed over all its items in
+   ``truths`` order (:func:`_touched` reads that order off the
+   entries: entry order, then each entry's result order), so it adds
+   as a cold build adds; every other subject's items lie in carried
+   components, whose order and verdicts the delta kept;
+6. the merged result, its read index and the new component cache are
+   committed as a single state-object swap, so a crash anywhere before
+   the commit leaves the engine fully pre-delta (the torn-state chaos
+   contract).
 
 Two estimation details make the reuse exact rather than approximate:
 
@@ -80,14 +91,20 @@ item) are O(delta) on both backends, each item or triple read off an
 index; the staged store copy shares the memory backend's index leaves
 (and the segment backend's memtable, which is one) copy-on-write and
 costs the paths the journal writes; digesting and the census are
-O(delta); re-weighting, sharding, fusion, the functional constraint
-and the belief / source-quality patch are O(region).  What stays
-O(store) is copying at C speed: the successor corpus
-(:meth:`_Corpus.replaced`, slice copies of the cached claims, items,
-counts and digests around the re-read items), the two copies of each
-merged map (the engine's and the served result's) and the ``truths``
-rebuild, one ``dict.update`` per component.  So is the extractor
-estimate with two or more extractors, which reads every claim.
+O(delta); re-weighting, sharding, fusion, the functional constraint,
+the belief / source-quality patch and the read-index patch are
+O(region) — the latter a ``bisect`` per touched subject in the corpus
+and per touched ranking or subject-list entry, plus a walk of the
+carried entries' sources when a touched subject has items outside the
+region.  What stays O(store) is copying at C speed: the successor
+corpus (:meth:`_Corpus.replaced`, slice copies of the cached claims,
+items, counts and digests around the re-read items), the two copies
+of each merged map (the engine's and the served result's), the
+``truths`` rebuild, one ``dict.update`` per component, and the read
+index's score dict, its ranking and each touched predicate's subject
+list (pointer copies, as are its ``bisect`` moves).  So is the
+extractor estimate with two or more extractors, which reads every
+claim.
 Putting the entries back in first-item order, and the merge's round
 counts, are O(components).
 
@@ -123,6 +140,7 @@ from operator import attrgetter
 from repro.errors import DeltaError
 from repro.faults import fire
 from repro.fusion.base import Claim, ClaimSet, FusionResult, Item
+from repro.fusion.readindex import ReadIndex, patched
 from repro.fusion.sharding import (
     MergedMaps,
     fuse_sharded,
@@ -293,6 +311,56 @@ def _item_digest(run: list[Claim]) -> bytes:
     return hashlib.blake2b(repr(signature).encode(), digest_size=16).digest()
 
 
+def _first_item(entry: ComponentEntry) -> Item:
+    """Where an entry's component first appears in the canonical
+    order: the key entries are kept in."""
+    return entry.items[0]
+
+
+def _touched(
+    corpus: _Corpus,
+    entries: list[ComponentEntry],
+    region: list[ComponentEntry],
+    fresh: list[ComponentEntry],
+) -> list[Item]:
+    """What a delta's read-index patch re-derives: every item of each
+    subject the region holds, before or after the delta, in the merged
+    ``truths`` order — entry order, then each entry's result order —
+    then the region's items the delta emptied.
+
+    Such a subject's other items lie in carried entries, found by the
+    source of each item's first claim, so the entries walked are the
+    fresh ones and the carried ones holding a touched subject.
+    """
+    fresh_items = {item for entry in fresh for item in entry.items}
+    emptied = [
+        item
+        for entry in region
+        for item in entry.items
+        if item not in fresh_items
+    ]
+    subjects = {item[0] for item in chain(fresh_items, emptied)}
+    items, starts, claims = corpus.items, corpus.starts, corpus.claims
+    sources = set()
+    for subject in subjects:
+        at = bisect_left(items, (subject,))
+        while at < len(items) and items[at][0] == subject:
+            if items[at] not in fresh_items:
+                sources.add(claims[starts[at]].source_id)
+            at += 1
+    holders = {id(entry): entry for entry in fresh}
+    if sources:
+        for entry in entries:
+            if not sources.isdisjoint(entry.sources):
+                holders.setdefault(id(entry), entry)
+    return [
+        item
+        for entry in sorted(holders.values(), key=_first_item)
+        for item in entry.result.truths
+        if item[0] in subjects
+    ] + emptied
+
+
 @dataclass(slots=True)
 class ComponentEntry:
     """Cached fusion of one connected component.
@@ -333,6 +401,8 @@ class _FusionState:
     # The engine's own copies of ``result``'s maps, which the next
     # delta's merge patches (``result`` is the caller's to change).
     merged: MergedMaps
+    # ``result``'s ranking and predicate index, patched per delta.
+    read_index: ReadIndex
     sequence: int = 0
 
 
@@ -403,6 +473,13 @@ class IncrementalFusion:
         return self._state.result
 
     @property
+    def read_index(self) -> ReadIndex:
+        """The read index of :attr:`result`; a later delta patches a
+        copy of it."""
+        self._require_primed()
+        return self._state.read_index
+
+    @property
     def sequence(self) -> int:
         return self._state.sequence if self._state is not None else -1
 
@@ -427,7 +504,7 @@ class IncrementalFusion:
         entries = self._fuse_shards(
             corpus, [(0, len(corpus.items))], weights, [], _ComputeStats()
         )
-        result, merged = self._merge(entries)
+        result, merged, read_index = self._merge(entries, corpus)
         self._state = _FusionState(
             store=store,
             corpus=corpus,
@@ -435,6 +512,7 @@ class IncrementalFusion:
             entries=entries,
             result=result,
             merged=merged,
+            read_index=read_index,
         )
         self._count("incremental_primes_total")
         self._gauge("incremental_components", len(entries))
@@ -520,12 +598,14 @@ class IncrementalFusion:
                 corpus, [(0, len(corpus.items))], weights, prior.entries,
                 stats,
             )
-            result, merged = self._merge(entries)
+            result, merged, read_index = self._merge(entries, corpus)
         else:
             entries, region, fresh = self._refuse_region(
                 receipt, corpus, weights, stats
             )
-            result, merged = self._merge(entries, region, fresh)
+            result, merged, read_index = self._merge(
+                entries, corpus, region, fresh
+            )
         return (
             _FusionState(
                 store=staged,
@@ -534,6 +614,7 @@ class IncrementalFusion:
                 entries=entries,
                 result=result,
                 merged=merged,
+                read_index=read_index,
                 sequence=prior.sequence + 1,
             ),
             stats,
@@ -550,27 +631,37 @@ class IncrementalFusion:
     def _merge(
         self,
         entries: list[ComponentEntry],
+        corpus: _Corpus,
         region: list[ComponentEntry] | None = None,
         fresh: list[ComponentEntry] = (),
-    ) -> tuple[FusionResult, MergedMaps]:
-        """The merged, constrained result over ``entries``: patched
-        from the committed state's maps by a delta's ``region`` (the
-        prior entries it replaced) and its ``fresh`` entries, or merged
-        whole without a region or when it is every prior entry."""
+    ) -> tuple[FusionResult, MergedMaps, ReadIndex]:
+        """The merged, constrained result over ``entries`` and its read
+        index: patched from the committed state's maps and index by a
+        delta's ``region`` (the prior entries it replaced) and its
+        ``fresh`` entries, or built whole without a region or when it
+        is every prior entry."""
         fusion = self.fusion
         constrain = partial(
             fusion.functional_rebinds, functional_of=self.functional_of
         )
         results = [entry.result for entry in entries]
         if region is None or len(region) == len(self._state.entries):
-            return patch_results(fusion.name, results, constrain=constrain)
-        return patch_results(
+            result, merged = patch_results(
+                fusion.name, results, constrain=constrain
+            )
+            return result, merged, patched(None, result)
+        result, merged = patch_results(
             fusion.name,
             results,
             constrain=constrain,
             prior=self._state.merged,
             dropped=[entry.result for entry in region],
             fresh=[entry.result for entry in fresh],
+        )
+        return result, merged, patched(
+            self._state.read_index,
+            result,
+            _touched(corpus, entries, region, fresh),
         )
 
     def _refuse_region(
@@ -618,7 +709,7 @@ class IncrementalFusion:
             sorted(chain(new_items, *(entry.items for entry in region)))
         )
         fresh = self._fuse_shards(corpus, spans, weights, region, stats)
-        entries = sorted(carried + fresh, key=lambda entry: entry.items[0])
+        entries = sorted(carried + fresh, key=_first_item)
         return entries, region, fresh
 
     def _fuse_shards(

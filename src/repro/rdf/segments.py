@@ -49,7 +49,10 @@ segment opens or is flushed (the route reads it), every other table
 on the first read that builds a string of it, one slice per offset
 pair.  A table whose bytes are not UTF-8, or whose offsets do not
 climb from 0 to its byte length, is refused with ``StoreError`` when
-it is decoded.  A CSR-style SPO permutation makes a subject, item or
+it is decoded.  A tombstone's strings are read at open entry by entry
+(:meth:`SegmentReader.text`), each entry's two offsets and its UTF-8
+checked alone, so reopening decodes no table for them.  A CSR-style SPO
+permutation makes a subject, item or
 triple lookup a slice scan instead of a full scan.
 
 Byte layout, version 4 (all integers native-endian int64, every
@@ -567,14 +570,34 @@ class SegmentReader:
             return iter(range(self.n_rows))
         return (row for row in range(self.n_rows) if row not in dead)
 
+    def text(self, table: str, i: int) -> str:
+        """Entry ``i`` of ``table`` decoded on its own, its offsets
+        checked first — ``0 <= end[i] <= end[i + 1] <=`` the table's
+        byte length — so no table is decoded; ``StoreError`` when they
+        or its UTF-8 are corrupt."""
+        ends = getattr(self, f"{table}_end")
+        utf8 = getattr(self, f"{table}_utf8")
+        if 0 <= i < len(ends) - 1:
+            start, end = ends[i], ends[i + 1]
+            if 0 <= start <= end <= len(utf8):
+                try:
+                    return str(utf8[start:end], "utf-8")
+                except UnicodeDecodeError:
+                    pass
+        raise StoreError(f"corrupt {table} table: {self.path}")
+
     def iter_tombstones(self) -> Iterator[tuple[Triple, int]]:
+        """Each tombstone's triple and sequence number, its strings
+        read entry by entry (:meth:`text`): reopening a store decodes
+        no table for its tombstones."""
+        text = self.text
         for i in range(self.n_tombs):
             yield (
                 Triple(
-                    self.subjects[self.tomb_subject[i]],
-                    self.predicates[self.tomb_predicate[i]],
+                    text("subjects", self.tomb_subject[i]),
+                    text("predicates", self.tomb_predicate[i]),
                     Value(
-                        self.lexicals[self.tomb_lexical[i]],
+                        text("lexicals", self.tomb_lexical[i]),
                         _KINDS[self.tomb_kind[i]],
                     ),
                 ),

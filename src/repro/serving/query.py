@@ -15,11 +15,16 @@ Three query families:
   scores and supporting-claim counts (the store's SPO index);
 * **scans** — :meth:`scan_subject` enumerates every fused fact of one
   entity (SPO), :meth:`scan_predicate` every entity holding a fused
-  value for one attribute (a per-reader index of the fused items);
+  value for one attribute (the version's predicate index);
 * **top-k** — :meth:`top_entities` ranks subjects by the summed
   belief of their fused facts, a cheap "most strongly attested
-  entities" ranking computed lazily once per reader and cached
-  (versions are immutable, so the cache can never go stale).
+  entities" ranking (the version's ranking).
+
+Both indexes are the version's
+:class:`~repro.fusion.readindex.ReadIndex`, built when the engine
+primes and patched by each delta over its region, then carried by the
+committed version: a reader holds no state of its own but its read
+counters.
 
 What a read costs: :meth:`lookup` is a dict probe into the fused
 truths and one into the beliefs per value (a truth set is sorted only
@@ -37,10 +42,12 @@ way.
 :meth:`scan_subject` is the store's ``predicates(subject)`` — the same
 decode-free fold over the subject's rows on the segment backend, one
 index probe on the memory backend — then one ``lookup`` per predicate;
-:meth:`scan_predicate` and :meth:`top_entities` build an O(fused items)
-index once per reader, then cost one ``lookup`` per answer.  Each read
-kind resolves its ``serving_reads_total`` counter once per reader, on
-its first read.
+:meth:`scan_predicate` slices the version's sorted subject list of
+the predicate and costs one ``lookup`` per answer; :meth:`top_entities`
+slices the version's ranking, k tuples.  Neither builds anything, so
+the first read of a fresh reader costs what every later one does.
+Each read kind resolves its ``serving_reads_total`` counter once per
+reader, on its first read.
 """
 
 from __future__ import annotations
@@ -87,8 +94,6 @@ class KBReader:
     def __init__(self, version: KBVersion, *, metrics=None) -> None:
         self.version = version
         self.metrics = metrics
-        self._ranking: list[tuple[float, str]] | None = None
-        self._by_predicate: dict[str, list[str]] | None = None
         # ``serving_reads_total`` handles by read kind, each resolved
         # on the kind's first read: a labelled key is rendered once.
         self._read_counters: dict[str, object] = {}
@@ -128,27 +133,14 @@ class KBReader:
         """Every entity with a fused value for one attribute.
 
         Subject-sorted and optionally bounded; only items with at
-        least one fused-true value are returned.  Scans walk a
-        per-predicate index of fused-true subjects built lazily once
-        per reader (the pinned version is immutable, so it can never
-        go stale) — ``limit`` then slices the index instead of
-        materializing and sorting every matching store subject, so a
-        ``limit=1`` scan touches one subject, not the whole corpus.
+        least one fused-true value are returned.  Scans walk the
+        pinned version's sorted list of the predicate's fused-true
+        subjects — ``limit`` slices it instead of materializing and
+        sorting every matching store subject, so a ``limit=1`` scan
+        touches one subject, not the whole corpus.
         """
         self._count_read("scan_predicate")
-        if self._by_predicate is None:
-            by_predicate: dict[str, list[str]] = {}
-            for (subject, item_predicate), values in (
-                self.version.result.truths.items()
-            ):
-                if values:
-                    by_predicate.setdefault(item_predicate, []).append(
-                        subject
-                    )
-            for subjects in by_predicate.values():
-                subjects.sort()
-            self._by_predicate = by_predicate
-        subjects = self._by_predicate.get(predicate, [])
+        subjects = self.version.read_index.by_predicate.get(predicate, ())
         if limit is not None:
             subjects = subjects[:max(0, limit)]
         return [self.lookup(subject, predicate) for subject in subjects]
@@ -158,26 +150,13 @@ class KBReader:
         """The k subjects with the highest summed fused-fact belief.
 
         Deterministic: score descending, then subject ascending; ``k``
-        at or below zero answers nothing.  The
-        full ranking is computed once per reader and cached — the
-        pinned version can never change under it.
+        at or below zero answers nothing.  A slice of the pinned
+        version's ranking, which the version carries built.
         """
         self._count_read("top_entities")
-        if self._ranking is None:
-            scores: dict[str, float] = {}
-            result = self.version.result
-            for (subject, _predicate), value_set in result.truths.items():
-                for value in value_set:
-                    scores[subject] = scores.get(subject, 0.0) + (
-                        result.belief.get(((subject, _predicate), value), 0.0)
-                    )
-            self._ranking = sorted(
-                ((score, subject) for subject, score in scores.items()),
-                key=lambda pair: (-pair[0], pair[1]),
-            )
         return [
-            (subject, score)
-            for score, subject in self._ranking[:max(0, k)]
+            (subject, -negated)
+            for negated, subject in self.version.read_index.ranking[:max(0, k)]
         ]
 
     # -- plumbing ------------------------------------------------------

@@ -26,8 +26,8 @@ processes one event end to end:
    :meth:`requeue_quarantined`), fenced so redelivery skips it, and
    the consumer moves on — ingest failure degrades, never stops,
    serving.
-4. **commit** — build the successor :class:`KBVersion` (store, result,
-   fence ∪ {id}, offset+1) and install it with the single-rebind
+4. **commit** — build the successor :class:`KBVersion` (store, result
+   and read index, fence ∪ {id}, offset+1) and install it with the single-rebind
    commit (``stream:commit`` fires before, ``stream:post-commit``
    after).  A crash before the rebind leaves reads fully pre-delta; a
    crash after it, before the offset ack, is healed by the fence on
@@ -142,6 +142,7 @@ class KBServer:
                 result=engine.result,
                 offset=0,
                 label="primed",
+                read_index=engine.read_index,
             )
         )
         self._degraded = False
@@ -240,6 +241,7 @@ class KBServer:
                 offset=event.offset + 1,
                 applied=fence,
                 label=event.delta.label,
+                read_index=self.engine.read_index,
             )
             self._degraded = False
         else:
@@ -260,6 +262,7 @@ class KBServer:
                 offset=event.offset + 1,
                 applied=fence,
                 label=version.label,
+                read_index=version.read_index,
             )
             self._degraded = True
             self._poisoned += 1

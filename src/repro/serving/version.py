@@ -2,7 +2,8 @@
 
 The serving layer never lets a reader observe in-flight ingest state.
 Everything a read can touch is packaged into an immutable
-:class:`KBVersion` — the claim store, the fusion verdicts, and the
+:class:`KBVersion` — the claim store, the fusion verdicts, their read
+index (the top-k ranking and the per-predicate subject lists), and the
 ingest bookkeeping (consumed offset + dedup fence) that produced them
 — and the only way the served state changes is
 :meth:`VersionedKB.commit` rebinding the current-version attribute.
@@ -19,6 +20,14 @@ that is never mutated again (deltas journal against copies), so a
 over the segment backend's mmapped files — and still be immutable.
 Callers outside that discipline should hold a
 :meth:`repro.rdf.store.TripleStore.copy` instead.
+
+The read index follows the same discipline: the engine builds it when
+it primes and patches a copy of it over each delta's region
+(:func:`repro.fusion.readindex.patched`), never the one a committed
+version holds, so a version carries its engine state's index by
+reference and a reader pinned to it reads it as built.  A poisoned
+delta's successor carries its predecessor's index object with its
+result.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ServingError
 from repro.fusion.base import FusionResult
+from repro.fusion.readindex import ReadIndex, patched
 from repro.rdf.store import TripleStore
 
 __all__ = ["KBVersion", "VersionedKB"]
@@ -43,7 +53,9 @@ class KBVersion:
     events whose id is in the fence are skipped, never re-applied.
     ``offset`` is the next event-log offset this version expects,
     so a restarted consumer resumes exactly where the committed state
-    left off.
+    left off.  ``read_index`` is the ranking and predicate index of
+    ``result`` that :class:`~repro.serving.query.KBReader` reads; a
+    version built without one builds it cold from ``result``.
     """
 
     version_id: int
@@ -53,6 +65,11 @@ class KBVersion:
     offset: int = 0
     applied: frozenset[str] = field(default_factory=frozenset)
     label: str = ""
+    read_index: ReadIndex | None = None
+
+    def __post_init__(self) -> None:
+        if self.read_index is None:
+            object.__setattr__(self, "read_index", patched(None, self.result))
 
     def canonical_bytes(self) -> bytes:
         """Canonical serialization of the served verdicts.

@@ -27,8 +27,10 @@ from repro.errors import BackpressureError
 from repro.faults import FaultPlan, InjectedFault, RetryPolicy
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.incremental import canonical_claims
+from repro.incremental import engine as engine_mod
 from repro.obs.metrics import MetricsRegistry
 from repro.rdf.store import TripleStore
+from repro.rdf.triple import Provenance, ScoredTriple, Triple
 from repro.serving.server import KBServer
 from repro.serving.stream import EventLog
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
@@ -37,6 +39,7 @@ from repro.synth.deltas import (
     generate_delta_stream,
     scored_from_claims,
 )
+from tests.oracles import read_index as read_index_oracle
 
 # Consumer crash points outside the retried apply loop: step() raises
 # and the served state must be a committed version at each of them.
@@ -92,6 +95,54 @@ def reference_bytes():
 
 
 REFERENCE = reference_bytes()
+
+
+def disjoint_worlds(n_worlds=4):
+    """(base, deltas) over ``n_worlds`` disjoint components, the deltas
+    one world's each, dealt round-robin: every delta re-fuses one
+    component and patches the read index over it."""
+    base, streams = [], []
+    for index in range(n_worlds):
+        prefix = f"w{index}/"
+        corpus = [
+            ScoredTriple(
+                Triple(
+                    prefix + one.triple.subject,
+                    one.triple.predicate,
+                    one.triple.obj,
+                ),
+                Provenance(
+                    prefix + one.provenance.source_id,
+                    one.provenance.extractor_id,
+                ),
+                one.confidence,
+            )
+            for one in scored_from_claims(
+                generate_claim_world(
+                    ClaimWorldConfig(seed=40 + index, n_items=8, n_sources=4)
+                ).claims
+            )
+        ]
+        world_base, world_deltas = generate_delta_stream(
+            corpus, DeltaStreamConfig(seed=40 + index, parts=3)
+        )
+        base.extend(world_base)
+        streams.append(world_deltas)
+    return base, [delta for part in zip(*streams) for delta in part]
+
+
+def assert_reads_match_the_oracle(reader, result):
+    """Every ranking and predicate read of ``reader`` equals the cold
+    oracle's on ``result``, with ``==``."""
+    ranking = read_index_oracle.ranking(result)
+    assert reader.top_entities(len(ranking)) == [
+        (subject, score) for score, subject in ranking
+    ]
+    holders = read_index_oracle.by_predicate(result)
+    for predicate in sorted({item[1] for item in result.truths}):
+        assert [
+            view.subject for view in reader.scan_predicate(predicate)
+        ] == holders.get(predicate, [])
 
 
 class TestConsumerCrashes:
@@ -429,6 +480,60 @@ class TestSnapshotIsolation:
         assert fresh.version.version_id == len(deltas)
         assert fresh.version.canonical_bytes() == REFERENCE
 
+
+    def test_a_pin_survives_every_patch_of_the_read_index(
+        self, monkeypatch
+    ):
+        """A reader pinned at version 0 and never read from answers its
+        ranking and predicate scans from version 0's result after the
+        whole stream has patched the index: a patch copies what it
+        changes, never the prior version's lists or scores."""
+        patches = []
+        patch = engine_mod.patched
+        monkeypatch.setattr(
+            engine_mod, "patched",
+            lambda prior, *rest: patches.append(prior) or patch(prior, *rest),
+        )
+        server, deltas = make_server(stream=disjoint_worlds())
+        pinned = server.reader()
+        for delta in deltas:
+            server.publish(delta)
+        outcomes = server.drain()
+
+        assert [outcome.action for outcome in outcomes] == (
+            ["applied"] * len(deltas)
+        )
+        # The prime built the index cold; every delta patched the
+        # index of the version before it.
+        assert patches[0] is None
+        assert len(patches) == len(deltas) + 1
+        assert None not in patches[1:]
+        assert pinned.version.version_id == 0
+        assert_reads_match_the_oracle(pinned, pinned.version.result)
+        assert_reads_match_the_oracle(
+            server.reader(), server.versions.current.result
+        )
+
+    def test_a_poisoned_successor_serves_its_predecessors_index(self):
+        server, deltas = make_server(stream=disjoint_worlds())
+        server.fault_plan = FaultPlan(seed=5).crash(
+            "stream:apply", index=2, attempts=0
+        )
+        for delta in deltas:
+            server.publish(delta)
+        server.drain(max_events=2)
+        before = server.versions.current
+        outcome = server.step()
+        assert outcome.action == "poisoned"
+        after = server.versions.current
+        assert after.version_id == before.version_id + 1
+        assert after.read_index is before.read_index
+        assert after.result is before.result
+        # The next good delta patches on from the served index.
+        assert server.step().action == "applied"
+        assert_reads_match_the_oracle(
+            server.reader(), server.versions.current.result
+        )
 
     def test_reader_thread_racing_the_writer_sees_committed_versions(self):
         """The one two-thread run in the repository: a writer drains

@@ -16,6 +16,12 @@ coming and going, extractor-weight shift); there the engine is compared
 step by step — bytes, accounting, truth order — with the whole-store
 engine it replaced (``tests/oracles``) and with a cold prime, on both
 backends, and again under a functional constraint that rebinds.
+
+At every version of both streams the read index the engine patched
+answers ``top_entities`` and ``scan_predicate`` as the cold build of
+``tests/oracles/read_index.py`` does, with ``==``: floats, ties and
+order.  The many-component stream holds a subject whose items lie in
+every component, in a truths order that is not their sorted order.
 """
 
 import random
@@ -28,17 +34,45 @@ from repro.incremental import engine as engine_mod
 from repro.rdf.segments import SegmentBackend
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
+from repro.serving.query import KBReader
+from repro.serving.version import KBVersion
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
 from repro.synth.deltas import (
     DeltaStreamConfig,
     generate_delta_stream,
     scored_from_claims,
 )
+from tests.oracles import read_index as read_index_oracle
 from tests.oracles.whole_store_engine import WholeStoreEngine
 
 
 def _fusion(**kwargs):
     return KnowledgeFusion(tolerance=0.0, max_iterations=8, **kwargs)
+
+
+def _assert_reads_match_the_oracle(engine, where):
+    """The engine's read index answers every ``top_entities`` and
+    ``scan_predicate`` read as the cold oracle's walk of its result."""
+    result = engine.result
+    reader = KBReader(
+        KBVersion(
+            version_id=0, sequence=engine.sequence, store=engine.store,
+            result=result, read_index=engine.read_index,
+        )
+    )
+    ranking = read_index_oracle.ranking(result)
+    for k in (1, 10, len(ranking)):
+        assert reader.top_entities(k) == [
+            (subject, score) for score, subject in ranking[:k]
+        ], f"{where}: top_entities({k})"
+    holders = read_index_oracle.by_predicate(result)
+    for predicate in sorted({item[1] for item in result.truths}):
+        expected = holders.get(predicate, [])
+        for limit in (None, 1):
+            views = reader.scan_predicate(predicate, limit=limit)
+            assert [view.subject for view in views] == (
+                expected if limit is None else expected[:limit]
+            ), f"{where}: scan_predicate({predicate!r}, limit={limit})"
 
 
 def _stream(seed, parts=3):
@@ -67,6 +101,7 @@ def test_replayed_splits_stay_byte_identical(seed):
         engine.result.canonical_bytes()
         == _fusion().fuse(canonical_claims(reference_store)).canonical_bytes()
     )
+    _assert_reads_match_the_oracle(engine, f"seed {seed}: prime")
 
     for index, delta in enumerate(deltas, start=1):
         outcome = engine.apply_delta(delta)
@@ -76,6 +111,7 @@ def test_replayed_splits_stay_byte_identical(seed):
         assert (
             outcome.result.canonical_bytes() == reference.canonical_bytes()
         ), f"seed {seed}: delta {index} diverged from full re-fusion"
+        _assert_reads_match_the_oracle(engine, f"seed {seed}: delta {index}")
 
 
 @pytest.mark.parametrize("seed", [7, 19])
@@ -170,6 +206,17 @@ def _many_component_stream(seed, n_worlds=9, truths_per_item=1):
         )
         base.extend(world_base)
         streams.append(world_deltas)
+    # A subject with an item in every component.  The first
+    # component begins before it (at "a/anchor") and holds its last
+    # predicate, so its truths order is not its sorted order.
+    base.append(_scored("a/anchor", "attr", "anchor", "w0/source00"))
+    for index in range(n_worlds):
+        base.append(
+            _scored(
+                "m/spanning", f"attr{n_worlds - index}", f"v{index}",
+                f"w{index}/source00",
+            )
+        )
     seeded = [
         ("seeded", stream[part]) for part in range(2) for stream in streams
     ]
@@ -233,6 +280,10 @@ def _many_component_stream(seed, n_worlds=9, truths_per_item=1):
                 f"w{world}/dissent-source", "dissent",
             )
         )
+    # A new predicate of the spanning subject, in one component.
+    spanned = _scored(
+        "m/spanning", "attr0", "late", f"w{rng.randrange(n_worlds)}/source01"
+    )
 
     scripted = [
         ("merge", ClaimDelta(added=[bridge])),
@@ -265,6 +316,8 @@ def _many_component_stream(seed, n_worlds=9, truths_per_item=1):
         ),
         ("second-extractor", ClaimDelta(added=[second])),
         ("second-extractor-gone", ClaimDelta(retracted=[second.triple])),
+        ("spanning-item-added", ClaimDelta(added=[spanned])),
+        ("spanning-item-gone", ClaimDelta(retracted=[spanned.triple])),
         ("weight-shift", ClaimDelta(added=shift)),
         # The same shapes again, now under non-trivial weights.
         ("merge", ClaimDelta(added=[bridge])),
@@ -337,6 +390,7 @@ def _replay_against_whole_store(
     )
     oracle.prime()
     assert list(engine.result.truths) == list(oracle.result.truths)
+    _assert_reads_match_the_oracle(engine, f"seed {seed}: prime")
 
     # Items digested per delta: all of them on the weight-shift path.
     digested = []
@@ -370,6 +424,7 @@ def _replay_against_whole_store(
         assert list(engine.claims) == list(
             canonical_claims(engine.store)
         ), where
+        _assert_reads_match_the_oracle(engine, where)
 
         cold_store = TripleStore()
         cold_store.add_all(engine.store.claims())
@@ -416,7 +471,8 @@ def _replay_against_whole_store(
     assert seen >= {
         "seeded", "merge", "split", "new-component", "last-claim",
         "refresh", "noop", "item-emptied", "second-extractor",
-        "second-extractor-gone", "weight-shift",
+        "second-extractor-gone", "spanning-item-added",
+        "spanning-item-gone", "weight-shift",
     }
     # The constraint rebound verdicts the overlay had to carry.
     assert (rebound > 0) == (functional_of is not None)

@@ -495,6 +495,76 @@ class TestCorruptStringTablesAreRefused:
             backend.close()
 
 
+def _tombstoned_store(directory):
+    """A closed two-segment store whose second segment holds one
+    tombstone, of ``CORPUS[0]`` (held by the first), and the name of
+    that second segment."""
+    backend = SegmentBackend(directory, memtable_limit=100)
+    backend.add_all(CORPUS[:3])
+    backend.flush()
+    backend.remove(CORPUS[0].triple)
+    backend.add_all(CORPUS[3:])
+    backend.flush()
+    backend.close()
+    names = json.loads((directory / "MANIFEST.json").read_text())
+    return directory / names["segments"][-1]
+
+
+def test_reopening_decodes_no_table_for_a_tombstone(tmp_path):
+    """A tombstone's strings are read entry by entry at open: no reader
+    decodes its predicates or lexicals table until a read needs it."""
+    directory = tmp_path / "s"
+    second = _tombstoned_store(directory)
+    backend = SegmentBackend(directory)
+    try:
+        readers = backend._segments
+        assert [reader.path for reader in readers][-1] == second
+        assert readers[-1].n_tombs == 1
+        for reader in readers:
+            assert not {"predicates", "lexicals"} & set(vars(reader))
+        assert CORPUS[0].triple in backend._tomb
+        assert not backend.contains_triple(CORPUS[0].triple)
+        assert backend.count_for_item("france", "capital") == 1
+    finally:
+        backend.close()
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd"
+)
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda ends, i: ends[:i + 1] + [ends[-1] + 8] + ends[i + 2:],
+        lambda ends, i: ends[:i] + [ends[i + 1] + 1] + ends[i + 1:],
+    ],
+    ids=["end-past", "decreasing"],
+)
+def test_a_corrupt_tombstone_entry_is_refused_at_open(tmp_path, edit):
+    """The offsets of the entry a tombstone names are checked before it
+    is read: a bad one refuses the open, the segments already opened
+    unmapped."""
+    directory = tmp_path / "s"
+    second = _tombstoned_store(directory)
+    reader = SegmentReader(second)
+    lexical = reader.tomb_lexical[0]
+    utf8 = bytes(reader.lexicals_utf8)
+    count = len(reader.lexicals_end) - 1
+    reader.close()
+    blob = second.read_bytes()
+    second.write_bytes(
+        _offsets(utf8, count, lambda ends: edit(ends, lexical))(blob)
+    )
+    kept = []
+    before = _open_descriptors()
+    for _ in range(5):
+        with pytest.raises(StoreError, match="corrupt lexicals table") as info:
+            SegmentBackend(directory)
+        assert str(second) in str(info.value)
+        kept.append(info.value)
+    assert _open_descriptors() == before
+
+
 def _listing(*extra):
     """A manifest edit: the good segment list plus ``extra`` names."""
     return lambda good: {**good, "segments": good["segments"] + list(extra)}
