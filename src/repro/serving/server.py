@@ -4,7 +4,7 @@
 the single writer of a :class:`VersionedKB`.  One :meth:`step`
 processes one event end to end:
 
-1. **deliver** — read the event at the group's committed offset
+1. **deliver** — read the event at the log's committed offset
    (``stream:deliver`` fault point).  Reading does not advance
    anything, so a crash here costs nothing but a redelivery.
 2. **fence check** — if the event id is already in the committed
@@ -12,14 +12,24 @@ processes one event end to end:
    skip the apply entirely and just acknowledge the offset.  This is
    what makes at-least-once delivery *exactly-once application*: both
    publisher retries (same id, two offsets) and post-commit crash
-   redelivery (same offset re-read) land here.
+   redelivery (same offset re-read) land here.  The fence is a
+   window: the ids of the last ``2 × capacity`` fenced events, oldest
+   first.  That covers every event the log can still deliver twice —
+   the log retains its committed prefix (kept shorter than the
+   backlog) and the backlog (at most ``capacity``) — so a duplicate
+   the log still holds beside its original is skipped whatever
+   compaction did; a duplicate published more than ``2 × capacity``
+   fenced events after its original is a new event.
 3. **apply** — journal the delta through the incremental engine as
    one guarded step, :meth:`~repro.faults.RetryPolicy.call`
    (``stream:apply``, attempt-aware), with no deadline: an apply that
    finished has committed, and running it again would apply it twice.
    A failure whose engine sequence advanced anyway crashed *after* the
    engine's internal commit point — the delta is in; treat it as
-   applied, never re-apply.  A failure
+   applied, never re-apply.  An engine already ahead of the served
+   version at delivery holds the delivered delta (a crash at
+   ``stream:commit`` kept its version from committing), so the step
+   skips the apply and commits the engine's state.  A failure
    that exhausts the budget is a **poison delta**: it is diverted into
    the :class:`~repro.core.quarantine.Quarantine` dead-letter hold
    (listable, inspectable, re-enqueuable exactly once via
@@ -27,17 +37,18 @@ processes one event end to end:
    the consumer moves on — ingest failure degrades, never stops,
    serving.
 4. **commit** — build the successor :class:`KBVersion` (store, result
-   and read index, fence ∪ {id}, offset+1) and install it with the single-rebind
+   and read index, the fence window plus the id, offset+1) and install
+   it with the single-rebind
    commit (``stream:commit`` fires before, ``stream:post-commit``
    after).  A crash before the rebind leaves reads fully pre-delta; a
    crash after it, before the offset ack, is healed by the fence on
    redelivery.
 
-Re-applying a delta after a crash between the engine's commit and the
-serving commit is content-idempotent: retractions of absent triples
-are no-ops, re-added claims deduplicate, and fused verdicts are a pure
-function of store content — so the healed run is byte-identical to a
-fault-free one (the chaos suite pins this).
+A crash between the engine's commit and the serving commit therefore
+costs one redelivery that commits what the engine already holds: the
+healed run is byte-identical to a fault-free one (the chaos suite pins
+this), and no fault on the redelivered apply can park a delta whose
+effects the engine has, which the next applied delta would serve.
 
 Degradation is observable, never silent: the obs registry carries
 ``serving_version`` / ``serving_lag_events`` / ``serving_degraded``
@@ -58,7 +69,7 @@ from dataclasses import dataclass
 
 from repro.core.quarantine import Quarantine
 from repro.errors import BackpressureError, RetryExhaustedError, ServingError
-from repro.faults import RetryPolicy, fire
+from repro.faults import AttemptRecord, RetryPolicy, fire
 from repro.incremental.delta import ClaimDelta
 from repro.serving.query import KBReader
 from repro.serving.stream import EventLog, StreamEvent
@@ -114,9 +125,7 @@ class KBServer:
         engine,
         log: EventLog | None = None,
         *,
-        group: str = "serving",
         retry: RetryPolicy | None = None,
-        quarantine: Quarantine | None = None,
         metrics=None,
         fault_plan=None,
     ) -> None:
@@ -128,12 +137,9 @@ class KBServer:
         self.engine = engine
         self.metrics = metrics
         self.fault_plan = fault_plan
-        self.group = group
         self.log = log if log is not None else EventLog(metrics=metrics)
         self.retry = retry if retry is not None else RetryPolicy()
-        self.quarantine = (
-            quarantine if quarantine is not None else Quarantine()
-        )
+        self.quarantine = Quarantine()
         self.versions = VersionedKB(
             KBVersion(
                 version_id=0,
@@ -147,10 +153,6 @@ class KBServer:
         )
         self._degraded = False
         self._poisoned = 0
-        # Log base the fence was last aged against; re-age lazily only
-        # when compaction has advanced it.
-        self._fence_base = self.log.base
-        self.log.register(group, offset=0)
         self._publish_gauges()
 
     # -- producer convenience ------------------------------------------
@@ -161,7 +163,7 @@ class KBServer:
     # -- read side -----------------------------------------------------
     def reader(self) -> KBReader:
         """A reader pinned to the current committed version."""
-        return KBReader(self.versions.pin(), metrics=self.metrics)
+        return KBReader(self.versions.current, metrics=self.metrics)
 
     def status(self) -> ServingStatus:
         """Current serving/ingest health (also refreshes the gauges)."""
@@ -170,11 +172,11 @@ class KBServer:
         return ServingStatus(
             version_id=version.version_id,
             sequence=version.sequence,
-            committed_offset=self.log.committed(self.group),
+            committed_offset=self.log.committed,
             head_offset=self.log.head,
-            lag_events=self.log.lag(self.group),
+            lag_events=self.log.lag,
             # One commit per fenced (applied or poisoned) event; the
-            # fence itself ages with log compaction.
+            # fence itself keeps only its window.
             applied_events=version.version_id,
             degraded=self._degraded,
             poisoned=self._poisoned,
@@ -191,7 +193,7 @@ class KBServer:
         chaos tests use this to kill the consumer at each stage); the
         served state is consistent at every such point.
         """
-        event = self.log.next_event(self.group)
+        event = self.log.next_event()
         if event is None:
             self._publish_gauges()
             return None
@@ -202,7 +204,7 @@ class KBServer:
         if event.event_id in version.applied:
             # Dedup fence hit: effects already committed (publisher
             # duplicate, or redelivery after a post-commit crash).
-            self.log.commit_offset(self.group, event.offset + 1)
+            self.log.commit_offset(event.offset + 1)
             self._count("stream_duplicates_skipped_total")
             self._publish_gauges()
             return StepOutcome(
@@ -214,24 +216,34 @@ class KBServer:
                 wall_seconds=time.perf_counter() - started + injected,
             )
 
-        # No deadline: an apply that finished has committed, and running
-        # it again would apply the delta twice.
-        failure = None
-        try:
-            _, record = dataclasses.replace(self.retry, timeout=None).call(
-                "stream:apply",
-                event.offset,
-                lambda: self._apply(event.delta),
-                plan=self.fault_plan,
-            )
-        except RetryExhaustedError as exhausted:
-            record = exhausted.record
-            cause = exhausted.__cause__
-            failure = f"{type(cause).__name__}: {cause}"
+        failure, record = None, AttemptRecord(attempts=1)
+        # An engine ahead of the served version already holds this
+        # delta: a crash at ``stream:commit`` kept its version from
+        # committing.  It is in; applying or poisoning it again would
+        # not undo that.
+        if self.engine.sequence == version.sequence:
+            # No deadline: an apply that finished has committed, and
+            # running it again would apply the delta twice.
+            retry = dataclasses.replace(self.retry, timeout=None)
+            try:
+                _, record = retry.call(
+                    "stream:apply",
+                    event.offset,
+                    lambda: self._apply(event.delta),
+                    plan=self.fault_plan,
+                )
+            except RetryExhaustedError as exhausted:
+                record = exhausted.record
+                cause = exhausted.__cause__
+                failure = f"{type(cause).__name__}: {cause}"
         injected += record.injected_seconds
 
         injected += fire(self.fault_plan, "stream:commit", event.offset)
-        fence = self._aged_fence(version) | {event.event_id}
+        # The fence window: every offset the log can still deliver lies
+        # within 2 x capacity fenced events of the newest.
+        fence = version.applied[1 - 2 * self.log.capacity:] + (
+            event.event_id,
+        )
         if failure is None:
             successor = KBVersion(
                 version_id=version.version_id + 1,
@@ -268,7 +280,7 @@ class KBServer:
             self._poisoned += 1
         self.versions.commit(successor)
         injected += fire(self.fault_plan, "stream:post-commit", event.offset)
-        self.log.commit_offset(self.group, event.offset + 1)
+        self.log.commit_offset(event.offset + 1)
 
         wall = time.perf_counter() - started + injected
         action = "applied" if failure is None else "poisoned"
@@ -334,27 +346,6 @@ class KBServer:
         return events
 
     # -- internals -----------------------------------------------------
-    def _aged_fence(self, version: KBVersion) -> frozenset[str]:
-        """The committed fence minus ids the log can never deliver again.
-
-        An id only earns its place in the fence while the log retains
-        an occurrence of it (a publisher duplicate or crash redelivery
-        still to come); once compaction drops the last occurrence the
-        entry is dead weight, and without aging a long-lived server's
-        fence grows one id per event forever.  Aging is lazy: steady
-        state pays one integer compare, and the full filter runs only
-        when compaction has advanced the log base since the last check.
-        """
-        base = self.log.base
-        if base == self._fence_base:
-            return version.applied
-        self._fence_base = base
-        return frozenset(
-            event_id
-            for event_id in version.applied
-            if self.log.has_id(event_id)
-        )
-
     def _apply(self, delta: ClaimDelta) -> None:
         """Journal ``delta`` through the engine.
 
@@ -380,6 +371,6 @@ class KBServer:
         gauge = self.metrics.gauge
         gauge("serving_version").set(version.version_id)
         gauge("serving_sequence").set(version.sequence)
-        gauge("serving_lag_events").set(self.log.lag(self.group))
+        gauge("serving_lag_events").set(self.log.lag)
         gauge("serving_degraded").set(1.0 if self._degraded else 0.0)
         gauge("serving_fused_items").set(len(version.result.truths))

@@ -7,8 +7,9 @@ else*:
 
 * **Per-tenant stack** — every tenant owns a full
   ``engine → EventLog → KBServer → VersionedKB`` chain
-  (:class:`TenantRuntime`).  No log, quarantine, fence, or version
-  object is shared, so there is no cross-tenant state to corrupt.
+  (:class:`TenantRuntime`), and the tenant's server is its log's one
+  consumer.  No log, quarantine, fence, or version object is shared,
+  so there is no cross-tenant state to corrupt.
 * **Per-tenant metrics** — each stack writes through a
   :meth:`~repro.obs.metrics.MetricsRegistry.labeled` view, stamping
   ``tenant=<name>`` on every ``stream_*`` / ``serving_*`` series in
@@ -43,7 +44,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.checkpoint import CheckpointStore
-from repro.core.quarantine import Quarantine
 from repro.errors import BackpressureError, ServingError
 from repro.evalx.freshness import freshness_report, truth_metrics
 from repro.evalx.tables import format_ratio, render_table
@@ -70,6 +70,9 @@ __all__ = [
 # Events one tenant may consume per fair-share turn, after its one
 # publish: two against one, so a backlog shrinks every turn.
 STEPS_PER_TURN = 2
+
+# Fusion rounds of every tenant's engine.
+MAX_ITERATIONS = 8
 
 
 def tenant_fingerprint(spec: TenantSpec) -> str:
@@ -105,7 +108,6 @@ class TenantRuntime:
         retry: RetryPolicy | None = None,
         fault_plan=None,
         checkpoint_dir: str | Path | None = None,
-        max_iterations: int = 8,
     ) -> None:
         self.workload = workload
         self.name = workload.spec.name
@@ -114,7 +116,7 @@ class TenantRuntime:
         store.add_all(workload.base)
         fusion = KnowledgeFusion(
             tolerance=0.0,
-            max_iterations=max_iterations,
+            max_iterations=MAX_ITERATIONS,
             metrics=metrics,
             fault_plan=fault_plan,
         )
@@ -122,8 +124,7 @@ class TenantRuntime:
         self.server = KBServer(
             engine,
             EventLog(capacity, metrics=metrics),
-            retry=retry if retry is not None else RetryPolicy(),
-            quarantine=Quarantine(),
+            retry=retry,
             metrics=metrics,
             fault_plan=fault_plan,
         )
@@ -152,7 +153,7 @@ class TenantRuntime:
         """Nothing left to publish and the log is fully consumed."""
         return (
             self._next_publish >= len(self.pending)
-            and self.server.log.lag(self.server.group) == 0
+            and self.server.log.lag == 0
         )
 
     def pump(self) -> bool:
@@ -374,21 +375,6 @@ class TenantManager:
         runtime = self.tenants.get(name)
         if runtime is None:
             raise ServingError(f"unknown tenant {name!r}")
-        return runtime
-
-    def decommission(self, name: str) -> TenantRuntime:
-        """Remove a tenant from the drain loop (its stack survives).
-
-        The runtime is returned so a caller can still read its final
-        versions; it simply stops receiving fair-share turns.  With
-        per-tenant logs nothing else needs releasing — contrast
-        :meth:`EventLog.unregister`, which exists for the
-        shared-log topology.
-        """
-        runtime = self.tenant(name)
-        del self.tenants[name]
-        if self.metrics is not None:
-            self.metrics.gauge("tenant_count").set(len(self.tenants))
         return runtime
 
     def drain_fair(self, *, max_rounds: int | None = None) -> int:

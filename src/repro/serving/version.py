@@ -27,16 +27,21 @@ it primes and patches a copy of it over each delta's region
 version holds, so a version carries its engine state's index by
 reference and a reader pinned to it reads it as built.  A poisoned
 delta's successor carries its predecessor's index object with its
-result.
+result.  A version is always handed its index; nothing here builds
+one.
+
+The dedup fence is a tuple, oldest id first, that the server trims to
+its window (:mod:`repro.serving.server`); it is part of the version so
+that the fence, the consumed offset and the served state commit as one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ServingError
 from repro.fusion.base import FusionResult
-from repro.fusion.readindex import ReadIndex, patched
+from repro.fusion.readindex import ReadIndex
 from repro.rdf.store import TripleStore
 
 __all__ = ["KBVersion", "VersionedKB"]
@@ -48,28 +53,24 @@ class KBVersion:
 
     ``version_id`` counts commits (0 is the primed base corpus);
     ``sequence`` is the incremental engine's delta counter for this
-    state.  ``applied`` is the dedup fence: the event ids whose deltas
-    are folded into this version — redelivered or duplicate-published
-    events whose id is in the fence are skipped, never re-applied.
+    state.  ``read_index`` is the ranking and predicate index of
+    ``result`` that :class:`~repro.serving.query.KBReader` reads.
+    ``applied`` is the dedup fence: the ids of the most recently
+    fenced events, oldest first — redelivered or duplicate-published
+    events whose id is in it are skipped, never re-applied.
     ``offset`` is the next event-log offset this version expects,
     so a restarted consumer resumes exactly where the committed state
-    left off.  ``read_index`` is the ranking and predicate index of
-    ``result`` that :class:`~repro.serving.query.KBReader` reads; a
-    version built without one builds it cold from ``result``.
+    left off.
     """
 
     version_id: int
     sequence: int
     store: TripleStore
     result: FusionResult
+    read_index: ReadIndex
     offset: int = 0
-    applied: frozenset[str] = field(default_factory=frozenset)
+    applied: tuple[str, ...] = ()
     label: str = ""
-    read_index: ReadIndex | None = None
-
-    def __post_init__(self) -> None:
-        if self.read_index is None:
-            object.__setattr__(self, "read_index", patched(None, self.result))
 
     def canonical_bytes(self) -> bytes:
         """Canonical serialization of the served verdicts.
@@ -95,7 +96,7 @@ class KBVersion:
 class VersionedKB:
     """The atomically-swapped current-version handle.
 
-    ``pin()`` hands out the current :class:`KBVersion`; ``commit()``
+    ``current`` is the committed :class:`KBVersion`; ``commit()``
     installs a successor with one attribute rebind.  Commits must be
     monotonic in ``version_id`` — the serving consumer is the single
     writer, and a stale commit (e.g. from a logic bug resurrecting an
@@ -106,24 +107,14 @@ class VersionedKB:
         if initial.version_id < 0:
             raise ServingError("initial version_id must be >= 0")
         self._current = initial
-        self._commits = 0
 
     @property
     def current(self) -> KBVersion:
-        """The most recently committed version (not pinned — live)."""
-        return self._current
-
-    @property
-    def commits(self) -> int:
-        """How many successor versions have been committed."""
-        return self._commits
-
-    def pin(self) -> KBVersion:
-        """Pin the current version for torn-free reads.
+        """The most recently committed version.
 
         The returned object is frozen and its store is never mutated
-        (copy-on-write discipline), so the pin stays valid forever —
-        staleness, not corruption, is the only cost of holding it.
+        (copy-on-write discipline), so holding it pins it: it stays
+        valid forever — staleness, not corruption, is the only cost.
         """
         return self._current
 
@@ -142,5 +133,4 @@ class VersionedKB:
         # The commit point: everything before this line is invisible
         # to readers, everything after is fully visible.
         self._current = version
-        self._commits += 1
         return version

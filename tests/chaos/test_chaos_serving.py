@@ -26,11 +26,11 @@ import pytest
 from repro.errors import BackpressureError
 from repro.faults import FaultPlan, InjectedFault, RetryPolicy
 from repro.fusion.knowledge_fusion import KnowledgeFusion
-from repro.incremental import canonical_claims
+from repro.incremental import ClaimDelta, canonical_claims
 from repro.incremental import engine as engine_mod
 from repro.obs.metrics import MetricsRegistry
 from repro.rdf.store import TripleStore
-from repro.rdf.triple import Provenance, ScoredTriple, Triple
+from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 from repro.serving.server import KBServer
 from repro.serving.stream import EventLog
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
@@ -210,7 +210,7 @@ class TestConsumerCrashes:
         assert actions == ["skipped", "applied"]
         assert server.versions.current.canonical_bytes() == REFERENCE
 
-    def test_commit_crash_redelivery_reapplies_idempotently(self):
+    def test_commit_crash_redelivery_commits_the_engines_apply(self):
         plan = FaultPlan(seed=5).crash("stream:commit", index=1)
         server, deltas = make_server(stream_plan=plan)
         for delta in deltas:
@@ -222,9 +222,27 @@ class TestConsumerCrashes:
         assert server.versions.current.version_id == 1
         server.fault_plan = None
         actions = [outcome.action for outcome in server.drain()]
-        # Redelivery misses the fence and re-applies; content
-        # idempotence makes the double engine-apply harmless.
+        # Redelivery misses the fence and finds the engine ahead: it
+        # commits the engine's apply instead of applying again.
         assert actions == ["applied", "applied"]
+        assert server.engine.sequence == len(deltas)
+        assert server.versions.current.canonical_bytes() == REFERENCE
+
+    def test_a_failing_redelivery_after_a_commit_crash_is_not_parked(self):
+        # Regression: the redelivered apply used to run again, and when
+        # it exhausted its retries the delta was parked as poison while
+        # the engine held it, so the next applied delta served it.
+        plan = FaultPlan(seed=5).crash("stream:commit", index=1)
+        server, deltas = make_server(stream_plan=plan)
+        for delta in deltas:
+            server.publish(delta)
+        with pytest.raises(InjectedFault):
+            server.drain()
+        server.fault_plan = FaultPlan(seed=5).crash(
+            "stream:apply", index=1, attempts=0
+        )
+        assert [o.action for o in server.drain()] == ["applied", "applied"]
+        assert server.status().quarantined_held == 0
         assert server.versions.current.canonical_bytes() == REFERENCE
 
 
@@ -444,6 +462,42 @@ class TestDeliveryDuplicates:
         assert actions == ["applied", "applied", "applied", "skipped"]
         assert server.engine.sequence == len(deltas)
         assert server.versions.current.canonical_bytes() == REFERENCE
+
+    def test_a_retry_published_after_its_original_compacted_is_skipped(
+        self,
+    ):
+        # Regression: the fence used to forget an id once the log had
+        # compacted every occurrence of it, so a producer retry of D
+        # published after D was drained re-applied D, retracting the
+        # claim a later delta had re-added.
+        def claim(subject, value, source):
+            return ScoredTriple(
+                Triple(subject, "p", Value(value)),
+                Provenance(source, "ex"),
+                0.8,
+            )
+
+        store = TripleStore()
+        store.add_all([claim("a", "1", "s1"), claim("c", "3", "s1")])
+        server = KBServer(
+            KnowledgeFusion(tolerance=0.0, max_iterations=8)
+            .begin_incremental(store)
+        )
+        retract = ClaimDelta(
+            added=[claim("c", "4", "s1")],
+            retracted=[Triple("a", "p", Value("1"))],
+            label="D",
+        )
+        readd = ClaimDelta(added=[claim("a", "1", "s1")], label="D2")
+        actions = []
+        for delta in (retract, readd, retract):
+            server.publish(delta)
+            actions += [outcome.action for outcome in server.drain()]
+
+        assert actions == ["applied", "applied", "skipped"]
+        assert server.log.base == 3  # D's first occurrence compacted
+        store = server.versions.current.store
+        assert len(store.claims_for_item("a", "p")) == 1
 
 
 class TestBackpressure:
@@ -698,27 +752,25 @@ class TestCompaction:
             assert server.versions.current.canonical_bytes() == REFERENCE
             assert server.status().applied_events == len(deltas)
 
-    def test_fence_ages_to_ids_the_log_still_retains(self):
-        # Without aging the fence grows one id per event forever; with
-        # it, ids whose every occurrence compacted away are dropped —
-        # they can never be delivered again.
-        server, deltas = make_server(capacity=1)
-        for delta in deltas:
-            server.publish(delta)
-            server.drain()
-        current = server.versions.current
-        assert current.version_id == len(deltas)
-        # Each step ages everything the previous compactions dropped,
-        # then fences the event it just applied — at capacity=1 that
-        # leaves exactly one id, not one per event forever.  (Aging is
-        # lazy: the newest id survives until the *next* step even
-        # though its own commit already compacted it.)
-        assert len(current.applied) == 1
-        # The lifetime statistic survives aging.
-        assert server.status().applied_events == len(deltas)
+    def test_fence_keeps_a_window_of_twice_the_capacity(self):
+        # The fence holds the ids of the last 2 x capacity fenced
+        # events, oldest first, not one id per event forever.
+        for capacity in (1, 2):
+            server, deltas = make_server(capacity=capacity)
+            published = []
+            for delta in deltas:
+                published.append(server.publish(delta).event_id)
+                server.drain()
+            current = server.versions.current
+            assert current.version_id == len(deltas)
+            window = min(current.version_id, 2 * capacity)
+            assert len(current.applied) == window
+            assert current.applied == tuple(published[-window:])
+            # The lifetime statistic is the version count, not the fence.
+            assert server.status().applied_events == len(deltas)
 
     def test_redelivery_before_compaction_still_hits_the_fence(self):
-        # Aging must never drop an id the log can still deliver: a
+        # The window must never drop an id the log can still deliver: a
         # post-commit crash leaves the event retained (uncommitted),
         # so redelivery finds it fenced even at capacity=1.
         plan = FaultPlan(seed=5).crash("stream:post-commit", index=1)

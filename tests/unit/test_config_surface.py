@@ -136,9 +136,7 @@ SRC_KEYWORD_ONLY = {
         "memtable_limit", "compact_threshold", "metrics", "fault_plan",
     },
     "repro.serving.query.KBReader": {"metrics"},
-    "repro.serving.server.KBServer": {
-        "group", "retry", "quarantine", "metrics", "fault_plan",
-    },
+    "repro.serving.server.KBServer": {"retry", "metrics", "fault_plan"},
     "repro.serving.stream.EventLog": {"metrics"},
     "repro.serving.tenancy.TenantManager": {
         "metrics", "capacity", "retry", "fault_plans", "checkpoint_root",
@@ -146,7 +144,6 @@ SRC_KEYWORD_ONLY = {
     },
     "repro.serving.tenancy.TenantRuntime": {
         "metrics", "capacity", "retry", "fault_plan", "checkpoint_dir",
-        "max_iterations",
     },
     "repro.textproc.memo.memoized_pair": {"max_size", "symmetric"},
     "repro.textproc.normalize.is_probable_misspelling": {"normalized"},

@@ -23,6 +23,7 @@ from repro.rdf.segments import (
     build_segment_bytes,
 )
 from repro.fusion.base import FusionResult
+from repro.fusion.readindex import patched
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 from repro.serving.query import KBReader
@@ -904,6 +905,7 @@ class TestReadsCostTheAnswer:
         reader = KBReader(KBVersion(
             version_id=0, sequence=0, store=store,
             result=FusionResult(method="none"),
+            read_index=patched(None, FusionResult(method="none")),
         ))
 
         def rows_of(subject, predicate=None):
@@ -1084,6 +1086,7 @@ def test_an_item_nothing_shadows_is_read_without_a_fold(tmp_path, read_work):
     reader = KBReader(KBVersion(
         version_id=0, sequence=0, store=TripleStore(backend),
         result=FusionResult(method="none"),
+        read_index=patched(None, FusionResult(method="none")),
     ))
     memory = MemoryBackend()
     for one in corpus:

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ServingError
 from repro.fusion.base import FusionResult
 from repro.fusion.knowledge_fusion import KnowledgeFusion
+from repro.fusion.readindex import patched
 from repro.incremental import ClaimDelta, canonical_claims
 from repro.obs.metrics import LabeledRegistry, MetricsRegistry
 from repro.rdf.store import TripleStore
@@ -46,7 +47,8 @@ def build_version(corpus=CORPUS, version_id=0):
         canonical_claims(store)
     )
     return KBVersion(
-        version_id=version_id, sequence=0, store=store, result=result
+        version_id=version_id, sequence=0, store=store, result=result,
+        read_index=patched(None, result),
     )
 
 
@@ -58,16 +60,15 @@ def version():
 class TestVersionedKB:
     def test_pin_returns_the_committed_version(self, version):
         kb = VersionedKB(version)
-        assert kb.pin() is version
         assert kb.current is version
-        assert kb.commits == 0
+        assert kb.current.version_id == 0
 
     def test_commit_is_strictly_monotonic(self, version):
         kb = VersionedKB(version)
         successor = build_version(version_id=1)
         kb.commit(successor)
         assert kb.current is successor
-        assert kb.commits == 1
+        assert kb.current.version_id == 1
         with pytest.raises(ServingError):
             kb.commit(build_version(version_id=1))  # replayed commit
         with pytest.raises(ServingError):
@@ -75,10 +76,10 @@ class TestVersionedKB:
 
     def test_pinned_version_survives_later_commits(self, version):
         kb = VersionedKB(version)
-        pinned = kb.pin()
+        pinned = kb.current
         kb.commit(build_version(version_id=1))
         assert pinned is version
-        assert kb.pin() is not pinned
+        assert kb.current is not pinned
 
     def test_describe_is_json_shaped(self, version):
         summary = version.describe()
@@ -221,6 +222,7 @@ class TestFactView:
         )
         view = KBReader(KBVersion(
             version_id=0, sequence=0, store=TripleStore(), result=result,
+            read_index=patched(None, result),
         )).lookup(*item)
         assert view.values == ("breton", "french", "occitan")
         assert view.beliefs == {
@@ -362,7 +364,8 @@ class TestScanPredicateShortCircuit:
         store.match_calls = 0
         store.count_for_item_calls = 0
         return store, KBVersion(
-            version_id=0, sequence=0, store=store, result=result
+            version_id=0, sequence=0, store=store, result=result,
+            read_index=patched(None, result),
         )
 
     def test_limit_1_touches_one_subject(self):

@@ -1,4 +1,4 @@
-"""Unit tests for the serving event log (offsets, groups, backpressure)."""
+"""Unit tests for the serving event log (offsets, backpressure, compaction)."""
 
 import pytest
 
@@ -43,72 +43,38 @@ class TestOffsets:
         events = [log.append(delta(value=f"v{i}")) for i in range(4)]
         assert [event.offset for event in events] == [0, 1, 2, 3]
         assert log.head == 4
-        assert log.read(2) is events[2]
-
-    def test_read_out_of_range_raises(self):
-        log = EventLog()
-        log.append(delta())
-        with pytest.raises(ServingError):
-            log.read(1)
-        with pytest.raises(ServingError):
-            log.read(-1)
+        assert log.next_event() is events[0]
 
     def test_delivery_does_not_advance_only_commit_does(self):
         log = EventLog()
-        log.register("g")
         first = log.append(delta(value="a"))
         log.append(delta(value="b"))
         # Re-reading redelivers the same event: at-least-once.
-        assert log.next_event("g") is first
-        assert log.next_event("g") is first
-        assert log.lag("g") == 2
-        log.commit_offset("g", 1)
-        assert log.next_event("g").offset == 1
-        assert log.committed("g") == 1
+        assert log.next_event() is first
+        assert log.next_event() is first
+        assert log.lag == 2
+        log.commit_offset(1)
+        assert log.next_event().offset == 1
+        assert log.committed == 1
 
     def test_caught_up_group_gets_none(self):
         log = EventLog()
-        log.register("g")
-        assert log.next_event("g") is None
+        assert log.next_event() is None
 
     def test_commit_cannot_rewind_or_overrun(self):
         log = EventLog()
-        log.register("g")
         log.append(delta())
-        log.commit_offset("g", 1)
+        log.commit_offset(1)
         with pytest.raises(ServingError):
-            log.commit_offset("g", 0)  # rewind
+            log.commit_offset(0)  # rewind
         with pytest.raises(ServingError):
-            log.commit_offset("g", 2)  # past head
-
-
-class TestGroups:
-    def test_unknown_group_raises(self):
-        log = EventLog()
-        with pytest.raises(ServingError):
-            log.next_event("ghost")
-        with pytest.raises(ServingError):
-            log.lag("ghost")
-
-    def test_reregister_is_a_noop(self):
-        log = EventLog()
-        log.register("g")
-        log.append(delta())
-        log.commit_offset("g", 1)
-        log.register("g")  # reconnect must not reset durable progress
-        assert log.committed("g") == 1
-
-    def test_register_beyond_head_rejected(self):
-        log = EventLog()
-        with pytest.raises(ServingError):
-            log.register("g", offset=1)
+            log.commit_offset(2)  # past head
 
 
 class TestBackpressure:
     def test_backlog_bound_sheds_load_with_reason(self):
         metrics = MetricsRegistry()
         log = EventLog(capacity=2, metrics=metrics)
-        log.register("g")
         log.append(delta(value="a"))
         log.append(delta(value="b"))
         with pytest.raises(BackpressureError) as excinfo:
@@ -126,66 +92,10 @@ class TestBackpressure:
 
     def test_consumer_progress_relieves_backpressure(self):
         log = EventLog(capacity=2)
-        log.register("g")
         log.append(delta(value="a"))
         log.append(delta(value="b"))
-        log.commit_offset("g", 1)
+        log.commit_offset(1)
         assert log.append(delta(value="c")).offset == 2
-
-    def test_slowest_group_governs_the_bound(self):
-        log = EventLog(capacity=2)
-        log.register("fast")
-        log.register("slow")
-        log.append(delta(value="a"))
-        log.append(delta(value="b"))
-        log.commit_offset("fast", 2)
-        with pytest.raises(BackpressureError):
-            log.append(delta(value="c"))
-
-    def test_groupless_log_is_absolutely_capped(self):
-        log = EventLog(capacity=1)
-        log.append(delta(value="a"))
-        with pytest.raises(BackpressureError):
-            log.append(delta(value="b"))
-
-
-class TestUnregister:
-    def test_unregister_unknown_group_raises(self):
-        log = EventLog()
-        with pytest.raises(ServingError, match="unknown consumer group"):
-            log.unregister("ghost")
-
-    def test_dead_group_unwedges_append(self):
-        # Regression: a decommissioned consumer group that is never
-        # unregistered clamps slowest_committed() forever; once it lags
-        # `capacity` events every publish rejects even though the live
-        # consumers are fully caught up.
-        log = EventLog(capacity=2)
-        log.register("dead", offset=0)
-        log.register("live", offset=0)
-        log.append(delta(value="v1"))
-        log.append(delta(value="v2"))
-        log.commit_offset("live", 2)  # live fully caught up
-
-        with pytest.raises(BackpressureError):
-            log.append(delta(value="v3"))  # wedged by the dead group
-
-        log.unregister("dead")
-        event = log.append(delta(value="v3"))  # unwedged
-        assert event.offset == 2
-        assert log.lag("live") == 1
-
-    def test_unregister_releases_the_compaction_bound_too(self):
-        log = EventLog(capacity=8)
-        log.register("dead", offset=0)
-        log.register("live", offset=0)
-        for i in range(4):
-            log.append(delta(value=f"v{i}"))
-        log.commit_offset("live", 4)
-        assert log.base == 0  # dead group pins the committed prefix
-        log.unregister("dead")
-        log.commit_offset("live", 4)  # no-op commit triggers compaction
-        assert log.base == 4
 
 
 class TestCompaction:
@@ -195,73 +105,24 @@ class TestCompaction:
     def test_committed_prefix_compacts_behind_logical_offsets(self):
         metrics = MetricsRegistry()
         log = EventLog(capacity=1024, metrics=metrics)
-        log.register("g", offset=0)
-        self.fill(log, 4)
-        log.commit_offset("g", 3)
+        events = self.fill(log, 4)
+        log.commit_offset(3)
 
         assert log.base == 3  # 3 droppable of 4 buffered -> compacted
         assert log.head == 4  # logical offsets unaffected
-        assert log.lag("g") == 1
-        assert log.read(3).offset == 3  # retained suffix readable
+        assert log.lag == 1
+        assert log.next_event() is events[3]  # retained suffix delivered
         assert metrics.counter("stream_compacted_total").value == 3
 
-    def test_read_below_base_raises_like_never_written(self):
+    def test_compaction_drops_only_the_committed_prefix(self):
         log = EventLog()
-        log.register("g", offset=0)
-        self.fill(log, 4)
-        log.commit_offset("g", 4)
-        assert log.base == 4
-        for offset in (0, 3, 4):
-            with pytest.raises(ServingError, match="out of range"):
-                log.read(offset)
-
-    def test_compaction_waits_for_the_slowest_group(self):
-        log = EventLog()
-        log.register("fast", offset=0)
-        log.register("slow", offset=0)
-        self.fill(log, 4)
-        log.commit_offset("fast", 4)
-        assert log.base == 0  # slow still needs offset 0
-        log.commit_offset("slow", 2)
-        assert log.base == 2  # now only the uncommitted suffix is held
-
-    def test_groupless_log_never_compacts(self):
-        log = EventLog()
-        self.fill(log, 4)
-        assert log.compact() == 0
-        assert log.base == 0
-
-    def test_has_id_tracks_retained_occurrences(self):
-        log = EventLog()
-        log.register("g", offset=0)
-        first = log.append(delta(value="dup"))
-        log.append(delta(value="dup"))  # same content id, second offset
-        log.append(delta(value="other"))
-        assert log.has_id(first.event_id)
-
-        log.commit_offset("g", 1)
-        log.compact()  # drops one of the two occurrences
-        assert log.has_id(first.event_id)  # one occurrence retained
-
-        log.commit_offset("g", 3)
-        assert log.base == 3
-        assert not log.has_id(first.event_id)  # every occurrence gone
-
-    def test_register_below_base_is_rejected(self):
-        log = EventLog()
-        log.register("g", offset=0)
-        self.fill(log, 4)
-        log.commit_offset("g", 4)
-        assert log.base == 4
-        with pytest.raises(ServingError, match="retains"):
-            log.register("late", offset=2)
-
-    def test_slowest_committed_is_base_when_groupless(self):
-        # Regression: the docstring used to promise "head if none"
-        # while the code returned 0; the contract is the log's base.
-        log = EventLog()
-        log.register("g", offset=0)
-        self.fill(log, 4)
-        log.commit_offset("g", 4)
-        log.unregister("g")
-        assert log.slowest_committed() == log.base == 4
+        events = self.fill(log, 4)
+        assert log.compact() == 0  # nothing committed: nothing to drop
+        log.commit_offset(1)
+        assert log.base == 0  # 1 droppable of 4: not yet worth a sweep
+        assert log.compact() == 1  # an explicit compaction drops it
+        assert (log.base, log.head, log.committed) == (1, 4, 1)
+        assert log.next_event() is events[1]
+        log.commit_offset(4)
+        assert log.base == log.head == 4
+        assert log.next_event() is None

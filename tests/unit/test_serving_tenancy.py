@@ -60,16 +60,6 @@ class TestManagerBasics:
             current = manager.tenant(name).server.versions.current
             assert current.version_id == version_id
 
-    def test_decommission_removes_from_the_loop_only(self):
-        manager = TenantManager.from_mix(small_mix(n=2))
-        manager.drain_fair()
-        gone = manager.decommission("tenant00")
-        assert manager.names() == ["tenant01"]
-        # The stack survives for post-mortem reads.
-        assert gone.server.versions.current.version_id > 0
-        with pytest.raises(ServingError):
-            manager.tenant("tenant00")
-
 
 class TestPerTenantMetrics:
     def test_every_stream_series_carries_its_tenant_label(self):
