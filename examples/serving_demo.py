@@ -9,9 +9,10 @@ injecting every failure mode the serving layer is built for:
   fence skips it),
 * a **duplicate publish** (the producer "retried"; same content id,
   skipped),
-* a **poison delta** (parked in the dead-letter hold; serving keeps
-  answering, degraded, from the last good version; then re-enqueued
-  and applied exactly once).
+* a **poison delta** (parked with its reason in the server's
+  dead-letter list, ``server.parked``; serving keeps answering,
+  degraded, from the last good version; then re-enqueued and applied
+  exactly once).
 
 At the end the demo asserts the served verdicts are **byte-identical**
 to a straight batch run — one ``KnowledgeFusion.fuse`` over the whole
@@ -112,7 +113,8 @@ def main() -> int:
     )
     assert status.degraded and status.quarantined_held == 1
 
-    # The poison cause is gone: drain the dead-letter hold, reapply.
+    # The poison cause is gone: empty the server's dead-letter list
+    # (server.parked) and reapply.
     server.fault_plan = None
     requeued = server.requeue_quarantined()
     print(f"requeued {len(requeued)} dead-letter delta(s)")

@@ -80,16 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
         "recomputing (stale checkpoints are ignored)",
     )
     pipeline.add_argument(
-        "--storage-backend", choices=("memory", "segment"),
-        default="memory",
-        help="claim-store backend of the served KB: 'memory' keeps "
-        "claims in dicts, 'segment' spills them to mmapped LSM segment "
-        "files under --storage-dir (verdicts identical either way)",
-    )
-    pipeline.add_argument(
         "--storage-dir", metavar="DIR",
-        help="segment-file directory (required with "
-        "--storage-backend=segment)",
+        help="serve the KB from mmapped LSM segment files under DIR "
+        "instead of in-memory dicts (verdicts identical either way)",
     )
     pipeline.add_argument(
         "--memtable-limit", type=int, default=8192, metavar="N",
@@ -262,7 +255,6 @@ def _run_pipeline(args) -> int:
         stage_timeout=args.stage_timeout,
         min_sources=args.min_sources,
         checkpoint_dir=args.checkpoint_dir,
-        storage_backend=args.storage_backend,
         storage_dir=args.storage_dir,
         memtable_limit=args.memtable_limit,
     )

@@ -55,16 +55,13 @@ class PipelineConfig:
     checkpoint_dir: str | None = None
     # -- Storage --------------------------------------------------------
     # Claim-store backend behind the incremental engine's TripleStore:
-    # "memory" keeps the original dict-resident store; "segment" spills
-    # claims to mmapped LSM-style segment files under storage_dir, so
-    # the corpus is disk-bound instead of RAM-bound.  Fusion verdicts
-    # are byte-identical either way (fusion reads the claims in
-    # ClaimSet order, whatever order a backend holds them in).
-    storage_backend: str = "memory"
-    # Segment-file directory, required when storage_backend="segment".
-    # The directory is owned by the run lineage: reopening it primes
-    # from the last flushed state (adds of already-present claims
-    # deduplicate away).
+    # None keeps the dict-resident memory store; a directory spills
+    # claims to mmapped LSM-style segment files there, so the corpus is
+    # disk-bound instead of RAM-bound.  Fusion verdicts are
+    # byte-identical either way (fusion reads the claims in ClaimSet
+    # order, whatever order a backend holds them in).  The directory is
+    # owned by the run lineage: reopening it primes from the last
+    # flushed state (adds of already-present claims deduplicate away).
     storage_dir: str | None = None
     # Memtable entries that trigger an automatic segment flush.
     memtable_limit: int = 8192
@@ -75,14 +72,5 @@ class PipelineConfig:
             raise PipelineError("min_sources must be >= 0")
         if self.stage_timeout is not None and self.stage_timeout <= 0:
             raise PipelineError("stage_timeout must be positive")
-        if self.storage_backend not in ("memory", "segment"):
-            raise PipelineError(
-                "storage_backend must be 'memory' or 'segment', "
-                f"got {self.storage_backend!r}"
-            )
-        if self.storage_backend == "segment" and not self.storage_dir:
-            raise PipelineError(
-                "storage_backend='segment' requires storage_dir"
-            )
         if self.memtable_limit < 1:
             raise PipelineError("memtable_limit must be >= 1")

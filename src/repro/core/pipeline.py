@@ -871,19 +871,20 @@ class KnowledgeBaseConstructionPipeline:
     # Serving the built KB.
 
     def _build_claim_store(self):
-        """A :class:`TripleStore` on the configured storage backend.
+        """A :class:`TripleStore`: on segments when ``storage_dir`` is set.
 
-        ``"segment"`` opens (or creates) the LSM segment directory,
-        wiring this run's metrics registry and fault plan through to
-        the backend so ``storage_*`` metrics and the
+        A set ``storage_dir`` opens (or creates) the LSM segment
+        directory there, wiring this run's metrics registry and fault
+        plan through to the backend so ``storage_*`` metrics and the
         ``storage:flush``/``storage:compaction`` chaos scopes work
         end-to-end; delta journal writes then become memtable inserts
-        that flush to segments at ``memtable_limit``.
+        that flush to segments at ``memtable_limit``.  Without one the
+        store is the memory backend.
         """
         from repro.rdf.store import TripleStore
 
         cfg = self.config
-        if cfg.storage_backend == "segment":
+        if cfg.storage_dir:
             from repro.rdf.segments import SegmentBackend
 
             return TripleStore(

@@ -32,12 +32,9 @@ __all__ = ["Quarantine", "guard_records"]
 class Quarantine:
     """Bounded sink of diverted records with per-source accounting.
 
-    Diverting with ``retain=True`` additionally keeps the record
-    object itself in a per-source dead-letter hold, so a consumer can
-    later list (:meth:`held_items`), inspect, and re-enqueue
-    (:meth:`drain`) what was diverted — the serving layer parks
-    poison deltas here.  Draining pops: each held record comes back
-    exactly once.
+    It keeps counts and samples, never the records themselves: a
+    consumer that must hand a diverted item back (the KB server's
+    poison deltas) holds it itself.
     """
 
     capacity: int = 1000
@@ -45,18 +42,9 @@ class Quarantine:
     total: int = 0
     counts: dict[str, int] = field(default_factory=dict)
     samples: dict[str, list[str]] = field(default_factory=dict)
-    # source -> [(reason, record), ...] in diversion order; only
-    # retain=True diversions land here (bounded by ``capacity`` like
-    # everything else).
-    held: dict[str, list[tuple[str, object]]] = field(default_factory=dict)
 
     def divert(
-        self,
-        source: str,
-        record: object,
-        reason: str = "malformed",
-        *,
-        retain: bool = False,
+        self, source: str, record: object, reason: str = "malformed"
     ) -> None:
         """Record one bad record; raise when capacity would be exceeded.
 
@@ -77,65 +65,10 @@ class Quarantine:
         bucket = self.samples.setdefault(source, [])
         if len(bucket) < self.sample_limit:
             bucket.append(f"{reason}: {repr(record)[:160]}")
-        if retain:
-            self.held.setdefault(source, []).append((reason, record))
-
-    def held_items(
-        self, source: str | None = None
-    ) -> list[tuple[str, str, object]]:
-        """Non-destructive view of retained records.
-
-        Returns ``(source, reason, record)`` tuples in diversion order,
-        optionally restricted to one source.  Inspection never consumes
-        — only :meth:`drain` does.
-        """
-        sources = (
-            [source] if source is not None else sorted(self.held)
-        )
-        return [
-            (name, reason, record)
-            for name in sources
-            for reason, record in self.held.get(name, ())
-        ]
-
-    def drain(self, source: str) -> list[object]:
-        """Pop every retained record of one source (exactly once).
-
-        The per-source counts/samples stay — the quarantine still
-        reports that the diversions *happened* — but the records
-        themselves are handed back for re-enqueueing and a second
-        drain returns nothing.
-        """
-        return [record for _reason, record in self.drain_entries(source)]
-
-    def drain_entries(self, source: str) -> list[tuple[str, object]]:
-        """Like :meth:`drain` but keeps the ``(reason, record)`` pairs.
-
-        Callers that may have to :meth:`repark` a partially processed
-        drain need the reasons back intact.
-        """
-        return self.held.pop(source, [])
-
-    def repark(
-        self, source: str, entries: list[tuple[str, object]]
-    ) -> None:
-        """Return drained-but-unprocessed entries to the hold.
-
-        The inverse of :meth:`drain_entries` for the tail of a drain
-        that could not complete (e.g. a re-publish shed by
-        backpressure).  Entries go back *ahead of* anything diverted
-        meanwhile, preserving overall diversion order.  Counts and
-        totals are untouched: these records were accounted for when
-        first diverted, and re-parking is not a new failure.
-        """
-        if not entries:
-            return
-        hold = self.held.setdefault(source, [])
-        hold[:0] = entries
 
     def to_dict(self) -> dict:
         """JSON-ready snapshot (sorted for deterministic serialization)."""
-        snapshot = {
+        return {
             "total": self.total,
             "counts": dict(sorted(self.counts.items())),
             "samples": {
@@ -143,14 +76,6 @@ class Quarantine:
                 for source, examples in sorted(self.samples.items())
             },
         }
-        if self.held:
-            # Only when a dead-letter hold is in use, so batch-pipeline
-            # report bytes are unchanged for runs that never retain.
-            snapshot["held"] = {
-                source: len(entries)
-                for source, entries in sorted(self.held.items())
-            }
-        return snapshot
 
 
 def guard_records(

@@ -130,7 +130,7 @@ from __future__ import annotations
 import hashlib
 import time
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
@@ -148,11 +148,7 @@ from repro.fusion.sharding import (
     shard_claims,
 )
 from repro.incremental.delta import ClaimDelta
-from repro.incremental.journal import (
-    RECEIPT_TAIL,
-    DeltaJournal,
-    DeltaReceipt,
-)
+from repro.incremental.journal import DeltaJournal, DeltaReceipt
 from repro.rdf.store import TripleStore
 
 __all__ = [
@@ -447,8 +443,6 @@ class IncrementalFusion:
         self.functional_of = fusion.functional_of
         self.metrics = fusion.metrics
         self.fault_plan = fusion.fault_plan
-        # The last RECEIPT_TAIL receipts; ``sequence`` counts them all.
-        self.receipts: deque[DeltaReceipt] = deque(maxlen=RECEIPT_TAIL)
         self._initial_store = store
         self._state: _FusionState | None = None
 
@@ -543,7 +537,6 @@ class IncrementalFusion:
 
         # -- commit: one attribute rebind -------------------------------
         self._state = state
-        self.receipts.append(receipt)
 
         wall = time.perf_counter() - started + injected
         components = len(state.entries)

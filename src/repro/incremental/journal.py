@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 from repro.incremental.delta import ClaimDelta
 from repro.rdf.store import TripleStore
 
-__all__ = ["RECEIPT_TAIL", "DeltaJournal", "DeltaReceipt"]
-
-#: How many receipts the incremental engine keeps.  A receipt holds its
-#: delta's dirty-item and dirty-source sets, so an unbounded trail grows
-#: with every delta a long-lived server ever applied.
-RECEIPT_TAIL = 256
+__all__ = ["DeltaJournal", "DeltaReceipt"]
 
 Item = tuple[str, str]
 

@@ -30,12 +30,12 @@ processes one event end to end:
    version at delivery holds the delivered delta (a crash at
    ``stream:commit`` kept its version from committing), so the step
    skips the apply and commits the engine's state.  A failure
-   that exhausts the budget is a **poison delta**: it is diverted into
-   the :class:`~repro.core.quarantine.Quarantine` dead-letter hold
-   (listable, inspectable, re-enqueuable exactly once via
-   :meth:`requeue_quarantined`), fenced so redelivery skips it, and
-   the consumer moves on — ingest failure degrades, never stops,
-   serving.
+   that exhausts the budget is a **poison delta**: it is parked as
+   ``(reason, event)`` in the server's own dead-letter list
+   :attr:`KBServer.parked` (in diversion order, unbounded, re-enqueued
+   exactly once by :meth:`requeue_quarantined`), fenced so redelivery
+   skips it, and the consumer moves on — ingest failure degrades,
+   never stops, serving.
 4. **commit** — build the successor :class:`KBVersion` (store, result
    and read index, the fence window plus the id, offset+1) and install
    it with the single-rebind
@@ -57,7 +57,8 @@ stale version because ingest is failing" from "caught up".
 ``serving_degraded=1`` over a flat ``serving_version`` is the former:
 reads still answer, at most ``serving_lag_events`` + the poisoned
 deltas behind the head; look at ``stream_events_poisoned_total`` and
-``status().quarantined_held``, fix the cause, then
+``status().quarantined_held``, read each parked delta's reason in
+``server.parked``, fix the cause, then
 :meth:`KBServer.requeue_quarantined`.
 """
 
@@ -67,7 +68,6 @@ import dataclasses
 import time
 from dataclasses import dataclass
 
-from repro.core.quarantine import Quarantine
 from repro.errors import BackpressureError, RetryExhaustedError, ServingError
 from repro.faults import AttemptRecord, RetryPolicy, fire
 from repro.incremental.delta import ClaimDelta
@@ -76,10 +76,6 @@ from repro.serving.stream import EventLog, StreamEvent
 from repro.serving.version import KBVersion, VersionedKB
 
 __all__ = ["KBServer", "ServingStatus", "StepOutcome"]
-
-#: Quarantine source name for poison deltas.
-STREAM_SOURCE = "stream"
-
 
 @dataclass(frozen=True, slots=True)
 class StepOutcome:
@@ -139,7 +135,8 @@ class KBServer:
         self.fault_plan = fault_plan
         self.log = log if log is not None else EventLog(metrics=metrics)
         self.retry = retry if retry is not None else RetryPolicy()
-        self.quarantine = Quarantine()
+        # Poison deltas as (reason, event), in diversion order.
+        self.parked: list[tuple[str, StreamEvent]] = []
         self.versions = VersionedKB(
             KBVersion(
                 version_id=0,
@@ -175,14 +172,12 @@ class KBServer:
             committed_offset=self.log.committed,
             head_offset=self.log.head,
             lag_events=self.log.lag,
-            # One commit per fenced (applied or poisoned) event; the
-            # fence itself keeps only its window.
-            applied_events=version.version_id,
+            # Every fenced event, applied or poisoned, committed one
+            # version; the fence itself keeps only its window.
+            applied_events=version.version_id - self._poisoned,
             degraded=self._degraded,
             poisoned=self._poisoned,
-            quarantined_held=len(
-                self.quarantine.held.get(STREAM_SOURCE, ())
-            ),
+            quarantined_held=len(self.parked),
         )
 
     # -- consume side --------------------------------------------------
@@ -260,12 +255,7 @@ class KBServer:
             # Poison delta: park it, fence it, keep serving the last
             # good version.  The KB content is unchanged; the version
             # still advances so the fence/offset are committed state.
-            self.quarantine.divert(
-                STREAM_SOURCE,
-                event,
-                reason=f"poison-delta: {failure}",
-                retain=True,
-            )
+            self.parked.append((f"poison-delta: {failure}", event))
             successor = KBVersion(
                 version_id=version.version_id + 1,
                 sequence=version.sequence,
@@ -314,31 +304,27 @@ class KBServer:
     def requeue_quarantined(self) -> list[StreamEvent]:
         """Re-enqueue every parked poison delta (exactly once).
 
-        Drains the dead-letter hold — a second call republishes
-        nothing — and publishes each delta under a derived event id
-        (the original id is fenced, so reusing it would be skipped).
+        Empties :attr:`parked` — a second call republishes nothing —
+        and publishes each delta under a derived event id (the original
+        id is fenced, so reusing it would be skipped).
 
         A publish the log sheds (:class:`BackpressureError`) must not
         lose anything: the failed delta and every not-yet-published
-        one behind it are re-parked in the hold, in order, before the
-        error propagates (counted in ``stream_requeue_deferred_total``)
-        — the next call picks them up where this one stopped.
+        one behind it go back in front of :attr:`parked`, in order,
+        before the error propagates (counted in
+        ``stream_requeue_deferred_total``) — the next call picks them
+        up where this one stopped.
         """
         events: list[StreamEvent] = []
-        entries = self.quarantine.drain_entries(STREAM_SOURCE)
-        for position, (reason, item) in enumerate(entries):
-            if not isinstance(item, StreamEvent):
-                self.quarantine.repark(STREAM_SOURCE, entries[position:])
-                raise ServingError(
-                    f"unexpected dead-letter item: {type(item).__name__}"
-                )
+        entries, self.parked = self.parked, []
+        for position, (_reason, item) in enumerate(entries):
             try:
                 event = self.log.append(
                     item.delta, event_id=f"{item.event_id}#requeue"
                 )
             except BackpressureError:
                 deferred = entries[position:]
-                self.quarantine.repark(STREAM_SOURCE, deferred)
+                self.parked[:0] = deferred
                 self._count("stream_requeue_deferred_total", len(deferred))
                 raise
             events.append(event)

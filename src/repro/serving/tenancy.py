@@ -8,8 +8,8 @@ else*:
 * **Per-tenant stack** — every tenant owns a full
   ``engine → EventLog → KBServer → VersionedKB`` chain
   (:class:`TenantRuntime`), and the tenant's server is its log's one
-  consumer.  No log, quarantine, fence, or version object is shared,
-  so there is no cross-tenant state to corrupt.
+  consumer.  No log, dead-letter list, fence, or version object is
+  shared, so there is no cross-tenant state to corrupt.
 * **Per-tenant metrics** — each stack writes through a
   :meth:`~repro.obs.metrics.MetricsRegistry.labeled` view, stamping
   ``tenant=<name>`` on every ``stream_*`` / ``serving_*`` series in
@@ -50,7 +50,7 @@ from repro.evalx.tables import format_ratio, render_table
 from repro.faults import RetryPolicy
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.rdf.store import TripleStore
-from repro.serving.server import KBServer, STREAM_SOURCE
+from repro.serving.server import KBServer
 from repro.serving.stream import EventLog
 from repro.synth.tenants import (
     TenantMixConfig,
@@ -92,8 +92,8 @@ class TenantRuntime:
 
     Everything the stack touches is tenant-local: the engine and its
     store are primed on the tenant's own base corpus, the event log
-    and quarantine are fresh, and ``metrics`` is expected to be a
-    tenant-labeled view (the manager passes
+    and the server's dead-letter list are fresh, and ``metrics`` is
+    expected to be a tenant-labeled view (the manager passes
     ``registry.labeled(tenant=name)``).  ``fault_plan`` is the
     tenant's own chaos plan — fault state (burned attempts) is as
     private as everything else.
@@ -444,6 +444,7 @@ class TenantManager:
         spec = workload.spec
         server = runtime.server
         version = server.versions.current
+        status = server.status()
         decided = version.result.truths
         quality = truth_metrics(decided, workload.truth)
         row = TenantEvalRow(
@@ -453,12 +454,10 @@ class TenantManager:
             base_claims=len(workload.base),
             deltas=len(workload.deltas),
             published=runtime.published,
-            applied_events=server.status().applied_events,
+            applied_events=status.applied_events,
             version_id=version.version_id,
-            poisoned=server.status().poisoned,
-            quarantined_held=len(
-                server.quarantine.held.get(STREAM_SOURCE, ())
-            ),
+            poisoned=status.poisoned,
+            quarantined_held=status.quarantined_held,
             deferred_publishes=runtime.deferred_publishes,
             halted=runtime.halted,
             precision=quality.precision,

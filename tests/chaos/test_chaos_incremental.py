@@ -74,7 +74,6 @@ def test_pre_commit_crash_leaves_state_fully_pre_delta(scope):
 
     before_store = _store_signature(engine.store)
     before_bytes = engine.result.canonical_bytes()
-    before_receipts = len(engine.receipts)
 
     with pytest.raises(InjectedFault):
         engine.apply_delta(delta)
@@ -82,7 +81,6 @@ def test_pre_commit_crash_leaves_state_fully_pre_delta(scope):
     assert _store_signature(engine.store) == before_store
     assert engine.result.canonical_bytes() == before_bytes
     assert engine.sequence == 0
-    assert len(engine.receipts) == before_receipts
 
 
 def test_post_commit_crash_leaves_state_fully_post_delta():
@@ -93,9 +91,8 @@ def test_post_commit_crash_leaves_state_fully_post_delta():
     with pytest.raises(InjectedFault):
         engine.apply_delta(delta)
 
-    # The commit happened: store, sequence and receipts all moved.
+    # The commit happened: store and sequence both moved.
     assert engine.sequence == 1
-    assert len(engine.receipts) == 1
     added = delta.added[0].triple
     assert added in engine.store
     assert delta.retracted[0] not in engine.store
@@ -186,6 +183,5 @@ def test_a_component_task_that_never_succeeds_leaves_the_delta_unapplied():
 
     assert isinstance(excinfo.value.__cause__, InjectedFault)
     assert engine.sequence == 0
-    assert len(engine.receipts) == 0
     assert _store_signature(engine.store) == before_store
     assert engine.result.canonical_bytes() == before_bytes

@@ -421,6 +421,11 @@ class TestPoisonDeltas:
         assert status.poisoned == 1
         assert status.quarantined_held == 1
         assert status.lag_events == 0  # the consumer moved past it
+        # The parked delta is listed with its reason; listing is a read.
+        ((reason, event),) = server.parked
+        assert reason.startswith("poison-delta: InjectedFault")
+        assert event.offset == len(deltas) - 1
+        assert event.delta is deltas[-1]
         # Reads keep answering from the last good KB content.
         good = server.engine.result.canonical_bytes()
         assert server.reader().version.canonical_bytes() == good
@@ -450,6 +455,57 @@ class TestPoisonDeltas:
         assert server.versions.current.canonical_bytes() == REFERENCE
         # The dead-letter drain is exactly-once: nothing left to requeue.
         assert server.requeue_quarantined() == []
+
+    def test_applied_events_leaves_out_the_poisoned(self):
+        # Regression: applied_events was the version id, which a
+        # poisoned delta advances too.
+        server, deltas = make_server()
+        server.fault_plan = self.plan_for_last(deltas)
+        for delta in deltas:
+            server.publish(delta)
+        server.drain()
+        status = server.status()
+        assert (status.applied_events, status.poisoned) == (2, 1)
+
+        server.fault_plan = None
+        server.requeue_quarantined()
+        server.drain()
+        status = server.status()
+        assert (status.applied_events, status.poisoned) == (3, 1)
+
+    def poison_storm(self, count):
+        """A server whose every apply fails, fed ``count`` distinct
+        deltas and drained: each one is parked."""
+        server, _ = make_server(retry=RetryPolicy(max_attempts=1))
+        server.fault_plan = FaultPlan(seed=5).crash(
+            "stream:apply", index=None, attempts=0
+        )
+        for index in range(count):
+            server.publish(ClaimDelta(label=f"poison-{index}"))
+        outcomes = server.drain()
+        assert [outcome.action for outcome in outcomes] == [
+            "poisoned"
+        ] * count
+        return server
+
+    def test_a_thousand_and_first_poison_delta_is_parked(self):
+        # Regression: the hold shared the pipeline's record sink and its
+        # capacity of 1 000, which counted every diversion a server ever
+        # made, so the 1 001st poison delta raised QuarantineOverflowError
+        # inside step(), and so did every redelivery of it.
+        server = self.poison_storm(1001)
+        status = server.status()
+        assert status.quarantined_held == status.poisoned == 1001
+        assert status.lag_events == 0
+
+    def test_requeued_poison_deltas_park_again_under_the_same_fault(self):
+        server = self.poison_storm(1000)
+        assert len(server.requeue_quarantined()) == 1000
+        assert server.status().quarantined_held == 0
+        assert server.step().action == "poisoned"
+        status = server.status()
+        assert (status.quarantined_held, status.lag_events) == (1, 999)
+        assert status.poisoned == 1001
 
 
 class TestDeliveryDuplicates:
@@ -732,8 +788,12 @@ class TestRequeueBackpressure:
         server.publish(deltas[0])  # duplicate content: fills the log
         with pytest.raises(BackpressureError):
             server.requeue_quarantined()
-        held = server.quarantine.held_items("stream")
-        assert [event.offset for _s, _r, event in held] == [0, 1]
+        # Both back in the hold, in diversion order, reasons intact.
+        assert [event.offset for _reason, event in server.parked] == [0, 1]
+        assert all(
+            reason.startswith("poison-delta: InjectedFault")
+            for reason, _event in server.parked
+        )
 
 
 class TestCompaction:

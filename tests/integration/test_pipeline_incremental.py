@@ -145,13 +145,17 @@ class TestRunIncremental:
 
     def test_outcome_accounting(self, incremental_run):
         engine = incremental_run.server.engine
-        first = engine.receipts[0]
-        assert (first.sequence, first.label) == (1, "incremental-town")
-        assert first.added == 1
-        assert first.removed_claims >= 1
+        assert engine.sequence == 2
+        assert incremental_run.server.versions.current.label == (
+            "incremental-city"
+        )
         metrics = incremental_run.pipeline.metrics.snapshot().to_json_dict()
-        assert metrics["counters"]["incremental_deltas_total"] == 2
-        assert metrics["counters"]["incremental_dirty_components"] >= 2
+        counters = metrics["counters"]
+        assert counters["incremental_deltas_total"] == 2
+        assert counters["incremental_dirty_components"] >= 2
+        # One new claim per delta; only the first one retracts.
+        assert counters["incremental_claims_added_total"] == 2
+        assert counters["incremental_claims_removed_total"] >= 1
         assert (
             metrics["gauges"]["incremental_components"]
             == engine.components
@@ -212,44 +216,46 @@ class TestResumeComposition:
 
 class TestConfigCheckedWithoutRun:
     """``serve()`` checks the config ``run()`` checks: it is entered
-    without one (drift runs, the e2e benchmark), and a misspelt backend
-    used to serve from memory."""
+    without one (drift runs, the e2e benchmark).  The config names no
+    backend: a storage directory is what puts the served claims on
+    segments."""
 
     def _with_claims(self, incremental_run, **overrides):
         pipeline = KnowledgeBaseConstructionPipeline(_config(**overrides))
         pipeline.all_triples = list(incremental_run.base)
         return pipeline
 
-    def test_unknown_backend_rejected_by_serve(self, incremental_run):
-        pipeline = self._with_claims(
-            incremental_run, storage_backend="sgement"
-        )
-        with pytest.raises(PipelineError, match="storage_backend must be"):
+    def test_serve_rejects_a_bad_memtable_limit(self, incremental_run):
+        pipeline = self._with_claims(incremental_run, memtable_limit=0)
+        with pytest.raises(PipelineError, match="memtable_limit must be"):
             pipeline.serve()
 
-    def test_segment_backend_without_dir_names_the_field(
-        self, incremental_run
+    def test_a_storage_dir_serves_from_segments(
+        self, incremental_run, tmp_path
     ):
-        pipeline = self._with_claims(
-            incremental_run, storage_backend="segment"
-        )
-        with pytest.raises(PipelineError, match="storage_dir"):
-            pipeline.serve()
+        from repro.rdf.segments import SegmentBackend
 
-    def test_mistyped_storage_backend_rejected_before_any_stage(
-        self, incremental_run
-    ):
-        def mistyped():
-            return self._with_claims(
-                incremental_run, storage_backend="memory "
+        pipeline = self._with_claims(
+            incremental_run, storage_dir=str(tmp_path / "segs")
+        )
+        server = pipeline.serve()
+        try:
+            assert isinstance(server.engine.store.backend, SegmentBackend)
+            assert (
+                server.versions.current.result.canonical_bytes()
+                == self._with_claims(incremental_run).serve()
+                .versions.current.result.canonical_bytes()
             )
+        finally:
+            server.engine.store.close()
 
-        pipeline = mistyped()
-        with pytest.raises(PipelineError, match="storage_backend must"):
+    def test_run_rejects_a_bad_memtable_limit_before_any_stage(
+        self, incremental_run
+    ):
+        pipeline = self._with_claims(incremental_run, memtable_limit=0)
+        with pytest.raises(PipelineError, match="memtable_limit must"):
             pipeline.run()
         assert pipeline.last_report.timings == []
-        with pytest.raises(PipelineError, match="storage_backend must"):
-            mistyped().serve()
 
 
 class TestServeBuildsNoClaimSetOfItsOwn:

@@ -13,8 +13,8 @@ fenced ids:
   fail) — and the committed fence *is* the model's window;
 * at quiescence the served ``canonical_bytes`` equal a cold
   ``begin_incremental`` prime over the bag (invariant 1);
-* every published delta is applied, parked in the quarantine hold, or
-  pending in the log (invariant 2).
+* every published delta is applied, parked in the server's dead-letter
+  list, or pending in the log (invariant 2).
 """
 
 import pytest
@@ -34,7 +34,7 @@ from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.incremental.delta import ClaimDelta
 from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
-from repro.serving.server import STREAM_SOURCE, KBServer
+from repro.serving.server import KBServer
 from repro.serving.stream import EventLog, StreamEvent
 
 triples = st.builds(
@@ -235,11 +235,7 @@ class ServingMachine(RuleBasedStateMachine):
     # -- invariants -----------------------------------------------------
     def held(self):
         """Offsets of the parked events, in hold order."""
-        return [
-            event.offset
-            for _source, _reason, event
-            in self.server.quarantine.held_items(STREAM_SOURCE)
-        ]
+        return [event.offset for _reason, event in self.server.parked]
 
     @invariant()
     def the_fence_is_the_model_window(self):

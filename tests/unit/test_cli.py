@@ -267,8 +267,6 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["pipeline", "--storage-backend", "segment"],
-             "requires storage_dir"),
             (["pipeline", "--memtable-limit", "0"],
              "memtable_limit must be >= 1"),
             (["pipeline", "--apply-delta", "/no/such/delta.json"],
@@ -277,7 +275,7 @@ class TestUsageErrors:
             (["pipeline", "--resume"], "resume needs a checkpoint_dir"),
             (["pipeline", "--retries", "-1"], "--retries must be >= 0"),
         ],
-        ids=["segment-without-dir", "memtable-zero", "missing-delta",
+        ids=["memtable-zero", "missing-delta",
              "missing-tsv", "resume-without-checkpoint-dir",
              "negative-retries"],
     )
@@ -293,16 +291,14 @@ class TestUsageErrors:
 class TestStorageFlags:
     def test_pipeline_storage_defaults_and_flags(self):
         defaults = build_parser().parse_args(["pipeline"])
-        assert defaults.storage_backend == "memory"
         assert defaults.storage_dir is None
         assert defaults.memtable_limit == 8192
         args = build_parser().parse_args(
             [
-                "pipeline", "--storage-backend", "segment",
+                "pipeline",
                 "--storage-dir", "/tmp/segs", "--memtable-limit", "500",
             ]
         )
-        assert args.storage_backend == "segment"
         assert args.storage_dir == "/tmp/segs"
         assert args.memtable_limit == 500
 
@@ -322,7 +318,6 @@ class TestStorageFlags:
             [
                 "pipeline",
                 "--query-scale", "0.0005",
-                "--storage-backend", "segment",
                 "--storage-dir", str(tmp_path / "segs"),
                 "--memtable-limit", "500",
                 "--apply-delta", str(delta_path),

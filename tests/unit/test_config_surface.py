@@ -48,13 +48,13 @@ PIPELINE_CONFIG_FIELDS = {
     "retry", "fault_plan", "stage_timeout", "min_sources",
     "checkpoint_dir",
     # storage
-    "storage_backend", "storage_dir", "memtable_limit",
+    "storage_dir", "memtable_limit",
 }
 
 PIPELINE_FLAGS = {
     "-h", "--help", "--seed", "--query-scale", "--discover-entities",
     "--export", "--retries", "--stage-timeout",
-    "--min-sources", "--checkpoint-dir", "--resume", "--storage-backend",
+    "--min-sources", "--checkpoint-dir", "--resume",
     "--storage-dir", "--memtable-limit", "--apply-delta",
     "--metrics-out", "--trace-out",
 }
@@ -195,7 +195,7 @@ WORKER_MODULES = {"concurrent", "multiprocessing", "threading", "subprocess"}
 COLLECTOR_MODULES = {"gc"}
 
 # A live KB changes one way: a delta published to a KBServer, applied by
-# its stream consumer (dedup fence, retry, quarantine, versioned
+# its stream consumer (dedup fence, retry, dead-letter list, versioned
 # commit).  No second path hands a delta to the engine.
 DELTA_APPLIERS = {"serving/server.py"}
 

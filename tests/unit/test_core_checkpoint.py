@@ -36,7 +36,6 @@ class TestConfigFingerprint:
             checkpoint_dir="/tmp/somewhere",
             stage_timeout=30.0,
             min_sources=2,
-            storage_backend="segment",
             storage_dir="/tmp/segments",
         )
         assert config_fingerprint(base) == config_fingerprint(execution_only)

@@ -871,29 +871,6 @@ class TestCorpusSuccessor:
         assert list(engine.result.truths) == list(reference.truths)
 
 
-class TestReceiptTrailIsBounded:
-    """Regression: ``receipts`` grew by one receipt (with its dirty
-    item / source sets) per delta for the life of the engine."""
-
-    def test_thousand_deltas_keep_a_bounded_tail(self):
-        engine = _fusion().begin_incremental(
-            _corpus(n_worlds=2, n_items=3, n_sources=2)
-        )
-        flicker = _component_delta(engine.store)
-        off = ClaimDelta(retracted=[flicker.added[0].triple])
-        for turn in range(1000):
-            engine.apply_delta(flicker if turn % 2 == 0 else off)
-        assert engine.sequence == 1000
-        assert len(engine.receipts) < 1000
-
-        from repro.incremental.journal import RECEIPT_TAIL
-
-        assert len(engine.receipts) == RECEIPT_TAIL
-        assert [receipt.sequence for receipt in engine.receipts] == list(
-            range(1000 - len(engine.receipts) + 1, 1001)
-        )
-
-
 class TestMetrics:
     def test_counters_and_gauges_published(self):
         registry = MetricsRegistry()

@@ -89,7 +89,9 @@ class TestVersionedKB:
 
     def test_describe_agrees_with_the_server_status(self):
         # Regression: describe() reported the size of the dedup fence,
-        # which ages with log compaction, as "applied_events".
+        # which ages with log compaction, as "applied_events".  The
+        # status counts the version's commits less the poisoned ones;
+        # with nothing poisoned that is the version id.
         store = TripleStore()
         store.add_all(CORPUS)
         server = KBServer(
