@@ -17,21 +17,20 @@ exploits that, and keeps the work of a delta proportional to the
    caches the canonical claims *per item* (one flat list plus
    per-item spans), and a delta re-reads only its dirty items from
    the staged store;
-3. the canonical claim set is partitioned into connected components;
-   each component carries its items, its sources and a content
-   digest.  The prior components that hold a dirty item or a dirty
-   source form the delta's region: only the region is re-weighted,
-   re-sharded and (where a digest moved) re-fused; every other
-   component's entry is carried over untouched.  The region's claims
-   are slices of the cached corpus (all of it, when the region holds
-   every component), and they stay grouped by item from there to the
-   kernel: the reweighted list, a shard of it and its hierarchy
-   expansion are each adopted by a :class:`ClaimSet` as they stand,
-   ``compile_claims`` walks the item runs — no stage hashes a claim
-   into a set of its own.  A component's digest is the hash of its
-   items' digests in item order; the corpus keeps one digest per item
-   (of its *reweighted* claims), so under unchanged extractor weights
-   a delta digests its re-read items and nothing else;
+3. the canonical claim set is partitioned into connected components,
+   each with its items and sources.  The prior components that hold a
+   dirty item or a dirty source form the delta's region: only the
+   region is re-weighted, re-sharded and (where its claims moved)
+   re-fused; every other component's entry is carried over untouched.
+   The region's claims are slices of the cached corpus (all of it,
+   when the region holds every component), and they stay grouped by
+   item from there to the kernel: the reweighted list, a shard of it
+   and its hierarchy expansion are each adopted by a :class:`ClaimSet`
+   as they stand, ``compile_claims`` walks the item runs — no stage
+   hashes a claim into a set of its own.  A component is reused iff a
+   prior entry has its sources, items and reweighted claims; under
+   unchanged extractor weights only a re-read item's run can differ,
+   so only those runs are compared (a prime compares nothing);
 4. the merged result is patched, not re-merged: the committed state
    keeps its own copies of the merged belief and source-quality maps,
    and a delta copies them, drops the keys of the region's prior
@@ -66,9 +65,9 @@ Two estimation details make the reuse exact rather than approximate:
   by the runs it swaps); with two or more the estimator reads every
   cached claim.  Weights equal to the committed ones leave
   every component outside the region bit-for-bit as it was; a shifted
-  weight can change any item's digest: every item is digested again
-  and the delta degenerates to a full recompute, which is the correct
-  price for a global parameter shift;
+  weight can change any item's reweighted claims: every run is compared
+  and the delta degenerates to a full recompute where they moved, the
+  correct price for a global parameter shift;
 * source-correlation weights are component-local by construction
   (sources in different components share no items, and the estimator
   ignores pairs without common items), so a component is fused on its
@@ -90,21 +89,21 @@ per claim) and the dirty-item re-read (a ``claims_for_item`` per dirty
 item) are O(delta) on both backends, each item or triple read off an
 index; the staged store copy shares the memory backend's index leaves
 (and the segment backend's memtable, which is one) copy-on-write and
-costs the paths the journal writes; digesting and the census are
-O(delta); re-weighting, sharding, fusion, the functional constraint,
-the belief / source-quality patch and the read-index patch are
-O(region) — the latter a ``bisect`` per touched subject in the corpus
-and per touched ranking or subject-list entry, plus a walk of the
-carried entries' sources when a touched subject has items outside the
-region.  What stays O(store) is copying at C speed: the successor
-corpus (:meth:`_Corpus.replaced`, slice copies of the cached claims,
-items, counts and digests around the re-read items), the two copies
-of each merged map (the engine's and the served result's), the
+costs the paths the journal writes; comparing the re-read runs and
+the census are O(delta); re-weighting, sharding, fusion, the
+functional constraint, the belief / source-quality patch and the
+read-index patch are O(region) — the latter a ``bisect`` per touched
+subject in the corpus and per touched ranking or subject-list entry,
+plus a walk of the carried entries' sources when a touched subject has
+items outside the region.  What stays O(store) is copying at C speed:
+the successor corpus (:meth:`_Corpus.replaced`, slice copies of the
+cached claims, items and counts around the re-read items), the two
+copies of each merged map (the engine's and the served result's), the
 ``truths`` rebuild, one ``dict.update`` per component, and the read
 index's score dict, its ranking and each touched predicate's subject
-list (pointer copies, as are its ``bisect`` moves).  So is the
+list (pointer copies, as are its ``bisect`` moves).  So are the
 extractor estimate with two or more extractors, which reads every
-claim.
+claim, and after a weight shift the comparison of every run.
 Putting the entries back in first-item order, and the merge's round
 counts, are O(components).
 
@@ -127,14 +126,14 @@ early exit is the same in either.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain
+from math import copysign
 from operator import attrgetter
 
 from repro.errors import DeltaError
@@ -180,32 +179,26 @@ class _Corpus:
 
     ``claims`` is the global canonical order (pre-reweight): ``items``
     is sorted, and item ``i`` owns the ``counts[i]`` claims from
-    ``starts[i]`` on; ``digests[i]`` is :func:`_item_digest` of its
-    *reweighted* run, ``None`` until :meth:`IncrementalFusion.
-    _fuse_shards` has seen that run (it fills them in before the state
-    holding the corpus is committed).  ``census`` counts the claims of
-    each extractor (none at zero).  Flat lists rather than a container
+    ``starts[i]`` on.  ``census`` counts the claims of each extractor
+    (none at zero).  Flat lists rather than a container
     per item: a store has about as many items as claims, and the
     collector walks every container a long-lived state holds.
-    Otherwise never mutated once built; :meth:`replaced` derives the
-    successor.
+    Never mutated once built; :meth:`replaced` derives the successor.
     """
 
-    __slots__ = ("claims", "items", "counts", "starts", "digests", "census")
+    __slots__ = ("claims", "items", "counts", "starts", "census")
 
     def __init__(
         self,
         claims: list[Claim],
         items: list[Item],
         counts: list[int],
-        digests: list[bytes | None],
         census: Counter[str],
     ) -> None:
         self.claims = claims
         self.items = items
         self.counts = counts
         self.starts = list(accumulate(counts, initial=0))
-        self.digests = digests
         self.census = census
 
     @classmethod
@@ -214,10 +207,8 @@ class _Corpus:
         items = claims.items()
         counts = [len(run) for _item, run in claims.runs()]
         ordered = list(claims)
-        return cls(
-            ordered, items, counts, [None] * len(items),
-            Counter(map(_extractor_of, ordered)),
-        )
+        census = Counter(map(_extractor_of, ordered))
+        return cls(ordered, items, counts, census)
 
     def claims_of(self, item: Item) -> list[Claim]:
         at = bisect_left(self.items, item)
@@ -227,8 +218,7 @@ class _Corpus:
 
     def replaced(self, fresh: dict[Item, list[Claim]]) -> "_Corpus":
         """A corpus where each item of ``fresh`` holds exactly those
-        claims (none: the item is gone) and no digest yet; every other
-        item is kept, digest included.
+        claims (none: the item is gone); every other item is kept.
 
         One merge pass: the runs between the sorted dirty items are
         copied over as slices — O(store) in list copying, whatever the
@@ -237,7 +227,6 @@ class _Corpus:
         claims: list[Claim] = []
         items: list[Item] = []
         counts: list[int] = []
-        digests: list[bytes | None] = []
         # Counted claim by claim at C speed; subtracted extractor by
         # extractor at the end.
         census, gone = self.census.copy(), Counter()
@@ -248,13 +237,11 @@ class _Corpus:
             claims += self.claims[starts[done]:starts[at]]
             items += old_items[done:at]
             counts += self.counts[done:at]
-            digests += self.digests[done:at]
             new = fresh[item]
             if new:
                 claims += new
                 items.append(item)
                 counts.append(len(new))
-                digests.append(None)
                 census.update(map(_extractor_of, new))
             held = at < len(old_items) and old_items[at] == item
             if held:
@@ -265,9 +252,8 @@ class _Corpus:
         claims += self.claims[starts[done]:]
         items += old_items[done:]
         counts += self.counts[done:]
-        digests += self.digests[done:]
         census.subtract(gone)
-        return _Corpus(claims, items, counts, digests, +census)
+        return _Corpus(claims, items, counts, +census)
 
     def spans(self, wanted: Iterable[Item]) -> list[tuple[int, int]]:
         """The items of ``wanted`` (sorted) this corpus holds, as
@@ -289,22 +275,25 @@ class _Corpus:
             spans.append((lo, hi))
         return spans
 
-
-def _item_digest(run: list[Claim]) -> bytes:
-    """Content digest of one item's (reweighted) claims: 16 bytes,
-    since a corpus keeps one per item."""
-    signature = sorted(
-        (
-            claim.item,
-            claim.value,
-            claim.lexical,
-            claim.source_id,
-            claim.extractor_id,
-            claim.confidence,
+    def claims_in(self, spans: list[tuple[int, int]]) -> Iterator[Claim]:
+        """The claims of the items in ``spans``, in canonical order."""
+        starts = self.starts
+        return chain.from_iterable(
+            self.claims[starts[lo]:starts[hi]] for lo, hi in spans
         )
-        for claim in run
+
+
+def _same_claims(now: ClaimSet, before: ClaimSet) -> bool:
+    """Whether two claim lists agree claim by claim in all six fields,
+    a confidence as its ``repr`` reads: ``-0.0`` is not ``0.0``, nor
+    ``1`` ``1.0``."""
+    return len(now) == len(before) and all(
+        new is old
+        or new == old
+        and type(new.confidence) is type(old.confidence)
+        and copysign(1.0, new.confidence) == copysign(1.0, old.confidence)
+        for new, old in zip(now, before)
     )
-    return hashlib.blake2b(repr(signature).encode(), digest_size=16).digest()
 
 
 def _first_item(entry: ComponentEntry) -> Item:
@@ -361,13 +350,12 @@ def _touched(
 class ComponentEntry:
     """Cached fusion of one connected component.
 
-    A delta reads a carried entry's sources, digest, items and truths,
+    A delta reads a carried entry's sources, items and truths,
     never its belief or source-quality map: those reach the merged
     result only when the entry is fresh, and leave it only when the
     entry is in a later delta's region."""
 
     sources: frozenset[str]
-    content_hash: str
     # The component's own fused sub-result, *before* the functional
     # constraint, which is applied on the merged result.
     result: FusionResult
@@ -585,8 +573,6 @@ class IncrementalFusion:
         stats = _ComputeStats()
         shifted = weights != prior.extractor_weights
         if shifted:
-            # Any reweighted run can have moved: no digest stands.
-            corpus.digests = [None] * len(corpus.items)
             entries = self._fuse_shards(
                 corpus, [(0, len(corpus.items))], weights, prior.entries,
                 stats,
@@ -701,7 +687,9 @@ class IncrementalFusion:
         spans = corpus.spans(
             sorted(chain(new_items, *(entry.items for entry in region)))
         )
-        fresh = self._fuse_shards(corpus, spans, weights, region, stats)
+        fresh = self._fuse_shards(
+            corpus, spans, weights, region, stats, receipt.dirty_items
+        )
         entries = sorted(carried + fresh, key=_first_item)
         return entries, region, fresh
 
@@ -712,36 +700,20 @@ class IncrementalFusion:
         weights: dict[str, float],
         prior: list[ComponentEntry],
         stats: _ComputeStats,
+        dirty: set[Item] | None = None,
     ) -> list[ComponentEntry]:
         """One entry per component of the corpus items in ``spans``
         (``[lo, hi)`` index runs): cached or re-fused.
 
-        A component whose source set and content digest — the hash of
-        its items' digests, in item order — match a ``prior`` entry is
-        clean; its entry is reused verbatim.  The others are fused by
-        one :func:`~repro.fusion.sharding.fuse_sharded` job, none when
-        every component is clean.  Only the items without a digest yet
-        (a delta's re-read ones; all, after a weight shift) are
-        digested here, on their reweighted runs.
+        A component is clean iff a ``prior`` entry has its sources, its
+        items and its reweighted claims (:meth:`_holds` compares the runs
+        of its ``dirty`` items, all of them without ``dirty`` as after a
+        weight shift); that entry is reused verbatim.  The others are
+        fused by one :func:`~repro.fusion.sharding.fuse_sharded` job,
+        none when every component is clean.
         """
         fusion = self.fusion
-        working = fusion.reweighted(
-            chain.from_iterable(
-                corpus.claims[corpus.starts[lo]:corpus.starts[hi]]
-                for lo, hi in spans
-            ),
-            weights,
-        )
-        # The working set's runs are the corpus items of the spans, in
-        # order: the k-th run is digested into the k-th index.
-        digests = corpus.digests
-        digest_of: dict[Item, bytes] = {}
-        runs = working.runs()
-        for lo, hi in spans:
-            for index, (item, run) in zip(range(lo, hi), runs):
-                if digests[index] is None:
-                    digests[index] = _item_digest(run)
-                digest_of[item] = digests[index]
+        working = fusion.reweighted(corpus.claims_in(spans), weights)
         cache = {entry.sources: entry for entry in prior}
         entries: list[ComponentEntry] = []
         # The entries the cache misses, and their shards: one job fills
@@ -751,15 +723,16 @@ class IncrementalFusion:
         for shard in shard_claims(working):
             sources = frozenset(shard.sources())
             items = tuple(shard.items())
-            digest = hashlib.sha256(
-                b"".join(map(digest_of.__getitem__, items))
-            ).hexdigest()
             entry = cache.get(sources)
-            if entry is not None and entry.content_hash == digest:
+            if (
+                entry is not None
+                and entry.items == items
+                and self._holds(shard, items, corpus, weights, dirty)
+            ):
                 stats.reused_components += 1
                 stats.reused_verdicts += len(entry.result.truths)
             else:
-                entry = ComponentEntry(sources, digest, None, items)
+                entry = ComponentEntry(sources, None, items)
                 missed.append(entry)
                 shards.append(shard)
                 stats.dirty_components += 1
@@ -776,6 +749,25 @@ class IncrementalFusion:
             for entry, result in zip(missed, results):
                 entry.result = result
         return entries
+
+    def _holds(
+        self, shard: ClaimSet, items: tuple[Item, ...], corpus: _Corpus,
+        weights: dict[str, float], dirty: set[Item] | None,
+    ) -> bool:
+        """Whether ``shard`` (over ``items``, which a committed entry
+        has) has that entry's claims too: the committed claims of those
+        items, reweighted by the committed weights."""
+        prior, reweighted = self._state, self.fusion.reweighted
+        if dirty is None:
+            compared, now = items, shard
+        else:
+            compared = [item for item in items if item in dirty]
+            now = reweighted(corpus.claims_in(corpus.spans(compared)), weights)
+        before = reweighted(
+            prior.corpus.claims_in(prior.corpus.spans(compared)),
+            prior.extractor_weights,
+        )
+        return not compared or _same_claims(now, before)
 
     # -- plumbing -------------------------------------------------------
     def _count(self, name: str, amount: int = 1) -> None:

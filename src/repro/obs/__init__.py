@@ -22,12 +22,18 @@ from repro.obs.metrics import (
     MetricsSnapshot,
     is_timing_metric,
 )
-from repro.obs.schema import (
-    validate_metrics,
-    validate_tenant_metrics,
-    validate_trace,
-)
 from repro.obs.trace import Span, SpanTracer
+
+
+def __getattr__(name: str):
+    # The validators load on first use: ``python -m repro.obs.schema``
+    # warns when importing this package has put them in sys.modules.
+    if name.startswith("validate_"):
+        from repro.obs import schema
+
+        return getattr(schema, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DEFAULT_COUNT_BUCKETS",

@@ -392,23 +392,38 @@ def _replay_against_whole_store(
     assert list(engine.result.truths) == list(oracle.result.truths)
     _assert_reads_match_the_oracle(engine, f"seed {seed}: prime")
 
-    # Items digested per delta: all of them on the weight-shift path.
-    digested = []
-    item_digest = engine_mod._item_digest
+    # Items whose reweighted runs a delta compares with the committed
+    # ones: a component's dirty items, or all of them after a weight
+    # shift, wherever a committed entry has its sources and items.
+    compared = []
+    same_claims = engine_mod._same_claims
     monkeypatch.setattr(
-        engine_mod, "_item_digest",
-        lambda run: digested.append(run[0].item) or item_digest(run),
+        engine_mod, "_same_claims",
+        lambda now, before: compared.extend(
+            dict.fromkeys(claim.item for claim in now)
+        ) or same_claims(now, before),
     )
 
     seen = set()
     rebound = 0
     before_components = engine.components
     for label, delta in deltas:
-        digested.clear()
+        compared.clear()
+        committed = engine._state
         outcome = engine.apply_delta(delta)
-        redigested = sorted(digested)
         expected = oracle.apply_delta(delta)
         where = f"seed {seed}, {label} delta {outcome.sequence}"
+        shifted = (
+            engine._state.extractor_weights != committed.extractor_weights
+        )
+        held_items = {entry.sources: entry.items for entry in committed.entries}
+        assert sorted(compared) == sorted(
+            item
+            for entry in engine._state.entries
+            if held_items.get(entry.sources) == entry.items
+            for item in entry.items
+            if shifted or item in outcome.receipt.dirty_items
+        ), where
         assert _accounting(outcome) == _accounting(expected), where
         assert (
             outcome.result.canonical_bytes()
@@ -457,9 +472,9 @@ def _replay_against_whole_store(
                 ["second", "synthetic"] if label == "second-extractor"
                 else ["synthetic"]
             ), where
-            assert redigested == engine.claims.items(), where
+            assert sorted(compared) == engine.claims.items(), where
         elif label == "weight-shift":
-            assert redigested == engine.claims.items(), where
+            assert shifted, where
             # On single-truth worlds the echo moves every weight.
             if functional_of is None:
                 assert outcome.degenerate, where

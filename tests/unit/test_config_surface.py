@@ -10,6 +10,7 @@ only tests would set is a named constant in ``src/``, not a keyword.
 import ast
 import dataclasses
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -573,3 +574,57 @@ def test_readme_and_design_describe_each_layer_once():
         # Every layer is a row of the inventory and of README's table.
         assert f"| {layer} |" in design[DESIGN_FRONT_MATTER[1]], layer
         assert f"| {layer} |" in readme["Layers"], layer
+
+
+def _defines(body: list[ast.stmt], names: list[str]) -> bool:
+    """Whether ``names`` — a class or function, then what each class
+    defines in turn — is defined in ``body``."""
+    for name in names:
+        found = [
+            node for node in body
+            if isinstance(
+                node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            )
+            and node.name == name
+        ]
+        if not found:
+            return False
+        body = found[0].body
+    return True
+
+
+def test_every_test_design_cites_is_defined():
+    """Each test DESIGN.md cites is there: a ``tests/<path>.py::name``
+    in that file, a ``::name`` in the file of the nearest path before
+    it, each name at the top level or inside one of its classes (a
+    ``::test_…`` after a class names a sibling); found by parsing,
+    nothing imported."""
+    current, cited, unresolved = None, 0, []
+    modules: dict[str, ast.Module] = {}
+    for span in re.findall(r"`([^`\n]*)`", (_REPO / "DESIGN.md").read_text()):
+        full = re.fullmatch(r"(tests/[\w/]+\.py)((?:::\w+)*)", span)
+        if full:
+            current, names = full.group(1), full.group(2)
+        elif re.fullmatch(r"(?:::\w+)+", span):
+            names = span
+        else:
+            if "::" in span:  # a test named some other way
+                unresolved.append(span)
+            continue
+        assert current is not None, span
+        if current not in modules:
+            path = _REPO / current
+            assert path.is_file(), current
+            modules[current] = ast.parse(path.read_text())
+        if not names:
+            continue
+        cited += 1
+        module, chain = modules[current], names.split("::")[1:]
+        if not _defines(module.body, chain) and not any(
+            _defines(node.body, chain)
+            for node in module.body
+            if isinstance(node, ast.ClassDef)
+        ):
+            unresolved.append(current + names)
+    assert unresolved == []
+    assert cited > 100

@@ -1,5 +1,7 @@
 """Unit tests for the fusion claim model."""
 
+import random
+
 import pytest
 
 from repro.errors import FusionError
@@ -160,6 +162,47 @@ class TestClaimSet:
         assert only.lexical == "PARIS"
         assert only.extractor_id == "dom"
         assert only.confidence == 0.7
+
+    def test_from_scored_triples_keeps_the_claim_add_keeps(self):
+        """One sorted pass dedups as ``add`` does: per claim key the
+        highest confidence, on a tie the first surface in sort order —
+        ``-0.0`` and ``0.0`` tie, so the lower surface keeps its own
+        zero."""
+        rng = random.Random(5)
+        surfaces = ["Paris", "PARIS", "paris ", "Lyon", "LYON"]
+        scored = [
+            ScoredTriple(
+                Triple(f"s{rng.randrange(3)}", "p", Value(rng.choice(surfaces))),
+                Provenance(f"src{rng.randrange(3)}", rng.choice(["dom", "kb"])),
+                rng.choice([-0.0, 0.0, 0.25, 0.5, 0.5, 1.0]),
+            )
+            for _ in range(400)
+        ]
+        expected = ClaimSet()
+        for one in sorted(
+            scored,
+            key=lambda one: (
+                one.triple.subject, one.triple.predicate,
+                value_key(one.triple.obj.lexical), one.provenance.source_id,
+                one.provenance.extractor_id, one.confidence,
+                one.triple.obj.lexical,
+            ),
+        ):
+            expected.add(
+                Claim(
+                    one.triple.item, value_key(one.triple.obj.lexical),
+                    one.triple.obj.lexical, one.provenance.source_id,
+                    one.provenance.extractor_id, one.confidence,
+                )
+            )
+        expected = [(*claim_key(c), c.lexical, repr(c.confidence)) for c in expected]
+        assert len(expected) < 100  # duplicate keys, many
+        for _ in range(5):
+            rng.shuffle(scored)
+            built = ClaimSet.from_scored_triples(scored)
+            assert [
+                (*claim_key(c), c.lexical, repr(c.confidence)) for c in built
+            ] == expected
 
 
 class TestFusionResult:

@@ -364,9 +364,9 @@ class TestDeltaWorkFollowsTheRegion:
         real_claim = base_mod.Claim
         built = []
 
-        def counting_claim(**fields):
-            built.append(fields["item"])
-            return real_claim(**fields)
+        def counting_claim(*args, **fields):
+            built.append(args[0] if args else fields["item"])
+            return real_claim(*args, **fields)
 
         # Both places fusion claims are constructed: decoding stored
         # triples and folding in the extractor weights.
@@ -523,7 +523,10 @@ class TestADeltaGroupsItsClaimsOnce:
     ``ClaimSet`` of its own (about three ``add`` calls per *stored*
     claim and delta), ``compile_claims`` and ``_specialize`` asked for
     a ``values_of`` dict per item, and the component's digest
-    serialized every claim it held to learn that one item changed.
+    serialized every claim it held to learn that one item changed (a
+    component is now compared with its committed entry on the runs a
+    delta re-read, and only after a weight shift on every run).  The
+    re-read of the dirty items hashed their claim keys too.
 
     On the one-component, hierarchical, three-extractor corpus of
     ``test_collector_budget.py``."""
@@ -547,9 +550,9 @@ class TestADeltaGroupsItsClaimsOnce:
     def _spies(monkeypatch):
         import repro.incremental.engine as engine_mod
 
-        adds, grouped, digested = [], [], []
+        adds, grouped, compared = [], [], []
         real_add, real_values_of = ClaimSet.add, ClaimSet.values_of
-        real_digest = engine_mod._item_digest
+        real_same_claims = engine_mod._same_claims
 
         def add(self, claim):
             adds.append(claim)
@@ -559,16 +562,17 @@ class TestADeltaGroupsItsClaimsOnce:
             grouped.append(item)
             return real_values_of(self, item)
 
-        def item_digest(run):
-            digested.append(run[0].item)
-            return real_digest(run)
+        def same_claims(now, before):
+            # The items whose runs are compared, each once.
+            compared.extend(dict.fromkeys(claim.item for claim in now))
+            return real_same_claims(now, before)
 
         monkeypatch.setattr(ClaimSet, "add", add)
         monkeypatch.setattr(ClaimSet, "values_of", values_of)
-        monkeypatch.setattr(engine_mod, "_item_digest", item_digest)
-        return adds, grouped, digested
+        monkeypatch.setattr(engine_mod, "_same_claims", same_claims)
+        return adds, grouped, compared
 
-    def test_ten_claim_delta_hashes_and_digests_its_dirty_items_only(
+    def test_ten_claim_delta_compares_its_dirty_items_only(
         self, primed, monkeypatch
     ):
         from tests.oracles.whole_store_engine import WholeStoreEngine
@@ -589,7 +593,7 @@ class TestADeltaGroupsItsClaimsOnce:
                 for index, one in enumerate(scored[:20:2])
             ]
         )
-        adds, grouped, digested = self._spies(monkeypatch)
+        adds, grouped, compared = self._spies(monkeypatch)
         outcome = engine.apply_delta(delta)
         monkeypatch.undo()
 
@@ -597,17 +601,9 @@ class TestADeltaGroupsItsClaimsOnce:
         assert outcome.refused_claims == len(engine.store)
         dirty = sorted(outcome.receipt.dirty_items)
         hierarchy = engine.fusion._casefold_hierarchy
-        dirty_claims = [
-            claim
-            for item in dirty
-            for claim in engine.store.claims_for_item(*item)
-        ]
-        expansions = sum(
-            len(hierarchy.ancestors(claim.value))
-            for claim in ClaimSet.from_scored_triples(dirty_claims)
-        )
-        assert 0 < len(adds) <= len(dirty_claims) + expansions
-        assert len(adds) < len(engine.store) / 20
+        # The re-read dirty items are deduplicated in their sorted
+        # order and adopted: no claim key is hashed anywhere.
+        assert adds == []
 
         runs = dict(engine.claims.runs())
         plain = [
@@ -617,7 +613,7 @@ class TestADeltaGroupsItsClaimsOnce:
         assert len(plain) > 20 and not set(plain) & set(grouped)
         assert grouped and len(grouped) == len(set(grouped))
 
-        assert sorted(digested) == dirty
+        assert compared == dirty
 
         expected = oracle.apply_delta(delta)
         assert (
@@ -626,7 +622,7 @@ class TestADeltaGroupsItsClaimsOnce:
         )
         assert list(outcome.result.truths) == list(expected.result.truths)
 
-    def test_a_weight_shift_digests_every_item_and_equals_the_oracle(
+    def test_a_weight_shift_compares_every_candidate_claim_and_equals_the_oracle(
         self, primed, monkeypatch
     ):
         from tests.oracles.whole_store_engine import WholeStoreEngine
@@ -648,13 +644,13 @@ class TestADeltaGroupsItsClaimsOnce:
                 for one in kb[:3]
             ]
         )
-        _adds, _grouped, digested = self._spies(monkeypatch)
+        _adds, _grouped, compared = self._spies(monkeypatch)
         outcome = engine.apply_delta(delta)
         monkeypatch.undo()
 
         after = engine._state.extractor_weights
         assert before["kb"] == 1.0 and after["kb"] < 1.0
-        assert sorted(digested) == engine.claims.items()
+        assert compared == engine.claims.items()
         expected = oracle.apply_delta(delta)
         for field in (
             "components", "dirty_components", "reused_components",
@@ -666,7 +662,7 @@ class TestADeltaGroupsItsClaimsOnce:
             == expected.result.canonical_bytes()
         )
         assert list(outcome.result.truths) == list(expected.result.truths)
-        # The digests it took serve the next, weight-preserving delta.
+        # The next, weight-preserving delta compares its one item.
         follow_up = ClaimDelta(
             added=[
                 ScoredTriple(
@@ -679,14 +675,113 @@ class TestADeltaGroupsItsClaimsOnce:
                 )
             ]
         )
-        _adds, _grouped, digested = self._spies(monkeypatch)
+        _adds, _grouped, compared = self._spies(monkeypatch)
         outcome = engine.apply_delta(follow_up)
         monkeypatch.undo()
-        assert digested == [scored[0].triple.item]
+        assert compared == [scored[0].triple.item]
         assert (
             outcome.result.canonical_bytes()
             == oracle.apply_delta(follow_up).result.canonical_bytes()
         )
+
+
+class TestReuseComparesTheClaims:
+    """A component is reused iff a committed entry has its sources, its
+    items and its reweighted claims — the decision the whole-store
+    engine in ``tests/oracles`` takes by digest, taken by comparison."""
+
+    @staticmethod
+    def _apply_as_the_oracle(fusion, store, delta):
+        from tests.oracles.whole_store_engine import WholeStoreEngine
+
+        oracle = WholeStoreEngine(fusion(), store.copy())
+        oracle.prime()
+        engine = fusion().begin_incremental(store)
+        outcome = engine.apply_delta(delta)
+        expected = oracle.apply_delta(delta)
+        for field in (
+            "components", "dirty_components", "reused_components",
+            "reused_verdicts", "refused_claims", "degenerate",
+        ):
+            assert getattr(outcome, field) == getattr(expected, field), field
+        assert (
+            outcome.result.canonical_bytes()
+            == expected.result.canonical_bytes()
+        )
+        assert list(outcome.result.truths) == list(expected.result.truths)
+        return engine, outcome
+
+    def test_a_claim_retracted_and_added_back_unchanged_is_reused(self):
+        store = _corpus(n_worlds=3)
+        one = min(store.claims(), key=lambda scored: scored.triple.subject)
+        again = [
+            scored for scored in store.claims() if scored.triple == one.triple
+        ]
+        delta = ClaimDelta(added=again, retracted=[one.triple])
+        _engine, outcome = self._apply_as_the_oracle(_fusion, store, delta)
+        assert outcome.receipt.dirty_items == {one.triple.item}
+        assert outcome.receipt.removed_claims == len(again)
+        assert outcome.dirty_components == 0
+        assert outcome.reused_components == 3
+
+    def test_a_weight_shift_reuses_a_component_it_left_unchanged(self):
+        # World 0's claims are dealt to extractors "a", "b" and "c",
+        # world 1's all go to "solo"; a "mirror" of three of "a"'s
+        # claims makes the two correlated and moves their weights,
+        # while "solo" keeps its own.
+        store = TripleStore()
+        claims = sorted(
+            _corpus(n_worlds=2, n_items=8, n_sources=5).claims(),
+            key=lambda scored: (
+                scored.triple.item, scored.provenance.source_id
+            ),
+        )
+        for index, scored in enumerate(claims):
+            world1 = scored.triple.subject.startswith("w1/")
+            store.add(
+                ScoredTriple(
+                    scored.triple,
+                    Provenance(
+                        scored.provenance.source_id,
+                        "solo" if world1 else "abc"[index % 3],
+                    ),
+                    scored.confidence,
+                )
+            )
+        mirror = [
+            ScoredTriple(
+                scored.triple,
+                Provenance(scored.provenance.source_id, "mirror"),
+                scored.confidence,
+            )
+            for scored in store.claims()
+            if scored.provenance.extractor_id == "a"
+        ][:3]
+        engine, outcome = self._apply_as_the_oracle(
+            _fusion, store, ClaimDelta(added=mirror)
+        )
+        weights = engine._state.extractor_weights
+        assert weights["a"] < 1.0 and weights["solo"] == 1.0
+        assert outcome.components == 2
+        assert outcome.dirty_components == 1
+        assert outcome.reused_components == 1
+
+    def test_a_negative_zero_confidence_added_back_as_zero_is_refused(self):
+        # Without the extractor discount claims stand as stored, so
+        # the two zeros reach the comparison, and their reprs differ.
+        def fusion():
+            return _fusion(use_extractor_correlations=False)
+
+        store = _corpus(n_worlds=3)
+        one = min(store.claims(), key=lambda scored: scored.triple.subject)
+        store.remove(one.triple)
+        store.add(one.with_confidence(-0.0))
+        delta = ClaimDelta(
+            added=[one.with_confidence(0.0)], retracted=[one.triple]
+        )
+        _engine, outcome = self._apply_as_the_oracle(fusion, store, delta)
+        assert outcome.dirty_components == 1
+        assert outcome.reused_components == 2
 
 
 class _CountingClaims:
@@ -792,8 +887,6 @@ class TestCorpusSuccessor:
                 for item, claims in {**held, **fresh}.items()
                 if claims
             }
-            # Every item digested, as in a committed state.
-            corpus.digests[:] = [repr(item).encode() for item in corpus.items]
             corpus = corpus.replaced(fresh)
             rebuilt = _Corpus.of(
                 ClaimSet(c for item in sorted(held) for c in held[item])
@@ -804,11 +897,6 @@ class TestCorpusSuccessor:
             assert corpus.starts == rebuilt.starts
             assert corpus.census == rebuilt.census
             assert all(corpus.census.values())
-            # A re-read item has no digest yet, a kept one keeps its own.
-            assert corpus.digests == [
-                None if item in fresh else repr(item).encode()
-                for item in corpus.items
-            ]
             for item in names:
                 assert corpus.claims_of(item) == held.get(item, [])
             # Any sorted selection, absent items included, comes back
@@ -863,9 +951,6 @@ class TestCorpusSuccessor:
         assert outcome.dirty_components == 1
         assert outcome.reused_components == 2
         assert outcome.refused_claims == 6
-        assert all(
-            digest is not None for digest in engine._state.corpus.digests
-        )
         reference = oracle.apply_delta(delta).result
         assert engine.result.canonical_bytes() == reference.canonical_bytes()
         assert list(engine.result.truths) == list(reference.truths)

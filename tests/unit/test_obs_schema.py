@@ -1,9 +1,14 @@
 """Unit tests for the metrics/trace JSON schema validators."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs.schema import (
     main,
     validate_metrics,
@@ -129,6 +134,28 @@ class TestMain:
 
     def test_unreadable_file_is_a_problem_not_a_crash(self, tmp_path):
         assert main(["--metrics", str(tmp_path / "missing.json")]) == 1
+
+    def test_runs_as_a_module_without_a_warning(self, tmp_path):
+        """Regression: ``repro.obs`` imported the schema module at
+        package import, so ``python -m repro.obs.schema`` — the
+        documented validator — warned on every run."""
+        metrics = tmp_path / "m.json"
+        metrics.write_text(json.dumps(good_metrics()))
+        run = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.obs.schema", "--metrics", str(metrics),
+            ],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout.startswith("ok")
+
+    def test_the_package_re_exports_the_validators(self):
+        from repro.obs import validate_metrics as exported
+
+        assert exported is validate_metrics
 
 
 def tenant_metrics() -> dict:
