@@ -12,16 +12,24 @@ Dependence evidence follows the copy-detection intuition: agreeing on a
 *popular* value is weak evidence (independent sources agree on truths),
 while agreeing on a *rare/minority* value is strong evidence of copying
 (two sources rarely invent the same mistake independently).
+
+The estimate is one walk of the claims in sorted item order.  An item
+with one claim or one party is skipped; for an item several parties
+claim, the witness count and each value's rarity depend on the item
+and value alone, so they are computed once and added to the tally of
+every pair of its claimants — each pair's floats in sorted item, then
+shared-value, order, as ``tests/oracles/correlation_scan.py`` adds them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import combinations
-from operator import attrgetter
+from itertools import combinations, compress, count, islice
+from operator import attrgetter, eq, ge
 
-from repro.fusion.base import Claim, Item
+from repro.fusion.base import Claim
 
 #: Rarity credited to an agreement no independent witness can vouch
 #: for.  With zero witnesses every agreement earns exactly this much,
@@ -35,6 +43,8 @@ UNWITNESSED_RARITY = 0.2
 
 #: Pairs at or above this dependence count toward weight discounts.
 DEPENDENCE_THRESHOLD = 0.25
+
+_item_of = attrgetter("item")
 
 
 @dataclass(slots=True)
@@ -58,7 +68,8 @@ class CorrelationEstimator:
         ``"source"`` (default) or ``"extractor"`` — which provenance
         dimension to correlate.
     min_common_items:
-        Pairs sharing fewer items are assumed independent.
+        Pairs sharing fewer items are assumed independent (at least 1:
+        a pair sharing no item has no evidence to score).
     """
 
     def __init__(
@@ -69,6 +80,8 @@ class CorrelationEstimator:
     ) -> None:
         if by not in ("source", "extractor"):
             raise ValueError("by must be 'source' or 'extractor'")
+        if min_common_items < 1:
+            raise ValueError("min_common_items must be at least 1")
         self.by = by
         self.min_common_items = min_common_items
 
@@ -79,142 +92,125 @@ class CorrelationEstimator:
         ``claims`` may be any iterable, a one-shot one included; it is
         read once, and the estimate does not depend on its order.
         """
-        claims = list(claims)
         party_of = attrgetter(
             "source_id" if self.by == "source" else "extractor_id"
         )
+        claims = list(claims)
+        parties = sorted(set(map(party_of, claims)))
         estimate = CorrelationEstimate()
-        parties = sorted({party_of(claim) for claim in claims})
-        if len(parties) < 2:
-            # Nobody to depend on: no table is built.
-            estimate.weights = dict.fromkeys(parties, 1.0)
-            return estimate
-
-        # A ballot is the claimed value itself, a set only from the
-        # party's second value of the item on: a set per ballot is a
-        # container per claim for the collector to walk.
-        votes: dict[str, dict[Item, str | set[str]]] = {}
-        for claim in claims:
-            ballots = votes.setdefault(party_of(claim), {})
-            item, value = claim.item, claim.value
-            held = ballots.setdefault(item, value)
-            if isinstance(held, set):
-                held.add(value)
-            elif held != value:
-                ballots[item] = {held, value}
-        # One item set per party, built once instead of once per pair
-        # (``_pair_dependence`` adds its floats in sorted item order,
-        # whatever order ``&`` yields the common items in).
-        items_of = {party: set(votes[party]) for party in parties}
-        qualifying = []
-        for left, right in combinations(parties, 2):
-            common = items_of[left] & items_of[right]
-            if len(common) >= self.min_common_items:
-                qualifying.append((left, right, common))
-        if qualifying:
-            claimants = self._claimants_by_item_value(
-                claims,
-                party_of,
-                set().union(*(common for _, _, common in qualifying)),
+        if len(parties) > 1:
+            estimate.dependence = self._dependence(
+                _shared_runs(claims), party_of
             )
-            for left, right, common in qualifying:
-                estimate.dependence[(left, right)] = self._pair_dependence(
-                    votes[left], votes[right], common, claimants
-                )
 
         # Independence weight: 1 / (1 + Σ strong dependences), so a
-        # clique of k mutual copiers each weighs ~1/k.
-        for party in parties:
-            strong = sum(
-                score
-                for (left, right), score in estimate.dependence.items()
-                if score >= DEPENDENCE_THRESHOLD
-                and party in (left, right)
-            )
-            estimate.weights[party] = 1.0 / (1.0 + strong)
+        # clique of k mutual copiers each weighs ~1/k.  Each party's
+        # strong scores are summed in ``dependence`` order.
+        strong: dict[str, list[float]] = {party: [] for party in parties}
+        for pair, score in estimate.dependence.items():
+            if score >= DEPENDENCE_THRESHOLD:
+                for party in pair:
+                    strong[party].append(score)
+        estimate.weights = {
+            party: 1.0 / (1.0 + sum(scores))
+            for party, scores in strong.items()
+        }
         return estimate
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _claimants_by_item_value(
-        claims: list[Claim], party_of, items: set[Item]
-    ) -> dict[Item, tuple[set[str], dict[str, set[str]]]]:
-        """Per item of ``items``: the parties claiming it, and those
-        claiming each of its values."""
-        claimants: dict[Item, tuple[set[str], dict[str, set[str]]]] = {}
-        for claim in claims:
-            item = claim.item
-            if item in items:
-                held = claimants.get(item)
-                if held is None:
-                    held = claimants[item] = (set(), {})
-                party = party_of(claim)
-                held[0].add(party)
-                held[1].setdefault(claim.value, set()).add(party)
-        return claimants
-
-    @staticmethod
-    def _pair_dependence(
-        left_votes: dict[Item, str | set[str]],
-        right_votes: dict[Item, str | set[str]],
-        common: set[Item],
-        claimants: dict[Item, tuple[set[str], dict[str, set[str]]]],
-    ) -> float:
-        """Dependence in [0, 1]: rarity-weighted agreement rate.
-
-        Rarity is measured among *other* parties — two sources agreeing
-        on a value everyone else also asserts (a popular truth) is no
-        copying evidence, while agreeing on a value nobody else claims
-        almost certainly is.  With few independent witnesses the
-        observed popularity is unreliable, so it is blended toward the
-        uninformative :data:`UNWITNESSED_RARITY` prior in proportion to
-        the witness count (full trust from two witnesses up).  The old
-        hard cliff — a flat 0.2 for *any* item with fewer than two
-        witnesses — threw away the one witness an item did have: a
-        single independent dissenter (rarity 1.0 under the formula)
-        scored the same 0.2 as no evidence at all, so copier cliques in
-        sparse worlds stayed below the discount threshold.
-
-        The sum is normalized by the size of the pair's value *union*
+    def _dependence(
+        self, runs: Iterable[list[Claim]], party_of
+    ) -> dict[tuple[str, str], float]:
+        """Per qualifying pair, in sorted pair order: the rarity of its
+        agreements (:func:`_rarity`) over the size of its value *union*
         per item (Jaccard style), so both popular-only agreement and
-        frequent disagreement drive the dependence toward zero; a pair
-        that always disagrees scores near 0 even over many items.
+        frequent disagreement drive the dependence toward zero."""
+        # Pair → [common items, rarity sum, value-union size].
+        tallies = defaultdict(lambda: [0, 0.0, 0])
+        for run in runs:
+            if len(run) == 2:  # most shared items: two claims, no witness
+                first, second = run
+                left, right = party_of(first), party_of(second)
+                if left != right:
+                    pair = (left, right) if left < right else (right, left)
+                    tally = tallies[pair]
+                    tally[0] += 1
+                    if first.value == second.value:
+                        tally[1] += _rarity(0, 2)
+                        tally[2] += 1
+                    else:
+                        tally[2] += 2
+                continue
+            ballots: dict[str, set[str]] = {}  # party → values claimed
+            holders: dict[str, set[str]] = {}  # value → parties claiming
+            for claim in run:
+                party, value = party_of(claim), claim.value
+                ballots.setdefault(party, set()).add(value)
+                holders.setdefault(value, set()).add(party)
+            # Both parties of a pair claim the item (and each value
+            # they share): everybody else is a witness.
+            witnesses = len(ballots) - 2
+            rarity = {
+                value: _rarity(witnesses, len(claimants))
+                for value, claimants in holders.items()
+                if len(claimants) > 1
+            }
+            for pair in combinations(sorted(ballots), 2):
+                left, right = ballots[pair[0]], ballots[pair[1]]
+                shared = sorted(left & right)
+                tally = tallies[pair]
+                tally[0] += 1
+                for value in shared:
+                    tally[1] += rarity[value]
+                tally[2] += len(left) + len(right) - len(shared)
+        return {
+            pair: agreement_rarity / union_size
+            for pair, (common, agreement_rarity, union_size)
+            in sorted(tallies.items())
+            if common >= self.min_common_items
+        }
 
-        Items and shared values are walked in sorted order, so the sum
-        depends on neither the hash seed nor the claim order.
-        """
-        agreement_rarity = 0.0
-        union_size = 0
-        for item in sorted(common):
-            everyone, by_value = claimants[item]
-            # Both parties of the pair claim the item (and, below, each
-            # shared value): everybody else is a witness.
-            witnesses = len(everyone) - 2
-            # Confidence in the observed popularity: 0 with no
-            # witnesses, 0.5 with one, 1.0 from two up.  ≥2 witnesses
-            # reproduces the pre-fix arithmetic exactly.
-            weight = witnesses / 2.0 if witnesses < 2 else 1.0
-            left_values, right_values = left_votes[item], right_votes[item]
-            if isinstance(left_values, str) and isinstance(right_values, str):
-                shared = (left_values,) if left_values == right_values else ()
-                union_size += 2 - len(shared)
-            else:
-                if isinstance(left_values, str):
-                    left_values = {left_values}
-                elif isinstance(right_values, str):
-                    right_values = {right_values}
-                shared = sorted(left_values & right_values)
-                union_size += (
-                    len(left_values) + len(right_values) - len(shared)
-                )
-            for value in shared:
-                if witnesses:
-                    others_claiming = len(by_value[value]) - 2
-                    popularity_among_others = others_claiming / witnesses
-                else:
-                    popularity_among_others = 0.0
-                agreement_rarity += (
-                    (1.0 - weight) * UNWITNESSED_RARITY
-                    + weight * (1.0 - popularity_among_others)
-                )
-        return agreement_rarity / union_size if union_size else 0.0
+
+def _rarity(witnesses: int, claimants: int) -> float:
+    """What agreeing on a value adds to a pair's sum, on an item with
+    ``witnesses`` claimants besides the pair, ``claimants`` of all of
+    them claiming the value.
+
+    Rarity is measured among *other* parties — two sources agreeing
+    on a value everyone else also asserts (a popular truth) is no
+    copying evidence, while agreeing on a value nobody else claims
+    almost certainly is.  With few independent witnesses the observed
+    popularity is unreliable, so it is blended toward the
+    uninformative :data:`UNWITNESSED_RARITY` prior in proportion to
+    the witness count: one independent dissenter (rarity 1.0) counts
+    half, so copier cliques in sparse worlds reach the threshold.
+    """
+    # Confidence in the observed popularity: 0 with no witnesses, 0.5
+    # with one, 1.0 from two up.
+    weight = witnesses / 2.0 if witnesses < 2 else 1.0
+    popularity = (claimants - 2) / witnesses if witnesses else 0.0
+    return (1.0 - weight) * UNWITNESSED_RARITY + weight * (1.0 - popularity)
+
+
+def _shared_runs(claims: list[Claim]) -> Iterator[list[Claim]]:
+    """The claims of each item claimed more than once, items in sorted
+    order.  ``claims`` is the estimator's own list: sorted by item in
+    place unless it comes in item order already (a ``ClaimSet`` and
+    the incremental engine's corpus do), which one comparison per
+    neighbour tells."""
+    items = list(map(_item_of, claims))
+    # Where a claim's item is not above its predecessor's: a repeat, or
+    # a step down that sends the list to be sorted.
+    repeats = list(compress(count(1), map(ge, items, islice(items, 1, None))))
+    if any(items[at - 1] != items[at] for at in repeats):
+        claims.sort(key=_item_of)
+        items = list(map(_item_of, claims))
+        repeats = compress(count(1), map(eq, items, islice(items, 1, None)))
+    begin = end = 0
+    for at in repeats:
+        if at != end:  # claim ``at - 1`` opens a run
+            if end:
+                yield claims[begin:end]
+            begin = at - 1
+        end = at + 1
+    if end:
+        yield claims[begin:end]

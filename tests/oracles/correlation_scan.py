@@ -3,12 +3,14 @@
 Two full passes over the claims (every party's vote table, every
 item's claimant table), two fresh item sets per party pair, and per
 pair and common item a set of the *other* parties built from the
-claimant table.  The estimator in ``src/`` builds less — nothing at
-one party, no claimant table without a qualifying pair, one item set
-per party, witness counts as ``len(...) - 2`` — and must return the
-same estimate: ``dependence`` with ``==`` *including key order*, and
-``weights``, because every float is added in the same order (common
-items and shared values in sorted order).
+claimant table.  The estimator in ``src/`` walks the claims once in
+sorted item order instead — items with one claim or one party
+skipped, each shared item's witness count and value rarities computed
+once and added to the tally of every pair of its claimants — and must
+return the same estimate: ``dependence`` with ``==`` *including key
+order*, and ``weights``, because every float is added in the same
+order (common items and shared values in sorted order, each party's
+strong scores in ``dependence`` order).
 
 The methods below are the former ``src/`` ones, moved here unchanged
 but for that order: they walked ``common`` and ``shared`` in set

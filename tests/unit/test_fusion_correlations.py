@@ -20,6 +20,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             CorrelationEstimator(by="planet")
 
+    @pytest.mark.parametrize("floor", [0, -3])
+    def test_a_floor_below_one_common_item_rejected(self, floor):
+        """A pair sharing no item has no evidence to score (a floor of
+        0 once scored two sources on disjoint items as 0.0)."""
+        with pytest.raises(ValueError):
+            CorrelationEstimator(min_common_items=floor)
+
 
 class TestPairDependence:
     def test_perfect_copiers_high_dependence(self):
@@ -124,7 +131,7 @@ class TestExtractorDimension:
 class TestWitnessBlending:
     """Regression tests for the <2-witness rarity cliff (ISSUE 9).
 
-    ``_pair_dependence`` used to credit a flat 0.2 rarity to any
+    The estimate used to credit a flat 0.2 rarity to any
     agreement on an item with fewer than two independent witnesses,
     discarding the evidence of the one witness an item *did* have.
     Rarity is now blended between the uninformative prior (0.2) and
@@ -345,6 +352,19 @@ class TestEqualsTheScanOracle:
             claims.append(claim(item, "z", "right"))
             claims.append(claim(item, "z" if index % 2 else "y", "w"))
         _assert_same_estimate(claims)
+
+    def test_weights_of_a_sixty_source_world(self):
+        """Each party's strong scores are summed in ``dependence``
+        order, as the scan sums them: 60 sources, cliques among them."""
+        claims = generate_claim_world(
+            ClaimWorldConfig(
+                seed=4, n_items=80, n_sources=30, coverage=0.5,
+                copier_cliques=6, clique_size=4,
+            )
+        ).claims
+        estimate = _assert_same_estimate(claims)
+        assert len(estimate.weights) == 60
+        assert min(estimate.weights.values()) < 0.5
 
     @pytest.mark.parametrize("by", ["source", "extractor"])
     def test_one_shot_iterable(self, by):

@@ -1,6 +1,7 @@
 """Unit tests for the dirty-component incremental fusion engine."""
 
 import random
+from collections import Counter
 from collections.abc import Mapping
 
 import pytest
@@ -814,11 +815,15 @@ class _CountingClaims:
 
 
 class TestEstimatorBuildsWhatItsPairLoopReads:
+    """The estimate is one walk: the claims are read in one pass, and
+    a claim is read past its item and party only where its item has
+    another claim to pair it with."""
+
     def test_one_extractor_is_one_pass_and_no_table(self):
         """Regression: with one extractor in the corpus the estimate is
         ``{extractor: 1.0}``, yet both tables were built over every
         claim (most of what a small delta cost on a one-extractor
-        store)."""
+        store).  One party: nothing but the party is read."""
         claims = _CountingClaims(canonical_claims(_corpus(n_worlds=20)))
         estimate = CorrelationEstimator(by="extractor").estimate(claims)
         assert estimate.weights == {"synthetic": 1.0}
@@ -829,30 +834,53 @@ class TestEstimatorBuildsWhatItsPairLoopReads:
             "extractor_id": len(claims),
         }
 
+    @staticmethod
+    def _estimate(min_common_items):
+        """Disjoint worlds of four sources, in item order, with the
+        count of claims whose item has other claims to pair with."""
+        plain = canonical_claims(_corpus(n_worlds=10, n_items=6))
+        per_item = Counter(one.item for one in plain)
+        shared = sum(n for n in per_item.values() if n > 1)
+        assert 0 < shared < len(plain)
+        claims = _CountingClaims(plain)
+        estimate = CorrelationEstimator(
+            min_common_items=min_common_items
+        ).estimate(claims)
+        return claims, shared, estimate
+
     def test_no_qualifying_pair_builds_no_claimant_table(self):
-        """Disjoint worlds of four sources with ``min_common_items``
-        above any world's item count: every source is collected and
-        votes, nobody is scored — two reads of the claims, not three."""
-        claims = _CountingClaims(
-            canonical_claims(_corpus(n_worlds=10, n_items=6))
-        )
-        estimate = CorrelationEstimator(min_common_items=7).estimate(claims)
+        """``min_common_items`` above any world's item count: every
+        source is collected and votes, nobody is scored.  Each claim's
+        item and party are read once; a claim of an item with several
+        claims is read again, party and value, and a lone claim is
+        not."""
+        claims, shared, estimate = self._estimate(min_common_items=7)
         assert len(estimate.weights) == 40
-        assert set(estimate.weights.values()) == {1.0}
         assert estimate.dependence == {}
+        assert set(estimate.weights.values()) == {1.0}
         assert claims.passes == 1
         assert claims.reads == {
-            "item": len(claims), "value": len(claims),
-            "source_id": 2 * len(claims), "extractor_id": 0,
+            "item": len(claims), "value": shared,
+            "source_id": len(claims) + shared, "extractor_id": 0,
         }
-        # One item fewer and pairs qualify: the third read, of the
-        # items those pairs share.
-        claims = _CountingClaims(
-            canonical_claims(_corpus(n_worlds=10, n_items=6))
-        )
-        estimate = CorrelationEstimator(min_common_items=2).estimate(claims)
+
+    def test_only_shared_items_are_read_twice(self):
+        """A floor below the worlds' item count scores pairs and reads
+        what a floor above it does: a pair below the bar gets a tally
+        and no score, and no pair of parties that share no item is
+        looked at."""
+        claims, shared, estimate = self._estimate(min_common_items=2)
+        assert len(estimate.weights) == 40
         assert estimate.dependence
-        assert claims.reads["item"] == 2 * len(claims)
+        assert all(
+            left.split("/")[0] == right.split("/")[0]
+            for left, right in estimate.dependence
+        )
+        assert claims.passes == 1
+        assert claims.reads == {
+            "item": len(claims), "value": shared,
+            "source_id": len(claims) + shared, "extractor_id": 0,
+        }
 
 
 class TestCorpusSuccessor:
