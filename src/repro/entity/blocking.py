@@ -17,9 +17,9 @@ generators that turn those scans into a 3-tier cascade:
   (bounded, for permutation/containment shapes), a short prefix bucket
   (misspellings that keep their head), and profile-pair postings.
 * **tier 3 — expensive scorer**: the original similarity functions run
-  only on tier-2 survivors, replayed in the same order the brute-force
-  loop would have visited them, so the argmax (and its tie-breaking)
-  is preserved.
+  only on tier-2 survivors, replayed in the same order the full scan
+  would have visited them, so the argmax (and its tie-breaking) is
+  preserved.
 
 Everything is deterministic and seed-stable: hash permutations come
 from a seeded PRNG over CRC32 shingle hashes (never the salted builtin
@@ -40,9 +40,11 @@ Candidate sets from :class:`SurfaceBlockingIndex` are *probabilistic*
 supersets: the LSH tier can in principle miss a pair whose shingle
 Jaccard is low even though the expensive scorer would accept it.  The
 repo's contract is therefore pinned empirically — property tests replay
-seeded worlds through both paths and require byte-identical verdicts —
-and callers fall back to brute force outright for small pools
-(``brute_floor``), where blocking buys nothing.
+seeded worlds, from a few entries to 100 000, through the callers and
+through the full scans in ``tests/oracles/entity_scan.py`` and require
+identical verdicts.  The index is the callers' only path at every pool
+size, and its geometry (``NUM_PERM``, ``BANDS``, ``SEED``,
+``TOKEN_CAP``) is fixed here, not chosen per index.
 """
 
 from __future__ import annotations
@@ -63,25 +65,20 @@ __all__ = [
 # h(x) = (a*x + b) mod P used for the MinHash permutations.
 _PRIME = 2_147_483_647
 
-# Defaults shared by every SurfaceBlockingIndex (linker, discovery).
-# 32 permutations banded 16x2 favours recall: a pair with shingle
-# Jaccard s collides in >= 1 band with probability 1 - (1 - s^2)^16
-# (~0.99 at s = 0.5, the typo regime), at the cost of admitting some
+# The geometry of every MinHash index (linker, discovery).  32
+# permutations banded 16x2 favours recall: a pair with shingle Jaccard
+# s collides in >= 1 band with probability 1 - (1 - s^2)^16 (~0.99 at
+# s = 0.5, the typo regime), at the cost of admitting some
 # low-similarity pairs that tier 3 then rejects.
-DEFAULT_NUM_PERM = 32
-DEFAULT_BANDS = 16
-DEFAULT_SEED = 2015
+NUM_PERM = 32
+BANDS = 16
+SEED = 2015
 
 # Posting lists longer than this are skipped at query time: a token
 # shared by thousands of surfaces has no blocking power, and unioning
 # its posting list would reintroduce the linear scan.  Deterministic,
 # so candidate sets stay a pure function of the indexed corpus.
-DEFAULT_TOKEN_CAP = 2048
-
-# Pools at or below this size are scanned brute-force by the callers:
-# index maintenance costs more than it saves, and the reference loop
-# is trivially verdict-identical.
-DEFAULT_BRUTE_FLOOR = 64
+TOKEN_CAP = 2048
 
 _PREFIX_LEN = 4
 _SUFFIX_LEN = 4
@@ -146,7 +143,6 @@ class BlockingStats:
     tier3_scored: int = 0        # expensive-scorer invocations
     pruned: int = 0              # pool entries blocking skipped
     queries: int = 0             # probes that reached tier 2
-    fallback_queries: int = 0    # probes brute-forced (small pool/off)
     # candidate-set size -> number of probes that saw it (histogram
     # source; bounded by the variety of candidate-set sizes).
     candidate_sizes: dict[int, int] = field(default_factory=dict)
@@ -175,9 +171,6 @@ class BlockingStats:
         registry.counter("blocking_queries_total", site=site).inc(
             self.queries
         )
-        registry.counter("blocking_fallback_queries_total", site=site).inc(
-            self.fallback_queries
-        )
         candidates = registry.histogram("blocking_candidates", site=site)
         for size in sorted(self.candidate_sizes):
             for _ in range(self.candidate_sizes[size]):
@@ -191,39 +184,22 @@ class BlockingStats:
 class MinHashLSH:
     """Banded MinHash index over shingle sets, seeded and stable.
 
-    ``num_perm`` hash permutations are split into ``bands`` bands of
-    ``num_perm // bands`` rows; two sets land in the same bucket of a
+    ``NUM_PERM`` hash permutations are split into ``BANDS`` bands of
+    ``NUM_PERM // BANDS`` rows; two sets land in the same bucket of a
     band when their signatures agree on every row of that band, which
     happens with probability ``s^rows`` for Jaccard similarity ``s``,
     so a pair collides somewhere with ``1 - (1 - s^rows)^bands`` —
-    0.94 at ``s = 0.4`` and 0.99 at ``s = 0.5`` with the defaults (16
-    bands of 2 rows).
+    0.94 at ``s = 0.4`` and 0.99 at ``s = 0.5`` (16 bands of 2 rows).
     Members are integer ids assigned by the caller.
     """
 
-    __slots__ = (
-        "num_perm", "bands", "rows", "_params", "_row_cache", "_buckets",
-    )
+    __slots__ = ("_params", "_row_cache", "_buckets")
 
-    def __init__(
-        self,
-        *,
-        num_perm: int = DEFAULT_NUM_PERM,
-        bands: int = DEFAULT_BANDS,
-        seed: int = DEFAULT_SEED,
-    ) -> None:
-        if num_perm < 1 or bands < 1 or num_perm % bands:
-            raise ValueError(
-                f"num_perm ({num_perm}) must be a positive multiple of "
-                f"bands ({bands})"
-            )
-        self.num_perm = num_perm
-        self.bands = bands
-        self.rows = num_perm // bands
-        rng = random.Random(seed)
+    def __init__(self) -> None:
+        rng = random.Random(SEED)
         self._params = tuple(
             (rng.randrange(1, _PRIME), rng.randrange(0, _PRIME))
-            for _ in range(num_perm)
+            for _ in range(NUM_PERM)
         )
         # shingle -> its value under every permutation; shingles repeat
         # massively across surfaces (small token/3-gram alphabets), so
@@ -231,7 +207,7 @@ class MinHashLSH:
         self._row_cache: dict[str, tuple[int, ...]] = {}
         # band index -> band key tuple -> member ids.
         self._buckets: list[dict[tuple[int, ...], list[int]]] = [
-            {} for _ in range(bands)
+            {} for _ in range(BANDS)
         ]
 
     def _rows_of(self, shingle: str) -> tuple[int, ...]:
@@ -247,7 +223,7 @@ class MinHashLSH:
     def signature(self, shingles) -> tuple[int, ...]:
         """The MinHash signature of a shingle set (empty set => sentinel
         signature of all ``_PRIME``)."""
-        signature = [_PRIME] * self.num_perm
+        signature = [_PRIME] * NUM_PERM
         for shingle in shingles:
             row = self._rows_of(shingle)
             signature = [
@@ -257,8 +233,8 @@ class MinHashLSH:
         return tuple(signature)
 
     def _band_keys(self, signature: tuple[int, ...]):
-        rows = self.rows
-        for band in range(self.bands):
+        rows = NUM_PERM // BANDS
+        for band in range(BANDS):
             yield band, signature[band * rows:(band + 1) * rows]
 
     def add(self, member: int, shingles) -> None:
@@ -291,7 +267,7 @@ class SurfaceBlockingIndex:
     Six sub-blocks feed the candidate union:
 
     * LSH bucket collisions over :func:`shingle_surface` shingles;
-    * inverted token postings (skipped per-token beyond ``token_cap``
+    * inverted token postings (skipped per-token beyond ``TOKEN_CAP``
       members — ubiquitous tokens have no blocking power);
     * ``_PREFIX_LEN``-char prefix and ``_SUFFIX_LEN``-char suffix
       buckets (same cap): a surface within one edit of the probe keeps
@@ -305,20 +281,12 @@ class SurfaceBlockingIndex:
     """
 
     __slots__ = (
-        "_lsh", "token_cap", "_tokens", "_prefixes", "_suffixes",
-        "_short", "_pairs", "_size",
+        "_lsh", "_tokens", "_prefixes", "_suffixes", "_short", "_pairs",
+        "_size",
     )
 
-    def __init__(
-        self,
-        *,
-        num_perm: int = DEFAULT_NUM_PERM,
-        bands: int = DEFAULT_BANDS,
-        seed: int = DEFAULT_SEED,
-        token_cap: int = DEFAULT_TOKEN_CAP,
-    ) -> None:
-        self._lsh = MinHashLSH(num_perm=num_perm, bands=bands, seed=seed)
-        self.token_cap = token_cap
+    def __init__(self) -> None:
+        self._lsh = MinHashLSH()
         self._tokens: dict[str, set[int]] = {}
         self._prefixes: dict[str, set[int]] = {}
         self._suffixes: dict[str, set[int]] = {}
@@ -353,7 +321,7 @@ class SurfaceBlockingIndex:
         """Sorted candidate ids for one probe surface (+profile)."""
         found: set[int] = set()
         self._lsh.candidates(shingle_surface(norm, tokens), found)
-        cap = self.token_cap
+        cap = TOKEN_CAP
         for token in tokens:
             posting = self._tokens.get(token)
             if posting is not None and len(posting) <= cap:

@@ -15,24 +15,20 @@ The clustering is greedy agglomerative over a combined signal:
   the mention vs. the cluster profile.
 
 Each class keeps a :class:`repro.entity.blocking.SurfaceBlockingIndex`
-over its clusters, grown as clusters are created and joined; once a
-class holds more than ``brute_floor`` clusters an unlinked mention is
-scored only against the clusters the index proposes (in creation
-order, so the greedy argmax ties break exactly like the full scan the
-smaller pools get).  Unlike the linker there is no tier-1 exact
-shortcut here — an exact surface match does not imply the best blended
-score, because the profile term can favour another cluster.
+over its clusters, grown as clusters are created and joined; an
+unlinked mention is scored only against the clusters the index
+proposes, in creation order, so the greedy argmax ties break exactly
+like the full scan of ``tests/oracles/entity_scan.py``.  Unlike the
+linker there is no tier-1 exact shortcut here — an exact surface match
+does not imply the best blended score, because the profile term can
+favour another cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.entity.blocking import (
-    DEFAULT_BRUTE_FLOOR,
-    BlockingStats,
-    SurfaceBlockingIndex,
-)
+from repro.entity.blocking import BlockingStats, SurfaceBlockingIndex
 from repro.entity.linking import (
     EntityLinker,
     LinkDecision,
@@ -121,14 +117,8 @@ class JointEntityResolver:
     :data:`PROFILE_WEIGHT`.
     """
 
-    def __init__(
-        self,
-        linker: EntityLinker,
-        *,
-        brute_floor: int = DEFAULT_BRUTE_FLOOR,
-    ) -> None:
+    def __init__(self, linker: EntityLinker) -> None:
         self.linker = linker
-        self.brute_floor = brute_floor
         self.blocking_stats = BlockingStats("discovery")
 
     def resolve(self, mentions: list[MentionRecord]) -> ResolutionOutcome:
@@ -159,14 +149,10 @@ class JointEntityResolver:
             if block is None:
                 block = blocks[mention.class_name] = _ClassBlock()
             probe = SurfaceForm.build(mention.surface)
-            if len(clusters) > self.brute_floor:
-                ordinals = block.index.candidates(
-                    probe.norm, probe.content_tokens, mention.facts
-                )
-                stats.observe_candidates(len(ordinals), len(clusters))
-            else:
-                ordinals = range(len(clusters))
-                stats.fallback_queries += 1
+            ordinals = block.index.candidates(
+                probe.norm, probe.content_tokens, mention.facts
+            )
+            stats.observe_candidates(len(ordinals), len(clusters))
             stats.tier3_scored += len(ordinals)
             for ordinal in ordinals:
                 score = self._cluster_score(

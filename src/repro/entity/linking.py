@@ -16,9 +16,8 @@ Matching runs as a 3-tier cascade:
   only on tier-2 survivors in catalog order, so the argmax and its
   tie-breaking match the full scan.
 
-Pools at or below ``brute_floor`` are scanned in full instead of tiers
-2–3 (blocking an almost-empty catalog costs more than it saves; a
-floor above the catalog size scans everything).  Catalog
+Every fuzzy probe takes tiers 2–3, whatever the pool size; the full
+scan they answer for is ``tests/oracles/entity_scan.py``.  Catalog
 surfaces are normalised and tokenised exactly once, at construction —
 ``link()`` builds one :class:`SurfaceForm` for the mention and never
 re-tokenises the catalog.
@@ -28,11 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.entity.blocking import (
-    DEFAULT_BRUTE_FLOOR,
-    BlockingStats,
-    SurfaceBlockingIndex,
-)
+from repro.entity.blocking import BlockingStats, SurfaceBlockingIndex
 from repro.rdf.ontology import Entity
 from repro.textproc.normalize import normalize_name
 from repro.textproc.similarity import jaro_winkler, token_set_jaccard
@@ -133,43 +128,30 @@ class EntityLinker:
     entity_index:
         Surface form → entity (from
         :meth:`repro.rdf.ontology.Ontology.entity_index`).
-    brute_floor:
-        Candidate pools at or below this size are scanned exhaustively
-        instead of going through the MinHash/LSH blocking index.
     """
 
-    def __init__(
-        self,
-        entity_index: dict[str, Entity],
-        *,
-        brute_floor: int = DEFAULT_BRUTE_FLOOR,
-    ) -> None:
+    def __init__(self, entity_index: dict[str, Entity]) -> None:
         self._exact = {
             normalize_name(surface): entity
             for surface, entity in entity_index.items()
         }
-        self.brute_floor = brute_floor
         self.blocking_stats = BlockingStats("linker")
-        # Fuzzy candidates bucketed by class for optional restriction.
-        self._by_class: dict[str, list[tuple[str, Entity]]] = {}
+        by_class: dict[str, list[tuple[str, Entity]]] = {}
         for surface, entity in self._exact.items():
-            self._by_class.setdefault(entity.class_name, []).append(
+            by_class.setdefault(entity.class_name, []).append(
                 (surface, entity)
             )
         # Catalog forms, computed once.  ``_entries`` follows the exact
-        # order the full scan visits (classes in insertion
-        # order, surfaces within each class), so ascending entry ids
-        # replay its tie-breaking.
-        self._forms: dict[str, SurfaceForm] = {
-            norm: SurfaceForm.from_norm(norm) for norm in self._exact
-        }
+        # order the full scan visits (classes in insertion order,
+        # surfaces within each class), so ascending entry ids replay
+        # its tie-breaking.
         self._entries: list[tuple[SurfaceForm, Entity]] = []
         self._class_pool: dict[str, int] = {}
         self._index = SurfaceBlockingIndex()
-        for class_name, pairs in self._by_class.items():
+        for class_name, pairs in by_class.items():
             self._class_pool[class_name] = len(pairs)
             for norm, entity in pairs:
-                form = self._forms[norm]
+                form = SurfaceForm.from_norm(norm)
                 self._index.add(len(self._entries), norm, form.content_tokens)
                 self._entries.append((form, entity))
 
@@ -196,37 +178,20 @@ class EntityLinker:
             if class_name is None
             else self._class_pool.get(class_name, 0)
         )
-        if pool > self.brute_floor:
-            candidate_ids = self._index.candidates(
-                probe.norm, probe.content_tokens
-            )
-            if class_name is not None:
-                candidate_ids = [
-                    entry_id
-                    for entry_id in candidate_ids
-                    if self._entries[entry_id][1].class_name == class_name
-                ]
-            stats.observe_candidates(len(candidate_ids), pool)
-            stats.tier3_scored += len(candidate_ids)
-            for entry_id in candidate_ids:
-                form, entity = self._entries[entry_id]
-                score = form_similarity(probe, form)
-                if score > best_score:
-                    best, best_score = entity, score
-        else:
-            # Small pool: scan it in full.
-            stats.fallback_queries += 1
-            if class_name is None:
-                candidates = [
-                    pair for pairs in self._by_class.values() for pair in pairs
-                ]
-            else:
-                candidates = self._by_class.get(class_name, [])
-            stats.tier3_scored += len(candidates)
-            for candidate_surface, entity in candidates:
-                score = form_similarity(probe, self._forms[candidate_surface])
-                if score > best_score:
-                    best, best_score = entity, score
+        candidate_ids = self._index.candidates(probe.norm, probe.content_tokens)
+        if class_name is not None:
+            candidate_ids = [
+                entry_id
+                for entry_id in candidate_ids
+                if self._entries[entry_id][1].class_name == class_name
+            ]
+        stats.observe_candidates(len(candidate_ids), pool)
+        stats.tier3_scored += len(candidate_ids)
+        for entry_id in candidate_ids:
+            form, entity = self._entries[entry_id]
+            score = form_similarity(probe, form)
+            if score > best_score:
+                best, best_score = entity, score
         if best is not None and best_score >= MIN_LINK_SIMILARITY:
             return LinkDecision(surface, best, best_score)
         return LinkDecision(surface, None, best_score)

@@ -75,9 +75,6 @@ class StorageBackend(abc.ABC):
     in-memory backends.
     """
 
-    #: Short name used by config/CLI wiring ("memory", "segment").
-    name = "backend"
-
     # -- mutation ------------------------------------------------------
     @abc.abstractmethod
     def add(self, scored: ScoredTriple) -> bool:
@@ -188,8 +185,6 @@ class MemoryBackend(StorageBackend):
     claim keys once (O(claims)), and answers in claim-dict order under
     any hash seed.
     """
-
-    name = "memory"
 
     def __init__(self) -> None:
         # (triple, provenance) -> ScoredTriple

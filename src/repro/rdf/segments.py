@@ -646,8 +646,6 @@ class SegmentBackend(StorageBackend):
         ``storage:compaction`` scopes (index = phase).
     """
 
-    name = "segment"
-
     def __init__(
         self,
         directory: str | os.PathLike,

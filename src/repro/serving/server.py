@@ -236,9 +236,10 @@ class KBServer:
         injected += fire(self.fault_plan, "stream:commit", event.offset)
         # The fence window: every offset the log can still deliver lies
         # within 2 x capacity fenced events of the newest.
-        fence = version.applied[1 - 2 * self.log.capacity:] + (
-            event.event_id,
-        )
+        fence = dict(version.applied)
+        fence[event.event_id] = None
+        if len(fence) > 2 * self.log.capacity:
+            del fence[next(iter(fence))]
         if failure is None:
             successor = KBVersion(
                 version_id=version.version_id + 1,

@@ -30,14 +30,17 @@ delta's successor carries its predecessor's index object with its
 result.  A version is always handed its index; nothing here builds
 one.
 
-The dedup fence is a tuple, oldest id first, that the server trims to
-its window (:mod:`repro.serving.server`); it is part of the version so
-that the fence, the consumed offset and the served state commit as one.
+The dedup fence is an insertion-ordered dict of ids (values ``None``),
+oldest first, so a membership test is one hash probe; the server builds
+each successor's as a copy trimmed to its window
+(:mod:`repro.serving.server`) and never mutates a committed one.  It is
+part of the version so that the fence, the consumed offset and the
+served state commit as one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ServingError
 from repro.fusion.base import FusionResult
@@ -69,7 +72,7 @@ class KBVersion:
     result: FusionResult
     read_index: ReadIndex
     offset: int = 0
-    applied: tuple[str, ...] = ()
+    applied: dict[str, None] = field(default_factory=dict)
     label: str = ""
 
     def canonical_bytes(self) -> bytes:

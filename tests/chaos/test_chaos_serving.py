@@ -825,7 +825,7 @@ class TestCompaction:
             assert current.version_id == len(deltas)
             window = min(current.version_id, 2 * capacity)
             assert len(current.applied) == window
-            assert current.applied == tuple(published[-window:])
+            assert tuple(current.applied) == tuple(published[-window:])
             # The lifetime statistic is the version count, not the fence.
             assert server.status().applied_events == len(deltas)
 

@@ -12,17 +12,14 @@ from repro.core.pipeline import (
     KnowledgeBaseConstructionPipeline,
     PipelineConfig,
 )
-from repro.entity.discovery import (
-    JointEntityResolver,
-    resolve_mention_triples,
-)
-from repro.entity.linking import EntityLinker
+from repro.entity.discovery import resolve_mention_triples
 from repro.synth.kb_snapshots import KbPairConfig
 from repro.synth.querylog import QueryLogConfig
 from repro.synth.websites import WebsiteConfig
 from repro.synth.webtext import WebTextConfig
 from tests.conftest import SMALL_WORLD_CONFIG
 from tests.oracles.attribute_scan import ScanAttributeResolver
+from tests.oracles.entity_scan import ScanEntityLinker, ScanJointEntityResolver
 
 
 @pytest.fixture(scope="module")
@@ -113,10 +110,9 @@ class TestBlockingKnob:
     ):
         """The run's resolved claims are what the full scans resolve.
 
-        The extracted triples of the (blocked) run go through joint
-        resolution with a ``brute_floor`` no pool reaches and through
-        the attribute-resolver oracle; subjects, predicates and
-        clusters must come out as the pipeline's own.
+        The extracted triples of the (blocked) run go through the
+        joint-resolution and attribute-resolver oracles; subjects,
+        predicates and clusters must come out as the pipeline's own.
         """
         pipeline, report = discovery_run
         outcome = report.entity_resolution
@@ -134,10 +130,8 @@ class TestBlockingKnob:
             for surface in cluster.surfaces:
                 mention_classes[surface] = cluster.class_name
         assert mention_classes
-        scan = 10**9
-        resolver = JointEntityResolver(
-            EntityLinker(pipeline.entity_index, brute_floor=scan),
-            brute_floor=scan,
+        resolver = ScanJointEntityResolver(
+            ScanEntityLinker(pipeline.entity_index)
         )
         resolved, scanned = resolve_mention_triples(
             extracted, mention_classes, resolver

@@ -39,9 +39,7 @@ class ScanAttributeResolver(AttributeResolver):
     def _run_brute(self, resolution: AttributeResolution, names) -> AttributeResolution:
         """Reference path: scan every accepted canonical per variant."""
         canonical: list[str] = []
-        stats = self.stats
         for name in names:
-            stats.fallback_queries += 1
             target = self._find_target_brute(name, canonical)
             if target is None:
                 parent = _specialising_parent(name)

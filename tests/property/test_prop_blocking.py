@@ -2,8 +2,8 @@
 
 Seeded random worlds are replayed through the blocked path and the
 full scan of the three blocking sites — mention linking and joint
-discovery with ``brute_floor`` at 0 against a floor above the pool,
-attribute resolution against ``tests.oracles.attribute_scan``.  The
+discovery against ``tests.oracles.entity_scan``, attribute resolution
+against ``tests.oracles.attribute_scan``.  The
 LSH tier is probabilistic by design but deterministic
 under the pinned seeds, so these pins are stable: a pass today is a
 pass forever (the same contract PR 2 established for the attribute
@@ -23,9 +23,7 @@ from repro.entity.resolution import AttributeResolver
 from repro.rdf.ontology import Entity
 from repro.textproc.similarity import levenshtein
 from tests.oracles.attribute_scan import ScanAttributeResolver
-
-# A brute_floor no pool reaches: every query takes the full scan.
-SCAN = 10**9
+from tests.oracles.entity_scan import ScanEntityLinker, ScanJointEntityResolver
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -91,8 +89,8 @@ class TestLinkerEquivalence:
             catalog[surface] = Entity(
                 f"e/{i}", surface, classes[i % len(classes)]
             )
-        blocked = EntityLinker(catalog, brute_floor=0)
-        brute = EntityLinker(catalog, brute_floor=SCAN)
+        blocked = EntityLinker(catalog)
+        brute = ScanEntityLinker(catalog)
         surfaces = list(catalog)
         for probe in _probes(rng, surfaces, 150):
             for class_name in (None, rng.choice(classes)):
@@ -157,7 +155,7 @@ def test_blocked_verdicts_match_the_scan_at_scale():
         catalog = _scaled_catalog(rng, size)
         probes = _typo_probes(rng, list(catalog), 100)
         blocked = EntityLinker(catalog)
-        scan = EntityLinker(catalog, brute_floor=len(catalog))
+        scan = ScanEntityLinker(catalog)
         assert verdicts(blocked, probes)[:scanned] == verdicts(
             scan, probes[:scanned]
         )
@@ -199,12 +197,8 @@ class TestDiscoveryEquivalence:
                 for m in records
             ]
 
-        blocked = JointEntityResolver(
-            EntityLinker(catalog, brute_floor=0), brute_floor=0
-        )
-        brute = JointEntityResolver(
-            EntityLinker(catalog, brute_floor=SCAN), brute_floor=SCAN
-        )
+        blocked = JointEntityResolver(EntityLinker(catalog))
+        brute = ScanJointEntityResolver(ScanEntityLinker(catalog))
         fast = blocked.resolve(clone(mentions))
         slow = brute.resolve(clone(mentions))
         assert {s: e.entity_id for s, e in fast.linked.items()} == {

@@ -239,7 +239,7 @@ class ServingMachine(RuleBasedStateMachine):
 
     @invariant()
     def the_fence_is_the_model_window(self):
-        assert self.server.versions.current.applied == tuple(self.window)
+        assert tuple(self.server.versions.current.applied) == tuple(self.window)
 
     @invariant()
     def every_delta_is_applied_parked_or_pending(self):

@@ -72,8 +72,8 @@ KEYWORD_ONLY = {
         "use_extractor_correlations", "use_confidence", "max_iterations",
         "tolerance", "retry", "fault_plan", "metrics",
     },
-    EntityLinker: {"brute_floor"},
-    JointEntityResolver: {"brute_floor"},
+    EntityLinker: set(),
+    JointEntityResolver: set(),
     AttributeResolver: {"stats"},
     MapReduceJob: {"retry", "fault_plan", "metrics"},
     fuse_sharded: {"retry", "fault_plan", "metrics"},
@@ -84,7 +84,9 @@ KEYWORD_ONLY = {
 # KEYWORD_ONLY it is the whole keyword surface (what neither lists has
 # none).  Most are injected dependencies (metrics, fault plans, retry,
 # capacity, paths, seeds) or test seams that put a small input on either
-# side of a size-selected path (brute_floor, token_cap, min_support, ...).
+# side of a size-selected path (min_support, ...).  The entity matchers
+# and their blocking index take none: their geometry and thresholds are
+# module constants, and every pool goes through the index.
 SRC_KEYWORD_ONLY = {
     "repro.core.augmentation.augment_kb": {
         "class_of_subject", "new_entities",
@@ -94,10 +96,6 @@ SRC_KEYWORD_ONLY = {
     "repro.core.scenarios.run_copying": {"metrics"},
     "repro.core.scenarios.run_tenants": {
         "metrics", "capacity", "retry", "checkpoint_root",
-    },
-    "repro.entity.blocking.MinHashLSH": {"num_perm", "bands", "seed"},
-    "repro.entity.blocking.SurfaceBlockingIndex": {
-        "num_perm", "bands", "seed", "token_cap",
     },
     "repro.errors.BackpressureError": {"reason"},
     "repro.evalx.freshness.freshness_report": {
@@ -266,6 +264,7 @@ def test_every_keyword_only_parameter_under_src_is_pinned():
     pinned = {
         f"{owner.__module__}.{owner.__qualname__}": keywords
         for owner, keywords in KEYWORD_ONLY.items()
+        if keywords  # a constructor pinned to take none is not walked
     }
     assert not pinned.keys() & SRC_KEYWORD_ONLY.keys()
     assert _keyword_only_under_src() == pinned | SRC_KEYWORD_ONLY

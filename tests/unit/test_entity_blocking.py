@@ -2,8 +2,10 @@
 
 Covers MinHash/LSH determinism (in-process and across interpreter
 processes), collision-probability sanity bounds, the exact q-gram
-misspelling blocker, posting caps, the blocked linker cascade, and the
-``blocking_*`` metrics bridge (including schema-validator coverage).
+misspelling blocker, posting caps, the blocked linker and discovery
+cascades at every pool size, and the ``blocking_*`` metrics bridge
+(including schema-validator coverage).  The index geometry is a set of
+module constants; tests that vary one monkeypatch it.
 """
 
 import json
@@ -13,6 +15,7 @@ import sys
 
 import pytest
 
+from repro.entity import blocking
 from repro.entity.blocking import (
     BlockingStats,
     MinHashLSH,
@@ -20,11 +23,13 @@ from repro.entity.blocking import (
     SurfaceBlockingIndex,
     shingle_surface,
 )
+from repro.entity.discovery import JointEntityResolver, MentionRecord
 from repro.entity.linking import EntityLinker
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import validate_metrics
 from repro.rdf.ontology import Entity
 from repro.textproc.similarity import levenshtein
+from tests.oracles.entity_scan import ScanEntityLinker, ScanJointEntityResolver
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -55,23 +60,22 @@ class TestShingles:
 class TestMinHashDeterminism:
     def test_same_seed_same_signature(self):
         shingles = shingle_surface("university of adelaide")
-        first = MinHashLSH(seed=2015).signature(shingles)
-        second = MinHashLSH(seed=2015).signature(shingles)
+        first = MinHashLSH().signature(shingles)
+        second = MinHashLSH().signature(shingles)
         assert first == second
 
-    def test_different_seed_different_signature(self):
+    def test_different_seed_different_signature(self, monkeypatch):
         shingles = shingle_surface("university of adelaide")
-        assert (
-            MinHashLSH(seed=2015).signature(shingles)
-            != MinHashLSH(seed=2016).signature(shingles)
-        )
+        pinned = MinHashLSH().signature(shingles)
+        monkeypatch.setattr(blocking, "SEED", blocking.SEED + 1)
+        assert MinHashLSH().signature(shingles) != pinned
 
     def test_signature_stable_across_processes(self):
         script = (
             f"import sys; sys.path[:0] = {sys.path!r}\n"
             "import json\n"
             "from repro.entity.blocking import MinHashLSH, shingle_surface\n"
-            "lsh = MinHashLSH(seed=2015)\n"
+            "lsh = MinHashLSH()\n"
             "sigs = [lsh.signature(shingle_surface(s))\n"
             "        for s in ('university of adelaide', 'france', 'x')]\n"
             "print(json.dumps(sigs))\n"
@@ -86,7 +90,7 @@ class TestMinHashDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
-        lsh = MinHashLSH(seed=2015)
+        lsh = MinHashLSH()
         local = [
             list(lsh.signature(shingle_surface(s)))
             for s in ("university of adelaide", "france", "x")
@@ -98,17 +102,11 @@ class TestMinHashDeterminism:
         surfaces = [_word(rng) for _ in range(200)]
         built = []
         for _ in range(2):
-            lsh = MinHashLSH(seed=2015)
+            lsh = MinHashLSH()
             for i, surface in enumerate(surfaces):
                 lsh.add(i, shingle_surface(surface))
             built.append(sorted(lsh.bucket_sizes()))
         assert built[0] == built[1]
-
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            MinHashLSH(num_perm=32, bands=5)
-        with pytest.raises(ValueError):
-            MinHashLSH(num_perm=0, bands=1)
 
 
 class TestCollisionBounds:
@@ -164,15 +162,17 @@ class TestSurfaceBlockingIndex:
         assert found == sorted(found)
         assert set(found) == {1, 3, 4}
 
-    def test_token_cap_skips_saturated_postings(self):
-        capped = SurfaceBlockingIndex(token_cap=1)
-        uncapped = SurfaceBlockingIndex()
-        for index in (capped, uncapped):
-            index.add(0, "alpha zebra", frozenset({"alpha", "zebra"}))
-            index.add(1, "alpha quail", frozenset({"alpha", "quail"}))
+    def test_token_cap_skips_saturated_postings(self, monkeypatch):
+        index = SurfaceBlockingIndex()
+        index.add(0, "alpha zebra", frozenset({"alpha", "zebra"}))
+        index.add(1, "alpha quail", frozenset({"alpha", "quail"}))
         probe = ("alpha", frozenset({"alpha"}))
-        assert set(uncapped.candidates(*probe)) == {0, 1}
-        assert set(capped.candidates(*probe)) <= set(uncapped.candidates(*probe))
+        uncapped = set(index.candidates(*probe))
+        assert uncapped == {0, 1}
+        # The cap is read at query time: the same index, capped at one
+        # member a posting, unions no saturated list.
+        monkeypatch.setattr(blocking, "TOKEN_CAP", 1)
+        assert set(index.candidates(*probe)) <= uncapped
 
     def test_pair_postings(self):
         index = SurfaceBlockingIndex()
@@ -232,40 +232,75 @@ class TestBlockedLinkerCascade:
         return catalog
 
     def test_blocked_path_links_and_prunes(self):
-        linker = EntityLinker(self._catalog(), brute_floor=0)
+        linker = EntityLinker(self._catalog())
         decision = linker.link("universty of adelaide")
         assert decision.linked
         assert decision.entity.entity_id == "univ/1"
         stats = linker.blocking_stats
         assert stats.queries == 1
-        assert stats.fallback_queries == 0
         assert stats.pruned > 0
         assert stats.tier3_scored < len(self._catalog())
 
     def test_exact_hit_counts_tier1(self):
-        linker = EntityLinker(self._catalog(), brute_floor=0)
+        linker = EntityLinker(self._catalog())
         assert linker.link("University of Adelaide").score == 1.0
         assert linker.blocking_stats.tier1_hits == 1
         assert linker.blocking_stats.queries == 0
 
-    def test_small_pool_falls_back_to_brute(self):
-        linker = EntityLinker(self._catalog())  # pool of 81 > default floor
-        small = EntityLinker(
-            {"france": Entity("c/1", "France", "Country")}
-        )
-        assert small.link("Frances", class_name="Country").linked
-        assert small.blocking_stats.fallback_queries == 1
-        assert small.blocking_stats.queries == 0
-        # and the large pool goes through tier 2
-        linker.link("universty of adelaide")
+    @pytest.mark.parametrize(
+        "probe, class_name",
+        [
+            ("Frances", "Country"),
+            ("Frances", None),
+            ("Germny", "Country"),
+            ("Atlantis", "Country"),
+            ("Frances", "Book"),
+        ],
+    )
+    def test_small_pool_goes_through_the_index(self, probe, class_name):
+        # A catalog of three: every fuzzy probe is a tier-2 query, and
+        # its verdict and score are the full scan's.
+        catalog = {
+            "france": Entity("c/1", "France", "Country"),
+            "germany": Entity("c/2", "Germany", "Country"),
+            "dune": Entity("b/1", "Dune", "Book"),
+        }
+        linker = EntityLinker(catalog)
+        decision = linker.link(probe, class_name)
+        scanned = ScanEntityLinker(catalog).link(probe, class_name)
         assert linker.blocking_stats.queries == 1
+        assert decision == scanned
 
-    def test_blocking_off_never_queries_index(self):
-        # Off is a floor above the pool (81 entries): the full scan.
-        linker = EntityLinker(self._catalog(), brute_floor=10**9)
-        linker.link("universty of adelaide")
-        assert linker.blocking_stats.queries == 0
-        assert linker.blocking_stats.fallback_queries == 1
+
+class TestBlockedDiscoveryCascade:
+    def test_few_clusters_go_through_the_index(self):
+        # Four clusters of one class: every unlinked mention queries
+        # the index, and the outcome is the full scan's.
+        def mentions():
+            return [
+                MentionRecord("Republic of Atlantis", "Country",
+                              {("capital", "poseidonia")}),
+                MentionRecord("Atlantis Republic", "Country"),
+                MentionRecord("Atlantys", "Country",
+                              {("capital", "poseidonia")}),
+                MentionRecord("Zubrovia", "Country"),
+                MentionRecord("Zubrowia", "Country"),
+                MentionRecord("Lemuria", "Country"),
+                MentionRecord("Mu", "Country", {("ocean", "pacific")}),
+                MentionRecord("Frances", "Country"),
+            ]
+
+        catalog = {"france": Entity("c/1", "France", "Country")}
+        resolver = JointEntityResolver(EntityLinker(catalog))
+        scan = ScanJointEntityResolver(ScanEntityLinker(catalog))
+        outcome = resolver.resolve(mentions())
+        scanned = scan.resolve(mentions())
+        assert 0 < len(outcome.clusters) < 64
+        unlinked = len(mentions()) - len(outcome.linked)
+        assert resolver.blocking_stats.queries == unlinked
+        assert scan.blocking_stats.queries == 0
+        assert outcome.linked == scanned.linked
+        assert outcome.clusters == scanned.clusters
 
 
 class TestBlockingMetrics:
@@ -275,7 +310,6 @@ class TestBlockingMetrics:
         stats.observe_candidates(5, 50)
         stats.observe_candidates(0, 10)
         stats.tier3_scored += 5
-        stats.fallback_queries += 2
         index = SurfaceBlockingIndex()
         index.add(0, "alpha", frozenset({"alpha"}))
         index.add(1, "alpho", frozenset({"alpho"}))
@@ -290,7 +324,6 @@ class TestBlockingMetrics:
         assert counters["blocking_tier3_scored_total{site=linker}"] == 5
         assert counters["blocking_candidates_pruned_total{site=linker}"] == 55
         assert counters["blocking_queries_total{site=linker}"] == 2
-        assert counters["blocking_fallback_queries_total{site=linker}"] == 2
         histograms = payload["histograms"]
         assert histograms["blocking_candidates{site=linker}"]["count"] == 2
         assert histograms["blocking_bucket_size{site=linker}"]["count"] > 0

@@ -94,12 +94,14 @@ class TestPrecomputedCatalog:
             for i in range(120)
         }
 
-    @pytest.mark.parametrize("blocked", [True, False])
+    @pytest.mark.parametrize("restricted", [True, False])
     def test_link_does_not_retokenize_catalog(
-        self, catalog, monkeypatch, blocked
+        self, catalog, monkeypatch, restricted
     ):
-        # Both sides of the pool-size choice: tiers 2-3, and the scan.
-        linker = EntityLinker(catalog, brute_floor=0 if blocked else 10**9)
+        # Both sides of the class restriction: the class's candidates,
+        # and the whole catalog's.
+        class_name = "Thing" if restricted else None
+        linker = EntityLinker(catalog)
         normalize_calls = []
         real_normalize = linking.normalize_name
         monkeypatch.setattr(
@@ -122,7 +124,7 @@ class TestPrecomputedCatalog:
         )
         probes = ["entity number 005", "entity numbr 042", "unrelated thing"]
         for probe in probes:
-            linker.link(probe)
+            linker.link(probe, class_name)
         # One normalisation per probe and at most one probe form per
         # link call — never one per catalog entry.
         assert normalize_calls == probes

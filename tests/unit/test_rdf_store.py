@@ -192,7 +192,6 @@ class TestIndexConsistencyAfterRemoval:
 class TestBackendFacade:
     def test_default_backend_is_memory(self, store):
         assert isinstance(store.backend, MemoryBackend)
-        assert store.backend.name == "memory"
 
     def test_snapshot_is_a_stable_list(self, store):
         frozen = store.claims()

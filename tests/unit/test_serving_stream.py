@@ -1,11 +1,15 @@
-"""Unit tests for the serving event log (offsets, backpressure, compaction)."""
+"""Unit tests for the serving event log (offsets, backpressure,
+compaction) and the consumer's dedup fence over it."""
 
 import pytest
 
 from repro.errors import BackpressureError, ServingError
+from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.incremental.delta import ClaimDelta
 from repro.obs.metrics import MetricsRegistry
+from repro.rdf.store import TripleStore
 from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
+from repro.serving.server import KBServer
 from repro.serving.stream import EventLog, delta_event_id
 
 
@@ -126,3 +130,44 @@ class TestCompaction:
         log.commit_offset(4)
         assert log.base == log.head == 4
         assert log.next_event() is None
+
+
+class CountingId(str):
+    """An event id that counts every equality test made against it."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        CountingId.comparisons += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+class TestFence:
+    def test_a_miss_at_a_full_window_compares_no_fenced_id(self):
+        # The fence is probed by hash: a fresh id is not compared with
+        # each of the 2 x capacity ids the window holds.
+        store = TripleStore()
+        store.add_all(delta(value="v0").added)
+        server = KBServer(
+            KnowledgeFusion().begin_incremental(store), EventLog(capacity=4)
+        )
+        for i in range(12):
+            server.log.append(
+                delta(value=f"v{i + 1}"), event_id=CountingId(f"e{i}")
+            )
+            server.drain()
+        fenced = server.versions.current.applied
+        assert list(fenced) == [f"e{i}" for i in range(4, 12)]
+        CountingId.comparisons = 0
+        server.log.append(delta(value="fresh"), event_id=CountingId("miss"))
+        outcome = server.step()
+        assert outcome.action == "applied"
+        assert CountingId.comparisons == 0
+        assert list(server.versions.current.applied) == [
+            f"e{i}" for i in range(5, 12)
+        ] + ["miss"]
+        # A redelivered id still hits the fence.
+        server.log.append(delta(value="again"), event_id="e9")
+        assert server.step().action == "skipped"
