@@ -34,7 +34,6 @@ from repro.entity.linking import (
     LinkDecision,
     SurfaceForm,
     form_similarity,
-    is_mention,
     mention_subject,
 )
 from repro.rdf.ontology import Entity
@@ -227,28 +226,32 @@ def resolve_mention_triples(
     to the linked entity's id or the new cluster's id.  Non-mention
     triples pass through untouched.
     """
-    facts_by_surface: dict[str, set[tuple[str, str]]] = {}
+    # Each surface normalised once: surface → its mention subject, and
+    # back to every surface sharing it, in ``mention_classes`` order.
+    mention_ids = {surface: mention_subject(surface) for surface in mention_classes}
+    surfaces_of: dict[str, list[str]] = {}
+    for surface, subject in mention_ids.items():
+        surfaces_of.setdefault(subject, []).append(surface)
+    facts_by_surface: dict[str, set[tuple[str, str]]] = {
+        surface: set() for surface in mention_classes
+    }
     for scored in triples:
-        if not is_mention(scored.triple.subject):
-            continue
-        for surface, class_name in mention_classes.items():
-            if mention_subject(surface) == scored.triple.subject:
-                facts_by_surface.setdefault(surface, set()).add(
-                    (scored.triple.predicate, scored.triple.obj.lexical)
-                )
+        for surface in surfaces_of.get(scored.triple.subject, ()):
+            facts_by_surface[surface].add(
+                (scored.triple.predicate, scored.triple.obj.lexical)
+            )
     mentions = [
-        MentionRecord(surface, mention_classes[surface],
-                      facts_by_surface.get(surface, set()))
-        for surface in mention_classes
+        MentionRecord(surface, class_name, facts_by_surface[surface])
+        for surface, class_name in mention_classes.items()
     ]
     outcome = resolver.resolve(mentions)
 
     subject_of: dict[str, str] = {}
     for surface, entity in outcome.linked.items():
-        subject_of[mention_subject(surface)] = entity.entity_id
+        subject_of[mention_ids[surface]] = entity.entity_id
     for cluster in outcome.clusters:
         for surface in cluster.surfaces:
-            subject_of[mention_subject(surface)] = cluster.cluster_id
+            subject_of[mention_ids[surface]] = cluster.cluster_id
 
     rewritten: list[ScoredTriple] = []
     for scored in triples:

@@ -18,7 +18,7 @@ from repro.fusion.base import (
     FusionResult,
     value_key,
 )
-from repro.fusion.compiled import CompiledClaims, compile_claims
+from repro.fusion.compiled import EvidenceTables, VoteTables, compile_evidence, compile_votes
 from repro.fusion.confidence_weighted import GeneralizedSums, Investment
 from repro.fusion.functionality import (
     FunctionalityEstimate,
@@ -38,9 +38,9 @@ __all__ = [
     "Claim",
     "ClaimSet",
     "ClaimSetStats",
-    "CompiledClaims",
     "CorrelationEstimate",
     "CorrelationEstimator",
+    "EvidenceTables",
     "FunctionalityEstimate",
     "FunctionalityEstimator",
     "FusionMethod",
@@ -54,8 +54,10 @@ __all__ = [
     "ShardStats",
     "SourceCalibration",
     "Vote",
+    "VoteTables",
     "calibrate_sources",
-    "compile_claims",
+    "compile_evidence",
+    "compile_votes",
     "functional_oracle_from_claims",
     "fuse_sharded",
     "claim_world_oracle",

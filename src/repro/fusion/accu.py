@@ -24,7 +24,7 @@ the ``ACCU_*`` constants of :mod:`repro.fusion.compiled`.
 from __future__ import annotations
 
 from repro.fusion.base import ClaimSet, FusionMethod, FusionResult, check_iterations
-from repro.fusion.compiled import accu_fuse, compile_claims
+from repro.fusion.compiled import accu_fuse, compile_votes
 
 
 class Accu(FusionMethod):
@@ -53,7 +53,7 @@ class Accu(FusionMethod):
     def fuse(self, claims: ClaimSet) -> FusionResult:
         self._check_nonempty(claims)
         return accu_fuse(
-            compile_claims(claims),
+            compile_votes(claims),
             initial_accuracies=self.initial_accuracies,
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,

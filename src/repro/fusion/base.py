@@ -17,7 +17,7 @@ rebuilding it: a stage that maps claims one to one (reweighting),
 keeps or drops whole items (sharding, a region of the incremental
 engine) or rebuilds an item's claims (hierarchy expansion) hands its
 deduplicated list to :meth:`ClaimSet.adopt`, and a caller that walks
-every item reads :meth:`ClaimSet.runs`.  Only :meth:`ClaimSet.add`,
+every item reads :meth:`ClaimSet.spans`.  Only :meth:`ClaimSet.add`,
 on arbitrary input, hashes claim keys.
 """
 
@@ -155,15 +155,15 @@ class ClaimSet:
         self._reindex()
         return list(self._slot_of)
 
-    def runs(self) -> Iterator[tuple[Item, list[Claim]]]:
-        """Every item with its claims, in :meth:`items` order — the
-        claims laid end to end are the set's iteration order: what a
-        caller that walks every item reads in place of one
-        :meth:`values_of` dict per item."""
+    def spans(self) -> tuple[list[Item], list[Claim], list[int]]:
+        """``(items, claims, starts)``: the :meth:`items`, the claims in
+        iteration order, and where each item's claims begin — item *i*
+        owns ``claims[starts[i]:starts[i + 1]]``.  What a caller that
+        walks every item reads in place of one :meth:`values_of` dict
+        (or one slice) per item; the two lists are the set's own, to be
+        read, not written."""
         self._reindex()
-        order, starts = self._order, self._starts
-        for item, begin, end in zip(self._slot_of, starts, starts[1:]):
-            yield item, order[begin:end]
+        return list(self._slot_of), self._order, self._starts
 
     def values_of(self, item: Item) -> dict[str, list[Claim]]:
         """Value key → claims asserting it, for one item (values in

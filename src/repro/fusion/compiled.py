@@ -1,18 +1,19 @@
-"""Compiled claim matrices: flat-array fusion inner loops.
+"""Compiled claim tables: flat-array fusion inner loops.
 
 The iterative fusion methods spend every fixed-point round re-walking
 Python dicts of :class:`~repro.fusion.base.Claim` objects — attribute
 chasing, per-claim ``math.log`` calls, and per-round set construction
 dominate their profiles long before the arithmetic does.  This module
-"compiles" a :class:`ClaimSet` once into integer-indexed flat arrays
-(interned item/value/source ids, ``array('d')`` confidence
-vectors, CSR-style offset tables) shared by every method, so per-round
-updates become tight loops over parallel arrays.  The compilation
-walks the set's item runs (:meth:`ClaimSet.runs`): an item with one
-claim — most are — appends its pair and finds its one-slot evidence
-class directly, a longer run is grouped by value on the spot, and a
-claim's index is its place in the runs laid end to end (the set's
-claim order), so no claim is looked up in any table.
+"compiles" a :class:`ClaimSet` once per fuse into integer-indexed flat
+arrays (interned item/value/source ids, ``array('d')`` confidence
+vectors, CSR-style offset tables), so per-round updates become tight
+loops over parallel arrays.  Each kernel compiles only what it reads:
+the vote kernels (ACCU, POPACCU, GenSums, Investment) the claims of
+each pair (:func:`compile_votes`), multi-truth its evidence classes
+(:func:`compile_evidence`); both build the same pair tables.  Each
+compile walks the set's item spans in place (:meth:`ClaimSet.spans`):
+no span is sliced, and a claim's index is its place in the set's claim
+order, so no claim is looked up in any table.
 
 Exactness contract
 ------------------
@@ -28,7 +29,7 @@ the same way — ``weight * confidence`` is fixed for a fuse and
 ``weight * log_silent`` for a round, and the legacy expression
 multiplies left to right, so the hoisted factor is the float it would
 have formed — and who claims what is decided once, into the tables of
-:class:`CompiledClaims`, not probed per (pair, source, round).
+:class:`EvidenceTables`, not probed per (pair, source, round).
 
 Multi-truth shares work only where the floats are provably the same.
 A pair's log-odds, posterior and complement depend on nothing but its
@@ -60,9 +61,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import count
 from math import exp, log
+from operator import attrgetter
 
 from repro.fusion.base import (
+    Claim,
     ClaimSet,
     FusionResult,
     Item,
@@ -70,8 +74,10 @@ from repro.fusion.base import (
 )
 
 __all__ = [
-    "CompiledClaims",
-    "compile_claims",
+    "VoteTables",
+    "EvidenceTables",
+    "compile_votes",
+    "compile_evidence",
     "accu_fuse",
     "multitruth_fuse",
     "gensums_fuse",
@@ -98,28 +104,88 @@ MULTITRUTH_FLOOR = 0.02
 #: Investment's belief exponent on invested credit (convex above 1).
 INVESTMENT_GROWTH = 1.2
 
+_source_of = attrgetter("source_id")
+
 
 @dataclass(slots=True)
-class CompiledClaims:
-    """A :class:`ClaimSet` flattened into parallel integer-indexed arrays.
+class PairTables:
+    """The tables both compiles share: a *pair* is one ``(item, value)``
+    candidate, pairs are contiguous per item, and
+    ``item_pair_start[i] : item_pair_start[i + 1]`` are item *i*'s
+    pairs.  Sources are numbered in first-claim order."""
 
-    A *pair* is one ``(item, value)`` candidate; pairs are contiguous
-    per item, claims are contiguous per pair, and the CSR offset
-    tables below index them without any hashing:
+    items: list[Item]
+    sources: list[str]
+    pair_item: list[int]
+    pair_value: list[str]
+    item_pair_start: list[int]
 
-    - ``item_pair_start[i] : item_pair_start[i + 1]`` — item *i*'s pairs;
+    @property
+    def n_items(self) -> int:
+        return len(self.items)
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.pair_item)
+
+    @property
+    def n_sources(self) -> int:
+        return len(self.sources)
+
+    def pair_key(self, pair: int) -> tuple[Item, str]:
+        """The ``(item, value)`` belief key of one pair."""
+        return self.items[self.pair_item[pair]], self.pair_value[pair]
+
+    def item_pairs(self, item: int) -> range:
+        return range(self.item_pair_start[item], self.item_pair_start[item + 1])
+
+    def decode_beliefs(self, scores) -> dict[tuple[Item, str], float]:
+        items, pair_item, pair_value = self.items, self.pair_item, self.pair_value
+        return {
+            (items[pair_item[p]], pair_value[p]): scores[p]
+            for p in range(len(pair_item))
+        }
+
+    def decode_quality(self, scores) -> dict[str, float]:
+        return {name: scores[s] for s, name in enumerate(self.sources)}
+
+
+@dataclass(slots=True)
+class VoteTables(PairTables):
+    """The pair tables plus the claims of each pair, for the kernels
+    that vote claim by claim (ACCU, POPACCU, GenSums, Investment).
+
+    - ``claim_pair`` / ``claim_source`` / ``claim_conf`` — per claim,
+      in ``ClaimSet`` order;
     - ``pair_claim_start[p] : pair_claim_start[p + 1]`` — indices into
       ``pair_claim_source`` / ``pair_claim_conf`` of the claims
-      asserting pair *p*, in ``ClaimSet`` order.
+      asserting pair *p*, in ``ClaimSet`` order (gathered once here:
+      one less indirection in the vote/score hot loops).
+    """
 
-    Multi-truth judges every pair against every source covering the
-    pair's item: one *cover slot* per (pair, covering source), in item
-    → pair → covering-source order (the order of
-    ``sources_claiming(item)``), holding the source's maximum claim
-    confidence on the pair, or ``None`` where it is silent on it.  A
-    pair's *evidence* is its slots' ``(source, cover confidence)``
-    sequence, and that alone fixes its log-odds, posterior and
-    complement, so the tables store each *evidence class* once:
+    claim_pair: list[int]
+    claim_source: list[int]
+    claim_conf: array
+    pair_claim_start: list[int]
+    pair_claim_source: list[int]
+    pair_claim_conf: array
+
+    @property
+    def n_claims(self) -> int:
+        return len(self.claim_pair)
+
+
+@dataclass(slots=True)
+class EvidenceTables(PairTables):
+    """The pair tables plus multi-truth's evidence, which judges every
+    pair against every source covering the pair's item: one *cover
+    slot* per (pair, covering source), in item → pair → covering-source
+    order (the order of ``sources_claiming(item)``), holding the
+    source's maximum claim confidence on the pair, or ``None`` where it
+    is silent on it.  A pair's *evidence* is its slots' ``(source,
+    cover confidence)`` sequence, and that alone fixes its log-odds,
+    posterior and complement, so the tables store each *evidence
+    class* once:
 
     - ``pair_class[p]`` — pair *p*'s class.  A pair of an item with
       one candidate value (most are) shares its class with every such
@@ -143,19 +209,6 @@ class CompiledClaims:
     - ``contested_classes[s]`` — the slots of *s* on contested items.
     """
 
-    items: list[Item]
-    sources: list[str]
-    pair_item: list[int]
-    pair_value: list[str]
-    item_pair_start: list[int]
-    claim_pair: list[int]
-    claim_source: list[int]
-    claim_conf: array
-    pair_claim_start: list[int]
-    # Per-pair views of claim_source / claim_conf, gathered once at
-    # compile time: one less indirection in the vote/score hot loops.
-    pair_claim_source: list[int]
-    pair_claim_conf: array
     pair_class: list[int]
     evidence_class: list[int]
     evidence_source: list[int]
@@ -166,60 +219,60 @@ class CompiledClaims:
     contested_classes: list[list[int]]
 
     @property
-    def n_items(self) -> int:
-        return len(self.items)
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.pair_item)
-
-    @property
-    def n_sources(self) -> int:
-        return len(self.sources)
-
-    @property
-    def n_claims(self) -> int:
-        return len(self.claim_pair)
-
-    @property
     def n_classes(self) -> int:
         return self.evidence_class[-1] + 1 if self.evidence_class else 0
 
-    def pair_key(self, pair: int) -> tuple[Item, str]:
-        """The ``(item, value)`` belief key of one pair."""
-        return self.items[self.pair_item[pair]], self.pair_value[pair]
 
-    def item_pairs(self, item: int) -> range:
-        return range(self.item_pair_start[item], self.item_pair_start[item + 1])
-
-    def decode_beliefs(self, scores) -> dict[tuple[Item, str], float]:
-        items, pair_item, pair_value = self.items, self.pair_item, self.pair_value
-        return {
-            (items[pair_item[p]], pair_value[p]): scores[p]
-            for p in range(len(pair_item))
-        }
-
-    def decode_quality(self, scores) -> dict[str, float]:
-        return {name: scores[s] for s, name in enumerate(self.sources)}
+def _source_ids(claims: list[Claim]) -> dict[str, int]:
+    """Source name → id, numbered in first-claim order."""
+    return dict(zip(dict.fromkeys(map(_source_of, claims)), count()))
 
 
-def compile_claims(claims: ClaimSet) -> CompiledClaims:
-    """One-pass compilation of a claim set into flat arrays."""
-    source_id: dict[str, int] = {}
-    order = list(claims)
-    claim_source = [
-        source_id.setdefault(claim.source_id, len(source_id))
-        for claim in order
-    ]
+def compile_votes(claims: ClaimSet) -> VoteTables:
+    """The vote kernels' tables, in one walk of the set's item spans."""
+    items, order, starts = claims.spans()
+    source_id = _source_ids(order)
+    claim_source = list(map(source_id.__getitem__, map(_source_of, order)))
     claim_conf = array("d", [claim.confidence for claim in order])
     claim_pair = [0] * len(order)
-
-    items: list[Item] = []
     pair_item: list[int] = []
     pair_value: list[str] = []
     item_pair_start = [0]
     pair_claim_start = [0]
     pair_claim_ids: list[int] = []
+    for item_idx, begin, end in zip(count(), starts, starts[1:]):
+        # The claim indexes of each value, values in first-claimed
+        # order (``ClaimSet.values_of``).
+        indexes: dict[str, list[int]] = {}
+        for index in range(begin, end):
+            indexes.setdefault(order[index].value, []).append(index)
+        for value, value_indexes in indexes.items():
+            for index in value_indexes:
+                claim_pair[index] = len(pair_item)
+            pair_item.append(item_idx)
+            pair_value.append(value)
+            pair_claim_ids += value_indexes
+            pair_claim_start.append(len(pair_claim_ids))
+        item_pair_start.append(len(pair_item))
+
+    return VoteTables(
+        items, list(source_id), pair_item, pair_value, item_pair_start,
+        claim_pair, claim_source, claim_conf, pair_claim_start,
+        [claim_source[index] for index in pair_claim_ids],
+        array("d", (claim_conf[index] for index in pair_claim_ids)),
+    )
+
+
+def compile_evidence(claims: ClaimSet) -> EvidenceTables:
+    """Multi-truth's tables, in one walk of the set's item spans: an
+    item with one claim — most are — appends its pair and finds its
+    one-slot evidence class directly, a longer span is grouped by value
+    on the spot."""
+    items, order, starts = claims.spans()
+    source_id = _source_ids(order)
+    pair_item: list[int] = []
+    pair_value: list[str] = []
+    item_pair_start = [0]
     pair_class: list[int] = []
     evidence_class: list[int] = []
     evidence_source: list[int] = []
@@ -234,20 +287,14 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
     lone_class: list[dict[float, int]] = [{} for _ in source_id]
     class_of: dict[tuple, int] = {}
     n_classes = 0
-    done = 0  # claims of the runs walked so far: the next one's index
-    for item, run in claims.runs():
-        item_idx = len(items)
-        items.append(item)
-        if len(run) == 1:
+    for item_idx, begin, end in zip(count(), starts, starts[1:]):
+        if end - begin == 1:
             # Most items: one claim, so one pair and one cover slot.
-            index = done
-            pair = len(pair_item)
+            claim = order[begin]
             pair_item.append(item_idx)
-            pair_value.append(run[0].value)
-            claim_pair[index] = pair
-            pair_claim_ids.append(index)
-            source = claim_source[index]
-            confidence = run[0].confidence
+            pair_value.append(claim.value)
+            source = source_id[claim.source_id]
+            confidence = claim.confidence
             if not confidence > 0.0:  # max(0.0, confidence), no call
                 confidence = 0.0
             lone = lone_class[source]
@@ -261,36 +308,27 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
             pair_class.append(evidence)
             cover_classes[source].append(evidence)
             claimed_classes[source].append(evidence)
-            pair_claim_start.append(len(pair_claim_ids))
             item_pair_start.append(len(pair_item))
-            done += 1
             continue
-        # ``ClaimSet.values_of`` of the run, and beside each claim
-        # its index.
-        values: dict[str, list] = {}
-        indexes: dict[str, list[int]] = {}
-        for index, claim in enumerate(run, done):
+        # ``ClaimSet.values_of`` of the span.
+        values: dict[str, list[Claim]] = {}
+        for index in range(begin, end):
+            claim = order[index]
             held = values.get(claim.value)
             if held is None:
                 values[claim.value] = [claim]
-                indexes[claim.value] = [index]
             else:
                 held.append(claim)
-                indexes[claim.value].append(index)
-        done += len(run)
         # Covering sources in ``sources_claiming`` order, as the
         # reference loops walk them.
         cover = [source_id[name] for name in claiming_sources(values)]
         contested = len(values) >= 2
         for value, value_claims in values.items():
-            pair = len(pair_item)
             pair_item.append(item_idx)
             pair_value.append(value)
             claimers: dict[int, float] = {}
-            for index, claim in zip(indexes[value], value_claims):
-                claim_pair[index] = pair
-                pair_claim_ids.append(index)
-                source = claim_source[index]
+            for claim in value_claims:
+                source = source_id[claim.source_id]
                 held = claimers.get(source, 0.0)
                 confidence = claim.confidence
                 claimers[source] = confidence if confidence > held else held
@@ -327,34 +365,12 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
                     cover_classes[source].append(evidence)
                     claimed_classes[source].append(evidence)
             pair_class.append(evidence)
-            pair_claim_start.append(len(pair_claim_ids))
         item_pair_start.append(len(pair_item))
 
-    pair_claim_source = [claim_source[index] for index in pair_claim_ids]
-    pair_claim_conf = array(
-        "d", (claim_conf[index] for index in pair_claim_ids)
-    )
-
-    return CompiledClaims(
-        items=items,
-        sources=list(source_id),
-        pair_item=pair_item,
-        pair_value=pair_value,
-        item_pair_start=item_pair_start,
-        claim_pair=claim_pair,
-        claim_source=claim_source,
-        claim_conf=claim_conf,
-        pair_claim_start=pair_claim_start,
-        pair_claim_source=pair_claim_source,
-        pair_claim_conf=pair_claim_conf,
-        pair_class=pair_class,
-        evidence_class=evidence_class,
-        evidence_source=evidence_source,
-        evidence_conf=evidence_conf,
-        cover_classes=cover_classes,
-        claimed_classes=claimed_classes,
-        silent_classes=silent_classes,
-        contested_classes=contested_classes,
+    return EvidenceTables(
+        items, list(source_id), pair_item, pair_value, item_pair_start,
+        pair_class, evidence_class, evidence_source, evidence_conf,
+        cover_classes, claimed_classes, silent_classes, contested_classes,
     )
 
 
@@ -363,7 +379,7 @@ def compile_claims(claims: ClaimSet) -> CompiledClaims:
 
 
 def accu_fuse(
-    compiled: CompiledClaims,
+    compiled: VoteTables,
     *,
     initial_accuracies: dict[str, float] | None = None,
     max_iterations: int = 20,
@@ -484,7 +500,7 @@ def accu_fuse(
     return result
 
 
-def _single_truths(cc: CompiledClaims, scores, result: FusionResult) -> None:
+def _single_truths(cc: VoteTables, scores, result: FusionResult) -> None:
     """Per item, pick the best-scoring value (ties break on the key)."""
     pair_value = cc.pair_value
     for item in range(cc.n_items):
@@ -502,7 +518,7 @@ def _single_truths(cc: CompiledClaims, scores, result: FusionResult) -> None:
 
 
 def multitruth_fuse(
-    compiled: CompiledClaims,
+    compiled: EvidenceTables,
     *,
     source_weights: dict[str, float] | None = None,
     use_confidence: bool = False,
@@ -663,7 +679,7 @@ def _sums_in_order(
 
 
 def gensums_fuse(
-    compiled: CompiledClaims,
+    compiled: VoteTables,
     *,
     max_iterations: int = 20,
     tolerance: float = 1e-6,
@@ -737,7 +753,7 @@ def gensums_fuse(
 
 
 def investment_fuse(
-    compiled: CompiledClaims,
+    compiled: VoteTables,
     *,
     max_iterations: int = 20,
     tolerance: float = 1e-6,

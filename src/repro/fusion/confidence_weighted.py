@@ -20,11 +20,7 @@ claim weighted by its extraction confidence:
 from __future__ import annotations
 
 from repro.fusion.base import ClaimSet, FusionMethod, FusionResult, check_iterations
-from repro.fusion.compiled import (
-    compile_claims,
-    gensums_fuse,
-    investment_fuse,
-)
+from repro.fusion.compiled import compile_votes, gensums_fuse, investment_fuse
 
 
 class GeneralizedSums(FusionMethod):
@@ -46,7 +42,7 @@ class GeneralizedSums(FusionMethod):
     def fuse(self, claims: ClaimSet) -> FusionResult:
         self._check_nonempty(claims)
         return gensums_fuse(
-            compile_claims(claims),
+            compile_votes(claims),
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
             use_confidence=self.use_confidence,
@@ -73,7 +69,7 @@ class Investment(FusionMethod):
     def fuse(self, claims: ClaimSet) -> FusionResult:
         self._check_nonempty(claims)
         return investment_fuse(
-            compile_claims(claims),
+            compile_votes(claims),
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
             use_confidence=self.use_confidence,

@@ -19,6 +19,11 @@ claim, the witness count and each value's rarity depend on the item
 and value alone, so they are computed once and added to the tally of
 every pair of its claimants — each pair's floats in sorted item, then
 shared-value, order, as ``tests/oracles/correlation_scan.py`` adds them.
+An item on which each party claims one value (on every workload, every
+shared item) is tallied from one party → value map: a pair agrees iff
+its two values are equal, so it shares one value or none, and no set is
+built.  Only an item where some party claims several values builds
+per-party and per-value sets and intersects them.
 """
 
 from __future__ import annotations
@@ -140,6 +145,14 @@ class CorrelationEstimator:
                     else:
                         tally[2] += 2
                 continue
+            ballot: dict[str, str] = {}  # party → the one value it claims
+            for claim in run:
+                value = claim.value
+                if ballot.setdefault(party_of(claim), value) != value:
+                    break  # a multi-valued ballot: the set path below
+            else:
+                _tally_ballots(tallies, ballot)
+                continue
             ballots: dict[str, set[str]] = {}  # party → values claimed
             holders: dict[str, set[str]] = {}  # value → parties claiming
             for claim in run:
@@ -168,6 +181,26 @@ class CorrelationEstimator:
             in sorted(tallies.items())
             if common >= self.min_common_items
         }
+
+
+def _tally_ballots(tallies, ballot: dict[str, str]) -> None:
+    """Add one item where each party claims one value: a pair agrees
+    iff its two values are equal, so it shares one value or none and
+    its union is one value or two — no set, no intersection."""
+    witnesses = len(ballot) - 2  # everybody but the pair
+    claimants: dict[str, int] = {}
+    for value in ballot.values():
+        claimants[value] = claimants.get(value, 0) + 1
+    rarity = {value: _rarity(witnesses, n) for value, n in claimants.items() if n > 1}
+    for pair in combinations(sorted(ballot), 2):
+        tally = tallies[pair]
+        tally[0] += 1
+        value = ballot[pair[0]]
+        if value == ballot[pair[1]]:
+            tally[1] += rarity[value]
+            tally[2] += 1
+        else:
+            tally[2] += 2
 
 
 def _rarity(witnesses: int, claimants: int) -> float:

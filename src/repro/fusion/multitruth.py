@@ -33,7 +33,7 @@ Optional hooks used by the paper's combined method:
 from __future__ import annotations
 
 from repro.fusion.base import ClaimSet, FusionMethod, FusionResult, check_iterations
-from repro.fusion.compiled import compile_claims, multitruth_fuse
+from repro.fusion.compiled import compile_evidence, multitruth_fuse
 
 
 class MultiTruth(FusionMethod):
@@ -57,7 +57,7 @@ class MultiTruth(FusionMethod):
     def fuse(self, claims: ClaimSet) -> FusionResult:
         self._check_nonempty(claims)
         return multitruth_fuse(
-            compile_claims(claims),
+            compile_evidence(claims),
             source_weights=self.source_weights,
             use_confidence=self.use_confidence,
             max_iterations=self.max_iterations,

@@ -98,13 +98,14 @@ def _component_map(claims: ClaimSet) -> dict[str, int]:
             parent[node], node = root, parent[node]
         return root
 
-    for _item, run in claims.runs():
-        first = run[0].source_id
+    _items, order, starts = claims.spans()
+    for begin, end in zip(starts, starts[1:]):
+        first = order[begin].source_id
         if first not in parent:
             parent[first] = first
-        if len(run) > 1:
+        if end - begin > 1:
             root = find(first)
-            for source in {claim.source_id for claim in run}:
+            for source in {claim.source_id for claim in order[begin:end]}:
                 if source not in parent:
                     parent[source] = root
                 else:

@@ -26,7 +26,7 @@ exploits that, and keeps the work of a delta proportional to the
    when the region holds every component), and they stay grouped by
    item from there to the kernel: the reweighted list, a shard of it
    and its hierarchy expansion are each adopted by a :class:`ClaimSet`
-   as they stand, ``compile_claims`` walks the item runs — no stage
+   as they stand, a kernel's compile walks the item spans — no stage
    hashes a claim into a set of its own.  A component is reused iff a
    prior entry has its sources, items and reweighted claims; under
    unchanged extractor weights only a re-read item's run can differ,
@@ -204,11 +204,10 @@ class _Corpus:
     @classmethod
     def of(cls, claims: ClaimSet) -> "_Corpus":
         """Index a canonically ordered claim set."""
-        items = claims.items()
-        counts = [len(run) for _item, run in claims.runs()]
-        ordered = list(claims)
+        items, ordered, starts = claims.spans()
+        counts = [end - begin for begin, end in zip(starts, starts[1:])]
         census = Counter(map(_extractor_of, ordered))
-        return cls(ordered, items, counts, census)
+        return cls(list(ordered), items, counts, census)
 
     def claims_of(self, item: Item) -> list[Claim]:
         at = bisect_left(self.items, item)

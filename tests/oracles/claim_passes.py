@@ -6,7 +6,7 @@ they were written first: each builds a :class:`ClaimSet` of its own
 through ``add`` (a key tuple, a hash and a dict store per claim) or
 asks ``values_of`` for a dict per item, and ``compile_claims`` finds a
 claim's place in claim order in an ``id()`` map.  ``src/`` walks the
-item runs it is handed instead and must return the same tables and the
+item spans it is handed instead and must return the same tables and the
 same sets — ``list()``, ``items()`` and ``values_of`` of every item,
 in order — for any claim set, one built by ``add`` in an order that
 interleaves the items included.
@@ -15,25 +15,56 @@ The bodies below are the former ``src/`` ones, moved here unchanged
 (the two methods on subclasses of their owners), except that
 ``compile_claims`` now reads multi-truth's evidence classes and
 per-source class lists back from the flat cover slots it used to
-return, in a second pass ``src/`` does not make.
+return, in a second pass ``src/`` does not make.  ``compile_claims``
+still builds every table in one object, :class:`CompiledClaims`;
+``src/`` splits them between two compiles, ``compile_votes`` (the
+claims of each pair, for the vote kernels) and ``compile_evidence``
+(multi-truth's evidence classes), which both build the pair tables.
+Each table here must equal the one of whichever compile builds it.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 from repro.fusion.base import Claim, ClaimSet, Item, claiming_sources
-from repro.fusion.compiled import CompiledClaims
 from repro.fusion.hierarchy import GENERALISATION_DECAY, HierarchicalFusion
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 
 __all__ = [
+    "CompiledClaims",
     "compile_claims",
     "shard_claims",
     "HierarchicalFusionAddingEveryClaim",
     "KnowledgeFusionAddingEveryClaim",
 ]
+
+
+@dataclass(slots=True)
+class CompiledClaims:
+    """Every table of both ``src/`` compiles, under their names there."""
+
+    items: list[Item]
+    sources: list[str]
+    pair_item: list[int]
+    pair_value: list[str]
+    item_pair_start: list[int]
+    claim_pair: list[int]
+    claim_source: list[int]
+    claim_conf: array
+    pair_claim_start: list[int]
+    pair_claim_source: list[int]
+    pair_claim_conf: array
+    pair_class: list[int]
+    evidence_class: list[int]
+    evidence_source: list[int]
+    evidence_conf: list[float | None]
+    cover_classes: list[list[int]]
+    claimed_classes: list[list[int]]
+    silent_classes: list[list[int]]
+    contested_classes: list[list[int]]
 
 
 def compile_claims(claims: ClaimSet) -> CompiledClaims:

@@ -1,13 +1,15 @@
 """Property tests: the claim passes equal their re-hashing oracles.
 
-``compile_claims``, ``HierarchicalFusion._expand``, ``shard_claims``
-and ``KnowledgeFusion.reweighted`` inherit the item runs
-of the claim set they are handed; ``tests.oracles.claim_passes`` has
-the bodies that built a ``ClaimSet`` through ``add`` at every stage.
-Both must return the same thing *in order* — every ``CompiledClaims``
-table, ``list()`` / ``items()`` / ``values_of`` of every set — whether
-the input was built by ``add`` with its items interleaved or adopted
-as a canonical list.
+``compile_votes`` / ``compile_evidence``, ``HierarchicalFusion._expand``,
+``shard_claims`` and ``KnowledgeFusion.reweighted`` inherit the item
+spans of the claim set they are handed; ``tests.oracles.claim_passes``
+has the bodies that built a ``ClaimSet`` through ``add`` at every
+stage, and one ``compile_claims`` that builds every table.  Both must
+return the same thing *in order* — each table the oracle compiles,
+from whichever ``src/`` compile builds it (the pair tables from both),
+``list()`` / ``items()`` / ``values_of`` of every set — whether the
+input was built by ``add`` with its items interleaved or adopted as a
+canonical list.
 
 On top of a generated claim world every case carries the corners the
 passes branch on: a refresh duplicate (same key, higher confidence
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fusion.base import Claim, ClaimSet, claim_key
-from repro.fusion.compiled import compile_claims
+from repro.fusion.compiled import compile_evidence, compile_votes
 from repro.fusion.hierarchy import HierarchicalFusion
 from repro.fusion.knowledge_fusion import KnowledgeFusion
 from repro.fusion.multitruth import MultiTruth
@@ -118,19 +120,37 @@ def _assert_same_set(ours: ClaimSet, theirs: ClaimSet) -> None:
         assert list(ours.sources_claiming(item)) == list(
             theirs.sources_claiming(item)
         )
-    assert [(item, _exact(run)) for item, run in ours.runs()] == [
-        (item, _exact(run)) for item, run in theirs.runs()
-    ]
+    assert _spans(ours) == _spans(theirs)
     assert list(ours.sources()) == list(theirs.sources())
 
 
+def _spans(claims: ClaimSet) -> list:
+    items, order, starts = claims.spans()
+    return [
+        (item, _exact(order[begin:end]))
+        for item, begin, end in zip(items, starts, starts[1:])
+    ]
+
+
+#: The tables both ``src/`` compiles build.
+PAIR_TABLES = {"items", "sources", "pair_item", "pair_value", "item_pair_start"}
+
+
 def _assert_same_tables(claims: ClaimSet, reference: ClaimSet) -> None:
-    ours = compile_claims(claims)
+    """Every table the oracle compiles equals the one of each ``src/``
+    compile that builds it: the pair tables are compared twice, so the
+    two compiles agree on them too."""
+    compiles = [compile_votes(claims), compile_evidence(claims)]
     theirs = oracle.compile_claims(reference)
+    names = [{table.name for table in fields(ours)} for ours in compiles]
+    assert names[0] & names[1] == PAIR_TABLES
+    assert names[0] | names[1] == {table.name for table in fields(theirs)}
     for table in fields(theirs):
-        assert _exact(getattr(ours, table.name)) == _exact(
-            getattr(theirs, table.name)
-        ), table.name
+        for ours, held in zip(compiles, names):
+            if table.name in held:
+                assert _exact(getattr(ours, table.name)) == _exact(
+                    getattr(theirs, table.name)
+                ), table.name
 
 
 class TestPassesEqualTheirOracles:

@@ -5,9 +5,11 @@ import pytest
 from repro.entity.discovery import (
     JointEntityResolver,
     MentionRecord,
+    resolve_mention_triples,
 )
-from repro.entity.linking import EntityLinker
+from repro.entity.linking import EntityLinker, mention_subject
 from repro.rdf.ontology import Entity
+from repro.rdf.triple import Provenance, ScoredTriple, Triple, Value
 
 
 @pytest.fixture
@@ -115,3 +117,50 @@ class TestDiscovery:
         )
         entity = outcome.new_entities()[0]
         assert "Atlantis Republic" in entity.aliases
+
+
+class TestResolveMentionTriples:
+    def test_surfaces_sharing_a_subject_share_its_facts(self):
+        """Two surfaces that normalise to one mention subject both get
+        its facts; a surface no triple names gets an empty set; a
+        triple whose subject is no mention passes through."""
+        handed: list[MentionRecord] = []
+
+        class Recording(JointEntityResolver):
+            def resolve(self, mentions):
+                handed.extend(mentions)
+                return super().resolve(mentions)
+
+        mention_classes = {
+            "Atlantis": "Country",
+            "Zubrovia": "Country",
+            "  ATLANTIS ": "Country",
+        }
+        subject = mention_subject("Atlantis")
+        assert mention_subject("  ATLANTIS ") == subject
+
+        def scored(subject, predicate, lexical):
+            return ScoredTriple(
+                Triple(subject, predicate, Value(lexical)),
+                Provenance("site", "dom"), 0.9,
+            )
+
+        known = scored("country/1", "capital", "Paris")
+        triples = [
+            scored(subject, "capital", "Arko"),
+            known,
+            scored(subject, "currency", "zed"),
+        ]
+        rewritten, outcome = resolve_mention_triples(
+            triples, mention_classes, Recording(EntityLinker({}))
+        )
+        assert [mention.surface for mention in handed] == list(mention_classes)
+        facts = {("capital", "Arko"), ("currency", "zed")}
+        assert {mention.surface: mention.facts for mention in handed} == {
+            "Atlantis": facts,
+            "Zubrovia": set(),
+            "  ATLANTIS ": facts,
+        }
+        assert rewritten[1] is known
+        (target,) = {triple.triple.subject for triple in rewritten[::2]}
+        assert target in {cluster.cluster_id for cluster in outcome.clusters}

@@ -106,8 +106,9 @@ class TestClaimSet:
             assert list(claims) == canonical
             assert claims.items() == [("s", "p"), ("t", "p")]
             assert claims.sources_claiming(("s", "p")) == ["a", "b"]
-            runs = [one for _item, run in claims.runs() for one in run]
-            assert runs == canonical
+            items, spanned, starts = claims.spans()
+            assert items == claims.items() and spanned == canonical
+            assert starts == [0, 4, 5]
 
     def test_adopt_takes_the_list_as_it_stands(self):
         held = [claim(("t", "p"), "v", "a"), claim(("s", "p"), "v", "a")]

@@ -16,7 +16,8 @@ from repro.fusion.accu import Accu
 from repro.fusion.base import Claim, ClaimSet, value_key
 from repro.fusion.compiled import (
     accu_fuse,
-    compile_claims,
+    compile_evidence,
+    compile_votes,
     gensums_fuse,
     investment_fuse,
     multitruth_fuse,
@@ -87,7 +88,7 @@ def classes(compiled, pairs):
 class TestCompileClaims:
     def test_interning_and_shapes(self):
         claims = small_claims()
-        compiled = compile_claims(claims)
+        compiled = compile_votes(claims)
         assert compiled.n_claims == len(claims) == 5
         assert compiled.n_items == 2
         assert compiled.n_pairs == 4
@@ -96,19 +97,19 @@ class TestCompileClaims:
 
     def test_pairs_follow_values_of_order(self):
         claims = small_claims()
-        compiled = compile_claims(claims)
         expected = [
             (item, value)
             for item in claims.items()
             for value in claims.values_of(item)
         ]
-        assert [
-            compiled.pair_key(p) for p in range(compiled.n_pairs)
-        ] == expected
+        for compiled in (compile_votes(claims), compile_evidence(claims)):
+            assert [
+                compiled.pair_key(p) for p in range(compiled.n_pairs)
+            ] == expected
 
     def test_pair_claims_csr(self):
         claims = small_claims()
-        compiled = compile_claims(claims)
+        compiled = compile_votes(claims)
         for pair in range(compiled.n_pairs):
             item, value = compiled.pair_key(pair)
             start = compiled.pair_claim_start[pair]
@@ -127,7 +128,7 @@ class TestCompileClaims:
         """Every pair's evidence has one slot per source claiming any
         value of its item."""
         claims = small_claims()
-        compiled = compile_claims(claims)
+        compiled = compile_evidence(claims)
         for pair in range(compiled.n_pairs):
             item, _value = compiled.pair_key(pair)
             names = [
@@ -141,7 +142,7 @@ class TestCompileClaims:
         in the pair's evidence."""
         claims = small_claims()
         claims.add(claim(("s1", "p"), "v1", "b", "other", confidence=0.75))
-        compiled = compile_claims(claims)
+        compiled = compile_evidence(claims)
         pair = [
             p for p in range(compiled.n_pairs)
             if compiled.pair_key(p) == (("s1", "p"), "v1")
@@ -153,7 +154,7 @@ class TestCompileClaims:
 
     def test_cover_slots_follow_item_pair_source_order(self):
         claims = small_claims()
-        compiled = compile_claims(claims)
+        compiled = compile_evidence(claims)
         slots = expected_slots(claims, compiled)
         assert [
             (pair, source, conf)
@@ -188,7 +189,7 @@ class TestCompileClaims:
         }
 
     def test_decode_beliefs_roundtrip(self):
-        compiled = compile_claims(small_claims())
+        compiled = compile_votes(small_claims())
         scores = [float(p) for p in range(compiled.n_pairs)]
         decoded = compiled.decode_beliefs(scores)
         assert decoded[compiled.pair_key(2)] == 2.0
@@ -209,7 +210,7 @@ class TestEvidenceClasses:
     @pytest.fixture(scope="class")
     def world(self):
         claims = generate_claim_world(EVIDENCE_WORLD).claims
-        compiled = compile_claims(claims)
+        compiled = compile_evidence(claims)
         slots: dict[int, list] = {}
         for pair, source, conf in expected_slots(claims, compiled):
             slots.setdefault(pair, []).append((source, conf))
@@ -329,31 +330,36 @@ class TestCompiledEquivalence:
         )
 
 
+# kernel → (the kernel, the compile that builds the tables it reads)
 KERNELS = {
-    "accu": accu_fuse,
-    "popaccu": lambda cc: accu_fuse(cc, popularity=True, name="popaccu"),
-    "multitruth": multitruth_fuse,
-    "gensums": gensums_fuse,
-    "investment": investment_fuse,
+    "accu": (accu_fuse, compile_votes),
+    "popaccu": (
+        lambda cc: accu_fuse(cc, popularity=True, name="popaccu"),
+        compile_votes,
+    ),
+    "multitruth": (multitruth_fuse, compile_evidence),
+    "gensums": (gensums_fuse, compile_votes),
+    "investment": (investment_fuse, compile_votes),
 }
 
 
 @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
 def test_kernels_do_not_write_into_the_tables(kernel_name):
-    """One ``CompiledClaims`` serves any number of fuses: the second
-    over a used object equals one over a fresh compile, and every
-    table — the evidence classes and per-source class lists included —
-    reads as it did before the first."""
+    """One compile serves any number of fuses: the second over used
+    tables equals one over a fresh compile, and every table — of
+    ``VoteTables`` for the vote kernels, of ``EvidenceTables``, the
+    evidence classes and per-source class lists included, for
+    multi-truth — reads as it did before the first."""
     claims = generate_claim_world(WORLDS["multi-truth"]).claims
-    kernel = KERNELS[kernel_name]
-    compiled = compile_claims(claims)
+    kernel, compile_ = KERNELS[kernel_name]
+    compiled = compile_(claims)
     tables = {
         table.name: copy.deepcopy(getattr(compiled, table.name))
         for table in fields(compiled)
     }
     first = kernel(compiled).canonical_bytes()
     assert kernel(compiled).canonical_bytes() == first
-    assert kernel(compile_claims(claims)).canonical_bytes() == first
+    assert kernel(compile_(claims)).canonical_bytes() == first
     for name, before in tables.items():
         assert getattr(compiled, name) == before, name
 

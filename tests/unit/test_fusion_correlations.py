@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.fusion import correlations
 from repro.fusion.base import Claim, ClaimSet
 from repro.fusion.correlations import UNWITNESSED_RARITY, CorrelationEstimator
 from repro.synth.claims import ClaimWorldConfig, generate_claim_world
@@ -381,6 +382,78 @@ class TestEqualsTheScanOracle:
         assert list(got.dependence) == list(expected.dependence)
         with pytest.raises(KeyError):
             CorrelationEstimatorScan(by=by).estimate(one for one in claims)
+
+
+@pytest.fixture
+def ballots(monkeypatch):
+    """The party → value maps the single-ballot tally is handed."""
+    handed = []
+    tally = correlations._tally_ballots
+
+    def spy(tallies, ballot):
+        handed.append(dict(ballot))
+        tally(tallies, ballot)
+
+    monkeypatch.setattr(correlations, "_tally_ballots", spy)
+    return handed
+
+
+class TestTallyPaths:
+    """Each way an item is tallied, one item at a time, ``==`` the
+    scan: one value per party (no set), a party claiming two values
+    (the set path) and two claims of one party (the two-claim path)."""
+
+    ITEM = ("e", "a")
+    # Six parties, one value each; p1 claims it under two extractors.
+    SINGLE = [
+        ("a", "p1", "dom"), ("a", "p1", "text"), ("a", "p2", "ex"),
+        ("a", "p3", "ex"), ("b", "p4", "ex"), ("b", "p5", "ex"),
+        ("c", "p6", "ex"),
+    ]
+
+    def claims(self, rows):
+        return [
+            claim(self.ITEM, value, party, extractor)
+            for value, party, extractor in rows
+        ]
+
+    def test_single_ballots_with_witnesses(self, ballots):
+        estimate = _assert_same_estimate(
+            self.claims(self.SINGLE), min_common_items=1
+        )
+        assert ballots == [
+            {"p1": "a", "p2": "a", "p3": "a", "p4": "b", "p5": "b", "p6": "c"}
+        ]
+        assert len(estimate.dependence) == 15
+        # Four witnesses: "a" has one claimant besides the pair, "b" none.
+        assert estimate.pair("p1", "p2") == 0.75
+        assert estimate.pair("p4", "p5") == 1.0
+        assert estimate.pair("p1", "p4") == 0.0
+
+    def test_a_party_claiming_two_values(self, ballots):
+        rows = [*self.SINGLE, ("a", "p6", "ex")]
+        estimate = _assert_same_estimate(self.claims(rows), min_common_items=1)
+        assert ballots == []
+        assert len(estimate.dependence) == 15
+        # "a" now has two claimants besides p1 and p2, p6 among them.
+        assert estimate.pair("p1", "p2") == 0.5
+        assert estimate.pair("p1", "p6") == 0.5 / 2
+
+    def test_a_two_claim_run_of_one_party(self, ballots):
+        claims = [
+            claim(("e0", "a"), "x", "p1"),
+            claim(("e0", "a"), "y", "p1"),
+            claim(("e1", "a"), "x", "p1", "dom"),
+            claim(("e1", "a"), "x", "p1", "text"),
+            claim(("e2", "a"), "x", "p1"),
+            claim(("e2", "a"), "x", "p2"),
+            claim(("e3", "a"), "y", "p1"),
+            claim(("e3", "a"), "z", "p2"),
+        ]
+        estimate = _assert_same_estimate(claims, min_common_items=1)
+        assert ballots == []
+        # One agreement, unwitnessed, over a union of one and two.
+        assert estimate.dependence == {("p1", "p2"): UNWITNESSED_RARITY / 3}
 
 
 # Prints the dependence scores of a small copier world as exact hex

@@ -606,7 +606,11 @@ class TestADeltaGroupsItsClaimsOnce:
         # order and adopted: no claim key is hashed anywhere.
         assert adds == []
 
-        runs = dict(engine.claims.runs())
+        items, order, starts = engine.claims.spans()
+        runs = {
+            item: order[begin:end]
+            for item, begin, end in zip(items, starts, starts[1:])
+        }
         plain = [
             item for item, run in runs.items()
             if len(run) == 1 and run[0].value not in hierarchy
